@@ -78,7 +78,7 @@ def reference_answers(lake, repo, queries, service: QueryService):
         bounding_box=repo.bounding_box(),
         rng=np.random.default_rng(0),
     )
-    return [sorted(engine._eval(q)) for q in queries]
+    return [engine.search(q).indexes for q in queries]
 
 
 def run_shard_count(repo, queries, n_shards: int) -> tuple[dict, QueryService]:

@@ -155,9 +155,6 @@ class DatasetBitmap:
         """Members as a mutable ``set`` (for set-algebra consumers)."""
         return set(self.to_list())
 
-    def to_frozenset(self) -> frozenset[int]:
-        return frozenset(self.to_list())
-
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------

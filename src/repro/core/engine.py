@@ -19,6 +19,7 @@ tests and benchmarks can report recall/precision directly.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -224,10 +225,6 @@ class DatasetSearchEngine:
         result.end_time = time.perf_counter()
         return result
 
-    def _eval(self, expression: Expression) -> set[int]:
-        """Set-algebra evaluation (compat shim over the bitset evaluator)."""
-        return self._eval_bits(expression).to_set()
-
     def _eval_bits(self, expression: Expression) -> DatasetBitmap:
         if isinstance(expression, Predicate):
             return self.eval_leaf_bits(expression)
@@ -258,23 +255,11 @@ class DatasetSearchEngine:
             return self.pref_index(measure.k).query(measure.vector, leaf.theta.lo)
         raise QueryError(f"unsupported measure {type(measure).__name__}")
 
-    def eval_leaf(self, leaf: Predicate) -> set[int]:
-        """Answer one predicate leaf against the appropriate structure.
-
-        This is the reusable evaluation hook the service layer builds on:
-        the sharded executor calls it per shard and the leaf-result cache
-        stores its answers keyed by ``leaf.canonical_key()``.
-        """
-        return self._leaf_query(leaf).index_set
-
     def eval_leaf_bits(self, leaf: Predicate) -> DatasetBitmap:
         """One leaf's answer as a packed bitset over ``range(n_datasets)``."""
         return DatasetBitmap.from_indices(
             self._leaf_query(leaf).indexes, self.n_datasets
         )
-
-    # Backwards-compatible alias (pre-service releases named the hook this).
-    _eval_leaf = eval_leaf
 
     def _leaf_batch_query(
         self, leaves: Sequence[Predicate]
@@ -304,15 +289,11 @@ class DatasetSearchEngine:
                 results[i] = res
         return results
 
-    def eval_leaf_batch(self, leaves: Sequence[Predicate]) -> list[set[int]]:
-        """A batch of leaf answers as sets, identical to
-        ``[self.eval_leaf(l) for l in leaves]`` but batched."""
-        return [r.index_set for r in self._leaf_batch_query(leaves)]
-
     def eval_leaf_batch_bits(  # lint: hot-path
         self, leaves: Sequence[Predicate], tracer=None, deadline=None
     ) -> list[DatasetBitmap]:
-        """A batch of leaf answers as packed bitsets (same batching).
+        """A batch of leaf answers as packed bitsets, aligned with
+        ``leaves`` (percentile leaves share one multi-box backend call).
 
         With a tracer the whole kernel call runs under an
         ``engine_leaf_batch`` span, nested inside whatever span the
@@ -322,28 +303,24 @@ class DatasetSearchEngine:
         With a ``deadline`` (a :class:`~repro.service.deadline.Deadline`)
         the batch switches to the polled per-leaf path: the budget is
         checked between leaves and :class:`~repro.errors.DeadlineExceeded`
-        carries the prefix of answers already computed.  The deadline-free
-        hot path is untouched (one extra pointer check).
+        carries the prefix of answers already computed (untraced: per-leaf
+        spans would dominate the budget being guarded).
         """
         if deadline is not None:
-            return self._eval_leaf_batch_bits_polled(leaves, deadline, tracer)
-        if tracer is None:
-            n = self.n_datasets
-            return [
-                DatasetBitmap.from_indices(r.indexes, n)
-                for r in self._leaf_batch_query(leaves)
-            ]
-        with tracer.span(
-            "engine_leaf_batch", n_leaves=len(leaves), n_datasets=self.n_datasets
+            return self._eval_leaf_batch_bits_polled(leaves, deadline)
+        n = self.n_datasets
+        with (
+            tracer.span("engine_leaf_batch", n_leaves=len(leaves), n_datasets=n)
+            if tracer is not None
+            else nullcontext()
         ):
-            n = self.n_datasets
             return [
                 DatasetBitmap.from_indices(r.indexes, n)
                 for r in self._leaf_batch_query(leaves)
             ]
 
     def _eval_leaf_batch_bits_polled(
-        self, leaves: Sequence[Predicate], deadline, tracer=None
+        self, leaves: Sequence[Predicate], deadline
     ) -> list[DatasetBitmap]:
         """Leaf-at-a-time evaluation with a deadline poll between leaves.
 
@@ -353,7 +330,6 @@ class DatasetSearchEngine:
         ``DeadlineExceeded.partial`` is an aligned prefix of the input
         order, so callers can keep the exact answers already computed.
         """
-        del tracer  # per-leaf spans would dominate the budget being guarded
         leaves = list(leaves)
         n = self.n_datasets
         out: list[DatasetBitmap] = []

@@ -37,8 +37,8 @@ optimization reducing the stored pairs from ``O(s^{4d})`` to ``O(s^{2d})``.
 (quadratic filter) and the test suite proves the two agree on all
 query-matchable pairs.
 
-Vectorized enumeration
-----------------------
+Array enumerators
+-----------------
 The list-of-tuples enumerators above are the *reference* implementations:
 one Python iteration (and several small array allocations) per rectangle.
 Index construction walks millions of rectangles, so the builders consume
@@ -54,10 +54,10 @@ gap options for the generalized family), realize the cross product with
 stride arithmetic instead of ``itertools.product``, and look masses up in
 a padded d-dimensional cumulative-count grid via inclusion–exclusion —
 ``2^d`` vectorized gathers instead of one rank scan per rectangle.  Row
-order and float values match the reference enumerators *exactly* (the
-test suite and the cold-path benchmark both assert it); pass
-``vectorized=False`` (or flip :data:`VECTORIZED_ENUMERATION`) to route
-through the reference path, e.g. to measure the speedup.
+order and float values match the reference enumerators *exactly*; the
+test suite compares the two directly.  The size guard runs on per-axis
+option *counts* computed arithmetically, so an oversized coreset is
+refused before any option table is allocated.
 """
 
 from __future__ import annotations
@@ -315,13 +315,6 @@ def enumerate_generalized_pairs(
     return out
 
 
-#: Default for the ``vectorized`` parameter of the array enumerators.
-#: The cold-path benchmark flips this to measure the reference
-#: (list-of-tuples) construction path end to end; production code never
-#: touches it.
-VECTORIZED_ENUMERATION = True
-
-
 def _padded_cumulative_counts(grid: RectangleGrid) -> np.ndarray:
     """Padded d-dim cumulative point counts over the grid cells.
 
@@ -396,7 +389,7 @@ def _product_option_indices(sizes: Sequence[int], total: int) -> list[np.ndarray
 
 
 def rectangles_arrays(
-    grid: RectangleGrid, vectorized: Optional[bool] = None
+    grid: RectangleGrid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The family ``R_i`` as block matrices: ``(lo, hi, mass)``.
 
@@ -407,30 +400,18 @@ def rectangles_arrays(
     test suite asserts exact (bitwise) agreement.  ``P = 0`` yields
     correctly shaped empty matrices.
     """
-    if vectorized is None:
-        vectorized = VECTORIZED_ENUMERATION
     d = grid.dim
-    if not vectorized:
-        rects = enumerate_rectangles(grid)
-        lo = np.asarray([r.lo for r, _w in rects], dtype=float).reshape(len(rects), d)
-        hi = np.asarray([r.hi for r, _w in rects], dtype=float).reshape(len(rects), d)
-        mass = np.asarray([w for _r, w in rects], dtype=float).reshape(len(rects))
-        return lo, hi, mass
-    lo_opts: list[np.ndarray] = []
-    hi_opts: list[np.ndarray] = []
-    for h in range(d):
-        i, j = np.triu_indices(grid.n_coords(h))
-        lo_opts.append(i)
-        hi_opts.append(j)
-    total = _product_total([o.size for o in lo_opts], "rectangles")
-    cols = _product_option_indices([o.size for o in lo_opts], total)
+    sizes = [m * (m + 1) // 2 for m in map(grid.n_coords, range(d))]
+    total = _product_total(sizes, "rectangles")
+    cols = _product_option_indices(sizes, total)
     lo_idx = np.empty((total, d), dtype=np.int64)
     hi_idx = np.empty((total, d), dtype=np.int64)
     lo = np.empty((total, d))
     hi = np.empty((total, d))
     for h in range(d):
-        lo_idx[:, h] = lo_opts[h][cols[h]]
-        hi_idx[:, h] = hi_opts[h][cols[h]]
+        i, j = np.triu_indices(grid.n_coords(h))
+        lo_idx[:, h] = i[cols[h]]
+        hi_idx[:, h] = j[cols[h]]
         lo[:, h] = grid.coords[h][lo_idx[:, h]]
         hi[:, h] = grid.coords[h][hi_idx[:, h]]
     counts = _box_counts(_padded_cumulative_counts(grid), lo_idx, hi_idx)
@@ -438,7 +419,7 @@ def rectangles_arrays(
 
 
 def generalized_pairs_arrays(
-    grid: RectangleGrid, vectorized: Optional[bool] = None
+    grid: RectangleGrid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Generalized maximal pairs as block matrices.
 
@@ -452,18 +433,13 @@ def generalized_pairs_arrays(
     matrices rather than the ragged ``(0,)`` array a naive
     ``np.asarray([])`` would produce.
     """
-    if vectorized is None:
-        vectorized = VECTORIZED_ENUMERATION
     d = grid.dim
-    if not vectorized:
-        pairs = enumerate_generalized_pairs(grid)
-        n = len(pairs)
-        mats = [
-            np.asarray([p[c] for p in pairs], dtype=float).reshape(n, d)
-            for c in range(4)
-        ]
-        weight = np.asarray([p[4] for p in pairs], dtype=float).reshape(n)
-        return mats[0], mats[1], mats[2], mats[3], weight
+    # Per axis: (m-2)(m-1)/2 rectangle options plus m-1 gap options.
+    sizes = [
+        max(0, m - 2) * (m - 1) // 2 + (m - 1)
+        for m in map(grid.n_coords, range(d))
+    ]
+    total = _product_total(sizes, "generalized pairs")
     ax_in_lo: list[np.ndarray] = []
     ax_in_hi: list[np.ndarray] = []
     ax_out_lo: list[np.ndarray] = []
@@ -483,8 +459,6 @@ def generalized_pairs_arrays(
         ax_out_hi.append(np.concatenate([coords[j + 1], coords[g + 1]]))
         ax_lo_idx.append(np.concatenate([i, np.full(g.size, -1, dtype=np.int64)]))
         ax_hi_idx.append(np.concatenate([j, np.full(g.size, -1, dtype=np.int64)]))
-    sizes = [o.size for o in ax_in_lo]
-    total = _product_total(sizes, "generalized pairs")
     cols = _product_option_indices(sizes, total)
     inner_lo = np.empty((total, d))
     inner_hi = np.empty((total, d))

@@ -52,10 +52,10 @@ from repro.service.planner import (
     PlanCache,
     QueryPlan,
     canonicalize,
+    combine_bounds,
     emit_schedule,
     evaluate_with_leaf_results,
     leaf_key,
-    partial_bounds,
     plan_batch,
     plan_query,
 )
@@ -108,6 +108,7 @@ __all__ = [
     "Span",
     "Tracer",
     "canonicalize",
+    "combine_bounds",
     "default_latency_bounds",
     "emit_schedule",
     "evaluate_with_leaf_results",
@@ -119,7 +120,6 @@ __all__ = [
     "make_federation_server",
     "make_handler",
     "make_server",
-    "partial_bounds",
     "partition_indices",
     "plan_batch",
     "plan_query",

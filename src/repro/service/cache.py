@@ -3,14 +3,12 @@
 The cache sits between the planner and the sharded executor: keys are the
 planner's canonical leaf keys, values are the global answers the executor
 computed for those leaves — packed
-:class:`~repro.core.bitset.DatasetBitmap` bitsets on the warm path
-(``ceil(N / 64)`` words ≈ 64x smaller than a frozenset of the same
-indexes), or frozensets when a set-algebra caller stores them (the
-measurable baseline; ``put`` freezes plain sets).  Caching at the *leaf*
-granularity — rather than whole expressions — is what makes cross-query
-reuse effective: two different expressions that share a predicate share
-its cached answer.  ``resident_bytes`` tracks the estimated heap footprint
-of the stored values, so ``/stats`` can surface cache-memory regressions.
+:class:`~repro.core.bitset.DatasetBitmap` bitsets (``ceil(N / 64)`` words
+per answer).  Caching at the *leaf* granularity — rather than whole
+expressions — is what makes cross-query reuse effective: two different
+expressions that share a predicate share its cached answer.
+``resident_bytes`` tracks the estimated heap footprint of the stored
+values, so ``/stats`` can surface cache-memory regressions.
 
 Cached answers are only valid for the synopsis set they were computed
 against, so the cache exposes explicit :meth:`~LeafResultCache.invalidate`
@@ -28,27 +26,18 @@ at all — tombstone masks are applied when answers are read.
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
 from repro.core.bitset import DatasetBitmap
 
-#: What a cache entry may hold: packed bitset (warm path) or frozen set.
-CachedAnswer = Union[frozenset, DatasetBitmap]
 
-#: Estimated heap bytes of one CPython ``int`` object in a set.
-_INT_BYTES = 28
-
-
-def _answer_bytes(value: CachedAnswer) -> int:
-    """Estimated heap footprint of one stored answer."""
-    if isinstance(value, DatasetBitmap):
-        # words buffer + ndarray/view header + bitmap object.
-        return value.nbytes + 96
-    return sys.getsizeof(value) + _INT_BYTES * len(value)
+def _answer_bytes(value: DatasetBitmap) -> int:
+    """Estimated heap footprint of one stored answer: words buffer plus
+    ndarray/view header plus bitmap object."""
+    return value.nbytes + 96
 
 
 @dataclass
@@ -85,19 +74,14 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One cached leaf answer plus the dataset-count it was computed at.
+    """One cached leaf answer plus the dataset-count it was computed at."""
 
-    ``indexes`` holds whatever representation the producer stored: a
-    packed :class:`~repro.core.bitset.DatasetBitmap` on the warm path, a
-    frozenset in the legacy set algebra.
-    """
-
-    indexes: CachedAnswer
+    indexes: DatasetBitmap
     watermark: int = 0
 
 
 class LeafResultCache:
-    """A bounded LRU mapping leaf keys to frozen index sets.
+    """A bounded LRU mapping leaf keys to packed answer bitsets.
 
     Parameters
     ----------
@@ -108,35 +92,28 @@ class LeafResultCache:
 
     Examples
     --------
+    >>> from repro.core.bitset import DatasetBitmap
+    >>> bits = lambda *members: DatasetBitmap.from_indices(members, 8)
     >>> cache = LeafResultCache(capacity=2)
-    >>> cache.put("a", {1, 2})
-    >>> sorted(cache.get("a"))
+    >>> cache.put("a", bits(1, 2))
+    >>> cache.get("a").to_list()
     [1, 2]
     >>> cache.get("b") is None
     True
-    >>> cache.put("b", {3}); cache.put("c", {4})   # evicts "a" (LRU)
+    >>> cache.put("b", bits(3)); cache.put("c", bits(4))   # evicts "a" (LRU)
     >>> cache.get("a") is None, cache.stats.evictions
     (True, 1)
+    >>> cache.resident_bytes > 0
+    True
 
     Watermarked entries support warm-cache ingestion: the service stores the
     dataset count an answer was computed at and upgrades stale entries from
     the delta shard instead of flushing.
 
-    >>> cache.put("leaf", {0, 2}, watermark=3)
+    >>> cache.put("leaf", bits(0, 2), watermark=3)
     >>> entry = cache.get_entry("leaf")
-    >>> (sorted(entry.indexes), entry.watermark)
+    >>> (entry.indexes.to_list(), entry.watermark)
     ([0, 2], 3)
-
-    Bitset-valued entries (the warm path) are stored as-is — ~64x smaller
-    than the equivalent frozenset — and ``resident_bytes`` tracks the
-    footprint either way:
-
-    >>> from repro.core.bitset import DatasetBitmap
-    >>> cache.put("bits", DatasetBitmap.from_indices([0, 2], 128))
-    >>> cache.get("bits").to_list()
-    [0, 2]
-    >>> cache.resident_bytes > 0
-    True
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -163,7 +140,7 @@ class LeafResultCache:
         with self._lock:
             return key in self._entries
 
-    def get(self, key: Hashable) -> Optional[CachedAnswer]:  # lint: hot-path
+    def get(self, key: Hashable) -> Optional[DatasetBitmap]:  # lint: hot-path
         """The cached answer, or None; refreshes LRU recency on hit."""
         entry = self.get_entry(key)
         return None if entry is None else entry.indexes
@@ -187,15 +164,14 @@ class LeafResultCache:
     def put(
         self,
         key: Hashable,
-        indexes: "CachedAnswer | set",
+        indexes: DatasetBitmap,
         generation: Optional[int] = None,
         watermark: int = 0,
     ) -> None:
         """Store (or refresh) an answer, evicting the LRU entry if full.
 
-        Bitset answers are stored as-is (bitmaps are immutable by
-        convention); set answers are frozen so later caller mutation cannot
-        leak in.  Pass the ``generation`` observed *before* computing
+        Answers are stored as-is (bitmaps are immutable by convention).
+        Pass the ``generation`` observed *before* computing
         ``indexes`` to make the write flush-safe: if an :meth:`invalidate`
         happened in the meantime (the synopsis set changed
         mid-computation), the stale answer is silently dropped instead of
@@ -204,8 +180,6 @@ class LeafResultCache:
         """
         if self.capacity == 0:
             return
-        if not isinstance(indexes, DatasetBitmap):
-            indexes = frozenset(indexes)
         with self._lock:
             if generation is not None and generation != self.generation:
                 return

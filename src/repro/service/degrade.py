@@ -34,11 +34,10 @@ synopsis and compares against the leaf's interval ``theta``:
   ``s + d < tau - (2·eps + 2d)`` — *can't*.
 
 Monotonicity of And/Or then lifts per-leaf bounds to whole expressions
-(:func:`combine_bounds`, the same algebra as the planner's
-:func:`~repro.service.planner.partial_bounds`): intersecting/unioning
-lower bounds stays a lower bound, ditto upper.  A synopsis that cannot
-evaluate a measure class (:class:`~repro.errors.CapabilityError`) is
-conservatively *maybe*.
+(the planner's :func:`~repro.service.planner.combine_bounds`):
+intersecting/unioning lower bounds stays a lower bound, ditto upper.  A
+synopsis that cannot evaluate a measure class
+(:class:`~repro.errors.CapabilityError`) is conservatively *maybe*.
 
 With exact synopses (``delta = 0``) the must set is exactly the
 ground-truth answer and the maybe band covers precisely the engine's
@@ -52,28 +51,18 @@ answering at all.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    AbstractSet,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
 
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
-from repro.core.predicates import And, Expression, Or, Predicate
+from repro.core.predicates import Predicate
 from repro.errors import CapabilityError, QueryError
 from repro.geometry.interval import Interval
-from repro.service.planner import LeafKey, _combine_and, _combine_or, leaf_key
+from repro.service.planner import LeafBounds, LeafKey
 
 if TYPE_CHECKING:
     from repro.service.sharding import ShardedBatchExecutor
     from repro.synopsis.base import Synopsis
-
-#: A leaf's screened bounds: (must bitmap, possible bitmap); must ⊆ possible.
-LeafBounds = Tuple[DatasetBitmap, DatasetBitmap]
 
 
 def classify_ptile(
@@ -216,30 +205,3 @@ class SynopsisScreen:
     ) -> dict[LeafKey, LeafBounds]:
         """Screen a keyed leaf collection (the planner's ``plan.leaves``)."""
         return {key: self.screen_leaf(leaf) for key, leaf in leaves.items()}
-
-
-def combine_bounds(
-    expression: Expression, bounds: Mapping[LeafKey, LeafBounds]
-) -> LeafBounds:
-    """Lift per-leaf (must, possible) bounds to a whole expression.
-
-    And/Or are monotone, so intersecting/unioning the children's lower
-    bounds yields a sound lower bound for the node (ditto upper) — the
-    same argument as the planner's
-    :func:`~repro.service.planner.partial_bounds`, but with *both* sides
-    approximate instead of unknown-vs-exact.  Exact leaves participate as
-    ``(answer, answer)`` pairs, so mixed exact/screened expressions tighten
-    wherever exact answers exist.
-    """
-    if isinstance(expression, Predicate):
-        return bounds[leaf_key(expression)]
-    if isinstance(expression, (And, Or)):
-        lowers, uppers = [], []
-        for child in expression.children:
-            lo, hi = combine_bounds(child, bounds)
-            lowers.append(lo)
-            uppers.append(hi)
-        if isinstance(expression, And):
-            return _combine_and(lowers), _combine_and(uppers)
-        return _combine_or(lowers), _combine_or(uppers)
-    raise QueryError(f"unsupported expression node {type(expression).__name__}")

@@ -39,7 +39,7 @@ into a 500:
 - **Graceful degradation** — a node that is down, tripped, drifted, or
   over budget contributes the three-valued screen of its *registered*
   synopses (:func:`~repro.service.degrade.screen_synopses` +
-  :func:`~repro.service.degrade.combine_bounds`): a **must** bitmap of
+  :func:`~repro.service.planner.combine_bounds`): a **must** bitmap of
   datasets certainly in its answer and a **maybe** bitmap of datasets
   possibly in it.  Nodes registered without synopses degrade to
   ``(∅, full)`` — still sound, just uninformative.  Because nodes
@@ -98,9 +98,9 @@ from repro.core.results import QueryResult
 from repro.errors import QueryError, ReproError
 from repro.service import faults
 from repro.service.deadline import Deadline
-from repro.service.degrade import combine_bounds, screen_synopses
+from repro.service.degrade import screen_synopses
 from repro.service.observability import MetricsRegistry, Tracer
-from repro.service.planner import plan_query
+from repro.service.planner import combine_bounds, plan_query
 from repro.service.server import (
     JsonRequestHandler,
     expression_from_json,

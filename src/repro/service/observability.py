@@ -824,7 +824,6 @@ class ServiceObservability:
         executor = service.executor
         return {
             "engine": executor.engine_kind,
-            "algebra": service.algebra,
             "n_datasets": executor.n_datasets,
             "n_live": executor.n_live,
             "n_removed": len(executor.removed),

@@ -14,20 +14,17 @@ Canonical form makes :meth:`~repro.core.predicates.Expression.canonical_key`
 a semantic identity for the And/Or/leaf fragment, which is what the
 leaf-result cache and the batch deduplicator key on.
 
-The planner also owns the *emit schedule*: given per-leaf answer sets and
+The planner also owns the *emit schedule*: given per-leaf answers and
 per-leaf completion times, :func:`emit_schedule` computes, for every index
 in the final answer, the earliest leaf completion at which its membership
 was already logically determined (three-valued And/Or semantics).  This is
 what ``DatasetSearchEngine.search(record_times=True)`` and the service use
 to populate ``QueryResult.emit_times`` meaningfully.
 
-The evaluation helpers (:func:`evaluate_with_leaf_results`,
-:func:`partial_bounds`, :func:`emit_schedule`) are polymorphic over the
-answer representation: per-leaf answers may be ``set``/``frozenset``
-objects (the legacy representation, kept as the measurable baseline) or
-packed :class:`~repro.core.bitset.DatasetBitmap` bitsets (the warm-path
-default — And/Or become word-wise ``&``/``|``).  All answers in one call
-must share a representation.
+Per-leaf answers are packed :class:`~repro.core.bitset.DatasetBitmap`
+bitsets, so the evaluation helpers (:func:`evaluate_with_leaf_results`,
+:func:`combine_bounds`, :func:`emit_schedule`) reduce And/Or to word-wise
+``&``/``|``.
 
 Canonicalization itself is not free (children are sorted by the repr of
 their canonical keys), so repeated query *shapes* can skip it entirely:
@@ -49,7 +46,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Union,
 )
 
 from repro.core.bitset import DatasetBitmap
@@ -59,11 +55,11 @@ from repro.errors import QueryError
 if TYPE_CHECKING:
     from repro.service.observability import Tracer
 
-#: One leaf's answer: index set (legacy/baseline) or packed bitset.
-LeafAnswer = Union[frozenset, set, DatasetBitmap]
-
 #: A stable hashable identity for a predicate leaf.
 LeafKey = Hashable
+
+#: (lower, upper) answer bounds of a leaf or expression; lower ⊆ upper.
+LeafBounds = tuple[DatasetBitmap, DatasetBitmap]
 
 
 def leaf_key(leaf: Predicate) -> LeafKey:
@@ -238,45 +234,27 @@ def plan_batch(
     return batch
 
 
-def _combine_and(values: list) -> LeafAnswer:
-    """Intersection in whichever algebra the values use."""
-    if isinstance(values[0], DatasetBitmap):
-        out = values[0]
-        for v in values[1:]:
-            out = out & v
-        return out
-    return set.intersection(*values)
+def _combine_and(values: list[DatasetBitmap]) -> DatasetBitmap:
+    out = values[0]
+    for v in values[1:]:
+        out = out & v
+    return out
 
 
-def _combine_or(values: list) -> LeafAnswer:
-    """Union in whichever algebra the values use."""
-    if isinstance(values[0], DatasetBitmap):
-        out = values[0]
-        for v in values[1:]:
-            out = out | v
-        return out
-    return set.union(*values)
-
-
-def answer_indices(value: LeafAnswer) -> Iterable[int]:
-    """Iterate an answer's member indexes regardless of representation."""
-    return value.to_array() if isinstance(value, DatasetBitmap) else value
+def _combine_or(values: list[DatasetBitmap]) -> DatasetBitmap:
+    out = values[0]
+    for v in values[1:]:
+        out = out | v
+    return out
 
 
 def evaluate_with_leaf_results(
-    expression: Expression, leaf_results: Mapping[LeafKey, LeafAnswer]
-) -> LeafAnswer:
-    """Evaluate an expression given precomputed per-leaf answers.
-
-    With set-valued ``leaf_results`` this is pure set algebra and returns a
-    ``set``; with bitset-valued results, And/Or collapse to word-wise
-    ``&``/``|`` over packed ``uint64`` words and a bitmap is returned.
-    """
+    expression: Expression, leaf_results: Mapping[LeafKey, DatasetBitmap]
+) -> DatasetBitmap:
+    """Evaluate an expression given precomputed per-leaf answers: And/Or
+    collapse to word-wise ``&``/``|`` over packed ``uint64`` words."""
     if isinstance(expression, Predicate):
-        value = leaf_results[leaf_key(expression)]
-        # Bitmaps are immutable by convention; sets are copied because the
-        # And/Or reducers below may hand the result to mutating callers.
-        return value if isinstance(value, DatasetBitmap) else set(value)
+        return leaf_results[leaf_key(expression)]
     if isinstance(expression, And):
         values = [evaluate_with_leaf_results(c, leaf_results) for c in expression.children]
         return _combine_and(values)
@@ -286,33 +264,28 @@ def evaluate_with_leaf_results(
     raise QueryError(f"unsupported expression node {type(expression).__name__}")
 
 
-def partial_bounds(
-    expression: Expression,
-    known: Mapping[LeafKey, LeafAnswer],
-    universe: LeafAnswer,
-) -> tuple[LeafAnswer, LeafAnswer]:
-    """Three-valued evaluation: (definitely-in, possibly-in) index sets.
+def combine_bounds(
+    expression: Expression, bounds: Mapping[LeafKey, LeafBounds]
+) -> LeafBounds:
+    """Three-valued evaluation: lift per-leaf ``(lower, upper)`` bounds to
+    a whole expression.
 
-    A leaf whose answer is not yet in ``known`` contributes the trivial
-    bounds ``(∅, universe)``.  And/Or are monotone, so intersecting /
-    unioning the child bounds is exact: an index in the lower set is in the
-    final answer no matter how the unknown leaves resolve, and an index
-    outside the upper set is out no matter what.  The representation of
-    ``universe`` (set or bitmap) selects the algebra.
+    And/Or are monotone, so intersecting / unioning the children's lower
+    bounds yields a sound lower bound for the node (ditto upper): an index
+    in the lower set is in the final answer no matter how the leaves
+    resolve inside their bounds, and an index outside the upper set is out
+    no matter what.  An exact leaf participates as ``(answer, answer)``, a
+    leaf with no answer yet as ``(∅, universe)`` (the emit scheduler), a
+    synopsis-screened leaf as its ``(must, possible)`` pair (degraded
+    answers, :mod:`repro.service.degrade`) — mixed expressions tighten
+    wherever exact answers exist.
     """
     if isinstance(expression, Predicate):
-        result = known.get(leaf_key(expression))
-        if result is None:
-            if isinstance(universe, DatasetBitmap):
-                return DatasetBitmap.zeros(universe.nbits), universe
-            return set(), set(universe)
-        if isinstance(result, DatasetBitmap):
-            return result, result
-        return set(result), set(result)
+        return bounds[leaf_key(expression)]
     if isinstance(expression, (And, Or)):
         lowers, uppers = [], []
         for child in expression.children:
-            lo, hi = partial_bounds(child, known, universe)
+            lo, hi = combine_bounds(child, bounds)
             lowers.append(lo)
             uppers.append(hi)
         if isinstance(expression, And):
@@ -324,9 +297,9 @@ def partial_bounds(
 def emit_schedule(
     expression: Expression,
     leaf_order: Iterable[LeafKey],
-    leaf_results: Mapping[LeafKey, LeafAnswer],
+    leaf_results: Mapping[LeafKey, DatasetBitmap],
     leaf_times: Mapping[LeafKey, float],
-    universe: LeafAnswer,
+    universe: DatasetBitmap,
 ) -> list[tuple[int, float]]:
     """Per-index emission times implied by per-leaf completion times.
 
@@ -337,16 +310,18 @@ def emit_schedule(
     streaming evaluator could have emitted them.  The indexes of the result
     are exactly the full evaluation's answer.
     """
-    known: dict[LeafKey, LeafAnswer] = {}
+    unknown = (DatasetBitmap.zeros(universe.nbits), universe)
+    bounds: dict[LeafKey, LeafBounds] = {
+        leaf_key(leaf): unknown for leaf in expression.leaves()
+    }
     emitted: dict[int, float] = {}
     for key in leaf_order:
-        if key in known:
-            continue
-        known[key] = leaf_results[key]
-        lower, _upper = partial_bounds(expression, known, universe)
+        if bounds.get(key) is not unknown:
+            continue  # already replayed, or not a leaf of this expression
+        bounds[key] = (leaf_results[key], leaf_results[key])
+        lower, _upper = combine_bounds(expression, bounds)
         stamp = leaf_times[key]
-        for idx in answer_indices(lower):
-            idx = int(idx)
+        for idx in lower.to_list():
             if idx not in emitted:
                 emitted[idx] = stamp
     return sorted(emitted.items(), key=lambda pair: (pair[1], pair[0]))

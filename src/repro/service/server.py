@@ -194,9 +194,9 @@ def expression_to_json(expression: Expression) -> dict:
 def _result_bitmap(result: QueryResult, service: QueryService) -> DatasetBitmap:
     """The result's packed answer, zero-copy where the warm path made one.
 
-    Bitset-algebra results carry their bitmap straight through — encoding
-    touches only the word buffer, never a Python index list.  Set-algebra
-    services still honor the wire format by packing the index list here.
+    Results carry their bitmap straight through — encoding touches only
+    the word buffer, never a Python index list.  Only ``record_times``
+    results (an index list in emission order) are packed here.
     """
     if result.bitmap is not None:
         return result.bitmap

@@ -15,15 +15,11 @@ Serving pipeline for a batch (``search`` is the one-element special case):
 4. **assemble** — evaluate each canonical expression over the in-memory
    leaf results and stamp telemetry.
 
-The warm-path answer representation is the packed
-:class:`~repro.core.bitset.DatasetBitmap` (``algebra="bitset"``, the
-default): cached leaf answers are ``uint64`` word arrays, And/Or combine
+Answers are packed :class:`~repro.core.bitset.DatasetBitmap` bitsets end
+to end: cached leaf answers are ``uint64`` word arrays, And/Or combine
 word-wise, tombstones apply as one ANDNOT mask, and results hand the
 bitmap to the API boundary, which materializes index lists only when a
 consumer actually reads them (the HTTP bitset wire format never does).
-``algebra="set"`` restores the frozenset representation end to end —
-identical answers, measurably slower and ~64x larger at scale — and
-exists as the hot-path benchmark's baseline.
 
 With ``record_times=True`` the per-leaf completion times flow through the
 planner's :func:`~repro.service.planner.emit_schedule`, so
@@ -44,6 +40,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -56,10 +53,11 @@ from repro.errors import ConstructionError, DeadlineExceeded, QueryError
 from repro.geometry.rectangle import Rectangle
 from repro.service.cache import LeafResultCache
 from repro.service.deadline import Deadline
-from repro.service.degrade import SynopsisScreen, combine_bounds
+from repro.service.degrade import SynopsisScreen
 from repro.service.observability import ServiceObservability
 from repro.service.planner import (
     PlanCache,
+    combine_bounds,
     emit_schedule,
     evaluate_with_leaf_results,
     plan_batch,
@@ -84,11 +82,8 @@ class QueryService:
     :class:`~repro.service.sharding.ShardedBatchExecutor` for the accuracy
     parameters (they are resolved once against the global dataset count and
     forced onto every shard, so answers match a single engine exactly).
-    Warm-path knobs: ``algebra`` selects the answer representation
-    (``"bitset"`` packed words, the default; ``"set"`` the frozenset
-    baseline — identical answers), ``plan_cache_capacity`` bounds the
-    compiled-plan LRU (``0`` disables it), ``cache_capacity`` bounds the
-    leaf-result LRU.
+    Warm-path knobs: ``plan_cache_capacity`` bounds the compiled-plan LRU
+    (``0`` disables it), ``cache_capacity`` bounds the leaf-result LRU.
 
     Examples
     --------
@@ -137,18 +132,11 @@ class QueryService:
         max_workers: Optional[int] = None,
         telemetry_window: int = 4096,
         capacity: Optional[int] = None,
-        batch_leaves: bool = True,
-        algebra: str = "bitset",
         plan_cache_capacity: int = 1024,
         tracing: bool = False,
         slow_query_threshold_ms: Optional[float] = None,
         slow_log_size: int = 32,
     ) -> None:
-        if algebra not in ("bitset", "set"):
-            raise ConstructionError(
-                f"algebra must be 'bitset' or 'set', got {algebra!r}"
-            )
-        self.algebra = algebra
         self._executor_kwargs = dict(
             eps=eps,
             phi=phi,
@@ -160,7 +148,6 @@ class QueryService:
             engine=engine,
             max_workers=max_workers,
             capacity=capacity,
-            batch_leaves=batch_leaves,
         )
         self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
             synopses=synopses,
@@ -218,8 +205,7 @@ class QueryService:
         collection pass that backs the Prometheus ``/metrics`` rendering,
         so the two views can never disagree.  ``cache.resident_bytes`` is
         the estimated heap footprint of the cached leaf answers — the
-        number to watch for warm-path memory regressions (bitset entries
-        are ~64x smaller than set entries).
+        number to watch for warm-path memory regressions.
         """
         return self.observability.snapshot()
 
@@ -319,9 +305,7 @@ class QueryService:
         """The four-stage pipeline (see the module docstring).
 
         ``tracer`` is None on the untraced hot path — every instrumented
-        site collapses to one pointer comparison; likewise ``deadline``,
-        whose kwarg is only forwarded to the executor when set (test
-        doubles stubbing the executor keep the legacy call shapes).
+        site collapses to one pointer comparison; likewise ``deadline``.
         """
         # Capture order matters against a concurrent rebuild (which flushes,
         # publishes the new executor, then flushes again): reading the
@@ -331,11 +315,10 @@ class QueryService:
         generation = self.cache.generation  # for flush-safe write-back
         executor = self.executor  # one executor per batch, even mid-rebuild
         watermark = executor.n_datasets  # dataset count answers will cover
-        removed = executor.removed  # tombstones, masked on read
-        bitset = self.algebra == "bitset"
-        # The persistent ANDNOT mask (None when nothing is tombstoned, the
-        # common case — hits then skip masking entirely).
-        removed_bits = executor.removed_bits() if bitset else None
+        # Tombstones, masked on read: the persistent ANDNOT mask (None when
+        # nothing is tombstoned, the common case — hits then skip masking
+        # entirely).
+        removed_bits = executor.removed_bits()
         batch = plan_batch(expressions, cache=self.plans, tracer=tracer)
         lookup_start = time.perf_counter() if tracer is not None else 0.0
 
@@ -351,13 +334,10 @@ class QueryService:
             elif entry.watermark >= watermark:
                 # Entries are stored masked-at-write; masks only grow
                 # between rebuilds, so re-masking on read stays exact.
-                if bitset:
-                    value = entry.indexes
-                    if removed_bits is not None:
-                        value = value.andnot(removed_bits)
-                    leaf_results[key] = value
-                else:
-                    leaf_results[key] = entry.indexes - removed
+                value = entry.indexes
+                if removed_bits is not None:
+                    value = value.andnot(removed_bits)
+                leaf_results[key] = value
                 hit_keys.add(key)
             else:
                 upgrades.append((key, leaf, entry))
@@ -390,37 +370,17 @@ class QueryService:
             # lives in the delta shard (rebuilds flush the cache), so the
             # cached answer plus a delta-only evaluation is the full answer
             # (a word-wise OR; the stale bitmap zero-pads to the new count).
-            upgrade_span = (
+            with (
                 tracer.span("upgrade", n_leaves=len(upgrades))
                 if tracer is not None
-                else None
-            )
-            if upgrade_span is not None:
-                upgrade_span.__enter__()
-            try:
-                upgrade_leaves = [leaf for _key, leaf, _entry in upgrades]
-                # The tracer/deadline kwargs are only passed when set: the
-                # hot path keeps the exact legacy call shape (and so do
-                # test doubles that stub the executor).
+                else nullcontext()
+            ):
                 try:
-                    if deadline is not None:
-                        delta_answers = (
-                            executor.eval_delta_leaves(
-                                upgrade_leaves, deadline=deadline
-                            )
-                            if tracer is None
-                            else executor.eval_delta_leaves(
-                                upgrade_leaves, tracer=tracer, deadline=deadline
-                            )
-                        )
-                    else:
-                        delta_answers = (
-                            executor.eval_delta_leaves(upgrade_leaves)
-                            if tracer is None
-                            else executor.eval_delta_leaves(
-                                upgrade_leaves, tracer=tracer
-                            )
-                        )
+                    delta_answers = executor.eval_delta_leaves(
+                        [leaf for _key, leaf, _entry in upgrades],
+                        tracer=tracer,
+                        deadline=deadline,
+                    )
                 except DeadlineExceeded as exc:
                     # Keep the exact prefix the executor completed; the
                     # remaining upgrade leaves degrade to screened bounds.
@@ -429,67 +389,42 @@ class QueryService:
                 for (key, _leaf, entry), (delta_bits, done) in zip(
                     upgrades, delta_answers
                 ):
-                    if bitset:
-                        merged = entry.indexes | delta_bits
-                        if removed_bits is not None:
-                            merged = merged.andnot(removed_bits)
-                    else:
-                        merged = frozenset(
-                            (entry.indexes | delta_bits.to_frozenset()) - removed
-                        )
+                    merged = entry.indexes | delta_bits
+                    if removed_bits is not None:
+                        merged = merged.andnot(removed_bits)
                     leaf_results[key] = merged
                     leaf_times[key] = done
                     upgrade_keys.add(key)
                     self.cache.put(key, merged, generation=generation,
                                    watermark=watermark)
                 self.cache.note_upgrades(len(delta_answers))
-            finally:
-                if upgrade_span is not None:
-                    upgrade_span.__exit__(None, None, None)
         if upgrades and degrade_reason is not None:
             for key, leaf, _entry in upgrades:
                 if key not in upgrade_keys:
                     pending[key] = leaf
         miss_keys: set = set()
         if misses and degrade_reason is None:
-            execute_span = (
+            with (
                 tracer.span("execute", n_leaves=len(misses))
                 if tracer is not None
-                else None
-            )
-            if execute_span is not None:
-                execute_span.__enter__()
-            try:
-                miss_leaves = [leaf for _, leaf in misses]
+                else nullcontext()
+            ):
                 try:
-                    if deadline is not None:
-                        evaluated = (
-                            executor.eval_leaves(miss_leaves, deadline=deadline)
-                            if tracer is None
-                            else executor.eval_leaves(
-                                miss_leaves, tracer=tracer, deadline=deadline
-                            )
-                        )
-                    else:
-                        evaluated = (
-                            executor.eval_leaves(miss_leaves)
-                            if tracer is None
-                            else executor.eval_leaves(miss_leaves, tracer=tracer)
-                        )
+                    evaluated = executor.eval_leaves(
+                        [leaf for _, leaf in misses],
+                        tracer=tracer,
+                        deadline=deadline,
+                    )
                 except DeadlineExceeded as exc:
                     degrade_reason = "deadline"
                     evaluated = exc.partial
                 for (key, _leaf), (answer, done) in zip(misses, evaluated):
                     # The executor masks tombstones before returning.
-                    value = answer if bitset else answer.to_frozenset()
-                    leaf_results[key] = value
+                    leaf_results[key] = answer
                     leaf_times[key] = done
                     miss_keys.add(key)
-                    self.cache.put(key, value, generation=generation,
+                    self.cache.put(key, answer, generation=generation,
                                    watermark=watermark)
-            finally:
-                if execute_span is not None:
-                    execute_span.__exit__(None, None, None)
         if misses and degrade_reason is not None:
             for key, leaf in misses:
                 if key not in miss_keys:
@@ -520,12 +455,9 @@ class QueryService:
                     charge_owner[key] = qi
 
         if record_times:
-            if bitset:
-                universe = DatasetBitmap.full(watermark)
-                if removed_bits is not None:
-                    universe = universe.andnot(removed_bits)
-            else:
-                universe = frozenset(range(watermark)) - removed
+            universe = DatasetBitmap.full(watermark)
+            if removed_bits is not None:
+                universe = universe.andnot(removed_bits)
             completion_order = sorted(leaf_times, key=lambda k: leaf_times[k])
         results: list[QueryResult] = []
         for qi, plan in enumerate(batch.plans):
@@ -538,18 +470,15 @@ class QueryService:
             if plan_pending:
                 # Degraded assembly: exact leaves contribute (v, v) bounds,
                 # screened leaves their (must, possible) pair; And/Or
-                # monotonicity lifts them to query-level bounds.  Exact
-                # set-algebra answers convert to bitmaps so one algebra
-                # serves the combine (answers are identical either way).
-                bounds: dict = {}
-                for key in plan.leaves:
-                    if key in screened_bounds:
-                        bounds[key] = screened_bounds[key]
-                    else:
-                        v = leaf_results[key]
-                        if not isinstance(v, DatasetBitmap):
-                            v = DatasetBitmap.from_indices(sorted(v), watermark)
-                        bounds[key] = (v, v)
+                # monotonicity lifts them to query-level bounds.
+                bounds = {
+                    key: (
+                        screened_bounds[key]
+                        if key in screened_bounds
+                        else (leaf_results[key], leaf_results[key])
+                    )
+                    for key in plan.leaves
+                }
                 must, possible = combine_bounds(plan.expression, bounds)
                 result = QueryResult(
                     bitmap=must, maybe_bitmap=possible.andnot(must)
@@ -577,13 +506,11 @@ class QueryService:
                 result.emit_times = [t for _idx, t in schedule]
                 result.end_time = time.perf_counter()
             else:
-                answer = evaluate_with_leaf_results(plan.expression, leaf_results)
-                if bitset:
-                    # Hand the bitmap to the API boundary: index lists
-                    # materialize lazily, and only if a consumer reads them.
-                    result = QueryResult(bitmap=answer)
-                else:
-                    result = QueryResult(indexes=sorted(answer))
+                # Hand the bitmap to the API boundary: index lists
+                # materialize lazily, and only if a consumer reads them.
+                result = QueryResult(
+                    bitmap=evaluate_with_leaf_results(plan.expression, leaf_results)
+                )
             assembled = time.perf_counter()
             if tracer is not None:
                 tracer.record_span(

@@ -57,6 +57,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -194,12 +195,6 @@ class ShardedBatchExecutor:
     max_workers:
         Thread-pool width; defaults to ``n_shards``.  ``0`` forces serial
         in-caller execution.
-    batch_leaves:
-        Route each shard's leaf batch through the engine's batched
-        evaluation (one multi-box backend call per shard) instead of a
-        per-leaf Python loop.  Default True; ``False`` restores the
-        per-leaf loop — identical answers, measurably slower cold — and
-        exists for the cold-path benchmark's before/after comparison.
     capacity:
         Expected repository size the accuracy contract is resolved against:
         ``phi_eff``, ``sample_size`` and ``eps_effective`` are computed for
@@ -232,7 +227,6 @@ class ShardedBatchExecutor:
         max_workers: Optional[int] = None,
         capacity: Optional[int] = None,
         removed: Optional[Iterable[int]] = None,
-        batch_leaves: bool = True,
     ) -> None:
         if synopses is None and repository is None:
             raise ConstructionError("provide synopses and/or a repository")
@@ -248,7 +242,6 @@ class ShardedBatchExecutor:
         self.eps = float(eps)
         self.seed = int(seed)
         self._deterministic = bool(deterministic)
-        self._batch_leaves = bool(batch_leaves)
         self._delta_param = delta
         self.engine_kind = check_engine(engine)
         if deterministic:
@@ -405,12 +398,10 @@ class ShardedBatchExecutor:
     ) -> list[tuple[DatasetBitmap, float]]:
         """All leaves on one shard as *global* packed bitsets.
 
-        By default the shard's whole leaf batch goes through
+        The shard's whole leaf batch goes through
         :meth:`~repro.core.engine.DatasetSearchEngine.eval_leaf_batch_bits`
         — one multi-box backend call for every percentile leaf — so a cold
-        batch costs one traversal per shard, not one per leaf.  With
-        ``batch_leaves=False`` the per-leaf loop is used instead
-        (identical answers; the cold-path benchmark's baseline).
+        batch costs one traversal per shard, not one per leaf.
 
         Local answers translate to global bitsets through the shard's index
         mapping: contiguous mappings (every base shard, and the delta shard
@@ -432,81 +423,50 @@ class ShardedBatchExecutor:
         per-unit span tops this worker thread's span stack.
 
         With a ``deadline`` the budget is polled once the unit lock is
-        held (before any evaluation) and between leaves on the per-leaf
-        path; the batched path delegates polling to the engine.  The
-        raised :class:`DeadlineExceeded` carries the *global* ``(bitmap,
-        stamp)`` prefix this unit completed.  The ``shard_eval``
-        failpoint fires first — inside the lock, before the poll — so an
-        armed ``sleep`` deterministically trips a short deadline.
+        held (before any evaluation); polling between leaves is the
+        engine's.  The raised :class:`DeadlineExceeded` carries the
+        *global* ``(bitmap, stamp)`` prefix this unit completed.  The
+        ``shard_eval`` failpoint fires first — inside the lock, before the
+        poll — so an armed ``sleep`` deterministically trips a short
+        deadline.
         """
-        span = (
+        with (
             tracer.span(span_name, parent=parent, **(span_meta or {}))
             if tracer is not None
-            else None
-        )
-        out: list[tuple[DatasetBitmap, float]] = []
-        if span is not None:
-            span.__enter__()
-        try:
-            with lock:
-                if faults.ARMED is not None:
-                    faults.hit("shard_eval")
-                # Compile the mapping once per unit call, not once per leaf:
-                # the contiguity probe is O(shard size) and the mapping is
-                # fixed for the duration (the delta mapping grows in place
-                # only under this same lock).  Ascending mapping: the unit's
-                # global universe ends one past its largest id.
-                nbits = (int(mapping[-1]) + 1) if len(mapping) else 0
-                to_global = make_remapper(mapping, nbits)
-                if deadline is not None and deadline.expired():
-                    raise DeadlineExceeded(
-                        f"deadline expired before unit eval of "
-                        f"{len(leaves)} leaves",
-                        stage="shard_eval",
-                        partial=[],
-                    )
-                if self._batch_leaves:
-                    if any(isinstance(lf.measure, PercentileMeasure) for lf in leaves):
-                        self._pin_ptile(engine)
-                    try:
-                        if deadline is not None:
-                            locals_ = engine.eval_leaf_batch_bits(
-                                leaves, deadline=deadline
-                            )
-                        elif tracer is None:
-                            locals_ = engine.eval_leaf_batch_bits(leaves)
-                        else:
-                            locals_ = engine.eval_leaf_batch_bits(
-                                leaves, tracer=tracer
-                            )
-                    except DeadlineExceeded as exc:
-                        # Translate the engine's local-bitmap prefix into
-                        # this unit's global (bitmap, stamp) shape before
-                        # re-raising, so the fan-out merge can salvage it.
-                        done = time.perf_counter()
-                        exc.stage = "shard_eval"
-                        exc.partial = [
-                            (to_global(local), done) for local in exc.partial
-                        ]
-                        raise
-                    done = time.perf_counter()
-                    out = [(to_global(local), done) for local in locals_]
-                else:
-                    for leaf in leaves:
-                        if deadline is not None and deadline.expired():
-                            raise DeadlineExceeded(
-                                f"deadline expired after {len(out)}/"
-                                f"{len(leaves)} leaves",
-                                stage="shard_eval",
-                                partial=out,
-                            )
-                        if isinstance(leaf.measure, PercentileMeasure):
-                            self._pin_ptile(engine)
-                        local = engine.eval_leaf_bits(leaf)
-                        out.append((to_global(local), time.perf_counter()))
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
+            else nullcontext()
+        ), lock:
+            if faults.ARMED is not None:
+                faults.hit("shard_eval")
+            # Compile the mapping once per unit call, not once per leaf:
+            # the contiguity probe is O(shard size) and the mapping is
+            # fixed for the duration (the delta mapping grows in place
+            # only under this same lock).  Ascending mapping: the unit's
+            # global universe ends one past its largest id.
+            nbits = (int(mapping[-1]) + 1) if len(mapping) else 0
+            to_global = make_remapper(mapping, nbits)
+            if deadline is not None and deadline.expired():
+                raise DeadlineExceeded(
+                    f"deadline expired before unit eval of "
+                    f"{len(leaves)} leaves",
+                    stage="shard_eval",
+                    partial=[],
+                )
+            if any(isinstance(lf.measure, PercentileMeasure) for lf in leaves):
+                self._pin_ptile(engine)
+            try:
+                locals_ = engine.eval_leaf_batch_bits(
+                    leaves, tracer=tracer, deadline=deadline
+                )
+            except DeadlineExceeded as exc:
+                # Translate the engine's local-bitmap prefix into this
+                # unit's global (bitmap, stamp) shape before re-raising,
+                # so the fan-out merge can salvage it.
+                done = time.perf_counter()
+                exc.stage = "shard_eval"
+                exc.partial = [(to_global(local), done) for local in exc.partial]
+                raise
+            done = time.perf_counter()
+            out = [(to_global(local), done) for local in locals_]
         with self._stats_lock:
             self.stats["shard_tasks"] += len(out)
         return out
@@ -587,9 +547,7 @@ class ShardedBatchExecutor:
             # capture it so one slow unit cannot discard the others'
             # answers (and so pool futures never propagate it raw).
             try:
-                if deadline is not None:
-                    return ("ok", self._eval_on_unit(*call, deadline=deadline))
-                return ("ok", self._eval_on_unit(*call))
+                return ("ok", self._eval_on_unit(*call, deadline=deadline))
             except DeadlineExceeded as exc:
                 return ("deadline", exc)
 
@@ -650,14 +608,6 @@ class ShardedBatchExecutor:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def eval_leaf(self, leaf: Predicate) -> frozenset[int]:
-        """One leaf across all shards as a frozen global index set.
-
-        Convenience wrapper over :meth:`eval_leaves` for set-algebra
-        callers; the batch API returns packed bitsets.
-        """
-        return self.eval_leaves([leaf])[0][0].to_frozenset()
-
     def eval_leaves(
         self,
         leaves: Sequence[Predicate],

@@ -10,7 +10,7 @@ a whole engine (:class:`~repro.core.engine.DatasetSearchEngine`,
 reconstructs it with ``np.memmap``-backed buffers, skipping the coreset
 draws and the maximal-pair rectangle enumeration entirely.
 
-Container format (version 1)
+Container format (version 2)
 ----------------------------
 ::
 
@@ -82,7 +82,7 @@ from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
 
 MAGIC = b"REPROSNP"
-VERSION = 1
+VERSION = 2
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -533,7 +533,6 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
         "eps": float(ex.eps),
         "seed": int(ex.seed),
         "deterministic": bool(ex._deterministic),
-        "batch_leaves": bool(ex._batch_leaves),
         "delta": ex._delta_param,
         "engine": ex.engine_kind,
         "capacity": ex.capacity,
@@ -559,7 +558,6 @@ def _executor_from_state(
     ex.eps = float(state["eps"])
     ex.seed = int(state["seed"])
     ex._deterministic = bool(state["deterministic"])
-    ex._batch_leaves = bool(state["batch_leaves"])
     ex._delta_param = state["delta"]
     ex.engine_kind = state["engine"]
     ex.capacity = state["capacity"]
@@ -655,14 +653,11 @@ def _cache_state(cache: LeafResultCache, add_array: Callable) -> dict:
     for key, entry in cache.export_entries():
         e: dict = {"key": _encode_key(key), "watermark": int(entry.watermark)}
         value = entry.indexes
-        if isinstance(value, DatasetBitmap):
-            word_chunks.append(value.words)
-            e["nbits"] = int(value.nbits)
-            e["off"] = off
-            e["nw"] = int(value.words.size)
-            off += int(value.words.size)
-        else:
-            e["set"] = sorted(int(i) for i in value)
+        word_chunks.append(value.words)
+        e["nbits"] = int(value.nbits)
+        e["off"] = off
+        e["nw"] = int(value.words.size)
+        off += int(value.words.size)
         entries.append(e)
     words = (
         np.concatenate(word_chunks)
@@ -684,15 +679,12 @@ def _cache_restore(
     items = []
     for e in state["entries"]:
         key = _decode_key(e["key"])
-        if "set" in e:
-            value: CachedAnswer = frozenset(int(i) for i in e["set"])
-        else:
-            off, nw = int(e["off"]), int(e["nw"])
-            if off + nw > words.size:
-                raise SnapshotError("cache entry words out of segment bounds")
-            # Contiguous slice of the mapped words — zero-copy; bitmaps
-            # are immutable by convention so a read-only buffer is fine.
-            value = DatasetBitmap(words[off : off + nw], int(e["nbits"]))
+        off, nw = int(e["off"]), int(e["nw"])
+        if off + nw > words.size:
+            raise SnapshotError("cache entry words out of segment bounds")
+        # Contiguous slice of the mapped words — zero-copy; bitmaps are
+        # immutable by convention so a read-only buffer is fine.
+        value = DatasetBitmap(words[off : off + nw], int(e["nbits"]))
         items.append((key, CacheEntry(value, int(e["watermark"]))))
     cache.restore_entries(items, generation=int(state["generation"]))
 
@@ -703,7 +695,6 @@ def _cache_restore(
 def _service_state(svc: QueryService, add_array: Callable) -> dict:
     kw = svc._executor_kwargs
     return {
-        "algebra": svc.algebra,
         "executor_kwargs": {
             "eps": kw["eps"],
             "phi": kw["phi"],
@@ -715,7 +706,6 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
             "engine": kw["engine"],
             "max_workers": kw["max_workers"],
             "capacity": kw["capacity"],
-            "batch_leaves": kw["batch_leaves"],
         },
         "plan_capacity": int(svc.plans.capacity),
         "telemetry_window": int(svc.telemetry._latencies.maxlen or 4096),
@@ -729,7 +719,6 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
 
 def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
     svc = QueryService.__new__(QueryService)
-    svc.algebra = state["algebra"]
     kw = dict(state["executor_kwargs"])
     kw["bounding_box"] = _box_from(kw["bounding_box"])
     svc._executor_kwargs = kw

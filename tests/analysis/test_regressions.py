@@ -13,6 +13,7 @@ import threading
 from pathlib import Path
 
 from repro.analysis import lint_source
+from repro.core.bitset import DatasetBitmap
 from repro.service.cache import LeafResultCache
 from repro.service.observability import MetricsRegistry
 from repro.service.planner import PlanCache
@@ -78,8 +79,8 @@ def test_unlocking_help_table_read_is_caught():
 def test_leaf_cache_len_counts_entries():
     cache = LeafResultCache(capacity=4)
     assert len(cache) == 0
-    cache.put("a", {1, 2})
-    cache.put("b", {3})
+    cache.put("a", DatasetBitmap.from_indices([1, 2], 8))
+    cache.put("b", DatasetBitmap.from_indices([3], 8))
     assert len(cache) == 2
     assert "a" in cache and "c" not in cache
 
@@ -114,9 +115,10 @@ def test_len_safe_during_concurrent_churn():
     errors = []
 
     def churn() -> None:
+        value = DatasetBitmap.zeros(8)
         i = 0
         while not stop.is_set():
-            cache.put(i % 16, {i})
+            cache.put(i % 16, value)
             i += 1
 
     def measure() -> None:

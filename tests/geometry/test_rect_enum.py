@@ -5,12 +5,15 @@ Includes the equivalence proof check promised in DESIGN.md (substitution
 query-matchable pairs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.rect_enum import (
     RectangleGrid,
+    enumerate_generalized_pairs,
     enumerate_maximal_pairs,
     enumerate_maximal_pairs_naive,
     enumerate_rectangles,
@@ -140,6 +143,28 @@ class TestMaximalPairs:
         assert everything >= matchable
 
 
+def stacked_rectangles(grid):
+    """``enumerate_rectangles`` output stacked into ``(lo, hi, mass)``."""
+    rects = enumerate_rectangles(grid)
+    n, d = len(rects), grid.dim
+    return (
+        np.asarray([r.lo for r, _w in rects], dtype=float).reshape(n, d),
+        np.asarray([r.hi for r, _w in rects], dtype=float).reshape(n, d),
+        np.asarray([w for _r, w in rects], dtype=float).reshape(n),
+    )
+
+
+def stacked_generalized_pairs(grid):
+    """``enumerate_generalized_pairs`` output stacked into five arrays."""
+    pairs = enumerate_generalized_pairs(grid)
+    n, d = len(pairs), grid.dim
+    mats = [
+        np.asarray([p[c] for p in pairs], dtype=float).reshape(n, d)
+        for c in range(4)
+    ]
+    return (*mats, np.asarray([p[4] for p in pairs], dtype=float).reshape(n))
+
+
 class TestVectorizedArrays:
     """The block-operation enumerators must match the reference enumerators
     exactly — same row order, bitwise-equal floats."""
@@ -156,8 +181,8 @@ class TestVectorizedArrays:
         pts = np.round(rng.uniform(0.1, 0.9, size=(n, dim)), 1)  # force ties
         box = Rectangle([0.0] * dim, [1.0] * dim) if with_box else None
         grid = RectangleGrid(pts, bounding_box=box)
-        fast = rectangles_arrays(grid, vectorized=True)
-        ref = rectangles_arrays(grid, vectorized=False)
+        fast = rectangles_arrays(grid)
+        ref = stacked_rectangles(grid)
         for a, b in zip(fast, ref):
             assert a.shape == b.shape
             assert np.array_equal(a, b)
@@ -174,8 +199,8 @@ class TestVectorizedArrays:
         pts = np.round(rng.uniform(0.1, 0.9, size=(n, dim)), 1)
         box = Rectangle([0.0] * dim, [1.0] * dim) if with_box else None
         grid = RectangleGrid(pts, bounding_box=box)
-        fast = generalized_pairs_arrays(grid, vectorized=True)
-        ref = generalized_pairs_arrays(grid, vectorized=False)
+        fast = generalized_pairs_arrays(grid)
+        ref = stacked_generalized_pairs(grid)
         for a, b in zip(fast, ref):
             assert a.shape == b.shape
             assert np.array_equal(a, b)
@@ -202,17 +227,24 @@ class TestVectorizedArrays:
         for mat in (in_lo, in_hi, out_lo, out_hi):
             assert mat.shape == (0, 1)
         assert w.shape == (0,)
-        # the reference path must agree on the shapes
-        ref = generalized_pairs_arrays(grid, vectorized=False)
-        assert [a.shape for a in ref] == [(0, 1)] * 4 + [(0,)]
+        # the reference enumerator agrees that there are no pairs
+        assert enumerate_generalized_pairs(grid) == []
 
     def test_guard_applies_to_vectorized_path(self, rng):
+        """The size guard is arithmetic: it refuses an oversized coreset
+        before any per-axis option table is allocated."""
         pts = rng.uniform(size=(2000, 2))
         grid = RectangleGrid(pts)
-        with pytest.raises(ValueError):
-            rectangles_arrays(grid)
-        with pytest.raises(ValueError):
-            generalized_pairs_arrays(grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                rectangles_arrays(grid)
+            with pytest.raises(ValueError):
+                generalized_pairs_arrays(grid)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
 
 
 class TestGuards:

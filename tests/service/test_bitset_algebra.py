@@ -1,11 +1,13 @@
-"""Property suite: bitset algebra ≡ set algebra on the warm path.
+"""Property suite: the packed-bitset answer algebra against pointwise oracles.
 
 Hypothesis generates random And/Or expression trees over random leaf
-answers and checks that evaluating them with bitset-valued leaf results
-(packed word-wise &/|) produces exactly the sets the legacy frozenset
-algebra produces — plus the executor-shaped operations around them:
-shard-offset translation, arbitrary index remapping, tombstone removal
-masks, and delta-shard watermark upgrades across different universe sizes.
+answers and checks the planner's word-wise evaluators
+(``evaluate_with_leaf_results``, ``combine_bounds``, ``emit_schedule``)
+against an oracle that shares no code with them: for every dataset index
+the And/Or tree is evaluated on plain booleans.  The executor-shaped
+operations around them are covered too: shard-offset translation,
+arbitrary index remapping, tombstone removal masks, and delta-shard
+watermark upgrades across different universe sizes.
 """
 
 import numpy as np
@@ -17,10 +19,10 @@ from repro.core.measures import PercentileMeasure
 from repro.core.predicates import And, Or, Predicate, pred
 from repro.geometry.rectangle import Rectangle
 from repro.service.planner import (
+    combine_bounds,
     emit_schedule,
     evaluate_with_leaf_results,
     leaf_key,
-    partial_bounds,
     plan_query,
 )
 
@@ -48,16 +50,15 @@ def expression_trees(draw, max_depth=3):
     return op(children)
 
 
+def _index_sets(n: int):
+    return st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n)
+
+
 @st.composite
 def leaf_answer_maps(draw):
     """A universe size plus one random answer set per pool leaf."""
     n = draw(st.integers(min_value=1, max_value=MAX_N))
-    answers = {
-        leaf_key(leaf): frozenset(
-            draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
-        )
-        for leaf in LEAVES
-    }
+    answers = {leaf_key(leaf): draw(_index_sets(n)) for leaf in LEAVES}
     return n, answers
 
 
@@ -65,55 +66,87 @@ def _as_bitmaps(answers: dict, n: int) -> dict:
     return {k: DatasetBitmap.from_indices(v, n) for k, v in answers.items()}
 
 
-class TestExpressionAlgebraEquivalence:
+def holds(expr, leaf_true) -> bool:
+    """The oracle: the And/Or tree on booleans, ``leaf_true(key) -> bool``."""
+    if isinstance(expr, Predicate):
+        return leaf_true(leaf_key(expr))
+    values = [holds(child, leaf_true) for child in expr.children]
+    return all(values) if isinstance(expr, And) else any(values)
+
+
+def satisfying(expr, n: int, sets: dict) -> set:
+    """Indexes ``i < n`` at which ``expr`` holds given per-leaf index sets."""
+    return {i for i in range(n) if holds(expr, lambda key: i in sets[key])}
+
+
+class TestExpressionAlgebraAgainstPointwiseOracle:
     @given(expr=expression_trees(), data=leaf_answer_maps())
     @settings(max_examples=120, deadline=None)
-    def test_evaluate_matches_set_algebra(self, expr, data):
+    def test_evaluate_matches_oracle(self, expr, data):
         n, answers = data
-        want = evaluate_with_leaf_results(expr, answers)
         got = evaluate_with_leaf_results(expr, _as_bitmaps(answers, n))
         assert isinstance(got, DatasetBitmap)
-        assert got.to_set() == want
+        assert got.to_set() == satisfying(expr, n, answers)
 
     @given(
         expr=expression_trees(),
         data=leaf_answer_maps(),
-        known_mask=st.lists(st.booleans(), min_size=6, max_size=6),
+        kinds=st.lists(
+            st.sampled_from(["exact", "unknown", "screened"]),
+            min_size=len(LEAVES),
+            max_size=len(LEAVES),
+        ),
+        extra=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_partial_bounds_match(self, expr, data, known_mask):
+    def test_combine_bounds_matches_oracle(self, expr, data, kinds, extra):
+        """Exact leaves are ``(v, v)``, unanswered ones ``(∅, universe)``,
+        screened ones any ``lower ⊆ upper``; by monotonicity the node
+        bounds are the tree evaluated on the lower, resp. upper, sets."""
         n, answers = data
-        known_keys = {
-            leaf_key(lf) for lf, keep in zip(LEAVES, known_mask) if keep
-        }
-        known_sets = {k: v for k, v in answers.items() if k in known_keys}
-        universe_set = frozenset(range(n))
-        lo_set, hi_set = partial_bounds(expr, known_sets, universe_set)
-        lo_bits, hi_bits = partial_bounds(
-            expr, _as_bitmaps(known_sets, n), DatasetBitmap.full(n)
+        lowers, uppers = {}, {}
+        for leaf, kind in zip(LEAVES, kinds):
+            key = leaf_key(leaf)
+            if kind == "exact":
+                lowers[key] = uppers[key] = answers[key]
+            elif kind == "unknown":
+                lowers[key], uppers[key] = set(), set(range(n))
+            else:
+                lowers[key] = answers[key]
+                uppers[key] = answers[key] | extra.draw(_index_sets(n))
+        lo_bits, hi_bits = _as_bitmaps(lowers, n), _as_bitmaps(uppers, n)
+        lower, upper = combine_bounds(
+            expr, {key: (lo_bits[key], hi_bits[key]) for key in lowers}
         )
-        assert lo_bits.to_set() == lo_set
-        assert hi_bits.to_set() == hi_set
+        assert lower.to_set() == satisfying(expr, n, lowers)
+        assert upper.to_set() == satisfying(expr, n, uppers)
 
     @given(expr=expression_trees(), data=leaf_answer_maps())
     @settings(max_examples=60, deadline=None)
-    def test_emit_schedule_matches(self, expr, data):
+    def test_emit_schedule_matches_oracle(self, expr, data):
+        """An index is emitted at the first leaf completion after which
+        the tree already holds with every unfinished leaf read as False."""
         n, answers = data
         plan = plan_query(expr)
         order = list(plan.leaves)
         times = {key: float(i) for i, key in enumerate(order)}
-        used = {k: answers[k] for k in plan.leaves}
-        sched_set = emit_schedule(
-            plan.expression, order, used, times, frozenset(range(n))
-        )
-        sched_bits = emit_schedule(
+        want = []
+        for i in range(n):
+            for k, key in enumerate(order):
+                done = set(order[: k + 1])
+                if holds(
+                    plan.expression, lambda lk: lk in done and i in answers[lk]
+                ):
+                    want.append((i, times[key]))
+                    break
+        got = emit_schedule(
             plan.expression,
             order,
-            _as_bitmaps(used, n),
+            _as_bitmaps({k: answers[k] for k in order}, n),
             times,
             DatasetBitmap.full(n),
         )
-        assert sched_bits == sched_set
+        assert got == sorted(want, key=lambda pair: (pair[1], pair[0]))
 
 
 class TestExecutorShapedOperations:
@@ -206,7 +239,6 @@ class TestExecutorShapedOperations:
         bits = DatasetBitmap.from_indices(members, n)
         assert bits.count() == len(members)
         assert bits.to_list() == sorted(members)
-        assert bits.to_frozenset() == frozenset(members)
         assert bits.any() == bool(members)
 
 

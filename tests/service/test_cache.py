@@ -3,28 +3,26 @@
 import numpy as np
 import pytest
 
+from repro.core.bitset import DatasetBitmap
 from repro.service.cache import LeafResultCache
+
+
+def bits(*members, nbits=64):
+    return DatasetBitmap.from_indices(members, nbits)
 
 
 class TestHitMiss:
     def test_miss_then_hit(self):
         cache = LeafResultCache(capacity=4)
         assert cache.get("k") is None
-        cache.put("k", {1, 2})
-        assert cache.get("k") == frozenset({1, 2})
+        cache.put("k", bits(1, 2))
+        assert cache.get("k") == bits(1, 2)
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
-    def test_values_are_frozen(self):
-        cache = LeafResultCache(capacity=4)
-        source = {1, 2}
-        cache.put("k", source)
-        source.add(99)  # mutating the caller's set must not leak in
-        assert cache.get("k") == frozenset({1, 2})
-
     def test_contains_does_not_touch_stats(self):
         cache = LeafResultCache(capacity=4)
-        cache.put("k", {1})
+        cache.put("k", bits(1))
         assert "k" in cache and "other" not in cache
         assert cache.stats.lookups == 0
 
@@ -32,25 +30,25 @@ class TestHitMiss:
 class TestEviction:
     def test_lru_order(self):
         cache = LeafResultCache(capacity=2)
-        cache.put("a", {1})
-        cache.put("b", {2})
+        cache.put("a", bits(1))
+        cache.put("b", bits(2))
         assert cache.get("a") is not None  # refresh `a`; `b` is now LRU
-        cache.put("c", {3})
+        cache.put("c", bits(3))
         assert cache.get("b") is None and cache.get("a") is not None
         assert cache.stats.evictions == 1
 
     def test_put_refreshes_recency(self):
         cache = LeafResultCache(capacity=2)
-        cache.put("a", {1})
-        cache.put("b", {2})
-        cache.put("a", {1, 5})  # refresh value + recency
-        cache.put("c", {3})
-        assert cache.get("a") == frozenset({1, 5})
+        cache.put("a", bits(1))
+        cache.put("b", bits(2))
+        cache.put("a", bits(1, 5))  # refresh value + recency
+        cache.put("c", bits(3))
+        assert cache.get("a") == bits(1, 5)
         assert cache.get("b") is None
 
     def test_zero_capacity_disables(self):
         cache = LeafResultCache(capacity=0)
-        cache.put("a", {1})
+        cache.put("a", bits(1))
         assert cache.get("a") is None and len(cache) == 0
 
     def test_negative_capacity_rejected(self):
@@ -61,8 +59,8 @@ class TestEviction:
 class TestInvalidation:
     def test_invalidate_clears_and_bumps_generation(self):
         cache = LeafResultCache(capacity=4)
-        cache.put("a", {1})
-        cache.put("b", {2})
+        cache.put("a", bits(1))
+        cache.put("b", bits(2))
         gen = cache.generation
         cache.invalidate()
         assert len(cache) == 0
@@ -76,14 +74,14 @@ class TestInvalidation:
         cache = LeafResultCache(capacity=4)
         gen = cache.generation
         cache.invalidate()  # synopsis set changes mid-computation
-        cache.put("a", {1, 2}, generation=gen)
+        cache.put("a", bits(1, 2), generation=gen)
         assert cache.get("a") is None
-        cache.put("a", {3}, generation=cache.generation)  # current gen: kept
-        assert cache.get("a") == frozenset({3})
+        cache.put("a", bits(3), generation=cache.generation)  # current gen: kept
+        assert cache.get("a") == bits(3)
 
     def test_snapshot_shape(self):
         cache = LeafResultCache(capacity=4)
-        cache.put("a", {1})
+        cache.put("a", bits(1))
         cache.get("a")
         snap = cache.snapshot()
         assert snap["size"] == 1 and snap["capacity"] == 4
@@ -95,16 +93,16 @@ class TestInvalidation:
 class TestWatermarks:
     def test_entry_carries_watermark(self):
         cache = LeafResultCache(capacity=4)
-        cache.put("a", {1, 2}, watermark=7)
+        cache.put("a", bits(1, 2), watermark=7)
         entry = cache.get_entry("a")
-        assert entry.indexes == frozenset({1, 2}) and entry.watermark == 7
+        assert entry.indexes == bits(1, 2) and entry.watermark == 7
         # get() remains the watermark-oblivious view of the same entry
-        assert cache.get("a") == frozenset({1, 2})
+        assert cache.get("a") == bits(1, 2)
         assert cache.stats.hits == 2
 
     def test_default_watermark_zero(self):
         cache = LeafResultCache(capacity=4)
-        cache.put("a", {1})
+        cache.put("a", bits(1))
         assert cache.get_entry("a").watermark == 0
 
     def test_note_upgrades_counts(self):
@@ -115,30 +113,26 @@ class TestWatermarks:
 
 class TestResidentBytes:
     def test_tracks_insert_replace_evict_invalidate(self):
-        from repro.core.bitset import DatasetBitmap
-
         cache = LeafResultCache(capacity=2)
         assert cache.resident_bytes == 0
-        cache.put("a", set(range(100)))
-        set_bytes = cache.resident_bytes
-        assert set_bytes > 0
+        cache.put("a", DatasetBitmap.from_indices(range(100), 6400))
+        wide_bytes = cache.resident_bytes
+        assert wide_bytes > 0
         cache.put("a", DatasetBitmap.from_indices(range(100), 320))
-        bitset_bytes = cache.resident_bytes
-        # The whole point of the representation change: packed words are
-        # far smaller than a frozenset of the same indexes.
-        assert bitset_bytes * 10 <= set_bytes
-        cache.put("b", set(range(50)))
-        cache.put("c", set(range(50)))  # evicts "a"
+        narrow_bytes = cache.resident_bytes
+        # A replace releases the old value's bytes: 5 words, not 100 + 5.
+        assert 5 * 8 <= narrow_bytes < wide_bytes
+        cache.put("b", DatasetBitmap.from_indices(range(50), 320))
+        cache.put("c", DatasetBitmap.from_indices(range(50), 320))  # evicts "a"
         assert cache.get("a") is None
-        two_sets = cache.resident_bytes
-        assert two_sets > bitset_bytes
+        assert cache.resident_bytes == 2 * narrow_bytes
         cache.invalidate()
         assert cache.resident_bytes == 0
         assert cache.snapshot()["resident_bytes"] == 0
 
     def test_zero_capacity_stays_zero(self):
         cache = LeafResultCache(capacity=0)
-        cache.put("a", {1, 2, 3})
+        cache.put("a", bits(1, 2, 3))
         assert cache.resident_bytes == 0
 
 
@@ -167,8 +161,8 @@ class TestStaleDropThroughRebuild:
             old_executor = svc.executor
             orig = old_executor.eval_leaves
 
-            def eval_then_rebuild(leaves):
-                out = orig(leaves)
+            def eval_then_rebuild(leaves, **kwargs):
+                out = orig(leaves, **kwargs)
                 svc.rebuild()  # flushes the cache mid-batch
                 return out
 

@@ -69,16 +69,16 @@ class TestParallelBuildDeterminism:
 
     def test_batched_leaves_match_per_leaf_loop(self, lake, leaves):
         repo = Repository.from_arrays(lake)
-        batched = ShardedBatchExecutor(
+        with_batch = ShardedBatchExecutor(
             repository=repo, n_shards=2, eps=0.2, sample_size=8, seed=7,
         )
-        per_leaf = ShardedBatchExecutor(
+        one_by_one = ShardedBatchExecutor(
             repository=repo, n_shards=2, eps=0.2, sample_size=8, seed=7,
-            batch_leaves=False,
         )
-        assert _answers(batched, leaves) == _answers(per_leaf, leaves)
-        batched.close()
-        per_leaf.close()
+        per_leaf = [_answers(one_by_one, [leaf])[0] for leaf in leaves]
+        assert _answers(with_batch, leaves) == per_leaf
+        with_batch.close()
+        one_by_one.close()
 
     def test_service_cold_answers_identical_across_modes(self, lake, leaves):
         repo = Repository.from_arrays(lake)
@@ -86,7 +86,6 @@ class TestParallelBuildDeterminism:
         results = {}
         for label, kwargs in [
             ("batched", {}),
-            ("per_leaf", {"batch_leaves": False}),
             ("serial", {"max_workers": 0}),
         ]:
             with QueryService(
@@ -94,7 +93,7 @@ class TestParallelBuildDeterminism:
                 **kwargs,
             ) as svc:
                 results[label] = svc.search(expr).indexes
-        assert results["batched"] == results["per_leaf"] == results["serial"]
+        assert results["batched"] == results["serial"]
 
     def test_warm_survives_closed_pool(self, lake):
         repo = Repository.from_arrays(lake)

@@ -3,19 +3,34 @@
 import numpy as np
 import pytest
 
+from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import And, Or, Predicate, pred
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
 from repro.service.planner import (
     canonicalize,
+    combine_bounds,
     emit_schedule,
     evaluate_with_leaf_results,
     leaf_key,
-    partial_bounds,
     plan_batch,
     plan_query,
 )
+
+
+def bits(*members, n=5) -> DatasetBitmap:
+    return DatasetBitmap.from_indices(members, n)
+
+
+def partial_bounds(expr, known, n=5):
+    """``combine_bounds`` as the emit scheduler calls it: leaves without an
+    answer yet contribute ``(∅, universe)``; returns plain sets."""
+    unknown = (DatasetBitmap.zeros(n), DatasetBitmap.full(n))
+    bounds = {leaf_key(leaf): unknown for leaf in expr.leaves()}
+    bounds.update({key: (value, value) for key, value in known.items()})
+    lower, upper = combine_bounds(expr, bounds)
+    return lower.to_set(), upper.to_set()
 
 
 def ptile_leaf(lo, hi, a, b=float("inf")) -> Predicate:
@@ -117,59 +132,52 @@ class TestPlans:
     def test_evaluate_with_leaf_results(self, abc):
         a, b, c = abc
         results = {
-            leaf_key(a): frozenset({0, 1, 2}),
-            leaf_key(b): frozenset({2, 3}),
-            leaf_key(c): frozenset({1, 2, 5}),
+            leaf_key(a): bits(0, 1, 2, n=6),
+            leaf_key(b): bits(2, 3, n=6),
+            leaf_key(c): bits(1, 2, 5, n=6),
         }
         expr = And([Or([a, b]), c])
-        assert evaluate_with_leaf_results(expr, results) == {1, 2}
+        assert evaluate_with_leaf_results(expr, results).to_set() == {1, 2}
 
 
 class TestPartialBoundsAndSchedule:
     def test_unknown_leaf_gives_trivial_bounds(self, abc):
         a, _b, _c = abc
-        universe = frozenset(range(5))
-        lower, upper = partial_bounds(a, {}, universe)
-        assert lower == set() and upper == set(universe)
+        lower, upper = partial_bounds(a, {})
+        assert lower == set() and upper == set(range(5))
 
     def test_and_determines_only_when_all_known(self, abc):
         a, b, _c = abc
-        universe = frozenset(range(5))
         expr = And([a, b])
-        lower, upper = partial_bounds(expr, {leaf_key(a): frozenset({0, 1})}, universe)
+        lower, upper = partial_bounds(expr, {leaf_key(a): bits(0, 1)})
         assert lower == set() and upper == {0, 1}
         lower, _ = partial_bounds(
-            expr,
-            {leaf_key(a): frozenset({0, 1}), leaf_key(b): frozenset({1, 4})},
-            universe,
+            expr, {leaf_key(a): bits(0, 1), leaf_key(b): bits(1, 4)}
         )
         assert lower == {1}
 
     def test_or_determines_early(self, abc):
         a, b, _c = abc
-        universe = frozenset(range(5))
-        lower, upper = partial_bounds(
-            Or([a, b]), {leaf_key(a): frozenset({0, 1})}, universe
-        )
-        assert lower == {0, 1} and upper == set(universe)
+        lower, upper = partial_bounds(Or([a, b]), {leaf_key(a): bits(0, 1)})
+        assert lower == {0, 1} and upper == set(range(5))
 
     def test_emit_schedule_or_stamps_first_determination(self, abc):
         a, b, _c = abc
         ka, kb = leaf_key(a), leaf_key(b)
-        results = {ka: frozenset({0, 1}), kb: frozenset({1, 2})}
+        results = {ka: bits(0, 1), kb: bits(1, 2)}
         times = {ka: 10.0, kb: 20.0}
         schedule = emit_schedule(
-            Or([a, b]), [ka, kb], results, times, frozenset(range(5))
+            Or([a, b]), [ka, kb], results, times, DatasetBitmap.full(5)
         )
         assert schedule == [(0, 10.0), (1, 10.0), (2, 20.0)]
 
     def test_emit_schedule_and_stamps_last_leaf(self, abc):
         a, b, _c = abc
         ka, kb = leaf_key(a), leaf_key(b)
-        results = {ka: frozenset({0, 1}), kb: frozenset({1, 2})}
+        results = {ka: bits(0, 1), kb: bits(1, 2)}
         times = {ka: 10.0, kb: 20.0}
         schedule = emit_schedule(
-            And([a, b]), [ka, kb], results, times, frozenset(range(5))
+            And([a, b]), [ka, kb], results, times, DatasetBitmap.full(5)
         )
         assert schedule == [(1, 20.0)]
 
@@ -180,13 +188,13 @@ class TestPartialBoundsAndSchedule:
         batch = batched_query_workload(
             20, 1, rng, duplicate_leaf_rate=0.4, max_leaves=4
         )
-        universe = frozenset(range(10))
+        universe = DatasetBitmap.full(10)
         sets_rng = np.random.default_rng(9)
         for expr in batch:
             plan = plan_query(expr)
             results = {
-                key: frozenset(
-                    int(i) for i in sets_rng.choice(10, size=4, replace=False)
+                key: DatasetBitmap.from_indices(
+                    sets_rng.choice(10, size=4, replace=False), 10
                 )
                 for key in plan.leaves
             }
@@ -195,4 +203,4 @@ class TestPartialBoundsAndSchedule:
             schedule = emit_schedule(plan.expression, order, results, times, universe)
             assert {idx for idx, _ in schedule} == evaluate_with_leaf_results(
                 plan.expression, results
-            )
+            ).to_set()

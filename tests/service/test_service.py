@@ -128,7 +128,7 @@ class TestShardMergeEquivalence:
             seed=SEED,
         ) as service:
             got = [r.indexes for r in service.search_batch(queries)]
-        expected = [sorted(reference_engine._eval(q)) for q in queries]
+        expected = [reference_engine.search(q).indexes for q in queries]
         assert got == expected
 
     def test_serial_pool_matches_threaded(self, repo, queries):
@@ -159,7 +159,7 @@ class TestShardMergeEquivalence:
             bounding_box=service.executor.bounding_box,
             rng=np.random.default_rng(0),
         )
-        assert got == [sorted(single._eval(q)) for q in queries]
+        assert got == [single.search(q).indexes for q in queries]
 
     def test_every_dataset_in_exactly_one_shard(self, repo):
         with QueryService(

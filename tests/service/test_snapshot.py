@@ -204,12 +204,14 @@ class TestExecutorAndEngineKinds:
             sample_size=SAMPLE_SIZE,
         )
         all_leaves = [leaf for q in queries for leaf in leaves(q)]
-        expected = [sorted(ex.eval_leaf(leaf)) for leaf in all_leaves]
+        expected = [bits.to_list() for bits, _stamp in ex.eval_leaves(all_leaves)]
         path = tmp_path / "ex.snap"
         info = ex.save(path)
         assert info["kind"] == "sharded_executor"
         loaded = ShardedBatchExecutor.load(path)
-        assert [sorted(loaded.eval_leaf(leaf)) for leaf in all_leaves] == expected
+        assert [
+            bits.to_list() for bits, _stamp in loaded.eval_leaves(all_leaves)
+        ] == expected
         loaded.close()
         ex.close()
 
@@ -222,12 +224,12 @@ class TestExecutorAndEngineKinds:
             eps=EPS,
             sample_size=SAMPLE_SIZE,
         )
-        expected = [sorted(eng._eval(q)) for q in queries]
+        expected = [eng.search(q).indexes for q in queries]
         path = tmp_path / "eng.snap"
         info = eng.save(path)
         assert info["kind"] == "engine"
         loaded = DatasetSearchEngine.load(path)
-        assert [sorted(loaded._eval(q)) for q in queries] == expected
+        assert [loaded.search(q).indexes for q in queries] == expected
 
     def test_rangetree_round_trip(self, tmp_path):
         """The static backend round-trips too — miniature lake, because
@@ -306,11 +308,12 @@ class TestErrorPaths:
         with pytest.raises(SnapshotError, match="bad magic"):
             load(snap)
 
-    def test_version_mismatch(self, snap):
+    @pytest.mark.parametrize("version", [999, 1])  # 1: pre-bitset-only files
+    def test_version_mismatch(self, snap, version):
         blob = bytearray(snap.read_bytes())
-        blob[8:12] = struct.pack("<I", 999)
+        blob[8:12] = struct.pack("<I", version)
         snap.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="version 999"):
+        with pytest.raises(SnapshotError, match=f"version {version} "):
             load(snap)
 
     def test_truncated_data_section(self, snap):

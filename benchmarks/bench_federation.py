@@ -211,9 +211,6 @@ class ForkedNode:
     def __init__(self, arrays, offset, total, bounding_box, failpoints=None):
         self.service = build_node_service(arrays, offset, total, bounding_box)
         self.service.warm()
-        ex = self.service.executor
-        ex._pool_width = ex._pool._max_workers if ex._pool is not None else 0
-        ex.close()
         httpd = make_server(self.service, host="127.0.0.1", port=0)
         host, port = httpd.server_address
         self.url = f"http://{host}:{port}"

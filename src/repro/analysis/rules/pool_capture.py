@@ -1,7 +1,10 @@
 """pool-capture: closures handed to executor pools must not race.
 
-A callable passed to ``pool.submit(...)`` runs on another thread.  Two
-hazards have to be checked at the submission boundary:
+A callable passed to ``pool.submit(...)`` runs on another thread — in
+this tree the federation coordinator's scatter pool, which submits
+``FederatedCoordinator._call_node_safe`` once per node (shard units are
+evaluated on the calling thread and submit nothing).  Two hazards have to
+be checked at the submission boundary:
 
 - **Shared-state mutation without a lock.**  A nested function or lambda
   that mutates a variable captured from the enclosing scope (``x.append``,
@@ -9,8 +12,9 @@ hazards have to be checked at the submission boundary:
   submitting thread unless the mutation happens inside ``with <lock>``.
 - **Implicit span parents.**  ``Tracer.span`` parents via a thread-local
   stack; inside pool-executed code that stack is empty, so every
-  ``tracer.span(...)`` there must pass an explicit ``parent=`` (the
-  convention ``ShardedBatchExecutor._eval_on_unit`` follows).
+  ``tracer.span(...)`` there must pass an explicit ``parent=``.  The
+  coordinator sidesteps it by opening its ``scatter`` span on the
+  submitting thread, around the fan-out, and none inside the RPC task.
 """
 
 from __future__ import annotations

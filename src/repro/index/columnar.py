@@ -40,10 +40,6 @@ COMPACT_FRACTION = 0.25
 #: ... but never for fewer dead rows than this.
 MIN_DEAD_FOR_COMPACT = 64
 
-#: Cap on the ``(chunk_q, n, k)`` broadcast workspace of the multi-box
-#: kernels, in elements; batches larger than this evaluate in box chunks.
-BATCH_BROADCAST_BUDGET = 4_000_000
-
 
 class ColumnarStore:
     """Contiguous ``(n, k)`` point matrix with vectorized orthant queries.
@@ -322,29 +318,21 @@ class ColumnarStore:
         return int(np.count_nonzero(self._match_mask(box)))
 
     # ------------------------------------------------------------------
-    # Multi-box batch kernels (one broadcast pass, chunked by budget)
+    # Multi-box batch kernels (one broadcast pass per constrained side)
     # ------------------------------------------------------------------
     def _match_matrix(self, boxes: Sequence[QueryBox]) -> np.ndarray:
         """``(Q, n)`` boolean matrix: active rows inside each box.
 
-        One ``(chunk_q, n, k)`` broadcast containment pass per chunk — the
-        multi-box generalization of :meth:`_match_mask`, amortizing the
-        per-query NumPy dispatch overhead across the whole batch.  The
-        open/closed endpoint semantics live in
+        One ``(Q, n)`` comparison per constrained side — the multi-box
+        generalization of :meth:`_match_mask`, amortizing the per-query
+        NumPy dispatch overhead across the whole batch.  The open/closed
+        endpoint semantics live in
         :class:`~repro.index.query_box.BoxBatch`, not here.
         """
         for box in boxes:
             self._check_box(box)
         n = self._n
-        q = len(boxes)
-        batch = BoxBatch(boxes)
-        pts = self._pts[:n]
-        out = np.empty((q, n), dtype=bool)
-        chunk = max(1, BATCH_BROADCAST_BUDGET // max(1, n * self.dim))
-        for s in range(0, q, chunk):
-            out[s : s + chunk] = batch.contains_points(
-                pts, np.arange(s, min(q, s + chunk))
-            )
+        out = BoxBatch(boxes).contains_points(self._pts[:n])
         out &= self._active[:n][None, :]
         return out
 

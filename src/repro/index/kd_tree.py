@@ -46,8 +46,15 @@ MIN_BUFFER_FOR_REBUILD = 64
 #: In the multi-box walk, stop descending and broadcast-test a node's
 #: contiguous point slice directly once ``alive boxes x slice points``
 #: falls under this budget: one vectorized containment pass is cheaper
-#: than the Python node visits a deeper descent would cost.
-MULTIBOX_BROADCAST_CUTOFF = 8192
+#: than the Python node visits a deeper descent would cost.  Measured
+#: with the per-column containment kernel, in-process ``search_batch`` p50
+#: over 60 cold batches of the benchmark's lakes (seed 2027, 4 shards,
+#: 2-vCPU host, each value twice in one process): 2-D ``cold_2d`` read
+#: 29/27 ms at 2048, 21/22 at 8192, 20/20 at 16384, 18/17 at 32768, 20/20
+#: at 65536 and 32/34 at 131072; the 1-D ``ingest_churn`` lake 22/18,
+#: 18/14, 15/15, 13/13, 12/12 and 13/12.  Seed 4242 agrees (16–18 ms at
+#: 32768 against 20–23 at 8192 and 21–22 at 65536).
+MULTIBOX_BROADCAST_CUTOFF = 32768
 
 
 class _KDNode:
@@ -419,10 +426,10 @@ class DynamicKDTree:
         node: the intersect/contain prunes for all alive boxes are one
         broadcast comparison instead of Q separate Python walks, boxes
         that fully contain a node's bbox take its active-id array
-        wholesale, and the surviving boxes share a single ``(q, L, k)``
-        containment pass per leaf.  This is the kernel behind the service
-        cold path: a batch of deduplicated leaves hits every shard's tree
-        in one call.
+        wholesale, and the surviving boxes share one ``(q, L)`` comparison
+        per constrained side at each leaf.  This is the kernel behind the
+        service cold path: a batch of deduplicated leaves hits every
+        shard's tree in one call.
         """
         boxes = list(boxes)
         for box in boxes:

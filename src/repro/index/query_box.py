@@ -2,8 +2,16 @@
 
 The orthant of Algorithm 4 mixes closed constraints (``[R-_h, inf)``) with
 *strict* ones (``(-inf, R-_h)``), so the range-searching substrate must
-distinguish open and closed endpoints exactly — floating-point "nudging" is
-not acceptable in a correctness-first reproduction.
+distinguish open and closed endpoints exactly — an epsilon "nudge" is not
+acceptable in a correctness-first reproduction.
+
+Open sides are therefore folded, once per box, into *closed effective
+bounds* that are exact over the doubles: ``x > a`` holds iff
+``x >= nextafter(a, +inf)`` and ``x < b`` iff ``x <= nextafter(b, -inf)``
+(:func:`closed_bounds`).  Every predicate below compares against those two
+arrays only, and skips a side no box constrains — an orthant query
+constrains each coordinate on exactly one side.  Points are assumed
+NaN-free (every backend validates or generates them so).
 """
 
 from __future__ import annotations
@@ -12,6 +20,24 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+
+def closed_bounds(
+    lo: np.ndarray, hi: np.ndarray, lo_open: np.ndarray, hi_open: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed ``(elo, ehi)`` with ``elo <= x <= ehi`` iff ``x`` is in the box.
+
+    The one definition of open/closed endpoint semantics, shared by
+    :class:`QueryBox` and :class:`BoxBatch`.  An open bound at its own
+    infinity (``x > +inf``, ``x < -inf``) admits nothing, not even the
+    infinity ``nextafter`` would leave in place: it becomes NaN, against
+    which every comparison is false.
+    """
+    elo = np.where(lo_open, np.nextafter(lo, np.inf), lo)
+    ehi = np.where(hi_open, np.nextafter(hi, -np.inf), hi)
+    elo[lo_open & (lo == np.inf)] = np.nan
+    ehi[hi_open & (hi == -np.inf)] = np.nan
+    return elo, ehi
 
 
 class QueryBox:
@@ -31,7 +57,7 @@ class QueryBox:
     (True, False)
     """
 
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim")
+    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim", "elo", "ehi")
 
     def __init__(self, constraints: Sequence[tuple[float, float, bool, bool]]) -> None:
         if len(constraints) == 0:
@@ -43,6 +69,9 @@ class QueryBox:
         self.dim = len(constraints)
         if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
             raise ValueError("query box bounds must not be NaN")
+        self.elo, self.ehi = closed_bounds(
+            self.lo, self.hi, self.lo_open, self.hi_open
+        )
 
     @staticmethod
     def closed(lo: Sequence[float], hi: Sequence[float]) -> "QueryBox":
@@ -71,31 +100,23 @@ class QueryBox:
     def contains_point(self, point: Sequence[float]) -> bool:
         """Whether a single point satisfies every constraint."""
         p = np.asarray(point, dtype=float)
-        ok_lo = np.where(self.lo_open, p > self.lo, p >= self.lo)
-        ok_hi = np.where(self.hi_open, p < self.hi, p <= self.hi)
-        return bool(np.all(ok_lo) and np.all(ok_hi))
+        return bool(np.all(p >= self.elo) and np.all(p <= self.ehi))
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an ``(n, k)`` array of points."""
         pts = np.asarray(points, dtype=float)
-        ok_lo = np.where(self.lo_open, pts > self.lo, pts >= self.lo)
-        ok_hi = np.where(self.hi_open, pts < self.hi, pts <= self.hi)
-        return np.all(ok_lo & ok_hi, axis=1)
+        return np.all((pts >= self.elo) & (pts <= self.ehi), axis=1)
 
     # ------------------------------------------------------------------
     # Bounding-box tests (used by tree traversals for pruning)
     # ------------------------------------------------------------------
     def intersects_bbox(self, blo: np.ndarray, bhi: np.ndarray) -> bool:
         """Whether some point of the closed bbox ``[blo, bhi]`` may qualify."""
-        ok_lo = np.where(self.lo_open, bhi > self.lo, bhi >= self.lo)
-        ok_hi = np.where(self.hi_open, blo < self.hi, blo <= self.hi)
-        return bool(np.all(ok_lo) and np.all(ok_hi))
+        return bool(np.all(bhi >= self.elo) and np.all(blo <= self.ehi))
 
     def contains_bbox(self, blo: np.ndarray, bhi: np.ndarray) -> bool:
         """Whether *every* point of the closed bbox ``[blo, bhi]`` qualifies."""
-        ok_lo = np.where(self.lo_open, blo > self.lo, blo >= self.lo)
-        ok_hi = np.where(self.hi_open, bhi < self.hi, bhi <= self.hi)
-        return bool(np.all(ok_lo) and np.all(ok_hi))
+        return bool(np.all(blo >= self.elo) and np.all(bhi <= self.ehi))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
@@ -126,7 +147,7 @@ class BoxBatch:
     [[False, True], [True, True]]
     """
 
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim", "n_boxes")
+    __slots__ = ("elo", "ehi", "dim", "n_boxes", "_sides")
 
     def __init__(self, boxes: Sequence[QueryBox]) -> None:
         boxes = list(boxes)
@@ -137,35 +158,51 @@ class BoxBatch:
             raise ValueError("all boxes in a batch must share a dimension")
         self.dim = dims.pop()
         self.n_boxes = len(boxes)
-        self.lo = np.stack([box.lo for box in boxes])
-        self.hi = np.stack([box.hi for box in boxes])
-        self.lo_open = np.stack([box.lo_open for box in boxes])
-        self.hi_open = np.stack([box.hi_open for box in boxes])
+        self.elo = np.stack([box.elo for box in boxes])
+        self.ehi = np.stack([box.ehi for box in boxes])
+        # The (column, comparison, 0 = elo / 1 = ehi) sides some box actually
+        # constrains; an orthant batch has one per column, not two.
+        self._sides = [
+            (j, np.greater_equal, 0)
+            for j in np.flatnonzero((self.elo != -np.inf).any(axis=0))
+        ] + [
+            (j, np.less_equal, 1)
+            for j in np.flatnonzero((self.ehi != np.inf).any(axis=0))
+        ]
 
-    def _rows(self, rows):
+    def _bounds(self, rows) -> tuple[np.ndarray, np.ndarray]:
         if rows is None:
-            return self.lo, self.hi, self.lo_open, self.hi_open
-        return self.lo[rows], self.hi[rows], self.lo_open[rows], self.hi_open[rows]
+            return self.elo, self.ehi
+        return self.elo[rows], self.ehi[rows]
 
     def contains_points(self, points: np.ndarray, rows=None) -> np.ndarray:
-        """``(Q', n)`` membership matrix for an ``(n, k)`` point array."""
-        lo, hi, lo_open, hi_open = self._rows(rows)
-        pts = np.asarray(points, dtype=float)[None, :, :]
-        lo, hi = lo[:, None, :], hi[:, None, :]
-        ok = np.where(lo_open[:, None, :], pts > lo, pts >= lo)
-        ok &= np.where(hi_open[:, None, :], pts < hi, pts <= hi)
-        return ok.all(axis=2)
+        """``(Q', n)`` membership matrix for an ``(n, k)`` point array.
+
+        One ``(Q', n)`` comparison per constrained side, column by column:
+        the first writes the result, the rest are ANDed into it through
+        one reused scratch matrix.
+        """
+        pts = np.asarray(points, dtype=float)
+        bounds = self._bounds(rows)
+        shape = (bounds[0].shape[0], pts.shape[0])
+        if not self._sides:
+            return np.ones(shape, dtype=bool)
+        ok = np.empty(shape, dtype=bool)
+        scratch = np.empty(shape, dtype=bool)
+        out = ok
+        for j, compare, side in self._sides:
+            compare(pts[:, j], bounds[side][:, j, None], out=out)
+            if out is scratch:
+                ok &= scratch
+            out = scratch
+        return ok
 
     def intersects_bbox(self, blo: np.ndarray, bhi: np.ndarray, rows=None) -> np.ndarray:
         """``(Q',)`` mask: which boxes may contain a point of ``[blo, bhi]``."""
-        lo, hi, lo_open, hi_open = self._rows(rows)
-        ok = np.where(lo_open, bhi > lo, bhi >= lo)
-        ok &= np.where(hi_open, blo < hi, blo <= hi)
-        return ok.all(axis=1)
+        elo, ehi = self._bounds(rows)
+        return ((bhi >= elo) & (blo <= ehi)).all(axis=1)
 
     def contains_bbox(self, blo: np.ndarray, bhi: np.ndarray, rows=None) -> np.ndarray:
         """``(Q',)`` mask: which boxes contain *every* point of ``[blo, bhi]``."""
-        lo, hi, lo_open, hi_open = self._rows(rows)
-        ok = np.where(lo_open, blo > lo, blo >= lo)
-        ok &= np.where(hi_open, bhi < hi, bhi <= hi)
-        return ok.all(axis=1)
+        elo, ehi = self._bounds(rows)
+        return ((blo >= elo) & (bhi <= ehi)).all(axis=1)

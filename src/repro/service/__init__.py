@@ -16,12 +16,12 @@ batch.  This package turns the engine into a serving subsystem:
   with hit/miss/eviction and resident-bytes accounting and explicit
   invalidation;
 - :mod:`~repro.service.sharding` partitions the repository into ``n_shards``
-  sub-engines and evaluates leaves shard-parallel in a thread pool — the
-  union of shard answers preserves the per-leaf guarantees because every
-  dataset lives in exactly one shard — and supports live mutation: new
-  datasets enter an append-only delta shard, removals become a read-time
-  index mask, and cached leaf answers are upgraded from the delta shard
-  instead of flushed;
+  sub-engines and evaluates a leaf batch on each in turn, on the calling
+  thread — the union of shard answers preserves the per-leaf guarantees
+  because every dataset lives in exactly one shard — and supports live
+  mutation: new datasets enter an append-only delta shard, removals become
+  a read-time index mask, and cached leaf answers are upgraded from the
+  delta shard instead of flushed;
 - :mod:`~repro.service.service` wires the three into the
   :class:`~repro.service.service.QueryService` facade with per-query
   latency/throughput telemetry;

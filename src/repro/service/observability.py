@@ -4,10 +4,11 @@ Three complementary layers, all dependency-free:
 
 - **Span tracer** — :class:`Tracer` hands out context-manager
   :class:`Span` objects with monotonic-clock durations and parent links.
-  Nesting is implicit per thread (a thread-local span stack); spans that
-  cross a thread boundary (the sharded executor's pool workers) pass
-  their parent explicitly.  Finished spans feed the registry's per-stage
-  histogram, so every traced query updates ``repro_stage_seconds``.
+  Nesting is implicit per thread (a thread-local span stack); a span
+  opened on another thread would pass its parent explicitly (none does
+  today: shard units run on the request thread).  Finished spans feed
+  the registry's per-stage histogram, so every traced query updates
+  ``repro_stage_seconds``.
   When tracing is off the instrumented call sites receive ``tracer=None``
   and skip all of this behind one ``is not None`` branch — the disabled
   cost is a single pointer comparison per site.
@@ -457,10 +458,9 @@ class Tracer:
 
     One tracer instance serves one traced batch.  Nesting is implicit
     within a thread (a thread-local stack: the innermost open span of the
-    current thread adopts new spans); spans opened on *another* thread —
-    the executor's pool workers — pass ``parent`` explicitly, which also
-    seeds that worker's local stack so deeper spans nest under it
-    naturally.
+    current thread adopts new spans); a span opened on *another* thread
+    passes ``parent`` explicitly, which also seeds that thread's local
+    stack so deeper spans nest under it naturally.
 
     On exit every span's duration is recorded into the registry histogram
     ``stage_metric{stage=<name>}``, so traced traffic populates the
@@ -536,7 +536,7 @@ class Tracer:
             parent = stack[-1] if stack else None
         span = Span(name, self, parent=parent, **meta)
         if parent is not None:
-            # Children lists are appended from pool threads concurrently.
+            # Children lists may be appended from several threads.
             with self._lock:
                 parent.children.append(span)
         elif self.root is None:

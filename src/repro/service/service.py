@@ -10,8 +10,8 @@ Serving pipeline for a batch (``search`` is the one-element special case):
 2. **cache** — look every unique leaf up in the LRU leaf-result cache; an
    entry whose dataset-count watermark trails the current repository is
    *upgraded* (delta-shard evaluation unioned in) rather than discarded;
-3. **execute** — evaluate the misses on the sharded executor (shard-parallel
-   union of per-shard answers) and write them back to the cache;
+3. **execute** — evaluate the misses on the sharded executor (union of
+   per-shard answers) and write them back to the cache;
 4. **assemble** — evaluate each canonical expression over the in-memory
    leaf results and stamp telemetry.
 
@@ -129,7 +129,6 @@ class QueryService:
         seed: int = 0,
         deterministic: bool = True,
         engine: str = "kd",
-        max_workers: Optional[int] = None,
         telemetry_window: int = 4096,
         capacity: Optional[int] = None,
         plan_cache_capacity: int = 1024,
@@ -146,7 +145,6 @@ class QueryService:
             seed=seed,
             deterministic=deterministic,
             engine=engine,
-            max_workers=max_workers,
             capacity=capacity,
         )
         self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
@@ -784,7 +782,6 @@ class QueryService:
         self.invalidate_cache()
         self.executor = new
         self.invalidate_cache()
-        old.close()
 
     def save(self, path: str | os.PathLike[str], generation: int = 0) -> dict:
         """Persist the whole service (engines, caches, plans' capacity) into

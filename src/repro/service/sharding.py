@@ -1,4 +1,4 @@
-"""Sharded batch execution: partitioned sub-engines behind a thread pool.
+"""Sharded batch execution: partitioned sub-engines, evaluated in turn.
 
 The repository is partitioned into ``n_shards`` contiguous slices, each
 served by its own :class:`~repro.core.engine.DatasetSearchEngine`.  A leaf
@@ -24,8 +24,12 @@ ingredients, all handled here:
 
 Shard engines mutate internal state during Ptile queries (the report loop
 temporarily deactivates points), so one shard never runs two leaves
-concurrently: the pool parallelizes *across* shards, each shard walking its
-leaf batch sequentially under a per-shard lock.
+concurrently: each shard walks its leaf batch under a per-shard lock, and a
+batch visits the shards one after another on the thread that called it.
+Two request threads overlap by working on different shards; CPU parallelism
+lives in ``--workers`` processes and federation, the two mechanisms that can
+use a second core under the GIL (a shard thread pool made builds 2x and
+cold queries 3x slower here; see README "Performance guide").
 
 Live mutation
 -------------
@@ -56,9 +60,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, ContextManager, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -84,7 +87,7 @@ from repro.synopsis.exact import ExactSynopsis
 
 if TYPE_CHECKING:
     from repro.service.deadline import Deadline
-    from repro.service.observability import Span, Tracer
+    from repro.service.observability import Tracer
 
 
 def partition_indices(n: int, n_shards: int) -> list[list[int]]:
@@ -192,9 +195,6 @@ class ShardedBatchExecutor:
         scans; fastest at service scale), ``"rangetree"`` (static — live
         ingestion into the delta shard is refused).  See
         :mod:`repro.index.backend`.
-    max_workers:
-        Thread-pool width; defaults to ``n_shards``.  ``0`` forces serial
-        in-caller execution.
     capacity:
         Expected repository size the accuracy contract is resolved against:
         ``phi_eff``, ``sample_size`` and ``eps_effective`` are computed for
@@ -206,10 +206,6 @@ class ShardedBatchExecutor:
         ``synopses`` (positions are stable identities) but are excluded from
         the shard engines and masked out of every answer.
     """
-
-    #: Recorded pool width, parked by the supervisor parent before forking
-    #: (pools don't survive ``fork``); children rebuild from it.
-    _pool_width: int
 
     def __init__(
         self,
@@ -224,7 +220,6 @@ class ShardedBatchExecutor:
         seed: int = 0,
         deterministic: bool = True,
         engine: str = "kd",
-        max_workers: Optional[int] = None,
         capacity: Optional[int] = None,
         removed: Optional[Iterable[int]] = None,
     ) -> None:
@@ -326,15 +321,6 @@ class ShardedBatchExecutor:
         self.delta_ids: list[int] = []
         self._delta_lock = threading.Lock()
 
-        if max_workers is None:
-            max_workers = self.n_shards
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-shard"
-            )
-            if max_workers > 0 and self.n_shards > 1
-            else None
-        )
         self.stats: dict = {"leaf_evals": 0, "shard_tasks": 0, "delta_evals": 0}  # guarded-by: _stats_lock
 
     @property
@@ -391,9 +377,6 @@ class ShardedBatchExecutor:
         lock: threading.Lock,
         leaves: Sequence[Predicate],
         tracer: Optional[Tracer] = None,
-        parent: Optional[Span] = None,
-        span_name: str = "shard_eval",
-        span_meta: Optional[dict] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
         """All leaves on one shard as *global* packed bitsets.
@@ -417,10 +400,9 @@ class ShardedBatchExecutor:
         when their answers became available.
 
         With a tracer the whole unit evaluation runs under a per-unit
-        span (``shard_eval`` / ``delta_eval``); ``parent`` links it to
-        the caller's span across the thread-pool boundary, and the
-        engine's own ``engine_leaf_batch`` span nests inside because the
-        per-unit span tops this worker thread's span stack.
+        span (``shard_eval`` with a ``shard`` index for base shards,
+        ``delta_eval`` for the delta shard) on the caller's span stack,
+        and the engine's own ``engine_leaf_batch`` span nests inside it.
 
         With a ``deadline`` the budget is polled once the unit lock is
         held (before any evaluation); polling between leaves is the
@@ -430,11 +412,18 @@ class ShardedBatchExecutor:
         poll — so an armed ``sleep`` deterministically trips a short
         deadline.
         """
-        with (
-            tracer.span(span_name, parent=parent, **(span_meta or {}))
-            if tracer is not None
-            else nullcontext()
-        ), lock:
+        span: ContextManager[object]
+        if tracer is None:
+            span = nullcontext()
+        elif engine is self.delta_engine:
+            span = tracer.span("delta_eval", n_datasets=len(mapping))
+        else:
+            span = tracer.span(
+                "shard_eval",
+                shard=self.engines.index(engine),
+                n_datasets=len(mapping),
+            )
+        with span, lock:
             if faults.ARMED is not None:
                 faults.hit("shard_eval")
             # Compile the mapping once per unit call, not once per leaf:
@@ -460,7 +449,7 @@ class ShardedBatchExecutor:
             except DeadlineExceeded as exc:
                 # Translate the engine's local-bitmap prefix into this
                 # unit's global (bitmap, stamp) shape before re-raising,
-                # so the fan-out merge can salvage it.
+                # so the merge can salvage it.
                 done = time.perf_counter()
                 exc.stage = "shard_eval"
                 exc.partial = [(to_global(local), done) for local in exc.partial]
@@ -474,7 +463,8 @@ class ShardedBatchExecutor:
     def _units(
         self, delta_only: bool = False
     ) -> list[tuple[DatasetSearchEngine, Sequence[int], threading.Lock]]:
-        """The (engine, global-index mapping, lock) tuples to fan out over."""
+        """The (engine, global-index mapping, lock) tuples a batch visits,
+        in order."""
         units: list = []
         if not delta_only:
             units.extend(zip(self.engines, self.shards, self._locks))
@@ -505,19 +495,17 @@ class ShardedBatchExecutor:
         tracer: Optional[Tracer] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
-        """Fan a leaf batch over the given units and merge (masked) answers.
+        """Evaluate a leaf batch on each unit in turn and merge (masked) answers.
 
-        With a tracer each unit gets its own span (``shard_eval`` with a
-        ``shard`` index for base shards, ``delta_eval`` for the delta
-        shard), parented to the caller's current span so pool-thread spans
-        land in the right tree, and the merge loop runs under a ``merge``
-        span.
+        Units run one after another on the calling thread, each under its
+        own span (see :meth:`_eval_on_unit`); the merge loop runs under a
+        ``merge`` span.
 
-        With a ``deadline``, a unit that trips its budget does not poison
-        the fan-out: its :class:`DeadlineExceeded` is captured (not
-        propagated out of pool futures), the leaf prefix every unit
-        completed — ``min`` over units — is merged exactly as a full
-        answer would be, and a fresh ``DeadlineExceeded`` carrying those
+        With a ``deadline``, a unit that trips its budget ends the loop
+        and no unit is started once the budget is spent: the leaf prefix
+        every unit completed — ``min`` over units, so 0 when a unit was
+        never reached — is merged exactly as a full answer would be, and
+        a fresh :class:`DeadlineExceeded` carrying those
         merged global ``(bitmap, stamp)`` pairs is raised.  A prefix leaf
         is *exact*: all shards answered it and the tombstone mask was
         applied, so callers can keep it.
@@ -525,55 +513,27 @@ class ShardedBatchExecutor:
         if not units:
             stamp = time.perf_counter()
             return [(DatasetBitmap.zeros(0), stamp) for _ in leaves]
-        if tracer is not None:
-            parent = tracer.current()
-            calls = []
-            for engine, mapping, lock in units:
-                if engine is self.delta_engine:
-                    name, meta = "delta_eval", {"n_datasets": len(mapping)}
-                else:
-                    name = "shard_eval"
-                    meta = {
-                        "shard": self.engines.index(engine),
-                        "n_datasets": len(mapping),
-                    }
-                calls.append(
-                    (engine, mapping, lock, leaves, tracer, parent, name, meta)
+        per_unit: list[list[tuple[DatasetBitmap, float]]] = []
+        tripped = False
+        for engine, mapping, lock in units:
+            if deadline is not None and deadline.expired():
+                tripped = True
+                break
+            try:
+                per_unit.append(
+                    self._eval_on_unit(
+                        engine, mapping, lock, leaves, tracer, deadline
+                    )
                 )
-        else:
-            calls = [(*unit, leaves) for unit in units]
-        def _run(call: tuple) -> tuple[str, object]:
-            # DeadlineExceeded is a *salvageable* outcome, not a failure:
-            # capture it so one slow unit cannot discard the others'
-            # answers (and so pool futures never propagate it raw).
-            try:
-                return ("ok", self._eval_on_unit(*call, deadline=deadline))
             except DeadlineExceeded as exc:
-                return ("deadline", exc)
-
-        pool = self._pool  # snapshot: close() may null it concurrently
-        if pool is None or len(units) == 1:
-            statuses = [_run(call) for call in calls]
-        else:
-            try:
-                futures = [pool.submit(_run, call) for call in calls]
-            except RuntimeError:
-                # The pool was shut down between the snapshot and submit (a
-                # rebuild closed this executor mid-batch).  The engines and
-                # locks are still intact, so finish the batch serially.
-                statuses = [_run(call) for call in calls]
-            else:
-                statuses = [f.result() for f in futures]
-        deadline_exc = next(
-            (res for kind, res in statuses if kind == "deadline"), None
-        )
-        per_unit = [
-            res if kind == "ok" else res.partial for kind, res in statuses
-        ]
+                # Salvageable, not a failure: keep what this unit finished.
+                per_unit.append(exc.partial)
+                tripped = True
+                break
         n_merge = (
-            len(leaves)
-            if deadline_exc is None
-            else min(len(answers) for answers in per_unit)
+            min(len(answers) for answers in per_unit)
+            if len(per_unit) == len(units)
+            else 0  # a unit that was never started completed no leaf
         )
         merge_span = (
             tracer.span("merge", n_units=len(units), n_leaves=len(leaves))
@@ -597,7 +557,7 @@ class ShardedBatchExecutor:
         finally:
             if merge_span is not None:
                 merge_span.__exit__(None, None, None)
-        if deadline_exc is not None:
+        if tripped:
             raise DeadlineExceeded(
                 f"deadline expired after {n_merge}/{len(leaves)} leaves",
                 stage="shard_eval",
@@ -790,38 +750,11 @@ class ShardedBatchExecutor:
         return len(self.delta_ids) > mean
 
     def warm(self) -> None:
-        """Eagerly build every shard's Ptile structure (pinned).
-
-        Builds run concurrently on the executor's thread pool, one task
-        per shard (plus the delta shard), so a warmup costs one shard
-        build of wall clock instead of ``n_shards`` of them.  Build
-        results are deterministic either way: coresets are pure functions
-        of ``(seed, global index, size)`` and each shard owns a private
-        rng, so thread scheduling cannot change what gets built.
-        """
-        units = self._units()
-
-        def _build_unit(engine: DatasetSearchEngine, lock: threading.Lock) -> None:
+        """Eagerly build every shard's Ptile structure (pinned), one shard
+        (then the delta shard) after another on the calling thread."""
+        for engine, _mapping, lock in self._units():
             with lock:
                 self._pin_ptile(engine)
-
-        pool = self._pool  # snapshot: close() may null it concurrently
-        if pool is None or len(units) == 1:
-            for engine, _mapping, lock in units:
-                _build_unit(engine, lock)
-            return
-        try:
-            futures = [
-                pool.submit(_build_unit, engine, lock)
-                for engine, _mapping, lock in units
-            ]
-        except RuntimeError:
-            # Pool shut down between snapshot and submit; build serially.
-            for engine, _mapping, lock in units:
-                _build_unit(engine, lock)
-            return
-        for f in futures:
-            f.result()
 
     def shard_sizes(self) -> list[int]:
         """Datasets per base shard (the delta shard is reported separately)."""
@@ -848,10 +781,7 @@ class ShardedBatchExecutor:
         return snapshot.load_expected(path, "sharded_executor", mmap=mmap)
 
     def close(self) -> None:
-        """Shut the thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Nothing to release; kept so an executor is a context manager."""
 
     def __enter__(self) -> "ShardedBatchExecutor":
         return self

@@ -10,7 +10,7 @@ a whole engine (:class:`~repro.core.engine.DatasetSearchEngine`,
 reconstructs it with ``np.memmap``-backed buffers, skipping the coreset
 draws and the maximal-pair rectangle enumeration entirely.
 
-Container format (version 2)
+Container format (version 3)
 ----------------------------
 ::
 
@@ -28,7 +28,9 @@ supervisor bumps on ingest), ``state`` (nested scalars and segment
 references), and ``arrays`` — the segment table mapping each reference to
 ``{offset, dtype, shape}`` relative to the data section.  Equal array
 *objects* are written once (deduplicated by identity), so a repository
-dataset shared with its ``ExactSynopsis`` costs one segment.
+dataset shared with its ``ExactSynopsis`` costs one segment.  Version 3
+dropped the executor state's thread-pool width (shards are evaluated on
+the calling thread); older files are refused, not migrated.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -58,7 +60,6 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -82,7 +83,7 @@ from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
 
 MAGIC = b"REPROSNP"
-VERSION = 2
+VERSION = 3
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -508,13 +509,6 @@ def _engine_from_state(state: dict, arrays: _ArrayTable) -> DatasetSearchEngine:
 # ShardedBatchExecutor
 # ----------------------------------------------------------------------
 def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
-    pool = ex._pool
-    if pool is not None:
-        max_workers: Optional[int] = pool._max_workers
-    elif ex.n_shards > 1:
-        max_workers = 0  # pool explicitly disabled
-    else:
-        max_workers = None  # single shard never builds a pool
     engines = []
     for eng, lock in zip(ex.engines, ex._locks):
         # A record_times query temporarily deactivates reported points;
@@ -542,7 +536,6 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
         "bounding_box": _box_state(ex.bounding_box),
         "shards": [[int(i) for i in shard] for shard in ex.shards],
         "removed": sorted(int(i) for i in ex.removed),
-        "max_workers": max_workers,
         "synopses": synopses,
         "repository": _repository_state(ex.repository, add_array),
         "engines": engines,
@@ -611,16 +604,6 @@ def _executor_from_state(
         )
     )
     ex._delta_lock = threading.Lock()
-    max_workers = state["max_workers"]
-    if max_workers is None:
-        max_workers = ex.n_shards
-    ex._pool = (
-        ThreadPoolExecutor(
-            max_workers=int(max_workers), thread_name_prefix="repro-shard"
-        )
-        if int(max_workers) > 0 and ex.n_shards > 1
-        else None
-    )
     ex.stats = {"leaf_evals": 0, "shard_tasks": 0, "delta_evals": 0}  # guarded-by: _stats_lock
     return ex
 
@@ -704,7 +687,6 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
             "seed": kw["seed"],
             "deterministic": kw["deterministic"],
             "engine": kw["engine"],
-            "max_workers": kw["max_workers"],
             "capacity": kw["capacity"],
         },
         "plan_capacity": int(svc.plans.capacity),

@@ -69,7 +69,6 @@ import sys
 import threading
 import time
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -162,22 +161,6 @@ def _inherited_server(sock: socket.socket, handler: type) -> ThreadingHTTPServer
     httpd.server_name = host
     httpd.server_port = port
     return httpd
-
-
-def _revive_pool(service: QueryService) -> None:
-    """Replace a fork-orphaned shard pool with a live one.
-
-    Thread pools do not survive ``fork()`` — the child inherits the pool
-    object but none of its worker threads, so any submitted task would
-    wait forever.  The parent shuts its pool down before forking; each
-    worker rebuilds one here from the executor's recorded width.
-    """
-    ex = service.executor
-    width = getattr(ex, "_pool_width", None)
-    if width:
-        ex._pool = ThreadPoolExecutor(
-            max_workers=int(width), thread_name_prefix="repro-shard"
-        )
 
 
 class _WorkerSlot:
@@ -391,10 +374,6 @@ class ServiceSupervisor:
         # Load BEFORE forking: the mmap'ed pages and every Python object
         # built from the header are shared copy-on-write with all workers.
         service = snapshot_mod.load(self.snapshot_path, mmap=True)
-        # Threads don't survive fork; park the pool width and drain it.
-        ex = service.executor
-        ex._pool_width = ex._pool._max_workers if ex._pool is not None else 0
-        ex.close()
         write_watermark(self.snapshot_path, generation)
 
         reuseport = hasattr(socket, "SO_REUSEPORT")
@@ -654,11 +633,6 @@ class ServiceSupervisor:
                 if generation is None:
                     generation = snapshot_mod.generation_of(self.snapshot_path)
                 service = snapshot_mod.load(self.snapshot_path, mmap=True)
-                ex = service.executor
-                ex._pool_width = (
-                    ex._pool._max_workers if ex._pool is not None else 0
-                )
-                ex.close()
                 pid, admin_port = self._fork_worker(
                     slot.worker_id,
                     service,
@@ -849,7 +823,6 @@ class ServiceSupervisor:
         writer: bool,
     ) -> None:
         signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
-        _revive_pool(service)
         holder = {"service": service}
         context = {
             "worker_id": worker_id,

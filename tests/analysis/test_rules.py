@@ -494,29 +494,33 @@ def test_pool_capture_flags_closure_mutation():
     assert "mutates out via .append()" in finding.message
 
 
+# The fixtures below mimic the one pool left in the tree: the federation
+# coordinator scattering one RPC task per node.
+
+
 def test_pool_capture_flags_self_state_write():
     src = """
-    class Executor:
-        def run(self, xs):
-            def task(i, x):
-                self.results[i] = x
+    class Coordinator:
+        def scatter(self, nodes):
+            def call_node(i, node):
+                self.answers[i] = node.ask()
 
-            for i, x in enumerate(xs):
-                self.pool.submit(task, i, x)
+            for i, node in enumerate(nodes):
+                self.pool.submit(call_node, i, node)
     """
     (finding,) = run(src, "pool-capture")
-    assert "writes self.results[...]" in finding.message
+    assert "writes self.answers[...]" in finding.message
 
 
 def test_pool_capture_flags_span_without_parent():
     src = """
-    class Executor:
-        def run(self, tracer):
-            def task():
-                with tracer.span("unit"):
-                    pass
+    class Coordinator:
+        def scatter(self, tracer, node):
+            def call_node():
+                with tracer.span("rpc"):
+                    node.ask()
 
-            self.pool.submit(task)
+            self.pool.submit(call_node)
     """
     (finding,) = run(src, "pool-capture")
     assert "explicit parent=" in finding.message
@@ -524,18 +528,19 @@ def test_pool_capture_flags_span_without_parent():
 
 def test_pool_capture_passes_locked_mutation_and_parented_span():
     src = """
-    class Executor:
-        def run(self, tracer, parent, xs):
-            out = []
+    class Coordinator:
+        def scatter(self, tracer, nodes):
+            answers = []
+            parent = tracer.current()
 
-            def task(x):
-                with tracer.span("unit", parent=parent):
-                    local = [x * 2]
+            def call_node(node):
+                with tracer.span("rpc", parent=parent):
+                    local = [node.ask()]
                 with self._lock:
-                    out.extend(local)
+                    answers.extend(local)
 
-            for x in xs:
-                self.pool.submit(task, x)
+            for node in nodes:
+                self.pool.submit(call_node, node)
     """
     assert run(src, "pool-capture") == []
 
@@ -556,16 +561,16 @@ def test_pool_capture_passes_local_mutation():
 
 def test_pool_capture_resolves_self_methods():
     src = """
-    class Executor:
-        def _work(self, x):
-            self.seen.add(x)
+    class Coordinator:
+        def _call_node_safe(self, node):
+            self.contacted.add(node)
 
-        def run(self, xs):
-            for x in xs:
-                self.pool.submit(self._work, x)
+        def scatter(self, nodes):
+            for node in nodes:
+                self.pool.submit(self._call_node_safe, node)
     """
     (finding,) = run(src, "pool-capture")
-    assert "mutates self.seen" in finding.message
+    assert "mutates self.contacted" in finding.message
 
 
 # -- wire-schema --------------------------------------------------------

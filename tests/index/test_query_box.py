@@ -1,12 +1,13 @@
 """Tests for QueryBox open/closed semantics and bbox pruning tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.index.query_box import QueryBox
+from repro.index.query_box import BoxBatch, QueryBox
 
 
 class TestPointMembership:
@@ -77,3 +78,133 @@ class TestBBoxTests:
     def test_touching_closed_boundary(self):
         box = QueryBox([(0.0, 1.0, False, False)])
         assert box.intersects_bbox(np.array([1.0]), np.array([2.0]))
+
+
+# ----------------------------------------------------------------------
+# The kernel against the flag-by-flag definition it replaced
+# ----------------------------------------------------------------------
+def oracle_contains_points(lo, hi, lo_open, hi_open, pts):
+    """``(Q, n)`` membership from ``(Q, k)`` constraint stacks, by flags."""
+    p = pts[None, :, :]
+    lo, hi = lo[:, None, :], hi[:, None, :]
+    ok = np.where(lo_open[:, None, :], p > lo, p >= lo)
+    ok &= np.where(hi_open[:, None, :], p < hi, p <= hi)
+    return ok.all(axis=2)
+
+
+def oracle_intersects_bbox(lo, hi, lo_open, hi_open, blo, bhi):
+    ok = np.where(lo_open, bhi > lo, bhi >= lo)
+    ok &= np.where(hi_open, blo < hi, blo <= hi)
+    return ok.all(axis=1)
+
+
+def oracle_contains_bbox(lo, hi, lo_open, hi_open, blo, bhi):
+    ok = np.where(lo_open, blo > lo, blo >= lo)
+    ok &= np.where(hi_open, bhi < hi, bhi <= hi)
+    return ok.all(axis=1)
+
+
+#: Few distinct values, so a point sits exactly on a bound (or on one of
+#: its ``nextafter`` neighbours) in most draws, and either infinity can
+#: meet either open flag.
+_GRID = np.array([-np.inf, -1.0, 0.0, 0.25, 0.5, 1.0, np.inf])
+VALUES = np.unique(
+    np.concatenate(
+        [_GRID, np.nextafter(_GRID[1:-1], np.inf), np.nextafter(_GRID[1:-1], -np.inf)]
+    )
+)
+
+
+def random_constraints(rng, q, k):
+    lo = rng.choice(_GRID, size=(q, k))
+    hi = rng.choice(_GRID, size=(q, k))
+    # Orthant-style rows leave one side of each column unconstrained.
+    orthant = rng.random(q) < 0.5
+    side = rng.random((q, k)) < 0.5
+    lo[orthant[:, None] & side] = -np.inf
+    hi[orthant[:, None] & ~side] = np.inf
+    return lo, hi, rng.random((q, k)) < 0.5, rng.random((q, k)) < 0.5
+
+
+def boxes_of(lo, hi, lo_open, hi_open):
+    return [
+        QueryBox(list(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())))
+        for a, b, c, d in zip(lo, hi, lo_open, hi_open)
+    ]
+
+
+class TestKernelAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 1_000_000),
+        k=st.integers(1, 10),
+        q=st.integers(1, 6),
+        n=st.sampled_from([0, 1, 7, 40]),
+    )
+    def test_scalar_and_batch_match_flagged_predicates(self, seed, k, q, n):
+        rng = np.random.default_rng(seed)
+        cons = random_constraints(rng, q, k)
+        boxes = boxes_of(*cons)
+        batch = BoxBatch(boxes)
+        pts = rng.choice(VALUES, size=(n, k))
+        blo = rng.choice(VALUES, size=k)
+        bhi = np.maximum(blo, rng.choice(VALUES, size=k))
+
+        want = oracle_contains_points(*cons, pts)
+        want_hit = oracle_intersects_bbox(*cons, blo, bhi)
+        want_full = oracle_contains_bbox(*cons, blo, bhi)
+
+        got = batch.contains_points(pts)
+        assert got.dtype == bool and got.shape == (q, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(batch.intersects_bbox(blo, bhi), want_hit)
+        assert np.array_equal(batch.contains_bbox(blo, bhi), want_full)
+
+        for i, box in enumerate(boxes):
+            assert np.array_equal(box.contains_points(pts), want[i])
+            assert [box.contains_point(p) for p in pts] == want[i].tolist()
+            assert box.intersects_bbox(blo, bhi) == bool(want_hit[i])
+            assert box.contains_bbox(blo, bhi) == bool(want_full[i])
+
+        # Row subsets: any order, repeats allowed, possibly empty.
+        rows = rng.integers(0, q, size=int(rng.integers(0, 2 * q + 1)))
+        assert np.array_equal(batch.contains_points(pts, rows), want[rows])
+        assert np.array_equal(batch.intersects_bbox(blo, bhi, rows), want_hit[rows])
+        assert np.array_equal(batch.contains_bbox(blo, bhi, rows), want_full[rows])
+
+    def test_open_bound_at_its_own_infinity_is_empty(self):
+        pts = np.array([[-np.inf], [0.0], [np.inf]])
+        for cons in [(np.inf, np.inf, True, False), (-np.inf, -np.inf, False, True)]:
+            box = QueryBox([cons])
+            assert not box.contains_points(pts).any()
+            assert not BoxBatch([box]).contains_points(pts).any()
+        # ... while the closed bound keeps the infinity itself.
+        assert QueryBox([(np.inf, np.inf, False, False)]).contains_points(pts).tolist() == [
+            False, False, True,
+        ]
+
+    def test_unconstrained_batch(self):
+        batch = BoxBatch([QueryBox.unbounded(3)] * 2)
+        assert batch.contains_points(np.zeros((4, 3))).all()
+        assert batch.contains_points(np.zeros((0, 3))).shape == (2, 0)
+
+    def test_no_q_by_n_by_k_temporary(self):
+        q, n, k = 16, 8192, 10
+        rng = np.random.default_rng(0)
+        # An orthant batch: every column constrained on exactly one side.
+        lo = np.where(np.arange(k) % 2 == 0, rng.random((q, k)), -np.inf)
+        hi = np.where(np.arange(k) % 2 == 0, np.inf, rng.random((q, k)))
+        flags = rng.random((2, q, k)) < 0.5
+        batch = BoxBatch(boxes_of(lo, hi, flags[0], flags[1]))
+        pts = rng.random((n, k))
+        batch.contains_points(pts[:8])  # warm numpy's own caches
+        tracemalloc.start()
+        try:
+            out = batch.contains_points(pts)
+            _cur, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result plus one scratch matrix of its size; the flagged
+        # (q, n, k) formulation peaked near 40x the result.
+        assert out.nbytes == q * n
+        assert peak <= 2 * out.nbytes + 4096

@@ -21,12 +21,17 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.baselines.linear_scan import LinearScanPtile
 from repro.core.framework import Repository
+from repro.core.measures import PercentileMeasure
+from repro.core.predicates import pred
 from repro.errors import DeadlineExceeded, QueryError
+from repro.geometry.rectangle import Rectangle
 from repro.service import QueryService
 from repro.service import faults
 from repro.service.deadline import Deadline
 from repro.service.server import expression_to_json, make_server
+from repro.service.sharding import ShardedBatchExecutor
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
@@ -161,6 +166,35 @@ class TestDeadlineUnderInjectedSlowness:
         finally:
             faults.disarm()
             svc.close()
+
+    def test_tripped_deadline_starts_no_further_unit(self, monkeypatch):
+        # Units run in sequence on the calling thread: once the first one
+        # has slept through the budget, the second must not be started,
+        # and the answer degrades to synopsis bounds around the truth.
+        svc = build_service("kd")
+        leaf = pred(PercentileMeasure(Rectangle([0.2, 0.2], [0.8, 0.8])), 0.5)
+        started = []
+        real = ShardedBatchExecutor._eval_on_unit
+
+        def spy(self, engine, *args, **kwargs):
+            started.append(engine)
+            return real(self, engine, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedBatchExecutor, "_eval_on_unit", spy)
+        try:
+            faults.arm("shard_eval=sleep:0.25")
+            (result,) = svc.search_batch([leaf], deadline_ms=50)
+        finally:
+            faults.disarm()
+            svc.close()
+        assert started == [svc.executor.engines[0]]
+        assert result.stats["degraded"]
+        assert result.stats["degrade_reason"] == "deadline"
+        scan = LinearScanPtile([ds.points for ds in svc.repository], mode="numpy")
+        truth = set(scan.query(leaf.measure.rect, leaf.theta).indexes)
+        must = set(result.indexes)
+        maybe = set(result.maybe_bitmap.to_list())
+        assert must <= truth <= must | maybe
 
     def test_executor_raises_with_partial_prefix(self, queries):
         svc = build_service("kd")

@@ -88,11 +88,6 @@ class _ForkedNode:
         self._spawn()
 
     def _spawn(self):
-        # Park the executor pool before forking (threads don't survive
-        # fork); the child lazily rebuilds it — the supervisor's idiom.
-        ex = self.service.executor
-        ex._pool_width = ex._pool._max_workers if ex._pool is not None else 0
-        ex.close()
         httpd = make_server(self.service, host="127.0.0.1", port=self.port or 0)
         self.port = httpd.server_address[1]
         self.url = f"http://127.0.0.1:{self.port}"

@@ -1,11 +1,11 @@
-"""Parallel shard builds must be deterministic.
+"""Shard builds must be deterministic and partition-independent.
 
-The executor builds shard Ptile structures concurrently on its thread pool
-(``warm``) and the cold path batches each shard's leaf schedule through one
+The executor builds each shard's Ptile structure eagerly (``warm``) or on
+first use, and the cold path batches each shard's leaf schedule through one
 multi-box backend call.  Neither may change answers: coresets are pure
 functions of ``(seed, global index, size)`` and each shard owns a private
-rng, so serial/parallel and batched/per-leaf evaluation must produce
-identical answer sets.
+rng, so any shard count, warmed/lazy and batched/per-leaf evaluation must
+produce identical answer sets.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import pred
 from repro.geometry.rectangle import Rectangle
-from repro.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
 
 
@@ -39,20 +38,18 @@ def _answers(executor, leaves):
     return [indexes for indexes, _stamp in executor.eval_leaves(leaves)]
 
 
-class TestParallelBuildDeterminism:
-    def test_parallel_warm_matches_serial_warm(self, lake, leaves):
+class TestShardBuildDeterminism:
+    def test_four_shards_match_one_shard(self, lake, leaves):
         repo = Repository.from_arrays(lake)
-        serial = ShardedBatchExecutor(
-            repository=repo, n_shards=4, eps=0.2, sample_size=8, seed=7,
-            max_workers=0,
+        one = ShardedBatchExecutor(
+            repository=repo, n_shards=1, eps=0.2, sample_size=8, seed=7,
         )
-        parallel = ShardedBatchExecutor(
+        four = ShardedBatchExecutor(
             repository=repo, n_shards=4, eps=0.2, sample_size=8, seed=7,
         )
-        serial.warm()
-        parallel.warm()
-        assert _answers(serial, leaves) == _answers(parallel, leaves)
-        parallel.close()
+        one.warm()
+        four.warm()
+        assert _answers(one, leaves) == _answers(four, leaves)
 
     def test_warmed_build_matches_lazy_build(self, lake, leaves):
         repo = Repository.from_arrays(lake)
@@ -79,27 +76,3 @@ class TestParallelBuildDeterminism:
         assert _answers(with_batch, leaves) == per_leaf
         with_batch.close()
         one_by_one.close()
-
-    def test_service_cold_answers_identical_across_modes(self, lake, leaves):
-        repo = Repository.from_arrays(lake)
-        expr = (leaves[0] & leaves[1]) | leaves[2]
-        results = {}
-        for label, kwargs in [
-            ("batched", {}),
-            ("serial", {"max_workers": 0}),
-        ]:
-            with QueryService(
-                repository=repo, n_shards=3, eps=0.2, sample_size=8, seed=7,
-                **kwargs,
-            ) as svc:
-                results[label] = svc.search(expr).indexes
-        assert results["batched"] == results["serial"]
-
-    def test_warm_survives_closed_pool(self, lake):
-        repo = Repository.from_arrays(lake)
-        executor = ShardedBatchExecutor(
-            repository=repo, n_shards=2, eps=0.2, sample_size=8, seed=7,
-        )
-        executor.close()  # pool gone; warm must fall back to serial builds
-        executor.warm()
-        assert all(e._ptile is not None for e in executor.engines)

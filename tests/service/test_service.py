@@ -6,6 +6,8 @@ single ``DatasetSearchEngine`` returns, because each dataset lives in one
 shard and the executor pins sampling and query slack to global-N semantics.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -131,14 +133,29 @@ class TestShardMergeEquivalence:
         expected = [reference_engine.search(q).indexes for q in queries]
         assert got == expected
 
-    def test_serial_pool_matches_threaded(self, repo, queries):
-        kwargs = dict(repository=repo, eps=EPS, sample_size=SAMPLE_SIZE, seed=SEED)
-        with QueryService(n_shards=4, **kwargs) as threaded, QueryService(
-            n_shards=4, max_workers=0, **kwargs
-        ) as serial:
-            a = [r.indexes for r in threaded.search_batch(queries)]
-            b = [r.indexes for r in serial.search_batch(queries)]
-        assert a == b
+    def test_concurrent_request_threads_match_single_thread(self, repo, queries):
+        # Shards are evaluated on the calling thread, so two request
+        # threads interleave on the per-shard locks; the cache is off so
+        # both really walk every shard.
+        kwargs = dict(
+            repository=repo, n_shards=4, eps=EPS, sample_size=SAMPLE_SIZE,
+            seed=SEED, cache_capacity=0,
+        )
+        with QueryService(**kwargs) as alone:
+            expected = [r.indexes for r in alone.search_batch(queries)]
+        got: dict = {}
+
+        def ask(name):
+            got[name] = [r.indexes for r in shared.search_batch(queries)]
+
+        with QueryService(**kwargs) as shared:
+            threads = [threading.Thread(target=ask, args=(n,)) for n in "ab"]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        assert got == {"a": expected, "b": expected}
 
     def test_federated_synopses_only_matches_single_engine(self, lake, queries):
         # No repository, no explicit bounding box: the executor must derive

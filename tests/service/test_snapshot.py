@@ -308,7 +308,8 @@ class TestErrorPaths:
         with pytest.raises(SnapshotError, match="bad magic"):
             load(snap)
 
-    @pytest.mark.parametrize("version", [999, 1])  # 1: pre-bitset-only files
+    # 1: pre-bitset-only files; 2: executor state still named a shard pool width
+    @pytest.mark.parametrize("version", [999, 1, 2])
     def test_version_mismatch(self, snap, version):
         blob = bytearray(snap.read_bytes())
         blob[8:12] = struct.pack("<I", version)

@@ -2,11 +2,15 @@
 
 PR 3's equivalence suite catches protocol drift only at runtime and only
 for the behaviours it exercises.  This rule checks statically, from the
-registry module itself (the module defining ``RangeSearchBackend`` and
-``build_backend``), that every registered engine class:
+registry module itself (the module defining ``RangeSearchBackend`` and the
+``backend_class`` name-to-class chain that ``build_backend`` and
+``restore_backend`` share — or, fixture style, a ``build_backend`` that
+holds the chain itself), that every registered engine class:
 
-- defines every protocol method with a signature the protocol's callers
-  can use (same leading parameter names; extra parameters need defaults);
+- defines every protocol method — queries, per-entry and group-level
+  toggles, dynamics, ``to_arrays`` — with a signature the protocol's
+  callers can use (same leading parameter names; extra parameters need
+  defaults);
 - exposes ``n_active`` and ``supports_insert`` as properties;
 - is *honest* about ``supports_insert``: an engine listed in
   ``DYNAMIC_ENGINES`` must not hard-code ``return False`` (and vice
@@ -29,7 +33,8 @@ from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 
 _PROTOCOL = "RangeSearchBackend"
-_REGISTRY_FN = "build_backend"
+#: Functions that may hold the ``if engine == "name"`` chain, in lookup order.
+_REGISTRY_FNS = ("backend_class", "build_backend")
 
 
 def _arg_names(fn: ast.FunctionDef) -> Tuple[List[str], int]:
@@ -73,7 +78,8 @@ def _is_docstring(stmt: ast.stmt) -> bool:
 
 
 def _registered_engines(fn: ast.FunctionDef) -> Dict[str, Tuple[str, Optional[str]]]:
-    """engine name -> (class name, source module) from ``build_backend``."""
+    """engine name -> (class name, source module) from the registry chain
+    (each arm returns the class or a call of it)."""
     out: Dict[str, Tuple[str, Optional[str]]] = {}
     for node in ast.walk(fn):
         if not isinstance(node, ast.If):
@@ -94,8 +100,9 @@ def _registered_engines(fn: ast.FunctionDef) -> Dict[str, Tuple[str, Optional[st
         for stmt in node.body:
             if isinstance(stmt, ast.ImportFrom):
                 module = stmt.module
-            if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call):
-                callee = stmt.value.func
+            if isinstance(stmt, ast.Return):
+                value = stmt.value
+                callee = value.func if isinstance(value, ast.Call) else value
                 if isinstance(callee, ast.Name):
                     cls_name = callee.id
         if isinstance(engine, str) and cls_name:
@@ -147,9 +154,9 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
     for cls in mod.classes():
         if cls.name == _PROTOCOL:
             protocol = cls
-    for fn in mod.functions():
-        if fn.name == _REGISTRY_FN:
-            registry = fn
+    functions = {fn.name: fn for fn in mod.functions()}
+    for name in reversed(_REGISTRY_FNS):
+        registry = functions.get(name, registry)
     if protocol is None or registry is None:
         return
 

@@ -32,8 +32,10 @@ from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample_size
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import (
+    DEFAULT_LEAF_SIZE,
     build_backend,
     check_engine,
+    group_of,
     report_groups_many_of,
 )
 from repro.index.query_box import QueryBox
@@ -163,7 +165,16 @@ def threshold_point_matrix(
     return out
 
 
-def build_engine(points: np.ndarray, ids: list, engine: str, leaf_size: int):
+def point_ids(key: int, count: int) -> np.ndarray:
+    """The ``(count, 2)`` id matrix ``(key, 0) .. (key, count - 1)`` of one
+    dataset's mapped points — an array, never a list of tuples."""
+    ids = np.empty((count, 2), dtype=np.int32)
+    ids[:, 0] = key
+    ids[:, 1] = np.arange(count)
+    return ids
+
+
+def build_engine(points: np.ndarray, ids: np.ndarray, engine: str, leaf_size: int):
     """Instantiate the configured range-search backend over mapped points.
 
     Thin alias for :func:`repro.index.backend.build_backend`, kept so the
@@ -189,7 +200,6 @@ class PtileIndexBase:
         self._synopses: dict[int, Synopsis] = {}
         self._deltas: dict[int, float] = {}
         self._coresets: dict[int, np.ndarray] = {}
-        self._point_ids: dict[int, list] = {}
         syn_list = list(synopses)
         if not syn_list:
             raise ConstructionError("need at least one synopsis")
@@ -243,7 +253,7 @@ class PtileIndexBase:
     @property
     def n_mapped_points(self) -> int:
         """Total number of mapped points stored in the engine."""
-        return sum(len(ids) for ids in self._point_ids.values())
+        return len(self._tree)
 
     def coreset(self, key: int) -> np.ndarray:
         """The coreset ``S_i`` drawn for a dataset (for diagnostics/tests)."""
@@ -268,15 +278,15 @@ class PtileIndexBase:
         Two modes, identical answer sets:
 
         - **batched** (default): one ``report_groups`` bulk call — a single
-          vectorized pass on the columnar backend, a plain ``report``
-          group-by on the trees.  No state is mutated.
+          vectorized pass on the columnar backend, a pruned walk plus an
+          integer group-by on the kd-tree.  No state is mutated.
         - **incremental** (``record_times=True``): the paper's Algorithm
           2/4 loop — repeat ReportFirst, emit the hit dataset, temporarily
-          deactivate all its points — so every emission carries its own
-          timestamp and the delay-guarantee benchmarks can measure real
-          inter-report gaps.  All deactivated points are re-activated
-          before returning, restoring the structure (Algorithm 2 line 7 /
-          Algorithm 4 line 8).
+          deactivate all its points (one ``deactivate_group`` call) — so
+          every emission carries its own timestamp and the delay-guarantee
+          benchmarks can measure real inter-report gaps.  All deactivated
+          points are re-activated before returning, restoring the
+          structure (Algorithm 2 line 7 / Algorithm 4 line 8).
         """
         result = QueryResult()
         if not record_times:
@@ -293,19 +303,16 @@ class PtileIndexBase:
             hit = self._tree.report_first(box)
             if hit is None:
                 break
-            key = hit[0]
+            key = group_of(hit)
             reported.append(key)
             result.indexes.append(key)
             result.emit_times.append(time.perf_counter())
-            for pid in self._point_ids[key]:
-                self._tree.deactivate(pid)
-            deleted_total += len(self._point_ids[key])
+            deleted_total += self._tree.deactivate_group(key)
             guard -= 1
             if guard < 0:  # pragma: no cover - safety net
                 raise QueryError("report loop exceeded dataset count; corrupt state")
         for key in reported:
-            for pid in self._point_ids[key]:
-                self._tree.activate(pid)
+            self._tree.activate_group(key)
         result.end_time = time.perf_counter()
         result.stats["deleted_points"] = deleted_total
         result.stats["loop_iterations"] = len(reported) + 1

@@ -33,7 +33,7 @@ from repro.core.pref_index import PrefIndex
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, DeadlineExceeded, QueryError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import check_engine
+from repro.index.backend import DEFAULT_LEAF_SIZE, check_engine
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 
@@ -86,7 +86,7 @@ class DatasetSearchEngine:
         sample_size: Optional[int] = None,
         bounding_box: Optional[Rectangle] = None,
         engine: str = "kd",
-        leaf_size: int = 16,
+        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if synopses is None and repository is None:

@@ -142,6 +142,5 @@ class NearestNeighborIndex:
         """Remove a dataset by key."""
         if key not in self._covers:
             raise KeyError(f"unknown dataset key {key}")
-        for local in range(self._covers[key].size):
-            self._tree.remove((key, local))
+        self._tree.remove_group(key)
         del self._covers[key]

@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.core._ptile_common import point_ids
 from repro.core.measures import PercentileMeasure
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.core.ptile_range import PtileRangeIndex
@@ -42,7 +43,7 @@ from repro.geometry.rect_enum import (
     generalized_pairs_arrays,
 )
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import build_backend
+from repro.index.backend import DEFAULT_LEAF_SIZE, build_backend, group_of
 from repro.index.kd_tree import DynamicKDTree
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -86,7 +87,7 @@ class PtileLogicalIndex:
         bounding_box: Optional[Rectangle] = None,
         strategy: str = "compose",
         engine: str = "kd",
-        leaf_size: int = 16,
+        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if strategy not in ("compose", "tensor"):
@@ -183,8 +184,7 @@ class PtileLogicalIndex:
                 f"(> {MAX_TENSOR_POINTS}); reduce sample_size or use compose"
             )
         blocks: list[np.ndarray] = []
-        ids: list = []
-        id_map: dict[int, list] = {}
+        ids: list[np.ndarray] = []
         d4 = 4 * ri.dim
         for key, (coords, weights) in per_dataset.items():
             p = coords.shape[0]
@@ -199,15 +199,12 @@ class PtileLogicalIndex:
                     block[:, slot * d4 : (slot + 1) * d4] = coords[pick]
                     block[:, m * d4 + slot] = weights[pick] + delta_i
                     block[:, m * d4 + m + slot] = weights[pick] - delta_i
-            pid_list = [(key, local) for local in range(n_combo)]
             blocks.append(block)
-            ids.extend(pid_list)
-            id_map[key] = pid_list
+            ids.append(point_ids(key, n_combo))
         self._tensor_trees[m] = build_backend(
-            np.vstack(blocks), ids, engine=self.engine_kind,
+            np.vstack(blocks), np.vstack(ids), engine=self.engine_kind,
             leaf_size=self._leaf_size,
         )
-        self._tensor_ids[m] = id_map
 
     def query_conjunction_tensor(
         self,
@@ -222,7 +219,6 @@ class PtileLogicalIndex:
         if m not in self._tensor_trees:
             self._build_tensor(m)
         tree = self._tensor_trees[m]
-        id_map = self._tensor_ids[m]
         cons: list[tuple[float, float, bool, bool]] = []
         for rect in rects:
             clipped = self._range_index._clip_to_box(rect)
@@ -248,18 +244,16 @@ class PtileLogicalIndex:
             hit = tree.report_first(box)
             if hit is None:
                 break
-            key = hit[0]
+            key = group_of(hit)
             reported.append(key)
             result.indexes.append(key)
             result.emit_times.append(time.perf_counter())
-            for pid in id_map[key]:
-                tree.deactivate(pid)
+            tree.deactivate_group(key)
             guard -= 1
             if guard < 0:  # pragma: no cover - safety net
                 raise QueryError("tensor report loop exceeded dataset count")
         for key in reported:
-            for pid in id_map[key]:
-                tree.activate(pid)
+            tree.activate_group(key)
         result.end_time = time.perf_counter()
         return result
 

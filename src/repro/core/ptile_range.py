@@ -30,9 +30,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core._ptile_common import (
+    DEFAULT_LEAF_SIZE,
     PtileIndexBase,
     build_engine,
     draw_coreset,
+    point_ids,
     range_point_matrix,
 )
 from repro.core.results import QueryResult
@@ -80,7 +82,7 @@ class PtileRangeIndex(PtileIndexBase):
         sample_size: Optional[int] = None,
         bounding_box: Optional[Rectangle] = None,
         engine: str = "kd",
-        leaf_size: int = 16,
+        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__(synopses, eps, phi, delta, sample_size, engine, leaf_size, rng)
@@ -95,11 +97,11 @@ class PtileRangeIndex(PtileIndexBase):
             else self._auto_bounding_box()
         )
         all_points: list[np.ndarray] = []
-        all_ids: list = []
+        all_ids: list[np.ndarray] = []
         for key in list(self._synopses):
             pts, ids = self._mapped_points(key)
             all_points.append(pts)
-            all_ids.extend(ids)
+            all_ids.append(ids)
         stacked = np.vstack(all_points)
         if stacked.shape[0] == 0:
             raise ConstructionError(
@@ -107,7 +109,7 @@ class PtileRangeIndex(PtileIndexBase):
                 "box degenerate on some axis?); widen the box or the data"
             )
         self._tree = build_engine(
-            stacked, all_ids, self.engine_kind, self._leaf_size
+            stacked, np.vstack(all_ids), self.engine_kind, self._leaf_size
         )
 
     # ------------------------------------------------------------------
@@ -128,7 +130,7 @@ class PtileRangeIndex(PtileIndexBase):
         span = np.where(hi > lo, hi - lo, 1.0)
         return Rectangle(lo - AUTO_BOX_PAD * span, hi + AUTO_BOX_PAD * span)
 
-    def _mapped_points(self, key: int) -> tuple[np.ndarray, list]:
+    def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
         """Map maximal pairs to ``(rho^-, rho_hat^-, rho^+, rho_hat^+, w±delta)``.
 
         Fully vectorized: the pair family arrives as coordinate block
@@ -147,9 +149,7 @@ class PtileRangeIndex(PtileIndexBase):
         pts = range_point_matrix(
             in_lo, in_hi, out_lo, out_hi, weights, self._deltas[key]
         )
-        ids = [(key, local) for local in range(pts.shape[0])]
-        self._point_ids[key] = ids
-        return pts, ids
+        return pts, point_ids(key, pts.shape[0])
 
     # ------------------------------------------------------------------
     # Query (Algorithm 4)
@@ -232,10 +232,8 @@ class PtileRangeIndex(PtileIndexBase):
         """Remove a dataset by key."""
         if key not in self._synopses:
             raise KeyError(f"unknown dataset key {key}")
-        for pid in self._point_ids[key]:
-            self._tree.remove(pid)
-        del self._synopses[key], self._deltas[key]
-        del self._coresets[key], self._point_ids[key]
+        self._tree.remove_group(key)
+        del self._synopses[key], self._deltas[key], self._coresets[key]
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -25,9 +25,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core._ptile_common import (
+    DEFAULT_LEAF_SIZE,
     PtileIndexBase,
     build_engine,
     draw_coreset,
+    point_ids,
     threshold_point_matrix,
 )
 from repro.core.results import QueryResult
@@ -92,20 +94,21 @@ class PtileThresholdIndex(PtileIndexBase):
         delta: Optional[float] = None,
         sample_size: Optional[int] = None,
         engine: str = "kd",
-        leaf_size: int = 16,
+        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__(synopses, eps, phi, delta, sample_size, engine, leaf_size, rng)
         all_points: list[np.ndarray] = []
-        all_ids: list = []
+        all_ids: list[np.ndarray] = []
         for synopsis, delta_i in self._pending:
             key = self._register(synopsis, delta_i)
             pts, ids = self._mapped_points(key)
             all_points.append(pts)
-            all_ids.extend(ids)
+            all_ids.append(ids)
         del self._pending
         self._tree = build_engine(
-            np.vstack(all_points), all_ids, self.engine_kind, self._leaf_size
+            np.vstack(all_points), np.vstack(all_ids), self.engine_kind,
+            self._leaf_size,
         )
 
     # ------------------------------------------------------------------
@@ -119,7 +122,7 @@ class PtileThresholdIndex(PtileIndexBase):
         self._coresets[key] = draw_coreset(synopsis, self._sample_size, self._rng)
         return key
 
-    def _mapped_points(self, key: int) -> tuple[np.ndarray, list]:
+    def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
         """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``.
 
         One extra *sentinel* point per dataset represents the empty
@@ -145,9 +148,7 @@ class PtileThresholdIndex(PtileIndexBase):
         # rect_pts is correctly shaped even for zero rectangles, so the
         # sentinel stack never sees a ragged array.
         pts = np.vstack([rect_pts, sentinel[None, :]])
-        ids = [(key, local) for local in range(pts.shape[0])]
-        self._point_ids[key] = ids
-        return pts, ids
+        return pts, point_ids(key, pts.shape[0])
 
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
@@ -221,10 +222,8 @@ class PtileThresholdIndex(PtileIndexBase):
         """Remove a dataset by key.  ``~O(1)`` amortized per mapped point."""
         if key not in self._synopses:
             raise KeyError(f"unknown dataset key {key}")
-        for pid in self._point_ids[key]:
-            self._tree.remove(pid)
-        del self._synopses[key], self._deltas[key]
-        del self._coresets[key], self._point_ids[key]
+        self._tree.remove_group(key)
+        del self._synopses[key], self._deltas[key], self._coresets[key]
 
     # ------------------------------------------------------------------
     # Diagnostics

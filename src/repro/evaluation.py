@@ -92,7 +92,7 @@ def audit_interval_query(
     >>> rep = audit_interval_query([0.5, 0.1], {0, 1}, Interval(0.4, 1.0),
     ...                            slack_of=lambda j: 0.2)
     >>> rep.recall, rep.precision, rep.slack_violations
-    (1.0, 0.5, [])
+    (1.0, 0.5, [(1, 0.1, 0.2)])
     """
     truth = {i for i, v in enumerate(exact_values) if v in theta}
     violations = []

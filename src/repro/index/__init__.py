@@ -18,20 +18,24 @@ This subpackage provides that machinery:
   rest), faithful to the textbook construction [de Berg et al.]; practical
   for low mapped dimension.
 - :class:`~repro.index.kd_tree.DynamicKDTree` — the default engine: a
-  median-split kd-tree with per-node active counters supporting
-  ``report_first`` over *active* points, ``deactivate``/``activate`` (the
-  delete/re-insert trick of Algorithms 2 and 4), and bulk insertion with
-  amortized rebuilds for the dynamic-synopsis remarks.
+  median-split kd-tree held as flat arrays (tree-ordered column-major
+  points, ``int32`` id columns, a preorder node table with active
+  counters) supporting ``report_first`` over *active* points,
+  ``deactivate``/``activate`` per point and per group (the delete/re-insert
+  trick of Algorithms 2 and 4), and bulk insertion with amortized rebuilds
+  for the dynamic-synopsis remarks.
 - :class:`~repro.index.columnar.ColumnarStore` — a vectorized columnar
-  engine: contiguous point matrix + boolean active mask, answering orthant
-  queries (and the bulk ``report_groups`` group-by) with single NumPy
-  passes; the fastest backend at service scale.
+  engine: column-major point matrix + boolean active mask, answering
+  orthant queries (and the bulk ``report_groups`` group-by) with single
+  NumPy passes; the fastest backend at service scale.
 
 All engines implement the :class:`~repro.index.backend.RangeSearchBackend`
 protocol (``report / report_first / report_groups / count / deactivate /
-activate / insert / remove`` plus the multi-box batch kernels
+activate / deactivate_group / activate_group / insert / remove /
+remove_group / to_arrays`` plus the multi-box batch kernels
 ``report_many / count_many / report_groups_many`` — one shared traversal
-on the kd-tree, one broadcast pass on the columnar store), so every layer
+on the kd-tree, one broadcast pass on the columnar store) over integer
+entry ids (see :mod:`repro.index.backend`), so every layer
 above — the Ptile/Pref structures,
 :class:`~repro.core.engine.DatasetSearchEngine`, the service shards,
 ``repro serve --engine`` — is parameterized by a backend name resolved

@@ -2,59 +2,138 @@
 
 Every Ptile query (Theorems 4.11/5.4) bottoms out in mapped-space orthant
 reporting, so the engine behind it is a first-class substitution point.
-This module formalizes the seam that used to be an ad-hoc string dispatch:
+This module formalizes the seam:
 
 - :class:`RangeSearchBackend` — the structural protocol every engine
   implements: ``report`` / ``report_first`` / ``report_groups`` /
-  ``count`` over *active* points, ``activate``/``deactivate`` toggles (the
-  temporary deletions of Algorithms 2 and 4), and ``insert``/``remove``
-  dynamics (static backends advertise ``supports_insert = False`` and
-  raise :class:`~repro.errors.CapabilityError`).
-- :func:`build_backend` — the registry: ``"kd"`` (dynamic kd-tree,
-  default), ``"rangetree"`` (textbook multi-level range tree, static,
-  small scale only), ``"columnar"`` (vectorized columnar scan store,
-  dynamic, fastest at service scale).
+  ``count`` over *active* points, per-entry ``activate``/``deactivate``
+  toggles, the group-level bulk forms ``deactivate_group`` /
+  ``activate_group`` / ``remove_group``, ``insert``/``remove`` dynamics
+  (static backends advertise ``supports_insert = False`` and raise
+  :class:`~repro.errors.CapabilityError`), and the ``to_arrays`` /
+  ``from_arrays`` persistence pair.
+- :func:`build_backend` / :func:`restore_backend` over the
+  :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
+  ``"rangetree"`` (textbook multi-level range tree, static, small scale
+  only), ``"columnar"`` (vectorized columnar scan store, dynamic).
 
-Entry ids follow one convention across the codebase: a mapped point of
-dataset ``key`` carries id ``(key, local)``, so the *group* of an entry is
-its first tuple element (:func:`group_of`).  ``report_groups(box)`` returns
-the set of groups with at least one active point in the box — exactly the
-answer set of the paper's ReportFirst-and-delete loop, computed in one
-pass.
+**Entry ids are integers, stored as columns.**  An id is a
+``(group, local)`` pair of ints — mapped point ``local`` of dataset
+``group`` — or a plain int ``i``, shorthand for ``(i, PLAIN_LOCAL)``, a
+point that is its own group; both halves must fit ``int32``.  Backends
+take ids as a list or an ``(n,)`` / ``(n, 2)`` integer array, keep them as
+two ``int32`` columns (:func:`id_columns`; no per-point Python object) and
+hand them back from ``report`` in the form given (:func:`entry_ids`).
+The *group* (:func:`group_of`) is the unit Algorithms 2 and 4 work in:
+``report_groups(box)`` is the set of groups with an active point in the
+box, and "temporarily delete all points of the reported dataset" is
+``deactivate_group`` — one mask write, not a loop over point ids.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.errors import ConstructionError
 from repro.index.query_box import QueryBox
 
+#: Default kd-tree leaf size.  A node visit costs about as much dispatch as
+#: scanning a few hundred points, and the multi-box walk stops descending
+#: once ``alive boxes x slice points`` fits one broadcast pass anyway, so
+#: small leaves only multiply the node table (``2k + 3`` numbers per node,
+#: persisted in snapshots).  In-process on the 2-D ``cold_2d`` lake (seed
+#: 2027, 455 k mapped points) at leaf sizes 32 / 64 / 128 / 256 / 512 /
+#: 1024: snapshot 46.3 / 43.5 / 42.1 / 41.4 / 41.0 / 40.9 MB; single-box
+#: ``query`` p50 5.8 / 4.2 / 2.8 / 2.3 / 1.8 / 1.4 ms; Algorithm-4 timed
+#: loop 51 / 41 / 35 / 27 / 22 / 17 ms; batched cold path flat at 10-12 ms.
+DEFAULT_LEAF_SIZE = 512
 
-def object_array(items: list) -> np.ndarray:
-    """A 1-d object array that keeps tuple elements intact.
+#: The ``local`` half of a plain (non-pair) integer id.
+PLAIN_LOCAL = -1
 
-    ``np.array`` would try to broadcast a list of equal-length tuples into
-    a 2-d array; element-wise assignment is the one reliable construction.
+_I32 = np.iinfo(np.int32)
+
+
+def id_columns(ids: Optional[Iterable], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(group, local)`` int32 columns for ``n`` entry ids.
+
+    ``ids`` is None (positions ``0..n-1``), a sequence of plain ints or of
+    ``(group, local)`` pairs, or the equivalent ``(n,)`` / ``(n, 2)``
+    integer array; anything else — strings, floats, ragged mixes, values
+    outside int32 — is a ``ValueError``.
+
+    >>> [c.tolist() for c in id_columns([(7, 0), (7, 1)], 2)]
+    [[7, 7], [0, 1]]
+    >>> [c.tolist() for c in id_columns([4, 9], 2)]
+    [[4, 9], [-1, -1]]
     """
-    out = np.empty(len(items), dtype=object)
-    for i, item in enumerate(items):
-        out[i] = item
-    return out
+    if ids is None:
+        arr = np.arange(n)
+    else:
+        arr = ids if isinstance(ids, np.ndarray) else np.asarray(list(ids))
+        if arr.size == 0:
+            arr = np.empty(0, dtype=np.int64)
+    if arr.shape[0] != n:
+        raise ValueError("points and ids must have equal length")
+    if arr.dtype.kind not in "iu" or arr.shape[1:] not in ((), (2,)):
+        raise ValueError("ids must be ints or (group, local) int pairs")
+    if arr.size and (arr.min() < _I32.min or arr.max() > _I32.max):
+        raise ValueError("entry ids must fit int32")
+    if arr.ndim == 1:
+        return arr.astype(np.int32), np.full(n, PLAIN_LOCAL, dtype=np.int32)
+    return arr[:, 0].astype(np.int32), arr[:, 1].astype(np.int32)
+
+
+def id_keys(group: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """One int64 per entry id, equal iff the ids are equal."""
+    return (group.astype(np.int64) << 32) | (local.astype(np.int64) & 0xFFFFFFFF)
+
+
+def reject_duplicates(
+    group: np.ndarray, local: np.ndarray, have_group: np.ndarray, have_local: np.ndarray
+) -> None:
+    """``KeyError`` if the ids of an insert batch repeat each other or one
+    of the stored ``have_*`` ids — called before any row is written.
+
+    Stored ids are compared only where their group occurs in the batch
+    (a fresh dataset key, the usual insert, costs one column scan).
+    """
+    keys = id_keys(group, local)
+    clash = np.isin(have_group, np.unique(group))
+    have = id_keys(have_group[clash], have_local[clash])
+    if np.unique(keys).size != keys.size or np.isin(keys, have).any():
+        raise KeyError("duplicate entry id in insert batch")
+
+
+def split_id(entry_id) -> tuple[int, int]:
+    """``(group, local)`` of one entry id; ``KeyError`` for anything that
+    cannot be an id (so lookups of junk read as "unknown entry")."""
+    try:
+        group, local = id_columns([entry_id], 1)
+    except ValueError:
+        raise KeyError(f"unknown entry {entry_id!r}") from None
+    return int(group[0]), int(local[0])
+
+
+def entry_ids(group: np.ndarray, local: np.ndarray) -> list:
+    """Id columns back as the ids callers registered.
+
+    >>> entry_ids(np.array([3, 5]), np.array([17, -1]))
+    [(3, 17), 5]
+    """
+    return [
+        g if loc == PLAIN_LOCAL else (g, loc)
+        for g, loc in zip(group.tolist(), local.tolist())
+    ]
 
 
 def group_of(entry_id):
     """The dataset/group key of an entry id.
 
-    Mapped points are registered with ``(key, local)`` tuple ids; plain
-    (non-tuple) ids are their own group.
-
-    Examples
-    --------
-    >>> group_of((3, 17)), group_of("solo")
-    (3, 'solo')
+    >>> group_of((3, 17)), group_of(5)
+    (3, 5)
     """
     return entry_id[0] if isinstance(entry_id, tuple) else entry_id
 
@@ -132,33 +211,37 @@ class RangeSearchBackend(Protocol):
         """Re-show a previously deactivated point."""
         ...
 
-    def insert(self, points: np.ndarray, ids: Iterable) -> None:
-        """Add new points (dynamic backends only)."""
+    def deactivate_group(self, group: int) -> int:
+        """Hide every active point of ``group``; returns how many (0 for a
+        group with none) — Algorithm 2 line 6 / Algorithm 4 line 7."""
         ...
 
-    def export_points(self) -> tuple[np.ndarray, list, np.ndarray]:
-        """Snapshot the live contents: ``(points, ids, active)``.
+    def activate_group(self, group: int) -> int:
+        """Re-show every hidden (not removed) point of ``group``; returns
+        how many — the restore step after the report loop."""
+        ...
 
-        Returns the non-removed entries as an ``(m, dim)`` float array, a
-        parallel id list, and a parallel bool activity mask.  Removed
-        (tombstoned) entries are excluded entirely; the export order is
-        backend-defined but must be self-consistent across the three
-        returns.  This is the persistence seam: a backend rebuilt from its
-        own export answers every query identically (set-equal reports,
-        equal counts).
-        """
+    def insert(self, points: np.ndarray, ids: Iterable) -> None:
+        """Add new points (dynamic backends only).  ``KeyError``, with
+        nothing written, if an id repeats inside the batch or is stored."""
         ...
 
     def remove(self, entry_id) -> None:
-        """Permanently remove a point (dynamic backends only).
+        """Permanently remove a point, active or not (dynamic backends
+        only); an unknown or already-removed id raises ``KeyError``.  The
+        id is reusable by ``insert`` immediately."""
+        ...
 
-        Works on active and deactivated points alike; removing an unknown
-        or already-removed id raises ``KeyError``.  After a remove, when
-        the id becomes reusable for ``insert`` is backend-dependent
-        (immediately on the columnar store, only after the next amortized
-        rebuild on the kd-tree) — portable callers use fresh ids, as the
-        Ptile structures' monotonically increasing keys do.
-        """
+    def remove_group(self, group: int) -> int:
+        """Permanently remove every point of ``group`` (dynamic backends
+        only); returns how many.  An absent group is a no-op returning 0."""
+        ...
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The flat arrays that reconstruct this backend, removed entries
+        excluded — the persistence seam.  ``from_arrays`` of the same class
+        adopts them (they may be read-only maps of a snapshot file; only
+        activity state is copied) and answers every query identically."""
         ...
 
 
@@ -169,8 +252,30 @@ ENGINES = ("kd", "rangetree", "columnar")
 DYNAMIC_ENGINES = ("kd", "columnar")
 
 
+def backend_class(engine: str) -> type:
+    """The class registered under a backend name."""
+    # Local imports: the implementations import QueryBox from this package,
+    # and the registry must stay importable from any of them.
+    if engine == "kd":
+        from repro.index.kd_tree import DynamicKDTree
+
+        return DynamicKDTree
+    if engine == "rangetree":
+        from repro.index.range_tree import RangeTree
+
+        return RangeTree
+    if engine == "columnar":
+        from repro.index.columnar import ColumnarStore
+
+        return ColumnarStore
+    raise ConstructionError(f"unknown engine {engine!r}; choose from {ENGINES}")
+
+
 def build_backend(
-    points: np.ndarray, ids: list, engine: str = "kd", leaf_size: int = 16
+    points: np.ndarray,
+    ids: Optional[Iterable],
+    engine: str = "kd",
+    leaf_size: int = DEFAULT_LEAF_SIZE,
 ) -> RangeSearchBackend:
     """Instantiate a registered backend over ``(n, k)`` mapped points.
 
@@ -179,24 +284,23 @@ def build_backend(
     >>> import numpy as np
     >>> pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     >>> for name in ENGINES:
-    ...     eng = build_backend(pts, [("a", 0), ("b", 0)], name)
-    ...     assert eng.report_groups(QueryBox.closed([-1, 0], [3, 4])) == {"a", "b"}
+    ...     eng = build_backend(pts, [(7, 0), (9, 0)], name)
+    ...     assert eng.report_groups(QueryBox.closed([-1, 0], [3, 4])) == {7, 9}
     """
-    # Local imports: the implementations import QueryBox from this package,
-    # and the registry must stay importable from any of them.
+    cls = backend_class(engine)
     if engine == "kd":
-        from repro.index.kd_tree import DynamicKDTree
+        return cls(points, ids=ids, leaf_size=leaf_size)
+    return cls(points, ids=ids)
 
-        return DynamicKDTree(points, ids=ids, leaf_size=leaf_size)
-    if engine == "rangetree":
-        from repro.index.range_tree import RangeTree
 
-        return RangeTree(points, ids=ids)
-    if engine == "columnar":
-        from repro.index.columnar import ColumnarStore
-
-        return ColumnarStore(points, ids=ids)
-    raise ConstructionError(f"unknown engine {engine!r}; choose from {ENGINES}")
+def restore_backend(
+    arrays: Mapping[str, np.ndarray], engine: str, leaf_size: int
+) -> RangeSearchBackend:
+    """A backend from its own ``to_arrays()`` (the snapshot restore path)."""
+    cls = backend_class(engine)
+    if engine == "kd":
+        return cls.from_arrays(arrays, leaf_size=leaf_size)
+    return cls.from_arrays(arrays)
 
 
 def report_many_of(backend, boxes: Sequence[QueryBox]) -> list[list]:

@@ -3,19 +3,20 @@
 The kd-tree and range-tree engines pay Python-interpreter cost per visited
 node; at the mapped-point counts the Ptile structures actually produce
 (thousands to hundreds of thousands of points in ``R^{2d+1}`` /
-``R^{4d+2}``), a single NumPy comparison over a contiguous ``(n, k)``
-matrix beats any pure-Python tree walk by a wide margin.  ``ColumnarStore``
-leans into that trade:
+``R^{4d+2}``), a single NumPy comparison over a contiguous column beats
+any pure-Python tree walk by a wide margin.  ``ColumnarStore`` leans into
+that trade:
 
-- points live in one contiguous float matrix, with a boolean *active* mask
-  alongside (activation toggles are O(1) flag flips);
-- every query is one vectorized ``QueryBox.contains_points`` pass over the
-  matrix — O(n k) work but at memory bandwidth, not interpreter speed;
-- ``report_groups`` additionally stores a per-row *group code* (dataset
-  key, dictionary-encoded to int64), so "all datasets with >= 1 active
-  point in the box" is a single boolean mask plus ``np.unique`` group-by —
-  the bulk operation that collapses the paper's sequential
-  ReportFirst/deactivate loop (Algorithms 2 and 4) into one pass;
+- points live column-major in one ``(k, capacity)`` float matrix — every
+  containment test reads whole columns, so each is one contiguous scan —
+  with ``int32`` group / local id columns and boolean *active* / *dead*
+  masks alongside; no per-point Python object exists;
+- every query is one vectorized ``contains_points`` pass over the matrix —
+  O(n k) work but at memory bandwidth, not interpreter speed;
+- ``report_groups`` is that mask plus an integer ``np.unique`` over the
+  group column — the bulk operation that collapses the paper's sequential
+  ReportFirst/deactivate loop (Algorithms 2 and 4) into one pass — and
+  the group-level toggles are one mask write each;
 - ``insert`` appends into amortized-doubling capacity arrays; ``remove``
   tombstones a row and compacts when tombstones exceed a quarter of the
   store — the same amortized-rebuilding budget the kd-tree uses.
@@ -23,16 +24,22 @@ leans into that trade:
 The contract is :class:`~repro.index.backend.RangeSearchBackend`; the
 cross-backend equivalence suite (``tests/index/test_backend_equivalence``)
 checks this store against both trees on random orthant/activation
-sequences.
+sequences.  The kd-tree also uses one as its side buffer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.index.backend import group_of, object_array
+from repro.index.backend import (
+    entry_ids,
+    id_columns,
+    id_keys,
+    reject_duplicates,
+    split_id,
+)
 from repro.index.query_box import BoxBatch, QueryBox
 
 #: Compact the store when dead (removed) rows exceed this fraction...
@@ -42,15 +49,16 @@ MIN_DEAD_FOR_COMPACT = 64
 
 
 class ColumnarStore:
-    """Contiguous ``(n, k)`` point matrix with vectorized orthant queries.
+    """Column-major point matrix with vectorized orthant queries.
 
     Parameters
     ----------
     points:
         ``(n, k)`` float array.
     ids:
-        Optional unique hashable identifiers (default: positions).
-        ``(key, local)`` tuples group by ``key`` in :meth:`report_groups`.
+        Optional unique integer ids (default: positions); see
+        :mod:`repro.index.backend` for the id convention.  ``(group,
+        local)`` pairs group by ``group`` in :meth:`report_groups`.
 
     Examples
     --------
@@ -67,114 +75,66 @@ class ColumnarStore:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
-        self.dim = int(pts.shape[1])
-        id_list = list(ids) if ids is not None else list(range(pts.shape[0]))
-        if len(id_list) != pts.shape[0]:
-            raise ValueError("points and ids must have equal length")
         n = pts.shape[0]
-        self._pts = pts.copy()
-        self._lazy_ids_i64: Optional[np.ndarray] = None
-        self._ids_store: Optional[np.ndarray] = None
-        self._pos_store: Optional[dict] = None
-        self._ids = object_array(id_list)
-        self._active = np.ones(n, dtype=bool)
-        self._dead = np.zeros(n, dtype=bool)
-        self._n = n
-        self._n_active_count = n
-        self._n_dead = 0
-        self._pos_of_id = {pid: pos for pos, pid in enumerate(id_list)}
-        if len(self._pos_of_id) != n:
+        group, local = id_columns(ids, n)
+        if np.unique(id_keys(group, local)).size != n:
             raise ValueError("ids must be unique")
-        self._group_code: dict = {}
-        self._group_keys: list = []
-        self._groups = np.empty(n, dtype=np.int64)
-        for pos, pid in enumerate(id_list):
-            self._groups[pos] = self._code_for(group_of(pid))
+        self._adopt(np.array(pts.T, order="C"), group, local, np.ones(n, dtype=bool))
+
+    def _adopt(
+        self, cols: np.ndarray, group: np.ndarray, local: np.ndarray, active: np.ndarray
+    ) -> None:
+        self.dim = int(cols.shape[0])
+        self._cols = cols
+        self._group = group
+        self._local = local
+        self._active = active
+        self._n = int(cols.shape[1])
+        self._dead = np.zeros(self._n, dtype=bool)
+        self._n_active_count = int(np.count_nonzero(active))
+        self._n_dead = 0
 
     @classmethod
-    def _from_snapshot(
-        cls, pts: np.ndarray, ids_i64: np.ndarray, active: np.ndarray
-    ) -> "ColumnarStore":
-        """Rebuild a store from snapshot arrays without copying the points.
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ColumnarStore":
+        """A store over its own :meth:`to_arrays` without copying them.
 
-        ``pts`` may be a read-only ``np.memmap`` view and is adopted as-is:
-        the query path only reads it, and every mutation (``insert`` at
-        full capacity, ``_compact``) copies before writing.  Ids arrive as
-        an ``(n, 2)`` int64 matrix of ``(key, local)`` rows and stay in
-        that form until a caller actually needs tuple ids or the
-        ``_pos_of_id`` reverse map — the group-by warm path
-        (``report_groups`` / ``count`` and their batch kernels) never
-        does, so a loaded store serves it with zero per-point Python work.
+        ``points`` / ``group`` / ``local`` may be read-only maps of a
+        snapshot file and are adopted as they are: queries only read them,
+        and the store is exactly full, so the first ``insert`` (like every
+        compaction) moves to fresh private arrays before writing.
+        Activity is the one flag queries toggle in place — private copy.
         """
-        pts = np.asarray(pts)
-        n = int(pts.shape[0])
-        if ids_i64.shape != (n, 2) or active.shape != (n,):
-            raise ValueError("snapshot arrays disagree on point count")
+        cols, group, local = arrays["points"], arrays["group"], arrays["local"]
+        active = np.array(arrays["active"], dtype=bool)
+        if cols.ndim != 2 or not group.shape == local.shape == active.shape == cols.shape[1:]:
+            raise ValueError("backend arrays disagree on point count")
         store = cls.__new__(cls)
-        store.dim = int(pts.shape[1])
-        store._pts = pts
-        store._lazy_ids_i64 = np.asarray(ids_i64, dtype=np.int64)
-        store._ids_store = None
-        store._pos_store = None
-        # Activity is the one flag queries toggle in place (deactivate /
-        # activate, the paper's temporary deletions) — private copy.
-        store._active = np.array(active, dtype=bool)
-        store._dead = np.zeros(n, dtype=bool)
-        store._n = n
-        store._n_active_count = int(np.count_nonzero(store._active))
-        store._n_dead = 0
-        codes, groups = np.unique(store._lazy_ids_i64[:, 0], return_inverse=True)
-        store._group_keys = [int(k) for k in codes]
-        store._group_code = {k: c for c, k in enumerate(store._group_keys)}
-        store._groups = groups.astype(np.int64, copy=False)
+        store._adopt(cols, group, local, active)
         return store
 
-    def _materialize_ids(self) -> None:
-        src = self._lazy_ids_i64
-        assert src is not None, "only snapshot-loaded stores defer ids"
-        id_list = [(int(a), int(b)) for a, b in src.tolist()]
-        self._ids_store = object_array(id_list)
-        self._pos_store = {pid: pos for pos, pid in enumerate(id_list)}
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Live rows as ``points`` ``(k, n)``, ``group``, ``local``, ``active``.
+
+        Views of the store where nothing was removed (rows are never
+        rewritten in place); ``active`` is always a copy.
+        """
+        cols = self._cols[:, : self._n]
+        return {
+            "points": cols[:, ~self._dead[: self._n]] if self._n_dead else cols,
+            "group": self._live(self._group),
+            "local": self._live(self._local),
+            "active": self._live(self._active).copy(),
+        }
+
+    def _live(self, column: np.ndarray) -> np.ndarray:
+        """The non-removed rows of one id/flag column (a view if none are)."""
+        column = column[: self._n]
+        return column[~self._dead[: self._n]] if self._n_dead else column
 
     @property
-    def _ids(self) -> np.ndarray:
-        if self._ids_store is None:
-            self._materialize_ids()
-        assert self._ids_store is not None
-        return self._ids_store
-
-    @_ids.setter
-    def _ids(self, value: np.ndarray) -> None:
-        self._ids_store = value
-
-    @property
-    def _pos_of_id(self) -> dict:
-        if self._pos_store is None:
-            self._materialize_ids()
-        assert self._pos_store is not None
-        return self._pos_store
-
-    @_pos_of_id.setter
-    def _pos_of_id(self, value: dict) -> None:
-        self._pos_store = value
-
-    def export_points(self) -> tuple[np.ndarray, list, np.ndarray]:
-        """Live contents as ``(points, ids, active)`` parallel arrays."""
-        n = self._n
-        keep = ~self._dead[:n]
-        return (
-            self._pts[:n][keep].copy(),
-            list(self._ids[:n][keep]),
-            self._active[:n][keep].copy(),
-        )
-
-    def _code_for(self, key) -> int:
-        code = self._group_code.get(key)
-        if code is None:
-            code = len(self._group_keys)
-            self._group_code[key] = code
-            self._group_keys.append(key)
-        return code
+    def _pts(self) -> np.ndarray:
+        """The stored rows as an ``(n, k)`` (column-major) view."""
+        return self._cols[:, : self._n].T
 
     def __len__(self) -> int:
         return self._n - self._n_dead
@@ -191,86 +151,109 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     # Activation and dynamics
     # ------------------------------------------------------------------
-    def deactivate(self, entry_id) -> None:
-        """Hide a point from queries in O(1)."""
-        pos = self._pos_of_id.get(entry_id)
-        if pos is None:
+    def _group_rows(self, group: int) -> np.ndarray:
+        """Mask of the live rows of one group."""
+        n = self._n
+        return (self._group[:n] == group) & ~self._dead[:n]
+
+    def _row_of(self, entry_id) -> int:
+        group, local = split_id(entry_id)
+        rows = np.flatnonzero(self._group_rows(group) & (self._local[: self._n] == local))
+        if rows.size == 0:
             raise KeyError(f"unknown entry {entry_id!r}")
-        if not self._active[pos]:
+        return int(rows[0])
+
+    def deactivate(self, entry_id) -> None:
+        """Hide a point from queries (one vectorized id lookup)."""
+        row = self._row_of(entry_id)
+        if not self._active[row]:
             raise KeyError(f"entry {entry_id!r} is already inactive")
-        self._active[pos] = False
+        self._active[row] = False
         self._n_active_count -= 1
 
     def activate(self, entry_id) -> None:
-        """Re-show a previously deactivated point in O(1)."""
-        pos = self._pos_of_id.get(entry_id)
-        if pos is None:
-            raise KeyError(f"unknown entry {entry_id!r}")
-        if self._active[pos]:
+        """Re-show a previously deactivated point."""
+        row = self._row_of(entry_id)
+        if self._active[row]:
             raise KeyError(f"entry {entry_id!r} is already active")
-        self._active[pos] = True
+        self._active[row] = True
         self._n_active_count += 1
+
+    def deactivate_group(self, group: int) -> int:
+        """Hide every active point of ``group`` (one mask write)."""
+        rows = self._group_rows(group) & self._active[: self._n]
+        self._active[: self._n][rows] = False
+        hidden = int(np.count_nonzero(rows))
+        self._n_active_count -= hidden
+        return hidden
+
+    def activate_group(self, group: int) -> int:
+        """Re-show every hidden point of ``group`` (one mask write)."""
+        rows = self._group_rows(group) & ~self._active[: self._n]
+        self._active[: self._n][rows] = True
+        shown = int(np.count_nonzero(rows))
+        self._n_active_count += shown
+        return shown
 
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
         """Append new points in amortized O(1) per point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        id_list = list(ids)
-        if pts.shape[0] != len(id_list):
-            raise ValueError("points and ids must have equal length")
+        group, local = id_columns(ids, pts.shape[0])
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
-        for pid in id_list:
-            if pid in self._pos_of_id:
-                raise KeyError(f"duplicate entry id {pid!r}")
-        need = self._n + len(id_list)
-        if need > self._pts.shape[0]:
-            cap = max(need, 2 * self._pts.shape[0])
-            self._pts = np.resize(self._pts, (cap, self.dim))
-            self._ids = np.resize(self._ids, cap)
-            # np.resize repeats data to fill; re-blank the flag tails.
-            active = np.zeros(cap, dtype=bool)
-            active[: self._n] = self._active[: self._n]
-            self._active = active
-            dead = np.zeros(cap, dtype=bool)
-            dead[: self._n] = self._dead[: self._n]
-            self._dead = dead
-            self._groups = np.resize(self._groups, cap)
-        for row, pid in zip(pts, id_list):
-            pos = self._n
-            self._pts[pos] = row
-            self._ids[pos] = pid
-            self._active[pos] = True
-            self._dead[pos] = False
-            self._groups[pos] = self._code_for(group_of(pid))
-            self._pos_of_id[pid] = pos
-            self._n += 1
-            self._n_active_count += 1
+        reject_duplicates(
+            group, local, self._live(self._group), self._live(self._local)
+        )
+        n, m = self._n, pts.shape[0]
+        if m == 0:  # an adopted store is read-only until it grows
+            return
+        if n + m > self._cols.shape[1]:
+            self._grow(max(n + m, 2 * self._cols.shape[1]))
+        self._cols[:, n : n + m] = pts.T
+        self._group[n : n + m] = group
+        self._local[n : n + m] = local
+        self._active[n : n + m] = True
+        self._dead[n : n + m] = False
+        self._n += m
+        self._n_active_count += m
 
-    def remove(self, entry_id) -> None:
-        """Permanently remove a point (tombstone + amortized compaction)."""
-        pos = self._pos_of_id.pop(entry_id, None)
-        if pos is None:
-            raise KeyError(f"unknown entry {entry_id!r}")
-        if self._active[pos]:
-            self._active[pos] = False
-            self._n_active_count -= 1
-        self._dead[pos] = True
-        self._n_dead += 1
+    def _grow(self, cap: int) -> None:
+        n = self._n
+        cols = np.empty((self.dim, cap))
+        cols[:, :n] = self._cols[:, :n]
+        self._cols = cols
+        for name in ("_group", "_local", "_active", "_dead"):
+            old = getattr(self, name)
+            new = np.zeros(cap, dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def _bury(self, rows, count: int) -> None:
+        """Tombstone ``count`` live rows (an index or a mask); compact once
+        enough of the store is dead."""
+        self._n_active_count -= int(np.count_nonzero(self._active[: self._n][rows]))
+        self._active[: self._n][rows] = False
+        self._dead[: self._n][rows] = True
+        self._n_dead += count
         if self._n_dead >= max(
             MIN_DEAD_FOR_COMPACT, int(COMPACT_FRACTION * self._n)
         ):
-            self._compact()
+            live = self.to_arrays()
+            self._adopt(
+                np.ascontiguousarray(live["points"]),
+                live["group"], live["local"], live["active"],
+            )
 
-    def _compact(self) -> None:
-        keep = ~self._dead[: self._n]
-        self._pts = self._pts[: self._n][keep].copy()
-        self._ids = self._ids[: self._n][keep].copy()
-        self._active = self._active[: self._n][keep].copy()
-        self._groups = self._groups[: self._n][keep].copy()
-        self._n = int(self._pts.shape[0])
-        self._dead = np.zeros(self._n, dtype=bool)
-        self._n_dead = 0
-        self._pos_of_id = {pid: pos for pos, pid in enumerate(self._ids)}
+    def remove(self, entry_id) -> None:
+        """Permanently remove a point (tombstone + amortized compaction)."""
+        self._bury(self._row_of(entry_id), 1)
+
+    def remove_group(self, group: int) -> int:
+        """Permanently remove every point of ``group``; returns how many."""
+        rows = self._group_rows(group)
+        removed = int(np.count_nonzero(rows))
+        self._bury(rows, removed)
+        return removed
 
     # ------------------------------------------------------------------
     # Queries (one vectorized pass each)
@@ -284,37 +267,36 @@ class ColumnarStore:
     def _match_mask(self, box: QueryBox) -> np.ndarray:
         """Boolean row mask: active and inside the box.
 
-        Dead (removed) rows need no extra filter here: ``remove`` always
-        forces ``_active`` False and pops ``_pos_of_id``, so a tombstoned
-        row can never be re-activated.
+        Dead (removed) rows need no extra filter here: ``_bury`` always
+        forces ``_active`` False and every id lookup skips dead rows, so a
+        tombstoned row can never be re-activated.
         """
-        n = self._n
-        mask = box.contains_points(self._pts[:n])
-        mask &= self._active[:n]
+        self._check_box(box)
+        mask = box.contains_points(self._pts)
+        mask &= self._active[: self._n]
         return mask
+
+    def _ids_at(self, rows: np.ndarray) -> list:
+        return entry_ids(self._group[: self._n][rows], self._local[: self._n][rows])
 
     def report(self, box: QueryBox) -> list:
         """All active point ids inside the box."""
-        self._check_box(box)
-        return self._ids[: self._n][self._match_mask(box)].tolist()
+        return self._ids_at(self._match_mask(box))
 
     def report_first(self, box: QueryBox):
         """One arbitrary active point id inside the box, or None."""
-        self._check_box(box)
         hits = np.flatnonzero(self._match_mask(box))
         if hits.size == 0:
             return None
-        return self._ids[int(hits[0])]
+        return self._ids_at(hits[:1])[0]
 
     def report_groups(self, box: QueryBox) -> set:
-        """All group keys with >= 1 active point in the box (one group-by)."""
-        self._check_box(box)
-        codes = np.unique(self._groups[: self._n][self._match_mask(box)])
-        return {self._group_keys[int(c)] for c in codes}
+        """All groups with >= 1 active point in the box (one group-by)."""
+        hit_groups = self._group[: self._n][self._match_mask(box)]
+        return set(np.unique(hit_groups).tolist())
 
     def count(self, box: QueryBox) -> int:
         """Number of active points inside the box."""
-        self._check_box(box)
         return int(np.count_nonzero(self._match_mask(box)))
 
     # ------------------------------------------------------------------
@@ -326,39 +308,31 @@ class ColumnarStore:
         One ``(Q, n)`` comparison per constrained side — the multi-box
         generalization of :meth:`_match_mask`, amortizing the per-query
         NumPy dispatch overhead across the whole batch.  The open/closed
-        endpoint semantics live in
-        :class:`~repro.index.query_box.BoxBatch`, not here.
+        endpoint semantics live in :mod:`repro.index.query_box`, not here.
         """
-        for box in boxes:
-            self._check_box(box)
-        n = self._n
-        out = BoxBatch(boxes).contains_points(self._pts[:n])
-        out &= self._active[:n][None, :]
-        return out
-
-    def report_many(self, boxes: Sequence[QueryBox]) -> list[list]:
-        """Per-box active id lists — ``[report(b) for b in boxes]`` in one
-        broadcast pass."""
         boxes = list(boxes)
         if not boxes:
-            return []
-        ids = self._ids[: self._n]
-        return [ids[row].tolist() for row in self._match_matrix(boxes)]
+            return np.empty((0, self._n), dtype=bool)
+        for box in boxes:
+            self._check_box(box)
+        out = BoxBatch(boxes).contains_points(self._pts)
+        out &= self._active[: self._n][None, :]
+        return out
+
+    def report_many(self, boxes: Sequence[QueryBox], groups: bool = False) -> list:
+        """Per-box active id lists — ``[report(b) for b in boxes]`` in one
+        broadcast pass.  With ``groups=True`` each box gets the int array
+        of its hits' group codes instead (ids never materialized)."""
+        take = self._group[: self._n].__getitem__ if groups else self._ids_at
+        return [take(row) for row in self._match_matrix(boxes)]
 
     def count_many(self, boxes: Sequence[QueryBox]) -> list[int]:
         """Per-box active point counts in one broadcast pass."""
-        boxes = list(boxes)
-        if not boxes:
-            return []
-        return [int(c) for c in self._match_matrix(boxes).sum(axis=1)]
+        return self._match_matrix(boxes).sum(axis=1).tolist()
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets in one broadcast pass + per-box group-by."""
-        boxes = list(boxes)
-        if not boxes:
-            return []
-        groups = self._groups[: self._n]
         return [
-            {self._group_keys[int(c)] for c in np.unique(groups[row])}
-            for row in self._match_matrix(boxes)
+            set(np.unique(hit_groups).tolist())
+            for hit_groups in self.report_many(boxes, groups=True)
         ]

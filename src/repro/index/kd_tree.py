@@ -1,8 +1,8 @@
 """Dynamic kd-tree with active counters — the general range-search engine.
 
 This is the practical engine behind the mapped-space orthant queries of the
-Ptile data structures (points live in ``R^{2d+1}`` / ``R^{4d+1}`` once the
-weight is appended as a coordinate).  It implements the
+Ptile data structures (points live in ``R^{2d+1}`` / ``R^{4d+2}`` once the
+weights are appended as coordinates).  It implements the
 :class:`~repro.index.backend.RangeSearchBackend` protocol:
 
 - ``report(box)`` — all active points in an axis-parallel
@@ -10,17 +10,24 @@ weight is appended as a coordinate).  It implements the
 - ``report_first(box)`` — one arbitrary active point (``ReportFirst``),
   found by a pruned descent that skips subtrees with zero active points;
 - ``report_groups(box)`` — all dataset keys with an active point in the
-  box (derived from ``report``; the columnar backend specializes this);
-- ``deactivate(id)`` / ``activate(id)`` — O(depth) activation toggles (the
-  temporary deletions of Algorithms 2 and 4);
-- ``insert(points, ids)`` / ``remove(id)`` — the dynamic-synopsis remarks,
-  via a side buffer with amortized full rebuilds (logarithmic-rebuilding in
-  the style of Overmars [47]).
+  box (an integer ``np.unique`` over the hit rows' group column);
+- ``deactivate`` / ``activate`` and their ``*_group`` bulk forms — the
+  temporary deletions of Algorithms 2 and 4;
+- ``insert(points, ids)`` / ``remove(id)`` / ``remove_group`` — the
+  dynamic-synopsis remarks, via a side buffer with amortized full rebuilds
+  (logarithmic-rebuilding in the style of Overmars [47]).
 
-The hot loops are vectorized: leaf hits are gathered by boolean-mask
-indexing over an object-dtype id array (no per-point Python appends), and
-the side buffer is a contiguous point matrix scanned with one
-``contains_points`` call per query rather than point by point.
+**Everything is a flat array.**  Bytes per mapped point are the constant
+of the paper's Õ(N) space bound, so the tree keeps no Python object per
+point or per node: points sit in tree order, column-major (each
+coordinate of a node's slice is one contiguous run — what the per-column
+containment kernel reads), beside ``int32`` group / local id columns and
+bool active / dead masks; nodes are rows of a preorder table — slice
+bounds, bounding box, active counter, right-child index (the left child
+of node ``i`` is ``i + 1``).  The side buffer is a
+:class:`~repro.index.columnar.ColumnarStore`.  ``to_arrays`` hands out
+exactly these arrays and ``from_arrays`` adopts them, so a snapshot
+restore builds no tree.
 
 Median splits keep the tree balanced: depth is ``O(log n)`` and the classic
 kd-tree analysis gives ``O(n^{1-1/k} + OUT)`` worst-case reporting, while
@@ -31,11 +38,19 @@ paper's query-time *shape* against the Ω(N) baselines.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.index.backend import group_of, object_array
+from repro.index.backend import (
+    DEFAULT_LEAF_SIZE,
+    entry_ids,
+    id_columns,
+    id_keys,
+    reject_duplicates,
+    split_id,
+)
+from repro.index.columnar import ColumnarStore
 from repro.index.query_box import BoxBatch, QueryBox
 
 #: Rebuild the main tree when the side buffer exceeds this fraction of it.
@@ -57,20 +72,6 @@ MIN_BUFFER_FOR_REBUILD = 64
 MULTIBOX_BROADCAST_CUTOFF = 32768
 
 
-class _KDNode:
-    __slots__ = ("start", "end", "lo", "hi", "active", "left", "right", "parent")
-
-    def __init__(self, start: int, end: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        self.start = start
-        self.end = end
-        self.lo = lo
-        self.hi = hi
-        self.active = end - start
-        self.left: Optional["_KDNode"] = None
-        self.right: Optional["_KDNode"] = None
-        self.parent: Optional["_KDNode"] = None
-
-
 class DynamicKDTree:
     """Median-split kd-tree over ``(n, k)`` points with activation support.
 
@@ -79,7 +80,8 @@ class DynamicKDTree:
     points:
         ``(n, k)`` float array.
     ids:
-        Optional unique hashable identifiers (default: positions).
+        Optional unique integer ids (default: positions); see
+        :mod:`repro.index.backend` for the id convention.
     leaf_size:
         Maximum number of points per leaf.
 
@@ -95,82 +97,143 @@ class DynamicKDTree:
         self,
         points: np.ndarray,
         ids: Optional[Iterable] = None,
-        leaf_size: int = 16,
+        leaf_size: int = DEFAULT_LEAF_SIZE,
     ) -> None:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
-        self.dim = pts.shape[1]
+        n = pts.shape[0]
+        group, local = id_columns(ids, n)
+        if np.unique(id_keys(group, local)).size != n:
+            raise ValueError("ids must be unique")
+        self.dim = int(pts.shape[1])
         self._leaf_size = leaf_size
-        id_list = list(ids) if ids is not None else list(range(pts.shape[0]))
-        if len(id_list) != pts.shape[0]:
-            raise ValueError("points and ids must have equal length")
-        self._init_buffer()
-        self._removed: set = set()
-        self._build_main(pts, id_list)
+        self._build(np.array(pts.T, order="C"), group, local, np.ones(n, dtype=bool))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _init_buffer(self) -> None:
-        # Contiguous side-buffer storage (amortized-doubling capacity), so
-        # the per-query buffer scan is one vectorized mask, not a loop.
-        self._buf_pts = np.empty((0, 0))
-        self._buf_ids = np.empty(0, dtype=object)
-        self._buf_active = np.empty(0, dtype=bool)
-        self._buf_n = 0
-        self._buf_pos: dict = {}
+    def _build(
+        self, cols: np.ndarray, group: np.ndarray, local: np.ndarray, active: np.ndarray
+    ) -> None:
+        """Plant the main tree over private ``(k, n)`` columns, in place.
 
-    def _build_main(self, pts: np.ndarray, id_list: list) -> None:
-        order = np.arange(pts.shape[0])
-        self._pts = pts.copy()
-        self._perm = order
-        # _pts is reordered in-place during the build so that each node owns
-        # a contiguous slice [start, end).
-        self._root = self._build(0, pts.shape[0])
-        self._ids = [id_list[i] for i in self._perm]
-        self._ids_arr = object_array(self._ids)
-        self._pos_of_id = {pid: pos for pos, pid in enumerate(self._ids)}
-        if len(self._pos_of_id) != len(self._ids):
-            raise ValueError("ids must be unique")
-        self._active = np.ones(pts.shape[0], dtype=bool)
-        self._leaf_of: list[Optional[_KDNode]] = [None] * pts.shape[0]
-        self._assign_leaves(self._root)
+        ``cols`` is permuted so that every node owns a contiguous column
+        slice ``[start, end)``; nodes are numbered in preorder (an explicit
+        stack pushes the right half under the left one), so the left child
+        of node ``i`` is ``i + 1`` and only the right child is recorded.
+        """
+        n = cols.shape[1]
+        # A node splits only above leaf_size, so no leaf is smaller than
+        # half of it (rounded down, but at least one point).
+        cap = 2 * (n // max(1, (self._leaf_size + 1) // 2)) + 1
+        span = np.zeros((3, cap), dtype=np.int32)  # start, end, right child
+        box = np.empty((2, cap, self.dim))  # lo, hi
+        perm = np.arange(n)
+        stack = [(0, n, -1)]
+        m = 0
+        while stack:
+            start, end, parent = stack.pop()
+            if parent >= 0:
+                span[2, parent] = m
+            seg = cols[:, start:end]
+            lo, hi = seg.min(axis=1), seg.max(axis=1)
+            span[0, m], span[1, m] = start, end
+            box[0, m], box[1, m] = lo, hi
+            if end - start > self._leaf_size:
+                mid = (end - start) // 2
+                part = np.argpartition(seg[int(np.argmax(hi - lo))], mid)
+                cols[:, start:end] = seg[:, part]
+                perm[start:end] = perm[start:end][part]
+                stack.append((start + mid, end, m))
+                stack.append((start, start + mid, -1))
+            m += 1
+        self._adopt(
+            cols, group[perm], local[perm], active[perm],
+            span[:, :m].copy(), box[:, :m].copy(),
+        )
 
-    def _build(self, start: int, end: int) -> _KDNode:
-        slice_pts = self._pts[start:end]
-        node = _KDNode(start, end, slice_pts.min(axis=0), slice_pts.max(axis=0))
-        if end - start > self._leaf_size:
-            axis = int(np.argmax(node.hi - node.lo))
-            mid = (end - start) // 2
-            part = np.argpartition(self._pts[start:end, axis], mid)
-            self._pts[start:end] = self._pts[start:end][part]
-            self._perm[start:end] = self._perm[start:end][part]
-            node.left = self._build(start, start + mid)
-            node.right = self._build(start + mid, end)
-            node.left.parent = node
-            node.right.parent = node
-        return node
+    def _adopt(
+        self,
+        cols: np.ndarray,
+        group: np.ndarray,
+        local: np.ndarray,
+        active: np.ndarray,
+        span: np.ndarray,
+        box: np.ndarray,
+    ) -> None:
+        self._pts = cols.T  # (n, k), column-major
+        self._group = group
+        self._local = local
+        self._active = active
+        self._dead = np.zeros(active.size, dtype=bool)
+        self._n_dead = 0
+        self._span = span
+        self._start, self._end, self._right = span
+        self._box = box
+        self._lo, self._hi = box
+        cum = np.concatenate(([0], np.cumsum(active)))
+        self._count = cum[self._end] - cum[self._start]
+        self._buf: Optional[ColumnarStore] = None
 
-    def _assign_leaves(self, node: _KDNode) -> None:
-        if node.left is None:
-            for pos in range(node.start, node.end):
-                self._leaf_of[pos] = node
-        else:
-            self._assign_leaves(node.left)
-            self._assign_leaves(node.right)
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], leaf_size: int = DEFAULT_LEAF_SIZE
+    ) -> "DynamicKDTree":
+        """A tree over its own :meth:`to_arrays`: no build, no copy.
+
+        Points, id columns and node table may be read-only maps of a
+        snapshot file: queries only read them, inserts land in the side
+        buffer and a rebuild plants fresh arrays.  Private: the active
+        mask and the node counters derived from it.
+        """
+        cols, span, box = arrays["points"], arrays["node_span"], arrays["node_box"]
+        group, local = arrays["group"], arrays["local"]
+        active = np.array(arrays["active"], dtype=bool)
+        if (
+            cols.ndim != 2
+            or not group.shape == local.shape == active.shape == cols.shape[1:]
+            or span.ndim != 2
+            or span.shape[0] != 3
+            or box.shape != (2, span.shape[1], cols.shape[0])
+            or tuple(span[:2, :1].ravel()) != (0, cols.shape[1])
+        ):
+            raise ValueError("backend arrays do not describe one kd-tree")
+        tree = cls.__new__(cls)
+        tree.dim = int(cols.shape[0])
+        tree._leaf_size = leaf_size
+        tree._adopt(cols, group, local, active, span, box)
+        return tree
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The tree's own arrays (``points`` as ``(k, n)`` columns in tree
+        order, id columns, a copy of the active mask, the node table).
+
+        Buffered or removed points are folded in by a rebuild first —
+        invisible to queries, and what the next large insert would do.
+        """
+        if self._buf is not None or self._n_dead:
+            self._rebuild()
+        return {
+            "points": self._pts.T,
+            "group": self._group,
+            "local": self._local,
+            "active": self._active.copy(),
+            "node_span": self._span,
+            "node_box": self._box,
+        }
 
     def __len__(self) -> int:
-        return len(self._ids) + self._buf_n
+        buffered = len(self._buf) if self._buf is not None else 0
+        return self._group.size - self._n_dead + buffered
 
     @property
     def n_active(self) -> int:
         """Number of points currently visible to queries."""
-        return self._root.active + int(
-            np.count_nonzero(self._buf_active[: self._buf_n])
-        )
+        buffered = self._buf.n_active if self._buf is not None else 0
+        return int(self._count[0]) + buffered
 
     @property
     def supports_insert(self) -> bool:
@@ -179,152 +242,126 @@ class DynamicKDTree:
     # ------------------------------------------------------------------
     # Activation and dynamics
     # ------------------------------------------------------------------
-    def deactivate(self, entry_id) -> None:
-        """Hide a point from queries in O(depth)."""
-        pos = self._pos_of_id.get(entry_id)
-        if pos is not None:
-            if not self._active[pos]:
-                raise KeyError(f"entry {entry_id!r} is already inactive")
-            self._active[pos] = False
-            node = self._leaf_of[pos]
-            while node is not None:
-                node.active -= 1
-                node = node.parent
-            return
-        bpos = self._buf_pos.get(entry_id)
-        if bpos is None:
+    def _set_active(self, rows: np.ndarray, value: bool) -> int:
+        """Flip the (sorted) main-tree ``rows`` to ``value`` and move every
+        node counter by the number of them inside its slice."""
+        self._active[rows] = value
+        inside = np.searchsorted(rows, self._end) - np.searchsorted(rows, self._start)
+        self._count += inside if value else -inside
+        return int(rows.size)
+
+    def _group_rows(self, group: int) -> np.ndarray:
+        """Mask of the live main-tree rows of one group."""
+        return (self._group == group) & ~self._dead
+
+    def _live(self, column: np.ndarray) -> np.ndarray:
+        """The non-removed rows of a main-tree column (itself if none are)."""
+        return column[~self._dead] if self._n_dead else column
+
+    def _main_rows(self, entry_id) -> np.ndarray:
+        """The main-tree row holding an id (empty if buffered or unknown)."""
+        group, local = split_id(entry_id)
+        return np.flatnonzero(self._group_rows(group) & (self._local == local))
+
+    def _toggle(self, entry_id, value: bool) -> None:
+        rows = self._main_rows(entry_id)
+        if rows.size:
+            if self._active[rows[0]] == value:
+                state = "active" if value else "inactive"
+                raise KeyError(f"entry {entry_id!r} is already {state}")
+            self._set_active(rows, value)
+        elif self._buf is None:
             raise KeyError(f"unknown entry {entry_id!r}")
-        if not self._buf_active[bpos]:
-            raise KeyError(f"entry {entry_id!r} is already inactive")
-        self._buf_active[bpos] = False
+        elif value:
+            self._buf.activate(entry_id)
+        else:
+            self._buf.deactivate(entry_id)
+
+    def deactivate(self, entry_id) -> None:
+        """Hide a point from queries."""
+        self._toggle(entry_id, False)
 
     def activate(self, entry_id) -> None:
         """Re-show a previously deactivated point."""
-        pos = self._pos_of_id.get(entry_id)
-        if pos is not None:
-            if self._active[pos]:
-                raise KeyError(f"entry {entry_id!r} is already active")
-            self._active[pos] = True
-            node = self._leaf_of[pos]
-            while node is not None:
-                node.active += 1
-                node = node.parent
-            return
-        bpos = self._buf_pos.get(entry_id)
-        if bpos is None:
-            raise KeyError(f"unknown entry {entry_id!r}")
-        if self._buf_active[bpos]:
-            raise KeyError(f"entry {entry_id!r} is already active")
-        self._buf_active[bpos] = True
+        self._toggle(entry_id, True)
+
+    def deactivate_group(self, group: int) -> int:
+        """Hide every active point of ``group``: one mask write plus one
+        counter update over the node table."""
+        rows = np.flatnonzero(self._group_rows(group) & self._active)
+        buffered = self._buf.deactivate_group(group) if self._buf is not None else 0
+        return self._set_active(rows, False) + buffered
+
+    def activate_group(self, group: int) -> int:
+        """Re-show every hidden point of ``group``."""
+        rows = np.flatnonzero(self._group_rows(group) & ~self._active)
+        buffered = self._buf.activate_group(group) if self._buf is not None else 0
+        return self._set_active(rows, True) + buffered
 
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
         """Insert new points (dynamic-synopsis support).
 
-        New points land in a contiguous side buffer that every query also
+        New points land in a columnar side buffer that every query also
         scans (vectorized); when the buffer outgrows ``REBUILD_FRACTION``
         of the main tree, the whole structure is rebuilt — the classic
         amortized-logarithmic rebuilding trick [Overmars 1983].
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        id_list = list(ids)
-        if pts.shape[0] != len(id_list):
-            raise ValueError("points and ids must have equal length")
+        group, local = id_columns(ids, pts.shape[0])
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
-        for pid in id_list:
-            if pid in self._pos_of_id or pid in self._buf_pos:
-                raise KeyError(f"duplicate entry id {pid!r}")
-        need = self._buf_n + len(id_list)
-        if need > self._buf_pts.shape[0] or self._buf_pts.shape[1] != self.dim:
-            cap = max(need, 2 * self._buf_pts.shape[0])
-            grown = np.empty((cap, self.dim))
-            if self._buf_n:
-                grown[: self._buf_n] = self._buf_pts[: self._buf_n]
-            self._buf_pts = grown
-            self._buf_ids = np.resize(self._buf_ids, cap)
-            active = np.zeros(cap, dtype=bool)
-            active[: self._buf_n] = self._buf_active[: self._buf_n]
-            self._buf_active = active
-        for row, pid in zip(pts, id_list):
-            pos = self._buf_n
-            self._buf_pts[pos] = row
-            self._buf_ids[pos] = pid
-            self._buf_active[pos] = True
-            self._buf_pos[pid] = pos
-            self._buf_n += 1
-        if self._buf_n >= max(
-            MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * max(1, len(self._ids)))
+        if pts.shape[0] == 0:
+            return
+        reject_duplicates(
+            group, local, self._live(self._group), self._live(self._local)
+        )
+        pairs = np.column_stack((group, local))
+        if self._buf is None:
+            self._buf = ColumnarStore(pts, ids=pairs)
+        else:
+            self._buf.insert(pts, pairs)
+        if len(self._buf) >= max(
+            MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * self._group.size)
         ):
             self._rebuild()
 
+    def _bury(self, rows: np.ndarray) -> int:
+        """Tombstone main-tree rows (dropped at the next rebuild)."""
+        self._set_active(rows[self._active[rows]], False)
+        self._dead[rows] = True
+        self._n_dead += int(rows.size)
+        return int(rows.size)
+
     def remove(self, entry_id) -> None:
-        """Permanently remove a point (deactivate + drop at next rebuild).
+        """Permanently remove a point (tombstone, dropped at next rebuild).
 
         Deactivated points can be removed too; removing an unknown or
-        already-removed id raises ``KeyError`` (matching the columnar
-        backend's semantics).
+        already-removed id raises ``KeyError``.
         """
-        if entry_id in self._removed:
+        rows = self._main_rows(entry_id)
+        if rows.size:
+            self._bury(rows)
+        elif self._buf is None:
             raise KeyError(f"unknown entry {entry_id!r}")
-        try:
-            self.deactivate(entry_id)
-        except KeyError:
-            # Already-inactive is fine for a removal; unknown ids are not.
-            if entry_id not in self._pos_of_id and entry_id not in self._buf_pos:
-                raise
-        self._removed.add(entry_id)
+        else:
+            self._buf.remove(entry_id)
 
-    def export_points(self) -> tuple[np.ndarray, list, np.ndarray]:
-        """Live contents as ``(points, ids, active)`` parallel arrays.
-
-        Enumerates main-tree slots (build order) then the side buffer,
-        skipping tombstoned ids — the same sweep :meth:`_rebuild` does.
-        """
-        pts, ids, act = [], [], []
-        for pos, pid in enumerate(self._ids):
-            if pid in self._removed:
-                continue
-            pts.append(self._pts[pos])
-            ids.append(pid)
-            act.append(bool(self._active[pos]))
-        for bpos in range(self._buf_n):
-            pid = self._buf_ids[bpos]
-            if pid in self._removed:
-                continue
-            pts.append(self._buf_pts[bpos].copy())
-            ids.append(pid)
-            act.append(bool(self._buf_active[bpos]))
-        return (
-            np.asarray(pts, dtype=float),
-            ids,
-            np.asarray(act, dtype=bool),
-        )
+    def remove_group(self, group: int) -> int:
+        """Permanently remove every point of ``group``; returns how many."""
+        buffered = self._buf.remove_group(group) if self._buf is not None else 0
+        return self._bury(np.flatnonzero(self._group_rows(group))) + buffered
 
     def _rebuild(self) -> None:
-        keep_pts, keep_ids = [], []
-        for pos, pid in enumerate(self._ids):
-            if pid in self._removed:
-                continue
-            keep_pts.append(self._pts[pos])
-            keep_ids.append(pid)
-        inactive = {
-            pid
-            for pos, pid in enumerate(self._ids)
-            if not self._active[pos] and pid not in self._removed
-        }
-        for bpos in range(self._buf_n):
-            pid = self._buf_ids[bpos]
-            if pid in self._removed:
-                continue
-            keep_pts.append(self._buf_pts[bpos].copy())
-            keep_ids.append(pid)
-            if not self._buf_active[bpos]:
-                inactive.add(pid)
-        self._init_buffer()
-        self._removed = set()
-        self._build_main(np.asarray(keep_pts), keep_ids)
-        for pid in inactive:
-            self.deactivate(pid)
+        """Replant the main tree over its live rows plus the side buffer."""
+        parts = [
+            (self._live(self._pts).T, self._live(self._group),
+             self._live(self._local), self._live(self._active))
+        ]
+        if self._buf is not None:
+            buf = self._buf.to_arrays()
+            parts.append((buf["points"], buf["group"], buf["local"], buf["active"]))
+        cols, group, local, active = (np.concatenate(c, axis=-1) for c in zip(*parts))
+        self._build(np.ascontiguousarray(cols), group, local, active)
 
     # ------------------------------------------------------------------
     # Queries
@@ -333,218 +370,187 @@ class DynamicKDTree:
         if box.dim != self.dim:
             raise ValueError(f"query box has dim {box.dim}, tree has dim {self.dim}")
 
-    def _buffer_mask(self, box: QueryBox) -> Optional[np.ndarray]:
-        """Active-and-inside mask over the side buffer, or None if empty."""
-        if self._buf_n == 0:
-            return None
-        mask = box.contains_points(self._buf_pts[: self._buf_n])
-        mask &= self._buf_active[: self._buf_n]
-        return mask
+    def _slice(self, node: int) -> tuple[int, int]:
+        return int(self._start[node]), int(self._end[node])
 
-    def report(self, box: QueryBox) -> list:
-        """All active point ids inside the box.
+    def _active_rows(self, node: int) -> np.ndarray:
+        """Row indexes of the active points in a node's contiguous slice."""
+        start, end = self._slice(node)
+        if self._count[node] == end - start:
+            return np.arange(start, end)
+        return start + np.flatnonzero(self._active[start:end])
 
-        Per-node hits are accumulated as id *arrays* and materialized with
-        a single ``np.concatenate(...).tolist()`` at the end — one Python
-        list conversion per query instead of one per visited node.
-        """
+    def _hit_rows(self, node: int, box: QueryBox) -> np.ndarray:
+        """Row indexes of a node's active points inside the box."""
+        start, end = self._slice(node)
+        mask = box.contains_points(self._pts[start:end])
+        mask &= self._active[start:end]
+        return start + np.flatnonzero(mask)
+
+    def _ids_at(self, rows: np.ndarray) -> list:
+        return entry_ids(self._group[rows], self._local[rows])
+
+    def _visit(self, box: QueryBox):
+        """The pruned single-box descent: yields ``(node, full)`` for every
+        maximal node with active points whose bbox the box contains
+        (``full``) and every leaf it merely intersects."""
         self._check_box(box)
-        chunks: list[np.ndarray] = []
-        stack = [self._root]
+        stack = [0]
         while stack:
             node = stack.pop()
-            if node.active == 0 or not box.intersects_bbox(node.lo, node.hi):
+            lo, hi = self._lo[node], self._hi[node]
+            if self._count[node] == 0 or not box.intersects_bbox(lo, hi):
                 continue
-            if box.contains_bbox(node.lo, node.hi):
-                chunks.append(self._active_ids_of(node))
-            elif node.left is None:
-                mask = box.contains_points(self._pts[node.start : node.end])
-                mask &= self._active[node.start : node.end]
-                chunks.append(self._ids_arr[node.start : node.end][mask])
+            if box.contains_bbox(lo, hi):
+                yield node, True
+            elif self._right[node] == 0:
+                yield node, False
             else:
-                stack.append(node.left)
-                stack.append(node.right)
-        bmask = self._buffer_mask(box)
-        if bmask is not None:
-            chunks.append(self._buf_ids[: self._buf_n][bmask])
-        if not chunks:
-            return []
-        return np.concatenate(chunks).tolist()
+                stack.append(node + 1)
+                stack.append(int(self._right[node]))
 
-    def _active_ids_of(self, node: _KDNode) -> np.ndarray:
-        """Object array of the active ids in a node's contiguous slice."""
-        if node.active == node.end - node.start:
-            return self._ids_arr[node.start : node.end]
-        mask = self._active[node.start : node.end]
-        return self._ids_arr[node.start : node.end][mask]
+    def _rows(self, box: QueryBox) -> np.ndarray:
+        """Main-tree row indexes of the active points inside the box."""
+        chunks = [
+            self._active_rows(node) if full else self._hit_rows(node, box)
+            for node, full in self._visit(box)
+        ]
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
+
+    def report(self, box: QueryBox) -> list:
+        """All active point ids inside the box."""
+        ids = self._ids_at(self._rows(box))
+        return ids + self._buf.report(box) if self._buf is not None else ids
 
     def report_first(self, box: QueryBox):
         """One arbitrary active point id inside the box, or None."""
-        self._check_box(box)
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.active == 0 or not box.intersects_bbox(node.lo, node.hi):
-                continue
-            if box.contains_bbox(node.lo, node.hi):
-                return self._first_active_id(node)
-            if node.left is None:
-                mask = box.contains_points(self._pts[node.start : node.end])
-                mask &= self._active[node.start : node.end]
-                hits = np.nonzero(mask)[0]
-                if hits.size:
-                    return self._ids[node.start + int(hits[0])]
+        for node, full in self._visit(box):
+            if full:
+                start, end = self._slice(node)
+                hits = np.array([start + np.argmax(self._active[start:end])])
             else:
-                stack.append(node.left)
-                stack.append(node.right)
-        bmask = self._buffer_mask(box)
-        if bmask is not None:
-            hits = np.flatnonzero(bmask)
+                hits = self._hit_rows(node, box)
             if hits.size:
-                return self._buf_ids[int(hits[0])]
-        return None
-
-    def _first_active_id(self, node: _KDNode):
-        while node.left is not None:
-            node = node.left if node.left.active > 0 else node.right
-        mask = self._active[node.start : node.end]
-        off = int(np.nonzero(mask)[0][0])
-        return self._ids[node.start + off]
+                return self._ids_at(hits[:1])[0]
+        return self._buf.report_first(box) if self._buf is not None else None
 
     def report_groups(self, box: QueryBox) -> set:
         """All group keys with >= 1 active point in the box."""
-        return {group_of(pid) for pid in self.report(box)}
+        groups = set(np.unique(self._group[self._rows(box)]).tolist())
+        return groups | self._buf.report_groups(box) if self._buf is not None else groups
+
+    def count(self, box: QueryBox) -> int:
+        """Number of active points inside the box (node counters where a
+        whole bbox is inside, masks at the leaves)."""
+        total = sum(
+            int(self._count[node]) if full else self._hit_rows(node, box).size
+            for node, full in self._visit(box)
+        )
+        return total + self._buf.count(box) if self._buf is not None else total
 
     # ------------------------------------------------------------------
     # Multi-box batch kernels (one shared traversal for the whole batch)
     # ------------------------------------------------------------------
-    def report_many(self, boxes: Sequence[QueryBox]) -> list[list]:
-        """Per-box active id lists via one shared multi-box tree walk.
+    def _walk_many(self, boxes: list, on_full, on_scan) -> None:
+        """One shared multi-box walk of the main tree.
 
-        Semantically ``[self.report(b) for b in boxes]``, but the tree is
-        traversed once with the subset of boxes still *alive* at each
-        node: the intersect/contain prunes for all alive boxes are one
-        broadcast comparison instead of Q separate Python walks, boxes
-        that fully contain a node's bbox take its active-id array
-        wholesale, and the surviving boxes share one ``(q, L)`` comparison
-        per constrained side at each leaf.  This is the kernel behind the
-        service cold path: a batch of deduplicated leaves hits every
-        shard's tree in one call.
+        The tree is traversed once with the subset of boxes still *alive*
+        at each node: the intersect/contain prunes for all alive boxes are
+        one broadcast comparison instead of Q separate Python walks.
+        ``on_full(node, boxes)`` is called for the boxes that contain a
+        node's whole bbox, ``on_scan(start, inside, boxes)`` with the
+        ``(q, L)`` active-and-inside matrix of a leaf — or of a subtree
+        cheap enough that one broadcast pass over its contiguous slice
+        beats descending further.
         """
-        boxes = list(boxes)
         for box in boxes:
             self._check_box(box)
-        q = len(boxes)
-        if q == 0:
-            return []
+        if not boxes:
+            return
         batch = BoxBatch(boxes)
-        chunks: list[list[np.ndarray]] = [[] for _ in range(q)]
-        stack: list[tuple[_KDNode, np.ndarray]] = [(self._root, np.arange(q))]
+        stack = [(0, np.arange(len(boxes)))]
         while stack:
             node, alive = stack.pop()
-            if node.active == 0:
+            if self._count[node] == 0:
                 continue
-            alive = alive[batch.intersects_bbox(node.lo, node.hi, alive)]
+            lo, hi = self._lo[node], self._hi[node]
+            alive = alive[batch.intersects_bbox(lo, hi, alive)]
             if alive.size == 0:
                 continue
-            full = batch.contains_bbox(node.lo, node.hi, alive)
+            full = batch.contains_bbox(lo, hi, alive)
             if full.any():
-                ids_chunk = self._active_ids_of(node)
-                for qi in alive[full]:
-                    chunks[qi].append(ids_chunk)
+                on_full(node, alive[full])
                 alive = alive[~full]
                 if alive.size == 0:
                     continue
-            size = node.end - node.start
-            if node.left is None or alive.size * size <= MULTIBOX_BROADCAST_CUTOFF:
-                # Leaf, or a subtree cheap enough that one broadcast pass
-                # over its contiguous slice beats descending further.
-                inside = batch.contains_points(
-                    self._pts[node.start : node.end], alive
-                )
-                inside &= self._active[node.start : node.end][None, :]
-                ids_arr = self._ids_arr[node.start : node.end]
-                for row, qi in zip(inside, alive):
-                    if row.any():
-                        chunks[qi].append(ids_arr[row])
+            start, end = self._slice(node)
+            if (
+                self._right[node] == 0
+                or alive.size * (end - start) <= MULTIBOX_BROADCAST_CUTOFF
+            ):
+                inside = batch.contains_points(self._pts[start:end], alive)
+                inside &= self._active[start:end][None, :]
+                on_scan(start, inside, alive)
             else:
-                stack.append((node.left, alive))
-                stack.append((node.right, alive))
-        if self._buf_n:
-            inside = batch.contains_points(self._buf_pts[: self._buf_n])
-            inside &= self._buf_active[: self._buf_n][None, :]
-            buf_ids = self._buf_ids[: self._buf_n]
-            for qi, row in enumerate(inside):
+                stack.append((node + 1, alive))
+                stack.append((int(self._right[node]), alive))
+
+    def report_many(self, boxes: Sequence[QueryBox], groups: bool = False) -> list:
+        """Per-box active id lists via one shared multi-box tree walk.
+
+        Semantically ``[self.report(b) for b in boxes]``.  This is the
+        kernel behind the service cold path: a batch of deduplicated
+        leaves hits every shard's tree in one call.  With ``groups=True``
+        each box gets the int array of its hits' group codes instead (one
+        per hit point, ids never materialized) — what
+        :meth:`report_groups_many` reduces.
+        """
+        boxes = list(boxes)
+        chunks: list[list[np.ndarray]] = [[] for _ in boxes]
+
+        def on_full(node, full):
+            hits = self._active_rows(node)
+            for qi in full:
+                chunks[qi].append(hits)
+
+        def on_scan(start, inside, alive):
+            for row, qi in zip(inside, alive):
                 if row.any():
-                    chunks[qi].append(buf_ids[row])
-        return [np.concatenate(c).tolist() if c else [] for c in chunks]
+                    chunks[qi].append(start + np.flatnonzero(row))
+
+        self._walk_many(boxes, on_full, on_scan)
+        take = self._group.__getitem__ if groups else self._ids_at
+        out = [
+            take(np.concatenate(c) if c else np.empty(0, dtype=np.intp))
+            for c in chunks
+        ]
+        if self._buf is not None:
+            join = np.append if groups else list.__add__
+            buffered = self._buf.report_many(boxes, groups)
+            out = [join(a, b) for a, b in zip(out, buffered)]
+        return out
 
     def count_many(self, boxes: Sequence[QueryBox]) -> list[int]:
         """Per-box active point counts via the shared walk, counting from
-        node counters and boolean masks — no id materialization."""
+        node counters and boolean masks — no row materialization."""
         boxes = list(boxes)
-        for box in boxes:
-            self._check_box(box)
-        q = len(boxes)
-        if q == 0:
-            return []
-        batch = BoxBatch(boxes)
-        counts = np.zeros(q, dtype=np.int64)
-        stack: list[tuple[_KDNode, np.ndarray]] = [(self._root, np.arange(q))]
-        while stack:
-            node, alive = stack.pop()
-            if node.active == 0:
-                continue
-            alive = alive[batch.intersects_bbox(node.lo, node.hi, alive)]
-            if alive.size == 0:
-                continue
-            full = batch.contains_bbox(node.lo, node.hi, alive)
-            if full.any():
-                counts[alive[full]] += node.active
-                alive = alive[~full]
-                if alive.size == 0:
-                    continue
-            size = node.end - node.start
-            if node.left is None or alive.size * size <= MULTIBOX_BROADCAST_CUTOFF:
-                inside = batch.contains_points(
-                    self._pts[node.start : node.end], alive
-                )
-                inside &= self._active[node.start : node.end][None, :]
-                counts[alive] += inside.sum(axis=1)
-            else:
-                stack.append((node.left, alive))
-                stack.append((node.right, alive))
-        if self._buf_n:
-            inside = batch.contains_points(self._buf_pts[: self._buf_n])
-            inside &= self._buf_active[: self._buf_n][None, :]
-            counts += inside.sum(axis=1)
-        return [int(c) for c in counts]
+        counts = np.zeros(len(boxes), dtype=np.int64)
+
+        def on_full(node, full):
+            counts[full] += self._count[node]
+
+        def on_scan(_start, inside, alive):
+            counts[alive] += inside.sum(axis=1)
+
+        self._walk_many(boxes, on_full, on_scan)
+        if self._buf is not None:
+            counts += self._buf.count_many(boxes)
+        return counts.tolist()
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
-        """Per-box group sets (derived from the shared walk)."""
+        """Per-box group sets: the shared walk plus one integer
+        ``np.unique`` per box."""
         return [
-            {group_of(pid) for pid in ids} for ids in self.report_many(boxes)
+            set(np.unique(hit_groups).tolist())
+            for hit_groups in self.report_many(boxes, groups=True)
         ]
-
-    def count(self, box: QueryBox) -> int:
-        """Number of active points inside the box."""
-        self._check_box(box)
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.active == 0 or not box.intersects_bbox(node.lo, node.hi):
-                continue
-            if box.contains_bbox(node.lo, node.hi):
-                total += node.active
-            elif node.left is None:
-                mask = box.contains_points(self._pts[node.start : node.end])
-                mask &= self._active[node.start : node.end]
-                total += int(np.count_nonzero(mask))
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        bmask = self._buffer_mask(box)
-        if bmask is not None:
-            total += int(np.count_nonzero(bmask))
-        return total

@@ -40,6 +40,45 @@ def closed_bounds(
     return elo, ehi
 
 
+def _constrained_sides(elo: np.ndarray, ehi: np.ndarray) -> list:
+    """The ``(column, comparison, 0 = elo / 1 = ehi)`` sides that some row
+    of the ``(q, k)`` bounds actually constrains; an orthant has one per
+    column, not two."""
+    return [
+        (j, np.greater_equal, 0)
+        for j in np.flatnonzero((elo != -np.inf).any(axis=0))
+    ] + [
+        (j, np.less_equal, 1)
+        for j in np.flatnonzero((ehi != np.inf).any(axis=0))
+    ]
+
+
+def _contains_points(
+    points: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], sides: list
+) -> np.ndarray:
+    """``(q, n)`` membership of ``(n, k)`` points in ``q`` boxes — the one
+    containment kernel, for a single box (``q = 1``) and a batch alike.
+
+    One ``(q, n)`` comparison per constrained side, column by column: the
+    first writes the result, the rest are ANDed into it through one reused
+    scratch matrix.  Columns are read as ``points[:, j]``, so a
+    column-major point matrix is scanned contiguously.
+    """
+    pts = np.asarray(points, dtype=float)
+    shape = (bounds[0].shape[0], pts.shape[0])
+    if not sides:
+        return np.ones(shape, dtype=bool)
+    ok = np.empty(shape, dtype=bool)
+    scratch = np.empty(shape, dtype=bool)
+    out = ok
+    for j, compare, side in sides:
+        compare(pts[:, j], bounds[side][:, j, None], out=out)
+        if out is scratch:
+            ok &= scratch
+        out = scratch
+    return ok
+
+
 class QueryBox:
     """A product of per-dimension intervals, each side open or closed.
 
@@ -57,7 +96,7 @@ class QueryBox:
     (True, False)
     """
 
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim", "elo", "ehi")
+    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim", "elo", "ehi", "_sides")
 
     def __init__(self, constraints: Sequence[tuple[float, float, bool, bool]]) -> None:
         if len(constraints) == 0:
@@ -72,6 +111,7 @@ class QueryBox:
         self.elo, self.ehi = closed_bounds(
             self.lo, self.hi, self.lo_open, self.hi_open
         )
+        self._sides = None  # found on the first single-box contains_points
 
     @staticmethod
     def closed(lo: Sequence[float], hi: Sequence[float]) -> "QueryBox":
@@ -104,8 +144,10 @@ class QueryBox:
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an ``(n, k)`` array of points."""
-        pts = np.asarray(points, dtype=float)
-        return np.all((pts >= self.elo) & (pts <= self.ehi), axis=1)
+        bounds = (self.elo[None], self.ehi[None])
+        if self._sides is None:  # a box that only ever joins a BoxBatch skips this
+            self._sides = _constrained_sides(*bounds)
+        return _contains_points(points, bounds, self._sides)[0]
 
     # ------------------------------------------------------------------
     # Bounding-box tests (used by tree traversals for pruning)
@@ -160,15 +202,7 @@ class BoxBatch:
         self.n_boxes = len(boxes)
         self.elo = np.stack([box.elo for box in boxes])
         self.ehi = np.stack([box.ehi for box in boxes])
-        # The (column, comparison, 0 = elo / 1 = ehi) sides some box actually
-        # constrains; an orthant batch has one per column, not two.
-        self._sides = [
-            (j, np.greater_equal, 0)
-            for j in np.flatnonzero((self.elo != -np.inf).any(axis=0))
-        ] + [
-            (j, np.less_equal, 1)
-            for j in np.flatnonzero((self.ehi != np.inf).any(axis=0))
-        ]
+        self._sides = _constrained_sides(self.elo, self.ehi)
 
     def _bounds(self, rows) -> tuple[np.ndarray, np.ndarray]:
         if rows is None:
@@ -176,26 +210,8 @@ class BoxBatch:
         return self.elo[rows], self.ehi[rows]
 
     def contains_points(self, points: np.ndarray, rows=None) -> np.ndarray:
-        """``(Q', n)`` membership matrix for an ``(n, k)`` point array.
-
-        One ``(Q', n)`` comparison per constrained side, column by column:
-        the first writes the result, the rest are ANDed into it through
-        one reused scratch matrix.
-        """
-        pts = np.asarray(points, dtype=float)
-        bounds = self._bounds(rows)
-        shape = (bounds[0].shape[0], pts.shape[0])
-        if not self._sides:
-            return np.ones(shape, dtype=bool)
-        ok = np.empty(shape, dtype=bool)
-        scratch = np.empty(shape, dtype=bool)
-        out = ok
-        for j, compare, side in self._sides:
-            compare(pts[:, j], bounds[side][:, j, None], out=out)
-            if out is scratch:
-                ok &= scratch
-            out = scratch
-        return ok
+        """``(Q', n)`` membership matrix for an ``(n, k)`` point array."""
+        return _contains_points(points, self._bounds(rows), self._sides)
 
     def intersects_bbox(self, blo: np.ndarray, bhi: np.ndarray, rows=None) -> np.ndarray:
         """``(Q',)`` mask: which boxes may contain a point of ``[blo, bhi]``."""

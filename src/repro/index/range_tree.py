@@ -25,13 +25,13 @@ the test suite cross-checks them against each other.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CapabilityError
 from repro.geometry.interval import Interval
-from repro.index.backend import group_of
+from repro.index.backend import entry_ids, group_of, id_columns
 from repro.index.query_box import QueryBox
 from repro.index.sorted_list import SortedListIndex
 
@@ -72,6 +72,8 @@ class RangeTree:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
         self.dim = pts.shape[1]
+        if isinstance(ids, np.ndarray):  # id columns, as the Ptile builders pass
+            ids = entry_ids(*id_columns(ids, pts.shape[0]))
         id_list = list(ids) if ids is not None else list(range(pts.shape[0]))
         if len(id_list) != pts.shape[0]:
             raise ValueError("points and ids must have equal length")
@@ -129,25 +131,43 @@ class RangeTree:
             "dynamic removal"
         )
 
-    def export_points(self) -> tuple[np.ndarray, list, np.ndarray]:
-        """Live contents as ``(points, ids, active)`` parallel arrays.
+    def remove_group(self, group: int) -> int:
+        """Unsupported — the textbook range tree is static."""
+        raise CapabilityError(
+            "RangeTree is static; use the 'kd' or 'columnar' engine for "
+            "dynamic removal"
+        )
 
-        Points come back in first-coordinate sort order.  The activity of
-        each id is read from the last-level
-        :class:`~repro.index.sorted_list.SortedListIndex` of the root's
-        associated chain — it covers every point and is the structure
-        ``_set_active`` always updates.
-        """
-        if self._rest.shape[1]:
-            points = np.hstack([self._keys[:, None], self._rest])
-        else:
-            points = self._keys[:, None].copy()
+    def _activity(self) -> SortedListIndex:
+        """The last-level sorted list of the root's associated chain: it
+        covers every point and is the structure ``_set_active`` always
+        updates."""
         t: "RangeTree" = self
         while t.dim > 1:
             t = t._root.assoc
-        sli: SortedListIndex = t._root.assoc
-        active = np.array([sli.is_active(pid) for pid in self._ids], dtype=bool)
-        return points, list(self._ids), active
+        return t._root.assoc
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Points (first-coordinate sort order, as ``(k, n)`` columns), id
+        columns and activity — the nodes are re-planted by
+        :meth:`from_arrays`, honestly, from the points."""
+        group, local = id_columns(self._ids, len(self._ids))
+        sli = self._activity()
+        return {
+            "points": np.vstack([self._keys[None, :], self._rest.T]),
+            "group": group,
+            "local": local,
+            "active": np.array([sli.is_active(pid) for pid in self._ids], dtype=bool),
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "RangeTree":
+        """Re-plant a tree from its own :meth:`to_arrays`."""
+        ids = entry_ids(arrays["group"], arrays["local"])
+        tree = cls(np.asarray(arrays["points"]).T, ids=ids)
+        for row in np.flatnonzero(~np.asarray(arrays["active"], dtype=bool)):
+            tree.deactivate(ids[row])
+        return tree
 
     # ------------------------------------------------------------------
     # Activation
@@ -159,6 +179,25 @@ class RangeTree:
     def activate(self, entry_id) -> None:
         """Re-show a previously deactivated point."""
         self._set_active(entry_id, active=True)
+
+    def _toggle_group(self, group: int, active: bool) -> int:
+        sli = self._activity()
+        ids = [
+            pid for pid in self._ids
+            if group_of(pid) == group and sli.is_active(pid) != active
+        ]
+        for pid in ids:
+            self._set_active(pid, active)
+        return len(ids)
+
+    def deactivate_group(self, group: int) -> int:
+        """Hide every active point of ``group`` (a loop of point toggles —
+        the multi-level structure has no bulk form)."""
+        return self._toggle_group(group, active=False)
+
+    def activate_group(self, group: int) -> int:
+        """Re-show every hidden point of ``group``."""
+        return self._toggle_group(group, active=True)
 
     def _set_active(self, entry_id, active: bool) -> None:
         pos = self._pos_of_id[entry_id]

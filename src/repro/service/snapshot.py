@@ -1,16 +1,18 @@
 """Versioned single-file engine snapshots: mmap cold starts.
 
-Every piece of built serving state is already a flat array — mapped-point
-matrices (``R^{4d+2}``), ``ColumnarStore`` point/mask/group buffers,
-coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
-so a cold start does not have to *rebuild* any of it: this module persists
+Every piece of built serving state is already a flat array — the range
+backends' column-major mapped points (``R^{4d+2}``), id columns, masks and
+kd node tables, coreset samples, packed ``DatasetBitmap`` words, raw
+repository datasets — so a cold start does not have to *rebuild* any of
+it: this module persists
 a whole engine (:class:`~repro.core.engine.DatasetSearchEngine`,
 :class:`~repro.service.sharding.ShardedBatchExecutor`, or a full
 :class:`~repro.service.service.QueryService`) into one container file and
 reconstructs it with ``np.memmap``-backed buffers, skipping the coreset
-draws and the maximal-pair rectangle enumeration entirely.
+draws, the maximal-pair rectangle enumeration and the kd-tree build
+entirely.
 
-Container format (version 3)
+Container format (version 4)
 ----------------------------
 ::
 
@@ -28,9 +30,11 @@ supervisor bumps on ingest), ``state`` (nested scalars and segment
 references), and ``arrays`` — the segment table mapping each reference to
 ``{offset, dtype, shape}`` relative to the data section.  Equal array
 *objects* are written once (deduplicated by identity), so a repository
-dataset shared with its ``ExactSynopsis`` costs one segment.  Version 3
-dropped the executor state's thread-pool width (shards are evaluated on
-the calling thread); older files are refused, not migrated.
+dataset shared with its ``ExactSynopsis`` costs one segment.  Version 4
+stores each Ptile backend as its own ``to_arrays()`` (points as ``(k, n)``
+columns in storage order, ``int32`` id columns, the active mask and, for
+the kd-tree, its node table) in place of a row-major matrix plus an
+``(n, 2)`` int64 id matrix; older files are refused, not migrated.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -70,8 +74,7 @@ from repro.core.framework import Dataset, Repository
 from repro.core.ptile_range import PtileRangeIndex
 from repro.errors import SnapshotError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import build_backend
-from repro.index.columnar import ColumnarStore
+from repro.index.backend import restore_backend
 from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import ServiceObservability
@@ -83,7 +86,7 @@ from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
 
 MAGIC = b"REPROSNP"
-VERSION = 3
+VERSION = 4
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -310,12 +313,19 @@ def _restore_rng(state: dict) -> np.random.Generator:
 # ----------------------------------------------------------------------
 # Ptile index
 # ----------------------------------------------------------------------
+#: Segment hint (the kind ``inspect`` groups bytes by) of each backend array.
+_BACKEND_HINTS = {
+    "points": "mapped_points",
+    "group": "mapped_ids",
+    "local": "mapped_ids",
+    "active": "mapped_active",
+    "node_span": "node_table",
+    "node_box": "node_table",
+}
+
+
 def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
     keys = index.keys
-    pts, ids, active = index._tree.export_points()
-    ids_arr = np.asarray(ids, dtype=np.int64)
-    if ids_arr.ndim != 2 or (ids_arr.size and ids_arr.shape[1] != 2):
-        raise SnapshotError("ptile backend ids are not (key, local) pairs")
     return {
         "eps": float(index.eps),
         "eps_effective": float(index.eps_effective),
@@ -327,13 +337,15 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         "next_key": int(index._next_key),
         "keys": [int(k) for k in keys],
         "deltas": [float(index._deltas[k]) for k in keys],
-        "counts": [len(index._point_ids[k]) for k in keys],
         "coresets": [add_array("coreset", index._coresets[k]) for k in keys],
         "bounding_box": _box_state(index.bounding_box),
         "rng": _rng_state(index._rng),
-        "points": add_array("mapped_points", pts),
-        "ids": add_array("mapped_ids", ids_arr.reshape(-1, 2)),
-        "active": add_array("mapped_active", np.asarray(active, dtype=bool)),
+        # ``points`` is a (k, n) C-contiguous segment: add_array's
+        # ascontiguousarray would silently undo an F-order (n, k) matrix.
+        "backend": {
+            name: add_array(_BACKEND_HINTS[name], arr)
+            for name, arr in index._tree.to_arrays().items()
+        },
     }
 
 
@@ -362,29 +374,16 @@ def _ptile_from_state(
     index._coresets = {
         k: np.asarray(arrays[ref]) for k, ref in zip(keys, state["coresets"])
     }
-    index._point_ids = {
-        k: [(k, local) for local in range(int(c))]
-        for k, c in zip(keys, state["counts"])
-    }
-    pts = arrays[state["points"]]
-    ids_arr = np.asarray(arrays[state["ids"]])
-    active = np.asarray(arrays[state["active"]], dtype=bool)
-    if index.engine_kind == "columnar":
-        # Zero-copy: the mapped-point matrix stays the file-backed buffer.
-        index._tree = ColumnarStore._from_snapshot(pts, ids_arr, active)
-    else:
-        # Tree backends rebuild their node structure from the mapped
-        # matrix — still skipping coreset draws and pair enumeration, the
-        # expensive parts of a cold build.
-        id_list = [(int(a), int(b)) for a, b in ids_arr.tolist()]
-        index._tree = build_backend(
-            np.asarray(pts),
-            id_list,
-            engine=index.engine_kind,
-            leaf_size=index._leaf_size,
+    # Zero-copy on kd and columnar: points, id columns and node table stay
+    # the file-backed buffers (the range tree re-plants its nodes).
+    try:
+        index._tree = restore_backend(
+            {name: arrays[ref] for name, ref in state["backend"].items()},
+            index.engine_kind,
+            index._leaf_size,
         )
-        for pos in np.flatnonzero(~active):
-            index._tree.deactivate(id_list[int(pos)])
+    except (KeyError, ValueError) as exc:
+        raise SnapshotError(f"malformed ptile backend state ({exc})") from exc
     return index
 
 
@@ -790,21 +789,23 @@ def inspect(path: PathLike) -> dict:
     """Human/CLI-facing summary of a container (no arrays are loaded)."""
     path = os.fspath(path)
     header, _arrays = _open_container(path, mmap=True)
-    arrays = header["arrays"]
-    data_bytes = sum(
-        int(np.prod(m["shape"]) if m["shape"] else 1)
-        * np.dtype(m["dtype"]).itemsize
-        for m in arrays.values()
-    )
+    by_kind: dict[str, int] = {}
+    for ref, m in header["arrays"].items():
+        nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
+        kind = ref.split("#")[0]
+        by_kind[kind] = by_kind.get(kind, 0) + nbytes
     state = header["state"]
     out = {
         "path": path,
         "format": header.get("format"),
         "kind": header.get("kind"),
         "generation": int(header.get("generation", 0)),
-        "n_arrays": len(arrays),
-        "data_bytes": data_bytes,
+        "n_arrays": len(header["arrays"]),
+        "data_bytes": sum(by_kind.values()),
         "file_bytes": os.path.getsize(path),
+        # Where the bytes go: segment kind (the add_array hint) -> bytes,
+        # largest first.
+        "bytes_by_kind": dict(sorted(by_kind.items(), key=lambda kv: -kv[1])),
     }
     if header.get("kind") == "query_service":
         out["executor"] = {
@@ -829,4 +830,9 @@ def inspect(path: PathLike) -> dict:
             "n_datasets": len(state["synopses"]),
             "built": state["sub"]["ptile"] is not None,
         }
+    n_datasets = (out.get("executor") or out["engine"])["n_datasets"]
+    out["bytes_per_dataset"] = {
+        kind: nbytes // n_datasets
+        for kind, nbytes in [("file", out["file_bytes"]), *out["bytes_by_kind"].items()]
+    }
     return out

@@ -50,7 +50,7 @@ class CoverSynopsis(Synopsis):
     True
     >>> q = np.array([0.5, 0.5])
     >>> exact = np.linalg.norm(data - q, axis=1).min()
-    >>> abs(cov.distance_to(q) - exact) <= 0.1 + 1e-12
+    >>> bool(abs(cov.distance_to(q) - exact) <= 0.1 + 1e-12)
     True
     """
 

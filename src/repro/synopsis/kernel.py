@@ -45,7 +45,7 @@ class DirectionQuantileSynopsis(Synopsis):
     >>> syn = DirectionQuantileSynopsis(data, eps_dir=0.1)
     >>> v = np.array([1.0, 0.0])
     >>> exact = np.sort(data @ v)[-10]
-    >>> abs(syn.score(v, 10) - exact) <= syn.delta_pref + 1e-9
+    >>> bool(abs(syn.score(v, 10) - exact) <= syn.delta_pref + 1e-9)
     True
     """
 

@@ -72,6 +72,33 @@ class TestGuarantees:
         iv = Interval(0.2, 0.6)
         assert index.query(QUERY, iv).index_set == index.query(QUERY, iv).index_set
 
+    @pytest.mark.parametrize(
+        "engine, sample_size", [("kd", 32), ("columnar", 32), ("rangetree", 5)]
+    )
+    def test_timed_loop_equals_batched_mode(self, planted, engine, sample_size):
+        """Algorithm 4's loop — ReportFirst, then one ``deactivate_group``
+        per reported dataset — reports what the one-pass group-by reports
+        and puts every hidden point back."""
+        datasets, _ = planted
+        idx = PtileRangeIndex(
+            [ExactSynopsis(p) for p in datasets[:6]],
+            eps=0.1,
+            sample_size=sample_size,
+            engine=engine,
+            rng=np.random.default_rng(4),
+        )
+        n_active = idx._tree.n_active
+        assert n_active == idx.n_mapped_points
+        for theta in (Interval(0.0, 1.0), Interval(0.2, 0.5), Interval(0.9, 1.0)):
+            batched = idx.query(QUERY, theta)
+            timed = idx.query(QUERY, theta, record_times=True)
+            assert sorted(timed.indexes) == batched.indexes
+            assert len(timed.emit_times) == len(timed.indexes)
+            assert timed.stats["loop_iterations"] == len(timed.indexes) + 1
+            assert idx._tree.n_active == n_active
+        everything = idx.query(QUERY, Interval(0.0, 1.0), record_times=True)
+        assert everything.stats["deleted_points"] == n_active
+
     def test_figure_2_scenario(self, planted, rng):
         """The Section 4.3 counterexample: the threshold structure's logic
         (any sufficiently-heavy sub-rectangle qualifies) over-reports on

@@ -8,6 +8,8 @@ must produce identical id sets for ``report``, identical group sets for
 ``report_first`` membership.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,28 @@ class TestActivationEquivalence:
                     b.activate(pid)
             assert got == expect[e] == expect["kd"], e
 
+    def test_group_level_toggles_match_per_point_loops(self, rng):
+        """``deactivate_group`` / ``activate_group`` are the bulk form of
+        toggling every point of the group, on every backend."""
+        pts = rng.uniform(size=(60, 3))
+        ids = [(i % 6, i) for i in range(60)]
+        bulk, loop = build_all(pts, ids), build_all(pts, ids)
+        box = QueryBox.unbounded(3)
+        for e in ENGINES:
+            loop[e].deactivate((2, 2))  # already hidden: not counted, not an error
+            bulk[e].deactivate((2, 2))
+            assert bulk[e].deactivate_group(2) == 9
+            for pid in ids:
+                if pid[0] == 2 and pid != (2, 2):
+                    loop[e].deactivate(pid)
+            assert bulk[e].n_active == loop[e].n_active == 50
+            assert sorted(bulk[e].report(box)) == sorted(loop[e].report(box))
+            assert bulk[e].deactivate_group(2) == 0
+            assert bulk[e].deactivate_group(99) == 0  # absent group: no-op
+            assert bulk[e].activate_group(2) == 10
+            assert bulk[e].n_active == 60
+            assert bulk[e].report_groups(box) == set(range(6))
+
 
 class TestDynamicEquivalence:
     @settings(max_examples=20, deadline=None)
@@ -161,6 +185,67 @@ class TestDynamicEquivalence:
         box = QueryBox.unbounded(dim)
         final = {e: sorted(b.report(box)) for e, b in backends.items()}
         assert all(r == sorted(live) for r in final.values()), final
+
+
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    def test_duplicate_ids_inside_one_batch_rejected(self, engine):
+        """A repeated id inside one insert() is a KeyError and writes
+        nothing (it used to store two rows under one id, one of which
+        no deactivate could ever reach)."""
+        b = build_backend(np.array([[0.0], [1.0]]), [(0, 0), (0, 1)], engine)
+        box = QueryBox.unbounded(1)
+        for ids in ([(1, 0), (1, 0)], [(1, 0), (0, 1)], [7, 7]):
+            with pytest.raises(KeyError):
+                b.insert(np.array([[5.0], [6.0]]), ids=ids)
+            assert len(b) == b.n_active == 2
+            assert sorted(b.report(box)) == [(0, 0), (0, 1)]
+        b.insert(np.array([[5.0], [6.0]]), ids=[(1, 0), (1, 1)])
+        with pytest.raises(KeyError):  # ... and against buffered rows too
+            b.insert(np.array([[7.0]]), ids=[(1, 1)])
+        b.deactivate((1, 0))
+        assert sorted(b.report(box)) == [(0, 0), (0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_array_round_trip(self, engine, rng):
+        """``from_arrays(to_arrays())`` — the persistence seam — keeps
+        answers and activity, over read-only buffers, on every backend."""
+        from repro.index.backend import restore_backend
+
+        ids = [(i % 4, i) for i in range(40)]
+        b = build_backend(rng.uniform(size=(40, 2)), ids, engine, leaf_size=4)
+        if b.supports_insert:
+            b.insert(rng.uniform(size=(3, 2)), [(5, 0), (5, 1), (5, 2)])
+            b.remove((0, 4))
+        b.deactivate_group(2)
+        arrays = b.to_arrays()
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        twin = restore_backend(arrays, engine, leaf_size=4)
+        boxes = [QueryBox.unbounded(2)] + [random_orthant(rng, 2) for _ in range(5)]
+        assert (len(twin), twin.n_active) == (len(b), b.n_active)
+        assert [sorted(r) for r in twin.report_many(boxes)] == [
+            sorted(r) for r in b.report_many(boxes)
+        ]
+        assert twin.activate_group(2) == b.activate_group(2) == 10
+        if twin.supports_insert:  # a read-only twin copies before it writes
+            twin.insert(np.empty((0, 2)), [])
+            twin.insert(rng.uniform(size=(1, 2)), [(6, 0)])
+            twin.remove_group(1)
+            assert twin.report_groups(boxes[0]) == {0, 2, 3, 5, 6}
+
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    def test_remove_group(self, engine, rng):
+        ids = [(i % 4, i) for i in range(40)]
+        b = build_backend(rng.uniform(size=(40, 2)), ids, engine, leaf_size=4)
+        b.insert(rng.uniform(size=(3, 2)), [(1, 100), (1, 101), (5, 0)])
+        b.deactivate((1, 5))
+        assert b.remove_group(1) == 12  # hidden and buffered points included
+        assert b.remove_group(1) == 0
+        assert len(b) == 31 and b.n_active == 31
+        assert b.report_groups(QueryBox.unbounded(2)) == {0, 2, 3, 5}
+        assert b.activate_group(1) == 0  # removed points never come back
+        b.insert(rng.uniform(size=(1, 2)), [(1, 5)])  # the id is free again
+        assert (1, 5) in b.report(QueryBox.unbounded(2))
 
 
 class TestBatchKernels:
@@ -276,6 +361,26 @@ class TestProtocolSurface:
 
         with pytest.raises(ConstructionError):
             build_backend(rng.uniform(size=(5, 2)), list(range(5)), "btree")
+
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    def test_construction_leaves_no_per_point_objects(self, engine, rng):
+        """Bytes per mapped point are the constant of the paper's space
+        bound: a built backend holds its points plus a few flat columns —
+        no tuple, dict entry or node object per point."""
+        n = 50_000
+        pts = rng.uniform(size=(n, 10))
+        ids = np.column_stack((np.arange(n) // 500, np.arange(n) % 500))
+        tracemalloc.start()
+        try:
+            backend = build_backend(pts, ids, engine)
+            snapshot = tracemalloc.take_snapshot()
+            live, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(backend) == n
+        assert live <= 1.5 * pts.nbytes
+        busiest = max(snapshot.statistics("lineno"), key=lambda st: st.count)
+        assert busiest.count < n, busiest
 
     def test_remove_semantics_aligned(self, rng):
         """Both dynamic backends: removing a deactivated point works,

@@ -35,10 +35,10 @@ class TestQueries:
 
     def test_report_groups_is_group_by(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-        store = ColumnarStore(pts, ids=[("a", 0), ("a", 1), ("b", 0), ("c", 0)])
-        assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {"a", "b"}
-        store.deactivate(("a", 1))
-        assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {"b"}
+        store = ColumnarStore(pts, ids=[(7, 0), (7, 1), (8, 0), (9, 0)])
+        assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {7, 8}
+        store.deactivate((7, 1))
+        assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {8}
 
     def test_dim_mismatch(self):
         store = ColumnarStore(np.zeros((3, 2)))
@@ -47,7 +47,12 @@ class TestQueries:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            ColumnarStore(np.zeros((2, 1)), ids=["x", "x"])
+            ColumnarStore(np.zeros((2, 1)), ids=[4, 4])
+
+    @pytest.mark.parametrize("ids", [["x", "y"], [0.5, 1.5], [(1, 2, 3), (4, 5, 6)], [2**31, 0]])
+    def test_non_integer_ids_rejected(self, ids):
+        with pytest.raises(ValueError):
+            ColumnarStore(np.zeros((2, 1)), ids=ids)
 
 
 class TestActivation:
@@ -124,6 +129,6 @@ class TestDynamics:
     def test_capacity_growth_keeps_old_points(self, rng):
         store = ColumnarStore(rng.uniform(size=(3, 1)))
         for i in range(200):
-            store.insert(np.array([[float(i)]]), ids=[f"n{i}"])
+            store.insert(np.array([[float(i)]]), ids=[1000 + i])
         assert len(store) == 203
         assert store.count(QueryBox.unbounded(1)) == 203

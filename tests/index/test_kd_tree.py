@@ -46,8 +46,8 @@ class TestQueries:
         assert tree.report(box) == [1]
 
     def test_custom_ids(self):
-        tree = DynamicKDTree(np.array([[0.0], [5.0]]), ids=[("a", 1), ("b", 2)])
-        assert tree.report(QueryBox.closed([4.0], [6.0])) == [("b", 2)]
+        tree = DynamicKDTree(np.array([[0.0], [5.0]]), ids=[(7, 1), (8, 2)])
+        assert tree.report(QueryBox.closed([4.0], [6.0])) == [(8, 2)]
 
     def test_dim_mismatch(self):
         tree = DynamicKDTree(np.zeros((3, 2)))
@@ -110,9 +110,9 @@ class TestDynamics:
     def test_insert_visible(self, rng):
         pts = rng.uniform(size=(20, 2))
         tree = DynamicKDTree(pts)
-        tree.insert(np.array([[0.5, 0.5]]), ids=["new"])
+        tree.insert(np.array([[0.5, 0.5]]), ids=[777])
         box = QueryBox.closed([0.45, 0.45], [0.55, 0.55])
-        assert "new" in tree.report(box)
+        assert 777 in tree.report(box)
 
     def test_insert_duplicate_id_rejected(self):
         tree = DynamicKDTree(np.zeros((2, 1)))
@@ -125,7 +125,7 @@ class TestDynamics:
         tree.deactivate(3)
         # Insert enough to force a rebuild.
         extra = rng.uniform(size=(100, 2))
-        tree.insert(extra, ids=[f"x{i}" for i in range(100)])
+        tree.insert(extra, ids=range(1000, 1100))
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         got = tree.report(box)
         assert 3 not in got
@@ -138,16 +138,16 @@ class TestDynamics:
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         assert 5 not in tree.report(box)
         # Force rebuild; the removed id must stay gone and be re-insertable.
-        tree.insert(rng.uniform(size=(100, 2)), ids=[f"y{i}" for i in range(100)])
+        tree.insert(rng.uniform(size=(100, 2)), ids=range(1000, 1100))
         assert 5 not in tree.report(box)
 
     def test_deactivate_buffered_point(self, rng):
         tree = DynamicKDTree(np.zeros((4, 1)))
-        tree.insert(np.array([[9.0]]), ids=["b"])
-        tree.deactivate("b")
+        tree.insert(np.array([[9.0]]), ids=[99])
+        tree.deactivate(99)
         assert tree.report(QueryBox.closed([8.0], [10.0])) == []
-        tree.activate("b")
-        assert tree.report(QueryBox.closed([8.0], [10.0])) == ["b"]
+        tree.activate(99)
+        assert tree.report(QueryBox.closed([8.0], [10.0])) == [99]
 
     def test_report_groups(self, rng):
         pts = rng.uniform(size=(40, 2))
@@ -197,22 +197,22 @@ class TestAmortizedRebuild:
     that preserves activation state and honors removals."""
 
     @staticmethod
-    def _grow_past_threshold(tree, rng, prefix):
+    def _grow_past_threshold(tree, rng, first_id):
         """Insert just enough points to cross the rebuild threshold."""
         threshold = max(
-            MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * len(tree._ids))
+            MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * tree._group.size)
         )
-        ids = [f"{prefix}{i}" for i in range(threshold)]
+        ids = list(range(first_id, first_id + threshold))
         tree.insert(rng.uniform(size=(threshold, tree.dim)), ids=ids)
         return ids
 
     def test_rebuild_absorbs_buffer(self, rng):
         pts = rng.uniform(size=(50, 2))
         tree = DynamicKDTree(pts)
-        new_ids = self._grow_past_threshold(tree, rng, "g")
+        new_ids = self._grow_past_threshold(tree, rng, 1000)
         # Buffer was folded into the main tree: every id is tree-resident.
-        assert tree._buf_n == 0
-        assert all(pid in tree._pos_of_id for pid in new_ids)
+        assert tree._buf is None
+        assert set(new_ids) <= set(tree._group.tolist())
         assert len(tree) == 50 + len(new_ids)
         assert tree.n_active == 50 + len(new_ids)
 
@@ -222,44 +222,44 @@ class TestAmortizedRebuild:
         tree.deactivate(7)
         tree.deactivate(11)
         # Deactivate one *buffered* point, then push past the threshold.
-        tree.insert(rng.uniform(size=(1, 2)), ids=["buffered"])
-        tree.deactivate("buffered")
-        new_ids = self._grow_past_threshold(tree, rng, "h")
-        assert tree._buf_n == 0  # rebuild happened
+        tree.insert(rng.uniform(size=(1, 2)), ids=[500])
+        tree.deactivate(500)
+        new_ids = self._grow_past_threshold(tree, rng, 1000)
+        assert tree._buf is None  # rebuild happened
         box = QueryBox.unbounded(2)
         got = set(tree.report(box))
-        assert {7, 11, "buffered"} & got == set()
+        assert {7, 11, 500} & got == set()
         assert set(new_ids) <= got
         assert tree.n_active == len(tree) - 3
         # Toggles still work post-rebuild (paths/leaf assignment rebuilt).
         tree.activate(7)
         assert 7 in set(tree.report(box))
         with pytest.raises(KeyError):
-            tree.activate("buffered2")
+            tree.activate(501)
 
     def test_removed_ids_dropped_and_reusable(self, rng):
         pts = rng.uniform(size=(50, 2))
         tree = DynamicKDTree(pts)
         tree.remove(3)
-        tree.insert(rng.uniform(size=(1, 2)), ids=["victim"])
-        tree.remove("victim")
-        new_ids = self._grow_past_threshold(tree, rng, "r")
-        assert tree._buf_n == 0
+        tree.insert(rng.uniform(size=(1, 2)), ids=[500])
+        tree.remove(500)
+        new_ids = self._grow_past_threshold(tree, rng, 1000)
+        assert tree._buf is None
         assert len(tree) == 50 - 2 + len(new_ids) + 1
         box = QueryBox.unbounded(2)
         got = set(tree.report(box))
-        assert 3 not in got and "victim" not in got
+        assert 3 not in got and 500 not in got
         # Removed ids are gone from the structure entirely post-rebuild...
         with pytest.raises(KeyError):
-            tree.deactivate("victim")
+            tree.deactivate(500)
         # ... and re-insertable as fresh points.
-        tree.insert(np.array([[0.5, 0.5]]), ids=["victim"])
-        assert "victim" in set(tree.report(box))
+        tree.insert(np.array([[0.5, 0.5]]), ids=[500])
+        assert 500 in set(tree.report(box))
 
     def test_report_first_correct_across_rebuild(self, rng):
         pts = rng.uniform(size=(60, 2))
         tree = DynamicKDTree(pts, leaf_size=4)
-        self._grow_past_threshold(tree, rng, "x")
+        self._grow_past_threshold(tree, rng, 1000)
         box = QueryBox.closed([0.2, 0.2], [0.8, 0.8])
         expected = set(tree.report(box))
         seen = set()

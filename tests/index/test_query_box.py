@@ -157,11 +157,16 @@ class TestKernelAgainstOracle:
         got = batch.contains_points(pts)
         assert got.dtype == bool and got.shape == (q, n)
         assert np.array_equal(got, want)
+        # The kd-tree and the columnar store keep points column-major.
+        assert np.array_equal(batch.contains_points(np.asfortranarray(pts)), want)
         assert np.array_equal(batch.intersects_bbox(blo, bhi), want_hit)
         assert np.array_equal(batch.contains_bbox(blo, bhi), want_full)
 
         for i, box in enumerate(boxes):
-            assert np.array_equal(box.contains_points(pts), want[i])
+            one = box.contains_points(pts)
+            assert one.dtype == bool and one.shape == (n,)
+            assert np.array_equal(one, want[i])
+            assert np.array_equal(box.contains_points(np.asfortranarray(pts)), want[i])
             assert [box.contains_point(p) for p in pts] == want[i].tolist()
             assert box.intersects_bbox(blo, bhi) == bool(want_hit[i])
             assert box.contains_bbox(blo, bhi) == bool(want_full[i])
@@ -187,6 +192,27 @@ class TestKernelAgainstOracle:
         batch = BoxBatch([QueryBox.unbounded(3)] * 2)
         assert batch.contains_points(np.zeros((4, 3))).all()
         assert batch.contains_points(np.zeros((0, 3))).shape == (2, 0)
+
+    def test_single_box_shares_the_batch_kernel(self):
+        """One box is the q = 1 batch: no ``(n, k)`` temporary (the old
+        scalar kernel built two), an unconstrained side is not compared."""
+        n, k = 8192, 10
+        rng = np.random.default_rng(1)
+        box = QueryBox(
+            [(0.3, np.inf, False, False) if j % 2 else (-np.inf, 0.7, False, True)
+             for j in range(k)]
+        )
+        pts = rng.random((n, k))
+        box.contains_points(pts[:8])
+        tracemalloc.start()
+        try:
+            out = box.contains_points(pts)
+            _cur, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,) and peak <= 2 * n + 4096
+        assert QueryBox.unbounded(k).contains_points(pts).all()
+        assert QueryBox.unbounded(k).contains_points(np.zeros((0, k))).shape == (0,)
 
     def test_no_q_by_n_by_k_temporary(self):
         q, n, k = 16, 8192, 10

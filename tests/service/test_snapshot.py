@@ -192,6 +192,68 @@ class TestServiceRoundTrip:
         loaded.close()
 
 
+    def test_kd_restore_adopts_the_map_and_builds_nothing(
+        self, lake, queries, tmp_path, monkeypatch
+    ):
+        """A kd snapshot holds the tree itself: ``load(mmap=True)`` plants
+        no node, its points are views into the one file map, and the
+        loaded engine equals the saved one in answers, counts and
+        activity — until an insert, which copies instead of writing the
+        map."""
+        from repro.index.kd_tree import DynamicKDTree
+        from repro.index.query_box import QueryBox
+
+        eng = DatasetSearchEngine(
+            repository=Repository.from_arrays(lake),
+            rng=np.random.default_rng(SEED),
+            engine="kd",
+            eps=EPS,
+            sample_size=SAMPLE_SIZE,
+        ).build()
+        tree = eng.ptile_index._tree
+        tree.deactivate_group(3)  # activity state must survive too
+        expected = [eng.search(q).indexes for q in queries]
+        boxes = [
+            QueryBox.unbounded(tree.dim),
+            QueryBox.unbounded(tree.dim).with_dimension(0, 0.0, 0.5),
+        ]
+        path = tmp_path / "eng.snap"
+        eng.save(path)
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("snapshot restore built a kd-tree")
+
+        monkeypatch.setattr(DynamicKDTree, "_build", no_build)
+        loaded = DatasetSearchEngine.load(path, mmap=True)
+        ltree = loaded.ptile_index._tree
+        monkeypatch.undo()
+
+        file_map = ltree._pts.base
+        while file_map.base is not None and not isinstance(file_map, np.memmap):
+            file_map = file_map.base
+        assert isinstance(file_map, np.memmap)
+        for arr in (ltree._pts, ltree._group, ltree._local, ltree._lo, ltree._start):
+            assert not arr.flags.writeable and np.shares_memory(arr, file_map)
+        assert ltree._active.flags.writeable  # private activity state
+        assert not np.shares_memory(ltree._active, file_map)
+
+        assert [loaded.search(q).indexes for q in queries] == expected
+        assert ltree.count_many(boxes) == tree.count_many(boxes)
+        assert (len(ltree), ltree.n_active) == (len(tree), tree.n_active)
+        assert np.array_equal(ltree._active, tree._active)
+        assert ltree.activate_group(3) == tree.activate_group(3) > 0
+
+        # The map is read-only, so a write into it would raise: an insert
+        # lands in a private side buffer, and folding that buffer in plants
+        # fresh private arrays.
+        n_loaded = len(ltree)
+        loaded.insert_synopsis(loaded.synopses[0])
+        assert len(ltree) > n_loaded and np.shares_memory(ltree._pts, file_map)
+        ltree._rebuild()
+        assert len(ltree) > n_loaded and ltree._pts.flags.writeable
+        assert not np.shares_memory(ltree._pts, file_map)
+
+
 class TestExecutorAndEngineKinds:
     @pytest.mark.parametrize("engine", BACKENDS)
     def test_executor_round_trip(self, lake, queries, tmp_path, engine):
@@ -276,6 +338,7 @@ class TestExecutorAndEngineKinds:
             eps=EPS,
             sample_size=SAMPLE_SIZE,
         )
+        svc.warm()  # the shard Ptile structures are lazy
         path = tmp_path / "svc.snap"
         svc.save(path, generation=7)
         svc.close()
@@ -284,6 +347,18 @@ class TestExecutorAndEngineKinds:
         assert summary["generation"] == 7
         assert summary["executor"]["n_datasets"] == N_DATASETS
         assert summary["executor"]["engine"] == "columnar"
+        # Where the bytes go: by segment kind, and per dataset.
+        by_kind = summary["bytes_by_kind"]
+        assert sum(by_kind.values()) == summary["data_bytes"]
+        assert list(by_kind.values()) == sorted(by_kind.values(), reverse=True)
+        assert {"mapped_points", "mapped_ids", "mapped_active", "coreset"} <= set(by_kind)
+        assert "node_table" not in by_kind  # columnar has no nodes
+        n_points = by_kind["mapped_active"]  # one bool per mapped point
+        assert by_kind["mapped_ids"] == 8 * n_points  # two int32 columns
+        assert by_kind["mapped_points"] == 8 * (4 * DIM + 2) * n_points
+        per_dataset = summary["bytes_per_dataset"]
+        assert per_dataset["file"] == summary["file_bytes"] // N_DATASETS
+        assert per_dataset["mapped_points"] == by_kind["mapped_points"] // N_DATASETS
 
 
 class TestErrorPaths:
@@ -309,7 +384,7 @@ class TestErrorPaths:
             load(snap)
 
     # 1: pre-bitset-only files; 2: executor state still named a shard pool width
-    @pytest.mark.parametrize("version", [999, 1, 2])
+    @pytest.mark.parametrize("version", [999, 1, 2, 3])
     def test_version_mismatch(self, snap, version):
         blob = bytearray(snap.read_bytes())
         blob[8:12] = struct.pack("<I", version)

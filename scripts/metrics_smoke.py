@@ -48,6 +48,7 @@ REQUIRED_FAMILIES = {
     "repro_cache_misses_total": "counter",
     "repro_plan_cache_hits_total": "counter",
     "repro_cache_resident_bytes": "gauge",
+    "repro_index_bytes": "gauge",
     "repro_datasets_live": "gauge",
     "repro_tombstones": "gauge",
     "repro_delta_shard_depth": "gauge",

@@ -11,7 +11,14 @@ holds the chain itself), that every registered engine class:
   toggles, dynamics, ``to_arrays`` — with a signature the protocol's
   callers can use (same leading parameter names; extra parameters need
   defaults);
-- exposes ``n_active`` and ``supports_insert`` as properties;
+- exposes ``n_active``, ``supports_insert`` and ``nbytes`` (whatever the
+  protocol declares as one) as properties;
+- pairs ``to_arrays`` with a ``from_arrays`` classmethod: the protocol can
+  only declare the instance half of the persistence seam, and
+  ``restore_backend`` calls the class half by name — on whatever arrays
+  the backend chose to persist (the kd-tree's rank codes and level
+  tables, the columnar store's float columns) — so a missing one is found
+  at the first snapshot restore otherwise;
 - is *honest* about ``supports_insert``: an engine listed in
   ``DYNAMIC_ENGINES`` must not hard-code ``return False`` (and vice
   versa — a static engine hard-coding ``True`` advertises mutation it
@@ -45,10 +52,12 @@ def _arg_names(fn: ast.FunctionDef) -> Tuple[List[str], int]:
     return names, len(fn.args.defaults)
 
 
+def _has_decorator(fn: ast.FunctionDef, name: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in fn.decorator_list)
+
+
 def _is_property(fn: ast.FunctionDef) -> bool:
-    return any(
-        isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list
-    )
+    return _has_decorator(fn, "property")
 
 
 def _class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
@@ -221,6 +230,21 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
                         f"({', '.join(proto_args)})"
                     ),
                 )
+        restore = impl.get("from_arrays")
+        if "to_arrays" in impl and (
+            restore is None or not _has_decorator(restore, "classmethod")
+        ):
+            yield Finding(
+                file=path,
+                line=impl["to_arrays"].lineno,
+                rule="backend-protocol",
+                severity="error",
+                message=(
+                    f"{cls_name} (engine {engine!r}) defines to_arrays but no "
+                    "from_arrays classmethod — restore_backend cannot adopt "
+                    "what it persists"
+                ),
+            )
         si = impl.get("supports_insert")
         if si is not None and _is_property(si):
             advertised = _const_bool_return(si)

@@ -17,7 +17,13 @@ and flags inside them:
   ``shelve``, ``marshal``;
 - calling ``np.save``/``np.savez``/``np.savez_compressed``/``np.load``
   or ``<arr>.dump``/``tofile`` — raw array files have neither magic nor
-  version and bypass the container's segment table.
+  version and bypass the container's segment table;
+- registering a segment (``add_array(hint, arr)``) under a hint that is
+  not a plain name: the hint is the segment's *kind* — ``inspect`` groups
+  bytes by it and derives ``bytes_per_mapped_point`` from the
+  ``mapped_*`` / ``node_table`` kinds, and a reference is ``hint#serial``
+  — so it must be a string literal, or a lookup in a module-level table
+  of string literals (the backend-array table), without ``#`` in it.
 
 Mirrors ``wire-schema``: the wire format and the disk format are the two
 schema boundaries other processes (and future versions) depend on.
@@ -56,6 +62,39 @@ def _is_snapshot_module(mod: ModuleInfo) -> bool:
     return False
 
 
+def _literal_tables(tree: ast.Module) -> dict[str, list[ast.expr]]:
+    """Module-level ``NAME = {...}`` dict literals: name -> value nodes."""
+    return {
+        target.id: node.value.values
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _is_plain_hint(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "#" not in node.value
+    )
+
+
+def _bad_hint(call: ast.Call, tables: dict[str, list[ast.expr]]) -> bool:
+    """Whether an ``add_array`` call registers its segment under something
+    other than a plain literal kind."""
+    fn = call.func
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+    if name != "add_array" or not call.args:
+        return False
+    hint = call.args[0]
+    if isinstance(hint, ast.Subscript) and isinstance(hint.value, ast.Name):
+        values = tables.get(hint.value.id)
+        return values is None or not all(_is_plain_hint(v) for v in values)
+    return not _is_plain_hint(hint)
+
+
 def _numpy_aliases(tree: ast.AST) -> set[str]:
     names = {"numpy"}
     for node in ast.walk(tree):
@@ -71,7 +110,16 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
     if not _is_snapshot_module(mod):
         return
     np_names = _numpy_aliases(mod.tree)
+    tables = _literal_tables(mod.tree)
     for node in ast.walk(mod.tree):
+        if isinstance(node, ast.Call) and _bad_hint(node, tables):
+            yield mod.finding(
+                "snapshot-schema",
+                node.lineno,
+                "segment hint must be a string literal (or a lookup in a "
+                "module-level table of them) without '#' — it is the kind "
+                "`inspect` accounts bytes under",
+            )
         if isinstance(node, ast.Import):
             for alias in node.names:
                 root = alias.name.split(".")[0]

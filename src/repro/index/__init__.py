@@ -19,7 +19,8 @@ This subpackage provides that machinery:
   for low mapped dimension.
 - :class:`~repro.index.kd_tree.DynamicKDTree` — the default engine: a
   median-split kd-tree held as flat arrays (tree-ordered column-major
-  points, ``int32`` id columns, a preorder node table with active
+  rank codes — 1–2 bytes per coordinate — with their per-column level
+  tables, ``int32`` id columns, a preorder node table with active
   counters) supporting ``report_first`` over *active* points,
   ``deactivate``/``activate`` per point and per group (the delete/re-insert
   trick of Algorithms 2 and 4), and bulk insertion with amortized rebuilds
@@ -32,7 +33,7 @@ This subpackage provides that machinery:
 All engines implement the :class:`~repro.index.backend.RangeSearchBackend`
 protocol (``report / report_first / report_groups / count / deactivate /
 activate / deactivate_group / activate_group / insert / remove /
-remove_group / to_arrays`` plus the multi-box batch kernels
+remove_group / to_arrays / nbytes`` plus the multi-box batch kernels
 ``report_many / count_many / report_groups_many`` — one shared traversal
 on the kd-tree, one broadcast pass on the columnar store) over integer
 entry ids (see :mod:`repro.index.backend`), so every layer

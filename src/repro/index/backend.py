@@ -28,6 +28,15 @@ The *group* (:func:`group_of`) is the unit Algorithms 2 and 4 work in:
 ``report_groups(box)`` is the set of groups with an active point in the
 box, and "temporarily delete all points of the reported dataset" is
 ``deactivate_group`` — one mask write, not a loop over point ids.
+
+**How a backend stores coordinates is its own business.**  The contract
+speaks only of float points in and ids out; the kd-tree keeps each column
+as 1–2-byte ranks in a sorted level table (:mod:`repro.index.kd_tree` —
+10.2 bytes of coordinates and node boxes per mapped point on the 2-D
+benchmark lake where float64 columns took 80.7, 16.5 against 48.6 on the
+1-D lakes), the columnar store keeps float64 columns because its job is
+O(1) appends.  ``to_arrays`` / ``from_arrays`` carry whichever it is, and
+``nbytes`` reports what it costs.
 """
 
 from __future__ import annotations
@@ -42,12 +51,13 @@ from repro.index.query_box import QueryBox
 #: Default kd-tree leaf size.  A node visit costs about as much dispatch as
 #: scanning a few hundred points, and the multi-box walk stops descending
 #: once ``alive boxes x slice points`` fits one broadcast pass anyway, so
-#: small leaves only multiply the node table (``2k + 3`` numbers per node,
-#: persisted in snapshots).  In-process on the 2-D ``cold_2d`` lake (seed
-#: 2027, 455 k mapped points) at leaf sizes 32 / 64 / 128 / 256 / 512 /
-#: 1024: snapshot 46.3 / 43.5 / 42.1 / 41.4 / 41.0 / 40.9 MB; single-box
-#: ``query`` p50 5.8 / 4.2 / 2.8 / 2.3 / 1.8 / 1.4 ms; Algorithm-4 timed
-#: loop 51 / 41 / 35 / 27 / 22 / 17 ms; batched cold path flat at 10-12 ms.
+#: small leaves only multiply the node table (``2k`` codes + 3 ``int32`` per
+#: node, persisted in snapshots).  In-process on the rank-coded 2-D
+#: ``cold_2d`` lake (seed 2027, 455 k mapped points, 4 shards) at leaf sizes
+#: 32 / 64 / 128 / 256 / 512 / 1024 / 2048: snapshot 9.93 / 9.41 / 9.14 /
+#: 9.01 / 8.95 / 8.92 / 8.90 MB; one shard's single-box ``query`` p50 3.6 /
+#: 2.5 / 1.9 / 1.4 / 0.9 / 0.8 / 0.6 ms; its Algorithm-4 timed loop 30 / 26 /
+#: 20 / 17 / 12 / 11 / 9 ms; batched cold path flat at 6-8 ms.
 DEFAULT_LEAF_SIZE = 512
 
 #: The ``local`` half of a plain (non-pair) integer id.
@@ -91,6 +101,14 @@ def id_keys(group: np.ndarray, local: np.ndarray) -> np.ndarray:
     return (group.astype(np.int64) << 32) | (local.astype(np.int64) & 0xFFFFFFFF)
 
 
+def has_duplicates(keys: np.ndarray) -> bool:
+    """Whether an integer key array repeats a value: one sort and a
+    neighbour compare (``np.unique`` hashes, ~30x slower at 10^5 keys —
+    as much as encoding a shard's columns)."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def reject_duplicates(
     group: np.ndarray, local: np.ndarray, have_group: np.ndarray, have_local: np.ndarray
 ) -> None:
@@ -103,7 +121,7 @@ def reject_duplicates(
     keys = id_keys(group, local)
     clash = np.isin(have_group, np.unique(group))
     have = id_keys(have_group[clash], have_local[clash])
-    if np.unique(keys).size != keys.size or np.isin(keys, have).any():
+    if has_duplicates(keys) or np.isin(keys, have).any():
         raise KeyError("duplicate entry id in insert batch")
 
 
@@ -162,6 +180,13 @@ class RangeSearchBackend(Protocol):
     @property
     def supports_insert(self) -> bool:
         """Whether ``insert``/``remove`` are usable on this backend."""
+        ...
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the backend holds in arrays — the operator's view of the
+        space bound's constant (``/stats`` sums it over built shards).
+        Reads sizes only: no lock, no build, no copy."""
         ...
 
     def report(self, box: QueryBox) -> list:

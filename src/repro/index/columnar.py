@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.index.backend import (
     entry_ids,
+    has_duplicates,
     id_columns,
     id_keys,
     reject_duplicates,
@@ -77,7 +78,7 @@ class ColumnarStore:
             raise ValueError("points must be a non-empty (n, k) array")
         n = pts.shape[0]
         group, local = id_columns(ids, n)
-        if np.unique(id_keys(group, local)).size != n:
+        if has_duplicates(id_keys(group, local)):
             raise ValueError("ids must be unique")
         self._adopt(np.array(pts.T, order="C"), group, local, np.ones(n, dtype=bool))
 
@@ -147,6 +148,12 @@ class ColumnarStore:
     @property
     def supports_insert(self) -> bool:
         return True
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in arrays (spare append capacity included)."""
+        own = (self._cols, self._group, self._local, self._active, self._dead)
+        return sum(a.nbytes for a in own)
 
     # ------------------------------------------------------------------
     # Activation and dynamics

@@ -17,17 +17,42 @@ weights are appended as coordinates).  It implements the
   dynamic-synopsis remarks, via a side buffer with amortized full rebuilds
   (logarithmic-rebuilding in the style of Overmars [47]).
 
-**Everything is a flat array.**  Bytes per mapped point are the constant
-of the paper's Õ(N) space bound, so the tree keeps no Python object per
-point or per node: points sit in tree order, column-major (each
-coordinate of a node's slice is one contiguous run — what the per-column
-containment kernel reads), beside ``int32`` group / local id columns and
-bool active / dead masks; nodes are rows of a preorder table — slice
-bounds, bounding box, active counter, right-child index (the left child
-of node ``i`` is ``i + 1``).  The side buffer is a
-:class:`~repro.index.columnar.ColumnarStore`.  ``to_arrays`` hands out
-exactly these arrays and ``from_arrays`` adopts them, so a snapshot
-restore builds no tree.
+**Everything is a flat array, and the main tree stores ranks, not
+coordinates.**  Bytes per mapped point are the constant of the paper's
+Õ(N) space bound, and every mapped coordinate is drawn from a tiny
+alphabet (coreset coordinates plus the bounding box per axis, ``count/s ±
+delta`` for the weights), so :func:`_encode` factors each column into a
+sorted float64 *level table* plus the rank of every point in it, in the
+smallest unsigned dtype that holds the longest table (``uint8`` below 257
+levels, then ``uint16``, ``uint32`` — read off the data, there is no
+float tree).  Orthant containment only ever compares, and ranks preserve
+every comparison, so answers are identical: a query translates its closed
+effective bounds into closed rank bounds once per call
+(:meth:`QueryBox.coded <repro.index.query_box.QueryBox.coded>`, two
+``searchsorted`` per constrained column) and the walk, the bbox prunes and
+the containment kernel run on the integers.  Codes sit in tree order,
+column-major (each coordinate of a node's slice is one contiguous run —
+what the per-column kernel reads), beside ``int32`` group / local id
+columns and bool active / dead masks; nodes are rows of a preorder table —
+slice bounds, bounding box *in code space*, active counter, right-child
+index (the left child of node ``i`` is ``i + 1``).  Coordinates + node
+boxes per mapped point on the four benchmark lakes (seed 2027, 4 shards,
+float64 columns before → codes and level tables now): ``cold_2d`` 80.7 →
+10.2 B (``uint8``, at most 186 levels a column), ``warm_point`` 48.6 →
+16.5 B (``uint16``, 5 678 levels), ``ingest_churn`` 48.6 → 16.6 B,
+``federated_batch`` 48.5 → 16.4 B.  Tables are per column rather than one
+shared by all columns of a shard: sharing would save table bytes on the
+1-D lakes (2.8 → 2.2 MB on ``warm_point``) but needs two-byte codes where
+one does (4.6 → 9.2 MB on ``cold_2d``); 9.6 against 13.2 MB over the four.
+
+The side buffer is a float :class:`~repro.index.columnar.ColumnarStore`
+queried with the original box — appends must stay O(1), and a new level
+would re-code the whole store; :meth:`DynamicKDTree._rebuild` decodes the
+live main rows, appends the buffer and re-encodes, so new levels
+interleave the old ones at the amortised cost inserts already paid.
+``to_arrays`` hands out codes, level tables, id columns and node table
+and ``from_arrays`` adopts them, so a snapshot restore builds no tree and
+decodes nothing.
 
 Median splits keep the tree balanced: depth is ``O(log n)`` and the classic
 kd-tree analysis gives ``O(n^{1-1/k} + OUT)`` worst-case reporting, while
@@ -45,6 +70,7 @@ import numpy as np
 from repro.index.backend import (
     DEFAULT_LEAF_SIZE,
     entry_ids,
+    has_duplicates,
     id_columns,
     id_keys,
     reject_duplicates,
@@ -61,15 +87,39 @@ MIN_BUFFER_FOR_REBUILD = 64
 #: In the multi-box walk, stop descending and broadcast-test a node's
 #: contiguous point slice directly once ``alive boxes x slice points``
 #: falls under this budget: one vectorized containment pass is cheaper
-#: than the Python node visits a deeper descent would cost.  Measured
-#: with the per-column containment kernel, in-process ``search_batch`` p50
-#: over 60 cold batches of the benchmark's lakes (seed 2027, 4 shards,
-#: 2-vCPU host, each value twice in one process): 2-D ``cold_2d`` read
-#: 29/27 ms at 2048, 21/22 at 8192, 20/20 at 16384, 18/17 at 32768, 20/20
-#: at 65536 and 32/34 at 131072; the 1-D ``ingest_churn`` lake 22/18,
-#: 18/14, 15/15, 13/13, 12/12 and 13/12.  Seed 4242 agrees (16–18 ms at
-#: 32768 against 20–23 at 8192 and 21–22 at 65536).
+#: than the Python node visits a deeper descent would cost.  Measured on
+#: the rank-coded tree (integer containment kernel), in-process
+#: ``search_batch`` p50 over 60 cold batches of the benchmark's lakes (seed
+#: 2027, 4 shards, 2-vCPU host, each value twice in one process): 2-D
+#: ``cold_2d`` (``uint8`` codes) read 15.6/15.2 ms at 2048, 10.5/9.9 at
+#: 8192, 7.8/7.7 at 16384, 6.6/6.2 at 32768, 5.8/6.3 at 65536, 5.5/5.3 at
+#: 131072 and 5.9/5.6 at 262144; the 1-D ``ingest_churn`` lake (``uint16``)
+#: 9.0/9.3, 7.6/7.4, 6.9/6.1, 5.9/6.4, 6.7/6.9, 6.9/7.0 and 6.3/6.4.  Seed
+#: 4242 agrees (6.4/6.6 ms at 32768 against 9.9/10.0 at 8192, 6.1/5.9 at
+#: 65536 and 7.1/5.6 at 131072).  A byte-wide column pass is cheaper than
+#: the float one was, so the curve is now flat from 32768 to 131072 where
+#: it used to turn up at 65536; the value stays at the start of the flat.
 MULTIBOX_BROADCAST_CUTOFF = 32768
+
+
+def _encode(cols: Iterable[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Factor ``k`` float columns of ``n`` points into ``(k, n)`` rank codes
+    and the ``k`` sorted level tables they index.
+
+    One dtype for the whole code matrix — the smallest unsigned one that
+    holds the longest table — so a node's slice stays one ``(L, k)`` array
+    for the containment kernel.  Each column's ranks are narrowed as soon
+    as they are known: no second ``(k, n)`` 8-byte matrix is ever live.
+    """
+    tables, ranks = [], []
+    for col in cols:
+        table, inverse = np.unique(col, return_inverse=True)
+        tables.append(table)
+        ranks.append(inverse.astype(np.min_scalar_type(table.size - 1)))
+    codes = np.empty((len(ranks), ranks[0].size), dtype=np.result_type(*ranks))
+    for j, column in enumerate(ranks):
+        codes[j] = column
+    return codes, tables
 
 
 class DynamicKDTree:
@@ -106,11 +156,11 @@ class DynamicKDTree:
             raise ValueError("leaf_size must be >= 1")
         n = pts.shape[0]
         group, local = id_columns(ids, n)
-        if np.unique(id_keys(group, local)).size != n:
+        if has_duplicates(id_keys(group, local)):
             raise ValueError("ids must be unique")
         self.dim = int(pts.shape[1])
         self._leaf_size = leaf_size
-        self._build(np.array(pts.T, order="C"), group, local, np.ones(n, dtype=bool))
+        self._build(pts.T, group, local, np.ones(n, dtype=bool))
 
     # ------------------------------------------------------------------
     # Construction
@@ -118,19 +168,23 @@ class DynamicKDTree:
     def _build(
         self, cols: np.ndarray, group: np.ndarray, local: np.ndarray, active: np.ndarray
     ) -> None:
-        """Plant the main tree over private ``(k, n)`` columns, in place.
+        """Encode ``(k, n)`` float columns and plant the main tree over the
+        codes.
 
-        ``cols`` is permuted so that every node owns a contiguous column
-        slice ``[start, end)``; nodes are numbered in preorder (an explicit
-        stack pushes the right half under the left one), so the left child
-        of node ``i`` is ``i + 1`` and only the right child is recorded.
+        The code matrix is permuted in place so that every node owns a
+        contiguous column slice ``[start, end)``; nodes are numbered in
+        preorder (an explicit stack pushes the right half under the left
+        one), so the left child of node ``i`` is ``i + 1`` and only the
+        right child is recorded.  Splits are on the column whose slice
+        spans the most ranks, at the median rank.
         """
-        n = cols.shape[1]
+        codes, tables = _encode(cols)
+        n = codes.shape[1]
         # A node splits only above leaf_size, so no leaf is smaller than
         # half of it (rounded down, but at least one point).
         cap = 2 * (n // max(1, (self._leaf_size + 1) // 2)) + 1
         span = np.zeros((3, cap), dtype=np.int32)  # start, end, right child
-        box = np.empty((2, cap, self.dim))  # lo, hi
+        box = np.empty((2, cap, self.dim), dtype=codes.dtype)  # lo, hi
         perm = np.arange(n)
         stack = [(0, n, -1)]
         m = 0
@@ -138,33 +192,35 @@ class DynamicKDTree:
             start, end, parent = stack.pop()
             if parent >= 0:
                 span[2, parent] = m
-            seg = cols[:, start:end]
+            seg = codes[:, start:end]
             lo, hi = seg.min(axis=1), seg.max(axis=1)
             span[0, m], span[1, m] = start, end
             box[0, m], box[1, m] = lo, hi
             if end - start > self._leaf_size:
                 mid = (end - start) // 2
                 part = np.argpartition(seg[int(np.argmax(hi - lo))], mid)
-                cols[:, start:end] = seg[:, part]
+                codes[:, start:end] = seg[:, part]
                 perm[start:end] = perm[start:end][part]
                 stack.append((start + mid, end, m))
                 stack.append((start, start + mid, -1))
             m += 1
         self._adopt(
-            cols, group[perm], local[perm], active[perm],
+            codes, tables, group[perm], local[perm], active[perm],
             span[:, :m].copy(), box[:, :m].copy(),
         )
 
     def _adopt(
         self,
-        cols: np.ndarray,
+        codes: np.ndarray,
+        tables: list[np.ndarray],
         group: np.ndarray,
         local: np.ndarray,
         active: np.ndarray,
         span: np.ndarray,
         box: np.ndarray,
     ) -> None:
-        self._pts = cols.T  # (n, k), column-major
+        self._pts = codes.T  # (n, k) rank codes, column-major
+        self._tables = tables  # per column: sorted float64 levels
         self._group = group
         self._local = local
         self._active = active
@@ -172,7 +228,7 @@ class DynamicKDTree:
         self._n_dead = 0
         self._span = span
         self._start, self._end, self._right = span
-        self._box = box
+        self._box = box  # in code space
         self._lo, self._hi = box
         cum = np.concatenate(([0], np.cumsum(active)))
         self._count = cum[self._end] - cum[self._start]
@@ -182,34 +238,63 @@ class DynamicKDTree:
     def from_arrays(
         cls, arrays: Mapping[str, np.ndarray], leaf_size: int = DEFAULT_LEAF_SIZE
     ) -> "DynamicKDTree":
-        """A tree over its own :meth:`to_arrays`: no build, no copy.
+        """A tree over its own :meth:`to_arrays`: no build, no decode, no copy.
 
-        Points, id columns and node table may be read-only maps of a
-        snapshot file: queries only read them, inserts land in the side
-        buffer and a rebuild plants fresh arrays.  Private: the active
-        mask and the node counters derived from it.
+        Codes, level tables, id columns and node table may be read-only
+        maps of a snapshot file: queries only read them, inserts land in
+        the side buffer and a rebuild plants fresh arrays.  Private: the
+        active mask and the node counters derived from it.
+
+        The arrays come from outside the process, so everything a later
+        query or rebuild would index with is checked here — ``ValueError``
+        for a code beyond its column's table, node boxes beyond it, a
+        table that is not strictly increasing float64 (unsorted,
+        duplicated, NaN) or code columns that are not unsigned.
         """
-        cols, span, box = arrays["points"], arrays["node_span"], arrays["node_box"]
+        codes, levels, starts = arrays["codes"], arrays["levels"], arrays["level_start"]
+        span, box = arrays["node_span"], arrays["node_box"]
         group, local = arrays["group"], arrays["local"]
         active = np.array(arrays["active"], dtype=bool)
         if (
-            cols.ndim != 2
-            or not group.shape == local.shape == active.shape == cols.shape[1:]
+            codes.ndim != 2
+            or codes.dtype.kind != "u"
+            or not group.shape == local.shape == active.shape == codes.shape[1:]
             or span.ndim != 2
             or span.shape[0] != 3
-            or box.shape != (2, span.shape[1], cols.shape[0])
-            or tuple(span[:2, :1].ravel()) != (0, cols.shape[1])
+            or box.shape != (2, span.shape[1], codes.shape[0])
+            or box.dtype != codes.dtype
+            or tuple(span[:2, :1].ravel()) != (0, codes.shape[1])
         ):
             raise ValueError("backend arrays do not describe one kd-tree")
+        if (
+            levels.dtype != np.float64
+            or levels.ndim != 1
+            or starts.dtype.kind not in "iu"
+            or starts.shape != (codes.shape[0] + 1,)
+            or starts[0] != 0
+            or starts[-1] != levels.size
+            or (np.diff(starts) < 1).any()
+        ):
+            raise ValueError("level tables do not match the code columns")
+        rising = np.diff(levels) > 0
+        rising[starts[1:-1] - 1] = True  # one table ends, the next begins
+        if np.isnan(levels).any() or not rising.all():
+            raise ValueError("level tables must be strictly increasing and NaN-free")
+        top = np.diff(starts) - 1
+        if (codes.max(axis=1) > top).any() or (box > top).any():
+            raise ValueError("a code or node box exceeds its column's level count")
         tree = cls.__new__(cls)
-        tree.dim = int(cols.shape[0])
+        tree.dim = int(codes.shape[0])
         tree._leaf_size = leaf_size
-        tree._adopt(cols, group, local, active, span, box)
+        tables = [levels[a:b] for a, b in zip(starts[:-1], starts[1:])]
+        tree._adopt(codes, tables, group, local, active, span, box)
         return tree
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """The tree's own arrays (``points`` as ``(k, n)`` columns in tree
-        order, id columns, a copy of the active mask, the node table).
+        """The tree's own arrays: ``codes`` as ``(k, n)`` columns in tree
+        order, the level tables end to end (``levels``, column ``j``'s at
+        ``level_start[j]:level_start[j + 1]``), id columns, a copy of the
+        active mask, the node table (boxes in code space).
 
         Buffered or removed points are folded in by a rebuild first —
         invisible to queries, and what the next large insert would do.
@@ -217,13 +302,26 @@ class DynamicKDTree:
         if self._buf is not None or self._n_dead:
             self._rebuild()
         return {
-            "points": self._pts.T,
+            "codes": self._pts.T,
+            "levels": np.concatenate(self._tables),
+            "level_start": np.cumsum([0] + [t.size for t in self._tables]),
             "group": self._group,
             "local": self._local,
             "active": self._active.copy(),
             "node_span": self._span,
             "node_box": self._box,
         }
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in arrays: codes, level tables, id columns, masks,
+        node table, side buffer."""
+        buf = self._buf
+        own = (
+            self._pts, *self._tables, self._group, self._local, self._active,
+            self._dead, self._span, self._box, self._count,
+        )
+        return sum(a.nbytes for a in own) + (buf.nbytes if buf is not None else 0)
 
     def __len__(self) -> int:
         buffered = len(self._buf) if self._buf is not None else 0
@@ -352,16 +450,21 @@ class DynamicKDTree:
         return self._bury(np.flatnonzero(self._group_rows(group))) + buffered
 
     def _rebuild(self) -> None:
-        """Replant the main tree over its live rows plus the side buffer."""
+        """Replant the main tree over its live rows plus the side buffer:
+        decode, append, re-encode (buffered values become new levels
+        wherever they fall between the old ones)."""
         parts = [
-            (self._live(self._pts).T, self._live(self._group),
-             self._live(self._local), self._live(self._active))
+            (
+                np.stack([t[c] for t, c in zip(self._tables, self._live(self._pts).T)]),
+                self._live(self._group), self._live(self._local),
+                self._live(self._active),
+            )
         ]
         if self._buf is not None:
             buf = self._buf.to_arrays()
             parts.append((buf["points"], buf["group"], buf["local"], buf["active"]))
         cols, group, local, active = (np.concatenate(c, axis=-1) for c in zip(*parts))
-        self._build(np.ascontiguousarray(cols), group, local, active)
+        self._build(cols, group, local, active)
 
     # ------------------------------------------------------------------
     # Queries
@@ -380,31 +483,29 @@ class DynamicKDTree:
             return np.arange(start, end)
         return start + np.flatnonzero(self._active[start:end])
 
-    def _hit_rows(self, node: int, box: QueryBox) -> np.ndarray:
-        """Row indexes of a node's active points inside the box."""
-        start, end = self._slice(node)
-        mask = box.contains_points(self._pts[start:end])
-        mask &= self._active[start:end]
-        return start + np.flatnonzero(mask)
-
     def _ids_at(self, rows: np.ndarray) -> list:
         return entry_ids(self._group[rows], self._local[rows])
 
     def _visit(self, box: QueryBox):
-        """The pruned single-box descent: yields ``(node, full)`` for every
-        maximal node with active points whose bbox the box contains
-        (``full``) and every leaf it merely intersects."""
+        """The pruned single-box descent, in code space: yields ``(node,
+        None)`` for every maximal node with active points whose bbox the
+        box contains, and ``(leaf, rows)`` — the leaf's active rows inside
+        the box — for every leaf it merely intersects."""
         self._check_box(box)
-        stack = [0]
+        coded = box.coded(self._tables, self._pts.dtype)
+        stack = [0] if coded is not None else []
         while stack:
             node = stack.pop()
             lo, hi = self._lo[node], self._hi[node]
-            if self._count[node] == 0 or not box.intersects_bbox(lo, hi):
+            if self._count[node] == 0 or not coded.intersects_bbox(lo, hi):
                 continue
-            if box.contains_bbox(lo, hi):
-                yield node, True
+            if coded.contains_bbox(lo, hi):
+                yield node, None
             elif self._right[node] == 0:
-                yield node, False
+                start, end = self._slice(node)
+                mask = coded.contains_points(self._pts[start:end])
+                mask &= self._active[start:end]
+                yield node, start + np.flatnonzero(mask)
             else:
                 stack.append(node + 1)
                 stack.append(int(self._right[node]))
@@ -412,8 +513,8 @@ class DynamicKDTree:
     def _rows(self, box: QueryBox) -> np.ndarray:
         """Main-tree row indexes of the active points inside the box."""
         chunks = [
-            self._active_rows(node) if full else self._hit_rows(node, box)
-            for node, full in self._visit(box)
+            self._active_rows(node) if hits is None else hits
+            for node, hits in self._visit(box)
         ]
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
 
@@ -424,12 +525,10 @@ class DynamicKDTree:
 
     def report_first(self, box: QueryBox):
         """One arbitrary active point id inside the box, or None."""
-        for node, full in self._visit(box):
-            if full:
+        for node, hits in self._visit(box):
+            if hits is None:  # count > 0: the slice has an active point
                 start, end = self._slice(node)
                 hits = np.array([start + np.argmax(self._active[start:end])])
-            else:
-                hits = self._hit_rows(node, box)
             if hits.size:
                 return self._ids_at(hits[:1])[0]
         return self._buf.report_first(box) if self._buf is not None else None
@@ -443,8 +542,8 @@ class DynamicKDTree:
         """Number of active points inside the box (node counters where a
         whole bbox is inside, masks at the leaves)."""
         total = sum(
-            int(self._count[node]) if full else self._hit_rows(node, box).size
-            for node, full in self._visit(box)
+            int(self._count[node]) if hits is None else hits.size
+            for node, hits in self._visit(box)
         )
         return total + self._buf.count(box) if self._buf is not None else total
 
@@ -467,8 +566,10 @@ class DynamicKDTree:
             self._check_box(box)
         if not boxes:
             return
-        batch = BoxBatch(boxes)
-        stack = [(0, np.arange(len(boxes)))]
+        # Boxes that admit no level of some column drop out here; ``keep``
+        # maps the coded batch's rows back to the caller's box indexes.
+        batch, keep = BoxBatch(boxes).coded(self._tables, self._pts.dtype)
+        stack = [(0, np.arange(keep.size))]
         while stack:
             node, alive = stack.pop()
             if self._count[node] == 0:
@@ -479,7 +580,7 @@ class DynamicKDTree:
                 continue
             full = batch.contains_bbox(lo, hi, alive)
             if full.any():
-                on_full(node, alive[full])
+                on_full(node, keep[alive[full]])
                 alive = alive[~full]
                 if alive.size == 0:
                     continue
@@ -490,7 +591,7 @@ class DynamicKDTree:
             ):
                 inside = batch.contains_points(self._pts[start:end], alive)
                 inside &= self._active[start:end][None, :]
-                on_scan(start, inside, alive)
+                on_scan(start, inside, keep[alive])
             else:
                 stack.append((node + 1, alive))
                 stack.append((int(self._right[node]), alive))

@@ -12,12 +12,19 @@ bounds* that are exact over the doubles: ``x > a`` holds iff
 arrays only, and skips a side no box constrains — an orthant query
 constrains each coordinate on exactly one side.  Points are assumed
 NaN-free (every backend validates or generates them so).
+
+Containment only ever *compares*, so it survives any order-preserving
+recoding of the coordinates: the kd-tree stores each column as ranks in a
+sorted level table, and :meth:`QueryBox.coded` / :meth:`BoxBatch.coded`
+translate the closed effective bounds into closed rank bounds
+(:func:`_code_bounds`).  The predicates and the one kernel below then run
+unchanged on small unsigned integers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +71,7 @@ def _contains_points(
     scratch matrix.  Columns are read as ``points[:, j]``, so a
     column-major point matrix is scanned contiguously.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
     shape = (bounds[0].shape[0], pts.shape[0])
     if not sides:
         return np.ones(shape, dtype=bool)
@@ -77,6 +84,35 @@ def _contains_points(
             ok &= scratch
         out = scratch
     return ok
+
+
+def _code_bounds(
+    elo: np.ndarray, ehi: np.ndarray, sides: list, tables: Sequence[np.ndarray], dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed ``(q, k)`` float bounds as closed bounds on *ranks*.
+
+    ``tables[j]`` is column ``j``'s sorted level table and a stored code is
+    its level's rank, so with ``clo`` the first level ``>= elo`` and ``chi``
+    the last level ``<= ehi``, ``clo <= code <= chi`` iff ``elo <= level <=
+    ehi`` — exactly; nothing is rounded.  Only the constrained ``sides``
+    are searched, the rest keep their free value (rank 0 / the top rank).
+
+    Returns ``(clo, chi, keep)``: bounds in the code ``dtype`` for the rows
+    ``keep`` that still admit some level of every column.  A row that
+    admits none — an open-at-own-infinity NaN bound included — has no
+    representation in an unsigned dtype and is dropped instead.
+    """
+    clo = np.zeros(elo.shape, dtype=np.intp)
+    chi = np.empty(ehi.shape, dtype=np.intp)
+    chi[:] = [table.size - 1 for table in tables]
+    for j, _compare, side in sides:
+        if side == 0:
+            clo[:, j] = np.searchsorted(tables[j], elo[:, j], side="left")
+        else:
+            chi[:, j] = np.searchsorted(tables[j], ehi[:, j], side="right") - 1
+    dead = (clo > chi) | np.isnan(elo) | np.isnan(ehi)
+    keep = np.flatnonzero(~dead.any(axis=1))
+    return clo[keep].astype(dtype), chi[keep].astype(dtype), keep
 
 
 class QueryBox:
@@ -142,12 +178,35 @@ class QueryBox:
         p = np.asarray(point, dtype=float)
         return bool(np.all(p >= self.elo) and np.all(p <= self.ehi))
 
+    def _constrained(self) -> list:
+        """This box's constrained sides, found on first use (a box that
+        only ever joins a :class:`BoxBatch` never pays for them)."""
+        if self._sides is None:
+            self._sides = _constrained_sides(self.elo[None], self.ehi[None])
+        return self._sides
+
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an ``(n, k)`` array of points."""
         bounds = (self.elo[None], self.ehi[None])
-        if self._sides is None:  # a box that only ever joins a BoxBatch skips this
-            self._sides = _constrained_sides(*bounds)
-        return _contains_points(points, bounds, self._sides)[0]
+        return _contains_points(points, bounds, self._constrained())[0]
+
+    def coded(self, tables: Sequence[np.ndarray], dtype) -> Optional["QueryBox"]:
+        """This box over rank-coded columns: the closed box on codes that
+        admits exactly the levels this one admits (:func:`_code_bounds`),
+        or None when no level of some column qualifies."""
+        sides = self._constrained()
+        clo, chi, keep = _code_bounds(
+            self.elo[None], self.ehi[None], sides, tables, dtype
+        )
+        if keep.size == 0:
+            return None
+        box = QueryBox.__new__(QueryBox)
+        box.lo = box.elo = clo[0]
+        box.hi = box.ehi = chi[0]
+        box.lo_open = box.hi_open = np.zeros(self.dim, dtype=bool)
+        box.dim = self.dim
+        box._sides = sides
+        return box
 
     # ------------------------------------------------------------------
     # Bounding-box tests (used by tree traversals for pruning)
@@ -203,6 +262,21 @@ class BoxBatch:
         self.elo = np.stack([box.elo for box in boxes])
         self.ehi = np.stack([box.ehi for box in boxes])
         self._sides = _constrained_sides(self.elo, self.ehi)
+
+    def coded(
+        self, tables: Sequence[np.ndarray], dtype
+    ) -> tuple["BoxBatch", np.ndarray]:
+        """This batch over rank-coded columns (:func:`_code_bounds`), and
+        the indexes of the boxes it keeps — the ones that admit no level
+        of some column are left out, so the coded batch may be empty."""
+        batch = BoxBatch.__new__(BoxBatch)
+        batch.elo, batch.ehi, keep = _code_bounds(
+            self.elo, self.ehi, self._sides, tables, dtype
+        )
+        batch.dim = self.dim
+        batch.n_boxes = int(keep.size)
+        batch._sides = self._sides
+        return batch, keep
 
     def _bounds(self, rows) -> tuple[np.ndarray, np.ndarray]:
         if rows is None:

@@ -117,6 +117,12 @@ class RangeTree:
         would need rebuilding every associated structure."""
         return False
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the coordinate arrays alone: the nodes, id list and
+        associated structures are Python objects no array sum sees."""
+        return self._keys.nbytes + self._rest.nbytes
+
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
         """Unsupported — the textbook range tree is static."""
         raise CapabilityError(

@@ -656,6 +656,9 @@ class ServiceObservability:
          lambda s: s["n_removed"]),
         ("repro_delta_shard_depth", "Datasets in the append-only delta shard.",
          lambda s: s["delta_size"]),
+        ("repro_index_bytes",
+         "Array bytes held by the built shard range-search backends.",
+         lambda s: s["executor"]["index_bytes"]),
         ("repro_cache_resident_bytes",
          "Estimated heap bytes held by cached leaf answers.",
          lambda s: s["cache"]["resident_bytes"]),

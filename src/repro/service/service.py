@@ -203,7 +203,9 @@ class QueryService:
         collection pass that backs the Prometheus ``/metrics`` rendering,
         so the two views can never disagree.  ``cache.resident_bytes`` is
         the estimated heap footprint of the cached leaf answers — the
-        number to watch for warm-path memory regressions.
+        number to watch for warm-path memory regressions — and
+        ``executor.index_bytes`` the array bytes of the built shard
+        backends, the constant of the index's space bound as it is paid.
         """
         return self.observability.snapshot()
 

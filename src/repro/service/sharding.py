@@ -760,10 +760,20 @@ class ShardedBatchExecutor:
         """Datasets per base shard (the delta shard is reported separately)."""
         return [len(s) for s in self.shards]
 
+    def index_bytes(self) -> int:
+        """Array bytes held by the built shard backends (a lazy shard that
+        has not been built counts 0 and stays unbuilt).  Reads sizes only,
+        under no shard lock: a momentary view while a shard rebuilds."""
+        indexes = [engine._ptile for engine, _mapping, _lock in self._units()]
+        return sum(index._tree.nbytes for index in indexes if index is not None)
+
     def stats_snapshot(self) -> dict:
-        """A consistent copy of the counters (taken under the stats lock)."""
+        """A consistent copy of the counters (taken under the stats lock),
+        plus ``index_bytes`` (read outside it)."""
         with self._stats_lock:
-            return dict(self.stats)
+            out = dict(self.stats)
+        out["index_bytes"] = self.index_bytes()
+        return out
 
     def save(self, path: str | os.PathLike[str], generation: int = 0) -> dict:
         """Persist the executor (shard engines, delta shard, tombstones)

@@ -1,10 +1,10 @@
 """Versioned single-file engine snapshots: mmap cold starts.
 
-Every piece of built serving state is already a flat array — the range
-backends' column-major mapped points (``R^{4d+2}``), id columns, masks and
-kd node tables, coreset samples, packed ``DatasetBitmap`` words, raw
-repository datasets — so a cold start does not have to *rebuild* any of
-it: this module persists
+Every piece of built serving state is already a flat array — the kd
+backends' rank-coded mapped points (``R^{4d+2}``, one or two bytes per
+coordinate) with their level tables, id columns, masks and node tables,
+coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
+so a cold start does not have to *rebuild* any of it: this module persists
 a whole engine (:class:`~repro.core.engine.DatasetSearchEngine`,
 :class:`~repro.service.sharding.ShardedBatchExecutor`, or a full
 :class:`~repro.service.service.QueryService`) into one container file and
@@ -12,7 +12,7 @@ reconstructs it with ``np.memmap``-backed buffers, skipping the coreset
 draws, the maximal-pair rectangle enumeration and the kd-tree build
 entirely.
 
-Container format (version 4)
+Container format (version 5)
 ----------------------------
 ::
 
@@ -30,11 +30,15 @@ supervisor bumps on ingest), ``state`` (nested scalars and segment
 references), and ``arrays`` — the segment table mapping each reference to
 ``{offset, dtype, shape}`` relative to the data section.  Equal array
 *objects* are written once (deduplicated by identity), so a repository
-dataset shared with its ``ExactSynopsis`` costs one segment.  Version 4
-stores each Ptile backend as its own ``to_arrays()`` (points as ``(k, n)``
-columns in storage order, ``int32`` id columns, the active mask and, for
-the kd-tree, its node table) in place of a row-major matrix plus an
-``(n, 2)`` int64 id matrix; older files are refused, not migrated.
+dataset shared with its ``ExactSynopsis`` costs one segment.  Each Ptile
+backend is stored as its own ``to_arrays()``: for the kd-tree, ``(k, n)``
+unsigned rank codes in tree order (``mapped_codes``), the per-column
+float64 level tables they index (``mapped_levels``), ``int32`` id columns,
+the active mask and the node table with its boxes in code space — version
+4 stored the same points as ``(k, n)`` float64 (``mapped_points``, still
+what the columnar store and the range tree persist), 8 bytes per
+coordinate against 1–2.  A Ptile index's coresets are one ``(N, s, d)``
+segment, not ``N``.  Older files are refused, not migrated.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -86,7 +90,7 @@ from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
 
 MAGIC = b"REPROSNP"
-VERSION = 4
+VERSION = 5
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -316,6 +320,9 @@ def _restore_rng(state: dict) -> np.random.Generator:
 #: Segment hint (the kind ``inspect`` groups bytes by) of each backend array.
 _BACKEND_HINTS = {
     "points": "mapped_points",
+    "codes": "mapped_codes",
+    "levels": "mapped_levels",
+    "level_start": "mapped_levels",
     "group": "mapped_ids",
     "local": "mapped_ids",
     "active": "mapped_active",
@@ -326,6 +333,12 @@ _BACKEND_HINTS = {
 
 def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
     keys = index.keys
+    # Every coreset is (sample_size, dim): one (N, s, d) segment, not N of
+    # them at 64 bytes of padding and ~180 of header each.
+    try:
+        coresets = np.stack([index._coresets[k] for k in keys])
+    except ValueError as exc:
+        raise SnapshotError(f"coresets are not uniformly shaped ({exc})") from exc
     return {
         "eps": float(index.eps),
         "eps_effective": float(index.eps_effective),
@@ -337,11 +350,12 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         "next_key": int(index._next_key),
         "keys": [int(k) for k in keys],
         "deltas": [float(index._deltas[k]) for k in keys],
-        "coresets": [add_array("coreset", index._coresets[k]) for k in keys],
+        "coresets": add_array("coreset", coresets),
         "bounding_box": _box_state(index.bounding_box),
         "rng": _rng_state(index._rng),
-        # ``points`` is a (k, n) C-contiguous segment: add_array's
-        # ascontiguousarray would silently undo an F-order (n, k) matrix.
+        # ``codes`` / ``points`` are (k, n) C-contiguous segments:
+        # add_array's ascontiguousarray would silently undo an F-order
+        # (n, k) matrix.
         "backend": {
             name: add_array(_BACKEND_HINTS[name], arr)
             for name, arr in index._tree.to_arrays().items()
@@ -371,11 +385,13 @@ def _ptile_from_state(
     index.bounding_box = _box_from(state["bounding_box"])
     index._synopses = {k: synopses[k] for k in keys}
     index._deltas = {k: float(d) for k, d in zip(keys, state["deltas"])}
-    index._coresets = {
-        k: np.asarray(arrays[ref]) for k, ref in zip(keys, state["coresets"])
-    }
-    # Zero-copy on kd and columnar: points, id columns and node table stay
-    # the file-backed buffers (the range tree re-plants its nodes).
+    coresets = np.asarray(arrays[state["coresets"]])
+    if coresets.ndim != 3 or coresets.shape[0] != len(keys):
+        raise SnapshotError("ptile coreset segment does not match the key list")
+    index._coresets = dict(zip(keys, coresets))  # views of the one segment
+    # Zero-copy on kd and columnar: codes / points, level tables, id
+    # columns and node table stay the file-backed buffers (the range tree
+    # re-plants its nodes).  from_arrays validates what it adopts.
     try:
         index._tree = restore_backend(
             {name: arrays[ref] for name, ref in state["backend"].items()},
@@ -835,4 +851,19 @@ def inspect(path: PathLike) -> dict:
         kind: nbytes // n_datasets
         for kind, nbytes in [("file", out["file_bytes"]), *out["bytes_by_kind"].items()]
     }
+    # The constant of the paper's space bound, as stored: the whole file
+    # and the backend segments alone (codes / points, level tables, ids,
+    # active mask, node table), per mapped point — of which the active
+    # masks hold one byte each.
+    n_points = by_kind.get("mapped_active", 0)
+    index_bytes = sum(by_kind.get(kind, 0) for kind in set(_BACKEND_HINTS.values()))
+    out["n_mapped_points"] = n_points
+    out["bytes_per_mapped_point"] = (
+        {
+            "file": round(out["file_bytes"] / n_points, 2),
+            "index": round(index_bytes / n_points, 2),
+        }
+        if n_points
+        else None
+    )
     return out

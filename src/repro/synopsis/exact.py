@@ -8,6 +8,14 @@ from repro.geometry.rectangle import Rectangle
 from repro.synopsis.base import Synopsis
 
 
+#: ``score_batch`` projects at most this many (point, direction) pairs at a
+#: time (8 MB of float64: stays in a last-level cache, still amortises the
+#: matmul), in whole groups of ``SCORE_BLOCK_ALIGN`` directions so that no
+#: block but the last ends in a BLAS edge tile.
+SCORE_BLOCK_ELEMENTS = 1 << 20
+SCORE_BLOCK_ALIGN = 64
+
+
 class ExactSynopsis(Synopsis):
     """Wraps the raw dataset; every estimate is exact.
 
@@ -87,6 +95,19 @@ class ExactSynopsis(Synopsis):
         norms = np.linalg.norm(vs, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise ValueError("preference vectors must be nonzero")
-        proj = self._points @ (vs / norms).T  # (n, m)
+        units = (vs / norms).T  # (d, m)
         order = self.n_points - k
-        return np.partition(proj, order, axis=0)[order]
+        # Project and select in direction blocks, never the whole (n, m)
+        # matrix: an eps-net has ~10^6 directions, and that matrix plus the
+        # copy np.partition takes of it is gigabytes of page faults per
+        # dataset.  A net that fits one block is the one matmul it always
+        # was; across blocks a BLAS may round an element differently at a
+        # tile edge, by an ulp.
+        step = SCORE_BLOCK_ELEMENTS // self.n_points
+        step = max(1, step // SCORE_BLOCK_ALIGN) * SCORE_BLOCK_ALIGN
+        out = np.empty(vs.shape[0])
+        for start in range(0, vs.shape[0], step):
+            proj = self._points @ units[:, start : start + step]  # (n, <= step)
+            proj.partition(order, axis=0)
+            out[start : start + step] = proj[order]
+        return out

@@ -472,6 +472,47 @@ def test_backend_protocol_flags_static_engine_advertising_insert():
     )
 
 
+def test_backend_protocol_flags_to_arrays_without_from_arrays():
+    backend = """
+    class DynBackend:
+        def report(self, box):
+            return []
+
+        def count(self, box):
+            return 0
+
+        @property
+        def n_active(self):
+            return 0
+
+        @property
+        def supports_insert(self):
+            return True
+
+        def to_arrays(self):
+            return {}
+    {restore}
+    def build_backend(engine, data):
+        if engine == "dyn":
+            return DynBackend(data)
+    """
+    plain_method = """
+        def from_arrays(self, arrays):
+            return self
+    """
+    classmethod_ = """
+        @classmethod
+        def from_arrays(cls, arrays):
+            return cls()
+    """
+    for restore in ("", plain_method):
+        findings = run(PROTOCOL_HEADER + backend.replace("{restore}", restore),
+                       "backend-protocol")
+        assert any("no from_arrays classmethod" in f.message for f in findings)
+    src = PROTOCOL_HEADER + backend.replace("{restore}", classmethod_)
+    assert run(src, "backend-protocol") == []
+
+
 def test_backend_protocol_ignores_non_registry_modules():
     assert run("class Unrelated:\n    pass\n", "backend-protocol") == []
 
@@ -680,6 +721,27 @@ def test_snapshot_schema_passes_container_io():
         return np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
     """
     assert run_at(src, "snapshot-schema", SNAPSHOT_PATH) == []
+
+
+def test_snapshot_schema_flags_computed_segment_hints():
+    src = """
+    _HINTS = {"codes": "mapped_codes", "levels": "mapped_levels"}
+    _BAD = {"codes": "mapped#codes"}
+
+    def state(index, writer, add_array, name):
+        return [
+            add_array("coreset", index.coresets),
+            add_array(_HINTS[name], index.codes),
+            writer.add_array("dataset", index.points),
+            add_array(f"mapped_{name}", index.codes),
+            add_array("mapped#codes", index.codes),
+            add_array(_BAD[name], index.codes),
+            add_array(_UNKNOWN[name], index.codes),
+        ]
+    """
+    findings = run_at(src, "snapshot-schema", SNAPSHOT_PATH)
+    assert [f.line for f in findings] == [10, 11, 12, 13]
+    assert all("segment hint" in f.message for f in findings)
 
 
 def test_snapshot_schema_ignores_unrelated_modules():

@@ -394,3 +394,138 @@ class TestProtocolSurface:
                 b.remove(2)
             with pytest.raises(KeyError):
                 b.remove("ghost")
+
+
+# ----------------------------------------------------------------------
+# The kd-tree stores ranks in per-column level tables; a float columnar
+# store is the oracle for every bound that can fall on, between or
+# beyond the levels.
+# ----------------------------------------------------------------------
+def boundary_values(levels) -> np.ndarray:
+    """Every stored value, its ``nextafter`` neighbours both ways, ±inf."""
+    v = np.asarray(levels, dtype=float)
+    return np.unique(
+        np.concatenate(
+            [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf), [-np.inf, np.inf]]
+        )
+    )
+
+
+def boundary_boxes(levels, dim: int, rng: np.random.Generator) -> list:
+    """Axis 0 swept over every (lo, hi, open, open) combination of the
+    boundary values — open-at-own-infinity included — with the other axes
+    free, then random boxes constraining every axis from the same set."""
+    values = boundary_values(levels)
+    free = [(-np.inf, np.inf, False, False)] * (dim - 1)
+    boxes = [
+        QueryBox([(float(lo), float(hi), lo_open, hi_open)] + free)
+        for lo in values
+        for hi in values
+        for lo_open in (False, True)
+        for hi_open in (False, True)
+    ]
+    for _ in range(300):
+        lo, hi = rng.choice(values, size=(2, dim))
+        boxes.append(
+            QueryBox(
+                [
+                    (float(a), float(b), bool(rng.integers(2)), bool(rng.integers(2)))
+                    for a, b in zip(lo, hi)
+                ]
+            )
+        )
+    return boxes
+
+
+def assert_matches_oracle(backend, oracle, boxes: list) -> None:
+    want = [sorted(r) for r in oracle.report_many(boxes)]
+    assert [sorted(r) for r in backend.report_many(boxes)] == want
+    assert backend.count_many(boxes) == [len(r) for r in want]
+    assert backend.report_groups_many(boxes) == [{group_of(i) for i in r} for r in want]
+    for box, ids in list(zip(boxes, want))[::5]:
+        assert sorted(backend.report(box)) == ids
+        assert backend.count(box) == len(ids)
+        assert backend.report_groups(box) == {group_of(i) for i in ids}
+        first = backend.report_first(box)
+        assert first in ids if ids else first is None
+
+
+class TestCodedBoundaries:
+    LEVELS = [-1.0, 0.0, 0.25, 0.5, 1.0]
+    DIM = 3
+
+    def test_bounds_on_between_and_beyond_the_levels(self, rng):
+        from repro.index.backend import restore_backend
+
+        n = 200
+        pts = rng.choice(self.LEVELS, size=(n, self.DIM))
+        ids = [(i % 5, i) for i in range(n)]
+        kd = build_backend(pts, ids, "kd", leaf_size=4)
+        oracle = build_backend(pts, ids, "columnar")
+        assert kd._pts.dtype == np.uint8 and kd._box.dtype == np.uint8
+        assert [t.tolist() for t in kd._tables] == [self.LEVELS] * self.DIM
+        boxes = boundary_boxes(self.LEVELS, self.DIM, rng)
+        assert_matches_oracle(kd, oracle, boxes)
+        ordered = [b for b in boxes if (b.lo <= b.hi).all()]  # its Interval insists
+        assert_matches_oracle(build_backend(pts, ids, "rangetree"), oracle, ordered[::3])
+        kd.deactivate_group(2)
+        oracle.deactivate_group(2)
+        assert_matches_oracle(kd, oracle, boxes)
+
+        # New values between, below and above the old levels: first in the
+        # float side buffer (main tree and buffer answer together) ...
+        fresh = [-2.0, 0.125, float(np.nextafter(0.25, np.inf)), 3.0]
+        levels = self.LEVELS + fresh
+        more = rng.choice(levels, size=(30, self.DIM))
+        more_ids = [(5 + i % 2, i) for i in range(30)]
+        for b in (kd, oracle):
+            b.insert(more, more_ids)
+        assert kd._buf is not None and len(kd._tables[0]) == len(self.LEVELS)
+        boxes = boundary_boxes(levels, self.DIM, rng)
+        assert_matches_oracle(kd, oracle, boxes)
+
+        # ... then re-encoded by the buffer-triggered rebuild, where they
+        # interleave the old levels.
+        grown = rng.choice(levels, size=(40, self.DIM))
+        grown_ids = [(7, i) for i in range(40)]
+        for b in (kd, oracle):
+            b.insert(grown, grown_ids)
+        assert kd._buf is None
+        assert [t.tolist() for t in kd._tables] == [sorted(levels)] * self.DIM
+        assert kd.activate_group(2) == oracle.activate_group(2) == 40
+        assert_matches_oracle(kd, oracle, boxes)
+
+        # Tombstones are folded in by to_arrays; the twin adopts the codes.
+        assert kd.remove_group(0) == oracle.remove_group(0) == 40
+        assert_matches_oracle(kd, oracle, boxes)
+        twin = restore_backend(kd.to_arrays(), "kd", leaf_size=4)
+        assert twin._pts.dtype == np.uint8 and len(twin) == len(oracle)
+        assert_matches_oracle(twin, oracle, boxes)
+
+    @pytest.mark.parametrize(
+        "n_levels, dtype",
+        [(255, np.uint8), (256, np.uint8), (257, np.uint16),
+         (65_535, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+    )
+    def test_code_dtype_follows_the_longest_table(self, n_levels, dtype, rng):
+        """The code dtype is read off the data: the smallest unsigned type
+        that holds the longest column table's top rank."""
+        wide = rng.permutation(n_levels).astype(float)
+        pts = np.column_stack((wide, rng.choice([0.0, 1.0], size=n_levels)))
+        ids = np.column_stack((np.arange(n_levels) % 3, np.arange(n_levels)))
+        kd = build_backend(pts, ids, "kd", leaf_size=64)
+        oracle = build_backend(pts, ids, "columnar")
+        assert kd._pts.dtype == kd._box.dtype == dtype
+        assert kd.to_arrays()["codes"].dtype == dtype
+        top = float(n_levels - 1)
+        boxes = [
+            QueryBox([(lo, hi, lo_open, hi_open), (-np.inf, np.inf, False, False)])
+            for lo, hi in [(top, top), (top - 1, np.inf), (-np.inf, 0.0), (0.0, top),
+                           (254.0, 257.0), (np.nextafter(top, np.inf), np.inf)]
+            for lo_open in (False, True)
+            for hi_open in (False, True)
+        ]
+        assert kd.count_many(boxes) == oracle.count_many(boxes)
+        assert [sorted(r) for r in kd.report_many(boxes)] == [
+            sorted(r) for r in oracle.report_many(boxes)
+        ]

@@ -234,3 +234,78 @@ class TestKernelAgainstOracle:
         # (q, n, k) formulation peaked near 40x the result.
         assert out.nbytes == q * n
         assert peak <= 2 * out.nbytes + 4096
+
+
+class TestCodedBoxes:
+    """``coded()`` moves a box onto rank-coded columns: the same members,
+    the same bbox verdicts, on small unsigned integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 1_000_000),
+        k=st.integers(1, 10),
+        q=st.integers(1, 6),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.uint32]),
+    )
+    def test_same_members_and_bbox_verdicts_as_the_float_box(self, seed, k, q, dtype):
+        rng = np.random.default_rng(seed)
+        cons = random_constraints(rng, q, k)
+        boxes = boxes_of(*cons)
+        tables = [
+            np.unique(rng.choice(VALUES, size=int(rng.integers(1, 12)))) for _ in range(k)
+        ]
+        n = 40
+        codes = np.stack(
+            [rng.integers(0, t.size, size=n) for t in tables], axis=1
+        ).astype(dtype)
+        pts = np.stack([t[c] for t, c in zip(tables, codes.T)], axis=1)
+        want = oracle_contains_points(*cons, pts)
+
+        batch, keep = BoxBatch(boxes).coded(tables, dtype)
+        assert batch.elo.dtype == batch.ehi.dtype == dtype
+        assert batch.n_boxes == keep.size
+        got = np.zeros((q, n), dtype=bool)
+        got[keep] = batch.contains_points(np.asfortranarray(codes))
+        assert np.array_equal(got, want)
+        assert not want[np.setdiff1d(np.arange(q), keep)].any()
+
+        # A bbox whose corners are levels gets the float box's verdicts.
+        sub = codes[: int(rng.integers(1, n + 1))]
+        clo, chi = sub.min(axis=0), sub.max(axis=0)
+        blo = np.array([t[c] for t, c in zip(tables, clo)])
+        bhi = np.array([t[c] for t, c in zip(tables, chi)])
+        full = BoxBatch(boxes)
+        assert np.array_equal(
+            batch.intersects_bbox(clo, chi), full.intersects_bbox(blo, bhi)[keep]
+        )
+        assert np.array_equal(
+            batch.contains_bbox(clo, chi), full.contains_bbox(blo, bhi)[keep]
+        )
+        for i, box in enumerate(boxes):
+            coded = box.coded(tables, dtype)
+            assert (coded is None) == (i not in keep)
+            if coded is not None:
+                assert coded.elo.dtype == dtype
+                assert np.array_equal(coded.contains_points(codes), want[i])
+                assert coded.intersects_bbox(clo, chi) == box.intersects_bbox(blo, bhi)
+                assert coded.contains_bbox(clo, chi) == box.contains_bbox(blo, bhi)
+
+    def test_open_bound_at_its_own_infinity_is_dropped(self):
+        tables = [np.array([-np.inf, 0.0, np.inf])]
+        for cons in [(np.inf, np.inf, True, False), (-np.inf, -np.inf, False, True)]:
+            box = QueryBox([cons])
+            assert box.coded(tables, np.uint8) is None
+            batch, keep = BoxBatch([box]).coded(tables, np.uint8)
+            assert keep.size == 0 and batch.contains_points(np.zeros((3, 1), np.uint8)).shape == (0, 3)
+        # ... while the closed bound keeps the infinity itself.
+        coded = QueryBox([(np.inf, np.inf, False, False)]).coded(tables, np.uint8)
+        assert (coded.elo.tolist(), coded.ehi.tolist()) == ([2], [2])
+
+    def test_top_rank_of_a_full_dtype_is_representable(self):
+        """256 levels in ``uint8``: the free upper bound is rank 255, and a
+        bound past every level is a dropped box, not a wrapped 256."""
+        tables = [np.arange(256.0)]
+        coded = QueryBox([(-np.inf, np.inf, False, False)]).coded(tables, np.uint8)
+        assert (coded.elo.tolist(), coded.ehi.tolist()) == ([0], [255])
+        assert QueryBox([(255.0, np.inf, True, False)]).coded(tables, np.uint8) is None
+        assert QueryBox([(255.5, 300.0, False, False)]).coded(tables, np.uint8) is None

@@ -428,6 +428,28 @@ class TestServiceSlowLogAndStats:
             assert sample("repro_cache_resident_bytes") == (
                 stats["cache"]["resident_bytes"]
             )
+            assert sample("repro_index_bytes") == stats["executor"]["index_bytes"] > 0
+
+    def test_index_bytes_sums_built_shards_without_building(self, lake):
+        """``executor.index_bytes`` is the built backends' array bytes: 0
+        while every shard is still lazy (reading it builds nothing), then
+        the sum of their ``nbytes`` — and it takes no shard lock."""
+        with make_service(lake) as svc:
+            executor = svc.executor
+            assert svc.stats()["executor"]["index_bytes"] == 0
+            assert all(engine._ptile is None for engine in executor.engines)
+            svc.search(P1)
+            trees = [engine.ptile_index._tree for engine in executor.engines]
+            for lock in executor._locks:  # a held shard lock must not block it
+                assert lock.acquire(timeout=5)
+            try:
+                got = svc.stats()["executor"]["index_bytes"]
+            finally:
+                for lock in executor._locks:
+                    lock.release()
+            assert got == sum(tree.nbytes for tree in trees)
+            points = sum(len(tree) for tree in trees)
+            assert points * 10 < got < points * 40  # codes + ids + masks, not float64
 
     def test_metrics_exposes_shard_and_request_families(self, lake):
         with make_service(lake) as svc:

@@ -232,8 +232,14 @@ class TestServiceRoundTrip:
         while file_map.base is not None and not isinstance(file_map, np.memmap):
             file_map = file_map.base
         assert isinstance(file_map, np.memmap)
-        for arr in (ltree._pts, ltree._group, ltree._local, ltree._lo, ltree._start):
+        # Rank codes and their float64 level tables, adopted as they lie in
+        # the file: nothing per point is decoded or copied.
+        assert ltree._pts.dtype == tree._pts.dtype and ltree._pts.dtype.kind == "u"
+        mapped = (ltree._pts, *ltree._tables, ltree._group, ltree._local,
+                  ltree._lo, ltree._start)
+        for arr in mapped:
             assert not arr.flags.writeable and np.shares_memory(arr, file_map)
+        assert all(np.array_equal(a, b) for a, b in zip(ltree._tables, tree._tables))
         assert ltree._active.flags.writeable  # private activity state
         assert not np.shares_memory(ltree._active, file_map)
 
@@ -361,6 +367,164 @@ class TestExecutorAndEngineKinds:
         assert per_dataset["mapped_points"] == by_kind["mapped_points"] // N_DATASETS
 
 
+    def test_inspect_kd_reports_codes_not_points(self, lake, tmp_path):
+        svc = QueryService(
+            repository=Repository.from_arrays(lake),
+            n_shards=3,
+            engine="kd",
+            seed=SEED,
+            eps=EPS,
+            sample_size=SAMPLE_SIZE,
+        )
+        svc.warm()
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        n_points = sum(len(e.ptile_index._tree) for e in svc.executor.engines)
+        index_bytes = svc.stats()["executor"]["index_bytes"]
+        svc.close()
+        summary = inspect(path)
+        by_kind = summary["bytes_by_kind"]
+        assert "mapped_points" not in by_kind
+        assert {"mapped_codes", "mapped_levels", "node_table", "coreset"} <= set(by_kind)
+        assert summary["n_mapped_points"] == by_kind["mapped_active"] == n_points
+        assert by_kind["mapped_codes"] == (4 * DIM + 2) * n_points  # uint8 ranks
+        per_point = summary["bytes_per_mapped_point"]
+        assert per_point["file"] == round(summary["file_bytes"] / n_points, 2)
+        assert 4 * DIM + 2 + 8 + 1 < per_point["index"] < 24  # codes + ids + mask, +
+        # What /stats reports is the same arrays plus the private masks and
+        # node counters: within a few bytes per point of what the file holds.
+        assert abs(index_bytes / n_points - per_point["index"]) < 4
+        # One coreset segment per shard index, not one per dataset:
+        # datasets + 3 shards x (coresets, 8 backend arrays) + cache words.
+        assert summary["n_arrays"] == N_DATASETS + 3 * 9 + 1
+
+    def test_small_2d_lake_stays_under_32_bytes_per_mapped_point(self, tmp_path):
+        """The constant of the space bound, end to end: everything the file
+        holds (datasets, coresets, header, padding included) per mapped
+        point.  Float64 columns alone were 80 B; this pins the coded
+        layout so it cannot drift back silently."""
+        small = synthetic_data_lake(8, 2, np.random.default_rng(SEED), median_size=80)
+        svc = QueryService(
+            repository=Repository.from_arrays(small), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=8,
+        )
+        svc.warm()
+        path = tmp_path / "small.snap"
+        svc.save(path)
+        svc.close()
+        summary = inspect(path)
+        assert summary["n_mapped_points"] > 1000
+        assert summary["bytes_per_mapped_point"]["file"] <= 32.0
+        assert "mapped_points" not in summary["bytes_by_kind"]
+
+
+def _segment(path, hint, dtype=None):
+    """``(ref, meta, file offset)`` of the first segment of one kind (and,
+    where a kind holds several arrays, of one dtype)."""
+    blob = path.read_bytes()
+    hlen, data_start = struct.unpack_from("<QQ", blob, 16)
+    arrays = json.loads(blob[32 : 32 + hlen])["arrays"]
+    ref, meta = next(
+        (r, m) for r, m in arrays.items()
+        if r.startswith(hint + "#") and dtype in (None, m["dtype"])
+    )
+    return ref, meta, data_start + meta["offset"]
+
+
+def _poke(path, offset, raw: bytes):
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + len(raw)] = raw
+    path.write_bytes(bytes(blob))
+
+
+def _rewrite_header(path, hint, old: str, new: str):
+    """Swap one equal-length token inside a segment's header entry (every
+    offset stays put)."""
+    ref, _meta, _offset = _segment(path, hint)
+    blob = path.read_bytes()
+    assert len(old) == len(new)
+    at = blob.index(old.encode(), blob.index(f'"{ref}":{{'.encode()))
+    _poke(path, at, new.encode())
+
+
+class TestHostileBackendArrays:
+    """A kd snapshot's codes index its level tables at the next rebuild —
+    i.e. inside ``POST /datasets``.  A file whose arrays disagree must be
+    refused at load with ``SnapshotError``, under mmap and copy alike."""
+
+    @pytest.fixture()
+    def snap(self, lake, tmp_path):
+        eng = DatasetSearchEngine(
+            repository=Repository.from_arrays(lake),
+            rng=np.random.default_rng(SEED), engine="kd", eps=EPS,
+            sample_size=SAMPLE_SIZE,
+        ).build()
+        path = tmp_path / "eng.snap"
+        eng.save(path)
+        load(path)  # pristine: loads
+        return path
+
+    @staticmethod
+    def refused(path, match):
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match=match):
+                load(path, mmap=mmap)
+
+    def test_code_beyond_its_level_table(self, snap):
+        _ref, meta, offset = _segment(snap, "mapped_codes")
+        assert meta["dtype"] == "|u1"
+        _poke(snap, offset + 5, b"\xff")
+        self.refused(snap, "exceeds its column's level count")
+
+    def test_node_box_beyond_the_level_range(self, snap):
+        # The node table is two arrays: int32 spans and the uint8 boxes.
+        _ref, _meta, offset = _segment(snap, "node_table", dtype="|u1")
+        _poke(snap, offset, b"\xff")
+        self.refused(snap, "exceeds its column's level count")
+
+    def test_unsorted_level_table(self, snap):
+        _ref, _meta, offset = _segment(snap, "mapped_levels")
+        raw = snap.read_bytes()[offset : offset + 16]
+        _poke(snap, offset, raw[8:] + raw[:8])
+        self.refused(snap, "strictly increasing")
+
+    def test_nan_level(self, snap):
+        _ref, meta, offset = _segment(snap, "mapped_levels")
+        last = offset + 8 * (meta["shape"][0] - 1)
+        _poke(snap, last, struct.pack("<d", float("nan")))
+        self.refused(snap, "strictly increasing and NaN-free")
+
+    def test_level_table_not_float64(self, snap):
+        _rewrite_header(snap, "mapped_levels", '"<f8"', '"<i8"')
+        self.refused(snap, "level tables do not match")
+
+    def test_signed_code_dtype(self, snap):
+        _rewrite_header(snap, "mapped_codes", '"|u1"', '"|i1"')
+        self.refused(snap, "do not describe one kd-tree")
+
+    def test_float_codes_refused_by_from_arrays(self, snap):
+        """No one-byte float exists to retype the segment to; the check is
+        the same ``dtype.kind`` test the signed case trips."""
+        from repro.index.kd_tree import DynamicKDTree
+
+        arrays = load(snap).ptile_index._tree.to_arrays()
+        arrays["codes"] = arrays["codes"].astype(np.float16)
+        with pytest.raises(ValueError, match="do not describe one kd-tree"):
+            DynamicKDTree.from_arrays(arrays)
+
+    def test_coreset_segment_of_the_wrong_shape(self, snap):
+        _ref, meta, _offset = _segment(snap, "coreset")
+        n, size, dim = meta["shape"]
+        _rewrite_header(snap, "coreset", f"[{n},{size},{dim}]", f"[{size},{n},{dim}]")
+        self.refused(snap, "coreset segment does not match")
+
+    def test_coresets_are_views_of_one_segment(self, snap):
+        index = load(snap).ptile_index
+        first, last = index.coreset(0), index.coreset(N_DATASETS - 1)
+        assert first.shape == (SAMPLE_SIZE, DIM) and not first.flags.writeable
+        assert first.base is not None and first.base is last.base
+
+
 class TestErrorPaths:
     @pytest.fixture()
     def snap(self, lake, tmp_path):
@@ -383,8 +547,9 @@ class TestErrorPaths:
         with pytest.raises(SnapshotError, match="bad magic"):
             load(snap)
 
-    # 1: pre-bitset-only files; 2: executor state still named a shard pool width
-    @pytest.mark.parametrize("version", [999, 1, 2, 3])
+    # 1: pre-bitset-only files; 2: executor state still named a shard pool
+    # width; 3: row-major points + int64 id matrix; 4: float64 kd columns
+    @pytest.mark.parametrize("version", [999, 1, 2, 3, 4])
     def test_version_mismatch(self, snap, version):
         blob = bytearray(snap.read_bytes())
         blob[8:12] = struct.pack("<I", version)

@@ -62,3 +62,52 @@ def test_batch_rejects_zero_vector(data):
     syn = ExactSynopsis(data)
     with pytest.raises(ValueError):
         syn.score_batch(np.zeros((2, 2)), 1)
+
+
+class TestExactScoreBlocks:
+    """``ExactSynopsis.score_batch`` projects in direction blocks; the
+    reference is the one-shot formula it replaced."""
+
+    @staticmethod
+    def one_shot(points, vectors, k):
+        units = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        order = points.shape[0] - k
+        return np.partition(points @ units.T, order, axis=0)[order]
+
+    @pytest.mark.parametrize("n, d, m, k", [(800, 2, 12, 10), (150, 4, 5000, 5), (7, 3, 999, 7)])
+    def test_a_net_that_fits_one_block_is_the_same_matmul(self, n, d, m, k):
+        rng = np.random.default_rng(n + m)
+        points, vectors = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        got = ExactSynopsis(points).score_batch(vectors, k)
+        assert np.array_equal(got, self.one_shot(points, vectors, k))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 10, 1 << 14])
+    def test_split_nets_agree_and_stay_within_the_budget(self, budget, monkeypatch):
+        """Across blocks a BLAS may round an element differently where a
+        tile ends — an ulp of the projection, bounded here from the dtype —
+        and no block (the matrices handed to ``partition``) exceeds the
+        element budget by more than the alignment."""
+        from repro.synopsis import exact
+
+        rng = np.random.default_rng(budget)
+        n, d, m, k = 150, 4, 3001, 5
+        points, vectors = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        want = self.one_shot(points, vectors, k)
+        seen = []
+        real_matmul = np.ndarray.__matmul__
+
+        class Spy(np.ndarray):
+            def __matmul__(self, other):
+                out = real_matmul(np.asarray(self), other)
+                seen.append(out.size)
+                return out
+
+        syn = ExactSynopsis(points)
+        syn._points = points.view(Spy)
+        monkeypatch.setattr(exact, "SCORE_BLOCK_ELEMENTS", budget)
+        got = syn.score_batch(vectors, k)
+        ulp = np.finfo(float).eps * np.linalg.norm(points, axis=1).max()
+        assert np.abs(got - want).max() <= 4 * ulp
+        assert np.mean(got == want) > 0.99
+        assert len(seen) > 1
+        assert max(seen) <= max(budget, n * exact.SCORE_BLOCK_ALIGN)

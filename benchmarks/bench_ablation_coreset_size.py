@@ -1,6 +1,6 @@
 """ABL-CORESET — ablation: coreset size vs accuracy, memory and speed.
 
-Design choice under study (Section 4.1 / DESIGN.md substitution 4): the
+Design choice under study (Section 4.1): the
 coreset size s drives everything — the effective ε (≈ s^{-1/2}), the
 mapped-point count (≈ s²/2 per dataset in d = 1), build time, and
 precision.  Recall must hold at *every* size because the query slack is

@@ -1,6 +1,6 @@
 """ABL-ENGINE — ablation: kd-tree vs classic range tree engine.
 
-Design choice under study (DESIGN.md substitution 2): the mapped-space
+Design choice under study (README, "Choosing a backend"): the mapped-space
 range search runs on a dynamic kd-tree by default; the textbook multi-level
 range tree is faithful to the paper's analysis but carries
 Θ(n log^{k-1} n) memory.  Outputs must be identical; this ablation measures
@@ -60,7 +60,7 @@ def main() -> None:
     print("Ablation: both engines return identical index sets on every query;")
     print("the kd-tree builds faster and scales to the R^{4d+2} mapped spaces")
     print("where the multi-level range tree's memory is prohibitive — the")
-    print("trade documented in DESIGN.md substitution 2.")
+    print("trade documented in README, \"Choosing a backend\".")
 
 
 def test_abl_engine_rangetree_query(benchmark):

@@ -1,6 +1,6 @@
 """ABL-PAIRS — ablation: maximal-pair pruning vs the paper's verbatim set.
 
-Design choice under study (DESIGN.md substitution 3): Section 4.3 stores
+Design choice under study (``repro.geometry.rect_enum``): Section 4.3 stores
 all pairs (rho, rho_hat) without an intermediate rectangle; we store only
 the provably query-matchable pairs (one neighbour expansion per inner
 rectangle).  This ablation counts both families and times both

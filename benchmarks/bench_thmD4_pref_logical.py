@@ -102,7 +102,7 @@ def main() -> None:
     table.print()
     print("Theorem D.4 reproduced; warm queries (cached subset tree) are far")
     print("cheaper than cold ones — the lazy-cache substitute for the paper's")
-    print("eager all-subsets preprocessing (DESIGN.md, substitution 4).")
+    print("eager all-subsets preprocessing (repro.core.pref_logical).")
 
 
 def test_thmD4_conjunction(benchmark):

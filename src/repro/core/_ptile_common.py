@@ -36,7 +36,6 @@ from repro.index.backend import (
     build_backend,
     check_engine,
     group_of,
-    report_groups_many_of,
 )
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -324,12 +323,9 @@ class PtileIndexBase:
         One multi-box backend call — the shared-traversal walk on the
         kd-tree, a broadcast containment pass on the columnar store —
         instead of ``len(boxes)`` sequential ``report_groups`` calls.
-        Backends without the batch kernels are served by the per-box
-        fallback of :func:`~repro.index.backend.report_groups_many_of`,
-        with identical answer sets either way.
         """
         results: list[QueryResult] = []
-        for keys in report_groups_many_of(self._tree, boxes):
+        for keys in self._tree.report_groups_many(boxes):
             result = QueryResult()
             result.indexes = sorted(keys)
             result.stats["deleted_points"] = 0

@@ -29,7 +29,7 @@ from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.core.ptile_range import PtileRangeIndex
-from repro.core.pref_index import PrefIndex
+from repro.core.pref_index import PrefIndex, pref_threshold
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, DeadlineExceeded, QueryError
 from repro.geometry.rectangle import Rectangle
@@ -56,9 +56,9 @@ class DatasetSearchEngine:
     delta:
         Optional global synopsis-error bound.
     engine:
-        Range-search backend name shared by every structure the engine
-        builds (``"kd"`` default, ``"columnar"``, ``"rangetree"`` — see
-        :mod:`repro.index.backend`).
+        Orthant-search backend of the Ptile structure (``"kd"`` default,
+        ``"columnar"``, ``"rangetree"`` — see :mod:`repro.index.backend`);
+        Pref structures have no orthant search and ignore it.
     leaf_size:
         kd-tree leaf size (ignored by the other backends).
     rng:
@@ -139,8 +139,7 @@ class DatasetSearchEngine:
         """The (lazily built, cached) Pref structure for rank ``k``."""
         if k not in self._pref:
             self._pref[k] = PrefIndex(
-                self.synopses, k=k, eps=self.eps, delta=self._delta,
-                engine=self.engine_kind,
+                self.synopses, k=k, eps=self.eps, delta=self._delta
             )
         return self._pref[k]
 
@@ -248,11 +247,8 @@ class DatasetSearchEngine:
         if isinstance(measure, PercentileMeasure):
             return self.ptile_index.query(measure.rect, leaf.theta)
         if isinstance(measure, PreferenceMeasure):
-            if not leaf.theta.is_threshold:
-                raise QueryError(
-                    "preference predicates support one-sided theta = [a, inf)"
-                )
-            return self.pref_index(measure.k).query(measure.vector, leaf.theta.lo)
+            a_theta = pref_threshold(leaf.theta)
+            return self.pref_index(measure.k).query(measure.vector, a_theta)
         raise QueryError(f"unsupported measure {type(measure).__name__}")
 
     def eval_leaf_bits(self, leaf: Predicate) -> DatasetBitmap:

@@ -1,25 +1,36 @@
 """Approximate Pref index for one threshold-predicate (Section 5).
 
-Implements Algorithms 5 (construction) and 6 (query) and therefore
-Theorem 5.4: ``~O(N)`` space, construction dominated by the synopsis
-``Score`` calls, query time ``O(log N + OUT)``, and for a query
-``(u, theta = [a_theta, 1])``:
+Implements Algorithms 5 (construction) and 6 (query) and therefore the
+guarantees of Theorem 5.4: ``~O(N)`` space per net direction,
+construction dominated by the synopsis ``Score`` calls, and for a query
+``(u, theta = [a_theta, inf))``:
 
 - (recall)    every dataset with ``omega_k(P_i, u) >= a_theta`` is reported;
 - (precision) every reported ``j`` has
   ``omega_k(P_j, u) >= a_theta - 2 eps - 2 delta_j`` (Lemma 5.2; the theorem
   folds the factor 2 by halving eps).
 
-Construction builds a centrally symmetric ε-net ``C`` of unit vectors and,
-for each net vector ``v``, a 1-dimensional search tree over the estimated
-scores ``gamma_v^(i) = S_{P_i}.Score(v, k)``.  A query snaps ``u`` to its
+Construction builds a centrally symmetric ε-net ``C`` of unit vectors and
+estimates, for each net vector ``v`` and dataset ``i``, the score
+``gamma_v^(i) = S_{P_i}.Score(v, k)``.  A query snaps ``u`` to its
 nearest net vector (error ``<= eps`` per Lemma 5.1, points in the unit
-ball — for general data the error scales with the data radius, which the
-index exposes as ``score_slack``).
+ball — for general data the error scales with the data radius) and
+reports every dataset whose score on that vector clears ``a_theta - eps``.
 
 Per-dataset deltas (Remark 2) are supported by storing the shifted score
-``gamma + delta_i`` so the slack becomes a global threshold.  Dynamics
-(Remark 1) use a buffered sorted list per direction with amortized rebuilds.
+``gamma + delta_i`` so the slack becomes a global threshold.
+
+Storage is one row-major ``(|C|, capacity)`` float64 matrix — a row per
+net direction, a column per dataset, dataset key ≡ column position —
+plus a ``live`` mask.  What this trades against the paper's layout: a
+query is one vectorised pass over the ``N`` scores of a row, not the
+``O(log N + OUT)`` walk of a per-direction search tree.  That pass was
+no slower at any size or selectivity measured, ``N = 64`` to ``200 000``
+(table in ROADMAP, "Pref gets the PR-14 treatment"), so the ordered
+layout of Algorithm 5 survives as the brute-force oracle in
+``tests/core/test_pref_index.py``, not as a second production store.
+Dynamics (Remark 1) are an amortised-doubling column append and a
+tombstone in the mask; keys are never reused.
 """
 
 from __future__ import annotations
@@ -34,116 +45,32 @@ from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_net import build_epsilon_net, nearest_net_vector
 from repro.geometry.interval import Interval
-from repro.index.backend import check_engine
-from repro.index.sorted_list import SortedListIndex
 from repro.synopsis.base import Synopsis
 
 
-class _DirectionList:
-    """Per-direction score structure: sorted core + linear insert buffer."""
+def pref_threshold(theta: Interval) -> float:
+    """``a_theta`` of a preference leaf, which must be ``[a_theta, inf)``.
 
-    REBUILD_FRACTION = 0.25
-    MIN_BUFFER = 16
-
-    def __init__(self, values: list[float], ids: list) -> None:
-        self._core = SortedListIndex(values, ids=ids)
-        self._buffer: dict = {}
-
-    def insert(self, entry_id, value: float) -> None:
-        self._buffer[entry_id] = float(value)
-        if len(self._buffer) >= max(
-            self.MIN_BUFFER, int(self.REBUILD_FRACTION * len(self._core))
-        ):
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        values, ids = [], []
-        for pid in self._core_active_ids():
-            values.append(self._core.values_of(pid))
-            ids.append(pid)
-        for pid, val in self._buffer.items():
-            values.append(val)
-            ids.append(pid)
-        self._core = SortedListIndex(values, ids=ids)
-        self._buffer = {}
-
-    def _core_active_ids(self) -> list:
-        return self._core.report(Interval.everything())
-
-    def remove(self, entry_id) -> None:
-        if entry_id in self._buffer:
-            del self._buffer[entry_id]
-        else:
-            self._core.deactivate(entry_id)
-
-    def iter_at_least(self, threshold: float):
-        """Yield ids with value >= threshold (core in order, then buffer)."""
-        yield from self._core.iter_report(Interval.at_least(threshold))
-        for pid, val in self._buffer.items():
-            if val >= threshold:
-                yield pid
-
-
-class _SortedListScores:
-    """Per-direction sorted score lists — the paper's Algorithm 5 layout."""
-
-    def __init__(self, matrix: np.ndarray, keys: list) -> None:
-        self._lists = [
-            _DirectionList(matrix[vi].tolist(), list(keys))
-            for vi in range(matrix.shape[0])
-        ]
-
-    def insert(self, key, shifted: np.ndarray) -> None:
-        for vi, lst in enumerate(self._lists):
-            lst.insert(key, float(shifted[vi]))
-
-    def remove(self, key) -> None:
-        for lst in self._lists:
-            lst.remove(key)
-
-    def iter_at_least(self, vi: int, threshold: float):
-        yield from self._lists[vi].iter_at_least(threshold)
-
-
-class _ColumnarScores:
-    """Columnar score backend: one ``(|C|, N)`` matrix + live mask.
-
-    A query reads one row and answers the threshold with a single
-    vectorized comparison — the Pref analogue of the columnar orthant
-    store.  Inserts append columns into amortized-doubling capacity.
+    The Pref problem is defined on one-sided intervals (a finite upper
+    bound would need the symmetric net direction), and scores are
+    unbounded — ``Interval.is_threshold``'s "``hi >= 1`` is no bound" holds
+    for percentile mass only.  Every path that answers a preference leaf
+    reads its threshold through here.
     """
+    if theta.hi != math.inf:
+        raise QueryError("preference predicates support one-sided theta = [a, inf)")
+    return theta.lo
 
-    def __init__(self, matrix: np.ndarray, keys: list) -> None:
-        self._scores = np.array(matrix, dtype=float)  # (m, n)
-        self._keys = list(keys)
-        self._n = len(self._keys)
-        self._live = np.ones(self._n, dtype=bool)
-        self._pos_of_key = {k: pos for pos, k in enumerate(self._keys)}
 
-    def insert(self, key, shifted: np.ndarray) -> None:
-        if self._n == self._scores.shape[1]:
-            cap = max(self._n + 1, 2 * self._n)
-            grown = np.empty((self._scores.shape[0], cap))
-            grown[:, : self._n] = self._scores[:, : self._n]
-            self._scores = grown
-            live = np.zeros(cap, dtype=bool)
-            live[: self._n] = self._live[: self._n]
-            self._live = live
-        pos = self._n
-        self._scores[:, pos] = np.asarray(shifted, dtype=float)
-        self._keys.append(key)
-        self._live[pos] = True
-        self._pos_of_key[key] = pos
-        self._n += 1
+def _stamp_emissions(result: QueryResult, start: float) -> None:
+    """``record_times`` bookkeeping: one monotone stamp per reported id.
 
-    def remove(self, key) -> None:
-        self._live[self._pos_of_key.pop(key)] = False
-
-    def iter_at_least(self, vi: int, threshold: float):
-        row = self._scores[vi, : self._n]
-        mask = self._live[: self._n] & (row >= threshold)
-        for pos in np.flatnonzero(mask):
-            yield self._keys[int(pos)]
+    The whole answer exists once the vectorised pass returns, so the
+    first gap is the query and the rest are the cost of handing ids out.
+    """
+    result.start_time = start
+    result.emit_times = [time.perf_counter() for _ in result.indexes]
+    result.end_time = time.perf_counter()
 
 
 class PrefIndex:
@@ -161,13 +88,6 @@ class PrefIndex:
     delta:
         Optional global synopsis-error bound; default: per-synopsis
         ``delta_pref`` (Remark 2 semantics).
-    engine:
-        Score-store backend, using the shared backend vocabulary
-        (:data:`repro.index.backend.ENGINES`): ``"columnar"`` keeps one
-        ``(|C|, N)`` score matrix and answers thresholds with a vectorized
-        comparison; ``"kd"`` (default) and ``"rangetree"`` both select the
-        per-direction sorted lists of Algorithm 5 (the Pref structure has
-        no orthant search for a tree to accelerate).
 
     Examples
     --------
@@ -187,7 +107,6 @@ class PrefIndex:
         k: int,
         eps: float = 0.1,
         delta: Optional[float] = None,
-        engine: str = "kd",
     ) -> None:
         syn_list = list(synopses)
         if not syn_list:
@@ -202,111 +121,96 @@ class PrefIndex:
         self.dim = dims.pop()
         self.k = int(k)
         self.eps = float(eps)
-        self.engine_kind = check_engine(engine)
         self.net = build_epsilon_net(self.dim, eps)
-        self._synopses: dict[int, Synopsis] = {}
-        self._deltas: dict[int, float] = {}
-        self._next_key = 0
-        per_dataset: list[np.ndarray] = []
-        ids: list[int] = []
+        # Column j holds dataset j's shifted scores; columns [0, _n) are
+        # in use and never reassigned, so a key is its column position.
+        self._scores = np.empty((self.net.shape[0], len(syn_list)))
+        self._live = np.zeros(len(syn_list), dtype=bool)
+        self._deltas: list[float] = []
+        self._n = 0
         for syn in syn_list:
-            key = self._admit(syn, delta)
-            ids.append(key)
-            per_dataset.append(self._shifted_scores(key))
-        score_matrix = np.column_stack(per_dataset)  # (|C|, N)
-        store = _ColumnarScores if engine == "columnar" else _SortedListScores
-        self._scores_store = store(score_matrix, ids)
-
-    # ------------------------------------------------------------------
-    def _admit(self, synopsis: Synopsis, delta: Optional[float]) -> int:
-        if synopsis.dim != self.dim:
-            raise ConstructionError("synopsis dimension mismatch")
-        d_i = delta if delta is not None else synopsis.delta_pref
-        if d_i is None:
-            raise ConstructionError("synopsis does not support the class F_k")
-        key = self._next_key
-        self._next_key += 1
-        self._synopses[key] = synopsis
-        self._deltas[key] = float(d_i)
-        return key
-
-    def _shifted_scores(self, key: int) -> np.ndarray:
-        """``gamma_v^(i) + delta_i`` over all net directions at once.
-
-        The shift makes the per-dataset slack a global threshold; ``-inf``
-        scores (``k`` exceeds the dataset) stay ``-inf`` so such datasets
-        never qualify.
-        """
-        gamma = np.asarray(
-            self._synopses[key].score_batch(self.net, self.k), dtype=float
-        )
-        return np.where(np.isneginf(gamma), gamma, gamma + self._deltas[key])
+            self.insert_synopsis(syn, delta)
 
     @property
     def n_datasets(self) -> int:
         """Current number of indexed datasets."""
-        return len(self._synopses)
+        return int(np.count_nonzero(self._live[: self._n]))
 
     @property
     def n_directions(self) -> int:
         """Size of the ε-net ``|C| = O(eps^{-(d-1)})``."""
         return int(self.net.shape[0])
 
+    def _check_key(self, key: int) -> None:
+        if not (0 <= key < self._n and self._live[key]):
+            raise KeyError(f"unknown dataset key {key}")
+
     def delta_of(self, key: int) -> float:
         """The synopsis error ``delta_i`` used for a dataset."""
+        self._check_key(key)
         return self._deltas[key]
 
     # ------------------------------------------------------------------
     # Query (Algorithm 6)
     # ------------------------------------------------------------------
-    def query(
+    def query(  # lint: hot-path
         self,
         vector: np.ndarray,
         a_theta: float,
         record_times: bool = False,
     ) -> QueryResult:
-        """Report datasets with (approximately) ``omega_k(P_i, u) >= a_theta``."""
+        """Report datasets with (approximately) ``omega_k(P_i, u) >= a_theta``.
+
+        Keys come back in ascending order.  ``-inf`` scores (``k`` exceeds
+        the dataset) clear no finite threshold.
+        """
         u = np.asarray(vector, dtype=float)
         if u.ndim != 1 or u.shape[0] != self.dim:
             raise QueryError(f"query vector must have shape ({self.dim},)")
         vi = nearest_net_vector(self.net, u)
-        result = QueryResult()
+        start = time.perf_counter()
+        n = self._n
+        hits = self._live[:n] & (self._scores[vi, :n] >= a_theta - self.eps)
+        result = QueryResult(
+            indexes=np.flatnonzero(hits).tolist(), stats={"net_vector": vi}
+        )
         if record_times:
-            result.start_time = time.perf_counter()
-        threshold = a_theta - self.eps
-        for key in self._scores_store.iter_at_least(vi, threshold):
-            result.indexes.append(key)
-            if record_times:
-                result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        result.stats["net_vector"] = vi
+            _stamp_emissions(result, start)
         return result
 
     def query_expression(
         self, vector: np.ndarray, theta: Interval, **kwargs
     ) -> QueryResult:
-        """Interval-flavoured entry point (requires a threshold interval)."""
-        if not math.isinf(theta.hi) and theta.hi < math.inf:
-            # The Pref problem is defined on one-sided intervals; a finite
-            # upper bound would need the symmetric net direction.  We accept
-            # [a, inf)-style intervals only, as the paper does.
-            if theta.hi != math.inf:
-                raise QueryError("Pref supports one-sided theta = [a, inf)")
-        return self.query(vector, theta.lo, **kwargs)
+        """Interval-flavoured entry point (requires ``theta = [a, inf)``)."""
+        return self.query(vector, pref_threshold(theta), **kwargs)
 
     # ------------------------------------------------------------------
     # Dynamics (Remark 1 after Theorem 5.4)
     # ------------------------------------------------------------------
     def insert_synopsis(self, synopsis: Synopsis, delta: Optional[float] = None) -> int:
-        """Add a dataset in ``O(Lambda_S + |C| log N)`` amortized."""
-        key = self._admit(synopsis, delta)
-        self._scores_store.insert(key, self._shifted_scores(key))
+        """Add a dataset in ``O(Lambda_S + |C|)`` amortized; returns its key."""
+        if synopsis.dim != self.dim:
+            raise ConstructionError("synopsis dimension mismatch")
+        d_i = delta if delta is not None else synopsis.delta_pref
+        if d_i is None:
+            raise ConstructionError("synopsis does not support the class F_k")
+        gamma = np.asarray(synopsis.score_batch(self.net, self.k), dtype=float)
+        key = self._n
+        if key == self._scores.shape[1]:
+            scores = np.empty((self._scores.shape[0], 2 * key))
+            scores[:, :key] = self._scores
+            live = np.zeros(2 * key, dtype=bool)
+            live[:key] = self._live
+            self._scores, self._live = scores, live
+        # gamma + delta_i makes the per-dataset slack a global threshold;
+        # -inf stays -inf.
+        np.add(gamma, float(d_i), out=self._scores[:, key])
+        self._live[key] = True
+        self._deltas.append(float(d_i))
+        self._n = key + 1
         return key
 
     def delete_synopsis(self, key: int) -> None:
-        """Remove a dataset by key."""
-        if key not in self._synopses:
-            raise KeyError(f"unknown dataset key {key}")
-        self._scores_store.remove(key)
-        del self._synopses[key], self._deltas[key]
+        """Remove a dataset by key (a tombstone; the column is not reused)."""
+        self._check_key(key)
+        self._live[key] = False

@@ -6,9 +6,9 @@ vectors, over the points ``(gamma_{v_1}^(i), ..., gamma_{v_m}^(i))``.
 
 The paper precomputes a tree for *every* subset (``O(eps^{-m(d-1)})`` of
 them).  We build them **lazily, keyed by the queried subset, with a cache**
-— identical outputs and identical per-query asymptotics after first touch
-(see ``DESIGN.md``, substitution 4); ``precompute_all=True`` restores the
-paper's eager behaviour for small nets.
+— identical outputs and identical per-query asymptotics after first
+touch; ``precompute_all=True`` restores the paper's eager behaviour for
+small nets.
 
 Disjunctions reduce to per-predicate queries with de-duplication, exactly
 as the paper notes.

@@ -37,13 +37,10 @@ remove_group / to_arrays / nbytes`` plus the multi-box batch kernels
 ``report_many / count_many / report_groups_many`` — one shared traversal
 on the kd-tree, one broadcast pass on the columnar store) over integer
 entry ids (see :mod:`repro.index.backend`), so every layer
-above — the Ptile/Pref structures,
+above — the Ptile structures,
 :class:`~repro.core.engine.DatasetSearchEngine`, the service shards,
 ``repro serve --engine`` — is parameterized by a backend name resolved
-through :func:`~repro.index.backend.build_backend`.  Callers that must
-tolerate third-party backends without the batch kernels use the
-``*_many_of`` dispatchers in :mod:`repro.index.backend`, which fall back
-to per-box loops with identical results.
+through :func:`~repro.index.backend.build_backend`.
 """
 
 from repro.index.backend import (

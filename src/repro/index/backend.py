@@ -213,10 +213,7 @@ class RangeSearchBackend(Protocol):
         ``[self.report(b) for b in boxes]`` (the equivalence suite asserts
         it), but free to share work across boxes — one broadcast
         containment pass on the columnar store, a single multi-box tree
-        walk on the kd-tree.  Backends may omit the ``*_many`` methods
-        entirely; callers go through :func:`report_many_of` /
-        :func:`count_many_of` / :func:`report_groups_many_of`, which fall
-        back to the per-box loop with identical results.
+        walk on the kd-tree.
         """
         ...
 
@@ -326,35 +323,6 @@ def restore_backend(
     if engine == "kd":
         return cls.from_arrays(arrays, leaf_size=leaf_size)
     return cls.from_arrays(arrays)
-
-
-def report_many_of(backend, boxes: Sequence[QueryBox]) -> list[list]:
-    """``backend.report_many`` with a per-box fallback.
-
-    All registered engines implement the batch kernels; a third-party
-    backend that opts out (no ``report_many`` attribute) is served by the
-    equivalent per-box loop — identical results either way.
-    """
-    fn = getattr(backend, "report_many", None)
-    if fn is not None:
-        return fn(boxes)
-    return [backend.report(box) for box in boxes]
-
-
-def count_many_of(backend, boxes: Sequence[QueryBox]) -> list[int]:
-    """``backend.count_many`` with a per-box fallback."""
-    fn = getattr(backend, "count_many", None)
-    if fn is not None:
-        return fn(boxes)
-    return [backend.count(box) for box in boxes]
-
-
-def report_groups_many_of(backend, boxes: Sequence[QueryBox]) -> list[set]:
-    """``backend.report_groups_many`` with a per-box fallback."""
-    fn = getattr(backend, "report_groups_many", None)
-    if fn is not None:
-        return fn(boxes)
-    return [backend.report_groups(box) for box in boxes]
 
 
 def check_engine(engine: str) -> str:

@@ -124,17 +124,6 @@ class SortedListIndex:
             out.append(self._ids[pos])
             pos += 1
 
-    def iter_report(self, interval: Interval):
-        """Generator variant of :meth:`report` (constant-delay enumeration)."""
-        left, right = self._index_range(interval)
-        pos = left
-        while True:
-            pos = self._active.find_first_positive(pos, right)
-            if pos >= right:
-                return
-            yield self._ids[pos]
-            pos += 1
-
     def report_first(self, interval: Interval):
         """One arbitrary active id in the interval, or None — ``ReportFirst``."""
         left, right = self._index_range(interval)

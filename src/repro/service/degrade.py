@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import Predicate
+from repro.core.pref_index import pref_threshold
 from repro.errors import CapabilityError, QueryError
 from repro.geometry.interval import Interval
 from repro.service.planner import LeafBounds, LeafKey
@@ -143,10 +144,7 @@ def screen_synopses(
     measure = leaf.measure
     theta = leaf.theta
     if isinstance(measure, PreferenceMeasure):
-        if not theta.is_threshold:
-            raise QueryError(
-                "preference predicates support one-sided theta = [a, inf)"
-            )
+        pref_threshold(theta)  # refuses anything but [a, inf)
     elif not isinstance(measure, PercentileMeasure):
         raise QueryError(f"unsupported measure {type(measure).__name__}")
     must_ids: list[int] = []

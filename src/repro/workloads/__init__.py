@@ -2,8 +2,7 @@
 
 The paper motivates the problems on open-data repositories of ~100K
 datasets (Example 1.1).  Those repositories are proprietary-ish and huge;
-we substitute controlled synthetic generators (DESIGN.md, substitution 1)
-with known ground truth:
+we substitute controlled synthetic generators with known ground truth:
 
 - :mod:`~repro.workloads.generators` — parametric dataset families
   (uniform, Gaussian mixtures, skewed, controlled-mass) with realistic

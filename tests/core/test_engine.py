@@ -6,9 +6,11 @@ import pytest
 from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
-from repro.core.predicates import And, Or, pred
+from repro.core.predicates import And, Or, Predicate, pred
 from repro.errors import ConstructionError, QueryError
+from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
+from repro.service.degrade import screen_synopses
 from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.sample import EpsilonSampleSynopsis
 
@@ -65,6 +67,36 @@ class TestRouting:
         expr = pred(PreferenceMeasure(np.array([1.0, 0.0]), 1), 0.2, 0.4)
         with pytest.raises(QueryError):
             engine.search(expr)
+
+    @pytest.mark.parametrize("hi", [0.99, 1.0, 1.5])
+    def test_preference_upper_bound_is_never_dropped(self, hi, rng):
+        """Scores are unbounded: ``hi >= 1`` is a real bound on a Pref leaf
+        (it used to be read as "no bound", reporting all six datasets
+        where only some qualify), so every path refuses it like any finite
+        one."""
+        base = rng.uniform(0.5, 1.0, size=(50, 2))
+        repo = Repository.from_arrays(
+            [base * scale for scale in (0.5, 0.8, 1.0, 2.0, 3.0, 5.0)]
+        )
+        engine = DatasetSearchEngine(repository=repo, eps=0.1, rng=rng)
+        measure = PreferenceMeasure(np.array([1.0, 0.0]), k=3)
+        leaf = Predicate(measure, Interval(0.4, hi))
+        assert 0 < len(engine.ground_truth(leaf)) < 6
+        with pytest.raises(QueryError):
+            engine.evaluate_quality(leaf)
+        with pytest.raises(QueryError):
+            engine.eval_leaf_batch_bits([leaf])
+        with pytest.raises(QueryError):
+            screen_synopses(engine.synopses, leaf, eps=engine.eps)
+        with pytest.raises(QueryError):
+            engine.pref_index(3).query_expression(measure.vector, leaf.theta)
+        # [a, inf) is the supported form and behaves as before.
+        open_leaf = Predicate(measure, Interval.at_least(0.4))
+        assert engine.evaluate_quality(open_leaf)["recall"] == 1.0
+        must, possible = screen_synopses(engine.synopses, open_leaf, eps=engine.eps)
+        assert must.to_set() <= engine.search(open_leaf).index_set <= possible.to_set()
+        got = engine.pref_index(3).query_expression(measure.vector, open_leaf.theta)
+        assert got.index_set == engine.search(open_leaf).index_set
 
 
 class TestConstructionModes:

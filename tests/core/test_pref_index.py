@@ -1,11 +1,19 @@
 """Theorem 5.4 guarantee tests for PrefIndex."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import DatasetSearchEngine
+from repro.core.measures import PreferenceMeasure
+from repro.core.predicates import And, Or, pred
 from repro.core.pref_index import PrefIndex
 from repro.errors import ConstructionError, QueryError
+from repro.geometry.epsilon_net import nearest_net_vector
 from repro.geometry.interval import Interval
+from repro.index import ENGINES
 from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.kernel import DirectionQuantileSynopsis
 
@@ -32,6 +40,25 @@ def index(planted):
 
 def exact_score(pts, u, k=K):
     return float(np.sort(pts @ u)[len(pts) - k])
+
+
+def algorithm5_oracle(index, live, u, a_theta):
+    """Algorithms 5-6 as the paper lays them out: the datasets of the
+    snapped net direction in descending shifted-score order, reported
+    until one falls below ``a_theta - eps``.  ``live`` maps key ->
+    ``(synopsis, delta)``; the keys come back ascending."""
+    vi = nearest_net_vector(index.net, np.asarray(u, dtype=float))
+    ordered = sorted(
+        ((float(syn.score_batch(index.net, index.k)[vi]) + d, key)
+         for key, (syn, d) in live.items()),
+        reverse=True,
+    )
+    hits = []
+    for score, key in ordered:
+        if not score >= a_theta - index.eps:
+            break
+        hits.append(key)
+    return sorted(hits)
 
 
 class TestGuarantees:
@@ -125,6 +152,123 @@ class TestDynamics:
         res = index.query(np.array([1.0, 0.0]), -10.0)
         assert set(keys) <= res.index_set
         assert res.out_size == 34
+        assert index.n_datasets == 34
+
+    def test_dimension_mismatch(self, index, rng):
+        with pytest.raises(ConstructionError):
+            index.insert_synopsis(ExactSynopsis(rng.uniform(size=(10, 3))))
+
+    @pytest.mark.parametrize("key", [-1, 20, 10**6])
+    def test_unknown_key(self, index, key):
+        with pytest.raises(KeyError):
+            index.delete_synopsis(key)
+        with pytest.raises(KeyError):
+            index.delta_of(key)
+
+
+# One step of a mutation history: ("insert", n_points, delta, seed),
+# ("delete", pick) or ("query", angle, a_theta).
+_thresholds = st.one_of(
+    st.sampled_from([-math.inf, math.inf]), st.floats(-1.5, 1.5, allow_nan=False)
+)
+_steps = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.integers(1, 8),
+        st.sampled_from([0.0, 0.05, 0.4]),
+        st.integers(0, 2**16),
+    ),
+    st.tuples(st.just("delete"), st.integers(0, 2**16)),
+    st.tuples(st.just("query"), st.floats(0.0, 2 * math.pi), _thresholds),
+)
+# Two initial columns, so seven inserts cross three capacity doublings
+# (2 -> 4 -> 8 -> 16); then the last column is deleted and a new one added.
+_PROLOGUE = [("insert", n, 0.05 * (n % 2), n) for n in range(1, 8)] + [
+    ("delete", -1),
+    ("insert", 5, 0.0, 99),
+]
+
+
+class TestOneStoreAgainstOracle:
+    """The score matrix answers exactly what the ordered layout would."""
+
+    def check(self, index, live, angle, a_theta):
+        u = np.array([math.cos(angle), math.sin(angle)])
+        want = algorithm5_oracle(index, live, u, a_theta)
+        assert index.query(u, a_theta).indexes == want
+        timed = index.query(u, a_theta, record_times=True)
+        assert timed.indexes == want
+        stamps = [timed.start_time, *timed.emit_times, timed.end_time]
+        assert len(timed.emit_times) == len(want) and stamps == sorted(stamps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(history=st.lists(_steps, max_size=30))
+    def test_random_history(self, history):
+        k = 3  # larger than some datasets below, so -inf scores occur
+        rng = np.random.default_rng(7)
+        first = [ExactSynopsis(rng.uniform(-1, 1, size=(n, 2))) for n in (2, 6)]
+        index = PrefIndex(first, k=k, eps=0.3)
+        live = {key: (syn, 0.0) for key, syn in enumerate(first)}
+        capacity = index._scores.shape[1]
+        next_key = len(first)
+        for step in _PROLOGUE + history:
+            if step[0] == "insert":
+                _, n, delta, seed = step
+                pts = np.random.default_rng(seed).uniform(-1, 1, size=(n, 2))
+                syn = ExactSynopsis(pts)
+                key = index.insert_synopsis(syn, delta=delta)
+                assert key == next_key  # dense, never reused
+                next_key += 1
+                live[key] = (syn, delta)
+            elif step[0] == "delete":
+                if not live:
+                    continue
+                keys = sorted(live)
+                victim = keys[-1] if step[1] == -1 else keys[step[1] % len(keys)]
+                index.delete_synopsis(victim)
+                del live[victim]
+                with pytest.raises(KeyError):
+                    index.delete_synopsis(victim)
+            else:
+                self.check(index, live, step[1], step[2])
+            assert index.n_datasets == len(live)
+        assert index._scores.shape[1] >= 4 * capacity
+        for a_theta in (-math.inf, 0.0, math.inf):
+            self.check(index, live, 0.3, a_theta)
+
+
+class TestEveryEngineName:
+    """``engine`` names an orthant backend; Pref leaves never see it."""
+
+    def test_pref_bitmaps_identical_and_exact(self, planted):
+        syns = [ExactSynopsis(p) for p in planted]
+        vectors = [np.array([1.0, 0.0]), np.array([-0.6, 0.8]), np.array([0.3, -1.0])]
+        leaves = [
+            pred(PreferenceMeasure(v, k), tau)
+            for v in vectors
+            for k, tau in ((1, 0.1), (K, 0.0), (K, -0.2))
+        ]
+        batch = [
+            And(leaves[:3]),
+            Or(leaves[3:6]),
+            And([leaves[0], Or([leaves[4], leaves[8]])]),
+            Or([And([leaves[1], leaves[5]]), leaves[7]]),
+        ]
+        per_engine = {}
+        for name in ENGINES:
+            engine = DatasetSearchEngine(synopses=syns, eps=0.1, engine=name)
+            leaf_bits = engine.eval_leaf_batch_bits(leaves)
+            for leaf, bits in zip(leaves, leaf_bits):
+                index = engine.pref_index(leaf.measure.k)
+                live = {i: (syn, index.delta_of(i)) for i, syn in enumerate(syns)}
+                assert bits.to_list() == algorithm5_oracle(
+                    index, live, leaf.measure.vector, leaf.theta.lo
+                )
+            per_engine[name] = leaf_bits + [
+                engine.search(expr).bitmap for expr in batch
+            ]
+        for name in ENGINES:
+            assert per_engine[name] == per_engine["kd"], name
 
 
 class TestValidation:

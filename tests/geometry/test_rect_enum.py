@@ -1,8 +1,8 @@
 """Tests for combinatorial rectangle enumeration and maximal pairs.
 
-Includes the equivalence proof check promised in DESIGN.md (substitution
-3): the pruned pair set equals the paper's definition restricted to
-query-matchable pairs.
+Includes the equivalence check behind the maximal-pair pruning of
+``repro.geometry.rect_enum``: the pruned pair set equals the paper's
+definition restricted to query-matchable pairs.
 """
 
 import tracemalloc
@@ -120,7 +120,7 @@ class TestMaximalPairs:
         seed=st.integers(0, 10_000),
     )
     def test_pruning_equivalence(self, n, dim, seed):
-        """DESIGN.md substitution 3: pruned set == paper's matchable pairs."""
+        """Pair pruning: pruned set == paper's matchable pairs."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.1, 0.9, size=(n, dim))
         box = Rectangle([0.0] * dim, [1.0] * dim)

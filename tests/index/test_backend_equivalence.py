@@ -15,13 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.index import ENGINES, QueryBox, build_backend
-from repro.index.backend import (
-    DYNAMIC_ENGINES,
-    count_many_of,
-    group_of,
-    report_groups_many_of,
-    report_many_of,
-)
+from repro.index.backend import DYNAMIC_ENGINES, group_of
 
 
 def random_orthant(rng: np.random.Generator, dim: int) -> QueryBox:
@@ -303,33 +297,6 @@ class TestBatchKernels:
         assert [sorted(r) for r in tree.report_many(boxes)] == [
             sorted(tree.report(box)) for box in boxes
         ]
-
-    def test_fallback_for_backends_without_batch_kernels(self, rng):
-        """A backend that opts out of the ``*_many`` methods is served by
-        the per-box fallback with identical results."""
-        pts = rng.uniform(size=(25, 2))
-        ids = [(i % 4, i) for i in range(25)]
-        full = build_backend(pts, list(ids), "kd", leaf_size=4)
-
-        class Bare:
-            """Minimal backend surface: no *_many methods."""
-
-            def report(self, box):
-                return full.report(box)
-
-            def count(self, box):
-                return full.count(box)
-
-            def report_groups(self, box):
-                return full.report_groups(box)
-
-        bare = Bare()
-        boxes = [random_orthant(rng, 2) for _ in range(7)]
-        assert [sorted(r) for r in report_many_of(bare, boxes)] == [
-            sorted(r) for r in full.report_many(boxes)
-        ]
-        assert count_many_of(bare, boxes) == full.count_many(boxes)
-        assert report_groups_many_of(bare, boxes) == full.report_groups_many(boxes)
 
     def test_empty_batch(self, rng):
         pts = rng.uniform(size=(5, 2))

@@ -117,7 +117,3 @@ class TestPropertyBased:
         assert (first is None) == (not expected)
         if expected:
             assert first in expected
-
-    def test_iter_report_is_lazy_equal(self):
-        sl = SortedListIndex([0.3, 0.1, 0.2])
-        assert list(sl.iter_report(Interval(0.0, 1.0))) == sl.report(Interval(0.0, 1.0))

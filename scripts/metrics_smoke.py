@@ -10,6 +10,12 @@ asserts the exposition is well-formed and complete:
   to ``_count``;
 - ``/stats`` and ``/metrics`` agree on the query counter.
 
+Then the same over the shared HTTP edge's second server: a federation
+coordinator over that node answers one batch, its ``/metrics`` goes
+through the same parser, its request histogram carries one ``endpoint``
+label per route hit plus ``other`` for a scanned path, and an unknown
+path is a JSON 404 on both servers.
+
 Run from the repo root: ``PYTHONPATH=src python scripts/metrics_smoke.py``.
 Exits non-zero (assertion) on any violation; prints one summary line on
 success.  No third-party HTTP or Prometheus client is used, so the check
@@ -21,12 +27,14 @@ from __future__ import annotations
 import json
 import re
 import threading
+import urllib.error
 import urllib.request
 
 import numpy as np
 
 from repro.core.framework import Repository
 from repro.service import QueryService
+from repro.service.federation import FederatedCoordinator, make_federation_server
 from repro.service.server import expression_to_json, make_server
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
@@ -61,6 +69,99 @@ def fetch(url: str) -> tuple[bytes, str]:
         return resp.read(), resp.headers.get("Content-Type", "")
 
 
+def post(url: str, payload: dict) -> dict:
+    req = urllib.request.Request(url, data=json.dumps(payload).encode())
+    with urllib.request.urlopen(req, timeout=10) as resp:
+        return json.loads(resp.read())
+
+
+def scrape(base: str) -> tuple[dict, dict]:
+    """``/metrics`` of ``base`` as ``(types, samples)``; every line parses."""
+    text, ctype = fetch(f"{base}/metrics")
+    assert ctype.startswith("text/plain"), ctype
+    types: dict[str, str] = {}
+    samples: dict[str, list[tuple[dict, float]]] = {}
+    for line in text.decode("utf-8").splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ", 3)
+            types[name] = kind
+            continue
+        if line.startswith("#") or not line:
+            continue
+        m = SAMPLE_LINE.match(line)
+        assert m, f"unparseable sample line: {line!r}"
+        labels = {}
+        if m.group("labels"):
+            for part in re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"',
+                                   m.group("labels")):
+                labels[part[0]] = part[1]
+        samples.setdefault(m.group("name"), []).append(
+            (labels, float(m.group("value")))
+        )
+    return types, samples
+
+
+def check_histogram(family: str, samples: dict) -> None:
+    """Buckets must be cumulative, ending at +Inf == _count."""
+    by_series: dict[tuple, list[tuple[float, float]]] = {}
+    for labels, value in samples[family + "_bucket"]:
+        le = labels.pop("le")
+        key = tuple(sorted(labels.items()))
+        bound = float("inf") if le == "+Inf" else float(le)
+        by_series.setdefault(key, []).append((bound, value))
+    counts = {tuple(sorted(lbl.items())): v
+              for lbl, v in samples[family + "_count"]}
+    for key, buckets in by_series.items():
+        buckets.sort()
+        values = [v for _, v in buckets]
+        assert values == sorted(values), (
+            f"{family}{dict(key)}: buckets not cumulative"
+        )
+        assert buckets[-1][0] == float("inf")
+        assert values[-1] == counts[key], (
+            f"{family}{dict(key)}: +Inf bucket != _count"
+        )
+
+
+def assert_json_404(url: str) -> None:
+    try:
+        fetch(url)
+    except urllib.error.HTTPError as exc:
+        assert exc.code == 404, exc.code
+        assert "error" in json.loads(exc.read()), "404 body is not a JSON error"
+    else:
+        raise AssertionError(f"{url} is not a 404")
+
+
+def check_coordinator(node_base: str, expressions: list) -> int:
+    """The coordinator's side of the shared edge; returns samples parsed."""
+    coordinator = FederatedCoordinator()
+    coordinator.add_node(node_base)
+    httpd = make_federation_server(coordinator, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    host, port = httpd.server_address
+    base = f"http://{host}:{port}"
+    try:
+        payload = post(f"{base}/search/batch", {"expressions": expressions})
+        assert len(payload["results"]) == len(expressions)
+        assert payload["federation"]["coverage"] == 1.0, payload["federation"]
+        fetch(f"{base}/healthz")
+        assert_json_404(f"{base}/wp-login.php")
+        types, samples = scrape(base)
+        family = "repro_federation_request_seconds"
+        assert types.get(family) == "histogram", types.get(family)
+        check_histogram(family, samples)
+        endpoints = {lbl["endpoint"] for lbl, _ in samples[family + "_count"]}
+        assert endpoints == {"/search/batch", "/healthz", "other"}, endpoints
+        return sum(len(v) for v in samples.values())
+    finally:
+        httpd.shutdown()
+        thread.join(timeout=10)
+        httpd.server_close()
+        coordinator.close()
+
+
 def main() -> int:
     lake = synthetic_data_lake(40, 1, np.random.default_rng(7),
                                family="clustered", median_size=80)
@@ -78,69 +179,23 @@ def main() -> int:
         queries = batched_query_workload(
             6, 1, np.random.default_rng(8), pref_fraction=0.25, max_leaves=3,
         )
+        expressions = [expression_to_json(q) for q in queries]
         for trace in (False, True, False):  # cold, traced warm, untraced warm
-            body = json.dumps({
-                "expressions": [expression_to_json(q) for q in queries],
-                "trace": trace,
-            }).encode()
-            req = urllib.request.Request(f"{base}/search/batch", data=body)
-            with urllib.request.urlopen(req, timeout=10) as resp:
-                payload = json.loads(resp.read())
+            payload = post(
+                f"{base}/search/batch",
+                {"expressions": expressions, "trace": trace},
+            )
             assert ("trace" in payload) == trace, payload.keys()
 
-        text, ctype = fetch(f"{base}/metrics")
-        assert ctype.startswith("text/plain"), ctype
-        exposition = text.decode("utf-8")
-
-        types: dict[str, str] = {}
-        samples: dict[str, list[tuple[dict, float]]] = {}
-        for line in exposition.splitlines():
-            if line.startswith("# TYPE "):
-                _, _, name, kind = line.split(" ", 3)
-                types[name] = kind
-                continue
-            if line.startswith("#") or not line:
-                continue
-            m = SAMPLE_LINE.match(line)
-            assert m, f"unparseable sample line: {line!r}"
-            labels = {}
-            if m.group("labels"):
-                for part in re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"',
-                                       m.group("labels")):
-                    labels[part[0]] = part[1]
-            samples.setdefault(m.group("name"), []).append(
-                (labels, float(m.group("value")))
-            )
-
+        types, samples = scrape(base)
         for family, kind in REQUIRED_FAMILIES.items():
             assert types.get(family) == kind, (
                 f"{family}: expected TYPE {kind}, got {types.get(family)}"
             )
             suffix = "_bucket" if kind == "histogram" else ""
             assert samples.get(family + suffix), f"{family}: no samples"
-
-        # Histogram buckets must be cumulative, ending at +Inf == _count.
-        for family, kind in REQUIRED_FAMILIES.items():
-            if kind != "histogram":
-                continue
-            by_series: dict[tuple, list[tuple[float, float]]] = {}
-            for labels, value in samples[family + "_bucket"]:
-                le = labels.pop("le")
-                key = tuple(sorted(labels.items()))
-                bound = float("inf") if le == "+Inf" else float(le)
-                by_series.setdefault(key, []).append((bound, value))
-            counts = {tuple(sorted(lbl.items())): v
-                      for lbl, v in samples[family + "_count"]}
-            for key, buckets in by_series.items():
-                buckets.sort()
-                values = [v for _, v in buckets]
-                assert values == sorted(values), (
-                    f"{family}{dict(key)}: buckets not cumulative"
-                )
-                assert buckets[-1][0] == float("inf")
-                assert values[-1] == counts[key], (
-                    f"{family}{dict(key)}: +Inf bucket != _count"
-                )
+            if kind == "histogram":
+                check_histogram(family, samples)
 
         stats, _ = fetch(f"{base}/stats")
         stats = json.loads(stats)
@@ -152,11 +207,16 @@ def main() -> int:
         slow = json.loads(slow)
         assert slow["n_recorded"] >= 1, "slow log empty at threshold 0"
 
+        assert_json_404(f"{base}/wp-login.php")
+        n_coordinator = check_coordinator(base, expressions)
+
         n_families = len(REQUIRED_FAMILIES)
         n_samples = sum(len(v) for v in samples.values())
         print(f"metrics smoke: {n_families} required families present, "
               f"{n_samples} samples parsed, buckets cumulative, "
-              f"/stats consistent, slow log recording")
+              f"/stats consistent, slow log recording; coordinator over "
+              f"the node: {n_coordinator} samples parsed, endpoint labels "
+              f"follow the route table, unknown paths are JSON 404s")
         return 0
     finally:
         httpd.shutdown()

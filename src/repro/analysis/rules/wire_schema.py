@@ -6,8 +6,9 @@ wire as offsets from the query/batch start (``emit_times``) or as spans
 (``duration_s``) — both computed by subtracting the start stamp on the
 same clock.
 
-This rule runs on HTTP-server modules (any module defining a
-``BaseHTTPRequestHandler`` subclass) and flags:
+This rule runs on HTTP-server modules — any module defining a subclass
+of ``BaseHTTPRequestHandler`` or of the repo's one envelope over it,
+``JsonRequestHandler`` (:mod:`repro.service.server`) — and flags:
 
 - a wire key named ``start_time``/``end_time`` at all — absolute stamps
   have no meaning off-process;
@@ -28,6 +29,7 @@ from repro.analysis.registry import rule
 _ABSOLUTE_KEYS = {"start_time", "end_time"}
 _TIMING_KEYS = {"emit_times", "duration_s"}
 _STAMP_ATTRS = {"emit_times", "start_time", "end_time"}
+_HANDLER_BASES = {"BaseHTTPRequestHandler", "JsonRequestHandler"}
 
 
 def _is_handler_module(mod: ModuleInfo) -> bool:
@@ -36,7 +38,7 @@ def _is_handler_module(mod: ModuleInfo) -> bool:
             base_name = base.attr if isinstance(base, ast.Attribute) else (
                 base.id if isinstance(base, ast.Name) else None
             )
-            if base_name == "BaseHTTPRequestHandler":
+            if base_name in _HANDLER_BASES:
                 return True
     return False
 

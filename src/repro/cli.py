@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.bench.harness import TableReporter
 from repro.core.pref_index import PrefIndex
-from repro.index.backend import DYNAMIC_ENGINES, ENGINES
+from repro.index.backend import DYNAMIC_ENGINES
 from repro.core.ptile_range import PtileRangeIndex
 from repro.errors import ReproError
 from repro.geometry.interval import Interval
@@ -405,10 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of repository shards")
     p.add_argument("--cache-capacity", type=int, default=4096,
                    help="leaf-result cache capacity (0 disables)")
-    p.add_argument("--engine", choices=ENGINES, default="kd",
+    p.add_argument("--engine", choices=DYNAMIC_ENGINES, default="kd",
                    help="range-search backend for every shard ('columnar' "
-                        "is fastest at scale; 'rangetree' is static and "
-                        "refuses live ingestion)")
+                        "is fastest at scale; the static 'rangetree' is the "
+                        "paper's textbook structure for the theorem benches, "
+                        "not a serving backend)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
     p.add_argument("--warm", action="store_true",
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sample-size", type=int, default=None)
     b.add_argument("--shards", type=int, default=4)
     b.add_argument("--cache-capacity", type=int, default=4096)
-    b.add_argument("--engine", choices=ENGINES, default="kd")
+    b.add_argument("--engine", choices=DYNAMIC_ENGINES, default="kd")
     b.add_argument("--capacity", type=int, default=None)
     b.add_argument("--generation", type=int, default=0,
                    help="generation counter to stamp into the header")

@@ -29,8 +29,9 @@ batch.  This package turns the engine into a serving subsystem:
   fixed-bucket latency histograms and metrics registry (Prometheus text
   exposition), and the slow-query log — near-zero-cost when disabled;
 - :mod:`~repro.service.server` exposes the service over a stdlib-HTTP JSON
-  endpoint (the ``repro serve`` CLI subcommand), including ``/metrics``
-  and ``/stats/slow``;
+  endpoint (the ``repro serve`` CLI subcommand) and owns the one HTTP edge
+  of the package: the request envelope and error contract every server
+  here answers through, the result codec, and the one outbound call;
 - :mod:`~repro.service.federation` scatter-gathers batches over multiple
   ``repro serve`` nodes (the ``repro federate`` CLI subcommand) with
   per-node sub-deadlines, retries + hedging, circuit breakers, and

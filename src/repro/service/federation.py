@@ -72,12 +72,11 @@ HTTP surface (see :func:`make_federation_server`):
 from __future__ import annotations
 
 import json
+import math
 import queue
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
 from typing import (
@@ -95,7 +94,7 @@ from typing import (
 from repro.core.bitset import DatasetBitmap, bitmap_from_wire
 from repro.core.predicates import Expression
 from repro.core.results import QueryResult
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError
 from repro.service import faults
 from repro.service.deadline import Deadline
 from repro.service.degrade import screen_synopses
@@ -103,8 +102,13 @@ from repro.service.observability import MetricsRegistry, Tracer
 from repro.service.planner import combine_bounds, plan_query
 from repro.service.server import (
     JsonRequestHandler,
+    _serve_forever,
+    _wire_int,
+    encode_result,
     expression_from_json,
     expression_to_json,
+    http_call,
+    parse_batch_body,
 )
 from repro.synopsis.base import Synopsis
 from repro.synopsis.serialize import from_dict as synopsis_from_dict
@@ -481,21 +485,29 @@ class FederatedCoordinator:
         engine's accuracy-contract parameters — they tighten the screen's
         *can't* side; unknown is sound but looser.
         """
+        for name, value in (("eps", eps), ("eps_effective", eps_effective)):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (number and 0.0 <= value < math.inf):
+                raise QueryError(
+                    f"'{name}' must be a finite number >= 0 or null, got {value!r}"
+                )
         if n_datasets is None:
             n_datasets = self._probe_n_datasets(url)
-        n_datasets = int(n_datasets)
+        n_datasets = _wire_int(n_datasets, "'n_datasets'")
         if n_datasets <= 0:
             raise QueryError(
                 f"node must own at least one dataset, got {n_datasets}"
             )
         parsed: Optional[List[Synopsis]] = None
         if synopses is not None:
-            parsed = []
-            for syn in synopses:
-                if isinstance(syn, dict):
-                    parsed.append(synopsis_from_dict(syn))
-                else:
-                    parsed.append(syn)
+            if not isinstance(synopses, (list, tuple)):
+                raise QueryError("'synopses' must be a list, one per dataset")
+            # The wire decoder refuses whatever is not a serialized synopsis;
+            # a stray value kept here would crash the first degraded answer.
+            parsed = [
+                syn if isinstance(syn, Synopsis) else synopsis_from_dict(syn)
+                for syn in synopses
+            ]
             if len(parsed) != n_datasets:
                 raise QueryError(
                     f"synopsis count ({len(parsed)}) must match the node's "
@@ -536,7 +548,7 @@ class FederatedCoordinator:
     def remove_node(self, node_id: int) -> dict:
         """Drop a node; later nodes' offsets shift down to stay contiguous."""
         with self._lock:
-            node = self._nodes.pop(int(node_id), None)
+            node = self._nodes.pop(_wire_int(node_id, "'node_id'"), None)
             total = sum(n.n_datasets for n in self._nodes.values())
         if node is None:
             raise QueryError(f"unknown node_id {node_id}")
@@ -549,12 +561,13 @@ class FederatedCoordinator:
 
     def _probe_n_datasets(self, url: str) -> int:
         try:
-            with urllib.request.urlopen(
+            status, raw = http_call(
                 url.rstrip("/") + "/healthz", timeout=self.probe_timeout_s
-            ) as resp:
-                health = json.loads(resp.read())
-            return int(health["n_datasets"])
-        except (OSError, ValueError, KeyError) as exc:
+            )
+            if status != 200:
+                raise OSError(f"HTTP {status}")
+            return int(json.loads(raw)["n_datasets"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise QueryError(
                 f"cannot register node {url!r}: /healthz probe failed "
                 f"({exc}); pass n_datasets explicitly to register a node "
@@ -624,10 +637,11 @@ class FederatedCoordinator:
     ) -> FederatedBatch:
         """Scatter a batch to every node, merge with offset-shifted OR.
 
-        Always returns one :class:`~repro.core.results.QueryResult` per
-        expression; a node problem degrades that node's slice instead of
-        failing the batch.  An all-healthy merge is *exactly* the answer
-        a single-node service over the concatenated universe would give.
+        Returns one :class:`~repro.core.results.QueryResult` per expression;
+        a node problem degrades that node's slice instead of failing the
+        batch, while a node's ``400`` — the *query* is wrong — raises
+        :class:`~repro.errors.QueryError`.  An all-healthy merge is *exactly*
+        the answer a single-node service over the whole universe would give.
         """
         if not expressions:
             raise QueryError("'expressions' must be a non-empty list")
@@ -798,8 +812,15 @@ class FederatedCoordinator:
                     hedge=(attempt == 0 and self.hedge_delay_s is not None),
                     forward_deadline=budget is not None,
                 )
+            except QueryError:
+                # The node answered 400: the query is wrong, not the node.
+                # No retry, no failure count (one buyer's typo must not make
+                # a seller "missing" for everyone); the batch fails with the
+                # node's message.  A reply also settles a half-open probe.
+                node.breaker.record_success()
+                raise
             except (
-                OSError, ValueError, KeyError, QueryError,
+                OSError, ValueError, KeyError, TypeError,
                 faults.FailpointError,
             ) as exc:
                 last_exc = exc
@@ -940,6 +961,7 @@ class FederatedCoordinator:
             # itself on deadline (sound must/maybe; see service.search_batch)
             # instead of dying on the wire.
             payload["deadline_ms"] = max(1.0, timeout * 0.9 * 1e3)
+        url = node.url + "/search/batch"
         body = json.dumps(payload).encode("utf-8")
 
         def run() -> None:
@@ -947,19 +969,18 @@ class FederatedCoordinator:
             try:
                 if faults.ARMED is not None:
                     faults.hit("node_rpc")
-                req = urllib.request.Request(
-                    node.url + "/search/batch",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(req, timeout=timeout) as resp:
-                    raw = json.loads(resp.read())
+                status, raw = http_call(url, body, timeout=timeout)
+                if status not in (200, 400):
+                    raise OSError(f"node {node.node_id} answered HTTP {status}")
+                reply = json.loads(raw)
+                if status == 400:  # the client's error: see _call_node
+                    raise QueryError(str(reply["error"]))
                 answers = self._parse_node_results(
-                    node, raw, len(exprs_json)
+                    node, reply, len(exprs_json)
                 )
                 results.put(("ok", (answers, time.perf_counter() - t0)))
             except (
-                OSError, ValueError, KeyError, QueryError,
+                OSError, ValueError, KeyError, TypeError, QueryError,
                 NodeRPCError, faults.FailpointError,
             ) as exc:
                 results.put(("err", exc))
@@ -1123,166 +1144,65 @@ class FederatedCoordinator:
 # ----------------------------------------------------------------------
 # HTTP surface
 # ----------------------------------------------------------------------
-_FED_ENDPOINTS = frozenset(
-    {"/healthz", "/stats", "/metrics", "/search", "/search/batch", "/nodes"}
-)
-
-
 class _FederationRequestHandler(JsonRequestHandler):
-    """Coordinator endpoints over a bound :class:`FederatedCoordinator`."""
+    """Coordinator routes over a bound :class:`FederatedCoordinator`."""
 
-    coordinator: FederatedCoordinator  # injected by make_federation_handler
+    coordinator: FederatedCoordinator  # injected by make_federation_server
 
-    def _observe(self, t0: float) -> None:
-        endpoint = self.path if self.path in _FED_ENDPOINTS else "other"
-        reg = self.coordinator.registry
-        reg.observe(
-            "repro_federation_request_seconds",
-            time.perf_counter() - t0,
-            {"endpoint": endpoint},
+    def observe(self, endpoint: str, seconds: float, status: int) -> None:
+        self.coordinator.registry.observe(
+            "repro_federation_request_seconds", seconds, {"endpoint": endpoint}
         )
 
-    def do_GET(self) -> None:
-        t0 = time.perf_counter()
-        try:
-            coord = self.coordinator
-            if self.path == "/healthz":
-                self._send_json(
-                    {
-                        "status": "ok",
-                        "role": "coordinator",
-                        "n_nodes": coord.n_nodes,
-                        "n_datasets": coord.n_datasets,
-                    }
-                )
-            elif self.path == "/stats":
-                self._send_json(coord.stats())
-            elif self.path == "/metrics":
-                self._send_text(coord.registry.render())
-            else:
-                self._send_json(
-                    {"error": f"unknown path {self.path}"}, status=404
-                )
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
-        finally:
-            self._observe(t0)
+    def _healthz(self) -> None:
+        coord = self.coordinator
+        self._send_json(
+            {
+                "status": "ok",
+                "role": "coordinator",
+                "n_nodes": coord.n_nodes,
+                "n_datasets": coord.n_datasets,
+            }
+        )
 
-    def do_POST(self) -> None:
-        t0 = time.perf_counter()
-        try:
-            body = self._read_json()
-            coord = self.coordinator
-            if self.path == "/search":
-                expr = expression_from_json(body.get("expression"))
-                batch = coord.search(
-                    expr, deadline_ms=body.get("deadline_ms")
-                )
-                result = batch.results[0]
-                payload: dict = {
-                    "indexes": result.indexes,
-                    "stats": result.stats,
-                    "federation": batch.meta(),
-                }
-                payload.update(_degraded_fields(result, "indexes"))
-                self._send_json(payload)
-            elif self.path == "/search/batch":
-                exprs_json = body.get("expressions")
-                if not isinstance(exprs_json, list) or not exprs_json:
-                    raise QueryError("'expressions' must be a non-empty list")
-                fmt = body.get("format", "indexes")
-                if fmt not in ("indexes", "bitset"):
-                    raise QueryError(
-                        f"'format' must be 'indexes' or 'bitset', got {fmt!r}"
-                    )
-                exprs = [expression_from_json(e) for e in exprs_json]
-                batch = coord.search_batch(
-                    exprs, deadline_ms=body.get("deadline_ms")
-                )
-                encoded = []
-                for r in batch.results:
-                    one: dict
-                    if fmt == "bitset":
-                        assert r.bitmap is not None
-                        one = {
-                            "bitset": r.bitmap.to_wire(),
-                            "out_size": r.out_size,
-                            "stats": r.stats,
-                        }
-                    else:
-                        one = {"indexes": r.indexes, "stats": r.stats}
-                    one.update(_degraded_fields(r, fmt))
-                    encoded.append(one)
-                self._send_json(
-                    {"results": encoded, "federation": batch.meta()}
-                )
-            elif self.path == "/nodes":
-                url = body.get("url")
-                if not isinstance(url, str) or not url:
-                    raise QueryError("'url' must be a non-empty string")
-                receipt = coord.add_node(
-                    url,
-                    n_datasets=body.get("n_datasets"),
-                    synopses=body.get("synopses"),
-                    eps=body.get("eps"),
-                    eps_effective=body.get("eps_effective"),
-                )
-                self._send_json(receipt)
-            else:
-                self._send_json(
-                    {"error": f"unknown path {self.path}"}, status=404
-                )
-        except ReproError as exc:
-            self._send_json({"error": str(exc)}, status=400)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
-        finally:
-            self._observe(t0)
+    def _stats(self) -> None:
+        self._send_json(self.coordinator.stats())
 
-    def do_DELETE(self) -> None:
-        t0 = time.perf_counter()
-        try:
-            body = self._read_json()
-            if self.path == "/nodes":
-                node_id = body.get("node_id")
-                if not isinstance(node_id, int):
-                    raise QueryError("'node_id' must be an integer")
-                self._send_json(self.coordinator.remove_node(node_id))
-            else:
-                self._send_json(
-                    {"error": f"unknown path {self.path}"}, status=404
-                )
-        except ReproError as exc:
-            self._send_json({"error": str(exc)}, status=400)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
-        finally:
-            self._observe(t0)
+    def _metrics(self) -> None:
+        self._send_text(self.coordinator.registry.render())
 
+    def _search(self, body: dict) -> None:
+        single = self.path == "/search"
+        exprs_json, fmt = parse_batch_body(body, single)
+        batch = self.coordinator.search_batch(
+            [expression_from_json(e) for e in exprs_json],
+            deadline_ms=body.get("deadline_ms"),
+        )
+        encoded = [encode_result(r, fmt, batch.n_datasets) for r in batch.results]
+        payload = encoded[0] if single else {"results": encoded}
+        payload["federation"] = batch.meta()
+        self._send_json(payload)
 
-def _degraded_fields(result: QueryResult, fmt: str) -> dict:
-    """Degraded wire fields (mirrors the single-node server's shape)."""
-    if not result.stats.get("degraded"):
-        return {}
-    out: dict = {"degraded": True}
-    maybe = result.maybe_bitmap
-    assert maybe is not None
-    if fmt == "bitset":
-        out["maybe_bitset"] = maybe.to_wire()
-    else:
-        out["maybe_indexes"] = maybe.to_list()
-    return out
+    def _add_node(self, body: dict) -> None:
+        url = body.get("url")
+        if not isinstance(url, str) or not url:
+            raise QueryError("'url' must be a non-empty string")
+        optional = ("n_datasets", "synopses", "eps", "eps_effective")
+        receipt = self.coordinator.add_node(url, **{k: body.get(k) for k in optional})
+        self._send_json(receipt)
 
+    def _remove_node(self, body: dict) -> None:
+        self._send_json(self.coordinator.remove_node(body.get("node_id")))
 
-def make_federation_handler(
-    coordinator: FederatedCoordinator, quiet: bool = True
-) -> type:
-    """A request-handler class bound to one coordinator."""
-    return type(
-        "BoundFederationRequestHandler",
-        (_FederationRequestHandler,),
-        {"coordinator": coordinator, "quiet": quiet},
-    )
+    routes = {
+        ("GET", "/healthz"): _healthz,
+        ("GET", "/stats"): _stats,
+        ("GET", "/metrics"): _metrics,
+        ("POST", "/search"): _search,
+        ("POST", "/search/batch"): _search,
+        ("POST", "/nodes"): _add_node,
+        ("DELETE", "/nodes"): _remove_node,
+    }
 
 
 def make_federation_server(
@@ -1292,9 +1212,12 @@ def make_federation_server(
     quiet: bool = True,
 ) -> ThreadingHTTPServer:
     """A ready-to-run coordinator HTTP server (port 0 = ephemeral)."""
-    return ThreadingHTTPServer(
-        (host, port), make_federation_handler(coordinator, quiet)
+    handler = type(
+        "BoundFederationRequestHandler",
+        (_FederationRequestHandler,),
+        {"coordinator": coordinator, "quiet": quiet},
     )
+    return ThreadingHTTPServer((host, port), handler)
 
 
 def serve_federation(
@@ -1305,23 +1228,12 @@ def serve_federation(
 ) -> None:
     """Serve forever (Ctrl-C to stop); the ``repro federate`` entry point."""
     httpd = make_federation_server(coordinator, host, port, quiet=quiet)
-    addr = httpd.server_address
-    print(
-        f"repro federation coordinator listening on "
-        f"http://{addr[0]}:{addr[1]} "
-        f"({coordinator.n_nodes} node(s), {coordinator.n_datasets} datasets)"
+    _serve_forever(
+        httpd,
+        "repro federation coordinator listening on {url} "
+        f"({coordinator.n_nodes} node(s), {coordinator.n_datasets} datasets)",
+        coordinator.close,
     )
-    print(
-        "endpoints: GET /healthz, GET /stats, GET /metrics, POST /search, "
-        "POST /search/batch, POST /nodes, DELETE /nodes"
-    )
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        print("shutting down")
-    finally:
-        httpd.server_close()
-        coordinator.close()
 
 
 def federated_node_service(
@@ -1395,7 +1307,6 @@ __all__ = [
     "FederatedNode",
     "NodeRPCError",
     "federated_node_service",
-    "make_federation_handler",
     "make_federation_server",
     "serve_federation",
 ]

@@ -79,15 +79,35 @@ cannot fork divergent states.
 The server is a ``ThreadingHTTPServer``; concurrency is safe because the
 service serializes shard access with per-shard locks and the cache and
 telemetry guard their mutable state with their own locks.
+
+Error contract — decided once, in :class:`JsonRequestHandler`, for this
+server, the federation coordinator and the supervisor's admin port.  Error
+bodies are ``{"error": "..."}``; the request body is drained before any
+reply, so keep-alive framing survives every row:
+
+=====  ==============================================================
+400    the client's error: a ``Content-Length`` that is not a
+       non-negative integer (with ``Connection: close`` — framing is
+       lost), a body that is not a JSON object, anything a decoder or
+       the service refuses (any :class:`~repro.errors.ReproError`)
+404    no route for this verb and path
+409    a mutation sent to a read-only worker
+429    shed by the admission gate (``Retry-After`` says when)
+5xx    never from input: 500 is a bug; 503 is the supervisor's
+       ``/healthz`` over a fleet that is not whole
+=====  ==============================================================
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import time
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -120,6 +140,8 @@ def expression_from_json(obj: dict) -> Expression:
     if op == "ptile":
         try:
             rect = Rectangle(obj["lo"], obj["hi"])
+            if np.isnan(rect.lo).any() or np.isnan(rect.hi).any():
+                raise ValueError("NaN bound (an open side is ±Infinity)")
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"bad ptile leaf: {exc}")
         theta = obj.get("theta")
@@ -137,13 +159,13 @@ def expression_from_json(obj: dict) -> Expression:
             raise QueryError(f"bad ptile theta: {exc}")
     if op == "pref":
         try:
-            measure = PreferenceMeasure(
-                np.asarray(obj["vector"], dtype=float), k=int(obj["k"])
-            )
-            tau = float(obj["tau"])
+            vector = np.asarray(obj["vector"], dtype=float)
+            if not np.isfinite(vector).all():
+                raise ValueError("vector must be finite")
+            measure = PreferenceMeasure(vector, k=_wire_int(obj["k"], "'k'"))
+            return Predicate(measure, Interval.at_least(float(obj["tau"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise QueryError(f"bad pref leaf: {exc}")
-        return Predicate(measure, Interval.at_least(tau))
     raise QueryError(f"unknown op {op!r}")
 
 
@@ -191,62 +213,201 @@ def expression_to_json(expression: Expression) -> dict:
     raise QueryError(f"cannot serialize {type(expression).__name__}")
 
 
-def _result_bitmap(result: QueryResult, service: QueryService) -> DatasetBitmap:
-    """The result's packed answer, zero-copy where the warm path made one.
+def _wire_int(value: Any, what: str) -> int:
+    """A JSON integer (``5`` or ``5.0``).  ``int()`` would pass ``true`` and
+    ``1.7`` as 1 — the wrong dataset tombstoned, the wrong ``k`` answered."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise QueryError(f"{what} must be an integer, got {value!r}")
 
-    Results carry their bitmap straight through — encoding touches only
-    the word buffer, never a Python index list.  Only ``record_times``
-    results (an index list in emission order) are packed here.
+
+# ----------------------------------------------------------------------
+# The HTTP edge: one result codec, one outbound call, one inbound envelope
+# ----------------------------------------------------------------------
+def parse_batch_body(body: dict, single: bool = False) -> Tuple[list, str]:
+    """``(expressions, result format)`` of a search body, validated.
+
+    The expressions stay JSON — each server decodes them through its own
+    module's ``expression_from_json``.  ``single`` reads a ``/search``
+    body: a one-element batch, always answered as ``indexes``.
     """
-    if result.bitmap is not None:
-        return result.bitmap
-    return DatasetBitmap.from_indices(result.indexes, service.n_datasets)
+    if single:
+        return [body.get("expression")], "indexes"
+    exprs_json = body.get("expressions")
+    if not isinstance(exprs_json, list) or not exprs_json:
+        raise QueryError("'expressions' must be a non-empty list")
+    fmt = body.get("format", "indexes")
+    if fmt not in ("indexes", "bitset"):
+        raise QueryError(f"'format' must be 'indexes' or 'bitset', got {fmt!r}")
+    return exprs_json, fmt
 
 
-# ----------------------------------------------------------------------
-# HTTP plumbing
-# ----------------------------------------------------------------------
-#: Paths that get their own ``endpoint`` label on the request metrics;
-#: anything else is folded into ``"other"`` so an URL-scanning client
-#: cannot blow up the label cardinality.
-_KNOWN_ENDPOINTS = frozenset(
-    {
-        "/healthz",
-        "/stats",
-        "/stats/slow",
-        "/metrics",
-        "/search",
-        "/search/batch",
-        "/datasets",
-        "/cache/invalidate",
-        "/admin/promote",
-    }
-)
+def encode_result(result: QueryResult, fmt: str, n_datasets: int) -> dict:
+    """One result's wire object, for the node and the coordinator alike.
 
-#: Endpoints the admission gate applies to: the ones that do real query
-#: work.  Health probes, stats and mutations stay ungated so operators
-#: can always see (and heal) an overloaded server.
-_GATED_ENDPOINTS = frozenset({"/search", "/search/batch"})
+    ``bitset`` encodes the warm path's bitmap zero-copy (the word buffer,
+    never a Python index list); only a ``record_times`` result — an index
+    list in emission order — is packed here, over ``n_datasets`` bits.  A
+    degraded result's main payload is its *must* set; ``degraded`` and the
+    disjoint ``maybe_*`` set tell a bounded answer from an exact one.
+    """
+    out: dict
+    if fmt == "bitset":
+        bitmap = result.bitmap
+        if bitmap is None:
+            bitmap = DatasetBitmap.from_indices(result.indexes, n_datasets)
+        out = {
+            "bitset": bitmap.to_wire(),
+            "out_size": result.out_size,
+            "stats": result.stats,
+        }
+    else:
+        out = {"indexes": result.indexes, "stats": result.stats}
+    if result.stats.get("degraded"):
+        maybe = result.maybe_bitmap
+        assert maybe is not None  # every degraded producer sets it
+        out["degraded"] = True
+        out["maybe_" + fmt] = maybe.to_wire() if fmt == "bitset" else maybe.to_list()
+    if result.start_time is not None:
+        # Absolute perf_counter stamps are process-local: ship offsets
+        # from the query/batch start, the origin of the trace spans too.
+        out["emit_times"] = [t - result.start_time for t in result.emit_times]
+        out["duration_s"] = result.end_time - result.start_time
+    return out
+
+
+def http_call(
+    url: str, body: Optional[bytes] = None, *, timeout: float
+) -> Tuple[int, bytes]:
+    """One outbound exchange — a GET, or a JSON POST when ``body`` is given
+    — as ``(status, reply bytes)``.  An HTTP error status is *returned*, not
+    raised (what a 400 or a 503 means is the caller's policy); a transport
+    failure (refused, reset, timed out, garbled reply) is an ``OSError``."""
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    request = urllib.request.Request(url, data=body, headers=headers)
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
+    except http.client.HTTPException as exc:
+        raise OSError(f"garbled HTTP reply from {url}: {exc!r}") from exc
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Shared JSON-over-HTTP plumbing for the repo's stdlib handlers.
+    """The one request envelope of the repo's three stdlib HTTP servers.
 
-    Owns nothing but the wire mechanics: JSON request parsing with a
-    :class:`~repro.errors.QueryError` on malformed bodies, JSON and
-    Prometheus-text responses with correct ``Content-Length``, quiet
-    logging, and the ``_status`` stamp the metrics observers read.  The
-    service handler below and the federation coordinator's handler
-    (:mod:`repro.service.federation`) both subclass it, so the two
-    servers cannot drift on framing details.
+    A subclass supplies ``routes`` — ``(verb, path) -> function``, called
+    as ``route(handler)`` for a GET and ``route(handler, body)`` with the
+    parsed JSON object otherwise — and may override the :meth:`admit` /
+    :meth:`release` / :meth:`observe` hooks.  Framing, status codes (the
+    module docstring's error contract) and metric labels are decided here,
+    so node, coordinator and supervisor admin port cannot drift on them.
     """
 
     quiet: bool = True
     protocol_version = "HTTP/1.1"
+    routes: Dict[Tuple[str, str], Callable[..., None]] = {}
 
     def log_message(self, fmt: str, *args: object) -> None:  # pragma: no cover
         if not self.quiet:
             super().log_message(fmt, *args)
+
+    def do_GET(self) -> None:
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:
+        self._dispatch("POST")
+
+    def do_DELETE(self) -> None:
+        self._dispatch("DELETE")
+
+    # -- hooks ---------------------------------------------------------
+    def admit(self) -> bool:
+        """May this routed request run?  A refusal sends its own reply."""
+        return True
+
+    def release(self) -> None:
+        """Undo :meth:`admit`; runs after it on every exit, raise included."""
+
+    def observe(self, endpoint: str, seconds: float, status: int) -> None:
+        """One finished request; ``endpoint`` is a routed path or ``other``
+        (an URL-scanning client cannot blow up the label cardinality)."""
+
+    # -- envelope ------------------------------------------------------
+    def _dispatch(self, verb: str) -> None:
+        t0 = time.perf_counter()
+        self._status = 500  # what observe() sees if no reply gets out
+        try:
+            # Drain the body before ANY reply: an unread body would be
+            # parsed as the next request line on a keep-alive connection.
+            raw = self._read_body()
+            if raw is None:
+                return
+            route = self.routes.get((verb, self.path))
+            if route is None:
+                self._send_json({"error": f"unknown path {self.path}"}, status=404)
+                return
+            try:
+                if not self.admit():
+                    return
+                if verb == "GET":
+                    route(self)
+                else:
+                    route(self, self._parse_json(raw))
+            finally:
+                self.release()
+        except ReproError as exc:
+            self._send_json({"error": str(exc)}, status=400)
+        except Exception as exc:  # pragma: no cover - defensive catch-all
+            self._send_json({"error": f"internal error: {exc}"}, status=500)
+        finally:
+            known = any(path == self.path for _verb, path in self.routes)
+            endpoint = self.path if known else "other"
+            self.observe(endpoint, time.perf_counter() - t0, self._status)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body; None once a bad length has been answered."""
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # Framing is lost — where the next request starts is
+            # unknowable — so the connection closes after the reply.
+            self._send_json(
+                {"error": f"Content-Length {length!r} is not a non-negative integer"},
+                status=400,
+                extra_headers={"Connection": "close"},
+            )
+            return None
+        return self.rfile.read(int(length))
+
+    @staticmethod
+    def _parse_json(raw: bytes) -> dict:
+        try:
+            obj = json.loads(raw.decode("utf-8")) if raw else {}
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise QueryError(f"request body is not valid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise QueryError("request body must be a JSON object")
+        return obj
+
+    def _send(
+        self,
+        status: int,
+        raw: bytes,
+        content_type: str,
+        extra_headers: Optional[dict] = None,
+    ) -> None:
+        self._status = status
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(raw)))
+        for name, value in (extra_headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(raw)
 
     def _send_json(
         self,
@@ -254,45 +415,26 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         status: int = 200,
         extra_headers: Optional[dict] = None,
     ) -> None:
-        self._status = status
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if extra_headers:
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        raw = json.dumps(payload).encode("utf-8")
+        self._send(status, raw, "application/json", extra_headers)
 
-    def _send_text(self, body: str, status: int = 200) -> None:
-        self._status = status
-        raw = body.encode("utf-8")
-        self.send_response(status)
+    def _send_text(self, body: str) -> None:
         # The Prometheus text exposition content type.
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send(
+            200, body.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
         )
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise QueryError(f"request body is not valid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise QueryError("request body must be a JSON object")
-        return obj
+
+#: Endpoints the admission gate applies to: the ones that do real query
+#: work.  Health probes, stats and mutations stay ungated so operators
+#: can always see (and heal) an overloaded server.
+_GATED_ENDPOINTS = frozenset({"/search", "/search/batch"})
 
 
 class _ServiceRequestHandler(JsonRequestHandler):
-    """Routes HTTP verbs to the bound service; set via ``make_handler``.
+    """The node's routes over the bound service; set via ``make_handler``.
 
-    Every handled request is observed into the service's
+    Every request is observed into the service's
     ``repro_request_seconds{endpoint=...}`` histogram and
     ``repro_requests_total{endpoint=..., status=...}`` counter.
 
@@ -311,19 +453,57 @@ class _ServiceRequestHandler(JsonRequestHandler):
     on_mutate: Optional[Callable[[], None]] = None
     #: Admission gate for the search endpoints; None = admit everything.
     gate: Optional[AdmissionGate] = None
-    #: Writer-promotion hook, bound ONLY on a supervisor worker's admin
-    #: port (the public port must 404 it — a load balancer reaching it
-    #: could mint a second writer).  Flips this worker writable.
-    promote_hook: Optional[Callable[[], None]] = None
+    #: Writer-promotion hook; flips this worker writable.  Bound, together
+    #: with ``admin_routes``, ONLY on a private admin port (``make_handler``):
+    #: the public table has no such route, so the envelope 404s it.
+    promote_hook: Callable[[], None]
     context: dict = {}
+    _held: Optional[AdmissionGate] = None  # the gate slot this request holds
+
+    # -- hooks ---------------------------------------------------------
+    def admit(self) -> bool:
+        if self.path == "/datasets" and not self.writable:
+            self._send_json(
+                {
+                    "error": "this worker is read-only; send mutations to the "
+                    "writer worker (worker 0)"
+                },
+                status=409,
+            )
+            return False
+        gate = self.gate
+        if gate is not None and self.path in _GATED_ENDPOINTS:
+            if not gate.try_acquire():
+                # Shed: never touches the service, so query telemetry stays
+                # a picture of admitted work; the status-labelled request
+                # counter and the shed counter record the rejection.
+                self.service.observability.registry.inc("repro_requests_shed_total")
+                self._send_json(
+                    {
+                        "error": "server is at capacity; retry later",
+                        "retry_after_s": gate.retry_after_s,
+                    },
+                    status=429,
+                    extra_headers={
+                        "Retry-After": str(max(1, math.ceil(gate.retry_after_s)))
+                    },
+                )
+                return False
+            self._held = gate
+        if self.command == "POST":
+            if faults.ARMED is not None:
+                faults.hit("handler")
+        return True
+
+    def release(self) -> None:
+        held, self._held = self._held, None
+        if held is not None:
+            held.release()
+
+    def observe(self, endpoint: str, seconds: float, status: int) -> None:
+        self.service.observability.observe_request(endpoint, seconds, status)
 
     # -- helpers -------------------------------------------------------
-    def _observe(self, t0: float) -> None:
-        endpoint = self.path if self.path in _KNOWN_ENDPOINTS else "other"
-        self.service.observability.observe_request(
-            endpoint, time.perf_counter() - t0, getattr(self, "_status", 500)
-        )
-
     def _serving_fields(self) -> dict:
         """Worker identity + snapshot generation (defaults single-process)."""
         ctx = self.context
@@ -333,259 +513,107 @@ class _ServiceRequestHandler(JsonRequestHandler):
             "worker_count": int(ctx.get("worker_count", 1)),
         }
 
-    def _mutated(self) -> None:
+    def _mutated(self, receipt: dict) -> None:
         if self.on_mutate is not None:
             self.on_mutate()
+        self._send_json(receipt)
 
-    def _reject_read_only(self) -> None:
+    # -- routes --------------------------------------------------------
+    def _healthz(self) -> None:
+        service = self.service
         self._send_json(
             {
-                "error": "this worker is read-only; send mutations to the "
-                "writer worker (worker 0)"
-            },
-            status=409,
+                "status": "ok",
+                "engine": service.engine_kind,
+                "n_datasets": service.n_datasets,
+                "n_live": service.n_live,
+                "n_shards": service.n_shards,
+                **self._serving_fields(),
+            }
         )
 
-    # -- verbs ---------------------------------------------------------
-    def do_GET(self) -> None:
-        t0 = time.perf_counter()
-        try:
-            if self.path == "/healthz":
-                service = self.service
-                payload = {
-                    "status": "ok",
-                    "engine": service.engine_kind,
-                    "n_datasets": service.n_datasets,
-                    "n_live": service.n_live,
-                    "n_shards": service.n_shards,
-                }
-                payload.update(self._serving_fields())
-                self._send_json(payload)
-            elif self.path == "/stats":
-                stats = self.service.stats()
-                stats["serving"] = self._serving_fields()
-                if self.gate is not None:
-                    stats["admission"] = self.gate.snapshot()
-                self._send_json(stats)
-            elif self.path == "/stats/slow":
-                log = self.service.observability.slow_log
-                self._send_json(
-                    {
-                        "threshold_ms": log.threshold_ms,
-                        "n_recorded": log.n_recorded,
-                        "slow_queries": log.snapshot(),
-                    }
-                )
-            elif self.path == "/metrics":
-                self._send_text(self.service.observability.render_prometheus())
-            else:
-                self._send_json({"error": f"unknown path {self.path}"}, status=404)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
-        finally:
-            self._observe(t0)
+    def _stats(self) -> None:
+        stats = self.service.stats()
+        stats["serving"] = self._serving_fields()
+        if self.gate is not None:
+            stats["admission"] = self.gate.snapshot()
+        self._send_json(stats)
 
-    @staticmethod
-    def _trace_flag(body: dict) -> Optional[bool]:
-        """The request's trace override (None = service default)."""
+    def _stats_slow(self) -> None:
+        log = self.service.observability.slow_log
+        self._send_json(
+            {
+                "threshold_ms": log.threshold_ms,
+                "n_recorded": log.n_recorded,
+                "slow_queries": log.snapshot(),
+            }
+        )
+
+    def _metrics(self) -> None:
+        self._send_text(self.service.observability.render_prometheus())
+
+    def _search(self, body: dict) -> None:
+        single = self.path == "/search"
+        exprs_json, fmt = parse_batch_body(body, single)
         trace = body.get("trace")
-        return None if trace is None else bool(trace)
-
-    @staticmethod
-    def _search_kwargs(body: dict) -> dict:
-        """The optional search knobs shared by /search and /search/batch."""
-        kwargs: dict = {}
-        deadline_ms = body.get("deadline_ms")
-        if deadline_ms is not None:
-            kwargs["deadline_ms"] = deadline_ms
-        if body.get("degrade"):
-            kwargs["degrade"] = True
-        return kwargs
-
-    @staticmethod
-    def _degraded_fields(result: QueryResult, fmt: str = "indexes") -> dict:
-        """The extra wire fields of a degraded answer (empty when exact).
-
-        The main ``indexes``/``bitset`` payload of a degraded result is
-        its *must* set; these fields add the disjoint *maybe* set and the
-        degradation metadata, so clients can tell an exact answer from a
-        bounded one without inspecting stats.
-        """
-        if not result.stats.get("degraded"):
-            return {}
-        out: dict = {"degraded": True}
-        maybe = result.maybe_bitmap
-        if fmt == "bitset":
-            out["maybe_bitset"] = maybe.to_wire()
+        service = self.service
+        results = service.search_batch(
+            [expression_from_json(e) for e in exprs_json],
+            record_times=bool(body.get("record_times", False)),
+            trace=None if trace is None else bool(trace),
+            deadline_ms=body.get("deadline_ms"),
+            degrade=bool(body.get("degrade")),
+        )
+        n_datasets = service.n_datasets
+        encoded = [encode_result(r, fmt, n_datasets) for r in results]
+        if single:
+            payload = encoded[0]
+            payload.setdefault("emit_times", [])
         else:
-            out["maybe_indexes"] = maybe.to_list()
-        return out
+            payload = {"results": encoded}
+        if results[0].trace is not None:
+            # One span tree per batch (stages are batch-wide; per-query
+            # assembly spans carry their query index).
+            payload["trace"] = results[0].trace
+        self._send_json(payload)
 
-    def do_POST(self) -> None:
-        t0 = time.perf_counter()
-        gate = self.gate
-        gated = gate is not None and self.path in _GATED_ENDPOINTS
-        if gated and not gate.try_acquire():
-            # Shed: never touches the service, so query telemetry stays a
-            # picture of admitted work; the status-labelled request
-            # counter and the shed counter record the rejection.
-            self.service.observability.registry.inc("repro_requests_shed_total")
-            self._send_json(
-                {
-                    "error": "server is at capacity; retry later",
-                    "retry_after_s": gate.retry_after_s,
-                },
-                status=429,
-                extra_headers={
-                    "Retry-After": str(max(1, math.ceil(gate.retry_after_s)))
-                },
-            )
-            self._observe(t0)
-            return
+    def _add_datasets(self, body: dict) -> None:
+        arrays = body.get("datasets")
+        if not isinstance(arrays, list) or not arrays:
+            raise QueryError("'datasets' must be a non-empty list of point arrays")
         try:
-            self._handle_post(t0)
-        finally:
-            if gated:
-                gate.release()
+            parsed = [np.asarray(a, dtype=float) for a in arrays]
+        except (TypeError, ValueError) as exc:
+            raise QueryError(f"bad dataset array: {exc}")
+        self._mutated(self.service.add_datasets(datasets=parsed))
 
-    def _handle_post(self, t0: float) -> None:
-        try:
-            if faults.ARMED is not None:
-                faults.hit("handler")
-            body = self._read_json()
-            if self.path == "/search":
-                expr = expression_from_json(body.get("expression"))
-                result = self.service.search(
-                    expr,
-                    record_times=bool(body.get("record_times", False)),
-                    trace=self._trace_flag(body),
-                    **self._search_kwargs(body),
-                )
-                payload = {
-                    "indexes": result.indexes,
-                    "emit_times": [],
-                    "stats": result.stats,
-                }
-                payload.update(self._degraded_fields(result))
-                if result.start_time is not None:
-                    # Absolute perf_counter stamps are process-local and
-                    # meaningless on the wire; ship start-relative offsets.
-                    payload["emit_times"] = [
-                        t - result.start_time for t in result.emit_times
-                    ]
-                    payload["duration_s"] = result.end_time - result.start_time
-                if result.trace is not None:
-                    payload["trace"] = result.trace
-                self._send_json(payload)
-            elif self.path == "/search/batch":
-                exprs_json = body.get("expressions")
-                if not isinstance(exprs_json, list) or not exprs_json:
-                    raise QueryError("'expressions' must be a non-empty list")
-                fmt = body.get("format", "indexes")
-                if fmt not in ("indexes", "bitset"):
-                    raise QueryError(
-                        f"'format' must be 'indexes' or 'bitset', got {fmt!r}"
-                    )
-                exprs = [expression_from_json(e) for e in exprs_json]
-                results = self.service.search_batch(
-                    exprs,
-                    record_times=bool(body.get("record_times", False)),
-                    trace=self._trace_flag(body),
-                    **self._search_kwargs(body),
-                )
-                encoded = []
-                for r in results:
-                    if fmt == "bitset":
-                        one = {
-                            "bitset": _result_bitmap(r, self.service).to_wire(),
-                            "out_size": r.out_size,
-                            "stats": r.stats,
-                        }
-                    else:
-                        one = {"indexes": r.indexes, "stats": r.stats}
-                    one.update(self._degraded_fields(r, fmt))
-                    if r.start_time is not None:
-                        # Batch-start-relative, on the same clock as the
-                        # trace spans (one shared origin per batch).
-                        one["emit_times"] = [
-                            t - r.start_time for t in r.emit_times
-                        ]
-                        one["duration_s"] = r.end_time - r.start_time
-                    encoded.append(one)
-                payload = {"results": encoded}
-                if results and results[0].trace is not None:
-                    # One span tree per batch (stages are batch-wide;
-                    # per-query assembly spans carry their query index).
-                    payload["trace"] = results[0].trace
-                self._send_json(payload)
-            elif self.path == "/admin/promote":
-                if self.promote_hook is None:
-                    # Not the admin port (or single-process mode): hide the
-                    # endpoint entirely rather than reveal a writer control.
-                    self._send_json(
-                        {"error": f"unknown path {self.path}"}, status=404
-                    )
-                else:
-                    self.promote_hook()
-                    payload = {"promoted": True}
-                    payload.update(self._serving_fields())
-                    self._send_json(payload)
-            elif self.path == "/datasets":
-                if not self.writable:
-                    self._reject_read_only()
-                    return
-                arrays = body.get("datasets")
-                if not isinstance(arrays, list) or not arrays:
-                    raise QueryError(
-                        "'datasets' must be a non-empty list of point arrays"
-                    )
-                parsed = []
-                for a in arrays:
-                    try:
-                        parsed.append(np.asarray(a, dtype=float))
-                    except (TypeError, ValueError) as exc:
-                        raise QueryError(f"bad dataset array: {exc}")
-                receipt = self.service.add_datasets(datasets=parsed)
-                self._mutated()
-                self._send_json(receipt)
-            elif self.path == "/cache/invalidate":
-                self.service.invalidate_cache()
-                self._send_json({"generation": self.service.cache.generation})
-            else:
-                self._send_json({"error": f"unknown path {self.path}"}, status=404)
-        except ReproError as exc:
-            self._send_json({"error": str(exc)}, status=400)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
-        finally:
-            self._observe(t0)
+    def _remove_datasets(self, body: dict) -> None:
+        indexes = body.get("indexes")
+        if not isinstance(indexes, list) or not indexes:
+            raise QueryError("'indexes' must be a non-empty list of ints")
+        parsed = [_wire_int(i, "a dataset index") for i in indexes]
+        self._mutated(self.service.remove_datasets(parsed))
 
-    def do_DELETE(self) -> None:
-        t0 = time.perf_counter()
-        try:
-            body = self._read_json()
-            if self.path == "/datasets":
-                if not self.writable:
-                    self._reject_read_only()
-                    return
-                indexes = body.get("indexes")
-                if not isinstance(indexes, list) or not indexes:
-                    raise QueryError("'indexes' must be a non-empty list of ints")
-                try:
-                    parsed = [int(i) for i in indexes]
-                except (TypeError, ValueError) as exc:
-                    raise QueryError(f"bad dataset index: {exc}")
-                receipt = self.service.remove_datasets(parsed)
-                self._mutated()
-                self._send_json(receipt)
-            else:
-                self._send_json({"error": f"unknown path {self.path}"}, status=404)
-        except ReproError as exc:
-            self._send_json({"error": str(exc)}, status=400)
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
-        finally:
-            self._observe(t0)
+    def _invalidate(self, body: dict) -> None:
+        self.service.invalidate_cache()
+        self._send_json({"generation": self.service.cache.generation})
+
+    def _promote(self, body: dict) -> None:
+        self.promote_hook()
+        self._send_json({"promoted": True, **self._serving_fields()})
+
+    routes = {
+        ("GET", "/healthz"): _healthz,
+        ("GET", "/stats"): _stats,
+        ("GET", "/stats/slow"): _stats_slow,
+        ("GET", "/metrics"): _metrics,
+        ("POST", "/search"): _search,
+        ("POST", "/search/batch"): _search,
+        ("POST", "/datasets"): _add_datasets,
+        ("DELETE", "/datasets"): _remove_datasets,
+        ("POST", "/cache/invalidate"): _invalidate,
+    }
+    admin_routes = {**routes, ("POST", "/admin/promote"): _promote}
 
 
 def make_handler(
@@ -627,6 +655,7 @@ def make_handler(
     }
     if promote_hook is not None:
         namespace["promote_hook"] = staticmethod(promote_hook)
+        namespace["routes"] = _ServiceRequestHandler.admin_routes
     if provider is not None:
         namespace["_provider"] = staticmethod(provider)
         namespace["service"] = property(lambda self: self._provider())
@@ -646,6 +675,24 @@ def make_server(
     return ThreadingHTTPServer(
         (host, port), make_handler(service, quiet, **handler_kwargs)
     )
+
+
+def _serve_forever(
+    httpd: ThreadingHTTPServer, banner: str, close: Callable[[], None]
+) -> None:
+    """Announce the address and the route table, serve until Ctrl-C, then
+    close the socket and the served object (node and coordinator alike)."""
+    host, port = httpd.server_address[:2]
+    print(banner.format(url=f"http://{host}:{port}"))
+    routes = httpd.RequestHandlerClass.routes  # type: ignore[attr-defined]
+    print("endpoints: " + ", ".join(f"{verb} {path}" for verb, path in routes))
+    try:
+        httpd.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        print("shutting down")
+    finally:
+        httpd.server_close()
+        close()
 
 
 def serve(
@@ -668,15 +715,4 @@ def serve(
         else None
     )
     httpd = make_server(service, host, port, quiet=quiet, gate=gate)
-    addr = httpd.server_address
-    print(f"repro service listening on http://{addr[0]}:{addr[1]}")
-    print("endpoints: GET /healthz, GET /stats, GET /stats/slow, "
-          "GET /metrics, POST /search, POST /search/batch, "
-          "POST /datasets, DELETE /datasets, POST /cache/invalidate")
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        print("shutting down")
-    finally:
-        httpd.server_close()
-        service.close()
+    _serve_forever(httpd, "repro service listening on {url}", service.close)

@@ -80,7 +80,7 @@ from repro.errors import (
 )
 from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import DYNAMIC_ENGINES, check_engine
+from repro.index.backend import DYNAMIC_ENGINES
 from repro.service import faults
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
@@ -191,10 +191,10 @@ class ShardedBatchExecutor:
         only if the synopses are already deterministic samplers.
     engine:
         Range-search backend name forced onto every shard engine (and the
-        delta shard): ``"kd"`` (default), ``"columnar"`` (vectorized
-        scans; fastest at service scale), ``"rangetree"`` (static — live
-        ingestion into the delta shard is refused).  See
-        :mod:`repro.index.backend`.
+        delta shard): ``"kd"`` (default) or ``"columnar"`` (vectorized
+        scans; fastest at service scale) — the dynamic engines of
+        :mod:`repro.index.backend`.  The static ``"rangetree"`` is refused
+        at construction: the serving layer ingests live.
     capacity:
         Expected repository size the accuracy contract is resolved against:
         ``phi_eff``, ``sample_size`` and ``eps_effective`` are computed for
@@ -238,7 +238,12 @@ class ShardedBatchExecutor:
         self.seed = int(seed)
         self._deterministic = bool(deterministic)
         self._delta_param = delta
-        self.engine_kind = check_engine(engine)
+        if engine not in DYNAMIC_ENGINES:
+            raise ConstructionError(
+                f"the serving layer needs a dynamic engine, one of "
+                f"{DYNAMIC_ENGINES}; got {engine!r}"
+            )
+        self.engine_kind = engine
         if deterministic:
             # Idempotent: synopses coming back from a previous executor
             # (QueryService.rebuild) are already seeded — re-wrapping them
@@ -670,11 +675,6 @@ class ShardedBatchExecutor:
         new = list(synopses)
         if not new:
             return []
-        if self.engine_kind not in DYNAMIC_ENGINES:
-            raise CapabilityError(
-                f"engine {self.engine_kind!r} is static; live ingestion "
-                f"requires one of {DYNAMIC_ENGINES}"
-            )
         for s in new:
             if s.dim != self.dim:
                 raise ConstructionError("synopsis dimension mismatch")

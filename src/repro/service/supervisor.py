@@ -68,14 +68,13 @@ import socket
 import sys
 import threading
 import time
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Optional
 
 from repro.errors import CapabilityError, SnapshotError
 from repro.service import snapshot as snapshot_mod
 from repro.service.admission import AdmissionGate
-from repro.service.server import make_handler
+from repro.service.server import JsonRequestHandler, http_call, make_handler
 from repro.service.service import QueryService
 
 
@@ -190,53 +189,26 @@ class _WorkerSlot:
         self.exit_code: Optional[int] = None
 
 
-class _SupervisorAdminHandler(BaseHTTPRequestHandler):
+class _SupervisorAdminHandler(JsonRequestHandler):
     """The parent's own admin endpoint: fleet health and aggregates."""
 
     supervisor: "ServiceSupervisor"
-    protocol_version = "HTTP/1.1"
 
-    def log_message(self, fmt: str, *args: object) -> None:
-        pass
+    def _healthz(self) -> None:
+        health = self.supervisor.health()
+        self._send_json(health, status=200 if health["status"] == "ok" else 503)
 
-    def _send(self, status: int, body: bytes, ctype: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _stats(self) -> None:
+        self._send_json(self.supervisor.aggregate_stats())
 
-    def do_GET(self) -> None:
-        sup = self.supervisor
-        try:
-            if self.path == "/healthz":
-                health = sup.health()
-                status = 200 if health["status"] == "ok" else 503
-                self._send(
-                    status, json.dumps(health).encode(), "application/json"
-                )
-            elif self.path == "/stats":
-                self._send(
-                    200,
-                    json.dumps(sup.aggregate_stats()).encode(),
-                    "application/json",
-                )
-            elif self.path == "/metrics":
-                self._send(
-                    200,
-                    sup.aggregate_metrics().encode(),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            else:
-                self._send(
-                    404,
-                    json.dumps({"error": f"unknown path {self.path}"}).encode(),
-                    "application/json",
-                )
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            self._send(
-                500, json.dumps({"error": str(exc)}).encode(), "application/json"
-            )
+    def _metrics(self) -> None:
+        self._send_text(self.supervisor.aggregate_metrics())
+
+    routes = {
+        ("GET", "/healthz"): _healthz,
+        ("GET", "/stats"): _stats,
+        ("GET", "/metrics"): _metrics,
+    }
 
 
 class ServiceSupervisor:
@@ -601,7 +573,7 @@ class ServiceSupervisor:
             )
         for cand in candidates:
             try:
-                self._post(cand.admin_port, "/admin/promote")
+                self._call(cand.admin_port, "/admin/promote", b"{}")
             except OSError as exc:
                 self._log(
                     f"promoting worker {cand.worker_id} failed: {exc}"
@@ -674,11 +646,7 @@ class ServiceSupervisor:
         for slot in due:
             slot.last_probe = now
             try:
-                with urllib.request.urlopen(
-                    f"http://{self.host}:{slot.admin_port}/healthz",
-                    timeout=timeout,
-                ) as resp:
-                    resp.read()
+                self._call(slot.admin_port, "/healthz", timeout=timeout)
                 slot.probe_misses = 0
             except OSError:
                 slot.probe_misses += 1
@@ -727,6 +695,24 @@ class ServiceSupervisor:
         }
 
     # -- aggregation ---------------------------------------------------
+    def _call(
+        self,
+        port: int,
+        path: str,
+        body: Optional[bytes] = None,
+        timeout: Optional[float] = None,
+    ) -> bytes:
+        """One exchange with a worker's admin port (POST when ``body`` is
+        given); any answer but ``200`` is an ``OSError`` like a dead port."""
+        status, raw = http_call(
+            f"http://{self.host}:{port}{path}",
+            body,
+            timeout=self.fetch_timeout if timeout is None else timeout,
+        )
+        if status != 200:
+            raise OSError(f"worker admin port {port} answered {path} with {status}")
+        return raw
+
     def _fetch(self, port: int, path: str) -> bytes:
         """GET from a worker's admin port, with one bounded retry.
 
@@ -734,27 +720,11 @@ class ServiceSupervisor:
         respawned on a new admin port; anything longer belongs to the
         caller (the aggregators tolerate per-worker failure).
         """
-        url = f"http://{self.host}:{port}{path}"
         try:
-            with urllib.request.urlopen(
-                url, timeout=self.fetch_timeout
-            ) as resp:
-                return resp.read()
+            return self._call(port, path)
         except OSError:
             time.sleep(min(0.1, self.fetch_timeout / 10.0))
-            with urllib.request.urlopen(
-                url, timeout=self.fetch_timeout
-            ) as resp:
-                return resp.read()
-
-    def _post(self, port: int, path: str, body: bytes = b"{}") -> bytes:
-        req = urllib.request.Request(
-            f"http://{self.host}:{port}{path}",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(req, timeout=self.fetch_timeout) as resp:
-            return resp.read()
+            return self._call(port, path)
 
     def aggregate_stats(self) -> dict:
         """Per-worker ``/stats`` fanned out over the private admin ports,
@@ -869,11 +839,13 @@ class ServiceSupervisor:
             handler.writable = True
             context["writer"] = True
 
-        # /admin/promote exists ONLY on the private admin port: binding
-        # the hook on a subclass keeps the public handler 404-ing it, so
-        # nothing on the load-balanced port can mint a second writer.
+        # /admin/promote exists ONLY on the private admin port: binding its
+        # route and hook on a subclass keeps the public handler 404-ing it,
+        # so nothing on the load-balanced port can mint a second writer.
         admin_handler = type(
-            "AdminBoundHandler", (handler,), {"promote_hook": staticmethod(_promote)}
+            "AdminBoundHandler",
+            (handler,),
+            {"promote_hook": staticmethod(_promote), "routes": handler.admin_routes},
         )
         if self._listen_sock is not None:
             httpd = _inherited_server(self._listen_sock, handler)

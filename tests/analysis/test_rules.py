@@ -656,6 +656,20 @@ def test_wire_schema_passes_relative_times():
     assert run(src, "wire-schema") == []
 
 
+def test_wire_schema_follows_the_shared_envelope_base():
+    # federation.py and supervisor.py subclass server.JsonRequestHandler,
+    # never BaseHTTPRequestHandler by name: they are handler modules too.
+    src = """
+    from repro.service.server import JsonRequestHandler
+
+    class _Handler(JsonRequestHandler):
+        def _search(self, body):
+            self._send_json({"end_time": self.result.end_time})
+    """
+    (finding,) = run(src, "wire-schema")
+    assert "absolute clock stamp" in finding.message
+
+
 def test_wire_schema_ignores_non_handler_modules():
     src = """
     def payload(result):

@@ -27,7 +27,11 @@ from repro.service.federation import (
     federated_node_service,
     make_federation_server,
 )
-from repro.service.server import expression_to_json, make_server
+from repro.service.server import (
+    expression_from_json,
+    expression_to_json,
+    make_server,
+)
 from repro.synopsis.quantile import QuantileHistogramSynopsis
 from repro.synopsis.serialize import to_dict as synopsis_to_dict
 from repro.workloads.generators import synthetic_data_lake
@@ -508,21 +512,35 @@ class TestCoordinatorHTTP:
         ):
             assert metric in text, metric
 
-    def test_client_errors_are_400_not_500(self, fed_url):
-        url, _coord = fed_url
-        status, body = self._post(f"{url}/nodes", {"url": ""})
-        assert status == 400
+    def test_node_400_is_not_a_node_failure(
+        self, fed_url, nodes, reference, queries
+    ):
+        # One buyer's typo must not make a seller "missing" for everyone:
+        # the (1-D) nodes answer a 2-D query with 400, which the
+        # coordinator relays instead of counting three node failures,
+        # opening three breakers and answering 200/degraded.  (The other
+        # client-error statuses live in test_http_edge.py's table.)
+        url, coord = fed_url
+        for node in nodes:
+            self._post(f"{url}/nodes", {"url": node.url})
+        typo = {"op": "ptile", "lo": [0, 0], "hi": [0.5, 0.5], "theta": [0.2]}
+        for _ in range(coord.breaker_threshold + 1):
+            status, body = self._post(f"{url}/search", {"expression": typo})
+            assert status == 400 and "has dim 2" in body["error"]
+        for node in coord.stats()["federation"]["nodes"]:
+            assert node["breaker"]["state"] == "closed"
+            assert node["breaker"]["consecutive_failures"] == 0
+            assert node["failed_calls"] == 0 and node["retries"] == 0
+        q = list(queries)[0]
         status, body = self._post(
-            f"{url}/nodes", {"node_id": 99}, method="DELETE"
+            f"{url}/search", {"expression": expression_to_json(q)}
         )
-        assert status == 400
-        status, body = self._post(f"{url}/search/batch", {"expressions": []})
-        assert status == 400
-        status, body = self._post(
-            f"{url}/search",
-            {"expression": {"op": "nonsense"}},
-        )
-        assert status == 400
+        assert status == 200 and "degraded" not in body
+        assert body["indexes"] == sorted(reference.search_batch([q])[0].indexes)
+        assert body["federation"]["coverage"] == 1.0
+        # The library surface raises what the HTTP edge maps to that 400.
+        with pytest.raises(QueryError, match="has dim 2"):
+            coord.search_batch([expression_from_json(typo)])
 
 
 class TestTracing:

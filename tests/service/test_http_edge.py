@@ -1,0 +1,326 @@
+"""The shared HTTP edge, over real sockets, on a node and a coordinator.
+
+One hostile-input table (``ROWS``): every row is a request a confused or
+malicious client can send; each must be answered with a ``4xx`` JSON
+error — never a ``5xx``, never a hang — and must leave the connection
+either explicitly closed or correctly framed for the *next* request on
+it.  One route-table test pins status code and top-level payload keys of
+every ``(verb, path)`` both servers route (captured at the parent of the
+PR that introduced the shared envelope) and the ``endpoint`` metric
+labels that follow from the table.
+"""
+
+from __future__ import annotations
+
+import json
+import socket
+import threading
+from typing import NamedTuple, Optional
+
+import numpy as np
+import pytest
+
+from repro.core.framework import Repository
+from repro.service import QueryService
+from repro.service.admission import AdmissionGate
+from repro.service.federation import FederatedCoordinator, make_federation_server
+from repro.service.server import expression_from_json, http_call, make_server
+from repro.workloads.generators import synthetic_data_lake
+
+N = 8
+GOOD = {"op": "ptile", "lo": [0.0], "hi": [0.6], "theta": [0.05]}
+NAN = float("nan")
+PROM = "text/plain; version=0.0.4; charset=utf-8"
+
+
+class Edge(NamedTuple):
+    service: QueryService
+    gate: AdmissionGate
+    coordinator: FederatedCoordinator
+    servers: dict  # name -> httpd
+
+
+@pytest.fixture(scope="module")
+def edge():
+    lake = synthetic_data_lake(
+        N, 1, np.random.default_rng(5), family="clustered", median_size=60
+    )
+    service = QueryService(
+        repository=Repository.from_arrays(lake),
+        n_shards=2, eps=0.2, sample_size=8, seed=1, capacity=2 * N,
+    )
+    gate = AdmissionGate(max_inflight=1, max_queue=0)
+    node = make_server(service, port=0, gate=gate)
+    # No hedge: a duplicate RPC would be shed by the one-slot gate.
+    coordinator = FederatedCoordinator(seed=1, max_retries=0, hedge_delay_s=None)
+    fed = make_federation_server(coordinator, port=0)
+    for httpd in (node, fed):
+        threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        ).start()
+    coordinator.add_node(f"http://127.0.0.1:{node.server_address[1]}")
+    yield Edge(service, gate, coordinator, {"node": node, "fed": fed})
+    for httpd in (node, fed):
+        httpd.shutdown()
+        httpd.server_close()
+    coordinator.close()
+    service.close()
+
+
+class Conn:
+    """One raw keep-alive connection; replies parsed by hand."""
+
+    def __init__(self, httpd) -> None:
+        self.sock = socket.create_connection(httpd.server_address[:2], timeout=5)
+        self.file = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+    def request(self, verb, path, body=None, content_length=None):
+        """Send one request; returns ``(status, headers, raw body)``."""
+        raw = body if isinstance(body, bytes) else (
+            b"" if body is None else json.dumps(body).encode()
+        )
+        head = f"{verb} {path} HTTP/1.1\r\nHost: edge\r\n"
+        if body is not None or content_length is not None:
+            length = len(raw) if content_length is None else content_length
+            head += f"Content-Length: {length}\r\n"
+        self.sock.sendall(head.encode("latin-1") + b"\r\n" + raw)
+        status = int(self.file.readline().split()[1])
+        headers = {}
+        while (line := self.file.readline().strip()):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.lower()] = value.strip()
+        return status, headers, self.file.read(int(headers["content-length"]))
+
+
+class Row(NamedTuple):
+    id: str
+    server: str
+    verb: str
+    path: str
+    body: object
+    status: int = 400
+    content_length: Optional[str] = None
+    saturate: bool = False  # hold the node's only admission slot meanwhile
+
+
+def _both(id, verb, path, body, **kw):
+    return [Row(f"{s}-{id}", s, verb, path, body, **kw) for s in ("node", "fed")]
+
+
+def _pref(**over):
+    return {"expression": {"op": "pref", "vector": [1.0], "k": 2, "tau": 0.1, **over}}
+
+
+ROWS = [
+    # -- framing: the client's error, and never the next request's -------
+    *_both("cl-word", "POST", "/search", b"{}", content_length="abc"),
+    *_both("cl-negative", "POST", "/search/batch", b"{}", content_length="-5"),
+    *_both("cl-superscript", "POST", "/search", b"{}", content_length="\xb2"),
+    Row("node-cl-delete", "node", "DELETE", "/datasets", b"{}", content_length="abc"),
+    Row("fed-cl-delete", "fed", "DELETE", "/nodes", b"{}", content_length="-5"),
+    *_both("not-json", "POST", "/search", b"{nope"),
+    *_both("not-utf8", "POST", "/search", b"\xff\xfe"),
+    *_both("json-array", "POST", "/search/batch", [GOOD]),
+    *_both("json-too-deep", "POST", "/search", b"[" * 100_000 + b"]" * 100_000),
+    *_both("unrouted-post", "POST", "/nope", {"x": 1}, status=404),
+    *_both("unrouted-delete", "DELETE", "/search", {"x": 1}, status=404),
+    *_both("unrouted-get", "GET", "/search", None, status=404),
+    Row("node-shed-then-next", "node", "POST", "/search", {"expression": GOOD},
+        status=429, saturate=True),
+    # -- expression decoder ---------------------------------------------
+    *_both("no-expression", "POST", "/search", {}),
+    *_both("unknown-op", "POST", "/search", {"expression": {"op": "nonsense"}}),
+    *_both("empty-batch", "POST", "/search/batch", {"expressions": []}),
+    *_both("format-csv", "POST", "/search/batch",
+           {"expressions": [GOOD], "format": "csv"}),
+    *_both("nan-lo", "POST", "/search", {"expression": {**GOOD, "lo": [NAN]}}),
+    *_both("nan-hi", "POST", "/search/batch",
+           {"expressions": [{**GOOD, "hi": [NAN]}]}),
+    *_both("nan-theta", "POST", "/search", {"expression": {**GOOD, "theta": [NAN]}}),
+    *_both("nan-tau", "POST", "/search", _pref(tau=NAN)),
+    *_both("inf-vector", "POST", "/search", _pref(vector=[float("inf")])),
+    *_both("fractional-k", "POST", "/search", _pref(k=1.7)),
+    *_both("boolean-k", "POST", "/search", _pref(k=True)),
+    # A healthy node's 400 relayed by the coordinator, not counted against it.
+    *_both("wrong-dimension", "POST", "/search",
+           {"expression": {**GOOD, "lo": [0, 0], "hi": [0.5, 0.5]}}),
+    *_both("bad-deadline", "POST", "/search",
+           {"expression": GOOD, "deadline_ms": "soon"}),
+    # -- node mutations ---------------------------------------------------
+    Row("node-datasets-missing", "node", "POST", "/datasets", {}),
+    Row("node-datasets-ragged", "node", "POST", "/datasets", {"datasets": [[[1], [1, 2]]]}),
+    Row("node-delete-empty", "node", "DELETE", "/datasets", {"indexes": []}),
+    Row("node-delete-fraction", "node", "DELETE", "/datasets", {"indexes": [1.5]}),
+    Row("node-delete-boolean", "node", "DELETE", "/datasets", {"indexes": [True]}),
+    Row("node-delete-unknown", "node", "DELETE", "/datasets", {"indexes": [999]}),
+    # -- coordinator registry --------------------------------------------
+    Row("fed-node-no-url", "fed", "POST", "/nodes", {"url": ""}),
+    *[
+        Row(f"fed-node-{key}-{i}", "fed", "POST", "/nodes",
+            {"url": "http://127.0.0.1:9", "n_datasets": 2, key: value})
+        for key, values in {
+            "n_datasets": ["many", 2.5, 0, True],
+            "synopses": ["xx", [3, 4], 7],
+            "eps": [NAN, -1, "a", True],
+            "eps_effective": [float("inf")],
+        }.items()
+        for i, value in enumerate(values)
+    ],
+    Row("fed-remove-boolean", "fed", "DELETE", "/nodes", {"node_id": True}),
+    Row("fed-remove-unknown", "fed", "DELETE", "/nodes", {"node_id": 99}),
+]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[r.id for r in ROWS])
+def test_hostile_input(edge, row):
+    conn = Conn(edge.servers[row.server])
+    if row.saturate:
+        assert edge.gate.try_acquire()
+    try:
+        status, headers, raw = conn.request(
+            row.verb, row.path, row.body, row.content_length
+        )
+        assert status == row.status, raw
+        assert headers["content-type"] == "application/json"
+        assert set(json.loads(raw)) >= {"error"}
+        if row.content_length is not None:
+            # Framing is lost: the server says so and hangs up.
+            assert headers["connection"] == "close"
+            assert conn.file.read() == b""
+        else:
+            # The next request on the connection is parsed from its own
+            # first byte, whatever the body of the refused one was.
+            status, _headers, raw = conn.request("GET", "/healthz")
+            assert status == 200 and json.loads(raw)["status"] == "ok"
+    finally:
+        if row.saturate:
+            edge.gate.release()
+        conn.close()
+
+
+def _metric_labels(text: str, family: str) -> set:
+    """``endpoint`` labels of ``family``; every sample line must parse."""
+    labels = set()
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.rpartition(" ")
+        float(value)
+        if name.startswith(family + "_count{"):
+            labels.add(name.split('endpoint="')[1].split('"')[0])
+    return labels
+
+
+def test_healthy_after_the_table(edge):
+    # Runs after every ROWS case (file order): nothing above tombstoned a
+    # dataset, registered a node, tripped the breaker or wedged the gate.
+    (expect,) = edge.service.search_batch([expression_from_json(GOOD)])
+    replies = {}
+    for name in ("node", "fed"):
+        conn = Conn(edge.servers[name])
+        status, _h, raw = conn.request("POST", "/search", {"expression": GOOD})
+        conn.close()
+        assert status == 200
+        replies[name] = json.loads(raw)
+        assert replies[name]["indexes"] == expect.indexes
+    assert replies["fed"]["federation"]["coverage"] == 1.0
+    assert edge.service.n_live == N and edge.coordinator.n_nodes == 1
+    (node,) = edge.coordinator.stats()["federation"]["nodes"]
+    assert node["breaker"]["state"] == "closed"
+    assert node["breaker"]["consecutive_failures"] == 0
+    assert node["failed_calls"] == 0
+    assert edge.gate.snapshot()["inflight"] == 0
+
+
+# ----------------------------------------------------------------------
+# Route table: (request body, status, top-level keys | content type)
+# ----------------------------------------------------------------------
+POINTS = [[0.1], [0.2], [0.3]]
+PINNED = {
+    "node": {
+        ("GET", "/healthz"): (None, 200, {
+            "status", "engine", "n_datasets", "n_live", "n_shards",
+            "snapshot_generation", "worker_id", "worker_count"}),
+        ("GET", "/stats"): (None, 200, {
+            "cache", "capacity", "delta_size", "engine", "executor",
+            "n_datasets", "n_live", "n_removed", "n_shards", "observability",
+            "plan_cache", "resilience", "serving", "shard_sizes", "telemetry",
+            "admission"}),  # "admission": this fixture serves behind a gate
+        ("GET", "/stats/slow"): (None, 200, {
+            "threshold_ms", "n_recorded", "slow_queries"}),
+        ("GET", "/metrics"): (None, 200, PROM),
+        ("POST", "/search"): (
+            {"expression": GOOD, "record_times": True, "trace": True}, 200,
+            {"indexes", "emit_times", "stats", "duration_s", "trace"}),
+        ("POST", "/search/batch"): (
+            {"expressions": [GOOD], "format": "bitset"}, 200, {"results"}),
+        ("POST", "/datasets"): ({"datasets": [POINTS]}, 200, {
+            "indexes", "rebuilt", "reason", "n_datasets", "n_live",
+            "delta_size"}),
+        ("DELETE", "/datasets"): ({"indexes": [N]}, 200, {
+            "removed", "n_datasets", "n_live"}),
+        ("POST", "/cache/invalidate"): ({}, 200, {"generation"}),
+        # Routed on a supervisor worker's admin port only.
+        ("POST", "/admin/promote"): ({}, 404, {"error"}),
+    },
+    "fed": {
+        ("GET", "/healthz"): (None, 200, {
+            "status", "role", "n_nodes", "n_datasets"}),
+        ("GET", "/stats"): (None, 200, {"federation"}),
+        ("GET", "/metrics"): (None, 200, PROM),
+        ("POST", "/search"): (
+            {"expression": GOOD}, 200, {"indexes", "stats", "federation"}),
+        ("POST", "/search/batch"): (
+            {"expressions": [GOOD]}, 200, {"results", "federation"}),
+        ("POST", "/nodes"): ({"url": "http://127.0.0.1:9", "n_datasets": 3}, 200, {
+            "node_id", "url", "n_datasets", "offset", "total_datasets",
+            "synopses_registered"}),
+        ("DELETE", "/nodes"): ({"node_id": 1}, 200, {
+            "node_id", "url", "removed", "total_datasets"}),
+    },
+}
+FAMILY = {"node": "repro_request_seconds", "fed": "repro_federation_request_seconds"}
+
+
+# "fed" first: the node's POST /datasets grows its universe past what the
+# coordinator registered (answers would degrade with universe_drift).
+@pytest.mark.parametrize("name", ["fed", "node"])
+def test_route_table(edge, name):
+    httpd = edge.servers[name]
+    routes = httpd.RequestHandlerClass.routes
+    pinned = PINNED[name]
+    # Every routed (verb, path) is pinned; a new route must add its row.
+    assert set(routes) <= set(pinned)
+    unrouted = [(verb, "/nope") for verb in ("GET", "POST", "DELETE")]
+    conn = Conn(httpd)
+    for verb, path in [*pinned, *unrouted]:
+        body, status, shape = pinned.get((verb, path), (None, 404, {"error"}))
+        if body is None and verb != "GET":
+            body = {}
+        got, headers, raw = conn.request(verb, path, body)
+        assert got == status, (verb, path, raw)
+        if isinstance(shape, str):
+            assert headers["content-type"] == shape
+        else:
+            assert set(json.loads(raw)) == shape, (verb, path)
+    _status, _headers, raw = conn.request("GET", "/metrics")
+    conn.close()
+    paths = {path for _verb, path in routes}
+    assert _metric_labels(raw.decode(), FAMILY[name]) == paths | {"other"}
+
+
+def test_http_call(edge):
+    port = edge.servers["node"].server_address[1]
+    status, raw = http_call(f"http://127.0.0.1:{port}/nope", timeout=5)
+    assert status == 404 and "error" in json.loads(raw)
+    status, raw = http_call(f"http://127.0.0.1:{port}/search", b"{}", timeout=5)
+    assert status == 400
+    with socket.socket() as placeholder:  # a bound, never-listening port
+        placeholder.bind(("127.0.0.1", 0))
+        dead = placeholder.getsockname()[1]
+        with pytest.raises(OSError):
+            http_call(f"http://127.0.0.1:{dead}/healthz", timeout=2)

@@ -376,18 +376,11 @@ class TestEngineThreading:
         finally:
             svc.close()
 
-    def test_rangetree_service_refuses_live_ingest(self, lake, repo):
-        from repro.errors import CapabilityError
-
-        svc = QueryService(
-            repository=repo, n_shards=2, eps=EPS, sample_size=SAMPLE_SIZE,
-            seed=SEED, engine="rangetree",
-        )
-        try:
-            with pytest.raises(CapabilityError):
-                svc.add_datasets([lake[0]])
-        finally:
-            svc.close()
+    def test_rangetree_rejected_at_construction(self, repo):
+        # The static textbook structure is not a serving backend: refused
+        # up front like an unknown name, not at the first live ingest.
+        with pytest.raises(ConstructionError, match="dynamic engine"):
+            QueryService(repository=repo, engine="rangetree")
 
     def test_unknown_engine_rejected_at_construction(self, repo):
         with pytest.raises(ConstructionError):

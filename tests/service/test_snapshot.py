@@ -20,7 +20,7 @@ from repro.core.framework import Repository
 from repro.errors import SnapshotError
 from repro.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
-from repro.service.snapshot import MAGIC, generation_of, inspect, load, save
+from repro.service.snapshot import MAGIC, generation_of, inspect, load
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
@@ -29,11 +29,7 @@ DIM = 1
 SEED = 11
 EPS = 0.2
 SAMPLE_SIZE = 12
-# The parametrized sweeps run kd + columnar; the rangetree backend gets a
-# dedicated miniature round trip (test_rangetree_round_trip) because a
-# range tree over the R^{4d+2} mapped points costs seconds to plant even
-# at dim 1 — and load() re-plants it, honestly, since only the mapped
-# points (not the tree nodes) live in the container.
+# The serving engines; the static rangetree is refused by the executor.
 BACKENDS = ["kd", "columnar"]
 
 
@@ -298,31 +294,6 @@ class TestExecutorAndEngineKinds:
         assert info["kind"] == "engine"
         loaded = DatasetSearchEngine.load(path)
         assert [loaded.search(q).indexes for q in queries] == expected
-
-    def test_rangetree_round_trip(self, tmp_path):
-        """The static backend round-trips too — miniature lake, because
-        planting the R^{4d+2} range tree costs seconds per dataset and
-        ``load()`` honestly re-plants it from the mapped points."""
-        lake = synthetic_data_lake(
-            4, DIM, np.random.default_rng(SEED), median_size=40
-        )
-        queries = batched_query_workload(4, DIM, np.random.default_rng(SEED + 4))
-        svc = QueryService(
-            repository=Repository.from_arrays(lake),
-            n_shards=1,
-            engine="rangetree",
-            seed=SEED,
-            eps=EPS,
-            sample_size=8,
-        )
-        expected = answers(svc, queries)
-        path = tmp_path / "svc_rt.snap"
-        svc.save(path)
-        svc.close()
-        loaded = QueryService.load(path, mmap=True)
-        assert loaded.engine_kind == "rangetree"
-        assert answers(loaded, queries) == expected
-        loaded.close()
 
     def test_wrong_kind_refused(self, lake, tmp_path):
         svc = QueryService(

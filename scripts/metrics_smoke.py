@@ -5,6 +5,8 @@ traced and untraced queries over the wire, then scrapes ``/metrics`` and
 asserts the exposition is well-formed and complete:
 
 - every non-comment line parses as ``name{labels} value``;
+- no family is typed twice and no ``(name, labels)`` series repeats (a
+  Prometheus scrape rejects both);
 - every required metric family is present with a ``# TYPE`` header;
 - histogram ``_bucket`` series are cumulative and end in ``+Inf`` equal
   to ``_count``;
@@ -84,6 +86,7 @@ def scrape(base: str) -> tuple[dict, dict]:
     for line in text.decode("utf-8").splitlines():
         if line.startswith("# TYPE "):
             _, _, name, kind = line.split(" ", 3)
+            assert name not in types, f"family typed twice: {name}"
             types[name] = kind
             continue
         if line.startswith("#") or not line:
@@ -95,9 +98,11 @@ def scrape(base: str) -> tuple[dict, dict]:
             for part in re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"',
                                    m.group("labels")):
                 labels[part[0]] = part[1]
-        samples.setdefault(m.group("name"), []).append(
-            (labels, float(m.group("value")))
+        series = samples.setdefault(m.group("name"), [])
+        assert all(labels != seen for seen, _ in series), (
+            f"repeated series: {line!r}"
         )
+        series.append((labels, float(m.group("value"))))
     return types, samples
 
 

@@ -1,7 +1,7 @@
 """`repro lint` — AST-based invariant checks for this repository.
 
 Three classes of bugs have shipped here and been fixed by hand: unguarded
-reads of lock-protected telemetry counters (PR 2), allocation on the warm
+reads of the lock-protected serving totals (PR 2), allocation on the warm
 path inside ``Histogram.observe`` (PR 6), and backend drift from the
 ``RangeSearchBackend`` protocol (PR 3 catches it only at runtime).  This
 package checks those invariants mechanically, with stdlib ``ast`` only.

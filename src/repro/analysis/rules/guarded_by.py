@@ -2,14 +2,14 @@
 
 An attribute whose initialising assignment carries ``# guarded-by: <lock>``
 may only be read or written inside ``with self.<lock>:`` in that class.
-This is the PR-2 bug class (telemetry counters read without the telemetry
-lock, tearing ratios like qps) made mechanically checkable.
+This is the PR-2 bug class (the serving totals behind ``/stats`` read
+without their lock, tearing ratios like qps) made mechanically checkable.
 
 Exemptions, matching the repo's conventions:
 
 - ``__init__`` (object not yet published to other threads);
 - methods whose name ends in ``_locked`` (caller holds the lock — e.g.
-  ``ServiceTelemetry._throughput_qps_locked``);
+  ``QueryService._rebuild_locked``);
 - for declarations qualified ``[writes]``, plain reads are allowed (the
   publish-then-read-lock-free pattern: ``QueryService.executor``).
 

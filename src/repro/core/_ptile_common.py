@@ -268,6 +268,50 @@ class PtileIndexBase:
                 f"query rectangle has dim {rect.dim}, index has dim {self.dim}"
             )
 
+    def coreset_mass(self, key: int, rect: Rectangle) -> float:
+        """``|S_i ∩ R| / |S_i|`` — the coreset's estimate of ``M_R(P_i)``."""
+        coreset = self._coresets[key]
+        return rect.count_inside(coreset) / coreset.shape[0]
+
+    # ------------------------------------------------------------------
+    # Registration and dynamics (Remark 1 after Theorem 4.4/4.11); the
+    # subclass supplies ``_mapped_points(key) -> (points, ids)``.
+    # ------------------------------------------------------------------
+    def _register(self, synopsis: Synopsis, delta_i: float) -> int:
+        key = self._next_key
+        self._next_key += 1
+        self._synopses[key] = synopsis
+        self._deltas[key] = delta_i
+        self._coresets[key] = draw_coreset(synopsis, self._sample_size, self._rng)
+        return key
+
+    def insert_synopsis(
+        self, synopsis: Synopsis, delta: Optional[float] = None
+    ) -> int:
+        """Add a dataset; returns its stable key.  ``~O(1)`` amortized."""
+        if not self._tree.supports_insert:
+            raise ConstructionError(
+                f"engine {self.engine_kind!r} is static; dynamic updates "
+                "require a dynamic backend ('kd' or 'columnar')"
+            )
+        if synopsis.dim != self.dim:
+            raise ConstructionError("synopsis dimension mismatch")
+        if delta is None:
+            delta = synopsis.delta_ptile
+            if delta is None:
+                raise ConstructionError("synopsis does not support class F_□")
+        key = self._register(synopsis, float(delta))
+        pts, ids = self._mapped_points(key)
+        self._tree.insert(pts, ids)
+        return key
+
+    def delete_synopsis(self, key: int) -> None:
+        """Remove a dataset by key.  ``~O(1)`` amortized per mapped point."""
+        if key not in self._synopses:
+            raise KeyError(f"unknown dataset key {key}")
+        self._tree.remove_group(key)
+        del self._synopses[key], self._deltas[key], self._coresets[key]
+
     # ------------------------------------------------------------------
     # The report loop of Algorithms 2 and 4
     # ------------------------------------------------------------------

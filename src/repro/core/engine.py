@@ -175,7 +175,7 @@ class DatasetSearchEngine:
         default); refuses containers holding a different kind."""
         from repro.service import snapshot
 
-        return snapshot.load_expected(path, "engine", mmap=mmap)
+        return snapshot.load(path, mmap=mmap, kind="engine")
 
     # ------------------------------------------------------------------
     # Search

@@ -114,11 +114,6 @@ class PtileLogicalIndex:
         self._tensor_ids: dict[int, dict[int, list]] = {}
 
     @property
-    def range_index(self) -> PtileRangeIndex:
-        """The backing single-predicate range structure."""
-        return self._range_index
-
-    @property
     def n_datasets(self) -> int:
         """Number of indexed datasets."""
         return self._range_index.n_datasets

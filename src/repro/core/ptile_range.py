@@ -33,7 +33,6 @@ from repro.core._ptile_common import (
     DEFAULT_LEAF_SIZE,
     PtileIndexBase,
     build_engine,
-    draw_coreset,
     point_ids,
     range_point_matrix,
 )
@@ -115,14 +114,6 @@ class PtileRangeIndex(PtileIndexBase):
     # ------------------------------------------------------------------
     # Construction (Algorithm 3)
     # ------------------------------------------------------------------
-    def _register(self, synopsis: Synopsis, delta_i: float) -> int:
-        key = self._next_key
-        self._next_key += 1
-        self._synopses[key] = synopsis
-        self._deltas[key] = delta_i
-        self._coresets[key] = draw_coreset(synopsis, self._sample_size, self._rng)
-        return key
-
     def _auto_bounding_box(self) -> Rectangle:
         pts = np.vstack(list(self._coresets.values()))
         lo = pts.min(axis=0)
@@ -204,41 +195,3 @@ class PtileRangeIndex(PtileIndexBase):
         """
         boxes = [self._query_box(rect, theta) for rect, theta in queries]
         return self._report_groups_batch(boxes)
-
-    # ------------------------------------------------------------------
-    # Dynamics (Remark 1)
-    # ------------------------------------------------------------------
-    def insert_synopsis(
-        self, synopsis: Synopsis, delta: Optional[float] = None
-    ) -> int:
-        """Add a dataset; returns its stable key."""
-        if not self._tree.supports_insert:
-            raise ConstructionError(
-                f"engine {self.engine_kind!r} is static; dynamic updates "
-                "require a dynamic backend ('kd' or 'columnar')"
-            )
-        if synopsis.dim != self.dim:
-            raise ConstructionError("synopsis dimension mismatch")
-        if delta is None:
-            delta = synopsis.delta_ptile
-            if delta is None:
-                raise ConstructionError("synopsis does not support class F_□")
-        key = self._register(synopsis, float(delta))
-        pts, ids = self._mapped_points(key)
-        self._tree.insert(pts, ids)
-        return key
-
-    def delete_synopsis(self, key: int) -> None:
-        """Remove a dataset by key."""
-        if key not in self._synopses:
-            raise KeyError(f"unknown dataset key {key}")
-        self._tree.remove_group(key)
-        del self._synopses[key], self._deltas[key], self._coresets[key]
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def coreset_mass(self, key: int, rect: Rectangle) -> float:
-        """``|S_i ∩ R| / |S_i|`` — the coreset's estimate of ``M_R(P_i)``."""
-        coreset = self._coresets[key]
-        return rect.count_inside(coreset) / coreset.shape[0]

@@ -28,12 +28,11 @@ from repro.core._ptile_common import (
     DEFAULT_LEAF_SIZE,
     PtileIndexBase,
     build_engine,
-    draw_coreset,
     point_ids,
     threshold_point_matrix,
 )
 from repro.core.results import QueryResult
-from repro.errors import ConstructionError, QueryError
+from repro.errors import QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rect_enum import RectangleGrid, rectangles_arrays
 from repro.geometry.rectangle import Rectangle
@@ -114,14 +113,6 @@ class PtileThresholdIndex(PtileIndexBase):
     # ------------------------------------------------------------------
     # Construction (Algorithm 1)
     # ------------------------------------------------------------------
-    def _register(self, synopsis: Synopsis, delta_i: float) -> int:
-        key = self._next_key
-        self._next_key += 1
-        self._synopses[key] = synopsis
-        self._deltas[key] = delta_i
-        self._coresets[key] = draw_coreset(synopsis, self._sample_size, self._rng)
-        return key
-
     def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
         """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``.
 
@@ -194,41 +185,3 @@ class PtileThresholdIndex(PtileIndexBase):
                 "PtileRangeIndex for general intervals"
             )
         return self.query(rect, theta.lo, **kwargs)
-
-    # ------------------------------------------------------------------
-    # Dynamics (Remark 1 after Theorem 4.4/4.11)
-    # ------------------------------------------------------------------
-    def insert_synopsis(
-        self, synopsis: Synopsis, delta: Optional[float] = None
-    ) -> int:
-        """Add a dataset; returns its stable key.  ``~O(1)`` amortized."""
-        if not self._tree.supports_insert:
-            raise ConstructionError(
-                f"engine {self.engine_kind!r} is static; dynamic updates "
-                "require a dynamic backend ('kd' or 'columnar')"
-            )
-        if synopsis.dim != self.dim:
-            raise ConstructionError("synopsis dimension mismatch")
-        if delta is None:
-            delta = synopsis.delta_ptile
-            if delta is None:
-                raise ConstructionError("synopsis does not support class F_□")
-        key = self._register(synopsis, float(delta))
-        pts, ids = self._mapped_points(key)
-        self._tree.insert(pts, ids)
-        return key
-
-    def delete_synopsis(self, key: int) -> None:
-        """Remove a dataset by key.  ``~O(1)`` amortized per mapped point."""
-        if key not in self._synopses:
-            raise KeyError(f"unknown dataset key {key}")
-        self._tree.remove_group(key)
-        del self._synopses[key], self._deltas[key], self._coresets[key]
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def coreset_mass(self, key: int, rect: Rectangle) -> float:
-        """``|S_i ∩ R| / |S_i|`` — the coreset's estimate of ``M_R(P_i)``."""
-        coreset = self._coresets[key]
-        return rect.count_inside(coreset) / coreset.shape[0]

@@ -23,11 +23,12 @@ batch.  This package turns the engine into a serving subsystem:
   a read-time index mask, and cached leaf answers are upgraded from the
   delta shard instead of flushed;
 - :mod:`~repro.service.service` wires the three into the
-  :class:`~repro.service.service.QueryService` facade with per-query
-  latency/throughput telemetry;
+  :class:`~repro.service.service.QueryService` facade;
 - :mod:`~repro.service.observability` adds the span tracer, the
   fixed-bucket latency histograms and metrics registry (Prometheus text
-  exposition), and the slow-query log — near-zero-cost when disabled;
+  exposition), and the slow-query log — near-zero-cost when disabled —
+  and owns the node's per-query latency/throughput totals (the
+  ``telemetry`` block of ``/stats``);
 - :mod:`~repro.service.server` exposes the service over a stdlib-HTTP JSON
   endpoint (the ``repro serve`` CLI subcommand) and owns the one HTTP edge
   of the package: the request envelope and error contract every server
@@ -66,7 +67,6 @@ from repro.service.sharding import (
     partition_indices,
 )
 from repro.service.service import QueryService
-from repro.service.telemetry import ServiceTelemetry
 from repro.service.server import (
     expression_from_json,
     expression_to_json,
@@ -103,7 +103,6 @@ __all__ = [
     "SeededSampleSynopsis",
     "ServiceObservability",
     "ServiceSupervisor",
-    "ServiceTelemetry",
     "ShardedBatchExecutor",
     "SlowQueryLog",
     "Span",

@@ -51,7 +51,7 @@ answering at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -59,7 +59,7 @@ from repro.core.predicates import Predicate
 from repro.core.pref_index import pref_threshold
 from repro.errors import CapabilityError, QueryError
 from repro.geometry.interval import Interval
-from repro.service.planner import LeafBounds, LeafKey
+from repro.service.planner import LeafBounds
 
 if TYPE_CHECKING:
     from repro.service.sharding import ShardedBatchExecutor
@@ -197,9 +197,3 @@ class SynopsisScreen:
             removed=ex.removed,
             n_datasets=ex.n_datasets,
         )
-
-    def screen_leaves(
-        self, leaves: Mapping[LeafKey, Predicate]
-    ) -> dict[LeafKey, LeafBounds]:
-        """Screen a keyed leaf collection (the planner's ``plan.leaves``)."""
-        return {key: self.screen_leaf(leaf) for key, leaf in leaves.items()}

@@ -26,10 +26,12 @@ Three complementary layers, all dependency-free:
   ``repro serve --slow-log``.
 
 :class:`ServiceObservability` wires the three to a
-:class:`~repro.service.service.QueryService`: ``snapshot()`` is the
-``/stats`` payload and ``render_prometheus()`` is the ``/metrics`` body,
-and both are built from the *same* component snapshots taken in one
-pass, so the two endpoints can never disagree about a counter.
+:class:`~repro.service.service.QueryService` and owns the node's serving
+totals — the per-query and per-batch sums behind the ``telemetry`` block
+of ``/stats``, under one lock.  ``snapshot()`` is the ``/stats`` payload;
+``/metrics`` is the registry's one renderer, whose gauge source reads
+that same ``snapshot()``, so the two endpoints can never disagree about a
+counter.
 
 Timing schema
 -------------
@@ -57,9 +59,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
 from bisect import bisect_left
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -272,11 +276,6 @@ class MetricsRegistry:
         with self._lock:
             self._help[name] = (kind, help_text)
 
-    def help_snapshot(self) -> "dict[str, tuple[str, str]]":
-        """A consistent copy of the TYPE/HELP table (taken under the lock)."""
-        with self._lock:
-            return dict(self._help)
-
     def declare_histogram(
         self,
         name: str,
@@ -318,20 +317,6 @@ class MetricsRegistry:
                 child = Histogram(self._hist_bounds.get(name))
                 self._histograms[key] = child
             return child
-
-    def adopt_histogram(
-        self, name: str, hist: Histogram, labels: Optional[dict] = None
-    ) -> None:
-        """Render an externally-owned :class:`Histogram` under ``name``.
-
-        The owner keeps observing into its object; ``render`` reads the
-        live counts.  This is how component-owned distributions (the
-        telemetry latency histogram) appear on ``/metrics`` without being
-        double-counted into a registry shadow copy.
-        """
-        with self._lock:
-            self._hist_bounds.setdefault(name, hist.bounds)
-            self._histograms[(name, self._label_key(labels))] = hist
 
     def observe(
         self, name: str, value: float, labels: Optional[dict] = None
@@ -620,17 +605,31 @@ class SlowQueryLog:
             self._heap.clear()
 
 
+#: Recent per-query latencies kept for the windowed ``/stats`` percentiles:
+#: the histogram buckets answer "ever", the window answers "recently".
+LATENCY_WINDOW = 4096
+
+
+def _nearest_rank(sorted_values: list[float], q: float) -> Optional[float]:
+    """Nearest-rank q-th percentile of a pre-sorted list (None when empty)."""
+    if not sorted_values:
+        return None
+    return sorted_values[max(1, math.ceil(q / 100.0 * len(sorted_values))) - 1]
+
+
 class ServiceObservability:
-    """Registry + tracing policy + slow log for one ``QueryService``.
+    """Registry + tracing policy + slow log + serving totals for one
+    ``QueryService``.
 
     The service owns exactly one of these.  It decides per batch whether
-    to trace (:meth:`tracer_for`), collects every component snapshot in
-    one pass (:meth:`snapshot` — the ``/stats`` payload), and renders
-    the Prometheus exposition from those same snapshots plus the
-    registry's counters and histograms (:meth:`render_prometheus` — the
-    ``/metrics`` body).  Because both endpoints read the same collected
-    state, a scrape and a ``/stats`` poll can never tell different
-    stories about the same counter.
+    to trace (:meth:`tracer_for`), keeps the node's serving totals
+    (:meth:`record_query` / :meth:`record_batch`: lifetime sums plus a
+    window of recent latencies, all under one lock), and collects every
+    component snapshot in one pass (:meth:`snapshot` — the ``/stats``
+    payload).  ``/metrics`` is ``registry.render()``: the registry's own
+    counters and histograms plus one gauge source that reads that same
+    :meth:`snapshot`, so a scrape and a ``/stats`` poll can never tell
+    different stories about the same counter.
 
     Parameters
     ----------
@@ -707,6 +706,17 @@ class ServiceObservability:
          lambda s: s["observability"]["slow_queries"]),
     )
 
+    #: ``/stats`` ``telemetry`` name -> the per-query ``result.stats`` key
+    #: it sums over the node's lifetime.
+    _TOTALS: tuple = (
+        ("leaves_raw", "n_leaves_raw"),
+        ("leaves_unique", "n_leaves_unique"),
+        ("cache_hits", "cache_hits"),
+        ("cache_misses", "cache_misses"),
+        ("cache_upgrades", "cache_upgrades"),
+        ("shared_leaves", "shared_leaves"),
+    )
+
     def __init__(
         self,
         service: QueryService,
@@ -720,6 +730,16 @@ class ServiceObservability:
         self.slow_log = SlowQueryLog(
             k=slow_log_size, threshold_ms=slow_query_threshold_ms
         )
+        # /stats may be read by one server thread while another records a
+        # query; sorting the deque mid-append raises RuntimeError otherwise.
+        self._lock = threading.Lock()
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)  # guarded-by: _lock
+        self._totals = {name: 0 for name, _key in self._TOTALS}  # guarded-by: _lock
+        self._n_queries = 0  # guarded-by: _lock
+        self._n_batches = 0  # guarded-by: _lock
+        self._latency_total_s = 0.0  # guarded-by: _lock
+        self._batch_wall_total_s = 0.0  # guarded-by: _lock
+        self._out_total = 0  # guarded-by: _lock
         reg = self.registry
         reg.declare_histogram(
             "repro_stage_seconds",
@@ -732,15 +752,10 @@ class ServiceObservability:
         reg.declare_histogram(
             "repro_batch_seconds", "search_batch wall-clock time."
         )
-        # The telemetry layer observes these on every query/batch; the
-        # registry renders the very same objects, so /stats quantiles and
-        # scraped buckets cannot drift apart.
-        reg.adopt_histogram(
-            "repro_query_seconds", service.telemetry.latency_histogram
-        )
-        reg.adopt_histogram(
-            "repro_batch_seconds", service.telemetry.batch_histogram
-        )
+        # Held so a recorded query costs no registry lookup; /stats bucket
+        # quantiles and the scraped buckets read these same objects.
+        self._query_seconds = reg.histogram("repro_query_seconds")
+        self._batch_seconds = reg.histogram("repro_batch_seconds")
         reg.declare_histogram(
             "repro_request_seconds", "HTTP request handling time per endpoint."
         )
@@ -776,6 +791,7 @@ class ServiceObservability:
             "repro_requests_shed_total", "counter",
             "HTTP requests shed by admission control (429).",
         )
+        reg.gauge_source(self._gauge_samples)
 
     # -- tracing policy ------------------------------------------------
     def tracer_for(self, trace: Optional[bool]) -> Optional[Tracer]:
@@ -801,6 +817,27 @@ class ServiceObservability:
             "repro_requests_total",
             {"endpoint": endpoint, "status": str(status)},
         )
+
+    def record_query(self, stats: dict, out_size: int) -> None:
+        """One answered query.  ``stats`` is the dict the service wrote
+        into ``QueryResult.stats`` — that dict is the record."""
+        latency_s = stats["latency_s"]
+        with self._lock:
+            self._n_queries += 1
+            self._latency_total_s += latency_s
+            self._out_total += out_size
+            totals = self._totals
+            for name, key in self._TOTALS:
+                totals[name] += stats[key]
+            self._latencies.append(latency_s)
+        self._query_seconds.observe(latency_s)
+
+    def record_batch(self, wall_s: float) -> None:
+        """One ``search_batch`` call and its wall-clock time."""
+        with self._lock:
+            self._n_batches += 1
+            self._batch_wall_total_s += wall_s
+        self._batch_seconds.observe(wall_s)
 
     def record_slow(
         self,
@@ -837,7 +874,7 @@ class ServiceObservability:
             "executor": executor.stats_snapshot(),
             "cache": service.cache.snapshot(),
             "plan_cache": service.plans.snapshot(),
-            "telemetry": service.telemetry.summary(),
+            "telemetry": self._telemetry(),
             "observability": {
                 "tracing": self.tracing,
                 "slow_query_threshold_ms": self.slow_log.threshold_ms,
@@ -857,7 +894,53 @@ class ServiceObservability:
             },
         }
 
+    def _telemetry(self) -> dict:
+        """The ``telemetry`` block of ``/stats``: per-query serving totals.
+
+        Undefined values (no queries yet) are ``None``, not NaN —
+        ``json.dumps`` would emit the non-standard ``NaN`` literal that
+        strict JSON parsers reject.
+
+        Everything is copied out under the one lock: ``/stats`` is served
+        by one ``ThreadingHTTPServer`` thread while others record queries,
+        and sums read outside it could tear (``n_queries`` from one batch
+        with the latency total of the next, a wrong mean or qps).
+        """
+        with self._lock:
+            recent = sorted(self._latencies)
+            totals = dict(self._totals)
+            n_queries = self._n_queries
+            n_batches = self._n_batches
+            latency_total_s = self._latency_total_s
+            batch_wall_total_s = self._batch_wall_total_s
+            out_total = self._out_total
+        buckets = self._query_seconds.snapshot()
+        return {
+            "n_queries": n_queries,
+            "n_batches": n_batches,
+            # Lifetime queries per second of batch wall-clock time.
+            "throughput_qps": (
+                n_queries / batch_wall_total_s if batch_wall_total_s > 0.0 else 0.0
+            ),
+            "latency_mean_s": latency_total_s / n_queries if n_queries else None,
+            "latency_p50_s": _nearest_rank(recent, 50.0),
+            "latency_p95_s": _nearest_rank(recent, 95.0),
+            "latency_max_s": recent[-1] if recent else None,
+            # Lifetime bucket-derived quantiles (upper bucket bound, so
+            # conservative within one power-of-two bucket) — unlike the
+            # windowed percentiles above, these never forget.
+            "latency_bucket_p50_s": buckets["p50_s"],
+            "latency_bucket_p95_s": buckets["p95_s"],
+            "latency_bucket_p99_s": buckets["p99_s"],
+            **totals,
+            "mean_out_size": out_total / n_queries if n_queries else None,
+        }
+
     def _gauge_samples(self) -> list[tuple[str, dict, float]]:
+        """The registry's gauge source: component gauges and counters read
+        through the same :meth:`snapshot` that ``/stats`` serves — the
+        source-of-truth lifetime totals rather than shadow counts, which
+        keeps the two endpoints consistent by construction."""
         stats = self.snapshot()
         out: list[tuple[str, dict, float]] = []
         for name, _help, fn in self._GAUGES:
@@ -873,33 +956,5 @@ class ServiceObservability:
         return out
 
     def render_prometheus(self) -> str:
-        """The ``/metrics`` body (text exposition format).
-
-        Component counters (cache, plan cache, executor, telemetry) are
-        read through the same :meth:`snapshot` that ``/stats`` serves —
-        they are rendered as the source-of-truth lifetime totals rather
-        than shadow-counted, which is what keeps the two endpoints
-        consistent by construction.
-        """
-        # Gauge + component-counter samples are collected at render time;
-        # registering the source once would keep a stale bound method on
-        # service swap, so the source list is rebuilt per render instead.
-        reg = self.registry
-        samples = self._gauge_samples()
-        out: list[str] = []
-        rendered = reg.render().splitlines()
-        out.extend(rendered)
-        by_name: dict[str, list[str]] = {}
-        # One consistent copy of the description table: reading reg._help
-        # per sample would race concurrent describe() calls mid-scrape.
-        help_lines = reg.help_snapshot()
-        for name, labels, value in samples:
-            kind, help_text = help_lines.get(name, ("gauge", name))
-            block = by_name.setdefault(
-                name,
-                [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"],
-            )
-            block.append(f"{name}{_fmt_labels(labels)} {_fmt_value(value)}")
-        for name in sorted(by_name):
-            out.extend(by_name[name])
-        return "\n".join(line for line in out if line) + "\n"
+        """The ``/metrics`` body (text exposition format)."""
+        return self.registry.render()

@@ -78,7 +78,7 @@ cannot fork divergent states.
 
 The server is a ``ThreadingHTTPServer``; concurrency is safe because the
 service serializes shard access with per-shard locks and the cache and
-telemetry guard their mutable state with their own locks.
+the serving totals guard their mutable state with their own locks.
 
 Error contract — decided once, in :class:`JsonRequestHandler`, for this
 server, the federation coordinator and the supervisor's admin port.  Error

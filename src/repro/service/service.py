@@ -13,7 +13,7 @@ Serving pipeline for a batch (``search`` is the one-element special case):
 3. **execute** — evaluate the misses on the sharded executor (union of
    per-shard answers) and write them back to the cache;
 4. **assemble** — evaluate each canonical expression over the in-memory
-   leaf results and stamp telemetry.
+   leaf results and record the query's stats.
 
 Answers are packed :class:`~repro.core.bitset.DatasetBitmap` bitsets end
 to end: cached leaf answers are ``uint64`` word arrays, And/Or combine
@@ -41,7 +41,7 @@ import os
 import threading
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from repro.service.sharding import ShardedBatchExecutor
 
 if TYPE_CHECKING:
     from repro.service.observability import Tracer
-from repro.service.telemetry import QueryRecord, ServiceTelemetry
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 
@@ -129,7 +128,6 @@ class QueryService:
         seed: int = 0,
         deterministic: bool = True,
         engine: str = "kd",
-        telemetry_window: int = 4096,
         capacity: Optional[int] = None,
         plan_cache_capacity: int = 1024,
         tracing: bool = False,
@@ -158,10 +156,8 @@ class QueryService:
         # index structures and no dataset counts — so the plan cache
         # survives live mutation AND full rebuilds unflushed.
         self.plans = PlanCache(capacity=plan_cache_capacity)
-        self.telemetry = ServiceTelemetry(window=telemetry_window)
-        # Tracing policy, metrics registry and slow-query log; /stats and
-        # /metrics are both rendered from this one object (after the
-        # telemetry it adopts histograms from).
+        # Tracing policy, metrics registry, slow-query log and the serving
+        # totals; /stats and /metrics are both read off this one object.
         self.observability = ServiceObservability(
             self,
             tracing=tracing,
@@ -197,7 +193,7 @@ class QueryService:
         return self.executor.engine_kind
 
     def stats(self) -> dict:
-        """JSON-ready service metrics: telemetry, caches, shard layout.
+        """JSON-ready service metrics: serving totals, caches, shard layout.
 
         Delegates to :meth:`ServiceObservability.snapshot` — the same
         collection pass that backs the Prometheus ``/metrics`` rendering,
@@ -325,12 +321,13 @@ class QueryService:
         leaf_results: dict = {}
         leaf_times: dict = {}
         hit_keys: set = set()
+        # (key, leaf, stale cache entry | None) triples still to evaluate.
         upgrades: list = []
         misses: list = []
         for key, leaf in batch.unique_leaves.items():
             entry = self.cache.get_entry(key)
             if entry is None:
-                misses.append((key, leaf))
+                misses.append((key, leaf, None))
             elif entry.watermark >= watermark:
                 # Entries are stored masked-at-write; masks only grow
                 # between rebuilds, so re-masking on read stays exact.
@@ -364,71 +361,54 @@ class QueryService:
             degrade_reason = "deadline"
         pending: dict = {}
 
-        upgrade_keys: set = set()
-        if upgrades and degrade_reason is None:
-            # Warm-cache ingestion: every dataset above the entry watermark
-            # lives in the delta shard (rebuilds flush the cache), so the
-            # cached answer plus a delta-only evaluation is the full answer
-            # (a word-wise OR; the stale bitmap zero-pads to the new count).
-            with (
-                tracer.span("upgrade", n_leaves=len(upgrades))
-                if tracer is not None
-                else nullcontext()
-            ):
-                try:
-                    delta_answers = executor.eval_delta_leaves(
-                        [leaf for _key, leaf, _entry in upgrades],
-                        tracer=tracer,
-                        deadline=deadline,
-                    )
-                except DeadlineExceeded as exc:
-                    # Keep the exact prefix the executor completed; the
-                    # remaining upgrade leaves degrade to screened bounds.
-                    degrade_reason = "deadline"
-                    delta_answers = exc.partial
-                for (key, _leaf, entry), (delta_bits, done) in zip(
-                    upgrades, delta_answers
+        def evaluate(span_name: str, todo: list, run: Callable) -> set:
+            """Evaluate ``todo`` exactly with ``run`` and write the answers
+            back; returns the keys answered, the rest go to ``pending``."""
+            nonlocal degrade_reason
+            answered: set = set()
+            if todo and degrade_reason is None:
+                with (
+                    tracer.span(span_name, n_leaves=len(todo))
+                    if tracer is not None
+                    else nullcontext()
                 ):
-                    merged = entry.indexes | delta_bits
-                    if removed_bits is not None:
-                        merged = merged.andnot(removed_bits)
-                    leaf_results[key] = merged
-                    leaf_times[key] = done
-                    upgrade_keys.add(key)
-                    self.cache.put(key, merged, generation=generation,
-                                   watermark=watermark)
-                self.cache.note_upgrades(len(delta_answers))
-        if upgrades and degrade_reason is not None:
-            for key, leaf, _entry in upgrades:
-                if key not in upgrade_keys:
-                    pending[key] = leaf
-        miss_keys: set = set()
-        if misses and degrade_reason is None:
-            with (
-                tracer.span("execute", n_leaves=len(misses))
-                if tracer is not None
-                else nullcontext()
-            ):
-                try:
-                    evaluated = executor.eval_leaves(
-                        [leaf for _, leaf in misses],
-                        tracer=tracer,
-                        deadline=deadline,
-                    )
-                except DeadlineExceeded as exc:
-                    degrade_reason = "deadline"
-                    evaluated = exc.partial
-                for (key, _leaf), (answer, done) in zip(misses, evaluated):
-                    # The executor masks tombstones before returning.
-                    leaf_results[key] = answer
-                    leaf_times[key] = done
-                    miss_keys.add(key)
-                    self.cache.put(key, answer, generation=generation,
-                                   watermark=watermark)
-        if misses and degrade_reason is not None:
-            for key, leaf in misses:
-                if key not in miss_keys:
-                    pending[key] = leaf
+                    try:
+                        answers = run(
+                            [leaf for _key, leaf, _entry in todo],
+                            tracer=tracer,
+                            deadline=deadline,
+                        )
+                    except DeadlineExceeded as exc:
+                        # Keep the exact prefix the executor completed; the
+                        # remaining leaves degrade to screened bounds.
+                        degrade_reason = "deadline"
+                        answers = exc.partial
+                    for (key, _leaf, entry), (answer, done) in zip(todo, answers):
+                        if entry is not None:
+                            answer = entry.indexes | answer
+                            if removed_bits is not None:
+                                answer = answer.andnot(removed_bits)
+                        # else a miss: the executor masks tombstones
+                        # before returning.
+                        leaf_results[key] = answer
+                        leaf_times[key] = done
+                        answered.add(key)
+                        self.cache.put(key, answer, generation=generation,
+                                       watermark=watermark)
+            if degrade_reason is not None:
+                for key, leaf, _entry in todo:
+                    if key not in answered:
+                        pending[key] = leaf
+            return answered
+
+        # Warm-cache ingestion: every dataset above the entry watermark
+        # lives in the delta shard (rebuilds flush the cache), so the
+        # cached answer plus a delta-only evaluation is the full answer
+        # (a word-wise OR; the stale bitmap zero-pads to the new count).
+        upgrade_keys = evaluate("upgrade", upgrades, executor.eval_delta_leaves)
+        if upgrade_keys:
+            self.cache.note_upgrades(len(upgrade_keys))
+        miss_keys = evaluate("execute", misses, executor.eval_leaves)
         if degrade_reason == "deadline":
             self.observability.registry.inc("repro_deadline_expirations_total")
 
@@ -447,13 +427,7 @@ class QueryService:
         # A leaf evaluated once for the batch is *charged* to the first
         # query that uses it; other queries sharing it report it under
         # ``shared_leaves`` instead of inflating the miss counters.
-        evaluated_keys = miss_keys | upgrade_keys
-        charge_owner: dict = {}
-        for qi, plan in enumerate(batch.plans):
-            for key in plan.leaves:
-                if key in evaluated_keys and key not in charge_owner:
-                    charge_owner[key] = qi
-
+        charged: set = set()
         if record_times:
             universe = DatasetBitmap.full(watermark)
             if removed_bits is not None:
@@ -520,26 +494,18 @@ class QueryService:
                     query=qi,
                     out_size=result.out_size,
                 )
-            hits = sum(1 for k in plan.leaves if k in hit_keys)
-            charged_misses = sum(
-                1
-                for k in plan.leaves
-                if k in miss_keys and charge_owner[k] == qi
-            )
-            charged_upgrades = sum(
-                1
-                for k in plan.leaves
-                if k in upgrade_keys and charge_owner[k] == qi
-            )
-            shared = sum(
-                1
-                for k in plan.leaves
-                if k in evaluated_keys and charge_owner[k] != qi
-            )
-            # The planning/cache/eval phase is shared by the whole batch;
-            # each query is charged that phase plus its own assembly, not
-            # the assembly of the queries before it.
-            latency_s = shared_s + (assembled - assembly_start)
+            hits = charged_misses = charged_upgrades = shared = 0
+            for key in plan.leaves:
+                if key in hit_keys:
+                    hits += 1
+                elif key in charged:
+                    shared += 1
+                elif key in miss_keys:
+                    charged.add(key)
+                    charged_misses += 1
+                elif key in upgrade_keys:
+                    charged.add(key)
+                    charged_upgrades += 1
             result.stats.update(
                 {
                     "cache_hits": hits,
@@ -549,23 +515,15 @@ class QueryService:
                     "n_leaves_raw": plan.n_leaves_raw,
                     "n_leaves_unique": plan.n_leaves_unique,
                     "n_shards": executor.n_shards,
-                    "latency_s": latency_s,
+                    # The planning/cache/eval phase is shared by the whole
+                    # batch; each query is charged that phase plus its own
+                    # assembly, not the assembly of the queries before it.
+                    "latency_s": shared_s + (assembled - assembly_start),
                 }
             )
-            self.telemetry.record_query(
-                QueryRecord(
-                    latency_s=latency_s,
-                    n_leaves_raw=plan.n_leaves_raw,
-                    n_leaves_unique=plan.n_leaves_unique,
-                    cache_hits=hits,
-                    cache_misses=charged_misses,
-                    cache_upgrades=charged_upgrades,
-                    shared_leaves=shared,
-                    out_size=result.out_size,
-                )
-            )
+            self.observability.record_query(result.stats, result.out_size)
             results.append(result)
-        self.telemetry.record_batch(len(expressions), time.perf_counter() - start)
+        self.observability.record_batch(time.perf_counter() - start)
         return results
 
     def ground_truth(self, expression: Expression) -> set[int]:
@@ -798,7 +756,7 @@ class QueryService:
         default); refuses containers holding a different kind."""
         from repro.service import snapshot
 
-        return snapshot.load_expected(path, "query_service", mmap=mmap)
+        return snapshot.load(path, mmap=mmap, kind="query_service")
 
     def close(self) -> None:
         self.executor.close()

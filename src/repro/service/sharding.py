@@ -788,7 +788,7 @@ class ShardedBatchExecutor:
         default); refuses containers holding a different kind."""
         from repro.service import snapshot
 
-        return snapshot.load_expected(path, "sharded_executor", mmap=mmap)
+        return snapshot.load(path, mmap=mmap, kind="sharded_executor")
 
     def close(self) -> None:
         """Nothing to release; kept so an executor is a context manager."""

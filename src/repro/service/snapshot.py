@@ -85,7 +85,6 @@ from repro.service.observability import ServiceObservability
 from repro.service.planner import PlanCache
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
-from repro.service.telemetry import ServiceTelemetry
 from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
 
@@ -705,7 +704,6 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
             "capacity": kw["capacity"],
         },
         "plan_capacity": int(svc.plans.capacity),
-        "telemetry_window": int(svc.telemetry._latencies.maxlen or 4096),
         "tracing": bool(svc.observability.tracing),
         "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
         "slow_log_size": int(svc.observability.slow_log.k),
@@ -723,7 +721,6 @@ def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
     svc.cache = LeafResultCache(capacity=int(state["cache"]["capacity"]))
     _cache_restore(state["cache"], arrays, svc.cache)
     svc.plans = PlanCache(capacity=int(state["plan_capacity"]))
-    svc.telemetry = ServiceTelemetry(window=int(state["telemetry_window"]))
     svc.observability = ServiceObservability(
         svc,
         tracing=bool(state["tracing"]),
@@ -761,38 +758,29 @@ def save(obj: object, path: PathLike, generation: int = 0) -> dict:
     return writer.write(path, kind, state, generation)
 
 
-def load(path: PathLike, mmap: bool = True) -> Any:
+def load(path: PathLike, mmap: bool = True, kind: Optional[str] = None) -> Any:
     """Reconstruct whatever :func:`save` persisted at ``path``.
 
     With ``mmap=True`` (default) bulk buffers are read-only
     ``np.memmap`` views — loading is O(metadata), the point data pages in
     on demand and is shared across processes.  ``mmap=False`` reads
-    private writable copies.
+    private writable copies.  ``kind`` refuses a container holding any
+    other kind.
     """
     if faults.ARMED is not None:
         faults.hit("snapshot_load")
     header, arrays = _open_container(path, mmap)
-    kind = header.get("kind")
+    found = header.get("kind")
+    if kind is not None and found != kind:
+        raise SnapshotError(f"snapshot holds kind {found!r}, expected {kind!r}")
     state = header["state"]
-    if kind == "query_service":
+    if found == "query_service":
         return _service_from_state(state, arrays)
-    if kind == "sharded_executor":
+    if found == "sharded_executor":
         return _executor_from_state(state, arrays)
-    if kind == "engine":
+    if found == "engine":
         return _engine_from_state(state, arrays)
-    raise SnapshotError(f"unknown snapshot kind {kind!r} (of {KINDS})")
-
-
-def load_expected(path: PathLike, expected_kind: str, mmap: bool = True) -> Any:
-    """:func:`load` that refuses a container of the wrong kind."""
-    header, arrays = _open_container(path, mmap)
-    kind = header.get("kind")
-    if kind != expected_kind:
-        raise SnapshotError(
-            f"snapshot holds kind {kind!r}, expected {expected_kind!r}"
-        )
-    del arrays
-    return load(path, mmap=mmap)
+    raise SnapshotError(f"unknown snapshot kind {found!r} (of {KINDS})")
 
 
 def generation_of(path: PathLike) -> int:

@@ -766,22 +766,41 @@ class ServiceSupervisor:
         }
 
     def aggregate_metrics(self) -> str:
-        """Every worker's Prometheus exposition, one labeled block each.
+        """The fleet's Prometheus exposition: each family's ``# HELP`` /
+        ``# TYPE`` once, every reachable worker's samples grouped under it
+        with a ``worker="<id>"`` label added.
 
         Unreachable workers contribute a comment line instead of failing
         the whole scrape.
         """
         with self._lock:
             ports = list(self.worker_ports)
-        blocks = []
+        out = []
+        # family -> ({"HELP" | "TYPE": first line seen}, relabelled samples)
+        families: dict[str, tuple[dict[str, str], list[str]]] = {}
         for worker_id, port in enumerate(ports):
             try:
                 text = self._fetch(port, "/metrics").decode("utf-8")
             except OSError:
-                blocks.append(f"# supervisor worker {worker_id} unreachable")
+                out.append(f"# supervisor worker {worker_id} unreachable")
                 continue
-            blocks.append(f"# supervisor worker {worker_id}\n{text}")
-        return "\n".join(blocks)
+            # A worker's text is MetricsRegistry.render(): every sample
+            # follows the header of the family it belongs to.
+            samples: list[str] = []
+            for line in text.splitlines():
+                if line.startswith("# "):
+                    _hash, tag, name, _rest = line.split(" ", 3)
+                    head, samples = families.setdefault(name, ({}, []))
+                    head.setdefault(tag, line)
+                elif line:
+                    series, value = line.rsplit(" ", 1)
+                    labels = series[:-1] + "," if series.endswith("}") else series + "{"
+                    samples.append(f'{labels}worker="{worker_id}"}} {value}')
+        for name in sorted(families):
+            head, samples = families[name]
+            out.extend(head.values())
+            out.extend(samples)
+        return "\n".join(out) + "\n"
 
     # -- child side ----------------------------------------------------
     def _worker_main(

@@ -78,14 +78,6 @@ class QuantileHistogramSynopsis(Synopsis):
         self._delta_pref = self._measure_delta_pref(pts, rng)
 
     # ------------------------------------------------------------------
-    def _marginal_cdf(self, axis: int, value: float) -> float:
-        """P[attribute_axis <= value] from the quantile knots."""
-        return float(
-            self._marginal_cdf_all(
-                np.full(self._dim, float(value), dtype=float)
-            )[axis]
-        )
-
     def _marginal_cdf_all(self, values: np.ndarray) -> np.ndarray:
         """Per-axis CDFs ``P[attribute_h <= values[h]]`` for all axes at once.
 

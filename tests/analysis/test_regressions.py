@@ -2,9 +2,10 @@
 
 The acceptance bar for the guarded-by rule is concrete: reverting the PR-2
 telemetry fix (snapshotting counters under the lock) must light the rule
-up again.  These tests simulate that revert textually and also pin the
+up again.  These tests simulate that revert textually — on
+``observability.py``, which owns those counters — and also pin the
 behaviour of the genuine findings fixed in this PR (the unlocked
-``__len__`` readers and the Prometheus HELP-table read).
+``__len__`` readers).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 from repro.analysis import lint_source
 from repro.core.bitset import DatasetBitmap
 from repro.service.cache import LeafResultCache
-from repro.service.observability import MetricsRegistry
 from repro.service.planner import PlanCache
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
@@ -32,22 +32,25 @@ def _lint_file(name: str, mutate=None):
 
 
 def test_service_modules_currently_clean():
-    for name in ("telemetry.py", "cache.py", "observability.py"):
+    for name in ("cache.py", "observability.py"):
         assert _lint_file(name) == [], name
 
 
 def test_reverting_pr2_telemetry_fix_is_caught():
-    # The PR-2 bug: summary() read the counters without the telemetry
-    # lock, tearing ratios like qps. Simulate the revert by stripping the
-    # lock acquisitions; every annotated counter access must now flag.
+    # The PR-2 bug: the /stats telemetry block read the counters without
+    # their lock, tearing ratios like qps. Simulate the revert by stripping
+    # the lock acquisitions; every annotated counter access must now flag.
     def strip_locks(source: str) -> str:
         assert "with self._lock:" in source
         return source.replace("with self._lock:", "if True:")
 
-    findings = _lint_file("telemetry.py", mutate=strip_locks)
+    findings = _lint_file("observability.py", mutate=strip_locks)
     assert findings, "guarded-by must flag the reverted telemetry fix"
     assert any(
-        "_latencies" in f.message and "summary()" in f.message for f in findings
+        "_latencies" in f.message and "_telemetry()" in f.message for f in findings
+    )
+    assert any(
+        "_n_queries" in f.message and "record_query()" in f.message for f in findings
     )
 
 
@@ -59,18 +62,6 @@ def test_unlocking_cache_len_is_caught():
 
     findings = _lint_file("cache.py", mutate=unlock_len)
     assert any("_entries" in f.message and "__len__()" in f.message for f in findings)
-
-
-def test_unlocking_help_table_read_is_caught():
-    def unlock_snapshot(source: str) -> str:
-        locked = "with self._lock:\n            return dict(self._help)"
-        assert locked in source
-        return source.replace(locked, "return dict(self._help)")
-
-    findings = _lint_file("observability.py", mutate=unlock_snapshot)
-    assert any(
-        "_help" in f.message and "help_snapshot()" in f.message for f in findings
-    )
 
 
 # -- behaviour pins for the fixes applied in this PR --------------------
@@ -94,16 +85,6 @@ def test_plan_cache_len_counts_plans():
     assert len(cache) == 0
     cache.plan(pred(PercentileMeasure(Rectangle([0.0], [0.5])), 0.2))
     assert len(cache) == 1
-
-
-def test_help_snapshot_is_a_consistent_copy():
-    reg = MetricsRegistry()
-    reg.describe("repro_test_total", "counter", "A test counter.")
-    snap = reg.help_snapshot()
-    assert snap["repro_test_total"] == ("counter", "A test counter.")
-    # It is a copy: mutating it does not corrupt the registry.
-    snap.clear()
-    assert reg.help_snapshot()["repro_test_total"][0] == "counter"
 
 
 def test_len_safe_during_concurrent_churn():

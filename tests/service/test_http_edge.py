@@ -284,6 +284,14 @@ PINNED = {
     },
 }
 FAMILY = {"node": "repro_request_seconds", "fed": "repro_federation_request_seconds"}
+# The node's /stats "telemetry" block: what the benchmark, the supervisor
+# and metrics_smoke.py read by name.
+TELEMETRY_KEYS = {
+    "n_queries", "n_batches", "throughput_qps", "latency_mean_s",
+    "latency_p50_s", "latency_p95_s", "latency_max_s", "latency_bucket_p50_s",
+    "latency_bucket_p95_s", "latency_bucket_p99_s", "leaves_raw",
+    "leaves_unique", "cache_hits", "cache_misses", "cache_upgrades",
+    "shared_leaves", "mean_out_size"}
 
 
 # "fed" first: the node's POST /datasets grows its universe past what the
@@ -307,6 +315,8 @@ def test_route_table(edge, name):
             assert headers["content-type"] == shape
         else:
             assert set(json.loads(raw)) == shape, (verb, path)
+            if (name, verb, path) == ("node", "GET", "/stats"):
+                assert set(json.loads(raw)["telemetry"]) == TELEMETRY_KEYS
     _status, _headers, raw = conn.request("GET", "/metrics")
     conn.close()
     paths = {path for _verb, path in routes}

@@ -172,7 +172,7 @@ class TestWarmCache:
             result = svc.search(expr)
             n_upgraded = result.stats["cache_upgrades"]
             assert n_upgraded == result.stats["n_leaves_unique"]
-            assert svc.telemetry.summary()["cache_upgrades"] == n_upgraded
+            assert svc.stats()["telemetry"]["cache_upgrades"] == n_upgraded
 
 
 class TestRemoveEquivalence:

@@ -5,8 +5,10 @@ histogram quantiles bracket the pooled-sample quantiles, and span
 nesting/ordering under ``search_batch`` with mixed cache hits and misses.
 """
 
+import json
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
 from repro.service import QueryService
 from repro.service.observability import (
+    LATENCY_WINDOW,
     Histogram,
     MetricsRegistry,
     SlowQueryLog,
@@ -177,14 +180,6 @@ class TestMetricsRegistry:
             if not line or line.startswith("#"):
                 continue
             assert SAMPLE_LINE.match(line), line
-
-    def test_adopted_histogram_renders_live_counts(self):
-        reg = MetricsRegistry()
-        h = Histogram(bounds=(1.0,))
-        reg.declare_histogram("ext_seconds", "External.", bounds=(1.0,))
-        reg.adopt_histogram("ext_seconds", h)
-        h.observe(0.5)  # owner observes after adoption
-        assert "ext_seconds_count 1" in reg.render()
 
 
 class TestTracer:
@@ -475,3 +470,168 @@ class TestServiceSlowLogAndStats:
                 "slow_log_size": 8,
                 "slow_queries": 0,
             }
+
+
+def query_stats(latency: float = 0.01, **overrides) -> dict:
+    """The per-query ``result.stats`` keys the serving totals read."""
+    stats = dict(
+        latency_s=latency,
+        n_leaves_raw=3,
+        n_leaves_unique=2,
+        cache_hits=1,
+        cache_misses=1,
+        cache_upgrades=1,
+        shared_leaves=1,
+    )
+    stats.update(overrides)
+    return stats
+
+
+class TestTotals:
+    """The ``telemetry`` block of ``/stats``, owned by ServiceObservability."""
+
+    def test_aggregates_and_new_counters(self, lake):
+        with make_service(lake) as svc:
+            obs = svc.observability
+            obs.record_query(query_stats(0.01), out_size=4)
+            obs.record_query(query_stats(0.03, cache_upgrades=0), out_size=2)
+            obs.record_batch(0.05)
+            out = svc.stats()["telemetry"]
+        assert out["n_queries"] == 2 and out["n_batches"] == 1
+        assert out["leaves_raw"] == 6 and out["leaves_unique"] == 4
+        assert out["cache_hits"] == 2 and out["cache_misses"] == 2
+        assert out["cache_upgrades"] == 1 and out["shared_leaves"] == 2
+        assert out["latency_mean_s"] == pytest.approx(0.02)
+        assert out["mean_out_size"] == pytest.approx(3.0)
+        assert out["throughput_qps"] == pytest.approx(2 / 0.05)
+        assert "NaN" not in json.dumps(out)
+
+    def test_window_percentiles_are_nearest_rank(self, lake):
+        with make_service(lake) as svc:
+            for latency in (0.04, 0.01, 0.03, 0.02):
+                svc.observability.record_query(query_stats(latency), out_size=0)
+            out = svc.stats()["telemetry"]
+        assert out["latency_p50_s"] == 0.02
+        assert out["latency_p95_s"] == out["latency_max_s"] == 0.04
+
+    def test_throughput_zero_before_first_batch(self, lake):
+        with make_service(lake) as svc:
+            svc.observability.record_query(query_stats(), out_size=1)
+            assert svc.stats()["telemetry"]["throughput_qps"] == 0.0
+
+    def test_empty_window_summary_has_no_nan(self, lake):
+        with make_service(lake) as svc:
+            out = svc.stats()["telemetry"]
+        assert out["throughput_qps"] == 0.0
+        for key in ("latency_mean_s", "latency_p50_s", "latency_p95_s",
+                    "latency_max_s", "latency_bucket_p50_s",
+                    "latency_bucket_p95_s", "latency_bucket_p99_s",
+                    "mean_out_size"):
+            assert out[key] is None, key
+        assert "NaN" not in json.dumps(out)
+
+    def test_bucket_quantiles_track_lifetime_distribution(self, lake):
+        # The window forgets, the buckets do not.
+        with make_service(lake) as svc:
+            obs = svc.observability
+            for _ in range(2 * LATENCY_WINDOW):
+                obs.record_query(query_stats(0.0001), out_size=0)
+            for _ in range(LATENCY_WINDOW):
+                obs.record_query(query_stats(0.05), out_size=0)
+            out = svc.stats()["telemetry"]
+        # The fast majority fell out of the window but not the buckets.
+        assert out["n_queries"] == 3 * LATENCY_WINDOW
+        assert out["latency_p50_s"] == pytest.approx(0.05)
+        assert out["latency_bucket_p50_s"] <= 0.001
+        assert out["latency_bucket_p99_s"] >= 0.05
+        # Bucket estimates are conservative: upper bound of the bucket.
+        assert out["latency_bucket_p50_s"] >= 0.0001
+
+    def test_batch_histogram_observes_wall_time(self, lake):
+        with make_service(lake) as svc:
+            svc.observability.record_batch(0.02)
+            hist = svc.observability.registry.histogram("repro_batch_seconds")
+            assert hist.count == 1
+            assert hist.sum == pytest.approx(0.02)
+
+    def test_summary_is_consistent_under_concurrent_recording(self, lake):
+        """/stats is read by one server thread while others record; the
+        block must be copied out under the lock so the derived ratios are
+        internally consistent (no torn counter pairs)."""
+        stop = threading.Event()
+        errors: list = []
+
+        def writer(obs):
+            while not stop.is_set():
+                obs.record_query(query_stats(0.001), out_size=1)
+                obs.record_batch(0.001)
+
+        def reader(svc):
+            try:
+                while not stop.is_set():
+                    out = svc.stats()["telemetry"]
+                    n, batches = out["n_queries"], out["n_batches"]
+                    # Each writer is at most one query ahead of its batch,
+                    # and every query brought one hit and three raw leaves.
+                    assert batches <= n <= batches + 2
+                    assert out["cache_hits"] == n and out["leaves_raw"] == 3 * n
+                    if n:
+                        # n identical latencies: an un-torn mean is exact.
+                        assert out["latency_mean_s"] == pytest.approx(0.001)
+                    if batches:
+                        assert out["throughput_qps"] == pytest.approx(
+                            n / (batches * 0.001)
+                        )
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_service(lake) as svc:
+                threads = [
+                    threading.Thread(target=writer, args=(svc.observability,))
+                    for _ in range(2)
+                ]
+                threads += [
+                    threading.Thread(target=reader, args=(svc,)) for _ in range(2)
+                ]
+                for t in threads:
+                    t.start()
+                stop.wait(0.5)
+                stop.set()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert svc.stats()["telemetry"]["n_queries"] > 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+
+    def test_stats_and_metrics_agree_on_query_and_batch_counts(self, lake):
+        """One owner, so after a quiesced mixed batch (hits, misses, a
+        shared leaf, an upgrade) every spelling of a count is the same."""
+        with make_service(lake) as svc:
+            svc.search_batch([P1, P2, And([P1, PR])])
+            svc.add_datasets([np.random.default_rng(3).uniform(0, 1, (40, 1))])
+            svc.search_batch([P1, PR], trace=True)
+            svc.search(P2, degrade=True)
+            telemetry = svc.stats()["telemetry"]
+            body = svc.observability.render_prometheus()
+
+        def sample(name):
+            (line,) = [ln for ln in body.splitlines() if ln.startswith(name + " ")]
+            return float(line.split()[-1])
+
+        assert telemetry["n_queries"] == 6 and telemetry["n_batches"] == 3
+        assert telemetry["cache_upgrades"] >= 1 and telemetry["shared_leaves"] >= 1
+        assert (
+            telemetry["n_queries"]
+            == sample("repro_queries_total")
+            == sample("repro_query_seconds_count")
+        )
+        assert (
+            telemetry["n_batches"]
+            == sample("repro_batches_total")
+            == sample("repro_batch_seconds_count")
+        )

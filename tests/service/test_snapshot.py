@@ -303,7 +303,9 @@ class TestExecutorAndEngineKinds:
         path = tmp_path / "svc.snap"
         svc.save(path)
         svc.close()
-        with pytest.raises(SnapshotError, match="kind"):
+        with pytest.raises(
+            SnapshotError, match="holds kind 'query_service', expected 'engine'"
+        ):
             DatasetSearchEngine.load(path)
 
     def test_inspect(self, lake, tmp_path):

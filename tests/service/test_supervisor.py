@@ -153,11 +153,26 @@ class TestSupervisor:
             assert "read-only" in body["error"]
 
     def test_aggregate_metrics_one_block_per_worker(self, snapshot):
+        """One valid exposition for the fleet: a family is typed once and
+        holds one block of samples per worker, told apart by a ``worker``
+        label (a scrape rejects a second ``# TYPE`` or a repeated series)."""
         path, queries, expected = snapshot
         with ServiceSupervisor(path, workers=2, poll_interval=0.5) as sup:
             sup.start()
             text = sup.aggregate_metrics()
-            assert text.count("# supervisor worker") == 2
+        lines = text.splitlines()
+        typed = [ln.split(" ")[2] for ln in lines if ln.startswith("# TYPE ")]
+        assert typed and len(typed) == len(set(typed))
+        series = [ln.rsplit(" ", 1)[0] for ln in lines if not ln.startswith("#")]
+        assert len(series) == len(set(series))
+        assert all('worker="' in s for s in series)
+        queries_total = [s for s in series if s.startswith("repro_queries_total{")]
+        assert queries_total == [
+            'repro_queries_total{worker="0"}', 'repro_queries_total{worker="1"}'
+        ]
+        # Samples sit under their own family's header, relabelled in place.
+        at = lines.index("# TYPE repro_shard_size gauge")
+        assert lines[at + 1] == 'repro_shard_size{shard="0",worker="0"} 5'
 
     def test_stop_is_idempotent_and_reaps_workers(self, snapshot):
         path, _queries, _expected = snapshot
@@ -206,7 +221,8 @@ class TestSupervisor:
             assert stats["workers"][1]["status"] == "unreachable"
             text = sup.aggregate_metrics()
             assert "# supervisor worker 1 unreachable" in text
-            assert "# supervisor worker 0\n" in text
+            assert 'repro_queries_total{worker="0"}' in text
+            assert 'worker="1"' not in text
 
     def test_parent_admin_endpoint_reports_fleet_health(self, snapshot):
         path, queries, _expected = snapshot

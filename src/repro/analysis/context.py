@@ -13,7 +13,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -170,3 +170,84 @@ def with_locks(stmt: ast.stmt) -> Tuple[str, ...]:
         if name is not None:
             names.append(name)
     return tuple(names)
+
+
+def unguarded_touches(
+    body: List[ast.stmt],
+    is_subject: Callable[[ast.AST], bool],
+    is_touch: Callable[[ast.AST], bool],
+) -> Iterator[ast.AST]:
+    """The nodes of a function *body* that ``is_touch`` accepts and that no
+    ``<subject> is not None`` check dominates — the zero-cost-when-disabled
+    discipline of the tracer (``zero-cost``) and the failpoints
+    (``failpoint-discipline``); ``is_subject`` recognises the expression
+    compared with ``None``.  Guard shapes (all used in this repo):
+
+    - ``if <subject> is not None: ...`` (the body is guarded);
+    - ``if <subject> is None: return ...`` (everything after is guarded;
+      ``raise`` / ``continue`` / ``break`` terminate a body too);
+    - ``touch if <subject> is not None else other``;
+    - ``<subject> is not None and touch`` short-circuits.
+
+    Statement lists nested in ``for`` / ``while`` / ``with`` / ``try``
+    bodies and handlers follow the same rules, so a guard inside them
+    dominates what follows it there.  Nested ``def``s are not entered:
+    they are functions in their own right.
+    """
+
+    def check(test: ast.AST) -> Optional[bool]:
+        """True for ``subject is not None``, False for ``subject is None``."""
+        if (
+            isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+            and is_subject(test.left)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+        ):
+            return isinstance(test.ops[0], ast.IsNot)
+        return None
+
+    def scan_body(stmts: List[ast.stmt], guarded: bool) -> Iterator[ast.AST]:
+        for stmt in stmts:
+            if isinstance(stmt, ast.If) and (positive := check(stmt.test)) is not None:
+                yield from scan_body(stmt.body, guarded or positive)
+                yield from scan_body(stmt.orelse, guarded or not positive)
+                if not positive and stmt.body and isinstance(
+                    stmt.body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
+                ):
+                    guarded = True
+            else:
+                yield from scan_node(stmt, guarded)
+
+    def scan_node(node: ast.AST, guarded: bool) -> Iterator[ast.AST]:
+        """A statement, or a part of one that is not an expression (an
+        ``except`` handler, a ``with`` item, a ``match`` case)."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        for _name, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                yield from scan_body(value, guarded)
+                continue
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, ast.expr):
+                    yield from scan_expr(item, guarded)
+                elif isinstance(item, ast.AST):
+                    yield from scan_node(item, guarded)
+
+    def scan_expr(node: ast.AST, guarded: bool) -> Iterator[ast.AST]:
+        if isinstance(node, ast.IfExp) and (positive := check(node.test)) is not None:
+            yield from scan_expr(node.body, guarded or positive)
+            yield from scan_expr(node.orelse, guarded or not positive)
+            return
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            for value in node.values:
+                yield from scan_expr(value, guarded)
+                guarded = guarded or check(value) is True
+            return
+        if not guarded and is_touch(node):
+            yield node
+        for child in ast.iter_child_nodes(node):
+            yield from scan_expr(child, guarded)
+
+    return scan_body(body, False)

@@ -8,17 +8,18 @@ registry module itself (the module defining ``RangeSearchBackend`` and the
 holds the chain itself), that every registered engine class:
 
 - defines every protocol method — queries, per-entry and group-level
-  toggles, dynamics, ``to_arrays`` — with a signature the protocol's
-  callers can use (same leading parameter names; extra parameters need
-  defaults);
+  toggles, dynamics — with a signature the protocol's callers can use
+  (same leading parameter names; extra parameters need defaults);
 - exposes ``n_active``, ``supports_insert`` and ``nbytes`` (whatever the
   protocol declares as one) as properties;
-- pairs ``to_arrays`` with a ``from_arrays`` classmethod: the protocol can
-  only declare the instance half of the persistence seam, and
-  ``restore_backend`` calls the class half by name — on whatever arrays
-  the backend chose to persist (the kd-tree's rank codes and level
-  tables, the columnar store's float columns) — so a missing one is found
-  at the first snapshot restore otherwise;
+- if listed in ``DYNAMIC_ENGINES`` — the engines the serving layer runs
+  and snapshots — carries the persistence pair: a ``to_arrays`` method and
+  a ``from_arrays`` classmethod.  The pair is not in the protocol (a
+  static engine has no persisted form), and ``restore_backend`` calls the
+  class half by name — on whatever arrays the backend chose to persist
+  (the kd-tree's rank codes and level tables, the columnar store's float
+  columns) — so a missing half is found at the first snapshot save or
+  restore otherwise;
 - is *honest* about ``supports_insert``: an engine listed in
   ``DYNAMIC_ENGINES`` must not hard-code ``return False`` (and vice
   versa — a static engine hard-coding ``True`` advertises mutation it
@@ -42,6 +43,15 @@ from repro.analysis.registry import rule
 _PROTOCOL = "RangeSearchBackend"
 #: Functions that may hold the ``if engine == "name"`` chain, in lookup order.
 _REGISTRY_FNS = ("backend_class", "build_backend")
+
+
+def _finding(path: str, line: int, message: str) -> Finding:
+    """A finding in ``path`` — the registry module or an engine's sibling
+    file (``ModuleInfo.finding`` only reports against the module itself)."""
+    return Finding(
+        file=path, line=line, rule="backend-protocol", severity="error",
+        message=message,
+    )
 
 
 def _arg_names(fn: ast.FunctionDef) -> Tuple[List[str], int]:
@@ -186,29 +196,21 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
         impl = _class_methods(cls)
         for name, proto_fn in sorted(proto_methods.items()):
             if name not in impl:
-                yield Finding(
-                    file=path,
-                    line=cls.lineno,
-                    rule="backend-protocol",
-                    severity="error",
-                    message=(
-                        f"{cls_name} (engine {engine!r}) is missing "
-                        f"RangeSearchBackend.{name}"
-                    ),
+                yield _finding(
+                    path,
+                    cls.lineno,
+                    f"{cls_name} (engine {engine!r}) is missing "
+                    f"RangeSearchBackend.{name}",
                 )
                 continue
             impl_fn = impl[name]
             if name in proto_props:
                 if not _is_property(impl_fn):
-                    yield Finding(
-                        file=path,
-                        line=impl_fn.lineno,
-                        rule="backend-protocol",
-                        severity="error",
-                        message=(
-                            f"{cls_name}.{name} must be a @property "
-                            "(the protocol declares it as one)"
-                        ),
+                    yield _finding(
+                        path,
+                        impl_fn.lineno,
+                        f"{cls_name}.{name} must be a @property "
+                        "(the protocol declares it as one)",
                     )
                 continue
             proto_args, _ = _arg_names(proto_fn)
@@ -219,55 +221,47 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
                 and len(required) <= len(proto_args)
             )
             if not compatible:
-                yield Finding(
-                    file=path,
-                    line=impl_fn.lineno,
-                    rule="backend-protocol",
-                    severity="error",
-                    message=(
-                        f"{cls_name}.{name}({', '.join(impl_args)}) is not "
-                        f"call-compatible with RangeSearchBackend.{name}"
-                        f"({', '.join(proto_args)})"
-                    ),
+                yield _finding(
+                    path,
+                    impl_fn.lineno,
+                    f"{cls_name}.{name}({', '.join(impl_args)}) is not "
+                    f"call-compatible with RangeSearchBackend.{name}"
+                    f"({', '.join(proto_args)})",
                 )
         restore = impl.get("from_arrays")
-        if "to_arrays" in impl and (
+        if engine in dynamic and "to_arrays" not in impl:
+            yield _finding(
+                path,
+                cls.lineno,
+                f"{cls_name} (engine {engine!r}) is listed in "
+                "DYNAMIC_ENGINES but defines no to_arrays — a serving "
+                "engine must have a persisted form",
+            )
+        elif engine in dynamic and (
             restore is None or not _has_decorator(restore, "classmethod")
         ):
-            yield Finding(
-                file=path,
-                line=impl["to_arrays"].lineno,
-                rule="backend-protocol",
-                severity="error",
-                message=(
-                    f"{cls_name} (engine {engine!r}) defines to_arrays but no "
-                    "from_arrays classmethod — restore_backend cannot adopt "
-                    "what it persists"
-                ),
+            yield _finding(
+                path,
+                impl["to_arrays"].lineno,
+                f"{cls_name} (engine {engine!r}) defines to_arrays but no "
+                "from_arrays classmethod — restore_backend cannot adopt "
+                "what it persists",
             )
         si = impl.get("supports_insert")
         if si is not None and _is_property(si):
             advertised = _const_bool_return(si)
             if advertised is not None and dynamic:
                 if advertised and engine not in dynamic:
-                    yield Finding(
-                        file=path,
-                        line=si.lineno,
-                        rule="backend-protocol",
-                        severity="error",
-                        message=(
-                            f"{cls_name}.supports_insert returns True but "
-                            f"{engine!r} is not in DYNAMIC_ENGINES"
-                        ),
+                    yield _finding(
+                        path,
+                        si.lineno,
+                        f"{cls_name}.supports_insert returns True but "
+                        f"{engine!r} is not in DYNAMIC_ENGINES",
                     )
                 if not advertised and engine in dynamic:
-                    yield Finding(
-                        file=path,
-                        line=si.lineno,
-                        rule="backend-protocol",
-                        severity="error",
-                        message=(
-                            f"{cls_name}.supports_insert returns False but "
-                            f"{engine!r} is listed in DYNAMIC_ENGINES"
-                        ),
+                    yield _finding(
+                        path,
+                        si.lineno,
+                        f"{cls_name}.supports_insert returns False but "
+                        f"{engine!r} is listed in DYNAMIC_ENGINES",
                     )

@@ -12,8 +12,9 @@ This rule enforces two invariants:
 
 - every ``faults.hit(...)`` call is dominated by a positive
   ``faults.ARMED is not None`` guard (the early-return shape
-  ``if faults.ARMED is None: return`` also counts), so the disarmed
-  path never pays a function call or a dict lookup;
+  ``if faults.ARMED is None: return`` also counts: the shapes are those of
+  ``context.unguarded_touches``, the walker shared with ``zero-cost``), so
+  the disarmed path never pays a function call or a dict lookup;
 - no failpoint touchpoint (any ``faults.*`` access) appears inside a
   function marked ``# lint: hot-path`` — the per-leaf loops must not
   grow even the pointer check; failpoints belong at coarse boundaries
@@ -25,9 +26,9 @@ This rule enforces two invariants:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.analysis.context import ModuleInfo
+from repro.analysis.context import ModuleInfo, unguarded_touches
 from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 
@@ -45,22 +46,12 @@ def _is_faults_attr(node: ast.AST, attr: str) -> bool:
     )
 
 
-def _is_armed_check(test: ast.expr, *, positive: bool) -> bool:
-    """``faults.ARMED is not None`` (positive) or ``... is None``."""
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-        return False
-    left, op, right = test.left, test.ops[0], test.comparators[0]
-    if not _is_faults_attr(left, "ARMED"):
-        return False
-    if not (isinstance(right, ast.Constant) and right.value is None):
-        return False
-    return isinstance(op, ast.IsNot if positive else ast.Is)
+def _is_armed(node: ast.AST) -> bool:
+    return _is_faults_attr(node, "ARMED")
 
 
-def _terminates(body: List[ast.stmt]) -> bool:
-    return bool(body) and isinstance(
-        body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-    )
+def _is_hit_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _is_faults_attr(node.func, "hit")
 
 
 @rule("failpoint-discipline")
@@ -85,66 +76,11 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
                         "boundaries, not per-leaf loops",
                     )
             continue
-        yield from _scan_body(mod, fn.name, fn.body, guarded=False)
-
-
-def _scan_body(
-    mod: ModuleInfo, fn_name: str, body: List[ast.stmt], guarded: bool
-) -> Iterator[Finding]:
-    rest_guarded = guarded
-    for stmt in body:
-        if isinstance(stmt, ast.If):
-            if _is_armed_check(stmt.test, positive=True):
-                yield from _scan_body(mod, fn_name, stmt.body, guarded=True)
-                yield from _scan_body(mod, fn_name, stmt.orelse, rest_guarded)
-                continue
-            if _is_armed_check(stmt.test, positive=False):
-                yield from _scan_body(mod, fn_name, stmt.body, rest_guarded)
-                yield from _scan_body(mod, fn_name, stmt.orelse, guarded=True)
-                if _terminates(stmt.body):
-                    rest_guarded = True
-                continue
-        yield from _scan_stmt(mod, fn_name, stmt, rest_guarded)
-
-
-def _scan_stmt(
-    mod: ModuleInfo, fn_name: str, stmt: ast.stmt, guarded: bool
-) -> Iterator[Finding]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return  # nested defs are scanned as functions in their own right
-    for field_name, value in ast.iter_fields(stmt):
-        del field_name
-        if isinstance(value, list):
-            # Statement lists (try/with/for/while bodies) go back through
-            # _scan_body so a guard nested inside them still dominates.
-            if value and all(isinstance(item, ast.stmt) for item in value):
-                yield from _scan_body(mod, fn_name, value, guarded)
-                continue
-            for item in value:
-                if isinstance(item, ast.ExceptHandler):
-                    yield from _scan_body(mod, fn_name, item.body, guarded)
-                elif isinstance(item, ast.AST):
-                    yield from _scan_expr(mod, fn_name, item, guarded)
-        elif isinstance(value, ast.stmt):
-            yield from _scan_stmt(mod, fn_name, value, guarded)
-        elif isinstance(value, ast.AST):
-            yield from _scan_expr(mod, fn_name, value, guarded)
-
-
-def _scan_expr(
-    mod: ModuleInfo, fn_name: str, node: ast.AST, guarded: bool
-) -> Iterator[Finding]:
-    if (
-        not guarded
-        and isinstance(node, ast.Call)
-        and _is_faults_attr(node.func, "hit")
-    ):
-        yield mod.finding(
-            "failpoint-discipline",
-            node.lineno,
-            f"{fn_name}() calls faults.hit() without a "
-            "`faults.ARMED is not None` guard — the disarmed path must "
-            "cost one pointer check",
-        )
-    for child in ast.iter_child_nodes(node):
-        yield from _scan_expr(mod, fn_name, child, guarded)
+        for node in unguarded_touches(fn.body, _is_armed, _is_hit_call):
+            yield mod.finding(
+                "failpoint-discipline",
+                node.lineno,
+                f"{fn.name}() calls faults.hit() without a "
+                "`faults.ARMED is not None` guard — the disarmed path must "
+                "cost one pointer check",
+            )

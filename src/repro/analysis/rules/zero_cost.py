@@ -6,13 +6,13 @@ no span objects, no attribute chases.  This rule finds attribute access on
 a ``tracer`` parameter (``tracer.span(...)``, ``tracer.emit(...)``) that
 is not dominated by a ``tracer is not None`` check.
 
-Recognised guard shapes (all used in this repo):
-
-- ``if tracer is not None: ...`` (body is guarded);
-- ``if tracer is None: return ...`` (everything after is guarded — the
-  early-return shape in ``eval_leaf_batch_bits`` / ``plan_batch``);
-- ``x = tracer.span(...) if tracer is not None else nullcontext()``;
-- ``tracer is not None and tracer.span(...)`` short-circuits.
+The guard shapes recognised — ``if tracer is not None:``, the early
+return ``if tracer is None: return ...`` of ``eval_leaf_batch_bits`` /
+``plan_batch``, ``tracer.span(...) if tracer is not None else
+nullcontext()``, ``tracer is not None and ...``, at any nesting inside
+``for`` / ``with`` / ``try`` bodies — are those of
+:func:`repro.analysis.context.unguarded_touches`, the walker shared with
+``failpoint-discipline``.
 
 Passing the bare name through (``f(tracer=tracer)``) is free and allowed.
 """
@@ -20,9 +20,9 @@ Passing the bare name through (``f(tracer=tracer)``) is free and allowed.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.analysis.context import ModuleInfo
+from repro.analysis.context import ModuleInfo, unguarded_touches
 from repro.analysis.findings import Finding
 from repro.analysis.registry import rule
 
@@ -48,22 +48,13 @@ def _tracer_params(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def _is_none_check(test: ast.expr, *, positive: bool) -> bool:
-    """``tracer is not None`` (positive) or ``tracer is None`` (negative)."""
-    if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-        return False
-    left, op, right = test.left, test.ops[0], test.comparators[0]
-    if not (isinstance(left, ast.Name) and left.id == _PARAM):
-        return False
-    if not (isinstance(right, ast.Constant) and right.value is None):
-        return False
-    return isinstance(op, ast.IsNot if positive else ast.Is)
+def _is_tracer(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == _PARAM
 
 
-def _terminates(body: List[ast.stmt]) -> bool:
-    return bool(body) and isinstance(
-        body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-    )
+def _touches_tracer(node: ast.AST) -> bool:
+    """``tracer.<attr>``: an attribute chase on the parameter."""
+    return isinstance(node, ast.Attribute) and _is_tracer(node.value)
 
 
 @rule("zero-cost")
@@ -71,78 +62,11 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
     for fn in mod.functions():
         if not _tracer_params(fn):
             continue
-        yield from _scan_body(mod, fn.name, fn.body, guarded=False)
-
-
-def _scan_body(
-    mod: ModuleInfo, fn_name: str, body: List[ast.stmt], guarded: bool
-) -> Iterator[Finding]:
-    rest_guarded = guarded
-    for stmt in body:
-        if isinstance(stmt, ast.If):
-            if _is_none_check(stmt.test, positive=True):
-                yield from _scan_body(mod, fn_name, stmt.body, guarded=True)
-                yield from _scan_body(mod, fn_name, stmt.orelse, rest_guarded)
-                continue
-            if _is_none_check(stmt.test, positive=False):
-                yield from _scan_body(mod, fn_name, stmt.body, rest_guarded)
-                yield from _scan_body(mod, fn_name, stmt.orelse, guarded=True)
-                if _terminates(stmt.body):
-                    rest_guarded = True
-                continue
-        yield from _scan_stmt(mod, fn_name, stmt, rest_guarded)
-
-
-def _scan_stmt(
-    mod: ModuleInfo, fn_name: str, stmt: ast.stmt, guarded: bool
-) -> Iterator[Finding]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return  # nested def re-binds or shadows; checked on its own merits
-    for field_name, value in ast.iter_fields(stmt):
-        del field_name
-        if isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.stmt):
-                    yield from _scan_stmt(mod, fn_name, item, guarded)
-                elif isinstance(item, ast.AST):
-                    yield from _scan_expr(mod, fn_name, item, guarded)
-        elif isinstance(value, ast.stmt):
-            yield from _scan_stmt(mod, fn_name, value, guarded)
-        elif isinstance(value, ast.AST):
-            yield from _scan_expr(mod, fn_name, value, guarded)
-
-
-def _scan_expr(
-    mod: ModuleInfo, fn_name: str, node: ast.AST, guarded: bool
-) -> Iterator[Finding]:
-    if isinstance(node, ast.IfExp):
-        if _is_none_check(node.test, positive=True):
-            yield from _scan_expr(mod, fn_name, node.body, guarded=True)
-            yield from _scan_expr(mod, fn_name, node.orelse, guarded)
-            return
-        if _is_none_check(node.test, positive=False):
-            yield from _scan_expr(mod, fn_name, node.body, guarded)
-            yield from _scan_expr(mod, fn_name, node.orelse, guarded=True)
-            return
-    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-        inner = guarded
-        for value in node.values:
-            yield from _scan_expr(mod, fn_name, value, inner)
-            if _is_none_check(value, positive=True):
-                inner = True
-        return
-    if (
-        not guarded
-        and isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == _PARAM
-    ):
-        yield mod.finding(
-            "zero-cost",
-            node.lineno,
-            f"{fn_name}() touches tracer.{node.attr} without a "
-            "`tracer is not None` guard — the disabled path must cost one "
-            "pointer check",
-        )
-    for child in ast.iter_child_nodes(node):
-        yield from _scan_expr(mod, fn_name, child, guarded)
+        for node in unguarded_touches(fn.body, _is_tracer, _touches_tracer):
+            yield mod.finding(
+                "zero-cost",
+                node.lineno,
+                f"{fn.name}() touches {ast.unparse(node)} without a "
+                "`tracer is not None` guard — the disabled path must cost one "
+                "pointer check",
+            )

@@ -162,21 +162,6 @@ class DatasetSearchEngine:
         _ = self.ptile_index
         return self
 
-    def save(self, path, generation: int = 0) -> dict:
-        """Persist the engine (synopses, built Ptile state, repository)
-        into one snapshot container; see :mod:`repro.service.snapshot`."""
-        from repro.service import snapshot
-
-        return snapshot.save(self, path, generation=generation)
-
-    @classmethod
-    def load(cls, path, mmap: bool = True) -> "DatasetSearchEngine":
-        """Reconstruct an engine saved by :meth:`save` (mmap-backed by
-        default); refuses containers holding a different kind."""
-        from repro.service import snapshot
-
-        return snapshot.load(path, mmap=mmap, kind="engine")
-
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------

@@ -33,10 +33,11 @@ This subpackage provides that machinery:
 All engines implement the :class:`~repro.index.backend.RangeSearchBackend`
 protocol (``report / report_first / report_groups / count / deactivate /
 activate / deactivate_group / activate_group / insert / remove /
-remove_group / to_arrays / nbytes`` plus the multi-box batch kernels
+remove_group / nbytes`` plus the multi-box batch kernels
 ``report_many / count_many / report_groups_many`` — one shared traversal
 on the kd-tree, one broadcast pass on the columnar store) over integer
-entry ids (see :mod:`repro.index.backend`), so every layer
+entry ids (see :mod:`repro.index.backend`); the dynamic engines add the
+``to_arrays`` / ``from_arrays`` pair snapshots restore from.  Every layer
 above — the Ptile structures,
 :class:`~repro.core.engine.DatasetSearchEngine`, the service shards,
 ``repro serve --engine`` — is parameterized by a backend name resolved

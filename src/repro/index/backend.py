@@ -10,12 +10,13 @@ This module formalizes the seam:
   toggles, the group-level bulk forms ``deactivate_group`` /
   ``activate_group`` / ``remove_group``, ``insert``/``remove`` dynamics
   (static backends advertise ``supports_insert = False`` and raise
-  :class:`~repro.errors.CapabilityError`), and the ``to_arrays`` /
-  ``from_arrays`` persistence pair.
+  :class:`~repro.errors.CapabilityError`).
 - :func:`build_backend` / :func:`restore_backend` over the
   :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
   ``"rangetree"`` (textbook multi-level range tree, static, small scale
-  only), ``"columnar"`` (vectorized columnar scan store, dynamic).
+  only), ``"columnar"`` (vectorized columnar scan store, dynamic).  The
+  ``to_arrays`` / ``from_arrays`` persistence pair belongs to the dynamic
+  engines (:data:`DYNAMIC_ENGINES`); ``restore_backend`` refuses the rest.
 
 **Entry ids are integers, stored as columns.**  An id is a
 ``(group, local)`` pair of ints — mapped point ``local`` of dataset
@@ -35,8 +36,8 @@ as 1–2-byte ranks in a sorted level table (:mod:`repro.index.kd_tree` —
 10.2 bytes of coordinates and node boxes per mapped point on the 2-D
 benchmark lake where float64 columns took 80.7, 16.5 against 48.6 on the
 1-D lakes), the columnar store keeps float64 columns because its job is
-O(1) appends.  ``to_arrays`` / ``from_arrays`` carry whichever it is, and
-``nbytes`` reports what it costs.
+O(1) appends.  Their ``to_arrays`` / ``from_arrays`` carry whichever it
+is, and ``nbytes`` reports what it costs.
 """
 
 from __future__ import annotations
@@ -259,18 +260,16 @@ class RangeSearchBackend(Protocol):
         only); returns how many.  An absent group is a no-op returning 0."""
         ...
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The flat arrays that reconstruct this backend, removed entries
-        excluded — the persistence seam.  ``from_arrays`` of the same class
-        adopts them (they may be read-only maps of a snapshot file; only
-        activity state is copied) and answers every query identically."""
-        ...
-
 
 #: Registered backend names, in documentation order.
 ENGINES = ("kd", "rangetree", "columnar")
 
-#: Backends whose ``insert``/``remove`` work (live mutation, delta shards).
+#: Backends whose ``insert``/``remove`` work (live mutation, delta shards)
+#: — also the ones with a persisted form (the ``backend-protocol`` lint rule
+#: requires it of exactly these): ``to_arrays()``, the flat arrays that
+#: reconstruct the backend, removed entries excluded, and a ``from_arrays``
+#: classmethod that adopts them (they may be read-only maps of a snapshot
+#: file; only activity state is copied) and answers every query identically.
 DYNAMIC_ENGINES = ("kd", "columnar")
 
 
@@ -318,11 +317,22 @@ def build_backend(
 def restore_backend(
     arrays: Mapping[str, np.ndarray], engine: str, leaf_size: int
 ) -> RangeSearchBackend:
-    """A backend from its own ``to_arrays()`` (the snapshot restore path)."""
-    cls = backend_class(engine)
+    """A dynamic backend from its own ``to_arrays()`` (snapshot restore)."""
+    cls = backend_class(check_dynamic_engine(engine))
     if engine == "kd":
         return cls.from_arrays(arrays, leaf_size=leaf_size)
     return cls.from_arrays(arrays)
+
+
+def check_dynamic_engine(engine: str) -> str:
+    """Validate the name of an engine that is served, ingested into and
+    snapshotted — what the static ``"rangetree"`` is not."""
+    if engine not in DYNAMIC_ENGINES:
+        raise ConstructionError(
+            f"the serving layer and its snapshots need a dynamic engine, one "
+            f"of {DYNAMIC_ENGINES}; got {engine!r}"
+        )
+    return engine
 
 
 def check_engine(engine: str) -> str:

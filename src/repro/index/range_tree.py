@@ -25,7 +25,7 @@ test suite cross-checks them against each other.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -152,28 +152,6 @@ class RangeTree:
         while t.dim > 1:
             t = t._root.assoc
         return t._root.assoc
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Points (first-coordinate sort order, as ``(k, n)`` columns), id
-        columns and activity — the nodes are re-planted by
-        :meth:`from_arrays`, honestly, from the points."""
-        group, local = id_columns(self._ids, len(self._ids))
-        sli = self._activity()
-        return {
-            "points": np.vstack([self._keys[None, :], self._rest.T]),
-            "group": group,
-            "local": local,
-            "active": np.array([sli.is_active(pid) for pid in self._ids], dtype=bool),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "RangeTree":
-        """Re-plant a tree from its own :meth:`to_arrays`."""
-        ids = entry_ids(arrays["group"], arrays["local"])
-        tree = cls(np.asarray(arrays["points"]).T, ids=ids)
-        for row in np.flatnonzero(~np.asarray(arrays["active"], dtype=bool)):
-            tree.deactivate(ids[row])
-        return tree
 
     # ------------------------------------------------------------------
     # Activation

@@ -83,8 +83,6 @@ from repro.service.federation import (
     serve_federation,
 )
 from repro.service import snapshot
-from repro.service.snapshot import load as load_snapshot
-from repro.service.snapshot import save as save_snapshot
 from repro.service.supervisor import ServiceSupervisor, serve_forked
 
 __all__ = [
@@ -116,14 +114,12 @@ __all__ = [
     "expression_to_json",
     "federated_node_service",
     "leaf_key",
-    "load_snapshot",
     "make_federation_server",
     "make_handler",
     "make_server",
     "partition_indices",
     "plan_batch",
     "plan_query",
-    "save_snapshot",
     "serve",
     "serve_federation",
     "serve_forked",

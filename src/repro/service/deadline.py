@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import DeadlineExceeded, QueryError
+from repro.errors import QueryError
 
 
 class Deadline:
@@ -63,13 +63,6 @@ class Deadline:
     def expired(self) -> bool:
         """The checkpoint poll: one clock read, one comparison."""
         return time.perf_counter() >= self.expires_at
-
-    def check(self, stage: str) -> None:
-        """Raise :class:`DeadlineExceeded` (empty partial) when expired."""
-        if time.perf_counter() >= self.expires_at:
-            raise DeadlineExceeded(
-                f"deadline expired at stage {stage!r}", stage=stage
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Deadline(remaining={self.remaining():.6f}s)"

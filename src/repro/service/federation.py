@@ -141,8 +141,10 @@ class CircuitBreaker:
     States: ``closed`` (all traffic admitted) → ``open`` after
     ``threshold`` consecutive failures (all traffic rejected for
     ``reset_s``) → ``half_open`` (exactly one probe admitted) → back to
-    ``closed`` on probe success or ``open`` on probe failure.  The clock
-    is injectable so tests can drive transitions without sleeping.
+    ``closed`` on probe success or ``open`` on probe failure; a probe that
+    ends with neither verdict (:meth:`release_probe`) leaves it half-open
+    with the slot free.  The clock is injectable so tests can drive
+    transitions without sleeping.
 
     Examples
     --------
@@ -197,6 +199,12 @@ class CircuitBreaker:
         with self._lock:
             self._state = "closed"
             self._failures = 0
+            self._probe_inflight = False
+
+    def release_probe(self) -> None:
+        """Free the half-open probe slot without a verdict: the next
+        request is the probe.  A no-op once a verdict was recorded."""
+        with self._lock:
             self._probe_inflight = False
 
     def record_failure(self) -> None:
@@ -787,69 +795,75 @@ class FederatedCoordinator:
             raise NodeRPCError(
                 "breaker_open", f"node {node.node_id} circuit breaker is open"
             )
-        last_exc: Optional[BaseException] = None
-        for attempt in range(self.max_retries + 1):
-            budget = self._attempt_budget(deadline, merge_reserve)
-            if budget is not None and budget <= 1e-3:
-                # Out of budget: NOT a node failure — don't feed the
-                # breaker, just fall back to the screen.
-                raise NodeRPCError(
-                    "budget_exhausted",
-                    f"node {node.node_id}: deadline budget exhausted "
-                    f"before attempt {attempt}",
+        try:
+            last_exc: Optional[BaseException] = None
+            for attempt in range(self.max_retries + 1):
+                budget = self._attempt_budget(deadline, merge_reserve)
+                if budget is not None and budget <= 1e-3:
+                    # Out of budget: NOT a node failure — don't feed the
+                    # breaker, just fall back to the screen.
+                    raise NodeRPCError(
+                        "budget_exhausted",
+                        f"node {node.node_id}: deadline budget exhausted "
+                        f"before attempt {attempt}",
+                    )
+                timeout = (
+                    self.rpc_timeout_s
+                    if budget is None
+                    else min(self.rpc_timeout_s, budget)
                 )
-            timeout = (
-                self.rpc_timeout_s
-                if budget is None
-                else min(self.rpc_timeout_s, budget)
-            )
-            if attempt > 0:
-                node.note_retry()
-                self.registry.inc("repro_federation_retries_total")
-            try:
-                answers, latency_s = self._one_round(
-                    node, exprs_json, timeout,
-                    hedge=(attempt == 0 and self.hedge_delay_s is not None),
-                    forward_deadline=budget is not None,
-                )
-            except QueryError:
-                # The node answered 400: the query is wrong, not the node.
-                # No retry, no failure count (one buyer's typo must not make
-                # a seller "missing" for everyone); the batch fails with the
-                # node's message.  A reply also settles a half-open probe.
+                if attempt > 0:
+                    node.note_retry()
+                    self.registry.inc("repro_federation_retries_total")
+                try:
+                    answers, latency_s = self._one_round(
+                        node, exprs_json, timeout,
+                        hedge=(attempt == 0 and self.hedge_delay_s is not None),
+                        forward_deadline=budget is not None,
+                    )
+                except QueryError:
+                    # The node answered 400: the query is wrong, not the node.
+                    # No retry, no failure count (one buyer's typo must not make
+                    # a seller "missing" for everyone); the batch fails with the
+                    # node's message.  A reply also settles a half-open probe.
+                    node.breaker.record_success()
+                    raise
+                except (
+                    OSError, ValueError, KeyError, TypeError,
+                    faults.FailpointError,
+                ) as exc:
+                    last_exc = exc
+                    node.breaker.record_failure()
+                    self.registry.inc(
+                        "repro_federation_node_attempts_total",
+                        {"node": str(node.node_id), "outcome": "error"},
+                    )
+                    if attempt < self.max_retries:
+                        self._backoff_sleep(attempt, deadline, merge_reserve)
+                    continue
                 node.breaker.record_success()
-                raise
-            except (
-                OSError, ValueError, KeyError, TypeError,
-                faults.FailpointError,
-            ) as exc:
-                last_exc = exc
-                node.breaker.record_failure()
+                node.note_success(latency_s)
                 self.registry.inc(
                     "repro_federation_node_attempts_total",
-                    {"node": str(node.node_id), "outcome": "error"},
+                    {"node": str(node.node_id), "outcome": "ok"},
                 )
-                if attempt < self.max_retries:
-                    self._backoff_sleep(attempt, deadline, merge_reserve)
-                continue
-            node.breaker.record_success()
-            node.note_success(latency_s)
-            self.registry.inc(
-                "repro_federation_node_attempts_total",
-                {"node": str(node.node_id), "outcome": "ok"},
+                self.registry.observe(
+                    "repro_federation_node_seconds",
+                    latency_s,
+                    {"node": str(node.node_id)},
+                )
+                return answers
+            self._note_breaker_trips(node)
+            raise NodeRPCError(
+                "unreachable",
+                f"node {node.node_id} failed after "
+                f"{self.max_retries + 1} attempts: {last_exc}",
             )
-            self.registry.observe(
-                "repro_federation_node_seconds",
-                latency_s,
-                {"node": str(node.node_id)},
-            )
-            return answers
-        self._note_breaker_trips(node)
-        raise NodeRPCError(
-            "unreachable",
-            f"node {node.node_id} failed after "
-            f"{self.max_retries + 1} attempts: {last_exc}",
-        )
+        finally:
+            # A half-open probe leaving with no verdict (budget gone before
+            # attempt 0, universe drift) hands the slot back: else the node
+            # is never tried again.
+            node.breaker.release_probe()
 
     def _note_breaker_trips(self, node: FederatedNode) -> None:
         # The registry counter mirrors the breaker's own trip count so

@@ -453,9 +453,8 @@ class _ServiceRequestHandler(JsonRequestHandler):
     on_mutate: Optional[Callable[[], None]] = None
     #: Admission gate for the search endpoints; None = admit everything.
     gate: Optional[AdmissionGate] = None
-    #: Writer-promotion hook; flips this worker writable.  Bound, together
-    #: with ``admin_routes``, ONLY on a private admin port (``make_handler``):
-    #: the public table has no such route, so the envelope 404s it.
+    #: Writer-promotion hook; flips this worker writable.  Bound (by the
+    #: supervisor, on a subclass) together with ``admin_routes``.
     promote_hook: Callable[[], None]
     context: dict = {}
     _held: Optional[AdmissionGate] = None  # the gate slot this request holds
@@ -613,6 +612,9 @@ class _ServiceRequestHandler(JsonRequestHandler):
         ("DELETE", "/datasets"): _remove_datasets,
         ("POST", "/cache/invalidate"): _invalidate,
     }
+    #: Serve ONLY on a private admin port: whoever can reach the promote
+    #: route can mint a writer.  The public table has no such route, so the
+    #: envelope 404s it.
     admin_routes = {**routes, ("POST", "/admin/promote"): _promote}
 
 
@@ -625,7 +627,6 @@ def make_handler(
     on_mutate: Optional[Callable[[], None]] = None,
     writable: bool = True,
     gate: Optional[AdmissionGate] = None,
-    promote_hook: Optional[Callable[[], None]] = None,
 ) -> type:
     """A request-handler class bound to a service (or a service provider).
 
@@ -640,9 +641,7 @@ def make_handler(
     mutating endpoints into ``409`` rejections.
 
     ``gate`` bounds concurrent search requests (see
-    :class:`~repro.service.admission.AdmissionGate`); ``promote_hook``
-    enables ``POST /admin/promote`` — bind it ONLY on a private admin
-    port, since whoever can reach it can mint a writer.
+    :class:`~repro.service.admission.AdmissionGate`).
     """
     if (service is None) == (provider is None):
         raise ValueError("pass exactly one of 'service' or 'provider'")
@@ -653,9 +652,6 @@ def make_handler(
         "context": context if context is not None else {},
         "gate": gate,
     }
-    if promote_hook is not None:
-        namespace["promote_hook"] = staticmethod(promote_hook)
-        namespace["routes"] = _ServiceRequestHandler.admin_routes
     if provider is not None:
         namespace["_provider"] = staticmethod(provider)
         namespace["service"] = property(lambda self: self._provider())

@@ -753,10 +753,10 @@ class QueryService:
     @classmethod
     def load(cls, path: str | os.PathLike[str], mmap: bool = True) -> "QueryService":
         """Reconstruct a service saved by :meth:`save` (mmap-backed by
-        default); refuses containers holding a different kind."""
+        default)."""
         from repro.service import snapshot
 
-        return snapshot.load(path, mmap=mmap, kind="query_service")
+        return snapshot.load(path, mmap=mmap)
 
     def close(self) -> None:
         self.executor.close()

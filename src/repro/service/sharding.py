@@ -57,7 +57,6 @@ The executor supports repository churn without a full rebuild:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import nullcontext
@@ -80,7 +79,7 @@ from repro.errors import (
 )
 from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import DYNAMIC_ENGINES
+from repro.index.backend import check_dynamic_engine
 from repro.service import faults
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
@@ -238,12 +237,7 @@ class ShardedBatchExecutor:
         self.seed = int(seed)
         self._deterministic = bool(deterministic)
         self._delta_param = delta
-        if engine not in DYNAMIC_ENGINES:
-            raise ConstructionError(
-                f"the serving layer needs a dynamic engine, one of "
-                f"{DYNAMIC_ENGINES}; got {engine!r}"
-            )
-        self.engine_kind = engine
+        self.engine_kind = check_dynamic_engine(engine)
         if deterministic:
             # Idempotent: synopses coming back from a previous executor
             # (QueryService.rebuild) are already seeded — re-wrapping them
@@ -774,21 +768,6 @@ class ShardedBatchExecutor:
             out = dict(self.stats)
         out["index_bytes"] = self.index_bytes()
         return out
-
-    def save(self, path: str | os.PathLike[str], generation: int = 0) -> dict:
-        """Persist the executor (shard engines, delta shard, tombstones)
-        into one snapshot container; see :mod:`repro.service.snapshot`."""
-        from repro.service import snapshot
-
-        return snapshot.save(self, path, generation=generation)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike[str], mmap: bool = True) -> "ShardedBatchExecutor":
-        """Reconstruct an executor saved by :meth:`save` (mmap-backed by
-        default); refuses containers holding a different kind."""
-        from repro.service import snapshot
-
-        return snapshot.load(path, mmap=mmap, kind="sharded_executor")
 
     def close(self) -> None:
         """Nothing to release; kept so an executor is a context manager."""

@@ -1,16 +1,15 @@
-"""Versioned single-file engine snapshots: mmap cold starts.
+"""Versioned single-file service snapshots: mmap cold starts.
 
 Every piece of built serving state is already a flat array — the kd
 backends' rank-coded mapped points (``R^{4d+2}``, one or two bytes per
 coordinate) with their level tables, id columns, masks and node tables,
 coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
 so a cold start does not have to *rebuild* any of it: this module persists
-a whole engine (:class:`~repro.core.engine.DatasetSearchEngine`,
-:class:`~repro.service.sharding.ShardedBatchExecutor`, or a full
-:class:`~repro.service.service.QueryService`) into one container file and
-reconstructs it with ``np.memmap``-backed buffers, skipping the coreset
-draws, the maximal-pair rectangle enumeration and the kd-tree build
-entirely.
+a whole :class:`~repro.service.service.QueryService` into one container
+file and reconstructs it with ``np.memmap``-backed buffers, skipping the
+coreset draws, the maximal-pair rectangle enumeration and the kd-tree
+build entirely.  A bare engine is persisted as ``QueryService(n_shards=1)``,
+which answers identically over the same seeded coresets.
 
 Container format (version 5)
 ----------------------------
@@ -24,21 +23,24 @@ Container format (version 5)
     bytes 32-..  JSON header (utf-8, ``H`` bytes)
     data section: raw little-endian array buffers, each 64-byte aligned
 
-The JSON header carries ``kind`` (which class the state describes),
-``generation`` (the serving generation counter the multi-process
-supervisor bumps on ingest), ``state`` (nested scalars and segment
-references), and ``arrays`` — the segment table mapping each reference to
-``{offset, dtype, shape}`` relative to the data section.  Equal array
-*objects* are written once (deduplicated by identity), so a repository
-dataset shared with its ``ExactSynopsis`` costs one segment.  Each Ptile
-backend is stored as its own ``to_arrays()``: for the kd-tree, ``(k, n)``
-unsigned rank codes in tree order (``mapped_codes``), the per-column
-float64 level tables they index (``mapped_levels``), ``int32`` id columns,
-the active mask and the node table with its boxes in code space — version
-4 stored the same points as ``(k, n)`` float64 (``mapped_points``, still
-what the columnar store and the range tree persist), 8 bytes per
-coordinate against 1–2.  A Ptile index's coresets are one ``(N, s, d)``
-segment, not ``N``.  Older files are refused, not migrated.
+The JSON header carries ``kind`` (always ``"query_service"``: the
+bare-engine and bare-executor containers older builds wrote are refused
+by the kind they name), ``generation`` (the serving generation counter the
+multi-process supervisor bumps on ingest), ``state`` (nested scalars and
+segment references), and ``arrays`` — the segment table mapping each
+reference to ``{offset, dtype, shape}`` relative to the data section.
+Equal array *objects* are written once (deduplicated by identity), so a
+repository dataset shared with its ``ExactSynopsis`` costs one segment.
+Each Ptile backend is stored as its own ``to_arrays()`` — a dynamic
+engine's (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a header naming
+any other is refused: for the kd-tree, ``(k, n)`` unsigned rank codes in
+tree order (``mapped_codes``), the per-column float64 level tables they
+index (``mapped_levels``), ``int32`` id columns, the active mask and the
+node table with its boxes in code space — version 4 stored the same points
+as ``(k, n)`` float64 (``mapped_points``, still what the columnar store
+persists), 8 bytes per coordinate against 1–2.  A Ptile index's coresets
+are one ``(N, s, d)`` segment, not ``N``.  Older files are refused, not
+migrated.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -48,27 +50,33 @@ query path never writes these buffers — mutable state (activation masks,
 side buffers, caches past their words) is private per load.  With
 ``mmap=False`` every segment is read into a private writable array.
 
-**Exact-equality round-trip is the contract**: a loaded engine answers
-every query identically to the engine that was saved (pinned by
-``tests/service/test_snapshot.py`` across all three backends).  Pref
+**Exact-equality round-trip is the contract**: a loaded service answers
+every query identically to the service that was saved (pinned by
+``tests/service/test_snapshot.py`` on both serving backends).  Pref
 structures are *not* persisted — they are lazy per-rank-``k`` and
 deterministic to rebuild — and a Ptile index whose key space has holes
 (datasets deleted via ``delete_synopsis``) is refused rather than
 resynthesized wrong.
 
-All errors reading a snapshot back — bad magic, unsupported version,
-truncated segments, malformed state — raise
-:class:`~repro.errors.SnapshotError`.
+All errors reading a snapshot back — bad magic, unsupported version, a
+foreign kind, truncated segments, malformed state — raise
+:class:`~repro.errors.SnapshotError` and nothing else (the supervisor's
+respawn loop and its workers' watermark watchers catch exactly that).
+"Malformed state" is anything wrong with the header tree — a missing key,
+a value of the wrong type or range, a list of the wrong length, an index
+past what it indexes, an unknown synopsis kind or engine name — whichever
+of :func:`load`, :func:`generation_of` and :func:`inspect` meets it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
 import threading
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -76,9 +84,9 @@ from repro.core.bitset import DatasetBitmap
 from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Dataset, Repository
 from repro.core.ptile_range import PtileRangeIndex
-from repro.errors import SnapshotError
+from repro.errors import ReproError, SnapshotError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import restore_backend
+from repro.index.backend import check_dynamic_engine, restore_backend
 from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import ServiceObservability
@@ -95,8 +103,14 @@ VERSION = 5
 #: size, so mapped array starts never straddle element boundaries.
 ALIGN = 64
 
-#: Container kinds, by the class they reconstruct.
-KINDS = ("query_service", "sharded_executor", "engine")
+#: The one container kind: the state of a :class:`QueryService`.
+KIND = "query_service"
+
+#: What walking a malformed header tree raises before :func:`_decoding`
+#: translates it (``ReproError``: an unknown synopsis kind or engine name).
+_MALFORMED = (
+    ReproError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+)
 
 #: Anything ``open()`` accepts as a file path.
 PathLike = Union[str, "os.PathLike[str]"]
@@ -139,9 +153,7 @@ class _SnapshotWriter:
         self._ref_of_id[id(out)] = ref
         return ref
 
-    def write(
-        self, path: PathLike, kind: str, state: dict, generation: int
-    ) -> dict:
+    def write(self, path: PathLike, state: dict, generation: int) -> dict:
         """Serialize header + segments to ``path`` (atomic replace)."""
         arrays_meta: dict[str, dict] = {}
         rel = 0
@@ -155,7 +167,7 @@ class _SnapshotWriter:
             rel += arr.nbytes
         header = {
             "format": VERSION,
-            "kind": kind,
+            "kind": KIND,
             "generation": int(generation),
             "state": state,
             "arrays": arrays_meta,
@@ -181,7 +193,7 @@ class _SnapshotWriter:
         os.replace(tmp, path)
         return {
             "path": path,
-            "kind": kind,
+            "kind": KIND,
             "generation": int(generation),
             "n_arrays": len(self._arrays),
             "data_bytes": pos,
@@ -271,17 +283,42 @@ def _open_container(path: PathLike, mmap: bool) -> tuple[dict, _ArrayTable]:
             raise SnapshotError(f"{path}: corrupt header ({exc})") from exc
     except OSError as exc:
         raise SnapshotError(f"{path}: cannot read snapshot ({exc})") from exc
-    arrays = header.get("arrays")
-    state = header.get("state")
-    if not isinstance(arrays, dict) or not isinstance(state, dict):
-        raise SnapshotError(f"{path}: malformed header")
-    for ref, m in arrays.items():
-        nbytes = (math.prod(m["shape"]) if m["shape"] else 1) * np.dtype(
-            m["dtype"]
-        ).itemsize
-        if data_start + int(m["offset"]) + nbytes > size:
-            raise SnapshotError(f"{path}: segment {ref!r} is truncated")
-    return header, _ArrayTable(path, arrays, int(data_start), mmap)
+    with _decoding(path):
+        if header.get("kind") != KIND:
+            raise SnapshotError(
+                f"{path}: holds kind {header.get('kind')!r}; this build reads "
+                f"{KIND!r} containers only"
+            )
+        if not _is_count(header.setdefault("generation", 0)):
+            raise ValueError(f"generation {header['generation']!r} is not a count")
+        for ref, m in header["arrays"].items():
+            if not (
+                isinstance(m["dtype"], str)
+                and all(_is_count(n) for n in [m["offset"], *m["shape"]])
+            ):
+                raise ValueError(f"segment entry {ref!r} does not describe an array")
+            nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
+            if data_start + m["offset"] + nbytes > size:
+                raise SnapshotError(f"{path}: segment {ref!r} is truncated")
+    return header, _ArrayTable(path, header["arrays"], int(data_start), mmap)
+
+
+def _is_count(value: object) -> bool:
+    """A JSON non-negative integer (``true`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+@contextlib.contextmanager
+def _decoding(path: PathLike) -> Iterator[None]:
+    """The one decode funnel: malformed state leaves as ``SnapshotError``."""
+    try:
+        yield
+    except SnapshotError:
+        raise
+    except _MALFORMED as exc:
+        raise SnapshotError(
+            f"{os.fspath(path)}: malformed state ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -299,18 +336,10 @@ def _box_from(state: Optional[dict]) -> Optional[Rectangle]:
     return Rectangle(state["lo"], state["hi"])
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
 def _restore_rng(state: dict) -> np.random.Generator:
-    try:
-        cls = getattr(np.random, state["bit_generator"])
-        gen = np.random.Generator(cls())
-        gen.bit_generator.state = state
-        return gen
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise SnapshotError(f"cannot restore rng state ({exc})") from exc
+    gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
+    gen.bit_generator.state = state
+    return gen
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +380,7 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         "deltas": [float(index._deltas[k]) for k in keys],
         "coresets": add_array("coreset", coresets),
         "bounding_box": _box_state(index.bounding_box),
-        "rng": _rng_state(index._rng),
+        "rng": index._rng.bit_generator.state,
         # ``codes`` / ``points`` are (k, n) C-contiguous segments:
         # add_array's ascontiguousarray would silently undo an F-order
         # (n, k) matrix.
@@ -383,22 +412,21 @@ def _ptile_from_state(
     index.eps_effective = float(state["eps_effective"])
     index.bounding_box = _box_from(state["bounding_box"])
     index._synopses = {k: synopses[k] for k in keys}
-    index._deltas = {k: float(d) for k, d in zip(keys, state["deltas"])}
+    index._deltas = {
+        k: float(d) for k, d in zip(keys, state["deltas"], strict=True)
+    }
     coresets = np.asarray(arrays[state["coresets"]])
     if coresets.ndim != 3 or coresets.shape[0] != len(keys):
         raise SnapshotError("ptile coreset segment does not match the key list")
     index._coresets = dict(zip(keys, coresets))  # views of the one segment
-    # Zero-copy on kd and columnar: codes / points, level tables, id
-    # columns and node table stay the file-backed buffers (the range tree
-    # re-plants its nodes).  from_arrays validates what it adopts.
-    try:
-        index._tree = restore_backend(
-            {name: arrays[ref] for name, ref in state["backend"].items()},
-            index.engine_kind,
-            index._leaf_size,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SnapshotError(f"malformed ptile backend state ({exc})") from exc
+    # Zero-copy: codes / points, level tables, id columns and node table
+    # stay the file-backed buffers.  from_arrays validates what it adopts;
+    # an engine without a persisted form is refused by name.
+    index._tree = restore_backend(
+        {name: arrays[ref] for name, ref in state["backend"].items()},
+        index.engine_kind,
+        index._leaf_size,
+    )
     return index
 
 
@@ -424,7 +452,7 @@ def _repository_from_state(
         return None
     schema = tuple(state["schema"])
     datasets = []
-    for name, ref in zip(state["names"], state["points"]):
+    for name, ref in zip(state["names"], state["points"], strict=True):
         # Bypass Dataset.__init__: the finiteness scan over every stored
         # point is exactly the O(total points) pass a mapped cold start
         # must not pay (and would fault every page in).
@@ -439,13 +467,13 @@ def _repository_from_state(
 
 
 # ----------------------------------------------------------------------
-# DatasetSearchEngine
+# Shard units (a base shard or the delta shard: one DatasetSearchEngine)
 # ----------------------------------------------------------------------
-def _engine_sub_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
-    """Engine state *minus* synopses/params (owned by the executor level)."""
+def _unit_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
+    """What a shard engine holds that its executor does not."""
     return {
         "leaf_size": int(engine._leaf_size),
-        "rng": _rng_state(engine._rng),
+        "rng": engine._rng.bit_generator.state,
         "ptile": (
             None
             if engine._ptile is None
@@ -454,30 +482,23 @@ def _engine_sub_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
     }
 
 
-def _make_engine(
-    synopses: list,
-    repository: Optional[Repository],
-    eps: float,
-    phi: Optional[float],
-    delta: Optional[float],
-    sample_size: Optional[int],
-    bounding_box: Optional[Rectangle],
-    engine_kind: str,
-    sub: dict,
-    arrays: _ArrayTable,
+def _unit_from_state(
+    ex: ShardedBatchExecutor, ids: list[int], sub: dict, arrays: _ArrayTable
 ) -> DatasetSearchEngine:
+    """The shard engine over ``ex.synopses[ids]``; the shared contract is
+    read off the executor being restored, as its constructor forces it."""
     eng = DatasetSearchEngine.__new__(DatasetSearchEngine)
-    eng.synopses = list(synopses)
-    eng.repository = repository
+    eng.synopses = [ex.synopses[i] for i in ids]
     if not eng.synopses:
-        raise SnapshotError("engine state has no synopses")
-    eng.dim = eng.synopses[0].dim
-    eng.eps = float(eps)
-    eng._phi = phi
-    eng._delta = delta
-    eng._sample_size = sample_size
-    eng._bounding_box = bounding_box
-    eng.engine_kind = engine_kind
+        raise SnapshotError("shard state has no synopses")
+    eng.repository = None
+    eng.dim = ex.dim
+    eng.eps = ex.eps
+    eng._phi = ex.phi_eff
+    eng._delta = ex._delta_param
+    eng._sample_size = ex.sample_size
+    eng._bounding_box = ex.bounding_box
+    eng.engine_kind = ex.engine_kind
     eng._leaf_size = int(sub["leaf_size"])
     eng._rng = _restore_rng(sub["rng"])
     eng._ptile = (
@@ -489,36 +510,6 @@ def _make_engine(
     return eng
 
 
-def _engine_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
-    return {
-        "eps": float(engine.eps),
-        "phi": engine._phi,
-        "delta": engine._delta,
-        "sample_size": engine._sample_size,
-        "engine": engine.engine_kind,
-        "bounding_box": _box_state(engine._bounding_box),
-        "synopses": [synopsis_to_state(s, add_array) for s in engine.synopses],
-        "repository": _repository_state(engine.repository, add_array),
-        "sub": _engine_sub_state(engine, add_array),
-    }
-
-
-def _engine_from_state(state: dict, arrays: _ArrayTable) -> DatasetSearchEngine:
-    synopses = [synopsis_from_state(p, arrays) for p in state["synopses"]]
-    return _make_engine(
-        synopses,
-        _repository_from_state(state["repository"], arrays),
-        state["eps"],
-        state["phi"],
-        state["delta"],
-        state["sample_size"],
-        _box_from(state["bounding_box"]),
-        state["engine"],
-        state["sub"],
-        arrays,
-    )
-
-
 # ----------------------------------------------------------------------
 # ShardedBatchExecutor
 # ----------------------------------------------------------------------
@@ -528,13 +519,13 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
         # A record_times query temporarily deactivates reported points;
         # exporting under the shard lock sees the restored state.
         with lock:
-            engines.append(_engine_sub_state(eng, add_array))
+            engines.append(_unit_state(eng, add_array))
     with ex._delta_lock:
         delta_ids = [int(i) for i in ex.delta_ids]
         delta_engine = (
             None
             if ex.delta_engine is None
-            else _engine_sub_state(ex.delta_engine, add_array)
+            else _unit_state(ex.delta_engine, add_array)
         )
         synopses = [synopsis_to_state(s, add_array) for s in ex.synopses]
     return {
@@ -566,7 +557,7 @@ def _executor_from_state(
     ex.seed = int(state["seed"])
     ex._deterministic = bool(state["deterministic"])
     ex._delta_param = state["delta"]
-    ex.engine_kind = state["engine"]
+    ex.engine_kind = check_dynamic_engine(state["engine"])
     ex.capacity = state["capacity"]
     ex.phi_eff = float(state["phi_eff"])
     ex.sample_size = int(state["sample_size"])
@@ -583,39 +574,22 @@ def _executor_from_state(
     ex.n_shards = len(ex.shards)
     if len(state["engines"]) != ex.n_shards:
         raise SnapshotError("executor state shard/engine count mismatch")
+    ex.delta_ids = [int(i) for i in state["delta_ids"]]
+    for i in (*ex.removed, *ex.delta_ids, *(i for shard in ex.shards for i in shard)):
+        if not 0 <= i < len(ex.synopses):
+            raise SnapshotError(
+                f"executor state names dataset {i} of {len(ex.synopses)}"
+            )
     ex.engines = [
-        _make_engine(
-            [ex.synopses[i] for i in shard],
-            None,
-            ex.eps,
-            ex.phi_eff,
-            ex._delta_param,
-            ex.sample_size,
-            ex.bounding_box,
-            ex.engine_kind,
-            sub,
-            arrays,
-        )
+        _unit_from_state(ex, shard, sub, arrays)
         for shard, sub in zip(ex.shards, state["engines"])
     ]
     ex._locks = [threading.Lock() for _ in range(ex.n_shards)]
     ex._stats_lock = threading.Lock()
-    ex.delta_ids = [int(i) for i in state["delta_ids"]]
     ex.delta_engine = (
         None
         if state["delta_engine"] is None
-        else _make_engine(
-            [ex.synopses[i] for i in ex.delta_ids],
-            None,
-            ex.eps,
-            ex.phi_eff,
-            ex._delta_param,
-            ex.sample_size,
-            ex.bounding_box,
-            ex.engine_kind,
-            state["delta_engine"],
-            arrays,
-        )
+        else _unit_from_state(ex, ex.delta_ids, state["delta_engine"], arrays)
     )
     ex._delta_lock = threading.Lock()
     ex.stats = {"leaf_evals": 0, "shard_tasks": 0, "delta_evals": 0}  # guarded-by: _stats_lock
@@ -692,17 +666,8 @@ def _cache_restore(
 def _service_state(svc: QueryService, add_array: Callable) -> dict:
     kw = svc._executor_kwargs
     return {
-        "executor_kwargs": {
-            "eps": kw["eps"],
-            "phi": kw["phi"],
-            "delta": kw["delta"],
-            "sample_size": kw["sample_size"],
-            "bounding_box": _box_state(kw["bounding_box"]),
-            "seed": kw["seed"],
-            "deterministic": kw["deterministic"],
-            "engine": kw["engine"],
-            "capacity": kw["capacity"],
-        },
+        # The keys QueryService.__init__ keeps for rebuilds, in its order.
+        "executor_kwargs": {**kw, "bounding_box": _box_state(kw["bounding_box"])},
         "plan_capacity": int(svc.plans.capacity),
         "tracing": bool(svc.observability.tracing),
         "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
@@ -734,8 +699,8 @@ def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
-def save(obj: object, path: PathLike, generation: int = 0) -> dict:
-    """Persist a built engine/executor/service into one container file.
+def save(service: QueryService, path: PathLike, generation: int = 0) -> dict:
+    """Persist a built service into one container file.
 
     Returns a summary dict (``path``, ``kind``, ``generation``, segment
     count and byte sizes).  The write is atomic (temp file + rename), so
@@ -743,50 +708,30 @@ def save(obj: object, path: PathLike, generation: int = 0) -> dict:
     multi-process supervisor's generation handoff relies on.
     """
     writer = _SnapshotWriter()
-    if isinstance(obj, QueryService):
-        with obj._mutation_lock:
-            kind, state = "query_service", _service_state(obj, writer.add_array)
-    elif isinstance(obj, ShardedBatchExecutor):
-        kind, state = "sharded_executor", _executor_state(obj, writer.add_array)
-    elif isinstance(obj, DatasetSearchEngine):
-        kind, state = "engine", _engine_state(obj, writer.add_array)
-    else:
-        raise SnapshotError(
-            f"cannot snapshot {type(obj).__name__}; supported: QueryService, "
-            "ShardedBatchExecutor, DatasetSearchEngine"
-        )
-    return writer.write(path, kind, state, generation)
+    with service._mutation_lock:
+        state = _service_state(service, writer.add_array)
+    return writer.write(path, state, generation)
 
 
-def load(path: PathLike, mmap: bool = True, kind: Optional[str] = None) -> Any:
-    """Reconstruct whatever :func:`save` persisted at ``path``.
+def load(path: PathLike, mmap: bool = True) -> QueryService:
+    """Reconstruct the service :func:`save` persisted at ``path``.
 
     With ``mmap=True`` (default) bulk buffers are read-only
     ``np.memmap`` views — loading is O(metadata), the point data pages in
     on demand and is shared across processes.  ``mmap=False`` reads
-    private writable copies.  ``kind`` refuses a container holding any
-    other kind.
+    private writable copies.
     """
     if faults.ARMED is not None:
         faults.hit("snapshot_load")
     header, arrays = _open_container(path, mmap)
-    found = header.get("kind")
-    if kind is not None and found != kind:
-        raise SnapshotError(f"snapshot holds kind {found!r}, expected {kind!r}")
-    state = header["state"]
-    if found == "query_service":
-        return _service_from_state(state, arrays)
-    if found == "sharded_executor":
-        return _executor_from_state(state, arrays)
-    if found == "engine":
-        return _engine_from_state(state, arrays)
-    raise SnapshotError(f"unknown snapshot kind {found!r} (of {KINDS})")
+    with _decoding(path):
+        return _service_from_state(header["state"], arrays)
 
 
 def generation_of(path: PathLike) -> int:
     """The generation counter stamped into a snapshot header."""
     header, _arrays = _open_container(path, mmap=True)
-    return int(header.get("generation", 0))
+    return header["generation"]
 
 
 def inspect(path: PathLike) -> dict:
@@ -798,12 +743,11 @@ def inspect(path: PathLike) -> dict:
         nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
         kind = ref.split("#")[0]
         by_kind[kind] = by_kind.get(kind, 0) + nbytes
-    state = header["state"]
     out = {
         "path": path,
         "format": header.get("format"),
-        "kind": header.get("kind"),
-        "generation": int(header.get("generation", 0)),
+        "kind": header["kind"],
+        "generation": header["generation"],
         "n_arrays": len(header["arrays"]),
         "data_bytes": sum(by_kind.values()),
         "file_bytes": os.path.getsize(path),
@@ -811,34 +755,21 @@ def inspect(path: PathLike) -> dict:
         # largest first.
         "bytes_by_kind": dict(sorted(by_kind.items(), key=lambda kv: -kv[1])),
     }
-    if header.get("kind") == "query_service":
+    with _decoding(path):
+        executor = header["state"]["executor"]
         out["executor"] = {
-            "engine": state["executor"]["engine"],
-            "n_shards": len(state["executor"]["shards"]),
-            "n_datasets": len(state["executor"]["synopses"]),
-            "n_removed": len(state["executor"]["removed"]),
-            "delta_size": len(state["executor"]["delta_ids"]),
+            "engine": executor["engine"],
+            "n_shards": len(executor["shards"]),
+            "n_datasets": len(executor["synopses"]),
+            "n_removed": len(executor["removed"]),
+            "delta_size": len(executor["delta_ids"]),
         }
-        out["cache_entries"] = len(state["cache"]["entries"])
-    elif header.get("kind") == "sharded_executor":
-        out["executor"] = {
-            "engine": state["engine"],
-            "n_shards": len(state["shards"]),
-            "n_datasets": len(state["synopses"]),
-            "n_removed": len(state["removed"]),
-            "delta_size": len(state["delta_ids"]),
+        out["cache_entries"] = len(header["state"]["cache"]["entries"])
+        n_datasets = out["executor"]["n_datasets"]
+        sized = [("file", out["file_bytes"]), *out["bytes_by_kind"].items()]
+        out["bytes_per_dataset"] = {
+            kind: nbytes // n_datasets for kind, nbytes in sized
         }
-    elif header.get("kind") == "engine":
-        out["engine"] = {
-            "engine": state["engine"],
-            "n_datasets": len(state["synopses"]),
-            "built": state["sub"]["ptile"] is not None,
-        }
-    n_datasets = (out.get("executor") or out["engine"])["n_datasets"]
-    out["bytes_per_dataset"] = {
-        kind: nbytes // n_datasets
-        for kind, nbytes in [("file", out["file_bytes"]), *out["bytes_by_kind"].items()]
-    }
     # The constant of the paper's space bound, as stored: the whole file
     # and the backend segments alone (codes / points, level tables, ids,
     # active mask, node table), per mapped point — of which the active

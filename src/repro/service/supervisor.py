@@ -217,8 +217,8 @@ class ServiceSupervisor:
     Parameters
     ----------
     snapshot_path:
-        A container written by :func:`repro.service.snapshot.save` (kind
-        ``query_service``).
+        A container written by :func:`repro.service.snapshot.save` (a
+        :class:`QueryService`, the only thing a container holds).
     workers:
         Number of serving processes.  Worker 0 starts as the single
         writer; writership migrates on writer death (see module docs).
@@ -313,10 +313,6 @@ class ServiceSupervisor:
         self.probe_failures = int(probe_failures)
         self.max_inflight = max_inflight
         self.max_queue = int(max_queue)
-        # Back-compat views, updated in place on respawn: pids[i] and
-        # worker_ports[i] always describe slot i's current incarnation.
-        self.pids: list[int] = []
-        self.worker_ports: list[int] = []  # private per-worker admin ports
         self.admin_port: Optional[int] = None  # the parent's own admin port
         self._slots: list[_WorkerSlot] = []  # guarded-by: _lock
         self._writer_id = 0  # guarded-by: _lock
@@ -327,6 +323,19 @@ class ServiceSupervisor:
         self._placeholder: Optional[socket.socket] = None
         self._listen_sock: Optional[socket.socket] = None
         self._started = False
+
+    @property
+    def pids(self) -> list[int]:
+        """``pids[i]`` is worker ``i``'s current incarnation (a respawn
+        shows as soon as its slot is updated)."""
+        with self._lock:
+            return [s.pid for s in self._slots]
+
+    @property
+    def worker_ports(self) -> list[int]:
+        """The private per-worker admin ports, by worker id."""
+        with self._lock:
+            return [s.admin_port for s in self._slots]
 
     def _log(self, message: str) -> None:
         if not self.quiet:
@@ -385,8 +394,6 @@ class ServiceSupervisor:
                             worker_id, pid, admin_port, self.backoff_base
                         )
                     )
-                self.pids.append(pid)
-                self.worker_ports.append(admin_port)
         except SnapshotError:
             self.stop()
             raise
@@ -478,8 +485,6 @@ class ServiceSupervisor:
                 os.waitpid(pid, 0)
             except ChildProcessError:
                 pass
-        self.pids = []
-        self.worker_ports = []
         for sock in (self._placeholder, self._listen_sock):
             if sock is not None:
                 sock.close()
@@ -627,8 +632,6 @@ class ServiceSupervisor:
                 slot.spawned_at = time.monotonic()
                 slot.probe_misses = 0
                 slot.exit_code = None
-                self.pids[slot.worker_id] = pid
-                self.worker_ports[slot.worker_id] = admin_port
             self._log(
                 f"respawned worker {slot.worker_id} (pid {pid}, "
                 f"generation {generation})"
@@ -734,10 +737,8 @@ class ServiceSupervisor:
         replaced with an ``unreachable`` marker and the sums cover the
         workers that answered.
         """
-        with self._lock:
-            ports = list(self.worker_ports)
         workers = []
-        for worker_id, port in enumerate(ports):
+        for worker_id, port in enumerate(self.worker_ports):
             try:
                 workers.append(json.loads(self._fetch(port, "/stats")))
             except (OSError, ValueError) as exc:
@@ -773,12 +774,10 @@ class ServiceSupervisor:
         Unreachable workers contribute a comment line instead of failing
         the whole scrape.
         """
-        with self._lock:
-            ports = list(self.worker_ports)
         out = []
         # family -> ({"HELP" | "TYPE": first line seen}, relabelled samples)
         families: dict[str, tuple[dict[str, str], list[str]]] = {}
-        for worker_id, port in enumerate(ports):
+        for worker_id, port in enumerate(self.worker_ports):
             try:
                 text = self._fetch(port, "/metrics").decode("utf-8")
             except OSError:

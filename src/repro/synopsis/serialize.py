@@ -28,6 +28,7 @@ wire bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from typing import Union
 
 import numpy as np
@@ -120,57 +121,105 @@ def to_dict(synopsis: Serializable) -> dict:
     )
 
 
-def from_dict(payload: dict) -> Serializable:
-    """Reconstruct a synopsis from :func:`to_dict` output."""
+def _kind_of(payload: object) -> object:
+    """The ``kind`` of a payload that carries this module's header."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ConstructionError("payload is not a serialized synopsis")
     if payload.get("format") != FORMAT_VERSION:
         raise ConstructionError(
             f"unsupported format version {payload.get('format')!r}"
         )
-    kind = payload["kind"]
+    return payload["kind"]
+
+
+def _number(payload: dict, key: str) -> float:
+    """A finite JSON number field (``true`` is not one; a string or a
+    list is ``math.isfinite``'s ``TypeError``)."""
+    value = payload[key]
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ConstructionError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _array(value: object, name: str, shape: tuple) -> np.ndarray:
+    """A finite, non-empty float array from nested JSON lists; ``shape``
+    gives its rank and, where an entry is not None, that axis's length."""
+    arr = np.asarray(value, dtype=float)  # ragged / non-numeric: ValueError
+    fits = arr.ndim == len(shape) and all(
+        want in (None, got) for want, got in zip(shape, arr.shape)
+    )
+    if not (fits and arr.size and np.isfinite(arr).all()):
+        raise ConstructionError(
+            f"{name!r} must be a non-empty finite array of shape {shape} "
+            f"(None = any length), got shape {arr.shape}"
+        )
+    return arr
+
+
+def from_dict(payload: dict) -> Serializable:
+    """Reconstruct a synopsis from :func:`to_dict` output.
+
+    The payload is outside input (``POST /nodes`` ships it): a missing
+    key, a wrong-rank, ragged, mis-sized or non-finite array or a
+    non-numeric scalar is a :class:`~repro.errors.ConstructionError`,
+    never another exception and never a synopsis made of NaN.
+    """
+    kind = _kind_of(payload)
+    try:
+        return _from_wire(kind, payload)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConstructionError(
+            f"malformed {kind!r} synopsis ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _from_wire(kind: object, payload: dict) -> Serializable:
     if kind == "eps-sample":
         return EpsilonSampleSynopsis(
-            np.asarray(payload["subsample"], dtype=float),
-            n_points=int(payload["n_points"]),
-            delta=float(payload["delta"]),
-            delta_pref=float(payload["delta_pref"]),
+            _array(payload["subsample"], "subsample", (None, None)),
+            n_points=int(_number(payload, "n_points")),
+            delta=_number(payload, "delta"),
+            delta_pref=_number(payload, "delta_pref"),
         )
     if kind == "cover":
         cov = CoverSynopsis.__new__(CoverSynopsis)
-        cov._dim = int(np.asarray(payload["cover"]).shape[1])
-        cov._n_points = int(payload["n_points"])
-        cov.radius = float(payload["radius"])
-        cov._cover = np.asarray(payload["cover"], dtype=float)
+        cov._cover = _array(payload["cover"], "cover", (None, None))
+        cov._dim = int(cov._cover.shape[1])
+        cov._n_points = int(_number(payload, "n_points"))
+        cov.radius = _number(payload, "radius")
         return cov
     if kind == "quantile-histogram":
         syn = QuantileHistogramSynopsis.__new__(QuantileHistogramSynopsis)
-        syn._levels = np.asarray(payload["levels"], dtype=float)
-        syn._knots = [np.asarray(k, dtype=float) for k in payload["knots"]]
+        syn._levels = _array(payload["levels"], "levels", (None,))
         # Derived state, recomputed exactly as the constructor does.
-        syn._knots_mat = np.vstack(syn._knots)
+        syn._knots_mat = _array(payload["knots"], "knots", (None, syn._levels.size))
+        syn._knots = list(syn._knots_mat)
         syn._dim = len(syn._knots)
-        syn._n_points = int(payload["n_points"])
-        syn._delta_ptile = float(payload["delta"])
-        syn._delta_pref = float(payload["delta_pref"])
+        syn._n_points = int(_number(payload, "n_points"))
+        syn._delta_ptile = _number(payload, "delta")
+        syn._delta_pref = _number(payload, "delta_pref")
         return syn
     if kind == "gmm":
         gmm = GMMSynopsis.__new__(GMMSynopsis)
-        gmm._weights = np.asarray(payload["weights"], dtype=float)
-        gmm._means = np.asarray(payload["means"], dtype=float)
-        gmm._stds = np.asarray(payload["stds"], dtype=float)
+        gmm._means = _array(payload["means"], "means", (None, None))
+        gmm._weights = _array(payload["weights"], "weights", gmm._means.shape[:1])
+        gmm._stds = _array(payload["stds"], "stds", gmm._means.shape)
         gmm._dim = int(gmm._means.shape[1])
-        gmm._n_points = int(payload["n_points"])
-        gmm._delta_ptile = float(payload["delta"])
-        gmm._delta_pref = float(payload["delta_pref"])
+        gmm._n_points = int(_number(payload, "n_points"))
+        gmm._delta_ptile = _number(payload, "delta")
+        gmm._delta_pref = _number(payload, "delta_pref")
         return gmm
     if kind == "grid-histogram":
         hist = HistogramSynopsis.__new__(HistogramSynopsis)
-        hist._edges = [np.asarray(e, dtype=float) for e in payload["edges"]]
+        hist._edges = [_array(e, "edges", (None,)) for e in payload["edges"]]
+        if any(e.size < 2 for e in hist._edges):
+            raise ConstructionError("every 'edges' axis needs two or more edges")
         hist._dim = len(hist._edges)
-        hist._n_points = int(payload["n_points"])
-        hist._probs = np.asarray(payload["probs"], dtype=float)
-        hist._delta_ptile = float(payload["delta"])
+        hist._n_points = int(_number(payload, "n_points"))
+        hist._probs = _array(
+            payload["probs"], "probs", tuple(e.size - 1 for e in hist._edges)
+        )
+        hist._delta_ptile = _number(payload, "delta")
         # Derived state, recomputed exactly as the constructor does.
         hist._cell_radius = 0.5 * float(
             np.linalg.norm([e[1] - e[0] for e in hist._edges])
@@ -179,14 +228,17 @@ def from_dict(payload: dict) -> Serializable:
         return hist
     if kind == "direction-quantile":
         ker = DirectionQuantileSynopsis.__new__(DirectionQuantileSynopsis)
-        ker._net = np.asarray(payload["net"], dtype=float)
+        ker._net = _array(payload["net"], "net", (None, None))
         ker._dim = int(ker._net.shape[1])
-        ker._n_points = int(payload["n_points"])
-        ker._radius = float(payload["radius"])
-        ker._eps_dir = float(payload["eps_dir"])
-        ker._levels = np.asarray(payload["levels"], dtype=float)
-        ker._quantiles = np.asarray(payload["quantiles"], dtype=float)
-        ker._delta_pref = float(payload["delta_pref"])
+        ker._n_points = int(_number(payload, "n_points"))
+        ker._radius = _number(payload, "radius")
+        ker._eps_dir = _number(payload, "eps_dir")
+        ker._levels = _array(payload["levels"], "levels", (None,))
+        ker._quantiles = _array(
+            payload["quantiles"], "quantiles",
+            (ker._net.shape[0], ker._levels.size),
+        )
+        ker._delta_pref = _number(payload, "delta_pref")
         return ker
     raise ConstructionError(f"unknown synopsis kind {kind!r}")
 
@@ -246,13 +298,7 @@ def from_state(payload: dict, arrays) -> object:
     ``arrays`` maps segment references back to ndarrays (possibly
     read-only ``np.memmap`` views — every synopsis only reads its state).
     """
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise ConstructionError("payload is not a serialized synopsis")
-    if payload.get("format") != FORMAT_VERSION:
-        raise ConstructionError(
-            f"unsupported format version {payload.get('format')!r}"
-        )
-    kind = payload["kind"]
+    kind = _kind_of(payload)
     if kind == "seeded":
         from repro.service.sharding import SeededSampleSynopsis
 
@@ -266,5 +312,7 @@ def from_state(payload: dict, arrays) -> object:
 
         syn = ExactSynopsis.__new__(ExactSynopsis)
         syn._points = np.asarray(arrays[payload["points"]])
+        if syn._points.ndim != 2:
+            raise ConstructionError("exact synopsis points must be an (n, d) array")
         return syn
     return from_dict(payload)

@@ -286,6 +286,44 @@ def test_zero_cost_passes_ifexp_and_boolop():
     assert run(src, "zero-cost") == []
 
 
+def test_zero_cost_guard_survives_for_with_and_try():
+    # The guard-dominance walker is shared with failpoint-discipline
+    # (analysis/context.py): a guard nested inside a loop, a `with` or a
+    # `try` body dominates there too.  The zero-cost copy used to lose it.
+    src = """
+    def f(xs, lock, tracer=None):
+        for x in xs:
+            if tracer is not None:
+                tracer.span("loop")
+        with lock:
+            if tracer is not None:
+                tracer.span("locked")
+        try:
+            if tracer is None:
+                return xs
+            tracer.span("tried")
+        except ValueError:
+            if tracer is not None:
+                tracer.span("handled")
+        return xs
+    """
+    assert run(src, "zero-cost") == []
+
+
+def test_zero_cost_still_flags_unguarded_touch_in_nested_bodies():
+    src = """
+    def f(xs, lock, tracer=None):
+        for x in xs:
+            tracer.span("loop")
+        with lock:
+            if tracer is None:
+                pass
+            tracer.span("locked")
+    """
+    findings = run(src, "zero-cost")
+    assert [f.line for f in findings] == [4, 8]
+
+
 def test_zero_cost_allows_bare_passthrough():
     src = """
     def f(x, tracer=None):
@@ -322,8 +360,7 @@ PROTOCOL_HEADER = """
 """
 
 
-def test_backend_protocol_passes_conformant_backend():
-    src = PROTOCOL_HEADER + """
+CONFORMANT_DYNAMIC_BACKEND = """
     class DynBackend:
         def report(self, box, out=None):
             return []
@@ -338,12 +375,45 @@ def test_backend_protocol_passes_conformant_backend():
         @property
         def supports_insert(self):
             return True
-
+    {persistence}
     def build_backend(engine, data):
         if engine == "dyn":
             return DynBackend(data)
         raise ValueError(engine)
-    """
+"""
+
+PERSISTENCE_PAIR = """
+        def to_arrays(self):
+            return {}
+
+        @classmethod
+        def from_arrays(cls, arrays):
+            return cls()
+"""
+
+
+def test_backend_protocol_passes_conformant_backend():
+    # The persistence pair is the dynamic engines' contract, not the
+    # protocol's: a conformant dynamic backend carries both halves.
+    src = PROTOCOL_HEADER + CONFORMANT_DYNAMIC_BACKEND.replace(
+        "{persistence}", PERSISTENCE_PAIR
+    )
+    assert run(src, "backend-protocol") == []
+
+
+def test_backend_protocol_flags_dynamic_engine_without_to_arrays():
+    src = PROTOCOL_HEADER + CONFORMANT_DYNAMIC_BACKEND.replace("{persistence}", "")
+    (finding,) = run(src, "backend-protocol")
+    assert "listed in DYNAMIC_ENGINES but defines no to_arrays" in finding.message
+
+
+def test_backend_protocol_asks_no_persisted_form_of_a_static_engine():
+    src = (
+        PROTOCOL_HEADER
+        + CONFORMANT_DYNAMIC_BACKEND.replace("{persistence}", "")
+        .replace('"dyn"', '"static"')
+        .replace("return True", "return False")
+    )
     assert run(src, "backend-protocol") == []
 
 

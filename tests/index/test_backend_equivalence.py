@@ -199,17 +199,17 @@ class TestDynamicEquivalence:
         b.deactivate((1, 0))
         assert sorted(b.report(box)) == [(0, 0), (0, 1), (1, 1)]
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_array_round_trip(self, engine, rng):
         """``from_arrays(to_arrays())`` — the persistence seam — keeps
-        answers and activity, over read-only buffers, on every backend."""
+        answers and activity, over read-only buffers, on every engine
+        that has one: the dynamic ones."""
         from repro.index.backend import restore_backend
 
         ids = [(i % 4, i) for i in range(40)]
         b = build_backend(rng.uniform(size=(40, 2)), ids, engine, leaf_size=4)
-        if b.supports_insert:
-            b.insert(rng.uniform(size=(3, 2)), [(5, 0), (5, 1), (5, 2)])
-            b.remove((0, 4))
+        b.insert(rng.uniform(size=(3, 2)), [(5, 0), (5, 1), (5, 2)])
+        b.remove((0, 4))
         b.deactivate_group(2)
         arrays = b.to_arrays()
         for arr in arrays.values():
@@ -221,11 +221,26 @@ class TestDynamicEquivalence:
             sorted(r) for r in b.report_many(boxes)
         ]
         assert twin.activate_group(2) == b.activate_group(2) == 10
-        if twin.supports_insert:  # a read-only twin copies before it writes
-            twin.insert(np.empty((0, 2)), [])
-            twin.insert(rng.uniform(size=(1, 2)), [(6, 0)])
-            twin.remove_group(1)
-            assert twin.report_groups(boxes[0]) == {0, 2, 3, 5, 6}
+        # A read-only twin copies before it writes.
+        twin.insert(np.empty((0, 2)), [])
+        twin.insert(rng.uniform(size=(1, 2)), [(6, 0)])
+        twin.remove_group(1)
+        assert twin.report_groups(boxes[0]) == {0, 2, 3, 5, 6}
+
+    def test_static_engine_has_no_persisted_form(self, rng):
+        """The persistence pair is the dynamic engines' alone: the range
+        tree defines neither half and ``restore_backend`` refuses its name
+        instead of re-planting a tree from points."""
+        from repro.errors import ConstructionError
+        from repro.index.backend import restore_backend
+
+        static = set(ENGINES) - set(DYNAMIC_ENGINES)
+        assert static == {"rangetree"}
+        tree = build_backend(rng.uniform(size=(8, 2)), None, "rangetree")
+        assert not hasattr(tree, "to_arrays") and not hasattr(tree, "from_arrays")
+        arrays = build_backend(rng.uniform(size=(8, 2)), None, "columnar").to_arrays()
+        with pytest.raises(ConstructionError, match="dynamic engine.*got 'rangetree'"):
+            restore_backend(arrays, "rangetree", leaf_size=4)
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_remove_group(self, engine, rng):

@@ -221,6 +221,22 @@ class TestCircuitBreaker:
         self.t[0] = 3.5
         assert b.allow()
 
+    def test_verdictless_probe_frees_the_slot(self):
+        """A probe that ends with neither verdict is not a failure and not
+        a success: the breaker stays half-open and the next request is the
+        probe (it used to stay rejected for good)."""
+        b = self._breaker(threshold=1)
+        b.record_failure()
+        self.t[0] = 2.0
+        assert b.allow() and not b.allow()
+        b.release_probe()
+        assert b.state == "half_open" and b.snapshot()["trips"] == 1
+        assert b.allow() and not b.allow()  # exactly one probe again
+        b.record_success()
+        assert b.state == "closed"
+        b.release_probe()  # after a verdict, and when closed: a no-op
+        assert b.state == "closed" and b.allow()
+
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
             CircuitBreaker(threshold=0)
@@ -385,6 +401,54 @@ class TestBreakerLifecycle:
             "repro_federation_breaker_trips_total", {"node": "0"}
         )
         assert trips == 1.0
+        coord.close()
+
+
+    @staticmethod
+    def _tripped_then_healed(nodes, **kw):
+        """A coordinator whose only node failed once (breaker open) and is
+        back up, with ``reset_s`` already elapsed: the next call is the
+        half-open probe."""
+        import time
+
+        coord = FederatedCoordinator(
+            seed=3, rpc_timeout_s=2.0, max_retries=0, breaker_threshold=1,
+            breaker_reset_s=0.05, backoff_base_s=0.01, hedge_delay_s=None,
+        )
+        coord.add_node(nodes[0].url, **kw)
+        nodes[0].kill()
+        q = [batched_query_workload(1, DIM, np.random.default_rng(5))[0]]
+        assert coord.search_batch(q).nodes[0]["status"] == "unreachable"
+        assert coord.stats()["federation"]["nodes"][0]["breaker"]["state"] == "open"
+        nodes[0].restart()
+        time.sleep(0.1)
+        return coord, q
+
+    def test_budget_exhausted_probe_does_not_wedge_the_breaker(self, nodes):
+        """The probe slot is taken, the deadline budget is gone before
+        attempt 0, no verdict is recorded — the node must still be tried
+        by the next request ("missing sellers is generally unacceptable")."""
+        coord, q = self._tripped_then_healed(nodes)
+        batch = coord.search_batch(q, deadline_ms=0.5)
+        assert batch.nodes[0]["status"] == "budget_exhausted"
+        breaker = coord.stats()["federation"]["nodes"][0]["breaker"]
+        assert breaker["state"] == "half_open" and breaker["trips"] == 1
+        batch = coord.search_batch(q)
+        assert batch.nodes[0]["status"] == "ok"
+        assert not batch.results[0].stats.get("degraded")
+        assert coord.stats()["federation"]["nodes"][0]["breaker"]["state"] == "closed"
+        coord.close()
+
+    def test_drifted_probe_does_not_wedge_the_breaker(self, nodes):
+        """Same exit through ``universe_drift``: the reply is unusable but
+        the node is alive, so the probe ends without a verdict and every
+        later request reaches the node again instead of ``breaker_open``."""
+        coord, q = self._tripped_then_healed(nodes, n_datasets=5)
+        for _ in range(3):
+            batch = coord.search_batch(q)
+            assert batch.nodes[0]["status"] == "universe_drift"
+        breaker = coord.stats()["federation"]["nodes"][0]["breaker"]
+        assert breaker["state"] == "half_open" and breaker["trips"] == 1
         coord.close()
 
 

@@ -170,6 +170,22 @@ ROWS = [
         }.items()
         for i, value in enumerate(values)
     ],
+    # A serialized synopsis is decoded field by field: a malformed one is
+    # the sender's 400, and a NaN point never reaches the registry.
+    *[
+        Row(f"fed-node-synopsis-{i}", "fed", "POST", "/nodes",
+            {"url": "http://127.0.0.1:9", "n_datasets": 1, "synopses": [
+                {"format": 1, "n_points": 9, "delta": 0.1, "delta_pref": 0.1,
+                 **synopsis}]})
+        for i, synopsis in enumerate([
+            {"kind": "eps-sample"},  # no subsample
+            {"kind": "eps-sample", "subsample": [[0.1], [None]]},
+            {"kind": "eps-sample", "subsample": [[0.1]], "n_points": "a"},
+            {"kind": "cover", "radius": 0.1, "cover": [0.1, 0.2]},
+            {"kind": "gmm", "weights": [1.0], "means": [0.5], "stds": [0.1]},
+            {"kind": "grid-histogram", "edges": [[0.0]], "probs": [1.0]},
+        ])
+    ],
     Row("fed-remove-boolean", "fed", "DELETE", "/nodes", {"node_id": True}),
     Row("fed-remove-unknown", "fed", "DELETE", "/nodes", {"node_id": 99}),
 ]

@@ -1,11 +1,12 @@
 """Round-trip tests for the versioned snapshot container.
 
-**Exact equality is the contract**: a loaded engine/executor/service must
-answer every query identically to the object that was saved — including
-delta-shard datasets, tombstone masks and warm leaf-cache entries — under
-both ``mmap=True`` (read-only page-mapped buffers) and ``mmap=False``
-(private copies).  Error paths (bad magic, truncation, version skew,
-wrong kind) must all raise :class:`~repro.errors.SnapshotError`.
+**Exact equality is the contract**: a loaded service must answer every
+query identically to the service that was saved — including delta-shard
+datasets, tombstone masks and warm leaf-cache entries — under both
+``mmap=True`` (read-only page-mapped buffers) and ``mmap=False`` (private
+copies).  Error paths (bad magic, truncation, version skew, a foreign
+kind, and every malformation of the header tree a generated sweep can
+make) must all raise :class:`~repro.errors.SnapshotError`.
 """
 
 import json
@@ -15,11 +16,9 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.errors import SnapshotError
 from repro.service import QueryService
-from repro.service.sharding import ShardedBatchExecutor
 from repro.service.snapshot import MAGIC, generation_of, inspect, load
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
@@ -51,11 +50,14 @@ def answers(obj, queries):
     return [r.indexes for r in obj.search_batch(queries)]
 
 
-def leaves(expr):
-    children = getattr(expr, "children", None)
-    if children is None:
-        return [expr]
-    return [leaf for child in children for leaf in leaves(child)]
+def one_shard_kd_service(lake):
+    """A bare engine's persisted form: one built kd shard, nothing else."""
+    svc = QueryService(
+        repository=Repository.from_arrays(lake), n_shards=1, engine="kd",
+        seed=SEED, eps=EPS, sample_size=SAMPLE_SIZE,
+    )
+    svc.warm()
+    return svc
 
 
 class TestServiceRoundTrip:
@@ -193,35 +195,30 @@ class TestServiceRoundTrip:
     ):
         """A kd snapshot holds the tree itself: ``load(mmap=True)`` plants
         no node, its points are views into the one file map, and the
-        loaded engine equals the saved one in answers, counts and
+        loaded shard equals the saved one in answers, counts and
         activity — until an insert, which copies instead of writing the
         map."""
         from repro.index.kd_tree import DynamicKDTree
         from repro.index.query_box import QueryBox
 
-        eng = DatasetSearchEngine(
-            repository=Repository.from_arrays(lake),
-            rng=np.random.default_rng(SEED),
-            engine="kd",
-            eps=EPS,
-            sample_size=SAMPLE_SIZE,
-        ).build()
-        tree = eng.ptile_index._tree
+        svc = one_shard_kd_service(lake)
+        tree = svc.executor.engines[0].ptile_index._tree
         tree.deactivate_group(3)  # activity state must survive too
-        expected = [eng.search(q).indexes for q in queries]
+        expected = answers(svc, queries)
         boxes = [
             QueryBox.unbounded(tree.dim),
             QueryBox.unbounded(tree.dim).with_dimension(0, 0.0, 0.5),
         ]
-        path = tmp_path / "eng.snap"
-        eng.save(path)
+        path = tmp_path / "svc.snap"
+        svc.save(path)
 
         def no_build(*_args, **_kwargs):
             raise AssertionError("snapshot restore built a kd-tree")
 
         monkeypatch.setattr(DynamicKDTree, "_build", no_build)
-        loaded = DatasetSearchEngine.load(path, mmap=True)
-        ltree = loaded.ptile_index._tree
+        loaded = QueryService.load(path, mmap=True)
+        engine = loaded.executor.engines[0]
+        ltree = engine.ptile_index._tree
         monkeypatch.undo()
 
         file_map = ltree._pts.base
@@ -239,7 +236,7 @@ class TestServiceRoundTrip:
         assert ltree._active.flags.writeable  # private activity state
         assert not np.shares_memory(ltree._active, file_map)
 
-        assert [loaded.search(q).indexes for q in queries] == expected
+        assert answers(loaded, queries) == expected
         assert ltree.count_many(boxes) == tree.count_many(boxes)
         assert (len(ltree), ltree.n_active) == (len(tree), tree.n_active)
         assert np.array_equal(ltree._active, tree._active)
@@ -249,7 +246,7 @@ class TestServiceRoundTrip:
         # lands in a private side buffer, and folding that buffer in plants
         # fresh private arrays.
         n_loaded = len(ltree)
-        loaded.insert_synopsis(loaded.synopses[0])
+        engine.insert_synopsis(engine.synopses[0])
         assert len(ltree) > n_loaded and np.shares_memory(ltree._pts, file_map)
         ltree._rebuild()
         assert len(ltree) > n_loaded and ltree._pts.flags.writeable
@@ -257,45 +254,10 @@ class TestServiceRoundTrip:
 
 
 class TestExecutorAndEngineKinds:
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_executor_round_trip(self, lake, queries, tmp_path, engine):
-        ex = ShardedBatchExecutor(
-            repository=Repository.from_arrays(lake),
-            n_shards=3,
-            engine=engine,
-            seed=SEED,
-            eps=EPS,
-            sample_size=SAMPLE_SIZE,
-        )
-        all_leaves = [leaf for q in queries for leaf in leaves(q)]
-        expected = [bits.to_list() for bits, _stamp in ex.eval_leaves(all_leaves)]
-        path = tmp_path / "ex.snap"
-        info = ex.save(path)
-        assert info["kind"] == "sharded_executor"
-        loaded = ShardedBatchExecutor.load(path)
-        assert [
-            bits.to_list() for bits, _stamp in loaded.eval_leaves(all_leaves)
-        ] == expected
-        loaded.close()
-        ex.close()
-
-    @pytest.mark.parametrize("engine", BACKENDS)
-    def test_engine_round_trip(self, lake, queries, tmp_path, engine):
-        eng = DatasetSearchEngine(
-            repository=Repository.from_arrays(lake),
-            rng=np.random.default_rng(SEED),
-            engine=engine,
-            eps=EPS,
-            sample_size=SAMPLE_SIZE,
-        )
-        expected = [eng.search(q).indexes for q in queries]
-        path = tmp_path / "eng.snap"
-        info = eng.save(path)
-        assert info["kind"] == "engine"
-        loaded = DatasetSearchEngine.load(path)
-        assert [loaded.search(q).indexes for q in queries] == expected
-
     def test_wrong_kind_refused(self, lake, tmp_path):
+        """The bare ``engine`` / ``sharded_executor`` containers older
+        builds wrote are refused by name, whichever entry point opens
+        them."""
         svc = QueryService(
             repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
             eps=EPS, sample_size=SAMPLE_SIZE
@@ -303,10 +265,13 @@ class TestExecutorAndEngineKinds:
         path = tmp_path / "svc.snap"
         svc.save(path)
         svc.close()
-        with pytest.raises(
-            SnapshotError, match="holds kind 'query_service', expected 'engine'"
-        ):
-            DatasetSearchEngine.load(path)
+        header, data = _read_header(path)
+        for kind in ("engine", "sharded_executor", None):
+            header["kind"] = kind
+            _write_header(path, header, data)
+            for reader in (load, QueryService.load, generation_of, inspect):
+                with pytest.raises(SnapshotError, match=f"holds kind {kind!r}"):
+                    reader(path)
 
     def test_inspect(self, lake, tmp_path):
         svc = QueryService(
@@ -391,6 +356,22 @@ class TestExecutorAndEngineKinds:
         assert "mapped_points" not in summary["bytes_by_kind"]
 
 
+def _read_header(path):
+    """``(header tree, data section bytes)`` of a container file."""
+    blob = path.read_bytes()
+    hlen, data_start = struct.unpack_from("<QQ", blob, 16)
+    return json.loads(blob[32 : 32 + hlen]), blob[data_start:]
+
+
+def _write_header(path, header, data):
+    """Rewrite a container around a (tampered) header tree: the data
+    section moves with the header length, segment offsets are relative."""
+    raw = json.dumps(header, separators=(",", ":")).encode()
+    data_start = (32 + len(raw) + 63) // 64 * 64
+    blob = path.read_bytes()[:16] + struct.pack("<QQ", len(raw), data_start) + raw
+    path.write_bytes(blob.ljust(data_start, b"\0") + data)
+
+
 def _segment(path, hint, dtype=None):
     """``(ref, meta, file offset)`` of the first segment of one kind (and,
     where a kind holds several arrays, of one dtype)."""
@@ -427,13 +408,8 @@ class TestHostileBackendArrays:
 
     @pytest.fixture()
     def snap(self, lake, tmp_path):
-        eng = DatasetSearchEngine(
-            repository=Repository.from_arrays(lake),
-            rng=np.random.default_rng(SEED), engine="kd", eps=EPS,
-            sample_size=SAMPLE_SIZE,
-        ).build()
-        path = tmp_path / "eng.snap"
-        eng.save(path)
+        path = tmp_path / "svc.snap"
+        one_shard_kd_service(lake).save(path)
         load(path)  # pristine: loads
         return path
 
@@ -480,7 +456,7 @@ class TestHostileBackendArrays:
         the same ``dtype.kind`` test the signed case trips."""
         from repro.index.kd_tree import DynamicKDTree
 
-        arrays = load(snap).ptile_index._tree.to_arrays()
+        arrays = load(snap).executor.engines[0].ptile_index._tree.to_arrays()
         arrays["codes"] = arrays["codes"].astype(np.float16)
         with pytest.raises(ValueError, match="do not describe one kd-tree"):
             DynamicKDTree.from_arrays(arrays)
@@ -491,8 +467,21 @@ class TestHostileBackendArrays:
         _rewrite_header(snap, "coreset", f"[{n},{size},{dim}]", f"[{size},{n},{dim}]")
         self.refused(snap, "coreset segment does not match")
 
+    def test_header_naming_the_static_engine_is_refused_not_replanted(self, snap):
+        """Only the dynamic engines have a persisted form: ``rangetree`` in
+        a shard's Ptile state or as the executor's engine is refused by
+        name (it used to be rebuilt from the points)."""
+        header, data = _read_header(snap)
+        executor = header["state"]["executor"]
+        for holder in (executor["engines"][0]["ptile"], executor):
+            assert holder["engine"] == "kd"
+            holder["engine"] = "rangetree"
+            _write_header(snap, header, data)
+            self.refused(snap, "'rangetree'")
+            holder["engine"] = "kd"
+
     def test_coresets_are_views_of_one_segment(self, snap):
-        index = load(snap).ptile_index
+        index = load(snap).executor.engines[0].ptile_index
         first, last = index.coreset(0), index.coreset(N_DATASETS - 1)
         assert first.shape == (SAMPLE_SIZE, DIM) and not first.flags.writeable
         assert first.base is not None and first.base is last.base
@@ -560,3 +549,89 @@ class TestErrorPaths:
             header = json.loads(f.read(hlen))
         assert header["kind"] == "query_service"
         assert set(header["arrays"]) and "state" in header
+
+
+def _malformations(node, path=()):
+    """Every single-site malformation of a JSON tree as ``(path, edit)``:
+    drop each key, retype each scalar (and push each int out of range),
+    truncate each list."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,), "drop"
+            yield from _malformations(child, path + (key,))
+    elif isinstance(node, list):
+        if node:
+            yield path, "truncate"
+        for i, child in enumerate(node):
+            yield from _malformations(child, path + (i,))
+    else:
+        yield path, "retype"
+        if isinstance(node, int) and not isinstance(node, bool):
+            yield path, "negate"
+
+
+def _malformed(tree, path, edit):
+    """A deep copy of ``tree`` with one malformation applied."""
+    tree = json.loads(json.dumps(tree))
+    *parents, last = path
+    node = tree
+    for step in parents:
+        node = node[step]
+    if edit == "drop":
+        del node[last]
+    elif edit == "truncate":
+        node[last] = node[last][:-1]
+    elif edit == "negate":
+        node[last] = -1
+    else:
+        node[last] = 7 if isinstance(node[last], str) else "x"
+    return tree
+
+
+class TestGeneratedHeaderSweep:
+    """Malformed state is a ``SnapshotError`` — what ``supervisor._watch``
+    and ``_respawn_due`` catch — or a service that still answers; never a
+    ``KeyError`` / ``TypeError`` / ``ValueError`` / ``IndexError`` out of
+    the decoder, and never one deferred to the first query.  The cases are
+    generated from the header tree of one saved service that has a built
+    and an unbuilt shard, a delta shard, a tombstone and warm cache
+    entries, so every branch of the state layout is in the tree."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, lake, queries, tmp_path_factory):
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:5]), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=4, capacity=8, cache_capacity=8,
+        )
+        svc.add_datasets([lake[5]])
+        svc.remove_datasets([1])
+        answers(svc, queries[:3])  # builds the shards, warms the cache
+        svc.executor.engines[1]._ptile = None  # one shard stays lazy
+        path = tmp_path_factory.mktemp("sweep") / "svc.snap"
+        svc.save(path, generation=3)
+        svc.close()
+        return path, *_read_header(path)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_no_malformation_escapes_as_anything_but_snapshot_error(
+        self, saved, queries, tmp_path, mmap
+    ):
+        pristine, header, data = saved
+        path = tmp_path / "tampered.snap"
+        path.write_bytes(pristine.read_bytes())
+        cases = list(_malformations(header))
+        assert len(cases) > 400  # the sweep covers the tree, not a sample
+        escaped, refused = [], 0
+        for where, edit in cases:
+            _write_header(path, _malformed(header, where, edit), data)
+            for reader in (generation_of, inspect, lambda p: load(p, mmap=mmap)):
+                try:
+                    got = reader(path)
+                    if isinstance(got, QueryService):
+                        answers(got, queries[:3])
+                except SnapshotError:
+                    refused += 1
+                except Exception as exc:  # noqa: BLE001 - the point of the test
+                    escaped.append((where, edit, type(exc).__name__, str(exc)[:80]))
+        assert escaped == []
+        assert refused > len(cases)  # most malformations are refused, by name

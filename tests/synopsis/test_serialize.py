@@ -130,3 +130,85 @@ class TestFormat:
             from_dict({"kind": "cover", "format": 99})
         with pytest.raises(ConstructionError):
             from_dict("not a dict")  # type: ignore[arg-type]
+
+
+def _every_kind(data):
+    """One synopsis of every wire kind, small enough to sweep."""
+    pts = data[:300]
+    return [
+        EpsilonSampleSynopsis.from_points(pts, size=20, rng=np.random.default_rng(2)),
+        CoverSynopsis(pts, radius=0.2),
+        QuantileHistogramSynopsis(pts, rng=np.random.default_rng(3)),
+        GMMSynopsis(pts, n_components=2, rng=np.random.default_rng(7), n_iter=5),
+        HistogramSynopsis(pts, bins=[3, 4]),
+        DirectionQuantileSynopsis(
+            pts - 0.5, eps_dir=0.5, n_quantiles=4, rng=np.random.default_rng(6)
+        ),
+    ]
+
+
+def _malformations(payload):
+    """``(label, payload)`` for every single-field malformation a sender can
+    make of one ``to_dict`` output: each key dropped; each array field
+    flattened one level (a flat one cut down to a scalar), emptied, made
+    ragged, and given a ``null`` (NaN once decoded); each scalar replaced
+    by a string, by ``true`` and by infinity."""
+    for key, value in payload.items():
+        if key in ("format", "kind"):
+            continue
+        edits = {"dropped": None}
+        if isinstance(value, list):
+            nested = isinstance(value[0], list)
+            edits["flattened"] = sum(value, []) if nested else value[0]
+            edits["emptied"] = []
+            edits["ragged"] = [*value[:-1], [value[-1]]] if not nested else [
+                *value[:-1], value[-1] + value[-1]
+            ]
+            hole = json.loads(json.dumps(value))
+            (hole[0] if nested else hole)[0] = None
+            edits["null inside"] = hole
+        else:
+            edits.update({"a string": "a", "a boolean": True, "infinite": float("inf")})
+        for label, edit in edits.items():
+            bad = {k: v for k, v in payload.items() if k != key}
+            if label != "dropped":
+                bad[key] = edit
+            yield f"{payload['kind']}.{key} {label}", bad
+
+
+class TestHostilePayloads:
+    """``POST /nodes`` ships these dicts: whatever a sender does to one
+    field, the decoder answers ``ConstructionError`` (a 400 at the edge) —
+    not ``KeyError`` / ``IndexError`` / ``ValueError`` (a 500), and not a
+    synopsis holding NaN."""
+
+    def test_every_single_field_malformation_is_a_construction_error(self, data):
+        checked = 0
+        for synopsis in _every_kind(data):
+            payload = json.loads(dumps(synopsis))
+            from_dict(payload)  # pristine: decodes
+            for label, bad in _malformations(payload):
+                with pytest.raises(ConstructionError):
+                    from_dict(bad)
+                    pytest.fail(f"{label}: decoded")
+                checked += 1
+        assert checked > 100  # the sweep covers every field of every kind
+
+    def test_mis_sized_arrays_are_refused(self, data):
+        """Fields that must agree with each other: a shape the first query
+        would trip over is refused at the door."""
+        eps, _cover, quantile, gmm, grid, kernel = (
+            json.loads(dumps(s)) for s in _every_kind(data)
+        )
+        cases = [
+            {**eps, "n_points": 3},  # fewer points than the subsample
+            {**quantile, "levels": quantile["levels"][:-1]},
+            {**gmm, "weights": gmm["weights"][:-1]},
+            {**gmm, "stds": [row[:-1] for row in gmm["stds"]]},
+            {**grid, "probs": grid["probs"][:-1]},
+            {**grid, "edges": [[0.0], grid["edges"][1]]},  # a one-edge axis
+            {**kernel, "quantiles": kernel["quantiles"][:-1]},
+        ]
+        for bad in cases:
+            with pytest.raises(ConstructionError):
+                from_dict(bad)

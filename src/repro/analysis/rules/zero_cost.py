@@ -6,10 +6,11 @@ no span objects, no attribute chases.  This rule finds attribute access on
 a ``tracer`` parameter (``tracer.span(...)``, ``tracer.emit(...)``) that
 is not dominated by a ``tracer is not None`` check.
 
-The guard shapes recognised — ``if tracer is not None:``, the early
-return ``if tracer is None: return ...`` of ``eval_leaf_batch_bits`` /
-``plan_batch``, ``tracer.span(...) if tracer is not None else
-nullcontext()``, ``tracer is not None and ...``, at any nesting inside
+The guard shapes recognised — ``with tracer.span(...) if tracer is not
+None else NO_SPAN [as span]:``, the one spelling of a traced stage in
+``service/`` (:data:`repro.service.observability.NO_SPAN`), ``if tracer is
+not None:``, an early return ``if tracer is None: return ...``,
+``tracer is not None and ...``, at any nesting inside
 ``for`` / ``with`` / ``try`` bodies — are those of
 :func:`repro.analysis.context.unguarded_touches`, the walker shared with
 ``failpoint-discipline``.

@@ -8,9 +8,9 @@ expressions mixing percentile and preference predicates:
 - percentile leaves go to the Ptile range structure (Theorem 4.11), with
   the threshold structure as a special case;
 - preference leaves go to a Pref structure per rank ``k`` (Theorem 5.4);
-- conjunctions/disjunctions combine index sets recursively, preserving the
-  per-leaf guarantees (recall is exact; precision error ``eps + 2 delta``
-  per leaf).
+- conjunctions/disjunctions combine the leaf bitsets word-wise, preserving
+  the per-leaf guarantees (recall is exact; precision error
+  ``eps + 2 delta`` per leaf).
 
 The engine also computes exact ground truth (centralized only) so examples,
 tests and benchmarks can report recall/precision directly.
@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.bitset import DatasetBitmap
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
-from repro.core.predicates import And, Expression, Or, Predicate
+from repro.core.predicates import Expression, Predicate
 from repro.core.ptile_range import PtileRangeIndex
 from repro.core.pref_index import PrefIndex, pref_threshold
 from repro.core.results import QueryResult
@@ -168,9 +168,12 @@ class DatasetSearchEngine:
     def search(self, expression: Expression, record_times: bool = False) -> QueryResult:
         """Answer ``q_Pi(P)`` approximately with the paper's guarantees.
 
-        With ``record_times=True`` the expression's deduplicated leaves are
-        evaluated in one batched pass (multi-box kernels, same structure
-        as the cold service path) and each reported index is stamped with
+        One path: the expression is planned (canonical form, duplicate
+        leaves dropped), its unique leaves are evaluated in one batched
+        pass (multi-box kernels, same structure as the cold service path)
+        and And/Or combine the leaf bitsets word-wise.
+
+        ``record_times=True`` adds the stamps: each reported index carries
         the completion time of the leaf at which its membership in the
         final answer became logically determined, so
         ``QueryResult.delays()`` measures real inter-report gaps.  Leaf
@@ -179,27 +182,30 @@ class DatasetSearchEngine:
         leaves that shared one backend call complete almost together.
         Indexes are then in emission order; without timing they are sorted.
         """
-        if not record_times:
-            return QueryResult(bitmap=self._eval_bits(expression))
         # Local import: the planner lives in the service layer, which
         # imports this module — a module-level import would be circular.
-        from repro.service.planner import emit_schedule, plan_query
+        from repro.service.planner import (
+            emit_schedule,
+            evaluate_with_leaf_results,
+            plan_query,
+        )
 
-        result = QueryResult()
-        result.start_time = time.perf_counter()
+        start = time.perf_counter()
         plan = plan_query(expression)
-        order = list(plan.leaves)
         answers = self.eval_leaf_batch_bits(list(plan.leaves.values()))
-        leaf_results: dict = {}
-        leaf_times: dict = {}
-        for key, bits in zip(order, answers):
-            # Stamp at unpack time: the instant this leaf's answer became
-            # available to the evaluator (per-leaf, strictly monotone).
-            leaf_results[key] = bits
-            leaf_times[key] = time.perf_counter()
+        leaf_results = dict(zip(plan.leaves, answers))
+        if not record_times:
+            return QueryResult(
+                bitmap=evaluate_with_leaf_results(plan.expression, leaf_results)
+            )
+        result = QueryResult()
+        result.start_time = start
+        # Stamp at unpack time: the instant this leaf's answer became
+        # available to the evaluator (per-leaf, strictly monotone).
+        leaf_times = {key: time.perf_counter() for key in leaf_results}
         schedule = emit_schedule(
             plan.expression,
-            order,
+            list(leaf_results),
             leaf_results,
             leaf_times,
             DatasetBitmap.full(self.n_datasets),
@@ -208,23 +214,6 @@ class DatasetSearchEngine:
         result.emit_times = [t for _idx, t in schedule]
         result.end_time = time.perf_counter()
         return result
-
-    def _eval_bits(self, expression: Expression) -> DatasetBitmap:
-        if isinstance(expression, Predicate):
-            return self.eval_leaf_bits(expression)
-        if isinstance(expression, And):
-            bits = [self._eval_bits(c) for c in expression.children]
-            out = bits[0]
-            for b in bits[1:]:
-                out = out & b
-            return out
-        if isinstance(expression, Or):
-            bits = [self._eval_bits(c) for c in expression.children]
-            out = bits[0]
-            for b in bits[1:]:
-                out = out | b
-            return out
-        raise QueryError(f"unsupported expression node {type(expression).__name__}")
 
     def _leaf_query(self, leaf: Predicate) -> QueryResult:
         """Route one predicate leaf to the appropriate structure."""
@@ -235,12 +224,6 @@ class DatasetSearchEngine:
             a_theta = pref_threshold(leaf.theta)
             return self.pref_index(measure.k).query(measure.vector, a_theta)
         raise QueryError(f"unsupported measure {type(measure).__name__}")
-
-    def eval_leaf_bits(self, leaf: Predicate) -> DatasetBitmap:
-        """One leaf's answer as a packed bitset over ``range(n_datasets)``."""
-        return DatasetBitmap.from_indices(
-            self._leaf_query(leaf).indexes, self.n_datasets
-        )
 
     def _leaf_batch_query(
         self, leaves: Sequence[Predicate]

@@ -98,7 +98,7 @@ from repro.errors import QueryError
 from repro.service import faults
 from repro.service.deadline import Deadline
 from repro.service.degrade import screen_synopses
-from repro.service.observability import MetricsRegistry, Tracer
+from repro.service.observability import NO_SPAN, MetricsRegistry, Tracer
 from repro.service.planner import combine_bounds, plan_query
 from repro.service.server import (
     JsonRequestHandler,
@@ -119,6 +119,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: One node's parsed per-expression answer: (must, maybe-or-None).
 NodeAnswer = Tuple[DatasetBitmap, Optional[DatasetBitmap]]
+
+#: ``/healthz`` probe timeout used when a node registers without
+#: ``n_datasets``, seconds.
+PROBE_TIMEOUT_S = 2.0
 
 
 class NodeRPCError(RuntimeError):
@@ -367,8 +371,6 @@ class FederatedCoordinator:
     merge_margin:
         Fraction of a query's deadline budget reserved for the merge
         phase (the scatter legs see the rest).
-    probe_timeout_s:
-        ``/healthz`` probe timeout used at registration.
     seed:
         Seeds backoff jitter (tests pin it; production leaves it None).
     tracing:
@@ -387,7 +389,6 @@ class FederatedCoordinator:
         breaker_threshold: int = 3,
         breaker_reset_s: float = 2.0,
         merge_margin: float = 0.15,
-        probe_timeout_s: float = 2.0,
         seed: Optional[int] = None,
         tracing: bool = False,
     ) -> None:
@@ -405,7 +406,6 @@ class FederatedCoordinator:
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_reset_s = float(breaker_reset_s)
         self.merge_margin = float(merge_margin)
-        self.probe_timeout_s = float(probe_timeout_s)
         self.tracing = bool(tracing)
         self._lock = threading.Lock()
         self._nodes: Dict[int, FederatedNode] = {}  # guarded-by: _lock
@@ -570,7 +570,7 @@ class FederatedCoordinator:
     def _probe_n_datasets(self, url: str) -> int:
         try:
             status, raw = http_call(
-                url.rstrip("/") + "/healthz", timeout=self.probe_timeout_s
+                url.rstrip("/") + "/healthz", timeout=PROBE_TIMEOUT_S
             )
             if status != 200:
                 raise OSError(f"HTTP {status}")
@@ -665,21 +665,19 @@ class FederatedCoordinator:
             else 0.0
         )
         exprs_json = [expression_to_json(e) for e in expressions]
-        tracer = Tracer(
-            self.registry, stage_metric="repro_federation_stage_seconds"
-        ) if self.tracing else None
-        root = (
+        # Spans go to the ``"federation"."trace"`` tree only (no registry):
+        # the stage histogram is fed by the two observations below, once per
+        # batch with tracing on or off.
+        tracer = Tracer() if self.tracing else None
+        with (
             tracer.span(
                 "federated_batch",
                 n_nodes=len(nodes),
                 n_queries=len(expressions),
             )
             if tracer is not None
-            else None
-        )
-        if root is not None:
-            root.__enter__()
-        try:
+            else NO_SPAN
+        ) as root:
             t_gather = time.perf_counter()
             outcomes = self._scatter(
                 nodes, exprs_json, deadline, merge_reserve, tracer
@@ -690,12 +688,11 @@ class FederatedCoordinator:
             )
 
             t_merge = time.perf_counter()
-            if tracer is not None:
-                with tracer.span("merge", n_nodes=len(nodes)):
-                    batch = self._merge(
-                        nodes, offsets, total, list(expressions), outcomes
-                    )
-            else:
+            with (
+                tracer.span("merge", n_nodes=len(nodes))
+                if tracer is not None
+                else NO_SPAN
+            ):
                 batch = self._merge(
                     nodes, offsets, total, list(expressions), outcomes
                 )
@@ -704,16 +701,13 @@ class FederatedCoordinator:
                 time.perf_counter() - t_merge,
                 {"stage": "merge"},
             )
-        finally:
-            if root is not None:
-                root.__exit__(None, None, None)
         degraded_any = any(r.stats.get("degraded") for r in batch.results)
         self.registry.inc(
             "repro_federation_requests_total",
             {"outcome": "degraded" if degraded_any else "exact"},
         )
-        if tracer is not None and tracer.root is not None:
-            batch.trace = tracer.root.to_dict()
+        if root is not None:
+            batch.trace = root.to_dict()
         return batch
 
     # -- scatter -------------------------------------------------------
@@ -726,10 +720,11 @@ class FederatedCoordinator:
         tracer: Optional[Tracer],
     ) -> List[Union[List[NodeAnswer], NodeRPCError]]:
         """One outcome per node: parsed answers, or the error to screen."""
-        span = tracer.span("scatter", n_nodes=len(nodes)) if tracer else None
-        if span is not None:
-            span.__enter__()
-        try:
+        with (
+            tracer.span("scatter", n_nodes=len(nodes))
+            if tracer is not None
+            else NO_SPAN
+        ):
             if len(nodes) == 1:
                 return [self._call_node_safe(
                     nodes[0], exprs_json, deadline, merge_reserve
@@ -743,9 +738,6 @@ class FederatedCoordinator:
                 for node in nodes
             ]
             return [f.result() for f in futures]
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
 
     def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
         with self._lock:
@@ -1276,9 +1268,9 @@ def federated_node_service(
       ``eps_effective`` against the global universe size;
     - every synopsis is a
       :class:`~repro.service.sharding.SeededSampleSynopsis` seeded by the
-      dataset's **global** index ``offset + j`` (with
-      ``deterministic=False`` so the service does not re-wrap them with
-      local indexes);
+      dataset's **global** index ``offset + j`` (the executor keeps the
+      index a seeded synopsis arrives with, through rebuilds and snapshots
+      alike);
     - ``bounding_box`` is the global lake's box, shared by every node.
 
     With these pinned, the scatter-gather merge over healthy nodes equals
@@ -1306,7 +1298,6 @@ def federated_node_service(
     return QueryService(
         repository=Repository.from_arrays(arrays),
         synopses=synopses,
-        deterministic=False,
         bounding_box=bounding_box,
         capacity=total,
         seed=seed,

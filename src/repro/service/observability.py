@@ -11,7 +11,10 @@ Three complementary layers, all dependency-free:
   ``repro_stage_seconds``.
   When tracing is off the instrumented call sites receive ``tracer=None``
   and skip all of this behind one ``is not None`` branch — the disabled
-  cost is a single pointer comparison per site.
+  cost is a single pointer comparison per site.  A traced stage is spelt
+  one way, ``with tracer.span(...) if tracer is not None else NO_SPAN [as
+  span]:`` (:data:`NO_SPAN` binds ``span`` to None), so traced and
+  untraced runs share one body.
 - **Metrics registry** — :class:`MetricsRegistry` holds named counters
   and :class:`Histogram` families and renders the Prometheus text
   exposition format (``GET /metrics``).  Histograms use fixed log-spaced
@@ -64,6 +67,7 @@ import threading
 import time
 from bisect import bisect_left
 from collections import deque
+from contextlib import AbstractContextManager, nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -74,6 +78,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Histogram",
     "MetricsRegistry",
+    "NO_SPAN",
     "ServiceObservability",
     "SlowQueryLog",
     "Span",
@@ -438,6 +443,14 @@ class Span:
         return out
 
 
+#: What an untraced stage enters in place of a span (``as`` binds None):
+#: one shared object, so the disabled path allocates nothing.
+NO_SPAN: AbstractContextManager[Optional[Span]] = nullcontext()
+
+#: The histogram family every finished span's duration is observed into.
+STAGE_METRIC = "repro_stage_seconds"
+
+
 class Tracer:
     """Produces linked spans and feeds finished durations to a registry.
 
@@ -448,8 +461,9 @@ class Tracer:
     stack so deeper spans nest under it naturally.
 
     On exit every span's duration is recorded into the registry histogram
-    ``stage_metric{stage=<name>}``, so traced traffic populates the
-    per-stage histograms that ``/metrics`` exposes.
+    ``repro_stage_seconds{stage=<name>}`` (:data:`STAGE_METRIC`), so traced
+    traffic populates the per-stage histograms that ``/metrics`` exposes;
+    a tracer without a registry only builds the span tree.
 
     Examples
     --------
@@ -463,13 +477,8 @@ class Tracer:
     True
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        stage_metric: str = "repro_stage_seconds",
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry
-        self.stage_metric = stage_metric
         self.root: Optional[Span] = None
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -510,7 +519,7 @@ class Tracer:
         span.t1 = t1
         if self.registry is not None:
             self.registry.observe(
-                self.stage_metric, span.duration_s, {"stage": name}
+                STAGE_METRIC, span.duration_s, {"stage": name}
             )
         return span
 
@@ -539,7 +548,7 @@ class Tracer:
             stack.pop()
         if self.registry is not None:
             self.registry.observe(
-                self.stage_metric, span.duration_s, {"stage": span.name}
+                STAGE_METRIC, span.duration_s, {"stage": span.name}
             )
 
 
@@ -742,7 +751,7 @@ class ServiceObservability:
         self._out_total = 0  # guarded-by: _lock
         reg = self.registry
         reg.declare_histogram(
-            "repro_stage_seconds",
+            STAGE_METRIC,
             "Time per pipeline stage, from traced queries.",
         )
         reg.declare_histogram(

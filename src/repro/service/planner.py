@@ -40,7 +40,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Hashable,
     Iterable,
     Mapping,
@@ -51,6 +50,7 @@ from typing import (
 from repro.core.bitset import DatasetBitmap
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.errors import QueryError
+from repro.service.observability import NO_SPAN
 
 if TYPE_CHECKING:
     from repro.service.observability import Tracer
@@ -175,19 +175,17 @@ def plan_query(
     expression: Expression, tracer: "Optional[Tracer]" = None
 ) -> QueryPlan:
     """Canonicalize one expression and collect its unique leaves."""
-    if tracer is not None:
-        with tracer.span("canonicalize"):
-            return plan_query(expression)
-    canon = canonicalize(expression)
-    leaves: dict[LeafKey, Predicate] = {}
-    for leaf in canon.leaves():
-        leaves.setdefault(leaf_key(leaf), leaf)
-    return QueryPlan(
-        original=expression,
-        expression=canon,
-        leaves=leaves,
-        n_leaves_raw=expression.n_predicates,
-    )
+    with tracer.span("canonicalize") if tracer is not None else NO_SPAN:
+        canon = canonicalize(expression)
+        leaves: dict[LeafKey, Predicate] = {}
+        for leaf in canon.leaves():
+            leaves.setdefault(leaf_key(leaf), leaf)
+        return QueryPlan(
+            original=expression,
+            expression=canon,
+            leaves=leaves,
+            n_leaves_raw=expression.n_predicates,
+        )
 
 
 def plan_batch(
@@ -204,33 +202,27 @@ def plan_batch(
     hit/miss split and its leaf-dedup outcome; every compile (plan-cache
     miss, or no cache) nests a ``canonicalize`` child span.
     """
-    if tracer is None:
-        planner: Callable[[Expression], QueryPlan] = (
-            cache.plan if cache is not None else plan_query
-        )
-        batch = BatchPlan(plans=[planner(e) for e in expressions])
-        for plan in batch.plans:
-            for key, leaf in plan.leaves.items():
-                batch.unique_leaves.setdefault(key, leaf)
-        return batch
-    with tracer.span("plan", n_queries=len(expressions)) as span:
+    planner = cache.plan if cache is not None else plan_query
+    with (
+        tracer.span("plan", n_queries=len(expressions))
+        if tracer is not None
+        else NO_SPAN
+    ) as span:
         if cache is not None:
             hits0, misses0 = cache.hits, cache.misses
-            planner = lambda e: cache.plan(e, tracer=tracer)  # noqa: E731
-        else:
-            planner = lambda e: plan_query(e, tracer=tracer)  # noqa: E731
-        batch = BatchPlan(plans=[planner(e) for e in expressions])
+        batch = BatchPlan(plans=[planner(e, tracer=tracer) for e in expressions])
         for plan in batch.plans:
             for key, leaf in plan.leaves.items():
                 batch.unique_leaves.setdefault(key, leaf)
-        span.meta.update(
-            n_leaves_raw=batch.n_leaves_raw,
-            n_leaves_unique=batch.n_leaves_unique,
-            dedup_ratio=batch.dedup_ratio,
-        )
-        if cache is not None:
-            span.meta["plan_cache_hits"] = cache.hits - hits0
-            span.meta["plan_cache_misses"] = cache.misses - misses0
+        if span is not None:
+            span.meta.update(
+                n_leaves_raw=batch.n_leaves_raw,
+                n_leaves_unique=batch.n_leaves_unique,
+                dedup_ratio=batch.dedup_ratio,
+            )
+            if cache is not None:
+                span.meta["plan_cache_hits"] = cache.hits - hits0
+                span.meta["plan_cache_misses"] = cache.misses - misses0
     return batch
 
 

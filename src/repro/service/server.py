@@ -4,7 +4,10 @@ Wire format (all bodies JSON):
 
 ``POST /search``
     ``{"expression": EXPR, "record_times": false, "trace": false}`` →
-    ``{"indexes": [...], "emit_times": [...], "stats": {...}}``; with
+    ``{"indexes": [...], "emit_times": [...], "stats": {...}}``.  The flags
+    (``record_times``, ``trace``, ``degrade``) are JSON booleans and
+    ``deadline_ms`` a finite JSON number > 0 — absent or ``null`` keeps the
+    default, anything else (``"false"``, ``1``, ``"5"``) is a ``400``.  With
     ``record_times`` the emit stamps are *relative to the query start* (a
     ``duration_s`` field is included) — absolute ``perf_counter`` values
     are meaningless outside the server process.  With ``"trace": true``
@@ -221,6 +224,15 @@ def _wire_int(value: Any, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise QueryError(f"{what} must be an integer, got {value!r}")
+
+
+def _wire_bool(value: Any, what: str) -> Optional[bool]:
+    """A JSON ``true`` / ``false``, or None — absent or ``null``: the
+    caller's default.  ``bool()`` would turn the string ``"false"`` *on* —
+    a degraded answer the client asked not to get."""
+    if value is None or isinstance(value, bool):
+        return value
+    raise QueryError(f"{what} must be true or false, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -554,14 +566,14 @@ class _ServiceRequestHandler(JsonRequestHandler):
     def _search(self, body: dict) -> None:
         single = self.path == "/search"
         exprs_json, fmt = parse_batch_body(body, single)
-        trace = body.get("trace")
         service = self.service
         results = service.search_batch(
             [expression_from_json(e) for e in exprs_json],
-            record_times=bool(body.get("record_times", False)),
-            trace=None if trace is None else bool(trace),
+            record_times=_wire_bool(body.get("record_times"), "'record_times'")
+            or False,
+            trace=_wire_bool(body.get("trace"), "'trace'"),
             deadline_ms=body.get("deadline_ms"),
-            degrade=bool(body.get("degrade")),
+            degrade=_wire_bool(body.get("degrade"), "'degrade'") or False,
         )
         n_datasets = service.n_datasets
         encoded = [encode_result(r, fmt, n_datasets) for r in results]

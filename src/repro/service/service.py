@@ -40,7 +40,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -54,7 +53,7 @@ from repro.geometry.rectangle import Rectangle
 from repro.service.cache import LeafResultCache
 from repro.service.deadline import Deadline
 from repro.service.degrade import SynopsisScreen
-from repro.service.observability import ServiceObservability
+from repro.service.observability import NO_SPAN, ServiceObservability
 from repro.service.planner import (
     PlanCache,
     combine_bounds,
@@ -126,7 +125,6 @@ class QueryService:
         sample_size: Optional[int] = None,
         bounding_box: Optional[Rectangle] = None,
         seed: int = 0,
-        deterministic: bool = True,
         engine: str = "kd",
         capacity: Optional[int] = None,
         plan_cache_capacity: int = 1024,
@@ -141,7 +139,6 @@ class QueryService:
             sample_size=sample_size,
             bounding_box=bounding_box,
             seed=seed,
-            deterministic=deterministic,
             engine=engine,
             capacity=capacity,
         )
@@ -261,21 +258,21 @@ class QueryService:
         deadline = Deadline.from_ms(deadline_ms) if deadline_ms is not None else None
         obs = self.observability
         tracer = obs.tracer_for(trace)
-        if tracer is None:
-            results = self._search_batch_impl(
-                expressions, record_times, None, start,
-                deadline=deadline, degrade=degrade,
-            )
-            trace_dict = None
-        else:
-            with tracer.span("search_batch", n_queries=len(expressions)) as root:
+        with (
+            tracer.span("search_batch", n_queries=len(expressions))
+            if tracer is not None
+            else NO_SPAN
+        ) as root:
+            if root is not None:
                 # Share the clock origin with the batch's own stamps, so
                 # emit times and span times of one request line up.
                 root.t0 = start
-                results = self._search_batch_impl(
-                    expressions, record_times, tracer, start,
-                    deadline=deadline, degrade=degrade,
-                )
+            results = self._search_batch_impl(
+                expressions, record_times, tracer, start,
+                deadline=deadline, degrade=degrade,
+            )
+        trace_dict = None
+        if root is not None:
             trace_dict = root.to_dict()
             for result in results:
                 result.trace = trace_dict
@@ -370,7 +367,7 @@ class QueryService:
                 with (
                     tracer.span(span_name, n_leaves=len(todo))
                     if tracer is not None
-                    else nullcontext()
+                    else NO_SPAN
                 ):
                     try:
                         answers = run(
@@ -599,13 +596,7 @@ class QueryService:
             start_index = executor.n_datasets
             indexes = list(range(start_index, start_index + len(new_synopses)))
             fits = all(
-                executor.fits(
-                    s,
-                    points=(
-                        new_datasets[j].points if new_datasets is not None else None
-                    ),
-                    index=start_index + j,
-                )
+                executor.fits(s, index=start_index + j)
                 for j, s in enumerate(new_synopses)
             )
             if not fits:
@@ -623,9 +614,7 @@ class QueryService:
                 self._apply_additions(executor, new_datasets)
                 all_synopses = list(executor.synopses) + new_synopses
                 self._rebuild_locked(
-                    repository=executor.repository,
-                    synopses=all_synopses,
-                    carry_removed=True,  # same identity space, grown
+                    repository=executor.repository, synopses=all_synopses
                 )
                 reason = "bounding_box"
                 rebuilt = True
@@ -683,54 +672,38 @@ class QueryService:
         """Drop all cached leaf answers (synopsis set changed)."""
         self.cache.invalidate()
 
-    def rebuild(
-        self,
-        repository: Optional[Repository] = None,
-        synopses: Optional[Sequence[Synopsis]] = None,
-        n_shards: Optional[int] = None,
-    ) -> None:
-        """Swap the underlying data and invalidate every cached answer.
+    def rebuild(self) -> None:
+        """Rebuild over the current data and invalidate every cached answer
+        (e.g. after mutating synopses in place): cached answers are only
+        valid for the synopsis set they were computed on.
 
-        Passing nothing rebuilds over the current data (e.g. after mutating
-        synopses in place); the cache is always flushed, because cached
-        answers are only valid for the synopsis set they were computed on.
-        On that no-argument path, delta-shard datasets are folded into the
-        new base partition and tombstoned datasets are compacted out of the
-        shard engines (their indexes stay reserved; the removal mask
-        survives the rebuild).  Passing a repository or synopses swaps in a
-        *new* identity space, so the mask is reset — index ``i`` of the new
-        data has nothing to do with a previously removed index ``i``.
+        Delta-shard datasets are folded into the new base partition and
+        tombstoned datasets are compacted out of the shard engines; their
+        indexes stay reserved and the removal mask survives the rebuild.
         """
         with self._mutation_lock:
-            self._rebuild_locked(
-                repository=repository,
-                synopses=synopses,
-                n_shards=n_shards,
-                carry_removed=repository is None and synopses is None,
-            )
+            self._rebuild_locked()
 
     def _rebuild_locked(
         self,
         repository: Optional[Repository] = None,
         synopses: Optional[Sequence[Synopsis]] = None,
-        n_shards: Optional[int] = None,
-        carry_removed: bool = True,
     ) -> None:
+        """``repository`` / ``synopses`` are the grown inputs of the
+        bounding-box path of :meth:`add_datasets` — the same identity
+        space, so the removal mask is carried either way."""
         if repository is None and synopses is None:
             # Keep BOTH current inputs: the synopses may be user-supplied
             # (histograms, samples, ...) rather than derived exact ones, and
             # dropping them would silently change answer semantics.  The
-            # executor skips re-wrapping already-seeded synopses.
+            # executor keeps already-seeded synopses as they are.
             repository = self.executor.repository
             synopses = self.executor.synopses
-        if n_shards is None:
-            n_shards = self.n_shards
-        old = self.executor
         new = ShardedBatchExecutor(
             synopses=synopses,
             repository=repository,
-            n_shards=n_shards,
-            removed=old.removed if carry_removed else None,
+            n_shards=self.n_shards,
+            removed=self.executor.removed,
             **self._executor_kwargs,
         )
         # Flush on BOTH sides of the publication (see search_batch's capture

@@ -14,7 +14,10 @@ ingredients, all handled here:
   stream, so the sample a dataset gets depends on how many datasets were
   registered before it.  :class:`SeededSampleSynopsis` re-seeds per dataset
   (and per draw size), making each coreset a pure function of
-  ``(seed, global index, size)``;
+  ``(seed, global index, size)``.  Seeding is unconditional: every synopsis
+  an executor holds is seeded, and one that arrives already seeded keeps
+  the index it carries (that is how a federated node states *global*
+  indexes);
 - **bounding box** — derived from the *global* repository (or passed in),
   never per shard;
 - **query slack** — ``eps_effective`` depends on the engine's dataset count
@@ -59,8 +62,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, ContextManager, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +83,7 @@ from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import check_dynamic_engine
 from repro.service import faults
+from repro.service.observability import NO_SPAN
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 
@@ -184,10 +187,10 @@ class ShardedBatchExecutor:
     bounding_box:
         Shared Ptile bounding box; defaults to ``repository.bounding_box()``.
     seed:
-        Seed of the per-dataset deterministic sampling streams.
-    deterministic:
-        Wrap synopses in :class:`SeededSampleSynopsis` (default).  Disable
-        only if the synopses are already deterministic samplers.
+        Seed of the per-dataset deterministic sampling streams: every
+        synopsis is wrapped in :class:`SeededSampleSynopsis` with its
+        position as index, except one that arrives already seeded, which
+        keeps the index it carries.
     engine:
         Range-search backend name forced onto every shard engine (and the
         delta shard): ``"kd"`` (default) or ``"columnar"`` (vectorized
@@ -217,7 +220,6 @@ class ShardedBatchExecutor:
         sample_size: Optional[int] = None,
         bounding_box: Optional[Rectangle] = None,
         seed: int = 0,
-        deterministic: bool = True,
         engine: str = "kd",
         capacity: Optional[int] = None,
         removed: Optional[Iterable[int]] = None,
@@ -235,21 +237,9 @@ class ShardedBatchExecutor:
         self.dim = dims.pop()
         self.eps = float(eps)
         self.seed = int(seed)
-        self._deterministic = bool(deterministic)
         self._delta_param = delta
         self.engine_kind = check_dynamic_engine(engine)
-        if deterministic:
-            # Idempotent: synopses coming back from a previous executor
-            # (QueryService.rebuild) are already seeded — re-wrapping them
-            # would be harmless but obscures `.base` introspection.
-            synopses = [
-                s
-                if isinstance(s, SeededSampleSynopsis)
-                and (s.seed, s.index) == (self.seed, i)
-                else SeededSampleSynopsis(s, seed, i)
-                for i, s in enumerate(synopses)
-            ]
-        self.synopses = synopses
+        self.synopses = [self._seeded(s, i) for i, s in enumerate(synopses)]
         self.repository = repository
 
         self.removed = frozenset(int(i) for i in (removed or ()))
@@ -274,22 +264,8 @@ class ShardedBatchExecutor:
         )
         if bounding_box is None and repository is not None:
             bounding_box = repository.bounding_box()
-        if bounding_box is None and deterministic:
+        if bounding_box is None:
             bounding_box = self._bounding_box_from_synopses()
-        if (
-            bounding_box is None
-            and n_shards > 1
-            and any(s.delta_ptile is not None for s in synopses)
-        ):
-            # Non-deterministic sampling, no repository, no explicit box:
-            # every shard would auto-derive a different Ptile box from its
-            # local coresets, silently breaking the partition-independence
-            # this class documents.  Refuse rather than diverge.  Pref-only
-            # synopses are exempt — no Ptile index is ever built over them.
-            raise ConstructionError(
-                "sharding non-deterministic synopses needs an explicit "
-                "bounding_box (or a repository to derive one from)"
-            )
         self.bounding_box = bounding_box
         self.eps_effective = max(
             self.eps,
@@ -300,16 +276,7 @@ class ShardedBatchExecutor:
         self.shards = [[live[p] for p in part] for part in parts]
         self.n_shards = len(self.shards)
         self.engines = [
-            DatasetSearchEngine(
-                synopses=[self.synopses[i] for i in shard],
-                eps=eps,
-                phi=self.phi_eff,
-                delta=delta,
-                sample_size=self.sample_size,
-                bounding_box=self.bounding_box,
-                engine=self.engine_kind,
-                rng=np.random.default_rng((self.seed, s)),
-            )
+            self._new_unit([self.synopses[i] for i in shard], s)
             for s, shard in enumerate(self.shards)
         ]
         self._locks = [threading.Lock() for _ in range(self.n_shards)]
@@ -336,6 +303,33 @@ class ShardedBatchExecutor:
     def delta_size(self) -> int:
         """Datasets sitting in the append-only delta shard."""
         return len(self.delta_ids)
+
+    def _seeded(self, synopsis: Synopsis, index: int) -> Synopsis:
+        """``synopsis`` with its per-dataset sampling stream.  One that
+        arrives seeded is kept as it is — the index it carries is its
+        identity (a federated node's global index, or the one a previous
+        executor gave it) — and anything else is wrapped with
+        ``(seed, index)``."""
+        if isinstance(synopsis, SeededSampleSynopsis):
+            return synopsis
+        return SeededSampleSynopsis(synopsis, self.seed, index)
+
+    def _new_unit(
+        self, synopses: Sequence[Synopsis], stream: int
+    ) -> DatasetSearchEngine:
+        """The engine of one shard unit under the frozen contract: base
+        shard ``s`` draws on rng stream ``s``, the delta shard on stream
+        ``n_shards``.  Nothing is built until the unit is first used."""
+        return DatasetSearchEngine(
+            synopses=synopses,
+            eps=self.eps,
+            phi=self.phi_eff,
+            delta=self._delta_param,
+            sample_size=self.sample_size,
+            bounding_box=self.bounding_box,
+            engine=self.engine_kind,
+            rng=np.random.default_rng((self.seed, stream)),
+        )
 
     def _bounding_box_from_synopses(self) -> Optional[Rectangle]:
         """A shared Ptile box in the federated (synopses-only) setting.
@@ -411,9 +405,8 @@ class ShardedBatchExecutor:
         poll — so an armed ``sleep`` deterministically trips a short
         deadline.
         """
-        span: ContextManager[object]
         if tracer is None:
-            span = nullcontext()
+            span = NO_SPAN
         elif engine is self.delta_engine:
             span = tracer.span("delta_eval", n_datasets=len(mapping))
         else:
@@ -489,12 +482,16 @@ class ShardedBatchExecutor:
 
     def _eval_on_units(
         self,
+        counter: str,
         units: Sequence[tuple],
         leaves: Sequence[Predicate],
-        tracer: Optional[Tracer] = None,
-        deadline: "Optional[Deadline]" = None,
+        tracer: Optional[Tracer],
+        deadline: "Optional[Deadline]",
     ) -> list[tuple[DatasetBitmap, float]]:
-        """Evaluate a leaf batch on each unit in turn and merge (masked) answers.
+        """Evaluate a leaf batch on each unit in turn and merge (masked)
+        answers — the one body of :meth:`eval_leaves` and
+        :meth:`eval_delta_leaves`, which differ in the units they visit and
+        the ``stats`` counter a completed batch is added to.
 
         Units run one after another on the calling thread, each under its
         own span (see :meth:`_eval_on_unit`); the merge loop runs under a
@@ -509,8 +506,13 @@ class ShardedBatchExecutor:
         is *exact*: all shards answered it and the tombstone mask was
         applied, so callers can keep it.
         """
+        leaves = list(leaves)
+        if not leaves:
+            return []
         if not units:
             stamp = time.perf_counter()
+            with self._stats_lock:
+                self.stats[counter] += len(leaves)
             return [(DatasetBitmap.zeros(0), stamp) for _ in leaves]
         per_unit: list[list[tuple[DatasetBitmap, float]]] = []
         tripped = False
@@ -534,14 +536,11 @@ class ShardedBatchExecutor:
             if len(per_unit) == len(units)
             else 0  # a unit that was never started completed no leaf
         )
-        merge_span = (
+        with (
             tracer.span("merge", n_units=len(units), n_leaves=len(leaves))
             if tracer is not None
-            else None
-        )
-        if merge_span is not None:
-            merge_span.__enter__()
-        try:
+            else NO_SPAN
+        ):
             removed = self.removed_bits()
             out: list[tuple[DatasetBitmap, float]] = []
             for li in range(n_merge):
@@ -553,15 +552,14 @@ class ShardedBatchExecutor:
                 if removed is not None:
                     merged = merged.andnot(removed)
                 out.append((merged, done))
-        finally:
-            if merge_span is not None:
-                merge_span.__exit__(None, None, None)
         if tripped:
             raise DeadlineExceeded(
                 f"deadline expired after {n_merge}/{len(leaves)} leaves",
                 stage="shard_eval",
                 partial=out,
             )
+        with self._stats_lock:
+            self.stats[counter] += len(out)
         return out
 
     # ------------------------------------------------------------------
@@ -582,15 +580,9 @@ class ShardedBatchExecutor:
         the last shard finished that leaf — the stamp the emit scheduler
         attributes to it.
         """
-        leaves = list(leaves)
-        if not leaves:
-            return []
-        out = self._eval_on_units(
-            self._units(), leaves, tracer=tracer, deadline=deadline
+        return self._eval_on_units(
+            "leaf_evals", self._units(), leaves, tracer, deadline
         )
-        with self._stats_lock:
-            self.stats["leaf_evals"] += len(out)
-        return out
 
     def eval_delta_leaves(
         self,
@@ -608,36 +600,24 @@ class ShardedBatchExecutor:
         without touching any base shard.  With no delta shard the answers
         are empty bitsets.
         """
-        leaves = list(leaves)
-        if not leaves:
-            return []
-        out = self._eval_on_units(
-            self._units(delta_only=True), leaves, tracer=tracer, deadline=deadline
+        return self._eval_on_units(
+            "delta_evals", self._units(delta_only=True), leaves, tracer, deadline
         )
-        with self._stats_lock:
-            self.stats["delta_evals"] += len(out)
-        return out
 
     # ------------------------------------------------------------------
     # Live mutation
     # ------------------------------------------------------------------
-    def fits(
-        self,
-        synopsis: Synopsis,
-        points: Optional[np.ndarray] = None,
-        index: Optional[int] = None,
-    ) -> bool:
+    def fits(self, synopsis: Synopsis, index: Optional[int] = None) -> bool:
         """Whether a new dataset can enter the delta shard under the frozen
         accuracy contract (i.e. its Ptile coreset lies inside the shared
         bounding box).
 
         Pref-only synopses always fit (no Ptile structure is built over
-        them).  With deterministic sampling the check draws exactly the
-        coreset the delta engine will use for global index ``index``
-        (default: the next index), so it is exact; otherwise it checks the
-        raw ``points`` — and without them it refuses (a heuristic draw
-        could admit a synopsis whose real build-time coreset then falls
-        outside the box, poisoning the delta shard with no rollback).
+        them).  The check is exact: it draws the very coreset the delta
+        engine will use for global index ``index`` (default: the next
+        index) — a heuristic draw could admit a synopsis whose real
+        build-time coreset then falls outside the box, poisoning the delta
+        shard with no rollback.
         """
         if synopsis.dim != self.dim:
             raise ConstructionError("synopsis dimension mismatch")
@@ -645,26 +625,22 @@ class ShardedBatchExecutor:
             return True
         if self.bounding_box is None:
             return False
-        if self._deterministic:
-            gid = self.n_datasets if index is None else int(index)
-            own = np.random.default_rng((self.seed, gid, int(self.sample_size)))
-            sample = synopsis.sample(self.sample_size, own)
-        elif points is not None:
-            sample = points
-        else:
-            return False
+        gid = self.n_datasets if index is None else int(index)
+        sample = self._seeded(synopsis, gid).sample(
+            self.sample_size, np.random.default_rng(0)
+        )
         pts = np.asarray(sample, dtype=float)
         return bool(self.bounding_box.contains_points(pts).all())
 
     def add_synopses(self, synopses: Sequence[Synopsis]) -> list[int]:
         """Append datasets to the delta shard; returns their global indexes.
 
-        New synopses are wrapped for per-dataset deterministic sampling
-        keyed by their global index, so the coreset each dataset gets is the
-        one a fresh build over the grown repository would draw.  The delta
-        engine shares the frozen bounding box and accuracy contract; its
-        Ptile index is pinned to the executor ``eps_effective`` on first
-        use, exactly like every base shard.
+        New synopses are seeded (:meth:`_seeded`) by their global index, so
+        the coreset each dataset gets is the one a fresh build over the
+        grown repository would draw.  The delta engine shares the frozen
+        bounding box and accuracy contract; its Ptile index is pinned to
+        the executor ``eps_effective`` on first use, exactly like every
+        base shard.
         """
         new = list(synopses)
         if not new:
@@ -684,28 +660,10 @@ class ShardedBatchExecutor:
             # datasets above the stored watermark and the next upgrade
             # union is idempotent.
             start = len(self.synopses)
-            ids: list[int] = []
-            wrapped: list[Synopsis] = []
-            for offset, s in enumerate(new):
-                gid = start + offset
-                if self._deterministic and not (
-                    isinstance(s, SeededSampleSynopsis)
-                    and (s.seed, s.index) == (self.seed, gid)
-                ):
-                    s = SeededSampleSynopsis(s, self.seed, gid)
-                wrapped.append(s)
-                ids.append(gid)
+            ids = list(range(start, start + len(new)))
+            wrapped = [self._seeded(s, gid) for gid, s in zip(ids, new)]
             if self.delta_engine is None:
-                engine = DatasetSearchEngine(
-                    synopses=wrapped,
-                    eps=self.eps,
-                    phi=self.phi_eff,
-                    delta=self._delta_param,
-                    sample_size=self.sample_size,
-                    bounding_box=self.bounding_box,
-                    engine=self.engine_kind,
-                    rng=np.random.default_rng((self.seed, self.n_shards)),
-                )
+                engine = self._new_unit(wrapped, self.n_shards)
                 # Mapping before engine: _units() gates on the engine, so
                 # a racing reader must never pair it with the old mapping.
                 self.delta_ids = list(ids)

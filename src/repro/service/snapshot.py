@@ -483,30 +483,18 @@ def _unit_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
 
 
 def _unit_from_state(
-    ex: ShardedBatchExecutor, ids: list[int], sub: dict, arrays: _ArrayTable
+    ex: ShardedBatchExecutor, ids: list[int], stream: int, sub: dict,
+    arrays: _ArrayTable,
 ) -> DatasetSearchEngine:
-    """The shard engine over ``ex.synopses[ids]``; the shared contract is
-    read off the executor being restored, as its constructor forces it."""
-    eng = DatasetSearchEngine.__new__(DatasetSearchEngine)
-    eng.synopses = [ex.synopses[i] for i in ids]
-    if not eng.synopses:
-        raise SnapshotError("shard state has no synopses")
-    eng.repository = None
-    eng.dim = ex.dim
-    eng.eps = ex.eps
-    eng._phi = ex.phi_eff
-    eng._delta = ex._delta_param
-    eng._sample_size = ex.sample_size
-    eng._bounding_box = ex.bounding_box
-    eng.engine_kind = ex.engine_kind
+    """The shard engine over ``ex.synopses[ids]``: built by the executor
+    being restored, exactly as its constructor builds one (which is cheap —
+    nothing is built until first use), then planted with what the file
+    holds."""
+    eng = ex._new_unit([ex.synopses[i] for i in ids], stream)
     eng._leaf_size = int(sub["leaf_size"])
     eng._rng = _restore_rng(sub["rng"])
-    eng._ptile = (
-        None
-        if sub["ptile"] is None
-        else _ptile_from_state(sub["ptile"], arrays, eng.synopses)
-    )
-    eng._pref = {}
+    if sub["ptile"] is not None:
+        eng._ptile = _ptile_from_state(sub["ptile"], arrays, eng.synopses)
     return eng
 
 
@@ -531,7 +519,6 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     return {
         "eps": float(ex.eps),
         "seed": int(ex.seed),
-        "deterministic": bool(ex._deterministic),
         "delta": ex._delta_param,
         "engine": ex.engine_kind,
         "capacity": ex.capacity,
@@ -555,7 +542,6 @@ def _executor_from_state(
     ex = ShardedBatchExecutor.__new__(ShardedBatchExecutor)
     ex.eps = float(state["eps"])
     ex.seed = int(state["seed"])
-    ex._deterministic = bool(state["deterministic"])
     ex._delta_param = state["delta"]
     ex.engine_kind = check_dynamic_engine(state["engine"])
     ex.capacity = state["capacity"]
@@ -581,15 +567,17 @@ def _executor_from_state(
                 f"executor state names dataset {i} of {len(ex.synopses)}"
             )
     ex.engines = [
-        _unit_from_state(ex, shard, sub, arrays)
-        for shard, sub in zip(ex.shards, state["engines"])
+        _unit_from_state(ex, shard, s, sub, arrays)
+        for s, (shard, sub) in enumerate(zip(ex.shards, state["engines"]))
     ]
     ex._locks = [threading.Lock() for _ in range(ex.n_shards)]
     ex._stats_lock = threading.Lock()
     ex.delta_engine = (
         None
         if state["delta_engine"] is None
-        else _unit_from_state(ex, ex.delta_ids, state["delta_engine"], arrays)
+        else _unit_from_state(
+            ex, ex.delta_ids, ex.n_shards, state["delta_engine"], arrays
+        )
     )
     ex._delta_lock = threading.Lock()
     ex.stats = {"leaf_evals": 0, "shard_tasks": 0, "delta_evals": 0}  # guarded-by: _stats_lock
@@ -680,6 +668,9 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
 def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
     svc = QueryService.__new__(QueryService)
     kw = dict(state["executor_kwargs"])
+    # Files written before seeding became unconditional carry the retired
+    # flag; it must not reach ``ShardedBatchExecutor(**kw)`` on a rebuild.
+    kw.pop("deterministic", None)
     kw["bounding_box"] = _box_from(kw["bounding_box"])
     svc._executor_kwargs = kw
     svc.executor = _executor_from_state(state["executor"], arrays)

@@ -45,7 +45,7 @@ A monitor thread in the parent keeps the fleet at strength:
   public port never exposes that endpoint), and the dead slot respawns
   as a plain reader.  Single-writer stays invariant throughout.
 - **Liveness probes**: workers that stop answering ``/healthz`` on the
-  admin port for ``probe_failures`` consecutive probes are killed
+  admin port for :data:`PROBE_FAILURES` consecutive probes are killed
   (SIGKILL) and recycled through the respawn path — a hung process is
   as dead as a crashed one.
 
@@ -76,6 +76,12 @@ from repro.service import snapshot as snapshot_mod
 from repro.service.admission import AdmissionGate
 from repro.service.server import JsonRequestHandler, http_call, make_handler
 from repro.service.service import QueryService
+
+#: Liveness probing: each live worker's admin ``/healthz`` is hit every
+#: ``PROBE_INTERVAL`` seconds; ``PROBE_FAILURES`` consecutive misses get the
+#: worker SIGKILLed (and recycled via respawn).
+PROBE_INTERVAL = 1.0
+PROBE_FAILURES = 3
 
 
 def fork_available() -> bool:
@@ -248,10 +254,6 @@ class ServiceSupervisor:
     crash_loop_threshold, crash_loop_window:
         Circuit breaker: a slot crashing ``threshold`` times within
         ``window`` seconds stays down until the supervisor restarts.
-    probe_interval, probe_failures:
-        Liveness probing: each live worker's admin ``/healthz`` is hit
-        every ``probe_interval`` seconds; ``probe_failures`` consecutive
-        misses get the worker SIGKILLed (and recycled via respawn).
     max_inflight, max_queue:
         Per-worker admission control knobs (see
         :class:`~repro.service.admission.AdmissionGate`); None disables.
@@ -283,8 +285,6 @@ class ServiceSupervisor:
         backoff_seed: Optional[int] = None,
         crash_loop_threshold: int = 5,
         crash_loop_window: float = 30.0,
-        probe_interval: float = 1.0,
-        probe_failures: int = 3,
         max_inflight: Optional[int] = None,
         max_queue: int = 0,
     ) -> None:
@@ -309,8 +309,6 @@ class ServiceSupervisor:
         self._backoff_rng = random.Random(backoff_seed)  # guarded-by: _lock
         self.crash_loop_threshold = int(crash_loop_threshold)
         self.crash_loop_window = float(crash_loop_window)
-        self.probe_interval = float(probe_interval)
-        self.probe_failures = int(probe_failures)
         self.max_inflight = max_inflight
         self.max_queue = int(max_queue)
         self.admin_port: Optional[int] = None  # the parent's own admin port
@@ -643,7 +641,7 @@ class ServiceSupervisor:
             due = [
                 s
                 for s in self._slots
-                if s.alive and now - s.last_probe >= self.probe_interval
+                if s.alive and now - s.last_probe >= PROBE_INTERVAL
             ]
         timeout = min(1.0, self.fetch_timeout)
         for slot in due:
@@ -653,7 +651,7 @@ class ServiceSupervisor:
                 slot.probe_misses = 0
             except OSError:
                 slot.probe_misses += 1
-                if slot.probe_misses >= self.probe_failures:
+                if slot.probe_misses >= PROBE_FAILURES:
                     self._log(
                         f"worker {slot.worker_id} missed "
                         f"{slot.probe_misses} health probes; killing"

@@ -286,6 +286,25 @@ def test_zero_cost_passes_ifexp_and_boolop():
     assert run(src, "zero-cost") == []
 
 
+def test_zero_cost_passes_the_no_span_with_item():
+    # The one spelling of a traced stage in service/: the conditional
+    # context is the guard, and `span` (None when untraced) is not the
+    # tracer — its own None check is the body's business.
+    src = """
+    from repro.service.observability import NO_SPAN
+
+    def f(x, tracer=None):
+        with (tracer.span("x") if tracer is not None else NO_SPAN) as span:
+            if span is not None:
+                span.meta.update(n=x)
+            return x
+    """
+    assert run(src, "zero-cost") == []
+    unconditional = src.replace(' if tracer is not None else NO_SPAN', "")
+    (finding,) = run(unconditional, "zero-cost")
+    assert "tracer.span" in finding.message
+
+
 def test_zero_cost_guard_survives_for_with_and_try():
     # The guard-dominance walker is shared with failpoint-discipline
     # (analysis/context.py): a guard nested inside a loop, a `with` or a

@@ -1,12 +1,16 @@
 """End-to-end tests for DatasetSearchEngine."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import And, Or, Predicate, pred
+from repro.core.pref_index import pref_threshold
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
@@ -153,3 +157,71 @@ class TestQuality:
     def test_record_times(self, engine):
         res = engine.search(pred(PercentileMeasure(REGION), 0.1), record_times=True)
         assert res.start_time is not None and res.end_time is not None
+
+
+# ----------------------------------------------------------------------
+# search() is one path: plan -> dedupe -> one leaf batch -> combine
+# ----------------------------------------------------------------------
+_POOL_RECT = Rectangle([0.0], [0.5])
+#: Few leaves, so random trees repeat them (what the planner dedupes).
+LEAF_POOL = [
+    pred(PercentileMeasure(_POOL_RECT), 0.3),
+    pred(PercentileMeasure(_POOL_RECT), 0.1, 0.6),
+    pred(PercentileMeasure(Rectangle([0.4], [1.0])), 0.5),
+    pred(PreferenceMeasure(np.array([1.0]), 3), 0.4),
+    pred(PreferenceMeasure(np.array([-1.0]), 2), -0.6),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_engine(kind):
+    """One small 1-D engine per backend name, built once (the range tree
+    takes over a second even here)."""
+    rng = np.random.default_rng(5)
+    arrays = [
+        np.clip(rng.normal(rng.uniform(0.2, 0.8, size=1), 0.15, size=(60, 1)), 0, 1)
+        for _ in range(6)
+    ]
+    return DatasetSearchEngine(
+        repository=Repository.from_arrays(arrays), eps=0.2, sample_size=4,
+        engine=kind, rng=np.random.default_rng(1),
+    )
+
+
+def _leaf_at_a_time(engine, expression):
+    """The recursion ``search`` used to run untimed (one structure query
+    per leaf *occurrence*, no planner), kept here as the oracle."""
+    if isinstance(expression, Predicate):
+        measure = expression.measure
+        if isinstance(measure, PercentileMeasure):
+            return engine.ptile_index.query(measure.rect, expression.theta).index_set
+        return engine.pref_index(measure.k).query(
+            measure.vector, pref_threshold(expression.theta)
+        ).index_set
+    parts = [_leaf_at_a_time(engine, c) for c in expression.children]
+    combine = set.intersection if isinstance(expression, And) else set.union
+    return combine(*parts)
+
+
+_TREES = st.recursive(
+    st.sampled_from(LEAF_POOL),
+    lambda children: st.builds(
+        lambda node, kids: node(kids),
+        st.sampled_from([And, Or]),
+        st.lists(children, min_size=2, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("kind", ["kd", "columnar", "rangetree"])
+@settings(max_examples=30, deadline=None)
+@given(expression=_TREES)
+def test_search_is_one_path_on_every_engine(kind, expression):
+    engine = _pool_engine(kind)
+    untimed = engine.search(expression)
+    timed = engine.search(expression, record_times=True)
+    assert untimed.index_set == set(timed.indexes)
+    assert len(timed.emit_times) == len(timed.indexes)
+    assert untimed.index_set == _leaf_at_a_time(engine, expression)
+    assert engine.ground_truth(expression) <= untimed.index_set

@@ -86,7 +86,10 @@ class TestDeadlineClass:
     def test_generous_budget_does_not(self):
         assert not Deadline.from_ms(60_000).expired()
 
-    @pytest.mark.parametrize("bad", [0, -5, "soon", None])
+    @pytest.mark.parametrize(
+        "bad",
+        [0, -5, "soon", None, "5", True, float("inf"), float("nan"), 10**400],
+    )
     def test_invalid_budgets_rejected(self, bad):
         with pytest.raises(QueryError):
             Deadline.from_ms(bad)

@@ -32,6 +32,8 @@ from repro.service.server import (
     expression_to_json,
     make_server,
 )
+from repro.service.sharding import SeededSampleSynopsis
+from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.quantile import QuantileHistogramSynopsis
 from repro.synopsis.serialize import to_dict as synopsis_to_dict
 from repro.workloads.generators import synthetic_data_lake
@@ -607,7 +609,88 @@ class TestCoordinatorHTTP:
             coord.search_batch([expression_from_json(typo)])
 
 
+def _stage_counts(coord):
+    """``{stage: count}`` of ``repro_federation_stage_seconds``."""
+    counts = {}
+    for line in coord.registry.render().splitlines():
+        if line.startswith("repro_federation_stage_seconds_count{"):
+            name, _, value = line.rpartition(" ")
+            counts[name.split('stage="')[1].split('"')[0]] = int(value)
+    return counts
+
+
+def _with_undrawn_outlier(executor, points):
+    """``points`` with one row the executor's next coreset does not draw
+    moved far outside its box (rows are drawn by position)."""
+    drawn = SeededSampleSynopsis(
+        ExactSynopsis(points), executor.seed, executor.n_datasets
+    ).sample(executor.sample_size, np.random.default_rng(0))
+    spare = next(i for i, p in enumerate(points) if not (drawn == p).all(1).any())
+    out = np.array(points, dtype=float)
+    out[spare] = executor.bounding_box.hi + 100.0
+    return out
+
+
+class TestNodeFrame:
+    """``federated_node_service`` hands the service seeded synopses and
+    nothing else: the executor keeps the global index each one carries."""
+
+    @pytest.fixture()
+    def node(self, lake):
+        per = N_TOTAL // N_NODES
+        box = Repository.from_arrays(lake).bounding_box()
+        svc = _node_service(lake[per:2 * per], per, N_TOTAL, box)
+        yield svc
+        svc.close()
+
+    def test_answers_survive_rebuild_and_snapshot(self, node, queries, tmp_path):
+        per = N_TOTAL // N_NODES
+        global_ids = list(range(per, 2 * per))
+        before = [r.indexes for r in node.search_batch(list(queries))]
+        assert [s.index for s in node.executor.synopses] == global_ids
+        node.rebuild()
+        assert [s.index for s in node.executor.synopses] == global_ids
+        assert [r.indexes for r in node.search_batch(list(queries))] == before
+        node.save(tmp_path / "node.snap")
+        loaded = QueryService.load(tmp_path / "node.snap")
+        assert [s.index for s in loaded.executor.synopses] == global_ids
+        assert [r.indexes for r in loaded.search_batch(list(queries))] == before
+        loaded.rebuild()
+        assert [r.indexes for r in loaded.search_batch(list(queries))] == before
+        loaded.close()
+
+    def test_fits_is_the_exact_coreset_check(self, node, reference, lake):
+        """A dataset whose *coreset* lies in the box is admitted even where
+        a raw point does not — what a single service already does (the node
+        used to check the raw points and refuse)."""
+        for svc in (reference, node):
+            ex = svc.executor
+            outlier = _with_undrawn_outlier(ex, lake[0])
+            assert not ex.bounding_box.contains_points(outlier).all()
+            assert ex.fits(ExactSynopsis(outlier))
+        receipt = node.add_datasets([outlier])
+        assert receipt["rebuilt"] is False and receipt["delta_size"] == 1
+
+
 class TestTracing:
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_each_stage_is_observed_once_per_batch(self, nodes, queries, tracing):
+        """The stage family is fed in one place: with tracing on, the
+        tracer used to observe ``merge`` a second time (and grow
+        ``federated_batch`` / ``scatter`` series the HELP line never named)."""
+        coord = FederatedCoordinator(seed=3, tracing=tracing)
+        _register_all(coord, nodes)
+        k = 3
+        for _ in range(k):
+            batch = coord.search_batch([list(queries)[0]])
+        assert _stage_counts(coord) == {"gather": k, "merge": k}
+        if tracing:
+            assert batch.trace["name"] == "federated_batch"
+            assert [c["name"] for c in batch.trace["children"]] == ["scatter", "merge"]
+        else:
+            assert batch.trace is None
+        coord.close()
+
     def test_spans_cover_scatter_gather_merge(self, nodes, queries):
         coord = FederatedCoordinator(seed=3, tracing=True)
         _register_all(coord, nodes)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -150,6 +151,22 @@ ROWS = [
            {"expression": {**GOOD, "lo": [0, 0], "hi": [0.5, 0.5]}}),
     *_both("bad-deadline", "POST", "/search",
            {"expression": GOOD, "deadline_ms": "soon"}),
+    # -- flags and budgets: JSON booleans, a finite JSON number -----------
+    # bool("false") is True: the string would switch the flag *on*.
+    Row("node-degrade-string", "node", "POST", "/search",
+        {"expression": GOOD, "degrade": "false"}),
+    Row("node-trace-string", "node", "POST", "/search",
+        {"expression": GOOD, "trace": "false"}),
+    Row("node-record-times-string", "node", "POST", "/search/batch",
+        {"expressions": [GOOD], "record_times": "no"}),
+    Row("node-degrade-number", "node", "POST", "/search/batch",
+        {"expressions": [GOOD], "degrade": 0}),
+    *_both("string-deadline", "POST", "/search",
+           {"expression": GOOD, "deadline_ms": "5"}),
+    *_both("boolean-deadline", "POST", "/search/batch",
+           {"expressions": [GOOD], "deadline_ms": True}),  # float(True): 1 ms
+    *_both("infinite-deadline", "POST", "/search",
+           {"expression": GOOD, "deadline_ms": float("inf")}),
     # -- node mutations ---------------------------------------------------
     Row("node-datasets-missing", "node", "POST", "/datasets", {}),
     Row("node-datasets-ragged", "node", "POST", "/datasets", {"datasets": [[[1], [1, 2]]]}),
@@ -231,6 +248,15 @@ def _metric_labels(text: str, family: str) -> set:
     return labels
 
 
+def _gate_idle(gate, timeout=2.0):
+    """The envelope releases the admission slot *after* the reply is on the
+    wire, so a client can be a few microseconds ahead of it: wait, bounded."""
+    give_up = time.monotonic() + timeout
+    while gate.snapshot()["inflight"] and time.monotonic() < give_up:
+        time.sleep(0.002)
+    return gate.snapshot()["inflight"] == 0
+
+
 def test_healthy_after_the_table(edge):
     # Runs after every ROWS case (file order): nothing above tombstoned a
     # dataset, registered a node, tripped the breaker or wedged the gate.
@@ -241,6 +267,8 @@ def test_healthy_after_the_table(edge):
         status, _h, raw = conn.request("POST", "/search", {"expression": GOOD})
         conn.close()
         assert status == 200
+        # Else the coordinator's forwarded request can meet a held slot.
+        assert _gate_idle(edge.gate)
         replies[name] = json.loads(raw)
         assert replies[name]["indexes"] == expect.indexes
     assert replies["fed"]["federation"]["coverage"] == 1.0
@@ -249,7 +277,6 @@ def test_healthy_after_the_table(edge):
     assert node["breaker"]["state"] == "closed"
     assert node["breaker"]["consecutive_failures"] == 0
     assert node["failed_calls"] == 0
-    assert edge.gate.snapshot()["inflight"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -229,20 +229,6 @@ class TestRemoveEquivalence:
         assert masked == [sorted(set(b) - {0, 5}) for b in before]
         assert after == masked
 
-    def test_explicit_rebuild_swap_resets_mask(self):
-        # rebuild(repository=...) swaps in a new identity space: index 2 of
-        # the new data has nothing to do with the previously removed 2.  A
-        # smaller repository than the tombstoned index must also work.
-        lake = make_lake(6)
-        box = Repository.from_arrays(lake).bounding_box()
-        with make_service(lake[:10], box, 2) as svc:
-            svc.remove_datasets([2, 9])
-            svc.rebuild(repository=Repository.from_arrays(lake[:5]))
-            assert svc.executor.removed == frozenset()
-            assert svc.n_datasets == 5 and svc.n_live == 5
-            q = make_queries(17, n=1, pref_fraction=0.0)[0]
-            assert svc.ground_truth(q) <= set(svc.search(q).indexes)
-
     def test_remove_validation(self):
         lake = make_lake(6)
         box = Repository.from_arrays(lake).bounding_box()

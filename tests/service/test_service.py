@@ -117,6 +117,27 @@ class TestSeededSynopsis:
         assert w.delta_pref == base.delta_pref
 
 
+    def test_service_keeps_the_index_a_seeded_synopsis_carries(self, lake):
+        # No helper, no flag: a synopsis that arrives seeded is its own
+        # identity (a federated node's global index) and is not wrapped
+        # again — at construction, on a live add, through a rebuild.
+        offset = 100
+        exact = [ExactSynopsis(p) for p in lake[:7]]
+        seeded = [
+            SeededSampleSynopsis(s, SEED, offset + j) for j, s in enumerate(exact)
+        ]
+        with QueryService(
+            synopses=seeded[:6], n_shards=2, eps=EPS, sample_size=SAMPLE_SIZE,
+            seed=SEED, capacity=N_DATASETS,
+        ) as svc:
+            svc.add_datasets(synopses=seeded[6:])
+            svc.add_datasets(synopses=[ExactSynopsis(lake[7])])  # unseeded: local
+            svc.rebuild()
+            held = svc.executor.synopses
+            assert [s.base for s in held[:7]] == exact
+            assert [s.index for s in held] == [offset + j for j in range(7)] + [7]
+
+
 class TestShardMergeEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 3, 4])
     def test_identical_to_single_engine(
@@ -279,7 +300,7 @@ class TestServiceFacade:
         ) as svc:
             before = [s.base for s in svc.executor.synopses]
             assert before == synopses
-            svc.rebuild(n_shards=3)
+            svc.rebuild()
             assert [s.base for s in svc.executor.synopses] == synopses
 
     def test_rebuild_invalidates_and_reshards(self, repo, queries):
@@ -287,8 +308,8 @@ class TestServiceFacade:
             repository=repo, n_shards=2, eps=EPS, sample_size=SAMPLE_SIZE, seed=SEED
         ) as svc:
             before = [r.indexes for r in svc.search_batch(queries[:5])]
-            svc.rebuild(n_shards=4)
-            assert svc.n_shards == 4
+            svc.rebuild()
+            assert svc.n_shards == 2
             assert svc.cache.generation >= 1 and len(svc.cache) == 0
             after = [r.indexes for r in svc.search_batch(queries[:5])]
             assert before == after  # same data, same answers
@@ -296,16 +317,6 @@ class TestServiceFacade:
     def test_construction_validation(self):
         with pytest.raises(ConstructionError):
             QueryService()
-
-    def test_nondeterministic_sharding_needs_box(self, lake):
-        # deterministic=False with neither repository nor bounding_box would
-        # give every shard a different auto-derived Ptile box.
-        synopses = [ExactSynopsis(p) for p in lake]
-        with pytest.raises(ConstructionError):
-            QueryService(
-                synopses=synopses, n_shards=2, deterministic=False, eps=EPS,
-                sample_size=SAMPLE_SIZE,
-            )
 
     def test_stats_json_clean_before_first_query(self, repo):
         import json

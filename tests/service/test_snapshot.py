@@ -19,7 +19,8 @@ import pytest
 from repro.core.framework import Repository
 from repro.errors import SnapshotError
 from repro.service import QueryService
-from repro.service.snapshot import MAGIC, generation_of, inspect, load
+from repro.service.federation import federated_node_service
+from repro.service.snapshot import MAGIC, VERSION, generation_of, inspect, load
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
@@ -272,6 +273,44 @@ class TestExecutorAndEngineKinds:
             for reader in (load, QueryService.load, generation_of, inspect):
                 with pytest.raises(SnapshotError, match=f"holds kind {kind!r}"):
                     reader(path)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_retired_deterministic_keys_are_dropped_on_read(
+        self, lake, queries, tmp_path, mmap, flag
+    ):
+        """v5 files written before seeding became unconditional carry
+        ``"deterministic"`` twice — ``true`` from a plain service, ``false``
+        from a ``federated_node_service`` node.  They still load, answer
+        identically and rebuild (the key must not reach the executor's
+        constructor); this build writes neither key and ``VERSION`` stays."""
+        if flag:
+            svc = QueryService(
+                repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
+                eps=EPS, sample_size=SAMPLE_SIZE,
+            )
+        else:
+            svc = federated_node_service(
+                lake[4:12], offset=4, total=N_DATASETS, seed=SEED, n_shards=2,
+                bounding_box=Repository.from_arrays(lake).bounding_box(),
+                eps=EPS, sample_size=SAMPLE_SIZE,
+            )
+        svc.warm()
+        expected = answers(svc, queries)
+        path = tmp_path / "old.snap"
+        svc.save(path)
+        svc.close()
+        header, data = _read_header(path)
+        assert header["format"] == VERSION == 5
+        for holder in (header["state"]["executor_kwargs"], header["state"]["executor"]):
+            assert "deterministic" not in holder
+            holder["deterministic"] = flag
+        _write_header(path, header, data)
+        loaded = load(path, mmap=mmap)
+        assert answers(loaded, queries) == expected
+        loaded.rebuild()
+        assert answers(loaded, queries) == expected
+        loaded.close()
 
     def test_inspect(self, lake, tmp_path):
         svc = QueryService(

@@ -1,4 +1,5 @@
-"""wire-schema: HTTP handlers ship timing only as start-relative seconds.
+"""wire-schema: HTTP handlers read bodies through the field tables and ship
+timing only as start-relative seconds.
 
 PR 6 fixed the serving wire format: ``perf_counter`` stamps are
 process-local, so handlers must never emit them raw.  Timing goes on the
@@ -14,7 +15,11 @@ of ``BaseHTTPRequestHandler`` or of the repo's one envelope over it,
   have no meaning off-process;
 - a timing key (``emit_times``, ``duration_s``, ``*_s`` holding a
   ``.emit_times``/``.end_time``/``.start_time`` attribute) whose value
-  contains no subtraction — i.e. raw stamps about to be serialised.
+  contains no subtraction — i.e. raw stamps about to be serialised;
+- a route function — a value of a ``routes`` / ``*_routes`` dict — that
+  subscripts or ``.get()``s its body parameter: every inbound field is
+  read by ``repro.wire.decode`` through a table (PR 21), so a field read
+  around it has no type, no range and no generated hostile case.
 """
 
 from __future__ import annotations
@@ -77,10 +82,41 @@ def _wire_items(tree: ast.AST) -> Iterator[Tuple[str, ast.expr, int]]:
                     yield target.slice.value, node.value, node.lineno
 
 
+def _body_reads(tree: ast.AST) -> Iterator[Tuple[str, str, int]]:
+    """(route function, body parameter, line) per direct read of a route's
+    body: ``body[...]`` or ``body.get(...)``."""
+    routed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict) and any(
+            isinstance(t, ast.Name) and t.id.endswith("routes") for t in node.targets
+        ):
+            routed |= {v.id for v in node.value.values if isinstance(v, ast.Name)}
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in routed):
+            continue
+        if len(fn.args.args) < 2:  # a GET route: (handler) only
+            continue
+        body = fn.args.args[1].arg
+        for node in ast.walk(fn):
+            read = isinstance(node, ast.Subscript) or (
+                isinstance(node, ast.Attribute) and node.attr == "get"
+            )
+            if read and isinstance(node.value, ast.Name) and node.value.id == body:
+                yield fn.name, body, node.lineno
+
+
 @rule("wire-schema")
 def check(mod: ModuleInfo) -> Iterator[Finding]:
     if not _is_handler_module(mod):
         return
+    for route, body, line in _body_reads(mod.tree):
+        yield mod.finding(
+            "wire-schema",
+            line,
+            f"route {route}() reads {body!r} directly — read through "
+            "wire.decode and a field table, so the field has a type, a range "
+            "and a generated hostile case",
+        )
     for key, value, line in _wire_items(mod.tree):
         if key in _ABSOLUTE_KEYS:
             yield mod.finding(

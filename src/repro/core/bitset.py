@@ -48,6 +48,9 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
+from repro.errors import ConstructionError
+from repro.wire import BITSET, decode
+
 __all__ = ["DatasetBitmap", "bitmap_from_wire", "make_remapper"]
 
 #: Bits per word.
@@ -349,7 +352,8 @@ def make_remapper(
 
 
 def bitmap_from_wire(obj: dict) -> DatasetBitmap:
-    """Decode :meth:`DatasetBitmap.to_wire` output (client-side helper).
+    """Decode :meth:`DatasetBitmap.to_wire` output (client-side helper);
+    anything else is a :class:`~repro.errors.ConstructionError`.
 
     Examples
     --------
@@ -357,13 +361,15 @@ def bitmap_from_wire(obj: dict) -> DatasetBitmap:
     >>> bitmap_from_wire(bm.to_wire()) == bm
     True
     """
-    if not isinstance(obj, dict) or obj.get("encoding") != "u64le+b64":
-        raise ValueError("not a u64le+b64 bitset payload")
-    nbits = int(obj["n_bits"])
-    raw = base64.b64decode(obj["words"])
+    fields = decode(BITSET, obj, "bitset")
+    nbits = fields["n_bits"]
+    try:
+        raw = base64.b64decode(fields["words"])
+    except ValueError as exc:  # binascii.Error: right alphabet, wrong padding
+        raise ConstructionError(f"bitset.words is not base64: {exc}") from None
+    if len(raw) != 8 * _n_words(nbits):
+        raise ConstructionError("bitset payload length does not match n_bits")
     words = np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
-    if words.shape != (_n_words(nbits),):
-        raise ValueError("bitset payload length does not match n_bits")
     tail = nbits % _W
     if words.size and tail:
         stray = words[-1] >> np.uint64(tail)
@@ -371,5 +377,5 @@ def bitmap_from_wire(obj: dict) -> DatasetBitmap:
             # Bits past n_bits would break the zero-tail invariant that
             # count/equality/hash rely on; a well-formed encoder never
             # produces them, so treat them as corruption.
-            raise ValueError("bitset payload has stray bits beyond n_bits")
+            raise ConstructionError("bitset payload has stray bits beyond n_bits")
     return DatasetBitmap(words, nbits)

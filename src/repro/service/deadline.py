@@ -19,10 +19,9 @@ stepped would be far worse than the one extra nanosecond
 
 from __future__ import annotations
 
-import sys
 import time
 
-from repro.errors import QueryError
+from repro.wire import DEADLINE_MS, decode
 
 
 class Deadline:
@@ -38,7 +37,7 @@ class Deadline:
     >>> Deadline.from_ms(0.0)
     Traceback (most recent call last):
         ...
-    repro.errors.QueryError: deadline budget must be positive and finite, got 0.0 ms
+    repro.errors.QueryError: deadline_ms must be Number(span='(0, inf)'), got 0.0
     """
 
     __slots__ = ("expires_at",)
@@ -49,16 +48,8 @@ class Deadline:
     @classmethod
     def from_ms(cls, budget_ms: float) -> "Deadline":
         """The wire-format constructor (``"deadline_ms"`` on ``/search``):
-        a finite JSON number > 0 — ``float()`` would pass ``"5"`` and
-        ``true`` (a 1 ms budget)."""
-        if isinstance(budget_ms, bool) or not isinstance(budget_ms, (int, float)):
-            raise QueryError(f"deadline_ms must be a number, got {budget_ms!r}")
-        # NaN, Infinity and an integer past the float range fail here too.
-        if not 0.0 < budget_ms <= sys.float_info.max:
-            raise QueryError(
-                f"deadline budget must be positive and finite, got {budget_ms} ms"
-            )
-        return cls(budget_ms / 1e3)
+        a finite JSON number > 0, read by :data:`repro.wire.DEADLINE_MS`."""
+        return cls(decode(DEADLINE_MS, budget_ms, "deadline_ms") / 1e3)
 
     def remaining(self) -> float:
         """Seconds left (negative once expired)."""

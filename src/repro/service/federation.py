@@ -54,15 +54,22 @@ leg without touching the node processes.
 
 HTTP surface (see :func:`make_federation_server`):
 
-- ``POST /nodes`` — register a node: ``{"url": ..., "n_datasets"?,
-  "eps"?, "eps_effective"?, "synopses"?: [serialized synopsis, ...]}``
-  (synopses in the :mod:`repro.synopsis.serialize` wire format; when
-  ``n_datasets`` is omitted the node's ``/healthz`` is probed for it).
-- ``DELETE /nodes`` — ``{"node_id": k}`` drops a node (later nodes'
-  offsets shift down; the universe stays contiguous).
-- ``POST /search`` / ``POST /search/batch`` — the single-node wire
-  format plus a ``"federation"`` object reporting per-node outcomes and
-  per-result ``coverage``.
+- ``POST /nodes`` — register a node.  ``url``: an ``http(s)://host[:port]``
+  string, required (only the shape is checked: a node that is down still
+  registers).  ``n_datasets``: an integer in [1, 2**31 - 1], default the
+  node's ``/healthz`` is probed for it; the federated universe has the
+  same ceiling.  ``synopses``: a list of :mod:`repro.synopsis.serialize`
+  payloads, one per dataset, default none (every number in one is finite,
+  every error bound — ``delta``, ``delta_pref``, ``radius`` — is >= 0,
+  ``n_points`` an integer in [1, 2**53]).  ``eps``, ``eps_effective``:
+  numbers >= 0, default unknown.
+- ``DELETE /nodes`` — ``node_id``: an integer >= 0, required; drops the
+  node (later nodes' offsets shift down; the universe stays contiguous).
+- ``POST /search`` / ``POST /search/batch`` — the single-node bodies
+  (``expression`` / ``expressions``, ``format``, ``deadline_ms``; the
+  node-only ``record_times`` / ``trace`` / ``degrade`` are type-checked
+  and otherwise unused) and replies, plus a ``"federation"`` object
+  reporting per-node outcomes and per-result ``coverage``.
 - ``GET /stats`` — per-node health: breaker state, attempt/retry/hedge
   counters, last error.  ``GET /metrics`` — Prometheus text exposition
   with per-node latency histograms and scatter/gather/merge stage
@@ -72,7 +79,6 @@ HTTP surface (see :func:`make_federation_server`):
 from __future__ import annotations
 
 import json
-import math
 import queue
 import random
 import threading
@@ -94,7 +100,7 @@ from typing import (
 from repro.core.bitset import DatasetBitmap, bitmap_from_wire
 from repro.core.predicates import Expression
 from repro.core.results import QueryResult
-from repro.errors import QueryError
+from repro.errors import ConstructionError, QueryError
 from repro.service import faults
 from repro.service.deadline import Deadline
 from repro.service.degrade import screen_synopses
@@ -103,7 +109,6 @@ from repro.service.planner import combine_bounds, plan_query
 from repro.service.server import (
     JsonRequestHandler,
     _serve_forever,
-    _wire_int,
     encode_result,
     expression_from_json,
     expression_to_json,
@@ -112,6 +117,7 @@ from repro.service.server import (
 )
 from repro.synopsis.base import Synopsis
 from repro.synopsis.serialize import from_dict as synopsis_from_dict
+from repro.wire import ADD_NODE, N_DATASETS, NODE_REPLY, REMOVE_NODE, decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.rectangle import Rectangle
@@ -493,28 +499,23 @@ class FederatedCoordinator:
         engine's accuracy-contract parameters — they tighten the screen's
         *can't* side; unknown is sound but looser.
         """
-        for name, value in (("eps", eps), ("eps_effective", eps_effective)):
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if value is not None and not (number and 0.0 <= value < math.inf):
-                raise QueryError(
-                    f"'{name}' must be a finite number >= 0 or null, got {value!r}"
-                )
-        if n_datasets is None:
-            n_datasets = self._probe_n_datasets(url)
-        n_datasets = _wire_int(n_datasets, "'n_datasets'")
-        if n_datasets <= 0:
-            raise QueryError(
-                f"node must own at least one dataset, got {n_datasets}"
-            )
+        fields = decode(
+            ADD_NODE,
+            {"url": url, "n_datasets": n_datasets, "synopses": synopses,
+             "eps": eps, "eps_effective": eps_effective},
+            "",
+        )
+        n_datasets = fields["n_datasets"]
+        if n_datasets is None:  # only now: a refused url is never dialled
+            probed = self._probe_n_datasets(url)
+            n_datasets = decode(N_DATASETS, probed, "the node's /healthz n_datasets")
         parsed: Optional[List[Synopsis]] = None
         if synopses is not None:
-            if not isinstance(synopses, (list, tuple)):
-                raise QueryError("'synopses' must be a list, one per dataset")
             # The wire decoder refuses whatever is not a serialized synopsis;
             # a stray value kept here would crash the first degraded answer.
             parsed = [
                 syn if isinstance(syn, Synopsis) else synopsis_from_dict(syn)
-                for syn in synopses
+                for syn in fields["synopses"]
             ]
             if len(parsed) != n_datasets:
                 raise QueryError(
@@ -523,6 +524,14 @@ class FederatedCoordinator:
                     "degraded answers unsound"
                 )
         with self._lock:
+            # Ids only grow, so the new node's slice starts where the
+            # universe ends today.
+            offset = sum(n.n_datasets for n in self._nodes.values())
+            if offset + n_datasets > N_DATASETS.hi:
+                raise QueryError(
+                    f"{n_datasets} more datasets would take the federated "
+                    f"universe of {offset} past {N_DATASETS.hi}"
+                )
             node_id = self._next_node_id
             self._next_node_id += 1
             node = FederatedNode(
@@ -530,33 +539,27 @@ class FederatedCoordinator:
                 url=url,
                 n_datasets=n_datasets,
                 synopses=parsed,
-                eps=eps,
-                eps_effective=eps_effective,
+                eps=fields["eps"],
+                eps_effective=fields["eps_effective"],
                 breaker=CircuitBreaker(
                     threshold=self.breaker_threshold,
                     reset_s=self.breaker_reset_s,
                 ),
             )
             self._nodes[node_id] = node
-            offset = sum(
-                n.n_datasets
-                for n in self._nodes.values()
-                if n.node_id < node_id
-            )
-            total = sum(n.n_datasets for n in self._nodes.values())
         return {
             "node_id": node_id,
             "url": node.url,
             "n_datasets": n_datasets,
             "offset": offset,
-            "total_datasets": total,
+            "total_datasets": offset + n_datasets,
             "synopses_registered": parsed is not None,
         }
 
     def remove_node(self, node_id: int) -> dict:
         """Drop a node; later nodes' offsets shift down to stay contiguous."""
         with self._lock:
-            node = self._nodes.pop(_wire_int(node_id, "'node_id'"), None)
+            node = self._nodes.pop(node_id, None)
             total = sum(n.n_datasets for n in self._nodes.values())
         if node is None:
             raise QueryError(f"unknown node_id {node_id}")
@@ -567,14 +570,14 @@ class FederatedCoordinator:
             "total_datasets": total,
         }
 
-    def _probe_n_datasets(self, url: str) -> int:
+    def _probe_n_datasets(self, url: str) -> object:
         try:
             status, raw = http_call(
                 url.rstrip("/") + "/healthz", timeout=PROBE_TIMEOUT_S
             )
             if status != 200:
                 raise OSError(f"HTTP {status}")
-            return int(json.loads(raw)["n_datasets"])
+            return json.loads(raw)["n_datasets"]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise QueryError(
                 f"cannot register node {url!r}: /healthz probe failed "
@@ -822,7 +825,7 @@ class FederatedCoordinator:
                     raise
                 except (
                     OSError, ValueError, KeyError, TypeError,
-                    faults.FailpointError,
+                    ConstructionError, faults.FailpointError,
                 ) as exc:
                     last_exc = exc
                     node.breaker.record_failure()
@@ -987,7 +990,7 @@ class FederatedCoordinator:
                 results.put(("ok", (answers, time.perf_counter() - t0)))
             except (
                 OSError, ValueError, KeyError, TypeError, QueryError,
-                NodeRPCError, faults.FailpointError,
+                ConstructionError, NodeRPCError, faults.FailpointError,
             ) as exc:
                 results.put(("err", exc))
 
@@ -996,32 +999,25 @@ class FederatedCoordinator:
     def _parse_node_results(
         self, node: FederatedNode, raw: dict, n_expected: int
     ) -> List[NodeAnswer]:
-        body = raw.get("results")
-        if not isinstance(body, list) or len(body) != n_expected:
-            raise ValueError(
-                f"node {node.node_id} answered {0 if not isinstance(body, list) else len(body)} "
-                f"results for {n_expected} expressions"
+        body = decode(NODE_REPLY, raw, f"node {node.node_id}'s reply")["results"]
+        if len(body) != n_expected:
+            raise ConstructionError(
+                f"node {node.node_id} answered {len(body)} results for "
+                f"{n_expected} expressions"
             )
         answers: List[NodeAnswer] = []
         for one in body:
             must = bitmap_from_wire(one["bitset"])
-            if must.nbits != node.n_datasets:
-                # The node's universe grew past its registration — merging
-                # would mis-map datasets.  Treat as failure; re-register
-                # the node to adopt the new slice size.
-                raise NodeRPCError(
-                    "universe_drift",
-                    f"node {node.node_id} answered over {must.nbits} "
-                    f"datasets but registered {node.n_datasets}",
-                )
-            maybe: Optional[DatasetBitmap] = None
-            if one.get("degraded"):
-                maybe = bitmap_from_wire(one["maybe_bitset"])
-                if maybe.nbits != node.n_datasets:
+            maybe = bitmap_from_wire(one["maybe_bitset"]) if one["degraded"] else None
+            for bitmap in (must, maybe):
+                if bitmap is not None and bitmap.nbits != node.n_datasets:
+                    # The node's universe grew past its registration — merging
+                    # would mis-map datasets.  Treat as failure; re-register
+                    # the node to adopt the new slice size.
                     raise NodeRPCError(
                         "universe_drift",
-                        f"node {node.node_id} maybe-bitset over "
-                        f"{maybe.nbits} != {node.n_datasets} datasets",
+                        f"node {node.node_id} answered over {bitmap.nbits} "
+                        f"datasets but registered {node.n_datasets}",
                     )
             answers.append((must, maybe))
         return answers
@@ -1179,26 +1175,24 @@ class _FederationRequestHandler(JsonRequestHandler):
 
     def _search(self, body: dict) -> None:
         single = self.path == "/search"
-        exprs_json, fmt = parse_batch_body(body, single)
+        fields = parse_batch_body(body, single)
         batch = self.coordinator.search_batch(
-            [expression_from_json(e) for e in exprs_json],
-            deadline_ms=body.get("deadline_ms"),
+            [expression_from_json(e) for e in fields["expressions"]],
+            deadline_ms=fields["deadline_ms"],
         )
+        fmt = fields["format"]
         encoded = [encode_result(r, fmt, batch.n_datasets) for r in batch.results]
         payload = encoded[0] if single else {"results": encoded}
         payload["federation"] = batch.meta()
         self._send_json(payload)
 
     def _add_node(self, body: dict) -> None:
-        url = body.get("url")
-        if not isinstance(url, str) or not url:
-            raise QueryError("'url' must be a non-empty string")
-        optional = ("n_datasets", "synopses", "eps", "eps_effective")
-        receipt = self.coordinator.add_node(url, **{k: body.get(k) for k in optional})
-        self._send_json(receipt)
+        fields = decode(ADD_NODE, body, "")
+        self._send_json(self.coordinator.add_node(fields.pop("url"), **fields))
 
     def _remove_node(self, body: dict) -> None:
-        self._send_json(self.coordinator.remove_node(body.get("node_id")))
+        node_id = decode(REMOVE_NODE, body, "")["node_id"]
+        self._send_json(self.coordinator.remove_node(node_id))
 
     routes = {
         ("GET", "/healthz"): _healthz,

@@ -1,46 +1,50 @@
 """Stdlib-HTTP JSON endpoint over a :class:`~repro.service.QueryService`.
 
-Wire format (all bodies JSON):
+Wire format.  Request bodies are JSON objects read through the
+:mod:`repro.wire` field tables and nothing else: unknown keys are ignored;
+an optional field left out or ``null`` keeps its default; integers may
+arrive as ``5.0``; numbers are finite unless a range below says otherwise;
+arrays are numeric, not strings or booleans; anything else is a ``400``
+naming the field.
 
 ``POST /search``
-    ``{"expression": EXPR, "record_times": false, "trace": false}`` →
-    ``{"indexes": [...], "emit_times": [...], "stats": {...}}``.  The flags
-    (``record_times``, ``trace``, ``degrade``) are JSON booleans and
-    ``deadline_ms`` a finite JSON number > 0 — absent or ``null`` keeps the
-    default, anything else (``"false"``, ``1``, ``"5"``) is a ``400``.  With
+    ``expression``: ``EXPR``, required.  ``record_times``, ``degrade``:
+    ``true`` / ``false``, default ``false``.  ``trace``: ``true`` /
+    ``false``, default the service's ``tracing=`` setting.
+    ``deadline_ms``: a number in (0, inf), default no deadline.
+    → ``{"indexes": [...], "emit_times": [...], "stats": {...}}``.  With
     ``record_times`` the emit stamps are *relative to the query start* (a
     ``duration_s`` field is included) — absolute ``perf_counter`` values
-    are meaningless outside the server process.  With ``"trace": true``
-    (or a service constructed with ``tracing=True``; an explicit
-    ``false`` opts out) the payload gains ``"trace"``: the span tree of
-    the serving pipeline, all times relative to the query start (see
-    :mod:`repro.service.observability` for the schema).
+    are meaningless outside the server process.  With tracing the payload
+    gains ``"trace"``: the span tree of the serving pipeline, all times
+    relative to the query start (see :mod:`repro.service.observability`
+    for the schema).
 ``POST /search/batch``
-    ``{"expressions": [EXPR, ...]}`` →
-    ``{"results": [{"indexes": [...], "stats": {...}}, ...]}``.
-    Accepts the same ``record_times`` and ``trace`` flags as
-    ``/search``: with ``record_times`` each result carries its
-    batch-start-relative ``emit_times`` plus ``duration_s``, and with
-    tracing the *response* carries one top-level ``"trace"`` span tree
-    for the whole batch (per-query assembly spans are tagged with their
-    query index) on the same clock.
+    ``expressions``: a list of one or more ``EXPR``, required.
+    ``format``: ``"indexes"`` (default) or ``"bitset"``.  ``record_times``,
+    ``trace``, ``degrade``, ``deadline_ms``: as for ``/search``.
+    → ``{"results": [{"indexes": [...], "stats": {...}}, ...]}``: with
+    ``record_times`` each result carries its batch-start-relative
+    ``emit_times`` plus ``duration_s``, and with tracing the *response*
+    carries one top-level ``"trace"`` span tree for the whole batch
+    (per-query assembly spans are tagged with their query index).
     With ``"format": "bitset"`` each result instead carries the packed
     answer ``{"bitset": {"encoding": "u64le+b64", "n_bits": N, "words":
     B64}, "out_size": k, "stats": {...}}`` — the base64 of the
     little-endian ``uint64`` word buffer, encoded zero-copy from the
-    warm path's bitmap (no per-index Python objects are ever
-    materialized).  Bit ``i`` set means dataset ``i`` is in the answer;
-    decode with :func:`repro.core.bitset.bitmap_from_wire`.  For batch
-    answers averaging more than ~64/6 members per 64 datasets the packed
-    form is also smaller on the wire than the decimal index list.
+    warm path's bitmap.  Bit ``i`` set means dataset ``i`` is in the
+    answer; decode with :func:`repro.core.bitset.bitmap_from_wire`.  For
+    batch answers averaging more than ~64/6 members per 64 datasets the
+    packed form is also smaller on the wire than the decimal index list.
 ``POST /datasets``
-    ``{"datasets": [[[x, y], ...], ...]}`` (one point array per new
-    dataset) → the :meth:`~repro.service.service.QueryService.add_datasets`
+    ``datasets``: a list of one or more ``(n, d)`` arrays of finite
+    numbers, one point array per new dataset (``[[[x, y], ...], ...]``),
+    required → the :meth:`~repro.service.service.QueryService.add_datasets`
     receipt ``{"indexes": [...], "rebuilt": false, ...}``.  Ingestion is
     live: cached leaf answers are upgraded from the delta shard, not
     flushed.
 ``DELETE /datasets``
-    ``{"indexes": [i, ...]}`` → the
+    ``indexes``: a list of one or more integers >= 0, required → the
     :meth:`~repro.service.service.QueryService.remove_datasets` receipt;
     removal is a read-time mask (indexes are stable, never reused).
 ``POST /cache/invalidate``
@@ -73,11 +77,15 @@ endpoints (``POST /datasets``, ``DELETE /datasets``) answer ``409`` and
 name the writer, so a load balancer spraying requests across workers
 cannot fork divergent states.
 
-``EXPR`` is a recursive object::
+``EXPR`` is a recursive object (:data:`repro.wire.EXPRESSION`)::
 
-    {"op": "and" | "or", "children": [EXPR, ...]}
+    {"op": "and" | "or", "children": [EXPR, ...]}               # one or more
     {"op": "ptile", "lo": [..], "hi": [..], "theta": [a, b?]}   # b omitted/null = inf
     {"op": "pref", "vector": [..], "k": 5, "tau": 0.8}
+
+``lo`` / ``hi``: equally long arrays, ``lo <= hi``, an open side ``-Infinity``
+/ ``Infinity``; ``theta``: one or two numbers ``a <= b`` (either may be
+infinite); ``vector``: a nonzero array; ``k``: an integer >= 1; ``tau``: a number.
 
 The server is a ``ThreadingHTTPServer``; concurrency is safe because the
 service serializes shard access with per-shard locks and the cache and
@@ -112,8 +120,6 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import And, Expression, Or, Predicate
@@ -124,6 +130,14 @@ from repro.geometry.rectangle import Rectangle
 from repro.service import faults
 from repro.service.admission import AdmissionGate
 from repro.service.service import QueryService
+from repro.wire import (
+    ADD_DATASETS,
+    EXPRESSION,
+    REMOVE_DATASETS,
+    SEARCH,
+    SEARCH_BATCH,
+    decode,
+)
 
 
 # ----------------------------------------------------------------------
@@ -131,45 +145,28 @@ from repro.service.service import QueryService
 # ----------------------------------------------------------------------
 def expression_from_json(obj: dict) -> Expression:
     """Parse the wire format into a predicate expression tree."""
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise QueryError("expression must be an object with an 'op' field")
-    op = obj["op"]
+    return _expression(decode(EXPRESSION, obj, "expression"))
+
+
+def _expression(node: dict) -> Expression:
+    """The AST of one decoded ``EXPR`` record: what a table cannot say is
+    checked here (``lo <= hi``, ``a <= b``, a nonzero ``vector``)."""
+    op = node["op"]
     if op in ("and", "or"):
-        children = obj.get("children")
-        if not isinstance(children, list) or not children:
-            raise QueryError(f"'{op}' needs a non-empty 'children' list")
-        parsed = [expression_from_json(c) for c in children]
-        return And(parsed) if op == "and" else Or(parsed)
-    if op == "ptile":
-        try:
-            rect = Rectangle(obj["lo"], obj["hi"])
-            if np.isnan(rect.lo).any() or np.isnan(rect.hi).any():
-                raise ValueError("NaN bound (an open side is ±Infinity)")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise QueryError(f"bad ptile leaf: {exc}")
-        theta = obj.get("theta")
-        if not isinstance(theta, list) or not 1 <= len(theta) <= 2:
-            raise QueryError("'theta' must be [a] or [a, b]")
-        try:
-            lo = float(theta[0])
-            hi = (
-                float(theta[1])
-                if len(theta) == 2 and theta[1] is not None
-                else math.inf
-            )
-            return Predicate(PercentileMeasure(rect), Interval(lo, hi))
-        except (TypeError, ValueError) as exc:
-            raise QueryError(f"bad ptile theta: {exc}")
-    if op == "pref":
-        try:
-            vector = np.asarray(obj["vector"], dtype=float)
-            if not np.isfinite(vector).all():
-                raise ValueError("vector must be finite")
-            measure = PreferenceMeasure(vector, k=_wire_int(obj["k"], "'k'"))
-            return Predicate(measure, Interval.at_least(float(obj["tau"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise QueryError(f"bad pref leaf: {exc}")
-    raise QueryError(f"unknown op {op!r}")
+        children = [_expression(child) for child in node["children"]]
+        return And(children) if op == "and" else Or(children)
+    try:
+        if op == "ptile":
+            a, b = (*node["theta"], None)[:2]  # [a] reads as [a, null]
+            if a is None:
+                raise ValueError("theta[0] must be a number")
+            theta = Interval(a, math.inf if b is None else b)
+            rect = Rectangle(node["lo"], node["hi"])
+            return Predicate(PercentileMeasure(rect), theta)
+        measure = PreferenceMeasure(node["vector"], k=node["k"])
+        return Predicate(measure, Interval.at_least(node["tau"]))
+    except ValueError as exc:
+        raise QueryError(f"bad {op} leaf: {exc}")
 
 
 def expression_to_json(expression: Expression) -> dict:
@@ -216,44 +213,21 @@ def expression_to_json(expression: Expression) -> dict:
     raise QueryError(f"cannot serialize {type(expression).__name__}")
 
 
-def _wire_int(value: Any, what: str) -> int:
-    """A JSON integer (``5`` or ``5.0``).  ``int()`` would pass ``true`` and
-    ``1.7`` as 1 — the wrong dataset tombstoned, the wrong ``k`` answered."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise QueryError(f"{what} must be an integer, got {value!r}")
-
-
-def _wire_bool(value: Any, what: str) -> Optional[bool]:
-    """A JSON ``true`` / ``false``, or None — absent or ``null``: the
-    caller's default.  ``bool()`` would turn the string ``"false"`` *on* —
-    a degraded answer the client asked not to get."""
-    if value is None or isinstance(value, bool):
-        return value
-    raise QueryError(f"{what} must be true or false, got {value!r}")
-
-
 # ----------------------------------------------------------------------
 # The HTTP edge: one result codec, one outbound call, one inbound envelope
 # ----------------------------------------------------------------------
-def parse_batch_body(body: dict, single: bool = False) -> Tuple[list, str]:
-    """``(expressions, result format)`` of a search body, validated.
+def parse_batch_body(body: dict, single: bool) -> dict:
+    """The decoded fields of a search body (:data:`repro.wire.SEARCH_BATCH`).
 
-    The expressions stay JSON — each server decodes them through its own
+    ``expressions`` stay JSON — each server decodes them through its own
     module's ``expression_from_json``.  ``single`` reads a ``/search``
     body: a one-element batch, always answered as ``indexes``.
     """
-    if single:
-        return [body.get("expression")], "indexes"
-    exprs_json = body.get("expressions")
-    if not isinstance(exprs_json, list) or not exprs_json:
-        raise QueryError("'expressions' must be a non-empty list")
-    fmt = body.get("format", "indexes")
-    if fmt not in ("indexes", "bitset"):
-        raise QueryError(f"'format' must be 'indexes' or 'bitset', got {fmt!r}")
-    return exprs_json, fmt
+    if not single:
+        return decode(SEARCH_BATCH, body, "")
+    fields = decode(SEARCH, body, "")
+    fields["expressions"], fields["format"] = [fields.pop("expression")], "indexes"
+    return fields
 
 
 def encode_result(result: QueryResult, fmt: str, n_datasets: int) -> dict:
@@ -565,15 +539,11 @@ class _ServiceRequestHandler(JsonRequestHandler):
 
     def _search(self, body: dict) -> None:
         single = self.path == "/search"
-        exprs_json, fmt = parse_batch_body(body, single)
+        fields = parse_batch_body(body, single)
+        fmt = fields.pop("format")
         service = self.service
         results = service.search_batch(
-            [expression_from_json(e) for e in exprs_json],
-            record_times=_wire_bool(body.get("record_times"), "'record_times'")
-            or False,
-            trace=_wire_bool(body.get("trace"), "'trace'"),
-            deadline_ms=body.get("deadline_ms"),
-            degrade=_wire_bool(body.get("degrade"), "'degrade'") or False,
+            [expression_from_json(e) for e in fields.pop("expressions")], **fields
         )
         n_datasets = service.n_datasets
         encoded = [encode_result(r, fmt, n_datasets) for r in results]
@@ -589,20 +559,11 @@ class _ServiceRequestHandler(JsonRequestHandler):
         self._send_json(payload)
 
     def _add_datasets(self, body: dict) -> None:
-        arrays = body.get("datasets")
-        if not isinstance(arrays, list) or not arrays:
-            raise QueryError("'datasets' must be a non-empty list of point arrays")
-        try:
-            parsed = [np.asarray(a, dtype=float) for a in arrays]
-        except (TypeError, ValueError) as exc:
-            raise QueryError(f"bad dataset array: {exc}")
+        parsed = decode(ADD_DATASETS, body, "")["datasets"]
         self._mutated(self.service.add_datasets(datasets=parsed))
 
     def _remove_datasets(self, body: dict) -> None:
-        indexes = body.get("indexes")
-        if not isinstance(indexes, list) or not indexes:
-            raise QueryError("'indexes' must be a non-empty list of ints")
-        parsed = [_wire_int(i, "a dataset index") for i in indexes]
+        parsed = decode(REMOVE_DATASETS, body, "")["indexes"]
         self._mutated(self.service.remove_datasets(parsed))
 
     def _invalidate(self, body: dict) -> None:

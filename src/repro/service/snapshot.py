@@ -95,6 +95,7 @@ from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
 from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
+from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, decode
 
 MAGIC = b"REPROSNP"
 VERSION = 5
@@ -289,23 +290,13 @@ def _open_container(path: PathLike, mmap: bool) -> tuple[dict, _ArrayTable]:
                 f"{path}: holds kind {header.get('kind')!r}; this build reads "
                 f"{KIND!r} containers only"
             )
-        if not _is_count(header.setdefault("generation", 0)):
-            raise ValueError(f"generation {header['generation']!r} is not a count")
+        header.update(decode(SNAPSHOT_HEADER, header, "header"))
         for ref, m in header["arrays"].items():
-            if not (
-                isinstance(m["dtype"], str)
-                and all(_is_count(n) for n in [m["offset"], *m["shape"]])
-            ):
-                raise ValueError(f"segment entry {ref!r} does not describe an array")
+            m.update(decode(SNAPSHOT_SEGMENT, m, f"arrays[{ref!r}]"))
             nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
             if data_start + m["offset"] + nbytes > size:
                 raise SnapshotError(f"{path}: segment {ref!r} is truncated")
     return header, _ArrayTable(path, header["arrays"], int(data_start), mmap)
-
-
-def _is_count(value: object) -> bool:
-    """A JSON non-negative integer (``true`` is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @contextlib.contextmanager

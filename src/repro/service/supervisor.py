@@ -76,6 +76,7 @@ from repro.service import snapshot as snapshot_mod
 from repro.service.admission import AdmissionGate
 from repro.service.server import JsonRequestHandler, http_call, make_handler
 from repro.service.service import QueryService
+from repro.wire import READY_REPORT, WATERMARK, decode
 
 #: Liveness probing: each live worker's admin ``/healthz`` is hit every
 #: ``PROBE_INTERVAL`` seconds; ``PROBE_FAILURES`` consecutive misses get the
@@ -135,16 +136,11 @@ def read_watermark(snapshot_path: "str | os.PathLike[str]") -> Optional[int]:
         return None
     try:
         payload = json.loads(raw.decode("utf-8"))
-        generation = payload["generation"]
-        if isinstance(generation, bool) or not isinstance(generation, int):
-            raise ValueError(f"generation {generation!r} is not an int")
-        if generation < 0:
-            raise ValueError(f"generation {generation} is negative")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        return decode(WATERMARK, payload, "watermark")["generation"]
+    except ValueError:  # not UTF-8, not JSON, or refused by the table
         with _corrupt_lock:
             _corrupt_reads += 1
         return None
-    return generation
 
 
 class _ReuseportHTTPServer(ThreadingHTTPServer):
@@ -442,8 +438,8 @@ class ServiceSupervisor:
         with os.fdopen(r, "r", encoding="utf-8") as f:
             line = f.readline()
         try:
-            admin_port = int(json.loads(line)["admin_port"])
-        except (ValueError, KeyError, json.JSONDecodeError):
+            report = decode(READY_REPORT, json.loads(line), "ready report")
+        except ValueError:  # not JSON, or refused by the table
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -453,7 +449,7 @@ class ServiceSupervisor:
                 "a supervisor worker failed to start "
                 f"(bad ready report {line!r})"
             )
-        return pid, admin_port
+        return pid, report["admin_port"]
 
     def stop(self) -> None:
         """Stop the monitor, SIGTERM every live worker, reap (idempotent).

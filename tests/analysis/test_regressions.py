@@ -172,3 +172,25 @@ def test_unlocking_breaker_state_is_caught():
 
     findings = _lint_federation(mutate=unlock_allow, rules=["guarded-by"])
     assert any("_state" in f.message and "allow()" in f.message for f in findings)
+
+
+# -- the wire table stays the only reader of a request body --------------
+
+
+def test_reading_a_body_field_around_the_table_is_caught():
+    # PR 21: every inbound field goes through wire.decode.  Re-insert the
+    # hand-read of one flag into the node's /search route.
+    def hand_read(source: str) -> str:
+        decoded = "        fields = parse_batch_body(body, single)\n"
+        assert decoded in source
+        return source.replace(
+            decoded, decoded + '        fields["degrade"] = body.get("degrade")\n', 1
+        )
+
+    assert lint_source((SRC / "server.py").read_text(), path="server.py",
+                       rules=["wire-schema"]) == []
+    (finding,) = lint_source(
+        hand_read((SRC / "server.py").read_text()), path="server.py",
+        rules=["wire-schema"],
+    )
+    assert "_search() reads 'body' directly" in finding.message

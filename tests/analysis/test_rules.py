@@ -759,6 +759,35 @@ def test_wire_schema_follows_the_shared_envelope_base():
     assert "absolute clock stamp" in finding.message
 
 
+ROUTED = """
+    from repro.service.server import JsonRequestHandler
+    from repro.wire import SEARCH, decode
+
+    class _Handler(JsonRequestHandler):
+        def _healthz(self):
+            self._send_json({"status": "ok"})
+
+        def _search(self, body):
+            %s
+
+        def _helper(self, body):
+            return body["not-a-route"]
+
+        routes = {("GET", "/healthz"): _healthz, ("POST", "/search"): _search}
+"""
+
+
+def test_wire_schema_flags_a_route_reading_its_body():
+    for read in ('body.get("degrade")', 'body["expression"]'):
+        (finding,) = run(ROUTED % f"self._send_json({{'x': {read}}})", "wire-schema")
+        assert "_search() reads 'body' directly" in finding.message
+
+
+def test_wire_schema_passes_a_route_decoding_through_the_table():
+    src = ROUTED % 'self._send_json(decode(SEARCH, body, ""))'
+    assert run(src, "wire-schema") == []
+
+
 def test_wire_schema_ignores_non_handler_modules():
     src = """
     def payload(result):

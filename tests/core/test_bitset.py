@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bitset import DatasetBitmap, bitmap_from_wire
+from repro.errors import ConstructionError
 
 
 class TestConstruction:
@@ -141,11 +142,11 @@ class TestWire:
         assert bitmap_from_wire(wire) == bm
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             bitmap_from_wire({"encoding": "nope"})
         wire = DatasetBitmap.from_indices([1], 100).to_wire()
         wire["n_bits"] = 10_000
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             bitmap_from_wire(wire)
 
     def test_rejects_stray_tail_bits(self):
@@ -162,8 +163,22 @@ class TestWire:
                 np.array([0xFF], dtype="<u8").tobytes()
             ).decode("ascii"),
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstructionError):
             bitmap_from_wire(payload)
+
+    def test_no_generated_malformation_escapes(self):
+        import wire_cases
+
+        from repro import wire
+
+        payload = DatasetBitmap.from_indices([1, 70], 100).to_wire()
+        cases = [bad for _label, bad in wire_cases.cases(wire.BITSET, payload)]
+        # Right alphabet with the wrong padding, not ASCII, the wrong length.
+        cases += [{**payload, "words": words} for words in ("A", "\u00e9", "AAAA")]
+        assert len(cases) > 20
+        for bad in cases:
+            with pytest.raises(ConstructionError):
+                bitmap_from_wire(bad)
 
     def test_wire_is_compact(self):
         bm = DatasetBitmap.full(64 * 100)

@@ -94,6 +94,18 @@ class TestDeadlineClass:
         with pytest.raises(QueryError):
             Deadline.from_ms(bad)
 
+    def test_every_generated_malformation_is_a_query_error(self):
+        import wire_cases
+
+        from repro import wire
+
+        cases = list(wire_cases.cases(wire.DEADLINE_MS, 250))
+        assert len(cases) >= 8  # retypes, NaN, zero, infinity
+        for label, bad in cases:
+            with pytest.raises(QueryError):
+                Deadline.from_ms(bad)
+                pytest.fail(f"{label}: accepted")
+
 
 class TestDegradedAnswers:
     def test_expired_before_start_degrades_immediately(self, service, queries):

@@ -1,10 +1,11 @@
 """The shared HTTP edge, over real sockets, on a node and a coordinator.
 
-One hostile-input table (``ROWS``): every row is a request a confused or
-malicious client can send; each must be answered with a ``4xx`` JSON
-error — never a ``5xx``, never a hang — and must leave the connection
-either explicitly closed or correctly framed for the *next* request on
-it.  One route-table test pins status code and top-level payload keys of
+One hostile-input table (``ROWS``) and one sweep generated from the
+:mod:`repro.wire` field tables (``SWEPT``): every row or case is a request
+a confused or malicious client can send; each must be answered with a
+``4xx`` JSON error — never a ``5xx``, never a hang — and must leave the
+connection either explicitly closed or correctly framed for the *next*
+request on it.  One route-table test pins status code and top-level payload keys of
 every ``(verb, path)`` both servers route (captured at the parent of the
 PR that introduced the shared envelope) and the ``endpoint`` metric
 labels that follow from the table.
@@ -20,12 +21,18 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
+import wire_cases
 
+from repro import wire
 from repro.core.framework import Repository
 from repro.service import QueryService
+from repro.errors import QueryError
 from repro.service.admission import AdmissionGate
 from repro.service.federation import FederatedCoordinator, make_federation_server
 from repro.service.server import expression_from_json, http_call, make_server
+from repro.synopsis.gmm import GMMSynopsis
+from repro.synopsis.sample import EpsilonSampleSynopsis
+from repro.synopsis.serialize import to_dict
 from repro.workloads.generators import synthetic_data_lake
 
 N = 8
@@ -88,13 +95,21 @@ class Conn:
         if body is not None or content_length is not None:
             length = len(raw) if content_length is None else content_length
             head += f"Content-Length: {length}\r\n"
+        self._quickack()
         self.sock.sendall(head.encode("latin-1") + b"\r\n" + raw)
         status = int(self.file.readline().split()[1])
         headers = {}
         while (line := self.file.readline().strip()):
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.lower()] = value.strip()
+        self._quickack()
         return status, headers, self.file.read(int(headers["content-length"]))
+
+    def _quickack(self) -> None:
+        # The server writes headers and body separately; unless the first is
+        # ACKed at once, Nagle holds the second for ~40 ms.  The kernel
+        # clears the flag as it goes, hence once per read.
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
 
 
 class Row(NamedTuple):
@@ -112,8 +127,11 @@ def _both(id, verb, path, body, **kw):
     return [Row(f"{s}-{id}", s, verb, path, body, **kw) for s in ("node", "fed")]
 
 
+PREF = {"op": "pref", "vector": [1.0], "k": 2, "tau": 0.1}
+
+
 def _pref(**over):
-    return {"expression": {"op": "pref", "vector": [1.0], "k": 2, "tau": 0.1, **over}}
+    return {"expression": {**PREF, **over}}
 
 
 ROWS = [
@@ -232,6 +250,182 @@ def test_hostile_input(edge, row):
     finally:
         if row.saturate:
             edge.gate.release()
+        conn.close()
+
+
+# ----------------------------------------------------------------------
+# The generated sweep: every HTTP body table, from one valid body each
+# ----------------------------------------------------------------------
+TREE = {"op": "and", "children": [
+    {**GOOD, "theta": [0.05, 0.9]}, {"op": "or", "children": [PREF, GOOD]}]}
+FLAGS = {"record_times": True, "trace": True, "degrade": False, "deadline_ms": 60_000}
+_PTS = np.random.default_rng(3).random((40, 1))
+SYNOPSES = [
+    to_dict(EpsilonSampleSynopsis.from_points(_PTS, 6, np.random.default_rng(4))),
+    to_dict(GMMSynopsis(_PTS, n_components=2, rng=np.random.default_rng(5), n_iter=3)),
+]
+SEARCHES = {
+    ("POST", "/search"): (wire.SEARCH, {"expression": TREE, **FLAGS}),
+    ("POST", "/search/batch"): (
+        wire.SEARCH_BATCH, {"expressions": [GOOD, TREE], "format": "bitset", **FLAGS}),
+}
+SWEPT = {
+    "node": {
+        **SEARCHES,
+        ("POST", "/datasets"): (
+            wire.ADD_DATASETS, {"datasets": [[[0.1], [0.2]], [[0.3], [0.4]]]}),
+        ("DELETE", "/datasets"): (wire.REMOVE_DATASETS, {"indexes": [0, 1]}),
+    },
+    "fed": {
+        **SEARCHES,
+        ("POST", "/nodes"): (wire.ADD_NODE, {
+            "url": "http://127.0.0.1:9", "n_datasets": 2, "synopses": SYNOPSES,
+            "eps": 0.1, "eps_effective": 0.3}),
+        ("DELETE", "/nodes"): (wire.REMOVE_NODE, {"node_id": 0}),
+    },
+}
+
+
+def test_the_sweep_covers_every_routed_body(edge):
+    for name, swept in SWEPT.items():
+        routes = edge.servers[name].RequestHandlerClass.routes
+        bodied = {route for route in routes if route[0] != "GET"}
+        assert set(swept) == bodied - {("POST", "/cache/invalidate")}  # no fields
+
+
+def test_every_table_field_is_documented_where_its_route_is():
+    from repro.service import federation, server
+
+    docs = {"node": server.__doc__, "fed": federation.__doc__}
+    for name, swept in SWEPT.items():
+        for (verb, path), (table, _valid) in swept.items():
+            _before, heading, section = docs[name].partition(f"``{verb} {path}``")
+            assert heading, (name, verb, path)
+            missing = [f for f in table.fields if f"``{f}``" not in section]
+            assert not missing, (name, verb, path, missing)
+    _before, _heading, section = server.__doc__.partition("``EXPR`` is a recursive")
+    for op, record in wire.EXPRESSION.variants.items():
+        assert f'"{op}"' in section
+        assert all(f'"{f}"' in section for f in record.fields), op
+
+
+@pytest.mark.parametrize(
+    "name, route",
+    [
+        pytest.param(name, route, id=f"{name}-{route[0]}-{route[1].strip('/')}")
+        for name in SWEPT for route in SWEPT[name]
+    ],
+)
+def test_generated_hostile_bodies(edge, name, route):
+    """No generated case is answered with anything but a 4xx JSON error,
+    and the same connection serves a valid search right after each."""
+    table, valid = SWEPT[name][route]
+    conn = Conn(edge.servers[name])
+    state = (edge.service.n_datasets, edge.service.n_live, edge.coordinator.n_nodes,
+             edge.service.cache.generation)
+    escaped, n_cases = [], 0
+    for label, bad in wire_cases.cases(table, valid):
+        n_cases += 1
+        status, headers, raw = conn.request(*route, bad)
+        ok = 400 <= status < 500 and headers["content-type"] == "application/json"
+        if not (ok and "error" in json.loads(raw)):
+            escaped.append((label, status, raw[:120]))
+        assert _gate_idle(edge.gate)
+        status, _headers, raw = conn.request("POST", "/search", {"expression": GOOD})
+        if status != 200:
+            escaped.append((label, "the next request", status, raw[:120]))
+    conn.close()
+    assert escaped == []
+    assert n_cases >= 10  # 14 (DELETE /nodes) to 301 (/search/batch); 1 360 in all
+    assert state == (edge.service.n_datasets, edge.service.n_live,
+                     edge.coordinator.n_nodes, edge.service.cache.generation)
+
+
+# ----------------------------------------------------------------------
+# Bugs the table closed, each a 200 (or a 500 later) at the parent of PR 21
+# ----------------------------------------------------------------------
+def test_an_oversized_node_is_refused_and_search_keeps_working(edge):
+    # 10**30 registered, then every /search was "Maximum allowed dimension
+    # exceeded"; 2**40 was a 128 GiB allocation attempt.
+    conn = Conn(edge.servers["fed"])
+    for n_datasets in (10**30, 2**40, 2**31):
+        status, _h, raw = conn.request(
+            "POST", "/nodes", {"url": "http://127.0.0.1:1", "n_datasets": n_datasets})
+        assert status == 400 and "n_datasets" in json.loads(raw)["error"], raw
+        assert edge.coordinator.n_nodes == 1
+        assert _gate_idle(edge.gate)
+        status, _h, raw = conn.request("POST", "/search", {"expression": GOOD})
+        assert status == 200, raw
+    conn.close()
+
+
+def test_the_federated_universe_is_bounded_too():
+    coordinator = FederatedCoordinator()
+    coordinator.add_node("http://127.0.0.1:1", n_datasets=2**31 - 2)
+    with pytest.raises(QueryError, match="past 2147483647"):
+        coordinator.add_node("http://127.0.0.1:1", n_datasets=2)
+    assert coordinator.n_nodes == 1 and coordinator.n_datasets == 2**31 - 2
+    coordinator.add_node("http://127.0.0.1:1", n_datasets=1)
+    coordinator.close()
+
+
+def test_a_probed_n_datasets_is_read_like_a_posted_one(edge, monkeypatch):
+    from repro.service import federation
+
+    for reported in (10**30, True, "8", 0):
+        reply = json.dumps({"n_datasets": reported}).encode()
+        monkeypatch.setattr(federation, "http_call", lambda *a, **k: (200, reply))
+        with pytest.raises(QueryError, match="/healthz n_datasets"):
+            edge.coordinator.add_node("http://127.0.0.1:1")
+    assert edge.coordinator.n_nodes == 1
+
+
+STRING_AND_BOOLEAN_PROBES = {
+    "datasets-strings": ("POST", "/datasets", {"datasets": [[["1.5"], ["2.5"]]]}),
+    "datasets-booleans": ("POST", "/datasets", {"datasets": [[[True], [False]]]}),
+    "ptile-lo-string": ("POST", "/search", {"expression": {**GOOD, "lo": ["0"]}}),
+    "ptile-hi-string": ("POST", "/search", {"expression": {**GOOD, "hi": ["0.6"]}}),
+    "ptile-theta-string": ("POST", "/search", {"expression": {**GOOD, "theta": ["0.2"]}}),
+    "ptile-theta-boolean": ("POST", "/search", {"expression": {**GOOD, "theta": [True]}}),
+    "pref-vector-string": ("POST", "/search", _pref(vector=["1.0"])),
+    "pref-vector-boolean": ("POST", "/search", _pref(vector=[True])),
+    "pref-tau-string": ("POST", "/search", _pref(tau="0.5")),
+    "pref-tau-boolean": ("POST", "/search", _pref(tau=True)),
+    "node-url-words": ("POST", "/nodes", {"url": "not a url", "n_datasets": 1}),
+    "node-url-ftp": ("POST", "/nodes", {"url": "ftp://x", "n_datasets": 1}),
+}
+
+
+@pytest.mark.parametrize("probe", STRING_AND_BOOLEAN_PROBES)
+def test_strings_and_booleans_are_not_numbers(edge, probe):
+    verb, path, body = STRING_AND_BOOLEAN_PROBES[probe]
+    generation = edge.service.cache.generation
+    n_datasets = edge.service.n_datasets
+    for name in ("node", "fed"):
+        routes = edge.servers[name].RequestHandlerClass.routes
+        if (verb, path) not in routes:
+            continue
+        conn = Conn(edge.servers[name])
+        status, _h, raw = conn.request(verb, path, body)
+        assert status == 400 and "error" in json.loads(raw), (name, raw)
+        status, _h, _raw = conn.request("GET", "/healthz")
+        assert status == 200
+        conn.close()
+    # The string dataset used to be ingested, fall outside the box and
+    # force a full rebuild and a cache flush.
+    assert edge.service.cache.generation == generation
+    assert edge.service.n_datasets == n_datasets and edge.coordinator.n_nodes == 1
+
+
+def test_deep_nesting_is_a_client_error(edge):
+    deep = GOOD
+    for _ in range(400):
+        deep = {"op": "and", "children": [deep]}
+    for name in ("node", "fed"):
+        conn = Conn(edge.servers[name])
+        status, _h, raw = conn.request("POST", "/search", {"expression": deep})
+        assert status == 400 and "error" in json.loads(raw)
+        assert _gate_idle(edge.gate)
         conn.close()
 
 

@@ -7,6 +7,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -23,7 +25,62 @@ from repro.service.server import (
 from repro.workloads.generators import synthetic_data_lake
 
 
+_INF = float("inf")
+_COORD = st.floats(-1e6, 1e6) | st.sampled_from([-_INF, _INF])
+
+
+@st.composite
+def _ptile_leaves(draw):
+    dim = draw(st.integers(1, 3))
+    sides = [sorted(draw(st.tuples(_COORD, _COORD))) for _ in range(dim)]
+    rect = Rectangle([lo for lo, _ in sides], [hi for _, hi in sides])
+    a, b = sorted(draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))))
+    theta = draw(st.sampled_from([Interval(a, b), Interval.at_least(a),
+                                  Interval.at_most(b)]))
+    return Predicate(PercentileMeasure(rect), theta)
+
+
+@st.composite
+def _pref_leaves(draw):
+    eighths = st.integers(-8000, 8000).map(lambda i: i / 8)
+    vector = draw(st.lists(eighths, min_size=1, max_size=4))
+    vector[0] = vector[0] or 1.0  # the zero vector has no direction
+    measure = PreferenceMeasure(np.array(vector), k=draw(st.integers(1, 50)))
+    return Predicate(measure, Interval.at_least(draw(st.floats(-1e3, 1e3))))
+
+
+_EXPRESSIONS = st.recursive(
+    _ptile_leaves() | _pref_leaves(),
+    lambda children: st.builds(
+        lambda cls, kids: cls(kids), st.sampled_from([And, Or]),
+        st.lists(children, min_size=1, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+def _same(a, b) -> bool:
+    """Structural equality; a Pref vector is re-normalised on the way back
+    in, so it may move by an ulp."""
+    if isinstance(a, (And, Or)):
+        return type(a) is type(b) and len(a.children) == len(b.children) and all(
+            map(_same, a.children, b.children))
+    if type(a.measure) is not type(b.measure) or a.theta != b.theta:
+        return False
+    if isinstance(a.measure, PercentileMeasure):
+        return bool(np.array_equal(a.measure.rect.lo, b.measure.rect.lo)
+                    and np.array_equal(a.measure.rect.hi, b.measure.rect.hi))
+    return a.measure.k == b.measure.k and bool(
+        np.allclose(a.measure.vector, b.measure.vector, rtol=1e-14, atol=0.0))
+
+
 class TestWireFormat:
+    @settings(max_examples=80, deadline=None)
+    @given(_EXPRESSIONS)
+    def test_random_trees_round_trip(self, expression):
+        wire_json = json.loads(json.dumps(expression_to_json(expression)))
+        assert _same(expression_from_json(wire_json), expression)
+
     def test_leaf_round_trip(self):
         ptile = pred(PercentileMeasure(Rectangle([0.0, 0.1], [0.5, 0.9])), 0.2, 0.6)
         pref = Predicate(

@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+import wire_cases
 
+from repro import wire
 from repro.errors import ConstructionError
 from repro.geometry.rectangle import Rectangle
 from repro.synopsis.cover import CoverSynopsis
@@ -193,6 +195,39 @@ class TestHostilePayloads:
                     pytest.fail(f"{label}: decoded")
                 checked += 1
         assert checked > 100  # the sweep covers every field of every kind
+
+    def test_every_generated_case_is_a_construction_error(self, data):
+        """The sweep generated from ``wire.SYNOPSIS``: beyond the pass
+        above, each bounded field pushed just past each bound (a negative
+        ``delta`` narrows the degraded screen; ``n_points`` of 1e300 or 2.5
+        is no count), and strings / booleans / NaN inside every array."""
+        checked, out_of_range = 0, 0
+        for synopsis in _every_kind(data):
+            payload = json.loads(dumps(synopsis))
+            for label, bad in wire_cases.cases(wire.SYNOPSIS, payload):
+                with pytest.raises(ConstructionError):
+                    from_dict(bad)
+                    pytest.fail(f"{payload['kind']} {label}: decoded")
+                checked += 1
+                out_of_range += " below " in label or " above " in label
+        assert checked > 400 and out_of_range > 60
+
+    @pytest.mark.parametrize("edit", [
+        {"delta": -1.0}, {"delta_pref": -0.5}, {"n_points": 1e300},
+        {"n_points": 2.5}, {"n_points": 0}, {"n_points": 2**53 + 2},
+        {"subsample": [["0.1", "0.2"]]}, {"subsample": [[True, False]]},
+    ])
+    def test_out_of_range_and_non_numeric_fields_are_refused(self, data, edit):
+        # Each loaded at the parent of PR 21.
+        payload = json.loads(dumps(_every_kind(data)[0]))
+        with pytest.raises(ConstructionError, match=next(iter(edit))):
+            from_dict({**payload, **edit})
+
+    def test_integers_may_arrive_as_floats(self, data):
+        payload = json.loads(dumps(_every_kind(data)[0]))
+        restored = from_dict({**payload, "n_points": float(payload["n_points"])})
+        assert restored.n_points == payload["n_points"]
+        assert type(restored.n_points) is int
 
     def test_mis_sized_arrays_are_refused(self, data):
         """Fields that must agree with each other: a shape the first query

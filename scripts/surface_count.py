@@ -11,8 +11,9 @@ that produces them (stdlib ``ast`` only, nothing imported from the tree):
   public methods and ``__init__``.
 
 Public means no leading underscore.  Run from the repo root:
-``python scripts/surface_count.py src/repro/service src/repro``.
-Informational: prints one line per directory and always exits 0.
+``python scripts/surface_count.py src/repro/service src/repro``; an
+argument that is a file counts that file, for per-module numbers.
+Informational: prints one line per argument and always exits 0.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ def _options(fn: ast.FunctionDef) -> int:
     return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
 
 
-def count(directory: Path) -> tuple[int, int, int]:
-    """``(lines, public names, options)`` over every ``*.py`` below."""
+def count(target: Path) -> tuple[int, int, int]:
+    """``(lines, public names, options)`` of one file, or over every
+    ``*.py`` below a directory."""
     lines = names = options = 0
-    for path in sorted(directory.rglob("*.py")):
+    for path in [target] if target.is_file() else sorted(target.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines += source.count("\n")
         for node in ast.parse(source).body:

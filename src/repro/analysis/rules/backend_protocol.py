@@ -7,8 +7,8 @@ registry module itself (the module defining ``RangeSearchBackend`` and the
 ``restore_backend`` share — or, fixture style, a ``build_backend`` that
 holds the chain itself), that every registered engine class:
 
-- defines every protocol method — queries, per-entry and group-level
-  toggles, dynamics — with a signature the protocol's callers can use
+- defines every protocol method — queries, group toggles, dynamics —
+  with a signature the protocol's callers can use
   (same leading parameter names; extra parameters need defaults);
 - exposes ``n_active``, ``supports_insert`` and ``nbytes`` (whatever the
   protocol declares as one) as properties;

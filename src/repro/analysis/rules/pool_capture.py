@@ -10,11 +10,11 @@ be checked at the submission boundary:
   that mutates a variable captured from the enclosing scope (``x.append``,
   ``d[k] = v``), or a method mutating ``self`` state, races against the
   submitting thread unless the mutation happens inside ``with <lock>``.
-- **Implicit span parents.**  ``Tracer.span`` parents via a thread-local
-  stack; inside pool-executed code that stack is empty, so every
-  ``tracer.span(...)`` there must pass an explicit ``parent=``.  The
-  coordinator sidesteps it by opening its ``scatter`` span on the
-  submitting thread, around the fan-out, and none inside the RPC task.
+- **Spans off the request thread.**  A ``Tracer`` is one plain stack
+  owned by the thread that runs the traced batch — no lock, no
+  thread-local — so a pool-submitted callable opens no span.  The
+  coordinator opens its ``scatter`` span on the submitting thread, around
+  the fan-out, and none inside the RPC task.
 """
 
 from __future__ import annotations
@@ -158,14 +158,12 @@ def _scan_node(
     if isinstance(node, ast.Call):
         fn = node.func
         if isinstance(fn, ast.Attribute) and fn.attr == "span":
-            if not any(kw.arg == "parent" for kw in node.keywords):
-                yield mod.finding(
-                    "pool-capture",
-                    node.lineno,
-                    f"{name}() runs on a pool thread but opens a span without "
-                    "an explicit parent= (the thread-local parent stack does "
-                    "not cross the pool boundary)",
-                )
+            yield mod.finding(
+                "pool-capture",
+                node.lineno,
+                f"{name}() runs on a pool thread but opens a span (a tracer's "
+                "span stack belongs to the request thread alone)",
+            )
     for child in ast.iter_child_nodes(node):
         yield from _scan_node(mod, name, child, locals_, locked)
 

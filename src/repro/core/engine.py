@@ -31,11 +31,16 @@ from repro.core.predicates import Expression, Predicate
 from repro.core.ptile_range import PtileRangeIndex
 from repro.core.pref_index import PrefIndex, pref_threshold
 from repro.core.results import QueryResult
-from repro.errors import ConstructionError, DeadlineExceeded, QueryError
+from repro.errors import ConstructionError, QueryError
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import DEFAULT_LEAF_SIZE, check_engine
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
+
+#: What an untraced leaf batch enters in place of a span — one shared
+#: object, the service layer's ``NO_SPAN`` idiom (that layer imports this
+#: module, so the constant cannot come from there).
+_NO_SPAN = nullcontext()
 
 
 class DatasetSearchEngine:
@@ -154,8 +159,9 @@ class DatasetSearchEngine:
         The engine is lazy by default: the first percentile query pays the
         full coreset-enumeration build.  Serving layers call ``build()``
         up front — ``repro serve`` warmup and the sharded executor's
-        parallel :meth:`~repro.service.sharding.ShardedBatchExecutor.warm`
-        both route through here — so no user query eats the cold build.
+        :meth:`~repro.service.sharding.ShardedBatchExecutor.warm` (one
+        shard after another) both route through here — so no user query
+        eats the cold build.
         Pref structures stay lazy (their rank ``k`` is query-dependent).
         Returns ``self`` for chaining.
         """
@@ -261,53 +267,30 @@ class DatasetSearchEngine:
 
         With a tracer the whole kernel call runs under an
         ``engine_leaf_batch`` span, nested inside whatever span the
-        calling thread currently has open (the sharded executor's
-        per-shard span on the warm path).
+        caller has open (the sharded executor's per-shard span).
 
         With a ``deadline`` (a :class:`~repro.service.deadline.Deadline`)
-        the batch switches to the polled per-leaf path: the budget is
-        checked between leaves and :class:`~repro.errors.DeadlineExceeded`
-        carries the prefix of answers already computed (untraced: per-leaf
-        spans would dominate the budget being guarded).
+        the multi-box batching is traded for checkpoint granularity — the
+        caller asked for bounded latency, not peak throughput: leaves are
+        evaluated one at a time, the budget is polled between them, and
+        what comes back is the aligned *prefix* of answers completed
+        before it ran out (all of them when it held).
         """
-        if deadline is not None:
-            return self._eval_leaf_batch_bits_polled(leaves, deadline)
         n = self.n_datasets
         with (
             tracer.span("engine_leaf_batch", n_leaves=len(leaves), n_datasets=n)
             if tracer is not None
-            else nullcontext()
+            else _NO_SPAN
         ):
-            return [
-                DatasetBitmap.from_indices(r.indexes, n)
-                for r in self._leaf_batch_query(leaves)
-            ]
-
-    def _eval_leaf_batch_bits_polled(
-        self, leaves: Sequence[Predicate], deadline
-    ) -> list[DatasetBitmap]:
-        """Leaf-at-a-time evaluation with a deadline poll between leaves.
-
-        Trades the multi-box batching away for checkpoint granularity —
-        this path only runs when the caller asked for a budget, i.e. when
-        bounded latency matters more than peak throughput.  The raised
-        ``DeadlineExceeded.partial`` is an aligned prefix of the input
-        order, so callers can keep the exact answers already computed.
-        """
-        leaves = list(leaves)
-        n = self.n_datasets
-        out: list[DatasetBitmap] = []
-        for i, leaf in enumerate(leaves):
-            if deadline.expired():
-                raise DeadlineExceeded(
-                    f"deadline expired after {i}/{len(leaves)} leaves",
-                    stage="engine_leaf_batch",
-                    partial=out,
-                )
-            out.append(
-                DatasetBitmap.from_indices(self._leaf_query(leaf).indexes, n)
-            )
-        return out
+            if deadline is None:
+                results = self._leaf_batch_query(leaves)
+            else:
+                results = []
+                for leaf in leaves:
+                    if deadline.expired():
+                        break
+                    results.append(self._leaf_query(leaf))
+            return [DatasetBitmap.from_indices(r.indexes, n) for r in results]
 
     # ------------------------------------------------------------------
     # Dynamics (Remark 1)

@@ -65,7 +65,7 @@ class PtileThresholdIndex(PtileIndexBase):
         Optional explicit coreset size (overrides the eps/phi bound).
     engine:
         Range-search backend: ``"kd"`` (default, dynamic),
-        ``"columnar"`` (vectorized scans, dynamic, fastest at scale) or
+        ``"columnar"`` (vectorized scans, dynamic) or
         ``"rangetree"`` (static, faithful textbook range tree; practical
         only at small scale).  See :mod:`repro.index.backend`.
     leaf_size:

@@ -35,35 +35,3 @@ class SnapshotError(ReproError):
     truncated or out-of-bounds array segment, or header state that does not
     describe a loadable engine.
     """
-
-
-class DeadlineExceeded(ReproError):
-    """A query's deadline budget ran out before evaluation finished.
-
-    Raised from the executor/engine checkpoint polls.  ``partial`` carries
-    whatever aligned prefix of leaf answers was fully computed before the
-    budget expired, so the service layer can keep the exact answers it
-    already paid for and fall back to synopsis-screened bounds for the
-    rest (see :mod:`repro.service.degrade`) instead of surfacing a 500.
-
-    Attributes
-    ----------
-    stage:
-        Where the poll fired (``"engine_leaf_batch"``, ``"shard_eval"``,
-        ``"search_batch"``).
-    partial:
-        A list of completed results, aligned with the input prefix the
-        raiser had processed; the element type is the raiser's normal
-        return element (bitmaps for the engine, ``(bitmap, stamp)`` pairs
-        for the executor).  Empty when nothing completed.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        stage: "str | None" = None,
-        partial: "list | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.stage = stage
-        self.partial = partial if partial is not None else []

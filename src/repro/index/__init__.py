@@ -22,23 +22,23 @@ This subpackage provides that machinery:
   rank codes — 1–2 bytes per coordinate — with their per-column level
   tables, ``int32`` id columns, a preorder node table with active
   counters) supporting ``report_first`` over *active* points,
-  ``deactivate``/``activate`` per point and per group (the delete/re-insert
-  trick of Algorithms 2 and 4), and bulk insertion with amortized rebuilds
-  for the dynamic-synopsis remarks.
+  ``deactivate_group`` / ``activate_group`` (the delete/re-insert trick of
+  Algorithms 2 and 4), and bulk insertion with amortized rebuilds for the
+  dynamic-synopsis remarks.
 - :class:`~repro.index.columnar.ColumnarStore` — a vectorized columnar
   engine: column-major point matrix + boolean active mask, answering
   orthant queries (and the bulk ``report_groups`` group-by) with single
-  NumPy passes; the fastest backend at service scale.
+  NumPy passes; unmeasured since PRs 13–15, see ROADMAP item 4.
 
 All engines implement the :class:`~repro.index.backend.RangeSearchBackend`
-protocol (``report / report_first / report_groups / count / deactivate /
-activate / deactivate_group / activate_group / insert / remove /
-remove_group / nbytes`` plus the multi-box batch kernels
-``report_many / count_many / report_groups_many`` — one shared traversal
-on the kd-tree, one broadcast pass on the columnar store) over integer
-entry ids (see :mod:`repro.index.backend`); the dynamic engines add the
-``to_arrays`` / ``from_arrays`` pair snapshots restore from.  Every layer
-above — the Ptile structures,
+protocol (``report / report_first / report_groups / count /
+deactivate_group / activate_group / insert / remove_group / n_active /
+nbytes`` plus the multi-box batch kernels ``report_many /
+report_groups_many`` — one shared traversal on the kd-tree, one broadcast
+pass on the columnar store) over integer entry ids (see
+:mod:`repro.index.backend`); the dynamic engines add the ``to_arrays`` /
+``from_arrays`` pair snapshots restore from.  Every layer above — the
+Ptile structures,
 :class:`~repro.core.engine.DatasetSearchEngine`, the service shards,
 ``repro serve --engine`` — is parameterized by a backend name resolved
 through :func:`~repro.index.backend.build_backend`.

@@ -6,10 +6,9 @@ This module formalizes the seam:
 
 - :class:`RangeSearchBackend` — the structural protocol every engine
   implements: ``report`` / ``report_first`` / ``report_groups`` /
-  ``count`` over *active* points, per-entry ``activate``/``deactivate``
-  toggles, the group-level bulk forms ``deactivate_group`` /
-  ``activate_group`` / ``remove_group``, ``insert``/``remove`` dynamics
-  (static backends advertise ``supports_insert = False`` and raise
+  ``count`` over *active* points, the group toggles ``deactivate_group`` /
+  ``activate_group``, ``insert`` / ``remove_group`` dynamics (static
+  backends advertise ``supports_insert = False`` and raise
   :class:`~repro.errors.CapabilityError`).
 - :func:`build_backend` / :func:`restore_backend` over the
   :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
@@ -126,16 +125,6 @@ def reject_duplicates(
         raise KeyError("duplicate entry id in insert batch")
 
 
-def split_id(entry_id) -> tuple[int, int]:
-    """``(group, local)`` of one entry id; ``KeyError`` for anything that
-    cannot be an id (so lookups of junk read as "unknown entry")."""
-    try:
-        group, local = id_columns([entry_id], 1)
-    except ValueError:
-        raise KeyError(f"unknown entry {entry_id!r}") from None
-    return int(group[0]), int(local[0])
-
-
 def entry_ids(group: np.ndarray, local: np.ndarray) -> list:
     """Id columns back as the ids callers registered.
 
@@ -161,9 +150,10 @@ def group_of(entry_id):
 class RangeSearchBackend(Protocol):
     """Structural contract of a mapped-space range-search engine.
 
-    All query methods see only *active* points.  ``insert``/``remove`` are
-    the dynamic-synopsis operations (Remark 1); a static backend keeps the
-    methods but raises :class:`~repro.errors.CapabilityError` and reports
+    All query methods see only *active* points.  ``insert`` /
+    ``remove_group`` are the dynamic-synopsis operations (Remark 1); a
+    static backend keeps the methods but raises
+    :class:`~repro.errors.CapabilityError` and reports
     ``supports_insert = False`` so callers can refuse up front.
     """
 
@@ -180,7 +170,7 @@ class RangeSearchBackend(Protocol):
 
     @property
     def supports_insert(self) -> bool:
-        """Whether ``insert``/``remove`` are usable on this backend."""
+        """Whether ``insert`` / ``remove_group`` are usable on this backend."""
         ...
 
     @property
@@ -218,20 +208,8 @@ class RangeSearchBackend(Protocol):
         """
         ...
 
-    def count_many(self, boxes: Sequence[QueryBox]) -> list[int]:
-        """Per-box active point counts (``[self.count(b) for b in boxes]``)."""
-        ...
-
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets (``[self.report_groups(b) for b in boxes]``)."""
-        ...
-
-    def deactivate(self, entry_id) -> None:
-        """Hide a point from queries."""
-        ...
-
-    def activate(self, entry_id) -> None:
-        """Re-show a previously deactivated point."""
         ...
 
     def deactivate_group(self, group: int) -> int:
@@ -249,23 +227,18 @@ class RangeSearchBackend(Protocol):
         nothing written, if an id repeats inside the batch or is stored."""
         ...
 
-    def remove(self, entry_id) -> None:
-        """Permanently remove a point, active or not (dynamic backends
-        only); an unknown or already-removed id raises ``KeyError``.  The
-        id is reusable by ``insert`` immediately."""
-        ...
-
     def remove_group(self, group: int) -> int:
-        """Permanently remove every point of ``group`` (dynamic backends
-        only); returns how many.  An absent group is a no-op returning 0."""
+        """Permanently remove every point of ``group``, active or not
+        (dynamic backends only); returns how many.  An absent group is a
+        no-op returning 0; the ids are reusable by ``insert`` immediately."""
         ...
 
 
 #: Registered backend names, in documentation order.
 ENGINES = ("kd", "rangetree", "columnar")
 
-#: Backends whose ``insert``/``remove`` work (live mutation, delta shards)
-#: — also the ones with a persisted form (the ``backend-protocol`` lint rule
+#: Backends whose ``insert`` / ``remove_group`` work (live mutation, delta
+#: shards) — also the ones with a persisted form (the ``backend-protocol`` lint rule
 #: requires it of exactly these): ``to_arrays()``, the flat arrays that
 #: reconstruct the backend, removed entries excluded, and a ``from_arrays``
 #: classmethod that adopts them (they may be read-only maps of a snapshot

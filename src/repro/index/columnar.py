@@ -17,9 +17,10 @@ that trade:
   group column — the bulk operation that collapses the paper's sequential
   ReportFirst/deactivate loop (Algorithms 2 and 4) into one pass — and
   the group-level toggles are one mask write each;
-- ``insert`` appends into amortized-doubling capacity arrays; ``remove``
-  tombstones a row and compacts when tombstones exceed a quarter of the
-  store — the same amortized-rebuilding budget the kd-tree uses.
+- ``insert`` appends into amortized-doubling capacity arrays;
+  ``remove_group`` tombstones rows and compacts when tombstones exceed a
+  quarter of the store — the same amortized-rebuilding budget the kd-tree
+  uses.
 
 The contract is :class:`~repro.index.backend.RangeSearchBackend`; the
 cross-backend equivalence suite (``tests/index/test_backend_equivalence``)
@@ -39,7 +40,6 @@ from repro.index.backend import (
     id_columns,
     id_keys,
     reject_duplicates,
-    split_id,
 )
 from repro.index.query_box import BoxBatch, QueryBox
 
@@ -67,7 +67,8 @@ class ColumnarStore:
     >>> store = ColumnarStore(np.array([[0.0], [1.0], [2.0]]))
     >>> store.report(QueryBox.closed([0.5], [2.5]))
     [1, 2]
-    >>> store.deactivate(1)
+    >>> store.deactivate_group(1)
+    1
     >>> store.report(QueryBox.closed([0.5], [2.5]))
     [2]
     """
@@ -163,29 +164,6 @@ class ColumnarStore:
         n = self._n
         return (self._group[:n] == group) & ~self._dead[:n]
 
-    def _row_of(self, entry_id) -> int:
-        group, local = split_id(entry_id)
-        rows = np.flatnonzero(self._group_rows(group) & (self._local[: self._n] == local))
-        if rows.size == 0:
-            raise KeyError(f"unknown entry {entry_id!r}")
-        return int(rows[0])
-
-    def deactivate(self, entry_id) -> None:
-        """Hide a point from queries (one vectorized id lookup)."""
-        row = self._row_of(entry_id)
-        if not self._active[row]:
-            raise KeyError(f"entry {entry_id!r} is already inactive")
-        self._active[row] = False
-        self._n_active_count -= 1
-
-    def activate(self, entry_id) -> None:
-        """Re-show a previously deactivated point."""
-        row = self._row_of(entry_id)
-        if self._active[row]:
-            raise KeyError(f"entry {entry_id!r} is already active")
-        self._active[row] = True
-        self._n_active_count += 1
-
     def deactivate_group(self, group: int) -> int:
         """Hide every active point of ``group`` (one mask write)."""
         rows = self._group_rows(group) & self._active[: self._n]
@@ -251,12 +229,9 @@ class ColumnarStore:
                 live["group"], live["local"], live["active"],
             )
 
-    def remove(self, entry_id) -> None:
-        """Permanently remove a point (tombstone + amortized compaction)."""
-        self._bury(self._row_of(entry_id), 1)
-
     def remove_group(self, group: int) -> int:
-        """Permanently remove every point of ``group``; returns how many."""
+        """Permanently remove every point of ``group`` (tombstones +
+        amortized compaction); returns how many."""
         rows = self._group_rows(group)
         removed = int(np.count_nonzero(rows))
         self._bury(rows, removed)
@@ -275,7 +250,7 @@ class ColumnarStore:
         """Boolean row mask: active and inside the box.
 
         Dead (removed) rows need no extra filter here: ``_bury`` always
-        forces ``_active`` False and every id lookup skips dead rows, so a
+        forces ``_active`` False and ``_group_rows`` skips dead rows, so a
         tombstoned row can never be re-activated.
         """
         self._check_box(box)
@@ -332,10 +307,6 @@ class ColumnarStore:
         of its hits' group codes instead (ids never materialized)."""
         take = self._group[: self._n].__getitem__ if groups else self._ids_at
         return [take(row) for row in self._match_matrix(boxes)]
-
-    def count_many(self, boxes: Sequence[QueryBox]) -> list[int]:
-        """Per-box active point counts in one broadcast pass."""
-        return self._match_matrix(boxes).sum(axis=1).tolist()
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets in one broadcast pass + per-box group-by."""

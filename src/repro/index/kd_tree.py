@@ -11,10 +11,10 @@ weights are appended as coordinates).  It implements the
   found by a pruned descent that skips subtrees with zero active points;
 - ``report_groups(box)`` — all dataset keys with an active point in the
   box (an integer ``np.unique`` over the hit rows' group column);
-- ``deactivate`` / ``activate`` and their ``*_group`` bulk forms — the
-  temporary deletions of Algorithms 2 and 4;
-- ``insert(points, ids)`` / ``remove(id)`` / ``remove_group`` — the
-  dynamic-synopsis remarks, via a side buffer with amortized full rebuilds
+- ``deactivate_group`` / ``activate_group`` — the temporary deletions of
+  Algorithms 2 and 4;
+- ``insert(points, ids)`` / ``remove_group`` — the dynamic-synopsis
+  remarks, via a side buffer with amortized full rebuilds
   (logarithmic-rebuilding in the style of Overmars [47]).
 
 **Everything is a flat array, and the main tree stores ranks, not
@@ -74,7 +74,6 @@ from repro.index.backend import (
     id_columns,
     id_keys,
     reject_duplicates,
-    split_id,
 )
 from repro.index.columnar import ColumnarStore
 from repro.index.query_box import BoxBatch, QueryBox
@@ -356,33 +355,6 @@ class DynamicKDTree:
         """The non-removed rows of a main-tree column (itself if none are)."""
         return column[~self._dead] if self._n_dead else column
 
-    def _main_rows(self, entry_id) -> np.ndarray:
-        """The main-tree row holding an id (empty if buffered or unknown)."""
-        group, local = split_id(entry_id)
-        return np.flatnonzero(self._group_rows(group) & (self._local == local))
-
-    def _toggle(self, entry_id, value: bool) -> None:
-        rows = self._main_rows(entry_id)
-        if rows.size:
-            if self._active[rows[0]] == value:
-                state = "active" if value else "inactive"
-                raise KeyError(f"entry {entry_id!r} is already {state}")
-            self._set_active(rows, value)
-        elif self._buf is None:
-            raise KeyError(f"unknown entry {entry_id!r}")
-        elif value:
-            self._buf.activate(entry_id)
-        else:
-            self._buf.deactivate(entry_id)
-
-    def deactivate(self, entry_id) -> None:
-        """Hide a point from queries."""
-        self._toggle(entry_id, False)
-
-    def activate(self, entry_id) -> None:
-        """Re-show a previously deactivated point."""
-        self._toggle(entry_id, True)
-
     def deactivate_group(self, group: int) -> int:
         """Hide every active point of ``group``: one mask write plus one
         counter update over the node table."""
@@ -430,22 +402,9 @@ class DynamicKDTree:
         self._n_dead += int(rows.size)
         return int(rows.size)
 
-    def remove(self, entry_id) -> None:
-        """Permanently remove a point (tombstone, dropped at next rebuild).
-
-        Deactivated points can be removed too; removing an unknown or
-        already-removed id raises ``KeyError``.
-        """
-        rows = self._main_rows(entry_id)
-        if rows.size:
-            self._bury(rows)
-        elif self._buf is None:
-            raise KeyError(f"unknown entry {entry_id!r}")
-        else:
-            self._buf.remove(entry_id)
-
     def remove_group(self, group: int) -> int:
-        """Permanently remove every point of ``group``; returns how many."""
+        """Permanently remove every point of ``group``, hidden ones too
+        (tombstones, dropped at the next rebuild); returns how many."""
         buffered = self._buf.remove_group(group) if self._buf is not None else 0
         return self._bury(np.flatnonzero(self._group_rows(group))) + buffered
 
@@ -630,23 +589,6 @@ class DynamicKDTree:
             buffered = self._buf.report_many(boxes, groups)
             out = [join(a, b) for a, b in zip(out, buffered)]
         return out
-
-    def count_many(self, boxes: Sequence[QueryBox]) -> list[int]:
-        """Per-box active point counts via the shared walk, counting from
-        node counters and boolean masks — no row materialization."""
-        boxes = list(boxes)
-        counts = np.zeros(len(boxes), dtype=np.int64)
-
-        def on_full(node, full):
-            counts[full] += self._count[node]
-
-        def on_scan(_start, inside, alive):
-            counts[alive] += inside.sum(axis=1)
-
-        self._walk_many(boxes, on_full, on_scan)
-        if self._buf is not None:
-            counts += self._buf.count_many(boxes)
-        return counts.tolist()
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets: the shared walk plus one integer

@@ -130,13 +130,6 @@ class RangeTree:
             "dynamic insertion"
         )
 
-    def remove(self, entry_id) -> None:
-        """Unsupported — the textbook range tree is static."""
-        raise CapabilityError(
-            "RangeTree is static; use the 'kd' or 'columnar' engine for "
-            "dynamic removal"
-        )
-
     def remove_group(self, group: int) -> int:
         """Unsupported — the textbook range tree is static."""
         raise CapabilityError(
@@ -156,14 +149,6 @@ class RangeTree:
     # ------------------------------------------------------------------
     # Activation
     # ------------------------------------------------------------------
-    def deactivate(self, entry_id) -> None:
-        """Hide a point from all queries (O(polylog n))."""
-        self._set_active(entry_id, active=False)
-
-    def activate(self, entry_id) -> None:
-        """Re-show a previously deactivated point."""
-        self._set_active(entry_id, active=True)
-
     def _toggle_group(self, group: int, active: bool) -> int:
         sli = self._activity()
         ids = [
@@ -285,10 +270,6 @@ class RangeTree:
     def report_many(self, boxes: Sequence[QueryBox]) -> list[list]:
         """Per-box active id lists (per-box loop; see class comment)."""
         return [self.report(box) for box in boxes]
-
-    def count_many(self, boxes: Sequence[QueryBox]) -> list[int]:
-        """Per-box active point counts."""
-        return [self.count(box) for box in boxes]
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets."""

@@ -7,9 +7,9 @@ enters the service.  It is threaded *by reference* through
 ``QueryService.search_batch`` → ``ShardedBatchExecutor`` →
 ``DatasetSearchEngine.eval_leaf_batch_bits``, where cheap checkpoint
 polls (:meth:`Deadline.expired`, one clock read and one comparison)
-between shards and leaves raise
-:class:`~repro.errors.DeadlineExceeded` carrying the partial results
-computed so far.
+between shards and leaves end the evaluation: each layer returns the
+aligned prefix of leaf answers it completed, and a list shorter than the
+leaves asked for is how the service reads a tripped budget.
 
 Wall-clock deadlines deliberately do not exist here: ``time.time()`` can
 jump (NTP), and a budget that fires early or never because the clock

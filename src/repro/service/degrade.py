@@ -16,12 +16,14 @@ Screening evaluates each leaf's measure directly on each dataset's
 synopsis and compares against the leaf's interval ``theta``:
 
 - **Percentile leaf** (``M_R``, engine recall is exact and precision
-  slack is ``eps_effective + 2·delta`` per dataset): the synopsis mass
+  slack is ``2·eps_effective + 2·delta`` per dataset — the query box is
+  widened by ``eps_effective`` around *coreset* masses, themselves within
+  ``eps_effective`` of the true ones): the synopsis mass
   ``m`` brackets the true mass in ``[m-d, m+d]`` with
   ``d = delta_ptile``.  If that whole bracket lies inside ``theta`` the
   true mass does too, and exact recall puts the dataset in the engine's
   answer — *must*.  Conversely the engine only reports datasets whose
-  true mass lies in ``theta`` widened by ``eps_effective + 2d``; if the
+  true mass lies in ``theta`` widened by ``2·eps_effective + 2d``; if the
   bracket misses even the widened interval the engine cannot report it —
   *can't*.  Everything between is *maybe*.
 - **Preference leaf** (``M_{v,k}``, threshold ``tau``; the Pref
@@ -89,7 +91,7 @@ def classify_ptile(
         return "must"
     if eps_effective is None:
         return "maybe"
-    wide = theta.expand(eps_effective + 2.0 * d)
+    wide = theta.expand(2.0 * eps_effective + 2.0 * d)
     if (m + d) < wide.lo or (m - d) > wide.hi:
         return "cant"
     return "maybe"

@@ -4,11 +4,10 @@ Three complementary layers, all dependency-free:
 
 - **Span tracer** — :class:`Tracer` hands out context-manager
   :class:`Span` objects with monotonic-clock durations and parent links.
-  Nesting is implicit per thread (a thread-local span stack); a span
-  opened on another thread would pass its parent explicitly (none does
-  today: shard units run on the request thread).  Finished spans feed
-  the registry's per-stage histogram, so every traced query updates
-  ``repro_stage_seconds``.
+  Nesting is implicit: one tracer serves one traced batch on the request
+  thread (shard units run there too) and keeps one stack of open spans.
+  Finished spans feed the registry's per-stage histogram, so every traced
+  query updates ``repro_stage_seconds``.
   When tracing is off the instrumented call sites receive ``tracer=None``
   and skip all of this behind one ``is not None`` branch — the disabled
   cost is a single pointer comparison per site.  A traced stage is spelt
@@ -18,10 +17,8 @@ Three complementary layers, all dependency-free:
 - **Metrics registry** — :class:`MetricsRegistry` holds named counters
   and :class:`Histogram` families and renders the Prometheus text
   exposition format (``GET /metrics``).  Histograms use fixed log-spaced
-  bucket bounds with counts in a flat ``int64`` word array — the same
-  flat-array discipline as :class:`~repro.core.bitset.DatasetBitmap` —
-  so two histograms over the same bounds merge by vector addition and
-  quantiles come straight from the cumulative counts.
+  bucket bounds with counts in one flat list, so quantiles come straight
+  from the cumulative counts.
 - **Slow-query log** — :class:`SlowQueryLog` keeps the ``k`` worst
   queries above a latency threshold (a bounded min-heap, so only the
   worst survive), each with its stats and its trace when one was
@@ -99,7 +96,7 @@ def default_latency_bounds() -> tuple[float, ...]:
 
 
 class Histogram:
-    """A fixed-bucket latency histogram with mergeable flat-array counts.
+    """A fixed-bucket latency histogram with flat-array counts.
 
     Parameters
     ----------
@@ -109,26 +106,19 @@ class Histogram:
         values land in the implicit +Inf overflow bucket.  Defaults to
         :func:`default_latency_bounds`.
 
-    Counts live in one flat array of ``len(bounds) + 1`` words, so two
-    histograms over the same bounds merge by vector addition — exactly
-    how per-worker histograms would aggregate in a multi-process server.
-    ``observe`` is a bisect plus one plain-``int`` increment under a
-    lock (the hot store is a Python list; :attr:`counts` materializes an
-    ``int64`` view on read, keeping per-observation cost off the numpy
-    scalar-indexing path).
+    Counts live in one flat list of ``len(bounds) + 1`` plain ints;
+    ``observe`` is a bisect plus one increment under a lock, keeping
+    per-observation cost off the numpy scalar-indexing path.
 
     Examples
     --------
     >>> h = Histogram(bounds=(0.001, 0.01, 0.1))
     >>> for v in (0.0005, 0.002, 0.02, 5.0):
     ...     h.observe(v)
-    >>> h.count, h.counts.tolist()
+    >>> h.count, h.snapshot()["counts"]
     (4, [1, 1, 1, 1])
     >>> h.quantile(50.0) <= 0.01
     True
-    >>> g = Histogram(bounds=(0.001, 0.01, 0.1)); g.observe(0.002)
-    >>> h.merge(g).counts.tolist()
-    [1, 2, 1, 1]
     """
 
     __slots__ = ("bounds", "_counts", "count", "sum", "_lock")
@@ -145,12 +135,6 @@ class Histogram:
         self.sum = 0.0  # guarded-by: _lock
         self._lock = threading.Lock()
 
-    @property
-    def counts(self) -> np.ndarray:
-        """The bucket counts as an ``int64`` array (copy, mergeable)."""
-        with self._lock:
-            return np.asarray(self._counts, dtype=np.int64)
-
     def observe(self, value: float) -> None:  # lint: hot-path
         """Record one observation (thread-safe)."""
         idx = bisect_left(self.bounds, value)
@@ -158,19 +142,6 @@ class Histogram:
             self._counts[idx] += 1
             self.count += 1
             self.sum += value
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both operands' counts (same bounds)."""
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        out = Histogram(self.bounds)
-        with self._lock:
-            counts, count, total = list(self._counts), self.count, self.sum
-        with other._lock:
-            out._counts = [a + b for a, b in zip(counts, other._counts)]
-            out.count = count + other.count
-            out.sum = total + other.sum
-        return out
 
     def quantile_bounds(self, q: float) -> tuple[float, float]:
         """The ``(lo, hi]`` bucket interval containing the q-th percentile.
@@ -454,11 +425,9 @@ STAGE_METRIC = "repro_stage_seconds"
 class Tracer:
     """Produces linked spans and feeds finished durations to a registry.
 
-    One tracer instance serves one traced batch.  Nesting is implicit
-    within a thread (a thread-local stack: the innermost open span of the
-    current thread adopts new spans); a span opened on *another* thread
-    passes ``parent`` explicitly, which also seeds that thread's local
-    stack so deeper spans nest under it naturally.
+    One tracer instance serves one traced batch on the thread that runs
+    it — nothing is locked.  Nesting is implicit: the innermost open span
+    adopts new spans.
 
     On exit every span's duration is recorded into the registry histogram
     ``repro_stage_seconds{stage=<name>}`` (:data:`STAGE_METRIC`), so traced
@@ -480,33 +449,9 @@ class Tracer:
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry
         self.root: Optional[Span] = None
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: list[Span] = []
 
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span on *this* thread (None outside spans).
-
-        Cross-thread call sites capture this before fanning out and pass
-        it as the explicit ``parent`` of spans opened on worker threads.
-        """
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def record_span(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        parent: Optional[Span] = None,
-        **meta: object,
-    ) -> Span:
+    def record_span(self, name: str, t0: float, t1: float, **meta: object) -> Span:
         """Attach an already-finished span from captured stamps.
 
         For call sites that measured a phase with existing
@@ -514,7 +459,7 @@ class Tracer:
         the span, links it, and feeds the stage histogram, without the
         context-manager protocol in the hot path.
         """
-        span = self.span(name, parent=parent, **meta)
+        span = self.span(name, **meta)
         span.t0 = t0
         span.t1 = t1
         if self.registry is not None:
@@ -523,25 +468,21 @@ class Tracer:
             )
         return span
 
-    def span(self, name: str, parent: Optional[Span] = None, **meta: object) -> Span:
-        """A new span; nests under ``parent`` or the thread's open span."""
-        if parent is None:
-            stack = self._stack()
-            parent = stack[-1] if stack else None
+    def span(self, name: str, **meta: object) -> Span:
+        """A new span; nests under the innermost open span."""
+        parent = self._stack[-1] if self._stack else None
         span = Span(name, self, parent=parent, **meta)
         if parent is not None:
-            # Children lists may be appended from several threads.
-            with self._lock:
-                parent.children.append(span)
+            parent.children.append(span)
         elif self.root is None:
             self.root = span
         return span
 
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
+        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._stack
         while stack and stack[-1] is not span:
             stack.pop()
         if stack:

@@ -317,7 +317,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         return True
 
     def release(self) -> None:
-        """Undo :meth:`admit`; runs after it on every exit, raise included."""
+        """Undo :meth:`admit` (idempotent): runs before a reply's bytes go
+        out — an answered client's next request must not meet the slot of
+        the one it was answered for — and again on every exit, raise
+        included."""
 
     def observe(self, endpoint: str, seconds: float, status: int) -> None:
         """One finished request; ``endpoint`` is a routed path or ``other``
@@ -387,6 +390,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         extra_headers: Optional[dict] = None,
     ) -> None:
         self._status = status
+        self.release()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(raw)))

@@ -48,7 +48,7 @@ from repro.core.bitset import DatasetBitmap
 from repro.core.framework import Dataset, Repository
 from repro.core.predicates import Expression
 from repro.core.results import QueryResult
-from repro.errors import ConstructionError, DeadlineExceeded, QueryError
+from repro.errors import ConstructionError, QueryError
 from repro.geometry.rectangle import Rectangle
 from repro.service.cache import LeafResultCache
 from repro.service.deadline import Deadline
@@ -369,17 +369,16 @@ class QueryService:
                     if tracer is not None
                     else NO_SPAN
                 ):
-                    try:
-                        answers = run(
-                            [leaf for _key, leaf, _entry in todo],
-                            tracer=tracer,
-                            deadline=deadline,
-                        )
-                    except DeadlineExceeded as exc:
-                        # Keep the exact prefix the executor completed; the
-                        # remaining leaves degrade to screened bounds.
+                    answers = run(
+                        [leaf for _key, leaf, _entry in todo],
+                        tracer=tracer,
+                        deadline=deadline,
+                    )
+                    if len(answers) < len(todo):
+                        # A tripped deadline: keep the exact prefix the
+                        # executor completed; the remaining leaves degrade
+                        # to screened bounds.
                         degrade_reason = "deadline"
-                        answers = exc.partial
                     for (key, _leaf, entry), (answer, done) in zip(todo, answers):
                         if entry is not None:
                             answer = entry.indexes | answer
@@ -732,7 +731,8 @@ class QueryService:
         return snapshot.load(path, mmap=mmap)
 
     def close(self) -> None:
-        self.executor.close()
+        """Nothing to release (shard units run on the calling thread);
+        kept as the end of a service's life for the CLI and ``with``."""
 
     def __enter__(self) -> "QueryService":
         return self

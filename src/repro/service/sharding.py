@@ -73,12 +73,7 @@ from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure
 from repro.core.predicates import Predicate
-from repro.errors import (
-    CapabilityError,
-    ConstructionError,
-    DeadlineExceeded,
-    QueryError,
-)
+from repro.errors import CapabilityError, ConstructionError, QueryError
 from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import check_dynamic_engine
@@ -194,9 +189,10 @@ class ShardedBatchExecutor:
     engine:
         Range-search backend name forced onto every shard engine (and the
         delta shard): ``"kd"`` (default) or ``"columnar"`` (vectorized
-        scans; fastest at service scale) — the dynamic engines of
-        :mod:`repro.index.backend`.  The static ``"rangetree"`` is refused
-        at construction: the serving layer ingests live.
+        scans; unmeasured since PRs 13–15, see ROADMAP item 4) — the
+        dynamic engines of :mod:`repro.index.backend`.  The static
+        ``"rangetree"`` is refused at construction: the serving layer
+        ingests live.
     capacity:
         Expected repository size the accuracy contract is resolved against:
         ``phi_eff``, ``sample_size`` and ``eps_effective`` are computed for
@@ -399,11 +395,11 @@ class ShardedBatchExecutor:
 
         With a ``deadline`` the budget is polled once the unit lock is
         held (before any evaluation); polling between leaves is the
-        engine's.  The raised :class:`DeadlineExceeded` carries the
-        *global* ``(bitmap, stamp)`` prefix this unit completed.  The
-        ``shard_eval`` failpoint fires first — inside the lock, before the
-        poll — so an armed ``sleep`` deterministically trips a short
-        deadline.
+        engine's.  What comes back is the prefix of ``leaves`` this unit
+        completed — shorter than ``leaves`` exactly when the budget ran
+        out.  The ``shard_eval`` failpoint fires first — inside the lock,
+        before the poll — so an armed ``sleep`` deterministically trips a
+        short deadline.
         """
         if tracer is None:
             span = NO_SPAN
@@ -418,6 +414,8 @@ class ShardedBatchExecutor:
         with span, lock:
             if faults.ARMED is not None:
                 faults.hit("shard_eval")
+            if deadline is not None and deadline.expired():
+                return []
             # Compile the mapping once per unit call, not once per leaf:
             # the contiguity probe is O(shard size) and the mapping is
             # fixed for the duration (the delta mapping grows in place
@@ -425,31 +423,16 @@ class ShardedBatchExecutor:
             # global universe ends one past its largest id.
             nbits = (int(mapping[-1]) + 1) if len(mapping) else 0
             to_global = make_remapper(mapping, nbits)
-            if deadline is not None and deadline.expired():
-                raise DeadlineExceeded(
-                    f"deadline expired before unit eval of "
-                    f"{len(leaves)} leaves",
-                    stage="shard_eval",
-                    partial=[],
-                )
             if any(isinstance(lf.measure, PercentileMeasure) for lf in leaves):
                 self._pin_ptile(engine)
-            try:
-                locals_ = engine.eval_leaf_batch_bits(
-                    leaves, tracer=tracer, deadline=deadline
-                )
-            except DeadlineExceeded as exc:
-                # Translate the engine's local-bitmap prefix into this
-                # unit's global (bitmap, stamp) shape before re-raising,
-                # so the merge can salvage it.
-                done = time.perf_counter()
-                exc.stage = "shard_eval"
-                exc.partial = [(to_global(local), done) for local in exc.partial]
-                raise
+            locals_ = engine.eval_leaf_batch_bits(
+                leaves, tracer=tracer, deadline=deadline
+            )
             done = time.perf_counter()
             out = [(to_global(local), done) for local in locals_]
-        with self._stats_lock:
-            self.stats["shard_tasks"] += len(out)
+        if len(out) == len(leaves):  # a tripped unit counts no task
+            with self._stats_lock:
+                self.stats["shard_tasks"] += len(out)
         return out
 
     def _units(
@@ -500,11 +483,10 @@ class ShardedBatchExecutor:
         With a ``deadline``, a unit that trips its budget ends the loop
         and no unit is started once the budget is spent: the leaf prefix
         every unit completed — ``min`` over units, so 0 when a unit was
-        never reached — is merged exactly as a full answer would be, and
-        a fresh :class:`DeadlineExceeded` carrying those
-        merged global ``(bitmap, stamp)`` pairs is raised.  A prefix leaf
-        is *exact*: all shards answered it and the tombstone mask was
-        applied, so callers can keep it.
+        never reached — is merged exactly as a full answer would be and
+        returned, shorter than ``leaves``.  A prefix leaf is *exact*: all
+        shards answered it and the tombstone mask was applied, so callers
+        can keep it.
         """
         leaves = list(leaves)
         if not leaves:
@@ -515,21 +497,13 @@ class ShardedBatchExecutor:
                 self.stats[counter] += len(leaves)
             return [(DatasetBitmap.zeros(0), stamp) for _ in leaves]
         per_unit: list[list[tuple[DatasetBitmap, float]]] = []
-        tripped = False
         for engine, mapping, lock in units:
             if deadline is not None and deadline.expired():
-                tripped = True
                 break
-            try:
-                per_unit.append(
-                    self._eval_on_unit(
-                        engine, mapping, lock, leaves, tracer, deadline
-                    )
-                )
-            except DeadlineExceeded as exc:
-                # Salvageable, not a failure: keep what this unit finished.
-                per_unit.append(exc.partial)
-                tripped = True
+            per_unit.append(
+                self._eval_on_unit(engine, mapping, lock, leaves, tracer, deadline)
+            )
+            if len(per_unit[-1]) < len(leaves):
                 break
         n_merge = (
             min(len(answers) for answers in per_unit)
@@ -552,14 +526,9 @@ class ShardedBatchExecutor:
                 if removed is not None:
                     merged = merged.andnot(removed)
                 out.append((merged, done))
-        if tripped:
-            raise DeadlineExceeded(
-                f"deadline expired after {n_merge}/{len(leaves)} leaves",
-                stage="shard_eval",
-                partial=out,
-            )
-        with self._stats_lock:
-            self.stats[counter] += len(out)
+        if len(out) == len(leaves):  # a tripped batch counts no leaf
+            with self._stats_lock:
+                self.stats[counter] += len(out)
         return out
 
     # ------------------------------------------------------------------
@@ -574,11 +543,12 @@ class ShardedBatchExecutor:
         """A batch of leaves across base shards plus the delta shard.
 
         Returns one ``(global bitset, completion time)`` pair per leaf,
-        aligned with the input order; tombstoned datasets are masked out
-        (word-wise ANDNOT against the persistent removal mask).  The
-        completion time is the ``time.perf_counter()`` instant at which
-        the last shard finished that leaf — the stamp the emit scheduler
-        attributes to it.
+        aligned with the input order — with a ``deadline``, for the prefix
+        of leaves every unit completed before it ran out; tombstoned
+        datasets are masked out (word-wise ANDNOT against the persistent
+        removal mask).  The completion time is the ``time.perf_counter()``
+        instant at which the last shard finished that leaf — the stamp the
+        emit scheduler attributes to it.
         """
         return self._eval_on_units(
             "leaf_evals", self._units(), leaves, tracer, deadline
@@ -726,12 +696,3 @@ class ShardedBatchExecutor:
             out = dict(self.stats)
         out["index_bytes"] = self.index_bytes()
         return out
-
-    def close(self) -> None:
-        """Nothing to release; kept so an executor is a context manager."""
-
-    def __enter__(self) -> "ShardedBatchExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

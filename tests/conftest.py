@@ -4,10 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.framework import Repository
 from repro.geometry.rectangle import Rectangle
 from repro.synopsis.exact import ExactSynopsis
+
+# Profiles of the stateful differential test (tests/service/test_stateful.py
+# picks one by name; nothing is loaded as the default): ``ci`` is the tier-1
+# slice — derandomized, under 10 s for both shard counts — ``soak`` the long
+# random run by hand.
+settings.register_profile(
+    "ci", max_examples=30, stateful_step_count=20, deadline=None,
+    derandomize=True, suppress_health_check=list(HealthCheck),
+)
+settings.register_profile(
+    "soak", max_examples=400, stateful_step_count=50, deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
 
 
 @pytest.fixture

@@ -74,26 +74,29 @@ class TestStaticEquivalence:
 
 class TestActivationEquivalence:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
-    def test_random_toggle_sequences(self, seed, n):
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 60), plain=st.booleans())
+    def test_random_toggle_sequences(self, seed, n, plain):
+        """Toggles are per group; with plain int ids every point is its
+        own group, so that half of the cases toggles point by point."""
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(n, dim))
-        ids = [(int(i) % 5, int(i)) for i in range(n)]
+        ids = list(range(n)) if plain else [(int(i) % 5, int(i)) for i in range(n)]
         backends = build_all(pts, ids)
-        active = {pid: True for pid in ids}
+        size = {}
+        for pid in ids:
+            size[group_of(pid)] = size.get(group_of(pid), 0) + 1
+        active = {g: True for g in size}
         for _ in range(30):
-            pid = ids[int(rng.integers(n))]
+            g = group_of(ids[int(rng.integers(n))])
             for b in backends.values():
-                if active[pid]:
-                    b.deactivate(pid)
-                else:
-                    b.activate(pid)
-            active[pid] = not active[pid]
+                toggle = b.deactivate_group if active[g] else b.activate_group
+                assert toggle(g) == size[g]
+            active[g] = not active[g]
             if rng.integers(3) == 0:
                 assert_agree(backends, random_orthant(rng, dim))
         assert_agree(backends, QueryBox.unbounded(dim))
-        n_active = sum(active.values())
+        n_active = sum(size[g] for g in size if active[g])
         for e, b in backends.items():
             assert b.n_active == n_active, f"n_active mismatch on {e}"
 
@@ -101,7 +104,6 @@ class TestActivationEquivalence:
         """The Algorithm-2 pattern: report_first, hide the whole group."""
         pts = rng.uniform(size=(60, 3))
         ids = [(i % 6, i) for i in range(60)]
-        group_ids = {k: [pid for pid in ids if pid[0] == k] for k in range(6)}
         backends = build_all(pts, ids)
         box = QueryBox.closed([0.1] * 3, [0.9] * 3)
         expect = {e: b.report_groups(box) for e, b in backends.items()}
@@ -112,45 +114,54 @@ class TestActivationEquivalence:
                 if hit is None:
                     break
                 got.add(hit[0])
-                for pid in group_ids[hit[0]]:
-                    b.deactivate(pid)
+                assert b.deactivate_group(hit[0]) == 10
             for k in got:
-                for pid in group_ids[k]:
-                    b.activate(pid)
+                assert b.activate_group(k) == 10
             assert got == expect[e] == expect["kd"], e
+            assert b.n_active == 60  # the loop restored every point
 
     def test_group_level_toggles_match_per_point_loops(self, rng):
         """``deactivate_group`` / ``activate_group`` are the bulk form of
-        toggling every point of the group, on every backend."""
+        toggling every point of the group, on every backend: the loop side
+        holds the same points under plain int ids (each its own group)."""
         pts = rng.uniform(size=(60, 3))
         ids = [(i % 6, i) for i in range(60)]
-        bulk, loop = build_all(pts, ids), build_all(pts, ids)
+        bulk, loop = build_all(pts, ids), build_all(pts, range(60))
         box = QueryBox.unbounded(3)
         for e in ENGINES:
-            loop[e].deactivate((2, 2))  # already hidden: not counted, not an error
-            bulk[e].deactivate((2, 2))
-            assert bulk[e].deactivate_group(2) == 9
-            for pid in ids:
-                if pid[0] == 2 and pid != (2, 2):
-                    loop[e].deactivate(pid)
+            assert bulk[e].deactivate_group(2) == 10
+            for _group, i in ids:
+                if _group == 2:
+                    assert loop[e].deactivate_group(i) == 1
             assert bulk[e].n_active == loop[e].n_active == 50
-            assert sorted(bulk[e].report(box)) == sorted(loop[e].report(box))
-            assert bulk[e].deactivate_group(2) == 0
+            assert sorted(i for _g, i in bulk[e].report(box)) == sorted(loop[e].report(box))
+            assert bulk[e].deactivate_group(2) == 0  # already hidden: not counted
             assert bulk[e].deactivate_group(99) == 0  # absent group: no-op
-            assert bulk[e].activate_group(2) == 10
-            assert bulk[e].n_active == 60
+            assert bulk[e].activate_group(99) == 0
+            extra = 0
+            if e in DYNAMIC_ENGINES:  # a half-hidden group counts its active half
+                bulk[e].insert(rng.uniform(size=(1, 3)), [(2, 60)])
+                assert bulk[e].deactivate_group(2) == (extra := 1)
+            assert bulk[e].activate_group(2) == 10 + extra
+            assert bulk[e].activate_group(2) == 0  # already shown: not counted
+            assert bulk[e].n_active == 60 + extra
             assert bulk[e].report_groups(box) == set(range(6))
 
 
 class TestDynamicEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_insert_remove_churn(self, seed):
-        """Dynamic backends stay equivalent under mixed churn."""
+    @given(seed=st.integers(0, 10_000), plain=st.booleans())
+    def test_insert_remove_churn(self, seed, plain):
+        """Dynamic backends stay equivalent under mixed churn — whole
+        groups removed, or single points where ids are plain ints."""
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(20, dim))
-        ids = [(int(i) % 4, int(i)) for i in range(20)]
+
+        def make_id(i):
+            return int(i) if plain else (int(i) % 8, int(i))
+
+        ids = [make_id(i) for i in range(20)]
         backends = {
             e: build_backend(pts, list(ids), e, leaf_size=4)
             for e in DYNAMIC_ENGINES
@@ -160,16 +171,18 @@ class TestDynamicEquivalence:
         for _ in range(50):
             op = rng.integers(0, 3)
             if op == 0:
-                pid = (int(next_id) % 4, int(next_id))
+                pid = make_id(next_id)
                 row = rng.uniform(size=(1, dim))
                 for b in backends.values():
                     b.insert(row, [pid])
                 live.append(pid)
                 next_id += 1
             elif op == 1 and len(live) > 1:
-                pid = live.pop(int(rng.integers(len(live))))
+                group = group_of(live[int(rng.integers(len(live)))])
+                gone = [pid for pid in live if group_of(pid) == group]
+                live = [pid for pid in live if group_of(pid) != group]
                 for b in backends.values():
-                    b.remove(pid)
+                    assert b.remove_group(group) == len(gone)
             else:
                 box = random_orthant(rng, dim)
                 reports = {e: sorted(b.report(box)) for e, b in backends.items()}
@@ -184,8 +197,7 @@ class TestDynamicEquivalence:
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_duplicate_ids_inside_one_batch_rejected(self, engine):
         """A repeated id inside one insert() is a KeyError and writes
-        nothing (it used to store two rows under one id, one of which
-        no deactivate could ever reach)."""
+        nothing (it used to store two rows under one id)."""
         b = build_backend(np.array([[0.0], [1.0]]), [(0, 0), (0, 1)], engine)
         box = QueryBox.unbounded(1)
         for ids in ([(1, 0), (1, 0)], [(1, 0), (0, 1)], [7, 7]):
@@ -196,8 +208,9 @@ class TestDynamicEquivalence:
         b.insert(np.array([[5.0], [6.0]]), ids=[(1, 0), (1, 1)])
         with pytest.raises(KeyError):  # ... and against buffered rows too
             b.insert(np.array([[7.0]]), ids=[(1, 1)])
-        b.deactivate((1, 0))
-        assert sorted(b.report(box)) == [(0, 0), (0, 1), (1, 1)]
+        assert sorted(b.report(box)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert b.deactivate_group(1) == 2
+        assert sorted(b.report(box)) == [(0, 0), (0, 1)]
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_array_round_trip(self, engine, rng):
@@ -206,10 +219,10 @@ class TestDynamicEquivalence:
         that has one: the dynamic ones."""
         from repro.index.backend import restore_backend
 
-        ids = [(i % 4, i) for i in range(40)]
-        b = build_backend(rng.uniform(size=(40, 2)), ids, engine, leaf_size=4)
+        ids = [(i % 4, i) for i in range(40)] + [(9, 0)]
+        b = build_backend(rng.uniform(size=(41, 2)), ids, engine, leaf_size=4)
         b.insert(rng.uniform(size=(3, 2)), [(5, 0), (5, 1), (5, 2)])
-        b.remove((0, 4))
+        b.remove_group(9)  # a tombstone in the main structure
         b.deactivate_group(2)
         arrays = b.to_arrays()
         for arr in arrays.values():
@@ -246,8 +259,8 @@ class TestDynamicEquivalence:
     def test_remove_group(self, engine, rng):
         ids = [(i % 4, i) for i in range(40)]
         b = build_backend(rng.uniform(size=(40, 2)), ids, engine, leaf_size=4)
+        assert b.deactivate_group(1) == 10
         b.insert(rng.uniform(size=(3, 2)), [(1, 100), (1, 101), (5, 0)])
-        b.deactivate((1, 5))
         assert b.remove_group(1) == 12  # hidden and buffered points included
         assert b.remove_group(1) == 0
         assert len(b) == 31 and b.n_active == 31
@@ -260,7 +273,7 @@ class TestDynamicEquivalence:
 class TestBatchKernels:
     """The multi-box kernels must equal the per-box loop on every backend:
     ``report_many(boxes) ≡ [report(b) for b in boxes]`` and likewise for
-    ``count_many`` / ``report_groups_many``."""
+    ``report_groups_many``."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -279,9 +292,7 @@ class TestBatchKernels:
             batch = [sorted(r) for r in b.report_many(boxes)]
             loop = [sorted(b.report(box)) for box in boxes]
             assert batch == loop, f"report_many mismatch on {e}"
-            assert b.count_many(boxes) == [b.count(box) for box in boxes], (
-                f"count_many mismatch on {e}"
-            )
+            assert [len(r) for r in batch] == [b.count(box) for box in boxes], e
             assert b.report_groups_many(boxes) == [
                 b.report_groups(box) for box in boxes
             ], f"report_groups_many mismatch on {e}"
@@ -294,9 +305,9 @@ class TestBatchKernels:
         pts = rng.uniform(size=(n, dim))
         ids = [(int(i) % 5, int(i)) for i in range(n)]
         backends = build_all(pts, ids)
-        for pid in ids[:: max(1, n // 4)]:
+        for group in (0, 3):
             for b in backends.values():
-                b.deactivate(pid)
+                b.deactivate_group(group)
         boxes = [random_orthant(rng, dim) for _ in range(6)]
         ref = [sorted(r) for r in backends["kd"].report_many(boxes)]
         for e, b in backends.items():
@@ -318,7 +329,6 @@ class TestBatchKernels:
         for e in ENGINES:
             b = build_backend(pts, list(range(5)), e)
             assert b.report_many([]) == []
-            assert b.count_many([]) == []
             assert b.report_groups_many([]) == []
 
 
@@ -331,7 +341,7 @@ class TestProtocolSurface:
         with pytest.raises(CapabilityError):
             b.insert(np.zeros((1, 2)), ["x"])
         with pytest.raises(CapabilityError):
-            b.remove(0)
+            b.remove_group(0)
 
     def test_dynamic_backends_advertise_insert(self, rng):
         for e in DYNAMIC_ENGINES:
@@ -366,16 +376,15 @@ class TestProtocolSurface:
 
     def test_remove_semantics_aligned(self, rng):
         """Both dynamic backends: removing a deactivated point works,
-        double-remove and unknown-id remove raise KeyError."""
+        double-remove and unknown-group remove are no-ops returning 0."""
         for e in DYNAMIC_ENGINES:
             b = build_backend(rng.uniform(size=(6, 2)), list(range(6)), e)
-            b.deactivate(2)
-            b.remove(2)  # removal of a hidden point is legitimate
+            assert b.deactivate_group(2) == 1
+            assert b.remove_group(2) == 1  # removal of a hidden point is legitimate
             assert sorted(b.report(QueryBox.unbounded(2))) == [0, 1, 3, 4, 5]
-            with pytest.raises(KeyError):
-                b.remove(2)
-            with pytest.raises(KeyError):
-                b.remove("ghost")
+            assert (len(b), b.n_active) == (5, 5)
+            assert b.remove_group(2) == 0
+            assert b.remove_group(99) == 0
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +431,6 @@ def boundary_boxes(levels, dim: int, rng: np.random.Generator) -> list:
 def assert_matches_oracle(backend, oracle, boxes: list) -> None:
     want = [sorted(r) for r in oracle.report_many(boxes)]
     assert [sorted(r) for r in backend.report_many(boxes)] == want
-    assert backend.count_many(boxes) == [len(r) for r in want]
     assert backend.report_groups_many(boxes) == [{group_of(i) for i in r} for r in want]
     for box, ids in list(zip(boxes, want))[::5]:
         assert sorted(backend.report(box)) == ids
@@ -507,7 +515,7 @@ class TestCodedBoundaries:
             for lo_open in (False, True)
             for hi_open in (False, True)
         ]
-        assert kd.count_many(boxes) == oracle.count_many(boxes)
+        assert [kd.count(b) for b in boxes] == [oracle.count(b) for b in boxes]
         assert [sorted(r) for r in kd.report_many(boxes)] == [
             sorted(r) for r in oracle.report_many(boxes)
         ]

@@ -37,7 +37,7 @@ class TestQueries:
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         store = ColumnarStore(pts, ids=[(7, 0), (7, 1), (8, 0), (9, 0)])
         assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {7, 8}
-        store.deactivate((7, 1))
+        assert store.deactivate_group(7) == 2
         assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {8}
 
     def test_dim_mismatch(self):
@@ -61,26 +61,12 @@ class TestActivation:
         store = ColumnarStore(pts)
         box = QueryBox.unbounded(2)
         for i in range(10):
-            store.deactivate(i)
+            store.deactivate_group(i)
         assert store.n_active == 90
         assert sorted(store.report(box)) == list(range(10, 100))
         for i in range(10):
-            store.activate(i)
+            store.activate_group(i)
         assert sorted(store.report(box)) == list(range(100))
-
-    def test_double_toggle_raises(self):
-        store = ColumnarStore(np.zeros((2, 1)))
-        store.deactivate(0)
-        with pytest.raises(KeyError):
-            store.deactivate(0)
-        store.activate(0)
-        with pytest.raises(KeyError):
-            store.activate(0)
-
-    def test_unknown_id_raises(self):
-        store = ColumnarStore(np.zeros((1, 1)))
-        with pytest.raises(KeyError):
-            store.deactivate("nope")
 
 
 class TestDynamics:
@@ -98,11 +84,11 @@ class TestDynamics:
 
     def test_remove_is_permanent(self, rng):
         store = ColumnarStore(rng.uniform(size=(30, 2)))
-        store.remove(5)
+        assert store.remove_group(5) == 1
         assert 5 not in store.report(QueryBox.unbounded(2))
         assert len(store) == 29
-        with pytest.raises(KeyError):
-            store.activate(5)
+        assert store.activate_group(5) == 0  # removed points never come back
+        assert 5 not in store.report(QueryBox.unbounded(2))
         # The freed id is re-insertable immediately.
         store.insert(np.array([[0.5, 0.5]]), ids=[5])
         assert 5 in store.report(QueryBox.unbounded(2))
@@ -114,11 +100,11 @@ class TestDynamics:
         victims = rng.choice(n, size=MIN_DEAD_FOR_COMPACT + 10, replace=False)
         survivors_inactive = []
         for i, v in enumerate(sorted(int(v) for v in victims)):
-            store.remove(v)
+            store.remove_group(v)
         # Deactivate a couple of survivors; compaction must keep the flags.
         alive = sorted(set(range(n)) - {int(v) for v in victims})
         for v in alive[:5]:
-            store.deactivate(v)
+            store.deactivate_group(v)
             survivors_inactive.append(v)
         box = QueryBox.unbounded(2)
         expect = sorted(set(alive) - set(survivors_inactive))

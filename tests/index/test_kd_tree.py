@@ -74,11 +74,11 @@ class TestActivation:
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         truth = naive_report(pts, box)
         for i in truth[:10]:
-            tree.deactivate(i)
+            tree.deactivate_group(i)
         assert sorted(tree.report(box)) == truth[10:]
         assert tree.n_active == 90
         for i in truth[:10]:
-            tree.activate(i)
+            tree.activate_group(i)
         assert sorted(tree.report(box)) == truth
 
     def test_report_first_skips_inactive(self, rng):
@@ -88,22 +88,8 @@ class TestActivation:
         for i in range(60):
             got = tree.report_first(box)
             assert got is not None
-            tree.deactivate(got)
+            tree.deactivate_group(got)
         assert tree.report_first(box) is None
-
-    def test_double_toggle_raises(self):
-        tree = DynamicKDTree(np.zeros((2, 1)))
-        tree.deactivate(0)
-        with pytest.raises(KeyError):
-            tree.deactivate(0)
-        tree.activate(0)
-        with pytest.raises(KeyError):
-            tree.activate(0)
-
-    def test_unknown_id_raises(self):
-        tree = DynamicKDTree(np.zeros((1, 1)))
-        with pytest.raises(KeyError):
-            tree.deactivate("nope")
 
 
 class TestDynamics:
@@ -122,7 +108,7 @@ class TestDynamics:
     def test_buffer_rebuild_preserves_state(self, rng):
         pts = rng.uniform(size=(50, 2))
         tree = DynamicKDTree(pts)
-        tree.deactivate(3)
+        tree.deactivate_group(3)
         # Insert enough to force a rebuild.
         extra = rng.uniform(size=(100, 2))
         tree.insert(extra, ids=range(1000, 1100))
@@ -134,7 +120,7 @@ class TestDynamics:
     def test_remove_permanent(self, rng):
         pts = rng.uniform(size=(30, 2))
         tree = DynamicKDTree(pts)
-        tree.remove(5)
+        assert tree.remove_group(5) == 1
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         assert 5 not in tree.report(box)
         # Force rebuild; the removed id must stay gone and be re-insertable.
@@ -144,9 +130,9 @@ class TestDynamics:
     def test_deactivate_buffered_point(self, rng):
         tree = DynamicKDTree(np.zeros((4, 1)))
         tree.insert(np.array([[9.0]]), ids=[99])
-        tree.deactivate(99)
+        assert tree.deactivate_group(99) == 1
         assert tree.report(QueryBox.closed([8.0], [10.0])) == []
-        tree.activate(99)
+        assert tree.activate_group(99) == 1
         assert tree.report(QueryBox.closed([8.0], [10.0])) == [99]
 
     def test_report_groups(self, rng):
@@ -154,8 +140,7 @@ class TestDynamics:
         tree = DynamicKDTree(pts, ids=[(i % 4, i) for i in range(40)])
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         assert tree.report_groups(box) == {0, 1, 2, 3}
-        for i in range(0, 40, 4):  # hide all of group 0
-            tree.deactivate((0, i))
+        assert tree.deactivate_group(0) == 10
         assert tree.report_groups(box) == {1, 2, 3}
 
     @settings(max_examples=15, deadline=None)
@@ -178,13 +163,13 @@ class TestDynamics:
                 next_id += 1
             elif op == 1 and active:  # remove
                 victim = sorted(active)[int(rng.integers(len(active)))]
-                tree.remove(victim)
+                tree.remove_group(victim)
                 del alive[victim]
                 active.discard(victim)
             elif op == 2 and active:  # toggle activation
                 victim = sorted(active)[int(rng.integers(len(active)))]
-                tree.deactivate(victim)
-                tree.activate(victim)
+                tree.deactivate_group(victim)
+                tree.activate_group(victim)
         box = QueryBox.closed([0.2, 0.2], [0.9, 0.9])
         expected = sorted(
             k for k in active if box.contains_point(alive[k])
@@ -219,11 +204,11 @@ class TestAmortizedRebuild:
     def test_activation_state_survives_rebuild(self, rng):
         pts = rng.uniform(size=(50, 2))
         tree = DynamicKDTree(pts)
-        tree.deactivate(7)
-        tree.deactivate(11)
+        tree.deactivate_group(7)
+        tree.deactivate_group(11)
         # Deactivate one *buffered* point, then push past the threshold.
         tree.insert(rng.uniform(size=(1, 2)), ids=[500])
-        tree.deactivate(500)
+        tree.deactivate_group(500)
         new_ids = self._grow_past_threshold(tree, rng, 1000)
         assert tree._buf is None  # rebuild happened
         box = QueryBox.unbounded(2)
@@ -232,17 +217,16 @@ class TestAmortizedRebuild:
         assert set(new_ids) <= got
         assert tree.n_active == len(tree) - 3
         # Toggles still work post-rebuild (paths/leaf assignment rebuilt).
-        tree.activate(7)
+        assert tree.activate_group(7) == 1
         assert 7 in set(tree.report(box))
-        with pytest.raises(KeyError):
-            tree.activate(501)
+        assert tree.activate_group(501) == 0  # never stored
 
     def test_removed_ids_dropped_and_reusable(self, rng):
         pts = rng.uniform(size=(50, 2))
         tree = DynamicKDTree(pts)
-        tree.remove(3)
+        tree.remove_group(3)
         tree.insert(rng.uniform(size=(1, 2)), ids=[500])
-        tree.remove(500)
+        tree.remove_group(500)
         new_ids = self._grow_past_threshold(tree, rng, 1000)
         assert tree._buf is None
         assert len(tree) == 50 - 2 + len(new_ids) + 1
@@ -250,8 +234,7 @@ class TestAmortizedRebuild:
         got = set(tree.report(box))
         assert 3 not in got and 500 not in got
         # Removed ids are gone from the structure entirely post-rebuild...
-        with pytest.raises(KeyError):
-            tree.deactivate(500)
+        assert tree.deactivate_group(500) == 0
         # ... and re-insertable as fresh points.
         tree.insert(np.array([[0.5, 0.5]]), ids=[500])
         assert 500 in set(tree.report(box))
@@ -268,8 +251,8 @@ class TestAmortizedRebuild:
             if hit is None:
                 break
             seen.add(hit)
-            tree.deactivate(hit)
+            tree.deactivate_group(hit)
         assert seen == expected
         for pid in seen:
-            tree.activate(pid)
+            tree.activate_group(pid)
         assert set(tree.report(box)) == expected

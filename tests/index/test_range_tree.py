@@ -71,16 +71,16 @@ class TestActivation:
         rt = RangeTree(pts)
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         truth = naive_report(pts, box)
-        rt.deactivate(truth[0])
+        assert rt.deactivate_group(truth[0]) == 1
         assert sorted(rt.report(box)) == truth[1:]
-        rt.activate(truth[0])
+        assert rt.activate_group(truth[0]) == 1
         assert sorted(rt.report(box)) == truth
 
     def test_deactivate_all(self, rng):
         pts = rng.uniform(size=(10, 2))
         rt = RangeTree(pts)
         for i in range(10):
-            rt.deactivate(i)
+            rt.deactivate_group(i)
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         assert rt.report(box) == []
         assert rt.report_first(box) is None

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import time
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -330,7 +329,7 @@ def test_generated_hostile_bodies(edge, name, route):
         ok = 400 <= status < 500 and headers["content-type"] == "application/json"
         if not (ok and "error" in json.loads(raw)):
             escaped.append((label, status, raw[:120]))
-        assert _gate_idle(edge.gate)
+        assert edge.gate.snapshot()["inflight"] == 0
         status, _headers, raw = conn.request("POST", "/search", {"expression": GOOD})
         if status != 200:
             escaped.append((label, "the next request", status, raw[:120]))
@@ -353,7 +352,7 @@ def test_an_oversized_node_is_refused_and_search_keeps_working(edge):
             "POST", "/nodes", {"url": "http://127.0.0.1:1", "n_datasets": n_datasets})
         assert status == 400 and "n_datasets" in json.loads(raw)["error"], raw
         assert edge.coordinator.n_nodes == 1
-        assert _gate_idle(edge.gate)
+        assert edge.gate.snapshot()["inflight"] == 0
         status, _h, raw = conn.request("POST", "/search", {"expression": GOOD})
         assert status == 200, raw
     conn.close()
@@ -425,7 +424,7 @@ def test_deep_nesting_is_a_client_error(edge):
         conn = Conn(edge.servers[name])
         status, _h, raw = conn.request("POST", "/search", {"expression": deep})
         assert status == 400 and "error" in json.loads(raw)
-        assert _gate_idle(edge.gate)
+        assert edge.gate.snapshot()["inflight"] == 0
         conn.close()
 
 
@@ -442,15 +441,6 @@ def _metric_labels(text: str, family: str) -> set:
     return labels
 
 
-def _gate_idle(gate, timeout=2.0):
-    """The envelope releases the admission slot *after* the reply is on the
-    wire, so a client can be a few microseconds ahead of it: wait, bounded."""
-    give_up = time.monotonic() + timeout
-    while gate.snapshot()["inflight"] and time.monotonic() < give_up:
-        time.sleep(0.002)
-    return gate.snapshot()["inflight"] == 0
-
-
 def test_healthy_after_the_table(edge):
     # Runs after every ROWS case (file order): nothing above tombstoned a
     # dataset, registered a node, tripped the breaker or wedged the gate.
@@ -462,7 +452,7 @@ def test_healthy_after_the_table(edge):
         conn.close()
         assert status == 200
         # Else the coordinator's forwarded request can meet a held slot.
-        assert _gate_idle(edge.gate)
+        assert edge.gate.snapshot()["inflight"] == 0
         replies[name] = json.loads(raw)
         assert replies[name]["indexes"] == expect.indexes
     assert replies["fed"]["federation"]["coverage"] == 1.0
@@ -471,6 +461,48 @@ def test_healthy_after_the_table(edge):
     assert node["breaker"]["state"] == "closed"
     assert node["breaker"]["consecutive_failures"] == 0
     assert node["failed_calls"] == 0
+
+
+def test_the_slot_is_released_before_the_reply_bytes_go_out(edge, monkeypatch):
+    # An answered client's next request — or the coordinator's forwarded one
+    # — must never be shed by the slot of the request it was answered for.
+    handler = edge.servers["node"].RequestHandlerClass
+    inflight_at_write = []
+
+    class Recording:
+        def __init__(self, wfile):
+            self.wfile = wfile
+
+        def write(self, data):
+            inflight_at_write.append(edge.gate.snapshot()["inflight"])
+            return self.wfile.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.wfile, name)
+
+    real_setup = handler.setup
+
+    def setup(self):
+        real_setup(self)
+        self.wfile = Recording(self.wfile)
+
+    monkeypatch.setattr(handler, "setup", setup)
+    conn = Conn(edge.servers["node"])
+    status, _h, _raw = conn.request("POST", "/search", {"expression": GOOD})
+    conn.close()
+    assert status == 200
+    assert inflight_at_write and set(inflight_at_write) == {0}
+    monkeypatch.undo()
+    # The behavioural form: a fresh connection per request, back to back
+    # (what ``http_call`` does for the coordinator), against the one slot.
+    host, port = edge.servers["node"].server_address[:2]
+    body = json.dumps({"expression": GOOD}).encode()
+    statuses = [
+        http_call(f"http://{host}:{port}/search", body, timeout=5)[0]
+        for _ in range(200)
+    ]
+    assert statuses == [200] * 200
+    assert edge.gate.snapshot()["inflight"] == 0
 
 
 # ----------------------------------------------------------------------

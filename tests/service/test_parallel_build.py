@@ -61,8 +61,6 @@ class TestShardBuildDeterminism:
             repository=repo, n_shards=3, eps=0.2, sample_size=8, seed=7,
         )
         assert _answers(warmed, leaves) == _answers(lazy, leaves)
-        warmed.close()
-        lazy.close()
 
     def test_batched_leaves_match_per_leaf_loop(self, lake, leaves):
         repo = Repository.from_arrays(lake)
@@ -74,5 +72,3 @@ class TestShardBuildDeterminism:
         )
         per_leaf = [_answers(one_by_one, [leaf])[0] for leaf in leaves]
         assert _answers(with_batch, leaves) == per_leaf
-        with_batch.close()
-        one_by_one.close()

@@ -67,7 +67,6 @@ def reference_engine(lake, repo):
         bounding_box=repo.bounding_box(),
         rng=np.random.default_rng(0),
     )
-    probe.close()
     return engine
 
 

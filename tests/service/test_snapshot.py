@@ -10,6 +10,7 @@ make) must all raise :class:`~repro.errors.SnapshotError`.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -238,7 +239,7 @@ class TestServiceRoundTrip:
         assert not np.shares_memory(ltree._active, file_map)
 
         assert answers(loaded, queries) == expected
-        assert ltree.count_many(boxes) == tree.count_many(boxes)
+        assert [ltree.count(b) for b in boxes] == [tree.count(b) for b in boxes]
         assert (len(ltree), ltree.n_active) == (len(tree), tree.n_active)
         assert np.array_equal(ltree._active, tree._active)
         assert ltree.activate_group(3) == tree.activate_group(3) > 0
@@ -651,6 +652,22 @@ class TestGeneratedHeaderSweep:
         svc.close()
         return path, *_read_header(path)
 
+    @staticmethod
+    def _read_all(path, queries, mmap, label, escaped) -> int:
+        """Run the three readers over one tampered file; returns how many
+        refused it, appends what escaped as anything else."""
+        refused = 0
+        for reader in (generation_of, inspect, lambda p: load(p, mmap=mmap)):
+            try:
+                got = reader(path)
+                if isinstance(got, QueryService):
+                    answers(got, queries[:3])
+            except SnapshotError:
+                refused += 1
+            except Exception as exc:  # noqa: BLE001 - the point of the test
+                escaped.append((*label, type(exc).__name__, str(exc)[:80]))
+        return refused
+
     @pytest.mark.parametrize("mmap", [True, False])
     def test_no_malformation_escapes_as_anything_but_snapshot_error(
         self, saved, queries, tmp_path, mmap
@@ -663,14 +680,64 @@ class TestGeneratedHeaderSweep:
         escaped, refused = [], 0
         for where, edit in cases:
             _write_header(path, _malformed(header, where, edit), data)
-            for reader in (generation_of, inspect, lambda p: load(p, mmap=mmap)):
-                try:
-                    got = reader(path)
-                    if isinstance(got, QueryService):
-                        answers(got, queries[:3])
-                except SnapshotError:
-                    refused += 1
-                except Exception as exc:  # noqa: BLE001 - the point of the test
-                    escaped.append((where, edit, type(exc).__name__, str(exc)[:80]))
+            refused += self._read_all(path, queries, mmap, (where, edit), escaped)
         assert escaped == []
         assert refused > len(cases)  # most malformations are refused, by name
+
+    #: dtype -> (another of the same item size, one of a different size).
+    SWAPS = {"<f8": ("<i8", "<f4"), "<i8": ("<f8", "<i4"), "<u8": ("<f8", "<u4"),
+             "<i4": ("<f4", "<i8"), "<u4": ("<i4", "<u2"), "<u2": ("<i2", "<u4"),
+             "|u1": ("|b1", "<u2"), "|b1": ("|u1", "<u2")}
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_no_segment_tampering_escapes_either(self, saved, queries, tmp_path, mmap):
+        """The same contract for the segment table and the data section:
+        a file cut at every segment boundary and one byte either side,
+        ``data_start`` moved, segments overlapping, re-typed, re-shaped or
+        placed past the file."""
+        pristine, header, data = saved
+        blob = pristine.read_bytes()
+        hlen, data_start = struct.unpack_from("<QQ", blob, 16)
+        path = tmp_path / "tampered.snap"
+        escaped, refused, n_cases = [], 0, 0
+
+        def run(label, raw=None):
+            nonlocal refused, n_cases
+            if raw is not None:
+                path.write_bytes(raw)
+            n_cases += 1
+            refused += self._read_all(path, queries, mmap, label, escaped)
+
+        arrays = header["arrays"]
+        assert {m["dtype"] for m in arrays.values()} <= set(self.SWAPS)
+        cuts = set()
+        for m in arrays.values():
+            start = data_start + m["offset"]
+            end = start + math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
+            cuts.update(c for edge in (start, end) for c in (edge - 1, edge, edge + 1))
+        for cut in sorted(c for c in cuts if c < len(blob)):
+            run(("cut", cut), blob[:cut])
+        for moved in (0, 31, hlen, data_start - 64, data_start - 1, data_start + 1,
+                      data_start + 64, len(blob), len(blob) + 64, 2**63):
+            run(("data_start", moved),
+                blob[:24] + struct.pack("<Q", moved) + blob[32:])
+        refs = list(arrays)
+        for ref, other in zip(refs, refs[1:] + refs[:1]):
+            m = arrays[ref]
+            edits = [("offset", arrays[other]["offset"]),  # two segments overlap
+                     ("offset", m["offset"] + 1),
+                     ("offset", len(data)), ("offset", len(data) + 2**40)]
+            edits += [("dtype", d) for d in self.SWAPS[m["dtype"]]]
+            for axis in range(len(m["shape"])):
+                for step in (-1, 1):
+                    shape = list(m["shape"])
+                    shape[axis] += step
+                    edits.append(("shape", shape))
+            for field, value in edits:
+                tampered = json.loads(json.dumps(header))
+                tampered["arrays"][ref][field] = value
+                _write_header(path, tampered, data)
+                run((ref, field, value))
+        assert n_cases > 300
+        assert escaped == []
+        assert refused > n_cases

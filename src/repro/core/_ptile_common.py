@@ -33,7 +33,6 @@ from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import (
     DEFAULT_LEAF_SIZE,
-    build_backend,
     check_engine,
     group_of,
 )
@@ -126,13 +125,15 @@ def range_point_matrix(
     weights: np.ndarray,
     delta: float,
 ) -> np.ndarray:
-    """The ``(P, 4d+2)`` mapped-point matrix of Algorithm 3, in one shot.
+    """One dataset's ``(P, 4d+2)`` mapped points of Algorithm 3 — the piece
+    :func:`~repro.index.backend.build_engine` stacks into bounded blocks;
+    no float matrix ever spans a shard.
 
     Column order matches the per-pair concatenation the builders used to
     do row by row: ``(rho^-, rho_hat^-, rho^+, rho_hat^+, w+delta,
     w-delta)``.  ``P = 0`` yields a correctly *shaped* ``(0, 4d+2)``
     matrix — never the ragged 1-d array ``np.asarray([])`` would produce —
-    so empty coresets flow through ``np.vstack`` and backend ``insert``
+    so an empty coreset joins a block, or goes to backend ``insert``,
     without special-casing.
     """
     n, d = inner_lo.shape
@@ -149,11 +150,12 @@ def range_point_matrix(
 def threshold_point_matrix(
     lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, delta: float
 ) -> np.ndarray:
-    """The ``(P, 2d+1)`` mapped-point matrix of Algorithm 1, in one shot.
+    """One dataset's ``(P, 2d+1)`` mapped points of Algorithm 1 (before
+    its sentinel row) — per dataset, like :func:`range_point_matrix`.
 
     Column order: ``(rho^-, rho^+, w+delta)`` — the row-by-row
     ``to_point_2d`` concatenation of the legacy builder, assembled as
-    three block writes.  Shaped-empty behaviour as in
+    three column-range writes.  Shaped-empty behaviour as in
     :func:`range_point_matrix`.
     """
     n, d = lo.shape
@@ -171,15 +173,6 @@ def point_ids(key: int, count: int) -> np.ndarray:
     ids[:, 0] = key
     ids[:, 1] = np.arange(count)
     return ids
-
-
-def build_engine(points: np.ndarray, ids: np.ndarray, engine: str, leaf_size: int):
-    """Instantiate the configured range-search backend over mapped points.
-
-    Thin alias for :func:`repro.index.backend.build_backend`, kept so the
-    core layer (and older callers) has a single construction entry point.
-    """
-    return build_backend(points, ids, engine=engine, leaf_size=leaf_size)
 
 
 class PtileIndexBase:

@@ -43,7 +43,7 @@ from repro.geometry.rect_enum import (
     generalized_pairs_arrays,
 )
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import DEFAULT_LEAF_SIZE, build_backend, group_of
+from repro.index.backend import DEFAULT_LEAF_SIZE, build_engine, group_of
 from repro.index.kd_tree import DynamicKDTree
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -178,10 +178,9 @@ class PtileLogicalIndex:
                 f"tensor construction for m={m} needs {total} mapped points "
                 f"(> {MAX_TENSOR_POINTS}); reduce sample_size or use compose"
             )
-        blocks: list[np.ndarray] = []
-        ids: list[np.ndarray] = []
         d4 = 4 * ri.dim
-        for key, (coords, weights) in per_dataset.items():
+
+        def tensor_rows(key: int, coords: np.ndarray, weights: np.ndarray):
             p = coords.shape[0]
             n_combo = p ** m
             delta_i = ri.delta_of(key)
@@ -194,11 +193,11 @@ class PtileLogicalIndex:
                     block[:, slot * d4 : (slot + 1) * d4] = coords[pick]
                     block[:, m * d4 + slot] = weights[pick] + delta_i
                     block[:, m * d4 + m + slot] = weights[pick] - delta_i
-            blocks.append(block)
-            ids.append(point_ids(key, n_combo))
-        self._tensor_trees[m] = build_backend(
-            np.vstack(blocks), np.vstack(ids), engine=self.engine_kind,
-            leaf_size=self._leaf_size,
+            return block, point_ids(key, n_combo)
+
+        self._tensor_trees[m] = build_engine(
+            (tensor_rows(key, *pairs) for key, pairs in per_dataset.items()),
+            self.engine_kind, self._leaf_size,
         )
 
     def query_conjunction_tensor(

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core._ptile_common import (
     DEFAULT_LEAF_SIZE,
     PtileIndexBase,
-    build_engine,
     point_ids,
     range_point_matrix,
 )
@@ -41,6 +40,7 @@ from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rect_enum import RectangleGrid, generalized_pairs_arrays
 from repro.geometry.rectangle import Rectangle
+from repro.index.backend import build_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
 
@@ -95,20 +95,14 @@ class PtileRangeIndex(PtileIndexBase):
             if bounding_box is not None
             else self._auto_bounding_box()
         )
-        all_points: list[np.ndarray] = []
-        all_ids: list[np.ndarray] = []
-        for key in list(self._synopses):
-            pts, ids = self._mapped_points(key)
-            all_points.append(pts)
-            all_ids.append(ids)
-        stacked = np.vstack(all_points)
-        if stacked.shape[0] == 0:
+        if (self.bounding_box.lo == self.bounding_box.hi).any():
             raise ConstructionError(
                 "no generalized pairs could be enumerated (is the bounding "
                 "box degenerate on some axis?); widen the box or the data"
             )
         self._tree = build_engine(
-            stacked, np.vstack(all_ids), self.engine_kind, self._leaf_size
+            map(self._mapped_points, list(self._synopses)),
+            self.engine_kind, self._leaf_size,
         )
 
     # ------------------------------------------------------------------

@@ -27,7 +27,6 @@ import numpy as np
 from repro.core._ptile_common import (
     DEFAULT_LEAF_SIZE,
     PtileIndexBase,
-    build_engine,
     point_ids,
     threshold_point_matrix,
 )
@@ -36,6 +35,7 @@ from repro.errors import QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rect_enum import RectangleGrid, rectangles_arrays
 from repro.geometry.rectangle import Rectangle
+from repro.index.backend import build_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
 
@@ -97,17 +97,10 @@ class PtileThresholdIndex(PtileIndexBase):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__(synopses, eps, phi, delta, sample_size, engine, leaf_size, rng)
-        all_points: list[np.ndarray] = []
-        all_ids: list[np.ndarray] = []
-        for synopsis, delta_i in self._pending:
-            key = self._register(synopsis, delta_i)
-            pts, ids = self._mapped_points(key)
-            all_points.append(pts)
-            all_ids.append(ids)
+        keys = [self._register(synopsis, delta_i) for synopsis, delta_i in self._pending]
         del self._pending
         self._tree = build_engine(
-            np.vstack(all_points), np.vstack(all_ids), self.engine_kind,
-            self._leaf_size,
+            map(self._mapped_points, keys), self.engine_kind, self._leaf_size
         )
 
     # ------------------------------------------------------------------

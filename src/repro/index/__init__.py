@@ -41,7 +41,8 @@ pass on the columnar store) over integer entry ids (see
 Ptile structures,
 :class:`~repro.core.engine.DatasetSearchEngine`, the service shards,
 ``repro serve --engine`` — is parameterized by a backend name resolved
-through :func:`~repro.index.backend.build_backend`.
+through :func:`~repro.index.backend.build_backend` or its streaming form,
+:func:`~repro.index.backend.build_engine`.
 """
 
 from repro.index.backend import (

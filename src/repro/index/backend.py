@@ -10,7 +10,9 @@ This module formalizes the seam:
   ``activate_group``, ``insert`` / ``remove_group`` dynamics (static
   backends advertise ``supports_insert = False`` and raise
   :class:`~repro.errors.CapabilityError`).
-- :func:`build_backend` / :func:`restore_backend` over the
+- :func:`build_backend` / :func:`build_engine` (the same backend from a
+  stream of per-dataset pieces, fed to the kd-tree in bounded blocks so no
+  shard-wide float matrix exists) / :func:`restore_backend` over the
   :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
   ``"rangetree"`` (textbook multi-level range tree, static, small scale
   only), ``"columnar"`` (vectorized columnar scan store, dynamic).  The
@@ -285,6 +287,61 @@ def build_backend(
     if engine == "kd":
         return cls(points, ids=ids, leaf_size=leaf_size)
     return cls(points, ids=ids)
+
+
+#: :func:`build_engine` hands the kd-tree at most this many float64 elements
+#: (rows x columns, 512 KB) at a time — whole pieces, so a piece over the
+#: budget is a block of its own.  In-process ``QueryService`` + ``warm()``
+#: on the benchmark's lakes (seed 2027, 4 shards, 2-vCPU host; build time
+#: median of 9 interleaved runs, ``tracemalloc`` peak) at 2^12 / 2^14 / 2^16
+#: / 2^18 / 2^20 / one block: 2-D ``cold_2d`` (83 k elements a dataset, 16
+#: datasets a shard) 0.27 / 0.28 / 0.28 / 0.28 / 0.31 / 0.32 s and 15.9 /
+#: 15.9 / 15.9 / 17.4 / 31.2 / 34.5 MB against 9.3 MB live; 1-D
+#: ``warm_point`` (546 elements a dataset, 500 a shard) 0.42 / 0.39 / 0.37 /
+#: 0.38 / 0.37 / 0.38 s and 9.0 (2^14) / 9.1 / 13.0 / 13.0 / 13.0 MB
+#: against 6.3.  Small blocks cost the 1-D lakes one ``np.unique`` per
+#: column per block (a block per dataset: 0.67 s against 0.44 in one
+#: sitting) and buy nothing under one 2-D dataset; large ones are the
+#: matrix this constant exists to avoid.  2^16 is the largest value at the
+#: low peak on both.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def build_engine(mapped: Iterable[tuple], engine: str, leaf_size: int) -> RangeSearchBackend:
+    """:func:`build_backend` over a stream: the backend over all rows of
+    ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` integer
+    arrays; one dataset's mapped points each, as the Ptile builders yield
+    them), consumed lazily.
+
+    The kd-tree takes the stream in blocks of at most
+    :data:`BLOCK_ELEMENTS` elements and rank-codes each on arrival
+    (:meth:`~repro.index.kd_tree.DynamicKDTree.from_blocks`), so a shard's
+    mapped points never exist as one float64 matrix.  The other engines
+    store floats, or are small scale only: they get the stacked matrix.
+
+    >>> import numpy as np
+    >>> mapped = [(np.array([[0.0]]), np.array([4])), (np.array([[1.0]]), np.array([9]))]
+    >>> [build_engine(iter(mapped), e, 8).report(QueryBox.closed([0.5], [2]))
+    ...  for e in ENGINES]
+    [[9], [9], [9]]
+    """
+    if engine == "kd":
+        return backend_class(engine).from_blocks(_blocks(mapped), leaf_size)
+    points, ids = map(np.concatenate, zip(*mapped))
+    return build_backend(points, ids, engine, leaf_size)
+
+
+def _blocks(mapped: Iterable[tuple]):
+    """Consecutive ``(points, ids)`` pieces stacked under the element budget."""
+    held, elements = [], 0
+    for piece in mapped:
+        if held and elements + piece[0].size > BLOCK_ELEMENTS:
+            yield tuple(map(np.concatenate, zip(*held)))
+            held, elements = [], 0
+        held.append(piece)
+        elements += piece[0].size
+    if held:
+        yield tuple(map(np.concatenate, zip(*held)))
 
 
 def restore_backend(

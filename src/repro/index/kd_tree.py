@@ -45,13 +45,23 @@ shared by all columns of a shard: sharing would save table bytes on the
 1-D lakes (2.8 → 2.2 MB on ``warm_point``) but needs two-byte codes where
 one does (4.6 → 9.2 MB on ``cold_2d``); 9.6 against 13.2 MB over the four.
 
+**Construction never holds the float matrix.**  A tree is built from a
+stream of ``(points, ids)`` blocks (:meth:`DynamicKDTree.from_blocks`; the
+constructor is the one-block stream): :func:`_encode` rank-codes each
+block as it arrives — its own level table per column plus narrow ranks —
+and the floats are let go.  :func:`_merge` then unions the blocks' tables
+per column, moves every block's ranks into the one ``(k, n)`` code matrix
+through a table-sized ``searchsorted`` lookup, and the tree is planted on
+the codes: arrays equal, byte for byte, to coding the stacked matrix.
+
 The side buffer is a float :class:`~repro.index.columnar.ColumnarStore`
 queried with the original box — appends must stay O(1), and a new level
-would re-code the whole store; :meth:`DynamicKDTree._rebuild` decodes the
-live main rows, appends the buffer and re-encodes, so new levels
-interleave the old ones at the amortised cost inserts already paid.
-``to_arrays`` hands out codes, level tables, id columns and node table
-and ``from_arrays`` adopts them, so a snapshot restore builds no tree and
+would re-code the whole store; :meth:`DynamicKDTree._rebuild` is the same
+merge over two blocks, the live main rows *as the codes they already are*
+and the freshly coded buffer, so new levels interleave the old ones at the
+amortised cost inserts already paid and nothing is decoded.  ``to_arrays``
+hands out codes, level tables, id columns and node table and
+``from_arrays`` adopts them, so a snapshot restore builds no tree and
 decodes nothing.
 
 Median splits keep the tree balanced: depth is ``O(log n)`` and the classic
@@ -101,23 +111,39 @@ MIN_BUFFER_FOR_REBUILD = 64
 MULTIBOX_BROADCAST_CUTOFF = 32768
 
 
-def _encode(cols: Iterable[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Factor ``k`` float columns of ``n`` points into ``(k, n)`` rank codes
-    and the ``k`` sorted level tables they index.
-
-    One dtype for the whole code matrix — the smallest unsigned one that
-    holds the longest table — so a node's slice stays one ``(L, k)`` array
-    for the containment kernel.  Each column's ranks are narrowed as soon
-    as they are known: no second ``(k, n)`` 8-byte matrix is ever live.
-    """
+def _encode(cols: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Factor the ``k`` columns of one block into their sorted level tables
+    and, per column, every point's rank in it — narrowed at once to the
+    smallest unsigned dtype the table allows, so no 8-byte rank column
+    outlives its own iteration."""
     tables, ranks = [], []
     for col in cols:
         table, inverse = np.unique(col, return_inverse=True)
         tables.append(table)
-        ranks.append(inverse.astype(np.min_scalar_type(table.size - 1)))
-    codes = np.empty((len(ranks), ranks[0].size), dtype=np.result_type(*ranks))
-    for j, column in enumerate(ranks):
-        codes[j] = column
+        ranks.append(inverse.astype(np.min_scalar_type(max(table.size - 1, 0))))
+    return ranks, tables
+
+
+def _merge(blocks: Sequence[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One ``(k, n)`` code matrix and its ``k`` level tables from rank-coded
+    ``(ranks, tables)`` blocks, rows in block order.
+
+    A column's table is the union of the blocks' tables; a block's ranks
+    move into it through one table-sized lookup.  One dtype for the whole
+    matrix — the smallest unsigned one that holds the longest table — so a
+    node's slice stays one ``(L, k)`` array for the containment kernel.
+    """
+    tables = [
+        np.unique(np.concatenate(column)) for column in zip(*(t for _, t in blocks))
+    ]
+    dtype = np.min_scalar_type(max(max(t.size for t in tables) - 1, 0))
+    codes = np.empty((len(tables), sum(r[0].size for r, _ in blocks)), dtype=dtype)
+    start = 0
+    for ranks, local in blocks:
+        end = start + ranks[0].size
+        for j, table in enumerate(tables):
+            codes[j, start:end] = np.searchsorted(table, local[j]).astype(dtype)[ranks[j]]
+        start = end
     return codes, tables
 
 
@@ -148,36 +174,59 @@ class DynamicKDTree:
         ids: Optional[Iterable] = None,
         leaf_size: int = DEFAULT_LEAF_SIZE,
     ) -> None:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a non-empty (n, k) array")
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-        n = pts.shape[0]
-        group, local = id_columns(ids, n)
-        if has_duplicates(id_keys(group, local)):
-            raise ValueError("ids must be unique")
-        self.dim = int(pts.shape[1])
-        self._leaf_size = leaf_size
-        self._build(pts.T, group, local, np.ones(n, dtype=bool))
+        self._fill([(points, ids)], leaf_size)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(
-        self, cols: np.ndarray, group: np.ndarray, local: np.ndarray, active: np.ndarray
-    ) -> None:
-        """Encode ``(k, n)`` float columns and plant the main tree over the
-        codes.
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple], leaf_size: int) -> "DynamicKDTree":
+        """The tree over the rows of a stream of ``(points, ids)`` blocks —
+        arrays equal to ``DynamicKDTree(np.vstack(all points), all ids)``,
+        but each block's floats are rank-coded and let go before the next
+        one is asked for (see the module docstring).  ``ids`` as in the
+        constructor, unique over the whole stream."""
+        tree = cls.__new__(cls)
+        tree._fill(blocks, leaf_size)
+        return tree
 
-        The code matrix is permuted in place so that every node owns a
+    def _fill(self, blocks: Iterable[tuple], leaf_size: int) -> None:
+        if leaf_size < 1:
+            raise ValueError("leaf_size must be >= 1")
+        coded, ids = [], []
+        for points, block_ids in blocks:
+            pts = np.asarray(points, dtype=float)
+            if pts.ndim != 2 or (coded and pts.shape[1] != len(coded[0][1])):
+                raise ValueError("points must be (n, k) arrays of one k")
+            ids.append(id_columns(block_ids, pts.shape[0]))
+            coded.append(_encode(pts.T))
+        if not sum(group.size for group, _ in ids):
+            raise ValueError("points must be a non-empty (n, k) array")
+        group, local = map(np.concatenate, zip(*ids))
+        if has_duplicates(id_keys(group, local)):
+            raise ValueError("ids must be unique")
+        self.dim = len(coded[0][1])
+        self._leaf_size = leaf_size
+        self._build(*_merge(coded), group, local, np.ones(group.size, dtype=bool))
+
+    def _build(
+        self,
+        codes: np.ndarray,
+        tables: list[np.ndarray],
+        group: np.ndarray,
+        local: np.ndarray,
+        active: np.ndarray,
+    ) -> None:
+        """Plant the main tree over a ``(k, n)`` code matrix.
+
+        The matrix is permuted in place so that every node owns a
         contiguous column slice ``[start, end)``; nodes are numbered in
         preorder (an explicit stack pushes the right half under the left
         one), so the left child of node ``i`` is ``i + 1`` and only the
         right child is recorded.  Splits are on the column whose slice
-        spans the most ranks, at the median rank.
+        spans the most ranks, at the median rank.  No rows (every group
+        removed) plant one empty root that no query enters.
         """
-        codes, tables = _encode(cols)
         n = codes.shape[1]
         # A node splits only above leaf_size, so no leaf is smaller than
         # half of it (rounded down, but at least one point).
@@ -192,7 +241,8 @@ class DynamicKDTree:
             if parent >= 0:
                 span[2, parent] = m
             seg = codes[:, start:end]
-            lo, hi = seg.min(axis=1), seg.max(axis=1)
+            lo = seg.min(axis=1, initial=np.iinfo(codes.dtype).max)
+            hi = seg.max(axis=1, initial=0)
             span[0, m], span[1, m] = start, end
             box[0, m], box[1, m] = lo, hi
             if end - start > self._leaf_size:
@@ -410,20 +460,19 @@ class DynamicKDTree:
 
     def _rebuild(self) -> None:
         """Replant the main tree over its live rows plus the side buffer:
-        decode, append, re-encode (buffered values become new levels
-        wherever they fall between the old ones)."""
-        parts = [
-            (
-                np.stack([t[c] for t, c in zip(self._tables, self._live(self._pts).T)]),
-                self._live(self._group), self._live(self._local),
-                self._live(self._active),
-            )
-        ]
+        two blocks for :func:`_merge`, the first already coded (buffered
+        values become new levels wherever they fall between the old ones)."""
+        ranks, tables = self._pts.T, self._tables
+        if self._n_dead:  # a level only removed rows used goes with them
+            ranks, used = _encode(ranks[:, ~self._dead])
+            tables = [table[u] for table, u in zip(tables, used)]
+        blocks = [(ranks, tables)]
+        rows = [tuple(map(self._live, (self._group, self._local, self._active)))]
         if self._buf is not None:
             buf = self._buf.to_arrays()
-            parts.append((buf["points"], buf["group"], buf["local"], buf["active"]))
-        cols, group, local, active = (np.concatenate(c, axis=-1) for c in zip(*parts))
-        self._build(cols, group, local, active)
+            blocks.append(_encode(buf["points"]))
+            rows.append((buf["group"], buf["local"], buf["active"]))
+        self._build(*_merge(blocks), *map(np.concatenate, zip(*rows)))
 
     # ------------------------------------------------------------------
     # Queries

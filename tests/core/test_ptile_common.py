@@ -5,7 +5,6 @@ import pytest
 
 from repro.core._ptile_common import (
     DEFAULT_POINT_BUDGET,
-    build_engine,
     draw_coreset,
     max_sample_for_budget,
     range_point_matrix,
@@ -14,6 +13,7 @@ from repro.core._ptile_common import (
     threshold_point_matrix,
 )
 from repro.errors import ConstructionError
+from repro.index.backend import build_engine
 from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.kernel import DirectionQuantileSynopsis
 
@@ -76,19 +76,22 @@ class TestDrawCoreset:
 
 
 class TestBuildEngine:
+    @staticmethod
+    def _mapped(rng, n, k):
+        """One single-dataset stream of ``(points, ids)``."""
+        return [(rng.uniform(size=(n, k)), np.arange(n))]
+
     def test_kd(self, rng):
-        engine = build_engine(rng.uniform(size=(10, 2)), list(range(10)), "kd", 8)
+        engine = build_engine(self._mapped(rng, 10, 2), "kd", 8)
         assert len(engine) == 10
 
     def test_rangetree(self, rng):
-        engine = build_engine(
-            rng.uniform(size=(10, 2)), list(range(10)), "rangetree", 8
-        )
+        engine = build_engine(self._mapped(rng, 10, 2), "rangetree", 8)
         assert len(engine) == 10
 
     def test_unknown(self, rng):
         with pytest.raises(ConstructionError):
-            build_engine(rng.uniform(size=(5, 1)), [0, 1, 2, 3, 4], "btree", 8)
+            build_engine(self._mapped(rng, 5, 1), "btree", 8)
 
 
 class TestPointMatrixAssembly:

@@ -269,6 +269,27 @@ class TestDynamicEquivalence:
         b.insert(rng.uniform(size=(1, 2)), [(1, 5)])  # the id is free again
         assert (1, 5) in b.report(QueryBox.unbounded(2))
 
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    def test_every_group_removed_leaves_a_valid_empty_backend(self, engine, rng):
+        """Regression: a kd-tree emptied by ``remove_group`` died in
+        ``to_arrays()`` with numpy's "zero-size array to reduction
+        operation minimum".  On both dynamic engines an emptied backend is
+        a valid one: zero-row arrays, no answers, inserts welcome."""
+        ids = [(i % 4, i) for i in range(20)]
+        b = build_backend(rng.uniform(size=(20, 3)), ids, engine, leaf_size=4)
+        assert sum(b.remove_group(g) for g in range(4)) == 20
+        arrays = b.to_arrays()
+        assert all(arrays[name].shape == (0,) for name in ("group", "local", "active"))
+        boxes = [QueryBox.unbounded(3), random_orthant(rng, 3)]
+        assert (len(b), b.n_active) == (0, 0)
+        assert b.report_many(boxes) == [[], []]
+        assert b.report_groups_many(boxes) == [set(), set()]
+        assert b.report_first(boxes[0]) is None and b.count(boxes[0]) == 0
+        assert b.deactivate_group(1) == b.activate_group(1) == b.remove_group(1) == 0
+        b.insert(rng.uniform(size=(3, 3)), [(1, 0), (1, 1), (7, 0)])
+        assert b.report_groups(boxes[0]) == {1, 7}
+        assert sorted(b.to_arrays()["group"].tolist()) == [1, 1, 7]
+
 
 class TestBatchKernels:
     """The multi-box kernels must equal the per-box loop on every backend:

@@ -256,3 +256,76 @@ class TestAmortizedRebuild:
         for pid in seen:
             tree.activate_group(pid)
         assert set(tree.report(box)) == expected
+
+
+class TestRebuildEquivalence:
+    """``_rebuild`` merges level tables and remaps codes; the oracle is
+    what it used to do — decode every live row back to float64, append the
+    buffer, plant a fresh tree — and the arrays must come out equal."""
+
+    @staticmethod
+    def _decoded(tree):
+        """Float rows, id pairs and activity of everything the tree holds:
+        live main rows in tree order, then the side buffer."""
+        live = ~tree._dead
+        rows = [np.column_stack([t[c] for t, c in zip(tree._tables, tree._pts[live].T)])]
+        pairs = [np.column_stack((tree._group[live], tree._local[live]))]
+        active = [tree._active[live]]
+        if tree._buf is not None:
+            buf = tree._buf.to_arrays()
+            rows.append(buf["points"].T)
+            pairs.append(np.column_stack((buf["group"], buf["local"])))
+            active.append(buf["active"])
+        return np.vstack(rows), np.vstack(pairs), np.concatenate(active)
+
+    @staticmethod
+    def _fresh_arrays(rows, pairs, active, leaf_size):
+        fresh = DynamicKDTree(rows, ids=pairs, leaf_size=leaf_size)
+        for group in np.unique(pairs[~active, 0]).tolist():
+            fresh.deactivate_group(group)
+        return fresh.to_arrays()
+
+    @staticmethod
+    def _assert_equal(got, want):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_merged_rebuild_equals_decode_and_reencode(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, leaf = int(rng.integers(1, 5)), 4
+        # A shared alphabet of ``levels`` values a column: old and new rows
+        # reuse levels, add levels between them, and — past 256 — widen
+        # the codes from uint8 to uint16 across the rebuild.
+        levels = (30, 300)[seed % 2]
+        draw = lambda n: rng.integers(0, levels, size=(n, dim)) / levels  # noqa: E731
+        ids = [(i % 9, i) for i in range(400)]
+        tree = DynamicKDTree(draw(400) * 0.5, ids=ids, leaf_size=leaf)
+        assert tree._pts.dtype == np.uint8
+
+        # Tombstones + hidden groups + a buffer that stays under the threshold.
+        tree.remove_group(2)
+        tree.deactivate_group(4)
+        tree.insert(draw(20), [(20 + i % 3, i) for i in range(20)])
+        tree.deactivate_group(21)
+        tree.remove_group(22)
+        assert tree._buf is not None and tree._n_dead
+        want = self._fresh_arrays(*self._decoded(tree), leaf)
+        self._assert_equal(tree.to_arrays(), want)  # to_arrays folds the buffer in
+        assert tree._buf is None and tree._n_dead == 0
+
+        # An insert that overflows the buffer rebuilds on its own.
+        rows, pairs, active = self._decoded(tree)
+        extra = max(MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * len(tree)))
+        new_rows = draw(extra)
+        new_pairs = np.array([(30 + i % 4, i) for i in range(extra)])
+        want = self._fresh_arrays(
+            np.vstack((rows, new_rows)), np.vstack((pairs, new_pairs)),
+            np.concatenate((active, np.ones(extra, dtype=bool))), leaf,
+        )
+        tree.insert(new_rows, new_pairs)
+        assert tree._buf is None
+        self._assert_equal(tree.to_arrays(), want)
+        assert want["codes"].dtype == (np.uint8, np.uint16)[seed % 2]

@@ -160,6 +160,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             service.warm()
             service.save(args.snapshot)
             service.close()
+        elif args.trace or args.slow_log is not None:
+            print("serve: --trace / --slow-log do not reach forked workers; "
+                  f"they serve the settings {args.snapshot} was saved with",
+                  file=sys.stderr)
         serve_forked(
             args.snapshot, workers=args.workers, host=args.host,
             port=args.port, max_inflight=args.max_inflight,
@@ -169,6 +173,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.snapshot and os.path.exists(args.snapshot):
         service = QueryService.load(args.snapshot)
+        # The file carries the settings it was saved with; a flag given
+        # now overrides them, an absent one leaves them.
+        if args.trace:
+            service.observability.tracing = True
+        if args.slow_log is not None:
+            service.observability.slow_log.threshold_ms = args.slow_log
         print(f"loaded snapshot {args.snapshot} "
               f"({service.n_datasets} datasets, engine "
               f"{service.engine_kind!r}, {service.n_shards} shard(s))")
@@ -184,11 +194,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{service.n_shards} shard(s), engine {args.engine!r}, "
             f"cache capacity {args.cache_capacity}"
         )
-    if args.trace:
+    if service.observability.tracing:
         print("tracing every batch (per-stage spans feed /metrics; "
               "responses carry 'trace')")
-    if args.slow_log is not None:
-        print(f"slow-query log on: threshold {args.slow_log} ms "
+    threshold_ms = service.observability.slow_log.threshold_ms
+    if threshold_ms is not None:
+        print(f"slow-query log on: threshold {threshold_ms} ms "
               f"(dump with GET /stats/slow)")
     if args.warm:
         print("warming shard indexes ...")

@@ -32,7 +32,6 @@ from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample_size
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import (
-    DEFAULT_LEAF_SIZE,
     check_engine,
     group_of,
 )
@@ -64,7 +63,7 @@ def resolve_deltas(
     return deltas
 
 
-#: Default cap on mapped points contributed by one dataset.  The rectangle
+#: Cap on mapped points contributed by one dataset.  The rectangle
 #: enumeration grows as (s^2/2)^d in the coreset size s; this budget keeps
 #: the structure laptop-sized while the query slack is widened to the
 #: *effective* eps of the capped coreset so all guarantees stay honest.
@@ -94,16 +93,16 @@ def resolve_sample_size(
     n_datasets: int,
     sample_size: Optional[int],
     dim: int,
-    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> int:
     """Coreset size: explicit override, or the Theta(eps^-2 log(N/phi))
-    bound capped by the per-dataset mapped-point budget."""
+    bound capped by the per-dataset mapped-point budget
+    (:data:`DEFAULT_POINT_BUDGET`)."""
     if sample_size is not None:
         if sample_size < 2:
             raise ConstructionError("sample_size must be >= 2")
         return int(sample_size)
     theoretical = epsilon_sample_size(eps, resolve_phi(phi, n_datasets), n_datasets)
-    return min(theoretical, max_sample_for_budget(dim, point_budget))
+    return min(theoretical, max_sample_for_budget(dim, DEFAULT_POINT_BUDGET))
 
 
 def draw_coreset(
@@ -186,7 +185,6 @@ class PtileIndexBase:
         delta: Optional[float],
         sample_size: Optional[int],
         engine: str,
-        leaf_size: int,
         rng: Optional[np.random.Generator],
     ) -> None:
         self._synopses: dict[int, Synopsis] = {}
@@ -203,7 +201,6 @@ class PtileIndexBase:
         self.dim = dims.pop()
         self.eps = float(eps)
         self.engine_kind = check_engine(engine)
-        self._leaf_size = leaf_size
         self._rng = rng if rng is not None else np.random.default_rng()
         self._next_key = 0
         self._phi_eff = resolve_phi(phi, len(syn_list))

@@ -33,7 +33,7 @@ from repro.core.pref_index import PrefIndex, pref_threshold
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import DEFAULT_LEAF_SIZE, check_engine
+from repro.index.backend import check_engine
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 
@@ -64,8 +64,6 @@ class DatasetSearchEngine:
         Orthant-search backend of the Ptile structure (``"kd"`` default,
         ``"columnar"``, ``"rangetree"`` — see :mod:`repro.index.backend`);
         Pref structures have no orthant search and ignore it.
-    leaf_size:
-        kd-tree leaf size (ignored by the other backends).
     rng:
         Randomness for coreset sampling.
 
@@ -91,7 +89,6 @@ class DatasetSearchEngine:
         sample_size: Optional[int] = None,
         bounding_box: Optional[Rectangle] = None,
         engine: str = "kd",
-        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if synopses is None and repository is None:
@@ -112,7 +109,6 @@ class DatasetSearchEngine:
         self._sample_size = sample_size
         self._bounding_box = bounding_box
         self.engine_kind = check_engine(engine)
-        self._leaf_size = int(leaf_size)
         self._rng = rng if rng is not None else np.random.default_rng()
         self._ptile: Optional[PtileRangeIndex] = None
         self._pref: dict[int, PrefIndex] = {}
@@ -135,7 +131,6 @@ class DatasetSearchEngine:
                 sample_size=self._sample_size,
                 bounding_box=box,
                 engine=self.engine_kind,
-                leaf_size=self._leaf_size,
                 rng=self._rng,
             )
         return self._ptile

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
-from repro.index.backend import DEFAULT_LEAF_SIZE, build_backend
+from repro.index.backend import build_backend
 from repro.index.query_box import QueryBox
 
 #: Sentinels standing in for -inf/+inf coordinates (kd bboxes need finites).
@@ -72,7 +72,6 @@ class ExactPtile1DIndex:
         datasets: Iterable[np.ndarray],
         theta: Interval,
         engine: str = "kd",
-        leaf_size: int = DEFAULT_LEAF_SIZE,
     ) -> None:
         self.theta = theta
         a = theta.lo
@@ -114,9 +113,7 @@ class ExactPtile1DIndex:
             # No dataset can ever qualify; keep a stub tree for uniformity.
             rows = [(_NEG, _NEG, _NEG, _NEG)]
             ids = [(-1, 0)]
-        self._tree = build_backend(
-            np.asarray(rows), ids, engine=engine, leaf_size=leaf_size
-        )
+        self._tree = build_backend(np.asarray(rows), ids, engine=engine)
 
     @property
     def n_mapped_points(self) -> int:

@@ -43,7 +43,7 @@ from repro.geometry.rect_enum import (
     generalized_pairs_arrays,
 )
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import DEFAULT_LEAF_SIZE, build_engine, group_of
+from repro.index.backend import build_engine, group_of
 from repro.index.kd_tree import DynamicKDTree
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -87,7 +87,6 @@ class PtileLogicalIndex:
         bounding_box: Optional[Rectangle] = None,
         strategy: str = "compose",
         engine: str = "kd",
-        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if strategy not in ("compose", "tensor"):
@@ -101,14 +100,12 @@ class PtileLogicalIndex:
             sample_size=sample_size,
             bounding_box=bounding_box,
             engine=engine,
-            leaf_size=leaf_size,
             rng=rng,
         )
         self.eps = self._range_index.eps
         self.eps_effective = self._range_index.eps_effective
         self.dim = self._range_index.dim
         self.engine_kind = self._range_index.engine_kind
-        self._leaf_size = leaf_size
         # Tensor structures are built lazily, keyed by m.
         self._tensor_trees: dict[int, DynamicKDTree] = {}
         self._tensor_ids: dict[int, dict[int, list]] = {}
@@ -197,7 +194,7 @@ class PtileLogicalIndex:
 
         self._tensor_trees[m] = build_engine(
             (tensor_rows(key, *pairs) for key, pairs in per_dataset.items()),
-            self.engine_kind, self._leaf_size,
+            self.engine_kind,
         )
 
     def query_conjunction_tensor(

@@ -30,7 +30,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core._ptile_common import (
-    DEFAULT_LEAF_SIZE,
     PtileIndexBase,
     point_ids,
     range_point_matrix,
@@ -81,10 +80,9 @@ class PtileRangeIndex(PtileIndexBase):
         sample_size: Optional[int] = None,
         bounding_box: Optional[Rectangle] = None,
         engine: str = "kd",
-        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__(synopses, eps, phi, delta, sample_size, engine, leaf_size, rng)
+        super().__init__(synopses, eps, phi, delta, sample_size, engine, rng)
         # Draw all coresets first: the automatic bounding box must cover
         # every coreset point before pair enumeration can begin.
         for synopsis, delta_i in self._pending:
@@ -101,8 +99,7 @@ class PtileRangeIndex(PtileIndexBase):
                 "box degenerate on some axis?); widen the box or the data"
             )
         self._tree = build_engine(
-            map(self._mapped_points, list(self._synopses)),
-            self.engine_kind, self._leaf_size,
+            map(self._mapped_points, list(self._synopses)), self.engine_kind
         )
 
     # ------------------------------------------------------------------

@@ -25,7 +25,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core._ptile_common import (
-    DEFAULT_LEAF_SIZE,
     PtileIndexBase,
     point_ids,
     threshold_point_matrix,
@@ -68,8 +67,6 @@ class PtileThresholdIndex(PtileIndexBase):
         ``"columnar"`` (vectorized scans, dynamic) or
         ``"rangetree"`` (static, faithful textbook range tree; practical
         only at small scale).  See :mod:`repro.index.backend`.
-    leaf_size:
-        kd-tree leaf size.
     rng:
         Source of randomness for coreset sampling.
 
@@ -93,15 +90,12 @@ class PtileThresholdIndex(PtileIndexBase):
         delta: Optional[float] = None,
         sample_size: Optional[int] = None,
         engine: str = "kd",
-        leaf_size: int = DEFAULT_LEAF_SIZE,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__(synopses, eps, phi, delta, sample_size, engine, leaf_size, rng)
+        super().__init__(synopses, eps, phi, delta, sample_size, engine, rng)
         keys = [self._register(synopsis, delta_i) for synopsis, delta_i in self._pending]
         del self._pending
-        self._tree = build_engine(
-            map(self._mapped_points, keys), self.engine_kind, self._leaf_size
-        )
+        self._tree = build_engine(map(self._mapped_points, keys), self.engine_kind)
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 1)

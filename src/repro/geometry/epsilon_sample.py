@@ -10,9 +10,9 @@ random subset of size ``O(eps^-2 log(phi^-1))`` of a point set ``X`` is an
 Lemma 2.1 extends this through a synopsis: sampling from a synopsis with
 error ``delta`` yields an ``(eps + delta)``-sample of the underlying dataset.
 
-The constant in the sample-size bound is configurable; the default is chosen
-so the laptop-scale experiments stay fast while the empirical error stays
-well inside the bound (verified in ``tests/geometry/test_epsilon_sample.py``
+The constant in the sample-size bound (:data:`DEFAULT_SAMPLE_CONSTANT`) is
+chosen so the laptop-scale experiments stay fast while the empirical error
+stays well inside the bound (verified in ``tests/geometry/test_epsilon_sample.py``
 and the T-FED benchmark).
 """
 
@@ -33,13 +33,7 @@ MIN_SAMPLE_SIZE = 4
 MAX_SAMPLE_SIZE = 4096
 
 
-def epsilon_sample_size(
-    eps: float,
-    phi: float,
-    n_datasets: int = 1,
-    constant: float = DEFAULT_SAMPLE_CONSTANT,
-    max_size: int = MAX_SAMPLE_SIZE,
-) -> int:
+def epsilon_sample_size(eps: float, phi: float, n_datasets: int = 1) -> int:
     """Size ``Theta(eps^-2 log(N / phi))`` of an ε-sample (Algorithm 1, line 4).
 
     Parameters
@@ -51,11 +45,10 @@ def epsilon_sample_size(
     n_datasets:
         ``N``; the per-dataset failure budget is ``phi / N`` so a union bound
         makes *all* coresets good simultaneously with probability ``1 - phi``.
-    constant:
-        Leading constant of the bound.
-    max_size:
-        Cap on the returned size (the enumeration cost downstream is
-        polynomial in this size).
+
+    The leading constant is :data:`DEFAULT_SAMPLE_CONSTANT`; the result is
+    clamped to ``[MIN_SAMPLE_SIZE, MAX_SAMPLE_SIZE]`` (the enumeration cost
+    downstream is polynomial in this size).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -63,16 +56,11 @@ def epsilon_sample_size(
         raise ValueError(f"phi must be in (0, 1), got {phi}")
     if n_datasets < 1:
         raise ValueError("n_datasets must be positive")
-    raw = constant * eps ** -2 * math.log(max(math.e, n_datasets / phi))
-    return int(min(max(MIN_SAMPLE_SIZE, math.ceil(raw)), max_size))
+    raw = DEFAULT_SAMPLE_CONSTANT * eps ** -2 * math.log(max(math.e, n_datasets / phi))
+    return int(min(max(MIN_SAMPLE_SIZE, math.ceil(raw)), MAX_SAMPLE_SIZE))
 
 
-def epsilon_of_sample_size(
-    size: int,
-    phi: float,
-    n_datasets: int = 1,
-    constant: float = DEFAULT_SAMPLE_CONSTANT,
-) -> float:
+def epsilon_of_sample_size(size: int, phi: float, n_datasets: int = 1) -> float:
     """Inverse of :func:`epsilon_sample_size`: the ε a given coreset buys.
 
     When a coreset is capped below the theoretical size for a requested
@@ -83,7 +71,8 @@ def epsilon_of_sample_size(
         raise ValueError("size must be positive")
     if not 0.0 < phi < 1.0:
         raise ValueError(f"phi must be in (0, 1), got {phi}")
-    raw = math.sqrt(constant * math.log(max(math.e, n_datasets / phi)) / size)
+    log_term = math.log(max(math.e, n_datasets / phi))
+    raw = math.sqrt(DEFAULT_SAMPLE_CONSTANT * log_term / size)
     return min(1.0, raw)
 
 

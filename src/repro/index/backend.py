@@ -18,6 +18,9 @@ This module formalizes the seam:
   only), ``"columnar"`` (vectorized columnar scan store, dynamic).  The
   ``to_arrays`` / ``from_arrays`` persistence pair belongs to the dynamic
   engines (:data:`DYNAMIC_ENGINES`); ``restore_backend`` refuses the rest.
+  Every registered class is built as ``cls(points, ids=ids)`` and restored
+  as ``cls.from_arrays(arrays)``: what tunes one engine (the kd-tree's
+  leaf size) is a constant of that engine's module, not a registry argument.
 
 **Entry ids are integers, stored as columns.**  An id is a
 ``(group, local)`` pair of ints — mapped point ``local`` of dataset
@@ -49,18 +52,6 @@ import numpy as np
 
 from repro.errors import ConstructionError
 from repro.index.query_box import QueryBox
-
-#: Default kd-tree leaf size.  A node visit costs about as much dispatch as
-#: scanning a few hundred points, and the multi-box walk stops descending
-#: once ``alive boxes x slice points`` fits one broadcast pass anyway, so
-#: small leaves only multiply the node table (``2k`` codes + 3 ``int32`` per
-#: node, persisted in snapshots).  In-process on the rank-coded 2-D
-#: ``cold_2d`` lake (seed 2027, 455 k mapped points, 4 shards) at leaf sizes
-#: 32 / 64 / 128 / 256 / 512 / 1024 / 2048: snapshot 9.93 / 9.41 / 9.14 /
-#: 9.01 / 8.95 / 8.92 / 8.90 MB; one shard's single-box ``query`` p50 3.6 /
-#: 2.5 / 1.9 / 1.4 / 0.9 / 0.8 / 0.6 ms; its Algorithm-4 timed loop 30 / 26 /
-#: 20 / 17 / 12 / 11 / 9 ms; batched cold path flat at 6-8 ms.
-DEFAULT_LEAF_SIZE = 512
 
 #: The ``local`` half of a plain (non-pair) integer id.
 PLAIN_LOCAL = -1
@@ -268,10 +259,7 @@ def backend_class(engine: str) -> type:
 
 
 def build_backend(
-    points: np.ndarray,
-    ids: Optional[Iterable],
-    engine: str = "kd",
-    leaf_size: int = DEFAULT_LEAF_SIZE,
+    points: np.ndarray, ids: Optional[Iterable], engine: str = "kd"
 ) -> RangeSearchBackend:
     """Instantiate a registered backend over ``(n, k)`` mapped points.
 
@@ -283,10 +271,7 @@ def build_backend(
     ...     eng = build_backend(pts, [(7, 0), (9, 0)], name)
     ...     assert eng.report_groups(QueryBox.closed([-1, 0], [3, 4])) == {7, 9}
     """
-    cls = backend_class(engine)
-    if engine == "kd":
-        return cls(points, ids=ids, leaf_size=leaf_size)
-    return cls(points, ids=ids)
+    return backend_class(engine)(points, ids=ids)
 
 
 #: :func:`build_engine` hands the kd-tree at most this many float64 elements
@@ -307,7 +292,7 @@ def build_backend(
 BLOCK_ELEMENTS = 1 << 16
 
 
-def build_engine(mapped: Iterable[tuple], engine: str, leaf_size: int) -> RangeSearchBackend:
+def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     """:func:`build_backend` over a stream: the backend over all rows of
     ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` integer
     arrays; one dataset's mapped points each, as the Ptile builders yield
@@ -321,14 +306,14 @@ def build_engine(mapped: Iterable[tuple], engine: str, leaf_size: int) -> RangeS
 
     >>> import numpy as np
     >>> mapped = [(np.array([[0.0]]), np.array([4])), (np.array([[1.0]]), np.array([9]))]
-    >>> [build_engine(iter(mapped), e, 8).report(QueryBox.closed([0.5], [2]))
+    >>> [build_engine(iter(mapped), e).report(QueryBox.closed([0.5], [2]))
     ...  for e in ENGINES]
     [[9], [9], [9]]
     """
     if engine == "kd":
-        return backend_class(engine).from_blocks(_blocks(mapped), leaf_size)
+        return backend_class(engine).from_blocks(_blocks(mapped))
     points, ids = map(np.concatenate, zip(*mapped))
-    return build_backend(points, ids, engine, leaf_size)
+    return build_backend(points, ids, engine)
 
 
 def _blocks(mapped: Iterable[tuple]):
@@ -345,13 +330,10 @@ def _blocks(mapped: Iterable[tuple]):
 
 
 def restore_backend(
-    arrays: Mapping[str, np.ndarray], engine: str, leaf_size: int
+    arrays: Mapping[str, np.ndarray], engine: str
 ) -> RangeSearchBackend:
     """A dynamic backend from its own ``to_arrays()`` (snapshot restore)."""
-    cls = backend_class(check_dynamic_engine(engine))
-    if engine == "kd":
-        return cls.from_arrays(arrays, leaf_size=leaf_size)
-    return cls.from_arrays(arrays)
+    return backend_class(check_dynamic_engine(engine)).from_arrays(arrays)
 
 
 def check_dynamic_engine(engine: str) -> str:

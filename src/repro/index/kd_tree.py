@@ -64,7 +64,10 @@ hands out codes, level tables, id columns and node table and
 ``from_arrays`` adopts them, so a snapshot restore builds no tree and
 decodes nothing.
 
-Median splits keep the tree balanced: depth is ``O(log n)`` and the classic
+Leaves hold at most :data:`DEFAULT_LEAF_SIZE` points, read each time a
+tree is planted — it is not a constructor argument and a restored tree does
+not remember the value it was first built with.  Median splits keep the
+tree balanced: depth is ``O(log n)`` and the classic
 kd-tree analysis gives ``O(n^{1-1/k} + OUT)`` worst-case reporting, while
 orthant-style queries on the benign mapped point sets behave
 polylogarithmically in practice — the T-4.4/T-4.11 benchmarks confirm the
@@ -78,7 +81,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.index.backend import (
-    DEFAULT_LEAF_SIZE,
     entry_ids,
     has_duplicates,
     id_columns,
@@ -87,6 +89,21 @@ from repro.index.backend import (
 )
 from repro.index.columnar import ColumnarStore
 from repro.index.query_box import BoxBatch, QueryBox
+
+#: Maximum number of points per leaf, read each time a tree is planted
+#: (first build and every ``_rebuild``; it shapes the node table only,
+#: never an answer, so a restored tree need not remember what it was built
+#: with).  A node visit costs about as much dispatch as scanning a few
+#: hundred points, and the multi-box walk stops descending once ``alive
+#: boxes x slice points`` fits one broadcast pass anyway, so small leaves
+#: only multiply the node table (``2k`` codes + 3 ``int32`` per node,
+#: persisted in snapshots).  In-process on the rank-coded 2-D ``cold_2d``
+#: lake (seed 2027, 455 k mapped points, 4 shards) at leaf sizes 32 / 64 /
+#: 128 / 256 / 512 / 1024 / 2048: snapshot 9.93 / 9.41 / 9.14 / 9.01 / 8.95 /
+#: 8.92 / 8.90 MB; one shard's single-box ``query`` p50 3.6 / 2.5 / 1.9 /
+#: 1.4 / 0.9 / 0.8 / 0.6 ms; its Algorithm-4 timed loop 30 / 26 / 20 / 17 /
+#: 12 / 11 / 9 ms; batched cold path flat at 6-8 ms.
+DEFAULT_LEAF_SIZE = 512
 
 #: Rebuild the main tree when the side buffer exceeds this fraction of it.
 REBUILD_FRACTION = 0.25
@@ -157,8 +174,6 @@ class DynamicKDTree:
     ids:
         Optional unique integer ids (default: positions); see
         :mod:`repro.index.backend` for the id convention.
-    leaf_size:
-        Maximum number of points per leaf.
 
     Examples
     --------
@@ -172,27 +187,24 @@ class DynamicKDTree:
         self,
         points: np.ndarray,
         ids: Optional[Iterable] = None,
-        leaf_size: int = DEFAULT_LEAF_SIZE,
     ) -> None:
-        self._fill([(points, ids)], leaf_size)
+        self._fill([(points, ids)])
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple], leaf_size: int) -> "DynamicKDTree":
+    def from_blocks(cls, blocks: Iterable[tuple]) -> "DynamicKDTree":
         """The tree over the rows of a stream of ``(points, ids)`` blocks —
         arrays equal to ``DynamicKDTree(np.vstack(all points), all ids)``,
         but each block's floats are rank-coded and let go before the next
         one is asked for (see the module docstring).  ``ids`` as in the
         constructor, unique over the whole stream."""
         tree = cls.__new__(cls)
-        tree._fill(blocks, leaf_size)
+        tree._fill(blocks)
         return tree
 
-    def _fill(self, blocks: Iterable[tuple], leaf_size: int) -> None:
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
+    def _fill(self, blocks: Iterable[tuple]) -> None:
         coded, ids = [], []
         for points, block_ids in blocks:
             pts = np.asarray(points, dtype=float)
@@ -206,7 +218,6 @@ class DynamicKDTree:
         if has_duplicates(id_keys(group, local)):
             raise ValueError("ids must be unique")
         self.dim = len(coded[0][1])
-        self._leaf_size = leaf_size
         self._build(*_merge(coded), group, local, np.ones(group.size, dtype=bool))
 
     def _build(
@@ -228,9 +239,10 @@ class DynamicKDTree:
         removed) plant one empty root that no query enters.
         """
         n = codes.shape[1]
+        leaf_size = DEFAULT_LEAF_SIZE
         # A node splits only above leaf_size, so no leaf is smaller than
         # half of it (rounded down, but at least one point).
-        cap = 2 * (n // max(1, (self._leaf_size + 1) // 2)) + 1
+        cap = 2 * (n // max(1, (leaf_size + 1) // 2)) + 1
         span = np.zeros((3, cap), dtype=np.int32)  # start, end, right child
         box = np.empty((2, cap, self.dim), dtype=codes.dtype)  # lo, hi
         perm = np.arange(n)
@@ -245,7 +257,7 @@ class DynamicKDTree:
             hi = seg.max(axis=1, initial=0)
             span[0, m], span[1, m] = start, end
             box[0, m], box[1, m] = lo, hi
-            if end - start > self._leaf_size:
+            if end - start > leaf_size:
                 mid = (end - start) // 2
                 part = np.argpartition(seg[int(np.argmax(hi - lo))], mid)
                 codes[:, start:end] = seg[:, part]
@@ -284,9 +296,7 @@ class DynamicKDTree:
         self._buf: Optional[ColumnarStore] = None
 
     @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray], leaf_size: int = DEFAULT_LEAF_SIZE
-    ) -> "DynamicKDTree":
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "DynamicKDTree":
         """A tree over its own :meth:`to_arrays`: no build, no decode, no copy.
 
         Codes, level tables, id columns and node table may be read-only
@@ -334,7 +344,6 @@ class DynamicKDTree:
             raise ValueError("a code or node box exceeds its column's level count")
         tree = cls.__new__(cls)
         tree.dim = int(codes.shape[0])
-        tree._leaf_size = leaf_size
         tables = [levels[a:b] for a, b in zip(starts[:-1], starts[1:])]
         tree._adopt(codes, tables, group, local, active, span, box)
         return tree

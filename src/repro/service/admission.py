@@ -4,10 +4,11 @@ Load shedding beats queue collapse: a search endpoint that accepts every
 request under overload serves *all* of them slowly (threads pile up on
 the shard locks, p99 explodes, deadlines fire for everyone).  The gate
 caps concurrently-executing search requests at ``max_inflight``; up to
-``max_queue`` excess requests wait briefly for a slot, and everything
-beyond that is shed immediately with ``429 Too Many Requests`` and a
-``Retry-After`` hint — the client's signal to back off while the
-requests already admitted keep their latency budget.
+``max_queue`` excess requests wait briefly (:data:`QUEUE_TIMEOUT_S`) for a
+slot, and everything beyond that is shed immediately with ``429 Too Many
+Requests`` and a ``Retry-After`` hint (:data:`RETRY_AFTER_S`) — the
+client's signal to back off while the requests already admitted keep their
+latency budget.
 
 The gate is deliberately tiny — one lock, one condition, three counters —
 and sits entirely in the server layer: the service underneath never
@@ -16,7 +17,7 @@ sees shed requests, so ``/stats`` query telemetry stays a picture of
 
 Examples
 --------
->>> gate = AdmissionGate(max_inflight=1, max_queue=0, retry_after_s=0.5)
+>>> gate = AdmissionGate(max_inflight=1, max_queue=0)
 >>> gate.try_acquire()
 True
 >>> gate.try_acquire()      # full, no queue -> shed
@@ -33,6 +34,14 @@ import time
 
 from repro.errors import ConstructionError
 
+#: How long a queued request waits for a slot before it is shed, seconds.
+QUEUE_TIMEOUT_S = 1.0
+
+#: The back-off hint of a shed response (the ``429`` body's
+#: ``retry_after_s`` and, rounded up to a whole second, its ``Retry-After``
+#: header).
+RETRY_AFTER_S = 1.0
+
 
 class AdmissionGate:
     """Bounded-concurrency admission with a small overflow queue.
@@ -43,28 +52,17 @@ class AdmissionGate:
         Maximum requests executing at once (must be >= 1).
     max_queue:
         How many further requests may *wait* for a slot (0 = shed
-        immediately when full).
-    queue_timeout_s:
-        How long a queued request waits before giving up and being shed.
-    retry_after_s:
-        The back-off hint shed responses carry (``Retry-After`` header).
+        immediately when full; a queued request is shed after
+        :data:`QUEUE_TIMEOUT_S`).
     """
 
-    def __init__(
-        self,
-        max_inflight: int,
-        max_queue: int = 0,
-        queue_timeout_s: float = 1.0,
-        retry_after_s: float = 1.0,
-    ) -> None:
+    def __init__(self, max_inflight: int, max_queue: int = 0) -> None:
         if max_inflight < 1:
             raise ConstructionError("max_inflight must be >= 1")
         if max_queue < 0:
             raise ConstructionError("max_queue must be >= 0")
         self.max_inflight = int(max_inflight)
         self.max_queue = int(max_queue)
-        self.queue_timeout_s = float(queue_timeout_s)
-        self.retry_after_s = float(retry_after_s)
         self._cond = threading.Condition(threading.Lock())
         self._inflight = 0  # guarded-by: _cond
         self._queued = 0  # guarded-by: _cond
@@ -89,8 +87,8 @@ class AdmissionGate:
             self._queued += 1
             self._queued_total += 1
             try:
-                deadline = time.monotonic() + self.queue_timeout_s
-                remaining = self.queue_timeout_s
+                remaining = QUEUE_TIMEOUT_S
+                deadline = time.monotonic() + remaining
                 while self._inflight >= self.max_inflight:
                     if remaining <= 0 or not self._cond.wait(remaining):
                         self._shed += 1

@@ -160,8 +160,8 @@ class CircuitBreaker:
     --------
     >>> t = [0.0]
     >>> b = CircuitBreaker(threshold=2, reset_s=1.0, clock=lambda: t[0])
-    >>> b.record_failure(); b.record_failure(); b.state
-    'open'
+    >>> b.record_failure(), b.record_failure(), b.state  # the second trips
+    (False, True, 'open')
     >>> b.allow()
     False
     >>> t[0] = 1.5
@@ -217,19 +217,20 @@ class CircuitBreaker:
         with self._lock:
             self._probe_inflight = False
 
-    def record_failure(self) -> None:
+    def record_failure(self) -> bool:
+        """Count one failure; True when it is the one that opens the
+        breaker (a trip — the caller's cue to count it too)."""
         with self._lock:
             if self._state == "half_open":
-                self._state = "open"
-                self._opened_at = self._clock()
                 self._probe_inflight = False
-                self._trips += 1
-                return
-            self._failures += 1
-            if self._state == "closed" and self._failures >= self.threshold:
-                self._state = "open"
-                self._opened_at = self._clock()
-                self._trips += 1
+            else:
+                self._failures += 1
+                if self._state == "open" or self._failures < self.threshold:
+                    return False
+            self._state = "open"
+            self._opened_at = self._clock()
+            self._trips += 1
+            return True
 
     @property
     def state(self) -> str:
@@ -828,7 +829,14 @@ class FederatedCoordinator:
                     ConstructionError, faults.FailpointError,
                 ) as exc:
                     last_exc = exc
-                    node.breaker.record_failure()
+                    if node.breaker.record_failure():
+                        # Counted at the trip itself, whichever way the call
+                        # ends: a later attempt's success closes the breaker
+                        # but the trip happened.
+                        self.registry.inc(
+                            "repro_federation_breaker_trips_total",
+                            {"node": str(node.node_id)},
+                        )
                     self.registry.inc(
                         "repro_federation_node_attempts_total",
                         {"node": str(node.node_id), "outcome": "error"},
@@ -848,7 +856,6 @@ class FederatedCoordinator:
                     {"node": str(node.node_id)},
                 )
                 return answers
-            self._note_breaker_trips(node)
             raise NodeRPCError(
                 "unreachable",
                 f"node {node.node_id} failed after "
@@ -859,21 +866,6 @@ class FederatedCoordinator:
             # attempt 0, universe drift) hands the slot back: else the node
             # is never tried again.
             node.breaker.release_probe()
-
-    def _note_breaker_trips(self, node: FederatedNode) -> None:
-        # The registry counter mirrors the breaker's own trip count so
-        # /metrics needs no breaker-internal reads at render time.
-        trips = node.breaker.snapshot()["trips"]
-        seen = self.registry.counter_value(
-            "repro_federation_breaker_trips_total",
-            {"node": str(node.node_id)},
-        )
-        if trips > seen:
-            self.registry.inc(
-                "repro_federation_breaker_trips_total",
-                {"node": str(node.node_id)},
-                by=trips - seen,
-            )
 
     def _backoff_sleep(
         self,

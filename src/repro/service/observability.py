@@ -493,6 +493,11 @@ class Tracer:
             )
 
 
+#: How many worst traces a service's slow-query log retains (one trace is
+#: a few KB of spans; ``/stats`` reports the figure as ``slow_log_size``).
+SLOW_LOG_SIZE = 32
+
+
 class SlowQueryLog:
     """A bounded log of the ``k`` worst queries above a latency threshold.
 
@@ -512,7 +517,9 @@ class SlowQueryLog:
     3
     """
 
-    def __init__(self, k: int = 32, threshold_ms: Optional[float] = None) -> None:
+    def __init__(
+        self, k: int = SLOW_LOG_SIZE, threshold_ms: Optional[float] = None
+    ) -> None:
         if k < 1:
             raise ValueError("k must be positive")
         self.k = int(k)
@@ -589,10 +596,8 @@ class ServiceObservability:
         Trace *every* batch (otherwise only batches that opt in with
         ``trace=True``).
     slow_query_threshold_ms:
-        Queries at or above this latency enter the slow log; ``None``
-        disables it.
-    slow_log_size:
-        How many worst traces the slow log retains.
+        Queries at or above this latency enter the slow log (the
+        :data:`SLOW_LOG_SIZE` worst are kept); ``None`` disables it.
     """
 
     #: (prometheus gauge name, help) -> extractor over the stats snapshot.
@@ -672,13 +677,12 @@ class ServiceObservability:
         service: QueryService,
         tracing: bool = False,
         slow_query_threshold_ms: Optional[float] = None,
-        slow_log_size: int = 32,
     ) -> None:
         self.service = service
         self.tracing = bool(tracing)
         self.registry = MetricsRegistry()
         self.slow_log = SlowQueryLog(
-            k=slow_log_size, threshold_ms=slow_query_threshold_ms
+            k=SLOW_LOG_SIZE, threshold_ms=slow_query_threshold_ms
         )
         # /stats may be read by one server thread while another records a
         # query; sorting the deque mid-append raises RuntimeError otherwise.

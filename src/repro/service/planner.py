@@ -319,6 +319,13 @@ def emit_schedule(
     return sorted(emitted.items(), key=lambda pair: (pair[1], pair[0]))
 
 
+#: Compiled plans a :class:`~repro.service.service.QueryService` keeps.  A
+#: plan is pure expression algebra (no arrays) and a hit skips
+#: canonicalization outright; the benchmark's ``warm_point`` workload
+#: cycles a pool of 256 expressions, which 1024 holds four times over.
+PLAN_CACHE_CAPACITY = 1024
+
+
 class PlanCache:
     """A bounded LRU of compiled query plans keyed by expression structure.
 
@@ -354,7 +361,7 @@ class PlanCache:
     (True, 1, 1)
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)

@@ -127,7 +127,7 @@ from repro.core.results import QueryResult
 from repro.errors import QueryError, ReproError
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
-from repro.service import faults
+from repro.service import admission, faults
 from repro.service.admission import AdmissionGate
 from repro.service.service import QueryService
 from repro.wire import (
@@ -470,11 +470,11 @@ class _ServiceRequestHandler(JsonRequestHandler):
                 self._send_json(
                     {
                         "error": "server is at capacity; retry later",
-                        "retry_after_s": gate.retry_after_s,
+                        "retry_after_s": admission.RETRY_AFTER_S,
                     },
                     status=429,
                     extra_headers={
-                        "Retry-After": str(max(1, math.ceil(gate.retry_after_s)))
+                        "Retry-After": str(max(1, math.ceil(admission.RETRY_AFTER_S)))
                     },
                 )
                 return False

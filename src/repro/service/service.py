@@ -55,6 +55,7 @@ from repro.service.deadline import Deadline
 from repro.service.degrade import SynopsisScreen
 from repro.service.observability import NO_SPAN, ServiceObservability
 from repro.service.planner import (
+    PLAN_CACHE_CAPACITY,
     PlanCache,
     combine_bounds,
     emit_schedule,
@@ -80,8 +81,9 @@ class QueryService:
     :class:`~repro.service.sharding.ShardedBatchExecutor` for the accuracy
     parameters (they are resolved once against the global dataset count and
     forced onto every shard, so answers match a single engine exactly).
-    Warm-path knobs: ``plan_cache_capacity`` bounds the compiled-plan LRU
-    (``0`` disables it), ``cache_capacity`` bounds the leaf-result LRU.
+    Warm-path knob: ``cache_capacity`` bounds the leaf-result LRU (the
+    compiled-plan LRU holds
+    :data:`~repro.service.planner.PLAN_CACHE_CAPACITY` plans).
 
     Examples
     --------
@@ -127,10 +129,8 @@ class QueryService:
         seed: int = 0,
         engine: str = "kd",
         capacity: Optional[int] = None,
-        plan_cache_capacity: int = 1024,
         tracing: bool = False,
         slow_query_threshold_ms: Optional[float] = None,
-        slow_log_size: int = 32,
     ) -> None:
         self._executor_kwargs = dict(
             eps=eps,
@@ -152,14 +152,13 @@ class QueryService:
         # Compiled plans are pure expression algebra — they reference no
         # index structures and no dataset counts — so the plan cache
         # survives live mutation AND full rebuilds unflushed.
-        self.plans = PlanCache(capacity=plan_cache_capacity)
+        self.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY)
         # Tracing policy, metrics registry, slow-query log and the serving
         # totals; /stats and /metrics are both read off this one object.
         self.observability = ServiceObservability(
             self,
             tracing=tracing,
             slow_query_threshold_ms=slow_query_threshold_ms,
-            slow_log_size=slow_log_size,
         )
         # Serializes add/remove/rebuild against each other.  Queries do not
         # take it: they capture the executor reference once per batch and

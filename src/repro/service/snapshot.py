@@ -40,7 +40,11 @@ node table with its boxes in code space — version 4 stored the same points
 as ``(k, n)`` float64 (``mapped_points``, still what the columnar store
 persists), 8 bytes per coordinate against 1–2.  A Ptile index's coresets
 are one ``(N, s, d)`` segment, not ``N``.  Older files are refused, not
-migrated.
+migrated.  Version-5 files from builds where the kd leaf size, the
+plan-cache capacity and the slow-log size were still constructor keywords
+carry them in ``state`` (the leaf size once per shard unit and once per
+Ptile index); they are module constants now, so those keys are neither
+written nor read and such a file serves with the constants.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -90,7 +94,7 @@ from repro.index.backend import check_dynamic_engine, restore_backend
 from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import ServiceObservability
-from repro.service.planner import PlanCache
+from repro.service.planner import PLAN_CACHE_CAPACITY, PlanCache
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
 from repro.synopsis.serialize import from_state as synopsis_from_state
@@ -363,7 +367,6 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         "eps_effective": float(index.eps_effective),
         "phi_eff": float(index._phi_eff),
         "sample_size": int(index._sample_size),
-        "leaf_size": int(index._leaf_size),
         "engine": index.engine_kind,
         "dim": int(index.dim),
         "next_key": int(index._next_key),
@@ -395,7 +398,6 @@ def _ptile_from_state(
     index.dim = int(state["dim"])
     index.eps = float(state["eps"])
     index.engine_kind = state["engine"]
-    index._leaf_size = int(state["leaf_size"])
     index._rng = _restore_rng(state["rng"])
     index._next_key = int(state["next_key"])
     index._phi_eff = float(state["phi_eff"])
@@ -416,7 +418,6 @@ def _ptile_from_state(
     index._tree = restore_backend(
         {name: arrays[ref] for name, ref in state["backend"].items()},
         index.engine_kind,
-        index._leaf_size,
     )
     return index
 
@@ -463,7 +464,6 @@ def _repository_from_state(
 def _unit_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
     """What a shard engine holds that its executor does not."""
     return {
-        "leaf_size": int(engine._leaf_size),
         "rng": engine._rng.bit_generator.state,
         "ptile": (
             None
@@ -482,7 +482,6 @@ def _unit_from_state(
     nothing is built until first use), then planted with what the file
     holds."""
     eng = ex._new_unit([ex.synopses[i] for i in ids], stream)
-    eng._leaf_size = int(sub["leaf_size"])
     eng._rng = _restore_rng(sub["rng"])
     if sub["ptile"] is not None:
         eng._ptile = _ptile_from_state(sub["ptile"], arrays, eng.synopses)
@@ -647,10 +646,8 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
     return {
         # The keys QueryService.__init__ keeps for rebuilds, in its order.
         "executor_kwargs": {**kw, "bounding_box": _box_state(kw["bounding_box"])},
-        "plan_capacity": int(svc.plans.capacity),
         "tracing": bool(svc.observability.tracing),
         "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
-        "slow_log_size": int(svc.observability.slow_log.k),
         "cache": _cache_state(svc.cache, add_array),
         "executor": _executor_state(svc.executor, add_array),
     }
@@ -667,12 +664,11 @@ def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
     svc.executor = _executor_from_state(state["executor"], arrays)
     svc.cache = LeafResultCache(capacity=int(state["cache"]["capacity"]))
     _cache_restore(state["cache"], arrays, svc.cache)
-    svc.plans = PlanCache(capacity=int(state["plan_capacity"]))
+    svc.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY)
     svc.observability = ServiceObservability(
         svc,
         tracing=bool(state["tracing"]),
         slow_query_threshold_ms=state["slow_query_threshold_ms"],
-        slow_log_size=int(state["slow_log_size"]),
     )
     svc._mutation_lock = threading.Lock()
     return svc

@@ -34,12 +34,14 @@ A monitor thread in the parent keeps the fleet at strength:
 
 - **Reaping**: crashed workers are noticed via ``waitpid(WNOHANG)``
   within one monitor tick.
-- **Respawn**: a dead slot is re-forked from the *current* snapshot
-  generation (watermark first, header as fallback) after a per-slot
-  exponential backoff (``backoff_base`` doubling up to ``backoff_max``).
-  A slot that crashes ``crash_loop_threshold`` times inside
-  ``crash_loop_window`` seconds trips a circuit breaker and stays down —
-  a deterministic crasher must not burn CPU in a fork loop.
+- **Respawn**: a dead slot is always re-forked, from the *current*
+  snapshot generation (watermark first, header as fallback), after a
+  per-slot exponential backoff (``backoff_base`` doubling up to
+  :data:`BACKOFF_MAX`, each delay stretched by up to
+  :data:`BACKOFF_JITTER`).  A slot that crashes
+  :data:`CRASH_LOOP_THRESHOLD` times inside :data:`CRASH_LOOP_WINDOW`
+  seconds trips a circuit breaker and stays down — a deterministic
+  crasher must not burn CPU in a fork loop.
 - **Writer failover**: when the writer dies, the lowest-id live worker
   is promoted via ``POST /admin/promote`` on its private admin port (the
   public port never exposes that endpoint), and the dead slot respawns
@@ -83,6 +85,25 @@ from repro.wire import READY_REPORT, WATERMARK, decode
 #: worker SIGKILLed (and recycled via respawn).
 PROBE_INTERVAL = 1.0
 PROBE_FAILURES = 3
+
+#: Timeout of one parent -> worker admin exchange (stats and metrics
+#: aggregation, promotion), seconds.  A liveness probe waits 1 s, not this.
+FETCH_TIMEOUT = 10.0
+
+#: Respawn backoff: a slot's delay doubles per consecutive crash from the
+#: supervisor's ``backoff_base`` up to ``BACKOFF_MAX`` seconds, and each
+#: scheduled delay is stretched by a uniform random factor in
+#: ``[1, 1 + BACKOFF_JITTER]`` (``BACKOFF_JITTER`` in ``[0, 1]``) so workers
+#: that died together — a poison query fanned to the whole fleet — don't
+#: respawn in lockstep and re-crash as one thundering herd.
+BACKOFF_MAX = 4.0
+BACKOFF_JITTER = 0.5
+
+#: Crash-loop circuit breaker: a slot crashing ``CRASH_LOOP_THRESHOLD``
+#: times within ``CRASH_LOOP_WINDOW`` seconds stays down until the
+#: supervisor restarts.
+CRASH_LOOP_THRESHOLD = 5
+CRASH_LOOP_WINDOW = 30.0
 
 
 def fork_available() -> bool:
@@ -229,27 +250,12 @@ class ServiceSupervisor:
         (resolved before forking so every worker binds the same one).
     poll_interval:
         Sibling watermark-poll period in seconds.
-    fetch_timeout:
-        Per-request timeout for parent->worker admin fetches (stats and
-        metrics aggregation, promotion), seconds.
-    respawn:
-        Whether the monitor re-forks dead workers (chaos tests switch
-        this off to observe the degraded fleet).
     monitor_interval:
         Monitor tick (reap + respawn + probe scheduling), seconds.
-    backoff_base, backoff_max:
-        Respawn backoff: first respawn after ``backoff_base`` seconds,
-        doubling per consecutive crash up to ``backoff_max``.
-    backoff_jitter, backoff_seed:
-        Each scheduled respawn delay is stretched by a uniform random
-        factor in ``[1, 1 + backoff_jitter]`` so workers that died
-        together (a poison query fanned to the whole fleet) don't
-        respawn in lockstep and re-crash as one thundering herd.
-        ``backoff_jitter=0`` restores deterministic delays;
-        ``backoff_seed`` pins the RNG for tests.
-    crash_loop_threshold, crash_loop_window:
-        Circuit breaker: a slot crashing ``threshold`` times within
-        ``window`` seconds stays down until the supervisor restarts.
+    backoff_base:
+        Respawn backoff: first respawn after ``backoff_base`` seconds
+        (jittered), doubling per consecutive crash up to
+        :data:`BACKOFF_MAX`.
     max_inflight, max_queue:
         Per-worker admission control knobs (see
         :class:`~repro.service.admission.AdmissionGate`); None disables.
@@ -272,15 +278,8 @@ class ServiceSupervisor:
         port: int = 0,
         poll_interval: float = 0.25,
         quiet: bool = True,
-        fetch_timeout: float = 10.0,
-        respawn: bool = True,
         monitor_interval: float = 0.2,
         backoff_base: float = 0.25,
-        backoff_max: float = 4.0,
-        backoff_jitter: float = 0.5,
-        backoff_seed: Optional[int] = None,
-        crash_loop_threshold: int = 5,
-        crash_loop_window: float = 30.0,
         max_inflight: Optional[int] = None,
         max_queue: int = 0,
     ) -> None:
@@ -292,19 +291,9 @@ class ServiceSupervisor:
         self.port = int(port)
         self.poll_interval = float(poll_interval)
         self.quiet = quiet
-        self.fetch_timeout = float(fetch_timeout)
-        self.respawn = bool(respawn)
         self.monitor_interval = float(monitor_interval)
         self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
-        if not 0.0 <= backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1], got {backoff_jitter}"
-            )
-        self.backoff_jitter = float(backoff_jitter)
-        self._backoff_rng = random.Random(backoff_seed)  # guarded-by: _lock
-        self.crash_loop_threshold = int(crash_loop_threshold)
-        self.crash_loop_window = float(crash_loop_window)
+        self._backoff_rng = random.Random()  # guarded-by: _lock
         self.max_inflight = max_inflight
         self.max_queue = int(max_queue)
         self.admin_port: Optional[int] = None  # the parent's own admin port
@@ -498,8 +487,7 @@ class ServiceSupervisor:
             now = time.monotonic()
             try:
                 self._reap(now)
-                if self.respawn:
-                    self._respawn_due(now)
+                self._respawn_due(now)
                 self._probe(now)
             except Exception as exc:  # pragma: no cover - keep monitoring
                 self._log(f"monitor tick failed: {exc}")
@@ -523,16 +511,16 @@ class ServiceSupervisor:
                     if status is not None
                     else None
                 )
-                if now - slot.spawned_at > self.crash_loop_window:
+                if now - slot.spawned_at > CRASH_LOOP_WINDOW:
                     # It ran healthily for a full window; forget the
                     # escalation and start the backoff ladder over.
                     slot.backoff = self.backoff_base
-                cutoff = now - self.crash_loop_window
+                cutoff = now - CRASH_LOOP_WINDOW
                 slot.crash_times = [
                     t for t in slot.crash_times if t >= cutoff
                 ]
                 slot.crash_times.append(now)
-                if len(slot.crash_times) >= self.crash_loop_threshold:
+                if len(slot.crash_times) >= CRASH_LOOP_THRESHOLD:
                     slot.disabled = True
                 self._schedule_respawn_locked(slot, now)
                 slot.probe_misses = 0
@@ -550,14 +538,14 @@ class ServiceSupervisor:
         """Set the slot's next respawn time and escalate its backoff.
 
         Caller holds ``_lock``.  The delay is the slot's current backoff
-        stretched by a uniform factor in ``[1, 1 + backoff_jitter]`` —
+        stretched by a uniform factor in ``[1, 1 + BACKOFF_JITTER]`` —
         workers that crashed in the same instant get de-correlated
         respawn times instead of re-forking (and potentially re-crashing
         on the same poison input) in lockstep.
         """
-        jitter = 1.0 + self.backoff_jitter * self._backoff_rng.random()
+        jitter = 1.0 + BACKOFF_JITTER * self._backoff_rng.random()
         slot.next_respawn = now + slot.backoff * jitter
-        slot.backoff = min(slot.backoff * 2.0, self.backoff_max)
+        slot.backoff = min(slot.backoff * 2.0, BACKOFF_MAX)
 
     def _promote_new_writer(self, exclude: int) -> None:
         """Hand writership to the lowest-id live worker (if any).
@@ -639,11 +627,10 @@ class ServiceSupervisor:
                 for s in self._slots
                 if s.alive and now - s.last_probe >= PROBE_INTERVAL
             ]
-        timeout = min(1.0, self.fetch_timeout)
         for slot in due:
             slot.last_probe = now
             try:
-                self._call(slot.admin_port, "/healthz", timeout=timeout)
+                self._call(slot.admin_port, "/healthz", timeout=1.0)
                 slot.probe_misses = 0
             except OSError:
                 slot.probe_misses += 1
@@ -686,7 +673,7 @@ class ServiceSupervisor:
             "alive": alive,
             "worker_count": len(workers),
             "writer_id": writer_id,
-            "respawn": self.respawn,
+            "respawn": True,
             "watermark_corrupt_reads": watermark_corrupt_reads(),
             "workers": workers,
         }
@@ -704,7 +691,7 @@ class ServiceSupervisor:
         status, raw = http_call(
             f"http://{self.host}:{port}{path}",
             body,
-            timeout=self.fetch_timeout if timeout is None else timeout,
+            timeout=FETCH_TIMEOUT if timeout is None else timeout,
         )
         if status != 200:
             raise OSError(f"worker admin port {port} answered {path} with {status}")
@@ -720,7 +707,7 @@ class ServiceSupervisor:
         try:
             return self._call(port, path)
         except OSError:
-            time.sleep(min(0.1, self.fetch_timeout / 10.0))
+            time.sleep(0.1)
             return self._call(port, path)
 
     def aggregate_stats(self) -> dict:

@@ -26,6 +26,15 @@ import numpy as np
 from repro.errors import CapabilityError
 from repro.geometry.rectangle import Rectangle
 
+#: How many random probes a synopsis built from raw points spends
+#: *measuring* the error bound it advertises (the paper's model takes each
+#: ``delta_i`` as known to the data owner): rectangles for ``delta_ptile``,
+#: unit directions — each scored at the ranks ``PROBE_K_FRACS * n`` — for
+#: ``delta_pref``.  Read when a synopsis is constructed.
+PROBE_RECTS = 128
+PROBE_DIRS = 32
+PROBE_K_FRACS = (0.01, 0.1, 0.25)
+
 
 class Synopsis(ABC):
     """Abstract base class for dataset synopses."""

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.rectangle import Rectangle
-from repro.synopsis.base import Synopsis
+from repro.synopsis.base import PROBE_DIRS, PROBE_K_FRACS, PROBE_RECTS, Synopsis
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,12 +44,11 @@ class GMMSynopsis(Synopsis):
     n_components:
         Number of mixture components.
     rng:
-        Random generator (initialization + delta probing).
+        Random generator (initialization + delta probing: the advertised
+        ``delta`` bounds are *measured* on ``PROBE_RECTS`` rectangles /
+        ``PROBE_DIRS`` directions, see :mod:`repro.synopsis.base`).
     n_iter:
         EM iterations.
-    probe_rects, probe_dirs:
-        Number of probe rectangles / directions used to *measure* the
-        advertised ``delta`` bounds.
 
     Examples
     --------
@@ -67,9 +66,6 @@ class GMMSynopsis(Synopsis):
         n_components: int = 4,
         rng: Optional[np.random.Generator] = None,
         n_iter: int = 50,
-        probe_rects: int = 128,
-        probe_dirs: int = 32,
-        probe_k_fracs: tuple[float, ...] = (0.01, 0.1, 0.25),
     ) -> None:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
@@ -80,8 +76,8 @@ class GMMSynopsis(Synopsis):
         self._dim = int(pts.shape[1])
         self._n_points = int(pts.shape[0])
         self._fit(pts, n_components, n_iter, rng)
-        self._delta_ptile = self._measure_delta_ptile(pts, probe_rects, rng)
-        self._delta_pref = self._measure_delta_pref(pts, probe_dirs, probe_k_fracs, rng)
+        self._delta_ptile = self._measure_delta_ptile(pts, rng)
+        self._delta_pref = self._measure_delta_pref(pts, rng)
 
     # ------------------------------------------------------------------
     # EM fitting
@@ -124,12 +120,10 @@ class GMMSynopsis(Synopsis):
     # ------------------------------------------------------------------
     # delta measurement (the "known delta_i" of the paper's model)
     # ------------------------------------------------------------------
-    def _measure_delta_ptile(
-        self, pts: np.ndarray, probes: int, rng: np.random.Generator
-    ) -> float:
+    def _measure_delta_ptile(self, pts: np.ndarray, rng: np.random.Generator) -> float:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         worst = 0.0
-        for _ in range(probes):
+        for _ in range(PROBE_RECTS):
             a = rng.uniform(lo, hi)
             b = rng.uniform(lo, hi)
             rect = Rectangle(np.minimum(a, b), np.maximum(a, b))
@@ -137,20 +131,14 @@ class GMMSynopsis(Synopsis):
             worst = max(worst, abs(self.mass(rect) - exact))
         return min(1.0, 1.25 * worst + 1e-3)  # small safety margin
 
-    def _measure_delta_pref(
-        self,
-        pts: np.ndarray,
-        probes: int,
-        k_fracs: tuple[float, ...],
-        rng: np.random.Generator,
-    ) -> float:
+    def _measure_delta_pref(self, pts: np.ndarray, rng: np.random.Generator) -> float:
         worst = 0.0
         n = pts.shape[0]
-        for _ in range(probes):
+        for _ in range(PROBE_DIRS):
             v = rng.normal(size=self._dim)
             v /= np.linalg.norm(v)
             proj = np.sort(pts @ v)
-            for frac in k_fracs:
+            for frac in PROBE_K_FRACS:
                 k = max(1, int(frac * n))
                 exact = proj[n - k]
                 worst = max(worst, abs(self.score(v, k) - exact))

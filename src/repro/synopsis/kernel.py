@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.epsilon_net import build_epsilon_net, nearest_net_vector
-from repro.synopsis.base import Synopsis
+from repro.synopsis.base import PROBE_DIRS, PROBE_K_FRACS, Synopsis
 
 
 class DirectionQuantileSynopsis(Synopsis):
@@ -54,7 +54,6 @@ class DirectionQuantileSynopsis(Synopsis):
         points: np.ndarray,
         eps_dir: float = 0.1,
         n_quantiles: int = 64,
-        probe_dirs: int = 32,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         pts = np.asarray(points, dtype=float)
@@ -72,18 +71,16 @@ class DirectionQuantileSynopsis(Synopsis):
         self._levels = np.linspace(0.0, 1.0, n_quantiles)
         proj = pts @ self._net.T  # (n, m)
         self._quantiles = np.quantile(proj, self._levels, axis=0).T  # (m, q)
-        self._delta_pref = self._measure_delta(pts, probe_dirs, rng)
+        self._delta_pref = self._measure_delta(pts, rng)
 
-    def _measure_delta(
-        self, pts: np.ndarray, probes: int, rng: np.random.Generator
-    ) -> float:
+    def _measure_delta(self, pts: np.ndarray, rng: np.random.Generator) -> float:
         worst = 0.0
         n = pts.shape[0]
-        for _ in range(probes):
+        for _ in range(PROBE_DIRS):
             v = rng.normal(size=self._dim)
             v /= np.linalg.norm(v)
             proj = np.sort(pts @ v)
-            for frac in (0.01, 0.1, 0.25):
+            for frac in PROBE_K_FRACS:
                 k = max(1, int(frac * n))
                 worst = max(worst, abs(self.score(v, k) - proj[n - k]))
         # Snapping bound (Lemma 5.1) plus measured sketch error.

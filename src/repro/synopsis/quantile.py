@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.rectangle import Rectangle
-from repro.synopsis.base import Synopsis
+from repro.synopsis.base import PROBE_RECTS, Synopsis
 
 
 class QuantileHistogramSynopsis(Synopsis):
@@ -37,9 +37,10 @@ class QuantileHistogramSynopsis(Synopsis):
         ``(n, d)`` training data (consumed at construction).
     n_quantiles:
         Number of quantile knots per attribute.
-    probe_rects:
-        Probe rectangles used to *measure* the advertised ``delta_ptile``
-        (the independence-assumption error is data-dependent).
+    rng:
+        Draws the :data:`~repro.synopsis.base.PROBE_RECTS` probe rectangles
+        the advertised ``delta_ptile`` is *measured* on (the
+        independence-assumption error is data-dependent).
 
     Examples
     --------
@@ -55,7 +56,6 @@ class QuantileHistogramSynopsis(Synopsis):
         self,
         points: np.ndarray,
         n_quantiles: int = 64,
-        probe_rects: int = 128,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         pts = np.asarray(points, dtype=float)
@@ -74,7 +74,7 @@ class QuantileHistogramSynopsis(Synopsis):
         # (d, q) matrix view of the same knots, for the vectorized
         # all-axes-at-once CDF used by ``mass`` (rows are sorted).
         self._knots_mat = np.vstack(self._knots)
-        self._delta_ptile = self._measure_delta(pts, probe_rects, rng)
+        self._delta_ptile = self._measure_delta(pts, rng)
         self._delta_pref = self._measure_delta_pref(pts, rng)
 
     # ------------------------------------------------------------------
@@ -106,12 +106,10 @@ class QuantileHistogramSynopsis(Synopsis):
         cdf = np.where(v >= k[:, -1], 1.0, cdf)
         return cdf
 
-    def _measure_delta(
-        self, pts: np.ndarray, probes: int, rng: np.random.Generator
-    ) -> float:
+    def _measure_delta(self, pts: np.ndarray, rng: np.random.Generator) -> float:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         worst = 0.0
-        for _ in range(probes):
+        for _ in range(PROBE_RECTS):
             a = rng.uniform(lo, hi)
             b = rng.uniform(lo, hi)
             rect = Rectangle(np.minimum(a, b), np.maximum(a, b))

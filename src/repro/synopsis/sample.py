@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.rectangle import Rectangle
-from repro.synopsis.base import Synopsis
+from repro.synopsis.base import PROBE_DIRS, PROBE_K_FRACS, Synopsis
 
 #: Default failure-probability knob for the advertised delta bound.
 DEFAULT_PHI = 0.01
@@ -91,7 +91,6 @@ class EpsilonSampleSynopsis(Synopsis):
         size: int,
         rng: np.random.Generator,
         delta: Optional[float] = None,
-        probe_dirs: int = 32,
     ) -> "EpsilonSampleSynopsis":
         """Draw the subsample from a raw dataset (the data-owner side).
 
@@ -107,11 +106,11 @@ class EpsilonSampleSynopsis(Synopsis):
         syn = EpsilonSampleSynopsis(pts[idx], n_points=pts.shape[0], delta=delta)
         worst = 0.0
         n = pts.shape[0]
-        for _ in range(probe_dirs):
+        for _ in range(PROBE_DIRS):
             v = rng.normal(size=pts.shape[1])
             v /= np.linalg.norm(v)
             proj = np.sort(pts @ v)
-            for frac in (0.01, 0.1, 0.25):
+            for frac in PROBE_K_FRACS:
                 k = max(1, int(frac * n))
                 worst = max(worst, abs(syn.score(v, k) - proj[n - k]))
         syn._delta_pref = 1.5 * worst + 1e-6

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.core.framework import Repository
 from repro.geometry.rectangle import Rectangle
+from repro.index import kd_tree
 from repro.synopsis.exact import ExactSynopsis
 
 # Profiles of the stateful differential test (tests/service/test_stateful.py
@@ -22,6 +23,14 @@ settings.register_profile(
     "soak", max_examples=400, stateful_step_count=50, deadline=None,
     suppress_health_check=list(HealthCheck),
 )
+
+
+@pytest.fixture
+def small_leaves(monkeypatch) -> None:
+    """kd-tree leaves of at most 4 points for the whole test — first build
+    and every rebuild — so a tree over a few dozen rows has inner nodes for
+    the walks to prune (at the shipped leaf size it would be one leaf)."""
+    monkeypatch.setattr(kd_tree, "DEFAULT_LEAF_SIZE", 4)
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
+import repro.service
 from repro.cli import build_parser, main
+from repro.core.framework import Repository
+from repro.service import QueryService, supervisor
 
 
 class TestParser:
@@ -48,3 +52,63 @@ class TestCommands:
         assert code == 0
         assert "synthetic lake" in out
         assert out.count("\n") >= 7  # header + 4 rows + separators
+
+
+class TestServeFromSnapshot:
+    """``serve --snapshot FILE --trace --slow-log MS`` on a file that was
+    saved without either: the banner and the served service must agree."""
+
+    @pytest.fixture()
+    def snap(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lake = [rng.uniform(size=(60, 1)) for _ in range(6)]
+        path = tmp_path / "plain.snap"
+        with QueryService(
+            repository=Repository.from_arrays(lake), n_shards=2, eps=0.2,
+            sample_size=8, seed=3,
+        ) as service:
+            service.save(path)
+        return str(path)
+
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        """What ``cmd_serve`` hands to ``serve`` instead of blocking on it."""
+        got = []
+        monkeypatch.setattr(
+            repro.service, "serve", lambda service, **kw: got.append(service)
+        )
+        return got
+
+    def test_flags_reach_the_loaded_service(self, snap, served, capsys):
+        assert main(["serve", "--snapshot", snap, "--trace", "--slow-log", "5"]) == 0
+        (service,) = served
+        assert service.observability.tracing is True
+        assert service.observability.slow_log.threshold_ms == 5.0
+        assert service.stats()["observability"]["slow_query_threshold_ms"] == 5.0
+        out = capsys.readouterr().out
+        assert "tracing every batch" in out
+        assert "slow-query log on: threshold 5.0 ms" in out
+
+    def test_no_flags_keep_the_files_settings_and_a_quiet_banner(
+        self, snap, served, capsys
+    ):
+        assert main(["serve", "--snapshot", snap]) == 0
+        (service,) = served
+        assert service.observability.tracing is False
+        assert service.observability.slow_log.threshold_ms is None
+        out = capsys.readouterr().out
+        assert "tracing every batch" not in out and "slow-query log on" not in out
+
+    def test_forked_workers_say_the_flags_do_not_reach_them(
+        self, snap, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(supervisor, "serve_forked", lambda *a, **kw: None)
+        code = main(
+            ["serve", "--snapshot", snap, "--workers", "2", "--trace",
+             "--slow-log", "5"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "--trace / --slow-log do not reach forked workers" in captured.err
+        assert "tracing every batch" not in captured.out
+        assert "slow-query log on" not in captured.out

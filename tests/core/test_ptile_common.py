@@ -82,16 +82,16 @@ class TestBuildEngine:
         return [(rng.uniform(size=(n, k)), np.arange(n))]
 
     def test_kd(self, rng):
-        engine = build_engine(self._mapped(rng, 10, 2), "kd", 8)
+        engine = build_engine(self._mapped(rng, 10, 2), "kd")
         assert len(engine) == 10
 
     def test_rangetree(self, rng):
-        engine = build_engine(self._mapped(rng, 10, 2), "rangetree", 8)
+        engine = build_engine(self._mapped(rng, 10, 2), "rangetree")
         assert len(engine) == 10
 
     def test_unknown(self, rng):
         with pytest.raises(ConstructionError):
-            build_engine(self._mapped(rng, 5, 1), "btree", 8)
+            build_engine(self._mapped(rng, 5, 1), "btree")
 
 
 class TestPointMatrixAssembly:

@@ -17,7 +17,7 @@ from repro.core.framework import Repository
 from repro.core.ptile_range import PtileRangeIndex
 from repro.geometry.rect_enum import RectangleGrid, generalized_pairs_arrays
 from repro.geometry.rectangle import Rectangle
-from repro.index import backend
+from repro.index import backend, kd_tree
 from repro.index.backend import DYNAMIC_ENGINES, build_backend, build_engine
 from repro.service import QueryService
 from repro.synopsis import ExactSynopsis
@@ -59,7 +59,8 @@ class TestStreamedEqualsOneBlock:
     def test_arrays_equal_at_every_budget(self, engine, dim, monkeypatch):
         mapped = mapped_datasets(dim, np.random.default_rng(dim))
         points, ids = (np.concatenate(column) for column in zip(*mapped))
-        want = build_backend(points, ids, engine, leaf_size=32).to_arrays()
+        monkeypatch.setattr(kd_tree, "DEFAULT_LEAF_SIZE", 32)
+        want = build_backend(points, ids, engine).to_arrays()
         if engine == "kd":
             assert want["codes"].dtype == (np.uint16 if dim == 1 else np.uint8)
         one = mapped[0][0].size  # every non-empty dataset maps to this many
@@ -70,7 +71,7 @@ class TestStreamedEqualsOneBlock:
         for budget, n_blocks in ((1, len(mapped)), (2 * one, pairs), (1 << 40, 1)):
             monkeypatch.setattr(backend, "BLOCK_ELEMENTS", budget)
             assert len(list(backend._blocks(iter(mapped)))) == n_blocks
-            got = build_engine(iter(mapped), engine, 32).to_arrays()
+            got = build_engine(iter(mapped), engine).to_arrays()
             assert_same_arrays(got, want)
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
@@ -78,7 +79,7 @@ class TestStreamedEqualsOneBlock:
         empty = [(np.empty((0, 6)), point_ids(key, 0)) for key in range(3)]
         for mapped in (empty, []):
             with pytest.raises(ValueError):
-                build_engine(iter(mapped), engine, 32)
+                build_engine(iter(mapped), engine)
 
     @pytest.mark.parametrize("dim", (1, 2))
     def test_snapshot_bytes_do_not_depend_on_the_budget(self, dim, tmp_path, monkeypatch):

@@ -12,10 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.index import ENGINES, QueryBox, build_backend
+from repro.index import ENGINES, QueryBox, build_backend, kd_tree
 from repro.index.backend import DYNAMIC_ENGINES, group_of
+
+#: ``small_leaves`` is set once per test, never by an example.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 
 def random_orthant(rng: np.random.Generator, dim: int) -> QueryBox:
@@ -32,8 +35,8 @@ def random_orthant(rng: np.random.Generator, dim: int) -> QueryBox:
     return QueryBox(cons)
 
 
-def build_all(pts, ids, leaf_size=4):
-    return {e: build_backend(pts, list(ids), e, leaf_size=leaf_size) for e in ENGINES}
+def build_all(pts, ids):
+    return {e: build_backend(pts, list(ids), e) for e in ENGINES}
 
 
 def assert_agree(backends: dict, box: QueryBox) -> None:
@@ -52,9 +55,9 @@ def assert_agree(backends: dict, box: QueryBox) -> None:
 
 
 class TestStaticEquivalence:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 80), dim=st.integers(1, 4))
-    def test_random_orthants(self, seed, n, dim):
+    def test_random_orthants(self, small_leaves, seed, n, dim):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(n, dim))
         ids = [(int(i) % 7, int(i)) for i in range(n)]
@@ -62,7 +65,7 @@ class TestStaticEquivalence:
         for _ in range(5):
             assert_agree(backends, random_orthant(rng, dim))
 
-    def test_duplicate_coordinates(self):
+    def test_duplicate_coordinates(self, small_leaves):
         # Ties on the split axis stress the tree partitioning.
         pts = np.array([[0.5, 0.5]] * 9 + [[0.25, 0.75]] * 4)
         ids = [(i % 3, i) for i in range(13)]
@@ -73,9 +76,9 @@ class TestStaticEquivalence:
 
 
 class TestActivationEquivalence:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 60), plain=st.booleans())
-    def test_random_toggle_sequences(self, seed, n, plain):
+    def test_random_toggle_sequences(self, small_leaves, seed, n, plain):
         """Toggles are per group; with plain int ids every point is its
         own group, so that half of the cases toggles point by point."""
         rng = np.random.default_rng(seed)
@@ -100,7 +103,7 @@ class TestActivationEquivalence:
         for e, b in backends.items():
             assert b.n_active == n_active, f"n_active mismatch on {e}"
 
-    def test_report_loop_simulation(self, rng):
+    def test_report_loop_simulation(self, small_leaves, rng):
         """The Algorithm-2 pattern: report_first, hide the whole group."""
         pts = rng.uniform(size=(60, 3))
         ids = [(i % 6, i) for i in range(60)]
@@ -120,7 +123,7 @@ class TestActivationEquivalence:
             assert got == expect[e] == expect["kd"], e
             assert b.n_active == 60  # the loop restored every point
 
-    def test_group_level_toggles_match_per_point_loops(self, rng):
+    def test_group_level_toggles_match_per_point_loops(self, small_leaves, rng):
         """``deactivate_group`` / ``activate_group`` are the bulk form of
         toggling every point of the group, on every backend: the loop side
         holds the same points under plain int ids (each its own group)."""
@@ -149,9 +152,9 @@ class TestActivationEquivalence:
 
 
 class TestDynamicEquivalence:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), plain=st.booleans())
-    def test_insert_remove_churn(self, seed, plain):
+    def test_insert_remove_churn(self, small_leaves, seed, plain):
         """Dynamic backends stay equivalent under mixed churn — whole
         groups removed, or single points where ids are plain ints."""
         rng = np.random.default_rng(seed)
@@ -163,7 +166,7 @@ class TestDynamicEquivalence:
 
         ids = [make_id(i) for i in range(20)]
         backends = {
-            e: build_backend(pts, list(ids), e, leaf_size=4)
+            e: build_backend(pts, list(ids), e)
             for e in DYNAMIC_ENGINES
         }
         live = list(ids)
@@ -213,21 +216,21 @@ class TestDynamicEquivalence:
         assert sorted(b.report(box)) == [(0, 0), (0, 1)]
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_array_round_trip(self, engine, rng):
+    def test_array_round_trip(self, small_leaves, engine, rng):
         """``from_arrays(to_arrays())`` — the persistence seam — keeps
         answers and activity, over read-only buffers, on every engine
         that has one: the dynamic ones."""
         from repro.index.backend import restore_backend
 
         ids = [(i % 4, i) for i in range(40)] + [(9, 0)]
-        b = build_backend(rng.uniform(size=(41, 2)), ids, engine, leaf_size=4)
+        b = build_backend(rng.uniform(size=(41, 2)), ids, engine)
         b.insert(rng.uniform(size=(3, 2)), [(5, 0), (5, 1), (5, 2)])
         b.remove_group(9)  # a tombstone in the main structure
         b.deactivate_group(2)
         arrays = b.to_arrays()
         for arr in arrays.values():
             arr.flags.writeable = False
-        twin = restore_backend(arrays, engine, leaf_size=4)
+        twin = restore_backend(arrays, engine)
         boxes = [QueryBox.unbounded(2)] + [random_orthant(rng, 2) for _ in range(5)]
         assert (len(twin), twin.n_active) == (len(b), b.n_active)
         assert [sorted(r) for r in twin.report_many(boxes)] == [
@@ -253,12 +256,12 @@ class TestDynamicEquivalence:
         assert not hasattr(tree, "to_arrays") and not hasattr(tree, "from_arrays")
         arrays = build_backend(rng.uniform(size=(8, 2)), None, "columnar").to_arrays()
         with pytest.raises(ConstructionError, match="dynamic engine.*got 'rangetree'"):
-            restore_backend(arrays, "rangetree", leaf_size=4)
+            restore_backend(arrays, "rangetree")
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_remove_group(self, engine, rng):
+    def test_remove_group(self, small_leaves, engine, rng):
         ids = [(i % 4, i) for i in range(40)]
-        b = build_backend(rng.uniform(size=(40, 2)), ids, engine, leaf_size=4)
+        b = build_backend(rng.uniform(size=(40, 2)), ids, engine)
         assert b.deactivate_group(1) == 10
         b.insert(rng.uniform(size=(3, 2)), [(1, 100), (1, 101), (5, 0)])
         assert b.remove_group(1) == 12  # hidden and buffered points included
@@ -270,13 +273,15 @@ class TestDynamicEquivalence:
         assert (1, 5) in b.report(QueryBox.unbounded(2))
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_every_group_removed_leaves_a_valid_empty_backend(self, engine, rng):
+    def test_every_group_removed_leaves_a_valid_empty_backend(
+        self, small_leaves, engine, rng
+    ):
         """Regression: a kd-tree emptied by ``remove_group`` died in
         ``to_arrays()`` with numpy's "zero-size array to reduction
         operation minimum".  On both dynamic engines an emptied backend is
         a valid one: zero-row arrays, no answers, inserts welcome."""
         ids = [(i % 4, i) for i in range(20)]
-        b = build_backend(rng.uniform(size=(20, 3)), ids, engine, leaf_size=4)
+        b = build_backend(rng.uniform(size=(20, 3)), ids, engine)
         assert sum(b.remove_group(g) for g in range(4)) == 20
         arrays = b.to_arrays()
         assert all(arrays[name].shape == (0,) for name in ("group", "local", "active"))
@@ -296,14 +301,14 @@ class TestBatchKernels:
     ``report_many(boxes) ≡ [report(b) for b in boxes]`` and likewise for
     ``report_groups_many``."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 80),
         dim=st.integers(1, 4),
         q=st.integers(0, 12),
     )
-    def test_report_many_equals_per_box_loop(self, seed, n, dim, q):
+    def test_report_many_equals_per_box_loop(self, small_leaves, seed, n, dim, q):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(n, dim))
         ids = [(int(i) % 7, int(i)) for i in range(n)]
@@ -318,9 +323,9 @@ class TestBatchKernels:
                 b.report_groups(box) for box in boxes
             ], f"report_groups_many mismatch on {e}"
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 60))
-    def test_batch_kernels_respect_activation(self, seed, n):
+    def test_batch_kernels_respect_activation(self, small_leaves, seed, n):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(n, dim))
@@ -334,11 +339,11 @@ class TestBatchKernels:
         for e, b in backends.items():
             assert [sorted(r) for r in b.report_many(boxes)] == ref, e
 
-    def test_batch_kernels_cover_kd_side_buffer(self, rng):
+    def test_batch_kernels_cover_kd_side_buffer(self, small_leaves, rng):
         """Inserted-but-not-rebuilt points must appear in batch answers."""
         pts = rng.uniform(size=(30, 2))
         ids = [(i % 3, i) for i in range(30)]
-        tree = build_backend(pts, list(ids), "kd", leaf_size=4)
+        tree = build_backend(pts, list(ids), "kd")
         tree.insert(rng.uniform(size=(10, 2)), [(i % 3, i) for i in range(30, 40)])
         boxes = [random_orthant(rng, 2) for _ in range(8)]
         assert [sorted(r) for r in tree.report_many(boxes)] == [
@@ -465,13 +470,13 @@ class TestCodedBoundaries:
     LEVELS = [-1.0, 0.0, 0.25, 0.5, 1.0]
     DIM = 3
 
-    def test_bounds_on_between_and_beyond_the_levels(self, rng):
+    def test_bounds_on_between_and_beyond_the_levels(self, small_leaves, rng):
         from repro.index.backend import restore_backend
 
         n = 200
         pts = rng.choice(self.LEVELS, size=(n, self.DIM))
         ids = [(i % 5, i) for i in range(n)]
-        kd = build_backend(pts, ids, "kd", leaf_size=4)
+        kd = build_backend(pts, ids, "kd")
         oracle = build_backend(pts, ids, "columnar")
         assert kd._pts.dtype == np.uint8 and kd._box.dtype == np.uint8
         assert [t.tolist() for t in kd._tables] == [self.LEVELS] * self.DIM
@@ -509,7 +514,7 @@ class TestCodedBoundaries:
         # Tombstones are folded in by to_arrays; the twin adopts the codes.
         assert kd.remove_group(0) == oracle.remove_group(0) == 40
         assert_matches_oracle(kd, oracle, boxes)
-        twin = restore_backend(kd.to_arrays(), "kd", leaf_size=4)
+        twin = restore_backend(kd.to_arrays(), "kd")
         assert twin._pts.dtype == np.uint8 and len(twin) == len(oracle)
         assert_matches_oracle(twin, oracle, boxes)
 
@@ -518,13 +523,16 @@ class TestCodedBoundaries:
         [(255, np.uint8), (256, np.uint8), (257, np.uint16),
          (65_535, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
     )
-    def test_code_dtype_follows_the_longest_table(self, n_levels, dtype, rng):
+    def test_code_dtype_follows_the_longest_table(
+        self, n_levels, dtype, rng, monkeypatch
+    ):
         """The code dtype is read off the data: the smallest unsigned type
         that holds the longest column table's top rank."""
         wide = rng.permutation(n_levels).astype(float)
         pts = np.column_stack((wide, rng.choice([0.0, 1.0], size=n_levels)))
         ids = np.column_stack((np.arange(n_levels) % 3, np.arange(n_levels)))
-        kd = build_backend(pts, ids, "kd", leaf_size=64)
+        monkeypatch.setattr(kd_tree, "DEFAULT_LEAF_SIZE", 64)
+        kd = build_backend(pts, ids, "kd")
         oracle = build_backend(pts, ids, "columnar")
         assert kd._pts.dtype == kd._box.dtype == dtype
         assert kd.to_arrays()["codes"].dtype == dtype

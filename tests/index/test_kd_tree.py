@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.index.kd_tree import (
     DynamicKDTree,
@@ -10,6 +10,9 @@ from repro.index.kd_tree import (
     REBUILD_FRACTION,
 )
 from repro.index.query_box import QueryBox
+
+#: ``small_leaves`` is set once per test, never by an example.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 
 def naive_report(points, box):
@@ -54,12 +57,12 @@ class TestQueries:
         with pytest.raises(ValueError):
             tree.report(QueryBox.closed([0.0], [1.0]))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 120), dim=st.integers(1, 5))
-    def test_property_report(self, seed, n, dim):
+    def test_property_report(self, small_leaves, seed, n, dim):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(n, dim))
-        tree = DynamicKDTree(pts, leaf_size=4)
+        tree = DynamicKDTree(pts)
         lo = rng.uniform(0, 1, size=dim)
         hi = rng.uniform(0, 1, size=dim)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
@@ -143,13 +146,13 @@ class TestDynamics:
         assert tree.deactivate_group(0) == 10
         assert tree.report_groups(box) == {1, 2, 3}
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000))
-    def test_churn_consistency(self, seed):
+    def test_churn_consistency(self, small_leaves, seed):
         """Random insert/remove/deactivate churn stays consistent with naive."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(30, 2))
-        tree = DynamicKDTree(pts, leaf_size=4)
+        tree = DynamicKDTree(pts)
         alive = {i: pts[i] for i in range(30)}
         active = set(alive)
         next_id = 30
@@ -239,9 +242,9 @@ class TestAmortizedRebuild:
         tree.insert(np.array([[0.5, 0.5]]), ids=[500])
         assert 500 in set(tree.report(box))
 
-    def test_report_first_correct_across_rebuild(self, rng):
+    def test_report_first_correct_across_rebuild(self, small_leaves, rng):
         pts = rng.uniform(size=(60, 2))
-        tree = DynamicKDTree(pts, leaf_size=4)
+        tree = DynamicKDTree(pts)
         self._grow_past_threshold(tree, rng, 1000)
         box = QueryBox.closed([0.2, 0.2], [0.8, 0.8])
         expected = set(tree.report(box))
@@ -279,8 +282,8 @@ class TestRebuildEquivalence:
         return np.vstack(rows), np.vstack(pairs), np.concatenate(active)
 
     @staticmethod
-    def _fresh_arrays(rows, pairs, active, leaf_size):
-        fresh = DynamicKDTree(rows, ids=pairs, leaf_size=leaf_size)
+    def _fresh_arrays(rows, pairs, active):
+        fresh = DynamicKDTree(rows, ids=pairs)
         for group in np.unique(pairs[~active, 0]).tolist():
             fresh.deactivate_group(group)
         return fresh.to_arrays()
@@ -293,16 +296,16 @@ class TestRebuildEquivalence:
             assert np.array_equal(got[name], want[name]), name
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_merged_rebuild_equals_decode_and_reencode(self, seed):
+    def test_merged_rebuild_equals_decode_and_reencode(self, small_leaves, seed):
         rng = np.random.default_rng(seed)
-        dim, leaf = int(rng.integers(1, 5)), 4
+        dim = int(rng.integers(1, 5))
         # A shared alphabet of ``levels`` values a column: old and new rows
         # reuse levels, add levels between them, and — past 256 — widen
         # the codes from uint8 to uint16 across the rebuild.
         levels = (30, 300)[seed % 2]
         draw = lambda n: rng.integers(0, levels, size=(n, dim)) / levels  # noqa: E731
         ids = [(i % 9, i) for i in range(400)]
-        tree = DynamicKDTree(draw(400) * 0.5, ids=ids, leaf_size=leaf)
+        tree = DynamicKDTree(draw(400) * 0.5, ids=ids)
         assert tree._pts.dtype == np.uint8
 
         # Tombstones + hidden groups + a buffer that stays under the threshold.
@@ -312,7 +315,7 @@ class TestRebuildEquivalence:
         tree.deactivate_group(21)
         tree.remove_group(22)
         assert tree._buf is not None and tree._n_dead
-        want = self._fresh_arrays(*self._decoded(tree), leaf)
+        want = self._fresh_arrays(*self._decoded(tree))
         self._assert_equal(tree.to_arrays(), want)  # to_arrays folds the buffer in
         assert tree._buf is None and tree._n_dead == 0
 
@@ -323,7 +326,7 @@ class TestRebuildEquivalence:
         new_pairs = np.array([(30 + i % 4, i) for i in range(extra)])
         want = self._fresh_arrays(
             np.vstack((rows, new_rows)), np.vstack((pairs, new_pairs)),
-            np.concatenate((active, np.ones(extra, dtype=bool))), leaf,
+            np.concatenate((active, np.ones(extra, dtype=bool))),
         )
         tree.insert(new_rows, new_pairs)
         assert tree._buf is None

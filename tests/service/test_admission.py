@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.framework import Repository
 from repro.errors import ConstructionError
-from repro.service import QueryService, faults
+from repro.service import QueryService, admission, faults
 from repro.service.admission import AdmissionGate
 from repro.service.server import expression_to_json, make_server
 from repro.workloads.generators import synthetic_data_lake
@@ -31,8 +31,9 @@ class TestGateUnit:
         gate.release()
         assert gate.try_acquire()
 
-    def test_release_wakes_queued_waiter(self):
-        gate = AdmissionGate(max_inflight=1, max_queue=1, queue_timeout_s=5.0)
+    def test_release_wakes_queued_waiter(self, monkeypatch):
+        monkeypatch.setattr(admission, "QUEUE_TIMEOUT_S", 5.0)
+        gate = AdmissionGate(max_inflight=1, max_queue=1)
         assert gate.try_acquire()
         got = []
 
@@ -56,10 +57,9 @@ class TestGateUnit:
         assert not gate.try_acquire()
         assert gate.snapshot()["shed"] == 1
 
-    def test_queue_timeout_sheds(self):
-        gate = AdmissionGate(
-            max_inflight=1, max_queue=1, queue_timeout_s=0.05
-        )
+    def test_queue_timeout_sheds(self, monkeypatch):
+        monkeypatch.setattr(admission, "QUEUE_TIMEOUT_S", 0.05)
+        gate = AdmissionGate(max_inflight=1, max_queue=1)
         assert gate.try_acquire()
         assert not gate.try_acquire()  # waits 50ms, then shed
         snap = gate.snapshot()
@@ -87,7 +87,8 @@ class TestGateUnit:
 
 class TestServerIntegration:
     @pytest.fixture()
-    def server(self):
+    def server(self, monkeypatch):
+        monkeypatch.setattr(admission, "RETRY_AFTER_S", 2.0)
         lake = synthetic_data_lake(
             8, DIM, np.random.default_rng(SEED), median_size=60
         )
@@ -98,7 +99,7 @@ class TestServerIntegration:
             sample_size=8,
             seed=SEED,
         )
-        gate = AdmissionGate(max_inflight=1, max_queue=0, retry_after_s=2.0)
+        gate = AdmissionGate(max_inflight=1, max_queue=0)
         httpd = make_server(svc, port=0, gate=gate)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()

@@ -23,7 +23,7 @@ import pytest
 
 from repro.bench.harness import http_post_json
 from repro.core.framework import Repository
-from repro.service import QueryService, faults
+from repro.service import QueryService, faults, supervisor
 from repro.service.server import expression_to_json
 from repro.service.supervisor import (
     ServiceSupervisor,
@@ -246,16 +246,17 @@ class TestChaos:
         finally:
             sup.stop()
 
-    def test_crash_loop_trips_circuit_breaker(self, snapshot):
+    def test_crash_loop_trips_circuit_breaker(self, snapshot, monkeypatch):
         path, queries = snapshot
+        monkeypatch.setattr(supervisor, "CRASH_LOOP_THRESHOLD", 2)
+        monkeypatch.setattr(supervisor, "CRASH_LOOP_WINDOW", 60.0)
         # Workers inherit armed failpoints through fork: every handled
         # request kills the worker, so each respawn dies again on first
         # contact and the breaker must trip instead of fork-looping.
         faults.arm("handler=exit:9")
         sup = ServiceSupervisor(
             path, workers=1, poll_interval=0.2, monitor_interval=0.05,
-            backoff_base=0.05, crash_loop_threshold=2, crash_loop_window=60.0,
-            quiet=True,
+            backoff_base=0.05, quiet=True,
         )
         try:
             host, port = sup.start()

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.framework import Repository
 from repro.errors import QueryError
-from repro.service import QueryService, faults
+from repro.service import QueryService, faults, federation
 from repro.service.federation import (
     CircuitBreaker,
     FederatedCoordinator,
@@ -405,6 +405,37 @@ class TestBreakerLifecycle:
         assert trips == 1.0
         coord.close()
 
+    def test_trip_closed_within_its_own_call_still_reaches_metrics(
+        self, nodes, monkeypatch
+    ):
+        """A breaker that trips on one attempt and is closed by the next
+        attempt's success never came through the retries-exhausted exit —
+        the only place the registry used to mirror trips — so ``/metrics``
+        stayed at zero while ``/stats`` said one."""
+        coord = FederatedCoordinator(
+            seed=3, rpc_timeout_s=2.0, max_retries=1, breaker_threshold=3,
+            backoff_base_s=0.001, hedge_delay_s=None,
+        )
+        coord.add_node(nodes[0].url)
+        script = iter([False, False, False])  # call A: 2 failures; B: 1, then ok
+        real_call = federation.http_call
+
+        def flaky_call(url, body=None, timeout=None):
+            if next(script, True):
+                return real_call(url, body, timeout=timeout)
+            raise OSError("scripted failure")
+
+        monkeypatch.setattr(federation, "http_call", flaky_call)
+        q = [batched_query_workload(1, DIM, np.random.default_rng(5))[0]]
+        assert coord.search_batch(q).nodes[0]["status"] == "unreachable"
+        assert coord.search_batch(q).nodes[0]["status"] == "ok"
+        breaker = coord.stats()["federation"]["nodes"][0]["breaker"]
+        assert (breaker["state"], breaker["trips"]) == ("closed", 1)
+        assert (
+            'repro_federation_breaker_trips_total{node="0"} 1'
+            in coord.registry.render().splitlines()
+        )
+        coord.close()
 
     @staticmethod
     def _tripped_then_healed(nodes, **kw):

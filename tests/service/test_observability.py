@@ -21,7 +21,7 @@ from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import And, Predicate, pred
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
-from repro.service import QueryService
+from repro.service import QueryService, observability
 from repro.service.observability import (
     LATENCY_WINDOW,
     Histogram,
@@ -499,9 +499,10 @@ class TestServiceSlowLogAndStats:
                     continue
                 assert SAMPLE_LINE.match(line), line
 
-    def test_stats_observability_section(self, lake):
+    def test_stats_observability_section(self, lake, monkeypatch):
+        monkeypatch.setattr(observability, "SLOW_LOG_SIZE", 8)
         with make_service(
-            lake, slow_query_threshold_ms=5.0, slow_log_size=8, tracing=True
+            lake, slow_query_threshold_ms=5.0, tracing=True
         ) as svc:
             obs = svc.stats()["observability"]
             assert obs == {

@@ -8,6 +8,7 @@ from repro.core.measures import PercentileMeasure
 from repro.core.predicates import And, Or, pred
 from repro.geometry.rectangle import Rectangle
 from repro.service import QueryService
+from repro.service import service as service_mod
 from repro.service.planner import PlanCache, plan_batch
 from repro.workloads.generators import synthetic_data_lake
 
@@ -115,16 +116,17 @@ class TestServiceIntegration:
         assert after == before
         assert service.plans.hits == hits_before + 1
 
-    def test_answers_identical_with_plan_cache_disabled(self):
+    def test_answers_identical_with_plan_cache_disabled(self, monkeypatch):
         lake = synthetic_data_lake(
             8, 1, np.random.default_rng(1), family="clustered", median_size=100
         )
         repo = Repository.from_arrays(lake)
         queries = [And([A, B]), Or([A, C]), And([A, Or([B, C])]), A]
         kwargs = dict(repository=repo, n_shards=2, eps=0.2, sample_size=10, seed=3)
-        with QueryService(plan_cache_capacity=0, **kwargs) as cold, QueryService(
-            **kwargs
-        ) as warm:
+        warm = QueryService(**kwargs)
+        monkeypatch.setattr(service_mod, "PLAN_CACHE_CAPACITY", 0)
+        with QueryService(**kwargs) as cold, warm:
+            assert cold.plans.capacity == 0 < warm.plans.capacity
             a = [r.indexes for r in cold.search_batch(queries * 2)]
             b = [r.indexes for r in warm.search_batch(queries * 2)]
         assert a == b

@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.framework import Repository
 from repro.errors import SnapshotError
-from repro.service import QueryService
+from repro.index import kd_tree
+from repro.service import QueryService, observability, planner
 from repro.service.federation import federated_node_service
 from repro.service.snapshot import MAGIC, VERSION, generation_of, inspect, load
 from repro.workloads.generators import synthetic_data_lake
@@ -312,6 +313,90 @@ class TestExecutorAndEngineKinds:
         loaded.rebuild()
         assert answers(loaded, queries) == expected
         loaded.close()
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_retired_constant_keys_are_ignored_on_read(
+        self, lake, queries, tmp_path, mmap
+    ):
+        """v5 files written while the kd leaf size, the plan-cache capacity
+        and the slow-log size were constructor keywords carry them — the
+        leaf size once per shard unit and once per Ptile index.  This build
+        writes none of them and reads none of them: such a file loads,
+        answers identically and serves with the constants, whatever the
+        values in it."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=2 * N_DATASETS,
+        )
+        svc.add_datasets([lake[0][::2]])  # a delta unit beside the base shards
+        svc.warm()
+        expected = answers(svc, queries)
+        path = tmp_path / "old.snap"
+        svc.save(path)
+        svc.close()
+        header, data = _read_header(path)
+        assert header["format"] == VERSION == 5
+        state, executor = header["state"], header["state"]["executor"]
+        for key, value in (("plan_capacity", 7), ("slow_log_size", 3)):
+            assert key not in state
+            state[key] = value
+        units = [*executor["engines"], executor["delta_engine"]]
+        assert len(units) == 3
+        for holder in (*units, *(unit["ptile"] for unit in units)):
+            assert "leaf_size" not in holder
+            holder["leaf_size"] = 4
+        _write_header(path, header, data)
+        loaded = load(path, mmap=mmap)
+        assert answers(loaded, queries) == expected
+        assert loaded.plans.capacity == planner.PLAN_CACHE_CAPACITY
+        obs = loaded.stats()["observability"]
+        assert obs["slow_log_size"] == observability.SLOW_LOG_SIZE
+        loaded.rebuild()
+        assert answers(loaded, queries) == expected
+        loaded.close()
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_leaf_size_shapes_the_node_table_never_an_answer(
+        self, lake, queries, tmp_path, monkeypatch, mmap
+    ):
+        """A file written under a small kd leaf size — the constant patched
+        at save time only — restores trees with that many more nodes; an
+        ingest that overflows a restored tree's side buffer replants it at
+        the constant in force.  Before and after, the answers are those of
+        a service that never saw the small value."""
+        first, more = [lake[0][::2], lake[1][::2]], [d[1::2] for d in lake[:4]]
+
+        def build():
+            svc = QueryService(
+                repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
+                engine="kd", eps=EPS, sample_size=SAMPLE_SIZE,
+                capacity=4 * N_DATASETS,
+            )
+            assert not svc.add_datasets(first)["rebuilt"]
+            svc.warm()
+            return svc
+
+        path = tmp_path / "small.snap"
+        with monkeypatch.context() as patch:
+            patch.setattr(kd_tree, "DEFAULT_LEAF_SIZE", 4)
+            with build() as small:
+                small.save(path)
+        reference, loaded = build(), load(path, mmap=mmap)
+
+        def delta_tree(svc):
+            return svc.executor.delta_engine._ptile._tree
+
+        restored = delta_tree(loaded)
+        assert restored._span.shape[1] > delta_tree(reference)._span.shape[1] == 1
+        assert answers(loaded, queries) == answers(reference, queries)
+        for svc in (loaded, reference):
+            assert not svc.add_datasets(more)["rebuilt"]
+        # The ingest overflowed the side buffer: same tree object, replanted.
+        assert delta_tree(loaded) is restored
+        assert restored._buf is None and restored._span.shape[1] == 1
+        assert answers(loaded, queries) == answers(reference, queries)
+        loaded.close()
+        reference.close()
 
     def test_inspect(self, lake, tmp_path):
         svc = QueryService(

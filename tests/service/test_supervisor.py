@@ -8,6 +8,7 @@ watermark file.  Skipped cleanly on platforms without ``os.fork``.
 
 import json
 import os
+import random
 import signal
 import time
 import urllib.error
@@ -18,7 +19,7 @@ import pytest
 
 from repro.core.framework import Repository
 from repro.errors import SnapshotError
-from repro.service import QueryService
+from repro.service import QueryService, supervisor
 from repro.service.server import expression_to_json
 from repro.service.supervisor import (
     ServiceSupervisor,
@@ -187,8 +188,9 @@ class TestSupervisor:
 
     def test_stop_safe_when_workers_already_died(self, snapshot):
         path, _queries, _expected = snapshot
+        # A backoff no respawn falls due within: the fleet stays dead.
         sup = ServiceSupervisor(
-            path, workers=2, poll_interval=0.5, respawn=False,
+            path, workers=2, poll_interval=0.5, backoff_base=3600.0,
             monitor_interval=0.05,
         )
         sup.start()
@@ -198,11 +200,15 @@ class TestSupervisor:
         sup.stop()  # must not raise on the already-gone fleet
         sup.stop()
 
-    def test_dead_worker_flagged_not_fatal_in_aggregates(self, snapshot):
+    def test_dead_worker_flagged_not_fatal_in_aggregates(
+        self, snapshot, monkeypatch
+    ):
         path, _queries, _expected = snapshot
+        monkeypatch.setattr(supervisor, "FETCH_TIMEOUT", 2.0)
+        # A backoff no respawn falls due within: the fleet stays degraded.
         with ServiceSupervisor(
-            path, workers=2, poll_interval=0.5, respawn=False,
-            monitor_interval=0.05, fetch_timeout=2.0,
+            path, workers=2, poll_interval=0.5, backoff_base=3600.0,
+            monitor_interval=0.05,
         ) as sup:
             sup.start()
             os.kill(sup.pids[1], signal.SIGKILL)
@@ -237,10 +243,20 @@ class TestSupervisor:
             stats = _request(f"{url}/stats")
             assert stats["worker_count"] == 2
 
-    def test_fetch_timeout_knob(self, snapshot):
+    def test_fetch_timeout_knob(self, snapshot, monkeypatch):
         path, _queries, _expected = snapshot
-        sup = ServiceSupervisor(path, workers=2, fetch_timeout=3.5)
-        assert sup.fetch_timeout == 3.5
+        seen = []
+
+        def fake_call(url, body=None, timeout=None):
+            seen.append(timeout)
+            return 200, b"{}"
+
+        monkeypatch.setattr(supervisor, "http_call", fake_call)
+        monkeypatch.setattr(supervisor, "FETCH_TIMEOUT", 3.5)
+        sup = ServiceSupervisor(path, workers=2)
+        sup._call(1, "/stats")
+        sup._call(1, "/healthz", timeout=1.0)
+        assert seen == [3.5, 1.0]
 
 
 class TestWatermark:
@@ -297,12 +313,15 @@ def test_bad_snapshot_fails_start(tmp_path):
 
 class TestRespawnJitter:
     """Respawn scheduling stretches each backoff by a random factor in
-    [1, 1 + backoff_jitter] so a fleet that died together does not
+    [1, 1 + BACKOFF_JITTER] so a fleet that died together does not
     re-fork (and potentially re-crash) in lockstep."""
 
-    def _supervisor(self, **kw):
+    def _supervisor(self, seed=None, **kw):
         # Constructor only; never started, so no snapshot file is needed.
-        return ServiceSupervisor("unused.snap", workers=2, **kw)
+        sup = ServiceSupervisor("unused.snap", workers=2, **kw)
+        if seed is not None:
+            sup._backoff_rng = random.Random(seed)
+        return sup
 
     def _slot(self, sup, worker_id=0):
         slot = _WorkerSlot(worker_id, pid=0, admin_port=0,
@@ -311,7 +330,7 @@ class TestRespawnJitter:
         return slot
 
     def test_simultaneous_crashes_get_distinct_respawn_times(self):
-        sup = self._supervisor(backoff_seed=123)
+        sup = self._supervisor(seed=123)
         now = 100.0
         times = []
         for wid in range(8):
@@ -320,18 +339,19 @@ class TestRespawnJitter:
             times.append(slot.next_respawn)
         assert len(set(times)) == len(times)  # no lockstep
         lo = now + sup.backoff_base
-        hi = now + sup.backoff_base * (1.0 + sup.backoff_jitter)
+        hi = now + sup.backoff_base * (1.0 + supervisor.BACKOFF_JITTER)
         assert all(lo <= t <= hi for t in times)
 
-    def test_zero_jitter_restores_deterministic_delays(self):
-        sup = self._supervisor(backoff_jitter=0.0)
+    def test_zero_jitter_restores_deterministic_delays(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_JITTER", 0.0)
+        sup = self._supervisor()
         slot = self._slot(sup)
         sup._schedule_respawn_locked(slot, 50.0)
         assert slot.next_respawn == 50.0 + sup.backoff_base
         assert slot.backoff == sup.backoff_base * 2.0
 
     def test_seed_pins_the_schedule(self):
-        a, b = (self._supervisor(backoff_seed=7) for _ in range(2))
+        a, b = (self._supervisor(seed=7) for _ in range(2))
         sa, sb = self._slot(a), self._slot(b)
         for now in (10.0, 20.0, 30.0):
             a._schedule_respawn_locked(sa, now)
@@ -339,9 +359,9 @@ class TestRespawnJitter:
             assert sa.next_respawn == sb.next_respawn
             assert sa.backoff == sb.backoff
 
-    def test_backoff_still_doubles_to_cap_under_jitter(self):
-        sup = self._supervisor(backoff_seed=1, backoff_base=0.25,
-                               backoff_max=1.0)
+    def test_backoff_still_doubles_to_cap_under_jitter(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_MAX", 1.0)
+        sup = self._supervisor(seed=1, backoff_base=0.25)
         slot = self._slot(sup)
         ladder = []
         for _ in range(5):
@@ -350,5 +370,7 @@ class TestRespawnJitter:
         assert ladder == [0.25, 0.5, 1.0, 1.0, 1.0]
 
     def test_rejects_out_of_range_jitter(self):
-        with pytest.raises(ValueError):
-            self._supervisor(backoff_jitter=1.5)
+        # No longer a keyword a caller could get wrong: the constant itself
+        # has to sit in the range the constructor used to enforce (a factor
+        # outside [1, 2] respawns a slot early or stalls it).
+        assert 0.0 <= supervisor.BACKOFF_JITTER <= 1.0

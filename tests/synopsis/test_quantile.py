@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.rectangle import Rectangle
+from repro.synopsis import quantile
 from repro.synopsis.quantile import QuantileHistogramSynopsis
 from repro.workloads.queries import random_rectangles
 
@@ -100,16 +101,15 @@ class TestVectorizedCdf:
         return float(np.interp(value, knots, syn._levels))
 
     @pytest.mark.parametrize("kind", ["uniform", "normal", "duplicates"])
-    def test_matches_interp_reference(self, kind, rng):
+    def test_matches_interp_reference(self, kind, rng, monkeypatch):
         if kind == "uniform":
             data = rng.uniform(size=(600, 3))
         elif kind == "normal":
             data = rng.normal(size=(600, 3))
         else:  # discrete values -> heavy duplicate knots
             data = rng.integers(0, 4, size=(600, 3)).astype(float)
-        syn = QuantileHistogramSynopsis(
-            data, n_quantiles=16, probe_rects=4, rng=rng
-        )
+        monkeypatch.setattr(quantile, "PROBE_RECTS", 4)
+        syn = QuantileHistogramSynopsis(data, n_quantiles=16, rng=rng)
         probes = rng.uniform(data.min() - 0.5, data.max() + 0.5, size=(80, 3))
         # Exact knot values are the duplicate-resolution edge case.
         knot_probes = np.stack(

@@ -122,11 +122,12 @@ def range_point_matrix(
     outer_lo: np.ndarray,
     outer_hi: np.ndarray,
     weights: np.ndarray,
-    delta: float,
+    delta: float | np.ndarray,
 ) -> np.ndarray:
-    """One dataset's ``(P, 4d+2)`` mapped points of Algorithm 3 — the piece
-    :func:`~repro.index.backend.build_engine` stacks into bounded blocks;
-    no float matrix ever spans a shard.
+    """The ``(P, 4d+2)`` mapped points of Algorithm 3 for a block of pairs
+    — one :func:`~repro.index.backend.build_engine` piece; no float matrix
+    ever spans a shard.  ``delta`` is a scalar or one value per row (a
+    block spans datasets).
 
     Column order matches the per-pair concatenation the builders used to
     do row by row: ``(rho^-, rho_hat^-, rho^+, rho_hat^+, w+delta,
@@ -172,6 +173,12 @@ def point_ids(key: int, count: int) -> np.ndarray:
     ids[:, 0] = key
     ids[:, 1] = np.arange(count)
     return ids
+
+
+def _one_piece(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """A stream of ``(points, ids)`` pieces as one piece."""
+    points, ids = map(np.concatenate, zip(*pieces))
+    return points, ids
 
 
 class PtileIndexBase:
@@ -265,15 +272,38 @@ class PtileIndexBase:
 
     # ------------------------------------------------------------------
     # Registration and dynamics (Remark 1 after Theorem 4.4/4.11); the
-    # subclass supplies ``_mapped_points(key) -> (points, ids)``.
+    # subclass supplies ``_mapped(keys, coresets, deltas)``, the datasets'
+    # mapped points as a stream of ``(points, ids)`` pieces in key order,
+    # raising ``ConstructionError`` for a dataset it refuses.
     # ------------------------------------------------------------------
-    def _register(self, synopsis: Synopsis, delta_i: float) -> int:
+    def _register(
+        self, synopsis: Synopsis, delta_i: float, coreset: np.ndarray
+    ) -> int:
         key = self._next_key
         self._next_key += 1
         self._synopses[key] = synopsis
         self._deltas[key] = delta_i
-        self._coresets[key] = draw_coreset(synopsis, self._sample_size, self._rng)
+        self._coresets[key] = coreset
         return key
+
+    def _register_pending(self) -> list[int]:
+        """Draw every constructor synopsis' coreset, in order, and register it."""
+        size, rng = self._sample_size, self._rng
+        keys = [
+            self._register(synopsis, delta_i, draw_coreset(synopsis, size, rng))
+            for synopsis, delta_i in self._pending
+        ]
+        del self._pending
+        return keys
+
+    def _stacked(self, keys: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Registered datasets' ``(K, s, d)`` coreset stack and deltas."""
+        coresets = np.stack([self._coresets[k] for k in keys])
+        return coresets, np.array([self._deltas[k] for k in keys])
+
+    def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+        """A registered dataset's mapped points as one ``(points, ids)`` piece."""
+        return _one_piece(self._mapped([key], *self._stacked([key])))
 
     def insert_synopsis(
         self, synopsis: Synopsis, delta: Optional[float] = None
@@ -290,10 +320,14 @@ class PtileIndexBase:
             delta = synopsis.delta_ptile
             if delta is None:
                 raise ConstructionError("synopsis does not support class F_□")
-        key = self._register(synopsis, float(delta))
-        pts, ids = self._mapped_points(key)
+        delta = float(delta)
+        coreset = draw_coreset(synopsis, self._sample_size, self._rng)
+        # Map before registering: a refused dataset leaves no trace.
+        pts, ids = _one_piece(
+            self._mapped([self._next_key], coreset[None], np.array([delta]))
+        )
         self._tree.insert(pts, ids)
-        return key
+        return self._register(synopsis, delta, coreset)
 
     def delete_synopsis(self, key: int) -> None:
         """Remove a dataset by key.  ``~O(1)`` amortized per mapped point."""

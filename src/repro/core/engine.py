@@ -304,11 +304,13 @@ class DatasetSearchEngine:
             raise ConstructionError("synopsis dimension mismatch")
         if delta is None:
             delta = self._delta
-        self.synopses.append(synopsis)
+        # The Ptile insert first: it refuses a coreset outside the box, and
+        # a refused dataset must leave no trace.
         if self._ptile is not None:
             self._ptile.insert_synopsis(synopsis, delta=delta)
         for index in self._pref.values():
             index.insert_synopsis(synopsis, delta=delta)
+        self.synopses.append(synopsis)
         return len(self.synopses) - 1
 
     # ------------------------------------------------------------------

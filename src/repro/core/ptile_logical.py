@@ -38,7 +38,7 @@ from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rect_enum import (
-    RectangleGrid,
+    _pair_counts,
     _product_option_indices,
     generalized_pairs_arrays,
 )
@@ -155,26 +155,29 @@ class PtileLogicalIndex:
     def _build_tensor(self, m: int) -> None:
         """Materialize the m-fold tensor structure over maximal pairs.
 
-        Vectorized: each dataset's pair family arrives as one ``(P, 4d)``
-        coordinate matrix (plus weights), and the ``P^m`` tensor rows are
+        Vectorized: every dataset's pair family comes from one block
+        enumeration of the coreset stack, split into per-dataset ``(P, 4d)``
+        coordinate matrices (plus weights), and the ``P^m`` tensor rows are
         assembled with stride-indexed block writes — same row order and
         float values as the old per-combination ``itertools.product`` /
-        ``np.concatenate`` loop, at NumPy speed.
+        ``np.concatenate`` loop, at NumPy speed.  The size is refused from
+        the pair counts, before anything is enumerated.
         """
         ri = self._range_index
-        per_dataset: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        total = 0
-        for key in ri.keys:
-            grid = RectangleGrid(ri.coreset(key), bounding_box=ri.bounding_box)
-            in_lo, in_hi, out_lo, out_hi, weights = generalized_pairs_arrays(grid)
-            coords = np.hstack([in_lo, out_lo, in_hi, out_hi])
-            per_dataset[key] = (coords, weights)
-            total += coords.shape[0] ** m
+        keys = ri.keys
+        coresets = np.stack([ri.coreset(key) for key in keys])
+        counts = _pair_counts(coresets, ri.bounding_box)
+        total = sum(int(p) ** m for p in counts)
         if total > MAX_TENSOR_POINTS:
             raise ConstructionError(
                 f"tensor construction for m={m} needs {total} mapped points "
                 f"(> {MAX_TENSOR_POINTS}); reduce sample_size or use compose"
             )
+        in_lo, in_hi, out_lo, out_hi, weights = generalized_pairs_arrays(
+            coresets, ri.bounding_box, None
+        )
+        cuts = np.cumsum(counts)[:-1]
+        coords = np.split(np.hstack([in_lo, out_lo, in_hi, out_hi]), cuts)
         d4 = 4 * ri.dim
 
         def tensor_rows(key: int, coords: np.ndarray, weights: np.ndarray):
@@ -185,7 +188,7 @@ class PtileLogicalIndex:
             if n_combo:
                 # Per-slot pick columns in itertools.product order (last
                 # slot fastest) — shared with the pair enumerators.
-                picks = _product_option_indices([p] * m, n_combo)
+                picks = _product_option_indices([p] * m, np.arange(n_combo))
                 for slot, pick in enumerate(picks):
                     block[:, slot * d4 : (slot + 1) * d4] = coords[pick]
                     block[:, m * d4 + slot] = weights[pick] + delta_i
@@ -193,7 +196,7 @@ class PtileLogicalIndex:
             return block, point_ids(key, n_combo)
 
         self._tensor_trees[m] = build_engine(
-            (tensor_rows(key, *pairs) for key, pairs in per_dataset.items()),
+            map(tensor_rows, keys, coords, np.split(weights, cuts)),
             self.engine_kind,
         )
 

@@ -25,20 +25,21 @@ per-dataset slack become global box constraints (Remark 2 support).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core._ptile_common import (
-    PtileIndexBase,
-    point_ids,
-    range_point_matrix,
-)
+from repro.core._ptile_common import PtileIndexBase, range_point_matrix
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
-from repro.geometry.rect_enum import RectangleGrid, generalized_pairs_arrays
+from repro.geometry.rect_enum import (
+    _pair_counts,
+    _row_owners,
+    generalized_pairs_arrays,
+)
 from repro.geometry.rectangle import Rectangle
+from repro.index import backend
 from repro.index.backend import build_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -85,9 +86,7 @@ class PtileRangeIndex(PtileIndexBase):
         super().__init__(synopses, eps, phi, delta, sample_size, engine, rng)
         # Draw all coresets first: the automatic bounding box must cover
         # every coreset point before pair enumeration can begin.
-        for synopsis, delta_i in self._pending:
-            self._register(synopsis, delta_i)
-        del self._pending
+        keys = self._register_pending()
         self.bounding_box = (
             bounding_box
             if bounding_box is not None
@@ -99,7 +98,7 @@ class PtileRangeIndex(PtileIndexBase):
                 "box degenerate on some axis?); widen the box or the data"
             )
         self._tree = build_engine(
-            map(self._mapped_points, list(self._synopses)), self.engine_kind
+            self._mapped(keys, *self._stacked(keys)), self.engine_kind
         )
 
     # ------------------------------------------------------------------
@@ -112,26 +111,48 @@ class PtileRangeIndex(PtileIndexBase):
         span = np.where(hi > lo, hi - lo, 1.0)
         return Rectangle(lo - AUTO_BOX_PAD * span, hi + AUTO_BOX_PAD * span)
 
-    def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+    def _mapped(
+        self, keys: Sequence[int], coresets: np.ndarray, deltas: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Map maximal pairs to ``(rho^-, rho_hat^-, rho^+, rho_hat^+, w±delta)``.
 
-        Fully vectorized: the pair family arrives as coordinate block
-        matrices from :func:`~repro.geometry.rect_enum.generalized_pairs_arrays`
-        and the ``(P, 4d+2)`` point matrix is assembled in one shot — no
-        per-pair Python concatenation.  A coreset yielding zero pairs
-        returns a correctly shaped ``(0, 4d+2)`` matrix.
+        The datasets ``keys`` (their ``(K, s, d)`` coreset stack and
+        deltas) are enumerated a block at a time: their rows, in key order,
+        are cut into consecutive ranges of
+        :data:`~repro.index.backend.BLOCK_ELEMENTS` mapped elements, and
+        each range is one
+        :func:`~repro.geometry.rect_enum.generalized_pairs_arrays` call over
+        the datasets it touches — many small datasets, or part of a large
+        one; a range may begin and end inside a dataset — so
+        ``build_engine`` gets the rows it always got, in pieces the size of
+        the blocks it stacks, and no dataset's whole float matrix need
+        exist.  Every coreset is checked against the box, and the pair-count
+        guard applied to each, before the first row is enumerated.
         """
-        coreset = self._coresets[key]
-        if not self.bounding_box.contains_points(coreset).all():
+        inside = self.bounding_box.contains_points(coresets.reshape(-1, self.dim))
+        inside = inside.reshape(len(keys), -1).all(axis=1)
+        if not inside.all():
             raise ConstructionError(
-                "bounding box does not contain a coreset; pass a larger box"
+                "bounding box does not contain the coreset of dataset "
+                f"{keys[int(np.argmin(inside))]}; pass a larger box"
             )
-        grid = RectangleGrid(coreset, bounding_box=self.bounding_box)
-        in_lo, in_hi, out_lo, out_hi, weights = generalized_pairs_arrays(grid)
-        pts = range_point_matrix(
-            in_lo, in_hi, out_lo, out_hi, weights, self._deltas[key]
-        )
-        return pts, point_ids(key, pts.shape[0])
+        counts = _pair_counts(coresets, self.bounding_box)
+        ends = np.cumsum(counts)
+        keys = np.asarray(keys)
+        budget = max(1, backend.BLOCK_ELEMENTS // (4 * self.dim + 2))
+        for start in range(0, int(ends[-1]), budget):
+            stop = min(start + budget, int(ends[-1]))
+            # The datasets with rows in [start, stop): `first` up to `last`.
+            first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+            offset = int(ends[first] - counts[first])
+            rows = (start - offset, stop - offset)
+            *pairs, weights = generalized_pairs_arrays(
+                coresets[first : last + 1], self.bounding_box, rows
+            )
+            owner, pair = _row_owners(counts[first : last + 1], *rows)
+            owner += first
+            points = range_point_matrix(*pairs, weights, deltas[owner])
+            yield points, np.column_stack([keys[owner], pair])
 
     # ------------------------------------------------------------------
     # Query (Algorithm 4)

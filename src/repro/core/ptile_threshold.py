@@ -20,7 +20,7 @@ Remark 2's unknown-deltas setting works with a single structure.  A query
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -93,15 +93,19 @@ class PtileThresholdIndex(PtileIndexBase):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__(synopses, eps, phi, delta, sample_size, engine, rng)
-        keys = [self._register(synopsis, delta_i) for synopsis, delta_i in self._pending]
-        del self._pending
-        self._tree = build_engine(map(self._mapped_points, keys), self.engine_kind)
+        keys = self._register_pending()
+        self._tree = build_engine(
+            self._mapped(keys, *self._stacked(keys)), self.engine_kind
+        )
 
     # ------------------------------------------------------------------
     # Construction (Algorithm 1)
     # ------------------------------------------------------------------
-    def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
-        """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``.
+    def _mapped(
+        self, keys: Sequence[int], coresets: np.ndarray, deltas: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``,
+        one ``(points, ids)`` piece per dataset.
 
         One extra *sentinel* point per dataset represents the empty
         rectangle (inner constraints vacuously satisfied for every query,
@@ -112,21 +116,20 @@ class PtileThresholdIndex(PtileIndexBase):
         never harms precision: if it matches, ``a_theta <= eps + delta_i``,
         and every dataset trivially satisfies the Lemma 4.2 bound then.
         """
-        grid = RectangleGrid(self._coresets[key])
-        delta_i = self._deltas[key]
-        lo, hi, weights = rectangles_arrays(grid)
-        rect_pts = threshold_point_matrix(lo, hi, weights, delta_i)
-        sentinel = np.concatenate(
-            [
-                np.full(self.dim, _SENTINEL_LO),
-                np.full(self.dim, _SENTINEL_HI),
-                [0.0 + delta_i],
-            ]
-        )
-        # rect_pts is correctly shaped even for zero rectangles, so the
-        # sentinel stack never sees a ragged array.
-        pts = np.vstack([rect_pts, sentinel[None, :]])
-        return pts, point_ids(key, pts.shape[0])
+        for key, coreset, delta_i in zip(keys, coresets, deltas):
+            lo, hi, weights = rectangles_arrays(RectangleGrid(coreset))
+            rect_pts = threshold_point_matrix(lo, hi, weights, delta_i)
+            sentinel = np.concatenate(
+                [
+                    np.full(self.dim, _SENTINEL_LO),
+                    np.full(self.dim, _SENTINEL_HI),
+                    [0.0 + delta_i],
+                ]
+            )
+            # rect_pts is correctly shaped even for zero rectangles, so the
+            # sentinel stack never sees a ragged array.
+            pts = np.vstack([rect_pts, sentinel[None, :]])
+            yield pts, point_ids(key, pts.shape[0])
 
     # ------------------------------------------------------------------
     # Query (Algorithm 2)

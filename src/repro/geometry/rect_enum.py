@@ -44,25 +44,39 @@ one Python iteration (and several small array allocations) per rectangle.
 Index construction walks millions of rectangles, so the builders consume
 the block-operation twins instead:
 
-- :func:`rectangles_arrays` — the family ``R_i`` as ``(P, d)`` coordinate
-  matrices plus a ``(P,)`` mass vector;
-- :func:`generalized_pairs_arrays` — the generalized maximal pairs as four
-  ``(P, d)`` matrices (inner/outer lo/hi) plus masses.
+- :func:`rectangles_arrays` — the family ``R_i`` of one grid as ``(P, d)``
+  coordinate matrices plus a ``(P,)`` mass vector;
+- :func:`generalized_pairs_arrays` — the generalized maximal pairs of a
+  whole ``(K, s, d)`` *stack* of coresets as four ``(P, d)`` matrices
+  (inner/outer lo/hi) plus masses, coreset after coreset, or any range of
+  those rows.
 
 Both build per-axis *option tables* (``np.triu_indices`` index pairs, plus
 gap options for the generalized family), realize the cross product with
 stride arithmetic instead of ``itertools.product``, and look masses up in
 a padded d-dimensional cumulative-count grid via inclusion–exclusion —
-``2^d`` vectorized gathers instead of one rank scan per rectangle.  Row
+``2^d`` vectorized gathers instead of one rank scan per rectangle.  The
+stack form does each step once for the stack, not once per coreset: one
+sort finds every coreset's distinct coordinates on every axis
+(:func:`_stack_grids`), option tables are built once per distinct
+coordinate count (duplicate samples and samples on a box endpoint make
+counts differ between coresets), every row is addressed by its coreset and
+its flat position in that coreset's option product (:func:`_row_owners`),
+and one padded count grid per coreset is built in one ``bincount``.  At
+the benchmark's 1-D ``sample_size=12`` a coreset has 91 pairs, and the
+per-coreset form spent its time in ~20 NumPy calls of interpreter
+overhead each; the builders now make one call per memory block.  Row
 order and float values match the reference enumerators *exactly*; the
-test suite compares the two directly.  The size guard runs on per-axis
-option *counts* computed arithmetically, so an oversized coreset is
-refused before any option table is allocated.
+test suite compares the two directly.  The size guard runs per coreset on
+per-axis option *counts* computed arithmetically, so an oversized coreset
+is refused before any option table is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -315,73 +329,151 @@ def enumerate_generalized_pairs(
     return out
 
 
-def _padded_cumulative_counts(grid: RectangleGrid) -> np.ndarray:
-    """Padded d-dim cumulative point counts over the grid cells.
+def _stack_values(
+    coresets: np.ndarray, bounding_box: Optional[Rectangle]
+) -> np.ndarray:
+    """A ``(K, s, d)`` coreset stack's coordinates as ``(d, K, width)``
+    rows, one per axis and coreset, with the box endpoints appended
+    (``width = s + 2``; ``s`` without a box) — after checking the stack's
+    shape and that every point lies in the box."""
+    stack = np.asarray(coresets, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] == 0:
+        raise ValueError("coresets must be a non-empty (K, s, d) stack")
+    n_sets, size, dim = stack.shape
+    if bounding_box is not None:
+        if bounding_box.dim != dim:
+            raise ValueError("bounding box dimension mismatch")
+        inside = bounding_box.contains_points(stack.reshape(-1, dim))
+        inside = inside.reshape(n_sets, size).all(axis=1)
+        if not inside.all():
+            raise ValueError(
+                f"coreset {int(np.argmin(inside))} of the stack has points "
+                "outside the bounding box"
+            )
+        ends = np.broadcast_to([bounding_box.lo, bounding_box.hi], (n_sets, 2, dim))
+        stack = np.concatenate([stack, ends], axis=1)
+    return stack.transpose(2, 0, 1)
 
-    ``out[i_1 + 1, ..., i_d + 1]`` is the number of coreset points whose
-    rank on every axis ``h`` is ``<= i_h``; any index 0 means "strictly
-    below the grid" and contributes 0, which makes the inclusion–exclusion
-    gathers of :func:`_box_counts` branch-free.
+
+def _stack_grids(
+    coresets: np.ndarray, bounding_box: Optional[Rectangle]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :class:`RectangleGrid` of every coreset of a ``(K, s, d)`` stack
+    at once: one sort for all of them instead of ``K * d`` ``np.unique``
+    calls.
+
+    Returns ``(coords, ranks, m)``.  ``coords[h, k, :m[k, h]]`` are coreset
+    ``k``'s sorted distinct coordinates on axis ``h`` (box endpoints
+    included), its last two columns the ``GAP_INNER_LO`` / ``GAP_INNER_HI``
+    sentinels, so that every option of :func:`_option_tables` is a column
+    index; ``ranks[k, i, h]`` is sample ``i``'s position in that list.  A
+    run of equal coordinates keeps one of them, as ``np.unique`` does.
     """
-    shape = tuple(grid.n_coords(h) for h in range(grid.dim))
-    hist = np.zeros(shape, dtype=np.int64)
-    np.add.at(hist, tuple(grid._ranks[:, h] for h in range(grid.dim)), 1)
-    for h in range(grid.dim):
-        hist = np.cumsum(hist, axis=h)
-    padded = np.zeros(tuple(m + 1 for m in shape), dtype=np.int64)
-    padded[tuple(slice(1, None) for _ in shape)] = hist
+    vals = _stack_values(coresets, bounding_box)
+    dim, n_sets, width = vals.shape
+    order = np.argsort(vals, axis=2, kind="stable")
+    ordered = np.take_along_axis(vals, order, axis=2)
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, :, 1:] = ordered[:, :, 1:] != ordered[:, :, :-1]
+    rank = np.cumsum(new, axis=2) - 1
+    m = (rank[:, :, -1] + 1).T
+    coords = np.zeros((dim, n_sets, width + 2))
+    coords[:, :, width] = GAP_INNER_LO
+    coords[:, :, width + 1] = GAP_INNER_HI
+    axis, row, _ = np.nonzero(new)
+    coords[axis, row, rank[new]] = ordered[new]
+    unsorted = np.empty_like(rank)
+    np.put_along_axis(unsorted, order, rank, axis=2)
+    ranks = unsorted[:, :, : np.shape(coresets)[1]].transpose(1, 2, 0)
+    return coords, ranks, m
+
+
+def _padded_cumulative_counts(
+    ranks: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Padded d-dim cumulative point counts of every coreset of a stack.
+
+    ``ranks`` is ``(K, s, d)`` and ``shape`` bounds every coreset's grid
+    (its per-axis coordinate counts, or more).  ``out[k, i_1 + 1, ...,
+    i_d + 1]`` is the number of coreset ``k``'s points whose rank on every
+    axis ``h`` is ``<= i_h``; any index 0 means "strictly below the grid"
+    and contributes 0, which makes the inclusion–exclusion gathers of
+    :func:`_box_counts` branch-free.
+    """
+    n_sets, cells = ranks.shape[0], math.prod(shape)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(ranks, 2, 0)), shape)
+    flat += np.arange(n_sets)[:, None] * cells
+    hist = np.bincount(flat.ravel(), minlength=n_sets * cells)
+    hist = hist.reshape(n_sets, *shape)
+    for h in range(len(shape)):
+        hist = np.cumsum(hist, axis=h + 1)
+    padded = np.zeros((n_sets, *(m + 1 for m in shape)), dtype=np.int64)
+    padded[(slice(None), *(slice(1, None) for _ in shape))] = hist
     return padded
 
 
-def _box_counts(
-    padded: np.ndarray, lo_idx: np.ndarray, hi_idx: np.ndarray
-) -> np.ndarray:
-    """``|rho ∩ S|`` for ``(P, d)`` index rectangles, via 2^d gathers.
+def _box_counts(padded: np.ndarray, owner, lo: Sequence, hi: Sequence) -> np.ndarray:
+    """``|rho ∩ S_owner|`` for index rectangles given as ``d`` columns of
+    lower and of upper grid indices, each rectangle in grid ``owner`` (one
+    per rectangle, or one for all) of a :func:`_padded_cumulative_counts`
+    stack, via 2^d flat gathers.
 
     Standard inclusion–exclusion on the padded cumulative grid:
     ``count = sum_{e in {0,1}^d} (-1)^{|e|} C[c(e)]`` with corner
     ``c(e)_h = hi_h + 1`` when ``e_h = 0`` and ``lo_h`` otherwise.
     """
-    n, d = lo_idx.shape
-    counts = np.zeros(n, dtype=np.int64)
+    d = len(lo)
+    step = [s // padded.itemsize for s in padded.strides]
+    lo_at = [lo[h] * step[h + 1] for h in range(d)]
+    hi_at = [(hi[h] + 1) * step[h + 1] for h in range(d)]
+    base = owner * step[0]
+    cells = padded.reshape(-1)
+    counts = np.zeros(len(lo[0]), dtype=np.int64)
     for corner in range(1 << d):
-        cols = []
+        at = base
         sign = 1
         for h in range(d):
             if corner >> h & 1:
-                cols.append(lo_idx[:, h])
+                at = at + lo_at[h]
                 sign = -sign
             else:
-                cols.append(hi_idx[:, h] + 1)
-        counts += sign * padded[tuple(cols)]
+                at = at + hi_at[h]
+        accumulate = np.add if sign > 0 else np.subtract
+        accumulate(counts, np.take(cells, at), out=counts)
     return counts
 
 
-def _product_total(sizes: Sequence[int], what: str) -> int:
-    """Size of the per-axis option cross product, guard-checked *before*
-    any ``O(total)`` allocation happens."""
-    total = 1
-    for s in sizes:
-        total *= int(s)
-    if total > MAX_RECTANGLES_PER_CORESET:
+def _guarded_totals(sizes: np.ndarray, what: str) -> np.ndarray:
+    """Each coreset's option cross-product size from its ``(K, d)``
+    per-axis option counts, guard-checked per coreset *before* any
+    ``O(total)`` allocation happens.  The float product is exact below
+    ``2^53``, far above the cap, so the comparison is too."""
+    over = np.prod(sizes.astype(float), axis=1) > MAX_RECTANGLES_PER_CORESET
+    if over.any():
+        k = int(np.argmax(over))
+        total = math.prod(int(s) for s in sizes[k])
         raise ValueError(
-            f"coreset would induce {total} {what} "
+            f"coreset {k} would induce {total} {what} "
             f"(> {MAX_RECTANGLES_PER_CORESET}); reduce the coreset size"
         )
-    return total
+    return np.prod(sizes, axis=1)
 
 
-def _product_option_indices(sizes: Sequence[int], total: int) -> list[np.ndarray]:
-    """Per-axis option-index columns realizing ``itertools.product`` order.
+def _product_option_indices(
+    sizes: Sequence[int], flat: np.ndarray
+) -> list[np.ndarray]:
+    """Per-axis option-index columns of the combinations at positions
+    ``flat`` of the ``itertools.product`` order.
 
-    ``cols[h][p]`` is the option the ``p``-th combination picks on axis
-    ``h`` (last axis varying fastest, exactly like ``itertools.product``).
+    ``cols[h][p]`` is the option combination ``flat[p]`` picks on axis
+    ``h`` (last axis varying fastest, exactly like ``itertools.product``),
+    so any range of positions gives the same rows as that slice of the
+    whole product.
     """
-    if total == 0:
+    if flat.size == 0:
         return [np.empty(0, dtype=np.int64) for _ in sizes]
-    flat = np.arange(total)
     cols: list[np.ndarray] = []
-    stride = total
+    stride = math.prod(int(s) for s in sizes)
     for s in sizes:
         stride //= int(s)
         cols.append((flat // stride) % int(s))
@@ -401,9 +493,10 @@ def rectangles_arrays(
     correctly shaped empty matrices.
     """
     d = grid.dim
-    sizes = [m * (m + 1) // 2 for m in map(grid.n_coords, range(d))]
-    total = _product_total(sizes, "rectangles")
-    cols = _product_option_indices(sizes, total)
+    shape = tuple(map(grid.n_coords, range(d)))
+    sizes = [m * (m + 1) // 2 for m in shape]
+    total = int(_guarded_totals(np.array([sizes]), "rectangles")[0])
+    cols = _product_option_indices(sizes, np.arange(total))
     lo_idx = np.empty((total, d), dtype=np.int64)
     hi_idx = np.empty((total, d), dtype=np.int64)
     lo = np.empty((total, d))
@@ -414,74 +507,154 @@ def rectangles_arrays(
         hi_idx[:, h] = j[cols[h]]
         lo[:, h] = grid.coords[h][lo_idx[:, h]]
         hi[:, h] = grid.coords[h][hi_idx[:, h]]
-    counts = _box_counts(_padded_cumulative_counts(grid), lo_idx, hi_idx)
+    padded = _padded_cumulative_counts(grid._ranks[None], shape)
+    counts = _box_counts(padded, 0, lo_idx.T, hi_idx.T)
     return lo, hi, counts / grid.points.shape[0]
 
 
-def generalized_pairs_arrays(
-    grid: RectangleGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Generalized maximal pairs as block matrices.
+def _pair_option_counts(m: np.ndarray) -> np.ndarray:
+    """Generalized-pair options per axis of a grid with ``m`` coordinates:
+    ``(m-2)(m-1)/2`` rectangle options plus ``m-1`` gap options."""
+    return np.maximum(0, m - 2) * (m - 1) // 2 + (m - 1)
 
+
+def _option_tables(
+    coords: np.ndarray, m: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One axis' generalized-pair options for every coreset of a stack.
+
+    ``coords`` is the axis' ``(K, width + 2)`` :func:`_stack_grids` rows,
+    ``m`` the coresets' coordinate counts.  Returns ``(index, value)``, both
+    ``(4, K, S)`` with ``S`` the largest option count: ``[:, k, o]`` is
+    option ``o`` of coreset ``k`` — inner lo, inner hi, outer lo, outer hi —
+    as grid indices (the sentinel columns ``width`` / ``width + 1`` for a
+    gap's inner side) and as coordinates.  Rectangle options ``[c_i, c_j]``
+    come first, in ``np.triu_indices`` order, then the gaps
+    ``(c_g, c_{g+1})``.  The tables are built once per distinct count, not
+    per coreset.
+    """
+    n_sets = coords.shape[0]
+    slots = int(_pair_option_counts(m).max(initial=0))
+    index = np.zeros((4, n_sets, slots), dtype=np.int64)
+    for count in np.unique(m):
+        table = _option_index(int(count), width)
+        index[:, m == count, : table.shape[1]] = table[:, None, :]
+    row = np.arange(n_sets)[:, None] * coords.shape[1]
+    return index, np.take(coords, index + row)
+
+
+@functools.lru_cache(maxsize=256)
+def _option_index(count: int, width: int) -> np.ndarray:
+    """The ``(4, options)`` column indices of the options of one axis with
+    ``count`` coordinates (see :func:`_option_tables`); read-only, shared
+    by every caller."""
+    i, j = np.triu_indices(max(0, count - 2))
+    g = np.arange(count - 1)
+    table = np.stack(
+        [
+            np.concatenate([i + 1, np.full(g.size, width)]),
+            np.concatenate([j + 1, np.full(g.size, width + 1)]),
+            np.concatenate([i, g]),
+            np.concatenate([j + 2, g + 1]),
+        ]
+    )
+    table.flags.writeable = False
+    return table
+
+
+def _row_owners(
+    counts: np.ndarray, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``[start, stop)`` of a stack whose coresets yield ``counts``
+    rows each, coreset after coreset: every row's coreset and its position
+    in that coreset's pair product."""
+    begin = np.cumsum(counts) - counts
+    first = np.clip(start - begin, 0, counts)
+    taken = np.clip(stop - begin, 0, counts) - first
+    owner = np.repeat(np.arange(len(counts)), taken)
+    skipped = first - (np.cumsum(taken) - taken)
+    return owner, np.arange(owner.size) + np.repeat(skipped, taken)
+
+
+def _pair_counts(
+    coresets: np.ndarray, bounding_box: Optional[Rectangle]
+) -> np.ndarray:
+    """How many rows :func:`generalized_pairs_arrays` yields for each
+    coreset of a ``(K, s, d)`` stack — arithmetic on the distinct
+    coordinate counts, size guard included, nothing enumerated."""
+    ordered = np.sort(_stack_values(coresets, bounding_box), axis=2)
+    m = 1 + np.count_nonzero(ordered[:, :, 1:] != ordered[:, :, :-1], axis=2)
+    return _guarded_totals(_pair_option_counts(m.T), "generalized pairs")
+
+
+def generalized_pairs_arrays(
+    coresets: np.ndarray,
+    bounding_box: Optional[Rectangle],
+    rows: Optional[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Generalized maximal pairs of a stack of coresets, as block matrices.
+
+    ``coresets`` is a ``(K, s, d)`` stack, every point inside
+    ``bounding_box`` (``None``: the grids hold sample coordinates only).
     Returns ``(inner_lo, inner_hi, outer_lo, outer_hi, weight)`` with the
     four coordinate matrices shaped ``(P, d)`` and ``weight`` shaped
-    ``(P,)`` — :func:`enumerate_generalized_pairs` with the per-pair tuples
-    unwrapped, in the same row order and with bitwise-equal floats (the
-    test suite asserts it).  Gap axes carry the ``GAP_INNER_*`` sentinels
-    and force weight 0, exactly as in the reference enumerator.  ``P = 0``
-    (a grid with a degenerate axis) yields correctly shaped empty
-    matrices rather than the ragged ``(0,)`` array a naive
-    ``np.asarray([])`` would produce.
+    ``(P,)``: coreset 0's pairs, then coreset 1's, and so on, each in
+    :func:`enumerate_generalized_pairs` order with bitwise-equal floats
+    (the test suite asserts it).  Gap axes carry the ``GAP_INNER_*``
+    sentinels and force weight 0, exactly as in the reference enumerator.
+    A coreset with a degenerate axis contributes no rows; ``P = 0`` yields
+    correctly shaped empty matrices.
+
+    ``rows`` is ``None`` for every row, or ``(start, stop)`` for that range
+    of them.  A row is addressed by its coreset and its flat position in
+    that coreset's option cross product (:func:`_row_owners`), so a range
+    may begin or end inside a coreset: a stack is enumerated range by range
+    under a memory budget, whatever its coresets' sizes.
+
+    One pass over the stack, not one per coreset: every row knows its
+    coreset and its product position, per-axis option tables are built
+    once per distinct coordinate count (duplicate samples and samples on a
+    box endpoint make counts differ between coresets) and resolved to each
+    coreset's coordinates (:func:`_option_tables`), and masses come from
+    one padded count grid per coreset.  The size guard is per coreset and
+    arithmetic (:func:`_guarded_totals`).
     """
-    d = grid.dim
-    # Per axis: (m-2)(m-1)/2 rectangle options plus m-1 gap options.
-    sizes = [
-        max(0, m - 2) * (m - 1) // 2 + (m - 1)
-        for m in map(grid.n_coords, range(d))
-    ]
-    total = _product_total(sizes, "generalized pairs")
-    ax_in_lo: list[np.ndarray] = []
-    ax_in_hi: list[np.ndarray] = []
-    ax_out_lo: list[np.ndarray] = []
-    ax_out_hi: list[np.ndarray] = []
-    ax_lo_idx: list[np.ndarray] = []
-    ax_hi_idx: list[np.ndarray] = []
-    for h in range(d):
-        coords = grid.coords[h]
-        m = coords.size
-        i, j = np.triu_indices(max(0, m - 2))
-        i = i + 1
-        j = j + 1
-        g = np.arange(m - 1)
-        ax_in_lo.append(np.concatenate([coords[i], np.full(g.size, GAP_INNER_LO)]))
-        ax_in_hi.append(np.concatenate([coords[j], np.full(g.size, GAP_INNER_HI)]))
-        ax_out_lo.append(np.concatenate([coords[i - 1], coords[g]]))
-        ax_out_hi.append(np.concatenate([coords[j + 1], coords[g + 1]]))
-        ax_lo_idx.append(np.concatenate([i, np.full(g.size, -1, dtype=np.int64)]))
-        ax_hi_idx.append(np.concatenate([j, np.full(g.size, -1, dtype=np.int64)]))
-    cols = _product_option_indices(sizes, total)
-    inner_lo = np.empty((total, d))
-    inner_hi = np.empty((total, d))
-    outer_lo = np.empty((total, d))
-    outer_hi = np.empty((total, d))
-    lo_idx = np.empty((total, d), dtype=np.int64)
-    hi_idx = np.empty((total, d), dtype=np.int64)
-    for h in range(d):
-        o = cols[h]
-        inner_lo[:, h] = ax_in_lo[h][o]
-        inner_hi[:, h] = ax_in_hi[h][o]
-        outer_lo[:, h] = ax_out_lo[h][o]
-        outer_hi[:, h] = ax_out_hi[h][o]
-        lo_idx[:, h] = ax_lo_idx[h][o]
-        hi_idx[:, h] = ax_hi_idx[h][o]
-    weight = np.zeros(total)
-    valid = (lo_idx >= 0).all(axis=1)
+    coords, ranks, m = _stack_grids(coresets, bounding_box)
+    n_sets, size, dim = ranks.shape
+    width = coords.shape[2] - 2
+    sizes = _pair_option_counts(m)
+    counts = _guarded_totals(sizes, "generalized pairs")
+    start, stop = (0, int(counts.sum())) if rows is None else rows
+    if not 0 <= start <= stop <= counts.sum():
+        raise ValueError(f"rows {rows} is not a range of {counts.sum()} rows")
+    owner, rest = _row_owners(counts, start, stop)
+    # Product order, as itertools.product: the last axis varies fastest.
+    stride = np.ones_like(sizes)
+    for h in range(dim - 2, -1, -1):
+        stride[:, h] = stride[:, h + 1] * sizes[:, h + 1]
+    mats = np.empty((4, owner.size, dim))
+    valid = np.ones(owner.size, dtype=bool)
+    lo, hi = [], []
+    for h in range(dim):
+        if h < dim - 1:
+            option, rest = np.divmod(rest, stride[:, h][owner])
+        else:
+            option = rest
+        index, value = _option_tables(coords[h], m[:, h], width)
+        slot = owner * index.shape[2] + option
+        mats[:, :, h] = np.take(value.reshape(4, -1), slot, axis=1)
+        lo.append(np.take(index[0], slot))
+        hi.append(np.take(index[1], slot))
+        valid &= lo[-1] < width  # a rectangle option on this axis
+    weight = np.zeros(owner.size)
     if valid.any():
-        counts = _box_counts(
-            _padded_cumulative_counts(grid), lo_idx[valid], hi_idx[valid]
+        padded = _padded_cumulative_counts(ranks, tuple(m.max(axis=0)))
+        keep = np.flatnonzero(valid)
+        inside = _box_counts(
+            padded, owner[keep], [c[keep] for c in lo], [c[keep] for c in hi]
         )
-        weight[valid] = counts / grid.points.shape[0]
-    return inner_lo, inner_hi, outer_lo, outer_hi, weight
+        weight[keep] = inside / size
+    return mats[0], mats[1], mats[2], mats[3], weight
 
 
 def enumerate_maximal_pairs_naive(

@@ -11,7 +11,7 @@ This module formalizes the seam:
   backends advertise ``supports_insert = False`` and raise
   :class:`~repro.errors.CapabilityError`).
 - :func:`build_backend` / :func:`build_engine` (the same backend from a
-  stream of per-dataset pieces, fed to the kd-tree in bounded blocks so no
+  stream of mapped-point pieces, fed to the kd-tree in bounded blocks so no
   shard-wide float matrix exists) / :func:`restore_backend` over the
   :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
   ``"rangetree"`` (textbook multi-level range tree, static, small scale
@@ -276,27 +276,29 @@ def build_backend(
 
 #: :func:`build_engine` hands the kd-tree at most this many float64 elements
 #: (rows x columns, 512 KB) at a time — whole pieces, so a piece over the
-#: budget is a block of its own.  In-process ``QueryService`` + ``warm()``
-#: on the benchmark's lakes (seed 2027, 4 shards, 2-vCPU host; build time
-#: median of 9 interleaved runs, ``tracemalloc`` peak) at 2^12 / 2^14 / 2^16
-#: / 2^18 / 2^20 / one block: 2-D ``cold_2d`` (83 k elements a dataset, 16
-#: datasets a shard) 0.27 / 0.28 / 0.28 / 0.28 / 0.31 / 0.32 s and 15.9 /
-#: 15.9 / 15.9 / 17.4 / 31.2 / 34.5 MB against 9.3 MB live; 1-D
-#: ``warm_point`` (546 elements a dataset, 500 a shard) 0.42 / 0.39 / 0.37 /
-#: 0.38 / 0.37 / 0.38 s and 9.0 (2^14) / 9.1 / 13.0 / 13.0 / 13.0 MB
-#: against 6.3.  Small blocks cost the 1-D lakes one ``np.unique`` per
-#: column per block (a block per dataset: 0.67 s against 0.44 in one
-#: sitting) and buy nothing under one 2-D dataset; large ones are the
-#: matrix this constant exists to avoid.  2^16 is the largest value at the
-#: low peak on both.
+#: budget is a block of its own — and the range builder enumerates its
+#: pairs in ranges of this many mapped elements, so its pieces are the
+#: blocks.  In-process ``QueryService`` + ``warm()`` on the benchmark's
+#: lakes (seed 2027, 4 shards, 2-vCPU host; build time median of 9
+#: interleaved runs, ``tracemalloc`` peak) at 2^12 / 2^14 / 2^16 / 2^18 /
+#: 2^20 / one block: 2-D ``cold_2d`` (83 k elements a dataset, 16 datasets
+#: a shard) 0.79 / 0.38 / 0.27 / 0.28 / 0.30 / 0.30 s and 16.2 / 15.5 /
+#: 15.4 / 20.9 / 35.7 / 36.3 MB against a 9.2 MB index; 1-D ``warm_point``
+#: (546 elements a dataset, 500 a shard) 0.20 / 0.14 / 0.12 / 0.12 / 0.11
+#: / 0.12 s and 8.6 / 8.7 / 9.9 / 14.6 / 14.6 / 14.6 MB against 4.5.  Small
+#: blocks cost one enumeration call and one ``np.unique`` per column each
+#: (a block per 1-D dataset, 546 elements: 0.74 s against 0.12 in one
+#: sitting), and split the 2-D datasets into many ranges; large ones are
+#: the matrix this constant exists to avoid.  2^16 is the largest value at
+#: the low peak on ``cold_2d``, within 1.3 MB of it on ``warm_point``.
 BLOCK_ELEMENTS = 1 << 16
 
 
 def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     """:func:`build_backend` over a stream: the backend over all rows of
     ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` integer
-    arrays; one dataset's mapped points each, as the Ptile builders yield
-    them), consumed lazily.
+    arrays; a dataset's mapped points, or a block of rows across datasets,
+    as the Ptile builders yield them), consumed lazily.
 
     The kd-tree takes the stream in blocks of at most
     :data:`BLOCK_ELEMENTS` elements and rank-codes each on arrival

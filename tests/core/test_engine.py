@@ -140,6 +140,22 @@ class TestConstructionModes:
     def test_n_datasets(self, engine):
         assert engine.n_datasets == 10
 
+    def test_refused_insert_leaves_no_phantom_dataset(self, rng):
+        """A synopsis whose coreset falls outside the Ptile box is refused,
+        and the engine is as it was: it used to keep the synopsis (and the
+        Ptile index a key with no mapped points)."""
+        arrays = [rng.uniform(size=(60, 1)) for _ in range(4)]
+        engine = DatasetSearchEngine(
+            synopses=[ExactSynopsis(a) for a in arrays], eps=0.2, sample_size=8,
+            bounding_box=Rectangle([0.0], [1.0]), rng=rng,
+        ).build()
+        outside = ExactSynopsis(rng.uniform(2.0, 3.0, size=(60, 1)))
+        with pytest.raises(ConstructionError, match="dataset 4"):
+            engine.insert_synopsis(outside)
+        assert engine.n_datasets == engine.ptile_index.n_datasets == 4
+        assert engine.insert_synopsis(ExactSynopsis(arrays[0])) == 4
+        assert engine.ptile_index.keys == [0, 1, 2, 3, 4]
+
 
 class TestQuality:
     def test_quality_fields(self, engine):

@@ -144,6 +144,17 @@ class TestBoundingBox:
                 rng=rng,
             )
 
+    def test_box_error_names_the_dataset_inside_a_block(self, rng):
+        """Datasets are enumerated many to a block; the refusal still
+        names the one whose coreset leaves the box."""
+        arrays = [rng.uniform(size=(40, 1)) for _ in range(10)]
+        arrays[7] = rng.uniform(1.5, 2.0, size=(40, 1))
+        with pytest.raises(ConstructionError, match="dataset 7;"):
+            PtileRangeIndex(
+                [ExactSynopsis(a) for a in arrays], sample_size=6,
+                bounding_box=Rectangle([0.0], [1.0]), rng=rng,
+            )
+
     def test_query_clipped_to_box(self, index):
         """Oversized query rectangles behave like the box-clipped ones."""
         wide = index.query(Rectangle([-100.0], [0.5]), Interval(0.3, 0.8))
@@ -157,6 +168,22 @@ class TestDynamics:
         new = ExactSynopsis(rng.uniform(0.0, 0.5, size=(200, 1)))
         key = index.insert_synopsis(new)
         assert key in index.query(QUERY, Interval(0.8, 1.0)).index_set
+
+    def test_refused_insert_leaves_no_phantom_dataset(self, rng):
+        """Mapping runs before registration: a coreset outside the box is
+        refused and leaves no key behind (it used to leave key 4 with no
+        mapped points, and hand the next insert key 5)."""
+        arrays = [rng.uniform(size=(60, 1)) for _ in range(4)]
+        index = PtileRangeIndex(
+            [ExactSynopsis(a) for a in arrays], eps=0.2, sample_size=8,
+            bounding_box=Rectangle([0.0], [1.0]), rng=rng,
+        )
+        n_points = index.n_mapped_points
+        with pytest.raises(ConstructionError, match="dataset 4;"):
+            index.insert_synopsis(ExactSynopsis(rng.uniform(2.0, 3.0, size=(60, 1))))
+        assert index.n_datasets == 4 and index.keys == [0, 1, 2, 3]
+        assert index.n_mapped_points == n_points
+        assert index.insert_synopsis(ExactSynopsis(arrays[0])) == 4
 
     def test_delete(self, index):
         res = index.query(QUERY, Interval(0.0, 1.0))

@@ -12,10 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import ptile_range
 from repro.core._ptile_common import point_ids, range_point_matrix
 from repro.core.framework import Repository
 from repro.core.ptile_range import PtileRangeIndex
-from repro.geometry.rect_enum import RectangleGrid, generalized_pairs_arrays
+from repro.geometry.rect_enum import (
+    RectangleGrid,
+    enumerate_generalized_pairs,
+    generalized_pairs_arrays,
+)
 from repro.geometry.rectangle import Rectangle
 from repro.index import backend, kd_tree
 from repro.index.backend import DYNAMIC_ENGINES, build_backend, build_engine
@@ -38,9 +43,9 @@ def mapped_datasets(dim: int, rng: np.random.Generator) -> list[tuple]:
         if key in (1, 3):
             points = np.empty((0, 4 * dim + 2))
         else:
-            grid = RectangleGrid(rng.uniform(size=(size, dim)), bounding_box=box)
+            coreset = rng.uniform(size=(1, size, dim))
             points = range_point_matrix(
-                *generalized_pairs_arrays(grid), delta=0.01 * (key % 4)
+                *generalized_pairs_arrays(coreset, box, None), delta=0.01 * (key % 4)
             )
         mapped.append((points, point_ids(key, points.shape[0])))
     return mapped
@@ -100,6 +105,41 @@ class TestStreamedEqualsOneBlock:
         assert saved(64) == saved(1 << 40)
 
 
+def reference_piece(index: PtileRangeIndex, key: int) -> tuple:
+    """One dataset's mapped points from the tuple enumerator, row by row."""
+    pairs = enumerate_generalized_pairs(
+        RectangleGrid(index.coreset(key), bounding_box=index.bounding_box)
+    )
+    d = index.dim
+    columns = [np.reshape([p[c] for p in pairs], (len(pairs), d)) for c in range(4)]
+    weights = np.array([p[4] for p in pairs], dtype=float)
+    points = range_point_matrix(*columns, weights, index.delta_of(key))
+    return points, point_ids(key, len(pairs))
+
+
+class TestBlockEnumeratedShards:
+    @pytest.mark.parametrize("budget", (64, 1 << 16))
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_shard_trees_equal_reference_trees(self, dim, budget, monkeypatch):
+        """Every shard's tree, whose datasets were enumerated a block at a
+        time (and at budget 64 each dataset in row ranges), has the arrays
+        of the tree built from ``enumerate_generalized_pairs`` pieces."""
+        monkeypatch.setattr(backend, "BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(11)
+        # Coarse coordinates: duplicate samples, so count groups mix.
+        lake = [np.round(rng.uniform(size=(30, dim)), 1) for _ in range(12)]
+        service = QueryService(
+            repository=Repository.from_arrays(lake), n_shards=3, eps=0.2,
+            sample_size=5, seed=4,
+        )
+        service.warm()
+        for engine in service.executor.engines:
+            index = engine.ptile_index
+            pieces = [reference_piece(index, key) for key in index.keys]
+            want = build_engine(iter(pieces), "kd").to_arrays()
+            assert_same_arrays(index._tree.to_arrays(), want)
+
+
 def test_construction_memory_is_bounded_by_blocks_not_by_the_shard():
     """ROADMAP item 4: a 2-D, 16-dataset, ``sample_size=12`` shard — one
     ``cold_2d`` shard — builds without the shard-wide float64 matrix.
@@ -135,3 +175,67 @@ def test_construction_memory_is_bounded_by_blocks_not_by_the_shard():
     )
     block = max(8 * backend.BLOCK_ELEMENTS, largest)
     assert peak <= live + 2.5 * live + 4 * block
+
+
+def test_one_large_dataset_is_enumerated_in_bounded_blocks():
+    """One 2-D dataset at ``sample_size=32`` maps to 246 016 points — a
+    19.7 MB float matrix, 38 blocks — and is enumerated in row ranges of its
+    pair product: the whole construction stays under the shard test's bound
+    with the block at the budget instead of at the dataset (the
+    per-dataset enumeration peaked at 60.6 MB, 12x the live index), and the
+    mapped stream alone never holds more than a few blocks."""
+    rng = np.random.default_rng(5)
+    synopses = [ExactSynopsis(rng.uniform(size=(400, 2)))]
+    box = Rectangle([-0.1, -0.1], [1.1, 1.1])
+    block = 8 * backend.BLOCK_ELEMENTS
+    tracemalloc.start()
+    try:
+        index = PtileRangeIndex(
+            synopses, eps=0.2, sample_size=32, bounding_box=box,
+            rng=np.random.default_rng(1),
+        )
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * 10 * index.n_mapped_points > 30 * block
+    live = index._tree.nbytes
+    assert build_peak <= live + 2.5 * live + 8 * block
+    keys = index.keys
+    coresets, deltas = index._stacked(keys)
+    tracemalloc.start()
+    try:
+        for _piece in index._mapped(keys, coresets, deltas):
+            pass
+        _, stream_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream_peak <= 8 * block
+
+
+@pytest.mark.parametrize("budget", (64, 1 << 16))
+def test_every_row_is_enumerated_through_the_traced_name(budget, monkeypatch):
+    """``benchmarks/e2e/launcher.py`` wraps
+    ``repro.core.ptile_range.generalized_pairs_arrays`` as the
+    ``geometry.enum`` span and counts ``len(result[-1])`` as
+    ``geometry.rectangles``.  Construction and insert must both call that
+    module global, and the counts must add up to the mapped points: rows
+    enumerated under another name would read as 0 without any error."""
+    monkeypatch.setattr(backend, "BLOCK_ELEMENTS", budget)
+    real = ptile_range.generalized_pairs_arrays
+    rows = []
+
+    def counting(*args):
+        result = real(*args)
+        rows.append(len(result[-1]))
+        return result
+
+    monkeypatch.setattr(ptile_range, "generalized_pairs_arrays", counting)
+    rng = np.random.default_rng(3)
+    index = PtileRangeIndex(
+        [ExactSynopsis(rng.uniform(size=(40, 2))) for _ in range(5)],
+        eps=0.2, sample_size=6, rng=rng,
+    )
+    built = len(rows)
+    assert built and sum(rows) == index.n_mapped_points
+    index.insert_synopsis(ExactSynopsis(rng.uniform(0.2, 0.8, size=(40, 2))))
+    assert len(rows) > built and sum(rows) == index.n_mapped_points

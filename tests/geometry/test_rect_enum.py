@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geometry import rect_enum
 from repro.geometry.rect_enum import (
     RectangleGrid,
+    _pair_counts,
     enumerate_generalized_pairs,
     enumerate_maximal_pairs,
     enumerate_maximal_pairs_naive,
@@ -165,6 +167,22 @@ def stacked_generalized_pairs(grid):
     return (*mats, np.asarray([p[4] for p in pairs], dtype=float).reshape(n))
 
 
+def reference_rows(stack, box):
+    """The block enumerator's oracle: ``enumerate_generalized_pairs`` run
+    per coreset of the stack, rows stacked in order."""
+    per_coreset = [
+        stacked_generalized_pairs(RectangleGrid(pts, bounding_box=box))
+        for pts in stack
+    ]
+    return [np.concatenate(column) for column in zip(*per_coreset)]
+
+
+def assert_rows_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
 class TestVectorizedArrays:
     """The block-operation enumerators must match the reference enumerators
     exactly — same row order, bitwise-equal floats."""
@@ -187,23 +205,88 @@ class TestVectorizedArrays:
             assert a.shape == b.shape
             assert np.array_equal(a, b)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 5),
+        n_sets=st.integers(1, 20),
+        size=st.integers(1, 6),
         dim=st.integers(1, 2),
         seed=st.integers(0, 10_000),
+        digits=st.integers(0, 2),
         with_box=st.booleans(),
     )
-    def test_generalized_pairs_match_reference(self, n, dim, seed, with_box):
+    def test_generalized_pairs_match_reference(
+        self, n_sets, size, dim, seed, digits, with_box
+    ):
+        """A ``(K, s, d)`` stack yields every coreset's rows, in order,
+        bitwise equal to ``enumerate_generalized_pairs`` run per coreset."""
         rng = np.random.default_rng(seed)
-        pts = np.round(rng.uniform(0.1, 0.9, size=(n, dim)), 1)
+        # Rounding to 0-2 digits makes duplicate samples and samples on a
+        # box endpoint (0.0 / 1.0) common: the stack mixes count groups.
+        stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), digits)
         box = Rectangle([0.0] * dim, [1.0] * dim) if with_box else None
-        grid = RectangleGrid(pts, bounding_box=box)
-        fast = generalized_pairs_arrays(grid)
-        ref = stacked_generalized_pairs(grid)
-        for a, b in zip(fast, ref):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
+        got = generalized_pairs_arrays(stack, box, None)
+        assert_rows_equal(got, reference_rows(stack, box))
+        assert _pair_counts(stack, box).sum() == got[-1].size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sets=st.integers(1, 6),
+        size=st.integers(1, 6),
+        dim=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_row_range_is_that_slice_of_the_rows(self, n_sets, size, dim, seed, cut):
+        """A range may begin and end inside a coreset: the product
+        position addresses a row, so any range is that slice."""
+        rng = np.random.default_rng(seed)
+        stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), 1)
+        box = Rectangle([0.0] * dim, [1.0] * dim)
+        whole = generalized_pairs_arrays(stack, box, None)
+        start, stop = sorted(int(c * whole[-1].size) for c in cut)
+        part = generalized_pairs_arrays(stack, box, (start, stop))
+        assert_rows_equal(part, [column[start:stop] for column in whole])
+
+    def test_a_stack_mixes_distinct_count_groups(self):
+        stack = np.array(
+            [
+                [[0.2], [0.4], [0.6]],  # 5 coordinates with the box
+                [[0.3], [0.3], [0.7]],  # a duplicate: 4
+                [[0.0], [0.5], [1.0]],  # two on the box: 3
+                [[0.1], [0.8], [0.9]],  # 5 again, after the others
+            ]
+        )
+        box = Rectangle([0.0], [1.0])
+        assert _pair_counts(stack, box).tolist() == [10, 6, 3, 10]
+        assert_rows_equal(
+            generalized_pairs_arrays(stack, box, None), reference_rows(stack, box)
+        )
+
+    @pytest.mark.parametrize("rows", [(0, 10), (-1, 2), (3, 2)])
+    def test_row_range_must_lie_within_the_stack(self, rows):
+        stack = np.array([[[0.2], [0.4]], [[0.3], [0.3]]])  # 6 + 3 rows
+        with pytest.raises(ValueError):
+            generalized_pairs_arrays(stack, Rectangle([0.0], [1.0]), rows)
+
+    def test_guard_names_the_oversized_coreset_inside_a_block(self, monkeypatch):
+        """The size guard is per coreset, not on the block's total."""
+        stack = np.full((6, 4, 1), 0.5)
+        stack[:, 0] = 0.3  # two coordinates and the box: 4, six pairs
+        stack[3] = [[0.2], [0.4], [0.6], [0.8]]  # the one 6-coordinate grid
+        box = Rectangle([0.0], [1.0])
+        assert _pair_counts(stack, box).tolist() == [6, 6, 6, 15, 6, 6]
+        monkeypatch.setattr(rect_enum, "MAX_RECTANGLES_PER_CORESET", 14)
+        with pytest.raises(ValueError, match="coreset 3 would induce 15 "):
+            generalized_pairs_arrays(stack, box, None)
+        with pytest.raises(ValueError, match="coreset 3 would induce 15 "):
+            _pair_counts(stack, box)
+
+    def test_containment_error_names_the_coreset_inside_a_block(self):
+        stack = np.full((5, 3, 2), 0.5)
+        stack[2, 1] = [0.5, 1.5]
+        box = Rectangle([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="coreset 2 of the stack"):
+            generalized_pairs_arrays(stack, box, None)
 
     def test_rectangles_agree_with_object_enumerator(self, rng):
         pts = rng.uniform(size=(4, 2))
@@ -220,15 +303,15 @@ class TestVectorizedArrays:
         """Regression: a degenerate grid axis produces zero generalized
         pairs, and the arrays must be shaped ``(0, d)`` — not the ragged
         1-d array ``np.asarray([])`` used to produce."""
-        grid = RectangleGrid(
-            np.array([[0.5], [0.5]]), Rectangle([0.5], [0.5])
+        pts, box = np.array([[0.5], [0.5]]), Rectangle([0.5], [0.5])
+        in_lo, in_hi, out_lo, out_hi, w = generalized_pairs_arrays(
+            pts[None], box, None
         )
-        in_lo, in_hi, out_lo, out_hi, w = generalized_pairs_arrays(grid)
         for mat in (in_lo, in_hi, out_lo, out_hi):
             assert mat.shape == (0, 1)
         assert w.shape == (0,)
         # the reference enumerator agrees that there are no pairs
-        assert enumerate_generalized_pairs(grid) == []
+        assert enumerate_generalized_pairs(RectangleGrid(pts, box)) == []
 
     def test_guard_applies_to_vectorized_path(self, rng):
         """The size guard is arithmetic: it refuses an oversized coreset
@@ -240,7 +323,7 @@ class TestVectorizedArrays:
             with pytest.raises(ValueError):
                 rectangles_arrays(grid)
             with pytest.raises(ValueError):
-                generalized_pairs_arrays(grid)
+                generalized_pairs_arrays(pts[None], None, None)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

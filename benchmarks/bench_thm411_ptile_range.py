@@ -5,17 +5,16 @@ two-sided precision a - eps - 2delta <= M_R(P_j) <= b + eps + 2delta, no
 duplicates (Lemma 4.9).  Sweeps N with planted masses and verifies every
 claim per query.
 
-Run ``python benchmarks/bench_thm411_ptile_range.py`` for the tables.
+Run ``python benchmarks/bench_thm411_ptile_range.py`` for the table and
+the construction slope; it writes no file.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.baselines.linear_scan import LinearScanPtile
-from repro.bench.harness import TableReporter, fit_loglog_slope, json_report, time_callable
+from repro.bench.harness import TableReporter, fit_loglog_slope, time_callable
 from repro.core.ptile_range import PtileRangeIndex
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
@@ -81,7 +80,7 @@ def main() -> None:
         ["N", "build (s)", "mapped pts", "OUT", "recall", "2-sided ok",
          "no dups", "query (s)", "scan (s)"],
     )
-    ns, builds, rows = [], [], []
+    ns, builds = [], []
     for n in (40, 80, 160):
         r = run_scale(n, seed=n)
         table.add_row(
@@ -91,19 +90,10 @@ def main() -> None:
         assert r["recall"] == 1.0 and r["two_sided_ok"] and r["no_dups"]
         ns.append(n)
         builds.append(r["build"])
-        rows.append(r)
     table.print()
     slope = fit_loglog_slope(ns, builds)
     print(f"construction slope vs N: {slope:.2f} (paper: ~1)")
     print("All Theorem 4.11 guarantees held on every sweep point.")
-    path = json_report(
-        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "BENCH_thm411_ptile_range.json"),
-        rows,
-        meta={"bench": "thm411_ptile_range", "sample_size": SAMPLE_SIZE,
-              "construction_slope_vs_n": slope},
-    )
-    print(f"wrote {path}")
 
 
 def test_thm411_query(range_index_1d, benchmark):

@@ -31,10 +31,7 @@ from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample_size
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import (
-    check_engine,
-    group_of,
-)
+from repro.index.backend import check_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
 
@@ -164,15 +161,6 @@ def threshold_point_matrix(
     out[:, d : 2 * d] = hi
     out[:, 2 * d] = weights + delta
     return out
-
-
-def point_ids(key: int, count: int) -> np.ndarray:
-    """The ``(count, 2)`` id matrix ``(key, 0) .. (key, count - 1)`` of one
-    dataset's mapped points — an array, never a list of tuples."""
-    ids = np.empty((count, 2), dtype=np.int32)
-    ids[:, 0] = key
-    ids[:, 1] = np.arange(count)
-    return ids
 
 
 def _one_piece(pieces) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +355,9 @@ class PtileIndexBase:
         deleted_total = 0
         guard = self.n_datasets + 1
         while True:
-            hit = self._tree.report_first(box)
-            if hit is None:
+            key = self._tree.report_first(box)
+            if key is None:
                 break
-            key = group_of(hit)
             reported.append(key)
             result.indexes.append(key)
             result.emit_times.append(time.perf_counter())

@@ -85,15 +85,14 @@ class DiversityIndex:
         if len(dims) != 1:
             raise ConstructionError("all covers must share the same dimension")
         self.dim = dims.pop()
-        rows, ids = [], []
         for key, cov in enumerate(cover_list):
             if cov.dim != self.dim:
                 raise ConstructionError("cover dimension mismatch")
             self._covers[key] = cov
-            for local, point in enumerate(cov.cover_points):
-                rows.append(point)
-                ids.append((key, local))
-        self._tree = DynamicKDTree(np.asarray(rows), ids=ids)
+        self._tree = DynamicKDTree(
+            np.vstack([cov.cover_points for cov in cover_list]),
+            ids=np.repeat(list(self._covers), [cov.size for cov in cover_list]),
+        )
 
     @property
     def n_datasets(self) -> int:

@@ -9,8 +9,12 @@ nearest-neighbor guarantees and points to additive-error constructions
 
 - Construction: the covers of all datasets are merged into one dynamic
   kd-tree, each point tagged with its dataset key.
-- Query ``(q, tau)``: a ball query (box prefilter + exact distance check)
-  over cover points within ``tau + r_j``, de-duplicated by dataset.
+- Query ``(q, tau)``: the datasets with a cover point in the L∞ box of
+  half-width ``tau + max_j r_j`` around ``q`` are the candidates; each is
+  reported iff its exact cover distance ``dist(q, C_j)`` (the minimum over
+  *all* of ``C_j``) is at most ``tau + r_j``.  A cover point outside the
+  box is farther than ``tau + max_j r_j >= tau + r_j``, so the box loses
+  no answer.
 
 Guarantees (with per-dataset cover radius ``r_j``):
 
@@ -68,13 +72,11 @@ class NearestNeighborIndex:
         if len(dims) != 1:
             raise ConstructionError("all covers must share the same dimension")
         self.dim = dims.pop()
-        rows, ids = [], []
-        for cov in cover_list:
-            key = self._admit(cov)
-            for local, point in enumerate(cov.cover_points):
-                rows.append(point)
-                ids.append((key, local))
-        self._tree = DynamicKDTree(np.asarray(rows), ids=ids)
+        keys = [self._admit(cov) for cov in cover_list]
+        self._tree = DynamicKDTree(
+            np.vstack([cov.cover_points for cov in cover_list]),
+            ids=np.repeat(keys, [cov.size for cov in cover_list]),
+        )
 
     def _admit(self, cov: CoverSynopsis) -> int:
         if cov.dim != self.dim:
@@ -102,7 +104,8 @@ class NearestNeighborIndex:
     def query(
         self, point: np.ndarray, tau: float, record_times: bool = False
     ) -> QueryResult:
-        """Report datasets with (approximately) ``dist(q, P_j) <= tau``."""
+        """Report datasets with (approximately) ``dist(q, P_j) <= tau``,
+        in ascending key order."""
         q = np.asarray(point, dtype=float)
         if q.shape != (self.dim,):
             raise QueryError(f"query point must have shape ({self.dim},)")
@@ -112,30 +115,23 @@ class NearestNeighborIndex:
         if record_times:
             result.start_time = time.perf_counter()
         reach = tau + self.max_radius
-        box = QueryBox.closed(q - reach, q + reach)
-        best: dict[int, float] = {}
-        for key, local in self._tree.report(box):
-            dist = float(
-                np.linalg.norm(self._covers[key].cover_points[local] - q)
-            )
-            if dist < best.get(key, np.inf):
-                best[key] = dist
-        for key, dist in best.items():
-            if dist <= tau + self._covers[key].radius:
+        candidates = self._tree.report_groups(QueryBox.closed(q - reach, q + reach))
+        for key in sorted(candidates):
+            cover = self._covers[key]
+            if cover.distance_to(q) <= tau + cover.radius:
                 result.indexes.append(key)
                 if record_times:
                     result.emit_times.append(time.perf_counter())
         if record_times:
             result.end_time = time.perf_counter()
-        result.stats["candidates"] = len(best)
+        result.stats["candidates"] = len(candidates)
         return result
 
     # ------------------------------------------------------------------
     def insert_cover(self, cover: CoverSynopsis) -> int:
         """Add a dataset's cover; returns its stable key."""
         key = self._admit(cover)
-        ids = [(key, local) for local in range(cover.size)]
-        self._tree.insert(cover.cover_points, ids)
+        self._tree.insert(cover.cover_points, np.full(cover.size, key))
         return key
 
     def delete_cover(self, key: int) -> None:

@@ -83,7 +83,7 @@ class ExactPtile1DIndex:
             )
         self._sorted: list[np.ndarray] = []
         rows: list[tuple[float, float, float, float]] = []
-        ids: list = []
+        ids: list[int] = []
         for key, data in enumerate(datasets):
             pts = np.asarray(data, dtype=float).reshape(-1)
             if pts.size == 0:
@@ -106,13 +106,13 @@ class ExactPtile1DIndex:
                 q_j = pts[j - cnt_max] if j - cnt_max >= 0 else _NEG
                 s_j = pts[j + 1] if j + 1 < n else _POS
                 rows.append((q_j, r_j, pts[j], s_j))
-                ids.append((key, j))
+                ids.append(key)
         self.n_datasets = len(self._sorted)
         self.total_points = sum(p.size for p in self._sorted)
         if not rows:
             # No dataset can ever qualify; keep a stub tree for uniformity.
             rows = [(_NEG, _NEG, _NEG, _NEG)]
-            ids = [(-1, 0)]
+            ids = [-1]
         self._tree = build_backend(np.asarray(rows), ids, engine=engine)
 
     @property
@@ -137,7 +137,7 @@ class ExactPtile1DIndex:
                 (r_hi, _POS, True, False),    # s_j > R^+
             ]
         )
-        for key, _j in self._tree.report(box):
+        for key in self._tree.report(box):
             if key < 0:
                 continue  # stub point of an all-empty index
             result.indexes.append(key)

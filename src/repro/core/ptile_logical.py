@@ -30,7 +30,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core._ptile_common import point_ids
 from repro.core.measures import PercentileMeasure
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.core.ptile_range import PtileRangeIndex
@@ -43,7 +42,7 @@ from repro.geometry.rect_enum import (
     generalized_pairs_arrays,
 )
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import build_engine, group_of
+from repro.index.backend import build_engine
 from repro.index.kd_tree import DynamicKDTree
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -108,7 +107,6 @@ class PtileLogicalIndex:
         self.engine_kind = self._range_index.engine_kind
         # Tensor structures are built lazily, keyed by m.
         self._tensor_trees: dict[int, DynamicKDTree] = {}
-        self._tensor_ids: dict[int, dict[int, list]] = {}
 
     @property
     def n_datasets(self) -> int:
@@ -193,7 +191,7 @@ class PtileLogicalIndex:
                     block[:, slot * d4 : (slot + 1) * d4] = coords[pick]
                     block[:, m * d4 + slot] = weights[pick] + delta_i
                     block[:, m * d4 + m + slot] = weights[pick] - delta_i
-            return block, point_ids(key, n_combo)
+            return block, np.full(n_combo, key)
 
         self._tensor_trees[m] = build_engine(
             map(tensor_rows, keys, coords, np.split(weights, cuts)),
@@ -235,10 +233,9 @@ class PtileLogicalIndex:
         reported: list[int] = []
         guard = self.n_datasets + 1
         while True:
-            hit = tree.report_first(box)
-            if hit is None:
+            key = tree.report_first(box)
+            if key is None:
                 break
-            key = group_of(hit)
             reported.append(key)
             result.indexes.append(key)
             result.emit_times.append(time.perf_counter())

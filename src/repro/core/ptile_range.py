@@ -149,10 +149,9 @@ class PtileRangeIndex(PtileIndexBase):
             *pairs, weights = generalized_pairs_arrays(
                 coresets[first : last + 1], self.bounding_box, rows
             )
-            owner, pair = _row_owners(counts[first : last + 1], *rows)
-            owner += first
+            owner = first + _row_owners(counts[first : last + 1], *rows)[0]
             points = range_point_matrix(*pairs, weights, deltas[owner])
-            yield points, np.column_stack([keys[owner], pair])
+            yield points, keys[owner]
 
     # ------------------------------------------------------------------
     # Query (Algorithm 4)

@@ -24,11 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core._ptile_common import (
-    PtileIndexBase,
-    point_ids,
-    threshold_point_matrix,
-)
+from repro.core._ptile_common import PtileIndexBase, threshold_point_matrix
 from repro.core.results import QueryResult
 from repro.errors import QueryError
 from repro.geometry.interval import Interval
@@ -129,7 +125,7 @@ class PtileThresholdIndex(PtileIndexBase):
             # rect_pts is correctly shaped even for zero rectangles, so the
             # sentinel stack never sees a ragged array.
             pts = np.vstack([rect_pts, sentinel[None, :]])
-            yield pts, point_ids(key, pts.shape[0])
+            yield pts, np.full(pts.shape[0], key)
 
     # ------------------------------------------------------------------
     # Query (Algorithm 2)

@@ -20,7 +20,7 @@ This subpackage provides that machinery:
 - :class:`~repro.index.kd_tree.DynamicKDTree` — the default engine: a
   median-split kd-tree held as flat arrays (tree-ordered column-major
   rank codes — 1–2 bytes per coordinate — with their per-column level
-  tables, ``int32`` id columns, a preorder node table with active
+  tables, an ``int32`` dataset-key column, a preorder node table with active
   counters) supporting ``report_first`` over *active* points,
   ``deactivate_group`` / ``activate_group`` (the delete/re-insert trick of
   Algorithms 2 and 4), and bulk insertion with amortized rebuilds for the
@@ -35,7 +35,7 @@ protocol (``report / report_first / report_groups / count /
 deactivate_group / activate_group / insert / remove_group / n_active /
 nbytes`` plus the multi-box batch kernels ``report_many /
 report_groups_many`` — one shared traversal on the kd-tree, one broadcast
-pass on the columnar store) over integer entry ids (see
+pass on the columnar store) over integer dataset keys (see
 :mod:`repro.index.backend`); the dynamic engines add the ``to_arrays`` /
 ``from_arrays`` pair snapshots restore from.  Every layer above — the
 Ptile structures,
@@ -50,7 +50,6 @@ from repro.index.backend import (
     ENGINES,
     RangeSearchBackend,
     build_backend,
-    group_of,
 )
 from repro.index.query_box import QueryBox
 from repro.index.fenwick import FenwickTree
@@ -70,5 +69,4 @@ __all__ = [
     "ENGINES",
     "DYNAMIC_ENGINES",
     "build_backend",
-    "group_of",
 ]

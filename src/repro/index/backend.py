@@ -22,20 +22,19 @@ This module formalizes the seam:
   as ``cls.from_arrays(arrays)``: what tunes one engine (the kd-tree's
   leaf size) is a constant of that engine's module, not a registry argument.
 
-**Entry ids are integers, stored as columns.**  An id is a
-``(group, local)`` pair of ints — mapped point ``local`` of dataset
-``group`` — or a plain int ``i``, shorthand for ``(i, PLAIN_LOCAL)``, a
-point that is its own group; both halves must fit ``int32``.  Backends
-take ids as a list or an ``(n,)`` / ``(n, 2)`` integer array, keep them as
-two ``int32`` columns (:func:`id_columns`; no per-point Python object) and
-hand them back from ``report`` in the form given (:func:`entry_ids`).
-The *group* (:func:`group_of`) is the unit Algorithms 2 and 4 work in:
-``report_groups(box)`` is the set of groups with an active point in the
-box, and "temporarily delete all points of the reported dataset" is
-``deactivate_group`` — one mask write, not a loop over point ids.
+**An entry id is its dataset's key, stored as one column.**  Every
+mapped point carries the key of the dataset (*group*) it belongs to — a
+plain int that fits ``int32``, shared by all of that dataset's points.
+Backends take ids as a sequence or an ``(n,)`` integer array and keep them
+as one ``int32`` column (:func:`id_column`; no per-point Python object);
+``report`` / ``report_first`` / ``report_many`` hand back the keys of the
+points they hit, one per point.  The key is the unit Algorithms 2 and 4
+work in: ``report_groups(box)`` is the set of keys with an active point in
+the box, and "temporarily delete all points of the reported dataset" is
+``deactivate_group`` — one mask write, not a loop over points.
 
 **How a backend stores coordinates is its own business.**  The contract
-speaks only of float points in and ids out; the kd-tree keeps each column
+speaks only of float points in and keys out; the kd-tree keeps each column
 as 1–2-byte ranks in a sorted level table (:mod:`repro.index.kd_tree` —
 10.2 bytes of coordinates and node boxes per mapped point on the 2-D
 benchmark lake where float64 columns took 80.7, 16.5 against 48.6 on the
@@ -53,24 +52,19 @@ import numpy as np
 from repro.errors import ConstructionError
 from repro.index.query_box import QueryBox
 
-#: The ``local`` half of a plain (non-pair) integer id.
-PLAIN_LOCAL = -1
-
 _I32 = np.iinfo(np.int32)
 
 
-def id_columns(ids: Optional[Iterable], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(group, local)`` int32 columns for ``n`` entry ids.
+def id_column(ids: Optional[Iterable], n: int) -> np.ndarray:
+    """The ``int32`` key column of ``n`` entries.
 
-    ``ids`` is None (positions ``0..n-1``), a sequence of plain ints or of
-    ``(group, local)`` pairs, or the equivalent ``(n,)`` / ``(n, 2)``
-    integer array; anything else — strings, floats, ragged mixes, values
-    outside int32 — is a ``ValueError``.
+    ``ids`` is None (positions ``0..n-1``, every point its own group), a
+    sequence of ints or the equivalent ``(n,)`` integer array; a key may
+    repeat.  Anything else — strings, floats, pairs, values outside int32,
+    a length other than ``n`` — is a ``ValueError``.
 
-    >>> [c.tolist() for c in id_columns([(7, 0), (7, 1)], 2)]
-    [[7, 7], [0, 1]]
-    >>> [c.tolist() for c in id_columns([4, 9], 2)]
-    [[4, 9], [-1, -1]]
+    >>> id_column([7, 7, 4], 3).tolist()
+    [7, 7, 4]
     """
     if ids is None:
         arr = np.arange(n)
@@ -80,63 +74,11 @@ def id_columns(ids: Optional[Iterable], n: int) -> tuple[np.ndarray, np.ndarray]
             arr = np.empty(0, dtype=np.int64)
     if arr.shape[0] != n:
         raise ValueError("points and ids must have equal length")
-    if arr.dtype.kind not in "iu" or arr.shape[1:] not in ((), (2,)):
-        raise ValueError("ids must be ints or (group, local) int pairs")
+    if arr.dtype.kind not in "iu" or arr.ndim != 1:
+        raise ValueError("ids must be int dataset keys")
     if arr.size and (arr.min() < _I32.min or arr.max() > _I32.max):
         raise ValueError("entry ids must fit int32")
-    if arr.ndim == 1:
-        return arr.astype(np.int32), np.full(n, PLAIN_LOCAL, dtype=np.int32)
-    return arr[:, 0].astype(np.int32), arr[:, 1].astype(np.int32)
-
-
-def id_keys(group: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """One int64 per entry id, equal iff the ids are equal."""
-    return (group.astype(np.int64) << 32) | (local.astype(np.int64) & 0xFFFFFFFF)
-
-
-def has_duplicates(keys: np.ndarray) -> bool:
-    """Whether an integer key array repeats a value: one sort and a
-    neighbour compare (``np.unique`` hashes, ~30x slower at 10^5 keys —
-    as much as encoding a shard's columns)."""
-    ordered = np.sort(keys)
-    return bool((ordered[1:] == ordered[:-1]).any())
-
-
-def reject_duplicates(
-    group: np.ndarray, local: np.ndarray, have_group: np.ndarray, have_local: np.ndarray
-) -> None:
-    """``KeyError`` if the ids of an insert batch repeat each other or one
-    of the stored ``have_*`` ids — called before any row is written.
-
-    Stored ids are compared only where their group occurs in the batch
-    (a fresh dataset key, the usual insert, costs one column scan).
-    """
-    keys = id_keys(group, local)
-    clash = np.isin(have_group, np.unique(group))
-    have = id_keys(have_group[clash], have_local[clash])
-    if has_duplicates(keys) or np.isin(keys, have).any():
-        raise KeyError("duplicate entry id in insert batch")
-
-
-def entry_ids(group: np.ndarray, local: np.ndarray) -> list:
-    """Id columns back as the ids callers registered.
-
-    >>> entry_ids(np.array([3, 5]), np.array([17, -1]))
-    [(3, 17), 5]
-    """
-    return [
-        g if loc == PLAIN_LOCAL else (g, loc)
-        for g, loc in zip(group.tolist(), local.tolist())
-    ]
-
-
-def group_of(entry_id):
-    """The dataset/group key of an entry id.
-
-    >>> group_of((3, 17)), group_of(5)
-    (3, 5)
-    """
-    return entry_id[0] if isinstance(entry_id, tuple) else entry_id
+    return arr.astype(np.int32)
 
 
 @runtime_checkable
@@ -174,35 +116,36 @@ class RangeSearchBackend(Protocol):
         ...
 
     def report(self, box: QueryBox) -> list:
-        """All active point ids inside the box."""
+        """The keys of the active points inside the box, one per point."""
         ...
 
     def report_first(self, box: QueryBox):
-        """One arbitrary active point id inside the box, or None."""
+        """The key of one arbitrary active point inside the box, or None."""
         ...
 
     def report_groups(self, box: QueryBox) -> set:
-        """All groups (``group_of`` of the ids) with >= 1 active point in
-        the box — the bulk form of the ReportFirst/deactivate loop."""
+        """All keys with >= 1 active point in the box — the bulk form of
+        the ReportFirst/deactivate loop."""
         ...
 
     def count(self, box: QueryBox) -> int:
         """Number of active points inside the box."""
         ...
 
-    def report_many(self, boxes: Sequence[QueryBox]) -> list[list]:
-        """Per-box active id lists for a batch of boxes (one per box).
+    def report_many(self, boxes: Sequence[QueryBox]) -> list:
+        """Per-box keys of the active points inside each box of a batch.
 
         The batch kernel of the cold path: semantically identical to
         ``[self.report(b) for b in boxes]`` (the equivalence suite asserts
-        it), but free to share work across boxes — one broadcast
+        it; the dynamic engines give each box an int array instead of a
+        list), but free to share work across boxes — one broadcast
         containment pass on the columnar store, a single multi-box tree
         walk on the kd-tree.
         """
         ...
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
-        """Per-box group sets (``[self.report_groups(b) for b in boxes]``)."""
+        """Per-box key sets (``[self.report_groups(b) for b in boxes]``)."""
         ...
 
     def deactivate_group(self, group: int) -> int:
@@ -216,14 +159,14 @@ class RangeSearchBackend(Protocol):
         ...
 
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
-        """Add new points (dynamic backends only).  ``KeyError``, with
-        nothing written, if an id repeats inside the batch or is stored."""
+        """Add new points under their dataset keys (dynamic backends only);
+        a key already stored gains the points."""
         ...
 
     def remove_group(self, group: int) -> int:
         """Permanently remove every point of ``group``, active or not
         (dynamic backends only); returns how many.  An absent group is a
-        no-op returning 0; the ids are reusable by ``insert`` immediately."""
+        no-op returning 0; the key is reusable by ``insert`` immediately."""
         ...
 
 
@@ -268,7 +211,7 @@ def build_backend(
     >>> import numpy as np
     >>> pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     >>> for name in ENGINES:
-    ...     eng = build_backend(pts, [(7, 0), (9, 0)], name)
+    ...     eng = build_backend(pts, [7, 9], name)
     ...     assert eng.report_groups(QueryBox.closed([-1, 0], [3, 4])) == {7, 9}
     """
     return backend_class(engine)(points, ids=ids)
@@ -296,9 +239,10 @@ BLOCK_ELEMENTS = 1 << 16
 
 def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     """:func:`build_backend` over a stream: the backend over all rows of
-    ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` integer
-    arrays; a dataset's mapped points, or a block of rows across datasets,
-    as the Ptile builders yield them), consumed lazily.
+    ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` every
+    row's dataset key, an integer array; a dataset's mapped points, or a
+    block of rows across datasets, as the Ptile builders yield them),
+    consumed lazily.
 
     The kd-tree takes the stream in blocks of at most
     :data:`BLOCK_ELEMENTS` elements and rank-codes each on arrival

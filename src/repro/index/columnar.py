@@ -9,7 +9,7 @@ that trade:
 
 - points live column-major in one ``(k, capacity)`` float matrix — every
   containment test reads whole columns, so each is one contiguous scan —
-  with ``int32`` group / local id columns and boolean *active* / *dead*
+  with an ``int32`` dataset-key column and boolean *active* / *dead*
   masks alongside; no per-point Python object exists;
 - every query is one vectorized ``contains_points`` pass over the matrix —
   O(n k) work but at memory bandwidth, not interpreter speed;
@@ -34,13 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.index.backend import (
-    entry_ids,
-    has_duplicates,
-    id_columns,
-    id_keys,
-    reject_duplicates,
-)
+from repro.index.backend import id_column
 from repro.index.query_box import BoxBatch, QueryBox
 
 #: Compact the store when dead (removed) rows exceed this fraction...
@@ -57,9 +51,8 @@ class ColumnarStore:
     points:
         ``(n, k)`` float array.
     ids:
-        Optional unique integer ids (default: positions); see
-        :mod:`repro.index.backend` for the id convention.  ``(group,
-        local)`` pairs group by ``group`` in :meth:`report_groups`.
+        Optional integer dataset key of every point (default: positions);
+        see :mod:`repro.index.backend` for the id convention.
 
     Examples
     --------
@@ -78,18 +71,13 @@ class ColumnarStore:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
         n = pts.shape[0]
-        group, local = id_columns(ids, n)
-        if has_duplicates(id_keys(group, local)):
-            raise ValueError("ids must be unique")
-        self._adopt(np.array(pts.T, order="C"), group, local, np.ones(n, dtype=bool))
+        group = id_column(ids, n)
+        self._adopt(np.array(pts.T, order="C"), group, np.ones(n, dtype=bool))
 
-    def _adopt(
-        self, cols: np.ndarray, group: np.ndarray, local: np.ndarray, active: np.ndarray
-    ) -> None:
+    def _adopt(self, cols: np.ndarray, group: np.ndarray, active: np.ndarray) -> None:
         self.dim = int(cols.shape[0])
         self._cols = cols
         self._group = group
-        self._local = local
         self._active = active
         self._n = int(cols.shape[1])
         self._dead = np.zeros(self._n, dtype=bool)
@@ -100,22 +88,23 @@ class ColumnarStore:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ColumnarStore":
         """A store over its own :meth:`to_arrays` without copying them.
 
-        ``points`` / ``group`` / ``local`` may be read-only maps of a
-        snapshot file and are adopted as they are: queries only read them,
-        and the store is exactly full, so the first ``insert`` (like every
-        compaction) moves to fresh private arrays before writing.
-        Activity is the one flag queries toggle in place — private copy.
+        ``points`` / ``group`` may be read-only maps of a snapshot file
+        and are adopted as they are: queries only read them, and the store
+        is exactly full, so the first ``insert`` (like every compaction)
+        moves to fresh private arrays before writing.  Activity is the one
+        flag queries toggle in place — private copy.  The ``local`` id
+        column older snapshots carry is not read.
         """
-        cols, group, local = arrays["points"], arrays["group"], arrays["local"]
+        cols, group = arrays["points"], arrays["group"]
         active = np.array(arrays["active"], dtype=bool)
-        if cols.ndim != 2 or not group.shape == local.shape == active.shape == cols.shape[1:]:
+        if cols.ndim != 2 or not group.shape == active.shape == cols.shape[1:]:
             raise ValueError("backend arrays disagree on point count")
         store = cls.__new__(cls)
-        store._adopt(cols, group, local, active)
+        store._adopt(cols, group, active)
         return store
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Live rows as ``points`` ``(k, n)``, ``group``, ``local``, ``active``.
+        """Live rows as ``points`` ``(k, n)``, ``group``, ``active``.
 
         Views of the store where nothing was removed (rows are never
         rewritten in place); ``active`` is always a copy.
@@ -124,12 +113,11 @@ class ColumnarStore:
         return {
             "points": cols[:, ~self._dead[: self._n]] if self._n_dead else cols,
             "group": self._live(self._group),
-            "local": self._live(self._local),
             "active": self._live(self._active).copy(),
         }
 
     def _live(self, column: np.ndarray) -> np.ndarray:
-        """The non-removed rows of one id/flag column (a view if none are)."""
+        """The non-removed rows of one key/flag column (a view if none are)."""
         column = column[: self._n]
         return column[~self._dead[: self._n]] if self._n_dead else column
 
@@ -153,7 +141,7 @@ class ColumnarStore:
     @property
     def nbytes(self) -> int:
         """Bytes held in arrays (spare append capacity included)."""
-        own = (self._cols, self._group, self._local, self._active, self._dead)
+        own = (self._cols, self._group, self._active, self._dead)
         return sum(a.nbytes for a in own)
 
     # ------------------------------------------------------------------
@@ -183,12 +171,9 @@ class ColumnarStore:
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
         """Append new points in amortized O(1) per point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        group, local = id_columns(ids, pts.shape[0])
+        group = id_column(ids, pts.shape[0])
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
-        reject_duplicates(
-            group, local, self._live(self._group), self._live(self._local)
-        )
         n, m = self._n, pts.shape[0]
         if m == 0:  # an adopted store is read-only until it grows
             return
@@ -196,7 +181,6 @@ class ColumnarStore:
             self._grow(max(n + m, 2 * self._cols.shape[1]))
         self._cols[:, n : n + m] = pts.T
         self._group[n : n + m] = group
-        self._local[n : n + m] = local
         self._active[n : n + m] = True
         self._dead[n : n + m] = False
         self._n += m
@@ -207,7 +191,7 @@ class ColumnarStore:
         cols = np.empty((self.dim, cap))
         cols[:, :n] = self._cols[:, :n]
         self._cols = cols
-        for name in ("_group", "_local", "_active", "_dead"):
+        for name in ("_group", "_active", "_dead"):
             old = getattr(self, name)
             new = np.zeros(cap, dtype=old.dtype)
             new[:n] = old[:n]
@@ -225,8 +209,7 @@ class ColumnarStore:
         ):
             live = self.to_arrays()
             self._adopt(
-                np.ascontiguousarray(live["points"]),
-                live["group"], live["local"], live["active"],
+                np.ascontiguousarray(live["points"]), live["group"], live["active"]
             )
 
     def remove_group(self, group: int) -> int:
@@ -258,19 +241,16 @@ class ColumnarStore:
         mask &= self._active[: self._n]
         return mask
 
-    def _ids_at(self, rows: np.ndarray) -> list:
-        return entry_ids(self._group[: self._n][rows], self._local[: self._n][rows])
-
     def report(self, box: QueryBox) -> list:
-        """All active point ids inside the box."""
-        return self._ids_at(self._match_mask(box))
+        """The keys of the active points inside the box, one per point."""
+        return self._group[: self._n][self._match_mask(box)].tolist()
 
     def report_first(self, box: QueryBox):
-        """One arbitrary active point id inside the box, or None."""
+        """The key of one arbitrary active point inside the box, or None."""
         hits = np.flatnonzero(self._match_mask(box))
         if hits.size == 0:
             return None
-        return self._ids_at(hits[:1])[0]
+        return int(self._group[hits[0]])
 
     def report_groups(self, box: QueryBox) -> set:
         """All groups with >= 1 active point in the box (one group-by)."""
@@ -301,16 +281,15 @@ class ColumnarStore:
         out &= self._active[: self._n][None, :]
         return out
 
-    def report_many(self, boxes: Sequence[QueryBox], groups: bool = False) -> list:
-        """Per-box active id lists — ``[report(b) for b in boxes]`` in one
-        broadcast pass.  With ``groups=True`` each box gets the int array
-        of its hits' group codes instead (ids never materialized)."""
-        take = self._group[: self._n].__getitem__ if groups else self._ids_at
-        return [take(row) for row in self._match_matrix(boxes)]
+    def report_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
+        """Per-box int arrays of the hit points' keys (one per point) —
+        ``[report(b) for b in boxes]`` in one broadcast pass."""
+        group = self._group[: self._n]
+        return [group[row] for row in self._match_matrix(boxes)]
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets in one broadcast pass + per-box group-by."""
         return [
             set(np.unique(hit_groups).tolist())
-            for hit_groups in self.report_many(boxes, groups=True)
+            for hit_groups in self.report_many(boxes)
         ]

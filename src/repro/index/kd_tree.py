@@ -32,8 +32,8 @@ effective bounds into closed rank bounds once per call
 ``searchsorted`` per constrained column) and the walk, the bbox prunes and
 the containment kernel run on the integers.  Codes sit in tree order,
 column-major (each coordinate of a node's slice is one contiguous run —
-what the per-column kernel reads), beside ``int32`` group / local id
-columns and bool active / dead masks; nodes are rows of a preorder table —
+what the per-column kernel reads), beside the ``int32`` dataset-key
+column and bool active / dead masks; nodes are rows of a preorder table —
 slice bounds, bounding box *in code space*, active counter, right-child
 index (the left child of node ``i`` is ``i + 1``).  Coordinates + node
 boxes per mapped point on the four benchmark lakes (seed 2027, 4 shards,
@@ -60,7 +60,7 @@ would re-code the whole store; :meth:`DynamicKDTree._rebuild` is the same
 merge over two blocks, the live main rows *as the codes they already are*
 and the freshly coded buffer, so new levels interleave the old ones at the
 amortised cost inserts already paid and nothing is decoded.  ``to_arrays``
-hands out codes, level tables, id columns and node table and
+hands out codes, level tables, key column and node table and
 ``from_arrays`` adopts them, so a snapshot restore builds no tree and
 decodes nothing.
 
@@ -80,13 +80,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.index.backend import (
-    entry_ids,
-    has_duplicates,
-    id_columns,
-    id_keys,
-    reject_duplicates,
-)
+from repro.index.backend import id_column
 from repro.index.columnar import ColumnarStore
 from repro.index.query_box import BoxBatch, QueryBox
 
@@ -172,8 +166,8 @@ class DynamicKDTree:
     points:
         ``(n, k)`` float array.
     ids:
-        Optional unique integer ids (default: positions); see
-        :mod:`repro.index.backend` for the id convention.
+        Optional integer dataset key of every point (default: positions);
+        see :mod:`repro.index.backend` for the id convention.
 
     Examples
     --------
@@ -199,33 +193,30 @@ class DynamicKDTree:
         arrays equal to ``DynamicKDTree(np.vstack(all points), all ids)``,
         but each block's floats are rank-coded and let go before the next
         one is asked for (see the module docstring).  ``ids`` as in the
-        constructor, unique over the whole stream."""
+        constructor."""
         tree = cls.__new__(cls)
         tree._fill(blocks)
         return tree
 
     def _fill(self, blocks: Iterable[tuple]) -> None:
-        coded, ids = [], []
+        coded, groups = [], []
         for points, block_ids in blocks:
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or (coded and pts.shape[1] != len(coded[0][1])):
                 raise ValueError("points must be (n, k) arrays of one k")
-            ids.append(id_columns(block_ids, pts.shape[0]))
+            groups.append(id_column(block_ids, pts.shape[0]))
             coded.append(_encode(pts.T))
-        if not sum(group.size for group, _ in ids):
+        if not sum(group.size for group in groups):
             raise ValueError("points must be a non-empty (n, k) array")
-        group, local = map(np.concatenate, zip(*ids))
-        if has_duplicates(id_keys(group, local)):
-            raise ValueError("ids must be unique")
+        group = np.concatenate(groups)
         self.dim = len(coded[0][1])
-        self._build(*_merge(coded), group, local, np.ones(group.size, dtype=bool))
+        self._build(*_merge(coded), group, np.ones(group.size, dtype=bool))
 
     def _build(
         self,
         codes: np.ndarray,
         tables: list[np.ndarray],
         group: np.ndarray,
-        local: np.ndarray,
         active: np.ndarray,
     ) -> None:
         """Plant the main tree over a ``(k, n)`` code matrix.
@@ -266,7 +257,7 @@ class DynamicKDTree:
                 stack.append((start, start + mid, -1))
             m += 1
         self._adopt(
-            codes, tables, group[perm], local[perm], active[perm],
+            codes, tables, group[perm], active[perm],
             span[:, :m].copy(), box[:, :m].copy(),
         )
 
@@ -275,7 +266,6 @@ class DynamicKDTree:
         codes: np.ndarray,
         tables: list[np.ndarray],
         group: np.ndarray,
-        local: np.ndarray,
         active: np.ndarray,
         span: np.ndarray,
         box: np.ndarray,
@@ -283,7 +273,6 @@ class DynamicKDTree:
         self._pts = codes.T  # (n, k) rank codes, column-major
         self._tables = tables  # per column: sorted float64 levels
         self._group = group
-        self._local = local
         self._active = active
         self._dead = np.zeros(active.size, dtype=bool)
         self._n_dead = 0
@@ -299,7 +288,7 @@ class DynamicKDTree:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "DynamicKDTree":
         """A tree over its own :meth:`to_arrays`: no build, no decode, no copy.
 
-        Codes, level tables, id columns and node table may be read-only
+        Codes, level tables, key column and node table may be read-only
         maps of a snapshot file: queries only read them, inserts land in
         the side buffer and a rebuild plants fresh arrays.  Private: the
         active mask and the node counters derived from it.
@@ -308,16 +297,17 @@ class DynamicKDTree:
         query or rebuild would index with is checked here — ``ValueError``
         for a code beyond its column's table, node boxes beyond it, a
         table that is not strictly increasing float64 (unsorted,
-        duplicated, NaN) or code columns that are not unsigned.
+        duplicated, NaN) or code columns that are not unsigned.  The
+        ``local`` id column older snapshots carry is not read.
         """
         codes, levels, starts = arrays["codes"], arrays["levels"], arrays["level_start"]
         span, box = arrays["node_span"], arrays["node_box"]
-        group, local = arrays["group"], arrays["local"]
+        group = arrays["group"]
         active = np.array(arrays["active"], dtype=bool)
         if (
             codes.ndim != 2
             or codes.dtype.kind != "u"
-            or not group.shape == local.shape == active.shape == codes.shape[1:]
+            or not group.shape == active.shape == codes.shape[1:]
             or span.ndim != 2
             or span.shape[0] != 3
             or box.shape != (2, span.shape[1], codes.shape[0])
@@ -345,13 +335,13 @@ class DynamicKDTree:
         tree = cls.__new__(cls)
         tree.dim = int(codes.shape[0])
         tables = [levels[a:b] for a, b in zip(starts[:-1], starts[1:])]
-        tree._adopt(codes, tables, group, local, active, span, box)
+        tree._adopt(codes, tables, group, active, span, box)
         return tree
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The tree's own arrays: ``codes`` as ``(k, n)`` columns in tree
         order, the level tables end to end (``levels``, column ``j``'s at
-        ``level_start[j]:level_start[j + 1]``), id columns, a copy of the
+        ``level_start[j]:level_start[j + 1]``), the key column, a copy of the
         active mask, the node table (boxes in code space).
 
         Buffered or removed points are folded in by a rebuild first —
@@ -364,7 +354,6 @@ class DynamicKDTree:
             "levels": np.concatenate(self._tables),
             "level_start": np.cumsum([0] + [t.size for t in self._tables]),
             "group": self._group,
-            "local": self._local,
             "active": self._active.copy(),
             "node_span": self._span,
             "node_box": self._box,
@@ -372,11 +361,11 @@ class DynamicKDTree:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: codes, level tables, id columns, masks,
+        """Bytes held in arrays: codes, level tables, key column, masks,
         node table, side buffer."""
         buf = self._buf
         own = (
-            self._pts, *self._tables, self._group, self._local, self._active,
+            self._pts, *self._tables, self._group, self._active,
             self._dead, self._span, self._box, self._count,
         )
         return sum(a.nbytes for a in own) + (buf.nbytes if buf is not None else 0)
@@ -436,19 +425,15 @@ class DynamicKDTree:
         amortized-logarithmic rebuilding trick [Overmars 1983].
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        group, local = id_columns(ids, pts.shape[0])
+        group = id_column(ids, pts.shape[0])
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
         if pts.shape[0] == 0:
             return
-        reject_duplicates(
-            group, local, self._live(self._group), self._live(self._local)
-        )
-        pairs = np.column_stack((group, local))
         if self._buf is None:
-            self._buf = ColumnarStore(pts, ids=pairs)
+            self._buf = ColumnarStore(pts, ids=group)
         else:
-            self._buf.insert(pts, pairs)
+            self._buf.insert(pts, group)
         if len(self._buf) >= max(
             MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * self._group.size)
         ):
@@ -476,11 +461,11 @@ class DynamicKDTree:
             ranks, used = _encode(ranks[:, ~self._dead])
             tables = [table[u] for table, u in zip(tables, used)]
         blocks = [(ranks, tables)]
-        rows = [tuple(map(self._live, (self._group, self._local, self._active)))]
+        rows = [(self._live(self._group), self._live(self._active))]
         if self._buf is not None:
             buf = self._buf.to_arrays()
             blocks.append(_encode(buf["points"]))
-            rows.append((buf["group"], buf["local"], buf["active"]))
+            rows.append((buf["group"], buf["active"]))
         self._build(*_merge(blocks), *map(np.concatenate, zip(*rows)))
 
     # ------------------------------------------------------------------
@@ -499,9 +484,6 @@ class DynamicKDTree:
         if self._count[node] == end - start:
             return np.arange(start, end)
         return start + np.flatnonzero(self._active[start:end])
-
-    def _ids_at(self, rows: np.ndarray) -> list:
-        return entry_ids(self._group[rows], self._local[rows])
 
     def _visit(self, box: QueryBox):
         """The pruned single-box descent, in code space: yields ``(node,
@@ -536,18 +518,18 @@ class DynamicKDTree:
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
 
     def report(self, box: QueryBox) -> list:
-        """All active point ids inside the box."""
-        ids = self._ids_at(self._rows(box))
-        return ids + self._buf.report(box) if self._buf is not None else ids
+        """The keys of the active points inside the box, one per point."""
+        keys = self._group[self._rows(box)].tolist()
+        return keys + self._buf.report(box) if self._buf is not None else keys
 
     def report_first(self, box: QueryBox):
-        """One arbitrary active point id inside the box, or None."""
+        """The key of one arbitrary active point inside the box, or None."""
         for node, hits in self._visit(box):
             if hits is None:  # count > 0: the slice has an active point
                 start, end = self._slice(node)
                 hits = np.array([start + np.argmax(self._active[start:end])])
             if hits.size:
-                return self._ids_at(hits[:1])[0]
+                return int(self._group[hits[0]])
         return self._buf.report_first(box) if self._buf is not None else None
 
     def report_groups(self, box: QueryBox) -> set:
@@ -613,15 +595,14 @@ class DynamicKDTree:
                 stack.append((node + 1, alive))
                 stack.append((int(self._right[node]), alive))
 
-    def report_many(self, boxes: Sequence[QueryBox], groups: bool = False) -> list:
-        """Per-box active id lists via one shared multi-box tree walk.
+    def report_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
+        """Per-box int arrays of the hit points' keys (one per point) via
+        one shared multi-box tree walk.
 
         Semantically ``[self.report(b) for b in boxes]``.  This is the
         kernel behind the service cold path: a batch of deduplicated
-        leaves hits every shard's tree in one call.  With ``groups=True``
-        each box gets the int array of its hits' group codes instead (one
-        per hit point, ids never materialized) — what
-        :meth:`report_groups_many` reduces.
+        leaves hits every shard's tree in one call, and
+        :meth:`report_groups_many` reduces each array to its key set.
         """
         boxes = list(boxes)
         chunks: list[list[np.ndarray]] = [[] for _ in boxes]
@@ -637,15 +618,12 @@ class DynamicKDTree:
                     chunks[qi].append(start + np.flatnonzero(row))
 
         self._walk_many(boxes, on_full, on_scan)
-        take = self._group.__getitem__ if groups else self._ids_at
         out = [
-            take(np.concatenate(c) if c else np.empty(0, dtype=np.intp))
+            self._group[np.concatenate(c) if c else np.empty(0, dtype=np.intp)]
             for c in chunks
         ]
         if self._buf is not None:
-            join = np.append if groups else list.__add__
-            buffered = self._buf.report_many(boxes, groups)
-            out = [join(a, b) for a, b in zip(out, buffered)]
+            out = [np.append(a, b) for a, b in zip(out, self._buf.report_many(boxes))]
         return out
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
@@ -653,5 +631,5 @@ class DynamicKDTree:
         ``np.unique`` per box."""
         return [
             set(np.unique(hit_groups).tolist())
-            for hit_groups in self.report_many(boxes, groups=True)
+            for hit_groups in self.report_many(boxes)
         ]

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import CapabilityError
 from repro.geometry.interval import Interval
-from repro.index.backend import entry_ids, group_of, id_columns
+from repro.index.backend import id_column
 from repro.index.query_box import QueryBox
 from repro.index.sorted_list import SortedListIndex
 
@@ -57,7 +57,9 @@ class RangeTree:
     points:
         ``(n, k)`` array.
     ids:
-        Optional unique identifiers (default: positional indices).
+        Optional integer dataset key of every point (default: positions).
+        Internally every level keys its points by row position, which is
+        unique; a report maps the rows it finds to their keys.
 
     Examples
     --------
@@ -71,27 +73,27 @@ class RangeTree:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
+        self._group = id_column(ids, pts.shape[0])
+        self._plant(pts, list(range(pts.shape[0])))
+
+    def _plant(self, pts: np.ndarray, rows: list) -> None:
+        """Build this level over ``pts``, whose points are the top-level
+        ``rows`` (the ids every level and sorted list keys them by)."""
         self.dim = pts.shape[1]
-        if isinstance(ids, np.ndarray):  # id columns, as the Ptile builders pass
-            ids = entry_ids(*id_columns(ids, pts.shape[0]))
-        id_list = list(ids) if ids is not None else list(range(pts.shape[0]))
-        if len(id_list) != pts.shape[0]:
-            raise ValueError("points and ids must have equal length")
         order = np.argsort(pts[:, 0], kind="stable")
         self._keys = pts[order, 0]
-        self._ids = [id_list[i] for i in order]
-        self._pos_of_id = {pid: pos for pos, pid in enumerate(self._ids)}
-        if len(self._pos_of_id) != len(self._ids):
-            raise ValueError("ids must be unique")
+        self._row_ids = [rows[i] for i in order]
+        self._pos_of_id = {pid: pos for pos, pid in enumerate(self._row_ids)}
         self._rest = pts[order, 1:]
         self._root = self._build(0, pts.shape[0])
 
     def _build(self, lo: int, hi: int) -> _Node:
         node = _Node(lo, hi)
         if self.dim == 1:
-            node.assoc = SortedListIndex(self._keys[lo:hi], ids=self._ids[lo:hi])
+            node.assoc = SortedListIndex(self._keys[lo:hi], ids=self._row_ids[lo:hi])
         else:
-            node.assoc = RangeTree(self._rest[lo:hi], ids=self._ids[lo:hi])
+            node.assoc = RangeTree.__new__(RangeTree)
+            node.assoc._plant(self._rest[lo:hi], self._row_ids[lo:hi])
         if hi - lo > 1:
             mid = (lo + hi) // 2
             node.left = self._build(lo, mid)
@@ -99,7 +101,7 @@ class RangeTree:
         return node
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._row_ids)
 
     @property
     def n_active(self) -> int:
@@ -151,13 +153,13 @@ class RangeTree:
     # ------------------------------------------------------------------
     def _toggle_group(self, group: int, active: bool) -> int:
         sli = self._activity()
-        ids = [
-            pid for pid in self._ids
-            if group_of(pid) == group and sli.is_active(pid) != active
+        rows = [
+            row for row in np.flatnonzero(self._group == group).tolist()
+            if sli.is_active(row) != active
         ]
-        for pid in ids:
-            self._set_active(pid, active)
-        return len(ids)
+        for row in rows:
+            self._set_active(row, active)
+        return len(rows)
 
     def deactivate_group(self, group: int) -> int:
         """Hide every active point of ``group`` (a loop of point toggles —
@@ -168,17 +170,17 @@ class RangeTree:
         """Re-show every hidden point of ``group``."""
         return self._toggle_group(group, active=True)
 
-    def _set_active(self, entry_id, active: bool) -> None:
-        pos = self._pos_of_id[entry_id]
+    def _set_active(self, row: int, active: bool) -> None:
+        pos = self._pos_of_id[row]
         node = self._root
         while node is not None:
             if isinstance(node.assoc, SortedListIndex):
                 if active:
-                    node.assoc.activate(entry_id)
+                    node.assoc.activate(row)
                 else:
-                    node.assoc.deactivate(entry_id)
+                    node.assoc.deactivate(row)
             else:
-                node.assoc._set_active(entry_id, active)
+                node.assoc._set_active(row, active)
             if node.left is None:
                 break
             node = node.left if pos < node.left.hi else node.right
@@ -227,8 +229,8 @@ class RangeTree:
         if box.dim != self.dim:
             raise ValueError(f"query box has dim {box.dim}, tree has dim {self.dim}")
 
-    def report(self, box: QueryBox) -> list:
-        """All active point ids inside the box."""
+    def _rows(self, box: QueryBox) -> list:
+        """The rows of the active points inside the box."""
         self._check_box(box)
         if self.dim == 1:
             return self._root.assoc.report(self._last_interval(box))
@@ -238,11 +240,11 @@ class RangeTree:
         sub = self._sub_box(box)
         out: list = []
         for node in nodes:
-            out.extend(node.assoc.report(sub))
+            out.extend(node.assoc._rows(sub))
         return out
 
-    def report_first(self, box: QueryBox):
-        """One arbitrary active point id inside the box, or None."""
+    def _first_row(self, box: QueryBox):
+        """The row of one arbitrary active point inside the box, or None."""
         self._check_box(box)
         if self.dim == 1:
             return self._root.assoc.report_first(self._last_interval(box))
@@ -251,14 +253,23 @@ class RangeTree:
         self._canonical(self._root, left, right, nodes)
         sub = self._sub_box(box)
         for node in nodes:
-            found = node.assoc.report_first(sub)
+            found = node.assoc._first_row(sub)
             if found is not None:
                 return found
         return None
 
+    def report(self, box: QueryBox) -> list:
+        """The keys of the active points inside the box, one per point."""
+        return self._group[self._rows(box)].tolist()
+
+    def report_first(self, box: QueryBox):
+        """The key of one arbitrary active point inside the box, or None."""
+        row = self._first_row(box)
+        return None if row is None else int(self._group[row])
+
     def report_groups(self, box: QueryBox) -> set:
-        """All group keys with >= 1 active point in the box."""
-        return {group_of(pid) for pid in self.report(box)}
+        """All keys with >= 1 active point in the box."""
+        return set(self.report(box))
 
     # ------------------------------------------------------------------
     # Multi-box batch kernels.  The multi-level decomposition offers no

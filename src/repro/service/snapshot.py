@@ -2,7 +2,7 @@
 
 Every piece of built serving state is already a flat array — the kd
 backends' rank-coded mapped points (``R^{4d+2}``, one or two bytes per
-coordinate) with their level tables, id columns, masks and node tables,
+coordinate) with their level tables, key columns, masks and node tables,
 coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
 so a cold start does not have to *rebuild* any of it: this module persists
 a whole :class:`~repro.service.service.QueryService` into one container
@@ -35,16 +35,19 @@ Each Ptile backend is stored as its own ``to_arrays()`` — a dynamic
 engine's (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a header naming
 any other is refused: for the kd-tree, ``(k, n)`` unsigned rank codes in
 tree order (``mapped_codes``), the per-column float64 level tables they
-index (``mapped_levels``), ``int32`` id columns, the active mask and the
-node table with its boxes in code space — version 4 stored the same points
-as ``(k, n)`` float64 (``mapped_points``, still what the columnar store
-persists), 8 bytes per coordinate against 1–2.  A Ptile index's coresets
-are one ``(N, s, d)`` segment, not ``N``.  Older files are refused, not
-migrated.  Version-5 files from builds where the kd leaf size, the
-plan-cache capacity and the slow-log size were still constructor keywords
-carry them in ``state`` (the leaf size once per shard unit and once per
-Ptile index); they are module constants now, so those keys are neither
-written nor read and such a file serves with the constants.
+index (``mapped_levels``), every point's ``int32`` dataset key
+(``mapped_ids``), the active mask and the node table with its boxes in
+code space — version 4 stored the same points as ``(k, n)`` float64
+(``mapped_points``, still what the columnar store persists), 8 bytes per
+coordinate against 1–2.  A Ptile index's coresets are one ``(N, s, d)``
+segment, not ``N``.  Older files are refused, not migrated.  Version-5
+files from builds where the kd leaf size, the plan-cache capacity and the
+slow-log size were still constructor keywords carry them in ``state``
+(the leaf size once per shard unit and once per Ptile index); they are
+module constants now, so those keys are neither written nor read and such
+a file serves with the constants.  Those from builds where a point's id
+was a ``(key, local)`` pair carry a ``local`` segment per backend, which
+``from_arrays`` ignores.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -347,7 +350,6 @@ _BACKEND_HINTS = {
     "levels": "mapped_levels",
     "level_start": "mapped_levels",
     "group": "mapped_ids",
-    "local": "mapped_ids",
     "active": "mapped_active",
     "node_span": "node_table",
     "node_box": "node_table",
@@ -412,7 +414,7 @@ def _ptile_from_state(
     if coresets.ndim != 3 or coresets.shape[0] != len(keys):
         raise SnapshotError("ptile coreset segment does not match the key list")
     index._coresets = dict(zip(keys, coresets))  # views of the one segment
-    # Zero-copy: codes / points, level tables, id columns and node table
+    # Zero-copy: codes / points, level tables, key column and node table
     # stay the file-backed buffers.  from_arrays validates what it adopts;
     # an engine without a persisted form is refused by name.
     index._tree = restore_backend(
@@ -749,7 +751,7 @@ def inspect(path: PathLike) -> dict:
             kind: nbytes // n_datasets for kind, nbytes in sized
         }
     # The constant of the paper's space bound, as stored: the whole file
-    # and the backend segments alone (codes / points, level tables, ids,
+    # and the backend segments alone (codes / points, level tables, keys,
     # active mask, node table), per mapped point — of which the active
     # masks hold one byte each.
     n_points = by_kind.get("mapped_active", 0)

@@ -351,9 +351,9 @@ SYNOPSIS_STATE.variants.update({
     "exact": Record({"format": Int(1, 1), "points": String()}),
 })
 
-#: A node's dataset count, posted or probed.  Backend ids are two ``int32``
-#: columns (``index.backend.id_columns``): no node, and no federated
-#: universe, holds more than ``N_DATASETS.hi``.
+#: A node's dataset count, posted or probed.  A backend keeps every mapped
+#: point's dataset key in one ``int32`` column (``index.backend.id_column``):
+#: no node, and no federated universe, holds more than ``N_DATASETS.hi``.
 N_DATASETS = Int(1, 2**31 - 1)
 #: The coordinator's ``POST /nodes`` and ``DELETE /nodes``.  Only the shape
 #: of ``url`` is checked — nothing is dialled, a node that is down registers.

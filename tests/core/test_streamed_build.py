@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ptile_range
-from repro.core._ptile_common import point_ids, range_point_matrix
+from repro.core._ptile_common import range_point_matrix
 from repro.core.framework import Repository
 from repro.core.ptile_range import PtileRangeIndex
 from repro.geometry.rect_enum import (
@@ -47,7 +47,7 @@ def mapped_datasets(dim: int, rng: np.random.Generator) -> list[tuple]:
             points = range_point_matrix(
                 *generalized_pairs_arrays(coreset, box, None), delta=0.01 * (key % 4)
             )
-        mapped.append((points, point_ids(key, points.shape[0])))
+        mapped.append((points, np.full(points.shape[0], key)))
     return mapped
 
 
@@ -81,7 +81,7 @@ class TestStreamedEqualsOneBlock:
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_nothing_mapped_is_refused_like_an_empty_matrix(self, engine):
-        empty = [(np.empty((0, 6)), point_ids(key, 0)) for key in range(3)]
+        empty = [(np.empty((0, 6)), np.full(0, key)) for key in range(3)]
         for mapped in (empty, []):
             with pytest.raises(ValueError):
                 build_engine(iter(mapped), engine)
@@ -114,7 +114,7 @@ def reference_piece(index: PtileRangeIndex, key: int) -> tuple:
     columns = [np.reshape([p[c] for p in pairs], (len(pairs), d)) for c in range(4)]
     weights = np.array([p[4] for p in pairs], dtype=float)
     points = range_point_matrix(*columns, weights, index.delta_of(key))
-    return points, point_ids(key, len(pairs))
+    return points, np.full(len(pairs), key)
 
 
 class TestBlockEnumeratedShards:
@@ -148,7 +148,7 @@ def test_construction_memory_is_bounded_by_blocks_not_by_the_shard():
 
     - the live index, plus
     - planting's working set on the *codes* (a permuted copy of the code
-      matrix, the row permutation and the id columns: 2.5x the index), plus
+      matrix, the row permutation and the key column: 2.5x the index), plus
     - four blocks of floats (the datasets being stacked, the stacked block,
       one dataset's enumeration), a block being the budget or the largest
       single dataset, whichever is larger.

@@ -3,7 +3,7 @@
 This is the safety net of the pluggable-backend refactor: every registered
 :class:`~repro.index.backend.RangeSearchBackend` is driven with the same
 random mapped point sets, orthant queries and activation sequences, and
-must produce identical id sets for ``report``, identical group sets for
+must produce identical key multisets for ``report``, identical key sets for
 ``report_groups``, identical ``count`` values, and consistent
 ``report_first`` membership.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.index import ENGINES, QueryBox, build_backend, kd_tree
-from repro.index.backend import DYNAMIC_ENGINES, group_of
+from repro.index.backend import DYNAMIC_ENGINES
 
 #: ``small_leaves`` is set once per test, never by an example.
 FIXTURE_OK = [HealthCheck.function_scoped_fixture]
@@ -44,7 +44,7 @@ def assert_agree(backends: dict, box: QueryBox) -> None:
     ref = reports["kd"]
     for e, got in reports.items():
         assert got == ref, f"report mismatch on {e}"
-    groups_ref = {group_of(i) for i in ref}
+    groups_ref = set(ref)
     for e, b in backends.items():
         assert b.report_groups(box) == groups_ref, f"report_groups mismatch on {e}"
         assert b.count(box) == len(ref), f"count mismatch on {e}"
@@ -60,7 +60,7 @@ class TestStaticEquivalence:
     def test_random_orthants(self, small_leaves, seed, n, dim):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(n, dim))
-        ids = [(int(i) % 7, int(i)) for i in range(n)]
+        ids = [i % 7 for i in range(n)]
         backends = build_all(pts, ids)
         for _ in range(5):
             assert_agree(backends, random_orthant(rng, dim))
@@ -68,7 +68,7 @@ class TestStaticEquivalence:
     def test_duplicate_coordinates(self, small_leaves):
         # Ties on the split axis stress the tree partitioning.
         pts = np.array([[0.5, 0.5]] * 9 + [[0.25, 0.75]] * 4)
-        ids = [(i % 3, i) for i in range(13)]
+        ids = [i % 3 for i in range(13)]
         backends = build_all(pts, ids)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -79,19 +79,19 @@ class TestActivationEquivalence:
     @settings(max_examples=25, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 60), plain=st.booleans())
     def test_random_toggle_sequences(self, small_leaves, seed, n, plain):
-        """Toggles are per group; with plain int ids every point is its
+        """Toggles are per group; with distinct keys every point is its
         own group, so that half of the cases toggles point by point."""
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(n, dim))
-        ids = list(range(n)) if plain else [(int(i) % 5, int(i)) for i in range(n)]
+        ids = list(range(n)) if plain else [i % 5 for i in range(n)]
         backends = build_all(pts, ids)
         size = {}
-        for pid in ids:
-            size[group_of(pid)] = size.get(group_of(pid), 0) + 1
+        for key in ids:
+            size[key] = size.get(key, 0) + 1
         active = {g: True for g in size}
         for _ in range(30):
-            g = group_of(ids[int(rng.integers(n))])
+            g = ids[int(rng.integers(n))]
             for b in backends.values():
                 toggle = b.deactivate_group if active[g] else b.activate_group
                 assert toggle(g) == size[g]
@@ -106,7 +106,7 @@ class TestActivationEquivalence:
     def test_report_loop_simulation(self, small_leaves, rng):
         """The Algorithm-2 pattern: report_first, hide the whole group."""
         pts = rng.uniform(size=(60, 3))
-        ids = [(i % 6, i) for i in range(60)]
+        ids = [i % 6 for i in range(60)]
         backends = build_all(pts, ids)
         box = QueryBox.closed([0.1] * 3, [0.9] * 3)
         expect = {e: b.report_groups(box) for e, b in backends.items()}
@@ -116,8 +116,8 @@ class TestActivationEquivalence:
                 hit = b.report_first(box)
                 if hit is None:
                     break
-                got.add(hit[0])
-                assert b.deactivate_group(hit[0]) == 10
+                got.add(hit)
+                assert b.deactivate_group(hit) == 10
             for k in got:
                 assert b.activate_group(k) == 10
             assert got == expect[e] == expect["kd"], e
@@ -126,24 +126,25 @@ class TestActivationEquivalence:
     def test_group_level_toggles_match_per_point_loops(self, small_leaves, rng):
         """``deactivate_group`` / ``activate_group`` are the bulk form of
         toggling every point of the group, on every backend: the loop side
-        holds the same points under plain int ids (each its own group)."""
+        holds the same points under distinct keys (each its own group)."""
         pts = rng.uniform(size=(60, 3))
-        ids = [(i % 6, i) for i in range(60)]
+        ids = [i % 6 for i in range(60)]
         bulk, loop = build_all(pts, ids), build_all(pts, range(60))
         box = QueryBox.unbounded(3)
         for e in ENGINES:
             assert bulk[e].deactivate_group(2) == 10
-            for _group, i in ids:
-                if _group == 2:
+            for i, key in enumerate(ids):
+                if key == 2:
                     assert loop[e].deactivate_group(i) == 1
             assert bulk[e].n_active == loop[e].n_active == 50
-            assert sorted(i for _g, i in bulk[e].report(box)) == sorted(loop[e].report(box))
+            keys = sorted(i % 6 for i in loop[e].report(box))
+            assert sorted(bulk[e].report(box)) == keys
             assert bulk[e].deactivate_group(2) == 0  # already hidden: not counted
             assert bulk[e].deactivate_group(99) == 0  # absent group: no-op
             assert bulk[e].activate_group(99) == 0
             extra = 0
             if e in DYNAMIC_ENGINES:  # a half-hidden group counts its active half
-                bulk[e].insert(rng.uniform(size=(1, 3)), [(2, 60)])
+                bulk[e].insert(rng.uniform(size=(1, 3)), [2])
                 assert bulk[e].deactivate_group(2) == (extra := 1)
             assert bulk[e].activate_group(2) == 10 + extra
             assert bulk[e].activate_group(2) == 0  # already shown: not counted
@@ -156,13 +157,14 @@ class TestDynamicEquivalence:
     @given(seed=st.integers(0, 10_000), plain=st.booleans())
     def test_insert_remove_churn(self, small_leaves, seed, plain):
         """Dynamic backends stay equivalent under mixed churn — whole
-        groups removed, or single points where ids are plain ints."""
+        groups removed, or single points where every key is distinct; with
+        shared keys, inserts add to stored groups."""
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(20, dim))
 
         def make_id(i):
-            return int(i) if plain else (int(i) % 8, int(i))
+            return i if plain else i % 8
 
         ids = [make_id(i) for i in range(20)]
         backends = {
@@ -181,9 +183,9 @@ class TestDynamicEquivalence:
                 live.append(pid)
                 next_id += 1
             elif op == 1 and len(live) > 1:
-                group = group_of(live[int(rng.integers(len(live)))])
-                gone = [pid for pid in live if group_of(pid) == group]
-                live = [pid for pid in live if group_of(pid) != group]
+                group = live[int(rng.integers(len(live)))]
+                gone = [key for key in live if key == group]
+                live = [key for key in live if key != group]
                 for b in backends.values():
                     assert b.remove_group(group) == len(gone)
             else:
@@ -198,22 +200,23 @@ class TestDynamicEquivalence:
 
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_duplicate_ids_inside_one_batch_rejected(self, engine):
-        """A repeated id inside one insert() is a KeyError and writes
-        nothing (it used to store two rows under one id)."""
-        b = build_backend(np.array([[0.0], [1.0]]), [(0, 0), (0, 1)], engine)
+    def test_repeated_key_in_a_batch_is_one_datasets_points(self, engine):
+        """An id is a dataset key, not a point's name: a key repeated
+        inside one insert() is one dataset's points, and a later insert
+        may add to a stored group — buffered or in the main structure."""
+        b = build_backend(np.array([[0.0], [1.0]]), [0, 0], engine)
         box = QueryBox.unbounded(1)
-        for ids in ([(1, 0), (1, 0)], [(1, 0), (0, 1)], [7, 7]):
-            with pytest.raises(KeyError):
-                b.insert(np.array([[5.0], [6.0]]), ids=ids)
-            assert len(b) == b.n_active == 2
-            assert sorted(b.report(box)) == [(0, 0), (0, 1)]
-        b.insert(np.array([[5.0], [6.0]]), ids=[(1, 0), (1, 1)])
-        with pytest.raises(KeyError):  # ... and against buffered rows too
-            b.insert(np.array([[7.0]]), ids=[(1, 1)])
-        assert sorted(b.report(box)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert b.deactivate_group(1) == 2
-        assert sorted(b.report(box)) == [(0, 0), (0, 1)]
+        b.insert(np.array([[5.0], [6.0]]), ids=[1, 1])
+        assert len(b) == b.n_active == 4
+        assert sorted(b.report(box)) == [0, 0, 1, 1]
+        b.insert(np.array([[7.0]]), ids=[1])
+        b.insert(np.array([[8.0]]), ids=[0])
+        assert sorted(b.report(box)) == [0, 0, 0, 1, 1, 1]
+        assert b.report(QueryBox.closed([4.5], [7.5])) == [1, 1, 1]
+        assert b.deactivate_group(1) == 3
+        assert sorted(b.report(box)) == [0, 0, 0]
+        assert b.remove_group(0) == 3 and b.activate_group(1) == 3
+        assert sorted(b.report(box)) == [1, 1, 1]
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_array_round_trip(self, small_leaves, engine, rng):
@@ -222,9 +225,9 @@ class TestDynamicEquivalence:
         that has one: the dynamic ones."""
         from repro.index.backend import restore_backend
 
-        ids = [(i % 4, i) for i in range(40)] + [(9, 0)]
+        ids = [i % 4 for i in range(40)] + [9]
         b = build_backend(rng.uniform(size=(41, 2)), ids, engine)
-        b.insert(rng.uniform(size=(3, 2)), [(5, 0), (5, 1), (5, 2)])
+        b.insert(rng.uniform(size=(3, 2)), [5, 5, 5])
         b.remove_group(9)  # a tombstone in the main structure
         b.deactivate_group(2)
         arrays = b.to_arrays()
@@ -239,7 +242,7 @@ class TestDynamicEquivalence:
         assert twin.activate_group(2) == b.activate_group(2) == 10
         # A read-only twin copies before it writes.
         twin.insert(np.empty((0, 2)), [])
-        twin.insert(rng.uniform(size=(1, 2)), [(6, 0)])
+        twin.insert(rng.uniform(size=(1, 2)), [6])
         twin.remove_group(1)
         assert twin.report_groups(boxes[0]) == {0, 2, 3, 5, 6}
 
@@ -260,17 +263,17 @@ class TestDynamicEquivalence:
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_remove_group(self, small_leaves, engine, rng):
-        ids = [(i % 4, i) for i in range(40)]
+        ids = [i % 4 for i in range(40)]
         b = build_backend(rng.uniform(size=(40, 2)), ids, engine)
         assert b.deactivate_group(1) == 10
-        b.insert(rng.uniform(size=(3, 2)), [(1, 100), (1, 101), (5, 0)])
+        b.insert(rng.uniform(size=(3, 2)), [1, 1, 5])
         assert b.remove_group(1) == 12  # hidden and buffered points included
         assert b.remove_group(1) == 0
         assert len(b) == 31 and b.n_active == 31
         assert b.report_groups(QueryBox.unbounded(2)) == {0, 2, 3, 5}
         assert b.activate_group(1) == 0  # removed points never come back
-        b.insert(rng.uniform(size=(1, 2)), [(1, 5)])  # the id is free again
-        assert (1, 5) in b.report(QueryBox.unbounded(2))
+        b.insert(rng.uniform(size=(1, 2)), [1])  # the key is free again
+        assert b.report(QueryBox.unbounded(2)).count(1) == 1
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_every_group_removed_leaves_a_valid_empty_backend(
@@ -280,18 +283,18 @@ class TestDynamicEquivalence:
         ``to_arrays()`` with numpy's "zero-size array to reduction
         operation minimum".  On both dynamic engines an emptied backend is
         a valid one: zero-row arrays, no answers, inserts welcome."""
-        ids = [(i % 4, i) for i in range(20)]
+        ids = [i % 4 for i in range(20)]
         b = build_backend(rng.uniform(size=(20, 3)), ids, engine)
         assert sum(b.remove_group(g) for g in range(4)) == 20
         arrays = b.to_arrays()
-        assert all(arrays[name].shape == (0,) for name in ("group", "local", "active"))
+        assert all(arrays[name].shape == (0,) for name in ("group", "active"))
         boxes = [QueryBox.unbounded(3), random_orthant(rng, 3)]
         assert (len(b), b.n_active) == (0, 0)
-        assert b.report_many(boxes) == [[], []]
+        assert [r.tolist() for r in b.report_many(boxes)] == [[], []]
         assert b.report_groups_many(boxes) == [set(), set()]
         assert b.report_first(boxes[0]) is None and b.count(boxes[0]) == 0
         assert b.deactivate_group(1) == b.activate_group(1) == b.remove_group(1) == 0
-        b.insert(rng.uniform(size=(3, 3)), [(1, 0), (1, 1), (7, 0)])
+        b.insert(rng.uniform(size=(3, 3)), [1, 1, 7])
         assert b.report_groups(boxes[0]) == {1, 7}
         assert sorted(b.to_arrays()["group"].tolist()) == [1, 1, 7]
 
@@ -311,7 +314,7 @@ class TestBatchKernels:
     def test_report_many_equals_per_box_loop(self, small_leaves, seed, n, dim, q):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(size=(n, dim))
-        ids = [(int(i) % 7, int(i)) for i in range(n)]
+        ids = [i % 7 for i in range(n)]
         backends = build_all(pts, ids)
         boxes = [random_orthant(rng, dim) for _ in range(q)]
         for e, b in backends.items():
@@ -329,7 +332,7 @@ class TestBatchKernels:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(n, dim))
-        ids = [(int(i) % 5, int(i)) for i in range(n)]
+        ids = [i % 5 for i in range(n)]
         backends = build_all(pts, ids)
         for group in (0, 3):
             for b in backends.values():
@@ -342,9 +345,9 @@ class TestBatchKernels:
     def test_batch_kernels_cover_kd_side_buffer(self, small_leaves, rng):
         """Inserted-but-not-rebuilt points must appear in batch answers."""
         pts = rng.uniform(size=(30, 2))
-        ids = [(i % 3, i) for i in range(30)]
+        ids = [i % 3 for i in range(30)]
         tree = build_backend(pts, list(ids), "kd")
-        tree.insert(rng.uniform(size=(10, 2)), [(i % 3, i) for i in range(30, 40)])
+        tree.insert(rng.uniform(size=(10, 2)), [i % 3 for i in range(30, 40)])
         boxes = [random_orthant(rng, 2) for _ in range(8)]
         assert [sorted(r) for r in tree.report_many(boxes)] == [
             sorted(tree.report(box)) for box in boxes
@@ -387,7 +390,7 @@ class TestProtocolSurface:
         no tuple, dict entry or node object per point."""
         n = 50_000
         pts = rng.uniform(size=(n, 10))
-        ids = np.column_stack((np.arange(n) // 500, np.arange(n) % 500))
+        ids = np.arange(n) // 500
         tracemalloc.start()
         try:
             backend = build_backend(pts, ids, engine)
@@ -457,11 +460,11 @@ def boundary_boxes(levels, dim: int, rng: np.random.Generator) -> list:
 def assert_matches_oracle(backend, oracle, boxes: list) -> None:
     want = [sorted(r) for r in oracle.report_many(boxes)]
     assert [sorted(r) for r in backend.report_many(boxes)] == want
-    assert backend.report_groups_many(boxes) == [{group_of(i) for i in r} for r in want]
+    assert backend.report_groups_many(boxes) == [set(r) for r in want]
     for box, ids in list(zip(boxes, want))[::5]:
         assert sorted(backend.report(box)) == ids
         assert backend.count(box) == len(ids)
-        assert backend.report_groups(box) == {group_of(i) for i in ids}
+        assert backend.report_groups(box) == set(ids)
         first = backend.report_first(box)
         assert first in ids if ids else first is None
 
@@ -475,7 +478,7 @@ class TestCodedBoundaries:
 
         n = 200
         pts = rng.choice(self.LEVELS, size=(n, self.DIM))
-        ids = [(i % 5, i) for i in range(n)]
+        ids = [i % 5 for i in range(n)]
         kd = build_backend(pts, ids, "kd")
         oracle = build_backend(pts, ids, "columnar")
         assert kd._pts.dtype == np.uint8 and kd._box.dtype == np.uint8
@@ -493,7 +496,7 @@ class TestCodedBoundaries:
         fresh = [-2.0, 0.125, float(np.nextafter(0.25, np.inf)), 3.0]
         levels = self.LEVELS + fresh
         more = rng.choice(levels, size=(30, self.DIM))
-        more_ids = [(5 + i % 2, i) for i in range(30)]
+        more_ids = [5 + i % 2 for i in range(30)]
         for b in (kd, oracle):
             b.insert(more, more_ids)
         assert kd._buf is not None and len(kd._tables[0]) == len(self.LEVELS)
@@ -503,7 +506,7 @@ class TestCodedBoundaries:
         # ... then re-encoded by the buffer-triggered rebuild, where they
         # interleave the old levels.
         grown = rng.choice(levels, size=(40, self.DIM))
-        grown_ids = [(7, i) for i in range(40)]
+        grown_ids = [7] * 40
         for b in (kd, oracle):
             b.insert(grown, grown_ids)
         assert kd._buf is None
@@ -530,7 +533,7 @@ class TestCodedBoundaries:
         that holds the longest column table's top rank."""
         wide = rng.permutation(n_levels).astype(float)
         pts = np.column_stack((wide, rng.choice([0.0, 1.0], size=n_levels)))
-        ids = np.column_stack((np.arange(n_levels) % 3, np.arange(n_levels)))
+        ids = np.arange(n_levels) % 3
         monkeypatch.setattr(kd_tree, "DEFAULT_LEAF_SIZE", 64)
         kd = build_backend(pts, ids, "kd")
         oracle = build_backend(pts, ids, "columnar")

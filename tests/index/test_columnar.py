@@ -35,7 +35,7 @@ class TestQueries:
 
     def test_report_groups_is_group_by(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-        store = ColumnarStore(pts, ids=[(7, 0), (7, 1), (8, 0), (9, 0)])
+        store = ColumnarStore(pts, ids=[7, 7, 8, 9])
         assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {7, 8}
         assert store.deactivate_group(7) == 2
         assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {8}
@@ -45,11 +45,11 @@ class TestQueries:
         with pytest.raises(ValueError):
             store.report(QueryBox.closed([0.0], [1.0]))
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            ColumnarStore(np.zeros((2, 1)), ids=[4, 4])
-
-    @pytest.mark.parametrize("ids", [["x", "y"], [0.5, 1.5], [(1, 2, 3), (4, 5, 6)], [2**31, 0]])
+    @pytest.mark.parametrize(
+        "ids",
+        [["x", "y"], [0.5, 1.5], [(1, 2), (4, 5)], [(1, 2, 3), (4, 5, 6)],
+         [2**31, 0], [0]],
+    )
     def test_non_integer_ids_rejected(self, ids):
         with pytest.raises(ValueError):
             ColumnarStore(np.zeros((2, 1)), ids=ids)
@@ -71,16 +71,17 @@ class TestActivation:
 
 class TestDynamics:
     def test_insert_visible_and_grouped(self, rng):
-        store = ColumnarStore(rng.uniform(size=(20, 2)), ids=[(0, i) for i in range(20)])
-        store.insert(np.array([[0.5, 0.5]]), ids=[(9, 0)])
+        store = ColumnarStore(rng.uniform(size=(20, 2)), ids=[0] * 20)
+        store.insert(np.array([[0.5, 0.5]]), ids=[9])
         box = QueryBox.closed([0.45, 0.45], [0.55, 0.55])
-        assert (9, 0) in store.report(box)
+        assert 9 in store.report(box)
         assert 9 in store.report_groups(box)
 
-    def test_insert_duplicate_id_rejected(self):
+    def test_insert_adds_to_a_stored_group(self):
         store = ColumnarStore(np.zeros((2, 1)))
-        with pytest.raises(KeyError):
-            store.insert(np.array([[1.0]]), ids=[0])
+        store.insert(np.array([[1.0]]), ids=[0])
+        assert sorted(store.report(QueryBox.unbounded(1))) == [0, 0, 1]
+        assert store.remove_group(0) == 2 and len(store) == 1
 
     def test_remove_is_permanent(self, rng):
         store = ColumnarStore(rng.uniform(size=(30, 2)))

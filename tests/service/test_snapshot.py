@@ -231,8 +231,7 @@ class TestServiceRoundTrip:
         # Rank codes and their float64 level tables, adopted as they lie in
         # the file: nothing per point is decoded or copied.
         assert ltree._pts.dtype == tree._pts.dtype and ltree._pts.dtype.kind == "u"
-        mapped = (ltree._pts, *ltree._tables, ltree._group, ltree._local,
-                  ltree._lo, ltree._start)
+        mapped = (ltree._pts, *ltree._tables, ltree._group, ltree._lo, ltree._start)
         for arr in mapped:
             assert not arr.flags.writeable and np.shares_memory(arr, file_map)
         assert all(np.array_equal(a, b) for a, b in zip(ltree._tables, tree._tables))
@@ -355,6 +354,53 @@ class TestExecutorAndEngineKinds:
         assert answers(loaded, queries) == expected
         loaded.close()
 
+    @pytest.mark.parametrize("engine", BACKENDS)
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_retired_local_id_column_is_ignored_on_read(
+        self, lake, queries, tmp_path, engine, mmap
+    ):
+        """v5 files written while a mapped point's id was a ``(key, local)``
+        pair carry a second ``int32`` id segment per backend, ``local``.
+        This build writes none and ignores it: such a file loads under both
+        modes, answers identically, and still does after an ingest that
+        overflows a restored kd tree's side buffer (a rebuild from the
+        adopted arrays)."""
+        more = [d[1::2] for d in lake[:4]]
+
+        def build():
+            svc = QueryService(
+                repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
+                engine=engine, eps=EPS, sample_size=SAMPLE_SIZE,
+                capacity=4 * N_DATASETS,
+            )
+            svc.add_datasets([lake[0][::2]])  # a delta unit beside the base shards
+            svc.warm()
+            return svc
+
+        reference, path = build(), tmp_path / "old.snap"
+        reference.save(path)
+        header, data = _read_header(path)
+        data = bytearray(data)
+        executor = header["state"]["executor"]
+        units = [*executor["engines"], executor["delta_engine"]]
+        for serial, unit in enumerate(units, start=len(header["arrays"])):
+            backend = unit["ptile"]["backend"]
+            assert "local" not in backend
+            n = header["arrays"][backend["group"]]["shape"][0]
+            data.extend(bytes(-len(data) % 64))
+            ref = f"mapped_ids#{serial}"
+            header["arrays"][ref] = {"offset": len(data), "dtype": "<i4", "shape": [n]}
+            data.extend(np.arange(n, dtype="<i4").tobytes())
+            backend["local"] = ref
+        _write_header(path, header, bytes(data))
+        loaded = load(path, mmap=mmap)
+        assert answers(loaded, queries) == answers(reference, queries)
+        for svc in (loaded, reference):
+            assert not svc.add_datasets(more)["rebuilt"]
+        assert answers(loaded, queries) == answers(reference, queries)
+        loaded.close()
+        reference.close()
+
     @pytest.mark.parametrize("mmap", [True, False])
     def test_leaf_size_shapes_the_node_table_never_an_answer(
         self, lake, queries, tmp_path, monkeypatch, mmap
@@ -423,7 +469,7 @@ class TestExecutorAndEngineKinds:
         assert {"mapped_points", "mapped_ids", "mapped_active", "coreset"} <= set(by_kind)
         assert "node_table" not in by_kind  # columnar has no nodes
         n_points = by_kind["mapped_active"]  # one bool per mapped point
-        assert by_kind["mapped_ids"] == 8 * n_points  # two int32 columns
+        assert by_kind["mapped_ids"] == 4 * n_points  # one int32 key column
         assert by_kind["mapped_points"] == 8 * (4 * DIM + 2) * n_points
         per_dataset = summary["bytes_per_dataset"]
         assert per_dataset["file"] == summary["file_bytes"] // N_DATASETS
@@ -453,13 +499,13 @@ class TestExecutorAndEngineKinds:
         assert by_kind["mapped_codes"] == (4 * DIM + 2) * n_points  # uint8 ranks
         per_point = summary["bytes_per_mapped_point"]
         assert per_point["file"] == round(summary["file_bytes"] / n_points, 2)
-        assert 4 * DIM + 2 + 8 + 1 < per_point["index"] < 24  # codes + ids + mask, +
+        assert 4 * DIM + 2 + 4 + 1 < per_point["index"] < 20  # codes + keys + mask, +
         # What /stats reports is the same arrays plus the private masks and
         # node counters: within a few bytes per point of what the file holds.
         assert abs(index_bytes / n_points - per_point["index"]) < 4
         # One coreset segment per shard index, not one per dataset:
-        # datasets + 3 shards x (coresets, 8 backend arrays) + cache words.
-        assert summary["n_arrays"] == N_DATASETS + 3 * 9 + 1
+        # datasets + 3 shards x (coresets, 7 backend arrays) + cache words.
+        assert summary["n_arrays"] == N_DATASETS + 3 * 8 + 1
 
     def test_small_2d_lake_stays_under_32_bytes_per_mapped_point(self, tmp_path):
         """The constant of the space bound, end to end: everything the file

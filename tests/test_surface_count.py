@@ -12,7 +12,8 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (285, 1043),
+    "src/repro": (283, 1034),
+    "src/repro/index": (10, 117),
     "src/repro/service": (133, 351),
 }
 

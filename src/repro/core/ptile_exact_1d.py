@@ -111,8 +111,9 @@ class ExactPtile1DIndex:
         self.total_points = sum(p.size for p in self._sorted)
         if not rows:
             # No dataset can ever qualify; keep a stub tree for uniformity.
-            rows = [(_NEG, _NEG, _NEG, _NEG)]
-            ids = [-1]
+            # Its q_j = +inf is never < R^-, so no query box reports it.
+            rows = [(_POS, _POS, _POS, _POS)]
+            ids = [0]
         self._tree = build_backend(np.asarray(rows), ids, engine=engine)
 
     @property
@@ -138,8 +139,6 @@ class ExactPtile1DIndex:
             ]
         )
         for key in self._tree.report(box):
-            if key < 0:
-                continue  # stub point of an all-empty index
             result.indexes.append(key)
             if record_times:
                 result.emit_times.append(_time.perf_counter())

@@ -20,7 +20,8 @@ This subpackage provides that machinery:
 - :class:`~repro.index.kd_tree.DynamicKDTree` — the default engine: a
   median-split kd-tree held as flat arrays (tree-ordered column-major
   rank codes — 1–2 bytes per coordinate — with their per-column level
-  tables, an ``int32`` dataset-key column, a preorder node table with active
+  tables, a dataset-key column as narrow as the largest key allows
+  (``uint8`` up to 256 datasets), a preorder node table with active
   counters) supporting ``report_first`` over *active* points,
   ``deactivate_group`` / ``activate_group`` (the delete/re-insert trick of
   Algorithms 2 and 4), and bulk insertion with amortized rebuilds for the

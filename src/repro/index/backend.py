@@ -24,11 +24,15 @@ This module formalizes the seam:
 
 **An entry id is its dataset's key, stored as one column.**  Every
 mapped point carries the key of the dataset (*group*) it belongs to — a
-plain int that fits ``int32``, shared by all of that dataset's points.
+non-negative int below 2^31, shared by all of that dataset's points.
 Backends take ids as a sequence or an ``(n,)`` integer array and keep them
-as one ``int32`` column (:func:`id_column`; no per-point Python object);
-``report`` / ``report_first`` / ``report_many`` hand back the keys of the
-points they hit, one per point.  The key is the unit Algorithms 2 and 4
+as one column in the smallest unsigned dtype that holds the largest key
+(:func:`id_column`; ``uint8`` for a shard of at most 256 datasets, no
+per-point Python object), widened when an insert brings a larger key and
+narrowed again when a rebuild drops it; ``report`` / ``report_first`` /
+``report_many`` hand back the keys of the points they hit, one per point
+(``report_many``'s arrays in the column's dtype: reduce them, never add
+to them).  The key is the unit Algorithms 2 and 4
 work in: ``report_groups(box)`` is the set of keys with an active point in
 the box, and "temporarily delete all points of the reported dataset" is
 ``deactivate_group`` — one mask write, not a loop over points.
@@ -56,15 +60,17 @@ _I32 = np.iinfo(np.int32)
 
 
 def id_column(ids: Optional[Iterable], n: int) -> np.ndarray:
-    """The ``int32`` key column of ``n`` entries.
+    """The key column of ``n`` entries, in the smallest unsigned dtype that
+    holds its largest key (``uint8`` up to 255, ``uint16`` up to 65 535,
+    ``uint32`` above); an array already in that dtype is returned as is.
 
     ``ids`` is None (positions ``0..n-1``, every point its own group), a
     sequence of ints or the equivalent ``(n,)`` integer array; a key may
-    repeat.  Anything else — strings, floats, pairs, values outside int32,
-    a length other than ``n`` — is a ``ValueError``.
+    repeat.  Anything else — strings, floats, pairs, negative keys or keys
+    past int32, a length other than ``n`` — is a ``ValueError``.
 
-    >>> id_column([7, 7, 4], 3).tolist()
-    [7, 7, 4]
+    >>> id_column([7, 7, 4], 3)
+    array([7, 7, 4], dtype=uint8)
     """
     if ids is None:
         arr = np.arange(n)
@@ -76,9 +82,12 @@ def id_column(ids: Optional[Iterable], n: int) -> np.ndarray:
         raise ValueError("points and ids must have equal length")
     if arr.dtype.kind not in "iu" or arr.ndim != 1:
         raise ValueError("ids must be int dataset keys")
-    if arr.size and (arr.min() < _I32.min or arr.max() > _I32.max):
+    if arr.size and arr.min() < 0:
+        raise ValueError("dataset keys must be non-negative")
+    top = int(arr.max()) if arr.size else 0
+    if top > _I32.max:
         raise ValueError("entry ids must fit int32")
-    return arr.astype(np.int32)
+    return arr.astype(np.min_scalar_type(top), copy=False)
 
 
 @runtime_checkable

@@ -9,8 +9,9 @@ that trade:
 
 - points live column-major in one ``(k, capacity)`` float matrix — every
   containment test reads whole columns, so each is one contiguous scan —
-  with an ``int32`` dataset-key column and boolean *active* / *dead*
-  masks alongside; no per-point Python object exists;
+  with a dataset-key column in the smallest unsigned dtype its largest key
+  needs (widened by the insert that brings a larger one) and boolean
+  *active* / *dead* masks alongside; no per-point Python object exists;
 - every query is one vectorized ``contains_points`` pass over the matrix —
   O(n k) work but at memory bandwidth, not interpreter speed;
 - ``report_groups`` is that mask plus an integer ``np.unique`` over the
@@ -94,13 +95,20 @@ class ColumnarStore:
         moves to fresh private arrays before writing.  Activity is the one
         flag queries toggle in place — private copy.  The ``local`` id
         column older snapshots carry is not read.
+
+        ``group`` is an unsigned column of at most 4 bytes or the signed
+        ``int32`` one older files hold, every key in ``[0, 2^31)``;
+        anything else is a ``ValueError``.  A key column wider than its
+        keys need is narrowed (a private copy).
         """
         cols, group = arrays["points"], arrays["group"]
         active = np.array(arrays["active"], dtype=bool)
         if cols.ndim != 2 or not group.shape == active.shape == cols.shape[1:]:
             raise ValueError("backend arrays disagree on point count")
+        if group.dtype.itemsize > 4:
+            raise ValueError("a stored key column is at most 4 bytes wide")
         store = cls.__new__(cls)
-        store._adopt(cols, group, active)
+        store._adopt(cols, id_column(group, group.size), active)
         return store
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -177,8 +185,11 @@ class ColumnarStore:
         n, m = self._n, pts.shape[0]
         if m == 0:  # an adopted store is read-only until it grows
             return
+        key_dtype = np.promote_types(self._group.dtype, group.dtype)
         if n + m > self._cols.shape[1]:
-            self._grow(max(n + m, 2 * self._cols.shape[1]))
+            self._grow(max(n + m, 2 * self._cols.shape[1]), key_dtype)
+        elif key_dtype != self._group.dtype:  # a key past the column's dtype
+            self._group = self._group.astype(key_dtype)
         self._cols[:, n : n + m] = pts.T
         self._group[n : n + m] = group
         self._active[n : n + m] = True
@@ -186,20 +197,19 @@ class ColumnarStore:
         self._n += m
         self._n_active_count += m
 
-    def _grow(self, cap: int) -> None:
+    def _grow(self, cap: int, key_dtype: np.dtype) -> None:
         n = self._n
         cols = np.empty((self.dim, cap))
         cols[:, :n] = self._cols[:, :n]
         self._cols = cols
-        for name in ("_group", "_active", "_dead"):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[:n] = old[:n]
+        for name, dtype in (("_group", key_dtype), ("_active", bool), ("_dead", bool)):
+            new = np.zeros(cap, dtype=dtype)
+            new[:n] = getattr(self, name)[:n]
             setattr(self, name, new)
 
     def _bury(self, rows, count: int) -> None:
         """Tombstone ``count`` live rows (an index or a mask); compact once
-        enough of the store is dead."""
+        enough of the store is dead (which re-narrows the key column)."""
         self._n_active_count -= int(np.count_nonzero(self._active[: self._n][rows]))
         self._active[: self._n][rows] = False
         self._dead[: self._n][rows] = True
@@ -208,8 +218,10 @@ class ColumnarStore:
             MIN_DEAD_FOR_COMPACT, int(COMPACT_FRACTION * self._n)
         ):
             live = self.to_arrays()
+            group = live["group"]
             self._adopt(
-                np.ascontiguousarray(live["points"]), live["group"], live["active"]
+                np.ascontiguousarray(live["points"]), id_column(group, group.size),
+                live["active"],
             )
 
     def remove_group(self, group: int) -> int:

@@ -32,8 +32,10 @@ effective bounds into closed rank bounds once per call
 ``searchsorted`` per constrained column) and the walk, the bbox prunes and
 the containment kernel run on the integers.  Codes sit in tree order,
 column-major (each coordinate of a node's slice is one contiguous run —
-what the per-column kernel reads), beside the ``int32`` dataset-key
-column and bool active / dead masks; nodes are rows of a preorder table —
+what the per-column kernel reads), beside the dataset-key column (the
+same smallest-unsigned-dtype rule over the largest key: ``uint8`` up to
+256 datasets a shard) and bool active / dead masks; nodes are rows of a
+preorder table —
 slice bounds, bounding box *in code space*, active counter, right-child
 index (the left child of node ``i`` is ``i + 1``).  Coordinates + node
 boxes per mapped point on the four benchmark lakes (seed 2027, 4 shards,
@@ -208,7 +210,7 @@ class DynamicKDTree:
             coded.append(_encode(pts.T))
         if not sum(group.size for group in groups):
             raise ValueError("points must be a non-empty (n, k) array")
-        group = np.concatenate(groups)
+        group = np.concatenate(groups)  # promotes to the widest block's dtype
         self.dim = len(coded[0][1])
         self._build(*_merge(coded), group, np.ones(group.size, dtype=bool))
 
@@ -297,7 +299,10 @@ class DynamicKDTree:
         query or rebuild would index with is checked here — ``ValueError``
         for a code beyond its column's table, node boxes beyond it, a
         table that is not strictly increasing float64 (unsorted,
-        duplicated, NaN) or code columns that are not unsigned.  The
+        duplicated, NaN), code columns that are not unsigned, or a key column
+        that is neither unsigned of at most 4 bytes nor the signed ``int32``
+        one older files hold, or has a key outside ``[0, 2^31)``.  A key
+        column wider than its keys need is narrowed (a private copy).  The
         ``local`` id column older snapshots carry is not read.
         """
         codes, levels, starts = arrays["codes"], arrays["levels"], arrays["level_start"]
@@ -307,6 +312,7 @@ class DynamicKDTree:
         if (
             codes.ndim != 2
             or codes.dtype.kind != "u"
+            or group.dtype.itemsize > 4
             or not group.shape == active.shape == codes.shape[1:]
             or span.ndim != 2
             or span.shape[0] != 3
@@ -335,7 +341,7 @@ class DynamicKDTree:
         tree = cls.__new__(cls)
         tree.dim = int(codes.shape[0])
         tables = [levels[a:b] for a, b in zip(starts[:-1], starts[1:])]
-        tree._adopt(codes, tables, group, active, span, box)
+        tree._adopt(codes, tables, id_column(group, group.size), active, span, box)
         return tree
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -466,7 +472,9 @@ class DynamicKDTree:
             buf = self._buf.to_arrays()
             blocks.append(_encode(buf["points"]))
             rows.append((buf["group"], buf["active"]))
-        self._build(*_merge(blocks), *map(np.concatenate, zip(*rows)))
+        group, active = map(np.concatenate, zip(*rows))
+        # Re-narrowed: removals may have taken the keys that widened it.
+        self._build(*_merge(blocks), id_column(group, group.size), active)
 
     # ------------------------------------------------------------------
     # Queries

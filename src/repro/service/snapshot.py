@@ -2,7 +2,7 @@
 
 Every piece of built serving state is already a flat array — the kd
 backends' rank-coded mapped points (``R^{4d+2}``, one or two bytes per
-coordinate) with their level tables, key columns, masks and node tables,
+coordinate) with their level tables, key columns and node tables,
 coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
 so a cold start does not have to *rebuild* any of it: this module persists
 a whole :class:`~repro.service.service.QueryService` into one container
@@ -35,11 +35,15 @@ Each Ptile backend is stored as its own ``to_arrays()`` — a dynamic
 engine's (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a header naming
 any other is refused: for the kd-tree, ``(k, n)`` unsigned rank codes in
 tree order (``mapped_codes``), the per-column float64 level tables they
-index (``mapped_levels``), every point's ``int32`` dataset key
-(``mapped_ids``), the active mask and the node table with its boxes in
-code space — version 4 stored the same points as ``(k, n)`` float64
+index (``mapped_levels``), every point's dataset key in the smallest
+unsigned dtype that holds the shard's largest key (``mapped_ids``: one
+byte a point up to 256 datasets a shard) and the node table with its boxes
+in code space — version 4 stored the same points as ``(k, n)`` float64
 (``mapped_points``, still what the columnar store persists), 8 bytes per
-coordinate against 1–2.  A Ptile index's coresets are one ``(N, s, d)``
+coordinate against 1–2.  No active mask is written: a unit is saved under
+its shard lock, after any report loop re-showed what it hid, so every
+point is active (``save`` refuses an index with a hidden one), and a load
+starts every point active.  A Ptile index's coresets are one ``(N, s, d)``
 segment, not ``N``.  Older files are refused, not migrated.  Version-5
 files from builds where the kd leaf size, the plan-cache capacity and the
 slow-log size were still constructor keywords carry them in ``state``
@@ -47,7 +51,9 @@ slow-log size were still constructor keywords carry them in ``state``
 module constants now, so those keys are neither written nor read and such
 a file serves with the constants.  Those from builds where a point's id
 was a ``(key, local)`` pair carry a ``local`` segment per backend, which
-``from_arrays`` ignores.
+``from_arrays`` ignores; those from builds before narrow keys carry an
+``int32`` key column, which ``from_arrays`` narrows on load, and an
+``active`` segment per backend, which is not read.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -350,7 +356,6 @@ _BACKEND_HINTS = {
     "levels": "mapped_levels",
     "level_start": "mapped_levels",
     "group": "mapped_ids",
-    "active": "mapped_active",
     "node_span": "node_table",
     "node_box": "node_table",
 }
@@ -358,6 +363,13 @@ _BACKEND_HINTS = {
 
 def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
     keys = index.keys
+    backend = index._tree.to_arrays()
+    # Saved under the shard lock, after any report loop re-showed what it
+    # hid: every live point is active, so the mask is not written.
+    if not backend.pop("active").all():
+        raise SnapshotError(
+            "a Ptile index has hidden points; a snapshot stores no active mask"
+        )
     # Every coreset is (sample_size, dim): one (N, s, d) segment, not N of
     # them at 64 bytes of padding and ~180 of header each.
     try:
@@ -381,8 +393,7 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         # add_array's ascontiguousarray would silently undo an F-order
         # (n, k) matrix.
         "backend": {
-            name: add_array(_BACKEND_HINTS[name], arr)
-            for name, arr in index._tree.to_arrays().items()
+            name: add_array(_BACKEND_HINTS[name], arr) for name, arr in backend.items()
         },
     }
 
@@ -416,11 +427,13 @@ def _ptile_from_state(
     index._coresets = dict(zip(keys, coresets))  # views of the one segment
     # Zero-copy: codes / points, level tables, key column and node table
     # stay the file-backed buffers.  from_arrays validates what it adopts;
-    # an engine without a persisted form is refused by name.
-    index._tree = restore_backend(
-        {name: arrays[ref] for name, ref in state["backend"].items()},
-        index.engine_kind,
-    )
+    # an engine without a persisted form is refused by name.  Every saved
+    # point is active; the mask older files carry is not read.
+    backend = {
+        name: arrays[ref] for name, ref in state["backend"].items() if name != "active"
+    }
+    backend["active"] = np.ones(len(backend["group"]), dtype=bool)
+    index._tree = restore_backend(backend, index.engine_kind)
     return index
 
 
@@ -750,11 +763,16 @@ def inspect(path: PathLike) -> dict:
         out["bytes_per_dataset"] = {
             kind: nbytes // n_datasets for kind, nbytes in sized
         }
-    # The constant of the paper's space bound, as stored: the whole file
-    # and the backend segments alone (codes / points, level tables, keys,
-    # active mask, node table), per mapped point — of which the active
-    # masks hold one byte each.
-    n_points = by_kind.get("mapped_active", 0)
+        # The constant of the paper's space bound, as stored: the whole file
+        # and the backend segments alone (codes / points, level tables, keys,
+        # node table), per mapped point — one key each, so the mapped points
+        # are the lengths of the units' key segments.
+        units = [*executor["engines"], executor["delta_engine"]]
+        n_points = sum(
+            header["arrays"][unit["ptile"]["backend"]["group"]]["shape"][0]
+            for unit in units
+            if unit is not None and unit["ptile"] is not None
+        )
     index_bytes = sum(by_kind.get(kind, 0) for kind in set(_BACKEND_HINTS.values()))
     out["n_mapped_points"] = n_points
     out["bytes_per_mapped_point"] = (

@@ -352,8 +352,9 @@ SYNOPSIS_STATE.variants.update({
 })
 
 #: A node's dataset count, posted or probed.  A backend keeps every mapped
-#: point's dataset key in one ``int32`` column (``index.backend.id_column``):
-#: no node, and no federated universe, holds more than ``N_DATASETS.hi``.
+#: point's dataset key in one unsigned column, as narrow as the largest key
+#: allows, for keys below 2^31 (``index.backend.id_column``): no node, and
+#: no federated universe, holds more than ``N_DATASETS.hi``.
 N_DATASETS = Int(1, 2**31 - 1)
 #: The coordinator's ``POST /nodes`` and ``DELETE /nodes``.  Only the shape
 #: of ``url`` is checked — nothing is dialled, a node that is down registers.

@@ -551,3 +551,111 @@ class TestCodedBoundaries:
         assert [sorted(r) for r in kd.report_many(boxes)] == [
             sorted(r) for r in oracle.report_many(boxes)
         ]
+
+
+# ----------------------------------------------------------------------
+# A key column is as wide as its largest key: the smallest unsigned dtype,
+# widened by the insert that brings a larger key, narrowed again by the
+# rebuild that drops it.
+# ----------------------------------------------------------------------
+class TestKeyDtypeBoundaries:
+    DIM = 2
+
+    @staticmethod
+    def assert_same_answers(backends: dict, boxes: list) -> None:
+        ref = [sorted(r) for r in backends["kd"].report_many(boxes)]
+        for e, b in backends.items():
+            assert [sorted(r) for r in b.report_many(boxes)] == ref, e
+            assert b.report_groups_many(boxes) == [set(r) for r in ref], e
+
+    def check(self, backends: dict, live: list, rng) -> None:
+        """Answers agree with a range tree over the live points, and every
+        key column is in the dtype its largest live key needs (a kd-tree's
+        main column once its side buffer is folded in)."""
+        pts, ids = map(np.concatenate, zip(*live))
+        want = np.min_scalar_type(int(ids.max()))
+        oracle = build_backend(pts, ids, "rangetree")
+        assert oracle._group.dtype == want
+        boxes = [QueryBox.unbounded(self.DIM)]
+        boxes += [random_orthant(rng, self.DIM) for _ in range(8)]
+        self.assert_same_answers({**backends, "rangetree": oracle}, boxes)
+        for e, b in backends.items():
+            if getattr(b, "_buf", None) is None:
+                assert b._group.dtype == want, e
+
+    @pytest.mark.parametrize("top", [255, 256, 65_535, 65_536, 2**31 - 1])
+    def test_key_dtype_follows_the_largest_key(self, small_leaves, top, rng):
+        from repro.index.backend import restore_backend
+
+        keys = np.array([i % 5 for i in range(59)] + [top])
+        base = (rng.uniform(size=(60, self.DIM)), keys)
+        backends = {e: build_backend(*base, e) for e in DYNAMIC_ENGINES}
+        dtype = np.min_scalar_type(top)
+        assert all(b._group.dtype == dtype for b in backends.values())
+        live = [base]
+        self.check(backends, live, rng)
+
+        # A key one past the dtype (the widest dtype keeps the int32 top):
+        # first into the kd side buffer and a grown columnar store ...
+        wide = min(int(np.iinfo(dtype).max) + 1, 2**31 - 1)
+        for m in (4, 70):
+            more = (rng.uniform(size=(m, self.DIM)), np.full(m, wide))
+            for b in backends.values():
+                b.insert(*more)
+            live.append(more)
+            if m == 4:
+                kd = backends["kd"]
+                assert kd._buf is not None and kd._group.dtype == dtype
+                assert kd._buf._group.dtype == np.min_scalar_type(wide)
+                assert backends["columnar"]._group.dtype == np.min_scalar_type(wide)
+            else:  # ... then the buffer-triggered rebuild
+                assert backends["kd"]._buf is None
+            self.check(backends, live, rng)
+
+        # Removing the wide key and folding the tombstones in narrows again.
+        if wide != top:
+            for b in backends.values():
+                assert b.remove_group(wide) == 74
+            live = live[:1]
+            backends["kd"]._rebuild()
+            self.check(backends, live, rng)
+
+        # The persistence seam keeps the narrow column and the answers.
+        twins = {e: restore_backend(b.to_arrays(), e) for e, b in backends.items()}
+        self.check(twins, live, rng)
+        self.assert_same_answers({**backends, **twins}, [QueryBox.unbounded(self.DIM)])
+
+    def test_keys_past_a_narrow_column_touch_nothing(self, small_leaves, rng):
+        pts, ids = rng.uniform(size=(40, self.DIM)), [i % 5 for i in range(39)] + [255]
+        backends = build_all(pts, ids)
+        for e, b in backends.items():
+            assert b._group.dtype == np.uint8, e
+            assert b.deactivate_group(300) == b.activate_group(300) == 0, e
+            if e in DYNAMIC_ENGINES:
+                assert b.remove_group(256) == 0, e
+            assert (len(b), b.n_active) == (40, 40), e
+        assert_agree(backends, QueryBox.unbounded(self.DIM))
+
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    @pytest.mark.parametrize(
+        "retype",
+        [lambda g: g.astype(np.float64) + 0.5, lambda g: g.astype(np.int64),
+         lambda g: g.astype(np.int32) - 1, lambda g: g.astype(np.uint32) + 2**31],
+        ids=["float64", "int64", "negative-int32", "uint32-past-int32"],
+    )
+    def test_from_arrays_refuses_keys_no_file_holds(self, engine, retype, rng):
+        """Regression: ``from_arrays`` adopted any key dtype — a float64
+        column loaded and ``report_groups`` answered ``{0.5, 1.5, 2.5}``.
+        Accepted: unsigned of at most 4 bytes with every key below 2^31,
+        or the non-negative ``int32`` column older files hold (narrowed)."""
+        from repro.index.backend import restore_backend
+
+        ids = [i % 3 for i in range(12)]
+        arrays = build_backend(rng.uniform(size=(12, 2)), ids, engine).to_arrays()
+        keys = arrays["group"]
+        assert keys.dtype == np.uint8
+        older = restore_backend({**arrays, "group": keys.astype(np.int32)}, engine)
+        assert older._group.dtype == np.uint8
+        assert older.report_groups(QueryBox.unbounded(2)) == {0, 1, 2}
+        with pytest.raises(ValueError):
+            restore_backend({**arrays, "group": retype(keys)}, engine)

@@ -48,7 +48,7 @@ class TestQueries:
     @pytest.mark.parametrize(
         "ids",
         [["x", "y"], [0.5, 1.5], [(1, 2), (4, 5)], [(1, 2, 3), (4, 5, 6)],
-         [2**31, 0], [0]],
+         [2**31, 0], [-1, 0], [0]],
     )
     def test_non_integer_ids_rejected(self, ids):
         with pytest.raises(ValueError):

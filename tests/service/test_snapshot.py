@@ -199,14 +199,13 @@ class TestServiceRoundTrip:
         """A kd snapshot holds the tree itself: ``load(mmap=True)`` plants
         no node, its points are views into the one file map, and the
         loaded shard equals the saved one in answers, counts and
-        activity — until an insert, which copies instead of writing the
-        map."""
+        activity (all of it active; its mask private) — until an insert,
+        which copies instead of writing the map."""
         from repro.index.kd_tree import DynamicKDTree
         from repro.index.query_box import QueryBox
 
         svc = one_shard_kd_service(lake)
         tree = svc.executor.engines[0].ptile_index._tree
-        tree.deactivate_group(3)  # activity state must survive too
         expected = answers(svc, queries)
         boxes = [
             QueryBox.unbounded(tree.dim),
@@ -241,7 +240,9 @@ class TestServiceRoundTrip:
         assert answers(loaded, queries) == expected
         assert [ltree.count(b) for b in boxes] == [tree.count(b) for b in boxes]
         assert (len(ltree), ltree.n_active) == (len(tree), tree.n_active)
-        assert np.array_equal(ltree._active, tree._active)
+        assert np.array_equal(ltree._active, tree._active) and ltree._active.all()
+        assert ltree.deactivate_group(3) == tree.deactivate_group(3) > 0
+        assert [ltree.count(b) for b in boxes] == [tree.count(b) for b in boxes]
         assert ltree.activate_group(3) == tree.activate_group(3) > 0
 
         # The map is read-only, so a write into it would raise: an insert
@@ -356,15 +357,19 @@ class TestExecutorAndEngineKinds:
 
     @pytest.mark.parametrize("engine", BACKENDS)
     @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("older", ["local_ids", "int32_keys_and_active"])
     def test_retired_local_id_column_is_ignored_on_read(
-        self, lake, queries, tmp_path, engine, mmap
+        self, lake, queries, tmp_path, engine, mmap, older
     ):
         """v5 files written while a mapped point's id was a ``(key, local)``
-        pair carry a second ``int32`` id segment per backend, ``local``.
-        This build writes none and ignores it: such a file loads under both
-        modes, answers identically, and still does after an ingest that
-        overflows a restored kd tree's side buffer (a rebuild from the
-        adopted arrays)."""
+        pair carry a second ``int32`` id segment per backend, ``local``;
+        those written before narrow keys hold the key column as ``<i4`` and
+        an ``active`` mask (``|b1``) per backend.  This build writes none of
+        them, ignores ``local`` and ``active`` and narrows the keys: such a
+        file loads under both modes, answers identically, and still does
+        after an ingest that overflows a restored kd tree's side buffer (a
+        rebuild from the adopted arrays).  ``inspect`` counts its mapped
+        points from the key columns, as for a file this build writes."""
         more = [d[1::2] for d in lake[:4]]
 
         def build():
@@ -379,27 +384,66 @@ class TestExecutorAndEngineKinds:
 
         reference, path = build(), tmp_path / "old.snap"
         reference.save(path)
+        ex = reference.executor
+        n_points = sum(len(e.ptile_index._tree) for e in (*ex.engines, ex.delta_engine))
+        assert inspect(path)["n_mapped_points"] == n_points
         header, data = _read_header(path)
         data = bytearray(data)
         executor = header["state"]["executor"]
         units = [*executor["engines"], executor["delta_engine"]]
-        for serial, unit in enumerate(units, start=len(header["arrays"])):
-            backend = unit["ptile"]["backend"]
-            assert "local" not in backend
-            n = header["arrays"][backend["group"]]["shape"][0]
+
+        def append(hint, values):
+            """A new segment at the end of the data section; its ref."""
             data.extend(bytes(-len(data) % 64))
-            ref = f"mapped_ids#{serial}"
-            header["arrays"][ref] = {"offset": len(data), "dtype": "<i4", "shape": [n]}
-            data.extend(np.arange(n, dtype="<i4").tobytes())
-            backend["local"] = ref
+            ref = f"{hint}#{len(header['arrays'])}"
+            header["arrays"][ref] = {
+                "offset": len(data), "dtype": values.dtype.str, "shape": [values.size],
+            }
+            data.extend(values.tobytes())
+            return ref
+
+        for unit in units:
+            backend = unit["ptile"]["backend"]
+            assert not {"local", "active"} & set(backend)
+            meta = header["arrays"][backend["group"]]
+            assert meta["dtype"] == "|u1"  # 16 datasets: one byte a key
+            n = meta["shape"][0]
+            if older == "local_ids":
+                backend["local"] = append("mapped_ids", np.arange(n, dtype="<i4"))
+            else:
+                start = meta["offset"]
+                keys = np.frombuffer(bytes(data[start : start + n]), dtype=np.uint8)
+                backend["group"] = append("mapped_ids", keys.astype("<i4"))
+                backend["active"] = append("mapped_active", np.ones(n, dtype=bool))
         _write_header(path, header, bytes(data))
+        assert inspect(path)["n_mapped_points"] == n_points
         loaded = load(path, mmap=mmap)
+        lx = loaded.executor
+        for unit in (*lx.engines, lx.delta_engine):
+            assert unit.ptile_index._tree._group.dtype == np.uint8
         assert answers(loaded, queries) == answers(reference, queries)
         for svc in (loaded, reference):
             assert not svc.add_datasets(more)["rebuilt"]
         assert answers(loaded, queries) == answers(reference, queries)
         loaded.close()
         reference.close()
+
+    def test_save_refuses_an_index_with_a_hidden_group(self, lake, queries, tmp_path):
+        """No active mask is written, so a unit is saved only with every
+        point active — as it always is under its shard lock, where a report
+        loop has re-shown what it hid.  A hidden group is refused, and no
+        file (or temp file) is left behind."""
+        svc = one_shard_kd_service(lake)
+        tree = svc.executor.engines[0].ptile_index._tree
+        assert tree.deactivate_group(3) > 0
+        path = tmp_path / "svc.snap"
+        with pytest.raises(SnapshotError, match="hidden points"):
+            svc.save(path)
+        assert list(tmp_path.iterdir()) == []
+        tree.activate_group(3)
+        svc.save(path)
+        assert answers(load(path), queries) == answers(svc, queries)
+        svc.close()
 
     @pytest.mark.parametrize("mmap", [True, False])
     def test_leaf_size_shapes_the_node_table_never_an_answer(
@@ -456,6 +500,7 @@ class TestExecutorAndEngineKinds:
         svc.warm()  # the shard Ptile structures are lazy
         path = tmp_path / "svc.snap"
         svc.save(path, generation=7)
+        n_points = sum(len(e.ptile_index._tree) for e in svc.executor.engines)
         svc.close()
         summary = inspect(path)
         assert summary["kind"] == "query_service"
@@ -466,10 +511,11 @@ class TestExecutorAndEngineKinds:
         by_kind = summary["bytes_by_kind"]
         assert sum(by_kind.values()) == summary["data_bytes"]
         assert list(by_kind.values()) == sorted(by_kind.values(), reverse=True)
-        assert {"mapped_points", "mapped_ids", "mapped_active", "coreset"} <= set(by_kind)
+        assert {"mapped_points", "mapped_ids", "coreset"} <= set(by_kind)
         assert "node_table" not in by_kind  # columnar has no nodes
-        n_points = by_kind["mapped_active"]  # one bool per mapped point
-        assert by_kind["mapped_ids"] == 4 * n_points  # one int32 key column
+        assert "mapped_active" not in by_kind  # every saved point is active
+        assert summary["n_mapped_points"] == n_points
+        assert by_kind["mapped_ids"] == n_points  # one uint8 key a point: 16 datasets
         assert by_kind["mapped_points"] == 8 * (4 * DIM + 2) * n_points
         per_dataset = summary["bytes_per_dataset"]
         assert per_dataset["file"] == summary["file_bytes"] // N_DATASETS
@@ -495,17 +541,19 @@ class TestExecutorAndEngineKinds:
         by_kind = summary["bytes_by_kind"]
         assert "mapped_points" not in by_kind
         assert {"mapped_codes", "mapped_levels", "node_table", "coreset"} <= set(by_kind)
-        assert summary["n_mapped_points"] == by_kind["mapped_active"] == n_points
+        assert "mapped_active" not in by_kind  # every saved point is active
+        # One uint8 key a point: 16 datasets.
+        assert summary["n_mapped_points"] == by_kind["mapped_ids"] == n_points
         assert by_kind["mapped_codes"] == (4 * DIM + 2) * n_points  # uint8 ranks
         per_point = summary["bytes_per_mapped_point"]
         assert per_point["file"] == round(summary["file_bytes"] / n_points, 2)
-        assert 4 * DIM + 2 + 4 + 1 < per_point["index"] < 20  # codes + keys + mask, +
+        assert 4 * DIM + 2 + 1 < per_point["index"] < 20  # codes + keys, +
         # What /stats reports is the same arrays plus the private masks and
         # node counters: within a few bytes per point of what the file holds.
         assert abs(index_bytes / n_points - per_point["index"]) < 4
         # One coreset segment per shard index, not one per dataset:
-        # datasets + 3 shards x (coresets, 7 backend arrays) + cache words.
-        assert summary["n_arrays"] == N_DATASETS + 3 * 8 + 1
+        # datasets + 3 shards x (coresets, 6 backend arrays) + cache words.
+        assert summary["n_arrays"] == N_DATASETS + 3 * 7 + 1
 
     def test_small_2d_lake_stays_under_32_bytes_per_mapped_point(self, tmp_path):
         """The constant of the space bound, end to end: everything the file
@@ -621,6 +669,13 @@ class TestHostileBackendArrays:
     def test_signed_code_dtype(self, snap):
         _rewrite_header(snap, "mapped_codes", '"|u1"', '"|i1"')
         self.refused(snap, "do not describe one kd-tree")
+
+    def test_float_keys(self, snap):
+        """Regression: a key column retyped to float loaded, and reported
+        float dataset keys."""
+        _ref, meta, _offset = _segment(snap, "mapped_ids")
+        _rewrite_header(snap, "mapped_ids", f'"{meta["dtype"]}"', '"<f4"')
+        self.refused(snap, "int dataset keys")
 
     def test_float_codes_refused_by_from_arrays(self, snap):
         """No one-byte float exists to retype the segment to; the check is

@@ -21,12 +21,11 @@ the T-BASE benchmark compares against our index's guarantees.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 
 
@@ -129,23 +128,17 @@ class FainderStyleIndex:
             raise QueryError("op must be 'below' or 'above'")
         if mode not in ("under", "over", "interp"):
             raise QueryError("mode must be 'under', 'over' or 'interp'")
-        result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
         # For "above" queries the bracketing modes swap roles.
         below_mode = mode
         if op == "above" and mode in ("under", "over"):
             below_mode = "over" if mode == "under" else "under"
-        for i in range(self.n_datasets):
+
+        def value(i: int) -> float:
             below = self._fraction_below(i, attribute, threshold, below_mode)
-            value = below if op == "below" else 1.0 - below
-            if value >= fraction:
-                result.indexes.append(i)
-                if record_times:
-                    result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        return result
+            return below if op == "below" else 1.0 - below
+
+        hits = (i for i in range(self.n_datasets) if value(i) >= fraction)
+        return _emit(QueryResult(), hits, record_times)
 
     def supports_rectangles(self) -> bool:
         """Fainder cannot answer multi-attribute rectangle predicates."""

@@ -9,12 +9,11 @@ T-4.4/T-BASE benchmarks.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
@@ -77,17 +76,8 @@ class LinearScanPtile:
         """Exact ``q_Pi(P)`` for one range-predicate — Ω(N) time."""
         if rect.dim != self.dim:
             raise QueryError("query rectangle dimension mismatch")
-        result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
-        for i in range(self.n_datasets):
-            if self.mass(i, rect) in theta:
-                result.indexes.append(i)
-                if record_times:
-                    result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        return result
+        hits = (i for i in range(self.n_datasets) if self.mass(i, rect) in theta)
+        return _emit(QueryResult(), hits, record_times)
 
     def query_conjunction(
         self,
@@ -98,14 +88,9 @@ class LinearScanPtile:
         """Exact conjunction of m range-predicates — Ω(mN) time."""
         if len(rects) != len(thetas) or not rects:
             raise QueryError("need equally many rectangles and intervals")
-        result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
-        for i in range(self.n_datasets):
-            if all(self.mass(i, r) in t for r, t in zip(rects, thetas)):
-                result.indexes.append(i)
-                if record_times:
-                    result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        return result
+        hits = (
+            i
+            for i in range(self.n_datasets)
+            if all(self.mass(i, r) in t for r, t in zip(rects, thetas))
+        )
+        return _emit(QueryResult(), hits, record_times)

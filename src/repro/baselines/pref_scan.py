@@ -7,12 +7,11 @@ points) per query regardless of output size.  Comparator for T-5.4.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 
 
@@ -66,14 +65,5 @@ class LinearScanPref:
         v = v / norm
         if k < 1:
             raise QueryError("k must be >= 1")
-        result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
-        for i in range(self.n_datasets):
-            if self.score(i, v, k) >= a_theta:
-                result.indexes.append(i)
-                if record_times:
-                    result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        return result
+        hits = (i for i in range(self.n_datasets) if self.score(i, v, k) >= a_theta)
+        return _emit(QueryResult(), hits, record_times)

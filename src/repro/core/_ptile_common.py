@@ -6,13 +6,16 @@ Both indexes follow the same recipe (Section 4.1):
    synopsis (an ``(eps+delta_i)``-sample by Lemma 2.1);
 2. enumerate combinatorially different rectangles over each coreset and map
    them (or maximal pairs of them) to weighted points in a higher-dimensional
-   space;
+   space — the whole coreset stack at once, cut into pieces of one block
+   budget by :func:`_row_ranges` (the Theorem C.8 tensor cuts its rows the
+   same way);
 3. index the mapped points with a pluggable range-search backend
-   (:mod:`repro.index.backend`); and
+   (:mod:`repro.index.backend`), the pieces being the blocks the kd-tree
+   codes one at a time; and
 4. answer queries with one ``report_groups`` bulk pass — the batched form
    of the paper's repeated ``ReportFirst`` + temporary deletion of all
-   points of the reported dataset (Algorithms 2, 4), which is kept as the
-   timed mode so per-report delays stay measurable.
+   points of the reported dataset (Algorithms 2, 4), which :func:`_report`
+   keeps as the timed mode so per-report delays stay measurable.
 
 Per-dataset deltas (Remark 2) are supported exactly by storing *two* weight
 coordinates per mapped point, ``w + delta_i`` and ``w - delta_i``: the
@@ -22,15 +25,16 @@ per-dataset slack then becomes a global box constraint
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample_size
+from repro.geometry.rect_enum import _row_owners
 from repro.geometry.rectangle import Rectangle
+from repro.index import backend
 from repro.index.backend import check_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -145,10 +149,11 @@ def range_point_matrix(
 
 
 def threshold_point_matrix(
-    lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, delta: float
+    lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, delta: float | np.ndarray
 ) -> np.ndarray:
-    """One dataset's ``(P, 2d+1)`` mapped points of Algorithm 1 (before
-    its sentinel row) — per dataset, like :func:`range_point_matrix`.
+    """The ``(P, 2d+1)`` mapped points of Algorithm 1 for a block of
+    rectangles (and sentinel rows) — one piece, like
+    :func:`range_point_matrix`; ``delta`` is a scalar or one value per row.
 
     Column order: ``(rho^-, rho^+, w+delta)`` — the row-by-row
     ``to_point_2d`` concatenation of the legacy builder, assembled as
@@ -167,6 +172,78 @@ def _one_piece(pieces) -> tuple[np.ndarray, np.ndarray]:
     """A stream of ``(points, ids)`` pieces as one piece."""
     points, ids = map(np.concatenate, zip(*pieces))
     return points, ids
+
+
+def _row_ranges(
+    counts: np.ndarray, columns: int
+) -> Iterator[tuple[slice, tuple[int, int], np.ndarray, np.ndarray]]:
+    """Cut a stack's mapped rows into pieces of one block budget.
+
+    Dataset ``k`` of the stack maps to ``counts[k]`` rows of ``columns``
+    elements, dataset after dataset; the rows are cut into consecutive
+    ranges of at most :data:`~repro.index.backend.BLOCK_ELEMENTS` elements
+    (one row at least), so a range may begin and end inside a dataset and
+    no dataset's whole float matrix need exist.  Yields, per range, the
+    datasets it touches (a slice of the stack), the range relative to the
+    first of them (the ``rows`` of an enumerator call over that slice),
+    and every row's dataset (a stack position) and position among that
+    dataset's rows.
+    """
+    ends = np.cumsum(counts)
+    total = int(counts.sum())
+    budget = max(1, backend.BLOCK_ELEMENTS // columns)
+    for start in range(0, total, budget):
+        stop = min(start + budget, total)
+        # The datasets with rows in [start, stop): `first` up to `last`.
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        offset = int(ends[first] - counts[first])
+        rows = (start - offset, stop - offset)
+        owner, position = _row_owners(counts[first : last + 1], *rows)
+        yield slice(first, last + 1), rows, first + owner, position
+
+
+def _report(tree, box: QueryBox, record_times: bool, n_datasets: int) -> QueryResult:
+    """Report every dataset with an active mapped point of ``tree`` in the
+    box — the query of Algorithms 2 and 4 and of the Theorem C.8 tensor.
+
+    Two modes, identical answer sets:
+
+    - **batched** (default): one ``report_groups`` bulk call — a single
+      vectorized pass on the columnar backend, a pruned walk plus an
+      integer group-by on the kd-tree.  No state is mutated.
+    - **incremental** (``record_times=True``): the paper's loop — repeat
+      ReportFirst, emit the hit dataset, temporarily deactivate all its
+      points (one ``deactivate_group`` call) — so every emission carries
+      its own timestamp and the delay-guarantee benchmarks can measure
+      real inter-report gaps.  All deactivated points are re-activated
+      before returning, restoring the structure (Algorithm 2 line 7 /
+      Algorithm 4 line 8).
+    """
+    result = QueryResult()
+    if not record_times:
+        result.indexes = sorted(tree.report_groups(box))
+        result.stats["deleted_points"] = 0
+        result.stats["loop_iterations"] = 1
+        return result
+    return _emit(result, _report_first(tree, box, n_datasets, result.stats), True)
+
+
+def _report_first(tree, box: QueryBox, n_datasets: int, stats: dict) -> Iterator[int]:
+    """The ReportFirst / deactivate loop as a lazy stream of keys."""
+    reported: list[int] = []
+    deleted = 0
+    try:
+        while (key := tree.report_first(box)) is not None:
+            if len(reported) > n_datasets:  # pragma: no cover - safety net
+                raise QueryError("report loop exceeded dataset count; corrupt state")
+            reported.append(key)
+            yield key
+            deleted += tree.deactivate_group(key)
+    finally:
+        for key in reported:
+            tree.activate_group(key)
+    stats["deleted_points"] = deleted
+    stats["loop_iterations"] = len(reported) + 1
 
 
 class PtileIndexBase:
@@ -323,54 +400,6 @@ class PtileIndexBase:
             raise KeyError(f"unknown dataset key {key}")
         self._tree.remove_group(key)
         del self._synopses[key], self._deltas[key], self._coresets[key]
-
-    # ------------------------------------------------------------------
-    # The report loop of Algorithms 2 and 4
-    # ------------------------------------------------------------------
-    def _report_loop(self, box: QueryBox, record_times: bool) -> QueryResult:
-        """Report every dataset with an active mapped point in the box.
-
-        Two modes, identical answer sets:
-
-        - **batched** (default): one ``report_groups`` bulk call — a single
-          vectorized pass on the columnar backend, a pruned walk plus an
-          integer group-by on the kd-tree.  No state is mutated.
-        - **incremental** (``record_times=True``): the paper's Algorithm
-          2/4 loop — repeat ReportFirst, emit the hit dataset, temporarily
-          deactivate all its points (one ``deactivate_group`` call) — so
-          every emission carries its own timestamp and the delay-guarantee
-          benchmarks can measure real inter-report gaps.  All deactivated
-          points are re-activated before returning, restoring the
-          structure (Algorithm 2 line 7 / Algorithm 4 line 8).
-        """
-        result = QueryResult()
-        if not record_times:
-            keys = self._tree.report_groups(box)
-            result.indexes = sorted(keys)
-            result.stats["deleted_points"] = 0
-            result.stats["loop_iterations"] = 1
-            return result
-        result.start_time = time.perf_counter()
-        reported: list[int] = []
-        deleted_total = 0
-        guard = self.n_datasets + 1
-        while True:
-            key = self._tree.report_first(box)
-            if key is None:
-                break
-            reported.append(key)
-            result.indexes.append(key)
-            result.emit_times.append(time.perf_counter())
-            deleted_total += self._tree.deactivate_group(key)
-            guard -= 1
-            if guard < 0:  # pragma: no cover - safety net
-                raise QueryError("report loop exceeded dataset count; corrupt state")
-        for key in reported:
-            self._tree.activate_group(key)
-        result.end_time = time.perf_counter()
-        result.stats["deleted_points"] = deleted_total
-        result.stats["loop_iterations"] = len(reported) + 1
-        return result
 
     def _report_groups_batch(self, boxes: Sequence[QueryBox]) -> list[QueryResult]:
         """Batched (untimed) report for many query boxes at once.

@@ -32,12 +32,11 @@ than ``N``.
 
 from __future__ import annotations
 
-import time
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.rectangle import Rectangle
 from repro.index.kd_tree import DynamicKDTree
@@ -121,19 +120,15 @@ class DiversityIndex:
         if tau < 0.0:
             raise QueryError("tau must be non-negative")
         result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
+        return _emit(result, self._diverse(rect, tau, result.stats), record_times)
+
+    def _diverse(self, rect: Rectangle, tau: float, stats: dict) -> Iterator[int]:
         # Candidates: datasets with a cover point near R.
         max_r = max(c.radius for c in self._covers.values())
         box = QueryBox.closed(rect.lo - max_r, rect.hi + max_r)
         candidates = self._tree.report_groups(box)
+        stats["candidates"] = len(candidates)
         for key in sorted(candidates):
             r_j = self._covers[key].radius
             if self.estimate(key, rect) >= tau - 2.0 * r_j:
-                result.indexes.append(key)
-                if record_times:
-                    result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        result.stats["candidates"] = len(candidates)
-        return result
+                yield key

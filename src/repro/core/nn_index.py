@@ -30,12 +30,11 @@ T-NN ablation benchmark.
 
 from __future__ import annotations
 
-import time
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.index.kd_tree import DynamicKDTree
 from repro.index.query_box import QueryBox
@@ -112,20 +111,16 @@ class NearestNeighborIndex:
         if tau < 0.0:
             raise QueryError("tau must be non-negative")
         result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
+        return _emit(result, self._within(q, tau, result.stats), record_times)
+
+    def _within(self, q: np.ndarray, tau: float, stats: dict) -> Iterator[int]:
         reach = tau + self.max_radius
         candidates = self._tree.report_groups(QueryBox.closed(q - reach, q + reach))
+        stats["candidates"] = len(candidates)
         for key in sorted(candidates):
             cover = self._covers[key]
             if cover.distance_to(q) <= tau + cover.radius:
-                result.indexes.append(key)
-                if record_times:
-                    result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        result.stats["candidates"] = len(candidates)
-        return result
+                yield key
 
     # ------------------------------------------------------------------
     def insert_cover(self, cover: CoverSynopsis) -> int:

@@ -36,12 +36,11 @@ tombstone in the mask; keys are never reused.
 from __future__ import annotations
 
 import math
-import time
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_net import build_epsilon_net, nearest_net_vector
 from repro.geometry.interval import Interval
@@ -60,17 +59,6 @@ def pref_threshold(theta: Interval) -> float:
     if theta.hi != math.inf:
         raise QueryError("preference predicates support one-sided theta = [a, inf)")
     return theta.lo
-
-
-def _stamp_emissions(result: QueryResult, start: float) -> None:
-    """``record_times`` bookkeeping: one monotone stamp per reported id.
-
-    The whole answer exists once the vectorised pass returns, so the
-    first gap is the query and the rest are the cost of handing ids out.
-    """
-    result.start_time = start
-    result.emit_times = [time.perf_counter() for _ in result.indexes]
-    result.end_time = time.perf_counter()
 
 
 class PrefIndex:
@@ -162,21 +150,21 @@ class PrefIndex:
         """Report datasets with (approximately) ``omega_k(P_i, u) >= a_theta``.
 
         Keys come back in ascending order.  ``-inf`` scores (``k`` exceeds
-        the dataset) clear no finite threshold.
+        the dataset) clear no finite threshold.  With ``record_times`` the
+        whole answer exists once the vectorised pass returns, so the first
+        gap is the query and the rest are the cost of handing ids out.
         """
         u = np.asarray(vector, dtype=float)
         if u.ndim != 1 or u.shape[0] != self.dim:
             raise QueryError(f"query vector must have shape ({self.dim},)")
         vi = nearest_net_vector(self.net, u)
-        start = time.perf_counter()
+        result = QueryResult(stats={"net_vector": vi})
+        return _emit(result, self._clearing(vi, a_theta), record_times)
+
+    def _clearing(self, vi: int, a_theta: float) -> Iterator[int]:
         n = self._n
         hits = self._live[:n] & (self._scores[vi, :n] >= a_theta - self.eps)
-        result = QueryResult(
-            indexes=np.flatnonzero(hits).tolist(), stats={"net_vector": vi}
-        )
-        if record_times:
-            _stamp_emissions(result, start)
-        return result
+        yield from np.flatnonzero(hits).tolist()
 
     def query_expression(
         self, vector: np.ndarray, theta: Interval, **kwargs

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.epsilon_net import build_epsilon_net, nearest_net_vector
 from repro.index.query_box import QueryBox
@@ -145,8 +144,12 @@ class PrefLogicalIndex:
         if len(vectors) != len(thresholds) or not vectors:
             raise QueryError("need equally many vectors and thresholds (>= 1)")
         result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
+        hits = self._conjunction(vectors, thresholds, result.stats)
+        return _emit(result, hits, record_times)
+
+    def _conjunction(
+        self, vectors: Sequence[np.ndarray], thresholds: Sequence[float], stats: dict
+    ) -> Iterator[int]:
         net_idx = [nearest_net_vector(self.net, np.asarray(u, float)) for u in vectors]
         # De-duplicate repeated snapped directions by keeping the tightest
         # threshold (a conjunction over one direction is its max threshold).
@@ -158,14 +161,9 @@ class PrefLogicalIndex:
         box = QueryBox(
             [(tightest[vi] - self.eps, math.inf, False, False) for vi in key]
         )
+        stats["net_vectors"] = key
         for idx in tree.report(box):
-            result.indexes.append(int(idx))
-            if record_times:
-                result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        result.stats["net_vectors"] = key
-        return result
+            yield int(idx)
 
     def query_disjunction(
         self,
@@ -176,18 +174,15 @@ class PrefLogicalIndex:
         """Datasets satisfying at least one predicate (union, de-duplicated)."""
         if len(vectors) != len(thresholds) or not vectors:
             raise QueryError("need equally many vectors and thresholds (>= 1)")
-        result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
+        hits = self._disjunction(vectors, thresholds)
+        return _emit(QueryResult(), hits, record_times)
+
+    def _disjunction(
+        self, vectors: Sequence[np.ndarray], thresholds: Sequence[float]
+    ) -> Iterator[int]:
         seen: set[int] = set()
         for u, a in zip(vectors, thresholds):
-            sub = self.query_conjunction([u], [a])
-            for idx in sub.indexes:
+            for idx in self.query_conjunction([u], [a]).indexes:
                 if idx not in seen:
                     seen.add(idx)
-                    result.indexes.append(idx)
-                    if record_times:
-                        result.emit_times.append(time.perf_counter())
-        if record_times:
-            result.end_time = time.perf_counter()
-        return result
+                    yield idx

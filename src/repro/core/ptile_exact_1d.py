@@ -27,11 +27,11 @@ is needed (the paper assumes distinct points; we require that too).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.index.backend import build_backend
@@ -125,11 +125,9 @@ class ExactPtile1DIndex:
         """Report exactly ``{i : M_{[r_lo, r_hi]}(P_i) ∈ theta}``."""
         if r_lo > r_hi:
             raise QueryError("query interval has r_lo > r_hi")
-        import time as _time
+        return _emit(QueryResult(), self._reported(r_lo, r_hi), record_times)
 
-        result = QueryResult()
-        if record_times:
-            result.start_time = _time.perf_counter()
+    def _reported(self, r_lo: float, r_hi: float) -> Iterator[int]:
         box = QueryBox(
             [
                 (_NEG, r_lo, False, True),    # q_j < R^-
@@ -138,13 +136,7 @@ class ExactPtile1DIndex:
                 (r_hi, _POS, True, False),    # s_j > R^+
             ]
         )
-        for key in self._tree.report(box):
-            result.indexes.append(key)
-            if record_times:
-                result.emit_times.append(_time.perf_counter())
-        if record_times:
-            result.end_time = _time.perf_counter()
-        return result
+        yield from self._tree.report(box)
 
     def brute_force(self, r_lo: float, r_hi: float) -> set[int]:
         """Exact answer by per-dataset counting (for verification)."""

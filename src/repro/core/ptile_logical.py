@@ -25,22 +25,18 @@ tensor fast path handles pure conjunctions.
 from __future__ import annotations
 
 import math
-import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.core._ptile_common import _report, _row_ranges
 from repro.core.measures import PercentileMeasure
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.core.ptile_range import PtileRangeIndex
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, _emit
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
-from repro.geometry.rect_enum import (
-    _pair_counts,
-    _product_option_indices,
-    generalized_pairs_arrays,
-)
+from repro.geometry.rect_enum import _row_counts, generalized_pairs_arrays
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import build_engine
 from repro.index.kd_tree import DynamicKDTree
@@ -117,23 +113,22 @@ class PtileLogicalIndex:
     # Expression interface (compose strategy + and/or recursion)
     # ------------------------------------------------------------------
     def query(self, expression: Expression, record_times: bool = False) -> QueryResult:
-        """Evaluate an arbitrary and/or expression over percentile predicates."""
-        result = QueryResult()
-        if record_times:
-            result.start_time = time.perf_counter()
+        """Evaluate an arbitrary and/or expression over percentile predicates.
+
+        With ``record_times`` the tensor strategy stamps each report of its
+        ReportFirst loop, in emission order; the composed answer exists
+        only once its set algebra is done, so the first gap is the query
+        and the rest are the cost of handing indexes out.
+        """
         if self.strategy == "tensor" and _is_pure_conjunction(expression):
             leaves = list(expression.leaves())
             rects = [_leaf_rect(leaf) for leaf in leaves]
             thetas = [leaf.theta for leaf in leaves]
-            inner = self.query_conjunction_tensor(rects, thetas)
-            result.indexes = inner.indexes
-            result.stats = inner.stats
-        else:
-            result.indexes = sorted(self._eval(expression))
-        if record_times:
-            result.end_time = time.perf_counter()
-            result.emit_times = [result.end_time] * len(result.indexes)
-        return result
+            return self.query_conjunction_tensor(rects, thetas, record_times)
+        return _emit(QueryResult(), self._composed(expression), record_times)
+
+    def _composed(self, expression: Expression) -> Iterator[int]:
+        yield from sorted(self._eval(expression))
 
     def _eval(self, expression: Expression) -> set[int]:
         if isinstance(expression, Predicate):
@@ -154,18 +149,20 @@ class PtileLogicalIndex:
         """Materialize the m-fold tensor structure over maximal pairs.
 
         Vectorized: every dataset's pair family comes from one block
-        enumeration of the coreset stack, split into per-dataset ``(P, 4d)``
-        coordinate matrices (plus weights), and the ``P^m`` tensor rows are
-        assembled with stride-indexed block writes — same row order and
-        float values as the old per-combination ``itertools.product`` /
+        enumeration of the coreset stack, and the ``P^m`` tensor rows of
+        each dataset are cut into pieces of one block budget
+        (:func:`_row_ranges`, as the range builder cuts its pairs).  A
+        row's position in its dataset's product picks one pair per slot by
+        stride arithmetic (last slot fastest) — same row order and float
+        values as a per-combination ``itertools.product`` /
         ``np.concatenate`` loop, at NumPy speed.  The size is refused from
         the pair counts, before anything is enumerated.
         """
         ri = self._range_index
         keys = ri.keys
-        coresets = np.stack([ri.coreset(key) for key in keys])
-        counts = _pair_counts(coresets, ri.bounding_box)
-        total = sum(int(p) ** m for p in counts)
+        coresets, deltas = ri._stacked(keys)
+        pairs = _row_counts(coresets, ri.bounding_box, True)
+        total = sum(int(p) ** m for p in pairs)
         if total > MAX_TENSOR_POINTS:
             raise ConstructionError(
                 f"tensor construction for m={m} needs {total} mapped points "
@@ -174,29 +171,24 @@ class PtileLogicalIndex:
         in_lo, in_hi, out_lo, out_hi, weights = generalized_pairs_arrays(
             coresets, ri.bounding_box, None
         )
-        cuts = np.cumsum(counts)[:-1]
-        coords = np.split(np.hstack([in_lo, out_lo, in_hi, out_hi]), cuts)
+        coords = np.hstack([in_lo, out_lo, in_hi, out_hi])
+        begin = np.cumsum(pairs) - pairs
         d4 = 4 * ri.dim
+        keys = np.asarray(keys)
 
-        def tensor_rows(key: int, coords: np.ndarray, weights: np.ndarray):
-            p = coords.shape[0]
-            n_combo = p ** m
-            delta_i = ri.delta_of(key)
-            block = np.empty((n_combo, m * d4 + 2 * m))
-            if n_combo:
-                # Per-slot pick columns in itertools.product order (last
-                # slot fastest) — shared with the pair enumerators.
-                picks = _product_option_indices([p] * m, np.arange(n_combo))
-                for slot, pick in enumerate(picks):
-                    block[:, slot * d4 : (slot + 1) * d4] = coords[pick]
-                    block[:, m * d4 + slot] = weights[pick] + delta_i
-                    block[:, m * d4 + m + slot] = weights[pick] - delta_i
-            return block, np.full(n_combo, key)
+        def tensor_rows():
+            for _, _, owner, position in _row_ranges(pairs ** m, m * (d4 + 2)):
+                block = np.empty((owner.size, m * (d4 + 2)))
+                delta = deltas[owner]
+                for slot in range(m):
+                    stride = pairs[owner] ** (m - 1 - slot)
+                    row = begin[owner] + position // stride % pairs[owner]
+                    block[:, slot * d4 : (slot + 1) * d4] = coords[row]
+                    block[:, m * d4 + slot] = weights[row] + delta
+                    block[:, m * d4 + m + slot] = weights[row] - delta
+                yield block, keys[owner]
 
-        self._tensor_trees[m] = build_engine(
-            map(tensor_rows, keys, coords, np.split(weights, cuts)),
-            self.engine_kind,
-        )
+        self._tensor_trees[m] = build_engine(tensor_rows(), self.engine_kind)
 
     def query_conjunction_tensor(
         self,
@@ -222,31 +214,7 @@ class PtileLogicalIndex:
         for theta in thetas:
             b = min(1.0, theta.hi)
             cons.append((-math.inf, b + eps, False, False))  # w_l - delta_i
-        box = QueryBox(cons)
-        result = QueryResult()
-        if not record_times:
-            # Batched form of the report loop: one report_groups bulk pass
-            # (identical answer set; see _ptile_common._report_loop).
-            result.indexes = sorted(tree.report_groups(box))
-            return result
-        result.start_time = time.perf_counter()
-        reported: list[int] = []
-        guard = self.n_datasets + 1
-        while True:
-            key = tree.report_first(box)
-            if key is None:
-                break
-            reported.append(key)
-            result.indexes.append(key)
-            result.emit_times.append(time.perf_counter())
-            tree.deactivate_group(key)
-            guard -= 1
-            if guard < 0:  # pragma: no cover - safety net
-                raise QueryError("tensor report loop exceeded dataset count")
-        for key in reported:
-            tree.activate_group(key)
-        result.end_time = time.perf_counter()
-        return result
+        return _report(tree, QueryBox(cons), record_times, self.n_datasets)
 
 
 def _is_pure_conjunction(expression: Expression) -> bool:

@@ -29,17 +29,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core._ptile_common import PtileIndexBase, range_point_matrix
+from repro.core._ptile_common import (
+    PtileIndexBase,
+    _report,
+    _row_ranges,
+    range_point_matrix,
+)
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
-from repro.geometry.rect_enum import (
-    _pair_counts,
-    _row_owners,
-    generalized_pairs_arrays,
-)
+from repro.geometry.rect_enum import _row_counts, generalized_pairs_arrays
 from repro.geometry.rectangle import Rectangle
-from repro.index import backend
 from repro.index.backend import build_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
@@ -118,15 +118,11 @@ class PtileRangeIndex(PtileIndexBase):
 
         The datasets ``keys`` (their ``(K, s, d)`` coreset stack and
         deltas) are enumerated a block at a time: their rows, in key order,
-        are cut into consecutive ranges of
-        :data:`~repro.index.backend.BLOCK_ELEMENTS` mapped elements, and
-        each range is one
+        are cut into pieces of one block budget (:func:`_row_ranges`), and
+        each piece is one
         :func:`~repro.geometry.rect_enum.generalized_pairs_arrays` call over
         the datasets it touches — many small datasets, or part of a large
-        one; a range may begin and end inside a dataset — so
-        ``build_engine`` gets the rows it always got, in pieces the size of
-        the blocks it stacks, and no dataset's whole float matrix need
-        exist.  Every coreset is checked against the box, and the pair-count
+        one.  Every coreset is checked against the box, and the pair-count
         guard applied to each, before the first row is enumerated.
         """
         inside = self.bounding_box.contains_points(coresets.reshape(-1, self.dim))
@@ -136,22 +132,13 @@ class PtileRangeIndex(PtileIndexBase):
                 "bounding box does not contain the coreset of dataset "
                 f"{keys[int(np.argmin(inside))]}; pass a larger box"
             )
-        counts = _pair_counts(coresets, self.bounding_box)
-        ends = np.cumsum(counts)
+        counts = _row_counts(coresets, self.bounding_box, True)
         keys = np.asarray(keys)
-        budget = max(1, backend.BLOCK_ELEMENTS // (4 * self.dim + 2))
-        for start in range(0, int(ends[-1]), budget):
-            stop = min(start + budget, int(ends[-1]))
-            # The datasets with rows in [start, stop): `first` up to `last`.
-            first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-            offset = int(ends[first] - counts[first])
-            rows = (start - offset, stop - offset)
+        for datasets, rows, owner, _ in _row_ranges(counts, 4 * self.dim + 2):
             *pairs, weights = generalized_pairs_arrays(
-                coresets[first : last + 1], self.bounding_box, rows
+                coresets[datasets], self.bounding_box, rows
             )
-            owner = first + _row_owners(counts[first : last + 1], *rows)[0]
-            points = range_point_matrix(*pairs, weights, deltas[owner])
-            yield points, keys[owner]
+            yield range_point_matrix(*pairs, weights, deltas[owner]), keys[owner]
 
     # ------------------------------------------------------------------
     # Query (Algorithm 4)
@@ -191,7 +178,8 @@ class PtileRangeIndex(PtileIndexBase):
         record_times: bool = False,
     ) -> QueryResult:
         """Report all datasets with (approximately) ``M_R(P_i) ∈ theta``."""
-        return self._report_loop(self._query_box(rect, theta), record_times)
+        box = self._query_box(rect, theta)
+        return _report(self._tree, box, record_times, self.n_datasets)
 
     def query_many(
         self, queries: Sequence[tuple[Rectangle, Interval]]

@@ -24,11 +24,16 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core._ptile_common import PtileIndexBase, threshold_point_matrix
+from repro.core._ptile_common import (
+    PtileIndexBase,
+    _report,
+    _row_ranges,
+    threshold_point_matrix,
+)
 from repro.core.results import QueryResult
 from repro.errors import QueryError
 from repro.geometry.interval import Interval
-from repro.geometry.rect_enum import RectangleGrid, rectangles_arrays
+from repro.geometry.rect_enum import _row_counts, rectangles_arrays
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import build_engine
 from repro.index.query_box import QueryBox
@@ -100,32 +105,39 @@ class PtileThresholdIndex(PtileIndexBase):
     def _mapped(
         self, keys: Sequence[int], coresets: np.ndarray, deltas: np.ndarray
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``,
-        one ``(points, ids)`` piece per dataset.
+        """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``.
 
-        One extra *sentinel* point per dataset represents the empty
-        rectangle (inner constraints vacuously satisfied for every query,
-        weight ``0 + delta_i``): a dataset whose coreset entirely misses the
-        query region must still be reported whenever
-        ``a_theta - eps - delta_i <= 0`` — a corner case Lemma 4.1 glosses
-        by assuming a largest rectangle inside ``R`` exists.  The sentinel
-        never harms precision: if it matches, ``a_theta <= eps + delta_i``,
-        and every dataset trivially satisfies the Lemma 4.2 bound then.
+        Each dataset maps to its rectangles, then one extra *sentinel*
+        point representing the empty rectangle (inner constraints
+        vacuously satisfied for every query, weight ``0 + delta_i``): a
+        dataset whose coreset entirely misses the query region must still
+        be reported whenever ``a_theta - eps - delta_i <= 0`` — a corner
+        case Lemma 4.1 glosses by assuming a largest rectangle inside ``R``
+        exists.  The sentinel never harms precision: if it matches,
+        ``a_theta <= eps + delta_i``, and every dataset trivially satisfies
+        the Lemma 4.2 bound then.
+
+        The rows of the datasets ``keys`` (their ``(K, s, d)`` coreset
+        stack and deltas), in key order, are cut into pieces of one block
+        budget (:func:`_row_ranges`), as the range builder cuts its pairs;
+        each piece's rectangles are one
+        :func:`~repro.geometry.rect_enum.rectangles_arrays` call over the
+        datasets it touches.
         """
-        for key, coreset, delta_i in zip(keys, coresets, deltas):
-            lo, hi, weights = rectangles_arrays(RectangleGrid(coreset))
-            rect_pts = threshold_point_matrix(lo, hi, weights, delta_i)
-            sentinel = np.concatenate(
-                [
-                    np.full(self.dim, _SENTINEL_LO),
-                    np.full(self.dim, _SENTINEL_HI),
-                    [0.0 + delta_i],
-                ]
+        rects = _row_counts(coresets, None, False)
+        keys = np.asarray(keys)
+        columns = 2 * self.dim + 1
+        for datasets, rows, owner, position in _row_ranges(rects + 1, columns):
+            sentinel = position == rects[owner]
+            lo = np.full((owner.size, self.dim), _SENTINEL_LO)
+            hi = np.full((owner.size, self.dim), _SENTINEL_HI)
+            weights = np.zeros(owner.size)
+            # No sentinel precedes the range's first row in its dataset.
+            enumerated = (rows[0], rows[1] - int(np.count_nonzero(sentinel)))
+            lo[~sentinel], hi[~sentinel], weights[~sentinel] = rectangles_arrays(
+                coresets[datasets], enumerated
             )
-            # rect_pts is correctly shaped even for zero rectangles, so the
-            # sentinel stack never sees a ragged array.
-            pts = np.vstack([rect_pts, sentinel[None, :]])
-            yield pts, np.full(pts.shape[0], key)
+            yield threshold_point_matrix(lo, hi, weights, deltas[owner]), keys[owner]
 
     # ------------------------------------------------------------------
     # Query (Algorithm 2)
@@ -150,7 +162,8 @@ class PtileThresholdIndex(PtileIndexBase):
         Returns a :class:`~repro.core.results.QueryResult` whose index set
         ``J`` satisfies the Theorem 4.4 guarantees.
         """
-        return self._report_loop(self._query_box(rect, a_theta), record_times)
+        box = self._query_box(rect, a_theta)
+        return _report(self._tree, box, record_times, self.n_datasets)
 
     def query_many(
         self, queries: Sequence[tuple[Rectangle, float]]

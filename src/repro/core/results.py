@@ -15,7 +15,8 @@ server's bitset wire format never does).
 
 from __future__ import annotations
 
-from typing import Optional
+import time
+from typing import Iterable, Optional
 
 from repro.core.bitset import DatasetBitmap
 
@@ -150,3 +151,23 @@ class QueryResult:
             f"QueryResult(out_size={self.out_size}, "
             f"timed={self.start_time is not None})"
         )
+
+
+def _emit(result: QueryResult, keys: Iterable[int], record_times: bool) -> QueryResult:
+    """``result`` with the keys of a lazy iterable appended to its indexes,
+    in emission order.
+
+    With ``record_times`` the start is stamped before the first key is
+    asked for — before whatever work the iterable does to find it — each
+    key gets one ``perf_counter`` stamp as it is emitted, and the end is
+    stamped once the iterable is exhausted.
+    """
+    if not record_times:
+        result.indexes.extend(keys)
+        return result
+    result.start_time = time.perf_counter()
+    for key in keys:
+        result.indexes.append(key)
+        result.emit_times.append(time.perf_counter())
+    result.end_time = time.perf_counter()
+    return result

@@ -42,34 +42,35 @@ Array enumerators
 The list-of-tuples enumerators above are the *reference* implementations:
 one Python iteration (and several small array allocations) per rectangle.
 Index construction walks millions of rectangles, so the builders consume
-the block-operation twins instead:
+the block-operation twins instead, both over a whole ``(K, s, d)``
+*stack* of coresets, coreset after coreset, or any range of those rows:
 
-- :func:`rectangles_arrays` — the family ``R_i`` of one grid as ``(P, d)``
-  coordinate matrices plus a ``(P,)`` mass vector;
-- :func:`generalized_pairs_arrays` — the generalized maximal pairs of a
-  whole ``(K, s, d)`` *stack* of coresets as four ``(P, d)`` matrices
-  (inner/outer lo/hi) plus masses, coreset after coreset, or any range of
-  those rows.
+- :func:`rectangles_arrays` — the family ``R_i`` (Algorithm 1) as two
+  ``(P, d)`` coordinate matrices plus a ``(P,)`` mass vector;
+- :func:`generalized_pairs_arrays` — the generalized maximal pairs
+  (Algorithm 3) as four ``(P, d)`` matrices (inner/outer lo/hi) plus
+  masses.
 
-Both build per-axis *option tables* (``np.triu_indices`` index pairs, plus
-gap options for the generalized family), realize the cross product with
-stride arithmetic instead of ``itertools.product``, and look masses up in
-a padded d-dimensional cumulative-count grid via inclusion–exclusion —
-``2^d`` vectorized gathers instead of one rank scan per rectangle.  The
-stack form does each step once for the stack, not once per coreset: one
-sort finds every coreset's distinct coordinates on every axis
-(:func:`_stack_grids`), option tables are built once per distinct
-coordinate count (duplicate samples and samples on a box endpoint make
-counts differ between coresets), every row is addressed by its coreset and
-its flat position in that coreset's option product (:func:`_row_owners`),
-and one padded count grid per coreset is built in one ``bincount``.  At
-the benchmark's 1-D ``sample_size=12`` a coreset has 91 pairs, and the
-per-coreset form spent its time in ~20 NumPy calls of interpreter
-overhead each; the builders now make one call per memory block.  Row
-order and float values match the reference enumerators *exactly*; the
-test suite compares the two directly.  The size guard runs per coreset on
-per-axis option *counts* computed arithmetically, so an oversized coreset
-is refused before any option table is allocated.
+They are one enumeration body (:func:`_stack_rows`) and differ only in
+their per-axis *option tables* — ``np.triu_indices`` index pairs, or
+rectangle options with room to expand plus gap options — and option
+counts.  The body realizes the cross product with stride arithmetic
+instead of ``itertools.product`` and looks masses up in a padded
+d-dimensional cumulative-count grid via inclusion–exclusion — ``2^d``
+vectorized gathers instead of one rank scan per rectangle.  Each step runs
+once for the stack, not once per coreset: one sort finds every coreset's
+distinct coordinates on every axis (:func:`_stack_grids`), option tables
+are built once per distinct coordinate count (duplicate samples and
+samples on a box endpoint make counts differ between coresets), every row
+is addressed by its coreset and its flat position in that coreset's option
+product (:func:`_row_owners`), and one padded count grid per coreset is
+built in one ``bincount``.  At the benchmark's 1-D ``sample_size=12`` a
+coreset has 91 pairs, and a per-coreset form spends its time in ~20 NumPy
+calls of interpreter overhead each; the builders make one call per memory
+block.  Row order and float values match the reference enumerators
+*exactly*; the test suite compares the two directly.  The size guard runs
+per coreset on per-axis option *counts* computed arithmetically, so an
+oversized coreset is refused before any option table is allocated.
 """
 
 from __future__ import annotations
@@ -443,7 +444,7 @@ def _box_counts(padded: np.ndarray, owner, lo: Sequence, hi: Sequence) -> np.nda
     return counts
 
 
-def _guarded_totals(sizes: np.ndarray, what: str) -> np.ndarray:
+def _guarded_totals(sizes: np.ndarray, pairs: bool) -> np.ndarray:
     """Each coreset's option cross-product size from its ``(K, d)``
     per-axis option counts, guard-checked per coreset *before* any
     ``O(total)`` allocation happens.  The float product is exact below
@@ -453,111 +454,64 @@ def _guarded_totals(sizes: np.ndarray, what: str) -> np.ndarray:
         k = int(np.argmax(over))
         total = math.prod(int(s) for s in sizes[k])
         raise ValueError(
-            f"coreset {k} would induce {total} {what} "
+            f"coreset {k} would induce {total} "
+            f"{'generalized pairs' if pairs else 'rectangles'} "
             f"(> {MAX_RECTANGLES_PER_CORESET}); reduce the coreset size"
         )
     return np.prod(sizes, axis=1)
 
 
-def _product_option_indices(
-    sizes: Sequence[int], flat: np.ndarray
-) -> list[np.ndarray]:
-    """Per-axis option-index columns of the combinations at positions
-    ``flat`` of the ``itertools.product`` order.
-
-    ``cols[h][p]`` is the option combination ``flat[p]`` picks on axis
-    ``h`` (last axis varying fastest, exactly like ``itertools.product``),
-    so any range of positions gives the same rows as that slice of the
-    whole product.
-    """
-    if flat.size == 0:
-        return [np.empty(0, dtype=np.int64) for _ in sizes]
-    cols: list[np.ndarray] = []
-    stride = math.prod(int(s) for s in sizes)
-    for s in sizes:
-        stride //= int(s)
-        cols.append((flat // stride) % int(s))
-    return cols
-
-
-def rectangles_arrays(
-    grid: RectangleGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The family ``R_i`` as block matrices: ``(lo, hi, mass)``.
-
-    ``lo``/``hi`` have shape ``(P, d)`` and ``mass`` shape ``(P,)``; row
-    ``p`` is the rectangle ``[lo[p], hi[p]]`` with its coreset mass.  Rows
-    follow :meth:`RectangleGrid.index_rectangles` order, so this is
-    :func:`enumerate_rectangles` with the Python objects unwrapped — the
-    test suite asserts exact (bitwise) agreement.  ``P = 0`` yields
-    correctly shaped empty matrices.
-    """
-    d = grid.dim
-    shape = tuple(map(grid.n_coords, range(d)))
-    sizes = [m * (m + 1) // 2 for m in shape]
-    total = int(_guarded_totals(np.array([sizes]), "rectangles")[0])
-    cols = _product_option_indices(sizes, np.arange(total))
-    lo_idx = np.empty((total, d), dtype=np.int64)
-    hi_idx = np.empty((total, d), dtype=np.int64)
-    lo = np.empty((total, d))
-    hi = np.empty((total, d))
-    for h in range(d):
-        i, j = np.triu_indices(grid.n_coords(h))
-        lo_idx[:, h] = i[cols[h]]
-        hi_idx[:, h] = j[cols[h]]
-        lo[:, h] = grid.coords[h][lo_idx[:, h]]
-        hi[:, h] = grid.coords[h][hi_idx[:, h]]
-    padded = _padded_cumulative_counts(grid._ranks[None], shape)
-    counts = _box_counts(padded, 0, lo_idx.T, hi_idx.T)
-    return lo, hi, counts / grid.points.shape[0]
-
-
-def _pair_option_counts(m: np.ndarray) -> np.ndarray:
-    """Generalized-pair options per axis of a grid with ``m`` coordinates:
-    ``(m-2)(m-1)/2`` rectangle options plus ``m-1`` gap options."""
-    return np.maximum(0, m - 2) * (m - 1) // 2 + (m - 1)
+def _option_counts(m: np.ndarray, pairs: bool) -> np.ndarray:
+    """Options per axis of a grid with ``m`` coordinates: the ``m(m+1)/2``
+    rectangles ``[c_i, c_j]``; for generalized pairs the ``(m-2)(m-1)/2``
+    rectangle options with room to expand plus ``m-1`` gaps, ``m(m-1)/2``."""
+    return m * (m - 1) // 2 if pairs else m * (m + 1) // 2
 
 
 def _option_tables(
-    coords: np.ndarray, m: np.ndarray, width: int
+    coords: np.ndarray, m: np.ndarray, width: int, pairs: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One axis' generalized-pair options for every coreset of a stack.
+    """One axis' options for every coreset of a stack.
 
     ``coords`` is the axis' ``(K, width + 2)`` :func:`_stack_grids` rows,
     ``m`` the coresets' coordinate counts.  Returns ``(index, value)``, both
-    ``(4, K, S)`` with ``S`` the largest option count: ``[:, k, o]`` is
-    option ``o`` of coreset ``k`` — inner lo, inner hi, outer lo, outer hi —
-    as grid indices (the sentinel columns ``width`` / ``width + 1`` for a
-    gap's inner side) and as coordinates.  Rectangle options ``[c_i, c_j]``
-    come first, in ``np.triu_indices`` order, then the gaps
-    ``(c_g, c_{g+1})``.  The tables are built once per distinct count, not
-    per coreset.
+    ``(c, K, S)`` with ``S`` the largest option count: ``[:, k, o]`` is
+    option ``o`` of coreset ``k`` as grid indices and as coordinates — lo,
+    hi of a rectangle (``c = 2``); inner lo, inner hi, outer lo, outer hi
+    of a generalized pair (``c = 4``, the sentinel columns ``width`` /
+    ``width + 1`` for a gap's inner side).  The tables are built once per
+    distinct count, not per coreset.
     """
     n_sets = coords.shape[0]
-    slots = int(_pair_option_counts(m).max(initial=0))
-    index = np.zeros((4, n_sets, slots), dtype=np.int64)
+    slots = int(_option_counts(m, pairs).max(initial=0))
+    index = np.zeros((4 if pairs else 2, n_sets, slots), dtype=np.int64)
     for count in np.unique(m):
-        table = _option_index(int(count), width)
+        table = _option_index(int(count), width, pairs)
         index[:, m == count, : table.shape[1]] = table[:, None, :]
     row = np.arange(n_sets)[:, None] * coords.shape[1]
     return index, np.take(coords, index + row)
 
 
 @functools.lru_cache(maxsize=256)
-def _option_index(count: int, width: int) -> np.ndarray:
-    """The ``(4, options)`` column indices of the options of one axis with
-    ``count`` coordinates (see :func:`_option_tables`); read-only, shared
-    by every caller."""
-    i, j = np.triu_indices(max(0, count - 2))
-    g = np.arange(count - 1)
-    table = np.stack(
-        [
-            np.concatenate([i + 1, np.full(g.size, width)]),
-            np.concatenate([j + 1, np.full(g.size, width + 1)]),
-            np.concatenate([i, g]),
-            np.concatenate([j + 2, g + 1]),
-        ]
-    )
+def _option_index(count: int, width: int, pairs: bool) -> np.ndarray:
+    """The column indices of the options of one axis with ``count``
+    coordinates (see :func:`_option_tables`); read-only, shared by every
+    caller.  Rectangles ``[c_i, c_j]`` in ``np.triu_indices`` order; for
+    generalized pairs the rectangle options with room to expand, then the
+    gaps ``(c_g, c_{g+1})``."""
+    if not pairs:
+        table = np.stack(np.triu_indices(count))
+    else:
+        i, j = np.triu_indices(max(0, count - 2))
+        g = np.arange(count - 1)
+        table = np.stack(
+            [
+                np.concatenate([i + 1, np.full(g.size, width)]),
+                np.concatenate([j + 1, np.full(g.size, width + 1)]),
+                np.concatenate([i, g]),
+                np.concatenate([j + 2, g + 1]),
+            ]
+        )
     table.flags.writeable = False
     return table
 
@@ -567,7 +521,7 @@ def _row_owners(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``[start, stop)`` of a stack whose coresets yield ``counts``
     rows each, coreset after coreset: every row's coreset and its position
-    in that coreset's pair product."""
+    in that coreset's rows."""
     begin = np.cumsum(counts) - counts
     first = np.clip(start - begin, 0, counts)
     taken = np.clip(stop - begin, 0, counts) - first
@@ -576,15 +530,87 @@ def _row_owners(
     return owner, np.arange(owner.size) + np.repeat(skipped, taken)
 
 
-def _pair_counts(
-    coresets: np.ndarray, bounding_box: Optional[Rectangle]
+def _row_counts(
+    coresets: np.ndarray, bounding_box: Optional[Rectangle], pairs: bool
 ) -> np.ndarray:
-    """How many rows :func:`generalized_pairs_arrays` yields for each
-    coreset of a ``(K, s, d)`` stack — arithmetic on the distinct
-    coordinate counts, size guard included, nothing enumerated."""
+    """How many rows :func:`generalized_pairs_arrays` (``pairs``) or
+    :func:`rectangles_arrays` yields for each coreset of a ``(K, s, d)``
+    stack — arithmetic on the distinct coordinate counts, size guard
+    included, nothing enumerated."""
     ordered = np.sort(_stack_values(coresets, bounding_box), axis=2)
     m = 1 + np.count_nonzero(ordered[:, :, 1:] != ordered[:, :, :-1], axis=2)
-    return _guarded_totals(_pair_option_counts(m.T), "generalized pairs")
+    return _guarded_totals(_option_counts(m.T, pairs), pairs)
+
+
+def _stack_rows(
+    coresets: np.ndarray,
+    bounding_box: Optional[Rectangle],
+    rows: Optional[tuple[int, int]],
+    pairs: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one enumeration body of both families: rows ``rows`` (``None``:
+    all) of a ``(K, s, d)`` stack as ``(c, P, d)`` coordinate matrices (the
+    option columns of :func:`_option_tables`) and ``(P,)`` masses.
+
+    Every row knows its coreset and its flat position in that coreset's
+    option cross product (:func:`_row_owners`), decoded per axis with
+    stride arithmetic in ``itertools.product`` order (last axis fastest);
+    masses come from one padded count grid per coreset, for the rows whose
+    every axis is a rectangle option (a gap admits no sample: weight 0).
+    """
+    coords, ranks, m = _stack_grids(coresets, bounding_box)
+    n_sets, size, dim = ranks.shape
+    width = coords.shape[2] - 2
+    sizes = _option_counts(m, pairs)
+    counts = _guarded_totals(sizes, pairs)
+    start, stop = (0, int(counts.sum())) if rows is None else rows
+    if not 0 <= start <= stop <= counts.sum():
+        raise ValueError(f"rows {rows} is not a range of {counts.sum()} rows")
+    owner, rest = _row_owners(counts, start, stop)
+    stride = np.ones_like(sizes)
+    for h in range(dim - 2, -1, -1):
+        stride[:, h] = stride[:, h + 1] * sizes[:, h + 1]
+    mats = np.empty((4 if pairs else 2, owner.size, dim))
+    valid = np.ones(owner.size, dtype=bool)
+    lo, hi = [], []
+    for h in range(dim):
+        if h < dim - 1:
+            option, rest = np.divmod(rest, stride[:, h][owner])
+        else:
+            option = rest
+        index, value = _option_tables(coords[h], m[:, h], width, pairs)
+        slot = owner * index.shape[2] + option
+        mats[:, :, h] = np.take(value.reshape(len(mats), -1), slot, axis=1)
+        lo.append(np.take(index[0], slot))
+        hi.append(np.take(index[1], slot))
+        valid &= lo[-1] < width  # a rectangle option on this axis
+    weight = np.zeros(owner.size)
+    if valid.any():
+        padded = _padded_cumulative_counts(ranks, tuple(m.max(axis=0)))
+        keep = np.flatnonzero(valid)
+        inside = _box_counts(
+            padded, owner[keep], [c[keep] for c in lo], [c[keep] for c in hi]
+        )
+        weight[keep] = inside / size
+    return mats, weight
+
+
+def rectangles_arrays(
+    coresets: np.ndarray, rows: Optional[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The family ``R_i`` of a stack of coresets, as block matrices.
+
+    ``coresets`` is a ``(K, s, d)`` stack; the grids hold sample
+    coordinates only (Algorithm 1 has no box).  Returns ``(lo, hi, mass)``
+    with ``lo`` / ``hi`` shaped ``(P, d)`` and ``mass`` shaped ``(P,)``:
+    row ``p`` is the rectangle ``[lo[p], hi[p]]`` with its coreset mass,
+    coreset 0's rectangles first, each coreset's in
+    :func:`enumerate_rectangles` order with bitwise-equal floats (the test
+    suite asserts it).  ``rows`` as in :func:`generalized_pairs_arrays`;
+    ``P = 0`` yields correctly shaped empty matrices.
+    """
+    (lo, hi), mass = _stack_rows(coresets, None, rows, False)
+    return lo, hi, mass
 
 
 def generalized_pairs_arrays(
@@ -609,52 +635,13 @@ def generalized_pairs_arrays(
     of them.  A row is addressed by its coreset and its flat position in
     that coreset's option cross product (:func:`_row_owners`), so a range
     may begin or end inside a coreset: a stack is enumerated range by range
-    under a memory budget, whatever its coresets' sizes.
-
-    One pass over the stack, not one per coreset: every row knows its
-    coreset and its product position, per-axis option tables are built
-    once per distinct coordinate count (duplicate samples and samples on a
-    box endpoint make counts differ between coresets) and resolved to each
-    coreset's coordinates (:func:`_option_tables`), and masses come from
-    one padded count grid per coreset.  The size guard is per coreset and
-    arithmetic (:func:`_guarded_totals`).
+    under a memory budget, whatever its coresets' sizes.  The size guard is
+    per coreset and arithmetic (:func:`_guarded_totals`).
     """
-    coords, ranks, m = _stack_grids(coresets, bounding_box)
-    n_sets, size, dim = ranks.shape
-    width = coords.shape[2] - 2
-    sizes = _pair_option_counts(m)
-    counts = _guarded_totals(sizes, "generalized pairs")
-    start, stop = (0, int(counts.sum())) if rows is None else rows
-    if not 0 <= start <= stop <= counts.sum():
-        raise ValueError(f"rows {rows} is not a range of {counts.sum()} rows")
-    owner, rest = _row_owners(counts, start, stop)
-    # Product order, as itertools.product: the last axis varies fastest.
-    stride = np.ones_like(sizes)
-    for h in range(dim - 2, -1, -1):
-        stride[:, h] = stride[:, h + 1] * sizes[:, h + 1]
-    mats = np.empty((4, owner.size, dim))
-    valid = np.ones(owner.size, dtype=bool)
-    lo, hi = [], []
-    for h in range(dim):
-        if h < dim - 1:
-            option, rest = np.divmod(rest, stride[:, h][owner])
-        else:
-            option = rest
-        index, value = _option_tables(coords[h], m[:, h], width)
-        slot = owner * index.shape[2] + option
-        mats[:, :, h] = np.take(value.reshape(4, -1), slot, axis=1)
-        lo.append(np.take(index[0], slot))
-        hi.append(np.take(index[1], slot))
-        valid &= lo[-1] < width  # a rectangle option on this axis
-    weight = np.zeros(owner.size)
-    if valid.any():
-        padded = _padded_cumulative_counts(ranks, tuple(m.max(axis=0)))
-        keep = np.flatnonzero(valid)
-        inside = _box_counts(
-            padded, owner[keep], [c[keep] for c in lo], [c[keep] for c in hi]
-        )
-        weight[keep] = inside / size
-    return mats[0], mats[1], mats[2], mats[3], weight
+    (inner_lo, inner_hi, outer_lo, outer_hi), weight = _stack_rows(
+        coresets, bounding_box, rows, True
+    )
+    return inner_lo, inner_hi, outer_lo, outer_hi, weight
 
 
 def enumerate_maximal_pairs_naive(

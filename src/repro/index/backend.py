@@ -11,8 +11,8 @@ This module formalizes the seam:
   backends advertise ``supports_insert = False`` and raise
   :class:`~repro.errors.CapabilityError`).
 - :func:`build_backend` / :func:`build_engine` (the same backend from a
-  stream of mapped-point pieces, fed to the kd-tree in bounded blocks so no
-  shard-wide float matrix exists) / :func:`restore_backend` over the
+  stream of mapped-point pieces, which the kd-tree codes one block at a
+  time, so no shard-wide float matrix exists) / :func:`restore_backend` over the
   :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
   ``"rangetree"`` (textbook multi-level range tree, static, small scale
   only), ``"columnar"`` (vectorized columnar scan store, dynamic).  The
@@ -226,38 +226,37 @@ def build_backend(
     return backend_class(engine)(points, ids=ids)
 
 
-#: :func:`build_engine` hands the kd-tree at most this many float64 elements
-#: (rows x columns, 512 KB) at a time — whole pieces, so a piece over the
-#: budget is a block of its own — and the range builder enumerates its
-#: pairs in ranges of this many mapped elements, so its pieces are the
-#: blocks.  In-process ``QueryService`` + ``warm()`` on the benchmark's
-#: lakes (seed 2027, 4 shards, 2-vCPU host; build time median of 9
-#: interleaved runs, ``tracemalloc`` peak) at 2^12 / 2^14 / 2^16 / 2^18 /
-#: 2^20 / one block: 2-D ``cold_2d`` (83 k elements a dataset, 16 datasets
-#: a shard) 0.79 / 0.38 / 0.27 / 0.28 / 0.30 / 0.30 s and 16.2 / 15.5 /
-#: 15.4 / 20.9 / 35.7 / 36.3 MB against a 9.2 MB index; 1-D ``warm_point``
-#: (546 elements a dataset, 500 a shard) 0.20 / 0.14 / 0.12 / 0.12 / 0.11
-#: / 0.12 s and 8.6 / 8.7 / 9.9 / 14.6 / 14.6 / 14.6 MB against 4.5.  Small
-#: blocks cost one enumeration call and one ``np.unique`` per column each
-#: (a block per 1-D dataset, 546 elements: 0.74 s against 0.12 in one
-#: sitting), and split the 2-D datasets into many ranges; large ones are
-#: the matrix this constant exists to avoid.  2^16 is the largest value at
-#: the low peak on ``cold_2d``, within 1.3 MB of it on ``warm_point``.
+#: The Ptile builders cut their mapped rows into pieces of at most this
+#: many float64 elements (rows x columns, 512 KB; at least one row), and
+#: :func:`build_engine` hands the kd-tree those pieces as its blocks, so
+#: no float matrix larger than one block exists.  In-process
+#: ``QueryService`` + ``warm()`` on the benchmark's lakes (seed 2027, 4
+#: shards, 2-vCPU host; build time median of 9 interleaved runs,
+#: ``tracemalloc`` peak) at 2^12 / 2^14 / 2^16 / 2^18 / 2^20 / one block:
+#: 2-D ``cold_2d`` (83 k elements a dataset, 16 datasets a shard) 0.79 /
+#: 0.38 / 0.27 / 0.28 / 0.30 / 0.30 s and 16.2 / 15.5 / 15.4 / 20.9 / 35.7
+#: / 36.3 MB against a 9.2 MB index; 1-D ``warm_point`` (546 elements a
+#: dataset, 500 a shard) 0.20 / 0.14 / 0.12 / 0.12 / 0.11 / 0.12 s and
+#: 8.6 / 8.7 / 9.9 / 14.6 / 14.6 / 14.6 MB against 4.5.  Small blocks cost
+#: one enumeration call and one ``np.unique`` per column each (a block per
+#: 1-D dataset, 546 elements: 0.74 s against 0.12 in one sitting), and
+#: split the 2-D datasets into many ranges; large ones are the matrix this
+#: constant exists to avoid.  2^16 is the largest value at the low peak on
+#: ``cold_2d``, within 1.3 MB of it on ``warm_point``.
 BLOCK_ELEMENTS = 1 << 16
 
 
 def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     """:func:`build_backend` over a stream: the backend over all rows of
     ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` every
-    row's dataset key, an integer array; a dataset's mapped points, or a
-    block of rows across datasets, as the Ptile builders yield them),
-    consumed lazily.
+    row's dataset key, an integer array), consumed lazily.
 
-    The kd-tree takes the stream in blocks of at most
-    :data:`BLOCK_ELEMENTS` elements and rank-codes each on arrival
-    (:meth:`~repro.index.kd_tree.DynamicKDTree.from_blocks`), so a shard's
-    mapped points never exist as one float64 matrix.  The other engines
-    store floats, or are small scale only: they get the stacked matrix.
+    The kd-tree takes the pieces as its blocks and rank-codes each on
+    arrival (:meth:`~repro.index.kd_tree.DynamicKDTree.from_blocks`); the
+    Ptile builders cut theirs to at most :data:`BLOCK_ELEMENTS` elements,
+    so a shard's mapped points never exist as one float64 matrix.  The
+    other engines store floats, or are small scale only: they get the
+    stacked matrix.
 
     >>> import numpy as np
     >>> mapped = [(np.array([[0.0]]), np.array([4])), (np.array([[1.0]]), np.array([9]))]
@@ -266,22 +265,9 @@ def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     [[9], [9], [9]]
     """
     if engine == "kd":
-        return backend_class(engine).from_blocks(_blocks(mapped))
+        return backend_class(engine).from_blocks(mapped)
     points, ids = map(np.concatenate, zip(*mapped))
     return build_backend(points, ids, engine)
-
-
-def _blocks(mapped: Iterable[tuple]):
-    """Consecutive ``(points, ids)`` pieces stacked under the element budget."""
-    held, elements = [], 0
-    for piece in mapped:
-        if held and elements + piece[0].size > BLOCK_ELEMENTS:
-            yield tuple(map(np.concatenate, zip(*held)))
-            held, elements = [], 0
-        held.append(piece)
-        elements += piece[0].size
-    if held:
-        yield tuple(map(np.concatenate, zip(*held)))
 
 
 def restore_backend(

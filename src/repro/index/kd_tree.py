@@ -49,12 +49,14 @@ one does (4.6 → 9.2 MB on ``cold_2d``); 9.6 against 13.2 MB over the four.
 
 **Construction never holds the float matrix.**  A tree is built from a
 stream of ``(points, ids)`` blocks (:meth:`DynamicKDTree.from_blocks`; the
-constructor is the one-block stream): :func:`_encode` rank-codes each
-block as it arrives — its own level table per column plus narrow ranks —
-and the floats are let go.  :func:`_merge` then unions the blocks' tables
-per column, moves every block's ranks into the one ``(k, n)`` code matrix
-through a table-sized ``searchsorted`` lookup, and the tree is planted on
-the codes: arrays equal, byte for byte, to coding the stacked matrix.
+constructor is the one-block stream) — the Ptile builders' pieces, each
+at most :data:`~repro.index.backend.BLOCK_ELEMENTS` elements:
+:func:`_encode` rank-codes each block as it arrives — its own level table
+per column plus narrow ranks — and the floats are let go.  :func:`_merge`
+then unions the blocks' tables per column, moves every block's ranks into
+the one ``(k, n)`` code matrix through a table-sized ``searchsorted``
+lookup, and the tree is planted on the codes: arrays equal, byte for
+byte, to coding the stacked matrix, however the stream is cut.
 
 The side buffer is a float :class:`~repro.index.columnar.ColumnarStore`
 queried with the original box — appends must stay O(1), and a new level

@@ -744,19 +744,17 @@ class FederatedCoordinator:
             return [f.result() for f in futures]
 
     def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
+        """The scatter pool, replaced by a wider one once the fleet
+        outgrows it.  The replaced pool is not shut down: a concurrent
+        scatter may still be submitting its legs to it.  Its idle threads
+        exit once the last scatter holding it lets it go."""
         with self._lock:
             if self._pool is None or self._pool._max_workers < width:
-                old = self._pool
                 self._pool = ThreadPoolExecutor(
                     max_workers=max(4, 2 * width),
                     thread_name_prefix="fed-scatter",
                 )
-            else:
-                old = None
-            pool = self._pool
-        if old is not None:
-            old.shutdown(wait=False)
-        return pool
+            return self._pool
 
     def _call_node_safe(
         self,

@@ -167,6 +167,24 @@ class TestTensorStrategy:
                 [LEFT, RIGHT, LEFT], [Interval(0, 1)] * 3
             )
 
+    def test_tensor_record_times_stamps_each_report(self, planted, rng):
+        """The tensor runs the ReportFirst loop, so a timed query stamps
+        every report as it is emitted — not all of them at the end."""
+        idx = PtileLogicalIndex(
+            [ExactSynopsis(p) for p in planted],
+            eps=0.25,
+            sample_size=5,
+            strategy="tensor",
+            rng=rng,
+        )
+        expr = conj(0.0, 1.0, 0.0, 1.0)
+        res = idx.query(expr, record_times=True)
+        assert res.index_set == idx.query(expr).index_set and res.out_size == 10
+        stamps = [res.start_time, *res.emit_times, res.end_time]
+        assert len(set(res.emit_times)) == len(res.indexes)
+        assert all(a <= b for a, b in zip(stamps, stamps[1:]))
+        assert all(t < res.end_time for t in res.emit_times)
+
     def test_falls_back_to_compose_for_disjunction(self, planted, rng):
         idx = PtileLogicalIndex(
             [ExactSynopsis(p) for p in planted],

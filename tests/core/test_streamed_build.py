@@ -1,20 +1,22 @@
 """Index construction as a stream of bounded blocks.
 
-``build_engine`` hands the kd-tree mapped points in blocks of at most
-``BLOCK_ELEMENTS`` float64 elements, each rank-coded on arrival.  Whatever
-the budget, the built arrays must equal the ones the float constructor
-makes of the stacked matrix, and the shard-wide float64 matrix must never
-exist.
+The Ptile builders cut their mapped rows into pieces of at most
+``BLOCK_ELEMENTS`` float64 elements, and ``build_engine`` hands the
+kd-tree those pieces as blocks, each rank-coded on arrival.  Whatever the
+budget, the built arrays must equal the ones the float constructor makes
+of the stacked matrix, and the shard-wide float64 matrix must never exist.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core import ptile_range
-from repro.core._ptile_common import range_point_matrix
+from repro.core._ptile_common import _row_ranges, range_point_matrix
 from repro.core.framework import Repository
+from repro.core.ptile_logical import PtileLogicalIndex
 from repro.core.ptile_range import PtileRangeIndex
 from repro.geometry.rect_enum import (
     RectangleGrid,
@@ -68,15 +70,23 @@ class TestStreamedEqualsOneBlock:
         want = build_backend(points, ids, engine).to_arrays()
         if engine == "kd":
             assert want["codes"].dtype == (np.uint16 if dim == 1 else np.uint8)
-        one = mapped[0][0].size  # every non-empty dataset maps to this many
-        # 1: a block per dataset, the zero-pair ones alone in theirs.
-        # 2 datasets' worth: [D0, Z, D2, Z] — a zero-pair dataset inside a
-        # block and one closing it — then pairs.  Huge: one block.
-        pairs = -(-(len(mapped) - 2) // 2)
-        for budget, n_blocks in ((1, len(mapped)), (2 * one, pairs), (1 << 40, 1)):
+        counts = np.array([piece[0].shape[0] for piece in mapped])
+        columns = points.shape[1]
+        # 1: a row a piece.  One dataset's worth and a row: pieces that
+        # begin and end inside datasets, and that hold the zero-pair
+        # datasets 1 and 3 inside them.  Huge: one piece.
+        for budget in (1, mapped[0][0].size + columns, 1 << 40):
             monkeypatch.setattr(backend, "BLOCK_ELEMENTS", budget)
-            assert len(list(backend._blocks(iter(mapped)))) == n_blocks
-            got = build_engine(iter(mapped), engine).to_arrays()
+            pieces, start = [], 0
+            for _, _, owner, _ in _row_ranges(counts, columns):
+                stop = start + owner.size
+                assert owner.size * columns <= max(budget, columns)
+                assert np.array_equal(owner, ids[start:stop])  # keys are positions
+                pieces.append((points[start:stop], ids[start:stop]))
+                start = stop
+            assert start == len(points)
+            assert len(pieces) == -(-len(points) // max(1, budget // columns))
+            got = build_engine(iter(pieces), engine).to_arrays()
             assert_same_arrays(got, want)
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
@@ -115,6 +125,45 @@ def reference_piece(index: PtileRangeIndex, key: int) -> tuple:
     weights = np.array([p[4] for p in pairs], dtype=float)
     points = range_point_matrix(*columns, weights, index.delta_of(key))
     return points, np.full(len(pairs), key)
+
+
+def reference_tensor_piece(index: PtileRangeIndex, key: int, m: int) -> tuple:
+    """One dataset's m-fold tensor rows, combination by combination of its
+    ``enumerate_generalized_pairs`` rows (Theorem C.8)."""
+    pairs = enumerate_generalized_pairs(
+        RectangleGrid(index.coreset(key), bounding_box=index.bounding_box)
+    )
+    delta = index.delta_of(key)
+    width = m * (4 * index.dim + 2)
+    rows = [
+        np.concatenate(
+            [np.concatenate([p[0], p[2], p[1], p[3]]) for p in combo]
+            + [[p[4] + delta for p in combo], [p[4] - delta for p in combo]]
+        )
+        for combo in itertools.product(pairs, repeat=m)
+    ]
+    return np.reshape(rows, (len(rows), width)), np.full(len(rows), key)
+
+
+@pytest.mark.parametrize("budget", (64, 1 << 16))
+@pytest.mark.parametrize("dim, m", ((1, 2), (1, 3), (2, 2)))
+def test_tensor_tree_equals_tree_of_reference_pieces(dim, m, budget, monkeypatch):
+    """The C.8 tensor's rows, cut into pieces of the block budget by
+    per-row product arithmetic, build the tree of the per-dataset
+    reference tensors."""
+    monkeypatch.setattr(backend, "BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(13)
+    # Coarse coordinates: duplicate samples, so pair counts differ.
+    lake = [ExactSynopsis(np.round(rng.uniform(size=(30, dim)), 1)) for _ in range(5)]
+    index = PtileLogicalIndex(
+        lake, eps=0.25, sample_size=2 if dim == 2 else 3, strategy="tensor",
+        rng=np.random.default_rng(2),
+    )
+    index._build_tensor(m)
+    ranged = index._range_index
+    pieces = [reference_tensor_piece(ranged, key, m) for key in ranged.keys]
+    want = build_engine(iter(pieces), "kd").to_arrays()
+    assert_same_arrays(index._tensor_trees[m].to_arrays(), want)
 
 
 class TestBlockEnumeratedShards:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import rect_enum
 from repro.geometry.rect_enum import (
     RectangleGrid,
-    _pair_counts,
+    _row_counts,
     enumerate_generalized_pairs,
     enumerate_maximal_pairs,
     enumerate_maximal_pairs_naive,
@@ -177,6 +177,13 @@ def reference_rows(stack, box):
     return [np.concatenate(column) for column in zip(*per_coreset)]
 
 
+def reference_rectangles(stack):
+    """The stacked ``rectangles_arrays``' oracle: ``enumerate_rectangles``
+    run per coreset of the stack, rows stacked in order."""
+    per_coreset = [stacked_rectangles(RectangleGrid(pts)) for pts in stack]
+    return [np.concatenate(column) for column in zip(*per_coreset)]
+
+
 def assert_rows_equal(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape
@@ -187,23 +194,53 @@ class TestVectorizedArrays:
     """The block-operation enumerators must match the reference enumerators
     exactly — same row order, bitwise-equal floats."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 6),
+        n_sets=st.integers(1, 12),
+        size=st.integers(1, 6),
         dim=st.integers(1, 3),
         seed=st.integers(0, 10_000),
-        with_box=st.booleans(),
+        digits=st.integers(0, 2),
     )
-    def test_rectangles_match_reference(self, n, dim, seed, with_box):
+    def test_rectangles_match_reference(self, n_sets, size, dim, seed, digits):
+        """A ``(K, s, d)`` stack yields every coreset's rectangles, in
+        order, bitwise equal to ``enumerate_rectangles`` run per coreset."""
         rng = np.random.default_rng(seed)
-        pts = np.round(rng.uniform(0.1, 0.9, size=(n, dim)), 1)  # force ties
-        box = Rectangle([0.0] * dim, [1.0] * dim) if with_box else None
-        grid = RectangleGrid(pts, bounding_box=box)
-        fast = rectangles_arrays(grid)
-        ref = stacked_rectangles(grid)
-        for a, b in zip(fast, ref):
-            assert a.shape == b.shape
-            assert np.array_equal(a, b)
+        # Rounding to 0-2 digits makes duplicate samples common: the stack
+        # mixes coordinate counts.
+        stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), digits)
+        got = rectangles_arrays(stack, None)
+        assert_rows_equal(got, reference_rectangles(stack))
+        assert _row_counts(stack, None, False).sum() == got[-1].size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sets=st.integers(1, 6),
+        size=st.integers(1, 6),
+        dim=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_rectangle_row_range_is_that_slice_of_the_rows(
+        self, n_sets, size, dim, seed, cut
+    ):
+        rng = np.random.default_rng(seed)
+        stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), 1)
+        whole = rectangles_arrays(stack, None)
+        start, stop = sorted(int(c * whole[-1].size) for c in cut)
+        part = rectangles_arrays(stack, (start, stop))
+        assert_rows_equal(part, [column[start:stop] for column in whole])
+
+    def test_rectangle_guard_names_the_oversized_coreset(self, monkeypatch):
+        stack = np.full((5, 3, 1), 0.5)
+        stack[:, 0] = 0.3  # two coordinates: three rectangles
+        stack[2] = [[0.2], [0.4], [0.6]]  # the one 3-coordinate grid: six
+        assert _row_counts(stack, None, False).tolist() == [3, 3, 6, 3, 3]
+        monkeypatch.setattr(rect_enum, "MAX_RECTANGLES_PER_CORESET", 5)
+        with pytest.raises(ValueError, match="coreset 2 would induce 6 rectangles"):
+            rectangles_arrays(stack, (0, 3))
+        with pytest.raises(ValueError, match="coreset 2 would induce 6 rectangles"):
+            _row_counts(stack, None, False)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -226,7 +263,7 @@ class TestVectorizedArrays:
         box = Rectangle([0.0] * dim, [1.0] * dim) if with_box else None
         got = generalized_pairs_arrays(stack, box, None)
         assert_rows_equal(got, reference_rows(stack, box))
-        assert _pair_counts(stack, box).sum() == got[-1].size
+        assert _row_counts(stack, box, True).sum() == got[-1].size
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,7 +294,7 @@ class TestVectorizedArrays:
             ]
         )
         box = Rectangle([0.0], [1.0])
-        assert _pair_counts(stack, box).tolist() == [10, 6, 3, 10]
+        assert _row_counts(stack, box, True).tolist() == [10, 6, 3, 10]
         assert_rows_equal(
             generalized_pairs_arrays(stack, box, None), reference_rows(stack, box)
         )
@@ -274,12 +311,12 @@ class TestVectorizedArrays:
         stack[:, 0] = 0.3  # two coordinates and the box: 4, six pairs
         stack[3] = [[0.2], [0.4], [0.6], [0.8]]  # the one 6-coordinate grid
         box = Rectangle([0.0], [1.0])
-        assert _pair_counts(stack, box).tolist() == [6, 6, 6, 15, 6, 6]
+        assert _row_counts(stack, box, True).tolist() == [6, 6, 6, 15, 6, 6]
         monkeypatch.setattr(rect_enum, "MAX_RECTANGLES_PER_CORESET", 14)
         with pytest.raises(ValueError, match="coreset 3 would induce 15 "):
             generalized_pairs_arrays(stack, box, None)
         with pytest.raises(ValueError, match="coreset 3 would induce 15 "):
-            _pair_counts(stack, box)
+            _row_counts(stack, box, True)
 
     def test_containment_error_names_the_coreset_inside_a_block(self):
         stack = np.full((5, 3, 2), 0.5)
@@ -290,9 +327,8 @@ class TestVectorizedArrays:
 
     def test_rectangles_agree_with_object_enumerator(self, rng):
         pts = rng.uniform(size=(4, 2))
-        grid = RectangleGrid(pts)
-        lo, hi, mass = rectangles_arrays(grid)
-        rects = enumerate_rectangles(grid)
+        lo, hi, mass = rectangles_arrays(pts[None], None)
+        rects = enumerate_rectangles(RectangleGrid(pts))
         assert lo.shape == (len(rects), 2)
         for p, (rect, w) in enumerate(rects):
             assert np.array_equal(lo[p], rect.lo)
@@ -317,11 +353,10 @@ class TestVectorizedArrays:
         """The size guard is arithmetic: it refuses an oversized coreset
         before any per-axis option table is allocated."""
         pts = rng.uniform(size=(2000, 2))
-        grid = RectangleGrid(pts)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
-                rectangles_arrays(grid)
+                rectangles_arrays(pts[None], None)
             with pytest.raises(ValueError):
                 generalized_pairs_arrays(pts[None], None, None)
             _current, peak = tracemalloc.get_traced_memory()

@@ -284,6 +284,16 @@ class TestHealthyFederation:
             coord.search(q)
         coord.close()
 
+    def test_a_replaced_scatter_pool_still_takes_legs(self):
+        """A scatter that took the pool before the fleet outgrew it keeps
+        submitting to it: widening must not shut it down under that
+        scatter (it used to surface as an HTTP 500)."""
+        coord = FederatedCoordinator()
+        old = coord._ensure_pool(2)
+        assert coord._ensure_pool(5) is not old
+        assert old.submit(int).result() == 0
+        coord.close()
+
 
 class TestDegradedFederation:
     def test_dead_node_degrades_with_containment(

@@ -51,7 +51,10 @@ from repro.workloads.queries import batched_query_workload
 EPS = 0.2
 SAMPLE_SIZE = 12
 SEED = 2025
-ENGINE = "columnar"  # zero-copy mmap restore; kd/rangetree re-plant trees
+# The engine this smoke has always measured, kept so its numbers stay
+# comparable.  Both serving engines restore zero-copy from an mmap (README,
+# "kd restore is zero-copy"); the static rangetree has no persisted form.
+ENGINE = "columnar"
 N_SHARDS = 4
 REPORT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "BENCH_snapshot.json")

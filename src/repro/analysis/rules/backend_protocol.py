@@ -10,8 +10,8 @@ holds the chain itself), that every registered engine class:
 - defines every protocol method — queries, group toggles, dynamics —
   with a signature the protocol's callers can use
   (same leading parameter names; extra parameters need defaults);
-- exposes ``n_active``, ``supports_insert`` and ``nbytes`` (whatever the
-  protocol declares as one) as properties;
+- exposes ``nbytes`` (whatever the protocol declares as one) as a
+  property;
 - if listed in ``DYNAMIC_ENGINES`` — the engines the serving layer runs
   and snapshots — carries the persistence pair: a ``to_arrays`` method and
   a ``from_arrays`` classmethod.  The pair is not in the protocol (a
@@ -19,11 +19,11 @@ holds the chain itself), that every registered engine class:
   class half by name — on whatever arrays the backend chose to persist
   (the kd-tree's rank codes and level tables, the columnar store's float
   columns) — so a missing half is found at the first snapshot save or
-  restore otherwise;
-- is *honest* about ``supports_insert``: an engine listed in
-  ``DYNAMIC_ENGINES`` must not hard-code ``return False`` (and vice
-  versa — a static engine hard-coding ``True`` advertises mutation it
-  cannot deliver).
+  restore otherwise.
+
+Which engines are dynamic is said by ``DYNAMIC_ENGINES`` alone (no
+backend member repeats it), so the rule reads that tuple and nothing
+else for it.
 
 Engine classes are resolved first in the registry module itself (fixture
 style), then from the sibling file named by the registry's local
@@ -76,24 +76,6 @@ def _class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
         for stmt in cls.body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-
-
-def _const_bool_return(fn: ast.FunctionDef) -> Optional[bool]:
-    """The constant a property trivially returns, if its body is that."""
-    stmts = [s for s in fn.body if not _is_docstring(s)]
-    if len(stmts) == 1 and isinstance(stmts[0], ast.Return):
-        value = stmts[0].value
-        if isinstance(value, ast.Constant) and isinstance(value.value, bool):
-            return value.value
-    return None
-
-
-def _is_docstring(stmt: ast.stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    )
 
 
 def _registered_engines(fn: ast.FunctionDef) -> Dict[str, Tuple[str, Optional[str]]]:
@@ -247,21 +229,3 @@ def check(mod: ModuleInfo) -> Iterator[Finding]:
                 "from_arrays classmethod — restore_backend cannot adopt "
                 "what it persists",
             )
-        si = impl.get("supports_insert")
-        if si is not None and _is_property(si):
-            advertised = _const_bool_return(si)
-            if advertised is not None and dynamic:
-                if advertised and engine not in dynamic:
-                    yield _finding(
-                        path,
-                        si.lineno,
-                        f"{cls_name}.supports_insert returns True but "
-                        f"{engine!r} is not in DYNAMIC_ENGINES",
-                    )
-                if not advertised and engine in dynamic:
-                    yield _finding(
-                        path,
-                        si.lineno,
-                        f"{cls_name}.supports_insert returns False but "
-                        f"{engine!r} is listed in DYNAMIC_ENGINES",
-                    )

@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leaf-result cache capacity (0 disables)")
     p.add_argument("--engine", choices=DYNAMIC_ENGINES, default="kd",
                    help="range-search backend for every shard ('columnar' "
-                        "is unmeasured since PRs 13-15, see ROADMAP item 4; "
+                        "is unmeasured since PRs 13-15, see ROADMAP item 7; "
                         "the static 'rangetree' is the "
                         "paper's textbook structure for the theorem benches, "
                         "not a serving backend)")

@@ -35,7 +35,7 @@ from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample
 from repro.geometry.rect_enum import _row_owners
 from repro.geometry.rectangle import Rectangle
 from repro.index import backend
-from repro.index.backend import check_engine
+from repro.index.backend import DYNAMIC_ENGINES, backend_class
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
 
@@ -272,7 +272,8 @@ class PtileIndexBase:
             raise ConstructionError("all synopses must share the same dimension")
         self.dim = dims.pop()
         self.eps = float(eps)
-        self.engine_kind = check_engine(engine)
+        backend_class(engine)  # an unknown name fails here, not at the first query
+        self.engine_kind = engine
         self._rng = rng if rng is not None else np.random.default_rng()
         self._next_key = 0
         self._phi_eff = resolve_phi(phi, len(syn_list))
@@ -374,10 +375,10 @@ class PtileIndexBase:
         self, synopsis: Synopsis, delta: Optional[float] = None
     ) -> int:
         """Add a dataset; returns its stable key.  ``~O(1)`` amortized."""
-        if not self._tree.supports_insert:
+        if self.engine_kind not in DYNAMIC_ENGINES:
             raise ConstructionError(
                 f"engine {self.engine_kind!r} is static; dynamic updates "
-                "require a dynamic backend ('kd' or 'columnar')"
+                f"require a dynamic backend, one of {DYNAMIC_ENGINES}"
             )
         if synopsis.dim != self.dim:
             raise ConstructionError("synopsis dimension mismatch")

@@ -33,7 +33,7 @@ from repro.core.pref_index import PrefIndex, pref_threshold
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import check_engine
+from repro.index.backend import backend_class
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 
@@ -108,7 +108,8 @@ class DatasetSearchEngine:
         self._delta = delta
         self._sample_size = sample_size
         self._bounding_box = bounding_box
-        self.engine_kind = check_engine(engine)
+        backend_class(engine)  # an unknown name fails here, not at the first query
+        self.engine_kind = engine
         self._rng = rng if rng is not None else np.random.default_rng()
         self._ptile: Optional[PtileRangeIndex] = None
         self._pref: dict[int, PrefIndex] = {}

@@ -29,12 +29,11 @@ This subpackage provides that machinery:
 - :class:`~repro.index.columnar.ColumnarStore` — a vectorized columnar
   engine: column-major point matrix + boolean active mask, answering
   orthant queries (and the bulk ``report_groups`` group-by) with single
-  NumPy passes; unmeasured since PRs 13–15, see ROADMAP item 4.
+  NumPy passes; unmeasured since PRs 13–15, see ROADMAP item 7.
 
 All engines implement the :class:`~repro.index.backend.RangeSearchBackend`
 protocol (``report / report_first / report_groups / count /
-deactivate_group / activate_group / insert / remove_group / n_active /
-nbytes`` plus the multi-box batch kernels ``report_many /
+deactivate_group / activate_group / insert / remove_group / nbytes`` plus the multi-box batch kernels ``report_many /
 report_groups_many`` — one shared traversal on the kd-tree, one broadcast
 pass on the columnar store) over integer dataset keys (see
 :mod:`repro.index.backend`); the dynamic engines add the ``to_arrays`` /

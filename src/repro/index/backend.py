@@ -7,9 +7,9 @@ This module formalizes the seam:
 - :class:`RangeSearchBackend` — the structural protocol every engine
   implements: ``report`` / ``report_first`` / ``report_groups`` /
   ``count`` over *active* points, the group toggles ``deactivate_group`` /
-  ``activate_group``, ``insert`` / ``remove_group`` dynamics (static
-  backends advertise ``supports_insert = False`` and raise
-  :class:`~repro.errors.CapabilityError`).
+  ``activate_group``, ``insert`` / ``remove_group`` dynamics (a static
+  backend raises :class:`~repro.errors.CapabilityError`; which engines are
+  dynamic is :data:`DYNAMIC_ENGINES`, and nothing else says it).
 - :func:`build_backend` / :func:`build_engine` (the same backend from a
   stream of mapped-point pieces, which the kd-tree codes one block at a
   time, so no shard-wide float matrix exists) / :func:`restore_backend` over the
@@ -94,27 +94,18 @@ def id_column(ids: Optional[Iterable], n: int) -> np.ndarray:
 class RangeSearchBackend(Protocol):
     """Structural contract of a mapped-space range-search engine.
 
-    All query methods see only *active* points.  ``insert`` /
+    All query methods see only *active* points (``count`` of
+    ``QueryBox.unbounded(dim)`` is how many there are).  ``insert`` /
     ``remove_group`` are the dynamic-synopsis operations (Remark 1); a
     static backend keeps the methods but raises
-    :class:`~repro.errors.CapabilityError` and reports
-    ``supports_insert = False`` so callers can refuse up front.
+    :class:`~repro.errors.CapabilityError` — callers refuse up front by
+    the engine's name, against :data:`DYNAMIC_ENGINES`.
     """
 
     dim: int
 
     def __len__(self) -> int:
         """Total stored points (active or not)."""
-        ...
-
-    @property
-    def n_active(self) -> int:
-        """Number of points currently visible to queries."""
-        ...
-
-    @property
-    def supports_insert(self) -> bool:
-        """Whether ``insert`` / ``remove_group`` are usable on this backend."""
         ...
 
     @property
@@ -192,7 +183,10 @@ DYNAMIC_ENGINES = ("kd", "columnar")
 
 
 def backend_class(engine: str) -> type:
-    """The class registered under a backend name."""
+    """The class registered under a backend name; an unknown name is a
+    :class:`~repro.errors.ConstructionError` (callers validate a name
+    early, at construction rather than at the first query, by calling
+    this)."""
     # Local imports: the implementations import QueryBox from this package,
     # and the registry must stay importable from any of them.
     if engine == "kd":
@@ -284,14 +278,5 @@ def check_dynamic_engine(engine: str) -> str:
         raise ConstructionError(
             f"the serving layer and its snapshots need a dynamic engine, one "
             f"of {DYNAMIC_ENGINES}; got {engine!r}"
-        )
-    return engine
-
-
-def check_engine(engine: str) -> str:
-    """Validate a backend name early (construction-time, not first query)."""
-    if engine not in ENGINES:
-        raise ConstructionError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
         )
     return engine

@@ -13,7 +13,8 @@ that trade:
   needs (widened by the insert that brings a larger one) and boolean
   *active* / *dead* masks alongside; no per-point Python object exists;
 - every query is one vectorized ``contains_points`` pass over the matrix —
-  O(n k) work but at memory bandwidth, not interpreter speed;
+  O(n k) work but at memory bandwidth, not interpreter speed — for a batch
+  of boxes at once, a single box being its one-row batch;
 - ``report_groups`` is that mask plus an integer ``np.unique`` over the
   group column — the bulk operation that collapses the paper's sequential
   ReportFirst/deactivate loop (Algorithms 2 and 4) into one pass — and
@@ -82,7 +83,6 @@ class ColumnarStore:
         self._active = active
         self._n = int(cols.shape[1])
         self._dead = np.zeros(self._n, dtype=bool)
-        self._n_active_count = int(np.count_nonzero(active))
         self._n_dead = 0
 
     @classmethod
@@ -96,15 +96,20 @@ class ColumnarStore:
         flag queries toggle in place — private copy.  The ``local`` id
         column older snapshots carry is not read.
 
-        ``group`` is an unsigned column of at most 4 bytes or the signed
-        ``int32`` one older files hold, every key in ``[0, 2^31)``;
-        anything else is a ``ValueError``.  A key column wider than its
-        keys need is narrowed (a private copy).
+        The arrays come from outside the process, so what every query
+        compares is checked here: ``points`` must be NaN-free float64
+        columns (the box kernel assumes both), and ``group`` an unsigned
+        column of at most 4 bytes or the signed ``int32`` one older files
+        hold, every key in ``[0, 2^31)``; anything else is a
+        ``ValueError``.  A key column wider than its keys need is narrowed
+        (a private copy).
         """
         cols, group = arrays["points"], arrays["group"]
         active = np.array(arrays["active"], dtype=bool)
         if cols.ndim != 2 or not group.shape == active.shape == cols.shape[1:]:
             raise ValueError("backend arrays disagree on point count")
+        if cols.dtype != np.float64 or np.isnan(cols).any():
+            raise ValueError("stored points must be NaN-free float64 columns")
         if group.dtype.itemsize > 4:
             raise ValueError("a stored key column is at most 4 bytes wide")
         store = cls.__new__(cls)
@@ -138,15 +143,6 @@ class ColumnarStore:
         return self._n - self._n_dead
 
     @property
-    def n_active(self) -> int:
-        """Number of points currently visible to queries."""
-        return self._n_active_count
-
-    @property
-    def supports_insert(self) -> bool:
-        return True
-
-    @property
     def nbytes(self) -> int:
         """Bytes held in arrays (spare append capacity included)."""
         own = (self._cols, self._group, self._active, self._dead)
@@ -164,17 +160,13 @@ class ColumnarStore:
         """Hide every active point of ``group`` (one mask write)."""
         rows = self._group_rows(group) & self._active[: self._n]
         self._active[: self._n][rows] = False
-        hidden = int(np.count_nonzero(rows))
-        self._n_active_count -= hidden
-        return hidden
+        return int(np.count_nonzero(rows))
 
     def activate_group(self, group: int) -> int:
         """Re-show every hidden point of ``group`` (one mask write)."""
         rows = self._group_rows(group) & ~self._active[: self._n]
         self._active[: self._n][rows] = True
-        shown = int(np.count_nonzero(rows))
-        self._n_active_count += shown
-        return shown
+        return int(np.count_nonzero(rows))
 
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
         """Append new points in amortized O(1) per point."""
@@ -195,7 +187,6 @@ class ColumnarStore:
         self._active[n : n + m] = True
         self._dead[n : n + m] = False
         self._n += m
-        self._n_active_count += m
 
     def _grow(self, cap: int, key_dtype: np.dtype) -> None:
         n = self._n
@@ -210,7 +201,6 @@ class ColumnarStore:
     def _bury(self, rows, count: int) -> None:
         """Tombstone ``count`` live rows (an index or a mask); compact once
         enough of the store is dead (which re-narrows the key column)."""
-        self._n_active_count -= int(np.count_nonzero(self._active[: self._n][rows]))
         self._active[: self._n][rows] = False
         self._dead[: self._n][rows] = True
         self._n_dead += count
@@ -235,69 +225,56 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     # Queries (one vectorized pass each)
     # ------------------------------------------------------------------
-    def _check_box(self, box: QueryBox) -> None:
-        if box.dim != self.dim:
-            raise ValueError(
-                f"query box has dim {box.dim}, store has dim {self.dim}"
-            )
+    def _match_matrix(self, batch: BoxBatch) -> np.ndarray:
+        """``(Q, n)`` boolean matrix: active rows inside each box.
 
-    def _match_mask(self, box: QueryBox) -> np.ndarray:
-        """Boolean row mask: active and inside the box.
-
-        Dead (removed) rows need no extra filter here: ``_bury`` always
-        forces ``_active`` False and ``_group_rows`` skips dead rows, so a
-        tombstoned row can never be re-activated.
+        One ``(Q, n)`` comparison per constrained side, amortizing the
+        per-query NumPy dispatch overhead across the whole batch; a
+        single-box query reads row 0 of its box's one-row batch.  The
+        open/closed endpoint semantics live in :mod:`repro.index.query_box`,
+        not here.  Dead (removed) rows need no extra filter: ``_bury``
+        always forces ``_active`` False and ``_group_rows`` skips dead
+        rows, so a tombstoned row can never be re-activated.
         """
-        self._check_box(box)
-        mask = box.contains_points(self._pts)
-        mask &= self._active[: self._n]
-        return mask
+        if batch.dim != self.dim:
+            raise ValueError(
+                f"query box has dim {batch.dim}, store has dim {self.dim}"
+            )
+        out = batch.contains_points(self._pts)
+        out &= self._active[: self._n][None, :]
+        return out
 
     def report(self, box: QueryBox) -> list:
         """The keys of the active points inside the box, one per point."""
-        return self._group[: self._n][self._match_mask(box)].tolist()
+        return self._group[: self._n][self._match_matrix(box.batch)[0]].tolist()
 
     def report_first(self, box: QueryBox):
         """The key of one arbitrary active point inside the box, or None."""
-        hits = np.flatnonzero(self._match_mask(box))
+        hits = np.flatnonzero(self._match_matrix(box.batch)[0])
         if hits.size == 0:
             return None
         return int(self._group[hits[0]])
 
     def report_groups(self, box: QueryBox) -> set:
         """All groups with >= 1 active point in the box (one group-by)."""
-        hit_groups = self._group[: self._n][self._match_mask(box)]
+        hit_groups = self._group[: self._n][self._match_matrix(box.batch)[0]]
         return set(np.unique(hit_groups).tolist())
 
     def count(self, box: QueryBox) -> int:
         """Number of active points inside the box."""
-        return int(np.count_nonzero(self._match_mask(box)))
+        return int(np.count_nonzero(self._match_matrix(box.batch)[0]))
 
     # ------------------------------------------------------------------
     # Multi-box batch kernels (one broadcast pass per constrained side)
     # ------------------------------------------------------------------
-    def _match_matrix(self, boxes: Sequence[QueryBox]) -> np.ndarray:
-        """``(Q, n)`` boolean matrix: active rows inside each box.
-
-        One ``(Q, n)`` comparison per constrained side — the multi-box
-        generalization of :meth:`_match_mask`, amortizing the per-query
-        NumPy dispatch overhead across the whole batch.  The open/closed
-        endpoint semantics live in :mod:`repro.index.query_box`, not here.
-        """
-        boxes = list(boxes)
-        if not boxes:
-            return np.empty((0, self._n), dtype=bool)
-        for box in boxes:
-            self._check_box(box)
-        out = BoxBatch(boxes).contains_points(self._pts)
-        out &= self._active[: self._n][None, :]
-        return out
-
     def report_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
         """Per-box int arrays of the hit points' keys (one per point) —
         ``[report(b) for b in boxes]`` in one broadcast pass."""
+        boxes = list(boxes)
+        if not boxes:
+            return []
         group = self._group[: self._n]
-        return [group[row] for row in self._match_matrix(boxes)]
+        return [group[row] for row in self._match_matrix(BoxBatch(boxes))]
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets in one broadcast pass + per-box group-by."""

@@ -28,7 +28,7 @@ levels, then ``uint16``, ``uint32`` — read off the data, there is no
 float tree).  Orthant containment only ever compares, and ranks preserve
 every comparison, so answers are identical: a query translates its closed
 effective bounds into closed rank bounds once per call
-(:meth:`QueryBox.coded <repro.index.query_box.QueryBox.coded>`, two
+(:meth:`BoxBatch.coded <repro.index.query_box.BoxBatch.coded>`, two
 ``searchsorted`` per constrained column) and the walk, the bbox prunes and
 the containment kernel run on the integers.  Codes sit in tree order,
 column-major (each coordinate of a node's slice is one contiguous run —
@@ -382,16 +382,6 @@ class DynamicKDTree:
         buffered = len(self._buf) if self._buf is not None else 0
         return self._group.size - self._n_dead + buffered
 
-    @property
-    def n_active(self) -> int:
-        """Number of points currently visible to queries."""
-        buffered = self._buf.n_active if self._buf is not None else 0
-        return int(self._count[0]) + buffered
-
-    @property
-    def supports_insert(self) -> bool:
-        return True
-
     # ------------------------------------------------------------------
     # Activation and dynamics
     # ------------------------------------------------------------------
@@ -496,23 +486,24 @@ class DynamicKDTree:
         return start + np.flatnonzero(self._active[start:end])
 
     def _visit(self, box: QueryBox):
-        """The pruned single-box descent, in code space: yields ``(node,
-        None)`` for every maximal node with active points whose bbox the
-        box contains, and ``(leaf, rows)`` — the leaf's active rows inside
-        the box — for every leaf it merely intersects."""
+        """The pruned single-box descent, in code space, on the box's coded
+        one-row batch: yields ``(node, None)`` for every maximal node with
+        active points whose bbox the box contains, and ``(leaf, rows)`` —
+        the leaf's active rows inside the box — for every leaf it merely
+        intersects."""
         self._check_box(box)
-        coded = box.coded(self._tables, self._pts.dtype)
-        stack = [0] if coded is not None else []
+        coded, keep = box.batch.coded(self._tables, self._pts.dtype)
+        stack = [0] if keep.size else []
         while stack:
             node = stack.pop()
             lo, hi = self._lo[node], self._hi[node]
-            if self._count[node] == 0 or not coded.intersects_bbox(lo, hi):
+            if self._count[node] == 0 or not coded.intersects_bbox(lo, hi)[0]:
                 continue
-            if coded.contains_bbox(lo, hi):
+            if coded.contains_bbox(lo, hi)[0]:
                 yield node, None
             elif self._right[node] == 0:
                 start, end = self._slice(node)
-                mask = coded.contains_points(self._pts[start:end])
+                mask = coded.contains_points(self._pts[start:end])[0]
                 mask &= self._active[start:end]
                 yield node, start + np.flatnonzero(mask)
             else:

@@ -8,17 +8,19 @@ acceptable in a correctness-first reproduction.
 Open sides are therefore folded, once per box, into *closed effective
 bounds* that are exact over the doubles: ``x > a`` holds iff
 ``x >= nextafter(a, +inf)`` and ``x < b`` iff ``x <= nextafter(b, -inf)``
-(:func:`closed_bounds`).  Every predicate below compares against those two
-arrays only, and skips a side no box constrains — an orthant query
-constrains each coordinate on exactly one side.  Points are assumed
-NaN-free (every backend validates or generates them so).
+(:func:`closed_bounds`).  A :class:`QueryBox` says what one box is; the
+predicates live on :class:`BoxBatch` alone, a stack of boxes, and a single
+box is its own one-row batch (:attr:`QueryBox.batch`).  They compare
+against the two bound arrays only, and skip a side no box constrains — an
+orthant query constrains each coordinate on exactly one side.  Points are
+assumed NaN-free (every backend validates or generates them so).
 
 Containment only ever *compares*, so it survives any order-preserving
 recoding of the coordinates: the kd-tree stores each column as ranks in a
-sorted level table, and :meth:`QueryBox.coded` / :meth:`BoxBatch.coded`
-translate the closed effective bounds into closed rank bounds
-(:func:`_code_bounds`).  The predicates and the one kernel below then run
-unchanged on small unsigned integers.
+sorted level table, and :meth:`BoxBatch.coded` translates the closed
+effective bounds into closed rank bounds (:func:`_code_bounds`).  The
+predicates and the one kernel below then run unchanged on small unsigned
+integers.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ def closed_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed ``(elo, ehi)`` with ``elo <= x <= ehi`` iff ``x`` is in the box.
 
-    The one definition of open/closed endpoint semantics, shared by
-    :class:`QueryBox` and :class:`BoxBatch`.  An open bound at its own
-    infinity (``x > +inf``, ``x < -inf``) admits nothing, not even the
-    infinity ``nextafter`` would leave in place: it becomes NaN, against
-    which every comparison is false.
+    The one definition of open/closed endpoint semantics: a
+    :class:`QueryBox` folds its flags through it once.  An open bound at
+    its own infinity (``x > +inf``, ``x < -inf``) admits nothing, not even
+    the infinity ``nextafter`` would leave in place: it becomes NaN,
+    against which every comparison is false.
     """
     elo = np.where(lo_open, np.nextafter(lo, np.inf), lo)
     ehi = np.where(hi_open, np.nextafter(hi, -np.inf), hi)
@@ -64,7 +66,7 @@ def _contains_points(
     points: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], sides: list
 ) -> np.ndarray:
     """``(q, n)`` membership of ``(n, k)`` points in ``q`` boxes — the one
-    containment kernel, for a single box (``q = 1``) and a batch alike.
+    containment kernel (a single box is the ``q = 1`` batch).
 
     One ``(q, n)`` comparison per constrained side, column by column: the
     first writes the result, the rest are ANDed into it through one reused
@@ -132,7 +134,7 @@ class QueryBox:
     (True, False)
     """
 
-    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim", "elo", "ehi", "_sides")
+    __slots__ = ("lo", "hi", "lo_open", "hi_open", "dim", "elo", "ehi", "_batch")
 
     def __init__(self, constraints: Sequence[tuple[float, float, bool, bool]]) -> None:
         if len(constraints) == 0:
@@ -147,7 +149,7 @@ class QueryBox:
         self.elo, self.ehi = closed_bounds(
             self.lo, self.hi, self.lo_open, self.hi_open
         )
-        self._sides = None  # found on the first single-box contains_points
+        self._batch: Optional[BoxBatch] = None
 
     @staticmethod
     def closed(lo: Sequence[float], hi: Sequence[float]) -> "QueryBox":
@@ -159,65 +161,21 @@ class QueryBox:
         """The whole space (useful for weight-only filters)."""
         return QueryBox([(-math.inf, math.inf, False, False)] * dim)
 
-    def with_dimension(
-        self, axis: int, lo: float, hi: float, lo_open: bool = False, hi_open: bool = False
-    ) -> "QueryBox":
-        """A copy with one dimension's constraint replaced."""
-        cons = [
-            (float(self.lo[i]), float(self.hi[i]), bool(self.lo_open[i]), bool(self.hi_open[i]))
-            for i in range(self.dim)
-        ]
-        cons[axis] = (lo, hi, lo_open, hi_open)
-        return QueryBox(cons)
+    @property
+    def batch(self) -> "BoxBatch":
+        """This box as a one-row :class:`BoxBatch`, built on first use and
+        kept: a single-box walker queries one box many times (the
+        ReportFirst loop), and building a batch costs more than one
+        predicate on it does."""
+        if self._batch is None:
+            self._batch = BoxBatch([self])
+        return self._batch
 
-    # ------------------------------------------------------------------
-    # Point tests
-    # ------------------------------------------------------------------
     def contains_point(self, point: Sequence[float]) -> bool:
-        """Whether a single point satisfies every constraint."""
+        """Whether a single point satisfies every constraint: the box
+        contains the point's degenerate bbox."""
         p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.elo) and np.all(p <= self.ehi))
-
-    def _constrained(self) -> list:
-        """This box's constrained sides, found on first use (a box that
-        only ever joins a :class:`BoxBatch` never pays for them)."""
-        if self._sides is None:
-            self._sides = _constrained_sides(self.elo[None], self.ehi[None])
-        return self._sides
-
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an ``(n, k)`` array of points."""
-        bounds = (self.elo[None], self.ehi[None])
-        return _contains_points(points, bounds, self._constrained())[0]
-
-    def coded(self, tables: Sequence[np.ndarray], dtype) -> Optional["QueryBox"]:
-        """This box over rank-coded columns: the closed box on codes that
-        admits exactly the levels this one admits (:func:`_code_bounds`),
-        or None when no level of some column qualifies."""
-        sides = self._constrained()
-        clo, chi, keep = _code_bounds(
-            self.elo[None], self.ehi[None], sides, tables, dtype
-        )
-        if keep.size == 0:
-            return None
-        box = QueryBox.__new__(QueryBox)
-        box.lo = box.elo = clo[0]
-        box.hi = box.ehi = chi[0]
-        box.lo_open = box.hi_open = np.zeros(self.dim, dtype=bool)
-        box.dim = self.dim
-        box._sides = sides
-        return box
-
-    # ------------------------------------------------------------------
-    # Bounding-box tests (used by tree traversals for pruning)
-    # ------------------------------------------------------------------
-    def intersects_bbox(self, blo: np.ndarray, bhi: np.ndarray) -> bool:
-        """Whether some point of the closed bbox ``[blo, bhi]`` may qualify."""
-        return bool(np.all(bhi >= self.elo) and np.all(blo <= self.ehi))
-
-    def contains_bbox(self, blo: np.ndarray, bhi: np.ndarray) -> bool:
-        """Whether *every* point of the closed bbox ``[blo, bhi]`` qualifies."""
-        return bool(np.all(blo >= self.elo) and np.all(bhi <= self.ehi))
+        return bool(self.batch.contains_bbox(p, p)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
@@ -231,14 +189,13 @@ class QueryBox:
 class BoxBatch:
     """A stack of ``Q`` same-dimension boxes for broadcast containment.
 
-    The single source of truth for open/closed endpoint semantics in the
-    multi-box batch kernels: every method below is the vectorized twin of
-    the corresponding :class:`QueryBox` predicate, lifted to a ``(Q, k)``
-    constraint stack, so a semantic change to box containment has exactly
-    two homes (scalar here, batched there) instead of one copy per
-    backend.  The optional ``rows`` argument restricts a call to a subset
-    of boxes (an int index array) — the shared kd traversal narrows its
-    alive set this way without re-stacking constraints.
+    The one home of the box predicates — point containment, bbox
+    intersection and bbox containment over a ``(Q, k)`` stack of closed
+    bounds — for every backend and for one box alike (a single-box query
+    asks its :attr:`QueryBox.batch`, ``Q = 1``).  The optional ``rows``
+    argument restricts a call to a subset of boxes (an int index array) —
+    the shared kd traversal narrows its alive set this way without
+    re-stacking constraints.
 
     Examples
     --------

@@ -104,22 +104,6 @@ class RangeTree:
         return len(self._row_ids)
 
     @property
-    def n_active(self) -> int:
-        """Number of points currently visible to queries.
-
-        The root's associated structure covers every point, so its active
-        count (recursively, the last-level Fenwick sum) is the answer.
-        """
-        return self._root.assoc.n_active
-
-    @property
-    def supports_insert(self) -> bool:
-        """Static backend: the paper's queries only ever *temporarily*
-        delete points, which maps to activation flags; true insertion
-        would need rebuilding every associated structure."""
-        return False
-
-    @property
     def nbytes(self) -> int:
         """Bytes of the coordinate arrays alone: the nodes, id list and
         associated structures are Python objects no array sum sees."""

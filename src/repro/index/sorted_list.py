@@ -64,11 +64,6 @@ class SortedListIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
-    @property
-    def n_active(self) -> int:
-        """Number of currently active entries."""
-        return self._active.prefix_sum(len(self._ids))
-
     # ------------------------------------------------------------------
     # Activation
     # ------------------------------------------------------------------

@@ -189,7 +189,7 @@ class ShardedBatchExecutor:
     engine:
         Range-search backend name forced onto every shard engine (and the
         delta shard): ``"kd"`` (default) or ``"columnar"`` (vectorized
-        scans; unmeasured since PRs 13–15, see ROADMAP item 4) — the
+        scans; unmeasured since PRs 13–15, see ROADMAP item 7) — the
         dynamic engines of :mod:`repro.index.backend`.  The static
         ``"rangetree"`` is refused at construction: the serving layer
         ingests live.

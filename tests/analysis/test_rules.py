@@ -370,10 +370,7 @@ PROTOCOL_HEADER = """
         def count(self, box): ...
 
         @property
-        def n_active(self) -> int: ...
-
-        @property
-        def supports_insert(self) -> bool: ...
+        def nbytes(self) -> int: ...
 
     DYNAMIC_ENGINES = ("dyn",)
 """
@@ -388,12 +385,8 @@ CONFORMANT_DYNAMIC_BACKEND = """
             return 0
 
         @property
-        def n_active(self):
+        def nbytes(self):
             return 0
-
-        @property
-        def supports_insert(self):
-            return True
     {persistence}
     def build_backend(engine, data):
         if engine == "dyn":
@@ -431,7 +424,6 @@ def test_backend_protocol_asks_no_persisted_form_of_a_static_engine():
         PROTOCOL_HEADER
         + CONFORMANT_DYNAMIC_BACKEND.replace("{persistence}", "")
         .replace('"dyn"', '"static"')
-        .replace("return True", "return False")
     )
     assert run(src, "backend-protocol") == []
 
@@ -443,12 +435,8 @@ def test_backend_protocol_flags_missing_method():
             return []
 
         @property
-        def n_active(self):
+        def nbytes(self):
             return 0
-
-        @property
-        def supports_insert(self):
-            return True
 
     def build_backend(engine, data):
         if engine == "dyn":
@@ -468,12 +456,8 @@ def test_backend_protocol_flags_arg_name_mismatch():
             return 0
 
         @property
-        def n_active(self):
+        def nbytes(self):
             return 0
-
-        @property
-        def supports_insert(self):
-            return True
 
     def build_backend(engine, data):
         if engine == "dyn":
@@ -492,12 +476,8 @@ def test_backend_protocol_flags_non_property():
         def count(self, box):
             return 0
 
-        def n_active(self):
+        def nbytes(self):
             return 0
-
-        @property
-        def supports_insert(self):
-            return True
 
     def build_backend(engine, data):
         if engine == "dyn":
@@ -505,60 +485,6 @@ def test_backend_protocol_flags_non_property():
     """
     findings = run(src, "backend-protocol")
     assert any("must be a @property" in f.message for f in findings)
-
-
-def test_backend_protocol_flags_dishonest_supports_insert():
-    # Listed in DYNAMIC_ENGINES but hard-codes False.
-    src = PROTOCOL_HEADER + """
-    class DynBackend:
-        def report(self, box):
-            return []
-
-        def count(self, box):
-            return 0
-
-        @property
-        def n_active(self):
-            return 0
-
-        @property
-        def supports_insert(self):
-            return False
-
-    def build_backend(engine, data):
-        if engine == "dyn":
-            return DynBackend(data)
-    """
-    findings = run(src, "backend-protocol")
-    assert any("DYNAMIC_ENGINES" in f.message for f in findings)
-
-
-def test_backend_protocol_flags_static_engine_advertising_insert():
-    src = PROTOCOL_HEADER + """
-    class StaticBackend:
-        def report(self, box):
-            return []
-
-        def count(self, box):
-            return 0
-
-        @property
-        def n_active(self):
-            return 0
-
-        @property
-        def supports_insert(self):
-            return True
-
-    def build_backend(engine, data):
-        if engine == "static":
-            return StaticBackend(data)
-    """
-    findings = run(src, "backend-protocol")
-    assert any(
-        "returns True but 'static' is not in DYNAMIC_ENGINES" in f.message
-        for f in findings
-    )
 
 
 def test_backend_protocol_flags_to_arrays_without_from_arrays():
@@ -571,12 +497,8 @@ def test_backend_protocol_flags_to_arrays_without_from_arrays():
             return 0
 
         @property
-        def n_active(self):
+        def nbytes(self):
             return 0
-
-        @property
-        def supports_insert(self):
-            return True
 
         def to_arrays(self):
             return {}

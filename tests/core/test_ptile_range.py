@@ -8,6 +8,7 @@ from repro.core.ptile_threshold import PtileThresholdIndex
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
+from repro.index.query_box import QueryBox
 from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.sample import EpsilonSampleSynopsis
 
@@ -87,7 +88,8 @@ class TestGuarantees:
             engine=engine,
             rng=np.random.default_rng(4),
         )
-        n_active = idx._tree.n_active
+        whole = QueryBox.unbounded(idx._tree.dim)
+        n_active = idx._tree.count(whole)
         assert n_active == idx.n_mapped_points
         for theta in (Interval(0.0, 1.0), Interval(0.2, 0.5), Interval(0.9, 1.0)):
             batched = idx.query(QUERY, theta)
@@ -95,7 +97,7 @@ class TestGuarantees:
             assert sorted(timed.indexes) == batched.indexes
             assert len(timed.emit_times) == len(timed.indexes)
             assert timed.stats["loop_iterations"] == len(timed.indexes) + 1
-            assert idx._tree.n_active == n_active
+            assert idx._tree.count(whole) == n_active
         everything = idx.query(QUERY, Interval(0.0, 1.0), record_times=True)
         assert everything.stats["deleted_points"] == n_active
 

@@ -39,6 +39,11 @@ def build_all(pts, ids):
     return {e: build_backend(pts, list(ids), e) for e in ENGINES}
 
 
+def n_visible(backend) -> int:
+    """How many points queries see: the count of the whole space."""
+    return backend.count(QueryBox.unbounded(backend.dim))
+
+
 def assert_agree(backends: dict, box: QueryBox) -> None:
     reports = {e: sorted(b.report(box)) for e, b in backends.items()}
     ref = reports["kd"]
@@ -101,7 +106,7 @@ class TestActivationEquivalence:
         assert_agree(backends, QueryBox.unbounded(dim))
         n_active = sum(size[g] for g in size if active[g])
         for e, b in backends.items():
-            assert b.n_active == n_active, f"n_active mismatch on {e}"
+            assert n_visible(b) == n_active, f"visible-point count mismatch on {e}"
 
     def test_report_loop_simulation(self, small_leaves, rng):
         """The Algorithm-2 pattern: report_first, hide the whole group."""
@@ -121,7 +126,7 @@ class TestActivationEquivalence:
             for k in got:
                 assert b.activate_group(k) == 10
             assert got == expect[e] == expect["kd"], e
-            assert b.n_active == 60  # the loop restored every point
+            assert n_visible(b) == 60  # the loop restored every point
 
     def test_group_level_toggles_match_per_point_loops(self, small_leaves, rng):
         """``deactivate_group`` / ``activate_group`` are the bulk form of
@@ -136,7 +141,7 @@ class TestActivationEquivalence:
             for i, key in enumerate(ids):
                 if key == 2:
                     assert loop[e].deactivate_group(i) == 1
-            assert bulk[e].n_active == loop[e].n_active == 50
+            assert n_visible(bulk[e]) == n_visible(loop[e]) == 50
             keys = sorted(i % 6 for i in loop[e].report(box))
             assert sorted(bulk[e].report(box)) == keys
             assert bulk[e].deactivate_group(2) == 0  # already hidden: not counted
@@ -148,7 +153,7 @@ class TestActivationEquivalence:
                 assert bulk[e].deactivate_group(2) == (extra := 1)
             assert bulk[e].activate_group(2) == 10 + extra
             assert bulk[e].activate_group(2) == 0  # already shown: not counted
-            assert bulk[e].n_active == 60 + extra
+            assert n_visible(bulk[e]) == 60 + extra
             assert bulk[e].report_groups(box) == set(range(6))
 
 
@@ -207,7 +212,7 @@ class TestDynamicEquivalence:
         b = build_backend(np.array([[0.0], [1.0]]), [0, 0], engine)
         box = QueryBox.unbounded(1)
         b.insert(np.array([[5.0], [6.0]]), ids=[1, 1])
-        assert len(b) == b.n_active == 4
+        assert len(b) == n_visible(b) == 4
         assert sorted(b.report(box)) == [0, 0, 1, 1]
         b.insert(np.array([[7.0]]), ids=[1])
         b.insert(np.array([[8.0]]), ids=[0])
@@ -235,7 +240,7 @@ class TestDynamicEquivalence:
             arr.flags.writeable = False
         twin = restore_backend(arrays, engine)
         boxes = [QueryBox.unbounded(2)] + [random_orthant(rng, 2) for _ in range(5)]
-        assert (len(twin), twin.n_active) == (len(b), b.n_active)
+        assert (len(twin), n_visible(twin)) == (len(b), n_visible(b))
         assert [sorted(r) for r in twin.report_many(boxes)] == [
             sorted(r) for r in b.report_many(boxes)
         ]
@@ -269,7 +274,7 @@ class TestDynamicEquivalence:
         b.insert(rng.uniform(size=(3, 2)), [1, 1, 5])
         assert b.remove_group(1) == 12  # hidden and buffered points included
         assert b.remove_group(1) == 0
-        assert len(b) == 31 and b.n_active == 31
+        assert len(b) == 31 and n_visible(b) == 31
         assert b.report_groups(QueryBox.unbounded(2)) == {0, 2, 3, 5}
         assert b.activate_group(1) == 0  # removed points never come back
         b.insert(rng.uniform(size=(1, 2)), [1])  # the key is free again
@@ -289,7 +294,7 @@ class TestDynamicEquivalence:
         arrays = b.to_arrays()
         assert all(arrays[name].shape == (0,) for name in ("group", "active"))
         boxes = [QueryBox.unbounded(3), random_orthant(rng, 3)]
-        assert (len(b), b.n_active) == (0, 0)
+        assert (len(b), n_visible(b)) == (0, 0)
         assert [r.tolist() for r in b.report_many(boxes)] == [[], []]
         assert b.report_groups_many(boxes) == [set(), set()]
         assert b.report_first(boxes[0]) is None and b.count(boxes[0]) == 0
@@ -365,17 +370,19 @@ class TestProtocolSurface:
     def test_static_backend_refuses_dynamics(self, rng):
         from repro.errors import CapabilityError
 
+        assert "rangetree" not in DYNAMIC_ENGINES
         b = build_backend(rng.uniform(size=(5, 2)), list(range(5)), "rangetree")
-        assert not b.supports_insert
         with pytest.raises(CapabilityError):
             b.insert(np.zeros((1, 2)), ["x"])
         with pytest.raises(CapabilityError):
             b.remove_group(0)
 
-    def test_dynamic_backends_advertise_insert(self, rng):
+    def test_dynamic_backends_accept_inserts(self, rng):
         for e in DYNAMIC_ENGINES:
             b = build_backend(rng.uniform(size=(5, 2)), list(range(5)), e)
-            assert b.supports_insert
+            b.insert(np.full((1, 2), 0.5), [7])
+            assert 7 in b.report_groups(QueryBox.unbounded(2))
+            assert b.remove_group(7) == 1 and len(b) == 5
 
     def test_unknown_engine_rejected(self, rng):
         from repro.errors import ConstructionError
@@ -411,7 +418,7 @@ class TestProtocolSurface:
             assert b.deactivate_group(2) == 1
             assert b.remove_group(2) == 1  # removal of a hidden point is legitimate
             assert sorted(b.report(QueryBox.unbounded(2))) == [0, 1, 3, 4, 5]
-            assert (len(b), b.n_active) == (5, 5)
+            assert (len(b), n_visible(b)) == (5, 5)
             assert b.remove_group(2) == 0
             assert b.remove_group(99) == 0
 
@@ -633,7 +640,7 @@ class TestKeyDtypeBoundaries:
             assert b.deactivate_group(300) == b.activate_group(300) == 0, e
             if e in DYNAMIC_ENGINES:
                 assert b.remove_group(256) == 0, e
-            assert (len(b), b.n_active) == (40, 40), e
+            assert (len(b), n_visible(b)) == (40, 40), e
         assert_agree(backends, QueryBox.unbounded(self.DIM))
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)

@@ -8,7 +8,7 @@ from repro.index.query_box import QueryBox
 
 
 def naive_report(points, box):
-    return sorted(np.nonzero(box.contains_points(points))[0].tolist())
+    return sorted(np.flatnonzero(box.batch.contains_points(points)).tolist())
 
 
 class TestQueries:
@@ -62,7 +62,7 @@ class TestActivation:
         box = QueryBox.unbounded(2)
         for i in range(10):
             store.deactivate_group(i)
-        assert store.n_active == 90
+        assert store.count(QueryBox.unbounded(store.dim)) == 90
         assert sorted(store.report(box)) == list(range(10, 100))
         for i in range(10):
             store.activate_group(i)
@@ -111,7 +111,7 @@ class TestDynamics:
         expect = sorted(set(alive) - set(survivors_inactive))
         assert sorted(store.report(box)) == expect
         assert len(store) == len(alive)
-        assert store.n_active == len(expect)
+        assert store.count(QueryBox.unbounded(store.dim)) == len(expect)
 
     def test_capacity_growth_keeps_old_points(self, rng):
         store = ColumnarStore(rng.uniform(size=(3, 1)))

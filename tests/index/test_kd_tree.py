@@ -16,7 +16,7 @@ FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 
 def naive_report(points, box):
-    return sorted(np.nonzero(box.contains_points(points))[0].tolist())
+    return sorted(np.flatnonzero(box.batch.contains_points(points)).tolist())
 
 
 class TestQueries:
@@ -80,7 +80,7 @@ class TestActivation:
         for i in truth[:10]:
             tree.deactivate_group(i)
         assert sorted(tree.report(box)) == truth[10:]
-        assert tree.n_active == 90
+        assert tree.count(QueryBox.unbounded(tree.dim)) == 90
         for i in truth[:10]:
             tree.activate_group(i)
         assert sorted(tree.report(box)) == truth
@@ -204,7 +204,7 @@ class TestAmortizedRebuild:
         assert tree._buf is None
         assert set(new_ids) <= set(tree._group.tolist())
         assert len(tree) == 50 + len(new_ids)
-        assert tree.n_active == 50 + len(new_ids)
+        assert tree.count(QueryBox.unbounded(tree.dim)) == 50 + len(new_ids)
 
     def test_activation_state_survives_rebuild(self, rng):
         pts = rng.uniform(size=(50, 2))
@@ -220,7 +220,7 @@ class TestAmortizedRebuild:
         got = set(tree.report(box))
         assert {7, 11, 500} & got == set()
         assert set(new_ids) <= got
-        assert tree.n_active == len(tree) - 3
+        assert tree.count(QueryBox.unbounded(tree.dim)) == len(tree) - 3
         # Toggles still work post-rebuild (paths/leaf assignment rebuilt).
         assert tree.activate_group(7) == 1
         assert 7 in set(tree.report(box))

@@ -30,9 +30,14 @@ class TestPointMembership:
     def test_vectorized_matches_scalar(self, rng):
         box = QueryBox([(0.2, 0.8, True, False), (0.1, 0.9, False, True)])
         pts = rng.uniform(size=(50, 2))
-        mask = box.contains_points(pts)
+        (mask,) = box.batch.contains_points(pts)
         for p, m in zip(pts, mask):
             assert box.contains_point(p) == bool(m)
+
+    def test_the_one_row_batch_is_built_once(self):
+        box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
+        assert box.batch is box.batch
+        assert box.batch.n_boxes == 1 and box.batch.dim == 2
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -41,12 +46,6 @@ class TestPointMembership:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             QueryBox([(math.nan, 1.0, False, False)])
-
-    def test_with_dimension(self):
-        box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
-        box2 = box.with_dimension(1, 0.5, 2.0)
-        assert not box2.contains_point([0.5, 0.2])
-        assert box2.contains_point([0.5, 1.5])
 
 
 class TestBBoxTests:
@@ -63,21 +62,21 @@ class TestBBoxTests:
         for _ in range(2):
             a, b = sorted(rng.integers(0, 4, size=2).tolist())
             cons.append((float(a), float(b), bool(rng.integers(2)), bool(rng.integers(2))))
-        box = QueryBox(cons)
-        inside = box.contains_points(pts)
-        if not box.intersects_bbox(blo, bhi):
+        batch = QueryBox(cons).batch
+        (inside,) = batch.contains_points(pts)
+        if not batch.intersects_bbox(blo, bhi)[0]:
             assert not inside.any(), "pruned a bbox containing matches"
-        if box.contains_bbox(blo, bhi):
+        if batch.contains_bbox(blo, bhi)[0]:
             assert inside.all(), "claimed full containment wrongly"
 
     def test_disjoint_open_boundary(self):
         # Box is [0, 1); bbox starts exactly at 1 -> no overlap.
-        box = QueryBox([(0.0, 1.0, False, True)])
-        assert not box.intersects_bbox(np.array([1.0]), np.array([2.0]))
+        batch = QueryBox([(0.0, 1.0, False, True)]).batch
+        assert not batch.intersects_bbox(np.array([1.0]), np.array([2.0]))[0]
 
     def test_touching_closed_boundary(self):
-        box = QueryBox([(0.0, 1.0, False, False)])
-        assert box.intersects_bbox(np.array([1.0]), np.array([2.0]))
+        batch = QueryBox([(0.0, 1.0, False, False)]).batch
+        assert batch.intersects_bbox(np.array([1.0]), np.array([2.0]))[0]
 
 
 # ----------------------------------------------------------------------
@@ -162,14 +161,16 @@ class TestKernelAgainstOracle:
         assert np.array_equal(batch.intersects_bbox(blo, bhi), want_hit)
         assert np.array_equal(batch.contains_bbox(blo, bhi), want_full)
 
+        # A single box is its own one-row batch.
         for i, box in enumerate(boxes):
-            one = box.contains_points(pts)
-            assert one.dtype == bool and one.shape == (n,)
-            assert np.array_equal(one, want[i])
-            assert np.array_equal(box.contains_points(np.asfortranarray(pts)), want[i])
+            one = box.batch.contains_points(pts)
+            assert one.dtype == bool and one.shape == (1, n)
+            assert np.array_equal(one[0], want[i])
+            fortran = box.batch.contains_points(np.asfortranarray(pts))
+            assert np.array_equal(fortran[0], want[i])
             assert [box.contains_point(p) for p in pts] == want[i].tolist()
-            assert box.intersects_bbox(blo, bhi) == bool(want_hit[i])
-            assert box.contains_bbox(blo, bhi) == bool(want_full[i])
+            assert box.batch.intersects_bbox(blo, bhi).tolist() == [want_hit[i]]
+            assert box.batch.contains_bbox(blo, bhi).tolist() == [want_full[i]]
 
         # Row subsets: any order, repeats allowed, possibly empty.
         rows = rng.integers(0, q, size=int(rng.integers(0, 2 * q + 1)))
@@ -181,12 +182,11 @@ class TestKernelAgainstOracle:
         pts = np.array([[-np.inf], [0.0], [np.inf]])
         for cons in [(np.inf, np.inf, True, False), (-np.inf, -np.inf, False, True)]:
             box = QueryBox([cons])
-            assert not box.contains_points(pts).any()
-            assert not BoxBatch([box]).contains_points(pts).any()
+            assert not box.batch.contains_points(pts).any()
+            assert not any(box.contains_point(p) for p in pts)
         # ... while the closed bound keeps the infinity itself.
-        assert QueryBox([(np.inf, np.inf, False, False)]).contains_points(pts).tolist() == [
-            False, False, True,
-        ]
+        closed = QueryBox([(np.inf, np.inf, False, False)])
+        assert closed.batch.contains_points(pts).tolist() == [[False, False, True]]
 
     def test_unconstrained_batch(self):
         batch = BoxBatch([QueryBox.unbounded(3)] * 2)
@@ -203,16 +203,16 @@ class TestKernelAgainstOracle:
              for j in range(k)]
         )
         pts = rng.random((n, k))
-        box.contains_points(pts[:8])
+        box.batch.contains_points(pts[:8])
         tracemalloc.start()
         try:
-            out = box.contains_points(pts)
+            out = box.batch.contains_points(pts)
             _cur, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.shape == (n,) and peak <= 2 * n + 4096
-        assert QueryBox.unbounded(k).contains_points(pts).all()
-        assert QueryBox.unbounded(k).contains_points(np.zeros((0, k))).shape == (0,)
+        assert out.shape == (1, n) and peak <= 2 * n + 4096
+        assert QueryBox.unbounded(k).batch.contains_points(pts).all()
+        assert QueryBox.unbounded(k).batch.contains_points(np.zeros((0, k))).shape == (1, 0)
 
     def test_no_q_by_n_by_k_temporary(self):
         q, n, k = 16, 8192, 10
@@ -237,8 +237,8 @@ class TestKernelAgainstOracle:
 
 
 class TestCodedBoxes:
-    """``coded()`` moves a box onto rank-coded columns: the same members,
-    the same bbox verdicts, on small unsigned integers."""
+    """``BoxBatch.coded()`` moves boxes onto rank-coded columns: the same
+    members, the same bbox verdicts, on small unsigned integers."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -281,31 +281,35 @@ class TestCodedBoxes:
         assert np.array_equal(
             batch.contains_bbox(clo, chi), full.contains_bbox(blo, bhi)[keep]
         )
+        # A single box codes as its one-row batch: kept or dropped alone.
         for i, box in enumerate(boxes):
-            coded = box.coded(tables, dtype)
-            assert (coded is None) == (i not in keep)
-            if coded is not None:
+            coded, kept = box.batch.coded(tables, dtype)
+            assert (kept.size == 0) == (i not in keep)
+            if kept.size:
                 assert coded.elo.dtype == dtype
-                assert np.array_equal(coded.contains_points(codes), want[i])
-                assert coded.intersects_bbox(clo, chi) == box.intersects_bbox(blo, bhi)
-                assert coded.contains_bbox(clo, chi) == box.contains_bbox(blo, bhi)
+                assert np.array_equal(coded.contains_points(codes)[0], want[i])
+                assert np.array_equal(
+                    coded.intersects_bbox(clo, chi), box.batch.intersects_bbox(blo, bhi)
+                )
+                assert np.array_equal(
+                    coded.contains_bbox(clo, chi), box.batch.contains_bbox(blo, bhi)
+                )
 
     def test_open_bound_at_its_own_infinity_is_dropped(self):
         tables = [np.array([-np.inf, 0.0, np.inf])]
         for cons in [(np.inf, np.inf, True, False), (-np.inf, -np.inf, False, True)]:
-            box = QueryBox([cons])
-            assert box.coded(tables, np.uint8) is None
-            batch, keep = BoxBatch([box]).coded(tables, np.uint8)
+            batch, keep = QueryBox([cons]).batch.coded(tables, np.uint8)
             assert keep.size == 0 and batch.contains_points(np.zeros((3, 1), np.uint8)).shape == (0, 3)
         # ... while the closed bound keeps the infinity itself.
-        coded = QueryBox([(np.inf, np.inf, False, False)]).coded(tables, np.uint8)
-        assert (coded.elo.tolist(), coded.ehi.tolist()) == ([2], [2])
+        coded, _ = QueryBox([(np.inf, np.inf, False, False)]).batch.coded(tables, np.uint8)
+        assert (coded.elo.tolist(), coded.ehi.tolist()) == ([[2]], [[2]])
 
     def test_top_rank_of_a_full_dtype_is_representable(self):
         """256 levels in ``uint8``: the free upper bound is rank 255, and a
         bound past every level is a dropped box, not a wrapped 256."""
         tables = [np.arange(256.0)]
-        coded = QueryBox([(-np.inf, np.inf, False, False)]).coded(tables, np.uint8)
-        assert (coded.elo.tolist(), coded.ehi.tolist()) == ([0], [255])
-        assert QueryBox([(255.0, np.inf, True, False)]).coded(tables, np.uint8) is None
-        assert QueryBox([(255.5, 300.0, False, False)]).coded(tables, np.uint8) is None
+        coded, _ = QueryBox([(-np.inf, np.inf, False, False)]).batch.coded(tables, np.uint8)
+        assert (coded.elo.tolist(), coded.ehi.tolist()) == ([[0]], [[255]])
+        for cons in [(255.0, np.inf, True, False), (255.5, 300.0, False, False)]:
+            _, keep = QueryBox([cons]).batch.coded(tables, np.uint8)
+            assert keep.size == 0

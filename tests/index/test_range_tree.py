@@ -9,7 +9,7 @@ from repro.index.range_tree import RangeTree
 
 
 def naive_report(points, box):
-    return sorted(np.nonzero(box.contains_points(points))[0].tolist())
+    return sorted(np.flatnonzero(box.batch.contains_points(points)).tolist())
 
 
 class TestBasics:
@@ -63,7 +63,7 @@ class TestBasics:
         box = QueryBox.closed([-1.0], [3.0])
         assert sorted(rt.report(box)) == [3, 3, 5] and rt.count(box) == 3
         assert rt.deactivate_group(3) == 2 and rt.report(box) == [5]
-        assert rt.activate_group(3) == 2 and rt.n_active == 3
+        assert rt.activate_group(3) == 2 and rt.count(QueryBox.unbounded(rt.dim)) == 3
 
     def test_non_integer_ids_rejected(self):
         with pytest.raises(ValueError):

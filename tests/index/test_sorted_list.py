@@ -54,7 +54,6 @@ class TestActivation:
         sl.deactivate(1)
         assert sl.report(Interval.everything()) == [0, 2]
         assert sl.count(Interval.everything()) == 2
-        assert sl.n_active == 2
 
     def test_activate_restores(self):
         sl = SortedListIndex([0.1, 0.5])

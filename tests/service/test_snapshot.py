@@ -209,7 +209,10 @@ class TestServiceRoundTrip:
         expected = answers(svc, queries)
         boxes = [
             QueryBox.unbounded(tree.dim),
-            QueryBox.unbounded(tree.dim).with_dimension(0, 0.0, 0.5),
+            QueryBox(
+                [(0.0, 0.5, False, False)]
+                + [(-math.inf, math.inf, False, False)] * (tree.dim - 1)
+            ),
         ]
         path = tmp_path / "svc.snap"
         svc.save(path)
@@ -239,7 +242,7 @@ class TestServiceRoundTrip:
 
         assert answers(loaded, queries) == expected
         assert [ltree.count(b) for b in boxes] == [tree.count(b) for b in boxes]
-        assert (len(ltree), ltree.n_active) == (len(tree), tree.n_active)
+        assert len(ltree) == len(tree)
         assert np.array_equal(ltree._active, tree._active) and ltree._active.all()
         assert ltree.deactivate_group(3) == tree.deactivate_group(3) > 0
         assert [ltree.count(b) for b in boxes] == [tree.count(b) for b in boxes]
@@ -622,8 +625,9 @@ def _rewrite_header(path, hint, old: str, new: str):
 
 class TestHostileBackendArrays:
     """A kd snapshot's codes index its level tables at the next rebuild —
-    i.e. inside ``POST /datasets``.  A file whose arrays disagree must be
-    refused at load with ``SnapshotError``, under mmap and copy alike."""
+    i.e. inside ``POST /datasets`` — and a columnar one's points are what
+    every query compares.  A file whose arrays disagree must be refused at
+    load with ``SnapshotError``, under mmap and copy alike."""
 
     @pytest.fixture()
     def snap(self, lake, tmp_path):
@@ -686,6 +690,33 @@ class TestHostileBackendArrays:
         arrays["codes"] = arrays["codes"].astype(np.float16)
         with pytest.raises(ValueError, match="do not describe one kd-tree"):
             DynamicKDTree.from_arrays(arrays)
+
+    @pytest.fixture()
+    def columnar_snap(self, lake, tmp_path):
+        path = tmp_path / "columnar.snap"
+        svc = QueryService(
+            repository=Repository.from_arrays(lake), n_shards=1,
+            engine="columnar", seed=SEED, eps=EPS, sample_size=SAMPLE_SIZE,
+        )
+        svc.warm()
+        svc.save(path)
+        load(path)  # pristine: loads
+        return path
+
+    def test_columnar_points_not_float64(self, columnar_snap):
+        """Regression: a columnar ``mapped_points`` segment retyped to
+        bytes loaded, and every later query raised ``UFuncTypeError`` —
+        a 500 on a node."""
+        _rewrite_header(columnar_snap, "mapped_points", '"<f8"', '"|S8"')
+        self.refused(columnar_snap, "NaN-free float64")
+
+    def test_columnar_nan_points(self, columnar_snap):
+        """Regression: NaN columnar points loaded, and the datasets they
+        belong to dropped out of answers with no error."""
+        _ref, meta, offset = _segment(columnar_snap, "mapped_points")
+        assert meta["dtype"] == "<f8"
+        _poke(columnar_snap, offset, struct.pack("<d", float("nan")) * 4)
+        self.refused(columnar_snap, "NaN-free float64")
 
     def test_coreset_segment_of_the_wrong_shape(self, snap):
         _ref, meta, _offset = _segment(snap, "coreset")

@@ -53,7 +53,6 @@ from repro.workloads.queries import batched_query_workload
 EPS = 0.2
 SAMPLE_SIZE = 12
 SEED = 2026
-ENGINE = "columnar"
 N_SHARDS = 4
 REPORT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -83,7 +82,6 @@ def build_service(lake) -> QueryService:
         eps=EPS,
         sample_size=SAMPLE_SIZE,
         seed=SEED,
-        engine=ENGINE,
     )
 
 
@@ -337,7 +335,7 @@ def main() -> None:
             "bench": "resilience",
             "stall_s": STALL_S,
             "bounded_budget_ms": BOUNDED_BUDGET_MS,
-            "engine": ENGINE,
+            "engine": "kd",
             "n_shards": N_SHARDS,
             "n_datasets": args.n_datasets,
             "n_queries": args.n_queries,

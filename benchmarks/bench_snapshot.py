@@ -51,10 +51,6 @@ from repro.workloads.queries import batched_query_workload
 EPS = 0.2
 SAMPLE_SIZE = 12
 SEED = 2025
-# The engine this smoke has always measured, kept so its numbers stay
-# comparable.  Both serving engines restore zero-copy from an mmap (README,
-# "kd restore is zero-copy"); the static rangetree has no persisted form.
-ENGINE = "columnar"
 N_SHARDS = 4
 REPORT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "BENCH_snapshot.json")
@@ -88,7 +84,6 @@ def build_service(lake) -> QueryService:
         eps=EPS,
         sample_size=SAMPLE_SIZE,
         seed=SEED,
-        engine=ENGINE,
     )
     service.warm()
     return service
@@ -288,7 +283,7 @@ def main() -> None:
         cold_rows + qps_rows,
         meta={
             "bench": "snapshot",
-            "engine": ENGINE,
+            "engine": "kd",
             "n_shards": N_SHARDS,
             "dim": args.dim,
             "n_queries": args.n_queries,

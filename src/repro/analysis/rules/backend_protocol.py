@@ -17,9 +17,8 @@ holds the chain itself), that every registered engine class:
   a ``from_arrays`` classmethod.  The pair is not in the protocol (a
   static engine has no persisted form), and ``restore_backend`` calls the
   class half by name — on whatever arrays the backend chose to persist
-  (the kd-tree's rank codes and level tables, the columnar store's float
-  columns) — so a missing half is found at the first snapshot save or
-  restore otherwise.
+  (the kd-tree's rank codes and level tables) — so a missing half is
+  found at the first snapshot save or restore otherwise.
 
 Which engines are dynamic is said by ``DYNAMIC_ENGINES`` alone (no
 backend member repeats it), so the rule reads that tuple and nothing

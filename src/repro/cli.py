@@ -125,7 +125,7 @@ def _build_lake_service(args: argparse.Namespace):
         eps=args.eps,
         sample_size=args.sample_size,
         seed=args.seed,
-        engine=args.engine,
+        engine=getattr(args, "engine", "kd"),
         capacity=args.capacity,
         tracing=getattr(args, "trace", False),
         slow_query_threshold_ms=getattr(args, "slow_log", None),
@@ -191,7 +191,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {service.n_datasets} datasets (d = "
             f"{service.repository.dim}, family = {args.family}) over "
-            f"{service.n_shards} shard(s), engine {args.engine!r}, "
+            f"{service.n_shards} shard(s), engine {service.engine_kind!r}, "
             f"cache capacity {args.cache_capacity}"
         )
     if service.observability.tracing:
@@ -273,7 +273,6 @@ def cmd_demo_mutation(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         seed=args.seed,
         bounding_box=ambient,
-        engine=args.engine,
         capacity=args.capacity if args.capacity is not None else 4 * args.n,
     )
     service.warm()
@@ -331,7 +330,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     # build: synthesize a lake, warm every shard index, persist.
     service = _build_lake_service(args)
     print(f"building {args.n} datasets (d = {args.dim}, family = "
-          f"{args.family}) on {args.shards} shard(s), engine {args.engine!r} ...")
+          f"{args.family}) on {args.shards} shard(s) ...")
     service.warm()
     info = service.save(args.out, generation=args.generation)
     service.close()
@@ -417,11 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-capacity", type=int, default=4096,
                    help="leaf-result cache capacity (0 disables)")
     p.add_argument("--engine", choices=DYNAMIC_ENGINES, default="kd",
-                   help="range-search backend for every shard ('columnar' "
-                        "is unmeasured since PRs 13-15, see ROADMAP item 7; "
-                        "the static 'rangetree' is the "
-                        "paper's textbook structure for the theorem benches, "
-                        "not a serving backend)")
+                   help="range-search backend for every shard: 'kd', the "
+                        "one serving backend (the static 'rangetree' is the "
+                        "paper's textbook structure for the theorem benches)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
     p.add_argument("--warm", action="store_true",
@@ -499,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sample-size", type=int, default=None)
     b.add_argument("--shards", type=int, default=4)
     b.add_argument("--cache-capacity", type=int, default=4096)
-    b.add_argument("--engine", choices=DYNAMIC_ENGINES, default="kd")
     b.add_argument("--capacity", type=int, default=None)
     b.add_argument("--generation", type=int, default=0,
                    help="generation counter to stamp into the header")
@@ -525,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coreset size override (default 16: keeps the demo "
                         "interactive)")
     p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--engine", choices=DYNAMIC_ENGINES, default="kd",
-                   help="range-search backend (must be dynamic: the churn "
-                        "stream ingests live)")
     p.add_argument("--events", type=int, default=20,
                    help="length of the churn stream")
     p.add_argument("--capacity", type=int, default=None,

@@ -208,9 +208,8 @@ def _report(tree, box: QueryBox, record_times: bool, n_datasets: int) -> QueryRe
 
     Two modes, identical answer sets:
 
-    - **batched** (default): one ``report_groups`` bulk call — a single
-      vectorized pass on the columnar backend, a pruned walk plus an
-      integer group-by on the kd-tree.  No state is mutated.
+    - **batched** (default): one ``report_groups`` bulk call — a pruned
+      walk plus an integer group-by on the kd-tree.  No state is mutated.
     - **incremental** (``record_times=True``): the paper's loop — repeat
       ReportFirst, emit the hit dataset, temporarily deactivate all its
       points (one ``deactivate_group`` call) — so every emission carries
@@ -406,8 +405,8 @@ class PtileIndexBase:
         """Batched (untimed) report for many query boxes at once.
 
         One multi-box backend call — the shared-traversal walk on the
-        kd-tree, a broadcast containment pass on the columnar store —
-        instead of ``len(boxes)`` sequential ``report_groups`` calls.
+        kd-tree — instead of ``len(boxes)`` sequential ``report_groups``
+        calls.
         """
         results: list[QueryResult] = []
         for keys in self._tree.report_groups_many(boxes):

@@ -61,8 +61,8 @@ class DatasetSearchEngine:
     delta:
         Optional global synopsis-error bound.
     engine:
-        Orthant-search backend of the Ptile structure (``"kd"`` default,
-        ``"columnar"``, ``"rangetree"`` — see :mod:`repro.index.backend`);
+        Orthant-search backend of the Ptile structure (``"kd"`` default or
+        ``"rangetree"`` — see :mod:`repro.index.backend`);
         Pref structures have no orthant search and ignore it.
     rng:
         Randomness for coreset sampling.

@@ -54,8 +54,8 @@ class ExactPtile1DIndex:
         The fixed query interval ``[a_theta, b_theta] ⊆ (0, 1]`` —
         ``a_theta`` must be positive so the count window ``A >= 1`` exists.
     engine:
-        Any registered range-search backend (``"kd"`` default,
-        ``"rangetree"``, ``"columnar"``).
+        Any registered range-search backend (``"kd"`` default or
+        ``"rangetree"``).
 
     Examples
     --------

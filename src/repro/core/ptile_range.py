@@ -187,10 +187,10 @@ class PtileRangeIndex(PtileIndexBase):
         """Answer a batch of ``(rect, theta)`` queries in one backend call.
 
         The batched, untimed form of :meth:`query`: all boxes go through
-        the backend's multi-box kernel (shared kd traversal / broadcast
-        columnar pass) at once, with identical answer sets to the per-query
-        loop.  This is what the service's cold path feeds each shard's
-        deduplicated leaf schedule through.
+        the backend's multi-box kernel (the shared kd traversal) at once,
+        with identical answer sets to the per-query loop.  This is what the
+        service's cold path feeds each shard's deduplicated leaf schedule
+        through.
         """
         boxes = [self._query_box(rect, theta) for rect, theta in queries]
         return self._report_groups_batch(boxes)

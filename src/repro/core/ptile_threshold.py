@@ -64,8 +64,7 @@ class PtileThresholdIndex(PtileIndexBase):
     sample_size:
         Optional explicit coreset size (overrides the eps/phi bound).
     engine:
-        Range-search backend: ``"kd"`` (default, dynamic),
-        ``"columnar"`` (vectorized scans, dynamic) or
+        Range-search backend: ``"kd"`` (default, dynamic) or
         ``"rangetree"`` (static, faithful textbook range tree; practical
         only at small scale).  See :mod:`repro.index.backend`.
     rng:

@@ -17,7 +17,7 @@ This subpackage provides that machinery:
   range tree (tree over the first coordinate, associated structures on the
   rest), faithful to the textbook construction [de Berg et al.]; practical
   for low mapped dimension.
-- :class:`~repro.index.kd_tree.DynamicKDTree` — the default engine: a
+- :class:`~repro.index.kd_tree.DynamicKDTree` — the serving engine: a
   median-split kd-tree held as flat arrays (tree-ordered column-major
   rank codes — 1–2 bytes per coordinate — with their per-column level
   tables, a dataset-key column as narrow as the largest key allows
@@ -26,23 +26,22 @@ This subpackage provides that machinery:
   ``deactivate_group`` / ``activate_group`` (the delete/re-insert trick of
   Algorithms 2 and 4), and bulk insertion with amortized rebuilds for the
   dynamic-synopsis remarks.
-- :class:`~repro.index.columnar.ColumnarStore` — a vectorized columnar
-  engine: column-major point matrix + boolean active mask, answering
-  orthant queries (and the bulk ``report_groups`` group-by) with single
-  NumPy passes; unmeasured since PRs 13–15, see ROADMAP item 7.
+- :class:`~repro.index.columnar.ColumnarStore` — not an engine: the
+  kd-tree's float side buffer (O(1) appends between rebuilds) and the float
+  oracle the tests compare the rank-coded tree against.
 
-All engines implement the :class:`~repro.index.backend.RangeSearchBackend`
+The engines implement the :class:`~repro.index.backend.RangeSearchBackend`
 protocol (``report / report_first / report_groups / count /
-deactivate_group / activate_group / insert / remove_group / nbytes`` plus the multi-box batch kernels ``report_many /
-report_groups_many`` — one shared traversal on the kd-tree, one broadcast
-pass on the columnar store) over integer dataset keys (see
-:mod:`repro.index.backend`); the dynamic engines add the ``to_arrays`` /
+deactivate_group / activate_group / insert / remove_group / nbytes`` plus
+the multi-box batch kernels ``report_many / report_groups_many`` — one
+shared traversal on the kd-tree) over integer dataset keys (see
+:mod:`repro.index.backend`); the dynamic kd-tree adds the ``to_arrays`` /
 ``from_arrays`` pair snapshots restore from.  Every layer above — the
-Ptile structures,
-:class:`~repro.core.engine.DatasetSearchEngine`, the service shards,
-``repro serve --engine`` — is parameterized by a backend name resolved
-through :func:`~repro.index.backend.build_backend` or its streaming form,
-:func:`~repro.index.backend.build_engine`.
+Ptile structures, :class:`~repro.core.engine.DatasetSearchEngine`, the
+service shards — is parameterized by a backend name resolved through
+:func:`~repro.index.backend.build_backend` or its streaming form,
+:func:`~repro.index.backend.build_engine`; the service serves ``"kd"``
+alone.
 """
 
 from repro.index.backend import (
@@ -56,7 +55,6 @@ from repro.index.fenwick import FenwickTree
 from repro.index.sorted_list import SortedListIndex
 from repro.index.range_tree import RangeTree
 from repro.index.kd_tree import DynamicKDTree
-from repro.index.columnar import ColumnarStore
 
 __all__ = [
     "QueryBox",
@@ -64,7 +62,6 @@ __all__ = [
     "SortedListIndex",
     "RangeTree",
     "DynamicKDTree",
-    "ColumnarStore",
     "RangeSearchBackend",
     "ENGINES",
     "DYNAMIC_ENGINES",

@@ -13,13 +13,13 @@ This module formalizes the seam:
 - :func:`build_backend` / :func:`build_engine` (the same backend from a
   stream of mapped-point pieces, which the kd-tree codes one block at a
   time, so no shard-wide float matrix exists) / :func:`restore_backend` over the
-  :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, default),
-  ``"rangetree"`` (textbook multi-level range tree, static, small scale
-  only), ``"columnar"`` (vectorized columnar scan store, dynamic).  The
-  ``to_arrays`` / ``from_arrays`` persistence pair belongs to the dynamic
-  engines (:data:`DYNAMIC_ENGINES`); ``restore_backend`` refuses the rest.
-  Every registered class is built as ``cls(points, ids=ids)`` and restored
-  as ``cls.from_arrays(arrays)``: what tunes one engine (the kd-tree's
+  :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, the one
+  serving backend) and ``"rangetree"`` (textbook multi-level range tree,
+  static, small scale only: the tests' oracle and the paper's delay and
+  Theorem D.4 rows).  The ``to_arrays`` / ``from_arrays`` persistence pair
+  belongs to the dynamic engine (:data:`DYNAMIC_ENGINES`);
+  ``restore_backend`` refuses any other name.  Every registered class is
+  built as ``cls(points, ids=ids)``: what tunes one engine (the kd-tree's
   leaf size) is a constant of that engine's module, not a registry argument.
 
 **An entry id is its dataset's key, stored as one column.**  Every
@@ -42,9 +42,8 @@ speaks only of float points in and keys out; the kd-tree keeps each column
 as 1–2-byte ranks in a sorted level table (:mod:`repro.index.kd_tree` —
 10.2 bytes of coordinates and node boxes per mapped point on the 2-D
 benchmark lake where float64 columns took 80.7, 16.5 against 48.6 on the
-1-D lakes), the columnar store keeps float64 columns because its job is
-O(1) appends.  Their ``to_arrays`` / ``from_arrays`` carry whichever it
-is, and ``nbytes`` reports what it costs.
+1-D lakes), and its ``to_arrays`` / ``from_arrays`` carry those codes;
+``nbytes`` reports what it costs.
 """
 
 from __future__ import annotations
@@ -137,10 +136,9 @@ class RangeSearchBackend(Protocol):
 
         The batch kernel of the cold path: semantically identical to
         ``[self.report(b) for b in boxes]`` (the equivalence suite asserts
-        it; the dynamic engines give each box an int array instead of a
-        list), but free to share work across boxes — one broadcast
-        containment pass on the columnar store, a single multi-box tree
-        walk on the kd-tree.
+        it; the kd-tree gives each box an int array instead of a list),
+        but free to share work across boxes — a single multi-box tree walk
+        on the kd-tree.
         """
         ...
 
@@ -171,15 +169,16 @@ class RangeSearchBackend(Protocol):
 
 
 #: Registered backend names, in documentation order.
-ENGINES = ("kd", "rangetree", "columnar")
+ENGINES = ("kd", "rangetree")
 
 #: Backends whose ``insert`` / ``remove_group`` work (live mutation, delta
-#: shards) — also the ones with a persisted form (the ``backend-protocol`` lint rule
-#: requires it of exactly these): ``to_arrays()``, the flat arrays that
-#: reconstruct the backend, removed entries excluded, and a ``from_arrays``
-#: classmethod that adopts them (they may be read-only maps of a snapshot
-#: file; only activity state is copied) and answers every query identically.
-DYNAMIC_ENGINES = ("kd", "columnar")
+#: shards) — the ones served, and the ones with a persisted form (the
+#: ``backend-protocol`` lint rule requires it of exactly these):
+#: ``to_arrays()``, the flat arrays that reconstruct the backend, removed
+#: entries excluded, and a ``from_arrays`` classmethod that adopts them
+#: (they may be read-only maps of a snapshot file; only activity state is
+#: copied) and answers every query identically.
+DYNAMIC_ENGINES = ("kd",)
 
 
 def backend_class(engine: str) -> type:
@@ -197,10 +196,6 @@ def backend_class(engine: str) -> type:
         from repro.index.range_tree import RangeTree
 
         return RangeTree
-    if engine == "columnar":
-        from repro.index.columnar import ColumnarStore
-
-        return ColumnarStore
     raise ConstructionError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
 
@@ -249,14 +244,13 @@ def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     arrival (:meth:`~repro.index.kd_tree.DynamicKDTree.from_blocks`); the
     Ptile builders cut theirs to at most :data:`BLOCK_ELEMENTS` elements,
     so a shard's mapped points never exist as one float64 matrix.  The
-    other engines store floats, or are small scale only: they get the
-    stacked matrix.
+    range tree is small scale only: it gets the stacked matrix.
 
     >>> import numpy as np
     >>> mapped = [(np.array([[0.0]]), np.array([4])), (np.array([[1.0]]), np.array([9]))]
     >>> [build_engine(iter(mapped), e).report(QueryBox.closed([0.5], [2]))
     ...  for e in ENGINES]
-    [[9], [9], [9]]
+    [[9], [9]]
     """
     if engine == "kd":
         return backend_class(engine).from_blocks(mapped)

@@ -1,48 +1,39 @@
-"""Vectorized columnar range-search backend.
+"""kd's side buffer and the tests' float oracle: a column-major point store.
 
-The kd-tree and range-tree engines pay Python-interpreter cost per visited
-node; at the mapped-point counts the Ptile structures actually produce
-(thousands to hundreds of thousands of points in ``R^{2d+1}`` /
-``R^{4d+2}``), a single NumPy comparison over a contiguous column beats
-any pure-Python tree walk by a wide margin.  ``ColumnarStore`` leans into
-that trade:
+``ColumnarStore`` is not a registered engine (the serving backend is the
+kd-tree, see :mod:`repro.index.backend`).  It has two jobs:
 
-- points live column-major in one ``(k, capacity)`` float matrix — every
-  containment test reads whole columns, so each is one contiguous scan —
-  with a dataset-key column in the smallest unsigned dtype its largest key
-  needs (widened by the insert that brings a larger one) and boolean
-  *active* / *dead* masks alongside; no per-point Python object exists;
-- every query is one vectorized ``contains_points`` pass over the matrix —
-  O(n k) work but at memory bandwidth, not interpreter speed — for a batch
-  of boxes at once, a single box being its one-row batch;
-- ``report_groups`` is that mask plus an integer ``np.unique`` over the
-  group column — the bulk operation that collapses the paper's sequential
-  ReportFirst/deactivate loop (Algorithms 2 and 4) into one pass — and
-  the group-level toggles are one mask write each;
-- ``insert`` appends into amortized-doubling capacity arrays;
-  ``remove_group`` tombstones rows and compacts when tombstones exceed a
-  quarter of the store — the same amortized-rebuilding budget the kd-tree
-  uses.
+- the side buffer of :class:`~repro.index.kd_tree.DynamicKDTree`: an
+  insert appends here in amortized O(1) per point, every query scans the
+  buffer beside the main tree, and once it outgrows
+  ``kd_tree.REBUILD_FRACTION`` of the tree the tree is replanted over both
+  — the amortized rebuilding [Overmars 1983] behind the paper's
+  dynamic-synopsis remark;
+- the float oracle the coded-boundary tests compare the rank-coded
+  kd-tree against: it keeps float64 coordinates, so no level table or rank
+  stands between a bound and a point.
 
-The contract is :class:`~repro.index.backend.RangeSearchBackend`; the
-cross-backend equivalence suite (``tests/index/test_backend_equivalence``)
-checks this store against both trees on random orthant/activation
-sequences.  The kd-tree also uses one as its side buffer.
+Layout: points column-major in one ``(k, capacity)`` float matrix, so every
+containment test reads whole contiguous columns; a dataset-key column in
+the smallest unsigned dtype its largest key needs (widened by the insert
+that brings a larger one, narrowed again by the ``remove_group`` that drops
+it); a boolean *active* mask.  No per-point Python object exists.  Every
+query is one vectorized containment pass — O(n k) at memory bandwidth —
+over a batch of boxes, a single box being its one-row batch, and
+``report_groups`` is that mask plus an integer ``np.unique`` over the key
+column.  ``remove_group`` copies the surviving rows down at once: the kd
+rule keeps the buffer under a quarter of the main tree, whose half of the
+same removal already scans every row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.index.backend import id_column
 from repro.index.query_box import BoxBatch, QueryBox
-
-#: Compact the store when dead (removed) rows exceed this fraction...
-COMPACT_FRACTION = 0.25
-#: ... but never for fewer dead rows than this.
-MIN_DEAD_FOR_COMPACT = 64
 
 
 class ColumnarStore:
@@ -73,8 +64,7 @@ class ColumnarStore:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
         n = pts.shape[0]
-        group = id_column(ids, n)
-        self._adopt(np.array(pts.T, order="C"), group, np.ones(n, dtype=bool))
+        self._adopt(np.array(pts.T, order="C"), id_column(ids, n), np.ones(n, dtype=bool))
 
     def _adopt(self, cols: np.ndarray, group: np.ndarray, active: np.ndarray) -> None:
         self.dim = int(cols.shape[0])
@@ -82,57 +72,16 @@ class ColumnarStore:
         self._group = group
         self._active = active
         self._n = int(cols.shape[1])
-        self._dead = np.zeros(self._n, dtype=bool)
-        self._n_dead = 0
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ColumnarStore":
-        """A store over its own :meth:`to_arrays` without copying them.
-
-        ``points`` / ``group`` may be read-only maps of a snapshot file
-        and are adopted as they are: queries only read them, and the store
-        is exactly full, so the first ``insert`` (like every compaction)
-        moves to fresh private arrays before writing.  Activity is the one
-        flag queries toggle in place — private copy.  The ``local`` id
-        column older snapshots carry is not read.
-
-        The arrays come from outside the process, so what every query
-        compares is checked here: ``points`` must be NaN-free float64
-        columns (the box kernel assumes both), and ``group`` an unsigned
-        column of at most 4 bytes or the signed ``int32`` one older files
-        hold, every key in ``[0, 2^31)``; anything else is a
-        ``ValueError``.  A key column wider than its keys need is narrowed
-        (a private copy).
-        """
-        cols, group = arrays["points"], arrays["group"]
-        active = np.array(arrays["active"], dtype=bool)
-        if cols.ndim != 2 or not group.shape == active.shape == cols.shape[1:]:
-            raise ValueError("backend arrays disagree on point count")
-        if cols.dtype != np.float64 or np.isnan(cols).any():
-            raise ValueError("stored points must be NaN-free float64 columns")
-        if group.dtype.itemsize > 4:
-            raise ValueError("a stored key column is at most 4 bytes wide")
-        store = cls.__new__(cls)
-        store._adopt(cols, id_column(group, group.size), active)
-        return store
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Live rows as ``points`` ``(k, n)``, ``group``, ``active``.
-
-        Views of the store where nothing was removed (rows are never
-        rewritten in place); ``active`` is always a copy.
-        """
-        cols = self._cols[:, : self._n]
+        """The stored rows as ``points`` ``(k, n)`` and ``group`` (views of
+        the store) and ``active`` (a copy)."""
+        n = self._n
         return {
-            "points": cols[:, ~self._dead[: self._n]] if self._n_dead else cols,
-            "group": self._live(self._group),
-            "active": self._live(self._active).copy(),
+            "points": self._cols[:, :n],
+            "group": self._group[:n],
+            "active": self._active[:n].copy(),
         }
-
-    def _live(self, column: np.ndarray) -> np.ndarray:
-        """The non-removed rows of one key/flag column (a view if none are)."""
-        column = column[: self._n]
-        return column[~self._dead[: self._n]] if self._n_dead else column
 
     @property
     def _pts(self) -> np.ndarray:
@@ -140,21 +89,19 @@ class ColumnarStore:
         return self._cols[:, : self._n].T
 
     def __len__(self) -> int:
-        return self._n - self._n_dead
+        return self._n
 
     @property
     def nbytes(self) -> int:
         """Bytes held in arrays (spare append capacity included)."""
-        own = (self._cols, self._group, self._active, self._dead)
-        return sum(a.nbytes for a in own)
+        return self._cols.nbytes + self._group.nbytes + self._active.nbytes
 
     # ------------------------------------------------------------------
     # Activation and dynamics
     # ------------------------------------------------------------------
     def _group_rows(self, group: int) -> np.ndarray:
-        """Mask of the live rows of one group."""
-        n = self._n
-        return (self._group[:n] == group) & ~self._dead[:n]
+        """Mask of the rows of one group."""
+        return self._group[: self._n] == group
 
     def deactivate_group(self, group: int) -> int:
         """Hide every active point of ``group`` (one mask write)."""
@@ -175,8 +122,6 @@ class ColumnarStore:
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
         n, m = self._n, pts.shape[0]
-        if m == 0:  # an adopted store is read-only until it grows
-            return
         key_dtype = np.promote_types(self._group.dtype, group.dtype)
         if n + m > self._cols.shape[1]:
             self._grow(max(n + m, 2 * self._cols.shape[1]), key_dtype)
@@ -185,7 +130,6 @@ class ColumnarStore:
         self._cols[:, n : n + m] = pts.T
         self._group[n : n + m] = group
         self._active[n : n + m] = True
-        self._dead[n : n + m] = False
         self._n += m
 
     def _grow(self, cap: int, key_dtype: np.dtype) -> None:
@@ -193,33 +137,25 @@ class ColumnarStore:
         cols = np.empty((self.dim, cap))
         cols[:, :n] = self._cols[:, :n]
         self._cols = cols
-        for name, dtype in (("_group", key_dtype), ("_active", bool), ("_dead", bool)):
+        for name, dtype in (("_group", key_dtype), ("_active", bool)):
             new = np.zeros(cap, dtype=dtype)
             new[:n] = getattr(self, name)[:n]
             setattr(self, name, new)
 
-    def _bury(self, rows, count: int) -> None:
-        """Tombstone ``count`` live rows (an index or a mask); compact once
-        enough of the store is dead (which re-narrows the key column)."""
-        self._active[: self._n][rows] = False
-        self._dead[: self._n][rows] = True
-        self._n_dead += count
-        if self._n_dead >= max(
-            MIN_DEAD_FOR_COMPACT, int(COMPACT_FRACTION * self._n)
-        ):
-            live = self.to_arrays()
-            group = live["group"]
-            self._adopt(
-                np.ascontiguousarray(live["points"]), id_column(group, group.size),
-                live["active"],
-            )
-
     def remove_group(self, group: int) -> int:
-        """Permanently remove every point of ``group`` (tombstones +
-        amortized compaction); returns how many."""
+        """Permanently remove every point of ``group``, hidden ones too;
+        returns how many.  The surviving rows are copied down in order and
+        the key column is re-narrowed to their largest key."""
         rows = self._group_rows(group)
         removed = int(np.count_nonzero(rows))
-        self._bury(rows, removed)
+        if removed:
+            keep, n = ~rows, self._n
+            survivors = self._group[:n][keep]
+            self._adopt(
+                np.ascontiguousarray(self._cols[:, :n][:, keep]),
+                id_column(survivors, survivors.size),
+                self._active[:n][keep],
+            )
         return removed
 
     # ------------------------------------------------------------------
@@ -232,9 +168,7 @@ class ColumnarStore:
         per-query NumPy dispatch overhead across the whole batch; a
         single-box query reads row 0 of its box's one-row batch.  The
         open/closed endpoint semantics live in :mod:`repro.index.query_box`,
-        not here.  Dead (removed) rows need no extra filter: ``_bury``
-        always forces ``_active`` False and ``_group_rows`` skips dead
-        rows, so a tombstoned row can never be re-activated.
+        not here.
         """
         if batch.dim != self.dim:
             raise ValueError(

@@ -59,9 +59,10 @@ lookup, and the tree is planted on the codes: arrays equal, byte for
 byte, to coding the stacked matrix, however the stream is cut.
 
 The side buffer is a float :class:`~repro.index.columnar.ColumnarStore`
-queried with the original box — appends must stay O(1), and a new level
-would re-code the whole store; :meth:`DynamicKDTree._rebuild` is the same
-merge over two blocks, the live main rows *as the codes they already are*
+(not an engine of its own: this buffer is its one serving job) queried
+with the original box — appends must stay O(1), and a new level would
+re-code the whole store; :meth:`DynamicKDTree._rebuild` is the same merge
+over two blocks, the live main rows *as the codes they already are*
 and the freshly coded buffer, so new levels interleave the old ones at the
 amortised cost inserts already paid and nothing is decoded.  ``to_arrays``
 hands out codes, level tables, key column and node table and

@@ -112,15 +112,13 @@ class RangeTree:
     def insert(self, points: np.ndarray, ids: Iterable) -> None:
         """Unsupported — the textbook range tree is static."""
         raise CapabilityError(
-            "RangeTree is static; use the 'kd' or 'columnar' engine for "
-            "dynamic insertion"
+            "RangeTree is static; use the 'kd' engine for dynamic insertion"
         )
 
     def remove_group(self, group: int) -> int:
         """Unsupported — the textbook range tree is static."""
         raise CapabilityError(
-            "RangeTree is static; use the 'kd' or 'columnar' engine for "
-            "dynamic removal"
+            "RangeTree is static; use the 'kd' engine for dynamic removal"
         )
 
     def _activity(self) -> SortedListIndex:

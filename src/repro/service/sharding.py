@@ -188,10 +188,9 @@ class ShardedBatchExecutor:
         keeps the index it carries.
     engine:
         Range-search backend name forced onto every shard engine (and the
-        delta shard): ``"kd"`` (default) or ``"columnar"`` (vectorized
-        scans; unmeasured since PRs 13–15, see ROADMAP item 7) — the
-        dynamic engines of :mod:`repro.index.backend`.  The static
-        ``"rangetree"`` is refused at construction: the serving layer
+        delta shard): ``"kd"``, the one dynamic engine of
+        :mod:`repro.index.backend`.  Any other name is refused at
+        construction: the static ``"rangetree"`` because the serving layer
         ingests live.
     capacity:
         Expected repository size the accuracy contract is resolved against:

@@ -31,20 +31,22 @@ segment references), and ``arrays`` — the segment table mapping each
 reference to ``{offset, dtype, shape}`` relative to the data section.
 Equal array *objects* are written once (deduplicated by identity), so a
 repository dataset shared with its ``ExactSynopsis`` costs one segment.
-Each Ptile backend is stored as its own ``to_arrays()`` — a dynamic
-engine's (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a header naming
-any other is refused: for the kd-tree, ``(k, n)`` unsigned rank codes in
-tree order (``mapped_codes``), the per-column float64 level tables they
-index (``mapped_levels``), every point's dataset key in the smallest
-unsigned dtype that holds the shard's largest key (``mapped_ids``: one
-byte a point up to 256 datasets a shard) and the node table with its boxes
-in code space — version 4 stored the same points as ``(k, n)`` float64
-(``mapped_points``, still what the columnar store persists), 8 bytes per
-coordinate against 1–2.  No active mask is written: a unit is saved under
-its shard lock, after any report loop re-showed what it hid, so every
-point is active (``save`` refuses an index with a hidden one), and a load
-starts every point active.  A Ptile index's coresets are one ``(N, s, d)``
-segment, not ``N``.  Older files are refused, not migrated.  Version-5
+Each Ptile backend is stored as its own ``to_arrays()`` — the kd-tree's,
+the one dynamic engine (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a
+header naming any other engine, in a shard's Ptile state or as the
+executor's (the static ``rangetree``, or the ``columnar`` store older
+builds served), is refused by name.  A kd backend is ``(k, n)`` unsigned
+rank codes in tree order (``mapped_codes``), the per-column float64 level
+tables they index (``mapped_levels``), every point's dataset key in the
+smallest unsigned dtype that holds the shard's largest key
+(``mapped_ids``: one byte a point up to 256 datasets a shard) and the node
+table with its boxes in code space — version 4 stored the same points as
+``(k, n)`` float64 (``mapped_points``), 8 bytes per coordinate against
+1–2.  No active mask is written: a unit is saved under its shard lock,
+after any report loop re-showed what it hid, so every point is active
+(``save`` refuses an index with a hidden one), and a load starts every
+point active.  A Ptile index's coresets are one ``(N, s, d)`` segment,
+not ``N``.  Older files are refused, not migrated.  Version-5
 files from builds where the kd leaf size, the plan-cache capacity and the
 slow-log size were still constructor keywords carry them in ``state``
 (the leaf size once per shard unit and once per Ptile index); they are
@@ -351,7 +353,6 @@ def _restore_rng(state: dict) -> np.random.Generator:
 # ----------------------------------------------------------------------
 #: Segment hint (the kind ``inspect`` groups bytes by) of each backend array.
 _BACKEND_HINTS = {
-    "points": "mapped_points",
     "codes": "mapped_codes",
     "levels": "mapped_levels",
     "level_start": "mapped_levels",
@@ -425,7 +426,7 @@ def _ptile_from_state(
     if coresets.ndim != 3 or coresets.shape[0] != len(keys):
         raise SnapshotError("ptile coreset segment does not match the key list")
     index._coresets = dict(zip(keys, coresets))  # views of the one segment
-    # Zero-copy: codes / points, level tables, key column and node table
+    # Zero-copy: codes, level tables, key column and node table
     # stay the file-backed buffers.  from_arrays validates what it adopts;
     # an engine without a persisted form is refused by name.  Every saved
     # point is active; the mask older files carry is not read.
@@ -764,7 +765,7 @@ def inspect(path: PathLike) -> dict:
             kind: nbytes // n_datasets for kind, nbytes in sized
         }
         # The constant of the paper's space bound, as stored: the whole file
-        # and the backend segments alone (codes / points, level tables, keys,
+        # and the backend segments alone (codes, level tables, keys,
         # node table), per mapped point — one key each, so the mapped points
         # are the lengths of the units' key segments.
         units = [*executor["engines"], executor["delta_engine"]]

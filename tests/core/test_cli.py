@@ -26,6 +26,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lake-stats", "--family", "fractal"])
 
+    def test_serve_engine_defaults_to_kd(self):
+        assert build_parser().parse_args(["serve"]).engine == "kd"
+        assert build_parser().parse_args(["serve", "--engine", "kd"]).engine == "kd"
+
+    @pytest.mark.parametrize("engine", ["columnar", "rangetree"])
+    def test_serve_refuses_every_other_engine(self, engine, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--engine", engine])
+        assert f"invalid choice: '{engine}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["snapshot", "build", "out.snap"], ["demo-mutation"]]
+    )
+    def test_commands_that_only_passed_an_engine_on_take_none(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--engine", "kd"])
+        assert "unrecognized arguments: --engine kd" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_demo_ptile_runs_and_reports_recall(self, capsys):

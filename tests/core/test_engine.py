@@ -10,6 +10,9 @@ from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import And, Or, Predicate, pred
+from repro.core.ptile_exact_1d import ExactPtile1DIndex
+from repro.core.ptile_range import PtileRangeIndex
+from repro.core.ptile_threshold import PtileThresholdIndex
 from repro.core.pref_index import pref_threshold
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
@@ -230,7 +233,7 @@ _TREES = st.recursive(
 )
 
 
-@pytest.mark.parametrize("kind", ["kd", "columnar", "rangetree"])
+@pytest.mark.parametrize("kind", ["kd", "rangetree"])
 @settings(max_examples=30, deadline=None)
 @given(expression=_TREES)
 def test_search_is_one_path_on_every_engine(kind, expression):
@@ -241,3 +244,24 @@ def test_search_is_one_path_on_every_engine(kind, expression):
     assert len(timed.emit_times) == len(timed.indexes)
     assert untimed.index_set == _leaf_at_a_time(engine, expression)
     assert engine.ground_truth(expression) <= untimed.index_set
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda syns, name: DatasetSearchEngine(synopses=syns, engine=name),
+        lambda syns, name: PtileRangeIndex(syns, sample_size=8, engine=name),
+        lambda syns, name: PtileThresholdIndex(syns, sample_size=8, engine=name),
+        lambda syns, name: ExactPtile1DIndex(
+            [s.points for s in syns], Interval(0.2, 0.6), engine=name
+        ),
+    ],
+    ids=["search_engine", "ptile_range", "ptile_threshold", "exact_1d"],
+)
+def test_every_builder_refuses_the_columnar_name(build, rng):
+    """``columnar`` is no engine name — the float column store is the
+    kd-tree's side buffer — so every builder that takes an engine name
+    refuses it with the registry's message, before any query."""
+    syns = [ExactSynopsis(rng.uniform(size=(30, 1))) for _ in range(3)]
+    with pytest.raises(ConstructionError, match="unknown engine 'columnar'"):
+        build(syns, "columnar")

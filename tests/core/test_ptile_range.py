@@ -74,7 +74,7 @@ class TestGuarantees:
         assert index.query(QUERY, iv).index_set == index.query(QUERY, iv).index_set
 
     @pytest.mark.parametrize(
-        "engine, sample_size", [("kd", 32), ("columnar", 32), ("rangetree", 5)]
+        "engine, sample_size", [("kd", 32), ("rangetree", 5)]
     )
     def test_timed_loop_equals_batched_mode(self, planted, engine, sample_size):
         """Algorithm 4's loop — ReportFirst, then one ``deactivate_group``

@@ -1,11 +1,14 @@
-"""Cross-backend equivalence: kd, range-tree and columnar must agree.
+"""Cross-backend equivalence: the kd-tree and the range tree must agree.
 
 This is the safety net of the pluggable-backend refactor: every registered
 :class:`~repro.index.backend.RangeSearchBackend` is driven with the same
 random mapped point sets, orthant queries and activation sequences, and
 must produce identical key multisets for ``report``, identical key sets for
 ``report_groups``, identical ``count`` values, and consistent
-``report_first`` membership.
+``report_first`` membership.  Where the static range tree cannot follow
+(inserts, removals, bounds on the kd-tree's coded levels), a float
+:class:`~repro.index.columnar.ColumnarStore` over the same live points is
+the independent peer.
 """
 
 import tracemalloc
@@ -16,9 +19,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.index import ENGINES, QueryBox, build_backend, kd_tree
 from repro.index.backend import DYNAMIC_ENGINES
+from repro.index.columnar import ColumnarStore
 
 #: ``small_leaves`` is set once per test, never by an example.
 FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+#: The dynamic point stores by name: the served kd engine, and the float
+#: column store every kd insert lands in first (its side buffer), built
+#: from the same ``(points, ids)``.
+DYNAMIC_STORES = {
+    "kd": lambda pts, ids: build_backend(pts, ids, "kd"),
+    "columnar": ColumnarStore,
+}
 
 
 def random_orthant(rng: np.random.Generator, dim: int) -> QueryBox:
@@ -161,9 +173,10 @@ class TestDynamicEquivalence:
     @settings(max_examples=20, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), plain=st.booleans())
     def test_insert_remove_churn(self, small_leaves, seed, plain):
-        """Dynamic backends stay equivalent under mixed churn — whole
-        groups removed, or single points where every key is distinct; with
-        shared keys, inserts add to stored groups."""
+        """Every dynamic backend answers like a float store built fresh from
+        the live rows under mixed churn — whole groups removed, or single
+        points where every key is distinct; with shared keys, inserts add
+        to stored groups."""
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         pts = rng.uniform(size=(20, dim))
@@ -176,6 +189,7 @@ class TestDynamicEquivalence:
             e: build_backend(pts, list(ids), e)
             for e in DYNAMIC_ENGINES
         }
+        rows = list(pts)
         live = list(ids)
         next_id = 20
         for _ in range(50):
@@ -185,31 +199,34 @@ class TestDynamicEquivalence:
                 row = rng.uniform(size=(1, dim))
                 for b in backends.values():
                     b.insert(row, [pid])
+                rows.append(row[0])
                 live.append(pid)
                 next_id += 1
             elif op == 1 and len(live) > 1:
                 group = live[int(rng.integers(len(live)))]
-                gone = [key for key in live if key == group]
-                live = [key for key in live if key != group]
+                kept = [i for i, key in enumerate(live) if key != group]
                 for b in backends.values():
-                    assert b.remove_group(group) == len(gone)
+                    assert b.remove_group(group) == len(live) - len(kept)
+                rows = [rows[i] for i in kept]
+                live = [live[i] for i in kept]
             else:
                 box = random_orthant(rng, dim)
-                reports = {e: sorted(b.report(box)) for e, b in backends.items()}
-                groups = {e: b.report_groups(box) for e, b in backends.items()}
-                assert all(r == reports["kd"] for r in reports.values())
-                assert all(g == groups["kd"] for g in groups.values())
+                peer = ColumnarStore(np.array(rows), ids=live) if live else None
+                want = sorted(peer.report(box)) if peer is not None else []
+                for e, b in backends.items():
+                    assert sorted(b.report(box)) == want, e
+                    assert b.report_groups(box) == set(want), e
         box = QueryBox.unbounded(dim)
         final = {e: sorted(b.report(box)) for e, b in backends.items()}
         assert all(r == sorted(live) for r in final.values()), final
 
 
-    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_repeated_key_in_a_batch_is_one_datasets_points(self, engine):
+    @pytest.mark.parametrize("store", DYNAMIC_STORES)
+    def test_repeated_key_in_a_batch_is_one_datasets_points(self, store):
         """An id is a dataset key, not a point's name: a key repeated
         inside one insert() is one dataset's points, and a later insert
         may add to a stored group — buffered or in the main structure."""
-        b = build_backend(np.array([[0.0], [1.0]]), [0, 0], engine)
+        b = DYNAMIC_STORES[store](np.array([[0.0], [1.0]]), [0, 0])
         box = QueryBox.unbounded(1)
         b.insert(np.array([[5.0], [6.0]]), ids=[1, 1])
         assert len(b) == n_visible(b) == 4
@@ -262,14 +279,26 @@ class TestDynamicEquivalence:
         assert static == {"rangetree"}
         tree = build_backend(rng.uniform(size=(8, 2)), None, "rangetree")
         assert not hasattr(tree, "to_arrays") and not hasattr(tree, "from_arrays")
-        arrays = build_backend(rng.uniform(size=(8, 2)), None, "columnar").to_arrays()
+        arrays = build_backend(rng.uniform(size=(8, 2)), None, "kd").to_arrays()
         with pytest.raises(ConstructionError, match="dynamic engine.*got 'rangetree'"):
             restore_backend(arrays, "rangetree")
 
-    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_remove_group(self, small_leaves, engine, rng):
+    @pytest.mark.parametrize("name", ["columnar", "btree"])
+    def test_restore_refuses_every_name_but_kd(self, name, rng):
+        """Only the kd engine has a persisted form: beside the static range
+        tree (above), arrays handed over under the retired columnar
+        engine's name or an unknown one are refused by that name."""
+        from repro.errors import ConstructionError
+        from repro.index.backend import restore_backend
+
+        arrays = build_backend(rng.uniform(size=(8, 2)), None, "kd").to_arrays()
+        with pytest.raises(ConstructionError, match=f"dynamic engine.*got '{name}'"):
+            restore_backend(arrays, name)
+
+    @pytest.mark.parametrize("store", DYNAMIC_STORES)
+    def test_remove_group(self, small_leaves, store, rng):
         ids = [i % 4 for i in range(40)]
-        b = build_backend(rng.uniform(size=(40, 2)), ids, engine)
+        b = DYNAMIC_STORES[store](rng.uniform(size=(40, 2)), ids)
         assert b.deactivate_group(1) == 10
         b.insert(rng.uniform(size=(3, 2)), [1, 1, 5])
         assert b.remove_group(1) == 12  # hidden and buffered points included
@@ -280,16 +309,17 @@ class TestDynamicEquivalence:
         b.insert(rng.uniform(size=(1, 2)), [1])  # the key is free again
         assert b.report(QueryBox.unbounded(2)).count(1) == 1
 
-    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    @pytest.mark.parametrize("store", DYNAMIC_STORES)
     def test_every_group_removed_leaves_a_valid_empty_backend(
-        self, small_leaves, engine, rng
+        self, small_leaves, store, rng
     ):
         """Regression: a kd-tree emptied by ``remove_group`` died in
         ``to_arrays()`` with numpy's "zero-size array to reduction
-        operation minimum".  On both dynamic engines an emptied backend is
-        a valid one: zero-row arrays, no answers, inserts welcome."""
+        operation minimum".  An emptied dynamic store — the kd engine or
+        its side buffer — is a valid one: zero-row arrays, no answers,
+        inserts welcome."""
         ids = [i % 4 for i in range(20)]
-        b = build_backend(rng.uniform(size=(20, 3)), ids, engine)
+        b = DYNAMIC_STORES[store](rng.uniform(size=(20, 3)), ids)
         assert sum(b.remove_group(g) for g in range(4)) == 20
         arrays = b.to_arrays()
         assert all(arrays[name].shape == (0,) for name in ("group", "active"))
@@ -377,21 +407,24 @@ class TestProtocolSurface:
         with pytest.raises(CapabilityError):
             b.remove_group(0)
 
-    def test_dynamic_backends_accept_inserts(self, rng):
-        for e in DYNAMIC_ENGINES:
-            b = build_backend(rng.uniform(size=(5, 2)), list(range(5)), e)
-            b.insert(np.full((1, 2), 0.5), [7])
-            assert 7 in b.report_groups(QueryBox.unbounded(2))
-            assert b.remove_group(7) == 1 and len(b) == 5
+    @pytest.mark.parametrize("store", DYNAMIC_STORES)
+    def test_dynamic_backends_accept_inserts(self, store, rng):
+        b = DYNAMIC_STORES[store](rng.uniform(size=(5, 2)), list(range(5)))
+        b.insert(np.full((1, 2), 0.5), [7])
+        assert 7 in b.report_groups(QueryBox.unbounded(2))
+        assert b.remove_group(7) == 1 and len(b) == 5
 
-    def test_unknown_engine_rejected(self, rng):
+    @pytest.mark.parametrize("name", ["btree", "columnar"])
+    def test_unknown_engine_rejected(self, name, rng):
+        """``columnar`` is no engine name: the float store is kd's side
+        buffer and the tests' oracle, built directly."""
         from repro.errors import ConstructionError
 
-        with pytest.raises(ConstructionError):
-            build_backend(rng.uniform(size=(5, 2)), list(range(5)), "btree")
+        with pytest.raises(ConstructionError, match=f"unknown engine '{name}'"):
+            build_backend(rng.uniform(size=(5, 2)), list(range(5)), name)
 
-    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
-    def test_construction_leaves_no_per_point_objects(self, engine, rng):
+    @pytest.mark.parametrize("store", DYNAMIC_STORES)
+    def test_construction_leaves_no_per_point_objects(self, store, rng):
         """Bytes per mapped point are the constant of the paper's space
         bound: a built backend holds its points plus a few flat columns —
         no tuple, dict entry or node object per point."""
@@ -400,7 +433,7 @@ class TestProtocolSurface:
         ids = np.arange(n) // 500
         tracemalloc.start()
         try:
-            backend = build_backend(pts, ids, engine)
+            backend = DYNAMIC_STORES[store](pts, ids)
             snapshot = tracemalloc.take_snapshot()
             live, _peak = tracemalloc.get_traced_memory()
         finally:
@@ -410,22 +443,22 @@ class TestProtocolSurface:
         busiest = max(snapshot.statistics("lineno"), key=lambda st: st.count)
         assert busiest.count < n, busiest
 
-    def test_remove_semantics_aligned(self, rng):
-        """Both dynamic backends: removing a deactivated point works,
+    @pytest.mark.parametrize("store", DYNAMIC_STORES)
+    def test_remove_semantics_aligned(self, store, rng):
+        """Every dynamic store: removing a deactivated point works,
         double-remove and unknown-group remove are no-ops returning 0."""
-        for e in DYNAMIC_ENGINES:
-            b = build_backend(rng.uniform(size=(6, 2)), list(range(6)), e)
-            assert b.deactivate_group(2) == 1
-            assert b.remove_group(2) == 1  # removal of a hidden point is legitimate
-            assert sorted(b.report(QueryBox.unbounded(2))) == [0, 1, 3, 4, 5]
-            assert (len(b), n_visible(b)) == (5, 5)
-            assert b.remove_group(2) == 0
-            assert b.remove_group(99) == 0
+        b = DYNAMIC_STORES[store](rng.uniform(size=(6, 2)), list(range(6)))
+        assert b.deactivate_group(2) == 1
+        assert b.remove_group(2) == 1  # removal of a hidden point is legitimate
+        assert sorted(b.report(QueryBox.unbounded(2))) == [0, 1, 3, 4, 5]
+        assert (len(b), n_visible(b)) == (5, 5)
+        assert b.remove_group(2) == 0
+        assert b.remove_group(99) == 0
 
 
 # ----------------------------------------------------------------------
-# The kd-tree stores ranks in per-column level tables; a float columnar
-# store is the oracle for every bound that can fall on, between or
+# The kd-tree stores ranks in per-column level tables; a float
+# ColumnarStore is the oracle for every bound that can fall on, between or
 # beyond the levels.
 # ----------------------------------------------------------------------
 def boundary_values(levels) -> np.ndarray:
@@ -487,7 +520,7 @@ class TestCodedBoundaries:
         pts = rng.choice(self.LEVELS, size=(n, self.DIM))
         ids = [i % 5 for i in range(n)]
         kd = build_backend(pts, ids, "kd")
-        oracle = build_backend(pts, ids, "columnar")
+        oracle = ColumnarStore(pts, ids=ids)
         assert kd._pts.dtype == np.uint8 and kd._box.dtype == np.uint8
         assert [t.tolist() for t in kd._tables] == [self.LEVELS] * self.DIM
         boxes = boundary_boxes(self.LEVELS, self.DIM, rng)
@@ -543,7 +576,7 @@ class TestCodedBoundaries:
         ids = np.arange(n_levels) % 3
         monkeypatch.setattr(kd_tree, "DEFAULT_LEAF_SIZE", 64)
         kd = build_backend(pts, ids, "kd")
-        oracle = build_backend(pts, ids, "columnar")
+        oracle = ColumnarStore(pts, ids=ids)
         assert kd._pts.dtype == kd._box.dtype == dtype
         assert kd.to_arrays()["codes"].dtype == dtype
         top = float(n_levels - 1)
@@ -596,7 +629,9 @@ class TestKeyDtypeBoundaries:
 
         keys = np.array([i % 5 for i in range(59)] + [top])
         base = (rng.uniform(size=(60, self.DIM)), keys)
-        backends = {e: build_backend(*base, e) for e in DYNAMIC_ENGINES}
+        backends = {
+            "kd": build_backend(*base, "kd"), "columnar": ColumnarStore(*base)
+        }
         dtype = np.min_scalar_type(top)
         assert all(b._group.dtype == dtype for b in backends.values())
         live = [base]
@@ -619,7 +654,8 @@ class TestKeyDtypeBoundaries:
                 assert backends["kd"]._buf is None
             self.check(backends, live, rng)
 
-        # Removing the wide key and folding the tombstones in narrows again.
+        # Removing the wide key and folding the kd tombstones in narrows
+        # again (the float store copies its survivors down at once).
         if wide != top:
             for b in backends.values():
                 assert b.remove_group(wide) == 74
@@ -628,9 +664,9 @@ class TestKeyDtypeBoundaries:
             self.check(backends, live, rng)
 
         # The persistence seam keeps the narrow column and the answers.
-        twins = {e: restore_backend(b.to_arrays(), e) for e, b in backends.items()}
-        self.check(twins, live, rng)
-        self.assert_same_answers({**backends, **twins}, [QueryBox.unbounded(self.DIM)])
+        twin = restore_backend(backends["kd"].to_arrays(), "kd")
+        self.check({"kd": twin}, live, rng)
+        self.assert_same_answers({**backends, "twin": twin}, [QueryBox.unbounded(self.DIM)])
 
     def test_keys_past_a_narrow_column_touch_nothing(self, small_leaves, rng):
         pts, ids = rng.uniform(size=(40, self.DIM)), [i % 5 for i in range(39)] + [255]

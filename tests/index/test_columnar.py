@@ -1,9 +1,9 @@
-"""Tests for the vectorized columnar range-search backend."""
+"""Tests for the float column store behind kd's side buffer and oracle."""
 
 import numpy as np
 import pytest
 
-from repro.index.columnar import ColumnarStore, MIN_DEAD_FOR_COMPACT
+from repro.index.columnar import ColumnarStore
 from repro.index.query_box import QueryBox
 
 
@@ -94,24 +94,25 @@ class TestDynamics:
         store.insert(np.array([[0.5, 0.5]]), ids=[5])
         assert 5 in store.report(QueryBox.unbounded(2))
 
-    def test_compaction_preserves_answers(self, rng):
-        n = 4 * MIN_DEAD_FOR_COMPACT
-        pts = rng.uniform(size=(n, 2))
-        store = ColumnarStore(pts)
-        victims = rng.choice(n, size=MIN_DEAD_FOR_COMPACT + 10, replace=False)
-        survivors_inactive = []
-        for i, v in enumerate(sorted(int(v) for v in victims)):
-            store.remove_group(v)
-        # Deactivate a couple of survivors; compaction must keep the flags.
-        alive = sorted(set(range(n)) - {int(v) for v in victims})
-        for v in alive[:5]:
-            store.deactivate_group(v)
-            survivors_inactive.append(v)
-        box = QueryBox.unbounded(2)
-        expect = sorted(set(alive) - set(survivors_inactive))
-        assert sorted(store.report(box)) == expect
-        assert len(store) == len(alive)
-        assert store.count(QueryBox.unbounded(store.dim)) == len(expect)
+    def test_remove_group_equals_a_fresh_store_over_the_survivors(self, rng):
+        """``remove_group`` copies the surviving rows down in order, keeps
+        their activity and re-narrows the key column: the store is then a
+        fresh one over the survivors, array for array."""
+        pts = rng.uniform(size=(43, 2))
+        keys = np.array([i % 4 for i in range(40)] + [300, 300, 1])
+        store = ColumnarStore(pts[:40], ids=keys[:40])
+        store.insert(pts[40:], ids=keys[40:])  # key 300 widens the column
+        assert store._group.dtype == np.uint16
+        store.deactivate_group(2)
+        assert store.remove_group(300) == 2 and store.remove_group(0) == 10
+        kept = (keys != 300) & (keys != 0)
+        fresh = ColumnarStore(pts[kept], ids=keys[kept])
+        fresh.deactivate_group(2)
+        got, want = store.to_arrays(), fresh.to_arrays()
+        assert got["group"].dtype == want["group"].dtype == np.uint8
+        for name in ("points", "group", "active"):
+            np.testing.assert_array_equal(got[name], want[name])
+        assert len(store) == len(fresh) == 31
 
     def test_capacity_growth_keeps_old_points(self, rng):
         store = ColumnarStore(rng.uniform(size=(3, 1)))
@@ -119,3 +120,28 @@ class TestDynamics:
             store.insert(np.array([[float(i)]]), ids=[1000 + i])
         assert len(store) == 203
         assert store.count(QueryBox.unbounded(1)) == 203
+
+
+class TestBatchKernels:
+    """``report_many`` / ``report_groups_many`` are one scan over a batch of
+    boxes — the kd-tree runs them over its side buffer on every batch —
+    and answer like the per-box calls, activity and inserts included."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_batch_equals_per_box_loop(self, dim, rng):
+        pts = rng.uniform(size=(60, dim))
+        store = ColumnarStore(pts, ids=[i % 7 for i in range(60)])
+        store.deactivate_group(3)
+        store.insert(rng.uniform(size=(5, dim)), ids=[9] * 5)
+        boxes = [QueryBox.unbounded(dim)]
+        for _ in range(6):
+            lo = rng.uniform(0.0, 0.5, size=dim)
+            boxes.append(QueryBox.closed(lo, lo + rng.uniform(0.2, 0.6, size=dim)))
+        assert [r.tolist() for r in store.report_many(boxes)] == [
+            store.report(box) for box in boxes
+        ]
+        assert store.report_groups_many(boxes) == [
+            store.report_groups(box) for box in boxes
+        ]
+        assert 3 not in store.report_groups_many(boxes)[0]
+        assert store.report_many([]) == store.report_groups_many([]) == []

@@ -9,6 +9,7 @@ from repro.index.kd_tree import (
     MIN_BUFFER_FOR_REBUILD,
     REBUILD_FRACTION,
 )
+from repro.index.columnar import ColumnarStore
 from repro.index.query_box import QueryBox
 
 #: ``small_leaves`` is set once per test, never by an example.
@@ -205,6 +206,27 @@ class TestAmortizedRebuild:
         assert set(new_ids) <= set(tree._group.tolist())
         assert len(tree) == 50 + len(new_ids)
         assert tree.count(QueryBox.unbounded(tree.dim)) == 50 + len(new_ids)
+
+    def test_below_the_threshold_inserts_wait_in_a_column_store(self, rng):
+        """Until the threshold, inserted rows are a float ColumnarStore
+        beside the main tree, in arrival order, and every query adds its
+        answers to the tree's; the row that reaches it replants both."""
+        pts = rng.uniform(size=(50, 2))
+        tree = DynamicKDTree(pts)
+        threshold = max(MIN_BUFFER_FOR_REBUILD, int(REBUILD_FRACTION * 50))
+        new = rng.uniform(size=(threshold - 1, 2))
+        ids = list(range(1000, 1000 + len(new)))
+        tree.insert(new, ids=ids)
+        assert isinstance(tree._buf, ColumnarStore)
+        buffered = tree._buf.to_arrays()
+        np.testing.assert_array_equal(buffered["points"], new.T)
+        assert buffered["group"].tolist() == ids
+        keys = np.array(list(range(50)) + ids)
+        box = QueryBox.closed([0.2, 0.2], [0.8, 0.8])
+        want = keys[naive_report(np.vstack([pts, new]), box)].tolist()
+        assert sorted(tree.report(box)) == want
+        tree.insert(rng.uniform(size=(1, 2)), ids=[2000])
+        assert tree._buf is None and len(tree) == 50 + threshold
 
     def test_activation_state_survives_rebuild(self, rng):
         pts = rng.uniform(size=(50, 2))

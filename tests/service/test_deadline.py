@@ -39,14 +39,13 @@ SEED = 31
 DIM = 2
 
 
-def build_service(engine: str, **kwargs) -> QueryService:
+def build_service(**kwargs) -> QueryService:
     lake = synthetic_data_lake(
         12, DIM, np.random.default_rng(SEED), median_size=80
     )
     return QueryService(
         repository=Repository.from_arrays(lake),
         n_shards=2,
-        engine=engine,
         seed=SEED,
         eps=0.2,
         sample_size=16,
@@ -54,9 +53,16 @@ def build_service(engine: str, **kwargs) -> QueryService:
     )
 
 
-@pytest.fixture(params=["kd", "columnar"])
-def service(request):
-    svc = build_service(request.param)
+@pytest.fixture(params=["built", "loaded"])
+def service(request, tmp_path):
+    """The service as built, and as a node serves it: loaded (mmap) from
+    the snapshot file of the same build, synopses and all."""
+    svc = build_service()
+    if request.param == "loaded":
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        svc = QueryService.load(path, mmap=True)
     yield svc
     svc.close()
 
@@ -184,7 +190,7 @@ def test_the_screen_rules_out_only_what_the_engine_cannot_report():
 
 class TestDeadlineUnderInjectedSlowness:
     def test_slow_shard_triggers_degradation(self, queries):
-        svc = build_service("kd")
+        svc = build_service()
         try:
             faults.arm("shard_eval=sleep:0.25")
             results = svc.search_batch(queries, deadline_ms=50)
@@ -207,7 +213,7 @@ class TestDeadlineUnderInjectedSlowness:
         # Units run in sequence on the calling thread: once the first one
         # has slept through the budget, the second must not be started,
         # and the answer degrades to synopsis bounds around the truth.
-        svc = build_service("kd")
+        svc = build_service()
         leaf = pred(PercentileMeasure(Rectangle([0.2, 0.2], [0.8, 0.8])), 0.5)
         started = []
         real = ShardedBatchExecutor._eval_on_unit
@@ -235,7 +241,7 @@ class TestDeadlineUnderInjectedSlowness:
     def test_executor_raises_with_partial_prefix(self, queries):
         # The name is the floor's; since PR 22 nothing is raised — a tripped
         # budget *returns* the completed prefix, here the empty one.
-        svc = build_service("kd")
+        svc = build_service()
         try:
             plans = [svc.plans.plan(q) for q in queries]
             leaves = []
@@ -260,7 +266,7 @@ class TestDeadlineUnderInjectedSlowness:
 class TestDeadlineWire:
     @pytest.fixture(scope="class")
     def server(self):
-        svc = build_service("columnar")
+        svc = build_service()
         httpd = make_server(svc, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()

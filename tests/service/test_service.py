@@ -329,60 +329,24 @@ class TestServiceFacade:
 
 
 class TestEngineThreading:
-    """Backend selection must flow service -> executor -> shard engines,
-    with identical answers across backends (same seeds, same coresets)."""
+    """The service serves the kd engine alone: any other name is refused
+    when the service is built, before any shard exists."""
 
-    def test_engine_reaches_every_layer(self, repo):
+    def test_kd_reaches_every_layer(self, lake, repo):
+        # The default engine name is the one every layer reports: service,
+        # stats, executor, each shard and its Ptile index, and the delta
+        # shard an ingest creates.
         svc = QueryService(
             repository=repo, n_shards=2, eps=EPS, sample_size=SAMPLE_SIZE,
-            seed=SEED, engine="columnar",
+            seed=SEED, capacity=4 * N_DATASETS,
         )
         try:
-            assert svc.engine_kind == "columnar"
-            assert svc.stats()["engine"] == "columnar"
-            assert svc.executor.engine_kind == "columnar"
-            for engine in svc.executor.engines:
-                assert engine.engine_kind == "columnar"
-                assert engine.ptile_index.engine_kind == "columnar"
-        finally:
-            svc.close()
-
-    def test_columnar_matches_kd_service(self, repo, queries):
-        answers = {}
-        for backend in ("kd", "columnar"):
-            svc = QueryService(
-                repository=repo, n_shards=3, eps=EPS,
-                sample_size=SAMPLE_SIZE, seed=SEED, engine=backend,
-            )
-            try:
-                answers[backend] = [
-                    r.index_set for r in svc.search_batch(queries)
-                ]
-            finally:
-                svc.close()
-        assert answers["kd"] == answers["columnar"]
-
-    def test_columnar_delta_shard_ingest(self, lake, repo, queries):
-        svc = QueryService(
-            repository=repo, n_shards=2, eps=EPS, sample_size=SAMPLE_SIZE,
-            seed=SEED, engine="columnar", capacity=4 * N_DATASETS,
-        )
-        try:
-            svc.search_batch(queries)
-            receipt = svc.add_datasets([lake[0] + 0.01])
-            assert receipt["rebuilt"] is False  # landed in the delta shard
-            assert svc.executor.delta_engine.engine_kind == "columnar"
-            got = [r.index_set for r in svc.search_batch(queries)]
-            fresh = QueryService(
-                repository=svc.repository, n_shards=2, eps=EPS,
-                sample_size=SAMPLE_SIZE, seed=SEED, engine="columnar",
-                capacity=4 * N_DATASETS,
-            )
-            try:
-                expect = [r.index_set for r in fresh.search_batch(queries)]
-            finally:
-                fresh.close()
-            assert got == expect
+            svc.add_datasets([lake[0] + 0.01])
+            assert svc.engine_kind == svc.stats()["engine"] == "kd"
+            assert svc.executor.engine_kind == "kd"
+            for engine in (*svc.executor.engines, svc.executor.delta_engine):
+                assert engine.engine_kind == "kd"
+                assert engine.ptile_index.engine_kind == "kd"
         finally:
             svc.close()
 
@@ -391,6 +355,12 @@ class TestEngineThreading:
         # up front like an unknown name, not at the first live ingest.
         with pytest.raises(ConstructionError, match="dynamic engine"):
             QueryService(repository=repo, engine="rangetree")
+
+    def test_columnar_rejected_at_construction(self, repo):
+        # The float column store is kd's side buffer, not an engine: a
+        # service asked for it is refused by name before any shard exists.
+        with pytest.raises(ConstructionError, match="dynamic engine.*'columnar'"):
+            QueryService(repository=repo, engine="columnar")
 
     def test_unknown_engine_rejected_at_construction(self, repo):
         with pytest.raises(ConstructionError):

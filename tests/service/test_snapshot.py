@@ -31,8 +31,6 @@ DIM = 1
 SEED = 11
 EPS = 0.2
 SAMPLE_SIZE = 12
-# The serving engines; the static rangetree is refused by the executor.
-BACKENDS = ["kd", "columnar"]
 
 
 @pytest.fixture(scope="module")
@@ -64,13 +62,12 @@ def one_shard_kd_service(lake):
 
 
 class TestServiceRoundTrip:
-    @pytest.mark.parametrize("engine", BACKENDS)
+    @pytest.mark.parametrize("n_shards", [1, 3])
     @pytest.mark.parametrize("mmap", [True, False])
-    def test_pristine_service(self, lake, queries, tmp_path, engine, mmap):
+    def test_pristine_service(self, lake, queries, tmp_path, mmap, n_shards):
         svc = QueryService(
             repository=Repository.from_arrays(lake),
-            n_shards=3,
-            engine=engine,
+            n_shards=n_shards,
             seed=SEED,
             eps=EPS,
             sample_size=SAMPLE_SIZE,
@@ -88,21 +85,30 @@ class TestServiceRoundTrip:
         loaded.close()
         svc.close()
 
-    @pytest.mark.parametrize("engine", ["kd", "columnar"])
+    @pytest.mark.parametrize("ingest", ["rebuilt", "side_buffer"])
     @pytest.mark.parametrize("mmap", [True, False])
-    def test_mutated_service(self, lake, queries, tmp_path, engine, mmap):
-        """Delta-shard datasets and tombstone masks survive the round trip."""
+    def test_mutated_service(self, lake, queries, tmp_path, mmap, ingest):
+        """Ingested datasets and tombstone masks survive the round trip:
+        datasets past the bounding box, which the service rebuilds over,
+        or datasets inside it, the last of which waits in the built delta
+        kd-tree's side buffer when the file is written (two base shards, so
+        a delta shard of seven stays under their mean size)."""
         svc = QueryService(
             repository=Repository.from_arrays(lake),
-            n_shards=3,
-            engine=engine,
+            n_shards=3 if ingest == "rebuilt" else 2,
             seed=SEED,
             eps=EPS,
             sample_size=SAMPLE_SIZE,
             capacity=2 * N_DATASETS,
         )
         rng = np.random.default_rng(SEED + 2)
-        svc.add_datasets([rng.normal(size=(50, DIM)) for _ in range(2)])
+        if ingest == "rebuilt":
+            svc.add_datasets([rng.normal(size=(50, DIM)) for _ in range(2)])
+        else:
+            assert not svc.add_datasets([d[::2] for d in lake[:6]])["rebuilt"]
+            svc.warm()  # builds the delta tree the next ingest lands in
+            assert not svc.add_datasets([lake[6][1::2]])["rebuilt"]
+            assert svc.executor.delta_engine._ptile._tree._buf is not None
         svc.remove_datasets([1, 4])
         assert svc.executor.removed == frozenset({1, 4})
         expected = answers(svc, queries)
@@ -127,7 +133,6 @@ class TestServiceRoundTrip:
         svc = QueryService(
             repository=Repository.from_arrays(lake),
             n_shards=2,
-            engine="columnar",
             seed=SEED,
             eps=EPS,
             sample_size=SAMPLE_SIZE,
@@ -154,7 +159,7 @@ class TestServiceRoundTrip:
         loaded.close()
 
     @pytest.mark.parametrize("mmap", [True, False])
-    def test_dim2_columnar(self, tmp_path, mmap):
+    def test_dim2_round_trip(self, tmp_path, mmap):
         lake = synthetic_data_lake(
             8, 2, np.random.default_rng(SEED), median_size=60
         )
@@ -162,7 +167,6 @@ class TestServiceRoundTrip:
         svc = QueryService(
             repository=Repository.from_arrays(lake),
             n_shards=2,
-            engine="columnar",
             seed=SEED,
             eps=EPS,
             sample_size=SAMPLE_SIZE,
@@ -179,7 +183,6 @@ class TestServiceRoundTrip:
         svc = QueryService(
             repository=Repository.from_arrays(lake),
             n_shards=2,
-            engine="columnar",
             seed=SEED,
             eps=EPS,
             sample_size=SAMPLE_SIZE,
@@ -358,11 +361,10 @@ class TestExecutorAndEngineKinds:
         assert answers(loaded, queries) == expected
         loaded.close()
 
-    @pytest.mark.parametrize("engine", BACKENDS)
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("older", ["local_ids", "int32_keys_and_active"])
     def test_retired_local_id_column_is_ignored_on_read(
-        self, lake, queries, tmp_path, engine, mmap, older
+        self, lake, queries, tmp_path, mmap, older
     ):
         """v5 files written while a mapped point's id was a ``(key, local)``
         pair carry a second ``int32`` id segment per backend, ``local``;
@@ -378,8 +380,7 @@ class TestExecutorAndEngineKinds:
         def build():
             svc = QueryService(
                 repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
-                engine=engine, eps=EPS, sample_size=SAMPLE_SIZE,
-                capacity=4 * N_DATASETS,
+                eps=EPS, sample_size=SAMPLE_SIZE, capacity=4 * N_DATASETS,
             )
             svc.add_datasets([lake[0][::2]])  # a delta unit beside the base shards
             svc.warm()
@@ -491,11 +492,10 @@ class TestExecutorAndEngineKinds:
         loaded.close()
         reference.close()
 
-    def test_inspect(self, lake, tmp_path):
+    def test_inspect_kd_reports_codes_not_points(self, lake, tmp_path):
         svc = QueryService(
             repository=Repository.from_arrays(lake),
             n_shards=3,
-            engine="columnar",
             seed=SEED,
             eps=EPS,
             sample_size=SAMPLE_SIZE,
@@ -504,44 +504,20 @@ class TestExecutorAndEngineKinds:
         path = tmp_path / "svc.snap"
         svc.save(path, generation=7)
         n_points = sum(len(e.ptile_index._tree) for e in svc.executor.engines)
+        index_bytes = svc.stats()["executor"]["index_bytes"]
         svc.close()
         summary = inspect(path)
         assert summary["kind"] == "query_service"
         assert summary["generation"] == 7
         assert summary["executor"]["n_datasets"] == N_DATASETS
-        assert summary["executor"]["engine"] == "columnar"
+        assert summary["executor"]["engine"] == "kd"
         # Where the bytes go: by segment kind, and per dataset.
         by_kind = summary["bytes_by_kind"]
         assert sum(by_kind.values()) == summary["data_bytes"]
         assert list(by_kind.values()) == sorted(by_kind.values(), reverse=True)
-        assert {"mapped_points", "mapped_ids", "coreset"} <= set(by_kind)
-        assert "node_table" not in by_kind  # columnar has no nodes
-        assert "mapped_active" not in by_kind  # every saved point is active
-        assert summary["n_mapped_points"] == n_points
-        assert by_kind["mapped_ids"] == n_points  # one uint8 key a point: 16 datasets
-        assert by_kind["mapped_points"] == 8 * (4 * DIM + 2) * n_points
         per_dataset = summary["bytes_per_dataset"]
         assert per_dataset["file"] == summary["file_bytes"] // N_DATASETS
-        assert per_dataset["mapped_points"] == by_kind["mapped_points"] // N_DATASETS
-
-
-    def test_inspect_kd_reports_codes_not_points(self, lake, tmp_path):
-        svc = QueryService(
-            repository=Repository.from_arrays(lake),
-            n_shards=3,
-            engine="kd",
-            seed=SEED,
-            eps=EPS,
-            sample_size=SAMPLE_SIZE,
-        )
-        svc.warm()
-        path = tmp_path / "svc.snap"
-        svc.save(path)
-        n_points = sum(len(e.ptile_index._tree) for e in svc.executor.engines)
-        index_bytes = svc.stats()["executor"]["index_bytes"]
-        svc.close()
-        summary = inspect(path)
-        by_kind = summary["bytes_by_kind"]
+        assert per_dataset["mapped_codes"] == by_kind["mapped_codes"] // N_DATASETS
         assert "mapped_points" not in by_kind
         assert {"mapped_codes", "mapped_levels", "node_table", "coreset"} <= set(by_kind)
         assert "mapped_active" not in by_kind  # every saved point is active
@@ -625,9 +601,9 @@ def _rewrite_header(path, hint, old: str, new: str):
 
 class TestHostileBackendArrays:
     """A kd snapshot's codes index its level tables at the next rebuild —
-    i.e. inside ``POST /datasets`` — and a columnar one's points are what
-    every query compares.  A file whose arrays disagree must be refused at
-    load with ``SnapshotError``, under mmap and copy alike."""
+    i.e. inside ``POST /datasets``.  A file whose arrays disagree, or that
+    names an engine without a persisted form, must be refused at load with
+    ``SnapshotError``, under mmap and copy alike."""
 
     @pytest.fixture()
     def snap(self, lake, tmp_path):
@@ -691,51 +667,29 @@ class TestHostileBackendArrays:
         with pytest.raises(ValueError, match="do not describe one kd-tree"):
             DynamicKDTree.from_arrays(arrays)
 
-    @pytest.fixture()
-    def columnar_snap(self, lake, tmp_path):
-        path = tmp_path / "columnar.snap"
-        svc = QueryService(
-            repository=Repository.from_arrays(lake), n_shards=1,
-            engine="columnar", seed=SEED, eps=EPS, sample_size=SAMPLE_SIZE,
-        )
-        svc.warm()
-        svc.save(path)
-        load(path)  # pristine: loads
-        return path
-
-    def test_columnar_points_not_float64(self, columnar_snap):
-        """Regression: a columnar ``mapped_points`` segment retyped to
-        bytes loaded, and every later query raised ``UFuncTypeError`` —
-        a 500 on a node."""
-        _rewrite_header(columnar_snap, "mapped_points", '"<f8"', '"|S8"')
-        self.refused(columnar_snap, "NaN-free float64")
-
-    def test_columnar_nan_points(self, columnar_snap):
-        """Regression: NaN columnar points loaded, and the datasets they
-        belong to dropped out of answers with no error."""
-        _ref, meta, offset = _segment(columnar_snap, "mapped_points")
-        assert meta["dtype"] == "<f8"
-        _poke(columnar_snap, offset, struct.pack("<d", float("nan")) * 4)
-        self.refused(columnar_snap, "NaN-free float64")
-
     def test_coreset_segment_of_the_wrong_shape(self, snap):
         _ref, meta, _offset = _segment(snap, "coreset")
         n, size, dim = meta["shape"]
         _rewrite_header(snap, "coreset", f"[{n},{size},{dim}]", f"[{size},{n},{dim}]")
         self.refused(snap, "coreset segment does not match")
 
-    def test_header_naming_the_static_engine_is_refused_not_replanted(self, snap):
-        """Only the dynamic engines have a persisted form: ``rangetree`` in
-        a shard's Ptile state or as the executor's engine is refused by
-        name (it used to be rebuilt from the points)."""
+    @pytest.mark.parametrize("holder", ["ptile", "executor"])
+    @pytest.mark.parametrize("engine", ["rangetree", "columnar"])
+    def test_header_naming_the_static_engine_is_refused_not_replanted(
+        self, snap, holder, engine
+    ):
+        """Only the kd engine has a persisted form: the static ``rangetree``
+        (it used to be rebuilt from the points) or the retired ``columnar``
+        store, in a shard's Ptile state or as the executor's engine, is
+        refused by name.  A kd file whose executor said ``columnar`` used to
+        load and report that engine over kd shards."""
         header, data = _read_header(snap)
         executor = header["state"]["executor"]
-        for holder in (executor["engines"][0]["ptile"], executor):
-            assert holder["engine"] == "kd"
-            holder["engine"] = "rangetree"
-            _write_header(snap, header, data)
-            self.refused(snap, "'rangetree'")
-            holder["engine"] = "kd"
+        state = executor["engines"][0]["ptile"] if holder == "ptile" else executor
+        assert state["engine"] == "kd"
+        state["engine"] = engine
+        _write_header(snap, header, data)
+        self.refused(snap, f"'{engine}'")
 
     def test_coresets_are_views_of_one_segment(self, snap):
         index = load(snap).executor.engines[0].ptile_index

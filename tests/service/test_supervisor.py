@@ -66,7 +66,6 @@ def snapshot(workload, tmp_path):
     svc = QueryService(
         repository=Repository.from_arrays(lake),
         n_shards=2,
-        engine="columnar",
         seed=SEED,
         eps=0.2,
         sample_size=12,

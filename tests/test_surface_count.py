@@ -12,8 +12,8 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (281, 1018),
-    "src/repro/index": (8, 101),
+    "src/repro": (281, 1015),
+    "src/repro/index": (8, 98),
     "src/repro/service": (133, 351),
 }
 

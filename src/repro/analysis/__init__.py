@@ -32,23 +32,10 @@ Annotations understood in checked source:
     suppresses every rule).
 """
 
-from repro.analysis.findings import Finding
-from repro.analysis.registry import all_rules, rule
-from repro.analysis.runner import (
-    lint_paths,
-    lint_source,
-    main,
-    render_json,
-    render_text,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "Finding",
-    "all_rules",
-    "rule",
-    "lint_paths",
-    "lint_source",
-    "main",
-    "render_json",
-    "render_text",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.analysis.findings": "Finding",
+    "repro.analysis.registry": "all_rules rule",
+    "repro.analysis.runner": "lint_paths lint_source main render_json render_text",
+})

@@ -11,8 +11,10 @@
   baseline for preference queries.
 """
 
-from repro.baselines.linear_scan import LinearScanPtile
-from repro.baselines.fainder import FainderStyleIndex
-from repro.baselines.pref_scan import LinearScanPref
+from repro._lazy import namespace
 
-__all__ = ["LinearScanPtile", "FainderStyleIndex", "LinearScanPref"]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.baselines.linear_scan": "LinearScanPtile",
+    "repro.baselines.fainder": "FainderStyleIndex",
+    "repro.baselines.pref_scan": "LinearScanPref",
+})

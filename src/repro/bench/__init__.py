@@ -1,5 +1,7 @@
 """Benchmark-harness utilities (timing, tables, scaling fits)."""
 
-from repro.bench.harness import TableReporter, fit_loglog_slope, time_callable
+from repro._lazy import namespace
 
-__all__ = ["TableReporter", "fit_loglog_slope", "time_callable"]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.bench.harness": "TableReporter fit_loglog_slope time_callable",
+})

@@ -38,14 +38,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.bench.harness import TableReporter
-from repro.core.pref_index import PrefIndex
-from repro.index.backend import DYNAMIC_ENGINES
-from repro.core.ptile_range import PtileRangeIndex
+# What the parser needs, and no more: a handler imports what it runs, so
+# ``serve`` never loads the demo modules.
 from repro.errors import ReproError
-from repro.geometry.interval import Interval
-from repro.geometry.rectangle import Rectangle
-from repro.synopsis.exact import ExactSynopsis
+from repro.index.backend import DYNAMIC_ENGINES
 from repro.workloads.generators import FAMILIES, synthetic_data_lake
 
 
@@ -68,6 +64,12 @@ def _make_lake(args: argparse.Namespace):
 
 
 def cmd_demo_ptile(args: argparse.Namespace) -> int:
+    from repro.bench.harness import TableReporter
+    from repro.core.ptile_range import PtileRangeIndex
+    from repro.geometry.interval import Interval
+    from repro.geometry.rectangle import Rectangle
+    from repro.synopsis.exact import ExactSynopsis
+
     lake, rng = _make_lake(args)
     region = Rectangle([args.region_lo] * args.dim, [args.region_hi] * args.dim)
     theta = Interval(args.theta[0], args.theta[1])
@@ -91,6 +93,10 @@ def cmd_demo_ptile(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_pref(args: argparse.Namespace) -> int:
+    from repro.bench.harness import TableReporter
+    from repro.core.pref_index import PrefIndex
+    from repro.synopsis.exact import ExactSynopsis
+
     lake, _rng = _make_lake(args)
     index = PrefIndex(
         [ExactSynopsis(p) for p in lake], k=args.k, eps=args.eps
@@ -255,6 +261,7 @@ def cmd_federate(args: argparse.Namespace) -> int:
 def cmd_demo_mutation(args: argparse.Namespace) -> int:
     import time
 
+    from repro.bench.harness import TableReporter
     from repro.core.framework import Repository
     from repro.geometry.rectangle import Rectangle
     from repro.service import QueryService
@@ -343,6 +350,8 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def cmd_lake_stats(args: argparse.Namespace) -> int:
+    from repro.bench.harness import TableReporter
+
     lake, _rng = _make_lake(args)
     table = TableReporter(
         f"synthetic lake: {args.n} datasets, d = {args.dim}, family = {args.family}",

@@ -20,41 +20,21 @@ data structures of Sections 4-5 and Appendices C-D:
   answer representation shared by the engine and the service layer.
 """
 
-from repro.core.bitset import DatasetBitmap, bitmap_from_wire
-from repro.core.framework import Dataset, Repository
-from repro.core.measures import MeasureFunction, PercentileMeasure, PreferenceMeasure
-from repro.core.predicates import And, Or, Predicate, pred
-from repro.core.results import QueryResult
-from repro.core.ptile_threshold import PtileThresholdIndex
-from repro.core.ptile_range import PtileRangeIndex
-from repro.core.ptile_logical import PtileLogicalIndex
-from repro.core.ptile_exact_1d import ExactPtile1DIndex
-from repro.core.pref_index import PrefIndex
-from repro.core.pref_logical import PrefLogicalIndex
-from repro.core.engine import DatasetSearchEngine
-from repro.core.nn_index import NearestNeighborIndex
-from repro.core.diversity_index import DiversityIndex
+from repro._lazy import namespace
 
-__all__ = [
-    "Dataset",
-    "DatasetBitmap",
-    "bitmap_from_wire",
-    "Repository",
-    "MeasureFunction",
-    "PercentileMeasure",
-    "PreferenceMeasure",
-    "Predicate",
-    "And",
-    "Or",
-    "pred",
-    "QueryResult",
-    "PtileThresholdIndex",
-    "PtileRangeIndex",
-    "PtileLogicalIndex",
-    "ExactPtile1DIndex",
-    "PrefIndex",
-    "PrefLogicalIndex",
-    "DatasetSearchEngine",
-    "NearestNeighborIndex",
-    "DiversityIndex",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.core.bitset": "DatasetBitmap bitmap_from_wire",
+    "repro.core.framework": "Dataset Repository",
+    "repro.core.measures": "MeasureFunction PercentileMeasure PreferenceMeasure",
+    "repro.core.predicates": "Predicate And Or pred",
+    "repro.core.results": "QueryResult",
+    "repro.core.ptile_threshold": "PtileThresholdIndex",
+    "repro.core.ptile_range": "PtileRangeIndex",
+    "repro.core.ptile_logical": "PtileLogicalIndex",
+    "repro.core.ptile_exact_1d": "ExactPtile1DIndex",
+    "repro.core.pref_index": "PrefIndex",
+    "repro.core.pref_logical": "PrefLogicalIndex",
+    "repro.core.engine": "DatasetSearchEngine",
+    "repro.core.nn_index": "NearestNeighborIndex",
+    "repro.core.diversity_index": "DiversityIndex",
+})

@@ -8,10 +8,12 @@ Both indexes follow the same recipe (Section 4.1):
    them (or maximal pairs of them) to weighted points in a higher-dimensional
    space — the whole coreset stack at once, cut into pieces of one block
    budget by :func:`_row_ranges` (the Theorem C.8 tensor cuts its rows the
-   same way);
+   same way), as level codes: coordinates as positions in the stack's
+   sorted axis tables, weights on the ``count/s ± delta_i`` lattice
+   (:func:`_weight_levels`), so no piece is a float matrix and no column
+   is sorted again to rank it;
 3. index the mapped points with a pluggable range-search backend
-   (:mod:`repro.index.backend`), the pieces being the blocks the kd-tree
-   codes one at a time; and
+   (:mod:`repro.index.backend`), the kd-tree planting on the codes; and
 4. answer queries with one ``report_groups`` bulk pass — the batched form
    of the paper's repeated ``ReportFirst`` + temporary deletion of all
    points of the reported dataset (Algorithms 2, 4), which :func:`_report`
@@ -35,7 +37,7 @@ from repro.geometry.epsilon_sample import epsilon_of_sample_size, epsilon_sample
 from repro.geometry.rect_enum import _row_owners
 from repro.geometry.rectangle import Rectangle
 from repro.index import backend
-from repro.index.backend import DYNAMIC_ENGINES, backend_class
+from repro.index.backend import DYNAMIC_ENGINES, _decode, backend_class
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
 
@@ -117,61 +119,25 @@ def draw_coreset(
     return sample
 
 
-def range_point_matrix(
-    inner_lo: np.ndarray,
-    inner_hi: np.ndarray,
-    outer_lo: np.ndarray,
-    outer_hi: np.ndarray,
-    weights: np.ndarray,
-    delta: float | np.ndarray,
-) -> np.ndarray:
-    """The ``(P, 4d+2)`` mapped points of Algorithm 3 for a block of pairs
-    — one :func:`~repro.index.backend.build_engine` piece; no float matrix
-    ever spans a shard.  ``delta`` is a scalar or one value per row (a
-    block spans datasets).
-
-    Column order matches the per-pair concatenation the builders used to
-    do row by row: ``(rho^-, rho_hat^-, rho^+, rho_hat^+, w+delta,
-    w-delta)``.  ``P = 0`` yields a correctly *shaped* ``(0, 4d+2)``
-    matrix — never the ragged 1-d array ``np.asarray([])`` would produce —
-    so an empty coreset joins a block, or goes to backend ``insert``,
-    without special-casing.
+def _weight_levels(
+    size: int, deltas: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The level tables of the weight columns ``w + delta_i`` and
+    ``w - delta_i`` (coresets of ``size``): the lattice of the ``size + 1``
+    counts by the distinct deltas, built with a row mapping's own float
+    operations (``count / size``, then ``±`` the delta), so its levels are
+    bitwise the mapped weights and coinciding ones are one level.  Returns
+    ``(which, [(table, code)] for + and -)``: a row of dataset ``k`` with
+    ``count`` points inside sits at level ``code[count, which[k]]``.
     """
-    n, d = inner_lo.shape
-    out = np.empty((n, 4 * d + 2))
-    out[:, 0:d] = inner_lo
-    out[:, d : 2 * d] = outer_lo
-    out[:, 2 * d : 3 * d] = inner_hi
-    out[:, 3 * d : 4 * d] = outer_hi
-    out[:, 4 * d] = weights + delta
-    out[:, 4 * d + 1] = weights - delta
-    return out
-
-
-def threshold_point_matrix(
-    lo: np.ndarray, hi: np.ndarray, weights: np.ndarray, delta: float | np.ndarray
-) -> np.ndarray:
-    """The ``(P, 2d+1)`` mapped points of Algorithm 1 for a block of
-    rectangles (and sentinel rows) — one piece, like
-    :func:`range_point_matrix`; ``delta`` is a scalar or one value per row.
-
-    Column order: ``(rho^-, rho^+, w+delta)`` — the row-by-row
-    ``to_point_2d`` concatenation of the legacy builder, assembled as
-    three column-range writes.  Shaped-empty behaviour as in
-    :func:`range_point_matrix`.
-    """
-    n, d = lo.shape
-    out = np.empty((n, 2 * d + 1))
-    out[:, 0:d] = lo
-    out[:, d : 2 * d] = hi
-    out[:, 2 * d] = weights + delta
-    return out
-
-
-def _one_piece(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """A stream of ``(points, ids)`` pieces as one piece."""
-    points, ids = map(np.concatenate, zip(*pieces))
-    return points, ids
+    distinct, which = np.unique(deltas, return_inverse=True)
+    mass = (np.arange(size + 1) / size)[:, None]
+    lattices = []
+    for values in (mass + distinct, mass - distinct):
+        table, code = np.unique(values.ravel(), return_inverse=True)
+        dtype = np.min_scalar_type(table.size - 1)
+        lattices.append((table, code.reshape(values.shape).astype(dtype)))
+    return which, lattices
 
 
 def _row_ranges(
@@ -183,7 +149,7 @@ def _row_ranges(
     elements, dataset after dataset; the rows are cut into consecutive
     ranges of at most :data:`~repro.index.backend.BLOCK_ELEMENTS` elements
     (one row at least), so a range may begin and end inside a dataset and
-    no dataset's whole float matrix need exist.  Yields, per range, the
+    no dataset's whole enumeration need exist.  Yields, per range, the
     datasets it touches (a slice of the stack), the range relative to the
     first of them (the ``rows`` of an enumerator call over that slice),
     and every row's dataset (a stack position) and position among that
@@ -338,8 +304,8 @@ class PtileIndexBase:
     # ------------------------------------------------------------------
     # Registration and dynamics (Remark 1 after Theorem 4.4/4.11); the
     # subclass supplies ``_mapped(keys, coresets, deltas)``, the datasets'
-    # mapped points as a stream of ``(points, ids)`` pieces in key order,
-    # raising ``ConstructionError`` for a dataset it refuses.
+    # mapped points as a stream of ``(codes, tables, ids)`` pieces in key
+    # order, raising ``ConstructionError`` for a dataset it refuses.
     # ------------------------------------------------------------------
     def _register(
         self, synopsis: Synopsis, delta_i: float, coreset: np.ndarray
@@ -366,10 +332,6 @@ class PtileIndexBase:
         coresets = np.stack([self._coresets[k] for k in keys])
         return coresets, np.array([self._deltas[k] for k in keys])
 
-    def _mapped_points(self, key: int) -> tuple[np.ndarray, np.ndarray]:
-        """A registered dataset's mapped points as one ``(points, ids)`` piece."""
-        return _one_piece(self._mapped([key], *self._stacked([key])))
-
     def insert_synopsis(
         self, synopsis: Synopsis, delta: Optional[float] = None
     ) -> int:
@@ -388,7 +350,7 @@ class PtileIndexBase:
         delta = float(delta)
         coreset = draw_coreset(synopsis, self._sample_size, self._rng)
         # Map before registering: a refused dataset leaves no trace.
-        pts, ids = _one_piece(
+        pts, ids = _decode(
             self._mapped([self._next_key], coreset[None], np.array([delta]))
         )
         self._tree.insert(pts, ids)

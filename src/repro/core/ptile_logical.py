@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.core._ptile_common import _report, _row_ranges
+from repro.core._ptile_common import _report, _row_ranges, _weight_levels
 from repro.core.measures import PercentileMeasure
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.core.ptile_range import PtileRangeIndex
@@ -153,10 +153,11 @@ class PtileLogicalIndex:
         each dataset are cut into pieces of one block budget
         (:func:`_row_ranges`, as the range builder cuts its pairs).  A
         row's position in its dataset's product picks one pair per slot by
-        stride arithmetic (last slot fastest) — same row order and float
+        stride arithmetic (last slot fastest) — same row order and decoded
         values as a per-combination ``itertools.product`` /
-        ``np.concatenate`` loop, at NumPy speed.  The size is refused from
-        the pair counts, before anything is enumerated.
+        ``np.concatenate`` loop, at NumPy speed, coded as the range
+        builder codes its pieces.  The size is refused from the pair
+        counts, before anything is enumerated.
         """
         ri = self._range_index
         keys = ri.keys
@@ -168,25 +169,26 @@ class PtileLogicalIndex:
                 f"tensor construction for m={m} needs {total} mapped points "
                 f"(> {MAX_TENSOR_POINTS}); reduce sample_size or use compose"
             )
-        in_lo, in_hi, out_lo, out_hi, weights = generalized_pairs_arrays(
+        codes, tables, inside = generalized_pairs_arrays(
             coresets, ri.bounding_box, None
         )
-        coords = np.hstack([in_lo, out_lo, in_hi, out_hi])
+        coords = codes[[0, 2, 1, 3]].reshape(-1, codes.shape[2])  # as range rows
+        which, ((plus, up), (minus, down)) = _weight_levels(coresets.shape[1], deltas)
         begin = np.cumsum(pairs) - pairs
-        d4 = 4 * ri.dim
         keys = np.asarray(keys)
 
         def tensor_rows():
-            for _, _, owner, position in _row_ranges(pairs ** m, m * (d4 + 2)):
-                block = np.empty((owner.size, m * (d4 + 2)))
-                delta = deltas[owner]
+            for _, _, owner, position in _row_ranges(pairs**m, m * (4 * ri.dim + 2)):
+                shift = which[owner]
+                columns, ups, downs = [], [], []
                 for slot in range(m):
                     stride = pairs[owner] ** (m - 1 - slot)
                     row = begin[owner] + position // stride % pairs[owner]
-                    block[:, slot * d4 : (slot + 1) * d4] = coords[row]
-                    block[:, m * d4 + slot] = weights[row] + delta
-                    block[:, m * d4 + m + slot] = weights[row] - delta
-                yield block, keys[owner]
+                    columns.extend(coords[:, row])
+                    ups.append(up[inside[row], shift])
+                    downs.append(down[inside[row], shift])
+                levels = tables * 4 * m + [plus] * m + [minus] * m
+                yield columns + ups + downs, levels, keys[owner]
 
         self._tensor_trees[m] = build_engine(tensor_rows(), self.engine_kind)
 

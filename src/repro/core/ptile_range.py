@@ -33,7 +33,7 @@ from repro.core._ptile_common import (
     PtileIndexBase,
     _report,
     _row_ranges,
-    range_point_matrix,
+    _weight_levels,
 )
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
@@ -113,7 +113,7 @@ class PtileRangeIndex(PtileIndexBase):
 
     def _mapped(
         self, keys: Sequence[int], coresets: np.ndarray, deltas: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[list, list, np.ndarray]]:
         """Map maximal pairs to ``(rho^-, rho_hat^-, rho^+, rho_hat^+, w±delta)``.
 
         The datasets ``keys`` (their ``(K, s, d)`` coreset stack and
@@ -122,8 +122,9 @@ class PtileRangeIndex(PtileIndexBase):
         each piece is one
         :func:`~repro.geometry.rect_enum.generalized_pairs_arrays` call over
         the datasets it touches — many small datasets, or part of a large
-        one.  Every coreset is checked against the box, and the pair-count
-        guard applied to each, before the first row is enumerated.
+        one, coded by its axis levels and :func:`_weight_levels`.  Every
+        coreset is checked against the box, and the pair-count guard
+        applied to each, before the first row is enumerated.
         """
         inside = self.bounding_box.contains_points(coresets.reshape(-1, self.dim))
         inside = inside.reshape(len(keys), -1).all(axis=1)
@@ -133,12 +134,16 @@ class PtileRangeIndex(PtileIndexBase):
                 f"{keys[int(np.argmin(inside))]}; pass a larger box"
             )
         counts = _row_counts(coresets, self.bounding_box, True)
+        which, ((plus, up), (minus, down)) = _weight_levels(coresets.shape[1], deltas)
         keys = np.asarray(keys)
         for datasets, rows, owner, _ in _row_ranges(counts, 4 * self.dim + 2):
-            *pairs, weights = generalized_pairs_arrays(
+            codes, tables, inside = generalized_pairs_arrays(
                 coresets[datasets], self.bounding_box, rows
             )
-            yield range_point_matrix(*pairs, weights, deltas[owner]), keys[owner]
+            shift = which[owner]
+            coords = codes[[0, 2, 1, 3]].reshape(-1, owner.size)  # -> mapped order
+            columns = [*coords, up[inside, shift], down[inside, shift]]
+            yield columns, [*(tables * 4), plus, minus], keys[owner]
 
     # ------------------------------------------------------------------
     # Query (Algorithm 4)

@@ -28,21 +28,21 @@ from repro.core._ptile_common import (
     PtileIndexBase,
     _report,
     _row_ranges,
-    threshold_point_matrix,
+    _weight_levels,
 )
 from repro.core.results import QueryResult
 from repro.errors import QueryError
 from repro.geometry.interval import Interval
-from repro.geometry.rect_enum import _row_counts, rectangles_arrays
+from repro.geometry.rect_enum import (
+    GAP_INNER_HI,
+    GAP_INNER_LO,
+    _row_counts,
+    rectangles_arrays,
+)
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import build_engine
 from repro.index.query_box import QueryBox
 from repro.synopsis.base import Synopsis
-
-#: Sentinel "empty rectangle" coordinates: lo >= any R^- and hi <= any R^+,
-#: so the sentinel point lies in every query orthant.
-_SENTINEL_LO = 1e300
-_SENTINEL_HI = -1e300
 
 
 class PtileThresholdIndex(PtileIndexBase):
@@ -103,7 +103,7 @@ class PtileThresholdIndex(PtileIndexBase):
     # ------------------------------------------------------------------
     def _mapped(
         self, keys: Sequence[int], coresets: np.ndarray, deltas: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[list, list, np.ndarray]]:
         """Map every coreset rectangle to ``(rho^-, rho^+, w + delta_i)``.
 
         Each dataset maps to its rectangles, then one extra *sentinel*
@@ -121,22 +121,25 @@ class PtileThresholdIndex(PtileIndexBase):
         budget (:func:`_row_ranges`), as the range builder cuts its pairs;
         each piece's rectangles are one
         :func:`~repro.geometry.rect_enum.rectangles_arrays` call over the
-        datasets it touches.
+        datasets it touches, coded as the range builder codes its pieces; a
+        sentinel row is ``lo = GAP_INNER_LO``, ``hi = GAP_INNER_HI``, count 0.
         """
         rects = _row_counts(coresets, None, False)
+        which, ((plus, up), _) = _weight_levels(coresets.shape[1], deltas)
         keys = np.asarray(keys)
-        columns = 2 * self.dim + 1
-        for datasets, rows, owner, position in _row_ranges(rects + 1, columns):
-            sentinel = position == rects[owner]
-            lo = np.full((owner.size, self.dim), _SENTINEL_LO)
-            hi = np.full((owner.size, self.dim), _SENTINEL_HI)
-            weights = np.zeros(owner.size)
+        for datasets, rows, owner, position in _row_ranges(rects + 1, 2 * self.dim + 1):
+            real = position < rects[owner]
             # No sentinel precedes the range's first row in its dataset.
-            enumerated = (rows[0], rows[1] - int(np.count_nonzero(sentinel)))
-            lo[~sentinel], hi[~sentinel], weights[~sentinel] = rectangles_arrays(
-                coresets[datasets], enumerated
-            )
-            yield threshold_point_matrix(lo, hi, weights, deltas[owner]), keys[owner]
+            enumerated = (rows[0], rows[1] - int(np.count_nonzero(~real)))
+            codes, tables, inside = rectangles_arrays(coresets[datasets], enumerated)
+            coded = np.empty((2, self.dim, owner.size), dtype=codes.dtype)
+            coded[:, :, real] = codes
+            empty = [np.searchsorted(t, [GAP_INNER_LO, GAP_INNER_HI]) for t in tables]
+            coded[:, :, ~real] = np.transpose(empty)[:, :, None]
+            count = np.zeros(owner.size, dtype=inside.dtype)
+            count[real] = inside
+            columns = [*coded.reshape(-1, owner.size), up[count, which[owner]]]
+            yield columns, [*tables, *tables, plus], keys[owner]
 
     # ------------------------------------------------------------------
     # Query (Algorithm 2)

@@ -18,30 +18,15 @@ paper:
   construction of Section 4.3.
 """
 
-from repro.geometry.interval import Interval
-from repro.geometry.rectangle import Rectangle
-from repro.geometry.epsilon_net import build_epsilon_net, nearest_net_vector
-from repro.geometry.epsilon_sample import epsilon_sample_size, draw_epsilon_sample
-from repro.geometry.rect_enum import (
-    RectangleGrid,
-    enumerate_rectangles,
-    enumerate_maximal_pairs,
-    enumerate_maximal_pairs_naive,
-    generalized_pairs_arrays,
-    rectangles_arrays,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "Interval",
-    "Rectangle",
-    "build_epsilon_net",
-    "nearest_net_vector",
-    "epsilon_sample_size",
-    "draw_epsilon_sample",
-    "RectangleGrid",
-    "enumerate_rectangles",
-    "enumerate_maximal_pairs",
-    "enumerate_maximal_pairs_naive",
-    "generalized_pairs_arrays",
-    "rectangles_arrays",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.geometry.interval": "Interval",
+    "repro.geometry.rectangle": "Rectangle",
+    "repro.geometry.epsilon_net": "build_epsilon_net nearest_net_vector",
+    "repro.geometry.epsilon_sample": "epsilon_sample_size draw_epsilon_sample",
+    "repro.geometry.rect_enum": (
+        "RectangleGrid enumerate_rectangles enumerate_maximal_pairs "
+        "enumerate_maximal_pairs_naive generalized_pairs_arrays rectangles_arrays"
+    ),
+})

@@ -45,17 +45,24 @@ Index construction walks millions of rectangles, so the builders consume
 the block-operation twins instead, both over a whole ``(K, s, d)``
 *stack* of coresets, coreset after coreset, or any range of those rows:
 
-- :func:`rectangles_arrays` — the family ``R_i`` (Algorithm 1) as two
-  ``(P, d)`` coordinate matrices plus a ``(P,)`` mass vector;
+- :func:`rectangles_arrays` — the family ``R_i`` (Algorithm 1) as
+  ``(2, d, P)`` level codes (lo, hi) plus a ``(P,)`` inside-count vector;
 - :func:`generalized_pairs_arrays` — the generalized maximal pairs
-  (Algorithm 3) as four ``(P, d)`` matrices (inner/outer lo/hi) plus
-  masses.
+  (Algorithm 3) as ``(4, d, P)`` level codes (inner/outer lo/hi) plus
+  inner counts.
+
+A code is a position in its axis' sorted level table of the stack (every
+coordinate is a coreset coordinate, a box end or a gap sentinel, all
+ranked by the grid sort): no float row is built, and the kd-tree plants
+on the codes as they are.  The tables' distinct-values pass is
+:func:`_sorted_unique`, the index build's one, which never loads
+``numpy.ma``.
 
 They are one enumeration body (:func:`_stack_rows`) and differ only in
 their per-axis *option tables* — ``np.triu_indices`` index pairs, or
 rectangle options with room to expand plus gap options — and option
 counts.  The body realizes the cross product with stride arithmetic
-instead of ``itertools.product`` and looks masses up in a padded
+instead of ``itertools.product`` and looks counts up in a padded
 d-dimensional cumulative-count grid via inclusion–exclusion — ``2^d``
 vectorized gathers instead of one rank scan per rectangle.  Each step runs
 once for the stack, not once per coreset: one sort finds every coreset's
@@ -67,7 +74,7 @@ product (:func:`_row_owners`), and one padded count grid per coreset is
 built in one ``bincount``.  At the benchmark's 1-D ``sample_size=12`` a
 coreset has 91 pairs, and a per-coreset form spends its time in ~20 NumPy
 calls of interpreter overhead each; the builders make one call per memory
-block.  Row order and float values match the reference enumerators
+block.  Row order and decoded floats match the reference enumerators
 *exactly*; the test suite compares the two directly.  The size guard runs
 per coreset on per-axis option *counts* computed arithmetically, so an
 oversized coreset is refused before any option table is allocated.
@@ -87,6 +94,23 @@ from repro.geometry.rectangle import Rectangle
 #: Refuse to enumerate more than this many rectangles for a single coreset —
 #: a guard against accidental eps choices that would exhaust memory.
 MAX_RECTANGLES_PER_CORESET = 2_000_000
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``, bitwise, by one sort: the index build's one
+    distinct-values pass.  ``np.unique`` without a ``return_*`` flag asks
+    ``np.ma.is_masked`` first, and the first such call imports
+    ``numpy.ma`` (14–20 ms and 1.2 MB a process); the build never needs it.
+    Values must be NaN-free (``np.unique`` merges NaNs, this keeps each).
+
+    >>> _sorted_unique(np.array([3.0, 1.0, 3.0, 2.0])).tolist()
+    [1.0, 2.0, 3.0]
+    """
+    flat = np.sort(values, axis=None)
+    keep = np.empty(flat.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
 
 
 class RectangleGrid:
@@ -358,17 +382,19 @@ def _stack_values(
 
 def _stack_grids(
     coresets: np.ndarray, bounding_box: Optional[Rectangle]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
     """The :class:`RectangleGrid` of every coreset of a ``(K, s, d)`` stack
     at once: one sort for all of them instead of ``K * d`` ``np.unique``
     calls.
 
-    Returns ``(coords, ranks, m)``.  ``coords[h, k, :m[k, h]]`` are coreset
-    ``k``'s sorted distinct coordinates on axis ``h`` (box endpoints
-    included), its last two columns the ``GAP_INNER_LO`` / ``GAP_INNER_HI``
-    sentinels, so that every option of :func:`_option_tables` is a column
-    index; ``ranks[k, i, h]`` is sample ``i``'s position in that list.  A
-    run of equal coordinates keeps one of them, as ``np.unique`` does.
+    Returns ``(levels, tables, ranks, m)``.  ``tables[h]`` is the stack's
+    sorted distinct coordinates on axis ``h`` (box endpoints included) and
+    the two ``GAP_INNER_*`` sentinels; ``levels[h, k, :m[k, h]]`` are
+    coreset ``k``'s, as positions in it, its last two columns the
+    sentinels', so that every option of :func:`_option_tables` is a column
+    index; ``ranks[k, i, h]`` is sample ``i``'s position in coreset ``k``'s
+    list.  A run of equal coordinates keeps one of them, as ``np.unique``
+    does.
     """
     vals = _stack_values(coresets, bounding_box)
     dim, n_sets, width = vals.shape
@@ -383,10 +409,13 @@ def _stack_grids(
     coords[:, :, width + 1] = GAP_INNER_HI
     axis, row, _ = np.nonzero(new)
     coords[axis, row, rank[new]] = ordered[new]
+    sentinels = [GAP_INNER_HI, GAP_INNER_LO]
+    tables = [_sorted_unique(np.append(vals[h], sentinels)) for h in range(dim)]
+    levels = np.stack([np.searchsorted(t, c) for t, c in zip(tables, coords)])
     unsorted = np.empty_like(rank)
     np.put_along_axis(unsorted, order, rank, axis=2)
     ranks = unsorted[:, :, : np.shape(coresets)[1]].transpose(1, 2, 0)
-    return coords, ranks, m
+    return levels, tables, ranks, m
 
 
 def _padded_cumulative_counts(
@@ -469,27 +498,27 @@ def _option_counts(m: np.ndarray, pairs: bool) -> np.ndarray:
 
 
 def _option_tables(
-    coords: np.ndarray, m: np.ndarray, width: int, pairs: bool
+    levels: np.ndarray, m: np.ndarray, width: int, pairs: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """One axis' options for every coreset of a stack.
 
-    ``coords`` is the axis' ``(K, width + 2)`` :func:`_stack_grids` rows,
-    ``m`` the coresets' coordinate counts.  Returns ``(index, value)``, both
-    ``(c, K, S)`` with ``S`` the largest option count: ``[:, k, o]`` is
-    option ``o`` of coreset ``k`` as grid indices and as coordinates — lo,
-    hi of a rectangle (``c = 2``); inner lo, inner hi, outer lo, outer hi
-    of a generalized pair (``c = 4``, the sentinel columns ``width`` /
-    ``width + 1`` for a gap's inner side).  The tables are built once per
-    distinct count, not per coreset.
+    ``levels`` is the axis' ``(K, width + 2)`` :func:`_stack_grids` rows,
+    ``m`` the coresets' coordinate counts.  Returns ``(index, level)``,
+    both ``(c, K, S)`` with ``S`` the largest option count: ``[:, k, o]`` is
+    option ``o`` of coreset ``k`` as grid indices and as positions in the
+    axis' level table — lo, hi of a rectangle (``c = 2``); inner lo, inner
+    hi, outer lo, outer hi of a generalized pair (``c = 4``, the sentinel
+    columns ``width`` / ``width + 1`` for a gap's inner side).  The tables
+    are built once per distinct count, not per coreset.
     """
-    n_sets = coords.shape[0]
+    n_sets = levels.shape[0]
     slots = int(_option_counts(m, pairs).max(initial=0))
     index = np.zeros((4 if pairs else 2, n_sets, slots), dtype=np.int64)
-    for count in np.unique(m):
+    for count in _sorted_unique(m):
         table = _option_index(int(count), width, pairs)
         index[:, m == count, : table.shape[1]] = table[:, None, :]
-    row = np.arange(n_sets)[:, None] * coords.shape[1]
-    return index, np.take(coords, index + row)
+    row = np.arange(n_sets)[:, None] * levels.shape[1]
+    return index, np.take(levels, index + row)
 
 
 @functools.lru_cache(maxsize=256)
@@ -547,20 +576,21 @@ def _stack_rows(
     bounding_box: Optional[Rectangle],
     rows: Optional[tuple[int, int]],
     pairs: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The one enumeration body of both families: rows ``rows`` (``None``:
-    all) of a ``(K, s, d)`` stack as ``(c, P, d)`` coordinate matrices (the
-    option columns of :func:`_option_tables`) and ``(P,)`` masses.
+    all) of a ``(K, s, d)`` stack as ``(c, d, P)`` level codes (the option
+    columns of :func:`_option_tables`), their ``d`` axis level tables and
+    ``(P,)`` inside-counts.
 
     Every row knows its coreset and its flat position in that coreset's
     option cross product (:func:`_row_owners`), decoded per axis with
     stride arithmetic in ``itertools.product`` order (last axis fastest);
-    masses come from one padded count grid per coreset, for the rows whose
-    every axis is a rectangle option (a gap admits no sample: weight 0).
+    counts come from one padded count grid per coreset, for the rows whose
+    every axis is a rectangle option (a gap admits no sample: count 0).
     """
-    coords, ranks, m = _stack_grids(coresets, bounding_box)
+    levels, tables, ranks, m = _stack_grids(coresets, bounding_box)
     n_sets, size, dim = ranks.shape
-    width = coords.shape[2] - 2
+    width = levels.shape[2] - 2
     sizes = _option_counts(m, pairs)
     counts = _guarded_totals(sizes, pairs)
     start, stop = (0, int(counts.sum())) if rows is None else rows
@@ -570,7 +600,8 @@ def _stack_rows(
     stride = np.ones_like(sizes)
     for h in range(dim - 2, -1, -1):
         stride[:, h] = stride[:, h + 1] * sizes[:, h + 1]
-    mats = np.empty((4 if pairs else 2, owner.size, dim))
+    dtype = np.min_scalar_type(max(t.size for t in tables) - 1)
+    codes = np.empty((4 if pairs else 2, dim, owner.size), dtype=dtype)
     valid = np.ones(owner.size, dtype=bool)
     lo, hi = [], []
     for h in range(dim):
@@ -578,70 +609,69 @@ def _stack_rows(
             option, rest = np.divmod(rest, stride[:, h][owner])
         else:
             option = rest
-        index, value = _option_tables(coords[h], m[:, h], width, pairs)
+        index, level = _option_tables(levels[h], m[:, h], width, pairs)
         slot = owner * index.shape[2] + option
-        mats[:, :, h] = np.take(value.reshape(len(mats), -1), slot, axis=1)
+        codes[:, h] = np.take(level.reshape(len(codes), -1), slot, axis=1)
         lo.append(np.take(index[0], slot))
         hi.append(np.take(index[1], slot))
         valid &= lo[-1] < width  # a rectangle option on this axis
-    weight = np.zeros(owner.size)
+    inside = np.zeros(owner.size, dtype=np.int64)
     if valid.any():
         padded = _padded_cumulative_counts(ranks, tuple(m.max(axis=0)))
         keep = np.flatnonzero(valid)
-        inside = _box_counts(
+        inside[keep] = _box_counts(
             padded, owner[keep], [c[keep] for c in lo], [c[keep] for c in hi]
         )
-        weight[keep] = inside / size
-    return mats, weight
+    return codes, tables, inside
 
 
 def rectangles_arrays(
     coresets: np.ndarray, rows: Optional[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The family ``R_i`` of a stack of coresets, as block matrices.
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The family ``R_i`` of a stack of coresets, as level codes.
 
     ``coresets`` is a ``(K, s, d)`` stack; the grids hold sample
-    coordinates only (Algorithm 1 has no box).  Returns ``(lo, hi, mass)``
-    with ``lo`` / ``hi`` shaped ``(P, d)`` and ``mass`` shaped ``(P,)``:
-    row ``p`` is the rectangle ``[lo[p], hi[p]]`` with its coreset mass,
-    coreset 0's rectangles first, each coreset's in
-    :func:`enumerate_rectangles` order with bitwise-equal floats (the test
-    suite asserts it).  ``rows`` as in :func:`generalized_pairs_arrays`;
-    ``P = 0`` yields correctly shaped empty matrices.
+    coordinates only (Algorithm 1 has no box).  Returns ``(codes, tables,
+    inside)``: row ``p`` is the rectangle with ``lo[h] =
+    tables[h][codes[0, h, p]]``, ``hi[h] = tables[h][codes[1, h, p]]`` and
+    ``inside[p]`` coreset points (mass ``inside / s``); ``tables[h]`` is the
+    stack's sorted coordinates on axis ``h`` and the ``GAP_INNER_*``
+    sentinels.  Coreset 0's rectangles come first, each coreset's in
+    :func:`enumerate_rectangles` order with bitwise-equal decoded floats
+    (the test suite asserts it).  ``rows`` as in
+    :func:`generalized_pairs_arrays`; ``P = 0`` yields shaped empty arrays.
     """
-    (lo, hi), mass = _stack_rows(coresets, None, rows, False)
-    return lo, hi, mass
+    return _stack_rows(coresets, None, rows, False)
 
 
 def generalized_pairs_arrays(
     coresets: np.ndarray,
     bounding_box: Optional[Rectangle],
     rows: Optional[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Generalized maximal pairs of a stack of coresets, as block matrices.
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Generalized maximal pairs of a stack of coresets, as level codes.
 
     ``coresets`` is a ``(K, s, d)`` stack, every point inside
     ``bounding_box`` (``None``: the grids hold sample coordinates only).
-    Returns ``(inner_lo, inner_hi, outer_lo, outer_hi, weight)`` with the
-    four coordinate matrices shaped ``(P, d)`` and ``weight`` shaped
-    ``(P,)``: coreset 0's pairs, then coreset 1's, and so on, each in
-    :func:`enumerate_generalized_pairs` order with bitwise-equal floats
-    (the test suite asserts it).  Gap axes carry the ``GAP_INNER_*``
-    sentinels and force weight 0, exactly as in the reference enumerator.
-    A coreset with a degenerate axis contributes no rows; ``P = 0`` yields
-    correctly shaped empty matrices.
+    Returns ``(codes, tables, inside)`` as :func:`rectangles_arrays` does:
+    inner lo, inner hi, outer lo, outer hi of row ``p`` on axis ``h`` are
+    ``tables[h][codes[:, h, p]]``, ``inside[p]`` the inner rectangle's
+    count (weight ``inside / s``).  Coreset 0's pairs come first, then
+    coreset 1's, and so on, each in :func:`enumerate_generalized_pairs`
+    order with bitwise-equal decoded floats (the test suite asserts it).
+    Gap axes carry the ``GAP_INNER_*`` sentinels and force count 0, exactly
+    as in the reference enumerator.  A coreset with a degenerate axis
+    contributes no rows; ``P = 0`` yields shaped empty arrays.
 
     ``rows`` is ``None`` for every row, or ``(start, stop)`` for that range
     of them.  A row is addressed by its coreset and its flat position in
     that coreset's option cross product (:func:`_row_owners`), so a range
     may begin or end inside a coreset: a stack is enumerated range by range
-    under a memory budget, whatever its coresets' sizes.  The size guard is
-    per coreset and arithmetic (:func:`_guarded_totals`).
+    under a memory budget, whatever its coresets' sizes (the tables are the
+    stack's, whatever the range).  The size guard is per coreset and
+    arithmetic (:func:`_guarded_totals`).
     """
-    (inner_lo, inner_hi, outer_lo, outer_hi), weight = _stack_rows(
-        coresets, bounding_box, rows, True
-    )
-    return inner_lo, inner_hi, outer_lo, outer_hi, weight
+    return _stack_rows(coresets, bounding_box, rows, True)
 
 
 def enumerate_maximal_pairs_naive(

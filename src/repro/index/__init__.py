@@ -44,26 +44,13 @@ service shards — is parameterized by a backend name resolved through
 alone.
 """
 
-from repro.index.backend import (
-    DYNAMIC_ENGINES,
-    ENGINES,
-    RangeSearchBackend,
-    build_backend,
-)
-from repro.index.query_box import QueryBox
-from repro.index.fenwick import FenwickTree
-from repro.index.sorted_list import SortedListIndex
-from repro.index.range_tree import RangeTree
-from repro.index.kd_tree import DynamicKDTree
+from repro._lazy import namespace
 
-__all__ = [
-    "QueryBox",
-    "FenwickTree",
-    "SortedListIndex",
-    "RangeTree",
-    "DynamicKDTree",
-    "RangeSearchBackend",
-    "ENGINES",
-    "DYNAMIC_ENGINES",
-    "build_backend",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.index.query_box": "QueryBox",
+    "repro.index.fenwick": "FenwickTree",
+    "repro.index.sorted_list": "SortedListIndex",
+    "repro.index.range_tree": "RangeTree",
+    "repro.index.kd_tree": "DynamicKDTree",
+    "repro.index.backend": "RangeSearchBackend ENGINES DYNAMIC_ENGINES build_backend",
+})

@@ -11,8 +11,8 @@ This module formalizes the seam:
   backend raises :class:`~repro.errors.CapabilityError`; which engines are
   dynamic is :data:`DYNAMIC_ENGINES`, and nothing else says it).
 - :func:`build_backend` / :func:`build_engine` (the same backend from a
-  stream of mapped-point pieces, which the kd-tree codes one block at a
-  time, so no shard-wide float matrix exists) / :func:`restore_backend` over the
+  stream of level-coded pieces, which the kd-tree plants on as they are,
+  so no mapped point exists as floats) / :func:`restore_backend` over the
   :func:`backend_class` registry: ``"kd"`` (dynamic kd-tree, the one
   serving backend) and ``"rangetree"`` (textbook multi-level range tree,
   static, small scale only: the tests' oracle and the paper's delay and
@@ -38,7 +38,7 @@ the box, and "temporarily delete all points of the reported dataset" is
 ``deactivate_group`` — one mask write, not a loop over points.
 
 **How a backend stores coordinates is its own business.**  The contract
-speaks only of float points in and keys out; the kd-tree keeps each column
+speaks of float points (or codes of them) in and keys out; the kd-tree keeps each column
 as 1–2-byte ranks in a sorted level table (:mod:`repro.index.kd_tree` —
 10.2 bytes of coordinates and node boxes per mapped point on the 2-D
 benchmark lake where float64 columns took 80.7, 16.5 against 48.6 on the
@@ -216,46 +216,53 @@ def build_backend(
 
 
 #: The Ptile builders cut their mapped rows into pieces of at most this
-#: many float64 elements (rows x columns, 512 KB; at least one row), and
-#: :func:`build_engine` hands the kd-tree those pieces as its blocks, so
-#: no float matrix larger than one block exists.  In-process
-#: ``QueryService`` + ``warm()`` on the benchmark's lakes (seed 2027, 4
-#: shards, 2-vCPU host; build time median of 9 interleaved runs,
-#: ``tracemalloc`` peak) at 2^12 / 2^14 / 2^16 / 2^18 / 2^20 / one block:
-#: 2-D ``cold_2d`` (83 k elements a dataset, 16 datasets a shard) 0.79 /
-#: 0.38 / 0.27 / 0.28 / 0.30 / 0.30 s and 16.2 / 15.5 / 15.4 / 20.9 / 35.7
-#: / 36.3 MB against a 9.2 MB index; 1-D ``warm_point`` (546 elements a
-#: dataset, 500 a shard) 0.20 / 0.14 / 0.12 / 0.12 / 0.11 / 0.12 s and
-#: 8.6 / 8.7 / 9.9 / 14.6 / 14.6 / 14.6 MB against 4.5.  Small blocks cost
-#: one enumeration call and one ``np.unique`` per column each (a block per
-#: 1-D dataset, 546 elements: 0.74 s against 0.12 in one sitting), and
-#: split the 2-D datasets into many ranges; large ones are the matrix this
-#: constant exists to avoid.  2^16 is the largest value at the low peak on
-#: ``cold_2d``, within 1.3 MB of it on ``warm_point``.
+#: many elements (rows x columns; at least one row), which
+#: :func:`build_engine` hands the kd-tree as its blocks, so no shard's
+#: enumeration exists at once.  In-process ``QueryService`` + ``warm()``
+#: (seed 2027, 4 shards, 2-vCPU host; median of 5 builds, ``tracemalloc``
+#: peak of a sixth) at 2^12 / 2^14 / 2^16 / 2^18 / 2^20 / one block, with
+#: pieces born as level codes: 2-D ``cold_2d`` 0.43 / 0.18 / 0.12 / 0.11
+#: / 0.11 / 0.10 s and 11.0 / 10.5 / 10.4 / 11.0 / 23.5 / 25.0 MB against
+#: a 6.0 MB index; 1-D ``warm_point`` 0.13 / 0.08 / 0.07 / 0.07 / 0.07 /
+#: 0.07 s and 6.9 / 7.0 / 7.5 / 13.9 / 13.9 / 13.9 MB against 3.5.  A
+#: block costs an enumeration call (a grid sort of its stack slice) and a
+#: level union per column; a large one holds a shard's enumeration at
+#: once.  2^16 is the largest value before ``warm_point``'s peak doubles,
+#: and the lowest peak on ``cold_2d``.
 BLOCK_ELEMENTS = 1 << 16
 
 
 def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
-    """:func:`build_backend` over a stream: the backend over all rows of
-    ``mapped``, an iterable of ``(points, ids)`` pieces (``ids`` every
-    row's dataset key, an integer array), consumed lazily.
-
-    The kd-tree takes the pieces as its blocks and rank-codes each on
-    arrival (:meth:`~repro.index.kd_tree.DynamicKDTree.from_blocks`); the
-    Ptile builders cut theirs to at most :data:`BLOCK_ELEMENTS` elements,
-    so a shard's mapped points never exist as one float64 matrix.  The
-    range tree is small scale only: it gets the stacked matrix.
+    """:func:`build_backend` over a stream of ``(codes, tables, ids)``
+    pieces, consumed lazily: a piece's column ``j`` is
+    ``tables[j][codes[j]]`` (``k`` integer columns, ``k`` sorted float64
+    level tables that may hold unused levels), ``ids`` every row's dataset
+    key.  The kd-tree plants on the codes
+    (:meth:`~repro.index.kd_tree.DynamicKDTree.from_blocks`), so the mapped
+    points never exist as floats; the range tree is small scale only: it
+    gets the decoded matrix.
 
     >>> import numpy as np
-    >>> mapped = [(np.array([[0.0]]), np.array([4])), (np.array([[1.0]]), np.array([9]))]
+    >>> levels = [np.array([0.0, 1.0])]
+    >>> mapped = [([np.array([0])], levels, np.array([4])),
+    ...           ([np.array([1])], levels, np.array([9]))]
     >>> [build_engine(iter(mapped), e).report(QueryBox.closed([0.5], [2]))
     ...  for e in ENGINES]
     [[9], [9]]
     """
     if engine == "kd":
         return backend_class(engine).from_blocks(mapped)
-    points, ids = map(np.concatenate, zip(*mapped))
-    return build_backend(points, ids, engine)
+    return build_backend(*_decode(mapped), engine)
+
+
+def _decode(mapped: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """A stream of :func:`build_engine` pieces as one ``(points, ids)``
+    pair of float ``(n, k)`` points and keys."""
+    points, ids = [], []
+    for codes, tables, keys in mapped:
+        points.append(np.column_stack([t[c] for c, t in zip(codes, tables)]))
+        ids.append(keys)
+    return np.concatenate(points), np.concatenate(ids)
 
 
 def restore_backend(

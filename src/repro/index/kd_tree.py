@@ -21,11 +21,11 @@ weights are appended as coordinates).  It implements the
 coordinates.**  Bytes per mapped point are the constant of the paper's
 Õ(N) space bound, and every mapped coordinate is drawn from a tiny
 alphabet (coreset coordinates plus the bounding box per axis, ``count/s ±
-delta`` for the weights), so :func:`_encode` factors each column into a
-sorted float64 *level table* plus the rank of every point in it, in the
-smallest unsigned dtype that holds the longest table (``uint8`` below 257
-levels, then ``uint16``, ``uint32`` — read off the data, there is no
-float tree).  Orthant containment only ever compares, and ranks preserve
+delta`` for the weights), so each column is stored as a sorted float64
+*level table* plus the rank of every point in it, in the smallest
+unsigned dtype that holds the longest table (``uint8`` below 257 levels,
+then ``uint16``, ``uint32`` — read off the data, there is no float
+tree).  Orthant containment only ever compares, and ranks preserve
 every comparison, so answers are identical: a query translates its closed
 effective bounds into closed rank bounds once per call
 (:meth:`BoxBatch.coded <repro.index.query_box.BoxBatch.coded>`, two
@@ -47,16 +47,22 @@ shared by all columns of a shard: sharing would save table bytes on the
 1-D lakes (2.8 → 2.2 MB on ``warm_point``) but needs two-byte codes where
 one does (4.6 → 9.2 MB on ``cold_2d``); 9.6 against 13.2 MB over the four.
 
-**Construction never holds the float matrix.**  A tree is built from a
-stream of ``(points, ids)`` blocks (:meth:`DynamicKDTree.from_blocks`; the
-constructor is the one-block stream) — the Ptile builders' pieces, each
-at most :data:`~repro.index.backend.BLOCK_ELEMENTS` elements:
-:func:`_encode` rank-codes each block as it arrives — its own level table
-per column plus narrow ranks — and the floats are let go.  :func:`_merge`
-then unions the blocks' tables per column, moves every block's ranks into
-the one ``(k, n)`` code matrix through a table-sized ``searchsorted``
-lookup, and the tree is planted on the codes: arrays equal, byte for
-byte, to coding the stacked matrix, however the stream is cut.
+**Construction never holds a float matrix, and never sorts a column to
+rank it.**  Algorithms 1 and 3 take every mapped coordinate from a
+coreset's sorted coordinates or the box, and every weight from the
+``count/s ± delta`` lattice, so the enumerator already knows each rank: a
+tree is built from a stream of ``(codes, tables, ids)`` blocks
+(:meth:`DynamicKDTree.from_blocks`) — the Ptile builders' pieces of at
+most :data:`~repro.index.backend.BLOCK_ELEMENTS` elements, born as level
+codes.  :func:`_merge` unions the levels the blocks' rows use per column
+(a sort of a few hundred values, by the build path's one distinct-values
+pass, :func:`~repro.geometry.rect_enum._sorted_unique`, which never
+loads ``numpy.ma``), moves every block's codes into the one ``(k, n)``
+code matrix through a table-sized lookup, and the tree is planted on the
+codes: arrays equal, byte for byte, to coding the decoded rows, however
+the stream is cut.  Only rows that arrive as floats are factored by
+:func:`_encode` (one ``np.unique`` a column): the constructor's points and
+the side buffer at a rebuild.
 
 The side buffer is a float :class:`~repro.index.columnar.ColumnarStore`
 (not an engine of its own: this buffer is its one serving job) queried
@@ -85,6 +91,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.geometry.rect_enum import _sorted_unique
 from repro.index.backend import id_column
 from repro.index.columnar import ColumnarStore
 from repro.index.query_box import BoxBatch, QueryBox
@@ -128,10 +135,10 @@ MULTIBOX_BROADCAST_CUTOFF = 32768
 
 
 def _encode(cols: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Factor the ``k`` columns of one block into their sorted level tables
-    and, per column, every point's rank in it — narrowed at once to the
-    smallest unsigned dtype the table allows, so no 8-byte rank column
-    outlives its own iteration."""
+    """Factor ``k`` float columns into their sorted level tables and, per
+    column, every point's rank in it — narrowed at once to the smallest
+    unsigned dtype the table allows, so no 8-byte rank column outlives its
+    own iteration."""
     tables, ranks = [], []
     for col in cols:
         table, inverse = np.unique(col, return_inverse=True)
@@ -141,26 +148,34 @@ def _encode(cols: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarr
 
 
 def _merge(blocks: Sequence[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One ``(k, n)`` code matrix and its ``k`` level tables from rank-coded
-    ``(ranks, tables)`` blocks, rows in block order.
+    """One ``(k, n)`` code matrix and its ``k`` level tables from coded
+    ``(codes, tables)`` blocks, rows in block order.
 
-    A column's table is the union of the blocks' tables; a block's ranks
-    move into it through one table-sized lookup.  One dtype for the whole
-    matrix — the smallest unsigned one that holds the longest table — so a
-    node's slice stays one ``(L, k)`` array for the containment kernel.
+    A column's table is the union of the levels the blocks' rows use (a
+    used mask per block drops the rest: an enumerator's stack tables, a
+    removed row's last level), so it holds exactly the values present; a
+    block's codes move into it through one table-sized lookup.  One dtype
+    for the whole matrix — the smallest unsigned one that holds the
+    longest table — so a node's slice stays one ``(L, k)`` array for the
+    containment kernel.
     """
-    tables = [
-        np.unique(np.concatenate(column)) for column in zip(*(t for _, t in blocks))
-    ]
+    used: list[list[np.ndarray]] = [[] for _ in blocks[0][1]]
+    for codes, tables in blocks:
+        for j, (col, table) in enumerate(zip(codes, tables)):
+            mask = np.zeros(table.size, dtype=bool)
+            mask[col] = True
+            used[j].append(table[mask])
+    tables = [_sorted_unique(np.concatenate(column)) for column in used]
     dtype = np.min_scalar_type(max(max(t.size for t in tables) - 1, 0))
-    codes = np.empty((len(tables), sum(r[0].size for r, _ in blocks)), dtype=dtype)
+    out = np.empty((len(tables), sum(len(c[0]) for c, _ in blocks)), dtype=dtype)
     start = 0
-    for ranks, local in blocks:
-        end = start + ranks[0].size
+    for codes, local in blocks:
+        end = start + len(codes[0])
         for j, table in enumerate(tables):
-            codes[j, start:end] = np.searchsorted(table, local[j]).astype(dtype)[ranks[j]]
+            lookup = np.searchsorted(table, local[j]).astype(dtype)
+            np.take(lookup, codes[j], out=out[j, start:end])
         start = end
-    return codes, tables
+    return out, tables
 
 
 class DynamicKDTree:
@@ -187,30 +202,31 @@ class DynamicKDTree:
         points: np.ndarray,
         ids: Optional[Iterable] = None,
     ) -> None:
-        self._fill([(points, ids)])
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or not pts.shape[1]:
+            raise ValueError("points must be a non-empty (n, k) array")
+        self._fill([(*_encode(pts.T), ids)])
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_blocks(cls, blocks: Iterable[tuple]) -> "DynamicKDTree":
-        """The tree over the rows of a stream of ``(points, ids)`` blocks —
-        arrays equal to ``DynamicKDTree(np.vstack(all points), all ids)``,
-        but each block's floats are rank-coded and let go before the next
-        one is asked for (see the module docstring).  ``ids`` as in the
-        constructor."""
+        """The tree over the rows of a stream of ``(codes, tables, ids)``
+        blocks (:func:`~repro.index.backend.build_engine`'s pieces) —
+        arrays equal to ``DynamicKDTree`` of the decoded rows, but nothing
+        is decoded (see the module docstring)."""
         tree = cls.__new__(cls)
         tree._fill(blocks)
         return tree
 
     def _fill(self, blocks: Iterable[tuple]) -> None:
         coded, groups = [], []
-        for points, block_ids in blocks:
-            pts = np.asarray(points, dtype=float)
-            if pts.ndim != 2 or (coded and pts.shape[1] != len(coded[0][1])):
-                raise ValueError("points must be (n, k) arrays of one k")
-            groups.append(id_column(block_ids, pts.shape[0]))
-            coded.append(_encode(pts.T))
+        for codes, tables, block_ids in blocks:
+            if len(codes) != len(tables) or (coded and len(tables) != len(coded[0][1])):
+                raise ValueError("blocks must code (n, k) points of one k")
+            groups.append(id_column(block_ids, len(codes[0])))
+            coded.append((codes, tables))
         if not sum(group.size for group in groups):
             raise ValueError("points must be a non-empty (n, k) array")
         group = np.concatenate(groups)  # promotes to the widest block's dtype
@@ -242,6 +258,7 @@ class DynamicKDTree:
         span = np.zeros((3, cap), dtype=np.int32)  # start, end, right child
         box = np.empty((2, cap, self.dim), dtype=codes.dtype)  # lo, hi
         perm = np.arange(n)
+        top = np.iinfo(codes.dtype).max
         stack = [(0, n, -1)]
         m = 0
         while stack:
@@ -249,15 +266,17 @@ class DynamicKDTree:
             if parent >= 0:
                 span[2, parent] = m
             seg = codes[:, start:end]
-            lo = seg.min(axis=1, initial=np.iinfo(codes.dtype).max)
+            lo = seg.min(axis=1, initial=top)
             hi = seg.max(axis=1, initial=0)
             span[0, m], span[1, m] = start, end
             box[0, m], box[1, m] = lo, hi
             if end - start > leaf_size:
                 mid = (end - start) // 2
                 part = np.argpartition(seg[int(np.argmax(hi - lo))], mid)
-                codes[:, start:end] = seg[:, part]
-                perm[start:end] = perm[start:end][part]
+                # np.take, not fancy indexing: same result, and planting a
+                # cold_2d shard takes 28 ms instead of 40.
+                codes[:, start:end] = np.take(seg, part, axis=1)
+                perm[start:end] = np.take(perm[start:end], part)
                 stack.append((start + mid, end, m))
                 stack.append((start, start + mid, -1))
             m += 1
@@ -305,13 +324,15 @@ class DynamicKDTree:
         duplicated, NaN), code columns that are not unsigned, or a key column
         that is neither unsigned of at most 4 bytes nor the signed ``int32``
         one older files hold, or has a key outside ``[0, 2^31)``.  A key
-        column wider than its keys need is narrowed (a private copy).  The
+        column wider than its keys need is narrowed (a private copy).  An
+        emptied tree has no rows, no levels and one empty root.  The
         ``local`` id column older snapshots carry is not read.
         """
         codes, levels, starts = arrays["codes"], arrays["levels"], arrays["level_start"]
         span, box = arrays["node_span"], arrays["node_box"]
         group = arrays["group"]
         active = np.array(arrays["active"], dtype=bool)
+        n = codes.shape[1] if codes.ndim == 2 else -1
         if (
             codes.ndim != 2
             or codes.dtype.kind != "u"
@@ -321,9 +342,11 @@ class DynamicKDTree:
             or span.shape[0] != 3
             or box.shape != (2, span.shape[1], codes.shape[0])
             or box.dtype != codes.dtype
-            or tuple(span[:2, :1].ravel()) != (0, codes.shape[1])
+            or tuple(span[:2, :1].ravel()) != (0, n)
+            or (n == 0 and span.shape[1] != 1)
         ):
             raise ValueError("backend arrays do not describe one kd-tree")
+        sizes = np.diff(starts)  # none at all once every row is removed
         if (
             levels.dtype != np.float64
             or levels.ndim != 1
@@ -331,15 +354,14 @@ class DynamicKDTree:
             or starts.shape != (codes.shape[0] + 1,)
             or starts[0] != 0
             or starts[-1] != levels.size
-            or (np.diff(starts) < 1).any()
+            or (sizes < 1 if n else sizes != 0).any()
         ):
             raise ValueError("level tables do not match the code columns")
         rising = np.diff(levels) > 0
-        rising[starts[1:-1] - 1] = True  # one table ends, the next begins
+        rising[starts[1:-1][sizes[:-1] > 0] - 1] = True  # the next table begins
         if np.isnan(levels).any() or not rising.all():
             raise ValueError("level tables must be strictly increasing and NaN-free")
-        top = np.diff(starts) - 1
-        if (codes.max(axis=1) > top).any() or (box > top).any():
+        if n and ((codes.max(axis=1) >= sizes).any() or (box >= sizes).any()):
             raise ValueError("a code or node box exceeds its column's level count")
         tree = cls.__new__(cls)
         tree.dim = int(codes.shape[0])
@@ -399,8 +421,8 @@ class DynamicKDTree:
         return (self._group == group) & ~self._dead
 
     def _live(self, column: np.ndarray) -> np.ndarray:
-        """The non-removed rows of a main-tree column (itself if none are)."""
-        return column[~self._dead] if self._n_dead else column
+        """The non-removed rows of a main-tree column or code matrix."""
+        return column[..., ~self._dead] if self._n_dead else column
 
     def deactivate_group(self, group: int) -> int:
         """Hide every active point of ``group``: one mask write plus one
@@ -453,13 +475,10 @@ class DynamicKDTree:
 
     def _rebuild(self) -> None:
         """Replant the main tree over its live rows plus the side buffer:
-        two blocks for :func:`_merge`, the first already coded (buffered
-        values become new levels wherever they fall between the old ones)."""
-        ranks, tables = self._pts.T, self._tables
-        if self._n_dead:  # a level only removed rows used goes with them
-            ranks, used = _encode(ranks[:, ~self._dead])
-            tables = [table[u] for table, u in zip(tables, used)]
-        blocks = [(ranks, tables)]
+        two blocks for :func:`_merge`, the live rows as the codes they are
+        and the buffer's floats freshly coded (buffered values become new
+        levels wherever they fall between the old ones)."""
+        blocks = [(self._live(self._pts.T), self._tables)]
         rows = [(self._live(self._group), self._live(self._active))]
         if self._buf is not None:
             buf = self._buf.to_arrays()

@@ -11,22 +11,14 @@ These modules make the paper's hardness arguments *executable*:
   reporting to CPref with singleton datasets (Theorem 3.5).
 """
 
-from repro.lowerbounds.set_intersection import (
-    UniformSetIntersectionInstance,
-    make_uniform_instance,
-    intersection_query_rectangle,
-    intersect_via_cptile,
-)
-from repro.lowerbounds.halfspace import (
-    halfspace_report_brute_force,
-    halfspace_report_via_cpref,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "UniformSetIntersectionInstance",
-    "make_uniform_instance",
-    "intersection_query_rectangle",
-    "intersect_via_cptile",
-    "halfspace_report_brute_force",
-    "halfspace_report_via_cpref",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.lowerbounds.set_intersection": (
+        "UniformSetIntersectionInstance make_uniform_instance "
+        "intersection_query_rectangle intersect_via_cptile"
+    ),
+    "repro.lowerbounds.halfspace": (
+        "halfspace_report_brute_force halfspace_report_via_cpref"
+    ),
+})

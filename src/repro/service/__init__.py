@@ -39,89 +39,29 @@ batch.  This package turns the engine into a serving subsystem:
   synopsis-screened degradation for absent nodes.
 """
 
-from repro.service.cache import CacheEntry, CacheStats, LeafResultCache
-from repro.service.observability import (
-    Histogram,
-    MetricsRegistry,
-    ServiceObservability,
-    SlowQueryLog,
-    Span,
-    Tracer,
-    default_latency_bounds,
-)
-from repro.service.planner import (
-    BatchPlan,
-    PlanCache,
-    QueryPlan,
-    canonicalize,
-    combine_bounds,
-    emit_schedule,
-    evaluate_with_leaf_results,
-    leaf_key,
-    plan_batch,
-    plan_query,
-)
-from repro.service.sharding import (
-    SeededSampleSynopsis,
-    ShardedBatchExecutor,
-    partition_indices,
-)
-from repro.service.service import QueryService
-from repro.service.server import (
-    expression_from_json,
-    expression_to_json,
-    make_handler,
-    make_server,
-    serve,
-)
-from repro.service.federation import (
-    CircuitBreaker,
-    FederatedCoordinator,
-    FederatedNode,
-    federated_node_service,
-    make_federation_server,
-    serve_federation,
-)
-from repro.service import snapshot
-from repro.service.supervisor import ServiceSupervisor, serve_forked
+from repro._lazy import namespace
 
-__all__ = [
-    "BatchPlan",
-    "CacheEntry",
-    "CacheStats",
-    "CircuitBreaker",
-    "FederatedCoordinator",
-    "FederatedNode",
-    "Histogram",
-    "LeafResultCache",
-    "MetricsRegistry",
-    "PlanCache",
-    "QueryPlan",
-    "QueryService",
-    "SeededSampleSynopsis",
-    "ServiceObservability",
-    "ServiceSupervisor",
-    "ShardedBatchExecutor",
-    "SlowQueryLog",
-    "Span",
-    "Tracer",
-    "canonicalize",
-    "combine_bounds",
-    "default_latency_bounds",
-    "emit_schedule",
-    "evaluate_with_leaf_results",
-    "expression_from_json",
-    "expression_to_json",
-    "federated_node_service",
-    "leaf_key",
-    "make_federation_server",
-    "make_handler",
-    "make_server",
-    "partition_indices",
-    "plan_batch",
-    "plan_query",
-    "serve",
-    "serve_federation",
-    "serve_forked",
-    "snapshot",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.service.cache": "CacheEntry CacheStats LeafResultCache",
+    "repro.service.observability": (
+        "Histogram MetricsRegistry ServiceObservability SlowQueryLog Span "
+        "Tracer default_latency_bounds"
+    ),
+    "repro.service.planner": (
+        "BatchPlan PlanCache QueryPlan canonicalize combine_bounds "
+        "emit_schedule evaluate_with_leaf_results leaf_key plan_batch plan_query"
+    ),
+    "repro.service.sharding": (
+        "SeededSampleSynopsis ShardedBatchExecutor partition_indices"
+    ),
+    "repro.service.service": "QueryService",
+    "repro.service.server": (
+        "expression_from_json expression_to_json make_handler make_server serve"
+    ),
+    "repro.service.federation": (
+        "CircuitBreaker FederatedCoordinator FederatedNode "
+        "federated_node_service make_federation_server serve_federation"
+    ),
+    "repro.service.snapshot": "snapshot",
+    "repro.service.supervisor": "ServiceSupervisor serve_forked",
+})

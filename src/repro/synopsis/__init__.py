@@ -24,22 +24,15 @@ Implementations (the kinds the paper names in Section 1.2):
   direction/quantile sketch for preference queries [Yu-Agarwal-Yang 2012].
 """
 
-from repro.synopsis.base import Synopsis
-from repro.synopsis.exact import ExactSynopsis
-from repro.synopsis.sample import EpsilonSampleSynopsis
-from repro.synopsis.histogram import HistogramSynopsis
-from repro.synopsis.gmm import GMMSynopsis
-from repro.synopsis.kernel import DirectionQuantileSynopsis
-from repro.synopsis.cover import CoverSynopsis
-from repro.synopsis.quantile import QuantileHistogramSynopsis
+from repro._lazy import namespace
 
-__all__ = [
-    "Synopsis",
-    "ExactSynopsis",
-    "EpsilonSampleSynopsis",
-    "HistogramSynopsis",
-    "GMMSynopsis",
-    "DirectionQuantileSynopsis",
-    "CoverSynopsis",
-    "QuantileHistogramSynopsis",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.synopsis.base": "Synopsis",
+    "repro.synopsis.exact": "ExactSynopsis",
+    "repro.synopsis.sample": "EpsilonSampleSynopsis",
+    "repro.synopsis.histogram": "HistogramSynopsis",
+    "repro.synopsis.gmm": "GMMSynopsis",
+    "repro.synopsis.kernel": "DirectionQuantileSynopsis",
+    "repro.synopsis.cover": "CoverSynopsis",
+    "repro.synopsis.quantile": "QuantileHistogramSynopsis",
+})

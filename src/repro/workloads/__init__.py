@@ -14,36 +14,17 @@ we substitute controlled synthetic generators with known ground truth:
   for preference queries.
 """
 
-from repro.workloads.generators import (
-    lognormal_sizes,
-    synthetic_data_lake,
-    dataset_with_mass,
-)
-from repro.workloads.queries import (
-    ambient_gaussian_dataset,
-    batched_query_workload,
-    mutation_workload,
-    random_rectangles,
-    random_unit_vectors,
-    threshold_grid,
-)
-from repro.workloads.opendata import (
-    city_incident_repository,
-    city_quality_repository,
-    BROOKLYN_REGION,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "lognormal_sizes",
-    "synthetic_data_lake",
-    "dataset_with_mass",
-    "ambient_gaussian_dataset",
-    "batched_query_workload",
-    "mutation_workload",
-    "random_rectangles",
-    "random_unit_vectors",
-    "threshold_grid",
-    "city_incident_repository",
-    "city_quality_repository",
-    "BROOKLYN_REGION",
-]
+__getattr__, __all__ = namespace(__name__, {
+    "repro.workloads.generators": (
+        "lognormal_sizes synthetic_data_lake dataset_with_mass"
+    ),
+    "repro.workloads.queries": (
+        "ambient_gaussian_dataset batched_query_workload mutation_workload "
+        "random_rectangles random_unit_vectors threshold_grid"
+    ),
+    "repro.workloads.opendata": (
+        "city_incident_repository city_quality_repository BROOKLYN_REGION"
+    ),
+})

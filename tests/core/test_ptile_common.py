@@ -7,10 +7,8 @@ from repro.core._ptile_common import (
     DEFAULT_POINT_BUDGET,
     draw_coreset,
     max_sample_for_budget,
-    range_point_matrix,
     resolve_deltas,
     resolve_sample_size,
-    threshold_point_matrix,
 )
 from repro.errors import ConstructionError
 from repro.index.backend import build_engine
@@ -78,8 +76,10 @@ class TestDrawCoreset:
 class TestBuildEngine:
     @staticmethod
     def _mapped(rng, n, k):
-        """One single-dataset stream of ``(points, ids)``."""
-        return [(rng.uniform(size=(n, k)), np.arange(n))]
+        """One single-dataset stream of one ``(codes, tables, ids)`` piece."""
+        codes = [rng.permutation(n) for _ in range(k)]
+        tables = [np.sort(rng.uniform(size=n)) for _ in range(k)]
+        return [(codes, tables, np.arange(n))]
 
     def test_kd(self, rng):
         engine = build_engine(self._mapped(rng, 10, 2), "kd")
@@ -95,61 +95,7 @@ class TestBuildEngine:
 
 
 class TestPointMatrixAssembly:
-    """One-shot mapped-point assembly, including the zero-pair crash path."""
-
-    def test_range_matrix_layout_matches_row_concat(self, rng):
-        d, n = 2, 7
-        in_lo = rng.uniform(size=(n, d))
-        in_hi = rng.uniform(size=(n, d))
-        out_lo = rng.uniform(size=(n, d))
-        out_hi = rng.uniform(size=(n, d))
-        w = rng.uniform(size=n)
-        mat = range_point_matrix(in_lo, in_hi, out_lo, out_hi, w, 0.05)
-        assert mat.shape == (n, 4 * d + 2)
-        for p in range(n):
-            row = np.concatenate(
-                [in_lo[p], out_lo[p], in_hi[p], out_hi[p],
-                 [w[p] + 0.05, w[p] - 0.05]]
-            )
-            assert np.array_equal(mat[p], row)
-
-    def test_threshold_matrix_layout_matches_row_concat(self, rng):
-        d, n = 3, 5
-        lo = rng.uniform(size=(n, d))
-        hi = rng.uniform(size=(n, d))
-        w = rng.uniform(size=n)
-        mat = threshold_point_matrix(lo, hi, w, 0.1)
-        assert mat.shape == (n, 2 * d + 1)
-        for p in range(n):
-            assert np.array_equal(
-                mat[p], np.concatenate([lo[p], hi[p], [w[p] + 0.1]])
-            )
-
-    def test_zero_pairs_give_shaped_empty_matrix(self):
-        """Regression: zero maximal pairs must yield a (0, 4d+2) matrix,
-        not the ragged 1-d array ``np.asarray([])`` produced before."""
-        d = 2
-        empty = np.empty((0, d))
-        mat = range_point_matrix(empty, empty, empty, empty, np.empty(0), 0.0)
-        assert mat.shape == (0, 4 * d + 2)
-        thr = threshold_point_matrix(empty, empty, np.empty(0), 0.0)
-        assert thr.shape == (0, 2 * d + 1)
-
-    def test_empty_matrix_stacks_with_populated(self, rng):
-        """The crash path: vstack of a zero-pair dataset's matrix with a
-        populated one must produce a well-shaped combined matrix."""
-        d = 1
-        empty = range_point_matrix(
-            np.empty((0, d)), np.empty((0, d)), np.empty((0, d)),
-            np.empty((0, d)), np.empty(0), 0.0,
-        )
-        full = range_point_matrix(
-            rng.uniform(size=(3, d)), rng.uniform(size=(3, d)),
-            rng.uniform(size=(3, d)), rng.uniform(size=(3, d)),
-            rng.uniform(size=3), 0.0,
-        )
-        stacked = np.vstack([empty, full])
-        assert stacked.shape == (3, 4 * d + 2)
+    """The zero-pair crash path of mapped-point assembly."""
 
     def test_degenerate_bounding_box_raises_cleanly(self):
         """An all-degenerate box yields zero pairs for every dataset; the

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import rect_enum
 from repro.geometry.rect_enum import (
+    GAP_INNER_HI,
+    GAP_INNER_LO,
     RectangleGrid,
     _row_counts,
     enumerate_generalized_pairs,
@@ -184,6 +186,26 @@ def reference_rectangles(stack):
     return [np.concatenate(column) for column in zip(*per_coreset)]
 
 
+def decoded(stack, result):
+    """An array enumerator's ``(codes, tables, inside)`` as the reference
+    columns: one ``(P, d)`` float matrix per code slot, then ``inside / s``
+    — after checking that every axis table is strictly increasing, holds
+    the two gap sentinels and is indexed in range."""
+    codes, tables, inside = result
+    assert codes.dtype.kind == "u" and inside.dtype.kind == "i"
+    assert codes.shape[1:] == (stack.shape[2], inside.size)
+    assert len(tables) == stack.shape[2]
+    for h, table in enumerate(tables):
+        assert table.dtype == np.float64 and np.all(np.diff(table) > 0)
+        assert {GAP_INNER_HI, GAP_INNER_LO} <= set(table.tolist())
+        assert codes[:, h].max(initial=0) < table.size
+    floats = [
+        np.stack([t[column] for t, column in zip(tables, slot)], axis=1)
+        for slot in codes
+    ]
+    return [*floats, inside / stack.shape[1]]
+
+
 def assert_rows_equal(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape
@@ -192,7 +214,7 @@ def assert_rows_equal(got, want):
 
 class TestVectorizedArrays:
     """The block-operation enumerators must match the reference enumerators
-    exactly — same row order, bitwise-equal floats."""
+    exactly — same row order, codes that decode to bitwise-equal floats."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -210,7 +232,7 @@ class TestVectorizedArrays:
         # mixes coordinate counts.
         stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), digits)
         got = rectangles_arrays(stack, None)
-        assert_rows_equal(got, reference_rectangles(stack))
+        assert_rows_equal(decoded(stack, got), reference_rectangles(stack))
         assert _row_counts(stack, None, False).sum() == got[-1].size
 
     @settings(max_examples=40, deadline=None)
@@ -226,9 +248,9 @@ class TestVectorizedArrays:
     ):
         rng = np.random.default_rng(seed)
         stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), 1)
-        whole = rectangles_arrays(stack, None)
+        whole = decoded(stack, rectangles_arrays(stack, None))
         start, stop = sorted(int(c * whole[-1].size) for c in cut)
-        part = rectangles_arrays(stack, (start, stop))
+        part = decoded(stack, rectangles_arrays(stack, (start, stop)))
         assert_rows_equal(part, [column[start:stop] for column in whole])
 
     def test_rectangle_guard_names_the_oversized_coreset(self, monkeypatch):
@@ -262,7 +284,7 @@ class TestVectorizedArrays:
         stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), digits)
         box = Rectangle([0.0] * dim, [1.0] * dim) if with_box else None
         got = generalized_pairs_arrays(stack, box, None)
-        assert_rows_equal(got, reference_rows(stack, box))
+        assert_rows_equal(decoded(stack, got), reference_rows(stack, box))
         assert _row_counts(stack, box, True).sum() == got[-1].size
 
     @settings(max_examples=40, deadline=None)
@@ -279,9 +301,9 @@ class TestVectorizedArrays:
         rng = np.random.default_rng(seed)
         stack = np.round(rng.uniform(0.0, 1.0, size=(n_sets, size, dim)), 1)
         box = Rectangle([0.0] * dim, [1.0] * dim)
-        whole = generalized_pairs_arrays(stack, box, None)
+        whole = decoded(stack, generalized_pairs_arrays(stack, box, None))
         start, stop = sorted(int(c * whole[-1].size) for c in cut)
-        part = generalized_pairs_arrays(stack, box, (start, stop))
+        part = decoded(stack, generalized_pairs_arrays(stack, box, (start, stop)))
         assert_rows_equal(part, [column[start:stop] for column in whole])
 
     def test_a_stack_mixes_distinct_count_groups(self):
@@ -296,7 +318,8 @@ class TestVectorizedArrays:
         box = Rectangle([0.0], [1.0])
         assert _row_counts(stack, box, True).tolist() == [10, 6, 3, 10]
         assert_rows_equal(
-            generalized_pairs_arrays(stack, box, None), reference_rows(stack, box)
+            decoded(stack, generalized_pairs_arrays(stack, box, None)),
+            reference_rows(stack, box),
         )
 
     @pytest.mark.parametrize("rows", [(0, 10), (-1, 2), (3, 2)])
@@ -327,7 +350,7 @@ class TestVectorizedArrays:
 
     def test_rectangles_agree_with_object_enumerator(self, rng):
         pts = rng.uniform(size=(4, 2))
-        lo, hi, mass = rectangles_arrays(pts[None], None)
+        lo, hi, mass = decoded(pts[None], rectangles_arrays(pts[None], None))
         rects = enumerate_rectangles(RectangleGrid(pts))
         assert lo.shape == (len(rects), 2)
         for p, (rect, w) in enumerate(rects):
@@ -340,9 +363,9 @@ class TestVectorizedArrays:
         pairs, and the arrays must be shaped ``(0, d)`` — not the ragged
         1-d array ``np.asarray([])`` used to produce."""
         pts, box = np.array([[0.5], [0.5]]), Rectangle([0.5], [0.5])
-        in_lo, in_hi, out_lo, out_hi, w = generalized_pairs_arrays(
-            pts[None], box, None
-        )
+        got = generalized_pairs_arrays(pts[None], box, None)
+        assert got[0].shape == (4, 1, 0)
+        in_lo, in_hi, out_lo, out_hi, w = decoded(pts[None], got)
         for mat in (in_lo, in_hi, out_lo, out_hi):
             assert mat.shape == (0, 1)
         assert w.shape == (0,)

@@ -333,6 +333,44 @@ class TestDynamicEquivalence:
         assert b.report_groups(boxes[0]) == {1, 7}
         assert sorted(b.to_arrays()["group"].tolist()) == [1, 1, 7]
 
+    @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
+    def test_an_emptied_backend_round_trips_through_its_arrays(
+        self, small_leaves, engine, rng
+    ):
+        """Regression: a kd-tree emptied by ``remove_group`` wrote arrays
+        (zero rows, zero-level tables) that its own ``from_arrays``
+        refused with "level tables do not match the code columns".  Every
+        dynamic engine restores an emptied backend, read-only, to the same
+        arrays, answering nothing and taking inserts."""
+        from repro.index.backend import restore_backend
+
+        b = build_backend(rng.uniform(size=(20, 3)), [i % 4 for i in range(20)], engine)
+        for group in range(4):
+            b.remove_group(group)
+        arrays = b.to_arrays()
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        twin = restore_backend(arrays, engine)
+        again = twin.to_arrays()
+        assert again.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            assert again[name].dtype == arr.dtype and np.array_equal(again[name], arr)
+        boxes = [QueryBox.unbounded(3), random_orthant(rng, 3)]
+        assert (len(twin), n_visible(twin)) == (0, 0)
+        assert twin.report_groups_many(boxes) == [set(), set()]
+        assert twin.report_first(boxes[0]) is None
+        twin.insert(rng.uniform(size=(3, 3)), [1, 1, 7])
+        assert twin.report_groups(boxes[0]) == {1, 7}
+        assert sorted(twin.to_arrays()["group"].tolist()) == [1, 1, 7]
+        if engine == "kd":  # zero rows admit no level and no second node
+            levels = {"levels": np.array([0.5]), "level_start": np.array([0, 1, 1, 1])}
+            with pytest.raises(ValueError, match="level tables do not match"):
+                restore_backend({**arrays, **levels}, engine)
+            span = np.zeros((3, 2), dtype=np.int32)
+            box = np.zeros((2, 2, 3), dtype=arrays["node_box"].dtype)
+            with pytest.raises(ValueError, match="do not describe one kd-tree"):
+                restore_backend({**arrays, "node_span": span, "node_box": box}, engine)
+
 
 class TestBatchKernels:
     """The multi-box kernels must equal the per-box loop on every backend:

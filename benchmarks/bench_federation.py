@@ -149,12 +149,8 @@ def run_overhead(lake, queries, n_nodes, repeats):
     node_httpds = [make_server(s, host="127.0.0.1", port=0) for s in node_svcs]
     node_urls = [serve_http(h) for h in node_httpds]
     coord = FederatedCoordinator(seed=9)
-    for url, svc in zip(node_urls, node_svcs):
-        ex = svc.executor
-        coord.add_node(
-            url, synopses=list(ex.synopses), eps=ex.eps,
-            eps_effective=ex.eps_effective,
-        )
+    for url in node_urls:
+        coord.add_node(url)
     fed_httpd = make_federation_server(coord, host="127.0.0.1", port=0)
     fed_url = serve_http(fed_httpd)
 
@@ -264,11 +260,7 @@ def run_stalled(lake, queries, n_nodes, repeats):
             breaker_reset_s=60.0,
         )
         for node in nodes:
-            ex = node.service.executor
-            coord.add_node(
-                node.url, synopses=list(ex.synopses), eps=ex.eps,
-                eps_effective=ex.eps_effective,
-            )
+            coord.add_node(node.url)
         fed_httpd = make_federation_server(coord, host="127.0.0.1", port=0)
         fed_url = serve_http(fed_httpd)
         payload = json.dumps(

@@ -253,7 +253,7 @@ def cmd_federate(args: argparse.Namespace) -> int:
               f"{receipt['offset']})")
     if not args.node:
         print("no --node given; register nodes at runtime with "
-              "POST /nodes {\"url\": ..., \"synopses\": [...]}")
+              "POST /nodes {\"url\": ..., \"n_datasets\": ...}")
     serve_federation(coordinator, host=args.host, port=args.port)
     return 0
 
@@ -463,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "federate",
         help="run a scatter-gather coordinator over running 'repro serve' "
-             "nodes (circuit breakers, hedged retries, synopsis-screened "
-             "degradation)",
+             "nodes (circuit breakers, hedged retries; a node that cannot "
+             "answer puts its whole slice in the maybe band)",
     )
     p.add_argument("--node", action="append", default=[], metavar="URL",
                    help="a node's base URL, e.g. http://10.0.0.2:8765 "

@@ -36,7 +36,7 @@ batch.  This package turns the engine into a serving subsystem:
 - :mod:`~repro.service.federation` scatter-gathers batches over multiple
   ``repro serve`` nodes (the ``repro federate`` CLI subcommand) with
   per-node sub-deadlines, retries + hedging, circuit breakers, and
-  synopsis-screened degradation for absent nodes.
+  must / maybe degradation for absent nodes.
 """
 
 from repro._lazy import namespace

@@ -24,7 +24,7 @@ into a 500:
   the same monotonic :class:`~repro.service.deadline.Deadline` clock as
   the rest of the serving layer).  The forwarded body carries a slightly
   smaller ``deadline_ms`` so a healthy-but-slow node *degrades itself*
-  (its own synopsis screen) instead of timing out on the wire.
+  (its own must / maybe bound) instead of timing out on the wire.
 - **Bounded retries + hedging** — failed RPC attempts are retried up to
   ``max_retries`` times with capped exponential backoff and full jitter
   (so a blip does not resynchronize every retry into a thundering herd);
@@ -33,19 +33,17 @@ into a 500:
   success wins.
 - **Circuit breaker** — ``breaker_threshold`` consecutive failures trip
   a node's breaker open; while open the coordinator answers for that
-  node from its registered synopsis screen without burning budget on
-  doomed RPCs.  After ``breaker_reset_s`` a single half-open probe is
+  node with the trivial bound below, without burning budget on doomed
+  RPCs.  After ``breaker_reset_s`` a single half-open probe is
   admitted: success closes the breaker, failure re-opens it.
 - **Graceful degradation** — a node that is down, tripped, drifted, or
-  over budget contributes the three-valued screen of its *registered*
-  synopses (:func:`~repro.service.degrade.screen_synopses` +
-  :func:`~repro.service.planner.combine_bounds`): a **must** bitmap of
-  datasets certainly in its answer and a **maybe** bitmap of datasets
-  possibly in it.  Nodes registered without synopses degrade to
-  ``(∅, full)`` — still sound, just uninformative.  Because nodes
-  partition the universe, OR-merging per-node ``must``/``maybe`` pairs
-  preserves ``must ⊆ exact ⊆ must ∪ maybe`` globally, and the answer
-  reports ``coverage``: the fraction of the universe answered exactly.
+  over budget contributes the trivial three-valued bound of its slice:
+  an empty **must** bitmap and the whole slice as **maybe** (the same
+  bound a node gives a leaf it could not answer, see
+  :mod:`repro.service.degrade`).  Because nodes partition the universe,
+  OR-merging per-node ``must``/``maybe`` pairs preserves ``must ⊆ exact
+  ⊆ must ∪ maybe`` globally, and the answer reports ``coverage``: the
+  fraction of the universe answered exactly.
 
 Failure injection: the ``node_rpc`` failpoint
 (:mod:`repro.service.faults`) fires at the top of every RPC attempt in
@@ -58,11 +56,9 @@ HTTP surface (see :func:`make_federation_server`):
   string, required (only the shape is checked: a node that is down still
   registers).  ``n_datasets``: an integer in [1, 2**31 - 1], default the
   node's ``/healthz`` is probed for it; the federated universe has the
-  same ceiling.  ``synopses``: a list of :mod:`repro.synopsis.serialize`
-  payloads, one per dataset, default none (every number in one is finite,
-  every error bound — ``delta``, ``delta_pref``, ``radius`` — is >= 0,
-  ``n_points`` an integer in [1, 2**53]).  ``eps``, ``eps_effective``:
-  numbers >= 0, default unknown.
+  same ceiling.  Other keys are ignored, like everywhere on the wire: a
+  client that still sends the ``synopses`` / ``eps`` / ``eps_effective``
+  fields of earlier releases registers its node, and they are dropped.
 - ``DELETE /nodes`` — ``node_id``: an integer >= 0, required; drops the
   node (later nodes' offsets shift down; the universe stays contiguous).
 - ``POST /search`` / ``POST /search/batch`` — the single-node bodies
@@ -103,9 +99,7 @@ from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.service import faults
 from repro.service.deadline import Deadline
-from repro.service.degrade import screen_synopses
 from repro.service.observability import NO_SPAN, MetricsRegistry, Tracer
-from repro.service.planner import combine_bounds, plan_query
 from repro.service.server import (
     JsonRequestHandler,
     _serve_forever,
@@ -115,8 +109,6 @@ from repro.service.server import (
     http_call,
     parse_batch_body,
 )
-from repro.synopsis.base import Synopsis
-from repro.synopsis.serialize import from_dict as synopsis_from_dict
 from repro.wire import ADD_NODE, N_DATASETS, NODE_REPLY, REMOVE_NODE, decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,7 +127,7 @@ class NodeRPCError(RuntimeError):
     """A node RPC leg that failed after retries (internal control flow).
 
     Never escapes the coordinator: every :class:`NodeRPCError` is
-    converted into a synopsis-screened degraded contribution.  ``reason``
+    converted into the node's trivial degraded contribution.  ``reason``
     is the wire-visible label (``"unreachable"``, ``"breaker_open"``,
     ``"budget_exhausted"``, ``"universe_drift"``, ...).
     """
@@ -249,24 +241,18 @@ class CircuitBreaker:
 
 
 class FederatedNode:
-    """One registered node: address, universe slice, screen, health."""
+    """One registered node: address, universe slice, health."""
 
     def __init__(
         self,
         node_id: int,
         url: str,
         n_datasets: int,
-        synopses: Optional[Sequence[Synopsis]],
-        eps: Optional[float],
-        eps_effective: Optional[float],
         breaker: CircuitBreaker,
     ) -> None:
         self.node_id = node_id
         self.url = url.rstrip("/")
         self.n_datasets = int(n_datasets)
-        self.synopses = list(synopses) if synopses is not None else None
-        self.eps = eps
-        self.eps_effective = eps_effective
         self.breaker = breaker
         self._lock = threading.Lock()
         self.ok_calls = 0  # guarded-by: _lock
@@ -318,7 +304,6 @@ class FederatedNode:
             "node_id": self.node_id,
             "url": self.url,
             "n_datasets": self.n_datasets,
-            "synopses_registered": self.synopses is not None,
             "breaker": self.breaker.snapshot(),
             **counters,
         }
@@ -466,7 +451,8 @@ class FederatedCoordinator:
         reg.describe(
             "repro_federation_degraded_nodes_total",
             "counter",
-            "Node contributions answered from the synopsis screen.",
+            "Node contributions answered with the trivial (empty must, "
+            "whole slice maybe) bound.",
         )
         reg.describe(
             "repro_federation_nodes",
@@ -486,44 +472,17 @@ class FederatedCoordinator:
         url: str,
         *,
         n_datasets: Optional[int] = None,
-        synopses: Optional[Sequence[Union[Synopsis, dict]]] = None,
-        eps: Optional[float] = None,
-        eps_effective: Optional[float] = None,
     ) -> dict:
         """Register a node; returns its id and universe slice.
 
-        ``n_datasets`` defaults to probing the node's ``/healthz``.
-        ``synopses`` (optional, one per dataset, objects or the
-        :mod:`repro.synopsis.serialize` wire dicts) power the node's
-        degraded answers; without them an absent node contributes
-        ``(∅, full slice)``.  ``eps`` / ``eps_effective`` are the node
-        engine's accuracy-contract parameters — they tighten the screen's
-        *can't* side; unknown is sound but looser.
+        ``n_datasets`` defaults to probing the node's ``/healthz``.  While
+        the node cannot answer, its slice is wholly *maybe*.
         """
-        fields = decode(
-            ADD_NODE,
-            {"url": url, "n_datasets": n_datasets, "synopses": synopses,
-             "eps": eps, "eps_effective": eps_effective},
-            "",
-        )
+        fields = decode(ADD_NODE, {"url": url, "n_datasets": n_datasets}, "")
         n_datasets = fields["n_datasets"]
         if n_datasets is None:  # only now: a refused url is never dialled
             probed = self._probe_n_datasets(url)
             n_datasets = decode(N_DATASETS, probed, "the node's /healthz n_datasets")
-        parsed: Optional[List[Synopsis]] = None
-        if synopses is not None:
-            # The wire decoder refuses whatever is not a serialized synopsis;
-            # a stray value kept here would crash the first degraded answer.
-            parsed = [
-                syn if isinstance(syn, Synopsis) else synopsis_from_dict(syn)
-                for syn in fields["synopses"]
-            ]
-            if len(parsed) != n_datasets:
-                raise QueryError(
-                    f"synopsis count ({len(parsed)}) must match the node's "
-                    f"n_datasets ({n_datasets}); a partial screen would make "
-                    "degraded answers unsound"
-                )
         with self._lock:
             # Ids only grow, so the new node's slice starts where the
             # universe ends today.
@@ -539,9 +498,6 @@ class FederatedCoordinator:
                 node_id=node_id,
                 url=url,
                 n_datasets=n_datasets,
-                synopses=parsed,
-                eps=fields["eps"],
-                eps_effective=fields["eps_effective"],
                 breaker=CircuitBreaker(
                     threshold=self.breaker_threshold,
                     reset_s=self.breaker_reset_s,
@@ -554,7 +510,6 @@ class FederatedCoordinator:
             "n_datasets": n_datasets,
             "offset": offset,
             "total_datasets": offset + n_datasets,
-            "synopses_registered": parsed is not None,
         }
 
     def remove_node(self, node_id: int) -> dict:
@@ -723,7 +678,7 @@ class FederatedCoordinator:
         merge_reserve: float,
         tracer: Optional[Tracer],
     ) -> List[Union[List[NodeAnswer], NodeRPCError]]:
-        """One outcome per node: parsed answers, or the error to screen."""
+        """One outcome per node: parsed answers, or the error to bound."""
         with (
             tracer.span("scatter", n_nodes=len(nodes))
             if tracer is not None
@@ -795,7 +750,7 @@ class FederatedCoordinator:
                 budget = self._attempt_budget(deadline, merge_reserve)
                 if budget is not None and budget <= 1e-3:
                     # Out of budget: NOT a node failure — don't feed the
-                    # breaker, just fall back to the screen.
+                    # breaker, just fall back to the trivial bound.
                     raise NodeRPCError(
                         "budget_exhausted",
                         f"node {node.node_id}: deadline budget exhausted "
@@ -1016,31 +971,13 @@ class FederatedCoordinator:
     def _screen_node(
         self, node: FederatedNode, expressions: List[Expression]
     ) -> List[NodeAnswer]:
-        """Three-valued (must, maybe) per expression from the node's
-        registered synopses; ``(∅, full)`` when none were registered."""
+        """The trivial three-valued answer of a node that could not
+        answer: ``(∅, whole slice)`` for every expression."""
         node.note_degraded()
         self.registry.inc("repro_federation_degraded_nodes_total")
-        n = node.n_datasets
-        if node.synopses is None:
-            empty = DatasetBitmap.zeros(n)
-            full = DatasetBitmap.full(n)
-            return [(empty, full) for _ in expressions]
-        answers: List[NodeAnswer] = []
-        for expression in expressions:
-            plan = plan_query(expression)
-            bounds = {
-                key: screen_synopses(
-                    node.synopses,
-                    leaf,
-                    eps=node.eps,
-                    eps_effective=node.eps_effective,
-                    n_datasets=n,
-                )
-                for key, leaf in plan.leaves.items()
-            }
-            must, possible = combine_bounds(plan.expression, bounds)
-            answers.append((must, possible.andnot(must)))
-        return answers
+        bound = (DatasetBitmap.zeros(node.n_datasets),
+                 DatasetBitmap.full(node.n_datasets))
+        return [bound] * len(expressions)
 
     def _merge(
         self,

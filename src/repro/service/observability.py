@@ -735,7 +735,7 @@ class ServiceObservability:
         # which would render a second, shadow sample for each.
         reg.describe(
             "repro_degraded_queries_total", "counter",
-            "Queries answered with synopsis-screened (degraded) bounds.",
+            "Queries answered with degraded (must / maybe) bounds.",
         )
         reg.describe(
             "repro_deadline_expirations_total", "counter",

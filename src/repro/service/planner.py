@@ -267,10 +267,10 @@ def combine_bounds(
     in the lower set is in the final answer no matter how the leaves
     resolve inside their bounds, and an index outside the upper set is out
     no matter what.  An exact leaf participates as ``(answer, answer)``, a
-    leaf with no answer yet as ``(∅, universe)`` (the emit scheduler), a
-    synopsis-screened leaf as its ``(must, possible)`` pair (degraded
-    answers, :mod:`repro.service.degrade`) — mixed expressions tighten
-    wherever exact answers exist.
+    leaf with no answer yet as ``(∅, universe)`` (the emit scheduler, and
+    the degraded answers of :mod:`repro.service.degrade`, whose universe is
+    the live datasets) — mixed expressions tighten wherever exact answers
+    exist.
     """
     if isinstance(expression, Predicate):
         return bounds[leaf_key(expression)]

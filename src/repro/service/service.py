@@ -242,15 +242,16 @@ class QueryService:
         ``deadline_ms`` caps the batch's wall-clock budget (monotonic
         clock, shared by the whole batch): the budget is threaded to the
         executor and engine checkpoint polls, and when it fires the exact
-        leaf answers already computed are kept while the remaining leaves
-        fall back to synopsis-screened bounds — every affected query
-        comes back *degraded* (``stats["degraded"]``, a must bitmap plus
-        ``maybe_bitmap``; see :mod:`repro.service.degrade`) instead of
-        failing.  ``degrade=True`` skips executor evaluation outright and
-        answers uncached leaves from the screen (cached leaves stay
-        exact).  Degraded bounds are never written to the leaf cache, and
-        a degraded query's ``record_times`` request is ignored (there is
-        no per-leaf emission to schedule).
+        leaf answers already computed are kept while each remaining leaf
+        falls back to the trivial bound ``(∅, live datasets)`` — every
+        affected query comes back *degraded* (``stats["degraded"]``, a
+        must bitmap plus ``maybe_bitmap``; see :mod:`repro.service.degrade`)
+        instead of failing, with its exact leaves still tightening the
+        bound.  ``degrade=True`` skips executor evaluation outright and
+        bounds every uncached leaf that way (cached leaves stay exact).
+        Degraded bounds are never written to the leaf cache, and a
+        degraded query's ``record_times`` request is ignored (there is no
+        per-leaf emission to schedule).
         """
         expressions = list(expressions)
         start = time.perf_counter()
@@ -348,8 +349,8 @@ class QueryService:
             leaf_times[key] = lookup_done
 
         # Degradation state: when set, leaves without exact answers are
-        # *pending* — they will be answered from synopsis-screened bounds
-        # instead of the executor (see repro.service.degrade).
+        # *pending* — they will be answered with the trivial (∅, live)
+        # bound instead of the executor (see repro.service.degrade).
         degrade_reason: Optional[str] = None
         if degrade:
             degrade_reason = "requested"
@@ -376,7 +377,7 @@ class QueryService:
                     if len(answers) < len(todo):
                         # A tripped deadline: keep the exact prefix the
                         # executor completed; the remaining leaves degrade
-                        # to screened bounds.
+                        # to the trivial bound.
                         degrade_reason = "deadline"
                     for (key, _leaf, entry), (answer, done) in zip(todo, answers):
                         if entry is not None:
@@ -407,12 +408,18 @@ class QueryService:
         if degrade_reason == "deadline":
             self.observability.registry.inc("repro_deadline_expirations_total")
 
-        # Screen every pending leaf once for the whole batch.  Screened
-        # bounds are NEVER cached: they are not the engine's answer, and a
-        # later exact evaluation must not be shadowed by them.
+        # The batch's live datasets, from its own watermark and tombstone
+        # mask: all a leaf without an answer yet may still report.
+        if pending or record_times:
+            universe = DatasetBitmap.full(watermark)
+            if removed_bits is not None:
+                universe = universe.andnot(removed_bits)
+        # Bound every pending leaf once for the whole batch.  Bounds are
+        # NEVER cached: they are not the engine's answer, and a later exact
+        # evaluation must not be shadowed by them.
         screened_bounds: dict = {}
         if pending:
-            screen = SynopsisScreen(executor)
+            screen = SynopsisScreen(universe)
             screened_bounds = {
                 key: screen.screen_leaf(leaf) for key, leaf in pending.items()
             }
@@ -424,9 +431,6 @@ class QueryService:
         # ``shared_leaves`` instead of inflating the miss counters.
         charged: set = set()
         if record_times:
-            universe = DatasetBitmap.full(watermark)
-            if removed_bits is not None:
-                universe = universe.andnot(removed_bits)
             completion_order = sorted(leaf_times, key=lambda k: leaf_times[k])
         results: list[QueryResult] = []
         for qi, plan in enumerate(batch.plans):
@@ -438,7 +442,7 @@ class QueryService:
             )
             if plan_pending:
                 # Degraded assembly: exact leaves contribute (v, v) bounds,
-                # screened leaves their (must, possible) pair; And/Or
+                # pending leaves their (∅, live) pair; And/Or
                 # monotonicity lifts them to query-level bounds.
                 bounds = {
                     key: (

@@ -311,7 +311,7 @@ SEARCH_BATCH = Record({
 ADD_DATASETS = Record({"datasets": List(Array((None, None)), lo=1)})
 REMOVE_DATASETS = Record({"indexes": List(Int(lo=0), lo=1)})
 
-_BOUND = Number("[0, inf)")  # delta, delta_pref, radius, eps: an error bound
+_BOUND = Number("[0, inf)")  # delta, delta_pref, radius, eps_dir: an error bound
 _HEADER = {"format": Int(1, 1), "n_points": Int(1, 2**53)}
 #: Every :mod:`repro.synopsis.serialize` wire kind, fields in ``to_dict``
 #: order.  Same-named axes must agree (``weights`` with ``means``, ...).
@@ -361,9 +361,6 @@ N_DATASETS = Int(1, 2**31 - 1)
 ADD_NODE = Record({
     "url": String(r"https?://[^\s/]+(/\S*)?"),
     "n_datasets": (N_DATASETS, None),  # None: probe /healthz
-    "synopses": (List(Deferred(SYNOPSIS)), None),
-    "eps": (_BOUND, None),
-    "eps_effective": (_BOUND, None),
 })
 REMOVE_NODE = Record({"node_id": Int(lo=0)})
 

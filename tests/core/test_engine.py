@@ -17,7 +17,6 @@ from repro.core.pref_index import pref_threshold
 from repro.errors import ConstructionError, QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
-from repro.service.degrade import screen_synopses
 from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.sample import EpsilonSampleSynopsis
 
@@ -80,7 +79,7 @@ class TestRouting:
         """Scores are unbounded: ``hi >= 1`` is a real bound on a Pref leaf
         (it used to be read as "no bound", reporting all six datasets
         where only some qualify), so every path refuses it like any finite
-        one."""
+        one (the service's degraded paths: ``test_deadline.py``)."""
         base = rng.uniform(0.5, 1.0, size=(50, 2))
         repo = Repository.from_arrays(
             [base * scale for scale in (0.5, 0.8, 1.0, 2.0, 3.0, 5.0)]
@@ -94,14 +93,10 @@ class TestRouting:
         with pytest.raises(QueryError):
             engine.eval_leaf_batch_bits([leaf])
         with pytest.raises(QueryError):
-            screen_synopses(engine.synopses, leaf, eps=engine.eps)
-        with pytest.raises(QueryError):
             engine.pref_index(3).query_expression(measure.vector, leaf.theta)
         # [a, inf) is the supported form and behaves as before.
         open_leaf = Predicate(measure, Interval.at_least(0.4))
         assert engine.evaluate_quality(open_leaf)["recall"] == 1.0
-        must, possible = screen_synopses(engine.synopses, open_leaf, eps=engine.eps)
-        assert must.to_set() <= engine.search(open_leaf).index_set <= possible.to_set()
         got = engine.pref_index(3).query_expression(measure.vector, open_leaf.theta)
         assert got.index_set == engine.search(open_leaf).index_set
 

@@ -1,14 +1,15 @@
-"""Deadline propagation and synopsis-degraded answers.
+"""Deadline propagation and degraded (must / maybe) answers.
 
 The resilience contract: a query with a ``deadline_ms`` budget never
 500s — when the budget runs out mid-evaluation (or the caller asks for
-``degrade`` outright), the service answers from the per-dataset synopses
-already in the tree with a must/maybe bound pair satisfying
+``degrade`` outright), each leaf without an exact answer is bounded by
+``(∅, live datasets)``, and the query answers with a must/maybe pair
+satisfying
 
     must ⊆ exact ⊆ must ∪ maybe
 
-where *exact* is what an unbounded evaluation returns.  Screened bounds
-are never cached; exact prefixes salvaged from a partial evaluation are.
+where *exact* is what an unbounded evaluation returns.  Bounds are never
+cached; exact prefixes salvaged from a partial evaluation are.
 """
 
 from __future__ import annotations
@@ -23,9 +24,14 @@ import pytest
 
 from repro.baselines.linear_scan import LinearScanPtile
 from repro.core.framework import Repository
-from repro.core.measures import PercentileMeasure
-from repro.core.predicates import pred
+from repro.core.measures import (
+    MeasureFunction,
+    PercentileMeasure,
+    PreferenceMeasure,
+)
+from repro.core.predicates import And, Or, Predicate, pred
 from repro.errors import QueryError
+from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
 from repro.service import QueryService
 from repro.service import faults
@@ -167,12 +173,91 @@ class TestDegradedAnswers:
             assert sorted(ag.indexes) == sorted(ex.indexes)
 
 
+class TestTheTrivialBound:
+    """A leaf the batch did not answer exactly is bounded by ``(∅, live)``:
+    every dataset below the batch's watermark that is not tombstoned."""
+
+    def test_bound_is_the_live_set_after_adds_and_removes(self, queries):
+        lake = synthetic_data_lake(
+            12, DIM, np.random.default_rng(SEED), median_size=80
+        )
+        svc = build_service(capacity=32)
+        try:
+            receipt = svc.add_datasets([lake[0], lake[5]])
+            assert not receipt["rebuilt"] and receipt["delta_size"] == 2
+            svc.remove_datasets([1, 12])  # one base dataset, one delta one
+            live = set(range(14)) - {1, 12}
+            exact = svc.search_batch(queries)
+            svc.invalidate_cache()
+            for mode in ({"degrade": True}, {"deadline_ms": 1e-6}):
+                for got, ex in zip(svc.search_batch(queries, **mode), exact):
+                    assert got.stats["degraded"]
+                    assert got.indexes == []
+                    assert set(got.maybe_bitmap.to_list()) == live
+                    assert_contained(got, ex)
+        finally:
+            svc.close()
+
+    def test_a_cached_exact_leaf_tightens_the_bound(self, service, queries):
+        n = service.executor.n_datasets
+        leaves = list({
+            leaf.canonical_key(): leaf for q in queries for leaf in q.leaves()
+        }.values())
+        answers = [set(r.indexes) for r in service.search_batch(leaves)]
+        service.invalidate_cache()
+        i = next(i for i, a in enumerate(answers) if 0 < len(a) < n)
+        cached, pending = leaves[i], leaves[i - 1]
+        service.search_batch([cached])  # the only leaf in the cache
+        conj, disj = service.search_batch(
+            [And([cached, pending]), Or([cached, pending])], degrade=True
+        )
+        for got in (conj, disj):
+            assert got.stats["bounds"]["exact_leaves"] == 1
+            assert got.stats["bounds"]["screened_leaves"] == 1
+        # The cached leaf decides the And: maybe shrinks to its answer.
+        assert conj.indexes == []
+        assert set(conj.maybe_bitmap.to_list()) == answers[i]
+        # ... and the Or: its answer is certain, the rest is maybe.
+        assert set(disj.indexes) == answers[i]
+        assert set(disj.maybe_bitmap.to_list()) == set(range(n)) - answers[i]
+
+
+class _UnknownMeasure(MeasureFunction):
+    """A measure no index answers."""
+
+    measure_class = "unknown"
+
+    def evaluate(self, dataset):
+        return 0.0
+
+    def evaluate_synopsis(self, synopsis):
+        return 0.0
+
+    def canonical_key(self):
+        return ("unknown",)
+
+
+REFUSED = {
+    "two-sided-pref": pred(PreferenceMeasure(np.array([1.0, 0.0]), 1), 0.2, 0.4),
+    "unknown-measure": Predicate(_UnknownMeasure(), Interval.at_least(0.5)),
+}
+
+
+@pytest.mark.parametrize("leaf", list(REFUSED.values()), ids=list(REFUSED))
+def test_degraded_paths_refuse_what_the_exact_path_refuses(service, leaf):
+    with pytest.raises(QueryError) as exact:
+        service.search_batch([leaf])
+    for mode in ({"degrade": True}, {"deadline_ms": 1e-6}):
+        with pytest.raises(QueryError) as degraded:
+            service.search_batch([leaf], **mode)
+        assert str(degraded.value) == str(exact.value), mode
+
+
 def test_the_screen_rules_out_only_what_the_engine_cannot_report():
     # The engine widens theta by eps_effective around *coreset* masses, so
     # it may report a dataset whose true mass is 2·eps_effective outside
-    # theta; the screen's "can't" band was eps_effective wide and dropped
-    # such datasets from must ∪ maybe.  Invisible on the lakes above, whose
-    # eps_effective (~0.6) makes every dataset a "maybe".
+    # theta; a bound must never drop such a dataset from must ∪ maybe.  A
+    # small-eps lake, where that slack is narrow enough to matter.
     rng = np.random.default_rng(4)
     lake = synthetic_data_lake(8, 1, rng, median_size=60)
     svc = QueryService(

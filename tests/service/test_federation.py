@@ -148,13 +148,7 @@ def nodes(lake):
 
 def _register_all(coord, nodes):
     for node in nodes:
-        ex = node.service.executor
-        coord.add_node(
-            node.url,
-            synopses=list(ex.synopses),
-            eps=ex.eps,
-            eps_effective=ex.eps_effective,
-        )
+        coord.add_node(node.url)
 
 
 def _containment(result, exact_ids):
@@ -270,13 +264,6 @@ class TestHealthyFederation:
         assert batch.results[0].bitmap.nbits == N_TOTAL - 6
         coord.close()
 
-    def test_add_node_rejects_synopsis_count_mismatch(self, nodes):
-        coord = FederatedCoordinator()
-        ex = nodes[0].service.executor
-        with pytest.raises(QueryError):
-            coord.add_node(nodes[0].url, synopses=list(ex.synopses)[:-1])
-        coord.close()
-
     def test_no_nodes_is_a_client_error(self):
         coord = FederatedCoordinator()
         (q,) = batched_query_workload(1, DIM, np.random.default_rng(0))
@@ -314,23 +301,31 @@ class TestDegradedFederation:
             _containment(fed, reference.search_batch([q])[0].indexes)
         coord.close()
 
-    def test_dead_node_without_synopses_answers_full_maybe_band(
-        self, nodes, queries
-    ):
+    def test_every_dead_slice_is_wholly_maybe(self, nodes, reference, queries):
         coord = FederatedCoordinator(
             rpc_timeout_s=2.0, max_retries=0, backoff_base_s=0.01
         )
-        for node in nodes:
-            coord.add_node(node.url)  # no screens registered
-        nodes[2].kill()
-        batch = coord.search_batch([list(queries)[0]])
-        result = batch.results[0]
-        assert result.stats["degraded"]
-        # The dead slice [12, 18) is entirely in the maybe band and
-        # contributes nothing to must.
-        dead = set(range(12, 18))
-        assert dead <= set(result.maybe_bitmap.to_list())
-        assert not dead & set(result.indexes)
+        _register_all(coord, nodes)
+        per = N_TOTAL // N_NODES
+        dead_ids = (0, 2)
+        for ni in dead_ids:
+            nodes[ni].kill()
+        dead = [set(range(ni * per, (ni + 1) * per)) for ni in dead_ids]
+        live = set(range(1 * per, 2 * per))
+        batch = coord.search_batch(list(queries))
+        assert batch.coverage == pytest.approx(1 / 3)
+        for result, q in zip(batch.results, queries):
+            assert result.stats["degraded"]
+            must = set(result.indexes)
+            maybe = set(result.maybe_bitmap.to_list())
+            exact = set(reference.search_batch([q])[0].indexes)
+            # Each dead slice is entirely in the maybe band and contributes
+            # nothing to must; the live slice is answered exactly.
+            for sl in dead:
+                assert sl <= maybe
+                assert not sl & must
+            assert must == exact & live
+            assert not maybe & live
         coord.close()
 
     def test_tiny_deadline_degrades_instead_of_failing(
@@ -525,28 +520,12 @@ class TestCoordinatorHTTP:
             return resp.status, resp.read()
 
     def test_full_lifecycle_over_http(
-        self, fed_url, nodes, lake, reference, queries
+        self, fed_url, nodes, reference, queries
     ):
         url, _coord = fed_url
-        # Register all nodes over the wire, synopses in serialized form.
-        # The executor's own exact synopses hold raw data and have no wire
-        # format by design; a marketplace seller publishes compact sketches
-        # instead (here: quantile histograms over each slice).
-        per = N_TOTAL // N_NODES
-        rng = np.random.default_rng(SEED + 9)
-        for ni, node in enumerate(nodes):
-            sketches = [
-                QuantileHistogramSynopsis(arr, rng=rng)
-                for arr in lake[ni * per:(ni + 1) * per]
-            ]
-            status, receipt = self._post(
-                f"{url}/nodes",
-                {
-                    "url": node.url,
-                    "synopses": [synopsis_to_dict(s) for s in sketches],
-                },
-            )
-            assert status == 200 and receipt["synopses_registered"]
+        for node in nodes:
+            status, _receipt = self._post(f"{url}/nodes", {"url": node.url})
+            assert status == 200
 
         status, health = self._get(f"{url}/healthz")
         health = json.loads(health)
@@ -593,6 +572,37 @@ class TestCoordinatorHTTP:
         assert status == 200
         assert "degraded" not in body
         assert body["federation"]["n_datasets"] == N_TOTAL - 6
+
+    def test_registration_ignores_the_retired_synopsis_fields(
+        self, fed_url, nodes, lake
+    ):
+        """``synopses`` / ``eps`` / ``eps_effective`` no longer feed a
+        screen: a body that still carries them registers like a bare one
+        (unknown keys are ignored), however malformed they are, and the
+        node's dead slice is still wholly *maybe*."""
+        url, coord = fed_url
+        per = N_TOTAL // N_NODES
+        rng = np.random.default_rng(SEED + 9)
+        sketches = [QuantileHistogramSynopsis(arr, rng=rng) for arr in lake[:per]]
+        legacy = [
+            {"synopses": [synopsis_to_dict(s) for s in sketches],
+             "eps": 0.2, "eps_effective": 0.5},
+            {"synopses": ["xx", 7], "eps": -1, "eps_effective": "a"},
+        ]
+        bare = {"node_id", "url", "n_datasets", "offset", "total_datasets"}
+        for node, extra in zip(nodes, legacy):
+            status, receipt = self._post(
+                f"{url}/nodes", {"url": node.url, **extra}
+            )
+            assert status == 200, receipt
+            assert set(receipt) == bare
+            assert receipt["n_datasets"] == per
+        assert coord.n_nodes == 2
+        nodes[0].kill()
+        (q,) = batched_query_workload(1, DIM, np.random.default_rng(0))
+        result = coord.search_batch([q]).results[0]
+        assert set(range(per)) <= set(result.maybe_bitmap.to_list())
+        assert not set(range(per)) & set(result.indexes)
 
     def test_stats_and_metrics_expose_node_health(self, fed_url, nodes, queries):
         url, _coord = fed_url

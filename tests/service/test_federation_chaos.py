@@ -3,7 +3,7 @@ live coordinator traffic.
 
 The acceptance bar from the federation issue: with a node SIGKILLed or
 stalled while traffic flows, the coordinator serves **zero 5xx** (every
-answer is either exact or a sound synopsis-screened degradation with
+answer is either exact or a sound degradation with
 ``must ⊆ exact ⊆ must ∪ maybe``), the dead node's breaker trips open,
 and after the node comes back the breaker's half-open probe closes it
 and answers return to exact.  Node processes are ``os.fork``\\ ed so a
@@ -63,8 +63,8 @@ class _ForkedNode:
 
     The parent builds the service and binds the listening socket, then
     forks; the child serves on the inherited socket and the parent keeps
-    only the pid (plus the service object, whose synopses it registers
-    with the coordinator).  ``failpoints`` arms fault injection in the
+    only the pid (plus the service object, which it closes on
+    shutdown).  ``failpoints`` arms fault injection in the
     child *only* — the parent's ``faults.ARMED`` stays None.
     """
 
@@ -230,13 +230,7 @@ def federation(workload):
         breaker_reset_s=0.5,
     )
     for node in nodes:
-        ex = node.service.executor
-        coord.add_node(
-            node.url,
-            synopses=list(ex.synopses),
-            eps=ex.eps,
-            eps_effective=ex.eps_effective,
-        )
+        coord.add_node(node.url)
     httpd = make_federation_server(coord, host="127.0.0.1", port=0)
     threading.Thread(target=httpd.serve_forever, daemon=True).start()
     host, port = httpd.server_address
@@ -329,13 +323,7 @@ class TestFederationChaos:
                 breaker_reset_s=30.0,
             )
             for node in nodes:
-                ex = node.service.executor
-                coord.add_node(
-                    node.url,
-                    synopses=list(ex.synopses),
-                    eps=ex.eps,
-                    eps_effective=ex.eps_effective,
-                )
+                coord.add_node(node.url)
             httpd = make_federation_server(coord, host="127.0.0.1", port=0)
             threading.Thread(target=httpd.serve_forever, daemon=True).start()
             host, port = httpd.server_address

@@ -29,9 +29,6 @@ from repro.errors import QueryError
 from repro.service.admission import AdmissionGate
 from repro.service.federation import FederatedCoordinator, make_federation_server
 from repro.service.server import expression_from_json, http_call, make_server
-from repro.synopsis.gmm import GMMSynopsis
-from repro.synopsis.sample import EpsilonSampleSynopsis
-from repro.synopsis.serialize import to_dict
 from repro.workloads.generators import synthetic_data_lake
 
 N = 8
@@ -198,27 +195,8 @@ ROWS = [
             {"url": "http://127.0.0.1:9", "n_datasets": 2, key: value})
         for key, values in {
             "n_datasets": ["many", 2.5, 0, True],
-            "synopses": ["xx", [3, 4], 7],
-            "eps": [NAN, -1, "a", True],
-            "eps_effective": [float("inf")],
         }.items()
         for i, value in enumerate(values)
-    ],
-    # A serialized synopsis is decoded field by field: a malformed one is
-    # the sender's 400, and a NaN point never reaches the registry.
-    *[
-        Row(f"fed-node-synopsis-{i}", "fed", "POST", "/nodes",
-            {"url": "http://127.0.0.1:9", "n_datasets": 1, "synopses": [
-                {"format": 1, "n_points": 9, "delta": 0.1, "delta_pref": 0.1,
-                 **synopsis}]})
-        for i, synopsis in enumerate([
-            {"kind": "eps-sample"},  # no subsample
-            {"kind": "eps-sample", "subsample": [[0.1], [None]]},
-            {"kind": "eps-sample", "subsample": [[0.1]], "n_points": "a"},
-            {"kind": "cover", "radius": 0.1, "cover": [0.1, 0.2]},
-            {"kind": "gmm", "weights": [1.0], "means": [0.5], "stds": [0.1]},
-            {"kind": "grid-histogram", "edges": [[0.0]], "probs": [1.0]},
-        ])
     ],
     Row("fed-remove-boolean", "fed", "DELETE", "/nodes", {"node_id": True}),
     Row("fed-remove-unknown", "fed", "DELETE", "/nodes", {"node_id": 99}),
@@ -258,11 +236,6 @@ def test_hostile_input(edge, row):
 TREE = {"op": "and", "children": [
     {**GOOD, "theta": [0.05, 0.9]}, {"op": "or", "children": [PREF, GOOD]}]}
 FLAGS = {"record_times": True, "trace": True, "degrade": False, "deadline_ms": 60_000}
-_PTS = np.random.default_rng(3).random((40, 1))
-SYNOPSES = [
-    to_dict(EpsilonSampleSynopsis.from_points(_PTS, 6, np.random.default_rng(4))),
-    to_dict(GMMSynopsis(_PTS, n_components=2, rng=np.random.default_rng(5), n_iter=3)),
-]
 SEARCHES = {
     ("POST", "/search"): (wire.SEARCH, {"expression": TREE, **FLAGS}),
     ("POST", "/search/batch"): (
@@ -278,8 +251,7 @@ SWEPT = {
     "fed": {
         **SEARCHES,
         ("POST", "/nodes"): (wire.ADD_NODE, {
-            "url": "http://127.0.0.1:9", "n_datasets": 2, "synopses": SYNOPSES,
-            "eps": 0.1, "eps_effective": 0.3}),
+            "url": "http://127.0.0.1:9", "n_datasets": 2}),
         ("DELETE", "/nodes"): (wire.REMOVE_NODE, {"node_id": 0}),
     },
 }
@@ -546,8 +518,7 @@ PINNED = {
         ("POST", "/search/batch"): (
             {"expressions": [GOOD]}, 200, {"results", "federation"}),
         ("POST", "/nodes"): ({"url": "http://127.0.0.1:9", "n_datasets": 3}, 200, {
-            "node_id", "url", "n_datasets", "offset", "total_datasets",
-            "synopses_registered"}),
+            "node_id", "url", "n_datasets", "offset", "total_datasets"}),
         ("DELETE", "/nodes"): ({"node_id": 1}, 200, {
             "node_id", "url", "removed", "total_datasets"}),
     },

@@ -199,8 +199,8 @@ class TestHostilePayloads:
     def test_every_generated_case_is_a_construction_error(self, data):
         """The sweep generated from ``wire.SYNOPSIS``: beyond the pass
         above, each bounded field pushed just past each bound (a negative
-        ``delta`` narrows the degraded screen; ``n_points`` of 1e300 or 2.5
-        is no count), and strings / booleans / NaN inside every array."""
+        ``delta`` is no error bound; ``n_points`` of 1e300 or 2.5 is no
+        count), and strings / booleans / NaN inside every array."""
         checked, out_of_range = 0, 0
         for synopsis in _every_kind(data):
             payload = json.loads(dumps(synopsis))

@@ -30,13 +30,15 @@ PACKAGES = [
 ]
 
 #: Modules a node never needs before its first request: the forked fleet,
-#: snapshots, the demo lakes, the bench harness and the linter.
+#: snapshots, the demo lakes, the bench harness, the linter, and the
+#: synopsis wire codec (no route takes a synopsis).
 NOT_SERVED = [
     "repro.service.supervisor",
     "repro.service.snapshot",
     "repro.workloads.opendata",
     "repro.bench",
     "repro.analysis",
+    "repro.synopsis.serialize",
 ]
 
 

@@ -340,6 +340,53 @@ def test_the_federated_universe_is_bounded_too():
     coordinator.close()
 
 
+# The synopsis fields POST /nodes used to decode, each with a value it used
+# to refuse: they left ``wire.ADD_NODE``, so they are ignored like any
+# unknown key, whatever they hold — never decoded, never a 5xx.
+RETIRED_ADD_NODE_FIELDS = {
+    "synopses": ["xx", [3, 4], 7],
+    "eps": [NAN, -1, "a", True],
+    "eps_effective": [float("inf")],
+}
+
+
+@pytest.fixture(scope="module")
+def registry():
+    """A coordinator of its own, so registrations leave ``edge`` alone."""
+    coordinator = FederatedCoordinator(seed=1, max_retries=0, hedge_delay_s=None)
+    httpd = make_federation_server(coordinator, port=0)
+    threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    ).start()
+    yield coordinator, httpd
+    httpd.shutdown()
+    httpd.server_close()
+    coordinator.close()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"fed-node-{key}-{i}")
+    for key, values in RETIRED_ADD_NODE_FIELDS.items()
+    for i, value in enumerate(values)
+])
+def test_a_retired_add_node_field_is_ignored(registry, key, value):
+    coordinator, httpd = registry
+    conn = Conn(httpd)
+    body = {"url": "http://127.0.0.1:9", "n_datasets": 2, key: value}
+    status, _h, raw = conn.request("POST", "/nodes", body)
+    receipt = json.loads(raw)
+    assert status == 200, raw
+    assert set(receipt) == {
+        "node_id", "url", "n_datasets", "offset", "total_datasets"}
+    assert (receipt["n_datasets"], receipt["offset"]) == (2, 0)
+    assert coordinator.n_nodes == 1
+    status, _h, raw = conn.request(
+        "DELETE", "/nodes", {"node_id": receipt["node_id"]})
+    assert status == 200 and json.loads(raw)["removed"], raw
+    assert coordinator.n_nodes == 0
+    conn.close()
+
+
 def test_a_probed_n_datasets_is_read_like_a_posted_one(edge, monkeypatch):
     from repro.service import federation
 

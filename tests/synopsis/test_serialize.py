@@ -179,10 +179,25 @@ def _malformations(payload):
 
 
 class TestHostilePayloads:
-    """``POST /nodes`` ships these dicts: whatever a sender does to one
-    field, the decoder answers ``ConstructionError`` (a 400 at the edge) —
-    not ``KeyError`` / ``IndexError`` / ``ValueError`` (a 500), and not a
-    synopsis holding NaN."""
+    """Whatever a sender does to one field of a serialized synopsis, the
+    decoder answers ``ConstructionError`` — not ``KeyError`` /
+    ``IndexError`` / ``ValueError``, and not a synopsis holding NaN."""
+
+    @pytest.mark.parametrize("synopsis", [
+        {"kind": "eps-sample"},  # no subsample
+        {"kind": "eps-sample", "subsample": [[0.1], [None]]},
+        {"kind": "eps-sample", "subsample": [[0.1]], "n_points": "a"},
+        {"kind": "cover", "radius": 0.1, "cover": [0.1, 0.2]},
+        {"kind": "gmm", "weights": [1.0], "means": [0.5], "stds": [0.1]},
+        {"kind": "grid-histogram", "edges": [[0.0]], "probs": [1.0]},
+    ], ids=[f"hand-written-{i}" for i in range(6)])
+    def test_hand_written_payloads_are_refused(self, synopsis):
+        """Hand-made senders' mistakes, each a whole payload: a missing
+        array, a ``null`` point, a string count, a flat cover, flat GMM
+        parameters and a one-edge histogram axis."""
+        with pytest.raises(ConstructionError):
+            from_dict({"format": 1, "n_points": 9, "delta": 0.1,
+                       "delta_pref": 0.1, **synopsis})
 
     def test_every_single_field_malformation_is_a_construction_error(self, data):
         checked = 0

@@ -25,10 +25,14 @@ ingredients, all handled here:
   value a single engine over all ``N`` datasets would use (a widening for
   every shard, hence recall-safe).
 
-Shard engines mutate internal state during Ptile queries (the report loop
-temporarily deactivates points), so one shard never runs two leaves
-concurrently: each shard walks its leaf batch under a per-shard lock, and a
-batch visits the shards one after another on the thread that called it.
+A unit's engine is built on first use and grows in place: the first Ptile
+or Pref leaf builds that structure, a delta insert extends it, and the kd
+tree folds its side buffer into a rebuild (``to_arrays`` does so on save).
+No service path mutates it while answering — ``record_times`` goes through
+the planner's ``emit_schedule``, not the ReportFirst loop that deactivates
+points, and Pref queries are read-only — but those builds must not race, so
+each unit walks its leaf batch under its own lock, and a batch visits the
+units one after another on the thread that called it.
 Two request threads overlap by working on different shards; CPU parallelism
 lives in ``--workers`` processes and federation, the two mechanisms that can
 use a second core under the GIL (a shard thread pool made builds 2x and

@@ -42,10 +42,12 @@ smallest unsigned dtype that holds the shard's largest key
 (``mapped_ids``: one byte a point up to 256 datasets a shard) and the node
 table with its boxes in code space — version 4 stored the same points as
 ``(k, n)`` float64 (``mapped_points``), 8 bytes per coordinate against
-1–2.  No active mask is written: a unit is saved under its shard lock,
-after any report loop re-showed what it hid, so every point is active
-(``save`` refuses an index with a hidden one), and a load starts every
-point active.  A Ptile index's coresets are one ``(N, s, d)`` segment,
+1–2.  No active mask is written: no service path runs the ReportFirst
+loop that hides points, so every point is active (``save`` refuses an
+index with a hidden one), and a load starts every point active.  A unit is
+saved under its shard lock, which keeps a first-use build, a delta insert
+or a side-buffer rebuild — ``to_arrays`` runs one itself — from racing the
+export.  A Ptile index's coresets are one ``(N, s, d)`` segment,
 not ``N``.  Older files are refused, not migrated.  Version-5
 files from builds where the kd leaf size, the plan-cache capacity and the
 slow-log size were still constructor keywords carry them in ``state``
@@ -365,8 +367,8 @@ _BACKEND_HINTS = {
 def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
     keys = index.keys
     backend = index._tree.to_arrays()
-    # Saved under the shard lock, after any report loop re-showed what it
-    # hid: every live point is active, so the mask is not written.
+    # No service path hides points (the ReportFirst loop never runs
+    # there): every live point is active, so the mask is not written.
     if not backend.pop("active").all():
         raise SnapshotError(
             "a Ptile index has hidden points; a snapshot stores no active mask"
@@ -510,8 +512,8 @@ def _unit_from_state(
 def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     engines = []
     for eng, lock in zip(ex.engines, ex._locks):
-        # A record_times query temporarily deactivates reported points;
-        # exporting under the shard lock sees the restored state.
+        # The shard lock keeps a first-use build or the side-buffer rebuild
+        # ``to_arrays`` runs from racing a query on the same unit.
         with lock:
             engines.append(_unit_state(eng, add_array))
     with ex._delta_lock:

@@ -13,10 +13,8 @@ Socket strategy
 ---------------
 Each worker binds its own listening socket to the same address with
 ``SO_REUSEPORT`` (the kernel load-balances new connections across
-workers).  On platforms without ``SO_REUSEPORT`` the parent binds and
-listens *before* forking and every worker accepts on the inherited
-socket — strictly a fallback: it works everywhere but funnels accepts
-through one queue.
+workers).  A platform without ``SO_REUSEPORT`` is refused up front, like
+one without ``fork``.
 
 Single-writer ingest
 --------------------
@@ -55,9 +53,10 @@ The parent also runs a tiny admin server of its own (``admin_port``)
 whose ``/healthz`` reports per-worker liveness and whose ``/stats`` /
 ``/metrics`` aggregate the fleet, tolerating unreachable workers.
 
-Everything here is fork-gated: on platforms without ``os.fork`` the
-supervisor raises :class:`~repro.errors.CapabilityError` up front and the
-single-process ``repro serve`` path still works.
+Everything here is gated on :func:`fork_available`: on platforms without
+``os.fork`` or ``SO_REUSEPORT`` the supervisor raises
+:class:`~repro.errors.CapabilityError` up front and the single-process
+``repro serve`` path still works.
 """
 
 from __future__ import annotations
@@ -107,8 +106,9 @@ CRASH_LOOP_WINDOW = 30.0
 
 
 def fork_available() -> bool:
-    """Whether this platform can run the pre-forked supervisor."""
-    return hasattr(os, "fork")
+    """Whether this platform can run the pre-forked supervisor: it forks
+    workers that share one port through ``SO_REUSEPORT``."""
+    return hasattr(os, "fork") and hasattr(socket, "SO_REUSEPORT")
 
 
 def watermark_path(snapshot_path: "str | os.PathLike[str]") -> str:
@@ -170,19 +170,6 @@ class _ReuseportHTTPServer(ThreadingHTTPServer):
     def server_bind(self) -> None:
         self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
-
-
-def _inherited_server(sock: socket.socket, handler: type) -> ThreadingHTTPServer:
-    """An HTTP server accepting on an already-listening inherited socket."""
-    httpd = ThreadingHTTPServer(
-        sock.getsockname()[:2], handler, bind_and_activate=False
-    )
-    httpd.socket.close()
-    httpd.socket = sock
-    host, port = sock.getsockname()[:2]
-    httpd.server_name = host
-    httpd.server_port = port
-    return httpd
 
 
 class _WorkerSlot:
@@ -304,7 +291,6 @@ class ServiceSupervisor:
         self._monitor: Optional[threading.Thread] = None
         self._admin_httpd: Optional[ThreadingHTTPServer] = None
         self._placeholder: Optional[socket.socket] = None
-        self._listen_sock: Optional[socket.socket] = None
         self._started = False
 
     @property
@@ -329,8 +315,9 @@ class ServiceSupervisor:
         """Load, fork, wait for every worker to bind; returns (host, port)."""
         if not fork_available():
             raise CapabilityError(
-                "multi-process serving needs os.fork(); this platform has "
-                "none — use single-process 'repro serve' instead"
+                "multi-process serving needs os.fork() and SO_REUSEPORT; "
+                "this platform lacks one — use single-process 'repro serve' "
+                "instead"
             )
         if self._started:
             raise RuntimeError("supervisor already started")
@@ -340,31 +327,17 @@ class ServiceSupervisor:
         service = snapshot_mod.load(self.snapshot_path, mmap=True)
         write_watermark(self.snapshot_path, generation)
 
-        reuseport = hasattr(socket, "SO_REUSEPORT")
-        if reuseport:
-            # Resolve an ephemeral port without listening: a bound
-            # placeholder reserves the number, workers bind the same port
-            # with SO_REUSEPORT, and only *listening* sockets receive
-            # connections, so the placeholder never steals one.  Held
-            # open for the supervisor's whole life, not just startup:
-            # were every worker to die at once, the port must still be
-            # ours when the respawns re-bind it.
-            self._placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._placeholder.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            self._placeholder.bind((self.host, self.port))
-            self.port = self._placeholder.getsockname()[1]
-        else:  # pragma: no cover - exercised only on SO_REUSEPORT-less OSes
-            # Kept open for the supervisor's life too: respawned workers
-            # inherit this very socket at fork time.
-            self._listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listen_sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-            )
-            self._listen_sock.bind((self.host, self.port))
-            self._listen_sock.listen(128)
-            self.port = self._listen_sock.getsockname()[1]
+        # Resolve an ephemeral port without listening: a bound placeholder
+        # reserves the number, workers bind the same port with
+        # SO_REUSEPORT, and only *listening* sockets receive connections,
+        # so the placeholder never steals one.  Held open for the
+        # supervisor's whole life, not just startup: were every worker to
+        # die at once, the port must still be ours when the respawns
+        # re-bind it.
+        self._placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self._placeholder.bind((self.host, self.port))
+        self.port = self._placeholder.getsockname()[1]
 
         try:
             for worker_id in range(self.workers):
@@ -468,11 +441,9 @@ class ServiceSupervisor:
                 os.waitpid(pid, 0)
             except ChildProcessError:
                 pass
-        for sock in (self._placeholder, self._listen_sock):
-            if sock is not None:
-                sock.close()
+        if self._placeholder is not None:
+            self._placeholder.close()
         self._placeholder = None
-        self._listen_sock = None
         self._started = False
 
     def __enter__(self) -> "ServiceSupervisor":
@@ -846,10 +817,7 @@ class ServiceSupervisor:
             (handler,),
             {"promote_hook": staticmethod(_promote), "routes": handler.admin_routes},
         )
-        if self._listen_sock is not None:
-            httpd = _inherited_server(self._listen_sock, handler)
-        else:
-            httpd = _ReuseportHTTPServer((self.host, self.port), handler)
+        httpd = _ReuseportHTTPServer((self.host, self.port), handler)
         # Private admin endpoint: the parent aggregates /stats + /metrics
         # across workers here, bypassing the load-balanced public port.
         admin = ThreadingHTTPServer((self.host, 0), admin_handler)

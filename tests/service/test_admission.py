@@ -9,6 +9,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+from peers import serving
 
 from repro.core.framework import Repository
 from repro.errors import ConstructionError
@@ -100,13 +101,9 @@ class TestServerIntegration:
             seed=SEED,
         )
         gate = AdmissionGate(max_inflight=1, max_queue=0)
-        httpd = make_server(svc, port=0, gate=gate)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{httpd.server_address[1]}", svc
-        faults.disarm()
-        httpd.shutdown()
-        httpd.server_close()
+        with serving(make_server(svc, port=0, gate=gate)) as url:
+            yield url, svc
+            faults.disarm()
         svc.close()
 
     def _post(self, url, payload):
@@ -209,7 +206,8 @@ class TestRetryAfterClient:
     the chaos suites' status counts."""
 
     def _shedding_server(self, shed_first_n: int, retry_after: str = "1"):
-        """A tiny server answering 429 (with Retry-After) N times, then 200."""
+        """A tiny server answering 429 (with Retry-After) N times, then 200,
+        and its count of POSTs seen."""
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
         seen = {"posts": 0}
@@ -233,32 +231,27 @@ class TestRetryAfterClient:
                 self.end_headers()
                 self.wfile.write(body)
 
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        host, port = httpd.server_address
-        return httpd, f"http://{host}:{port}/search/batch", seen
+        return ThreadingHTTPServer(("127.0.0.1", 0), Handler), seen
 
     def test_retries_past_429_and_succeeds(self):
         from repro.bench.harness import http_post_json
 
-        httpd, url, seen = self._shedding_server(2, retry_after="0")
-        try:
-            status = http_post_json(url, b"{}", timeout=5, retries_429=3)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
+        httpd, seen = self._shedding_server(2, retry_after="0")
+        with serving(httpd) as url:
+            status = http_post_json(
+                f"{url}/search/batch", b"{}", timeout=5, retries_429=3
+            )
         assert status == 200
         assert seen["posts"] == 3  # two sheds honored, third send won
 
     def test_gives_up_after_retry_budget(self):
         from repro.bench.harness import http_post_json
 
-        httpd, url, seen = self._shedding_server(10, retry_after="0")
-        try:
-            status = http_post_json(url, b"{}", timeout=5, retries_429=2)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
+        httpd, seen = self._shedding_server(10, retry_after="0")
+        with serving(httpd) as url:
+            status = http_post_json(
+                f"{url}/search/batch", b"{}", timeout=5, retries_429=2
+            )
         assert status == 429
         assert seen["posts"] == 3  # initial send + 2 retries
 
@@ -269,17 +262,14 @@ class TestRetryAfterClient:
 
         # Retry-After of 30s must not hold the client hostage when the
         # traffic loop is being torn down.
-        httpd, url, _seen = self._shedding_server(10, retry_after="30")
+        httpd, _seen = self._shedding_server(10, retry_after="30")
         stop = threading.Event()
         threading.Timer(0.2, stop.set).start()
         t0 = _time.perf_counter()
-        try:
+        with serving(httpd) as url:
             status = http_post_json(
-                url, b"{}", timeout=5, retries_429=3,
+                f"{url}/search/batch", b"{}", timeout=5, retries_429=3,
                 retry_after_cap_s=30.0, stop=stop,
             )
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
         assert status == 429
         assert _time.perf_counter() - t0 < 5.0

@@ -15,12 +15,12 @@ cached; exact prefixes salvaged from a partial evaluation are.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from peers import serving
 
 from repro.baselines.linear_scan import LinearScanPtile
 from repro.core.framework import Repository
@@ -352,12 +352,8 @@ class TestDeadlineWire:
     @pytest.fixture(scope="class")
     def server(self):
         svc = build_service()
-        httpd = make_server(svc, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{httpd.server_address[1]}", svc
-        httpd.shutdown()
-        httpd.server_close()
+        with serving(make_server(svc, port=0)) as url:
+            yield url, svc
         svc.close()
 
     def _post(self, url, payload):

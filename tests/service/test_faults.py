@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from peers import serving
 
 from repro.core.framework import Repository
 from repro.service import QueryService, faults
@@ -107,12 +107,8 @@ class TestHandlerFailpoint:
             sample_size=8,
             seed=SEED,
         )
-        httpd = make_server(svc, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{httpd.server_address[1]}"
-        httpd.shutdown()
-        httpd.server_close()
+        with serving(make_server(svc, port=0)) as url:
+            yield url
         svc.close()
 
     def test_raise_failpoint_becomes_500(self, server):

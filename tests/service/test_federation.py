@@ -11,27 +11,21 @@ failpoint in the coordinator process (which fails *every* scatter leg —
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import numpy as np
+import peers
 import pytest
 
-from repro.core.framework import Repository
 from repro.errors import QueryError
 from repro.service import QueryService, faults, federation
 from repro.service.federation import (
     CircuitBreaker,
     FederatedCoordinator,
-    federated_node_service,
     make_federation_server,
 )
-from repro.service.server import (
-    expression_from_json,
-    expression_to_json,
-    make_server,
-)
+from repro.service.server import expression_from_json, expression_to_json
 from repro.service.sharding import SeededSampleSynopsis
 from repro.synopsis.exact import ExactSynopsis
 from repro.synopsis.quantile import QuantileHistogramSynopsis
@@ -43,70 +37,14 @@ SEED = 31
 DIM = 1
 N_TOTAL = 18
 N_NODES = 3
+#: The global frame every node and the reference share.
+FRAME = dict(seed=1, n_shards=2, eps=0.2, sample_size=8)
 
 
 @pytest.fixture(autouse=True)
 def disarmed():
     yield
     faults.disarm()
-
-
-def _service(arrays):
-    return QueryService(
-        repository=Repository.from_arrays(arrays),
-        n_shards=2,
-        eps=0.2,
-        sample_size=8,
-        seed=1,
-    )
-
-
-def _node_service(arrays, offset, total, bounding_box):
-    # Global accuracy frame: capacity, global-index coresets, shared box —
-    # the by-construction reason federated answers equal the reference.
-    return federated_node_service(
-        arrays,
-        offset=offset,
-        total=total,
-        bounding_box=bounding_box,
-        seed=1,
-        n_shards=2,
-        eps=0.2,
-        sample_size=8,
-    )
-
-
-class _Node:
-    """One in-process node: a QueryService behind a real HTTP server."""
-
-    def __init__(self, service):
-        self.service = service
-        self.httpd = make_server(self.service, host="127.0.0.1", port=0)
-        self._serve()
-
-    def _serve(self):
-        self.thread = threading.Thread(
-            target=self.httpd.serve_forever, daemon=True
-        )
-        self.thread.start()
-        host, port = self.httpd.server_address
-        self.url = f"http://{host}:{port}"
-        self.port = port
-
-    def kill(self):
-        self.httpd.shutdown()
-        self.httpd.server_close()
-
-    def restart(self):
-        """Rebind the same port (a healed node at the same address)."""
-        self.httpd = make_server(
-            self.service, host="127.0.0.1", port=self.port
-        )
-        self._serve()
-
-    def close(self):
-        self.kill()
-        self.service.close()
 
 
 @pytest.fixture(scope="module")
@@ -122,28 +60,22 @@ def queries():
     return batched_query_workload(6, DIM, np.random.default_rng(SEED + 1))
 
 
-@pytest.fixture(scope="module")
-def reference(lake):
-    """A single-node service over the whole lake: the exactness oracle."""
-    svc = _service(lake)
-    yield svc
-    svc.close()
+@pytest.fixture()
+def fed(lake):
+    """In-process nodes over the lake, a coordinator, and a single service
+    over the whole lake: the exactness oracle."""
+    with peers.federation(lake, N_NODES, **FRAME) as built:
+        yield built
 
 
 @pytest.fixture()
-def nodes(lake):
-    per = N_TOTAL // N_NODES
-    box = Repository.from_arrays(lake).bounding_box()
-    built = [
-        _Node(_node_service(lake[i * per:(i + 1) * per], i * per, N_TOTAL, box))
-        for i in range(N_NODES)
-    ]
-    yield built
-    for node in built:
-        try:
-            node.close()
-        except OSError:
-            pass
+def nodes(fed):
+    return fed[0]
+
+
+@pytest.fixture()
+def reference(fed):
+    return fed[2]
 
 
 def _register_all(coord, nodes):
@@ -496,12 +428,8 @@ class TestCoordinatorHTTP:
         coord = FederatedCoordinator(
             seed=3, rpc_timeout_s=2.0, max_retries=0, backoff_base_s=0.01
         )
-        httpd = make_federation_server(coord, host="127.0.0.1", port=0)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        host, port = httpd.server_address
-        yield f"http://{host}:{port}", coord
-        httpd.shutdown()
-        httpd.server_close()
+        with peers.serving(make_federation_server(coord, port=0)) as url:
+            yield url, coord
         coord.close()
 
     def _post(self, url, payload, method="POST"):
@@ -687,12 +615,8 @@ class TestNodeFrame:
     nothing else: the executor keeps the global index each one carries."""
 
     @pytest.fixture()
-    def node(self, lake):
-        per = N_TOTAL // N_NODES
-        box = Repository.from_arrays(lake).bounding_box()
-        svc = _node_service(lake[per:2 * per], per, N_TOTAL, box)
-        yield svc
-        svc.close()
+    def node(self, nodes):
+        return nodes[1].service
 
     def test_answers_survive_rebuild_and_snapshot(self, node, queries, tmp_path):
         per = N_TOTAL // N_NODES

@@ -24,11 +24,11 @@ import urllib.request
 
 import numpy as np
 import pytest
+from peers import serving, single_service
 
-from repro.bench.harness import http_post_json
 from repro.core.bitset import bitmap_from_wire
 from repro.core.framework import Repository
-from repro.service import QueryService, faults
+from repro.service import faults
 from repro.service.federation import (
     FederatedCoordinator,
     federated_node_service,
@@ -131,15 +131,8 @@ def workload():
         median_size=80,
     )
     (query,) = batched_query_workload(1, DIM, np.random.default_rng(SEED + 1))
-    ref = QueryService(
-        repository=Repository.from_arrays(lake),
-        n_shards=2,
-        eps=0.2,
-        sample_size=8,
-        seed=1,
-    )
-    exact = frozenset(ref.search_batch([query])[0].indexes)
-    ref.close()
+    with single_service(lake, n_shards=2, eps=0.2, sample_size=8, seed=1) as ref:
+        exact = frozenset(ref.search_batch([query])[0].indexes)
     return lake, query, exact
 
 
@@ -231,12 +224,8 @@ def federation(workload):
     )
     for node in nodes:
         coord.add_node(node.url)
-    httpd = make_federation_server(coord, host="127.0.0.1", port=0)
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
-    host, port = httpd.server_address
-    yield f"http://{host}:{port}", coord, nodes
-    httpd.shutdown()
-    httpd.server_close()
+    with serving(make_federation_server(coord, port=0)) as url:
+        yield url, coord, nodes
     coord.close()
     for node in nodes:
         node.close()
@@ -324,55 +313,48 @@ class TestFederationChaos:
             )
             for node in nodes:
                 coord.add_node(node.url)
-            httpd = make_federation_server(coord, host="127.0.0.1", port=0)
-            threading.Thread(target=httpd.serve_forever, daemon=True).start()
-            host, port = httpd.server_address
-            url = f"http://{host}:{port}"
+            with serving(make_federation_server(coord, port=0)) as url:
+                latencies = []
+                payload = json.dumps(
+                    {
+                        "expressions": [expression_to_json(query)],
+                        "format": "bitset",
+                        "deadline_ms": 3000,
+                    }
+                ).encode()
+                statuses = []
+                bodies = []
+                for _ in range(6):
+                    t0 = time.perf_counter()
+                    req = urllib.request.Request(
+                        f"{url}/search/batch",
+                        data=payload,
+                        headers={"Content-Type": "application/json"},
+                    )
+                    with urllib.request.urlopen(req, timeout=30) as resp:
+                        statuses.append(resp.status)
+                        bodies.append(json.loads(resp.read()))
+                    latencies.append(time.perf_counter() - t0)
 
-            latencies = []
-            payload = json.dumps(
-                {
-                    "expressions": [expression_to_json(query)],
-                    "format": "bitset",
-                    "deadline_ms": 3000,
-                }
-            ).encode()
-            statuses = []
-            bodies = []
-            for _ in range(6):
-                t0 = time.perf_counter()
-                req = urllib.request.Request(
-                    f"{url}/search/batch",
-                    data=payload,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(req, timeout=30) as resp:
-                    statuses.append(resp.status)
-                    bodies.append(json.loads(resp.read()))
-                latencies.append(time.perf_counter() - t0)
-
-            assert all(s == 200 for s in statuses)
-            # The stall is contained: hedging + retries never push a
-            # request past the deadline plus scheduling slack.
-            assert max(latencies) < 3.0 + 1.0, latencies
-            # After the breaker trips (2 consecutive timeouts), requests
-            # stop waiting on the stalled node at all: latency collapses
-            # to the healthy nodes' scale.
-            assert min(latencies[2:]) < 1.0, latencies
-            for body in bodies:
-                result = body["results"][0]
-                assert result["degraded"]
-                must = set(bitmap_from_wire(result["bitset"]).to_list())
-                maybe = set(
-                    bitmap_from_wire(result["maybe_bitset"]).to_list()
-                )
-                assert must <= exact <= must | maybe
-                # Only the stalled node's slice is screened.
-                assert body["federation"]["coverage"] == pytest.approx(2 / 3)
-            assert _breaker_states(coord)[2] == "open"
-
-            httpd.shutdown()
-            httpd.server_close()
+                assert all(s == 200 for s in statuses)
+                # The stall is contained: hedging + retries never push a
+                # request past the deadline plus scheduling slack.
+                assert max(latencies) < 3.0 + 1.0, latencies
+                # After the breaker trips (2 consecutive timeouts), requests
+                # stop waiting on the stalled node at all: latency collapses
+                # to the healthy nodes' scale.
+                assert min(latencies[2:]) < 1.0, latencies
+                for body in bodies:
+                    result = body["results"][0]
+                    assert result["degraded"]
+                    must = set(bitmap_from_wire(result["bitset"]).to_list())
+                    maybe = set(
+                        bitmap_from_wire(result["maybe_bitset"]).to_list()
+                    )
+                    assert must <= exact <= must | maybe
+                    # Only the stalled node's slice is screened.
+                    assert body["federation"]["coverage"] == pytest.approx(2 / 3)
+                assert _breaker_states(coord)[2] == "open"
             coord.close()
         finally:
             for node in nodes:

@@ -3,9 +3,9 @@
 One hostile-input table (``ROWS``) and one sweep generated from the
 :mod:`repro.wire` field tables (``SWEPT``): every row or case is a request
 a confused or malicious client can send; each must be answered with a
-``4xx`` JSON error — never a ``5xx``, never a hang — and must leave the
-connection either explicitly closed or correctly framed for the *next*
-request on it.  One route-table test pins status code and top-level payload keys of
+JSON error — the ``4xx`` its row names, ``400`` for every generated case,
+never a ``5xx``, never a hang — and must leave the connection either
+explicitly closed or correctly framed for the *next* request on it.  One route-table test pins status code and top-level payload keys of
 every ``(verb, path)`` both servers route (captured at the parent of the
 PR that introduced the shared envelope) and the ``endpoint`` metric
 labels that follow from the table.
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 import wire_cases
+from peers import serving
 
 from repro import wire
 from repro.core.framework import Repository
@@ -58,15 +58,9 @@ def edge():
     # No hedge: a duplicate RPC would be shed by the one-slot gate.
     coordinator = FederatedCoordinator(seed=1, max_retries=0, hedge_delay_s=None)
     fed = make_federation_server(coordinator, port=0)
-    for httpd in (node, fed):
-        threading.Thread(
-            target=httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-        ).start()
-    coordinator.add_node(f"http://127.0.0.1:{node.server_address[1]}")
-    yield Edge(service, gate, coordinator, {"node": node, "fed": fed})
-    for httpd in (node, fed):
-        httpd.shutdown()
-        httpd.server_close()
+    with serving(node) as node_url, serving(fed):
+        coordinator.add_node(node_url)
+        yield Edge(service, gate, coordinator, {"node": node, "fed": fed})
     coordinator.close()
     service.close()
 
@@ -288,7 +282,7 @@ def test_every_table_field_is_documented_where_its_route_is():
     ],
 )
 def test_generated_hostile_bodies(edge, name, route):
-    """No generated case is answered with anything but a 4xx JSON error,
+    """No generated case is answered with anything but a 400 JSON error,
     and the same connection serves a valid search right after each."""
     table, valid = SWEPT[name][route]
     conn = Conn(edge.servers[name])
@@ -298,7 +292,7 @@ def test_generated_hostile_bodies(edge, name, route):
     for label, bad in wire_cases.cases(table, valid):
         n_cases += 1
         status, headers, raw = conn.request(*route, bad)
-        ok = 400 <= status < 500 and headers["content-type"] == "application/json"
+        ok = status == 400 and headers["content-type"] == "application/json"
         if not (ok and "error" in json.loads(raw)):
             escaped.append((label, status, raw[:120]))
         assert edge.gate.snapshot()["inflight"] == 0
@@ -355,12 +349,8 @@ def registry():
     """A coordinator of its own, so registrations leave ``edge`` alone."""
     coordinator = FederatedCoordinator(seed=1, max_retries=0, hedge_delay_s=None)
     httpd = make_federation_server(coordinator, port=0)
-    threading.Thread(
-        target=httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-    ).start()
-    yield coordinator, httpd
-    httpd.shutdown()
-    httpd.server_close()
+    with serving(httpd):
+        yield coordinator, httpd
     coordinator.close()
 
 

@@ -3,14 +3,16 @@ reuse, removal masks, and the rebuild fallbacks.
 
 The load-bearing property is *mutation equivalence*: after
 ``add_datasets`` / ``remove_datasets``, every answer must equal a freshly
-built engine over the mutated repository.  The comparison services share the
-accuracy contract (``capacity``, bounding box, seed), because a serving
-system freezes its precision guarantee at build time — live ingestion must
-not silently re-derive it.
+built executor over the mutated repository — ``peers.rebuilt``, the one a
+``rebuild()`` would publish, at one shard.  It shares the accuracy contract
+(``capacity``, bounding box, seed), because a serving system freezes its
+precision guarantee at build time — live ingestion must not silently
+re-derive it.
 """
 
 import numpy as np
 import pytest
+from peers import answers, rebuilt
 
 from repro.core.framework import Repository
 from repro.errors import QueryError
@@ -72,8 +74,7 @@ class TestAddEquivalence:
             assert receipt["rebuilt"] is False
             assert svc.executor.delta_size == N_ADD
             got = [r.indexes for r in svc.search_batch(queries)]
-        with make_service(lake, box, 1) as fresh:
-            expected = [r.indexes for r in fresh.search_batch(queries)]
+            expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -84,8 +85,7 @@ class TestAddEquivalence:
         with make_service(lake[:N0], box, 2) as svc:
             svc.add_datasets(lake[N0:])
             got = [r.indexes for r in svc.search_batch(queries)]
-        with make_service(lake, box, 1) as fresh:
-            expected = [r.indexes for r in fresh.search_batch(queries)]
+            expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
     def test_ptile_only_and_pref_only(self):
@@ -97,10 +97,7 @@ class TestAddEquivalence:
             svc.search_batch(ptile_only + pref_only)
             svc.add_datasets(lake[N0:])
             got = [r.indexes for r in svc.search_batch(ptile_only + pref_only)]
-        with make_service(lake, box, 1) as fresh:
-            expected = [
-                r.indexes for r in fresh.search_batch(ptile_only + pref_only)
-            ]
+            expected = answers(rebuilt(svc, 1), ptile_only + pref_only)
         assert got == expected
 
     def test_incremental_adds_extend_existing_delta_shard(self):
@@ -116,8 +113,7 @@ class TestAddEquivalence:
             assert receipt["rebuilt"] is False
             assert svc.executor.delta_size == N_ADD
             got = [r.indexes for r in svc.search_batch(queries)]
-        with make_service(lake, box, 1) as fresh:
-            expected = [r.indexes for r in fresh.search_batch(queries)]
+            expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
     def test_recall_after_ingest(self):
@@ -177,14 +173,12 @@ class TestWarmCache:
 
 class TestRemoveEquivalence:
     def test_removed_never_reported_and_matches_fresh_build(self):
-        # A fresh service over the surviving datasets answers with compacted
-        # positions 0..n'-1; dataset identity is carried by the seeded
-        # synopsis wrappers (coresets are a function of the original global
-        # index), so remapping positions back must reproduce the masked
-        # answers exactly.
+        # A fresh build compacts the tombstones out of its engines but keeps
+        # global indexes (dataset identity is carried by the seeded synopsis
+        # wrappers: coresets are a function of the original global index),
+        # so it must reproduce the masked answers exactly.
         lake = make_lake(6)
         removed = [3, 7, 11]
-        kept = [i for i in range(N0 + N_ADD) if i not in removed]
         box = Repository.from_arrays(lake).bounding_box()
         queries = make_queries(12)
         with make_service(lake[:N0], box, 2) as svc:
@@ -193,24 +187,9 @@ class TestRemoveEquivalence:
             receipt = svc.remove_datasets(removed)
             assert receipt["n_live"] == N0 + N_ADD - len(removed)
             got = [r.indexes for r in svc.search_batch(queries)]
+            fresh = answers(rebuilt(svc, 1), queries)
         assert all(i not in answer for i in removed for answer in got)
-
-        with make_service(lake, box, 1) as donor:
-            synopses = [donor.executor.synopses[i] for i in kept]
-        with QueryService(
-            synopses=synopses,
-            n_shards=1,
-            eps=EPS,
-            sample_size=SAMPLE_SIZE,
-            seed=SEED,
-            bounding_box=box,
-            capacity=CAPACITY,
-        ) as fresh:
-            remapped = [
-                sorted(kept[j] for j in r.indexes)
-                for r in fresh.search_batch(queries)
-            ]
-        assert got == remapped
+        assert got == fresh
 
     def test_mask_survives_rebuild_and_compacts_engines(self):
         lake = make_lake(6)
@@ -265,8 +244,7 @@ class TestRebuildFallbacks:
             assert svc.executor.delta_size == 0
             assert svc.cache.generation >= 1  # rebuilds do flush
             got = [r.indexes for r in svc.search_batch(queries)]
-        with make_service(lake[:14], box, 1) as fresh:
-            expected = [r.indexes for r in fresh.search_batch(queries)]
+            expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
     def test_out_of_box_data_falls_back_to_rebuild(self):
@@ -282,8 +260,7 @@ class TestRebuildFallbacks:
             assert receipt["rebuilt"] is True
             assert receipt["reason"] == "bounding_box"
             got = [r.indexes for r in svc.search_batch(queries)]
-        with make_service(lake[:N0] + [far], None, 1) as fresh:
-            expected = [r.indexes for r in fresh.search_batch(queries)]
+            expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
     def test_add_validation(self):
@@ -343,8 +320,7 @@ class TestConcurrentChurn:
             assert not errors
             # Steady state after the races: answers equal the fresh build.
             got = [r.indexes for r in svc.search_batch(queries)]
-        with make_service(lake, box, 1, capacity=CAPACITY) as fresh:
-            expected = [r.indexes for r in fresh.search_batch(queries)]
+            expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from peers import serving
 
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -379,13 +380,6 @@ def test_span_trees_over_the_wire_keep_names_nesting_and_meta_keys(lake):
     coordinator = FederatedCoordinator(
         seed=1, max_retries=0, hedge_delay_s=None, tracing=True
     )
-    servers = [make_server(service, port=0), make_federation_server(coordinator, port=0)]
-    for httpd in servers:
-        threading.Thread(
-            target=httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
-        ).start()
-    node, fed = (f"http://127.0.0.1:{h.server_address[1]}" for h in servers)
-    coordinator.add_node(node)
     both, p1, pr = (expression_to_json(e) for e in (And([P1, P2]), P1, PR))
 
     def post(url, body):
@@ -393,7 +387,11 @@ def test_span_trees_over_the_wire_keep_names_nesting_and_meta_keys(lake):
         assert status == 200, raw
         return json.loads(raw)
 
-    try:
+    with (
+        serving(make_server(service, port=0)) as node,
+        serving(make_federation_server(coordinator, port=0)) as fed,
+    ):
+        coordinator.add_node(node)
         reply = post(f"{node}/search", {"expression": both, "trace": True})
         assert _shape(reply["trace"]) == _pipeline(1, 1)
         reply = post(
@@ -413,12 +411,8 @@ def test_span_trees_over_the_wire_keep_names_nesting_and_meta_keys(lake):
             {"expression": both, "trace": True, "deadline_ms": 60_000},
         )
         assert _shape(reply["trace"]) == _pipeline(0, 1)
-    finally:
-        for httpd in servers:
-            httpd.shutdown()
-            httpd.server_close()
-        coordinator.close()
-        service.close()
+    coordinator.close()
+    service.close()
 
 
 class TestServiceSlowLogAndStats:

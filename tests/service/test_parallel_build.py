@@ -10,17 +10,21 @@ produce identical answer sets.
 
 import numpy as np
 import pytest
+from peers import leaf_answers, rebuilt
 
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import pred
 from repro.geometry.rectangle import Rectangle
-from repro.service.sharding import ShardedBatchExecutor
+from repro.service import QueryService
 
 
 @pytest.fixture
-def lake(rng):
-    return [rng.uniform(0.0, 1.0, size=(200, 2)) for _ in range(12)]
+def service(rng):
+    lake = [rng.uniform(0.0, 1.0, size=(200, 2)) for _ in range(12)]
+    return QueryService(
+        repository=Repository.from_arrays(lake), eps=0.2, sample_size=8, seed=7,
+    )
 
 
 @pytest.fixture
@@ -34,41 +38,19 @@ def leaves():
     return out
 
 
-def _answers(executor, leaves):
-    return [indexes for indexes, _stamp in executor.eval_leaves(leaves)]
-
-
 class TestShardBuildDeterminism:
-    def test_four_shards_match_one_shard(self, lake, leaves):
-        repo = Repository.from_arrays(lake)
-        one = ShardedBatchExecutor(
-            repository=repo, n_shards=1, eps=0.2, sample_size=8, seed=7,
-        )
-        four = ShardedBatchExecutor(
-            repository=repo, n_shards=4, eps=0.2, sample_size=8, seed=7,
-        )
+    def test_four_shards_match_one_shard(self, service, leaves):
+        one, four = rebuilt(service, 1), rebuilt(service, 4)
         one.warm()
         four.warm()
-        assert _answers(one, leaves) == _answers(four, leaves)
+        assert leaf_answers(one, leaves) == leaf_answers(four, leaves)
 
-    def test_warmed_build_matches_lazy_build(self, lake, leaves):
-        repo = Repository.from_arrays(lake)
-        warmed = ShardedBatchExecutor(
-            repository=repo, n_shards=3, eps=0.2, sample_size=8, seed=7,
-        )
+    def test_warmed_build_matches_lazy_build(self, service, leaves):
+        warmed, lazy = rebuilt(service, 3), rebuilt(service, 3)
         warmed.warm()
-        lazy = ShardedBatchExecutor(
-            repository=repo, n_shards=3, eps=0.2, sample_size=8, seed=7,
-        )
-        assert _answers(warmed, leaves) == _answers(lazy, leaves)
+        assert leaf_answers(warmed, leaves) == leaf_answers(lazy, leaves)
 
-    def test_batched_leaves_match_per_leaf_loop(self, lake, leaves):
-        repo = Repository.from_arrays(lake)
-        with_batch = ShardedBatchExecutor(
-            repository=repo, n_shards=2, eps=0.2, sample_size=8, seed=7,
-        )
-        one_by_one = ShardedBatchExecutor(
-            repository=repo, n_shards=2, eps=0.2, sample_size=8, seed=7,
-        )
-        per_leaf = [_answers(one_by_one, [leaf])[0] for leaf in leaves]
-        assert _answers(with_batch, leaves) == per_leaf
+    def test_batched_leaves_match_per_leaf_loop(self, service, leaves):
+        with_batch, one_by_one = rebuilt(service, 2), rebuilt(service, 2)
+        per_leaf = [leaf_answers(one_by_one, [leaf])[0] for leaf in leaves]
+        assert leaf_answers(with_batch, leaves) == per_leaf

@@ -1,7 +1,6 @@
 """Tests for the HTTP JSON endpoint and the expression wire format."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from peers import serving
 
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -173,13 +173,8 @@ def server_url():
         sample_size=8,
         seed=1,
     )
-    httpd = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address
-    yield f"http://{host}:{port}"
-    httpd.shutdown()
-    httpd.server_close()
+    with serving(make_server(service, port=0)) as url:
+        yield url
     service.close()
 
 
@@ -365,13 +360,8 @@ def mutable_server_url():
         seed=1,
         capacity=20,
     )
-    httpd = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address
-    yield f"http://{host}:{port}"
-    httpd.shutdown()
-    httpd.server_close()
+    with serving(make_server(service, port=0)) as url:
+        yield url
     service.close()
 
 
@@ -387,12 +377,7 @@ def test_slow_log_over_http():
         seed=1,
         slow_query_threshold_ms=0.0,
     )
-    httpd = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address
-    url = f"http://{host}:{port}"
-    try:
+    with serving(make_server(service, port=0)) as url:
         _post(url + "/search", {"expression": PTILE, "trace": True})
         out = _get(url + "/stats/slow")
         assert out["threshold_ms"] == 0.0 and out["n_recorded"] >= 1
@@ -401,10 +386,7 @@ def test_slow_log_over_http():
         assert worst["trace"]["name"] == "search_batch"
         stats = _get(url + "/stats")
         assert stats["observability"]["slow_queries"] == out["n_recorded"]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        service.close()
+    service.close()
 
 
 class TestMutationEndpoints:

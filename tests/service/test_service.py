@@ -10,16 +10,12 @@ import threading
 
 import numpy as np
 import pytest
+from peers import bare_engine
 
-from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.errors import ConstructionError
 from repro.service import QueryService
-from repro.service.sharding import (
-    SeededSampleSynopsis,
-    ShardedBatchExecutor,
-    partition_indices,
-)
+from repro.service.sharding import SeededSampleSynopsis, partition_indices
 from repro.synopsis.exact import ExactSynopsis
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
@@ -50,24 +46,12 @@ def queries():
 
 
 @pytest.fixture(scope="module")
-def reference_engine(lake, repo):
+def reference_engine(repo):
     """A single engine with the service's deterministic sampling semantics."""
-    probe = ShardedBatchExecutor(
+    with QueryService(
         repository=repo, n_shards=1, eps=EPS, sample_size=SAMPLE_SIZE, seed=SEED
-    )
-    engine = DatasetSearchEngine(
-        synopses=[
-            SeededSampleSynopsis(ExactSynopsis(p), SEED, i)
-            for i, p in enumerate(lake)
-        ],
-        repository=repo,
-        eps=EPS,
-        phi=probe.phi_eff,
-        sample_size=probe.sample_size,
-        bounding_box=repo.bounding_box(),
-        rng=np.random.default_rng(0),
-    )
-    return engine
+    ) as service:
+        return bare_engine(service.executor)
 
 
 class TestPartition:
@@ -188,14 +172,7 @@ class TestShardMergeEquivalence:
         ) as service:
             assert service.executor.bounding_box is not None
             got = [r.indexes for r in service.search_batch(queries)]
-        single = DatasetSearchEngine(
-            synopses=list(service.executor.synopses),
-            eps=EPS,
-            phi=service.executor.phi_eff,
-            sample_size=service.executor.sample_size,
-            bounding_box=service.executor.bounding_box,
-            rng=np.random.default_rng(0),
-        )
+        single = bare_engine(service.executor)
         assert got == [single.search(q).indexes for q in queries]
 
     def test_every_dataset_in_exactly_one_shard(self, repo):

@@ -1,36 +1,58 @@
 """One oracle, random histories: a stateful differential test.
 
 A Hypothesis ``RuleBasedStateMachine`` drives one :class:`QueryService`
-(at 1 and at 3 shards) through random adds, removes, ``rebuild()``,
-snapshot round trips under both ``mmap`` modes and query batches — exact,
-``degrade=True``, and with a deadline tripped by the ``shard_eval=sleep``
-failpoint — against ``benchmarks/e2e/oracle.py``'s :class:`ExactLake`,
-imported as the benchmark ships it.  Invariants:
+(at 1 and at 3 shards) through random adds (in the frozen box and out of
+it), removes, ``rebuild()``, snapshot round trips under both ``mmap``
+modes and query batches — exact, ``degrade=True``, and with a deadline
+tripped by the ``shard_eval=sleep`` failpoint — against
+``benchmarks/e2e/oracle.py``'s :class:`ExactLake`, imported as the
+benchmark ships it.  Invariants:
 
 - every exact answer, and ``must ∪ maybe`` of every degraded one, has
   recall 1 over the live lake and reports nothing tombstoned
-  (``ExactLake.check``);
+  (``ExactLake.check``); a single-leaf exact answer stays inside the slack
+  band of the executor's ``eps`` / ``eps_effective`` (``ExactLake.audit``);
 - ``must ⊆`` the same service's exact answer ``⊆ must ∪ maybe``;
 - a result a tripped batch left undegraded equals the untripped answer,
   and at the executor a budget that runs out after any number of polls
-  returns a prefix of the untripped leaf answers, bit for bit.
+  returns a prefix of the untripped leaf answers, bit for bit;
+- every add's receipt tells the truth: ``rebalance`` exactly when the delta
+  shard outgrows the mean base shard (``delta_size`` 0 after it),
+  ``bounding_box`` for data outside the frozen box;
+- the peers of ``tests/peers.py`` answer every pool leaf exactly like the
+  live service: :func:`~peers.bare_engine` always, and
+  :func:`~peers.rebuilt` at the other shard count whenever the contract a
+  rebuild would resolve is the live one; a snapshot round trip changes no
+  answer.
 
-The ``ci`` profile (``tests/conftest.py``) keeps this under 10 s and is
-derandomized; ``REPRO_STATEFUL_PROFILE=soak`` runs the long random one.
+:class:`FederatedMachine` drops and restores the nodes of a two-node
+federation (:func:`~peers.federation`) between query batches: each node's
+slice of an answer is either exact or wholly *maybe* — always *maybe* for a
+dropped node — and with every node up the answer is the single-service
+reference's.
+
+The ``ci`` profile (``tests/conftest.py``) is derandomized;
+``REPRO_STATEFUL_PROFILE=soak`` runs the long random one.  Each machine
+records the states it reached as Hypothesis ``event``\\ s (``pytest
+--hypothesis-show-statistics`` prints them).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import settings, strategies as st
+from hypothesis import event, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from peers import bare_engine, federation, leaf_answers, rebuilt
 
 from repro.core.framework import Repository
+from repro.core.predicates import Predicate
 from repro.service import QueryService, faults
+from repro.service.federation import FederatedCoordinator
 from repro.service.planner import plan_batch
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
@@ -53,6 +75,15 @@ class PollBudget:
         return self.left < 0
 
 
+def contract(executor) -> tuple:
+    """What a rebuild re-resolves: ``(phi_eff, sample_size, eps_effective,
+    bounding_box)``."""
+    return (
+        executor.phi_eff, executor.sample_size, executor.eps_effective,
+        executor.bounding_box,
+    )
+
+
 class ServiceMachine(RuleBasedStateMachine):
     n_shards = 1
 
@@ -60,7 +91,8 @@ class ServiceMachine(RuleBasedStateMachine):
     def build(self, seed):
         rng = np.random.default_rng(seed)
         arrays = synthetic_data_lake(N0, DIM, rng, median_size=60)
-        # The frozen bounding box covers [0, 1]: every later add is in-box.
+        # The frozen bounding box covers [0, 1]: every later ``add`` is
+        # in-box, and ``add_out_of_box`` lands past it.
         arrays[0] = np.vstack([arrays[0], [[0.0] * DIM, [1.0] * DIM]])
         self.lake = ExactLake(arrays)
         self.service = QueryService(
@@ -68,6 +100,8 @@ class ServiceMachine(RuleBasedStateMachine):
             eps=0.1, sample_size=48, seed=seed, capacity=4 * N0,
         )
         self.pool = batched_query_workload(POOL, DIM, rng, duplicate_leaf_rate=0.6)
+        self.leaves = list(plan_batch(self.pool).unique_leaves.values())
+        self.stale = True  # the history moved since the peers last agreed
         self.tmp = Path(os.environ.get("TMPDIR", "/tmp")) / f"stateful-{os.getpid()}.snap"
 
     def teardown(self):
@@ -82,8 +116,33 @@ class ServiceMachine(RuleBasedStateMachine):
         rng = np.random.default_rng(seed)
         arrays = [rng.uniform(0.0, 1.0, size=(int(rng.integers(30, 70)), DIM))
                   for _ in range(count)]
+        executor = self.service.executor
+        delta = executor.delta_size + count
+        rebalance = delta > sum(executor.shard_sizes()) / executor.n_shards
+        delta_engine = executor.delta_engine
+        if delta_engine is not None and delta_engine._ptile is not None:
+            event("insert into a built delta tree")
         receipt = self.service.add_datasets(arrays)
         assert receipt["indexes"] == self.lake.add(arrays)
+        assert (receipt["rebuilt"], receipt["reason"], receipt["delta_size"]) == (
+            (True, "rebalance", 0) if rebalance else (False, None, delta)
+        )
+        if rebalance:
+            event("rebalance")
+        self.stale = True
+
+    @rule(seed=st.integers(0, 2**16))
+    def add_out_of_box(self, seed):
+        rng = np.random.default_rng(seed)
+        past = self.service.executor.bounding_box.hi
+        arrays = [past + rng.uniform(0.5, 1.5, size=(int(rng.integers(30, 70)), DIM))]
+        receipt = self.service.add_datasets(arrays)
+        assert receipt["indexes"] == self.lake.add(arrays)
+        assert (receipt["rebuilt"], receipt["reason"], receipt["delta_size"]) == (
+            True, "bounding_box", 0
+        )
+        event("bounding-box rebuild")
+        self.stale = True
 
     @precondition(lambda self: self.service.n_live > 2)
     @rule(pick=st.integers(0, 2**16))
@@ -92,19 +151,48 @@ class ServiceMachine(RuleBasedStateMachine):
         victim = int(live[pick % live.size])
         assert self.service.remove_datasets([victim])["removed"] == [victim]
         self.lake.remove([victim])
+        self.stale = True
 
     @rule()
     def rebuild(self):
         self.service.rebuild()
+        self.stale = True
 
     @rule(mmap=st.booleans())
     def snapshot_round_trip(self, mmap):
+        # The loaded engines (past the cache the snapshot restores) and the
+        # loaded service answer what the saved service answered.
+        leaves = [r.bitmap for r in self.service.search_batch(self.leaves)]
+        pool = [r.bitmap for r in self.service.search_batch(self.pool)]
         self.service.save(self.tmp)
         self.service.close()
         self.service = QueryService.load(self.tmp, mmap=mmap)
         assert (self.service.n_datasets, self.service.n_live) == (
             self.lake.n, int(self.lake.live().sum())
         )
+        assert leaf_answers(self.service.executor, self.leaves) == leaves
+        assert [r.bitmap for r in self.service.search_batch(self.pool)] == pool
+        event(f"snapshot round trip, mmap={mmap}")
+        self.stale = True
+
+    # -- peers ---------------------------------------------------------
+    @rule()
+    def peers_agree(self):
+        if not self.stale:
+            return
+        self.stale = False
+        executor = self.service.executor
+        assert [s.index for s in executor.synopses] == list(range(self.lake.n))
+        live = [r.bitmap for r in self.service.search_batch(self.leaves)]
+        assert leaf_answers(
+            bare_engine(executor), self.leaves, executor.removed_bits()
+        ) == live
+        other = rebuilt(self.service, 4 - self.n_shards)  # 1 <-> 3 shards
+        if contract(other) == contract(executor):
+            assert leaf_answers(other, self.leaves) == live
+            event("a rebuilt peer agreed")
+        else:
+            event("a rebuild would move the contract")
 
     # -- queries -------------------------------------------------------
     def _batch(self, picks):
@@ -112,9 +200,14 @@ class ServiceMachine(RuleBasedStateMachine):
 
     def _exact(self, queries):
         results = self.service.search_batch(queries)
+        executor = self.service.executor
         for query, result in zip(queries, results):
             assert not result.stats.get("degraded")
             assert self.lake.check(query, result.indexes) is None
+            if isinstance(query, Predicate):
+                assert self.lake.audit(
+                    query, result.indexes, executor.eps, executor.eps_effective
+                ) is None
         return results
 
     def _check_degraded(self, queries, results, reason):
@@ -144,7 +237,7 @@ class ServiceMachine(RuleBasedStateMachine):
         registry = self.service.observability.registry
         trips = registry.counter_value("repro_deadline_expirations_total")
         before = self.service.executor.stats_snapshot()
-        faults.arm("shard_eval=sleep:0.02")
+        faults.arm("shard_eval=sleep:0.01")
         try:  # the first unit sleeps through the whole budget
             results = self.service.search_batch(queries, deadline_ms=5)
         finally:
@@ -159,6 +252,8 @@ class ServiceMachine(RuleBasedStateMachine):
             before["leaf_evals"], before["shard_tasks"]
         )
         self._check_degraded(queries, results, "deadline")
+        if tripped:
+            event("tripped deadline")
 
     @rule(
         picks=st.lists(st.integers(0, POOL - 1), min_size=1, max_size=4),
@@ -184,6 +279,72 @@ class ThreeShardMachine(ServiceMachine):
     n_shards = 3
 
 
+class FederatedMachine(RuleBasedStateMachine):
+    """A static lake over two in-process nodes; a dead node fails fast (no
+    retry, no hedge, a breaker that never opens), so every batch sees
+    exactly the nodes the history left up."""
+
+    @initialize(seed=st.integers(0, 2**16))
+    def build(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = synthetic_data_lake(N0, DIM, rng, median_size=60)
+        self.lake = ExactLake(arrays)
+        self.pool = batched_query_workload(POOL, DIM, rng, duplicate_leaf_rate=0.6)
+        coordinator = FederatedCoordinator(
+            max_retries=0, hedge_delay_s=None, breaker_threshold=10**9
+        )
+        self.stack = contextlib.ExitStack()
+        self.nodes, self.coordinator, reference = self.stack.enter_context(
+            federation(arrays, 2, coordinator, eps=0.1, sample_size=48, seed=seed)
+        )
+        self.expected = reference.search_batch(self.pool)  # the lake is static
+        self.slices = []
+        for node in self.nodes:
+            start = node.service.executor.synopses[0].index
+            self.slices.append(set(range(start, start + node.service.n_datasets)))
+        self.up = [True] * len(self.nodes)
+
+    def teardown(self):
+        if hasattr(self, "stack"):
+            self.stack.close()
+
+    @rule(ni=st.integers(0, 1))
+    def drop_or_restore_node(self, ni):
+        if self.up[ni]:
+            self.nodes[ni].kill()
+            event("dropped node")
+        else:
+            self.nodes[ni].restart()
+            event("restored node")
+        self.up[ni] = not self.up[ni]
+
+    @rule(picks=st.lists(st.integers(0, POOL - 1), min_size=1, max_size=4))
+    def query(self, picks):
+        batch = self.coordinator.search_batch([self.pool[i] for i in picks])
+        live = sum(len(sl) for sl, up in zip(self.slices, self.up) if up)
+        assert batch.coverage == live / self.lake.n
+        for i, got in zip(picks, batch.results):
+            query, ref = self.pool[i], self.expected[i]
+            must, exact = set(got.indexes), set(ref.indexes)
+            degraded = got.stats.get("degraded")
+            maybe = set(got.maybe_bitmap.to_list()) if degraded else set()
+            for sl, up in zip(self.slices, self.up):
+                if up:  # exact on its slice
+                    assert must & sl == exact & sl and not maybe & sl
+                else:  # wholly maybe, none of it in must
+                    assert sl <= maybe and not sl & must
+            assert self.lake.check(query, sorted(must | maybe)) is None
+            if all(self.up):
+                assert not degraded and got.bitmap == ref.bitmap
+            else:
+                assert got.stats["degrade_reason"] == "node_unreachable"
+
+
 TestOneShard = ServiceMachine.TestCase
 TestThreeShards = ThreeShardMachine.TestCase
+TestFederated = FederatedMachine.TestCase
 TestOneShard.settings = TestThreeShards.settings = PROFILE
+# Two nodes have four up/down states: half-length histories reach each.
+TestFederated.settings = settings(
+    PROFILE, stateful_step_count=PROFILE.stateful_step_count // 2
+)

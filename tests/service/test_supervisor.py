@@ -3,13 +3,15 @@
 Covers the ISSUE-8 serving contract: N workers on one load-balanced
 port over a shared mmap snapshot, single-writer ingest at worker 0
 (siblings answer 409), and generation-bump propagation through the
-watermark file.  Skipped cleanly on platforms without ``os.fork``.
+watermark file.  Skipped cleanly on platforms without ``os.fork`` or
+``SO_REUSEPORT``.
 """
 
 import json
 import os
 import random
 import signal
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.framework import Repository
-from repro.errors import SnapshotError
+from repro.errors import CapabilityError, SnapshotError
 from repro.service import QueryService, supervisor
 from repro.service.server import expression_to_json
 from repro.service.supervisor import (
@@ -34,7 +36,8 @@ from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
 pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="multi-process serving needs os.fork"
+    not fork_available(),
+    reason="multi-process serving needs os.fork and SO_REUSEPORT",
 )
 
 SEED = 23
@@ -308,6 +311,23 @@ def test_bad_snapshot_fails_start(tmp_path):
     bogus.write_bytes(b"NOTASNAP" + b"\x00" * 64)
     with pytest.raises(SnapshotError):
         ServiceSupervisor(bogus, workers=2).start()
+
+
+def test_a_platform_without_reuseport_is_refused_before_any_fork(
+    snapshot, monkeypatch
+):
+    """Workers share the port through ``SO_REUSEPORT`` only: without it
+    ``start()`` refuses up front, with the error a fork-less platform
+    gets, instead of forking workers onto an inherited socket."""
+    path, _queries, _expected = snapshot
+
+    def fork():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.delattr(socket, "SO_REUSEPORT")
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(CapabilityError, match="SO_REUSEPORT"):
+        ServiceSupervisor(path, workers=2).start()
 
 
 class TestRespawnJitter:

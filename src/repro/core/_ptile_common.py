@@ -22,7 +22,11 @@ Both indexes follow the same recipe (Section 4.1):
 Per-dataset deltas (Remark 2) are supported exactly by storing *two* weight
 coordinates per mapped point, ``w + delta_i`` and ``w - delta_i``: the
 per-dataset slack then becomes a global box constraint
-(``w + delta_i >= a - eps`` and ``w - delta_i <= b + eps``).
+(``w + delta_i >= a - eps`` and ``w - delta_i <= b + eps``).  Where every
+``delta_i`` is 0 (an exact lake) the two coordinates have one level table
+and equal codes, and the kd-tree stores the codes once
+(:mod:`repro.index.kd_tree`): the second weight costs a table and a map
+entry, not a byte per mapped point.
 """
 
 from __future__ import annotations

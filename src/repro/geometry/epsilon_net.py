@@ -95,9 +95,16 @@ def _lattice_net(dim: int, angle: float) -> np.ndarray:
 
 
 def _dedupe(vectors: np.ndarray, decimals: int = 9) -> np.ndarray:
+    """The rows of ``vectors`` whose rounding no earlier row shares, in
+    order: what ``np.unique(rounded, axis=0, return_index=True)`` keeps,
+    from one stable ``lexsort`` and a row-change mask (rows compare as
+    floats, so ``-0.0`` equals ``0.0``)."""
     rounded = np.round(vectors, decimals)
-    _, keep = np.unique(rounded, axis=0, return_index=True)
-    return vectors[np.sort(keep)]
+    order = np.lexsort(rounded.T[::-1])
+    ranked = rounded[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return vectors[np.sort(order[first])]
 
 
 def _symmetrize(vectors: np.ndarray) -> np.ndarray:

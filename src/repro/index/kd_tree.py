@@ -30,22 +30,38 @@ every comparison, so answers are identical: a query translates its closed
 effective bounds into closed rank bounds once per call
 (:meth:`BoxBatch.coded <repro.index.query_box.BoxBatch.coded>`, two
 ``searchsorted`` per constrained column) and the walk, the bbox prunes and
-the containment kernel run on the integers.  Codes sit in tree order,
+the containment kernel run on the integers.
+
+**A code column is stored once.**  Two columns with equal level tables
+and equal codes are one fact: Algorithm 3's weights ``w + delta_i`` and
+``w - delta_i`` exist to carry per-dataset synopsis error (Remark 2), and
+on an exact lake (``delta_i = 0``) they coincide.  :func:`_merge` finds
+such a column before the matrix exists and stores only the first; the
+tree keeps ``columns`` (column ``j`` → the code column holding it, the
+identity when nothing repeats), a query intersects the rank bounds of the
+columns sharing one (:func:`~repro.index.query_box._fold_columns`), and
+the walk, the prunes and the kernel run on the ``k_stored`` code columns
+unchanged.  Splits pick the first widest column, so dropping a later
+duplicate plants the same tree: same node spans, key order and answers.
+
+Codes sit in tree order,
 column-major (each coordinate of a node's slice is one contiguous run —
 what the per-column kernel reads), beside the dataset-key column (the
 same smallest-unsigned-dtype rule over the largest key: ``uint8`` up to
 256 datasets a shard) and bool active / dead masks; nodes are rows of a
 preorder table —
-slice bounds, bounding box *in code space*, active counter, right-child
-index (the left child of node ``i`` is ``i + 1``).  Coordinates + node
-boxes per mapped point on the four benchmark lakes (seed 2027, 4 shards,
-float64 columns before → codes and level tables now): ``cold_2d`` 80.7 →
-10.2 B (``uint8``, at most 186 levels a column), ``warm_point`` 48.6 →
-16.5 B (``uint16``, 5 678 levels), ``ingest_churn`` 48.6 → 16.6 B,
-``federated_batch`` 48.5 → 16.4 B.  Tables are per column rather than one
-shared by all columns of a shard: sharing would save table bytes on the
-1-D lakes (2.8 → 2.2 MB on ``warm_point``) but needs two-byte codes where
-one does (4.6 → 9.2 MB on ``cold_2d``); 9.6 against 13.2 MB over the four.
+slice bounds, bounding box *in code space* (one column per code column),
+active counter, right-child index (the left child of node ``i`` is ``i +
+1``).  Coordinates + node boxes per mapped point on the four benchmark
+lakes (seed 2027, 4 shards, float64 columns → codes and level tables →
+the weights' codes stored once): ``cold_2d`` 80.7 → 10.2 → 9.2 B
+(``uint8``, at most 186 levels a column), ``warm_point`` 48.6 → 16.5 →
+14.4 B (``uint16``, 5 678 levels), ``ingest_churn`` 48.6 → 16.6 → 14.5 B,
+``federated_batch`` 48.5 → 16.4 → 14.4 B.  Tables are per column rather
+than one shared by all columns of a shard: sharing would save table bytes
+on the 1-D lakes (2.8 → 2.2 MB on ``warm_point``) but needs two-byte codes
+where one does (4.6 → 9.2 MB on ``cold_2d``); 9.6 against 13.2 MB over the
+four.
 
 **Construction never holds a float matrix, and never sorts a column to
 rank it.**  Algorithms 1 and 3 take every mapped coordinate from a
@@ -57,8 +73,8 @@ most :data:`~repro.index.backend.BLOCK_ELEMENTS` elements, born as level
 codes.  :func:`_merge` unions the levels the blocks' rows use per column
 (a sort of a few hundred values, by the build path's one distinct-values
 pass, :func:`~repro.geometry.rect_enum._sorted_unique`, which never
-loads ``numpy.ma``), moves every block's codes into the one ``(k, n)``
-code matrix through a table-sized lookup, and the tree is planted on the
+loads ``numpy.ma``), moves every block's codes into the one ``(k_stored,
+n)`` code matrix through a table-sized lookup, and the tree is planted on the
 codes: arrays equal, byte for byte, to coding the decoded rows, however
 the stream is cut.  Only rows that arrive as floats are factored by
 :func:`_encode` (one ``np.unique`` a column): the constructor's points and
@@ -70,10 +86,12 @@ with the original box — appends must stay O(1), and a new level would
 re-code the whole store; :meth:`DynamicKDTree._rebuild` is the same merge
 over two blocks, the live main rows *as the codes they already are*
 and the freshly coded buffer, so new levels interleave the old ones at the
-amortised cost inserts already paid and nothing is decoded.  ``to_arrays``
-hands out codes, level tables, key column and node table and
-``from_arrays`` adopts them, so a snapshot restore builds no tree and
-decodes nothing.
+amortised cost inserts already paid and nothing is decoded; the merge
+finds the shared columns afresh, so a buffered ``delta > 0`` row simply
+keeps the two weights apart.  ``to_arrays`` hands out codes, column map,
+the level tables of all ``k`` columns, key column and node table and
+``from_arrays`` adopts them (no column map, as in older files, is the
+identity), so a snapshot restore builds no tree and decodes nothing.
 
 Leaves hold at most :data:`DEFAULT_LEAF_SIZE` points, read each time a
 tree is planted — it is not a constructor argument and a restored tree does
@@ -94,7 +112,7 @@ import numpy as np
 from repro.geometry.rect_enum import _sorted_unique
 from repro.index.backend import id_column
 from repro.index.columnar import ColumnarStore
-from repro.index.query_box import BoxBatch, QueryBox
+from repro.index.query_box import BoxBatch, QueryBox, _fold_columns
 
 #: Maximum number of points per leaf, read each time a tree is planted
 #: (first build and every ``_rebuild``; it shapes the node table only,
@@ -102,7 +120,7 @@ from repro.index.query_box import BoxBatch, QueryBox
 #: with).  A node visit costs about as much dispatch as scanning a few
 #: hundred points, and the multi-box walk stops descending once ``alive
 #: boxes x slice points`` fits one broadcast pass anyway, so small leaves
-#: only multiply the node table (``2k`` codes + 3 ``int32`` per node,
+#: only multiply the node table (``2 k_stored`` codes + 3 ``int32`` per node,
 #: persisted in snapshots).  In-process on the rank-coded 2-D ``cold_2d``
 #: lake (seed 2027, 455 k mapped points, 4 shards) at leaf sizes 32 / 64 /
 #: 128 / 256 / 512 / 1024 / 2048: snapshot 9.93 / 9.41 / 9.14 / 9.01 / 8.95 /
@@ -147,16 +165,34 @@ def _encode(cols: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarr
     return ranks, tables
 
 
-def _merge(blocks: Sequence[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One ``(k, n)`` code matrix and its ``k`` level tables from coded
-    ``(codes, tables)`` blocks, rows in block order.
+def _aliases(blocks: Sequence[tuple], lookups: list, tables: list, i: int, j: int) -> bool:
+    """Whether column ``j`` has column ``i``'s merged level table and, in
+    every block, its merged codes."""
+    if not np.array_equal(tables[i], tables[j]):
+        return False
+    for (codes, _), lookup in zip(blocks, lookups):
+        if np.array_equal(lookup[i], lookup[j]):  # the same local levels
+            same = np.array_equal(codes[i], codes[j])
+        else:
+            same = np.array_equal(lookup[i][codes[i]], lookup[j][codes[j]])
+        if not same:
+            return False
+    return True
+
+
+def _merge(blocks: Sequence[tuple]) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """One ``(k_stored, n)`` code matrix, its ``k`` level tables and the
+    column map from coded ``(codes, tables)`` blocks, rows in block order.
 
     A column's table is the union of the levels the blocks' rows use (a
     used mask per block drops the rest: an enumerator's stack tables, a
     removed row's last level), so it holds exactly the values present; a
-    block's codes move into it through one table-sized lookup.  One dtype
-    for the whole matrix — the smallest unsigned one that holds the
-    longest table — so a node's slice stays one ``(L, k)`` array for the
+    block's codes move into it through one table-sized lookup.  A column
+    whose table and codes equal an earlier column's is found before the
+    matrix exists and not stored again: ``columns[j]`` is the matrix row
+    holding column ``j``, rows numbered in first-use order.  One dtype for
+    the whole matrix — the smallest unsigned one that holds the longest
+    table — so a node's slice stays one ``(L, k_stored)`` array for the
     containment kernel.
     """
     used: list[list[np.ndarray]] = [[] for _ in blocks[0][1]]
@@ -167,15 +203,41 @@ def _merge(blocks: Sequence[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
             used[j].append(table[mask])
     tables = [_sorted_unique(np.concatenate(column)) for column in used]
     dtype = np.min_scalar_type(max(max(t.size for t in tables) - 1, 0))
-    out = np.empty((len(tables), sum(len(c[0]) for c, _ in blocks)), dtype=dtype)
+    lookups = [
+        [np.searchsorted(table, level).astype(dtype) for table, level in zip(tables, local)]
+        for _, local in blocks
+    ]
+    stored: list[int] = []  # the first column of every matrix row
+    columns = np.empty(len(tables), dtype=np.min_scalar_type(len(tables) - 1))
+    for j in range(len(tables)):
+        row = next(
+            (r for r, i in enumerate(stored) if _aliases(blocks, lookups, tables, i, j)),
+            len(stored),
+        )
+        if row == len(stored):
+            stored.append(j)
+        columns[j] = row
+    out = np.empty((len(stored), sum(len(c[0]) for c, _ in blocks)), dtype=dtype)
     start = 0
-    for codes, local in blocks:
+    for (codes, _), lookup in zip(blocks, lookups):
         end = start + len(codes[0])
-        for j, table in enumerate(tables):
-            lookup = np.searchsorted(table, local[j]).astype(dtype)
-            np.take(lookup, codes[j], out=out[j, start:end])
+        for row, j in enumerate(stored):
+            np.take(lookup[j], codes[j], out=out[row, start:end])
         start = end
-    return out, tables
+    return out, tables, columns
+
+
+def _first_uses(columns: np.ndarray, n_stored: int) -> np.ndarray:
+    """The first column of every code column under a column map, or
+    ``ValueError`` unless the map is integer, one-dimensional and onto
+    ``range(n_stored)`` in first-use order (what :func:`_merge` writes)."""
+    if columns.dtype.kind not in "iu" or columns.ndim != 1 or not columns.size:
+        raise ValueError("the column map must be a non-empty integer vector")
+    rows = columns.astype(np.int64)
+    seen = np.maximum.accumulate(np.concatenate(([-1], rows[:-1])))
+    if rows.min() < 0 or (rows > seen + 1).any() or rows.max() != n_stored - 1:
+        raise ValueError("the column map must reach every code column in first-use order")
+    return np.flatnonzero(rows > seen)
 
 
 class DynamicKDTree:
@@ -230,17 +292,17 @@ class DynamicKDTree:
         if not sum(group.size for group in groups):
             raise ValueError("points must be a non-empty (n, k) array")
         group = np.concatenate(groups)  # promotes to the widest block's dtype
-        self.dim = len(coded[0][1])
         self._build(*_merge(coded), group, np.ones(group.size, dtype=bool))
 
     def _build(
         self,
         codes: np.ndarray,
         tables: list[np.ndarray],
+        columns: np.ndarray,
         group: np.ndarray,
         active: np.ndarray,
     ) -> None:
-        """Plant the main tree over a ``(k, n)`` code matrix.
+        """Plant the main tree over a ``(k_stored, n)`` code matrix.
 
         The matrix is permuted in place so that every node owns a
         contiguous column slice ``[start, end)``; nodes are numbered in
@@ -256,7 +318,7 @@ class DynamicKDTree:
         # half of it (rounded down, but at least one point).
         cap = 2 * (n // max(1, (leaf_size + 1) // 2)) + 1
         span = np.zeros((3, cap), dtype=np.int32)  # start, end, right child
-        box = np.empty((2, cap, self.dim), dtype=codes.dtype)  # lo, hi
+        box = np.empty((2, cap, codes.shape[0]), dtype=codes.dtype)  # lo, hi
         perm = np.arange(n)
         top = np.iinfo(codes.dtype).max
         stack = [(0, n, -1)]
@@ -281,7 +343,7 @@ class DynamicKDTree:
                 stack.append((start, start + mid, -1))
             m += 1
         self._adopt(
-            codes, tables, group[perm], active[perm],
+            codes, tables, columns, group[perm], active[perm],
             span[:, :m].copy(), box[:, :m].copy(),
         )
 
@@ -289,13 +351,16 @@ class DynamicKDTree:
         self,
         codes: np.ndarray,
         tables: list[np.ndarray],
+        columns: np.ndarray,
         group: np.ndarray,
         active: np.ndarray,
         span: np.ndarray,
         box: np.ndarray,
     ) -> None:
-        self._pts = codes.T  # (n, k) rank codes, column-major
+        self.dim = len(tables)
+        self._pts = codes.T  # (n, k_stored) rank codes, column-major
         self._tables = tables  # per column: sorted float64 levels
+        self._columns = columns  # per column: the code column holding it
         self._group = group
         self._active = active
         self._dead = np.zeros(active.size, dtype=bool)
@@ -321,12 +386,16 @@ class DynamicKDTree:
         query or rebuild would index with is checked here — ``ValueError``
         for a code beyond its column's table, node boxes beyond it, a
         table that is not strictly increasing float64 (unsorted,
-        duplicated, NaN), code columns that are not unsigned, or a key column
-        that is neither unsigned of at most 4 bytes nor the signed ``int32``
-        one older files hold, or has a key outside ``[0, 2^31)``.  A key
-        column wider than its keys need is narrowed (a private copy).  An
-        emptied tree has no rows, no levels and one empty root.  The
-        ``local`` id column older snapshots carry is not read.
+        duplicated, NaN), code columns that are not unsigned, a column map
+        that is not integer, not one entry per table, not onto the code
+        columns in first-use order, or maps columns with different tables
+        to one code column, or a key column that is neither unsigned of at
+        most 4 bytes nor the signed ``int32`` one older files hold, or has
+        a key outside ``[0, 2^31)``.  No column map (older files) is the
+        identity.  A key column wider than its keys need is narrowed (a
+        private copy).  An emptied tree has no rows, no levels and one
+        empty root.  The ``local`` id column older snapshots carry is not
+        read.
         """
         codes, levels, starts = arrays["codes"], arrays["levels"], arrays["level_start"]
         span, box = arrays["node_span"], arrays["node_box"]
@@ -346,12 +415,14 @@ class DynamicKDTree:
             or (n == 0 and span.shape[1] != 1)
         ):
             raise ValueError("backend arrays do not describe one kd-tree")
+        columns = arrays.get("columns", np.arange(codes.shape[0]))
+        first = _first_uses(columns, codes.shape[0])
         sizes = np.diff(starts)  # none at all once every row is removed
         if (
             levels.dtype != np.float64
             or levels.ndim != 1
             or starts.dtype.kind not in "iu"
-            or starts.shape != (codes.shape[0] + 1,)
+            or starts.shape != (columns.size + 1,)
             or starts[0] != 0
             or starts[-1] != levels.size
             or (sizes < 1 if n else sizes != 0).any()
@@ -361,19 +432,26 @@ class DynamicKDTree:
         rising[starts[1:-1][sizes[:-1] > 0] - 1] = True  # the next table begins
         if np.isnan(levels).any() or not rising.all():
             raise ValueError("level tables must be strictly increasing and NaN-free")
-        if n and ((codes.max(axis=1) >= sizes).any() or (box >= sizes).any()):
+        tables = [levels[a:b] for a, b in zip(starts[:-1], starts[1:])]
+        if any(
+            not np.array_equal(table, tables[first[row]])
+            for table, row in zip(tables, columns)
+        ):
+            raise ValueError("columns sharing a code column must share a level table")
+        stored_sizes = sizes[first]
+        if n and ((codes.max(axis=1) >= stored_sizes).any() or (box >= stored_sizes).any()):
             raise ValueError("a code or node box exceeds its column's level count")
         tree = cls.__new__(cls)
-        tree.dim = int(codes.shape[0])
-        tables = [levels[a:b] for a, b in zip(starts[:-1], starts[1:])]
-        tree._adopt(codes, tables, id_column(group, group.size), active, span, box)
+        tree._adopt(codes, tables, columns, id_column(group, group.size), active, span, box)
         return tree
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """The tree's own arrays: ``codes`` as ``(k, n)`` columns in tree
-        order, the level tables end to end (``levels``, column ``j``'s at
-        ``level_start[j]:level_start[j + 1]``), the key column, a copy of the
-        active mask, the node table (boxes in code space).
+        """The tree's own arrays: ``codes`` as ``(k_stored, n)`` columns in
+        tree order, the column map (``columns[j]``: the code column holding
+        column ``j``), the level tables of all ``k`` columns end to end
+        (``levels``, column ``j``'s at ``level_start[j]:level_start[j +
+        1]``), the key column, a copy of the active mask, the node table
+        (boxes in code space, one column per code column).
 
         Buffered or removed points are folded in by a rebuild first —
         invisible to queries, and what the next large insert would do.
@@ -382,6 +460,7 @@ class DynamicKDTree:
             self._rebuild()
         return {
             "codes": self._pts.T,
+            "columns": self._columns,
             "levels": np.concatenate(self._tables),
             "level_start": np.cumsum([0] + [t.size for t in self._tables]),
             "group": self._group,
@@ -392,11 +471,11 @@ class DynamicKDTree:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in arrays: codes, level tables, key column, masks,
-        node table, side buffer."""
+        """Bytes held in arrays: codes, column map, level tables, key
+        column, masks, node table, side buffer."""
         buf = self._buf
         own = (
-            self._pts, *self._tables, self._group, self._active,
+            self._pts, self._columns, *self._tables, self._group, self._active,
             self._dead, self._span, self._box, self._count,
         )
         return sum(a.nbytes for a in own) + (buf.nbytes if buf is not None else 0)
@@ -476,9 +555,13 @@ class DynamicKDTree:
     def _rebuild(self) -> None:
         """Replant the main tree over its live rows plus the side buffer:
         two blocks for :func:`_merge`, the live rows as the codes they are
-        and the buffer's floats freshly coded (buffered values become new
-        levels wherever they fall between the old ones)."""
-        blocks = [(self._live(self._pts.T), self._tables)]
+        (a shared code column handed over once per column it holds) and
+        the buffer's floats freshly coded (buffered values become new
+        levels wherever they fall between the old ones).  The merge finds
+        the shared columns afresh: a buffered row that tells two of them
+        apart (a synopsis with ``delta > 0``) stores them apart."""
+        stored = list(self._live(self._pts.T))
+        blocks = [([stored[row] for row in self._columns], self._tables)]
         rows = [(self._live(self._group), self._live(self._active))]
         if self._buf is not None:
             buf = self._buf.to_arrays()
@@ -494,6 +577,11 @@ class DynamicKDTree:
     def _check_box(self, box: QueryBox) -> None:
         if box.dim != self.dim:
             raise ValueError(f"query box has dim {box.dim}, tree has dim {self.dim}")
+
+    def _coded(self, batch: BoxBatch) -> tuple[BoxBatch, np.ndarray]:
+        """A batch on the stored code columns: bounds translated to ranks,
+        then intersected where columns share a code column."""
+        return _fold_columns(*batch.coded(self._tables, self._pts.dtype), self._columns)
 
     def _slice(self, node: int) -> tuple[int, int]:
         return int(self._start[node]), int(self._end[node])
@@ -512,7 +600,7 @@ class DynamicKDTree:
         the leaf's active rows inside the box — for every leaf it merely
         intersects."""
         self._check_box(box)
-        coded, keep = box.batch.coded(self._tables, self._pts.dtype)
+        coded, keep = self._coded(box.batch)
         stack = [0] if keep.size else []
         while stack:
             node = stack.pop()
@@ -588,7 +676,7 @@ class DynamicKDTree:
             return
         # Boxes that admit no level of some column drop out here; ``keep``
         # maps the coded batch's rows back to the caller's box indexes.
-        batch, keep = BoxBatch(boxes).coded(self._tables, self._pts.dtype)
+        batch, keep = self._coded(BoxBatch(boxes))
         stack = [(0, np.arange(keep.size))]
         while stack:
             node, alive = stack.pop()

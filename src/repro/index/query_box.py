@@ -18,9 +18,11 @@ assumed NaN-free (every backend validates or generates them so).
 Containment only ever *compares*, so it survives any order-preserving
 recoding of the coordinates: the kd-tree stores each column as ranks in a
 sorted level table, and :meth:`BoxBatch.coded` translates the closed
-effective bounds into closed rank bounds (:func:`_code_bounds`).  The
-predicates and the one kernel below then run unchanged on small unsigned
-integers.
+effective bounds into closed rank bounds (:func:`_code_bounds`).  Where
+two columns hold equal tables and equal codes the tree stores the codes
+once, and :func:`_fold_columns` gives the stored column the intersection
+of both columns' rank bounds.  The predicates and the one kernel below
+then run unchanged on small unsigned integers.
 """
 
 from __future__ import annotations
@@ -253,3 +255,34 @@ class BoxBatch:
         """``(Q',)`` mask: which boxes contain *every* point of ``[blo, bhi]``."""
         elo, ehi = self._bounds(rows)
         return ((blo >= elo) & (bhi <= ehi)).all(axis=1)
+
+
+def _fold_columns(
+    batch: BoxBatch, keep: np.ndarray, columns: np.ndarray
+) -> tuple[BoxBatch, np.ndarray]:
+    """A coded batch and its kept box indexes, moved onto stored code columns.
+
+    ``columns[j]`` is the stored column holding column ``j``'s codes, the
+    stored columns numbered in first-use order.  Columns that share one
+    hold equal codes, so their rank bounds intersect (``clo = max``,
+    ``chi = min``) and a box whose intersection is empty is dropped, as one
+    that admits no level is.  Two sides on one stored column become one.
+    A map without repeats is the identity: the batch comes back as it is.
+    """
+    n_stored = int(columns.max()) + 1
+    if n_stored == columns.size:
+        return batch, keep
+    at = (slice(None), columns)
+    lo = np.zeros((batch.n_boxes, n_stored), dtype=batch.elo.dtype)
+    hi = np.full_like(lo, np.iinfo(lo.dtype).max)
+    np.maximum.at(lo, at, batch.elo)
+    np.minimum.at(hi, at, batch.ehi)
+    alive = np.flatnonzero((lo <= hi).all(axis=1))
+    folded = BoxBatch.__new__(BoxBatch)
+    folded.elo, folded.ehi = lo[alive], hi[alive]
+    folded.dim = n_stored
+    folded.n_boxes = int(alive.size)
+    folded._sides = list(
+        dict.fromkeys((int(columns[j]), cmp, side) for j, cmp, side in batch._sides)
+    )
+    return folded, keep[alive]

@@ -118,7 +118,7 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -129,7 +129,6 @@ from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
 from repro.service import admission, faults
 from repro.service.admission import AdmissionGate
-from repro.service.service import QueryService
 from repro.wire import (
     ADD_DATASETS,
     EXPRESSION,
@@ -138,6 +137,9 @@ from repro.wire import (
     SEARCH_BATCH,
     decode,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.service import QueryService
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every piece of built serving state is already a flat array — the kd
 backends' rank-coded mapped points (``R^{4d+2}``, one or two bytes per
-coordinate) with their level tables, key columns and node tables,
+coordinate, the two weights of an exact lake stored as one code column)
+with their level tables, key columns and node tables,
 coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
 so a cold start does not have to *rebuild* any of it: this module persists
 a whole :class:`~repro.service.service.QueryService` into one container
@@ -35,9 +36,12 @@ Each Ptile backend is stored as its own ``to_arrays()`` — the kd-tree's,
 the one dynamic engine (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a
 header naming any other engine, in a shard's Ptile state or as the
 executor's (the static ``rangetree``, or the ``columnar`` store older
-builds served), is refused by name.  A kd backend is ``(k, n)`` unsigned
-rank codes in tree order (``mapped_codes``), the per-column float64 level
-tables they index (``mapped_levels``), every point's dataset key in the
+builds served), is refused by name.  A kd backend is ``(k_stored, n)``
+unsigned rank codes in tree order and the map from each of the ``k``
+columns to the code row holding it (``mapped_codes``: a column whose table
+and codes repeat an earlier one's is not stored again), the per-column
+float64 level tables they index (``mapped_levels``, all ``k``), every
+point's dataset key in the
 smallest unsigned dtype that holds the shard's largest key
 (``mapped_ids``: one byte a point up to 256 datasets a shard) and the node
 table with its boxes in code space — version 4 stored the same points as
@@ -57,7 +61,9 @@ a file serves with the constants.  Those from builds where a point's id
 was a ``(key, local)`` pair carry a ``local`` segment per backend, which
 ``from_arrays`` ignores; those from builds before narrow keys carry an
 ``int32`` key column, which ``from_arrays`` narrows on load, and an
-``active`` segment per backend, which is not read.
+``active`` segment per backend, which is not read; those from builds
+before shared code columns hold one code row per column and no
+``columns`` segment, which ``from_arrays`` reads as the identity map.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -356,6 +362,7 @@ def _restore_rng(state: dict) -> np.random.Generator:
 #: Segment hint (the kind ``inspect`` groups bytes by) of each backend array.
 _BACKEND_HINTS = {
     "codes": "mapped_codes",
+    "columns": "mapped_codes",
     "levels": "mapped_levels",
     "level_start": "mapped_levels",
     "group": "mapped_ids",

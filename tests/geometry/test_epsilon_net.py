@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.epsilon_net import (
+    _dedupe,
     build_epsilon_net,
     covering_angle_bound,
     nearest_net_vector,
@@ -94,3 +95,39 @@ class TestNearest:
             v /= np.linalg.norm(v)
             u = net[nearest_net_vector(net, v)]
             assert abs(p @ v - p @ u) <= eps + 1e-9
+
+
+class TestDedupe:
+    """``_dedupe`` keeps what ``np.unique(rounded, axis=0,
+    return_index=True)`` keeps — each rounding's first row, in order —
+    bit for bit, sign bits of ``-0.0`` included."""
+
+    @staticmethod
+    def reference(vectors):
+        _, keep = np.unique(np.round(vectors, 9), axis=0, return_index=True)
+        return vectors[np.sort(keep)]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_lattice_directions_and_their_mirror(self, dim, k):
+        axes = [np.arange(-k, k + 1, dtype=float)] * dim
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+        grid = grid[np.any(grid != 0.0, axis=1)]
+        dirs = grid / np.linalg.norm(grid, axis=1, keepdims=True)
+        self.assert_same(_dedupe(dirs), self.reference(dirs))
+        kept = self.reference(dirs)
+        mirrored = np.vstack([kept, -kept])  # what _symmetrize hands over
+        assert np.signbit(mirrored[mirrored == 0.0]).any()
+        self.assert_same(_dedupe(mirrored), self.reference(mirrored))
+
+    def test_near_duplicates_and_signed_zeros(self, rng):
+        base = rng.integers(-2, 3, size=(200, 3)).astype(float)
+        noisy = base + rng.choice([0.0, 1e-12, -1e-12], size=base.shape)
+        vectors = np.vstack([noisy, -noisy, base * -0.0])
+        self.assert_same(_dedupe(vectors), self.reference(vectors))

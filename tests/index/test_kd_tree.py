@@ -295,7 +295,8 @@ class TestRebuildEquivalence:
         """Float rows, keys and activity of everything the tree holds:
         live main rows in tree order, then the side buffer."""
         live = ~tree._dead
-        rows = [np.column_stack([t[c] for t, c in zip(tree._tables, tree._pts[live].T)])]
+        codes = tree._pts[live][:, tree._columns]  # one column per table
+        rows = [np.column_stack([t[c] for t, c in zip(tree._tables, codes.T)])]
         keys = [tree._group[live]]
         active = [tree._active[live]]
         if tree._buf is not None:
@@ -356,3 +357,187 @@ class TestRebuildEquivalence:
         assert tree._buf is None
         self._assert_equal(tree.to_arrays(), want)
         assert want["codes"].dtype == (np.uint8, np.uint16)[seed % 2]
+
+
+def mapped_points(rng, n, dim, deltas):
+    """Rows laid out like mapped points: ``dim`` coordinates from a small
+    alphabet, then ``w + delta`` and ``w - delta`` of a count weight
+    ``w``, with ``deltas[g]`` for the rows of group ``g``, and a copy of
+    coordinate 0 at the end.  Returns ``(points, keys)``."""
+    keys = np.arange(n) % len(deltas)
+    coords = rng.integers(0, 6, size=(n, dim)) / 6
+    weight = rng.integers(0, 9, size=n) / 8
+    delta = np.asarray(deltas, dtype=float)[keys]
+    return np.column_stack([coords, weight + delta, weight - delta, coords[:, 0]]), keys
+
+
+def boxes_over(rng, points, count):
+    """Random orthant boxes whose bounds are mostly the points' own values
+    (so closed and open sides land on levels), plus, for every pair of
+    equal columns, one box no point satisfies: ``x_i >= v`` and ``x_j < v``."""
+    k = points.shape[1]
+    boxes = []
+    for _ in range(count):
+        cons = []
+        for j in range(k):
+            lo, hi = sorted(
+                rng.choice(points[:, j], size=2) if rng.integers(3) else rng.uniform(-0.2, 1.2, 2)
+            )
+            kind = rng.integers(0, 4)
+            lo, hi = (-np.inf if kind == 0 else lo), (np.inf if kind == 1 else hi)
+            cons.append((float(lo), float(hi), bool(rng.integers(2)), bool(rng.integers(2))))
+        boxes.append(QueryBox(cons))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if np.array_equal(points[:, i], points[:, j]):
+                cons = [(-np.inf, np.inf, False, False)] * k
+                v = float(np.median(points[:, i]))
+                cons[i], cons[j] = (v, np.inf, False, False), (-np.inf, v, False, True)
+                boxes.append(QueryBox(cons))
+    return boxes
+
+
+def assert_as_oracle(tree, oracle, boxes):
+    """``report``, ``report_first``, ``count``, ``report_many`` and
+    ``report_groups_many`` of the tree against the float column store."""
+    for box in boxes:
+        want = sorted(oracle.report(box))
+        assert sorted(tree.report(box)) == want
+        assert tree.count(box) == len(want)
+        first = tree.report_first(box)
+        assert first in want if want else first is None
+    assert [sorted(keys.tolist()) for keys in tree.report_many(boxes)] == [
+        sorted(keys.tolist()) for keys in oracle.report_many(boxes)
+    ]
+    assert tree.report_groups_many(boxes) == oracle.report_groups_many(boxes)
+
+
+class TestSharedCodeColumns:
+    """A column whose level table and codes equal an earlier column's —
+    ``w + delta`` and ``w - delta`` at ``delta = 0``, a copied coordinate —
+    is stored once; queries intersect the bounds of the columns sharing
+    it, so answers equal the float store's over all ``k`` columns."""
+
+    DIM = 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "deltas, shared",
+        [
+            ((0.0, 0.0, 0.0), [0, 1, 2, 2, 0]),  # exact: both weights, and the copy
+            ((0.0, 0.05, 0.0), [0, 1, 2, 3, 0]),  # one group's delta parts them
+            ((0.1, 0.05, 0.02), [0, 1, 2, 3, 0]),
+        ],
+    )
+    def test_answers_match_the_float_store(self, small_leaves, seed, deltas, shared):
+        rng = np.random.default_rng(seed)
+        points, keys = mapped_points(rng, 300, self.DIM, deltas)
+        tree, oracle = DynamicKDTree(points, ids=keys), ColumnarStore(points, ids=keys)
+        assert tree._columns.tolist() == shared
+        assert tree._pts.shape == (300, max(shared) + 1)
+        assert tree._box.shape[2] == max(shared) + 1
+        boxes = boxes_over(rng, points, 40)
+        assert_as_oracle(tree, oracle, boxes)
+        # Hidden groups are hidden in the shared walk too.
+        assert tree.deactivate_group(1) == oracle.deactivate_group(1) > 0
+        assert_as_oracle(tree, oracle, boxes)
+
+    def test_blocks_sharing_one_code_array_store_it_once(self, small_leaves, rng):
+        """The Ptile builders hand both weight columns over as codes into
+        one lattice table; a block may pass the very same array twice."""
+        points, keys = mapped_points(rng, 200, self.DIM, (0.0,))
+        ranks, tables = [], []
+        for column in points.T:
+            table, rank = np.unique(column, return_inverse=True)
+            tables.append(table)
+            ranks.append(rank.astype(np.uint8))
+
+        def block(rows):
+            part = [rank[rows] for rank in ranks]
+            part[self.DIM + 1] = part[self.DIM]  # one object for both weights
+            return part, tables, keys[rows]
+
+        tree = DynamicKDTree.from_blocks([block(slice(0, 120)), block(slice(120, None))])
+        plain = DynamicKDTree(points, ids=keys)
+        for name, arr in plain.to_arrays().items():
+            assert np.array_equal(tree.to_arrays()[name], arr), name
+        assert tree._columns.tolist() == [0, 1, 2, 2, 0]
+
+    def test_a_delta_insert_parts_the_columns_and_a_removal_rejoins_them(
+        self, small_leaves, rng
+    ):
+        points, keys = mapped_points(rng, 200, self.DIM, (0.0, 0.0))
+        tree, oracle = DynamicKDTree(points, ids=keys), ColumnarStore(points, ids=keys)
+        assert tree._columns.tolist() == [0, 1, 2, 2, 0]
+        extra, _ = mapped_points(rng, 80, self.DIM, (0.05,))
+        extra_keys = np.full(80, 7)
+        tree.insert(extra, extra_keys)  # past the buffer threshold: rebuilds
+        oracle.insert(extra, extra_keys)
+        assert tree._buf is None
+        assert tree._columns.tolist() == [0, 1, 2, 3, 0]  # the copy stays shared
+        assert tree._pts.shape == (280, 4)
+        boxes = boxes_over(rng, np.vstack([points, extra]), 40)
+        assert_as_oracle(tree, oracle, boxes)
+
+        assert tree.remove_group(7) == oracle.remove_group(7) == 80
+        tree._rebuild()
+        assert tree._columns.tolist() == [0, 1, 2, 2, 0]
+        assert tree._pts.shape == (200, 3)
+        assert_as_oracle(tree, oracle, boxes)
+
+    def test_shared_columns_rebuild_to_the_decoded_tree(self, small_leaves, rng):
+        """A rebuild over shared columns and a buffer equals planting the
+        decoded rows afresh, array for array."""
+        points, keys = mapped_points(rng, 200, self.DIM, (0.0,))
+        tree = DynamicKDTree(points, ids=keys)
+        extra, _ = mapped_points(rng, 10, self.DIM, (0.0,))
+        tree.insert(extra, np.full(10, 3))
+        tree.remove_group(0)
+        assert tree._buf is not None and tree._n_dead
+        oracle = TestRebuildEquivalence
+        want = oracle._fresh_arrays(*oracle._decoded(tree))
+        oracle._assert_equal(tree.to_arrays(), want)
+        assert want["columns"].tolist() == [0, 1, 2, 2, 0]
+
+    def test_arrays_without_a_column_map_are_one_column_a_row(self, small_leaves, rng):
+        """Files written before shared columns hold one code row and one
+        node-box column per column and no ``columns``: they restore with
+        the identity map and answer the same."""
+        points, keys = mapped_points(rng, 200, self.DIM, (0.0,))
+        tree = DynamicKDTree(points, ids=keys)
+        arrays = tree.to_arrays()
+        columns = arrays.pop("columns")
+        arrays["codes"] = arrays["codes"][columns]
+        arrays["node_box"] = arrays["node_box"][:, :, columns]
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        old = DynamicKDTree.from_arrays(arrays)
+        assert old._columns.tolist() == [0, 1, 2, 3, 4]
+        boxes = boxes_over(rng, points, 30)
+        assert_as_oracle(old, ColumnarStore(points, ids=keys), boxes)
+        # Its next rebuild finds the shared columns.
+        old._rebuild()
+        assert old._columns.tolist() == [0, 1, 2, 2, 0]
+        assert_as_oracle(old, ColumnarStore(points, ids=keys), boxes)
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            (np.array([0, 1, 2, 2]), "level tables do not match"),  # one short
+            (np.array([0, 1, 2, 2, 0, 0]), "level tables do not match"),  # one long
+            (np.array([0, 1, 2, 3, 0]), "first-use order"),  # past the code rows
+            (np.array([0, 1, -1, 2, 0]), "first-use order"),
+            (np.array([0.0, 1.0, 2.0, 2.0, 0.0]), "integer vector"),
+            (np.array([[0, 1, 2, 2, 0]]), "integer vector"),
+            (np.array([0, 2, 2, 2, 0]), "first-use order"),  # row 1 holds nothing
+            (np.array([1, 0, 2, 2, 1]), "first-use order"),
+            (np.array([0, 1, 2, 2, 2]), "share a level table"),
+            (np.array([0, 1, 2, 0, 0]), "share a level table"),
+        ],
+    )
+    def test_hostile_column_maps_are_refused(self, rng, columns, match):
+        points, keys = mapped_points(rng, 100, self.DIM, (0.0,))
+        arrays = DynamicKDTree(points, ids=keys).to_arrays()
+        assert arrays["columns"].tolist() == [0, 1, 2, 2, 0]
+        with pytest.raises(ValueError, match=match):
+            DynamicKDTree.from_arrays({**arrays, "columns": columns})

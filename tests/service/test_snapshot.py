@@ -432,6 +432,66 @@ class TestExecutorAndEngineKinds:
         loaded.close()
         reference.close()
 
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_files_without_a_column_map_hold_one_code_row_a_column(
+        self, lake, queries, tmp_path, mmap
+    ):
+        """v5 files written before shared code columns store the weights
+        ``w + 0`` and ``w - 0`` as two equal code rows and node-box columns,
+        and no ``columns`` segment.  Such a file loads under both modes with
+        the identity map and answers identically, and an ingest that
+        rebuilds a restored tree stores the weights once again."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=4 * N_DATASETS,
+        )
+        svc.add_datasets([lake[0][::2]])  # a delta unit beside the base shards
+        svc.warm()
+        path = tmp_path / "old.snap"
+        svc.save(path)
+        header, data = _read_header(path)
+        data = bytearray(data)
+        executor = header["state"]["executor"]
+
+        def widened(ref, columns, axis):
+            """A new segment: segment ``ref`` with one slice per column."""
+            meta = header["arrays"][ref]
+            size = int(np.prod(meta["shape"])) * np.dtype(meta["dtype"]).itemsize
+            start = meta["offset"]
+            values = np.frombuffer(bytes(data[start : start + size]), dtype=meta["dtype"])
+            values = np.take(values.reshape(meta["shape"]), columns, axis=axis)
+            data.extend(bytes(-len(data) % 64))
+            new = f"{ref.split('#')[0]}#{len(header['arrays'])}"
+            header["arrays"][new] = {
+                "offset": len(data), "dtype": meta["dtype"], "shape": list(values.shape),
+            }
+            data.extend(values.tobytes())
+            return new
+
+        for unit in [*executor["engines"], executor["delta_engine"]]:
+            backend = unit["ptile"]["backend"]
+            meta = header["arrays"][backend.pop("columns")]
+            start = meta["offset"]
+            columns = np.frombuffer(bytes(data[start : start + meta["shape"][0]]), "u1")
+            assert columns.tolist() == [0, 1, 2, 3, 4, 4]
+            backend["codes"] = widened(backend["codes"], columns, 0)
+            backend["node_box"] = widened(backend["node_box"], columns, 2)
+        _write_header(path, header, bytes(data))
+        loaded = load(path, mmap=mmap)
+        lx = loaded.executor
+        for unit in (*lx.engines, lx.delta_engine):
+            tree = unit.ptile_index._tree
+            assert tree._columns.tolist() == list(range(4 * DIM + 2))
+            assert tree._pts.shape[1] == 4 * DIM + 2
+        assert answers(loaded, queries) == answers(svc, queries)
+        more = [d[1::2] for d in lake[:4]]
+        for service in (loaded, svc):
+            assert not service.add_datasets(more)["rebuilt"]
+        assert answers(loaded, queries) == answers(svc, queries)
+        assert lx.delta_engine.ptile_index._tree._columns.tolist() == [0, 1, 2, 3, 4, 4]
+        loaded.close()
+        svc.close()
+
     def test_save_refuses_an_index_with_a_hidden_group(self, lake, queries, tmp_path):
         """No active mask is written, so a unit is saved only with every
         point active — as it always is under its shard lock, where a report
@@ -523,7 +583,9 @@ class TestExecutorAndEngineKinds:
         assert "mapped_active" not in by_kind  # every saved point is active
         # One uint8 key a point: 16 datasets.
         assert summary["n_mapped_points"] == by_kind["mapped_ids"] == n_points
-        assert by_kind["mapped_codes"] == (4 * DIM + 2) * n_points  # uint8 ranks
+        # uint8 ranks, the weights w + 0 and w - 0 stored once, and each
+        # shard's one-byte-a-column map.
+        assert by_kind["mapped_codes"] == (4 * DIM + 1) * n_points + 3 * (4 * DIM + 2)
         per_point = summary["bytes_per_mapped_point"]
         assert per_point["file"] == round(summary["file_bytes"] / n_points, 2)
         assert 4 * DIM + 2 + 1 < per_point["index"] < 20  # codes + keys, +
@@ -531,8 +593,8 @@ class TestExecutorAndEngineKinds:
         # node counters: within a few bytes per point of what the file holds.
         assert abs(index_bytes / n_points - per_point["index"]) < 4
         # One coreset segment per shard index, not one per dataset:
-        # datasets + 3 shards x (coresets, 6 backend arrays) + cache words.
-        assert summary["n_arrays"] == N_DATASETS + 3 * 7 + 1
+        # datasets + 3 shards x (coresets, 7 backend arrays) + cache words.
+        assert summary["n_arrays"] == N_DATASETS + 3 * 8 + 1
 
     def test_small_2d_lake_stays_under_32_bytes_per_mapped_point(self, tmp_path):
         """The constant of the space bound, end to end: everything the file
@@ -666,6 +728,39 @@ class TestHostileBackendArrays:
         arrays["codes"] = arrays["codes"].astype(np.float16)
         with pytest.raises(ValueError, match="do not describe one kd-tree"):
             DynamicKDTree.from_arrays(arrays)
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            ([0, 1, 2, 3, 4], "level tables do not match"),  # one short
+            ([0, 1, 2, 3, 4, 5], "first-use order"),  # past the code rows
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 4.0], "integer vector"),
+            ([0, 1, 2, 2, 4, 4], "first-use order"),  # row 3 holds nothing
+            ([0, 1, 2, 3, 4, 0], "share a level table"),  # a weight on an axis's codes
+            (None, "level tables do not match"),  # five code rows, six tables
+        ],
+    )
+    def test_hostile_column_map(self, snap, columns, match):
+        """The map from a unit's six columns to its five code rows (the
+        weights ``w ± 0`` share one) is checked at load like the codes:
+        wrong length, out of range, non-integer, a row nothing maps to,
+        columns of different tables on one row, or no map at all for the
+        shared layout."""
+        header, data = _read_header(snap)
+        backend = header["state"]["executor"]["engines"][0]["ptile"]["backend"]
+        assert header["arrays"][backend["columns"]]["shape"] == [4 * DIM + 2]
+        if columns is None:
+            del backend["columns"]
+        else:
+            values = np.array(columns)  # int64, or float64 for the float row
+            data = data + bytes(-len(data) % 64)
+            backend["columns"] = ref = f"mapped_codes#{len(header['arrays'])}"
+            header["arrays"][ref] = {
+                "offset": len(data), "dtype": values.dtype.str, "shape": [values.size],
+            }
+            data += values.tobytes()
+        _write_header(snap, header, data)
+        self.refused(snap, match)
 
     def test_coreset_segment_of_the_wrong_shape(self, snap):
         _ref, meta, _offset = _segment(snap, "coreset")

@@ -66,6 +66,27 @@ def test_a_node_imports_only_what_it_serves():
     assert not set(NOT_SERVED) & set(loaded)
 
 
+#: The node stack a coordinator never runs: it forwards leaves to nodes
+#: and merges their bitsets, so it builds no service, shard, engine or
+#: rectangle enumeration of its own.
+NODE_STACK = [
+    "repro.service.service",
+    "repro.service.sharding",
+    "repro.core.engine",
+    "repro.geometry.rect_enum",
+]
+
+
+def test_a_coordinator_imports_no_node_stack():
+    loaded = fresh(
+        "import json, sys\n"
+        "import repro.service.federation\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+    )
+    assert "repro.service.server" in loaded
+    assert not set(NODE_STACK) & set(loaded)
+
+
 def test_building_every_ptile_index_never_loads_numpy_ma():
     """``np.unique`` without a ``return_*`` flag imports ``numpy.ma``; the
     build path has its own sort-based unique.  The threshold, range and

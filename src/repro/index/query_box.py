@@ -269,20 +269,21 @@ def _fold_columns(
     that admits no level is.  Two sides on one stored column become one.
     A map without repeats is the identity: the batch comes back as it is.
     """
-    n_stored = int(columns.max()) + 1
-    if n_stored == columns.size:
+    rows = columns.tolist()
+    first = [rows.index(row) for row in range(max(rows) + 1)]
+    if len(first) == len(rows):
         return batch, keep
-    at = (slice(None), columns)
-    lo = np.zeros((batch.n_boxes, n_stored), dtype=batch.elo.dtype)
-    hi = np.full_like(lo, np.iinfo(lo.dtype).max)
-    np.maximum.at(lo, at, batch.elo)
-    np.minimum.at(hi, at, batch.ehi)
-    alive = np.flatnonzero((lo <= hi).all(axis=1))
+    lo, hi = batch.elo[:, first], batch.ehi[:, first]
+    for j, row in enumerate(rows):
+        if first[row] != j:
+            np.maximum(lo[:, row], batch.elo[:, j], out=lo[:, row])
+            np.minimum(hi[:, row], batch.ehi[:, j], out=hi[:, row])
+    alive = (lo <= hi).all(axis=1)
     folded = BoxBatch.__new__(BoxBatch)
     folded.elo, folded.ehi = lo[alive], hi[alive]
-    folded.dim = n_stored
-    folded.n_boxes = int(alive.size)
+    folded.dim = len(first)
+    folded.n_boxes = int(alive.sum())
     folded._sides = list(
-        dict.fromkeys((int(columns[j]), cmp, side) for j, cmp, side in batch._sides)
+        dict.fromkeys((rows[j], cmp, side) for j, cmp, side in batch._sides)
     )
     return folded, keep[alive]

@@ -210,10 +210,6 @@ def run_recovery(lake, queries, n_workers: int, warm_requests: int) -> dict:
         stop.set()
         sup.stop()
         os.unlink(snap)
-        try:
-            os.unlink(f"{snap}.gen")
-        except OSError:
-            pass
         os.rmdir(workdir)
 
     fivexx = sum(1 for s in statuses if s >= 500)

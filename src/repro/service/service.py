@@ -719,8 +719,10 @@ class QueryService:
         self.invalidate_cache()
 
     def save(self, path: str | os.PathLike[str], generation: int = 0) -> dict:
-        """Persist the whole service (engines, caches, plans' capacity) into
-        one snapshot container; see :mod:`repro.service.snapshot`."""
+        """Persist the whole service (engines, leaf cache, settings) into
+        one snapshot container; see :mod:`repro.service.snapshot`.  The
+        plan cache is not persisted: a load starts it empty at
+        :data:`~repro.service.planner.PLAN_CACHE_CAPACITY`."""
         from repro.service import snapshot
 
         return snapshot.save(self, path, generation=generation)

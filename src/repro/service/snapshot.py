@@ -84,7 +84,7 @@ resynthesized wrong.
 All errors reading a snapshot back — bad magic, unsupported version, a
 foreign kind, truncated segments, malformed state — raise
 :class:`~repro.errors.SnapshotError` and nothing else (the supervisor's
-respawn loop and its workers' watermark watchers catch exactly that).
+respawn loop and its workers' snapshot pollers catch exactly that).
 "Malformed state" is anything wrong with the header tree — a missing key,
 a value of the wrong type or range, a list of the wrong length, an index
 past what it indexes, an unknown synopsis kind or engine name — whichever

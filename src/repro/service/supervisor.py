@@ -20,11 +20,13 @@ Single-writer ingest
 --------------------
 Exactly one worker is writable at a time (its siblings answer ``409``
 for ``POST/DELETE /datasets``; see :mod:`repro.service.server`).  After
-each successful mutation the writer bumps the snapshot generation,
-rewrites the snapshot atomically (temp file + rename) and publishes the
-new generation to the *watermark file* ``<snapshot>.gen``.  Sibling
-workers poll the watermark; on a bump they ``load()`` the new snapshot
-(again mmap-backed) and hot-swap their service between requests.
+each successful mutation the writer bumps the snapshot generation and
+rewrites the snapshot atomically (temp file + rename); that file is the
+only hand-off.  Sibling workers ``os.stat`` it every poll; when its
+identity (inode, mtime) changes they read its header generation, and
+when that is newer than the one they serve they ``load()`` it (again
+mmap-backed) and hot-swap their service between requests.  An equal or
+older file is never loaded: a sibling does not roll back.
 
 Self-healing
 ------------
@@ -33,7 +35,7 @@ A monitor thread in the parent keeps the fleet at strength:
 - **Reaping**: crashed workers are noticed via ``waitpid(WNOHANG)``
   within one monitor tick.
 - **Respawn**: a dead slot is always re-forked, from the *current*
-  snapshot generation (watermark first, header as fallback), after a
+  snapshot file and the generation in its header, after a
   per-slot exponential backoff (``backoff_base`` doubling up to
   :data:`BACKOFF_MAX`, each delay stretched by up to
   :data:`BACKOFF_JITTER`).  A slot that crashes
@@ -43,7 +45,9 @@ A monitor thread in the parent keeps the fleet at strength:
 - **Writer failover**: when the writer dies, the lowest-id live worker
   is promoted via ``POST /admin/promote`` on its private admin port (the
   public port never exposes that endpoint), and the dead slot respawns
-  as a plain reader.  Single-writer stays invariant throughout.
+  as a plain reader.  Before it takes a write the promoted worker loads
+  the file if the dead writer published past what it serves, so no
+  acknowledged write is lost.  Single-writer stays invariant throughout.
 - **Liveness probes**: workers that stop answering ``/healthz`` on the
   admin port for :data:`PROBE_FAILURES` consecutive probes are killed
   (SIGKILL) and recycled through the respawn path — a hung process is
@@ -77,7 +81,7 @@ from repro.service import snapshot as snapshot_mod
 from repro.service.admission import AdmissionGate
 from repro.service.server import JsonRequestHandler, http_call, make_handler
 from repro.service.service import QueryService
-from repro.wire import READY_REPORT, WATERMARK, decode
+from repro.wire import READY_REPORT, decode
 
 #: Liveness probing: each live worker's admin ``/healthz`` is hit every
 #: ``PROBE_INTERVAL`` seconds; ``PROBE_FAILURES`` consecutive misses get the
@@ -111,57 +115,34 @@ def fork_available() -> bool:
     return hasattr(os, "fork") and hasattr(socket, "SO_REUSEPORT")
 
 
-def watermark_path(snapshot_path: "str | os.PathLike[str]") -> str:
-    """The generation watermark file published next to a snapshot."""
-    return f"{os.fspath(snapshot_path)}.gen"
+class _SnapshotFollower:
+    """A sibling's watch on the snapshot file, the fleet's one hand-off.
 
-
-def write_watermark(snapshot_path: "str | os.PathLike[str]", generation: int) -> None:
-    """Atomically publish ``generation`` for ``snapshot_path``."""
-    path = watermark_path(snapshot_path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump({"generation": int(generation)}, f)
-    os.replace(tmp, path)
-
-
-_corrupt_lock = threading.Lock()
-_corrupt_reads = 0  # guarded-by: _corrupt_lock
-
-
-def watermark_corrupt_reads() -> int:
-    """How many watermark reads found garbage (not merely a missing file).
-
-    A missing watermark is normal (pre-first-publish); a present-but-
-    unparseable one means a torn write or disk corruption and is worth
-    counting — the atomic-rename publish protocol should make it
-    impossible, so a nonzero count is a bug signal.
+    :meth:`poll` costs one ``os.stat`` while the file is unchanged.  When
+    its identity (inode, mtime) changes the header generation is read,
+    and the file is loaded only when that is newer than :attr:`generation`
+    (never a rollback).  A read that raises leaves the identity
+    unrecorded, so the next poll retries it.
     """
-    with _corrupt_lock:
-        return _corrupt_reads
 
+    def __init__(self, path: "str | os.PathLike[str]", generation: int) -> None:
+        self.path = path
+        self.generation = int(generation)
+        self._seen: Optional[tuple[int, int]] = None  # (inode, mtime_ns)
 
-def read_watermark(snapshot_path: "str | os.PathLike[str]") -> Optional[int]:
-    """The published generation, or None if absent or corrupt.
-
-    Corruption (garbage bytes, truncated JSON, wrong schema, a negative
-    or non-integer generation) never raises: pollers treat it exactly
-    like "no watermark yet" and keep serving their current generation,
-    but each corrupt read bumps :func:`watermark_corrupt_reads`.
-    """
-    global _corrupt_reads
-    try:
-        with open(watermark_path(snapshot_path), "rb") as f:
-            raw = f.read()
-    except OSError:
-        return None
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-        return decode(WATERMARK, payload, "watermark")["generation"]
-    except ValueError:  # not UTF-8, not JSON, or refused by the table
-        with _corrupt_lock:
-            _corrupt_reads += 1
-        return None
+    def poll(self) -> Optional[QueryService]:
+        """The newer service at :attr:`path`, or None to keep serving."""
+        st = os.stat(self.path)
+        file = (st.st_ino, st.st_mtime_ns)
+        if file == self._seen:
+            return None
+        fresh = None
+        gen = snapshot_mod.generation_of(self.path)
+        if gen > self.generation:
+            fresh = snapshot_mod.load(self.path, mmap=True)
+            self.generation = gen
+        self._seen = file
+        return fresh
 
 
 class _ReuseportHTTPServer(ThreadingHTTPServer):
@@ -236,7 +217,8 @@ class ServiceSupervisor:
         Public listening address; ``port=0`` picks an ephemeral port
         (resolved before forking so every worker binds the same one).
     poll_interval:
-        Sibling watermark-poll period in seconds.
+        How often, in seconds, a sibling checks the snapshot file for a
+        newer generation.
     monitor_interval:
         Monitor tick (reap + respawn + probe scheduling), seconds.
     backoff_base:
@@ -325,7 +307,6 @@ class ServiceSupervisor:
         # Load BEFORE forking: the mmap'ed pages and every Python object
         # built from the header are shared copy-on-write with all workers.
         service = snapshot_mod.load(self.snapshot_path, mmap=True)
-        write_watermark(self.snapshot_path, generation)
 
         # Resolve an ephemeral port without listening: a bound placeholder
         # reserves the number, workers bind the same port with
@@ -555,13 +536,10 @@ class ServiceSupervisor:
             writer_id = self._writer_id
         for slot in due:
             try:
-                # Respawn from the CURRENT generation, not the one the
-                # fleet booted with: the watermark is authoritative when
-                # present (mutations advanced it), the header is the
-                # fallback for a never-mutated snapshot.
-                generation = read_watermark(self.snapshot_path)
-                if generation is None:
-                    generation = snapshot_mod.generation_of(self.snapshot_path)
+                # Respawn from the CURRENT file, not the one the fleet
+                # booted with (a publish between these two reads is taken
+                # up by the respawn's first poll).
+                generation = snapshot_mod.generation_of(self.snapshot_path)
                 service = snapshot_mod.load(self.snapshot_path, mmap=True)
                 pid, admin_port = self._fork_worker(
                     slot.worker_id,
@@ -645,7 +623,6 @@ class ServiceSupervisor:
             "worker_count": len(workers),
             "writer_id": writer_id,
             "respawn": True,
-            "watermark_corrupt_reads": watermark_corrupt_reads(),
             "workers": workers,
         }
 
@@ -771,17 +748,24 @@ class ServiceSupervisor:
             "writer": writer,
         }
         publish_lock = threading.Lock()
+        follow_lock = threading.Lock()
         watch_stop = threading.Event()
+        follower = _SnapshotFollower(self.snapshot_path, generation)
 
         def _on_mutate() -> None:
-            # Single-writer publish: bump generation, rewrite the snapshot
-            # (atomic rename), then advance the watermark — readers always
-            # see watermark <= snapshot generation.
+            # Single-writer publish: bump generation and rewrite the
+            # snapshot (atomic rename); the file is the whole hand-off.
             with publish_lock:
                 gen = context["snapshot_generation"] + 1
                 holder["service"].save(self.snapshot_path, generation=gen)
-                write_watermark(self.snapshot_path, gen)
                 context["snapshot_generation"] = gen
+
+        def _follow() -> None:
+            # Caller holds follow_lock.
+            fresh = follower.poll()
+            if fresh is not None:
+                holder["service"] = fresh
+                context["snapshot_generation"] = follower.generation
 
         gate = (
             AdmissionGate(
@@ -800,11 +784,17 @@ class ServiceSupervisor:
         )
 
         def _promote() -> None:
-            # Flip this worker into the writer role in place.  Class
-            # attributes, so the change covers requests already routed to
-            # existing handler instances too; the watermark watcher stops
-            # (a writer must never hot-swap its live, mutable service).
-            watch_stop.set()
+            # Flip this worker into the writer role in place.  First take
+            # up whatever the dead writer published since the last poll,
+            # or its acknowledged writes would be overwritten; a failure
+            # answers the promotion with an error, so the parent tries the
+            # next sibling.  Then the watcher stops (a writer must never
+            # hot-swap its live, mutable service).  Class attributes, so
+            # the change covers requests already routed to existing
+            # handler instances too.
+            with follow_lock:
+                _follow()
+                watch_stop.set()
             handler.on_mutate = staticmethod(_on_mutate)
             handler.writable = True
             context["writer"] = True
@@ -826,15 +816,13 @@ class ServiceSupervisor:
         if not writer:
             def _watch() -> None:
                 while not watch_stop.wait(self.poll_interval):
-                    gen = read_watermark(self.snapshot_path)
-                    if gen is None or gen <= context["snapshot_generation"]:
-                        continue
-                    try:
-                        fresh = snapshot_mod.load(self.snapshot_path, mmap=True)
-                    except SnapshotError:  # pragma: no cover - publish race
-                        continue
-                    holder["service"] = fresh
-                    context["snapshot_generation"] = gen
+                    with follow_lock:
+                        if watch_stop.is_set():
+                            return
+                        try:
+                            _follow()
+                        except (OSError, SnapshotError):  # pragma: no cover
+                            pass  # a publish race: the next poll retries
 
             threading.Thread(target=_watch, daemon=True).start()
 

@@ -1,8 +1,8 @@
 """The wire schema: one typed field table per inbound JSON body and payload.
 
 Everything that enters the system as JSON — an HTTP body, an ``EXPR``
-object, a shipped synopsis, a node's reply, a ``u64le+b64`` bitset, the
-supervisor's watermark and ready report, a snapshot header — is read by
+object, a shipped synopsis, a node's reply, a ``u64le+b64`` bitset, a
+supervisor worker's ready report, a snapshot header — is read by
 :func:`decode` through one of the tables at the bottom of this module and
 by nothing else.  A table maps a field name to a *reader* (the field is
 required) or to ``(reader, default)`` (absent or ``null`` keeps the
@@ -380,9 +380,8 @@ NODE_REPLY = Record({
     }), lo=1),
 }, error=ConstructionError)
 
-#: Files and pipes the supervisor and the snapshot loader read back; their
-#: callers already funnel ``ValueError``.
-WATERMARK = Record({"generation": Int(lo=0)}, error=ValueError)
+#: A worker's ready report on the supervisor's pipe, a snapshot file's
+#: header and segments; their readers already funnel ``ValueError``.
 READY_REPORT = Record({"admin_port": Int(1, 65535)}, error=ValueError)
 SNAPSHOT_HEADER = Record({"generation": (Int(lo=0), 0)}, error=ValueError)
 SNAPSHOT_SEGMENT = Record({

@@ -25,11 +25,8 @@ from repro.bench.harness import http_post_json
 from repro.core.framework import Repository
 from repro.service import QueryService, faults, supervisor
 from repro.service.server import expression_to_json
-from repro.service.supervisor import (
-    ServiceSupervisor,
-    fork_available,
-    read_watermark,
-)
+from repro.service.snapshot import generation_of
+from repro.service.supervisor import ServiceSupervisor, fork_available
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
@@ -180,7 +177,7 @@ class TestChaos:
                         raise
                     time.sleep(0.05)
             assert receipt is not None
-            current = read_watermark(path)
+            current = generation_of(path)
             assert current >= 1
 
             victim = sup.pids[1]

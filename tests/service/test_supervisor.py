@@ -3,8 +3,8 @@
 Covers the ISSUE-8 serving contract: N workers on one load-balanced
 port over a shared mmap snapshot, single-writer ingest at worker 0
 (siblings answer 409), and generation-bump propagation through the
-watermark file.  Skipped cleanly on platforms without ``os.fork`` or
-``SO_REUSEPORT``.
+snapshot file itself.  Skipped cleanly on platforms without ``os.fork``
+or ``SO_REUSEPORT``.
 """
 
 import json
@@ -23,14 +23,13 @@ from repro.core.framework import Repository
 from repro.errors import CapabilityError, SnapshotError
 from repro.service import QueryService, supervisor
 from repro.service.server import expression_to_json
+from repro.service.snapshot import generation_of, inspect
+from repro.service import snapshot as snapshot_mod
 from repro.service.supervisor import (
     ServiceSupervisor,
+    _SnapshotFollower,
     _WorkerSlot,
     fork_available,
-    read_watermark,
-    watermark_corrupt_reads,
-    watermark_path,
-    write_watermark,
 )
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
@@ -52,6 +51,15 @@ def _request(url, payload=None, method=None):
     )
     with urllib.request.urlopen(req, timeout=15) as resp:
         return json.loads(resp.read())
+
+
+def _until(predicate, timeout=15.0):
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return False
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +143,60 @@ class TestSupervisor:
             # The reloaded sibling serves the post-ingest dataset count.
             for w in stats["workers"]:
                 assert w["n_datasets"] == 11
-            assert read_watermark(path) >= 1
+            assert generation_of(path) >= 1
+            # The snapshot is the one hand-off: nothing is written beside it.
+            assert os.listdir(path.parent) == [path.name]
+
+    def test_a_sibling_never_rolls_back(self, snapshot):
+        """A sibling loads the file at the snapshot path only when its
+        header generation is newer than the one it serves: an equal or
+        older file put in its place leaves it as it was."""
+        path, _queries, _expected = snapshot
+        original = QueryService.load(path, mmap=False)
+
+        def put(generation):
+            tmp = path.parent / "replacement.snap"
+            original.save(tmp, generation=generation)
+            os.replace(tmp, path)
+
+        def serving(worker):
+            stats = _request(f"http://{host}:{sup.worker_ports[worker]}/stats")
+            return stats["serving"]["snapshot_generation"], stats["n_datasets"]
+
+        with ServiceSupervisor(path, workers=2, poll_interval=0.05) as sup:
+            host, _port = sup.start()
+            new = np.random.default_rng(SEED + 2).normal(size=(30, DIM))
+            writer = f"http://{host}:{sup.worker_ports[0]}/datasets"
+            assert _request(writer, {"datasets": [new.tolist()]})["indexes"] == [10]
+            assert _until(lambda: serving(1) == (1, 11)), serving(1)
+            for generation in (1, 0):  # equal, then older: 10 datasets each
+                put(generation)
+                time.sleep(0.5)  # ten polls
+                assert serving(1) == (1, 11)
+            put(2)  # newer: taken up
+            assert _until(lambda: serving(1) == (2, 10)), serving(1)
+
+    def test_failover_keeps_every_acknowledged_write(self, snapshot):
+        """A sibling promoted before its next poll first takes up the file
+        the dead writer published, so the writer's last acknowledged index
+        is never handed out again and no generation is written twice."""
+        path, _queries, _expected = snapshot
+        rng = np.random.default_rng(SEED + 3)
+        with ServiceSupervisor(path, workers=2, poll_interval=30.0) as sup:
+            host, _port = sup.start()
+
+            def add(worker):
+                new = rng.normal(size=(30, DIM))
+                url = f"http://{host}:{sup.worker_ports[worker]}/datasets"
+                return _request(url, {"datasets": [new.tolist()]})["indexes"]
+
+            assert add(0) == [10]
+            assert generation_of(path) == 1
+            os.kill(sup.pids[0], signal.SIGKILL)
+            assert _until(lambda: sup.health()["writer_id"] == 1), sup.health()
+            assert add(1) == [11]
+        assert generation_of(path) == 2
+        assert inspect(path)["executor"]["n_datasets"] == 12
 
     def test_non_writer_rejects_mutations(self, snapshot):
         path, queries, expected = snapshot
@@ -261,49 +322,126 @@ class TestSupervisor:
         assert seen == [3.5, 1.0]
 
 
-class TestWatermark:
-    def test_round_trip(self, tmp_path):
-        snap = tmp_path / "x.snap"
-        assert read_watermark(snap) is None
-        write_watermark(snap, 3)
-        assert watermark_path(snap) == f"{snap}.gen"
-        assert read_watermark(snap) == 3
+class TestSnapshotFollower:
+    """The sibling's poll over the snapshot file, without forking: a stat
+    per poll, a header read per replaced file, a load per newer
+    generation, and an unreadable file is an error the watcher retries."""
 
-    def test_corrupt_watermark_reads_none(self, tmp_path):
-        snap = tmp_path / "x.snap"
-        with open(watermark_path(snap), "w", encoding="utf-8") as f:
-            f.write("{half a json")
-        assert read_watermark(snap) is None
+    @staticmethod
+    def put(path, generation, extra=0):
+        """Atomically replace ``path`` with its service at ``generation``,
+        ``extra`` random datasets added."""
+        svc = QueryService.load(path, mmap=False)
+        if extra:
+            rng = np.random.default_rng(SEED + 4)
+            svc.add_datasets([rng.normal(size=(30, DIM)) for _ in range(extra)])
+        tmp = path.parent / "replacement.snap"
+        svc.save(tmp, generation=generation)
+        svc.close()
+        os.replace(tmp, path)
+
+    @pytest.fixture()
+    def header_reads(self, monkeypatch):
+        calls = []
+        real = snapshot_mod.generation_of
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(snapshot_mod, "generation_of", counting)
+        return calls
+
+    def test_an_unchanged_file_costs_a_stat_only(self, snapshot, header_reads):
+        path, _queries, _expected = snapshot
+        follower = _SnapshotFollower(path, 0)
+        for _ in range(5):
+            assert follower.poll() is None
+        assert len(header_reads) == 1  # the first poll has no identity yet
+        self.put(path, 0)
+        assert follower.poll() is None
+        assert len(header_reads) == 2  # replaced: read once, then stat only
+        assert follower.poll() is None
+        assert len(header_reads) == 2
+
+    def test_a_newer_file_is_loaded_once(self, snapshot, header_reads):
+        path, _queries, _expected = snapshot
+        follower = _SnapshotFollower(path, 0)
+        self.put(path, 3, extra=1)
+        fresh = follower.poll()
+        assert fresh is not None
+        assert fresh.stats()["n_datasets"] == 11
+        assert follower.generation == 3
+        assert follower.poll() is None
+        assert len(header_reads) == 1
+
+    @pytest.mark.parametrize("generation", [2, 1], ids=["equal", "older"])
+    def test_an_equal_or_older_file_is_never_loaded(self, snapshot, generation):
+        path, _queries, _expected = snapshot
+        follower = _SnapshotFollower(path, 2)
+        self.put(path, generation, extra=1)
+        assert follower.poll() is None
+        assert follower.generation == 2
+        self.put(path, 3)  # the same data stamped newer is taken up
+        assert follower.poll().stats()["n_datasets"] == 11
+        assert follower.generation == 3
 
     @pytest.mark.parametrize(
         "garbage",
         [
-            b"\x00\xff\xfe\x8b random binary \x01\x02",  # torn binary write
+            None,                                         # file removed
             b"",                                          # zero-length file
-            b'{"generation": "three"}',                   # wrong type
-            b'{"generation": -2}',                        # negative
-            b'{"generation": true}',                      # bool is not an int
-            b'{"wrong_key": 3}',                          # schema drift
-            b"[1, 2, 3]",                                 # not even an object
-            b"\xff\xfe garbage that is not utf-8 \x80",   # undecodable
+            b"NOTASNAP" + b"\x00" * 64,                   # bad magic
+            b"\x00\xff\xfe\x8b random binary \x01\x02",  # torn binary write
+            "prefix",                                     # truncated snapshot
+            "header",                                     # header bytes flipped
         ],
+        ids=["missing", "empty", "bad-magic", "binary", "truncated", "corrupt-header"],
     )
-    def test_garbage_watermark_reads_none_and_counts(self, tmp_path, garbage):
-        snap = tmp_path / "x.snap"
-        with open(watermark_path(snap), "wb") as f:
-            f.write(garbage)
-        before = watermark_corrupt_reads()
-        assert read_watermark(snap) is None
-        assert watermark_corrupt_reads() == before + 1
-        # A corrupt read never poisons later good reads.
-        write_watermark(snap, 7)
-        assert read_watermark(snap) == 7
-        assert watermark_corrupt_reads() == before + 1
+    def test_an_unreadable_file_raises_and_is_retried(self, snapshot, garbage):
+        path, _queries, _expected = snapshot
+        follower = _SnapshotFollower(path, 0)
+        good = path.read_bytes()
+        if garbage is None:
+            path.unlink()
+        elif garbage == "prefix":
+            path.write_bytes(good[:100])
+        elif garbage == "header":
+            path.write_bytes(good[:40] + b"\xff" * 16 + good[56:])
+        else:
+            path.write_bytes(garbage)
+        # Exactly what the watcher catches, so a bad file never kills it.
+        with pytest.raises((OSError, SnapshotError)):
+            follower.poll()
+        assert follower.generation == 0
+        path.write_bytes(good)
+        self.put(path, 1, extra=1)
+        assert follower.poll().stats()["n_datasets"] == 11
+        assert follower.generation == 1
 
-    def test_missing_watermark_is_not_counted_corrupt(self, tmp_path):
-        before = watermark_corrupt_reads()
-        assert read_watermark(tmp_path / "nope.snap") is None
-        assert watermark_corrupt_reads() == before
+    def test_a_failed_header_read_is_retried_on_the_same_file(
+        self, snapshot, monkeypatch
+    ):
+        """The identity is recorded only after a read succeeds, so one
+        transient failure does not hide a newer file until it is
+        replaced again."""
+        path, _queries, _expected = snapshot
+        self.put(path, 1, extra=1)
+        follower = _SnapshotFollower(path, 0)
+        real = snapshot_mod.generation_of
+        failures = [SnapshotError("transient")]
+
+        def flaky(p):
+            if failures:
+                raise failures.pop()
+            return real(p)
+
+        monkeypatch.setattr(snapshot_mod, "generation_of", flaky)
+        with pytest.raises(SnapshotError):
+            follower.poll()
+        fresh = follower.poll()  # same inode and mtime: read again
+        assert fresh is not None and fresh.stats()["n_datasets"] == 11
+        assert follower.generation == 1
 
 
 def test_bad_snapshot_fails_start(tmp_path):

@@ -12,9 +12,9 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (274, 1004),
+    "src/repro": (274, 999),
     "src/repro/index": (8, 98),
-    "src/repro/service": (126, 341),
+    "src/repro/service": (126, 337),
 }
 
 

@@ -1,10 +1,12 @@
 """`repro lint` — AST-based invariant checks for this repository.
 
-Three classes of bugs have shipped here and been fixed by hand: unguarded
-reads of the lock-protected serving totals (PR 2), allocation on the warm
-path inside ``Histogram.observe`` (PR 6), and backend drift from the
-``RangeSearchBackend`` protocol (PR 3 catches it only at runtime).  This
-package checks those invariants mechanically, with stdlib ``ast`` only.
+It checks, with stdlib ``ast`` only, the serving layer's conventions that
+no test or other CI step catches when they are broken: lock discipline
+(``guarded-by``), warm-path purity (``hot-path``), disarmed failpoints that
+cost one pointer check (``failpoint-discipline``), and the two schema
+boundaries other processes read, the wire (``wire-schema``) and the
+snapshot file (``snapshot-schema``).  :data:`~repro.analysis.runner.RULES`
+is the rule table.
 
 Usage::
 
@@ -36,6 +38,5 @@ from repro._lazy import namespace
 
 __getattr__, __all__ = namespace(__name__, {
     "repro.analysis.findings": "Finding",
-    "repro.analysis.registry": "all_rules rule",
-    "repro.analysis.runner": "lint_paths lint_source main render_json render_text",
+    "repro.analysis.runner": "RULES lint_paths lint_source main render_text",
 })

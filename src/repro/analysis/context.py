@@ -179,9 +179,8 @@ def unguarded_touches(
 ) -> Iterator[ast.AST]:
     """The nodes of a function *body* that ``is_touch`` accepts and that no
     ``<subject> is not None`` check dominates — the zero-cost-when-disabled
-    discipline of the tracer (``zero-cost``) and the failpoints
-    (``failpoint-discipline``); ``is_subject`` recognises the expression
-    compared with ``None``.  Guard shapes (all used in this repo):
+    discipline of the failpoints (``failpoint-discipline``); ``is_subject``
+    recognises the expression compared with ``None``.  Guard shapes:
 
     - ``if <subject> is not None: ...`` (the body is guarded);
     - ``if <subject> is None: return ...`` (everything after is guarded;

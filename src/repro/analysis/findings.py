@@ -21,12 +21,3 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: {self.severity}[{self.rule}] {self.message}"
-
-    def to_json(self) -> dict:
-        return {
-            "file": self.file,
-            "line": self.line,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }

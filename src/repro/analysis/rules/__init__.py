@@ -1,1 +1,2 @@
-"""Rule modules — each submodule registers itself via ``@rule(name)``."""
+"""Rule modules: each defines ``check(ModuleInfo)``, registered by name in
+:data:`repro.analysis.runner.RULES`."""

@@ -13,8 +13,8 @@ This rule enforces two invariants:
 - every ``faults.hit(...)`` call is dominated by a positive
   ``faults.ARMED is not None`` guard (the early-return shape
   ``if faults.ARMED is None: return`` also counts: the shapes are those of
-  ``context.unguarded_touches``, the walker shared with ``zero-cost``), so
-  the disarmed path never pays a function call or a dict lookup;
+  ``context.unguarded_touches``), so the disarmed path never pays a
+  function call or a dict lookup;
 - no failpoint touchpoint (any ``faults.*`` access) appears inside a
   function marked ``# lint: hot-path`` — the per-leaf loops must not
   grow even the pointer check; failpoints belong at coarse boundaries
@@ -30,7 +30,6 @@ from typing import Iterator
 
 from repro.analysis.context import ModuleInfo, unguarded_touches
 from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
 
 _MOD = "faults"
 _EXEMPT_SUFFIX = ("service/faults.py", "service\\faults.py")
@@ -54,7 +53,6 @@ def _is_hit_call(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and _is_faults_attr(node.func, "hit")
 
 
-@rule("failpoint-discipline")
 def check(mod: ModuleInfo) -> Iterator[Finding]:
     if mod.path.endswith(_EXEMPT_SUFFIX):
         return

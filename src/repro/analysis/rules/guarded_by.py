@@ -25,7 +25,6 @@ from typing import FrozenSet, Iterator, List
 
 from repro.analysis.context import GuardDecl, ModuleInfo, with_locks
 from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
 
 _NO_LOCKS: FrozenSet[str] = frozenset()
 
@@ -34,7 +33,6 @@ def _exempt(name: str) -> bool:
     return name == "__init__" or name.endswith("_locked")
 
 
-@rule("guarded-by")
 def check(mod: ModuleInfo) -> Iterator[Finding]:
     for cls in mod.classes():
         guarded = mod.guarded_attrs(cls)

@@ -21,7 +21,6 @@ from typing import Iterator
 
 from repro.analysis.context import ModuleInfo
 from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
 _COMPS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -55,7 +54,6 @@ def _has_subscript(node: ast.AST) -> bool:
     return any(isinstance(n, ast.Subscript) for n in ast.walk(node))
 
 
-@rule("hot-path")
 def check(mod: ModuleInfo) -> Iterator[Finding]:
     for fn in mod.hot_functions():
         yield from _scan(mod, fn.name, fn.body, in_loop=False)

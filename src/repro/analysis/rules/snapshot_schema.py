@@ -36,7 +36,6 @@ from typing import Iterator
 
 from repro.analysis.context import ModuleInfo
 from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
 
 _BANNED_MODULES = {"pickle", "cPickle", "dill", "shelve", "marshal"}
 _BANNED_NP_CALLS = {"save", "savez", "savez_compressed", "load", "fromregex"}
@@ -105,7 +104,6 @@ def _numpy_aliases(tree: ast.AST) -> set[str]:
     return names
 
 
-@rule("snapshot-schema")
 def check(mod: ModuleInfo) -> Iterator[Finding]:
     if not _is_snapshot_module(mod):
         return

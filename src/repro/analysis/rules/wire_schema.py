@@ -29,7 +29,6 @@ from typing import Iterator, Optional, Tuple
 
 from repro.analysis.context import ModuleInfo
 from repro.analysis.findings import Finding
-from repro.analysis.registry import rule
 
 _ABSOLUTE_KEYS = {"start_time", "end_time"}
 _TIMING_KEYS = {"emit_times", "duration_s"}
@@ -105,7 +104,6 @@ def _body_reads(tree: ast.AST) -> Iterator[Tuple[str, str, int]]:
                 yield fn.name, body, node.lineno
 
 
-@rule("wire-schema")
 def check(mod: ModuleInfo) -> Iterator[Finding]:
     if not _is_handler_module(mod):
         return

@@ -1,31 +1,42 @@
-"""Lint driver: file discovery, rule execution, reporting, baselines.
+"""Lint driver: the rule table, file discovery, rule execution, reporting.
 
 Entry points:
 
 - :func:`lint_paths` / :func:`lint_source` — programmatic API;
 - :func:`main` — the ``repro lint`` / ``python -m repro.analysis`` CLI.
 
-Exit codes: 0 clean, 1 findings, 2 usage error.  A file that fails to
-parse produces a ``parse-error`` finding instead of crashing the run, so
-one broken file cannot mask findings elsewhere.
+Exit codes: 0 clean, 1 findings.  A file that fails to parse produces a
+``parse-error`` finding instead of crashing the run, so one broken file
+cannot mask findings elsewhere.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.analysis.context import ModuleInfo
 from repro.analysis.findings import Finding
-from repro.analysis.registry import all_rules
+from repro.analysis.rules import (
+    failpoint_discipline,
+    guarded_by,
+    hot_path,
+    snapshot_schema,
+    wire_schema,
+)
 
-DEFAULT_PATHS = ("src",)
+#: Every rule, by the name its findings and ``# lint: ignore[...]`` carry.
+RULES: dict[str, Callable[[ModuleInfo], Iterable[Finding]]] = {
+    "failpoint-discipline": failpoint_discipline.check,
+    "guarded-by": guarded_by.check,
+    "hot-path": hot_path.check,
+    "snapshot-schema": snapshot_schema.check,
+    "wire-schema": wire_schema.check,
+}
 
 
-def discover(paths: Sequence[str]) -> List[str]:
+def _discover(paths: Sequence[str]) -> List[str]:
     """Python files under *paths* (files kept as-is, dirs walked)."""
     out: List[str] = []
     for path in paths:
@@ -43,8 +54,9 @@ def discover(paths: Sequence[str]) -> List[str]:
 def lint_source(
     source: str, path: str = "<string>", rules: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Lint one in-memory module (the fixture-test entry point)."""
-    active = all_rules(rules)
+    """Lint one in-memory module (the fixture-test entry point); ``rules``
+    names a subset of :data:`RULES` (an unknown name is a ``KeyError``)."""
+    active = RULES if rules is None else {name: RULES[name] for name in rules}
     try:
         mod = ModuleInfo.parse(source, path)
     except SyntaxError as exc:
@@ -65,12 +77,10 @@ def lint_source(
     return sorted(set(findings))
 
 
-def lint_paths(
-    paths: Sequence[str], rules: Optional[Iterable[str]] = None
-) -> List[Finding]:
+def lint_paths(paths: Sequence[str]) -> List[Finding]:
     """Lint every ``.py`` file under *paths*."""
     findings: List[Finding] = []
-    for file in discover(paths):
+    for file in _discover(paths):
         try:
             with open(file, "r", encoding="utf-8") as fh:
                 source = fh.read()
@@ -85,11 +95,8 @@ def lint_paths(
                 )
             )
             continue
-        findings.extend(lint_source(source, path=file, rules=rules))
+        findings.extend(lint_source(source, path=file))
     return sorted(set(findings))
-
-
-# -- reporters ----------------------------------------------------------
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -99,111 +106,18 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding]) -> str:
-    return json.dumps([f.to_json() for f in findings], indent=2)
-
-
-# -- baseline -----------------------------------------------------------
-
-
-def _baseline_key(finding: Finding) -> tuple:
-    # Line numbers drift as files are edited; match on the stable parts.
-    return (finding.file, finding.rule, finding.message)
-
-
-def load_baseline(path: str) -> set:
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    return {(e["file"], e["rule"], e["message"]) for e in entries}
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    entries = [
-        {"file": f.file, "rule": f.rule, "message": f.message} for f in findings
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
-
-
-def apply_baseline(findings: Sequence[Finding], baseline: set) -> List[Finding]:
-    return [f for f in findings if _baseline_key(f) not in baseline]
-
-
-# -- CLI ----------------------------------------------------------------
-
-
-def build_arg_parser() -> argparse.ArgumentParser:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant checks (lock discipline, hot-path "
-        "purity, backend-protocol conformance, ...)",
+        "purity, failpoint guards, wire and snapshot schemas)",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        default=list(DEFAULT_PATHS),
+        default=["src"],
         help="files or directories to lint (default: src)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule subset (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list registered rules and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write current findings to FILE and exit 0",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    if args.list_rules:
-        for name, fn in all_rules().items():
-            doc = fn.__doc__ or sys.modules[fn.__module__].__doc__ or ""
-            summary = doc.strip().splitlines()[0] if doc.strip() else ""
-            print(f"{name}: {summary}")
-        return 0
-    rules = None
-    if args.rules:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    try:
-        findings = lint_paths(args.paths, rules=rules)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(f"wrote {len(findings)} baseline entries to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            findings = apply_baseline(findings, load_baseline(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: bad baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-    if args.format == "json":
-        print(render_json(findings))
-    else:
-        print(render_text(findings))
+    findings = lint_paths(parser.parse_args(argv).paths)
+    print(render_text(findings))
     return 1 if findings else 0

@@ -373,17 +373,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     # the serving CLI down with it.
     from repro.analysis.runner import main as lint_main
 
-    argv: list = list(args.paths)
-    argv += ["--format", args.format]
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    return lint_main(argv)
+    return lint_main(list(args.paths))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,19 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="run the repo's AST invariant checks (lock discipline, "
-             "hot-path purity, backend-protocol conformance, ...)",
+             "hot-path purity, failpoint guards, wire and snapshot schemas)",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--rules", default=None,
-                   help="comma-separated rule subset (default: all)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list registered rules and exit")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="suppress findings recorded in FILE")
-    p.add_argument("--write-baseline", default=None, metavar="FILE",
-                   help="write current findings to FILE and exit 0")
     p.set_defaults(func=cmd_lint)
 
     return parser

@@ -172,8 +172,8 @@ class RangeSearchBackend(Protocol):
 ENGINES = ("kd", "rangetree")
 
 #: Backends whose ``insert`` / ``remove_group`` work (live mutation, delta
-#: shards) — the ones served, and the ones with a persisted form (the
-#: ``backend-protocol`` lint rule requires it of exactly these):
+#: shards) — the ones served, and the ones with a persisted form
+#: (``tests/index/test_backend_contract.py`` requires it of exactly these):
 #: ``to_arrays()``, the flat arrays that reconstruct the backend, removed
 #: entries excluded, and a ``from_arrays`` classmethod that adopts them
 #: (they may be read-only maps of a snapshot file; only activity state is

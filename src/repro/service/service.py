@@ -94,15 +94,16 @@ class QueryService:
     >>> from repro.geometry.rectangle import Rectangle
     >>> rng = np.random.default_rng(0)
     >>> repo = Repository.from_arrays([rng.uniform(0, 1, (300, 1)) for _ in range(8)])
-    >>> svc = QueryService(repository=repo, n_shards=2, eps=0.2, sample_size=16)
+    >>> svc = QueryService(repository=repo, n_shards=2, eps=0.2, sample_size=16,
+    ...                    capacity=16)   # the contract covers growth to 16
     >>> expr = pred(PercentileMeasure(Rectangle([0.0], [0.5])), 0.2)
     >>> svc.search(expr).indexes == sorted(svc.search(expr).indexes)
     True
     >>> svc.stats()["cache"]["hits"] >= 1   # second search hit the cache
     True
 
-    Live mutation keeps the leaf cache warm (additions are upgraded in from
-    the delta shard, removals are masked on read):
+    Live mutation keeps the leaf cache warm (additions within ``capacity``
+    are upgraded in from the delta shard, removals are masked on read):
 
     >>> out = svc.add_datasets([rng.uniform(0, 1, (300, 1)) for _ in range(2)])
     >>> out["indexes"], out["rebuilt"]

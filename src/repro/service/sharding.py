@@ -57,9 +57,9 @@ The executor supports repository churn without a full rebuild:
   ``max(n_live, capacity)``.  A serving system must not let its advertised
   precision drift as datasets arrive; size ``capacity`` for the expected
   repository growth and the contract (hence every cached answer) remains
-  exact across ingests.  Growth beyond the contract only degrades the union
-  bound gracefully (per-dataset failure budget ``phi/N`` is fixed), and the
-  rebalance threshold triggers a full rebuild long before it matters.
+  exact across ingests.  The add that takes the live count past the
+  contract's N makes :meth:`~ShardedBatchExecutor.needs_rebalance` true,
+  so the rebuild re-resolves the contract for the grown repository.
 """
 
 from __future__ import annotations
@@ -668,11 +668,15 @@ class ShardedBatchExecutor:
         return idx
 
     def needs_rebalance(self) -> bool:
-        """True when the delta shard outgrew the mean base shard size."""
+        """True when the delta shard outgrew the mean base shard size, or
+        the live count outgrew the contract's N: ``max(n_live, capacity)``
+        at construction, when the base shards held every live dataset."""
         if not self.delta_ids:
             return False
-        mean = sum(len(s) for s in self.shards) / len(self.shards)
-        return len(self.delta_ids) > mean
+        base = sum(len(s) for s in self.shards)
+        if self.n_live > max(base, self.capacity or 0):
+            return True
+        return len(self.delta_ids) > base / len(self.shards)
 
     def warm(self) -> None:
         """Eagerly build every shard's Ptile structure (pinned), one shard

@@ -237,395 +237,6 @@ def test_hot_path_marker_on_multiline_signature():
     assert len(run(src, "hot-path")) == 1
 
 
-# -- zero-cost ----------------------------------------------------------
-
-
-def test_zero_cost_flags_unguarded_tracer():
-    src = """
-    def f(x, tracer=None):
-        with tracer.span("f"):
-            return x
-    """
-    (finding,) = run(src, "zero-cost")
-    assert "tracer.span" in finding.message
-    assert "pointer check" in finding.message
-
-
-def test_zero_cost_passes_positive_guard():
-    src = """
-    def f(x, tracer=None):
-        if tracer is not None:
-            with tracer.span("f"):
-                return x
-        return x
-    """
-    assert run(src, "zero-cost") == []
-
-
-def test_zero_cost_passes_early_return_guard():
-    src = """
-    def f(x, tracer=None):
-        if tracer is None:
-            return x
-        with tracer.span("f"):
-            return x
-    """
-    assert run(src, "zero-cost") == []
-
-
-def test_zero_cost_passes_ifexp_and_boolop():
-    src = """
-    from contextlib import nullcontext
-
-    def f(x, tracer=None):
-        cm = tracer.span("f") if tracer is not None else nullcontext()
-        flag = tracer is not None and tracer.enabled
-        with cm:
-            return x, flag
-    """
-    assert run(src, "zero-cost") == []
-
-
-def test_zero_cost_passes_the_no_span_with_item():
-    # The one spelling of a traced stage in service/: the conditional
-    # context is the guard, and `span` (None when untraced) is not the
-    # tracer — its own None check is the body's business.
-    src = """
-    from repro.service.observability import NO_SPAN
-
-    def f(x, tracer=None):
-        with (tracer.span("x") if tracer is not None else NO_SPAN) as span:
-            if span is not None:
-                span.meta.update(n=x)
-            return x
-    """
-    assert run(src, "zero-cost") == []
-    unconditional = src.replace(' if tracer is not None else NO_SPAN', "")
-    (finding,) = run(unconditional, "zero-cost")
-    assert "tracer.span" in finding.message
-
-
-def test_zero_cost_guard_survives_for_with_and_try():
-    # The guard-dominance walker is shared with failpoint-discipline
-    # (analysis/context.py): a guard nested inside a loop, a `with` or a
-    # `try` body dominates there too.  The zero-cost copy used to lose it.
-    src = """
-    def f(xs, lock, tracer=None):
-        for x in xs:
-            if tracer is not None:
-                tracer.span("loop")
-        with lock:
-            if tracer is not None:
-                tracer.span("locked")
-        try:
-            if tracer is None:
-                return xs
-            tracer.span("tried")
-        except ValueError:
-            if tracer is not None:
-                tracer.span("handled")
-        return xs
-    """
-    assert run(src, "zero-cost") == []
-
-
-def test_zero_cost_still_flags_unguarded_touch_in_nested_bodies():
-    src = """
-    def f(xs, lock, tracer=None):
-        for x in xs:
-            tracer.span("loop")
-        with lock:
-            if tracer is None:
-                pass
-            tracer.span("locked")
-    """
-    findings = run(src, "zero-cost")
-    assert [f.line for f in findings] == [4, 8]
-
-
-def test_zero_cost_allows_bare_passthrough():
-    src = """
-    def f(x, tracer=None):
-        return g(x, tracer=tracer)
-    """
-    assert run(src, "zero-cost") == []
-
-
-def test_zero_cost_ignores_functions_without_tracer_param():
-    src = """
-    def f(x, tracer):
-        return tracer.span(x)
-    """
-    assert run(src, "zero-cost") == []
-
-
-# -- backend-protocol ---------------------------------------------------
-
-
-PROTOCOL_HEADER = """
-    from typing import Protocol
-
-    class RangeSearchBackend(Protocol):
-        def report(self, box): ...
-        def count(self, box): ...
-
-        @property
-        def nbytes(self) -> int: ...
-
-    DYNAMIC_ENGINES = ("dyn",)
-"""
-
-
-CONFORMANT_DYNAMIC_BACKEND = """
-    class DynBackend:
-        def report(self, box, out=None):
-            return []
-
-        def count(self, box):
-            return 0
-
-        @property
-        def nbytes(self):
-            return 0
-    {persistence}
-    def build_backend(engine, data):
-        if engine == "dyn":
-            return DynBackend(data)
-        raise ValueError(engine)
-"""
-
-PERSISTENCE_PAIR = """
-        def to_arrays(self):
-            return {}
-
-        @classmethod
-        def from_arrays(cls, arrays):
-            return cls()
-"""
-
-
-def test_backend_protocol_passes_conformant_backend():
-    # The persistence pair is the dynamic engines' contract, not the
-    # protocol's: a conformant dynamic backend carries both halves.
-    src = PROTOCOL_HEADER + CONFORMANT_DYNAMIC_BACKEND.replace(
-        "{persistence}", PERSISTENCE_PAIR
-    )
-    assert run(src, "backend-protocol") == []
-
-
-def test_backend_protocol_flags_dynamic_engine_without_to_arrays():
-    src = PROTOCOL_HEADER + CONFORMANT_DYNAMIC_BACKEND.replace("{persistence}", "")
-    (finding,) = run(src, "backend-protocol")
-    assert "listed in DYNAMIC_ENGINES but defines no to_arrays" in finding.message
-
-
-def test_backend_protocol_asks_no_persisted_form_of_a_static_engine():
-    src = (
-        PROTOCOL_HEADER
-        + CONFORMANT_DYNAMIC_BACKEND.replace("{persistence}", "")
-        .replace('"dyn"', '"static"')
-    )
-    assert run(src, "backend-protocol") == []
-
-
-def test_backend_protocol_flags_missing_method():
-    src = PROTOCOL_HEADER + """
-    class DynBackend:
-        def report(self, box):
-            return []
-
-        @property
-        def nbytes(self):
-            return 0
-
-    def build_backend(engine, data):
-        if engine == "dyn":
-            return DynBackend(data)
-    """
-    findings = run(src, "backend-protocol")
-    assert any("missing RangeSearchBackend.count" in f.message for f in findings)
-
-
-def test_backend_protocol_flags_arg_name_mismatch():
-    src = PROTOCOL_HEADER + """
-    class DynBackend:
-        def report(self, rectangle):
-            return []
-
-        def count(self, box):
-            return 0
-
-        @property
-        def nbytes(self):
-            return 0
-
-    def build_backend(engine, data):
-        if engine == "dyn":
-            return DynBackend(data)
-    """
-    findings = run(src, "backend-protocol")
-    assert any("not call-compatible" in f.message for f in findings)
-
-
-def test_backend_protocol_flags_non_property():
-    src = PROTOCOL_HEADER + """
-    class DynBackend:
-        def report(self, box):
-            return []
-
-        def count(self, box):
-            return 0
-
-        def nbytes(self):
-            return 0
-
-    def build_backend(engine, data):
-        if engine == "dyn":
-            return DynBackend(data)
-    """
-    findings = run(src, "backend-protocol")
-    assert any("must be a @property" in f.message for f in findings)
-
-
-def test_backend_protocol_flags_to_arrays_without_from_arrays():
-    backend = """
-    class DynBackend:
-        def report(self, box):
-            return []
-
-        def count(self, box):
-            return 0
-
-        @property
-        def nbytes(self):
-            return 0
-
-        def to_arrays(self):
-            return {}
-    {restore}
-    def build_backend(engine, data):
-        if engine == "dyn":
-            return DynBackend(data)
-    """
-    plain_method = """
-        def from_arrays(self, arrays):
-            return self
-    """
-    classmethod_ = """
-        @classmethod
-        def from_arrays(cls, arrays):
-            return cls()
-    """
-    for restore in ("", plain_method):
-        findings = run(PROTOCOL_HEADER + backend.replace("{restore}", restore),
-                       "backend-protocol")
-        assert any("no from_arrays classmethod" in f.message for f in findings)
-    src = PROTOCOL_HEADER + backend.replace("{restore}", classmethod_)
-    assert run(src, "backend-protocol") == []
-
-
-def test_backend_protocol_ignores_non_registry_modules():
-    assert run("class Unrelated:\n    pass\n", "backend-protocol") == []
-
-
-# -- pool-capture -------------------------------------------------------
-
-
-def test_pool_capture_flags_closure_mutation():
-    src = """
-    def run(pool, xs):
-        out = []
-
-        def task(x):
-            out.append(x * 2)
-
-        for x in xs:
-            pool.submit(task, x)
-    """
-    (finding,) = run(src, "pool-capture")
-    assert "mutates out via .append()" in finding.message
-
-
-# The fixtures below mimic the one pool left in the tree: the federation
-# coordinator scattering one RPC task per node.
-
-
-def test_pool_capture_flags_self_state_write():
-    src = """
-    class Coordinator:
-        def scatter(self, nodes):
-            def call_node(i, node):
-                self.answers[i] = node.ask()
-
-            for i, node in enumerate(nodes):
-                self.pool.submit(call_node, i, node)
-    """
-    (finding,) = run(src, "pool-capture")
-    assert "writes self.answers[...]" in finding.message
-
-
-def test_pool_capture_flags_span_without_parent():
-    src = """
-    class Coordinator:
-        def scatter(self, tracer, node):
-            def call_node():
-                with tracer.span("rpc"):
-                    node.ask()
-
-            self.pool.submit(call_node)
-    """
-    (finding,) = run(src, "pool-capture")
-    assert "opens a span" in finding.message
-
-
-def test_pool_capture_passes_locked_mutation_and_parented_span():
-    # "Parented": the one span is opened by the submitting thread, around
-    # the fan-out; the pool-run callable opens none.
-    src = """
-    class Coordinator:
-        def scatter(self, tracer, nodes):
-            answers = []
-
-            def call_node(node):
-                local = [node.ask()]
-                with self._lock:
-                    answers.extend(local)
-
-            with tracer.span("scatter"):
-                for node in nodes:
-                    self.pool.submit(call_node, node)
-    """
-    assert run(src, "pool-capture") == []
-
-
-def test_pool_capture_passes_local_mutation():
-    src = """
-    def run(pool, xs):
-        def task(x):
-            acc = []
-            acc.append(x)
-            return acc
-
-        for x in xs:
-            pool.submit(task, x)
-    """
-    assert run(src, "pool-capture") == []
-
-
-def test_pool_capture_resolves_self_methods():
-    src = """
-    class Coordinator:
-        def _call_node_safe(self, node):
-            self.contacted.add(node)
-
-        def scatter(self, nodes):
-            for node in nodes:
-                self.pool.submit(self._call_node_safe, node)
-    """
-    (finding,) = run(src, "pool-capture")
-    assert "mutates self.contacted" in finding.message
-
-
 # -- wire-schema --------------------------------------------------------
 
 
@@ -880,6 +491,59 @@ def test_failpoint_discipline_negative_guard_without_return_still_flags():
     """
     (finding,) = run(src, "failpoint-discipline")
     assert "maybe_inject()" in finding.message
+
+
+def test_failpoint_discipline_passes_ifexp_and_boolop_guards():
+    src = """
+    from repro.service import faults
+
+    def eval_shard(unit):
+        fired = faults.hit("a") if faults.ARMED is not None else None
+        armed = faults.ARMED is not None and faults.hit("b")
+        return unit, fired, armed
+    """
+    assert run(src, "failpoint-discipline") == []
+
+
+def test_failpoint_discipline_guard_survives_for_with_and_try():
+    # A guard nested inside a loop, a `with` or a `try` body (or handler)
+    # dominates what follows it there, early-return shape included.
+    src = """
+    from repro.service import faults
+
+    def eval_shard(units, lock):
+        for unit in units:
+            if faults.ARMED is not None:
+                faults.hit("loop")
+        with lock:
+            if faults.ARMED is not None:
+                faults.hit("locked")
+        try:
+            if faults.ARMED is None:
+                return units
+            faults.hit("tried")
+        except ValueError:
+            if faults.ARMED is not None:
+                faults.hit("handled")
+        return units
+    """
+    assert run(src, "failpoint-discipline") == []
+
+
+def test_failpoint_discipline_flags_unguarded_hits_in_nested_bodies():
+    src = """
+    from repro.service import faults
+
+    def eval_shard(units, lock):
+        for unit in units:
+            faults.hit("loop")
+        with lock:
+            if faults.ARMED is None:
+                pass
+            faults.hit("locked")
+    """
+    findings = run(src, "failpoint-discipline")
+    assert [f.line for f in findings] == [6, 10]
 
 
 def test_failpoint_discipline_flags_hot_path_touchpoint():

@@ -35,6 +35,7 @@ from repro.core.bitset import DatasetBitmap
 from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Repository
 from repro.core.predicates import Expression, Predicate
+from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.service import QueryService
 from repro.service.federation import FederatedCoordinator, federated_node_service
 from repro.service.planner import evaluate_with_leaf_results, plan_batch
@@ -77,7 +78,11 @@ def bare_engine(executor: ShardedBatchExecutor) -> DatasetSearchEngine:
     """One engine over every seeded synopsis of ``executor`` (tombstoned
     ones included) under its frozen contract, its Ptile slack widened to
     the executor's ``eps_effective`` as every shard unit's is.  Mask
-    ``executor.removed_bits()`` out of its answers before comparing."""
+    ``executor.removed_bits()`` out of its answers before comparing.
+
+    The engine's own slack is resolved for the live count, not for every
+    synopsis it holds: an answer never contains a tombstoned dataset, so
+    the union bound runs over the live ones, as the executor's does."""
     engine = DatasetSearchEngine(
         synopses=executor.synopses,
         eps=executor.eps,
@@ -89,7 +94,11 @@ def bare_engine(executor: ShardedBatchExecutor) -> DatasetSearchEngine:
         rng=np.random.default_rng(executor.seed),
     )
     index = engine.build().ptile_index
-    index.eps_effective = max(index.eps_effective, executor.eps_effective)
+    index.eps_effective = max(
+        index.eps,
+        epsilon_of_sample_size(executor.sample_size, executor.phi_eff, executor.n_live),
+        executor.eps_effective,
+    )
     return engine
 
 

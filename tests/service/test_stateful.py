@@ -17,8 +17,9 @@ benchmark ships it.  Invariants:
   and at the executor a budget that runs out after any number of polls
   returns a prefix of the untripped leaf answers, bit for bit;
 - every add's receipt tells the truth: ``rebalance`` exactly when the delta
-  shard outgrows the mean base shard (``delta_size`` 0 after it),
-  ``bounding_box`` for data outside the frozen box;
+  shard outgrows the mean base shard or the live count outgrows the
+  contract's N (``delta_size`` 0 after it), ``bounding_box`` for data
+  outside the frozen box;
 - the peers of ``tests/peers.py`` answer every pool leaf exactly like the
   live service: :func:`~peers.bare_engine` always, and
   :func:`~peers.rebuilt` at the other shard count whenever the contract a
@@ -45,7 +46,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import event, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 from peers import bare_engine, federation, leaf_answers, rebuilt
 
@@ -118,7 +119,10 @@ class ServiceMachine(RuleBasedStateMachine):
                   for _ in range(count)]
         executor = self.service.executor
         delta = executor.delta_size + count
-        rebalance = delta > sum(executor.shard_sizes()) / executor.n_shards
+        base = sum(executor.shard_sizes())
+        rebalance = delta > base / executor.n_shards or (
+            executor.n_live + count > max(base, executor.capacity or 0)
+        )
         delta_engine = executor.delta_engine
         if delta_engine is not None and delta_engine._ptile is not None:
             event("insert into a built delta tree")
@@ -274,6 +278,42 @@ class ServiceMachine(RuleBasedStateMachine):
         assert (len(part) == len(leaves)) == held
         assert executor.stats_snapshot()["leaf_evals"] == counted + held * len(leaves)
 
+
+
+#: A ``soak`` failure, shrunk: the in-box adds carry the lake from 8
+#: datasets past ``capacity=32`` without a rebalance.
+PAST_THE_CONTRACT = [
+    *[("add", {"count": 2, "seed": 0})] * 4,
+    ("add_out_of_box", {"seed": 0}),
+    ("add", {"count": 2, "seed": 0}),
+    ("add_out_of_box", {"seed": 0}),
+    ("add", {"count": 2, "seed": 0}),
+    ("add_out_of_box", {"seed": 0}),
+    ("add", {"count": 2, "seed": 0}),
+    ("add", {"count": 3, "seed": 0}),
+    ("add", {"count": 1, "seed": 0}),
+    ("add", {"count": 2, "seed": 65536}),
+    ("add", {"count": 1, "seed": 0}),
+    ("add", {"count": 2, "seed": 0}),
+]
+
+
+@settings(PROFILE, max_examples=1, database=None)
+@given(seed=st.just(64971))
+def test_an_add_past_the_contract_re_resolves_it(seed):
+    """The add that takes the live count past the N the contract was
+    resolved for rebuilds, so the service answers like a bare engine
+    sized for the grown lake (``@given`` only gives the machine's
+    ``event`` calls a test to record into)."""
+    machine = ServiceMachine()
+    try:
+        machine.build(seed=seed)
+        for step, kwargs in PAST_THE_CONTRACT:
+            getattr(machine, step)(**kwargs)
+        assert machine.service.n_live == 34
+        machine.peers_agree()
+    finally:
+        machine.teardown()
 
 class ThreeShardMachine(ServiceMachine):
     n_shards = 3

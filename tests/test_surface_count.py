@@ -12,7 +12,8 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (274, 999),
+    "src/repro": (272, 984),
+    "src/repro/analysis": (5, 29),
     "src/repro/index": (8, 98),
     "src/repro/service": (126, 337),
 }

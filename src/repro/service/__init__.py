@@ -56,7 +56,7 @@ __getattr__, __all__ = namespace(__name__, {
     ),
     "repro.service.service": "QueryService",
     "repro.service.server": (
-        "expression_from_json expression_to_json make_handler make_server serve"
+        "expression_from_json expression_to_json make_server serve"
     ),
     "repro.service.federation": (
         "CircuitBreaker FederatedCoordinator FederatedNode "

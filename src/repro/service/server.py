@@ -68,14 +68,15 @@ naming the field.
     single-process server); ``/stats`` carries the same trio under a
     ``"serving"`` key.
 
-Multi-process serving (:mod:`repro.service.supervisor`) binds one handler
-class per worker over a *provider* — a zero-argument callable returning
-the current service — so a sibling worker can hot-swap its engine when
-the writer publishes a new snapshot generation without re-creating the
-listening socket.  Non-writer workers are constructed read-only: mutating
-endpoints (``POST /datasets``, ``DELETE /datasets``) answer ``409`` and
-name the writer, so a load balancer spraying requests across workers
-cannot fork divergent states.
+Each server's handler class is its own and binds one node object: the
+service, the admission gate and the serving fields above.  A request reads
+them afresh, so a pre-forked worker (:mod:`repro.service.supervisor`)
+swaps in the service of a newer snapshot generation, or takes the writer
+role, between requests and without re-creating the listening socket.  A
+worker that is not the writer answers the mutating endpoints (``POST
+/datasets``, ``DELETE /datasets``) with ``409`` and names the writer, so
+a load balancer spraying requests across workers cannot fork divergent
+states.
 
 ``EXPR`` is a recursive object (:data:`repro.wire.EXPRESSION`)::
 
@@ -118,7 +119,7 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -417,6 +418,31 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         )
 
 
+class _Node:
+    """What a node's handler serves: the service, the admission gate, and
+    the fleet fields.  A single-process server is worker 0 of 1, at
+    generation 0, and the writer; a pre-forked worker
+    (:mod:`repro.service.supervisor`) sets the fields and overrides the
+    two hooks."""
+
+    def __init__(self, service: QueryService, gate: Optional[AdmissionGate]) -> None:
+        self.service = service
+        #: Admission gate for the search endpoints; None = admit everything.
+        self.gate = gate
+        self.worker_id = 0
+        self.worker_count = 1
+        self.generation = 0
+        #: A reader answers mutations with ``409``.
+        self.writer = True
+
+    def mutated(self) -> None:
+        """After each successful mutation; one process has no one to tell."""
+
+    def promote(self) -> None:
+        """Take the writer role (routed on a worker's admin port only)."""
+        self.writer = True
+
+
 #: Endpoints the admission gate applies to: the ones that do real query
 #: work.  Health probes, stats and mutations stay ungated so operators
 #: can always see (and heal) an overloaded server.
@@ -424,36 +450,25 @@ _GATED_ENDPOINTS = frozenset({"/search", "/search/batch"})
 
 
 class _ServiceRequestHandler(JsonRequestHandler):
-    """The node's routes over the bound service; set via ``make_handler``.
+    """The node's routes over one bound :class:`_Node`.
 
     Every request is observed into the service's
     ``repro_request_seconds{endpoint=...}`` histogram and
-    ``repro_requests_total{endpoint=..., status=...}`` counter.
-
-    ``service`` is either a plain class attribute (single-process mode)
-    or a property over a provider callable (supervisor workers, which
-    hot-swap the engine on snapshot-generation bumps).  ``context`` is a
-    *shared, mutable* dict the supervisor updates in place — worker
-    identity and the serving snapshot generation — read fresh on every
-    request.
+    ``repro_requests_total{endpoint=..., status=...}`` counter.  Each
+    request reads the node's fields afresh, so a worker that swapped in a
+    newer service or took the writer role serves it from its next request.
     """
 
-    service: QueryService  # injected by make_handler
-    writable: bool = True
-    #: Called (no args) after each successful mutation — the supervisor's
-    #: writer worker publishes a new snapshot generation here.
-    on_mutate: Optional[Callable[[], None]] = None
-    #: Admission gate for the search endpoints; None = admit everything.
-    gate: Optional[AdmissionGate] = None
-    #: Writer-promotion hook; flips this worker writable.  Bound (by the
-    #: supervisor, on a subclass) together with ``admin_routes``.
-    promote_hook: Callable[[], None]
-    context: dict = {}
+    node: _Node  # bound per server by _handler
     _held: Optional[AdmissionGate] = None  # the gate slot this request holds
+
+    @property
+    def service(self) -> QueryService:
+        return self.node.service
 
     # -- hooks ---------------------------------------------------------
     def admit(self) -> bool:
-        if self.path == "/datasets" and not self.writable:
+        if self.path == "/datasets" and not self.node.writer:
             self._send_json(
                 {
                     "error": "this worker is read-only; send mutations to the "
@@ -462,7 +477,7 @@ class _ServiceRequestHandler(JsonRequestHandler):
                 status=409,
             )
             return False
-        gate = self.gate
+        gate = self.node.gate
         if gate is not None and self.path in _GATED_ENDPOINTS:
             if not gate.try_acquire():
                 # Shed: never touches the service, so query telemetry stays
@@ -497,16 +512,15 @@ class _ServiceRequestHandler(JsonRequestHandler):
     # -- helpers -------------------------------------------------------
     def _serving_fields(self) -> dict:
         """Worker identity + snapshot generation (defaults single-process)."""
-        ctx = self.context
+        node = self.node
         return {
-            "snapshot_generation": int(ctx.get("snapshot_generation", 0)),
-            "worker_id": int(ctx.get("worker_id", 0)),
-            "worker_count": int(ctx.get("worker_count", 1)),
+            "snapshot_generation": node.generation,
+            "worker_id": node.worker_id,
+            "worker_count": node.worker_count,
         }
 
     def _mutated(self, receipt: dict) -> None:
-        if self.on_mutate is not None:
-            self.on_mutate()
+        self.node.mutated()
         self._send_json(receipt)
 
     # -- routes --------------------------------------------------------
@@ -526,10 +540,10 @@ class _ServiceRequestHandler(JsonRequestHandler):
     def _stats(self) -> None:
         stats = self.service.stats()
         stats["serving"] = self._serving_fields()
-        if self.gate is not None:
-            stats["admission"] = self.gate.snapshot()
+        gate = self.node.gate
+        if gate is not None:
+            stats["admission"] = gate.snapshot()
         self._send_json(stats)
-
     def _stats_slow(self) -> None:
         log = self.service.observability.slow_log
         self._send_json(
@@ -576,10 +590,6 @@ class _ServiceRequestHandler(JsonRequestHandler):
         self.service.invalidate_cache()
         self._send_json({"generation": self.service.cache.generation})
 
-    def _promote(self, body: dict) -> None:
-        self.promote_hook()
-        self._send_json({"promoted": True, **self._serving_fields()})
-
     routes = {
         ("GET", "/healthz"): _healthz,
         ("GET", "/stats"): _stats,
@@ -591,52 +601,14 @@ class _ServiceRequestHandler(JsonRequestHandler):
         ("DELETE", "/datasets"): _remove_datasets,
         ("POST", "/cache/invalidate"): _invalidate,
     }
-    #: Serve ONLY on a private admin port: whoever can reach the promote
-    #: route can mint a writer.  The public table has no such route, so the
-    #: envelope 404s it.
-    admin_routes = {**routes, ("POST", "/admin/promote"): _promote}
 
 
-def make_handler(
-    service: Optional[QueryService] = None,
-    quiet: bool = True,
-    *,
-    provider: Optional[Callable[[], QueryService]] = None,
-    context: Optional[dict] = None,
-    on_mutate: Optional[Callable[[], None]] = None,
-    writable: bool = True,
-    gate: Optional[AdmissionGate] = None,
+def _handler(
+    node: _Node, quiet: bool, base: type = _ServiceRequestHandler
 ) -> type:
-    """A request-handler class bound to a service (or a service provider).
-
-    Exactly one of ``service`` / ``provider`` must be given.  A provider
-    is a zero-argument callable returning the *current* service — the
-    supervisor's hot-swap hook: each request resolves it afresh, so a
-    worker that just reloaded a newer snapshot generation serves it
-    without touching the listening socket.  ``context`` is kept by
-    reference (not copied) so the owner can update worker/generation
-    fields in place; ``on_mutate`` fires after each successful mutation
-    (the writer worker's publish hook); ``writable=False`` turns both
-    mutating endpoints into ``409`` rejections.
-
-    ``gate`` bounds concurrent search requests (see
-    :class:`~repro.service.admission.AdmissionGate`).
-    """
-    if (service is None) == (provider is None):
-        raise ValueError("pass exactly one of 'service' or 'provider'")
-    namespace: dict = {
-        "quiet": quiet,
-        "writable": writable,
-        "on_mutate": staticmethod(on_mutate) if on_mutate is not None else None,
-        "context": context if context is not None else {},
-        "gate": gate,
-    }
-    if provider is not None:
-        namespace["_provider"] = staticmethod(provider)
-        namespace["service"] = property(lambda self: self._provider())
-    else:
-        namespace["service"] = service
-    return type("BoundServiceRequestHandler", (_ServiceRequestHandler,), namespace)
+    """A handler class of ``base`` bound to ``node``, one per server: a
+    patch on one server's class touches no other."""
+    return type("BoundServiceRequestHandler", (base,), {"node": node, "quiet": quiet})
 
 
 def make_server(
@@ -644,12 +616,14 @@ def make_server(
     host: str = "127.0.0.1",
     port: int = 8765,
     quiet: bool = True,
-    **handler_kwargs: Any,
+    gate: Optional[AdmissionGate] = None,
 ) -> ThreadingHTTPServer:
-    """A ready-to-run HTTP server bound to ``service`` (port 0 = ephemeral)."""
-    return ThreadingHTTPServer(
-        (host, port), make_handler(service, quiet, **handler_kwargs)
-    )
+    """A ready-to-run HTTP server bound to ``service`` (port 0 = ephemeral).
+
+    ``gate`` bounds concurrent search requests (see
+    :class:`~repro.service.admission.AdmissionGate`).
+    """
+    return ThreadingHTTPServer((host, port), _handler(_Node(service, gate), quiet))
 
 
 def _serve_forever(

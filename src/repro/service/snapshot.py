@@ -724,17 +724,30 @@ def load(path: PathLike, mmap: bool = True) -> QueryService:
     on demand and is shared across processes.  ``mmap=False`` reads
     private writable copies.
     """
-    if faults.ARMED is not None:
-        faults.hit("snapshot_load")
+    return _read(path, mmap)[1]()
+
+
+def _read(
+    path: PathLike, mmap: bool = True
+) -> tuple[int, Callable[[], QueryService]]:
+    """One read of the container at ``path``: its generation, and the call
+    that restores its service from that same read.  A caller that wants
+    only a newer file (the supervisor's start, respawn and followers)
+    neither opens a file twice nor decodes one it will not serve."""
     header, arrays = _open_container(path, mmap)
-    with _decoding(path):
-        return _service_from_state(header["state"], arrays)
+
+    def restore() -> QueryService:
+        if faults.ARMED is not None:
+            faults.hit("snapshot_load")
+        with _decoding(path):
+            return _service_from_state(header["state"], arrays)
+
+    return header["generation"], restore
 
 
 def generation_of(path: PathLike) -> int:
     """The generation counter stamped into a snapshot header."""
-    header, _arrays = _open_container(path, mmap=True)
-    return header["generation"]
+    return _read(path)[0]
 
 
 def inspect(path: PathLike) -> dict:

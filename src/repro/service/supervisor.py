@@ -19,14 +19,16 @@ one without ``fork``.
 Single-writer ingest
 --------------------
 Exactly one worker is writable at a time (its siblings answer ``409``
-for ``POST/DELETE /datasets``; see :mod:`repro.service.server`).  After
-each successful mutation the writer bumps the snapshot generation and
-rewrites the snapshot atomically (temp file + rename); that file is the
-only hand-off.  Sibling workers ``os.stat`` it every poll; when its
-identity (inode, mtime) changes they read its header generation, and
-when that is newer than the one they serve they ``load()`` it (again
-mmap-backed) and hot-swap their service between requests.  An equal or
-older file is never loaded: a sibling does not roll back.
+for ``POST/DELETE /datasets``; see :mod:`repro.service.server`).  A
+worker's service, generation and writer role live in one object, the node
+its handlers bind (``_Worker``), and one lock orders their changes.  After
+each successful mutation the writer bumps the generation and rewrites the
+snapshot atomically (temp file + rename); that file is the only hand-off.
+Sibling workers ``os.stat`` it every poll; when its identity (inode,
+mtime) changes they read the container once, and when its generation is
+newer than the one they serve they swap its service (again mmap-backed)
+in between requests.  An equal or older file is never loaded: a sibling
+does not roll back.
 
 Self-healing
 ------------
@@ -79,7 +81,13 @@ from typing import Optional
 from repro.errors import CapabilityError, SnapshotError
 from repro.service import snapshot as snapshot_mod
 from repro.service.admission import AdmissionGate
-from repro.service.server import JsonRequestHandler, http_call, make_handler
+from repro.service.server import (
+    JsonRequestHandler,
+    _handler,
+    _Node,
+    _ServiceRequestHandler,
+    http_call,
+)
 from repro.service.service import QueryService
 from repro.wire import READY_REPORT, decode
 
@@ -115,34 +123,98 @@ def fork_available() -> bool:
     return hasattr(os, "fork") and hasattr(socket, "SO_REUSEPORT")
 
 
-class _SnapshotFollower:
-    """A sibling's watch on the snapshot file, the fleet's one hand-off.
+class _Worker(_Node):
+    """A forked worker's node over the snapshot file, the fleet's one
+    hand-off.  One lock orders the three ways its state moves:
 
-    :meth:`poll` costs one ``os.stat`` while the file is unchanged.  When
-    its identity (inode, mtime) changes the header generation is read,
-    and the file is loaded only when that is newer than :attr:`generation`
-    (never a rollback).  A read that raises leaves the identity
-    unrecorded, so the next poll retries it.
+    - :meth:`follow` (a reader's poll) costs one ``os.stat`` while the file
+      is unchanged.  When its identity (inode, mtime) changes the container
+      is read once, and its service swaps in only when its generation is
+      newer than :attr:`generation` (never a rollback).  A read that raises
+      leaves the identity unrecorded, so the next poll retries it.  A
+      writer never follows: its live service is the newest state.
+    - :meth:`mutated` (the writer, after each mutation) saves the service
+      as the next generation over the file (temp file + rename).
+    - :meth:`promote` catches up with the file, then sets :attr:`writer`.
     """
 
-    def __init__(self, path: "str | os.PathLike[str]", generation: int) -> None:
+    def __init__(
+        self,
+        path: "str | os.PathLike[str]",
+        service: QueryService,
+        generation: int,
+        writer: bool,
+        worker_id: int,
+        worker_count: int,
+        gate: Optional[AdmissionGate],
+    ) -> None:
+        super().__init__(service, gate)
         self.path = path
-        self.generation = int(generation)
-        self._seen: Optional[tuple[int, int]] = None  # (inode, mtime_ns)
+        self.service = service  # guarded-by: _lock [writes]
+        self.generation = generation  # guarded-by: _lock [writes]
+        self.writer = writer  # guarded-by: _lock [writes]
+        self.worker_id = worker_id
+        self.worker_count = worker_count
+        self._seen: Optional[tuple[int, int]] = None  # guarded-by: _lock
+        self._lock = threading.Lock()
 
-    def poll(self) -> Optional[QueryService]:
-        """The newer service at :attr:`path`, or None to keep serving."""
+    def follow(self) -> None:
+        """Take up a newer file at :attr:`path` (a reader's poll)."""
+        with self._lock:
+            if not self.writer:
+                self._follow_locked()
+
+    def _follow_locked(self) -> None:
         st = os.stat(self.path)
         file = (st.st_ino, st.st_mtime_ns)
         if file == self._seen:
-            return None
-        fresh = None
-        gen = snapshot_mod.generation_of(self.path)
-        if gen > self.generation:
-            fresh = snapshot_mod.load(self.path, mmap=True)
-            self.generation = gen
+            return
+        generation, restore = snapshot_mod._read(self.path)
+        if generation > self.generation:
+            self.service, self.generation = restore(), generation
         self._seen = file
-        return fresh
+
+    def watch(self, interval: float) -> None:
+        """Follow every ``interval`` seconds until promoted; a read that
+        raises (a torn or missing file) is retried by the next poll."""
+        while not self.writer:
+            time.sleep(interval)
+            try:
+                self.follow()
+            except (OSError, SnapshotError):  # pragma: no cover
+                pass
+
+    def mutated(self) -> None:
+        with self._lock:
+            generation = self.generation + 1
+            self.service.save(self.path, generation=generation)
+            self.generation = generation
+
+    def promote(self) -> None:
+        """Become the writer.  First take up whatever the dead writer
+        published since the last poll, or its acknowledged writes would be
+        overwritten; a catch-up that raises leaves this worker a reader
+        and answers the promotion with an error, so the parent tries the
+        next sibling."""
+        with self._lock:
+            if not self.writer:
+                self._follow_locked()
+                self.writer = True
+
+
+class _AdminHandler(_ServiceRequestHandler):
+    """A worker's private admin port: the node's routes plus
+    ``/admin/promote``.  Whoever can reach that route can mint a writer,
+    so only this table has it; the load-balanced public port 404s it."""
+
+    def _promote(self, body: dict) -> None:
+        self.node.promote()
+        self._send_json({"promoted": True, **self._serving_fields()})
+
+    routes = {
+        **_ServiceRequestHandler.routes,
+        ("POST", "/admin/promote"): _promote,
+    }
 
 
 class _ReuseportHTTPServer(ThreadingHTTPServer):
@@ -303,10 +375,10 @@ class ServiceSupervisor:
             )
         if self._started:
             raise RuntimeError("supervisor already started")
-        generation = snapshot_mod.generation_of(self.snapshot_path)
         # Load BEFORE forking: the mmap'ed pages and every Python object
         # built from the header are shared copy-on-write with all workers.
-        service = snapshot_mod.load(self.snapshot_path, mmap=True)
+        generation, restore = snapshot_mod._read(self.snapshot_path)
+        service = restore()
 
         # Resolve an ephemeral port without listening: a bound placeholder
         # reserves the number, workers bind the same port with
@@ -334,7 +406,7 @@ class ServiceSupervisor:
         except SnapshotError:
             self.stop()
             raise
-        del service  # the parent's copy served its purpose at fork time
+        del service, restore  # the parent's copy served its purpose at fork time
 
         self._admin_httpd = ThreadingHTTPServer(
             (self.host, 0),
@@ -539,15 +611,13 @@ class ServiceSupervisor:
                 # Respawn from the CURRENT file, not the one the fleet
                 # booted with (a publish between these two reads is taken
                 # up by the respawn's first poll).
-                generation = snapshot_mod.generation_of(self.snapshot_path)
-                service = snapshot_mod.load(self.snapshot_path, mmap=True)
+                generation, restore = snapshot_mod._read(self.snapshot_path)
                 pid, admin_port = self._fork_worker(
                     slot.worker_id,
-                    service,
+                    restore(),
                     generation,
                     writer=(slot.worker_id == writer_id),
                 )
-                del service
             except (OSError, SnapshotError) as exc:
                 self._log(
                     f"respawn of worker {slot.worker_id} failed: {exc}"
@@ -645,18 +715,19 @@ class ServiceSupervisor:
             raise OSError(f"worker admin port {port} answered {path} with {status}")
         return raw
 
-    def _fetch(self, port: int, path: str) -> bytes:
+    def _fetch(self, worker_id: int, path: str) -> bytes:
         """GET from a worker's admin port, with one bounded retry.
 
-        A single retry rides out the tiny window where a worker is being
-        respawned on a new admin port; anything longer belongs to the
-        caller (the aggregators tolerate per-worker failure).
+        The retry looks the slot's admin port up again, so it rides out
+        the tiny window where a worker is being respawned on a new one;
+        anything longer belongs to the caller (the aggregators tolerate
+        per-worker failure).
         """
         try:
-            return self._call(port, path)
+            return self._call(self.worker_ports[worker_id], path)
         except OSError:
             time.sleep(0.1)
-            return self._call(port, path)
+            return self._call(self.worker_ports[worker_id], path)
 
     def aggregate_stats(self) -> dict:
         """Per-worker ``/stats`` fanned out over the private admin ports,
@@ -667,9 +738,9 @@ class ServiceSupervisor:
         workers that answered.
         """
         workers = []
-        for worker_id, port in enumerate(self.worker_ports):
+        for worker_id in range(len(self.worker_ports)):
             try:
-                workers.append(json.loads(self._fetch(port, "/stats")))
+                workers.append(json.loads(self._fetch(worker_id, "/stats")))
             except (OSError, ValueError) as exc:
                 workers.append(
                     {
@@ -706,9 +777,9 @@ class ServiceSupervisor:
         out = []
         # family -> ({"HELP" | "TYPE": first line seen}, relabelled samples)
         families: dict[str, tuple[dict[str, str], list[str]]] = {}
-        for worker_id, port in enumerate(self.worker_ports):
+        for worker_id in range(len(self.worker_ports)):
             try:
-                text = self._fetch(port, "/metrics").decode("utf-8")
+                text = self._fetch(worker_id, "/metrics").decode("utf-8")
             except OSError:
                 out.append(f"# supervisor worker {worker_id} unreachable")
                 continue
@@ -740,33 +811,6 @@ class ServiceSupervisor:
         writer: bool,
     ) -> None:
         signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
-        holder = {"service": service}
-        context = {
-            "worker_id": worker_id,
-            "worker_count": self.workers,
-            "snapshot_generation": int(generation),
-            "writer": writer,
-        }
-        publish_lock = threading.Lock()
-        follow_lock = threading.Lock()
-        watch_stop = threading.Event()
-        follower = _SnapshotFollower(self.snapshot_path, generation)
-
-        def _on_mutate() -> None:
-            # Single-writer publish: bump generation and rewrite the
-            # snapshot (atomic rename); the file is the whole hand-off.
-            with publish_lock:
-                gen = context["snapshot_generation"] + 1
-                holder["service"].save(self.snapshot_path, generation=gen)
-                context["snapshot_generation"] = gen
-
-        def _follow() -> None:
-            # Caller holds follow_lock.
-            fresh = follower.poll()
-            if fresh is not None:
-                holder["service"] = fresh
-                context["snapshot_generation"] = follower.generation
-
         gate = (
             AdmissionGate(
                 max_inflight=self.max_inflight, max_queue=self.max_queue
@@ -774,57 +818,23 @@ class ServiceSupervisor:
             if self.max_inflight is not None
             else None
         )
-        handler = make_handler(
-            provider=lambda: holder["service"],
-            quiet=self.quiet,
-            context=context,
-            writable=writer,
-            on_mutate=_on_mutate if writer else None,
-            gate=gate,
+        worker = _Worker(
+            self.snapshot_path, service, generation, writer,
+            worker_id, self.workers, gate,
         )
-
-        def _promote() -> None:
-            # Flip this worker into the writer role in place.  First take
-            # up whatever the dead writer published since the last poll,
-            # or its acknowledged writes would be overwritten; a failure
-            # answers the promotion with an error, so the parent tries the
-            # next sibling.  Then the watcher stops (a writer must never
-            # hot-swap its live, mutable service).  Class attributes, so
-            # the change covers requests already routed to existing
-            # handler instances too.
-            with follow_lock:
-                _follow()
-                watch_stop.set()
-            handler.on_mutate = staticmethod(_on_mutate)
-            handler.writable = True
-            context["writer"] = True
-
-        # /admin/promote exists ONLY on the private admin port: binding its
-        # route and hook on a subclass keeps the public handler 404-ing it,
-        # so nothing on the load-balanced port can mint a second writer.
-        admin_handler = type(
-            "AdminBoundHandler",
-            (handler,),
-            {"promote_hook": staticmethod(_promote), "routes": handler.admin_routes},
+        httpd = _ReuseportHTTPServer(
+            (self.host, self.port), _handler(worker, self.quiet)
         )
-        httpd = _ReuseportHTTPServer((self.host, self.port), handler)
         # Private admin endpoint: the parent aggregates /stats + /metrics
-        # across workers here, bypassing the load-balanced public port.
-        admin = ThreadingHTTPServer((self.host, 0), admin_handler)
+        # across workers and promotes a writer here, bypassing the
+        # load-balanced public port.
+        admin = ThreadingHTTPServer(
+            (self.host, 0), _handler(worker, self.quiet, _AdminHandler)
+        )
         threading.Thread(target=admin.serve_forever, daemon=True).start()
-
-        if not writer:
-            def _watch() -> None:
-                while not watch_stop.wait(self.poll_interval):
-                    with follow_lock:
-                        if watch_stop.is_set():
-                            return
-                        try:
-                            _follow()
-                        except (OSError, SnapshotError):  # pragma: no cover
-                            pass  # a publish race: the next poll retries
-
-            threading.Thread(target=_watch, daemon=True).start()
+        threading.Thread(
+            target=worker.watch, args=(self.poll_interval,), daemon=True
+        ).start()
 
         with os.fdopen(ready_fd, "w", encoding="utf-8") as f:
             f.write(

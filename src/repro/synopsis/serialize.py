@@ -1,9 +1,10 @@
 """JSON-safe serialization for synopses.
 
-In the federated setting a synopsis is *shipped*: data owners build it
-locally and send it to the indexing service.  This module provides a
-versioned, dependency-free wire format (plain ``dict`` of JSON types) for
-every synopsis kind whose state is pure data:
+A synopsis is built to travel: a data owner can build it locally and
+hand it to whoever indexes the lake, without the raw data.  No route of
+the repo's servers takes one (a coordinator registers its nodes by URL
+only), so this is a library format: a versioned, dependency-free ``dict``
+of JSON types for every synopsis kind whose state is pure data:
 
 - :class:`~repro.synopsis.sample.EpsilonSampleSynopsis`
 - :class:`~repro.synopsis.cover.CoverSynopsis`
@@ -16,8 +17,7 @@ every synopsis kind whose state is pure data:
   + per-direction quantile sketches)
 
 Only :class:`~repro.synopsis.exact.ExactSynopsis` has no wire format: its
-state *is* the raw dataset, which the federated setting exists to avoid
-shipping.
+state *is* the raw dataset, which a synopsis exists to avoid shipping.
 
 Round-trip is exact: ``loads(dumps(s))`` answers every query identically
 (tested in ``tests/synopsis/test_serialize.py``) — Python's ``json``
@@ -95,7 +95,7 @@ def to_dict(synopsis: Serializable) -> dict:
 def from_dict(payload: dict) -> Serializable:
     """Reconstruct a synopsis from :func:`to_dict` output.
 
-    The payload is outside input (``POST /nodes`` ships it) and is read
+    The payload is outside input (whoever handed it over) and is read
     through :data:`repro.wire.SYNOPSIS`: a missing key, a wrong-rank,
     ragged, mis-sized, non-numeric or out-of-range array or scalar is a
     :class:`~repro.errors.ConstructionError`, never another exception and

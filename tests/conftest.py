@@ -13,9 +13,9 @@ from repro.synopsis.exact import ExactSynopsis
 
 # Profiles of the stateful differential test (tests/service/test_stateful.py
 # picks one by name; nothing is loaded as the default): ``ci`` is the tier-1
-# slice — derandomized, at most 8 s for its three machines (one shard, three
-# shards, two federated nodes) together — ``soak`` the long random run by
-# hand.
+# slice — derandomized, at most 8 s for its three service machines (one
+# shard, three shards, two federated nodes) together and 8 s for the fleet
+# machine — ``soak`` the long random run by hand.
 settings.register_profile(
     "ci", max_examples=30, stateful_step_count=20, deadline=None,
     derandomize=True, suppress_health_check=list(HealthCheck),

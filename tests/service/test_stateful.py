@@ -32,6 +32,14 @@ slice of an answer is either exact or wholly *maybe* — always *maybe* for a
 dropped node — and with every node up the answer is the single-service
 reference's.
 
+:class:`FleetMachine` is the forked fleet's generation swap without a
+fork: one writer and two reader workers over one snapshot file take adds
+and removes (each published as the next generation), reader polls, and the
+writer's death (the lowest reader is promoted, the dead slot respawns as a
+reader).  No worker's generation ever falls, a reader that polled after
+publish ``g`` answers the leaf pool bit for bit as the writer did at ``g``,
+and a promoted reader serves every acknowledged add and remove.
+
 The ``ci`` profile (``tests/conftest.py``) is derandomized;
 ``REPRO_STATEFUL_PROFILE=soak`` runs the long random one.  Each machine
 records the states it reached as Hypothesis ``event``\\ s (``pytest
@@ -47,14 +55,24 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 from peers import bare_engine, federation, leaf_answers, rebuilt
 
 from repro.core.framework import Repository
 from repro.core.predicates import Predicate
 from repro.service import QueryService, faults
+from repro.service import snapshot as snapshot_mod
 from repro.service.federation import FederatedCoordinator
 from repro.service.planner import plan_batch
+from repro.service.snapshot import generation_of
+from repro.service.supervisor import _Worker
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
@@ -378,6 +396,115 @@ class FederatedMachine(RuleBasedStateMachine):
                 assert not degraded and got.bitmap == ref.bitmap
             else:
                 assert got.stats["degrade_reason"] == "node_unreachable"
+
+
+class FleetMachine(RuleBasedStateMachine):
+    """The forked fleet's generation swap, in process: one writer and two
+    reader :class:`~repro.service.supervisor._Worker`\\ s over one snapshot
+    file, each built from the file the way a fork or a respawn builds it."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__()
+        self.path = path
+
+    def spawn(self, worker_id, writer):
+        generation, restore = snapshot_mod._read(self.path)
+        return _Worker(self.path, restore(), generation, writer, worker_id, 3, None)
+
+    def answers(self, worker):
+        return leaf_answers(worker.service.executor, self.leaves)
+
+    @initialize(seed=st.integers(0, 2**16))
+    def build(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = synthetic_data_lake(N0, DIM, rng, median_size=60)
+        pool = batched_query_workload(POOL // 2, DIM, rng, duplicate_leaf_rate=0.6)
+        self.leaves = list(plan_batch(pool).unique_leaves.values())
+        service = QueryService(
+            repository=Repository.from_arrays(arrays), n_shards=1, eps=0.1,
+            sample_size=24, seed=seed, capacity=4 * N0,
+        )
+        service.warm()
+        service.save(self.path)
+        self.workers = [self.spawn(i, writer=i == 0) for i in range(3)]
+        # The writer's answers at each generation it published.
+        self.published = {0: self.answers(self.workers[0])}
+        self.n, self.removed = N0, set()  # the acknowledged history
+        self.highest = [0, 0, 0]  # each slot's generation so far
+
+    @property
+    def writer(self):
+        (writer,) = [w for w in self.workers if w.writer]
+        return writer
+
+    def publish(self, writer):
+        answers = self.answers(writer)  # first: the trees it builds are saved
+        writer.mutated()
+        assert writer.generation == generation_of(self.path)
+        assert writer.generation == max(self.published) + 1
+        self.published[writer.generation] = answers
+
+    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 2))
+    def add(self, seed, count):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.uniform(0.0, 1.0, size=(int(rng.integers(30, 70)), DIM))
+                  for _ in range(count)]
+        writer = self.writer
+        receipt = writer.service.add_datasets(arrays)
+        assert receipt["indexes"] == list(range(self.n, self.n + count))
+        self.n += count
+        self.publish(writer)
+
+    @precondition(lambda self: self.n - len(self.removed) > 2)
+    @rule(pick=st.integers(0, 2**16))
+    def remove(self, pick):
+        live = sorted(set(range(self.n)) - self.removed)
+        victim = live[pick % len(live)]
+        writer = self.writer
+        assert writer.service.remove_datasets([victim])["removed"] == [victim]
+        self.removed.add(victim)
+        self.publish(writer)
+
+    @rule(pick=st.integers(0, 1))
+    def poll_reader(self, pick):
+        reader = [w for w in self.workers if not w.writer][pick]
+        before = reader.generation
+        reader.follow()
+        assert reader.generation == max(self.published)
+        assert self.answers(reader) == self.published[reader.generation]
+        event("a reader swapped" if reader.generation > before else "a reader kept")
+
+    @rule()
+    def kill_writer_and_promote(self):
+        dead = self.writer
+        lowest = next(w for w in self.workers if not w.writer)  # by worker id
+        if lowest.generation < max(self.published):
+            event("promoted behind the file")
+        lowest.promote()
+        # The dead slot respawns as a reader from the current file.
+        self.workers[dead.worker_id] = self.spawn(dead.worker_id, writer=False)
+        service = lowest.service
+        assert (service.n_datasets, service.n_live) == (
+            self.n, self.n - len(self.removed)
+        )
+        assert lowest.generation == max(self.published)
+        assert self.answers(lowest) == self.published[lowest.generation]
+
+    @invariant()
+    def generations_never_fall(self):
+        for worker in self.workers:
+            assert worker.generation >= self.highest[worker.worker_id]
+            self.highest[worker.worker_id] = worker.generation
+        assert sum(w.writer for w in self.workers) == 1
+
+
+def test_the_fleet_swaps_generations_forward(tmp_path):
+    """No worker's generation falls; a reader that polled after publish
+    ``g`` answers the leaf pool bit for bit as the writer did at ``g``; a
+    promoted reader serves every acknowledged add and remove."""
+    run_state_machine_as_test(
+        lambda: FleetMachine(tmp_path / "fleet.snap"), settings=PROFILE
+    )
 
 
 TestOneShard = ServiceMachine.TestCase

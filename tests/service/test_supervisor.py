@@ -27,7 +27,7 @@ from repro.service.snapshot import generation_of, inspect
 from repro.service import snapshot as snapshot_mod
 from repro.service.supervisor import (
     ServiceSupervisor,
-    _SnapshotFollower,
+    _Worker,
     _WorkerSlot,
     fork_available,
 )
@@ -322,69 +322,112 @@ class TestSupervisor:
         assert seen == [3.5, 1.0]
 
 
-class TestSnapshotFollower:
-    """The sibling's poll over the snapshot file, without forking: a stat
-    per poll, a header read per replaced file, a load per newer
+    def test_the_fetch_retry_follows_a_respawned_worker(self, monkeypatch):
+        """The aggregate's one retry asks the slot's current admin port: a
+        worker respawned on a new port between the two tries answers."""
+        sup = ServiceSupervisor("unused.snap", workers=2)
+        sup._slots = [
+            _WorkerSlot(worker_id, pid=0, admin_port=1000 + worker_id, backoff=0.25)
+            for worker_id in range(2)
+        ]
+        asked = []
+
+        def fake_call(port, path, body=None, timeout=None):
+            asked.append(port)
+            if port == 1001:  # worker 1 died; its respawn listens on 2001
+                sup._slots[1].admin_port = 2001
+                raise OSError("connection refused")
+            worker_id = 0 if port == 1000 else 1
+            return json.dumps(
+                {"worker_id": worker_id, "serving": {"snapshot_generation": 0}}
+            ).encode()
+
+        monkeypatch.setattr(sup, "_call", fake_call)
+        stats = sup.aggregate_stats()
+        assert stats["unreachable"] == []
+        assert [w["worker_id"] for w in stats["workers"]] == [0, 1]
+        assert asked == [1000, 1001, 2001]
+
+
+def put(path, generation, extra=0):
+    """Atomically replace ``path`` with its service at ``generation``,
+    ``extra`` random datasets added."""
+    svc = QueryService.load(path, mmap=False)
+    if extra:
+        rng = np.random.default_rng(SEED + 4)
+        svc.add_datasets([rng.normal(size=(30, DIM)) for _ in range(extra)])
+    tmp = path.parent / "replacement.snap"
+    svc.save(tmp, generation=generation)
+    svc.close()
+    os.replace(tmp, path)
+
+
+def worker(path, generation, writer=False):
+    """Worker 0 of 1 over ``path``, serving the file's service as
+    ``generation``."""
+    return _Worker(path, QueryService.load(path), generation, writer, 0, 1, None)
+
+
+def count_opens(monkeypatch):
+    """Record every container a worker opens from here on: a worker maps
+    its files, while :func:`put` reads its copy privately."""
+    calls = []
+    real = snapshot_mod._open_container
+
+    def counting(path, mmap):
+        if mmap:
+            calls.append(path)
+        return real(path, mmap)
+
+    monkeypatch.setattr(snapshot_mod, "_open_container", counting)
+    return calls
+
+
+class TestWorkerFollow:
+    """A reader's poll over the snapshot file, without forking: a stat
+    per poll, one container read per replaced file, a swap per newer
     generation, and an unreadable file is an error the watcher retries."""
 
-    @staticmethod
-    def put(path, generation, extra=0):
-        """Atomically replace ``path`` with its service at ``generation``,
-        ``extra`` random datasets added."""
-        svc = QueryService.load(path, mmap=False)
-        if extra:
-            rng = np.random.default_rng(SEED + 4)
-            svc.add_datasets([rng.normal(size=(30, DIM)) for _ in range(extra)])
-        tmp = path.parent / "replacement.snap"
-        svc.save(tmp, generation=generation)
-        svc.close()
-        os.replace(tmp, path)
-
-    @pytest.fixture()
-    def header_reads(self, monkeypatch):
-        calls = []
-        real = snapshot_mod.generation_of
-
-        def counting(path):
-            calls.append(path)
-            return real(path)
-
-        monkeypatch.setattr(snapshot_mod, "generation_of", counting)
-        return calls
-
-    def test_an_unchanged_file_costs_a_stat_only(self, snapshot, header_reads):
+    def test_an_unchanged_file_costs_a_stat_only(self, snapshot, monkeypatch):
         path, _queries, _expected = snapshot
-        follower = _SnapshotFollower(path, 0)
+        reader = worker(path, 0)
+        served = reader.service
+        opens = count_opens(monkeypatch)
         for _ in range(5):
-            assert follower.poll() is None
-        assert len(header_reads) == 1  # the first poll has no identity yet
-        self.put(path, 0)
-        assert follower.poll() is None
-        assert len(header_reads) == 2  # replaced: read once, then stat only
-        assert follower.poll() is None
-        assert len(header_reads) == 2
+            reader.follow()
+        assert len(opens) == 1  # the first poll has no identity yet
+        put(path, 0)
+        reader.follow()
+        assert len(opens) == 2  # replaced: read once, then stat only
+        reader.follow()
+        assert len(opens) == 2
+        assert reader.service is served and reader.generation == 0
 
-    def test_a_newer_file_is_loaded_once(self, snapshot, header_reads):
+    def test_a_newer_file_is_loaded_once(self, snapshot, monkeypatch):
         path, _queries, _expected = snapshot
-        follower = _SnapshotFollower(path, 0)
-        self.put(path, 3, extra=1)
-        fresh = follower.poll()
-        assert fresh is not None
-        assert fresh.stats()["n_datasets"] == 11
-        assert follower.generation == 3
-        assert follower.poll() is None
-        assert len(header_reads) == 1
+        reader = worker(path, 0)
+        opens = count_opens(monkeypatch)
+        put(path, 3, extra=1)
+        reader.follow()
+        assert reader.service.stats()["n_datasets"] == 11
+        assert reader.generation == 3
+        fresh = reader.service
+        reader.follow()
+        assert reader.service is fresh
+        assert len(opens) == 1  # one read both decided and loaded the file
 
     @pytest.mark.parametrize("generation", [2, 1], ids=["equal", "older"])
     def test_an_equal_or_older_file_is_never_loaded(self, snapshot, generation):
         path, _queries, _expected = snapshot
-        follower = _SnapshotFollower(path, 2)
-        self.put(path, generation, extra=1)
-        assert follower.poll() is None
-        assert follower.generation == 2
-        self.put(path, 3)  # the same data stamped newer is taken up
-        assert follower.poll().stats()["n_datasets"] == 11
-        assert follower.generation == 3
+        reader = worker(path, 2)
+        served = reader.service
+        put(path, generation, extra=1)
+        reader.follow()
+        assert reader.service is served and reader.generation == 2
+        put(path, 3)  # the same data stamped newer is taken up
+        reader.follow()
+        assert reader.service.stats()["n_datasets"] == 11
+        assert reader.generation == 3
 
     @pytest.mark.parametrize(
         "garbage",
@@ -400,7 +443,7 @@ class TestSnapshotFollower:
     )
     def test_an_unreadable_file_raises_and_is_retried(self, snapshot, garbage):
         path, _queries, _expected = snapshot
-        follower = _SnapshotFollower(path, 0)
+        reader = worker(path, 0)
         good = path.read_bytes()
         if garbage is None:
             path.unlink()
@@ -412,36 +455,83 @@ class TestSnapshotFollower:
             path.write_bytes(garbage)
         # Exactly what the watcher catches, so a bad file never kills it.
         with pytest.raises((OSError, SnapshotError)):
-            follower.poll()
-        assert follower.generation == 0
+            reader.follow()
+        assert reader.generation == 0
         path.write_bytes(good)
-        self.put(path, 1, extra=1)
-        assert follower.poll().stats()["n_datasets"] == 11
-        assert follower.generation == 1
+        put(path, 1, extra=1)
+        reader.follow()
+        assert reader.service.stats()["n_datasets"] == 11
+        assert reader.generation == 1
 
-    def test_a_failed_header_read_is_retried_on_the_same_file(
+    def test_a_failed_read_is_retried_on_the_same_file(
         self, snapshot, monkeypatch
     ):
         """The identity is recorded only after a read succeeds, so one
         transient failure does not hide a newer file until it is
         replaced again."""
         path, _queries, _expected = snapshot
-        self.put(path, 1, extra=1)
-        follower = _SnapshotFollower(path, 0)
-        real = snapshot_mod.generation_of
+        put(path, 1, extra=1)
+        reader = worker(path, 0)
+        real = snapshot_mod._open_container
         failures = [SnapshotError("transient")]
 
-        def flaky(p):
+        def flaky(p, mmap):
             if failures:
                 raise failures.pop()
-            return real(p)
+            return real(p, mmap)
 
-        monkeypatch.setattr(snapshot_mod, "generation_of", flaky)
+        monkeypatch.setattr(snapshot_mod, "_open_container", flaky)
         with pytest.raises(SnapshotError):
-            follower.poll()
-        fresh = follower.poll()  # same inode and mtime: read again
-        assert fresh is not None and fresh.stats()["n_datasets"] == 11
-        assert follower.generation == 1
+            reader.follow()
+        reader.follow()  # same inode and mtime: read again
+        assert reader.service.stats()["n_datasets"] == 11
+        assert reader.generation == 1
+
+    def test_a_writer_never_follows(self, snapshot, monkeypatch):
+        """The writer's live service is the newest state: a file put in
+        its place, however new, is not read."""
+        path, _queries, _expected = snapshot
+        writer = worker(path, 0, writer=True)
+        served = writer.service
+        opens = count_opens(monkeypatch)
+        put(path, 3, extra=1)
+        writer.follow()
+        assert writer.service is served and writer.generation == 0
+        assert opens == []
+
+    def test_promote_takes_up_a_newer_file_before_its_first_publish(
+        self, snapshot
+    ):
+        """A reader promoted before its next poll serves what the dead
+        writer published last, and publishes the next generation."""
+        path, _queries, _expected = snapshot
+        reader = worker(path, 0)
+        put(path, 3, extra=1)
+        reader.promote()
+        assert reader.writer and reader.generation == 3
+        assert reader.service.stats()["n_datasets"] == 11
+        rng = np.random.default_rng(SEED + 5)
+        assert reader.service.add_datasets([rng.normal(size=(30, DIM))])[
+            "indexes"
+        ] == [11]
+        reader.mutated()
+        assert reader.generation == generation_of(path) == 4
+        assert inspect(path)["executor"]["n_datasets"] == 12
+
+    def test_a_failed_catch_up_leaves_the_worker_a_reader(self, snapshot):
+        """A promotion whose catch-up raises is refused, so the parent
+        tries the next sibling; this worker stays a reader."""
+        path, _queries, _expected = snapshot
+        reader = worker(path, 0)
+        good = path.read_bytes()
+        path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
+        with pytest.raises(SnapshotError):
+            reader.promote()
+        assert not reader.writer and reader.generation == 0
+        path.write_bytes(good)
+        put(path, 1, extra=1)
+        reader.promote()
+        assert reader.writer and reader.generation == 1
 
 
 def test_bad_snapshot_fails_start(tmp_path):

@@ -59,8 +59,8 @@ __getattr__, __all__ = namespace(__name__, {
         "expression_from_json expression_to_json make_server serve"
     ),
     "repro.service.federation": (
-        "CircuitBreaker FederatedCoordinator FederatedNode "
-        "federated_node_service make_federation_server serve_federation"
+        "CircuitBreaker FederatedCoordinator federated_node_service "
+        "make_federation_server serve_federation"
     ),
     "repro.service.snapshot": "snapshot",
     "repro.service.supervisor": "ServiceSupervisor serve_forked",

@@ -209,7 +209,7 @@ class LeafResultCache:
     def restore_entries(
         self,
         items: "list[tuple[Hashable, CacheEntry]]",
-        generation: int = 0,
+        generation: int,
     ) -> None:
         """Replace the contents with snapshotted entries (oldest first).
 
@@ -229,7 +229,7 @@ class LeafResultCache:
                 self._resident_bytes += _answer_bytes(entry.indexes)
             self.generation = int(generation)
 
-    def note_upgrades(self, n: int = 1) -> None:
+    def note_upgrades(self, n: int) -> None:
         """Count ``n`` stale entries refreshed in place from the delta shard."""
         with self._lock:
             self.stats.upgrades += int(n)

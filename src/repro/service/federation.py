@@ -66,10 +66,14 @@ HTTP surface (see :func:`make_federation_server`):
   node-only ``record_times`` / ``trace`` / ``degrade`` are type-checked
   and otherwise unused) and replies, plus a ``"federation"`` object
   reporting per-node outcomes and per-result ``coverage``.
-- ``GET /stats`` — per-node health: breaker state, attempt/retry/hedge
-  counters, last error.  ``GET /metrics`` — Prometheus text exposition
-  with per-node latency histograms and scatter/gather/merge stage
-  timings.  ``GET /healthz`` — liveness plus the federated universe size.
+- ``GET /stats`` — per-node health: breaker state, last error and
+  latency, and the node's call/retry/hedge/degraded counts, read back
+  from the coordinator's
+  :class:`~repro.service.observability.MetricsRegistry` — the one record
+  of each node event.  ``GET /metrics`` — Prometheus text exposition of
+  that registry: the same counts as ``node``-labelled counter families,
+  per-node latency histograms and gather/merge stage timings.
+  ``GET /healthz`` — liveness plus the federated universe size.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import (
     TYPE_CHECKING,
@@ -102,6 +107,7 @@ from repro.service.deadline import Deadline
 from repro.service.observability import NO_SPAN, MetricsRegistry, Tracer
 from repro.service.server import (
     JsonRequestHandler,
+    _handler,
     _serve_forever,
     encode_result,
     expression_from_json,
@@ -123,10 +129,10 @@ NodeAnswer = Tuple[DatasetBitmap, Optional[DatasetBitmap]]
 PROBE_TIMEOUT_S = 2.0
 
 
-class NodeRPCError(RuntimeError):
+class _NodeRPCError(RuntimeError):
     """A node RPC leg that failed after retries (internal control flow).
 
-    Never escapes the coordinator: every :class:`NodeRPCError` is
+    Never escapes the coordinator: every ``_NodeRPCError`` is
     converted into the node's trivial degraded contribution.  ``reason``
     is the wire-visible label (``"unreachable"``, ``"breaker_open"``,
     ``"budget_exhausted"``, ``"universe_drift"``, ...).
@@ -240,73 +246,18 @@ class CircuitBreaker:
             }
 
 
-class FederatedNode:
-    """One registered node: address, universe slice, health."""
+@dataclass
+class _FederatedNode:
+    """One registered node: address, universe slice, breaker, and the last
+    error and latency it showed.  Its counts live in the coordinator's
+    registry, under ``node="<node_id>"``."""
 
-    def __init__(
-        self,
-        node_id: int,
-        url: str,
-        n_datasets: int,
-        breaker: CircuitBreaker,
-    ) -> None:
-        self.node_id = node_id
-        self.url = url.rstrip("/")
-        self.n_datasets = int(n_datasets)
-        self.breaker = breaker
-        self._lock = threading.Lock()
-        self.ok_calls = 0  # guarded-by: _lock
-        self.failed_calls = 0  # guarded-by: _lock
-        self.retries = 0  # guarded-by: _lock
-        self.hedges = 0  # guarded-by: _lock
-        self.degraded_served = 0  # guarded-by: _lock
-        self.last_error: Optional[str] = None  # guarded-by: _lock
-        self.last_latency_s: Optional[float] = None  # guarded-by: _lock
-
-    def note_success(self, latency_s: float) -> None:
-        with self._lock:
-            self.ok_calls += 1
-            self.last_latency_s = latency_s
-
-    def note_failure(self, error: str) -> None:
-        with self._lock:
-            self.failed_calls += 1
-            self.last_error = error
-
-    def note_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def note_hedge(self) -> None:
-        with self._lock:
-            self.hedges += 1
-
-    def note_degraded(self) -> None:
-        with self._lock:
-            self.degraded_served += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            counters = {
-                "ok_calls": self.ok_calls,
-                "failed_calls": self.failed_calls,
-                "retries": self.retries,
-                "hedges": self.hedges,
-                "degraded_served": self.degraded_served,
-                "last_error": self.last_error,
-                "last_latency_ms": (
-                    self.last_latency_s * 1e3
-                    if self.last_latency_s is not None
-                    else None
-                ),
-            }
-        return {
-            "node_id": self.node_id,
-            "url": self.url,
-            "n_datasets": self.n_datasets,
-            "breaker": self.breaker.snapshot(),
-            **counters,
-        }
+    node_id: int
+    url: str
+    n_datasets: int
+    breaker: CircuitBreaker
+    last_error: Optional[str] = None
+    last_latency_s: Optional[float] = None
 
 
 class FederatedBatch:
@@ -320,7 +271,7 @@ class FederatedBatch:
         nodes: List[dict],
         coverage: float,
         n_datasets: int,
-        trace: Optional[dict] = None,
+        trace: Optional[dict],
     ) -> None:
         self.results = results
         self.nodes = nodes
@@ -400,9 +351,8 @@ class FederatedCoordinator:
         self.merge_margin = float(merge_margin)
         self.tracing = bool(tracing)
         self._lock = threading.Lock()
-        self._nodes: Dict[int, FederatedNode] = {}  # guarded-by: _lock
+        self._nodes: Dict[int, _FederatedNode] = {}  # guarded-by: _lock
         self._next_node_id = 0  # guarded-by: _lock
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._rng_lock = threading.Lock()
         self._rng = random.Random(seed)  # guarded-by: _rng_lock
         self.registry = MetricsRegistry()
@@ -461,6 +411,10 @@ class FederatedCoordinator:
         )
         reg.gauge_source(self._gauges)
 
+    def _count(self, family: str, node: _FederatedNode, **labels: str) -> None:
+        """Count one event of ``node``'s: the only record of it."""
+        self.registry.inc(family, {"node": str(node.node_id), **labels})
+
     def _gauges(self) -> List[Tuple[str, dict, float]]:
         with self._lock:
             n = len(self._nodes)
@@ -494,9 +448,9 @@ class FederatedCoordinator:
                 )
             node_id = self._next_node_id
             self._next_node_id += 1
-            node = FederatedNode(
+            node = _FederatedNode(
                 node_id=node_id,
-                url=url,
+                url=url.rstrip("/"),
                 n_datasets=n_datasets,
                 breaker=CircuitBreaker(
                     threshold=self.breaker_threshold,
@@ -541,7 +495,7 @@ class FederatedCoordinator:
                 "that is currently down"
             )
 
-    def _layout(self) -> Tuple[List[FederatedNode], List[int], int]:
+    def _layout(self) -> Tuple[List[_FederatedNode], List[int], int]:
         """A consistent (nodes, offsets, total) snapshot for one request."""
         with self._lock:
             nodes = [self._nodes[k] for k in sorted(self._nodes)]
@@ -563,11 +517,6 @@ class FederatedCoordinator:
 
     def stats(self) -> dict:
         nodes, offsets, total = self._layout()
-        per_node = []
-        for node, offset in zip(nodes, offsets):
-            snap = node.snapshot()
-            snap["offset"] = offset
-            per_node.append(snap)
         return {
             "federation": {
                 "n_nodes": len(nodes),
@@ -576,15 +525,44 @@ class FederatedCoordinator:
                 "max_retries": self.max_retries,
                 "hedge_delay_s": self.hedge_delay_s,
                 "merge_margin": self.merge_margin,
-                "nodes": per_node,
+                "nodes": [
+                    self._node_stats(node, offset)
+                    for node, offset in zip(nodes, offsets)
+                ],
             }
         }
 
+    def _node_stats(self, node: _FederatedNode, offset: int) -> dict:
+        """One node's ``/stats`` entry; its counts read from the registry.
+
+        A degraded slice is the one outcome of a failed call, so
+        ``failed_calls`` and ``degraded_served`` read one counter.
+        """
+        label = {"node": str(node.node_id)}
+
+        def count(family: str, **extra: str) -> int:
+            return int(self.registry.counter_value(family, {**label, **extra}))
+
+        degraded = count("repro_federation_degraded_nodes_total")
+        latency = node.last_latency_s
+        return {
+            "node_id": node.node_id,
+            "url": node.url,
+            "n_datasets": node.n_datasets,
+            "breaker": node.breaker.snapshot(),
+            "ok_calls": count("repro_federation_node_attempts_total", outcome="ok"),
+            "failed_calls": degraded,
+            "retries": count("repro_federation_retries_total"),
+            "hedges": count("repro_federation_hedges_total"),
+            "degraded_served": degraded,
+            "last_error": node.last_error,
+            "last_latency_ms": latency * 1e3 if latency is not None else None,
+            "offset": offset,
+        }
+
     def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
+        """Nothing to release: each batch's scatter pool closes with it.
+        Kept so a caller closes a coordinator as it closes a service."""
 
     # -- search --------------------------------------------------------
     def search(
@@ -653,7 +631,7 @@ class FederatedCoordinator:
                 else NO_SPAN
             ):
                 batch = self._merge(
-                    nodes, offsets, total, list(expressions), outcomes
+                    nodes, offsets, total, len(expressions), outcomes
                 )
             self.registry.observe(
                 "repro_federation_stage_seconds",
@@ -672,56 +650,43 @@ class FederatedCoordinator:
     # -- scatter -------------------------------------------------------
     def _scatter(
         self,
-        nodes: List[FederatedNode],
+        nodes: List[_FederatedNode],
         exprs_json: List[dict],
         deadline: Optional[Deadline],
         merge_reserve: float,
         tracer: Optional[Tracer],
-    ) -> List[Union[List[NodeAnswer], NodeRPCError]]:
-        """One outcome per node: parsed answers, or the error to bound."""
+    ) -> List[Union[List[NodeAnswer], _NodeRPCError]]:
+        """One outcome per node: parsed answers, or the error to bound.
+
+        Each leg runs on a pool of this batch's own, one thread per node,
+        which is gone when the batch returns.  A node's ``400`` propagates
+        from its future as :class:`~repro.errors.QueryError`.
+        """
         with (
             tracer.span("scatter", n_nodes=len(nodes))
             if tracer is not None
             else NO_SPAN
-        ):
-            if len(nodes) == 1:
-                return [self._call_node_safe(
-                    nodes[0], exprs_json, deadline, merge_reserve
-                )]
-            pool = self._ensure_pool(len(nodes))
-            futures = [
-                pool.submit(
-                    self._call_node_safe,
-                    node, exprs_json, deadline, merge_reserve,
-                )
-                for node in nodes
-            ]
-            return [f.result() for f in futures]
-
-    def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
-        """The scatter pool, replaced by a wider one once the fleet
-        outgrows it.  The replaced pool is not shut down: a concurrent
-        scatter may still be submitting its legs to it.  Its idle threads
-        exit once the last scatter holding it lets it go."""
-        with self._lock:
-            if self._pool is None or self._pool._max_workers < width:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(4, 2 * width),
-                    thread_name_prefix="fed-scatter",
-                )
-            return self._pool
+        ), ThreadPoolExecutor(
+            len(nodes), thread_name_prefix="fed-scatter"
+        ) as pool:
+            return list(pool.map(
+                lambda node: self._call_node_safe(
+                    node, exprs_json, deadline, merge_reserve
+                ),
+                nodes,
+            ))
 
     def _call_node_safe(
         self,
-        node: FederatedNode,
+        node: _FederatedNode,
         exprs_json: List[dict],
         deadline: Optional[Deadline],
         merge_reserve: float,
-    ) -> Union[List[NodeAnswer], NodeRPCError]:
+    ) -> Union[List[NodeAnswer], _NodeRPCError]:
         try:
             return self._call_node(node, exprs_json, deadline, merge_reserve)
-        except NodeRPCError as exc:
-            node.note_failure(str(exc))
+        except _NodeRPCError as exc:
+            node.last_error = str(exc)
             return exc
 
     def _attempt_budget(
@@ -734,14 +699,14 @@ class FederatedCoordinator:
 
     def _call_node(
         self,
-        node: FederatedNode,
+        node: _FederatedNode,
         exprs_json: List[dict],
         deadline: Optional[Deadline],
         merge_reserve: float,
     ) -> List[NodeAnswer]:
         """One node's answers, through breaker + retries + hedging."""
         if not node.breaker.allow():
-            raise NodeRPCError(
+            raise _NodeRPCError(
                 "breaker_open", f"node {node.node_id} circuit breaker is open"
             )
         try:
@@ -751,7 +716,7 @@ class FederatedCoordinator:
                 if budget is not None and budget <= 1e-3:
                     # Out of budget: NOT a node failure — don't feed the
                     # breaker, just fall back to the trivial bound.
-                    raise NodeRPCError(
+                    raise _NodeRPCError(
                         "budget_exhausted",
                         f"node {node.node_id}: deadline budget exhausted "
                         f"before attempt {attempt}",
@@ -762,8 +727,7 @@ class FederatedCoordinator:
                     else min(self.rpc_timeout_s, budget)
                 )
                 if attempt > 0:
-                    node.note_retry()
-                    self.registry.inc("repro_federation_retries_total")
+                    self._count("repro_federation_retries_total", node)
                 try:
                     answers, latency_s = self._one_round(
                         node, exprs_json, timeout,
@@ -786,30 +750,23 @@ class FederatedCoordinator:
                         # Counted at the trip itself, whichever way the call
                         # ends: a later attempt's success closes the breaker
                         # but the trip happened.
-                        self.registry.inc(
-                            "repro_federation_breaker_trips_total",
-                            {"node": str(node.node_id)},
-                        )
-                    self.registry.inc(
-                        "repro_federation_node_attempts_total",
-                        {"node": str(node.node_id), "outcome": "error"},
+                        self._count("repro_federation_breaker_trips_total", node)
+                    self._count(
+                        "repro_federation_node_attempts_total", node, outcome="error"
                     )
                     if attempt < self.max_retries:
                         self._backoff_sleep(attempt, deadline, merge_reserve)
                     continue
                 node.breaker.record_success()
-                node.note_success(latency_s)
-                self.registry.inc(
-                    "repro_federation_node_attempts_total",
-                    {"node": str(node.node_id), "outcome": "ok"},
-                )
+                node.last_latency_s = latency_s
+                self._count("repro_federation_node_attempts_total", node, outcome="ok")
                 self.registry.observe(
                     "repro_federation_node_seconds",
                     latency_s,
                     {"node": str(node.node_id)},
                 )
                 return answers
-            raise NodeRPCError(
+            raise _NodeRPCError(
                 "unreachable",
                 f"node {node.node_id} failed after "
                 f"{self.max_retries + 1} attempts: {last_exc}",
@@ -842,7 +799,7 @@ class FederatedCoordinator:
 
     def _one_round(
         self,
-        node: FederatedNode,
+        node: _FederatedNode,
         exprs_json: List[dict],
         timeout: float,
         hedge: bool,
@@ -875,8 +832,7 @@ class FederatedCoordinator:
                 if hedge and not hedged and time.perf_counter() < t_end:
                     hedged = True
                     outstanding += 1
-                    node.note_hedge()
-                    self.registry.inc("repro_federation_hedges_total")
+                    self._count("repro_federation_hedges_total", node)
                     self._launch_attempt(
                         results, node, exprs_json,
                         max(1e-3, t_end - time.perf_counter()),
@@ -898,7 +854,7 @@ class FederatedCoordinator:
     def _launch_attempt(
         self,
         results: "queue.Queue[Tuple[str, object]]",
-        node: FederatedNode,
+        node: _FederatedNode,
         exprs_json: List[dict],
         timeout: float,
         forward_deadline: bool,
@@ -907,7 +863,8 @@ class FederatedCoordinator:
 
         Attempts outlive the round that launched them (an abandoned
         straggler finishes into a queue nobody reads); dedicated threads
-        keep a stuck attempt from starving the scatter pool.
+        let the round give up on a stuck attempt at its timeout, and the
+        batch's scatter pool close without waiting for it.
         """
         payload: dict = {"expressions": exprs_json, "format": "bitset"}
         if forward_deadline:
@@ -935,14 +892,14 @@ class FederatedCoordinator:
                 results.put(("ok", (answers, time.perf_counter() - t0)))
             except (
                 OSError, ValueError, KeyError, TypeError, QueryError,
-                ConstructionError, NodeRPCError, faults.FailpointError,
+                ConstructionError, _NodeRPCError, faults.FailpointError,
             ) as exc:
                 results.put(("err", exc))
 
         threading.Thread(target=run, daemon=True).start()
 
     def _parse_node_results(
-        self, node: FederatedNode, raw: dict, n_expected: int
+        self, node: _FederatedNode, raw: dict, n_expected: int
     ) -> List[NodeAnswer]:
         body = decode(NODE_REPLY, raw, f"node {node.node_id}'s reply")["results"]
         if len(body) != n_expected:
@@ -959,7 +916,7 @@ class FederatedCoordinator:
                     # The node's universe grew past its registration — merging
                     # would mis-map datasets.  Treat as failure; re-register
                     # the node to adopt the new slice size.
-                    raise NodeRPCError(
+                    raise _NodeRPCError(
                         "universe_drift",
                         f"node {node.node_id} answered over {bitmap.nbits} "
                         f"datasets but registered {node.n_datasets}",
@@ -968,81 +925,48 @@ class FederatedCoordinator:
         return answers
 
     # -- degradation + merge -------------------------------------------
-    def _screen_node(
-        self, node: FederatedNode, expressions: List[Expression]
-    ) -> List[NodeAnswer]:
-        """The trivial three-valued answer of a node that could not
-        answer: ``(∅, whole slice)`` for every expression."""
-        node.note_degraded()
-        self.registry.inc("repro_federation_degraded_nodes_total")
-        bound = (DatasetBitmap.zeros(node.n_datasets),
-                 DatasetBitmap.full(node.n_datasets))
-        return [bound] * len(expressions)
-
     def _merge(
         self,
-        nodes: List[FederatedNode],
+        nodes: List[_FederatedNode],
         offsets: List[int],
         total: int,
-        expressions: List[Expression],
-        outcomes: List[Union[List[NodeAnswer], NodeRPCError]],
+        n_queries: int,
+        outcomes: List[Union[List[NodeAnswer], _NodeRPCError]],
     ) -> FederatedBatch:
+        """OR each node's answers into place, one node at a time.
+
+        A node that could not answer contributes the trivial three-valued
+        bound of its slice, ``(∅, whole slice)``, to every query; that is
+        where its degraded slice is counted.
+        """
+        musts = [DatasetBitmap.zeros(total) for _ in range(n_queries)]
+        maybes = [DatasetBitmap.zeros(total) for _ in range(n_queries)]
+        reasons: List[set] = [set() for _ in range(n_queries)]
+        exact = [0] * n_queries
         node_meta: List[dict] = []
-        resolved: List[List[NodeAnswer]] = []
-        exact_node: List[bool] = []
-        for node, outcome in zip(nodes, outcomes):
-            if isinstance(outcome, NodeRPCError):
-                resolved.append(self._screen_node(node, expressions))
-                exact_node.append(False)
-                node_meta.append(
-                    {
-                        "node_id": node.node_id,
-                        "url": node.url,
-                        "status": outcome.reason,
-                        "screened": True,
-                    }
-                )
-            else:
-                resolved.append(outcome)
-                exact_node.append(True)
-                node_meta.append(
-                    {
-                        "node_id": node.node_id,
-                        "url": node.url,
-                        "status": "ok",
-                        "screened": False,
-                    }
-                )
-        results: List[QueryResult] = []
-        coverage_sum = 0.0
-        for qi in range(len(expressions)):
-            must_total = DatasetBitmap.zeros(total)
-            maybe_total = DatasetBitmap.zeros(total)
-            degraded = False
-            exact_datasets = 0
-            reasons: List[str] = []
-            for ni, (node, offset, answers, ok) in enumerate(
-                zip(nodes, offsets, resolved, exact_node)
-            ):
-                must, maybe = answers[qi]
-                must_total = must_total | must.shift_into(offset, total)
-                if not ok:
-                    degraded = True
-                    reasons.append("node_" + str(node_meta[ni]["status"]))
-                    if maybe is not None:
-                        maybe_total = maybe_total | maybe.shift_into(
-                            offset, total
-                        )
-                elif maybe is not None and maybe.any():
+        for node, offset, outcome in zip(nodes, offsets, outcomes):
+            status = outcome.reason if isinstance(outcome, _NodeRPCError) else "ok"
+            node_meta.append({"node_id": node.node_id, "url": node.url,
+                              "status": status, "screened": status != "ok"})
+            if isinstance(outcome, _NodeRPCError):
+                self._count("repro_federation_degraded_nodes_total", node)
+                whole = DatasetBitmap.full(node.n_datasets).shift_into(offset, total)
+                for qi in range(n_queries):
+                    maybes[qi] = maybes[qi] | whole
+                    reasons[qi].add("node_" + status)
+                continue
+            for qi, (must, maybe) in enumerate(outcome):
+                musts[qi] = musts[qi] | must.shift_into(offset, total)
+                if maybe is not None and maybe.any():
                     # The node answered but degraded itself under its
                     # forwarded sub-deadline.
-                    degraded = True
-                    reasons.append("node_self_degraded")
-                    maybe_total = maybe_total | maybe.shift_into(
-                        offset, total
-                    )
+                    reasons[qi].add("node_self_degraded")
+                    maybes[qi] = maybes[qi] | maybe.shift_into(offset, total)
                 else:
-                    exact_datasets += node.n_datasets
+                    exact[qi] += node.n_datasets
+        results: List[QueryResult] = []
+        coverage_sum = 0.0
+        for must, maybe, why, exact_datasets in zip(musts, maybes, reasons, exact):
             coverage = exact_datasets / total if total else 1.0
             coverage_sum += coverage
             stats: dict = {
@@ -1050,23 +974,20 @@ class FederatedCoordinator:
                 "n_nodes": len(nodes),
                 "coverage": coverage,
             }
-            if degraded:
+            if why:
                 stats["degraded"] = True
-                stats["degrade_reason"] = ",".join(sorted(set(reasons)))
-                results.append(
-                    QueryResult(
-                        bitmap=must_total,
-                        maybe_bitmap=maybe_total.andnot(must_total),
-                        stats=stats,
-                    )
-                )
-            else:
-                results.append(QueryResult(bitmap=must_total, stats=stats))
+                stats["degrade_reason"] = ",".join(sorted(why))
+            results.append(QueryResult(
+                bitmap=must,
+                maybe_bitmap=maybe.andnot(must) if why else None,
+                stats=stats,
+            ))
         return FederatedBatch(
             results=results,
             nodes=node_meta,
-            coverage=coverage_sum / len(expressions),
+            coverage=coverage_sum / n_queries,
             n_datasets=total,
+            trace=None,
         )
 
 
@@ -1076,7 +997,7 @@ class FederatedCoordinator:
 class _FederationRequestHandler(JsonRequestHandler):
     """Coordinator routes over a bound :class:`FederatedCoordinator`."""
 
-    coordinator: FederatedCoordinator  # injected by make_federation_server
+    coordinator: FederatedCoordinator  # bound per server by _handler
 
     def observe(self, endpoint: str, seconds: float, status: int) -> None:
         self.coordinator.registry.observe(
@@ -1139,11 +1060,7 @@ def make_federation_server(
     quiet: bool = True,
 ) -> ThreadingHTTPServer:
     """A ready-to-run coordinator HTTP server (port 0 = ephemeral)."""
-    handler = type(
-        "BoundFederationRequestHandler",
-        (_FederationRequestHandler,),
-        {"coordinator": coordinator, "quiet": quiet},
-    )
+    handler = _handler(_FederationRequestHandler, quiet, coordinator=coordinator)
     return ThreadingHTTPServer((host, port), handler)
 
 
@@ -1230,8 +1147,6 @@ __all__ = [
     "CircuitBreaker",
     "FederatedBatch",
     "FederatedCoordinator",
-    "FederatedNode",
-    "NodeRPCError",
     "federated_node_service",
     "make_federation_server",
     "serve_federation",

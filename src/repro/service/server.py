@@ -76,7 +76,9 @@ role, between requests and without re-creating the listening socket.  A
 worker that is not the writer answers the mutating endpoints (``POST
 /datasets``, ``DELETE /datasets``) with ``409`` and names the writer, so
 a load balancer spraying requests across workers cannot fork divergent
-states.
+states.  The coordinator and the supervisor's admin port bind their own
+object (a coordinator, a supervisor) through the same private
+``_handler``, so no other module builds a handler class.
 
 ``EXPR`` is a recursive object (:data:`repro.wire.EXPRESSION`)::
 
@@ -119,7 +121,7 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.core.bitset import DatasetBitmap
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
@@ -603,12 +605,12 @@ class _ServiceRequestHandler(JsonRequestHandler):
     }
 
 
-def _handler(
-    node: _Node, quiet: bool, base: type = _ServiceRequestHandler
-) -> type:
-    """A handler class of ``base`` bound to ``node``, one per server: a
-    patch on one server's class touches no other."""
-    return type("BoundServiceRequestHandler", (base,), {"node": node, "quiet": quiet})
+def _handler(base: type, quiet: bool, **attrs: Any) -> type:
+    """A handler class of ``base`` bound to ``attrs`` (the object its
+    routes serve), one per server: a patch on one server's class touches
+    no other."""
+    name = "Bound" + base.__name__.lstrip("_")
+    return type(name, (base,), {"quiet": quiet, **attrs})
 
 
 def make_server(
@@ -623,7 +625,8 @@ def make_server(
     ``gate`` bounds concurrent search requests (see
     :class:`~repro.service.admission.AdmissionGate`).
     """
-    return ThreadingHTTPServer((host, port), _handler(_Node(service, gate), quiet))
+    handler = _handler(_ServiceRequestHandler, quiet, node=_Node(service, gate))
+    return ThreadingHTTPServer((host, port), handler)
 
 
 def _serve_forever(

@@ -580,15 +580,14 @@ class ShardedBatchExecutor:
     # ------------------------------------------------------------------
     # Live mutation
     # ------------------------------------------------------------------
-    def fits(self, synopsis: Synopsis, index: Optional[int] = None) -> bool:
+    def fits(self, synopsis: Synopsis, index: int) -> bool:
         """Whether a new dataset can enter the delta shard under the frozen
         accuracy contract (i.e. its Ptile coreset lies inside the shared
         bounding box).
 
         Pref-only synopses always fit (no Ptile structure is built over
         them).  The check is exact: it draws the very coreset the delta
-        engine will use for global index ``index`` (default: the next
-        index) — a heuristic draw could admit a synopsis whose real
+        engine will use for global index ``index`` — a heuristic draw could admit a synopsis whose real
         build-time coreset then falls outside the box, poisoning the delta
         shard with no rollback.
         """
@@ -598,8 +597,7 @@ class ShardedBatchExecutor:
             return True
         if self.bounding_box is None:
             return False
-        gid = self.n_datasets if index is None else int(index)
-        sample = self._seeded(synopsis, gid).sample(
+        sample = self._seeded(synopsis, int(index)).sample(
             self.sample_size, np.random.default_rng(0)
         )
         pts = np.asarray(sample, dtype=float)

@@ -409,12 +409,7 @@ class ServiceSupervisor:
         del service, restore  # the parent's copy served its purpose at fork time
 
         self._admin_httpd = ThreadingHTTPServer(
-            (self.host, 0),
-            type(
-                "BoundSupervisorAdminHandler",
-                (_SupervisorAdminHandler,),
-                {"supervisor": self},
-            ),
+            (self.host, 0), _handler(_SupervisorAdminHandler, True, supervisor=self)
         )
         self.admin_port = self._admin_httpd.server_address[1]
         threading.Thread(
@@ -823,13 +818,14 @@ class ServiceSupervisor:
             worker_id, self.workers, gate,
         )
         httpd = _ReuseportHTTPServer(
-            (self.host, self.port), _handler(worker, self.quiet)
+            (self.host, self.port),
+            _handler(_ServiceRequestHandler, self.quiet, node=worker),
         )
         # Private admin endpoint: the parent aggregates /stats + /metrics
         # across workers and promotes a writer here, bypassing the
         # load-balanced public port.
         admin = ThreadingHTTPServer(
-            (self.host, 0), _handler(worker, self.quiet, _AdminHandler)
+            (self.host, 0), _handler(_AdminHandler, self.quiet, node=worker)
         )
         threading.Thread(target=admin.serve_forever, daemon=True).start()
         threading.Thread(

@@ -11,6 +11,8 @@ failpoint in the coordinator process (which fails *every* scatter leg —
 from __future__ import annotations
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -203,15 +205,51 @@ class TestHealthyFederation:
             coord.search(q)
         coord.close()
 
-    def test_a_replaced_scatter_pool_still_takes_legs(self):
-        """A scatter that took the pool before the fleet outgrew it keeps
-        submitting to it: widening must not shut it down under that
-        scatter (it used to surface as an HTTP 500)."""
+    def test_batches_answer_whole_while_the_fleet_grows(self, nodes, queries):
+        """Batches in flight on four threads while nodes register, 1 → 3,
+        each answer the layout they took, whole (registering used to
+        replace a shared scatter pool under a scatter: an HTTP 500)."""
         coord = FederatedCoordinator()
-        old = coord._ensure_pool(2)
-        assert coord._ensure_pool(5) is not old
-        assert old.submit(int).result() == 0
-        coord.close()
+        coord.add_node(nodes[0].url)
+        stop = threading.Event()
+        widths, errors = [], []
+
+        def client():
+            try:
+                while not stop.is_set():
+                    batch = coord.search_batch(list(queries))
+                    assert batch.coverage == 1.0, batch.nodes
+                    widths.append(len(batch.nodes))
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        def answered(width):
+            deadline = time.monotonic() + 30.0
+            while widths.count(width) < 4 and not errors:
+                assert time.monotonic() < deadline, f"no batch at width {width}"
+                time.sleep(0.001)
+
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        for t in clients:
+            t.start()
+        try:
+            answered(1)
+            for node in nodes[1:]:
+                coord.add_node(node.url)
+            answered(3)
+        finally:
+            stop.set()
+            for t in clients:
+                t.join()
+        assert not errors, errors[0]
+        assert set(widths) <= {1, 2, 3}
+
+    def test_no_scatter_thread_outlives_its_batch(self, nodes, queries):
+        coord = FederatedCoordinator()
+        _register_all(coord, nodes)
+        coord.search_batch(list(queries))
+        left = [t.name for t in threading.enumerate()]
+        assert not [n for n in left if n.startswith("fed-scatter")], left
 
 
 class TestDegradedFederation:
@@ -291,6 +329,41 @@ class TestDegradedFederation:
         assert statuses[0] == "universe_drift"
         assert batch.results[0].stats["degraded"]
         coord.close()
+
+
+    def test_each_node_event_is_counted_once(self, lake, queries):
+        """``/stats`` reads its per-node counts from the registry that
+        ``/metrics`` renders: a retry, a failed call and its degraded
+        slice are each one event, stated once."""
+        coord = FederatedCoordinator(
+            rpc_timeout_s=2.0, max_retries=1, backoff_base_s=0.01,
+            hedge_delay_s=None,
+        )
+        with peers.federation(lake, 2, coord, **FRAME) as (nodes, _, _ref):
+            nodes[1].kill()
+            batch = coord.search_batch(list(queries))
+            assert [m["screened"] for m in batch.nodes] == [False, True]
+            per_node = coord.stats()["federation"]["nodes"]
+            samples = {}
+            for line in coord.registry.render().splitlines():
+                if not line.startswith("#"):
+                    name, _, value = line.rpartition(" ")
+                    samples[name] = float(value)
+        dead = per_node[1]
+        assert dead["retries"] == 1
+        assert dead["degraded_served"] == dead["failed_calls"] == 1
+        assert dead["last_error"] and per_node[0]["ok_calls"] == 1
+        for node in per_node:
+            label = f'node="{node["node_id"]}"'
+            for key, sample in (
+                ("ok_calls", 'node_attempts_total{%s,outcome="ok"}'),
+                ("retries", "retries_total{%s}"),
+                ("hedges", "hedges_total{%s}"),
+                ("degraded_served", "degraded_nodes_total{%s}"),
+                ("failed_calls", "degraded_nodes_total{%s}"),
+            ):
+                name = "repro_federation_" + sample % label
+                assert node[key] == samples.get(name, 0), (key, name)
 
 
 class TestBreakerLifecycle:
@@ -642,7 +715,7 @@ class TestNodeFrame:
             ex = svc.executor
             outlier = _with_undrawn_outlier(ex, lake[0])
             assert not ex.bounding_box.contains_points(outlier).all()
-            assert ex.fits(ExactSynopsis(outlier))
+            assert ex.fits(ExactSynopsis(outlier), index=ex.n_datasets)
         receipt = node.add_datasets([outlier])
         assert receipt["rebuilt"] is False and receipt["delta_size"] == 1
 

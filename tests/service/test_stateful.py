@@ -361,6 +361,11 @@ class FederatedMachine(RuleBasedStateMachine):
             start = node.service.executor.synopses[0].index
             self.slices.append(set(range(start, start + node.service.n_datasets)))
         self.up = [True] * len(self.nodes)
+        self.degraded = self.degraded_served()
+
+    def degraded_served(self):
+        nodes = self.coordinator.stats()["federation"]["nodes"]
+        return [n["degraded_served"] for n in nodes]
 
     def teardown(self):
         if hasattr(self, "stack"):
@@ -381,6 +386,10 @@ class FederatedMachine(RuleBasedStateMachine):
         batch = self.coordinator.search_batch([self.pool[i] for i in picks])
         live = sum(len(sl) for sl, up in zip(self.slices, self.up) if up)
         assert batch.coverage == live / self.lake.n
+        # One degraded slice per screened node per batch, counted once.
+        before, self.degraded = self.degraded, self.degraded_served()
+        screened = [int(m["screened"]) for m in batch.nodes]
+        assert [b + s for b, s in zip(before, screened)] == self.degraded
         for i, got in zip(picks, batch.results):
             query, ref = self.pool[i], self.expected[i]
             must, exact = set(got.indexes), set(ref.indexes)

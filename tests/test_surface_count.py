@@ -12,10 +12,10 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (266, 977),
+    "src/repro": (261, 964),
     "src/repro/analysis": (5, 29),
     "src/repro/index": (8, 98),
-    "src/repro/service": (120, 330),
+    "src/repro/service": (115, 317),
 }
 
 

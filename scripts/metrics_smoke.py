@@ -1,8 +1,11 @@
 """CI smoke check for the /metrics Prometheus endpoint.
 
-Boots a small warmed service behind the stdlib HTTP server, drives a few
-traced and untraced queries over the wire, then scrapes ``/metrics`` and
-asserts the exposition is well-formed and complete:
+Boots a small service behind the stdlib HTTP server and scrapes it fresh:
+every required counter family but the per-request one already renders,
+at 0.  Then it drives traced and untraced batches, an add (whose next
+batch upgrades cached answers from the delta shard), a cache flush and a
+degraded batch over the wire, scrapes ``/metrics`` again and asserts the
+exposition is well-formed and complete:
 
 - every non-comment line parses as ``name{labels} value``;
 - no family is typed twice and no ``(name, labels)`` series repeats (a
@@ -10,7 +13,9 @@ asserts the exposition is well-formed and complete:
 - every required metric family is present with a ``# TYPE`` header;
 - histogram ``_bucket`` series are cumulative and end in ``+Inf`` equal
   to ``_count``;
-- ``/stats`` and ``/metrics`` agree on the query counter.
+- ``/stats`` and ``/metrics`` agree on every counter that has a
+  ``/stats`` twin (:data:`STATS_TWINS`; a family with no sample yet
+  must read 0 there), and ``/stats/slow`` on the slow-query count.
 
 Then the same over the shared HTTP edge's second server: a federation
 coordinator over that node answers one batch, its ``/metrics`` goes
@@ -54,15 +59,46 @@ REQUIRED_FAMILIES = {
     "repro_request_seconds": "histogram",
     "repro_requests_total": "counter",
     "repro_queries_total": "counter",
+    "repro_batches_total": "counter",
     "repro_cache_hits_total": "counter",
     "repro_cache_misses_total": "counter",
+    "repro_cache_upgrades_total": "counter",
+    "repro_cache_evictions_total": "counter",
+    "repro_cache_invalidations_total": "counter",
     "repro_plan_cache_hits_total": "counter",
+    "repro_plan_cache_misses_total": "counter",
+    "repro_executor_leaf_evals_total": "counter",
+    "repro_executor_shard_tasks_total": "counter",
+    "repro_executor_delta_evals_total": "counter",
+    "repro_slow_queries_total": "counter",
     "repro_cache_resident_bytes": "gauge",
     "repro_index_bytes": "gauge",
     "repro_datasets_live": "gauge",
     "repro_tombstones": "gauge",
     "repro_delta_shard_depth": "gauge",
     "repro_shard_size": "gauge",
+}
+
+#: Counter family -> the ``/stats`` ``(section, key)`` that counts the same
+#: events; the two must read the same value.
+STATS_TWINS = {
+    "repro_queries_total": ("telemetry", "n_queries"),
+    "repro_batches_total": ("telemetry", "n_batches"),
+    "repro_cache_hits_total": ("cache", "hits"),
+    "repro_cache_misses_total": ("cache", "misses"),
+    "repro_cache_upgrades_total": ("cache", "upgrades"),
+    "repro_cache_evictions_total": ("cache", "evictions"),
+    "repro_cache_invalidations_total": ("cache", "invalidations"),
+    "repro_plan_cache_hits_total": ("plan_cache", "hits"),
+    "repro_plan_cache_misses_total": ("plan_cache", "misses"),
+    "repro_plan_cache_evictions_total": ("plan_cache", "evictions"),
+    "repro_executor_leaf_evals_total": ("executor", "leaf_evals"),
+    "repro_executor_shard_tasks_total": ("executor", "shard_tasks"),
+    "repro_executor_delta_evals_total": ("executor", "delta_evals"),
+    "repro_slow_queries_total": ("observability", "slow_queries"),
+    "repro_degraded_queries_total": ("resilience", "degraded_queries"),
+    "repro_deadline_expirations_total": ("resilience", "deadline_expirations"),
+    "repro_requests_shed_total": ("resilience", "requests_shed"),
 }
 
 
@@ -167,12 +203,36 @@ def check_coordinator(node_base: str, expressions: list) -> int:
         coordinator.close()
 
 
+def check_fresh(base: str) -> None:
+    """A node that has answered nothing renders every required counter
+    family (the per-request one counts from its first request), at 0."""
+    types, samples = scrape(base)
+    for family, kind in REQUIRED_FAMILIES.items():
+        if kind != "counter" or family == "repro_requests_total":
+            continue
+        assert types.get(family) == "counter", (
+            f"{family}: not rendered on a fresh node"
+        )
+        assert samples.get(family) == [({}, 0.0)], (family, samples.get(family))
+
+
+def check_twins(samples: dict, stats: dict) -> None:
+    """Every counter with a ``/stats`` twin reads the same on both."""
+    for family, (section, key) in STATS_TWINS.items():
+        series = samples.get(family, [({}, 0.0)])
+        assert len(series) == 1 and series[0][0] == {}, (family, series)
+        assert series[0][1] == stats[section][key], (
+            f"/stats {section}.{key} = {stats[section][key]} but "
+            f"/metrics {family} = {series[0][1]}"
+        )
+
+
 def main() -> int:
-    lake = synthetic_data_lake(40, 1, np.random.default_rng(7),
+    lake = synthetic_data_lake(41, 1, np.random.default_rng(7),
                                family="clustered", median_size=80)
     service = QueryService(
-        repository=Repository.from_arrays(lake),
-        n_shards=2, eps=0.2, sample_size=8, seed=7,
+        repository=Repository.from_arrays(lake[:40]),
+        n_shards=2, eps=0.2, sample_size=8, seed=7, capacity=48,
         slow_query_threshold_ms=0.0,
     )
     httpd = make_server(service, host="127.0.0.1", port=0)
@@ -185,12 +245,18 @@ def main() -> int:
             6, 1, np.random.default_rng(8), pref_fraction=0.25, max_leaves=3,
         )
         expressions = [expression_to_json(q) for q in queries]
+        check_fresh(base)
         for trace in (False, True, False):  # cold, traced warm, untraced warm
             payload = post(
                 f"{base}/search/batch",
                 {"expressions": expressions, "trace": trace},
             )
             assert ("trace" in payload) == trace, payload.keys()
+        added = post(f"{base}/datasets", {"datasets": [lake[40].tolist()]})
+        assert added["rebuilt"] is False, added
+        post(f"{base}/search/batch", {"expressions": expressions})  # upgrades
+        post(f"{base}/cache/invalidate", {})
+        post(f"{base}/search/batch", {"expressions": expressions, "degrade": True})
 
         types, samples = scrape(base)
         for family, kind in REQUIRED_FAMILIES.items():
@@ -204,13 +270,15 @@ def main() -> int:
 
         stats, _ = fetch(f"{base}/stats")
         stats = json.loads(stats)
-        prom_queries = samples["repro_queries_total"][0][1]
-        assert prom_queries == stats["telemetry"]["n_queries"], (
-            "/stats and /metrics disagree on the query count"
-        )
+        check_twins(samples, stats)
+        for section, key in (("cache", "upgrades"), ("cache", "invalidations"),
+                             ("executor", "delta_evals"),
+                             ("resilience", "degraded_queries")):
+            assert stats[section][key] > 0, f"{section}.{key} never counted"
         slow, _ = fetch(f"{base}/stats/slow")
         slow = json.loads(slow)
         assert slow["n_recorded"] >= 1, "slow log empty at threshold 0"
+        assert slow["n_recorded"] == stats["observability"]["slow_queries"]
 
         assert_json_404(f"{base}/wp-login.php")
         n_coordinator = check_coordinator(base, expressions)
@@ -219,7 +287,8 @@ def main() -> int:
         n_samples = sum(len(v) for v in samples.values())
         print(f"metrics smoke: {n_families} required families present, "
               f"{n_samples} samples parsed, buckets cumulative, "
-              f"/stats consistent, slow log recording; coordinator over "
+              f"{len(STATS_TWINS)} counters agree with /stats, slow log "
+              f"recording; coordinator over "
               f"the node: {n_coordinator} samples parsed, endpoint labels "
               f"follow the route table, unknown paths are JSON 404s")
         return 0

@@ -13,8 +13,7 @@ batch.  This package turns the engine into a serving subsystem:
   skip canonicalization entirely;
 - :mod:`~repro.service.cache` is an LRU cache of per-leaf answers — packed
   :class:`~repro.core.bitset.DatasetBitmap` bitsets on the warm path —
-  with hit/miss/eviction and resident-bytes accounting and explicit
-  invalidation;
+  with resident-bytes accounting and explicit invalidation;
 - :mod:`~repro.service.sharding` partitions the repository into ``n_shards``
   sub-engines and evaluates a leaf batch on each in turn, on the calling
   thread — the union of shard answers preserves the per-leaf guarantees
@@ -26,9 +25,10 @@ batch.  This package turns the engine into a serving subsystem:
   :class:`~repro.service.service.QueryService` facade;
 - :mod:`~repro.service.observability` adds the span tracer, the
   fixed-bucket latency histograms and metrics registry (Prometheus text
-  exposition), and the slow-query log — near-zero-cost when disabled —
-  and owns the node's per-query latency/throughput totals (the
-  ``telemetry`` block of ``/stats``);
+  exposition), and the slow-query log — near-zero-cost when disabled.
+  The registry is the node's one record of counted events: the caches
+  and every executor the service builds count into it, and ``/stats``
+  and ``/metrics`` both read it;
 - :mod:`~repro.service.server` exposes the service over a stdlib-HTTP JSON
   endpoint (the ``repro serve`` CLI subcommand) and owns the one HTTP edge
   of the package: the request envelope and error contract every server
@@ -42,7 +42,7 @@ batch.  This package turns the engine into a serving subsystem:
 from repro._lazy import namespace
 
 __getattr__, __all__ = namespace(__name__, {
-    "repro.service.cache": "CacheEntry CacheStats LeafResultCache",
+    "repro.service.cache": "CacheEntry LeafResultCache",
     "repro.service.observability": (
         "Histogram MetricsRegistry ServiceObservability SlowQueryLog Span "
         "Tracer default_latency_bounds"

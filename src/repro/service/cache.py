@@ -1,4 +1,4 @@
-"""LRU cache of per-leaf answers with hit/miss/eviction accounting.
+"""LRU cache of per-leaf answers, counting its events into a registry.
 
 The cache sits between the planner and the sharded executor: keys are the
 planner's canonical leaf keys, values are the global answers the executor
@@ -9,6 +9,13 @@ expressions — is what makes cross-query reuse effective: two different
 expressions that share a predicate share its cached answer.
 ``resident_bytes`` tracks the estimated heap footprint of the stored
 values, so ``/stats`` can surface cache-memory regressions.
+
+The cache keeps its occupancy (size, ``resident_bytes``,
+``max_size_seen``, ``generation``) and nothing else: every hit, miss,
+upgrade, eviction and flush is one ``inc`` on the
+:class:`~repro.service.observability.MetricsRegistry` it is built with
+(the node's one record, ``repro_cache_*_total``), and :meth:`snapshot`
+reads the counts back from there.
 
 Cached answers are only valid for the synopsis set they were computed
 against, so the cache exposes explicit :meth:`~LeafResultCache.invalidate`
@@ -32,44 +39,13 @@ from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from repro.core.bitset import DatasetBitmap
+from repro.service.observability import MetricsRegistry
 
 
 def _answer_bytes(value: DatasetBitmap) -> int:
     """Estimated heap footprint of one stored answer: words buffer plus
     ndarray/view header plus bitmap object."""
     return value.nbytes + 96
-
-
-@dataclass
-class CacheStats:
-    """Counters of one cache's lifetime activity."""
-
-    hits: int = 0
-    misses: int = 0
-    upgrades: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    max_size_seen: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup; 0.0 before the first lookup."""
-        return 0.0 if self.lookups == 0 else self.hits / self.lookups
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "upgrades": self.upgrades,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-            "max_size_seen": self.max_size_seen,
-        }
 
 
 @dataclass(frozen=True)
@@ -89,19 +65,22 @@ class LeafResultCache:
         Maximum number of cached leaves.  ``0`` disables caching (every
         lookup is a miss, nothing is stored) — handy for benchmarking the
         cold path without branching at call sites.
+    registry:
+        Where the cache counts its events (``repro_cache_*_total``).
 
     Examples
     --------
     >>> from repro.core.bitset import DatasetBitmap
+    >>> from repro.service.observability import MetricsRegistry
     >>> bits = lambda *members: DatasetBitmap.from_indices(members, 8)
-    >>> cache = LeafResultCache(capacity=2)
+    >>> cache = LeafResultCache(capacity=2, registry=MetricsRegistry())
     >>> cache.put("a", bits(1, 2))
     >>> cache.get("a").to_list()
     [1, 2]
     >>> cache.get("b") is None
     True
     >>> cache.put("b", bits(3)); cache.put("c", bits(4))   # evicts "a" (LRU)
-    >>> cache.get("a") is None, cache.stats.evictions
+    >>> cache.get("a") is None, cache.snapshot()["evictions"]
     (True, 1)
     >>> cache.resident_bytes > 0
     True
@@ -116,12 +95,13 @@ class LeafResultCache:
     ([0, 2], 3)
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int, registry: MetricsRegistry) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
-        self.stats = CacheStats()
+        self.registry = registry
         self.generation = 0
+        self.max_size_seen = 0  # guarded-by: _lock
         self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()  # guarded-by: _lock
         self._resident_bytes = 0  # guarded-by: _lock
         # The service can sit behind a ThreadingHTTPServer, so the
@@ -154,12 +134,12 @@ class LeafResultCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
+            if entry is not None:
+                self._entries.move_to_end(key)
+        self.registry.inc(
+            "repro_cache_misses_total" if entry is None else "repro_cache_hits_total"
+        )
+        return entry
 
     def put(
         self,
@@ -180,6 +160,7 @@ class LeafResultCache:
         """
         if self.capacity == 0:
             return
+        n_evicted = 0
         with self._lock:
             if generation is not None and generation != self.generation:
                 return
@@ -192,10 +173,10 @@ class LeafResultCache:
             while len(self._entries) > self.capacity:
                 _k, evicted = self._entries.popitem(last=False)
                 self._resident_bytes -= _answer_bytes(evicted.indexes)
-                self.stats.evictions += 1
-            self.stats.max_size_seen = max(
-                self.stats.max_size_seen, len(self._entries)
-            )
+                n_evicted += 1
+            self.max_size_seen = max(self.max_size_seen, len(self._entries))
+        if n_evicted:
+            self.registry.inc("repro_cache_evictions_total", by=n_evicted)
 
     def export_entries(self) -> list[tuple[Hashable, CacheEntry]]:
         """The entries in LRU order (oldest first), for snapshotting.
@@ -231,16 +212,15 @@ class LeafResultCache:
 
     def note_upgrades(self, n: int) -> None:
         """Count ``n`` stale entries refreshed in place from the delta shard."""
-        with self._lock:
-            self.stats.upgrades += int(n)
+        self.registry.inc("repro_cache_upgrades_total", by=int(n))
 
     def invalidate(self) -> None:
         """Drop every entry (the synopsis set changed) and bump generation."""
         with self._lock:
             self._entries.clear()
             self._resident_bytes = 0
-            self.stats.invalidations += 1
             self.generation += 1
+        self.registry.inc("repro_cache_invalidations_total")
 
     @property
     def resident_bytes(self) -> int:
@@ -249,11 +229,23 @@ class LeafResultCache:
             return self._resident_bytes
 
     def snapshot(self) -> dict:
-        """Stats plus current occupancy, JSON-ready."""
+        """Lifetime counts (read back from the registry) plus current
+        occupancy, JSON-ready."""
+        count = self.registry.counter_value
+        hits = int(count("repro_cache_hits_total"))
+        misses = int(count("repro_cache_misses_total"))
+        out = {
+            "hits": hits,
+            "misses": misses,
+            "upgrades": int(count("repro_cache_upgrades_total")),
+            "evictions": int(count("repro_cache_evictions_total")),
+            "invalidations": int(count("repro_cache_invalidations_total")),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
         with self._lock:
-            out = self.stats.as_dict()
+            out["max_size_seen"] = self.max_size_seen
             out["size"] = len(self._entries)
             out["capacity"] = self.capacity
             out["generation"] = self.generation
             out["resident_bytes"] = self._resident_bytes
-            return out
+        return out

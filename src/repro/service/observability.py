@@ -26,12 +26,15 @@ Three complementary layers, all dependency-free:
   ``repro serve --slow-log``.
 
 :class:`ServiceObservability` wires the three to a
-:class:`~repro.service.service.QueryService` and owns the node's serving
-totals — the per-query and per-batch sums behind the ``telemetry`` block
-of ``/stats``, under one lock.  ``snapshot()`` is the ``/stats`` payload;
-``/metrics`` is the registry's one renderer, whose gauge source reads
-that same ``snapshot()``, so the two endpoints can never disagree about a
-counter.
+:class:`~repro.service.service.QueryService`.  Its registry is the node's
+one record of counted events: the service builds it first and hands it
+to the leaf cache, the plan cache and every sharded executor, and each
+component counts into it where the event happens — so an executor
+rebuilt over the same service keeps counting.  ``snapshot()`` is the
+``/stats`` payload and reads every count back from the registry;
+``/metrics`` is the registry's one renderer (counters render themselves,
+and one gauge source reads occupancy off the live components), so the
+two endpoints can never disagree about a counter.
 
 Timing schema
 -------------
@@ -276,13 +279,14 @@ class MetricsRegistry:
         return tuple(sorted((labels or {}).items()))
 
     def inc(self, name: str, labels: Optional[dict] = None, by: float = 1.0) -> None:
-        key = (name, self._label_key(labels))
+        key = (name, self._label_key(labels) if labels else ())
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + by
 
     def counter_value(self, name: str, labels: Optional[dict] = None) -> float:
+        key = (name, self._label_key(labels) if labels else ())
         with self._lock:
-            return self._counters.get((name, self._label_key(labels)), 0.0)
+            return self._counters.get(key, 0.0)
 
     def histogram(self, name: str, labels: Optional[dict] = None) -> Histogram:
         """The (lazily created) histogram child for one label set."""
@@ -505,16 +509,16 @@ class SlowQueryLog:
     full, a new slow query evicts the *fastest* logged one, so the log
     always holds the k worst seen.  ``snapshot()`` returns them
     worst-first.  ``threshold_ms=None`` disables recording entirely.
+    :meth:`record` tells whether an entry met the threshold; the count of
+    those is the caller's (``repro_slow_queries_total`` on a node).
 
     Examples
     --------
     >>> log = SlowQueryLog(k=2, threshold_ms=1.0)
-    >>> for ms in (5.0, 0.5, 9.0, 7.0):
-    ...     _ = log.record({"latency_ms": ms})
+    >>> [log.record({"latency_ms": ms}) for ms in (5.0, 0.5, 9.0, 7.0)]
+    [True, False, True, True]
     >>> [e["latency_ms"] for e in log.snapshot()]
     [9.0, 7.0]
-    >>> log.n_recorded   # 0.5 was under the threshold
-    3
     """
 
     def __init__(
@@ -524,7 +528,6 @@ class SlowQueryLog:
             raise ValueError("k must be positive")
         self.k = int(k)
         self.threshold_ms = None if threshold_ms is None else float(threshold_ms)
-        self.n_recorded = 0  # guarded-by: _lock
         self._heap: list[tuple[float, int, dict]] = []  # guarded-by: _lock
         self._seq = itertools.count()  # tie-break: dicts do not compare
         self._lock = threading.Lock()
@@ -534,21 +537,20 @@ class SlowQueryLog:
         return self.threshold_ms is not None
 
     def record(self, entry: dict) -> bool:
-        """Log ``entry`` (must carry ``latency_ms``) if slow enough."""
+        """Log ``entry`` (must carry ``latency_ms``) if slow enough; True
+        when it met the threshold, whether or not it outranks the k
+        worst already held."""
         if self.threshold_ms is None:
             return False
         latency = float(entry["latency_ms"])
         if latency < self.threshold_ms:
             return False
         with self._lock:
-            self.n_recorded += 1
             item = (latency, next(self._seq), entry)
             if len(self._heap) < self.k:
                 heapq.heappush(self._heap, item)
             elif latency > self._heap[0][0]:
                 heapq.heapreplace(self._heap, item)
-            else:
-                return False
         return True
 
     def snapshot(self) -> list[dict]:
@@ -556,10 +558,6 @@ class SlowQueryLog:
         with self._lock:
             items = sorted(self._heap, key=lambda it: (-it[0], it[1]))
         return [entry for _lat, _seq, entry in items]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._heap.clear()
 
 
 #: Recent per-query latencies kept for the windowed ``/stats`` percentiles:
@@ -578,15 +576,18 @@ class ServiceObservability:
     """Registry + tracing policy + slow log + serving totals for one
     ``QueryService``.
 
-    The service owns exactly one of these.  It decides per batch whether
-    to trace (:meth:`tracer_for`), keeps the node's serving totals
-    (:meth:`record_query` / :meth:`record_batch`: lifetime sums plus a
-    window of recent latencies, all under one lock), and collects every
-    component snapshot in one pass (:meth:`snapshot` — the ``/stats``
-    payload).  ``/metrics`` is ``registry.render()``: the registry's own
-    counters and histograms plus one gauge source that reads that same
-    :meth:`snapshot`, so a scrape and a ``/stats`` poll can never tell
-    different stories about the same counter.
+    The service owns exactly one of these and builds it first: its
+    :attr:`registry` is the one record of the node's counted events,
+    passed to the leaf cache, the plan cache and every sharded executor
+    (built, rebuilt or restored), which ``inc`` it where they count.  This
+    object decides per batch whether to trace (:meth:`tracer_for`),
+    counts queries and batches into the registry (:meth:`record_query` /
+    :meth:`record_batch`, plus a window of recent latencies and the
+    ``telemetry`` sums that have no ``/metrics`` family, under one lock),
+    and collects every component snapshot in one pass (:meth:`snapshot` —
+    the ``/stats`` payload, every count read back from the registry).
+    ``/metrics`` is ``registry.render()``: the registry's own counters and
+    histograms plus one gauge source over that same :meth:`snapshot`.
 
     Parameters
     ----------
@@ -626,39 +627,28 @@ class ServiceObservability:
          lambda s: s["plan_cache"]["hit_rate"]),
     )
 
-    #: (prometheus counter name, help) -> extractor over the snapshot.
-    _COUNTERS: tuple = (
-        ("repro_queries_total", "Queries answered.",
-         lambda s: s["telemetry"]["n_queries"]),
-        ("repro_batches_total", "search_batch calls answered.",
-         lambda s: s["telemetry"]["n_batches"]),
-        ("repro_cache_hits_total", "Leaf-cache hits.",
-         lambda s: s["cache"]["hits"]),
-        ("repro_cache_misses_total", "Leaf-cache misses.",
-         lambda s: s["cache"]["misses"]),
+    #: Counter families a node renders from its first scrape (seeded at
+    #: 0): (prometheus name, help).  Each is inc'ed where its event
+    #: happens; ``/stats`` reads the same values back.
+    _SEEDED_COUNTERS: tuple = (
+        ("repro_queries_total", "Queries answered."),
+        ("repro_batches_total", "search_batch calls answered."),
+        ("repro_cache_hits_total", "Leaf-cache hits."),
+        ("repro_cache_misses_total", "Leaf-cache misses."),
         ("repro_cache_upgrades_total",
-         "Stale cached answers refreshed from the delta shard.",
-         lambda s: s["cache"]["upgrades"]),
-        ("repro_cache_evictions_total", "Leaf-cache LRU evictions.",
-         lambda s: s["cache"]["evictions"]),
-        ("repro_cache_invalidations_total", "Full leaf-cache flushes.",
-         lambda s: s["cache"]["invalidations"]),
-        ("repro_plan_cache_hits_total", "Plan-cache hits.",
-         lambda s: s["plan_cache"]["hits"]),
-        ("repro_plan_cache_misses_total", "Plan-cache misses.",
-         lambda s: s["plan_cache"]["misses"]),
+         "Stale cached answers refreshed from the delta shard."),
+        ("repro_cache_evictions_total", "Leaf-cache LRU evictions."),
+        ("repro_cache_invalidations_total", "Full leaf-cache flushes."),
+        ("repro_plan_cache_hits_total", "Plan-cache hits."),
+        ("repro_plan_cache_misses_total", "Plan-cache misses."),
         ("repro_executor_leaf_evals_total",
-         "Unique leaves evaluated by the sharded executor.",
-         lambda s: s["executor"]["leaf_evals"]),
+         "Unique leaves evaluated by the sharded executor."),
         ("repro_executor_shard_tasks_total",
-         "Per-shard leaf evaluations performed.",
-         lambda s: s["executor"]["shard_tasks"]),
+         "Per-shard leaf evaluations performed."),
         ("repro_executor_delta_evals_total",
-         "Delta-shard-only leaf evaluations (cache upgrades).",
-         lambda s: s["executor"]["delta_evals"]),
+         "Delta-shard-only leaf evaluations (cache upgrades)."),
         ("repro_slow_queries_total",
-         "Queries at or above the slow-query threshold.",
-         lambda s: s["observability"]["slow_queries"]),
+         "Queries at or above the slow-query threshold."),
     )
 
     #: ``/stats`` ``telemetry`` name -> the per-query ``result.stats`` key
@@ -685,14 +675,13 @@ class ServiceObservability:
             k=SLOW_LOG_SIZE, threshold_ms=slow_query_threshold_ms
         )
         # /stats may be read by one server thread while another records a
-        # query; sorting the deque mid-append raises RuntimeError otherwise.
+        # query: every query and batch is recorded under this lock (the
+        # window, the sums below, and the registry's query/batch counters
+        # and latency histograms), and /stats copies them out under it, so
+        # no ratio is torn — and sorting the deque mid-append would raise.
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)  # guarded-by: _lock
         self._totals = {name: 0 for name, _key in self._TOTALS}  # guarded-by: _lock
-        self._n_queries = 0  # guarded-by: _lock
-        self._n_batches = 0  # guarded-by: _lock
-        self._latency_total_s = 0.0  # guarded-by: _lock
-        self._batch_wall_total_s = 0.0  # guarded-by: _lock
         self._out_total = 0  # guarded-by: _lock
         reg = self.registry
         reg.declare_histogram(
@@ -706,8 +695,8 @@ class ServiceObservability:
         reg.declare_histogram(
             "repro_batch_seconds", "search_batch wall-clock time."
         )
-        # Held so a recorded query costs no registry lookup; /stats bucket
-        # quantiles and the scraped buckets read these same objects.
+        # Held so a recorded query costs no registry lookup; /stats reads
+        # its counts, latency sums and bucket quantiles off these objects.
         self._query_seconds = reg.histogram("repro_query_seconds")
         self._batch_seconds = reg.histogram("repro_batch_seconds")
         reg.declare_histogram(
@@ -726,13 +715,15 @@ class ServiceObservability:
             "repro_slow_query_threshold_ms", "gauge",
             "Slow-query latency threshold (0 = disabled).",
         )
-        for name, help_text, _fn in self._COUNTERS:
+        for name, help_text in self._SEEDED_COUNTERS:
             reg.describe(name, "counter", help_text)
-        # Resilience counters are inc'ed directly on the registry (by the
-        # service's degrade path and the server's admission gate), so the
-        # registry renders them itself — describing them here only fixes
-        # their HELP/TYPE lines.  They must NOT be added to _COUNTERS,
-        # which would render a second, shadow sample for each.
+            reg.inc(name, by=0)
+        # These render from their first event (the plan cache's LRU, the
+        # degrade and deadline paths, the admission gate); describing them
+        # here only fixes their HELP/TYPE lines.
+        reg.describe(
+            "repro_plan_cache_evictions_total", "counter", "Plan-cache LRU evictions."
+        )
         reg.describe(
             "repro_degraded_queries_total", "counter",
             "Queries answered with degraded (must / maybe) bounds.",
@@ -777,21 +768,19 @@ class ServiceObservability:
         into ``QueryResult.stats`` — that dict is the record."""
         latency_s = stats["latency_s"]
         with self._lock:
-            self._n_queries += 1
-            self._latency_total_s += latency_s
             self._out_total += out_size
             totals = self._totals
             for name, key in self._TOTALS:
                 totals[name] += stats[key]
             self._latencies.append(latency_s)
-        self._query_seconds.observe(latency_s)
+            self._query_seconds.observe(latency_s)
+            self.registry.inc("repro_queries_total")
 
     def record_batch(self, wall_s: float) -> None:
         """One ``search_batch`` call and its wall-clock time."""
         with self._lock:
-            self._n_batches += 1
-            self._batch_wall_total_s += wall_s
-        self._batch_seconds.observe(wall_s)
+            self._batch_seconds.observe(wall_s)
+            self.registry.inc("repro_batches_total")
 
     def record_slow(
         self,
@@ -799,7 +788,7 @@ class ServiceObservability:
         expression_repr: str,
         stats: dict,
         trace: Optional[dict] = None,
-    ) -> bool:
+    ) -> None:
         """Offer one finished query to the slow log (no-op when disabled)."""
         entry = {
             "latency_ms": latency_s * 1e3,
@@ -809,13 +798,19 @@ class ServiceObservability:
         }
         if trace is not None:
             entry["trace"] = trace
-        return self.slow_log.record(entry)
+        if self.slow_log.record(entry):
+            self.registry.inc("repro_slow_queries_total")
 
     # -- exposition ----------------------------------------------------
+    def _count(self, name: str) -> int:
+        """The lifetime value of one of the node's unlabelled counters."""
+        return int(self.registry.counter_value(name))
+
     def snapshot(self) -> dict:
         """The ``/stats`` payload: every component snapshot in one pass."""
         service = self.service
         executor = service.executor
+        count = self._count
         return {
             "engine": executor.engine_kind,
             "n_datasets": executor.n_datasets,
@@ -825,7 +820,12 @@ class ServiceObservability:
             "shard_sizes": executor.shard_sizes(),
             "delta_size": executor.delta_size,
             "capacity": executor.capacity,
-            "executor": executor.stats_snapshot(),
+            "executor": {
+                "leaf_evals": count("repro_executor_leaf_evals_total"),
+                "shard_tasks": count("repro_executor_shard_tasks_total"),
+                "delta_evals": count("repro_executor_delta_evals_total"),
+                "index_bytes": executor.index_bytes(),
+            },
             "cache": service.cache.snapshot(),
             "plan_cache": service.plans.snapshot(),
             "telemetry": self._telemetry(),
@@ -833,7 +833,7 @@ class ServiceObservability:
                 "tracing": self.tracing,
                 "slow_query_threshold_ms": self.slow_log.threshold_ms,
                 "slow_log_size": self.slow_log.k,
-                "slow_queries": self.slow_log.n_recorded,
+                "slow_queries": count("repro_slow_queries_total"),
             },
             "resilience": {
                 "degraded_queries": self.registry.counter_value(
@@ -855,19 +855,21 @@ class ServiceObservability:
         ``json.dumps`` would emit the non-standard ``NaN`` literal that
         strict JSON parsers reject.
 
-        Everything is copied out under the one lock: ``/stats`` is served
-        by one ``ThreadingHTTPServer`` thread while others record queries,
-        and sums read outside it could tear (``n_queries`` from one batch
+        The counts are the registry's counters and the latency sums the
+        latency histograms' own.  All of it is copied out under the lock
+        every query and batch is recorded under: ``/stats`` is served by
+        one ``ThreadingHTTPServer`` thread while others record queries,
+        and values read apart could tear (``n_queries`` from one batch
         with the latency total of the next, a wrong mean or qps).
         """
         with self._lock:
             recent = sorted(self._latencies)
             totals = dict(self._totals)
-            n_queries = self._n_queries
-            n_batches = self._n_batches
-            latency_total_s = self._latency_total_s
-            batch_wall_total_s = self._batch_wall_total_s
             out_total = self._out_total
+            n_queries = self._count("repro_queries_total")
+            n_batches = self._count("repro_batches_total")
+            latency_total_s = self._query_seconds.sum
+            batch_wall_total_s = self._batch_seconds.sum
         buckets = self._query_seconds.snapshot()
         return {
             "n_queries": n_queries,
@@ -891,10 +893,8 @@ class ServiceObservability:
         }
 
     def _gauge_samples(self) -> list[tuple[str, dict, float]]:
-        """The registry's gauge source: component gauges and counters read
-        through the same :meth:`snapshot` that ``/stats`` serves — the
-        source-of-truth lifetime totals rather than shadow counts, which
-        keeps the two endpoints consistent by construction."""
+        """The registry's gauge source: component gauges read through the
+        same :meth:`snapshot` that ``/stats`` serves."""
         stats = self.snapshot()
         out: list[tuple[str, dict, float]] = []
         for name, _help, fn in self._GAUGES:
@@ -905,8 +905,6 @@ class ServiceObservability:
             "repro_slow_query_threshold_ms", {},
             float(self.slow_log.threshold_ms or 0.0),
         ))
-        for name, _help, fn in self._COUNTERS:
-            out.append((name, {}, float(fn(stats))))
         return out
 
     def render_prometheus(self) -> str:

@@ -50,7 +50,7 @@ from typing import (
 from repro.core.bitset import DatasetBitmap
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.errors import QueryError
-from repro.service.observability import NO_SPAN
+from repro.service.observability import NO_SPAN, MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.service.observability import Tracer
@@ -208,8 +208,8 @@ def plan_batch(
         if tracer is not None
         else NO_SPAN
     ) as span:
-        if cache is not None:
-            hits0, misses0 = cache.hits, cache.misses
+        if span is not None and cache is not None:
+            before = cache.snapshot()
         batch = BatchPlan(plans=[planner(e, tracer=tracer) for e in expressions])
         for plan in batch.plans:
             for key, leaf in plan.leaves.items():
@@ -221,8 +221,9 @@ def plan_batch(
                 dedup_ratio=batch.dedup_ratio,
             )
             if cache is not None:
-                span.meta["plan_cache_hits"] = cache.hits - hits0
-                span.meta["plan_cache_misses"] = cache.misses - misses0
+                after = cache.snapshot()
+                span.meta["plan_cache_hits"] = after["hits"] - before["hits"]
+                span.meta["plan_cache_misses"] = after["misses"] - before["misses"]
     return batch
 
 
@@ -344,7 +345,9 @@ class PlanCache:
 
     Plans are pure expression algebra: they reference no index structures
     and no dataset counts, so entries stay valid across live ingestion,
-    removals and full rebuilds.  ``capacity=0`` disables caching.
+    removals and full rebuilds.  ``capacity=0`` disables caching (and
+    counts nothing).  Hits, misses and evictions are counted into
+    ``registry`` (``repro_plan_cache_*_total``).
 
     Examples
     --------
@@ -354,20 +357,18 @@ class PlanCache:
     >>> from repro.geometry.rectangle import Rectangle
     >>> a = pred(PercentileMeasure(Rectangle([0.0], [0.5])), 0.2)
     >>> b = pred(PercentileMeasure(Rectangle([0.5], [1.0])), 0.4)
-    >>> cache = PlanCache(capacity=8)
+    >>> cache = PlanCache(capacity=8, registry=MetricsRegistry())
     >>> p1 = cache.plan(And([a, b]))
     >>> p2 = cache.plan(And([a, b]))      # same shape: compiled once
-    >>> p1 is p2, cache.hits, cache.misses
+    >>> p1 is p2, cache.snapshot()["hits"], cache.snapshot()["misses"]
     (True, 1, 1)
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, registry: MetricsRegistry) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
+        self.registry = registry
         self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
 
@@ -388,31 +389,33 @@ class PlanCache:
             cached = self._plans.get(key)
             if cached is not None:
                 self._plans.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
+        if cached is not None:
+            self.registry.inc("repro_plan_cache_hits_total")
+            return cached
+        self.registry.inc("repro_plan_cache_misses_total")
         compiled = plan_query(expression, tracer=tracer)
+        n_evicted = 0
         with self._lock:
             self._plans[key] = compiled
             self._plans.move_to_end(key)
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
-                self.evictions += 1
+                n_evicted += 1
+        if n_evicted:
+            self.registry.inc("repro_plan_cache_evictions_total", by=n_evicted)
         return compiled
 
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-
     def snapshot(self) -> dict:
-        """JSON-ready counters plus occupancy."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": 0.0 if lookups == 0 else self.hits / lookups,
-                "size": len(self._plans),
-                "capacity": self.capacity,
-            }
+        """JSON-ready lifetime counts (read back from the registry) plus
+        occupancy."""
+        count = self.registry.counter_value
+        hits = int(count("repro_plan_cache_hits_total"))
+        misses = int(count("repro_plan_cache_misses_total"))
+        return {
+            "hits": hits,
+            "misses": misses,
+            "evictions": int(count("repro_plan_cache_evictions_total")),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            "size": len(self),
+            "capacity": self.capacity,
+        }

@@ -547,12 +547,14 @@ class _ServiceRequestHandler(JsonRequestHandler):
             stats["admission"] = gate.snapshot()
         self._send_json(stats)
     def _stats_slow(self) -> None:
-        log = self.service.observability.slow_log
+        obs = self.service.observability
         self._send_json(
             {
-                "threshold_ms": log.threshold_ms,
-                "n_recorded": log.n_recorded,
-                "slow_queries": log.snapshot(),
+                "threshold_ms": obs.slow_log.threshold_ms,
+                "n_recorded": int(
+                    obs.registry.counter_value("repro_slow_queries_total")
+                ),
+                "slow_queries": obs.slow_log.snapshot(),
             }
         )
 

@@ -143,24 +143,27 @@ class QueryService:
             engine=engine,
             capacity=capacity,
         )
-        self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
-            synopses=synopses,
-            repository=repository,
-            n_shards=n_shards,
-            **self._executor_kwargs,
-        )
-        self.cache = LeafResultCache(capacity=cache_capacity)
-        # Compiled plans are pure expression algebra — they reference no
-        # index structures and no dataset counts — so the plan cache
-        # survives live mutation AND full rebuilds unflushed.
-        self.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY)
-        # Tracing policy, metrics registry, slow-query log and the serving
-        # totals; /stats and /metrics are both read off this one object.
+        # Tracing policy, slow-query log and the metrics registry — the
+        # one record of the node's counts, which every component below
+        # incs; /stats and /metrics are both read off this one object.
         self.observability = ServiceObservability(
             self,
             tracing=tracing,
             slow_query_threshold_ms=slow_query_threshold_ms,
         )
+        registry = self.observability.registry
+        self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
+            synopses=synopses,
+            repository=repository,
+            n_shards=n_shards,
+            registry=registry,
+            **self._executor_kwargs,
+        )
+        self.cache = LeafResultCache(capacity=cache_capacity, registry=registry)
+        # Compiled plans are pure expression algebra — they reference no
+        # index structures and no dataset counts — so the plan cache
+        # survives live mutation AND full rebuilds unflushed.
+        self.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY, registry=registry)
         # Serializes add/remove/rebuild against each other.  Queries do not
         # take it: they capture the executor reference once per batch and
         # the cache write-back is generation-guarded against rebuilds.
@@ -707,6 +710,7 @@ class QueryService:
             repository=repository,
             n_shards=self.n_shards,
             removed=self.executor.removed,
+            registry=self.observability.registry,
             **self._executor_kwargs,
         )
         # Flush on BOTH sides of the publication (see search_batch's capture

@@ -82,7 +82,7 @@ from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import check_dynamic_engine
 from repro.service import faults
-from repro.service.observability import NO_SPAN
+from repro.service.observability import NO_SPAN, MetricsRegistry
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 
@@ -206,6 +206,10 @@ class ShardedBatchExecutor:
         Global dataset indexes to tombstone from the start; these stay in
         ``synopses`` (positions are stable identities) but are excluded from
         the shard engines and masked out of every answer.
+    registry:
+        Where completed evaluations are counted
+        (``repro_executor_{leaf_evals,shard_tasks,delta_evals}_total``):
+        the owning service's, so the counts outlive a rebuild's executor.
     """
 
     def __init__(
@@ -222,6 +226,8 @@ class ShardedBatchExecutor:
         engine: str = "kd",
         capacity: Optional[int] = None,
         removed: Optional[Iterable[int]] = None,
+        *,
+        registry: MetricsRegistry,
     ) -> None:
         if synopses is None and repository is None:
             raise ConstructionError("provide synopses and/or a repository")
@@ -240,6 +246,7 @@ class ShardedBatchExecutor:
         self.engine_kind = check_dynamic_engine(engine)
         self.synopses = [self._seeded(s, i) for i, s in enumerate(synopses)]
         self.repository = repository
+        self.registry = registry
 
         self.removed = frozenset(int(i) for i in (removed or ()))
         #: Memoized ANDNOT mask; keyed by identity of ``removed`` (which is
@@ -279,14 +286,11 @@ class ShardedBatchExecutor:
             for s, shard in enumerate(self.shards)
         ]
         self._locks = [threading.Lock() for _ in range(self.n_shards)]
-        self._stats_lock = threading.Lock()
 
         # Delta shard: lazily created on the first add_synopses call.
         self.delta_engine: Optional[DatasetSearchEngine] = None
         self.delta_ids: list[int] = []
         self._delta_lock = threading.Lock()
-
-        self.stats: dict = {"leaf_evals": 0, "shard_tasks": 0, "delta_evals": 0}  # guarded-by: _stats_lock
 
     @property
     def n_datasets(self) -> int:
@@ -434,8 +438,7 @@ class ShardedBatchExecutor:
             done = time.perf_counter()
             out = [(to_global(local), done) for local in locals_]
         if len(out) == len(leaves):  # a tripped unit counts no task
-            with self._stats_lock:
-                self.stats["shard_tasks"] += len(out)
+            self.registry.inc("repro_executor_shard_tasks_total", by=len(out))
         return out
 
     def _units(
@@ -477,7 +480,7 @@ class ShardedBatchExecutor:
         """Evaluate a leaf batch on each unit in turn and merge (masked)
         answers — the one body of :meth:`eval_leaves` and
         :meth:`eval_delta_leaves`, which differ in the units they visit and
-        the ``stats`` counter a completed batch is added to.
+        the registry ``counter`` a completed batch is added to.
 
         Units run one after another on the calling thread, each under its
         own span (see :meth:`_eval_on_unit`); the merge loop runs under a
@@ -496,8 +499,7 @@ class ShardedBatchExecutor:
             return []
         if not units:
             stamp = time.perf_counter()
-            with self._stats_lock:
-                self.stats[counter] += len(leaves)
+            self.registry.inc(counter, by=len(leaves))
             return [(DatasetBitmap.zeros(0), stamp) for _ in leaves]
         per_unit: list[list[tuple[DatasetBitmap, float]]] = []
         for engine, mapping, lock in units:
@@ -530,8 +532,7 @@ class ShardedBatchExecutor:
                     merged = merged.andnot(removed)
                 out.append((merged, done))
         if len(out) == len(leaves):  # a tripped batch counts no leaf
-            with self._stats_lock:
-                self.stats[counter] += len(out)
+            self.registry.inc(counter, by=len(out))
         return out
 
     # ------------------------------------------------------------------
@@ -554,7 +555,8 @@ class ShardedBatchExecutor:
         emit scheduler attributes to it.
         """
         return self._eval_on_units(
-            "leaf_evals", self._units(), leaves, tracer, deadline
+            "repro_executor_leaf_evals_total", self._units(), leaves, tracer,
+            deadline,
         )
 
     def eval_delta_leaves(
@@ -574,7 +576,8 @@ class ShardedBatchExecutor:
         are empty bitsets.
         """
         return self._eval_on_units(
-            "delta_evals", self._units(delta_only=True), leaves, tracer, deadline
+            "repro_executor_delta_evals_total", self._units(delta_only=True),
+            leaves, tracer, deadline,
         )
 
     # ------------------------------------------------------------------
@@ -693,11 +696,3 @@ class ShardedBatchExecutor:
         under no shard lock: a momentary view while a shard rebuilds."""
         indexes = [engine._ptile for engine, _mapping, _lock in self._units()]
         return sum(index._tree.nbytes for index in indexes if index is not None)
-
-    def stats_snapshot(self) -> dict:
-        """A consistent copy of the counters (taken under the stats lock),
-        plus ``index_bytes`` (read outside it)."""
-        with self._stats_lock:
-            out = dict(self.stats)
-        out["index_bytes"] = self.index_bytes()
-        return out

@@ -112,7 +112,7 @@ from repro.geometry.rectangle import Rectangle
 from repro.index.backend import check_dynamic_engine, restore_backend
 from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
-from repro.service.observability import ServiceObservability
+from repro.service.observability import MetricsRegistry, ServiceObservability
 from repro.service.planner import PLAN_CACHE_CAPACITY, PlanCache
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
@@ -552,9 +552,10 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
 
 
 def _executor_from_state(
-    state: dict, arrays: _ArrayTable
+    state: dict, arrays: _ArrayTable, registry: MetricsRegistry
 ) -> ShardedBatchExecutor:
     ex = ShardedBatchExecutor.__new__(ShardedBatchExecutor)
+    ex.registry = registry
     ex.eps = float(state["eps"])
     ex.seed = int(state["seed"])
     ex._delta_param = state["delta"]
@@ -586,7 +587,6 @@ def _executor_from_state(
         for s, (shard, sub) in enumerate(zip(ex.shards, state["engines"]))
     ]
     ex._locks = [threading.Lock() for _ in range(ex.n_shards)]
-    ex._stats_lock = threading.Lock()
     ex.delta_engine = (
         None
         if state["delta_engine"] is None
@@ -595,7 +595,6 @@ def _executor_from_state(
         )
     )
     ex._delta_lock = threading.Lock()
-    ex.stats = {"leaf_evals": 0, "shard_tasks": 0, "delta_evals": 0}  # guarded-by: _stats_lock
     return ex
 
 
@@ -686,15 +685,18 @@ def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
     kw.pop("deterministic", None)
     kw["bounding_box"] = _box_from(kw["bounding_box"])
     svc._executor_kwargs = kw
-    svc.executor = _executor_from_state(state["executor"], arrays)
-    svc.cache = LeafResultCache(capacity=int(state["cache"]["capacity"]))
-    _cache_restore(state["cache"], arrays, svc.cache)
-    svc.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY)
     svc.observability = ServiceObservability(
         svc,
         tracing=bool(state["tracing"]),
         slow_query_threshold_ms=state["slow_query_threshold_ms"],
     )
+    registry = svc.observability.registry
+    svc.executor = _executor_from_state(state["executor"], arrays, registry)
+    svc.cache = LeafResultCache(
+        capacity=int(state["cache"]["capacity"]), registry=registry
+    )
+    _cache_restore(state["cache"], arrays, svc.cache)
+    svc.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY, registry=registry)
     svc._mutation_lock = threading.Lock()
     return svc
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from repro.analysis import lint_source
 from repro.core.bitset import DatasetBitmap
 from repro.service.cache import LeafResultCache
+from repro.service.observability import MetricsRegistry
 from repro.service.planner import PlanCache
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
@@ -50,7 +51,7 @@ def test_reverting_pr2_telemetry_fix_is_caught():
         "_latencies" in f.message and "_telemetry()" in f.message for f in findings
     )
     assert any(
-        "_n_queries" in f.message and "record_query()" in f.message for f in findings
+        "_out_total" in f.message and "record_query()" in f.message for f in findings
     )
 
 
@@ -68,7 +69,7 @@ def test_unlocking_cache_len_is_caught():
 
 
 def test_leaf_cache_len_counts_entries():
-    cache = LeafResultCache(capacity=4)
+    cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
     assert len(cache) == 0
     cache.put("a", DatasetBitmap.from_indices([1, 2], 8))
     cache.put("b", DatasetBitmap.from_indices([3], 8))
@@ -81,7 +82,7 @@ def test_plan_cache_len_counts_plans():
     from repro.core.predicates import pred
     from repro.geometry.rectangle import Rectangle
 
-    cache = PlanCache(capacity=8)
+    cache = PlanCache(capacity=8, registry=MetricsRegistry())
     assert len(cache) == 0
     cache.plan(pred(PercentileMeasure(Rectangle([0.0], [0.5])), 0.2))
     assert len(cache) == 1
@@ -91,7 +92,7 @@ def test_len_safe_during_concurrent_churn():
     # The bug being prevented: OrderedDict len/iteration racing a
     # concurrent insert-evict. With the lock in __len__ this loop is
     # steady under churn.
-    cache = LeafResultCache(capacity=8)
+    cache = LeafResultCache(capacity=8, registry=MetricsRegistry())
     stop = threading.Event()
     errors = []
 

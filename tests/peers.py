@@ -38,6 +38,7 @@ from repro.core.predicates import Expression, Predicate
 from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.service import QueryService
 from repro.service.federation import FederatedCoordinator, federated_node_service
+from repro.service.observability import MetricsRegistry
 from repro.service.planner import evaluate_with_leaf_results, plan_batch
 from repro.service.server import make_server
 from repro.service.sharding import ShardedBatchExecutor, partition_indices
@@ -70,6 +71,7 @@ def rebuilt(service: QueryService, n_shards: int) -> ShardedBatchExecutor:
         repository=executor.repository,
         n_shards=n_shards,
         removed=executor.removed,
+        registry=MetricsRegistry(),
         **service._executor_kwargs,
     )
 

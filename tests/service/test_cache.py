@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.bitset import DatasetBitmap
 from repro.service.cache import LeafResultCache
+from repro.service.observability import MetricsRegistry
 
 
 def bits(*members, nbits=64):
@@ -13,32 +14,33 @@ def bits(*members, nbits=64):
 
 class TestHitMiss:
     def test_miss_then_hit(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         assert cache.get("k") is None
         cache.put("k", bits(1, 2))
         assert cache.get("k") == bits(1, 2)
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        snap = cache.snapshot()
+        assert snap["hits"] == 1 and snap["misses"] == 1
+        assert snap["hit_rate"] == 0.5
 
     def test_contains_does_not_touch_stats(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         cache.put("k", bits(1))
         assert "k" in cache and "other" not in cache
-        assert cache.stats.lookups == 0
+        assert cache.snapshot()["hits"] + cache.snapshot()["misses"] == 0
 
 
 class TestEviction:
     def test_lru_order(self):
-        cache = LeafResultCache(capacity=2)
+        cache = LeafResultCache(capacity=2, registry=MetricsRegistry())
         cache.put("a", bits(1))
         cache.put("b", bits(2))
         assert cache.get("a") is not None  # refresh `a`; `b` is now LRU
         cache.put("c", bits(3))
         assert cache.get("b") is None and cache.get("a") is not None
-        assert cache.stats.evictions == 1
+        assert cache.snapshot()["evictions"] == 1
 
     def test_put_refreshes_recency(self):
-        cache = LeafResultCache(capacity=2)
+        cache = LeafResultCache(capacity=2, registry=MetricsRegistry())
         cache.put("a", bits(1))
         cache.put("b", bits(2))
         cache.put("a", bits(1, 5))  # refresh value + recency
@@ -47,18 +49,18 @@ class TestEviction:
         assert cache.get("b") is None
 
     def test_zero_capacity_disables(self):
-        cache = LeafResultCache(capacity=0)
+        cache = LeafResultCache(capacity=0, registry=MetricsRegistry())
         cache.put("a", bits(1))
         assert cache.get("a") is None and len(cache) == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LeafResultCache(capacity=-1)
+            LeafResultCache(capacity=-1, registry=MetricsRegistry())
 
 
 class TestInvalidation:
     def test_invalidate_clears_and_bumps_generation(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         cache.put("a", bits(1))
         cache.put("b", bits(2))
         gen = cache.generation
@@ -66,12 +68,12 @@ class TestInvalidation:
         assert len(cache) == 0
         assert cache.get("a") is None
         assert cache.generation == gen + 1
-        assert cache.stats.invalidations == 1
+        assert cache.snapshot()["invalidations"] == 1
 
     def test_stale_generation_write_dropped(self):
         # A computation that began before invalidate() must not poison the
         # fresh cache with answers for the old synopsis set.
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         gen = cache.generation
         cache.invalidate()  # synopsis set changes mid-computation
         cache.put("a", bits(1, 2), generation=gen)
@@ -80,7 +82,7 @@ class TestInvalidation:
         assert cache.get("a") == bits(3)
 
     def test_snapshot_shape(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         cache.put("a", bits(1))
         cache.get("a")
         snap = cache.snapshot()
@@ -92,28 +94,29 @@ class TestInvalidation:
 
 class TestWatermarks:
     def test_entry_carries_watermark(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         cache.put("a", bits(1, 2), watermark=7)
         entry = cache.get_entry("a")
         assert entry.indexes == bits(1, 2) and entry.watermark == 7
         # get() remains the watermark-oblivious view of the same entry
         assert cache.get("a") == bits(1, 2)
-        assert cache.stats.hits == 2
+        assert cache.snapshot()["hits"] == 2
 
     def test_default_watermark_zero(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         cache.put("a", bits(1))
         assert cache.get_entry("a").watermark == 0
 
     def test_note_upgrades_counts(self):
-        cache = LeafResultCache(capacity=4)
+        cache = LeafResultCache(capacity=4, registry=MetricsRegistry())
         cache.note_upgrades(3)
-        assert cache.stats.upgrades == 3 and cache.snapshot()["upgrades"] == 3
+        assert cache.snapshot()["upgrades"] == 3
+        assert cache.registry.counter_value("repro_cache_upgrades_total") == 3
 
 
 class TestResidentBytes:
     def test_tracks_insert_replace_evict_invalidate(self):
-        cache = LeafResultCache(capacity=2)
+        cache = LeafResultCache(capacity=2, registry=MetricsRegistry())
         assert cache.resident_bytes == 0
         cache.put("a", DatasetBitmap.from_indices(range(100), 6400))
         wide_bytes = cache.resident_bytes
@@ -131,7 +134,7 @@ class TestResidentBytes:
         assert cache.snapshot()["resident_bytes"] == 0
 
     def test_zero_capacity_stays_zero(self):
-        cache = LeafResultCache(capacity=0)
+        cache = LeafResultCache(capacity=0, registry=MetricsRegistry())
         cache.put("a", bits(1, 2, 3))
         assert cache.resident_bytes == 0
 
@@ -172,7 +175,7 @@ class TestStaleDropThroughRebuild:
             # cache and the in-flight batch must not repopulate it with
             # answers computed against the pre-rebuild synopsis set.
             assert svc.cache.generation >= 1  # a rebuild flushes (possibly
-            assert svc.cache.stats.invalidations >= 1  # on both swap sides)
+            assert svc.cache.snapshot()["invalidations"] >= 1  # on both swap sides)
             assert len(svc.cache) == 0
             # The in-flight batch still answered from its own evaluation.
             expected = [r.indexes for r in svc.search_batch(queries)]

@@ -336,14 +336,14 @@ class TestDeadlineUnderInjectedSlowness:
             expired = Deadline(-1.0)
             assert svc.executor.eval_leaves(leaves, deadline=expired) == []
             # A tripped batch moves no executor counter ...
-            assert svc.executor.stats_snapshot()["leaf_evals"] == 0
-            assert svc.executor.stats_snapshot()["shard_tasks"] == 0
+            assert svc.stats()["executor"]["leaf_evals"] == 0
+            assert svc.stats()["executor"]["shard_tasks"] == 0
             # ... and a budget that holds returns the whole aligned list.
             full = svc.executor.eval_leaves(leaves, deadline=Deadline(60.0))
             assert [b for b, _t in full] == [
                 b for b, _t in svc.executor.eval_leaves(leaves)
             ]
-            assert svc.executor.stats_snapshot()["leaf_evals"] == 2 * len(leaves)
+            assert svc.stats()["executor"]["leaf_evals"] == 2 * len(leaves)
         finally:
             svc.close()
 

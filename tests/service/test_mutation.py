@@ -134,15 +134,15 @@ class TestWarmCache:
         queries = make_queries(3)
         with make_service(lake[:N0], box, 2) as svc:
             svc.search_batch(queries)
-            misses_before = svc.cache.stats.misses
+            misses_before = svc.stats()["cache"]["misses"]
             generation = svc.cache.generation
             svc.add_datasets(lake[N0:])
             svc.search_batch(queries)  # every leaf is a hit or an upgrade
             assert svc.cache.generation == generation
-            assert svc.cache.stats.invalidations == 0
-            assert svc.cache.stats.misses == misses_before
-            assert svc.cache.stats.upgrades > 0
-            assert svc.cache.stats.hit_rate > 0.0
+            assert svc.stats()["cache"]["invalidations"] == 0
+            assert svc.stats()["cache"]["misses"] == misses_before
+            assert svc.stats()["cache"]["upgrades"] > 0
+            assert svc.stats()["cache"]["hit_rate"] > 0.0
 
     def test_upgraded_entries_serve_as_full_hits_afterwards(self):
         lake = make_lake(2)
@@ -152,11 +152,11 @@ class TestWarmCache:
             svc.search_batch(queries)
             svc.add_datasets(lake[N0:])
             svc.search_batch(queries)  # upgrades
-            upgrades_after_first = svc.cache.stats.upgrades
-            delta_evals = svc.executor.stats["delta_evals"]
+            upgrades_after_first = svc.stats()["cache"]["upgrades"]
+            delta_evals = svc.stats()["executor"]["delta_evals"]
             svc.search_batch(queries)  # now watermark-current: pure hits
-            assert svc.cache.stats.upgrades == upgrades_after_first
-            assert svc.executor.stats["delta_evals"] == delta_evals
+            assert svc.stats()["cache"]["upgrades"] == upgrades_after_first
+            assert svc.stats()["executor"]["delta_evals"] == delta_evals
 
     def test_upgrade_stats_reported_per_query(self):
         lake = make_lake(2)
@@ -246,6 +246,50 @@ class TestRebuildFallbacks:
             got = [r.indexes for r in svc.search_batch(queries)]
             expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
+
+    def test_rebuilds_keep_the_executor_counts(self):
+        """The executor counts into the service's registry, so neither a
+        rebalancing add nor an explicit ``rebuild()`` lowers a count on
+        ``/stats`` or its ``repro_executor_*_total`` sample."""
+        lake = make_lake(8)
+        box = Repository.from_arrays(lake).bounding_box()
+        queries = make_queries(13)
+
+        def counts(svc):
+            stats = svc.stats()["executor"]
+            samples = dict(
+                line.split(" ")
+                for line in svc.observability.render_prometheus().splitlines()
+                if line.startswith("repro_executor_")
+            )
+            return {
+                name: (stats[name], float(samples[f"repro_executor_{name}_total"]))
+                for name in ("leaf_evals", "shard_tasks", "delta_evals")
+            }
+
+        def no_lower(before, after):
+            return all(
+                after[name][0] >= count and after[name][1] >= sample
+                for name, (count, sample) in before.items()
+            )
+
+        with make_service(lake[:8], box, 2) as svc:
+            svc.search_batch(queries)
+            assert svc.add_datasets(lake[8:10])["rebuilt"] is False
+            svc.search_batch(queries)  # upgrades: delta-shard evaluations
+            before = counts(svc)
+            assert all(count > 0 and count == sample
+                       for count, sample in before.values()), before
+            receipt = svc.add_datasets(lake[10:14])
+            assert receipt["reason"] == "rebalance"
+            rebalanced = counts(svc)
+            assert no_lower(before, rebalanced), (before, rebalanced)
+            svc.rebuild()
+            assert no_lower(rebalanced, counts(svc))
+            svc.search_batch(queries)  # the flushed cache misses again
+            after = counts(svc)
+            assert after["leaf_evals"][0] > before["leaf_evals"][0]
+            assert after["leaf_evals"][1] == after["leaf_evals"][0]
 
     def test_out_of_box_data_falls_back_to_rebuild(self):
         lake = make_lake(9)
@@ -355,4 +399,4 @@ class TestChurnStream:
                     svc.add_datasets(payload)
                 else:
                     svc.remove_datasets(payload)
-            assert svc.cache.stats.invalidations == svc.cache.generation
+            assert svc.stats()["cache"]["invalidations"] == svc.cache.generation

@@ -208,14 +208,14 @@ class TestServiceFacade:
             repository=repo, n_shards=2, eps=EPS, sample_size=SAMPLE_SIZE
         ) as svc:
             svc.search_batch(queries)
-            misses_after_cold = svc.cache.stats.misses
+            misses_after_cold = svc.stats()["cache"]["misses"]
             svc.search_batch(queries)
-            assert svc.cache.stats.misses == misses_after_cold  # all warm
-            assert svc.cache.stats.hit_rate > 0.0
+            assert svc.stats()["cache"]["misses"] == misses_after_cold  # all warm
+            assert svc.stats()["cache"]["hit_rate"] > 0.0
             # invalidation forces recomputation
             svc.invalidate_cache()
             svc.search_batch(queries)
-            assert svc.cache.stats.misses > misses_after_cold
+            assert svc.stats()["cache"]["misses"] > misses_after_cold
 
     def test_answers_unchanged_after_invalidate(self, service, queries):
         before = [r.indexes for r in service.search_batch(queries[:8])]

@@ -16,6 +16,10 @@ benchmark ships it.  Invariants:
 - a result a tripped batch left undegraded equals the untripped answer,
   and at the executor a budget that runs out after any number of polls
   returns a prefix of the untripped leaf answers, bit for bit;
+- no sample of a ``counter`` family on ``/metrics`` falls between rules
+  while the service is the same object (a rebalance or ``rebuild()``
+  swaps the executor, which counts into the service's registry; a
+  snapshot round trip loads a new service, whose counts start afresh);
 - every add's receipt tells the truth: ``rebalance`` exactly when the delta
   shard outgrows the mean base shard or the live count outgrows the
   contract's N (``delta_size`` 0 after it), ``bounding_box`` for data
@@ -94,6 +98,21 @@ class PollBudget:
         return self.left < 0
 
 
+def counter_samples(service: QueryService) -> dict[str, float]:
+    """Every sample of a TYPE ``counter`` family in ``service``'s
+    ``/metrics`` body, keyed by series (name and labels)."""
+    counters: set[str] = set()
+    out: dict[str, float] = {}
+    for line in service.observability.render_prometheus().splitlines():
+        if line.startswith("# TYPE ") and line.endswith(" counter"):
+            counters.add(line.split(" ")[2])
+        elif line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            if series.split("{", 1)[0] in counters:
+                out[series] = float(value)
+    return out
+
+
 def contract(executor) -> tuple:
     """What a rebuild re-resolves: ``(phi_eff, sample_size, eps_effective,
     bounding_box)``."""
@@ -121,6 +140,7 @@ class ServiceMachine(RuleBasedStateMachine):
         self.pool = batched_query_workload(POOL, DIM, rng, duplicate_leaf_rate=0.6)
         self.leaves = list(plan_batch(self.pool).unique_leaves.values())
         self.stale = True  # the history moved since the peers last agreed
+        self.counted = (self.service, counter_samples(self.service))
         self.tmp = Path(os.environ.get("TMPDIR", "/tmp")) / f"stateful-{os.getpid()}.snap"
 
     def teardown(self):
@@ -197,6 +217,18 @@ class ServiceMachine(RuleBasedStateMachine):
         event(f"snapshot round trip, mmap={mmap}")
         self.stale = True
 
+    @invariant()
+    def counters_never_fall(self):
+        now = counter_samples(self.service)
+        service, before = self.counted
+        if service is self.service:
+            fell = {k: (v, now.get(k)) for k, v in before.items()
+                    if now.get(k, -1.0) < v}
+            assert not fell, fell
+        else:
+            event("counters restart with a loaded service")
+        self.counted = (self.service, now)
+
     # -- peers ---------------------------------------------------------
     @rule()
     def peers_agree(self):
@@ -258,7 +290,7 @@ class ServiceMachine(RuleBasedStateMachine):
         queries = self._batch(picks)
         registry = self.service.observability.registry
         trips = registry.counter_value("repro_deadline_expirations_total")
-        before = self.service.executor.stats_snapshot()
+        before = self.service.stats()["executor"]
         faults.arm("shard_eval=sleep:0.01")
         try:  # the first unit sleeps through the whole budget
             results = self.service.search_batch(queries, deadline_ms=5)
@@ -269,7 +301,7 @@ class ServiceMachine(RuleBasedStateMachine):
         # batch counts one too, and degrades nothing).
         trips = registry.counter_value("repro_deadline_expirations_total") - trips
         assert trips == 1 if tripped else trips in (0, 1)
-        after = self.service.executor.stats_snapshot()
+        after = self.service.stats()["executor"]
         assert (after["leaf_evals"], after["shard_tasks"]) == (
             before["leaf_evals"], before["shard_tasks"]
         )
@@ -285,7 +317,7 @@ class ServiceMachine(RuleBasedStateMachine):
         executor = self.service.executor
         leaves = list(plan_batch(self._batch(picks)).unique_leaves.values())
         full = [bits for bits, _t in executor.eval_leaves(leaves)]
-        counted = executor.stats_snapshot()["leaf_evals"]
+        counted = self.service.stats()["executor"]["leaf_evals"]
         part = [
             bits
             for bits, _t in executor.eval_leaves(leaves, deadline=PollBudget(polls))
@@ -294,7 +326,9 @@ class ServiceMachine(RuleBasedStateMachine):
         # One poll before each unit, one inside it, one per leaf.
         held = polls >= len(executor._units()) * (len(leaves) + 2)
         assert (len(part) == len(leaves)) == held
-        assert executor.stats_snapshot()["leaf_evals"] == counted + held * len(leaves)
+        assert self.service.stats()["executor"]["leaf_evals"] == (
+            counted + held * len(leaves)
+        )
 
 
 

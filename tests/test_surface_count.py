@@ -12,10 +12,10 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (261, 964),
+    "src/repro": (260, 956),
     "src/repro/analysis": (5, 29),
     "src/repro/index": (8, 98),
-    "src/repro/service": (115, 317),
+    "src/repro/service": (114, 309),
 }
 
 

@@ -3,9 +3,10 @@
 Boots a small service behind the stdlib HTTP server and scrapes it fresh:
 every required counter family but the per-request one already renders,
 at 0.  Then it drives traced and untraced batches, an add (whose next
-batch upgrades cached answers from the delta shard), a cache flush and a
-degraded batch over the wire, scrapes ``/metrics`` again and asserts the
-exposition is well-formed and complete:
+batch upgrades cached answers from the delta shard), an add outside the
+bounding box (one rebuild), a cache flush and a degraded batch over the
+wire, scrapes ``/metrics`` again and asserts the exposition is
+well-formed and complete:
 
 - every non-comment line parses as ``name{labels} value``;
 - no family is typed twice and no ``(name, labels)`` series repeats (a
@@ -15,7 +16,9 @@ exposition is well-formed and complete:
   to ``_count``;
 - ``/stats`` and ``/metrics`` agree on every counter that has a
   ``/stats`` twin (:data:`STATS_TWINS`; a family with no sample yet
-  must read 0 there), and ``/stats/slow`` on the slow-query count.
+  must read 0 there), and ``/stats/slow`` on the slow-query count;
+- the rebuild and the flush are one invalidation each:
+  ``cache.invalidations == cache.generation == 2``.
 
 Then the same over the shared HTTP edge's second server: a federation
 coordinator over that node answers one batch, its ``/metrics`` goes
@@ -255,6 +258,9 @@ def main() -> int:
         added = post(f"{base}/datasets", {"datasets": [lake[40].tolist()]})
         assert added["rebuilt"] is False, added
         post(f"{base}/search/batch", {"expressions": expressions})  # upgrades
+        far = np.random.default_rng(9).uniform(50.0, 60.0, size=(80, 1))
+        rebuilt = post(f"{base}/datasets", {"datasets": [far.tolist()]})
+        assert rebuilt["rebuilt"] and rebuilt["reason"] == "bounding_box", rebuilt
         post(f"{base}/cache/invalidate", {})
         post(f"{base}/search/batch", {"expressions": expressions, "degrade": True})
 
@@ -275,6 +281,8 @@ def main() -> int:
                              ("executor", "delta_evals"),
                              ("resilience", "degraded_queries")):
             assert stats[section][key] > 0, f"{section}.{key} never counted"
+        flushes = (stats["cache"]["invalidations"], stats["cache"]["generation"])
+        assert flushes == (2, 2), f"one rebuild + one flush read as {flushes}"
         slow, _ = fetch(f"{base}/stats/slow")
         slow = json.loads(slow)
         assert slow["n_recorded"] >= 1, "slow log empty at threshold 0"

@@ -25,12 +25,12 @@ Three complementary layers, all dependency-free:
   recorded.  Dumped by ``GET /stats/slow`` and enabled by
   ``repro serve --slow-log``.
 
-:class:`ServiceObservability` wires the three to a
+:class:`ServiceObservability` wires the three to a process's current
 :class:`~repro.service.service.QueryService`.  Its registry is the node's
-one record of counted events: the service builds it first and hands it
-to the leaf cache, the plan cache and every sharded executor, and each
-component counts into it where the event happens — so an executor
-rebuilt over the same service keeps counting.  ``snapshot()`` is the
+one record of counted events: the leaf cache, the plan cache and every
+sharded executor count into it where the event happens, and a service
+restored into a running process adopts it — so no count falls while the
+process lives, across a rebuild or a swap.  ``snapshot()`` is the
 ``/stats`` payload and reads every count back from the registry;
 ``/metrics`` is the registry's one renderer (counters render themselves,
 and one gauge source reads occupancy off the live components), so the
@@ -573,13 +573,12 @@ def _nearest_rank(sorted_values: list[float], q: float) -> Optional[float]:
 
 
 class ServiceObservability:
-    """Registry + tracing policy + slow log + serving totals for one
-    ``QueryService``.
+    """Registry + tracing policy + slow log + serving totals of a process.
 
-    The service owns exactly one of these and builds it first: its
-    :attr:`registry` is the one record of the node's counted events,
-    passed to the leaf cache, the plan cache and every sharded executor
-    (built, rebuilt or restored), which ``inc`` it where they count.  This
+    A new service builds one; a service restored into a running process
+    adopts its predecessor's.  Its :attr:`registry` is the one record of
+    the node's counted events, passed to the leaf cache, the plan cache
+    and every sharded executor, which ``inc`` it where they count.  This
     object decides per batch whether to trace (:meth:`tracer_for`),
     counts queries and batches into the registry (:meth:`record_query` /
     :meth:`record_batch`, plus a window of recent latencies and the
@@ -592,7 +591,7 @@ class ServiceObservability:
     Parameters
     ----------
     service:
-        The owning :class:`~repro.service.service.QueryService`.
+        The current :class:`~repro.service.service.QueryService`.
     tracing:
         Trace *every* batch (otherwise only batches that opt in with
         ``trace=True``).

@@ -143,23 +143,27 @@ class QueryService:
             engine=engine,
             capacity=capacity,
         )
-        # Tracing policy, slow-query log and the metrics registry — the
-        # one record of the node's counts, which every component below
-        # incs; /stats and /metrics are both read off this one object.
-        self.observability = ServiceObservability(
-            self,
-            tracing=tracing,
-            slow_query_threshold_ms=slow_query_threshold_ms,
-        )
-        registry = self.observability.registry
+        # Tracing policy, slow log and the registry, the one record of counts.
+        observability = ServiceObservability(self, tracing, slow_query_threshold_ms)
         self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
             synopses=synopses,
             repository=repository,
             n_shards=n_shards,
-            registry=registry,
+            registry=observability.registry,
             **self._executor_kwargs,
         )
+        self._assemble(observability, cache_capacity)
+
+    def _assemble(
+        self, observability: ServiceObservability, cache_capacity: int,
+        cache_entries: Sequence[tuple] = (), cache_generation: int = 0,
+    ) -> None:
+        """Build the caches and lock around ``self.executor`` and ``observability``
+        (a restore into a running process passes the process's); point it here
+        last, once this service is whole, as ``/stats`` reads what it points at."""
+        registry = observability.registry
         self.cache = LeafResultCache(capacity=cache_capacity, registry=registry)
+        self.cache.restore_entries(list(cache_entries), generation=cache_generation)
         # Compiled plans are pure expression algebra — they reference no
         # index structures and no dataset counts — so the plan cache
         # survives live mutation AND full rebuilds unflushed.
@@ -168,6 +172,8 @@ class QueryService:
         # take it: they capture the executor reference once per batch and
         # the cache write-back is generation-guarded against rebuilds.
         self._mutation_lock = threading.Lock()
+        self.observability = observability
+        observability.service = self
 
     # ------------------------------------------------------------------
     # Introspection
@@ -304,10 +310,10 @@ class QueryService:
         ``tracer`` is None on the untraced hot path — every instrumented
         site collapses to one pointer comparison; likewise ``deadline``.
         """
-        # Capture order matters against a concurrent rebuild (which flushes,
-        # publishes the new executor, then flushes again): reading the
+        # Capture order matters against a concurrent rebuild (which
+        # publishes the new executor, then flushes once): reading the
         # generation BEFORE the executor guarantees that a batch holding the
-        # final generation also holds the new executor, so no answer
+        # flushed generation also holds the new executor, so no answer
         # computed on the old one can ever be stored as current.
         generation = self.cache.generation  # for flush-safe write-back
         executor = self.executor  # one executor per batch, even mid-rebuild
@@ -713,13 +719,9 @@ class QueryService:
             registry=self.observability.registry,
             **self._executor_kwargs,
         )
-        # Flush on BOTH sides of the publication (see search_batch's capture
-        # ordering): the first invalidate dooms every in-flight write-back
-        # that predates the swap; the second clears anything a racing batch
-        # managed to store between the two while still seeing the old
-        # executor.  A batch that captures the final generation necessarily
-        # captures the new executor.
-        self.invalidate_cache()
+        # Publish, then flush once (see _search_batch_impl's capture order):
+        # a batch still on the old executor holds an older generation, so
+        # its write-back is cleared by this flush or refused after it.
         self.executor = new
         self.invalidate_cache()
 

@@ -113,7 +113,6 @@ from repro.index.backend import check_dynamic_engine, restore_backend
 from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import MetricsRegistry, ServiceObservability
-from repro.service.planner import PLAN_CACHE_CAPACITY, PlanCache
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor
 from repro.synopsis.serialize import from_state as synopsis_from_state
@@ -645,9 +644,10 @@ def _cache_state(cache: LeafResultCache, add_array: Callable) -> dict:
     }
 
 
-def _cache_restore(
-    state: dict, arrays: _ArrayTable, cache: LeafResultCache
-) -> None:
+def _cache_from_state(
+    state: dict, arrays: _ArrayTable
+) -> tuple[int, list[tuple[Any, CacheEntry]], int]:
+    """The leaf cache's ``(capacity, entries, generation)``."""
     words = arrays[state["words"]]
     items = []
     for e in state["entries"]:
@@ -659,7 +659,7 @@ def _cache_restore(
         # immutable by convention so a read-only buffer is fine.
         value = DatasetBitmap(words[off : off + nw], int(e["nbits"]))
         items.append((key, CacheEntry(value, int(e["watermark"]))))
-    cache.restore_entries(items, generation=int(state["generation"]))
+    return int(state["capacity"]), items, int(state["generation"])
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +677,9 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
     }
 
 
-def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
+def _service_from_state(
+    state: dict, arrays: _ArrayTable, obs: Optional[ServiceObservability]
+) -> QueryService:
     svc = QueryService.__new__(QueryService)
     kw = dict(state["executor_kwargs"])
     # Files written before seeding became unconditional carry the retired
@@ -685,19 +687,12 @@ def _service_from_state(state: dict, arrays: _ArrayTable) -> QueryService:
     kw.pop("deterministic", None)
     kw["bounding_box"] = _box_from(kw["bounding_box"])
     svc._executor_kwargs = kw
-    svc.observability = ServiceObservability(
-        svc,
-        tracing=bool(state["tracing"]),
-        slow_query_threshold_ms=state["slow_query_threshold_ms"],
-    )
-    registry = svc.observability.registry
-    svc.executor = _executor_from_state(state["executor"], arrays, registry)
-    svc.cache = LeafResultCache(
-        capacity=int(state["cache"]["capacity"]), registry=registry
-    )
-    _cache_restore(state["cache"], arrays, svc.cache)
-    svc.plans = PlanCache(capacity=PLAN_CACHE_CAPACITY, registry=registry)
-    svc._mutation_lock = threading.Lock()
+    if obs is None:
+        obs = ServiceObservability(
+            svc, bool(state["tracing"]), state["slow_query_threshold_ms"]
+        )
+    svc.executor = _executor_from_state(state["executor"], arrays, obs.registry)
+    svc._assemble(obs, *_cache_from_state(state["cache"], arrays))
     return svc
 
 
@@ -726,23 +721,25 @@ def load(path: PathLike, mmap: bool = True) -> QueryService:
     on demand and is shared across processes.  ``mmap=False`` reads
     private writable copies.
     """
-    return _read(path, mmap)[1]()
+    return _read(path, mmap)[1](None)
 
 
 def _read(
     path: PathLike, mmap: bool = True
-) -> tuple[int, Callable[[], QueryService]]:
+) -> tuple[int, Callable[[Optional[ServiceObservability]], QueryService]]:
     """One read of the container at ``path``: its generation, and the call
     that restores its service from that same read.  A caller that wants
     only a newer file (the supervisor's start, respawn and followers)
-    neither opens a file twice nor decodes one it will not serve."""
+    neither opens a file twice nor decodes one it will not serve.  A process
+    restores into its current service's observability, so no count falls;
+    ``None`` (a new process, :func:`load`) builds one as the file says."""
     header, arrays = _open_container(path, mmap)
 
-    def restore() -> QueryService:
+    def restore(observability: Optional[ServiceObservability]) -> QueryService:
         if faults.ARMED is not None:
             faults.hit("snapshot_load")
         with _decoding(path):
-            return _service_from_state(header["state"], arrays)
+            return _service_from_state(header["state"], arrays, observability)
 
     return header["generation"], restore
 

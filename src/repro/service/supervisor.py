@@ -130,7 +130,8 @@ class _Worker(_Node):
     - :meth:`follow` (a reader's poll) costs one ``os.stat`` while the file
       is unchanged.  When its identity (inode, mtime) changes the container
       is read once, and its service swaps in only when its generation is
-      newer than :attr:`generation` (never a rollback).  A read that raises
+      newer than :attr:`generation` (never a rollback), adopting the
+      process's observability, so no counter falls.  A read that raises
       leaves the identity unrecorded, so the next poll retries it.  A
       writer never follows: its live service is the newest state.
     - :meth:`mutated` (the writer, after each mutation) saves the service
@@ -171,7 +172,8 @@ class _Worker(_Node):
             return
         generation, restore = snapshot_mod._read(self.path)
         if generation > self.generation:
-            self.service, self.generation = restore(), generation
+            service = restore(self.service.observability)
+            self.service, self.generation = service, generation
         self._seen = file
 
     def watch(self, interval: float) -> None:
@@ -378,7 +380,7 @@ class ServiceSupervisor:
         # Load BEFORE forking: the mmap'ed pages and every Python object
         # built from the header are shared copy-on-write with all workers.
         generation, restore = snapshot_mod._read(self.snapshot_path)
-        service = restore()
+        service = restore(None)  # each fork is a new process: fresh counters
 
         # Resolve an ephemeral port without listening: a bound placeholder
         # reserves the number, workers bind the same port with
@@ -609,7 +611,7 @@ class ServiceSupervisor:
                 generation, restore = snapshot_mod._read(self.snapshot_path)
                 pid, admin_port = self._fork_worker(
                     slot.worker_id,
-                    restore(),
+                    restore(None),
                     generation,
                     writer=(slot.worker_id == writer_id),
                 )

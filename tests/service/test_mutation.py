@@ -247,6 +247,18 @@ class TestRebuildFallbacks:
             expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
+    def test_a_rebalance_flushes_the_cache_once(self):
+        """One rebuild is one flush: ``invalidations`` and ``generation``
+        each move by exactly 1."""
+        lake = make_lake(8)
+        box = Repository.from_arrays(lake).bounding_box()
+        with make_service(lake[:8], box, 2) as svc:
+            svc.search_batch(make_queries(13))
+            before = (svc.stats()["cache"]["invalidations"], svc.cache.generation)
+            assert svc.add_datasets(lake[8:14])["reason"] == "rebalance"
+            after = (svc.stats()["cache"]["invalidations"], svc.cache.generation)
+            assert after == (before[0] + 1, before[1] + 1), (before, after)
+
     def test_rebuilds_keep_the_executor_counts(self):
         """The executor counts into the service's registry, so neither a
         rebalancing add nor an explicit ``rebuild()`` lowers a count on

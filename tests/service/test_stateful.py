@@ -16,10 +16,10 @@ benchmark ships it.  Invariants:
 - a result a tripped batch left undegraded equals the untripped answer,
   and at the executor a budget that runs out after any number of polls
   returns a prefix of the untripped leaf answers, bit for bit;
-- no sample of a ``counter`` family on ``/metrics`` falls between rules
-  while the service is the same object (a rebalance or ``rebuild()``
-  swaps the executor, which counts into the service's registry; a
-  snapshot round trip loads a new service, whose counts start afresh);
+- no sample of a ``counter`` family on ``/metrics`` falls between rules:
+  a rebalance or ``rebuild()`` swaps the executor, which counts into the
+  service's registry, and a snapshot round trip restores a service that
+  adopts the running one's observability, as a process's swap does;
 - every add's receipt tells the truth: ``rebalance`` exactly when the delta
   shard outgrows the mean base shard or the live count outgrows the
   contract's N (``delta_size`` 0 after it), ``bounding_box`` for data
@@ -42,7 +42,9 @@ and removes (each published as the next generation), reader polls, and the
 writer's death (the lowest reader is promoted, the dead slot respawns as a
 reader).  No worker's generation ever falls, a reader that polled after
 publish ``g`` answers the leaf pool bit for bit as the writer did at ``g``,
-and a promoted reader serves every acknowledged add and remove.
+and a promoted reader serves every acknowledged add and remove.  No
+worker's counter sample falls across a follow or a promotion (a respawned
+slot is a new process, so its counts start afresh).
 
 The ``ci`` profile (``tests/conftest.py``) is derandomized;
 ``REPRO_STATEFUL_PROFILE=soak`` runs the long random one.  Each machine
@@ -113,6 +115,11 @@ def counter_samples(service: QueryService) -> dict[str, float]:
     return out
 
 
+def fallen(before: dict, now: dict) -> dict:
+    """The series of ``before`` that read lower (or vanished) in ``now``."""
+    return {k: (v, now.get(k)) for k, v in before.items() if now.get(k, -1.0) < v}
+
+
 def contract(executor) -> tuple:
     """What a rebuild re-resolves: ``(phi_eff, sample_size, eps_effective,
     bounding_box)``."""
@@ -140,7 +147,7 @@ class ServiceMachine(RuleBasedStateMachine):
         self.pool = batched_query_workload(POOL, DIM, rng, duplicate_leaf_rate=0.6)
         self.leaves = list(plan_batch(self.pool).unique_leaves.values())
         self.stale = True  # the history moved since the peers last agreed
-        self.counted = (self.service, counter_samples(self.service))
+        self.counted = counter_samples(self.service)
         self.tmp = Path(os.environ.get("TMPDIR", "/tmp")) / f"stateful-{os.getpid()}.snap"
 
     def teardown(self):
@@ -208,7 +215,8 @@ class ServiceMachine(RuleBasedStateMachine):
         pool = [r.bitmap for r in self.service.search_batch(self.pool)]
         self.service.save(self.tmp)
         self.service.close()
-        self.service = QueryService.load(self.tmp, mmap=mmap)
+        _generation, restore = snapshot_mod._read(self.tmp, mmap)
+        self.service = restore(self.service.observability)
         assert (self.service.n_datasets, self.service.n_live) == (
             self.lake.n, int(self.lake.live().sum())
         )
@@ -220,14 +228,9 @@ class ServiceMachine(RuleBasedStateMachine):
     @invariant()
     def counters_never_fall(self):
         now = counter_samples(self.service)
-        service, before = self.counted
-        if service is self.service:
-            fell = {k: (v, now.get(k)) for k, v in before.items()
-                    if now.get(k, -1.0) < v}
-            assert not fell, fell
-        else:
-            event("counters restart with a loaded service")
-        self.counted = (self.service, now)
+        fell = fallen(self.counted, now)
+        assert not fell, fell
+        self.counted = now
 
     # -- peers ---------------------------------------------------------
     @rule()
@@ -452,7 +455,7 @@ class FleetMachine(RuleBasedStateMachine):
 
     def spawn(self, worker_id, writer):
         generation, restore = snapshot_mod._read(self.path)
-        return _Worker(self.path, restore(), generation, writer, worker_id, 3, None)
+        return _Worker(self.path, restore(None), generation, writer, worker_id, 3, None)
 
     def answers(self, worker):
         return leaf_answers(worker.service.executor, self.leaves)
@@ -474,6 +477,7 @@ class FleetMachine(RuleBasedStateMachine):
         self.published = {0: self.answers(self.workers[0])}
         self.n, self.removed = N0, set()  # the acknowledged history
         self.highest = [0, 0, 0]  # each slot's generation so far
+        self.counted = [counter_samples(w.service) for w in self.workers]
 
     @property
     def writer(self):
@@ -526,6 +530,7 @@ class FleetMachine(RuleBasedStateMachine):
         lowest.promote()
         # The dead slot respawns as a reader from the current file.
         self.workers[dead.worker_id] = self.spawn(dead.worker_id, writer=False)
+        self.counted[dead.worker_id] = {}  # a new process counts from 0
         service = lowest.service
         assert (service.n_datasets, service.n_live) == (
             self.n, self.n - len(self.removed)
@@ -540,11 +545,20 @@ class FleetMachine(RuleBasedStateMachine):
             self.highest[worker.worker_id] = worker.generation
         assert sum(w.writer for w in self.workers) == 1
 
+    @invariant()
+    def counters_never_fall(self):
+        for worker in self.workers:
+            now = counter_samples(worker.service)
+            fell = fallen(self.counted[worker.worker_id], now)
+            assert not fell, (worker.worker_id, fell)
+            self.counted[worker.worker_id] = now
+
 
 def test_the_fleet_swaps_generations_forward(tmp_path):
-    """No worker's generation falls; a reader that polled after publish
-    ``g`` answers the leaf pool bit for bit as the writer did at ``g``; a
-    promoted reader serves every acknowledged add and remove."""
+    """No worker's generation or counter sample falls; a reader that
+    polled after publish ``g`` answers the leaf pool bit for bit as the
+    writer did at ``g``; a promoted reader serves every acknowledged add
+    and remove."""
     run_state_machine_as_test(
         lambda: FleetMachine(tmp_path / "fleet.snap"), settings=PROFILE
     )

@@ -12,6 +12,8 @@ import os
 import random
 import signal
 import socket
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -415,6 +417,56 @@ class TestWorkerFollow:
         reader.follow()
         assert reader.service is fresh
         assert len(opens) == 1  # one read both decided and loaded the file
+
+    def test_a_readers_counts_survive_a_follow(self, snapshot):
+        """The counters belong to the process: a follow swaps the service,
+        not the observability it counts into."""
+        path, queries, _expected = snapshot
+        reader = worker(path, 0)
+        for _ in range(2):
+            reader.service.search_batch(queries)
+        before = reader.service.stats()
+        assert before["cache"]["hits"] > 0
+        put(path, 1, extra=1)
+        reader.follow()
+        assert reader.generation == 1
+        after = reader.service.stats()
+        assert after["n_datasets"] == 11
+        for section, key in (("telemetry", "n_queries"), ("cache", "hits")):
+            assert after[section][key] == before[section][key], (section, key)
+
+    def test_batches_racing_follows_are_each_counted_once(self, snapshot):
+        """A batch still running on the replaced service counts into the
+        same registry as the new one: none is lost across the swaps."""
+        path, queries, _expected = snapshot
+        reader = worker(path, 0)
+        stop = threading.Event()
+        ran = [0] * 4
+
+        def serve(i):
+            while not stop.is_set():
+                reader.service.search_batch(queries)
+                ran[i] += 1
+
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for generation in (1, 2, 3):
+                put(path, generation)
+                reader.follow()
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reader.generation == 3 and all(ran), ran
+        telemetry = reader.service.stats()["telemetry"]
+        assert telemetry["n_batches"] == sum(ran)
+        assert telemetry["n_queries"] == sum(ran) * len(queries)
 
     @pytest.mark.parametrize("generation", [2, 1], ids=["equal", "older"])
     def test_an_equal_or_older_file_is_never_loaded(self, snapshot, generation):

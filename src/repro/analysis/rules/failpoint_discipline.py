@@ -1,9 +1,8 @@
 """failpoint-discipline: fault-injection touchpoints must be zero-cost.
 
-The fault-injection convention (:mod:`repro.service.faults`) mirrors the
-tracer's zero-cost-when-disabled discipline: every compiled-in failpoint
-reads the module attribute once and compares a pointer before doing
-anything else ::
+The fault-injection convention (:mod:`repro.service.faults`) is
+zero-cost when disabled: every compiled-in failpoint reads the module
+attribute once and compares a pointer before doing anything else ::
 
     if faults.ARMED is not None:
         faults.hit("shard_eval")

@@ -19,7 +19,6 @@ tests and benchmarks can report recall/precision directly.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,11 +35,7 @@ from repro.geometry.rectangle import Rectangle
 from repro.index.backend import backend_class
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
-
-#: What an untraced leaf batch enters in place of a span — one shared
-#: object, the service layer's ``NO_SPAN`` idiom (that layer imports this
-#: module, so the constant cannot come from there).
-_NO_SPAN = nullcontext()
+from repro.trace import span
 
 
 class DatasetSearchEngine:
@@ -256,14 +251,14 @@ class DatasetSearchEngine:
         return results
 
     def eval_leaf_batch_bits(  # lint: hot-path
-        self, leaves: Sequence[Predicate], tracer=None, deadline=None
+        self, leaves: Sequence[Predicate], deadline=None
     ) -> list[DatasetBitmap]:
         """A batch of leaf answers as packed bitsets, aligned with
         ``leaves`` (percentile leaves share one multi-box backend call).
 
-        With a tracer the whole kernel call runs under an
-        ``engine_leaf_batch`` span, nested inside whatever span the
-        caller has open (the sharded executor's per-shard span).
+        In a traced batch (:mod:`repro.trace`) the whole kernel call runs
+        under an ``engine_leaf_batch`` span, nested inside whatever span
+        the caller has open (the sharded executor's per-shard span).
 
         With a ``deadline`` (a :class:`~repro.service.deadline.Deadline`)
         the multi-box batching is traded for checkpoint granularity — the
@@ -273,11 +268,7 @@ class DatasetSearchEngine:
         before it ran out (all of them when it held).
         """
         n = self.n_datasets
-        with (
-            tracer.span("engine_leaf_batch", n_leaves=len(leaves), n_datasets=n)
-            if tracer is not None
-            else _NO_SPAN
-        ):
+        with span("engine_leaf_batch", n_leaves=len(leaves), n_datasets=n):
             if deadline is None:
                 results = self._leaf_batch_query(leaves)
             else:

@@ -23,7 +23,8 @@ batch.  This package turns the engine into a serving subsystem:
   delta shard instead of flushed;
 - :mod:`~repro.service.service` wires the three into the
   :class:`~repro.service.service.QueryService` facade;
-- :mod:`~repro.service.observability` adds the span tracer, the
+- :mod:`~repro.service.observability` adds the tracing policy (the span
+  tracer itself is :mod:`repro.trace`, a batch's request context), the
   fixed-bucket latency histograms and metrics registry (Prometheus text
   exposition), and the slow-query log — near-zero-cost when disabled.
   The registry is the node's one record of counted events: the caches
@@ -44,9 +45,10 @@ from repro._lazy import namespace
 __getattr__, __all__ = namespace(__name__, {
     "repro.service.cache": "CacheEntry LeafResultCache",
     "repro.service.observability": (
-        "Histogram MetricsRegistry ServiceObservability SlowQueryLog Span "
-        "Tracer default_latency_bounds"
+        "Histogram MetricsRegistry ServiceObservability SlowQueryLog "
+        "default_latency_bounds"
     ),
+    "repro.trace": "Span Tracer",
     "repro.service.planner": (
         "BatchPlan PlanCache QueryPlan canonicalize combine_bounds "
         "emit_schedule evaluate_with_leaf_results leaf_key plan_batch plan_query"

@@ -9,7 +9,10 @@ enters the service.  It is threaded *by reference* through
 polls (:meth:`Deadline.expired`, one clock read and one comparison)
 between shards and leaves end the evaluation: each layer returns the
 aligned prefix of leaf answers it completed, and a list shorter than the
-leaves asked for is how the service reads a tripped budget.
+leaves asked for is how the service reads a tripped budget.  It stays a
+parameter, unlike the batch's tracer (a request context, see
+:mod:`repro.trace`), because it changes what each layer returns, where a
+tracer only watches.
 
 Wall-clock deadlines deliberately do not exist here: ``time.time()`` can
 jump (NTP), and a budget that fires early or never because the clock

@@ -25,8 +25,8 @@ silently never firing.
 
 Zero-cost discipline
 --------------------
-Mirrors the tracer convention (PR 6): every call site reads the module
-attribute and performs one pointer comparison before anything else ::
+Every call site reads the module attribute and performs one pointer
+comparison before anything else ::
 
     from repro.service import faults
     ...

@@ -104,7 +104,7 @@ from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
 from repro.service import faults
 from repro.service.deadline import Deadline
-from repro.service.observability import NO_SPAN, MetricsRegistry, Tracer
+from repro.service.observability import MetricsRegistry
 from repro.service.server import (
     JsonRequestHandler,
     _handler,
@@ -115,6 +115,7 @@ from repro.service.server import (
     http_call,
     parse_batch_body,
 )
+from repro.trace import TRACER, Tracer, span
 from repro.wire import ADD_NODE, N_DATASETS, NODE_REPLY, REMOVE_NODE, decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -605,39 +606,30 @@ class FederatedCoordinator:
         # Spans go to the ``"federation"."trace"`` tree only (no registry):
         # the stage histogram is fed by the two observations below, once per
         # batch with tracing on or off.
-        tracer = Tracer() if self.tracing else None
-        with (
-            tracer.span(
-                "federated_batch",
-                n_nodes=len(nodes),
-                n_queries=len(expressions),
-            )
-            if tracer is not None
-            else NO_SPAN
-        ) as root:
-            t_gather = time.perf_counter()
-            outcomes = self._scatter(
-                nodes, exprs_json, deadline, merge_reserve, tracer
-            )
-            gather_s = time.perf_counter() - t_gather
-            self.registry.observe(
-                "repro_federation_stage_seconds", gather_s, {"stage": "gather"}
-            )
-
-            t_merge = time.perf_counter()
-            with (
-                tracer.span("merge", n_nodes=len(nodes))
-                if tracer is not None
-                else NO_SPAN
-            ):
-                batch = self._merge(
-                    nodes, offsets, total, len(expressions), outcomes
+        token = TRACER.set(Tracer() if self.tracing else None)
+        try:
+            with span(
+                "federated_batch", n_nodes=len(nodes), n_queries=len(expressions)
+            ) as root:
+                t_gather = time.perf_counter()
+                outcomes = self._scatter(nodes, exprs_json, deadline, merge_reserve)
+                gather_s = time.perf_counter() - t_gather
+                self.registry.observe(
+                    "repro_federation_stage_seconds", gather_s, {"stage": "gather"}
                 )
-            self.registry.observe(
-                "repro_federation_stage_seconds",
-                time.perf_counter() - t_merge,
-                {"stage": "merge"},
-            )
+
+                t_merge = time.perf_counter()
+                with span("merge", n_nodes=len(nodes)):
+                    batch = self._merge(
+                        nodes, offsets, total, len(expressions), outcomes
+                    )
+                self.registry.observe(
+                    "repro_federation_stage_seconds",
+                    time.perf_counter() - t_merge,
+                    {"stage": "merge"},
+                )
+        finally:
+            TRACER.reset(token)
         degraded_any = any(r.stats.get("degraded") for r in batch.results)
         self.registry.inc(
             "repro_federation_requests_total",
@@ -654,19 +646,16 @@ class FederatedCoordinator:
         exprs_json: List[dict],
         deadline: Optional[Deadline],
         merge_reserve: float,
-        tracer: Optional[Tracer],
     ) -> List[Union[List[NodeAnswer], _NodeRPCError]]:
         """One outcome per node: parsed answers, or the error to bound.
 
         Each leg runs on a pool of this batch's own, one thread per node,
-        which is gone when the batch returns.  A node's ``400`` propagates
-        from its future as :class:`~repro.errors.QueryError`.
+        which is gone when the batch returns.  A pool thread does not
+        inherit the batch's trace context, so the legs open no spans.  A
+        node's ``400`` propagates from its future as
+        :class:`~repro.errors.QueryError`.
         """
-        with (
-            tracer.span("scatter", n_nodes=len(nodes))
-            if tracer is not None
-            else NO_SPAN
-        ), ThreadPoolExecutor(
+        with span("scatter", n_nodes=len(nodes)), ThreadPoolExecutor(
             len(nodes), thread_name_prefix="fed-scatter"
         ) as pool:
             return list(pool.map(

@@ -2,18 +2,15 @@
 
 Three complementary layers, all dependency-free:
 
-- **Span tracer** — :class:`Tracer` hands out context-manager
-  :class:`Span` objects with monotonic-clock durations and parent links.
-  Nesting is implicit: one tracer serves one traced batch on the request
-  thread (shard units run there too) and keeps one stack of open spans.
-  Finished spans feed the registry's per-stage histogram, so every traced
-  query updates ``repro_stage_seconds``.
-  When tracing is off the instrumented call sites receive ``tracer=None``
-  and skip all of this behind one ``is not None`` branch — the disabled
-  cost is a single pointer comparison per site.  A traced stage is spelt
-  one way, ``with tracer.span(...) if tracer is not None else NO_SPAN [as
-  span]:`` (:data:`NO_SPAN` binds ``span`` to None), so traced and
-  untraced runs share one body.
+- **Span tracer** — a :class:`~repro.trace.Tracer` from
+  :meth:`ServiceObservability.tracer_for` (None for an untraced batch) is
+  the batch's request context: ``search_batch`` sets it into
+  :data:`repro.trace.TRACER` for the batch, on the request thread (shard
+  units run there too), and every stage opens with ``with span(...):``
+  (:mod:`repro.trace`), so no layer takes a tracer parameter and traced
+  and untraced runs share one body.  An untraced stage costs one context
+  read.  Finished spans feed the registry's per-stage histogram, so every
+  traced query updates ``repro_stage_seconds``.
 - **Metrics registry** — :class:`MetricsRegistry` holds named counters
   and :class:`Histogram` families and renders the Prometheus text
   exposition format (``GET /metrics``).  Histograms use fixed log-spaced
@@ -67,10 +64,11 @@ import threading
 import time
 from bisect import bisect_left
 from collections import deque
-from contextlib import AbstractContextManager, nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
+
+from repro.trace import STAGE_METRIC, Tracer
 
 if TYPE_CHECKING:
     from repro.service.service import QueryService
@@ -78,11 +76,8 @@ if TYPE_CHECKING:
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NO_SPAN",
     "ServiceObservability",
     "SlowQueryLog",
-    "Span",
-    "Tracer",
     "default_latency_bounds",
 ]
 
@@ -359,144 +354,6 @@ class MetricsRegistry:
         return "\n".join(out) + "\n"
 
 
-class Span:
-    """One timed stage: name, monotonic start/end, parent link, children.
-
-    Use as a context manager (via :meth:`Tracer.span`); attach metadata
-    through keyword arguments at creation or by assigning into ``meta``
-    inside the block.  ``to_dict`` serializes the subtree with times
-    relative to a clock origin (the trace root's start — see the module
-    docstring's timing schema).
-    """
-
-    __slots__ = ("name", "tracer", "parent", "children", "meta", "t0", "t1")
-
-    def __init__(
-        self,
-        name: str,
-        tracer: "Tracer",
-        parent: Optional["Span"] = None,
-        **meta: object,
-    ) -> None:
-        self.name = name
-        self.tracer = tracer
-        self.parent = parent
-        self.children: list[Span] = []
-        self.meta = meta
-        self.t0: Optional[float] = None
-        self.t1: Optional[float] = None
-
-    def __enter__(self) -> "Span":
-        self.tracer._push(self)
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.t1 = time.perf_counter()
-        self.tracer._pop(self)
-
-    @property
-    def duration_s(self) -> float:
-        if self.t0 is None or self.t1 is None:
-            return 0.0
-        return self.t1 - self.t0
-
-    def to_dict(self, origin: Optional[float] = None) -> dict:
-        """JSON-ready subtree; times relative to ``origin`` (default: own
-        start, making the root start at 0.0)."""
-        if origin is None:
-            origin = self.t0 if self.t0 is not None else 0.0
-        out = {
-            "name": self.name,
-            "start_s": (self.t0 - origin) if self.t0 is not None else None,
-            "duration_s": self.duration_s,
-        }
-        if self.meta:
-            out["meta"] = dict(self.meta)
-        if self.children:
-            out["children"] = [c.to_dict(origin) for c in self.children]
-        return out
-
-
-#: What an untraced stage enters in place of a span (``as`` binds None):
-#: one shared object, so the disabled path allocates nothing.
-NO_SPAN: AbstractContextManager[Optional[Span]] = nullcontext()
-
-#: The histogram family every finished span's duration is observed into.
-STAGE_METRIC = "repro_stage_seconds"
-
-
-class Tracer:
-    """Produces linked spans and feeds finished durations to a registry.
-
-    One tracer instance serves one traced batch on the thread that runs
-    it — nothing is locked.  Nesting is implicit: the innermost open span
-    adopts new spans.
-
-    On exit every span's duration is recorded into the registry histogram
-    ``repro_stage_seconds{stage=<name>}`` (:data:`STAGE_METRIC`), so traced
-    traffic populates the per-stage histograms that ``/metrics`` exposes;
-    a tracer without a registry only builds the span tree.
-
-    Examples
-    --------
-    >>> tracer = Tracer()
-    >>> with tracer.span("a") as a:
-    ...     with tracer.span("b", detail=1) as b:
-    ...         pass
-    >>> tracer.root is a and a.children == [b] and b.parent is a
-    True
-    >>> a.duration_s >= b.duration_s >= 0.0
-    True
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry
-        self.root: Optional[Span] = None
-        self._stack: list[Span] = []
-
-    def record_span(self, name: str, t0: float, t1: float, **meta: object) -> Span:
-        """Attach an already-finished span from captured stamps.
-
-        For call sites that measured a phase with existing
-        ``perf_counter`` stamps (the service's batch pipeline) — creates
-        the span, links it, and feeds the stage histogram, without the
-        context-manager protocol in the hot path.
-        """
-        span = self.span(name, **meta)
-        span.t0 = t0
-        span.t1 = t1
-        if self.registry is not None:
-            self.registry.observe(
-                STAGE_METRIC, span.duration_s, {"stage": name}
-            )
-        return span
-
-    def span(self, name: str, **meta: object) -> Span:
-        """A new span; nests under the innermost open span."""
-        parent = self._stack[-1] if self._stack else None
-        span = Span(name, self, parent=parent, **meta)
-        if parent is not None:
-            parent.children.append(span)
-        elif self.root is None:
-            self.root = span
-        return span
-
-    def _push(self, span: Span) -> None:
-        self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        stack = self._stack
-        while stack and stack[-1] is not span:
-            stack.pop()
-        if stack:
-            stack.pop()
-        if self.registry is not None:
-            self.registry.observe(
-                STAGE_METRIC, span.duration_s, {"stage": span.name}
-            )
-
-
 #: How many worst traces a service's slow-query log retains (one trace is
 #: a few KB of spans; ``/stats`` reports the figure as ``slow_log_size``).
 SLOW_LOG_SIZE = 32
@@ -588,10 +445,12 @@ class ServiceObservability:
     ``/metrics`` is ``registry.render()``: the registry's own counters and
     histograms plus one gauge source over that same :meth:`snapshot`.
 
+    :attr:`service`, the current
+    :class:`~repro.service.service.QueryService`, is set by the service
+    that builds or adopts this object, once it is whole.
+
     Parameters
     ----------
-    service:
-        The current :class:`~repro.service.service.QueryService`.
     tracing:
         Trace *every* batch (otherwise only batches that opt in with
         ``trace=True``).
@@ -661,13 +520,13 @@ class ServiceObservability:
         ("shared_leaves", "shared_leaves"),
     )
 
+    service: QueryService
+
     def __init__(
         self,
-        service: QueryService,
         tracing: bool = False,
         slow_query_threshold_ms: Optional[float] = None,
     ) -> None:
-        self.service = service
         self.tracing = bool(tracing)
         self.registry = MetricsRegistry()
         self.slow_log = SlowQueryLog(

@@ -39,7 +39,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Hashable,
     Iterable,
     Mapping,
@@ -50,10 +49,8 @@ from typing import (
 from repro.core.bitset import DatasetBitmap
 from repro.core.predicates import And, Expression, Or, Predicate
 from repro.errors import QueryError
-from repro.service.observability import NO_SPAN, MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.service.observability import Tracer
+from repro.service.observability import MetricsRegistry
+from repro.trace import span
 
 #: A stable hashable identity for a predicate leaf.
 LeafKey = Hashable
@@ -171,11 +168,9 @@ class BatchPlan:
         return 0.0 if raw == 0 else 1.0 - self.n_leaves_unique / raw
 
 
-def plan_query(
-    expression: Expression, tracer: "Optional[Tracer]" = None
-) -> QueryPlan:
+def plan_query(expression: Expression) -> QueryPlan:
     """Canonicalize one expression and collect its unique leaves."""
-    with tracer.span("canonicalize") if tracer is not None else NO_SPAN:
+    with span("canonicalize"):
         canon = canonicalize(expression)
         leaves: dict[LeafKey, Predicate] = {}
         for leaf in canon.leaves():
@@ -191,39 +186,36 @@ def plan_query(
 def plan_batch(
     expressions: Sequence[Expression],
     cache: Optional["PlanCache"] = None,
-    tracer: "Optional[Tracer]" = None,
 ) -> BatchPlan:
     """Plan every query of a batch and union their unique leaves.
 
     With a :class:`PlanCache`, repeated query shapes reuse their compiled
-    plans instead of re-canonicalizing.  With a
-    :class:`~repro.service.observability.Tracer`, the whole phase runs
-    under a ``plan`` span whose metadata reports the batch's plan-cache
-    hit/miss split and its leaf-dedup outcome; every compile (plan-cache
-    miss, or no cache) nests a ``canonicalize`` child span.
+    plans instead of re-canonicalizing.  In a traced batch
+    (:mod:`repro.trace`) the whole phase runs under a ``plan`` span whose
+    metadata reports the batch's plan-cache hit/miss split and its
+    leaf-dedup outcome; every compile (plan-cache miss, or no cache) nests
+    a ``canonicalize`` child span.
     """
     planner = cache.plan if cache is not None else plan_query
-    with (
-        tracer.span("plan", n_queries=len(expressions))
-        if tracer is not None
-        else NO_SPAN
-    ) as span:
-        if span is not None and cache is not None:
+    with span("plan", n_queries=len(expressions)) as plan_span:
+        if plan_span is not None and cache is not None:
             before = cache.snapshot()
-        batch = BatchPlan(plans=[planner(e, tracer=tracer) for e in expressions])
+        batch = BatchPlan(plans=[planner(e) for e in expressions])
         for plan in batch.plans:
             for key, leaf in plan.leaves.items():
                 batch.unique_leaves.setdefault(key, leaf)
-        if span is not None:
-            span.meta.update(
+        if plan_span is not None:
+            plan_span.meta.update(
                 n_leaves_raw=batch.n_leaves_raw,
                 n_leaves_unique=batch.n_leaves_unique,
                 dedup_ratio=batch.dedup_ratio,
             )
             if cache is not None:
                 after = cache.snapshot()
-                span.meta["plan_cache_hits"] = after["hits"] - before["hits"]
-                span.meta["plan_cache_misses"] = after["misses"] - before["misses"]
+                plan_span.meta["plan_cache_hits"] = after["hits"] - before["hits"]
+                plan_span.meta["plan_cache_misses"] = (
+                    after["misses"] - before["misses"]
+                )
     return batch
 
 
@@ -378,12 +370,10 @@ class PlanCache:
         with self._lock:
             return len(self._plans)
 
-    def plan(
-        self, expression: Expression, tracer: "Optional[Tracer]" = None
-    ) -> QueryPlan:  # lint: hot-path
+    def plan(self, expression: Expression) -> QueryPlan:  # lint: hot-path
         """The compiled plan for ``expression``, reused on structural hits."""
         if self.capacity == 0:
-            return plan_query(expression, tracer=tracer)
+            return plan_query(expression)
         key = expression.canonical_key()
         with self._lock:
             cached = self._plans.get(key)
@@ -393,7 +383,7 @@ class PlanCache:
             self.registry.inc("repro_plan_cache_hits_total")
             return cached
         self.registry.inc("repro_plan_cache_misses_total")
-        compiled = plan_query(expression, tracer=tracer)
+        compiled = plan_query(expression)
         n_evicted = 0
         with self._lock:
             self._plans[key] = compiled

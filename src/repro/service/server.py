@@ -101,9 +101,10 @@ reply, so keep-alive framing survives every row:
 
 =====  ==============================================================
 400    the client's error: a ``Content-Length`` that is not a
-       non-negative integer (with ``Connection: close`` — framing is
-       lost), a body that is not a JSON object, anything a decoder or
-       the service refuses (any :class:`~repro.errors.ReproError`)
+       non-negative integer or is over 64 MiB (with ``Connection:
+       close`` — framing is lost), a body that is not a JSON object,
+       anything a decoder or the service refuses (any
+       :class:`~repro.errors.ReproError`)
 404    no route for this verb and path
 409    a mutation sent to a read-only worker
 429    shed by the admission gate (``Retry-After`` says when)
@@ -288,6 +289,11 @@ def http_call(
         raise OSError(f"garbled HTTP reply from {url}: {exc!r}") from exc
 
 
+#: The largest request body read, bytes: far above any real body (a batch
+#: of expressions is a few KB), far below what one allocation may cost.
+_MAX_BODY_BYTES = 64 * 2**20
+
+
 class JsonRequestHandler(BaseHTTPRequestHandler):
     """The one request envelope of the repo's three stdlib HTTP servers.
 
@@ -367,15 +373,18 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         """The request body; None once a bad length has been answered."""
         length = self.headers.get("Content-Length", "0").strip()
         if not (length.isascii() and length.isdigit()):
-            # Framing is lost — where the next request starts is
-            # unknowable — so the connection closes after the reply.
-            self._send_json(
-                {"error": f"Content-Length {length!r} is not a non-negative integer"},
-                status=400,
-                extra_headers={"Connection": "close"},
-            )
-            return None
-        return self.rfile.read(int(length))
+            error = f"Content-Length {length!r} is not a non-negative integer"
+        elif int(length) > _MAX_BODY_BYTES:
+            # Read would allocate the declared length before the first byte.
+            error = f"Content-Length {length} is over {_MAX_BODY_BYTES} bytes"
+        else:
+            return self.rfile.read(int(length))
+        # Framing is lost — where the next request starts is unknowable,
+        # the body being unread — so the connection closes after the reply.
+        self._send_json(
+            {"error": error}, status=400, extra_headers={"Connection": "close"}
+        )
+        return None
 
     @staticmethod
     def _parse_json(raw: bytes) -> dict:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.geometry.rectangle import Rectangle
 from repro.service.cache import LeafResultCache
 from repro.service.deadline import Deadline
 from repro.service.degrade import SynopsisScreen
-from repro.service.observability import NO_SPAN, ServiceObservability
+from repro.service.observability import ServiceObservability
 from repro.service.planner import (
     PLAN_CACHE_CAPACITY,
     PlanCache,
@@ -63,11 +63,9 @@ from repro.service.planner import (
     plan_batch,
 )
 from repro.service.sharding import ShardedBatchExecutor
-
-if TYPE_CHECKING:
-    from repro.service.observability import Tracer
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
+from repro.trace import TRACER, record_span, span
 
 #: Accepted dataset collections for :meth:`QueryService.add_datasets`.
 DatasetsLike = Union[Repository, Sequence[Dataset], Sequence[np.ndarray]]
@@ -144,7 +142,7 @@ class QueryService:
             capacity=capacity,
         )
         # Tracing policy, slow log and the registry, the one record of counts.
-        observability = ServiceObservability(self, tracing, slow_query_threshold_ms)
+        observability = ServiceObservability(tracing, slow_query_threshold_ms)
         self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
             synopses=synopses,
             repository=repository,
@@ -267,20 +265,19 @@ class QueryService:
         start = time.perf_counter()
         deadline = Deadline.from_ms(deadline_ms) if deadline_ms is not None else None
         obs = self.observability
-        tracer = obs.tracer_for(trace)
-        with (
-            tracer.span("search_batch", n_queries=len(expressions))
-            if tracer is not None
-            else NO_SPAN
-        ) as root:
-            if root is not None:
-                # Share the clock origin with the batch's own stamps, so
-                # emit times and span times of one request line up.
-                root.t0 = start
-            results = self._search_batch_impl(
-                expressions, record_times, tracer, start,
-                deadline=deadline, degrade=degrade,
-            )
+        token = TRACER.set(obs.tracer_for(trace))
+        try:
+            with span("search_batch", n_queries=len(expressions)) as root:
+                if root is not None:
+                    # Share the clock origin with the batch's own stamps, so
+                    # emit times and span times of one request line up.
+                    root.t0 = start
+                results = self._search_batch_impl(
+                    expressions, record_times, start,
+                    deadline=deadline, degrade=degrade,
+                )
+        finally:
+            TRACER.reset(token)
         trace_dict = None
         if root is not None:
             trace_dict = root.to_dict()
@@ -300,15 +297,15 @@ class QueryService:
         self,
         expressions: Sequence[Expression],
         record_times: bool,
-        tracer: Optional[Tracer],
         start: float,
         deadline: Optional[Deadline] = None,
         degrade: bool = False,
     ) -> list[QueryResult]:
         """The four-stage pipeline (see the module docstring).
 
-        ``tracer`` is None on the untraced hot path — every instrumented
-        site collapses to one pointer comparison; likewise ``deadline``.
+        Its stages open spans of the batch's tracer, set by
+        :meth:`search_batch` (see :mod:`repro.trace`): on the untraced hot
+        path each costs one context read.  ``deadline`` is None there too.
         """
         # Capture order matters against a concurrent rebuild (which
         # publishes the new executor, then flushes once): reading the
@@ -322,8 +319,8 @@ class QueryService:
         # nothing is tombstoned, the common case — hits then skip masking
         # entirely).
         removed_bits = executor.removed_bits()
-        batch = plan_batch(expressions, cache=self.plans, tracer=tracer)
-        lookup_start = time.perf_counter() if tracer is not None else 0.0
+        batch = plan_batch(expressions, cache=self.plans)
+        lookup_start = time.perf_counter()
 
         leaf_results: dict = {}
         leaf_times: dict = {}
@@ -346,15 +343,14 @@ class QueryService:
             else:
                 upgrades.append((key, leaf, entry))
         lookup_done = time.perf_counter()
-        if tracer is not None:
-            tracer.record_span(
-                "cache_lookup",
-                lookup_start,
-                lookup_done,
-                hits=len(hit_keys),
-                misses=len(misses),
-                upgrades=len(upgrades),
-            )
+        record_span(
+            "cache_lookup",
+            lookup_start,
+            lookup_done,
+            hits=len(hit_keys),
+            misses=len(misses),
+            upgrades=len(upgrades),
+        )
         for key in hit_keys:
             leaf_times[key] = lookup_done
 
@@ -374,15 +370,9 @@ class QueryService:
             nonlocal degrade_reason
             answered: set = set()
             if todo and degrade_reason is None:
-                with (
-                    tracer.span(span_name, n_leaves=len(todo))
-                    if tracer is not None
-                    else NO_SPAN
-                ):
+                with span(span_name, n_leaves=len(todo)):
                     answers = run(
-                        [leaf for _key, leaf, _entry in todo],
-                        tracer=tracer,
-                        deadline=deadline,
+                        [leaf for _key, leaf, _entry in todo], deadline=deadline
                     )
                     if len(answers) < len(todo):
                         # A tripped deadline: keep the exact prefix the
@@ -495,14 +485,10 @@ class QueryService:
                     bitmap=evaluate_with_leaf_results(plan.expression, leaf_results)
                 )
             assembled = time.perf_counter()
-            if tracer is not None:
-                tracer.record_span(
-                    "assemble",
-                    assembly_start,
-                    assembled,
-                    query=qi,
-                    out_size=result.out_size,
-                )
+            out_size = result.out_size
+            record_span(
+                "assemble", assembly_start, assembled, query=qi, out_size=out_size
+            )
             hits = charged_misses = charged_upgrades = shared = 0
             for key in plan.leaves:
                 if key in hit_keys:
@@ -530,7 +516,7 @@ class QueryService:
                     "latency_s": shared_s + (assembled - assembly_start),
                 }
             )
-            self.observability.record_query(result.stats, result.out_size)
+            self.observability.record_query(result.stats, out_size)
             results.append(result)
         self.observability.record_batch(time.perf_counter() - start)
         return results

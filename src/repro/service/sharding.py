@@ -82,13 +82,13 @@ from repro.geometry.epsilon_sample import epsilon_of_sample_size
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import check_dynamic_engine
 from repro.service import faults
-from repro.service.observability import NO_SPAN, MetricsRegistry
+from repro.service.observability import MetricsRegistry
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
+from repro.trace import span
 
 if TYPE_CHECKING:
     from repro.service.deadline import Deadline
-    from repro.service.observability import Tracer
 
 
 def partition_indices(n: int, n_shards: int) -> list[list[int]]:
@@ -354,8 +354,8 @@ class ShardedBatchExecutor:
             return None
         pts = np.vstack(samples)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        return Rectangle(lo - AUTO_BOX_PAD * span, hi + AUTO_BOX_PAD * span)
+        extent = np.where(hi > lo, hi - lo, 1.0)
+        return Rectangle(lo - AUTO_BOX_PAD * extent, hi + AUTO_BOX_PAD * extent)
 
     # ------------------------------------------------------------------
     # Per-shard evaluation
@@ -372,7 +372,6 @@ class ShardedBatchExecutor:
         mapping: Sequence[int],
         lock: threading.Lock,
         leaves: Sequence[Predicate],
-        tracer: Optional[Tracer] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
         """All leaves on one shard as *global* packed bitsets.
@@ -395,10 +394,11 @@ class ShardedBatchExecutor:
         batched leaves share the batch's completion stamp, which is exactly
         when their answers became available.
 
-        With a tracer the whole unit evaluation runs under a per-unit
-        span (``shard_eval`` with a ``shard`` index for base shards,
-        ``delta_eval`` for the delta shard) on the caller's span stack,
-        and the engine's own ``engine_leaf_batch`` span nests inside it.
+        In a traced batch (:mod:`repro.trace`) the whole unit evaluation
+        runs under a per-unit span (``shard_eval`` with a ``shard`` index
+        for base shards, ``delta_eval`` for the delta shard) nested in the
+        caller's open span, and the engine's own ``engine_leaf_batch`` span
+        nests inside it.
 
         With a ``deadline`` the budget is polled once the unit lock is
         held (before any evaluation); polling between leaves is the
@@ -408,17 +408,16 @@ class ShardedBatchExecutor:
         before the poll — so an armed ``sleep`` deterministically trips a
         short deadline.
         """
-        if tracer is None:
-            span = NO_SPAN
-        elif engine is self.delta_engine:
-            span = tracer.span("delta_eval", n_datasets=len(mapping))
-        else:
-            span = tracer.span(
+        unit_span = (
+            span("delta_eval", n_datasets=len(mapping))
+            if engine is self.delta_engine
+            else span(
                 "shard_eval",
                 shard=self.engines.index(engine),
                 n_datasets=len(mapping),
             )
-        with span, lock:
+        )
+        with unit_span, lock:
             if faults.ARMED is not None:
                 faults.hit("shard_eval")
             if deadline is not None and deadline.expired():
@@ -432,9 +431,7 @@ class ShardedBatchExecutor:
             to_global = make_remapper(mapping, nbits)
             if any(isinstance(lf.measure, PercentileMeasure) for lf in leaves):
                 self._pin_ptile(engine)
-            locals_ = engine.eval_leaf_batch_bits(
-                leaves, tracer=tracer, deadline=deadline
-            )
+            locals_ = engine.eval_leaf_batch_bits(leaves, deadline=deadline)
             done = time.perf_counter()
             out = [(to_global(local), done) for local in locals_]
         if len(out) == len(leaves):  # a tripped unit counts no task
@@ -474,7 +471,6 @@ class ShardedBatchExecutor:
         counter: str,
         units: Sequence[tuple],
         leaves: Sequence[Predicate],
-        tracer: Optional[Tracer],
         deadline: "Optional[Deadline]",
     ) -> list[tuple[DatasetBitmap, float]]:
         """Evaluate a leaf batch on each unit in turn and merge (masked)
@@ -482,8 +478,9 @@ class ShardedBatchExecutor:
         :meth:`eval_delta_leaves`, which differ in the units they visit and
         the registry ``counter`` a completed batch is added to.
 
-        Units run one after another on the calling thread, each under its
-        own span (see :meth:`_eval_on_unit`); the merge loop runs under a
+        Units run one after another on the calling thread, whose context
+        holds the batch's tracer (:mod:`repro.trace`), each under its own
+        span (see :meth:`_eval_on_unit`); the merge loop runs under a
         ``merge`` span.
 
         With a ``deadline``, a unit that trips its budget ends the loop
@@ -506,7 +503,7 @@ class ShardedBatchExecutor:
             if deadline is not None and deadline.expired():
                 break
             per_unit.append(
-                self._eval_on_unit(engine, mapping, lock, leaves, tracer, deadline)
+                self._eval_on_unit(engine, mapping, lock, leaves, deadline)
             )
             if len(per_unit[-1]) < len(leaves):
                 break
@@ -515,11 +512,7 @@ class ShardedBatchExecutor:
             if len(per_unit) == len(units)
             else 0  # a unit that was never started completed no leaf
         )
-        with (
-            tracer.span("merge", n_units=len(units), n_leaves=len(leaves))
-            if tracer is not None
-            else NO_SPAN
-        ):
+        with span("merge", n_units=len(units), n_leaves=len(leaves)):
             removed = self.removed_bits()
             out: list[tuple[DatasetBitmap, float]] = []
             for li in range(n_merge):
@@ -541,7 +534,6 @@ class ShardedBatchExecutor:
     def eval_leaves(
         self,
         leaves: Sequence[Predicate],
-        tracer: Optional[Tracer] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
         """A batch of leaves across base shards plus the delta shard.
@@ -555,14 +547,12 @@ class ShardedBatchExecutor:
         emit scheduler attributes to it.
         """
         return self._eval_on_units(
-            "repro_executor_leaf_evals_total", self._units(), leaves, tracer,
-            deadline,
+            "repro_executor_leaf_evals_total", self._units(), leaves, deadline
         )
 
     def eval_delta_leaves(
         self,
         leaves: Sequence[Predicate],
-        tracer: Optional[Tracer] = None,
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
         """A leaf batch on the delta shard only (masked global bitsets).
@@ -577,7 +567,7 @@ class ShardedBatchExecutor:
         """
         return self._eval_on_units(
             "repro_executor_delta_evals_total", self._units(delta_only=True),
-            leaves, tracer, deadline,
+            leaves, deadline,
         )
 
     # ------------------------------------------------------------------

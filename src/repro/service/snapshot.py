@@ -689,7 +689,7 @@ def _service_from_state(
     svc._executor_kwargs = kw
     if obs is None:
         obs = ServiceObservability(
-            svc, bool(state["tracing"]), state["slow_query_threshold_ms"]
+            bool(state["tracing"]), state["slow_query_threshold_ms"]
         )
     svc.executor = _executor_from_state(state["executor"], arrays, obs.registry)
     svc._assemble(obs, *_cache_from_state(state["cache"], arrays))

@@ -129,6 +129,8 @@ ROWS = [
     *_both("cl-word", "POST", "/search", b"{}", content_length="abc"),
     *_both("cl-negative", "POST", "/search/batch", b"{}", content_length="-5"),
     *_both("cl-superscript", "POST", "/search", b"{}", content_length="\xb2"),
+    # rfile.read would allocate the declared length up front.
+    *_both("cl-huge", "POST", "/search", b"{}", content_length="99999999999999"),
     Row("node-cl-delete", "node", "DELETE", "/datasets", b"{}", content_length="abc"),
     Row("fed-cl-delete", "fed", "DELETE", "/nodes", b"{}", content_length="-5"),
     *_both("not-json", "POST", "/search", b"{nope"),

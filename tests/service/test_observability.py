@@ -28,9 +28,10 @@ from repro.service.observability import (
     Histogram,
     MetricsRegistry,
     SlowQueryLog,
-    Tracer,
     default_latency_bounds,
 )
+from repro.errors import QueryError
+from repro.trace import NO_SPAN, TRACER, Tracer, record_span, span
 from repro.workloads.generators import synthetic_data_lake
 
 
@@ -182,10 +183,15 @@ class TestTracer:
         reg = MetricsRegistry()
         reg.declare_histogram("repro_stage_seconds", "S.")
         tracer = Tracer(registry=reg)
-        with tracer.span("root"):
-            span = tracer.record_span("phase", 10.0, 10.5, detail=1)
-        assert span.duration_s == pytest.approx(0.5)
-        assert tracer.root.children == [span]
+        token = TRACER.set(tracer)
+        try:
+            with tracer.span("root") as root:
+                record_span("phase", 10.0, 10.5, detail=1)
+        finally:
+            TRACER.reset(token)
+        [phase] = root.children
+        assert phase.duration_s == pytest.approx(0.5)
+        assert phase.meta == {"detail": 1}
         assert reg.histogram("repro_stage_seconds", {"stage": "phase"}).count == 1
 
     def test_to_dict_times_are_root_relative(self):
@@ -407,6 +413,93 @@ def test_span_trees_over_the_wire_keep_names_nesting_and_meta_keys(lake):
         assert _shape(reply["trace"]) == _pipeline(0, 1)
     coordinator.close()
     service.close()
+
+
+class TestTraceContext:
+    """The tracer is the running batch's context: per thread, per batch."""
+
+    def test_span_outside_any_batch_is_the_shared_no_op(self):
+        assert TRACER.get() is None
+        assert span("stage", rows=1) is NO_SPAN
+        record_span("stage", 0.0, 1.0)  # nothing to attach to, no error
+
+    def test_concurrent_traced_and_untraced_batches_keep_their_own(self, lake):
+        with make_service(lake) as svc:
+            # Both batches miss, and meet inside the execute stage.
+            met = threading.Barrier(2, timeout=10)
+            eval_leaves = svc.executor.eval_leaves
+
+            def meet_then_eval(leaves, **kwargs):
+                met.wait()
+                return eval_leaves(leaves, **kwargs)
+
+            svc.executor.eval_leaves = meet_then_eval
+            out = {}
+
+            def run(name, batch, trace):
+                out[name] = svc.search_batch(batch, trace=trace)
+
+            threads = [
+                threading.Thread(target=run, args=("traced", [P1], True)),
+                threading.Thread(target=run, args=("untraced", [P2, PR], False)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            trace = out["traced"][0].trace
+            assert _shape(trace) == _pipeline(1, 1)
+            assert trace["meta"]["n_queries"] == 1
+            assert trace["children"][1]["meta"]["misses"] == 1
+            assert trace["children"][2]["meta"]["n_leaves"] == 1
+            assert [r.trace for r in out["untraced"]] == [None, None]
+
+    def test_interleaved_batches_on_many_threads_keep_their_own(self, lake):
+        """More threads than cores, switching every few bytecodes."""
+        traces: dict = {True: [], False: []}
+        errors: list = []
+
+        def run(svc, batch, trace):
+            try:
+                for _ in range(20):
+                    traces[trace].append(svc.search_batch(batch, trace=trace)[0].trace)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with make_service(lake) as svc:
+                svc.search_batch([P1, P2, PR])  # warm: the threads only plan
+                threads = [
+                    threading.Thread(target=run, args=(svc, [P1], True))
+                    for _ in range(2)
+                ] + [
+                    threading.Thread(target=run, args=(svc, [P2, PR], False))
+                    for _ in range(2)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        assert traces[False] == [None] * 40
+        assert len(traces[True]) == 40
+        for trace in traces[True]:
+            assert trace["meta"]["n_queries"] == 1
+            assert top_level(trace) == ["plan", "cache_lookup", "assemble"]
+
+    def test_a_batch_that_raises_leaves_no_tracer_behind(self, lake):
+        two_sided = pred(PreferenceMeasure(np.array([1.0]), 1), 0.2, 0.4)
+        with make_service(lake) as svc:
+            with pytest.raises(QueryError):
+                svc.search(two_sided, trace=True)
+            assert TRACER.get() is None
+            assert svc.search(P1).trace is None
 
 
 class TestServiceSlowLogAndStats:

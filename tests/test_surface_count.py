@@ -12,10 +12,10 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (260, 956),
+    "src/repro": (254, 952),
     "src/repro/analysis": (5, 29),
     "src/repro/index": (8, 98),
-    "src/repro/service": (114, 309),
+    "src/repro/service": (106, 293),
 }
 
 

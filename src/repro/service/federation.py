@@ -186,7 +186,6 @@ class CircuitBreaker:
         self._failures = 0  # guarded-by: _lock
         self._opened_at = 0.0  # guarded-by: _lock
         self._probe_inflight = False  # guarded-by: _lock
-        self._trips = 0  # guarded-by: _lock
 
     def allow(self) -> bool:
         """May a request go out now?  Half-open admits exactly one probe."""
@@ -228,7 +227,6 @@ class CircuitBreaker:
                     return False
             self._state = "open"
             self._opened_at = self._clock()
-            self._trips += 1
             return True
 
     @property
@@ -241,7 +239,6 @@ class CircuitBreaker:
             return {
                 "state": self._state,
                 "consecutive_failures": self._failures,
-                "trips": self._trips,
                 "threshold": self.threshold,
                 "reset_s": self.reset_s,
             }
@@ -545,12 +542,13 @@ class FederatedCoordinator:
             return int(self.registry.counter_value(family, {**label, **extra}))
 
         degraded = count("repro_federation_degraded_nodes_total")
+        trips = count("repro_federation_breaker_trips_total")
         latency = node.last_latency_s
         return {
             "node_id": node.node_id,
             "url": node.url,
             "n_datasets": node.n_datasets,
-            "breaker": node.breaker.snapshot(),
+            "breaker": {**node.breaker.snapshot(), "trips": trips},
             "ok_calls": count("repro_federation_node_attempts_total", outcome="ok"),
             "failed_calls": degraded,
             "retries": count("repro_federation_retries_total"),

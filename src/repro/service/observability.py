@@ -674,7 +674,7 @@ class ServiceObservability:
             "n_datasets": executor.n_datasets,
             "n_live": executor.n_live,
             "n_removed": len(executor.removed),
-            "n_shards": executor.n_shards,
+            "n_shards": len(executor.units),
             "shard_sizes": executor.shard_sizes(),
             "delta_size": executor.delta_size,
             "capacity": executor.capacity,

@@ -182,7 +182,7 @@ class QueryService:
 
     @property
     def n_shards(self) -> int:
-        return self.executor.n_shards
+        return len(self.executor.units)
 
     @property
     def repository(self) -> Optional[Repository]:
@@ -509,7 +509,7 @@ class QueryService:
                     "shared_leaves": shared,
                     "n_leaves_raw": plan.n_leaves_raw,
                     "n_leaves_unique": plan.n_leaves_unique,
-                    "n_shards": executor.n_shards,
+                    "n_shards": len(executor.units),
                     # The planning/cache/eval phase is shared by the whole
                     # batch; each query is charged that phase plus its own
                     # assembly, not the assembly of the queries before it.

@@ -1,11 +1,14 @@
 """Sharded batch execution: partitioned sub-engines, evaluated in turn.
 
 The repository is partitioned into ``n_shards`` contiguous slices, each
-served by its own :class:`~repro.core.engine.DatasetSearchEngine`.  A leaf
-is answered by querying every shard and unioning the translated index sets.
-Because every dataset lives in exactly one shard, the union preserves the
-per-leaf paper guarantees verbatim: recall is the conjunction of per-shard
-recalls (exact), and precision slack is per-dataset, hence unchanged.
+served by its own *unit* (``_Unit``): a
+:class:`~repro.core.engine.DatasetSearchEngine`, the ascending global ids of
+the datasets it holds, and the lock its work runs under.  The delta shard
+(below) is one more unit of the same kind.  A leaf is answered by querying
+every unit and unioning the translated index sets.  Because every dataset
+lives in exactly one unit, the union preserves the per-leaf paper
+guarantees verbatim: recall is the conjunction of per-unit recalls (exact),
+and precision slack is per-dataset, hence unchanged.
 
 Exact equivalence with a single engine needs three partition-independent
 ingredients, all handled here:
@@ -26,13 +29,14 @@ ingredients, all handled here:
   every shard, hence recall-safe).
 
 A unit's engine is built on first use and grows in place: the first Ptile
-or Pref leaf builds that structure, a delta insert extends it, and the kd
-tree folds its side buffer into a rebuild (``to_arrays`` does so on save).
-No service path mutates it while answering — ``record_times`` goes through
-the planner's ``emit_schedule``, not the ReportFirst loop that deactivates
-points, and Pref queries are read-only — but those builds must not race, so
-each unit walks its leaf batch under its own lock, and a batch visits the
-units one after another on the thread that called it.
+or Pref leaf builds that structure, a delta insert extends it (and the
+unit's ids), and the kd tree folds its side buffer into a rebuild
+(``to_arrays`` does so on save).  No service path mutates it while
+answering — ``record_times`` goes through the planner's ``emit_schedule``,
+not the ReportFirst loop that deactivates points, and Pref queries are
+read-only — but those builds and inserts must not race, so each unit walks
+its leaf batch, builds and takes inserts under its own lock, and a batch
+visits the units one after another on the thread that called it.
 Two request threads overlap by working on different shards; CPU parallelism
 lives in ``--workers`` processes and federation, the two mechanisms that can
 use a second core under the GIL (a shard thread pool made builds 2x and
@@ -42,7 +46,7 @@ Live mutation
 -------------
 The executor supports repository churn without a full rebuild:
 
-- **additions** go into an append-only *delta shard*: an extra engine whose
+- **additions** go into an append-only *delta shard*: an extra unit whose
   datasets keep global indexes ``N, N+1, ...``.  Coresets stay a pure
   function of ``(seed, global index, size)``, the delta engine shares the
   frozen bounding box, and its Ptile slack is pinned to the same
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -166,6 +171,17 @@ class SeededSampleSynopsis(Synopsis):
         return self.base.score_batch(vectors, k)
 
 
+@dataclass(eq=False)
+class _Unit:
+    """One shard unit: ``engine`` holds the datasets ``ids`` (ascending
+    global indexes; its local dataset ``j`` is ``ids[j]``) and evaluates,
+    builds and takes inserts under ``lock``.  Only the delta's ids grow."""
+
+    engine: DatasetSearchEngine
+    ids: list[int]
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 class ShardedBatchExecutor:
     """Evaluate predicate leaves over ``n_shards`` partitioned sub-engines.
 
@@ -212,6 +228,10 @@ class ShardedBatchExecutor:
         the owning service's, so the counts outlive a rebuild's executor.
     """
 
+    #: Memoized ANDNOT mask; keyed by identity of ``removed`` (which is
+    #: replaced wholesale on every mutation, never edited in place).
+    _removed_bits_cache: Optional[tuple] = None
+
     def __init__(
         self,
         synopses: Optional[Sequence[Synopsis]] = None,
@@ -249,9 +269,6 @@ class ShardedBatchExecutor:
         self.registry = registry
 
         self.removed = frozenset(int(i) for i in (removed or ()))
-        #: Memoized ANDNOT mask; keyed by identity of ``removed`` (which is
-        #: replaced wholesale on every mutation, never edited in place).
-        self._removed_bits_cache: Optional[tuple] = None
         if any(i < 0 or i >= len(synopses) for i in self.removed):
             raise ConstructionError("removed indexes must lie in [0, n_datasets)")
         live = [i for i in range(len(synopses)) if i not in self.removed]
@@ -279,18 +296,13 @@ class ShardedBatchExecutor:
         )
 
         parts = partition_indices(len(live), n_shards)
-        self.shards = [[live[p] for p in part] for part in parts]
-        self.n_shards = len(self.shards)
-        self.engines = [
-            self._new_unit([self.synopses[i] for i in shard], s)
-            for s, shard in enumerate(self.shards)
+        #: The base shards, in order; ``len(units)`` is the shard count.
+        self.units = [
+            self._new_unit([live[p] for p in part], s)
+            for s, part in enumerate(parts)
         ]
-        self._locks = [threading.Lock() for _ in range(self.n_shards)]
-
-        # Delta shard: lazily created on the first add_synopses call.
-        self.delta_engine: Optional[DatasetSearchEngine] = None
-        self.delta_ids: list[int] = []
-        self._delta_lock = threading.Lock()
+        #: The delta shard, made by the first :meth:`add_synopses`.
+        self.delta: Optional[_Unit] = None
 
     @property
     def n_datasets(self) -> int:
@@ -305,7 +317,7 @@ class ShardedBatchExecutor:
     @property
     def delta_size(self) -> int:
         """Datasets sitting in the append-only delta shard."""
-        return len(self.delta_ids)
+        return 0 if self.delta is None else len(self.delta.ids)
 
     def _seeded(self, synopsis: Synopsis, index: int) -> Synopsis:
         """``synopsis`` with its per-dataset sampling stream.  One that
@@ -318,13 +330,14 @@ class ShardedBatchExecutor:
         return SeededSampleSynopsis(synopsis, self.seed, index)
 
     def _new_unit(
-        self, synopses: Sequence[Synopsis], stream: int
-    ) -> DatasetSearchEngine:
-        """The engine of one shard unit under the frozen contract: base
-        shard ``s`` draws on rng stream ``s``, the delta shard on stream
-        ``n_shards``.  Nothing is built until the unit is first used."""
-        return DatasetSearchEngine(
-            synopses=synopses,
+        self, ids: list[int], stream: int, synopses: Optional[list] = None
+    ) -> _Unit:
+        """The unit over the datasets ``ids`` (with ``synopses``, else the
+        executor's at ``ids``) under the frozen contract: base shard ``s``
+        draws on rng stream ``s``, the delta on ``len(units)``.  Nothing is
+        built until the unit is first used."""
+        engine = DatasetSearchEngine(
+            synopses=synopses or [self.synopses[i] for i in ids],
             eps=self.eps,
             phi=self.phi_eff,
             delta=self._delta_param,
@@ -333,6 +346,7 @@ class ShardedBatchExecutor:
             engine=self.engine_kind,
             rng=np.random.default_rng((self.seed, stream)),
         )
+        return _Unit(engine, ids)
 
     def _bounding_box_from_synopses(self) -> Optional[Rectangle]:
         """A shared Ptile box in the federated (synopses-only) setting.
@@ -368,24 +382,22 @@ class ShardedBatchExecutor:
 
     def _eval_on_unit(
         self,
-        engine: DatasetSearchEngine,
-        mapping: Sequence[int],
-        lock: threading.Lock,
+        unit: _Unit,
         leaves: Sequence[Predicate],
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
-        """All leaves on one shard as *global* packed bitsets.
+        """All leaves on one unit as *global* packed bitsets.
 
-        The shard's whole leaf batch goes through
+        The unit's whole leaf batch goes through
         :meth:`~repro.core.engine.DatasetSearchEngine.eval_leaf_batch_bits`
         — one multi-box backend call for every percentile leaf — so a cold
-        batch costs one traversal per shard, not one per leaf.
+        batch costs one traversal per unit, not one per leaf.
 
-        Local answers translate to global bitsets through the shard's index
-        mapping: contiguous mappings (every base shard, and the delta shard
-        between rebuilds) are one offset-shifted word copy; mappings with
-        gaps scatter the member indexes.  The translated universe ends at
-        the shard's largest global index — the merge's word-wise OR aligns
+        Local answers translate to global bitsets through the unit's ids:
+        contiguous ids (every base shard, and the delta shard between
+        rebuilds) are one offset-shifted word copy; ids with gaps scatter
+        the member indexes.  The translated universe ends at the unit's
+        largest global index — the merge's word-wise OR aligns
         operands of different sizes by zero-padding, so per-unit sizes
         never have to agree.
 
@@ -409,45 +421,39 @@ class ShardedBatchExecutor:
         short deadline.
         """
         unit_span = (
-            span("delta_eval", n_datasets=len(mapping))
-            if engine is self.delta_engine
+            span("delta_eval", n_datasets=len(unit.ids))
+            if unit is self.delta
             else span(
                 "shard_eval",
-                shard=self.engines.index(engine),
-                n_datasets=len(mapping),
+                shard=self.units.index(unit),
+                n_datasets=len(unit.ids),
             )
         )
-        with unit_span, lock:
+        with unit_span, unit.lock:
             if faults.ARMED is not None:
                 faults.hit("shard_eval")
             if deadline is not None and deadline.expired():
                 return []
-            # Compile the mapping once per unit call, not once per leaf:
-            # the contiguity probe is O(shard size) and the mapping is
-            # fixed for the duration (the delta mapping grows in place
-            # only under this same lock).  Ascending mapping: the unit's
-            # global universe ends one past its largest id.
-            nbits = (int(mapping[-1]) + 1) if len(mapping) else 0
-            to_global = make_remapper(mapping, nbits)
+            # One remapper per unit call, not per leaf: its contiguity probe
+            # is O(unit size).  The ids (ascending; the delta's grow only
+            # under this lock) end the unit's universe one past the largest.
+            nbits = (int(unit.ids[-1]) + 1) if unit.ids else 0
+            to_global = make_remapper(unit.ids, nbits)
             if any(isinstance(lf.measure, PercentileMeasure) for lf in leaves):
-                self._pin_ptile(engine)
-            locals_ = engine.eval_leaf_batch_bits(leaves, deadline=deadline)
+                self._pin_ptile(unit.engine)
+            locals_ = unit.engine.eval_leaf_batch_bits(leaves, deadline=deadline)
             done = time.perf_counter()
             out = [(to_global(local), done) for local in locals_]
         if len(out) == len(leaves):  # a tripped unit counts no task
             self.registry.inc("repro_executor_shard_tasks_total", by=len(out))
         return out
 
-    def _units(
-        self, delta_only: bool = False
-    ) -> list[tuple[DatasetSearchEngine, Sequence[int], threading.Lock]]:
-        """The (engine, global-index mapping, lock) tuples a batch visits,
-        in order."""
-        units: list = []
-        if not delta_only:
-            units.extend(zip(self.engines, self.shards, self._locks))
-        if self.delta_engine is not None:
-            units.append((self.delta_engine, self.delta_ids, self._delta_lock))
+    def _units(self, delta_only: bool = False) -> list[_Unit]:
+        """The units a batch visits, in order: the base shards (unless
+        ``delta_only``), then the delta shard if there is one."""
+        units = [] if delta_only else list(self.units)
+        if self.delta is not None:  # set once, never unset
+            units.append(self.delta)
         return units
 
     def removed_bits(self) -> Optional[DatasetBitmap]:
@@ -469,7 +475,7 @@ class ShardedBatchExecutor:
     def _eval_on_units(
         self,
         counter: str,
-        units: Sequence[tuple],
+        units: Sequence[_Unit],
         leaves: Sequence[Predicate],
         deadline: "Optional[Deadline]",
     ) -> list[tuple[DatasetBitmap, float]]:
@@ -499,12 +505,10 @@ class ShardedBatchExecutor:
             self.registry.inc(counter, by=len(leaves))
             return [(DatasetBitmap.zeros(0), stamp) for _ in leaves]
         per_unit: list[list[tuple[DatasetBitmap, float]]] = []
-        for engine, mapping, lock in units:
+        for unit in units:
             if deadline is not None and deadline.expired():
                 break
-            per_unit.append(
-                self._eval_on_unit(engine, mapping, lock, leaves, deadline)
-            )
+            per_unit.append(self._eval_on_unit(unit, leaves, deadline))
             if len(per_unit[-1]) < len(leaves):
                 break
         n_merge = (
@@ -604,7 +608,8 @@ class ShardedBatchExecutor:
         grown repository would draw.  The delta engine shares the frozen
         bounding box and accuracy contract; its Ptile index is pinned to
         the executor ``eps_effective`` on first use, exactly like every
-        base shard.
+        base shard.  Mutations are serialized by the caller
+        (``QueryService``'s mutation lock); queries take no such lock.
         """
         new = list(synopses)
         if not new:
@@ -612,32 +617,26 @@ class ShardedBatchExecutor:
         for s in new:
             if s.dim != self.dim:
                 raise ConstructionError("synopsis dimension mismatch")
-        with self._delta_lock:
-            # Publication order matters for the lock-free query path: the
-            # delta engine (and its id mapping) must be fully visible
-            # BEFORE ``synopses`` grows.  A concurrent batch reads its
-            # watermark from ``len(synopses)``; if it saw the new count but
-            # not the new engine, it would cache an answer *without* the
-            # new datasets under a watermark that claims to cover them —
-            # and that entry would never be upgraded.  The reverse window
-            # (engine visible, old count) is harmless: the answer includes
-            # datasets above the stored watermark and the next upgrade
-            # union is idempotent.
-            start = len(self.synopses)
-            ids = list(range(start, start + len(new)))
-            wrapped = [self._seeded(s, gid) for gid, s in zip(ids, new)]
-            if self.delta_engine is None:
-                engine = self._new_unit(wrapped, self.n_shards)
-                # Mapping before engine: _units() gates on the engine, so
-                # a racing reader must never pair it with the old mapping.
-                self.delta_ids = list(ids)
-                self.delta_engine = engine
-            else:
+        start = len(self.synopses)
+        ids = list(range(start, start + len(new)))
+        wrapped = [self._seeded(s, gid) for gid, s in zip(ids, new)]
+        # The delta must hold the new datasets BEFORE ``synopses`` grows: a
+        # concurrent batch reads its watermark from ``len(synopses)``, and
+        # one that saw the new count but not the new datasets would cache
+        # an answer without them under a watermark that claims to cover
+        # them — an entry that is never upgraded.  The reverse window (new
+        # datasets answered, old count) is harmless: the answer includes
+        # datasets above the stored watermark, and the next upgrade union
+        # is idempotent.  A new delta is published whole, as one reference;
+        # an existing one takes the insert under the lock its queries hold.
+        if self.delta is None:
+            self.delta = self._new_unit(ids, len(self.units), wrapped)
+        else:
+            with self.delta.lock:
                 for s in wrapped:
-                    self.delta_engine.insert_synopsis(s, delta=self._delta_param)
-                # In-place extend: _units() snapshots the list object.
-                self.delta_ids.extend(ids)
-            self.synopses.extend(wrapped)
+                    self.delta.engine.insert_synopsis(s, delta=self._delta_param)
+                self.delta.ids.extend(ids)
+        self.synopses.extend(wrapped)
         return ids
 
     def remove_indexes(self, indexes: Iterable[int]) -> list[int]:
@@ -662,27 +661,27 @@ class ShardedBatchExecutor:
         """True when the delta shard outgrew the mean base shard size, or
         the live count outgrew the contract's N: ``max(n_live, capacity)``
         at construction, when the base shards held every live dataset."""
-        if not self.delta_ids:
+        if self.delta is None:
             return False
-        base = sum(len(s) for s in self.shards)
+        base = sum(self.shard_sizes())
         if self.n_live > max(base, self.capacity or 0):
             return True
-        return len(self.delta_ids) > base / len(self.shards)
+        return len(self.delta.ids) > base / len(self.units)
 
     def warm(self) -> None:
         """Eagerly build every shard's Ptile structure (pinned), one shard
         (then the delta shard) after another on the calling thread."""
-        for engine, _mapping, lock in self._units():
-            with lock:
-                self._pin_ptile(engine)
+        for unit in self._units():
+            with unit.lock:
+                self._pin_ptile(unit.engine)
 
     def shard_sizes(self) -> list[int]:
         """Datasets per base shard (the delta shard is reported separately)."""
-        return [len(s) for s in self.shards]
+        return [len(unit.ids) for unit in self.units]
 
     def index_bytes(self) -> int:
         """Array bytes held by the built shard backends (a lazy shard that
         has not been built counts 0 and stays unbuilt).  Reads sizes only,
         under no shard lock: a momentary view while a shard rebuilds."""
-        indexes = [engine._ptile for engine, _mapping, _lock in self._units()]
+        indexes = [unit.engine._ptile for unit in self._units()]
         return sum(index._tree.nbytes for index in indexes if index is not None)

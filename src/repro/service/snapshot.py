@@ -41,18 +41,15 @@ unsigned rank codes in tree order and the map from each of the ``k``
 columns to the code row holding it (``mapped_codes``: a column whose table
 and codes repeat an earlier one's is not stored again), the per-column
 float64 level tables they index (``mapped_levels``, all ``k``), every
-point's dataset key in the
-smallest unsigned dtype that holds the shard's largest key
-(``mapped_ids``: one byte a point up to 256 datasets a shard) and the node
-table with its boxes in code space — version 4 stored the same points as
-``(k, n)`` float64 (``mapped_points``), 8 bytes per coordinate against
-1–2.  No active mask is written: no service path runs the ReportFirst
-loop that hides points, so every point is active (``save`` refuses an
-index with a hidden one), and a load starts every point active.  A unit is
-saved under its shard lock, which keeps a first-use build, a delta insert
-or a side-buffer rebuild — ``to_arrays`` runs one itself — from racing the
-export.  A Ptile index's coresets are one ``(N, s, d)`` segment,
-not ``N``.  Older files are refused, not migrated.  Version-5
+point's dataset key in the smallest unsigned dtype that holds the shard's
+largest key (``mapped_ids``: one byte a point up to 256 datasets a shard)
+and the node table with its boxes in code space — version 4 stored the
+same points as ``(k, n)`` float64 (``mapped_points``), 8 bytes per
+coordinate against 1–2.  No active mask is written: no service path runs
+the ReportFirst loop that hides points, so every point is active
+(``save`` refuses an index with a hidden one), and a load starts every
+point active.  A Ptile index's coresets are one ``(N, s, d)`` segment, not
+``N``.  Older files are refused, not migrated.  Version-5
 files from builds where the kd leaf size, the plan-cache capacity and the
 slow-log size were still constructor keywords carry them in ``state``
 (the leaf size once per shard unit and once per Ptile index); they are
@@ -87,8 +84,9 @@ foreign kind, truncated segments, malformed state — raise
 respawn loop and its workers' snapshot pollers catch exactly that).
 "Malformed state" is anything wrong with the header tree — a missing key,
 a value of the wrong type or range, a list of the wrong length, an index
-past what it indexes, an unknown synopsis kind or engine name — whichever
-of :func:`load`, :func:`generation_of` and :func:`inspect` meets it.
+past what it indexes, an unknown synopsis kind or engine name, shard units
+that do not restore whole (see :func:`_unit_ids`) — whichever of
+:func:`load`, :func:`generation_of` and :func:`inspect` meets it.
 """
 
 from __future__ import annotations
@@ -98,13 +96,11 @@ import json
 import math
 import os
 import struct
-import threading
 from typing import Any, Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.core.bitset import DatasetBitmap
-from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Dataset, Repository
 from repro.core.ptile_range import PtileRangeIndex
 from repro.errors import ReproError, SnapshotError
@@ -114,7 +110,7 @@ from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import MetricsRegistry, ServiceObservability
 from repro.service.service import QueryService
-from repro.service.sharding import ShardedBatchExecutor
+from repro.service.sharding import ShardedBatchExecutor, _Unit
 from repro.synopsis.serialize import from_state as synopsis_from_state
 from repro.synopsis.serialize import to_state as synopsis_to_state
 from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, decode
@@ -483,53 +479,73 @@ def _repository_from_state(
 
 
 # ----------------------------------------------------------------------
-# Shard units (a base shard or the delta shard: one DatasetSearchEngine)
+# Shard units (a base shard or the delta shard: one ``_Unit``)
 # ----------------------------------------------------------------------
-def _unit_state(engine: DatasetSearchEngine, add_array: Callable) -> dict:
-    """What a shard engine holds that its executor does not."""
-    return {
-        "rng": engine._rng.bit_generator.state,
-        "ptile": (
-            None
-            if engine._ptile is None
-            else _ptile_state(engine._ptile, add_array)
-        ),
-    }
+def _unit_state(unit: _Unit, add_array: Callable) -> dict:
+    """What a unit's engine holds that its executor does not (the ids are
+    ``shards`` / ``delta_ids``), read under the unit's lock: no first-use
+    build, delta insert or side-buffer rebuild (``to_arrays`` runs one)
+    races the export."""
+    with unit.lock:
+        engine = unit.engine
+        return {
+            "rng": engine._rng.bit_generator.state,
+            "ptile": (
+                None
+                if engine._ptile is None
+                else _ptile_state(engine._ptile, add_array)
+            ),
+        }
+
+
+def _unit_ids(
+    state: dict, n: int, removed: frozenset
+) -> tuple[list[list[int]], list[int]]:
+    """The base shards' and the delta's ids, refused unless the units
+    restore whole — else a file loads and then answers wrongly or fails
+    its first query: the delta has ids exactly when it has an engine, each
+    unit's ids ascend strictly, and the units are disjoint and, with the
+    tombstones, hold every dataset below ``n``."""
+    shards = [[int(i) for i in ids] for ids in state["shards"]]
+    delta_ids = [int(i) for i in state["delta_ids"]]
+    if bool(delta_ids) != (state["delta_engine"] is not None):
+        raise SnapshotError("executor state has delta ids or a delta engine alone")
+    units = [*shards, delta_ids] if delta_ids else shards
+    if not all(ids and all(a < b for a, b in zip(ids, ids[1:])) for ids in units):
+        raise SnapshotError("a unit's ids are empty or not strictly ascending")
+    held = [i for ids in units for i in ids]
+    if len(set(held)) < len(held):
+        raise SnapshotError("a dataset is in two units")
+    if set(held) | removed != set(range(n)):
+        raise SnapshotError(f"units and tombstones are not datasets 0..{n - 1}")
+    return shards, delta_ids
 
 
 def _unit_from_state(
     ex: ShardedBatchExecutor, ids: list[int], stream: int, sub: dict,
     arrays: _ArrayTable,
-) -> DatasetSearchEngine:
-    """The shard engine over ``ex.synopses[ids]``: built by the executor
-    being restored, exactly as its constructor builds one (which is cheap —
+) -> _Unit:
+    """The unit over ``ex.synopses[ids]``: made by the executor being
+    restored, exactly as its constructor makes one (which is cheap —
     nothing is built until first use), then planted with what the file
     holds."""
-    eng = ex._new_unit([ex.synopses[i] for i in ids], stream)
-    eng._rng = _restore_rng(sub["rng"])
+    unit = ex._new_unit(ids, stream)
+    engine = unit.engine
+    engine._rng = _restore_rng(sub["rng"])
     if sub["ptile"] is not None:
-        eng._ptile = _ptile_from_state(sub["ptile"], arrays, eng.synopses)
-    return eng
+        engine._ptile = _ptile_from_state(sub["ptile"], arrays, engine.synopses)
+    return unit
 
 
 # ----------------------------------------------------------------------
 # ShardedBatchExecutor
 # ----------------------------------------------------------------------
 def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
-    engines = []
-    for eng, lock in zip(ex.engines, ex._locks):
-        # The shard lock keeps a first-use build or the side-buffer rebuild
-        # ``to_arrays`` runs from racing a query on the same unit.
-        with lock:
-            engines.append(_unit_state(eng, add_array))
-    with ex._delta_lock:
-        delta_ids = [int(i) for i in ex.delta_ids]
-        delta_engine = (
-            None
-            if ex.delta_engine is None
-            else _unit_state(ex.delta_engine, add_array)
-        )
-        synopses = [synopsis_to_state(s, add_array) for s in ex.synopses]
+    """The executor's state, read under the service's mutation lock (no
+    dataset arrives or leaves), each unit under its own."""
+    delta = ex.delta
+    engines = [_unit_state(unit, add_array) for unit in ex.units]
+    delta_engine = None if delta is None else _unit_state(delta, add_array)
     return {
         "eps": float(ex.eps),
         "seed": int(ex.seed),
@@ -540,12 +556,12 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
         "sample_size": int(ex.sample_size),
         "eps_effective": float(ex.eps_effective),
         "bounding_box": _box_state(ex.bounding_box),
-        "shards": [[int(i) for i in shard] for shard in ex.shards],
+        "shards": [[int(i) for i in unit.ids] for unit in ex.units],
         "removed": sorted(int(i) for i in ex.removed),
-        "synopses": synopses,
+        "synopses": [synopsis_to_state(s, add_array) for s in ex.synopses],
         "repository": _repository_state(ex.repository, add_array),
         "engines": engines,
-        "delta_ids": delta_ids,
+        "delta_ids": [] if delta is None else [int(i) for i in delta.ids],
         "delta_engine": delta_engine,
     }
 
@@ -570,30 +586,16 @@ def _executor_from_state(
     ex.dim = ex.synopses[0].dim
     ex.repository = _repository_from_state(state["repository"], arrays)
     ex.removed = frozenset(int(i) for i in state["removed"])
-    ex._removed_bits_cache = None
-    ex.shards = [[int(i) for i in shard] for shard in state["shards"]]
-    ex.n_shards = len(ex.shards)
-    if len(state["engines"]) != ex.n_shards:
-        raise SnapshotError("executor state shard/engine count mismatch")
-    ex.delta_ids = [int(i) for i in state["delta_ids"]]
-    for i in (*ex.removed, *ex.delta_ids, *(i for shard in ex.shards for i in shard)):
-        if not 0 <= i < len(ex.synopses):
-            raise SnapshotError(
-                f"executor state names dataset {i} of {len(ex.synopses)}"
-            )
-    ex.engines = [
-        _unit_from_state(ex, shard, s, sub, arrays)
-        for s, (shard, sub) in enumerate(zip(ex.shards, state["engines"]))
+    shards, delta_ids = _unit_ids(state, len(ex.synopses), ex.removed)
+    ex.units = [
+        _unit_from_state(ex, ids, s, sub, arrays)
+        for s, (ids, sub) in enumerate(zip(shards, state["engines"], strict=True))
     ]
-    ex._locks = [threading.Lock() for _ in range(ex.n_shards)]
-    ex.delta_engine = (
-        None
-        if state["delta_engine"] is None
-        else _unit_from_state(
-            ex, ex.delta_ids, ex.n_shards, state["delta_engine"], arrays
-        )
+    ex.delta = (
+        _unit_from_state(ex, delta_ids, len(shards), state["delta_engine"], arrays)
+        if delta_ids
+        else None
     )
-    ex._delta_lock = threading.Lock()
     return ex
 
 

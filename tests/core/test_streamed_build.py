@@ -208,8 +208,8 @@ class TestBlockEnumeratedShards:
             sample_size=5, seed=4,
         )
         service.warm()
-        for engine in service.executor.engines:
-            index = engine.ptile_index
+        for unit in service.executor.units:
+            index = unit.engine.ptile_index
             pieces = [reference_piece(index, key) for key in index.keys]
             assert_same_arrays(index._tree.to_arrays(), float_oracle(pieces))
 

@@ -303,9 +303,9 @@ class TestDeadlineUnderInjectedSlowness:
         started = []
         real = ShardedBatchExecutor._eval_on_unit
 
-        def spy(self, engine, *args, **kwargs):
-            started.append(engine)
-            return real(self, engine, *args, **kwargs)
+        def spy(self, unit, *args, **kwargs):
+            started.append(unit)
+            return real(self, unit, *args, **kwargs)
 
         monkeypatch.setattr(ShardedBatchExecutor, "_eval_on_unit", spy)
         try:
@@ -314,7 +314,7 @@ class TestDeadlineUnderInjectedSlowness:
         finally:
             faults.disarm()
             svc.close()
-        assert started == [svc.executor.engines[0]]
+        assert started == [svc.executor.units[0]]
         assert result.stats["degraded"]
         assert result.stats["degrade_reason"] == "deadline"
         scan = LinearScanPtile([ds.points for ds in svc.repository], mode="numpy")

@@ -108,15 +108,13 @@ class TestCircuitBreaker:
 
     def test_trips_after_consecutive_failures_only(self):
         b = self._breaker()
-        b.record_failure()
-        b.record_failure()
+        trips = [b.record_failure(), b.record_failure()]
         b.record_success()  # streak broken
-        b.record_failure()
-        b.record_failure()
+        trips += [b.record_failure(), b.record_failure()]
         assert b.state == "closed"
-        b.record_failure()
+        trips.append(b.record_failure())
         assert b.state == "open"
-        assert b.snapshot()["trips"] == 1
+        assert trips == [False, False, False, False, True]  # one trip
 
     def test_open_rejects_until_reset_then_admits_one_probe(self):
         b = self._breaker(threshold=1)
@@ -140,12 +138,11 @@ class TestCircuitBreaker:
 
     def test_probe_failure_reopens_and_restarts_the_clock(self):
         b = self._breaker(threshold=1)
-        b.record_failure()
+        assert b.record_failure()
         self.t[0] = 2.0
         assert b.allow()
-        b.record_failure()
+        assert b.record_failure()  # the second trip
         assert b.state == "open"
-        assert b.snapshot()["trips"] == 2
         self.t[0] = 2.5
         assert not b.allow()  # reset_s counts from the re-open
         self.t[0] = 3.5
@@ -156,11 +153,11 @@ class TestCircuitBreaker:
         a success: the breaker stays half-open and the next request is the
         probe (it used to stay rejected for good)."""
         b = self._breaker(threshold=1)
-        b.record_failure()
+        assert b.record_failure()
         self.t[0] = 2.0
         assert b.allow() and not b.allow()
         b.release_probe()
-        assert b.state == "half_open" and b.snapshot()["trips"] == 1
+        assert b.state == "half_open"
         assert b.allow() and not b.allow()  # exactly one probe again
         b.record_success()
         assert b.state == "closed"

@@ -379,6 +379,58 @@ class TestConcurrentChurn:
             expected = answers(rebuilt(svc, 1), queries)
         assert got == expected
 
+    def test_a_racing_batch_covers_every_dataset_below_its_watermark(self):
+        """The delta holds a new dataset before the dataset count grows: a
+        leaf batch that read the count first answers, below that count,
+        exactly what the executor answers once the ingests are over — with
+        more readers than cores and a short switch interval."""
+        import sys
+        import threading
+        import time
+
+        from repro.service.planner import plan_batch
+
+        lake = make_lake(13, n=2 * N0)  # N0 single adds: no rebalance
+        box = Repository.from_arrays(lake).bounding_box()
+        leaves = list(plan_batch(make_queries(16, n=6)).unique_leaves.values())
+        seen, errors, done = [], [], threading.Event()
+        with make_service(lake[:N0], box, 1) as svc:
+            executor = svc.executor
+            executor.warm()
+
+            def reader():
+                try:
+                    while not done.is_set():
+                        watermark = executor.n_datasets
+                        got = executor.eval_leaves(leaves)
+                        seen.append((watermark, [bits for bits, _t in got]))
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=reader) for _ in range(3)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for i in range(N0, 2 * N0):
+                    n_seen = len(seen)  # let every add race a few batches
+                    while len(seen) < n_seen + 3 and not errors:
+                        time.sleep(0.001)
+                    assert not svc.add_datasets([lake[i]])["rebuilt"]
+            finally:
+                done.set()
+                for t in threads:
+                    t.join(timeout=60)
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads) and not errors
+            final = [bits.to_list() for bits, _t in executor.eval_leaves(leaves)]
+        assert {watermark for watermark, _bits in seen} > {N0}
+        for watermark, answers_ in seen:
+            for bits, want in zip(answers_, final, strict=True):
+                below = [i for i in bits.to_list() if i < watermark]
+                assert below == [i for i in want if i < watermark]
+
 
 class TestChurnStream:
     def test_workload_replay_stays_consistent(self):

@@ -553,16 +553,16 @@ class TestServiceSlowLogAndStats:
         with make_service(lake) as svc:
             executor = svc.executor
             assert svc.stats()["executor"]["index_bytes"] == 0
-            assert all(engine._ptile is None for engine in executor.engines)
+            assert all(unit.engine._ptile is None for unit in executor.units)
             svc.search(P1)
-            trees = [engine.ptile_index._tree for engine in executor.engines]
-            for lock in executor._locks:  # a held shard lock must not block it
-                assert lock.acquire(timeout=5)
+            trees = [unit.engine.ptile_index._tree for unit in executor.units]
+            for unit in executor.units:  # a held shard lock must not block it
+                assert unit.lock.acquire(timeout=5)
             try:
                 got = svc.stats()["executor"]["index_bytes"]
             finally:
-                for lock in executor._locks:
-                    lock.release()
+                for unit in executor.units:
+                    unit.lock.release()
             assert got == sum(tree.nbytes for tree in trees)
             points = sum(len(tree) for tree in trees)
             assert points * 10 < got < points * 40  # codes + ids + masks, not float64

@@ -179,8 +179,8 @@ class TestShardMergeEquivalence:
         with QueryService(
             repository=repo, n_shards=5, eps=EPS, sample_size=SAMPLE_SIZE
         ) as service:
-            shards = service.executor.shards
-            flat = [i for shard in shards for i in shard]
+            units = service.executor.units
+            flat = [i for unit in units for i in unit.ids]
             assert sorted(flat) == list(range(repo.n_datasets))
             assert sum(service.executor.shard_sizes()) == repo.n_datasets
 
@@ -321,7 +321,8 @@ class TestEngineThreading:
             svc.add_datasets([lake[0] + 0.01])
             assert svc.engine_kind == svc.stats()["engine"] == "kd"
             assert svc.executor.engine_kind == "kd"
-            for engine in (*svc.executor.engines, svc.executor.delta_engine):
+            for unit in (*svc.executor.units, svc.executor.delta):
+                engine = unit.engine
                 assert engine.engine_kind == "kd"
                 assert engine.ptile_index.engine_kind == "kd"
         finally:

@@ -108,7 +108,7 @@ class TestServiceRoundTrip:
             assert not svc.add_datasets([d[::2] for d in lake[:6]])["rebuilt"]
             svc.warm()  # builds the delta tree the next ingest lands in
             assert not svc.add_datasets([lake[6][1::2]])["rebuilt"]
-            assert svc.executor.delta_engine._ptile._tree._buf is not None
+            assert svc.executor.delta.engine._ptile._tree._buf is not None
         svc.remove_datasets([1, 4])
         assert svc.executor.removed == frozenset({1, 4})
         expected = answers(svc, queries)
@@ -206,7 +206,7 @@ class TestServiceRoundTrip:
         from repro.index.query_box import QueryBox
 
         svc = one_shard_kd_service(lake)
-        tree = svc.executor.engines[0].ptile_index._tree
+        tree = svc.executor.units[0].engine.ptile_index._tree
         expected = answers(svc, queries)
         boxes = [
             QueryBox.unbounded(tree.dim),
@@ -223,7 +223,7 @@ class TestServiceRoundTrip:
 
         monkeypatch.setattr(DynamicKDTree, "_build", no_build)
         loaded = QueryService.load(path, mmap=True)
-        engine = loaded.executor.engines[0]
+        engine = loaded.executor.units[0].engine
         ltree = engine.ptile_index._tree
         monkeypatch.undo()
 
@@ -387,7 +387,9 @@ class TestExecutorAndEngineKinds:
         reference, path = build(), tmp_path / "old.snap"
         reference.save(path)
         ex = reference.executor
-        n_points = sum(len(e.ptile_index._tree) for e in (*ex.engines, ex.delta_engine))
+        n_points = sum(
+            len(u.engine.ptile_index._tree) for u in (*ex.units, ex.delta)
+        )
         assert inspect(path)["n_mapped_points"] == n_points
         header, data = _read_header(path)
         data = bytearray(data)
@@ -421,8 +423,8 @@ class TestExecutorAndEngineKinds:
         assert inspect(path)["n_mapped_points"] == n_points
         loaded = load(path, mmap=mmap)
         lx = loaded.executor
-        for unit in (*lx.engines, lx.delta_engine):
-            assert unit.ptile_index._tree._group.dtype == np.uint8
+        for unit in (*lx.units, lx.delta):
+            assert unit.engine.ptile_index._tree._group.dtype == np.uint8
         assert answers(loaded, queries) == answers(reference, queries)
         for svc in (loaded, reference):
             assert not svc.add_datasets(more)["rebuilt"]
@@ -477,8 +479,8 @@ class TestExecutorAndEngineKinds:
         _write_header(path, header, bytes(data))
         loaded = load(path, mmap=mmap)
         lx = loaded.executor
-        for unit in (*lx.engines, lx.delta_engine):
-            tree = unit.ptile_index._tree
+        for unit in (*lx.units, lx.delta):
+            tree = unit.engine.ptile_index._tree
             assert tree._columns.tolist() == list(range(4 * DIM + 2))
             assert tree._pts.shape[1] == 4 * DIM + 2
         assert answers(loaded, queries) == answers(svc, queries)
@@ -486,7 +488,7 @@ class TestExecutorAndEngineKinds:
         for service in (loaded, svc):
             assert not service.add_datasets(more)["rebuilt"]
         assert answers(loaded, queries) == answers(svc, queries)
-        assert lx.delta_engine.ptile_index._tree._columns.tolist() == [0, 1, 2, 3, 4, 4]
+        assert lx.delta.engine.ptile_index._tree._columns.tolist() == [0, 1, 2, 3, 4, 4]
         loaded.close()
         svc.close()
 
@@ -496,7 +498,7 @@ class TestExecutorAndEngineKinds:
         loop has re-shown what it hid.  A hidden group is refused, and no
         file (or temp file) is left behind."""
         svc = one_shard_kd_service(lake)
-        tree = svc.executor.engines[0].ptile_index._tree
+        tree = svc.executor.units[0].engine.ptile_index._tree
         assert tree.deactivate_group(3) > 0
         path = tmp_path / "svc.snap"
         with pytest.raises(SnapshotError, match="hidden points"):
@@ -536,7 +538,7 @@ class TestExecutorAndEngineKinds:
         reference, loaded = build(), load(path, mmap=mmap)
 
         def delta_tree(svc):
-            return svc.executor.delta_engine._ptile._tree
+            return svc.executor.delta.engine._ptile._tree
 
         restored = delta_tree(loaded)
         assert restored._span.shape[1] > delta_tree(reference)._span.shape[1] == 1
@@ -561,7 +563,7 @@ class TestExecutorAndEngineKinds:
         svc.warm()  # the shard Ptile structures are lazy
         path = tmp_path / "svc.snap"
         svc.save(path, generation=7)
-        n_points = sum(len(e.ptile_index._tree) for e in svc.executor.engines)
+        n_points = sum(len(u.engine.ptile_index._tree) for u in svc.executor.units)
         index_bytes = svc.stats()["executor"]["index_bytes"]
         svc.close()
         summary = inspect(path)
@@ -722,7 +724,7 @@ class TestHostileBackendArrays:
         the same ``dtype.kind`` test the signed case trips."""
         from repro.index.kd_tree import DynamicKDTree
 
-        arrays = load(snap).executor.engines[0].ptile_index._tree.to_arrays()
+        arrays = load(snap).executor.units[0].engine.ptile_index._tree.to_arrays()
         arrays["codes"] = arrays["codes"].astype(np.float16)
         with pytest.raises(ValueError, match="do not describe one kd-tree"):
             DynamicKDTree.from_arrays(arrays)
@@ -785,7 +787,7 @@ class TestHostileBackendArrays:
         self.refused(snap, f"'{engine}'")
 
     def test_coresets_are_views_of_one_segment(self, snap):
-        index = load(snap).executor.engines[0].ptile_index
+        index = load(snap).executor.units[0].engine.ptile_index
         first, last = index.coreset(0), index.coreset(N_DATASETS - 1)
         assert first.shape == (SAMPLE_SIZE, DIM) and not first.flags.writeable
         assert first.base is not None and first.base is last.base
@@ -910,7 +912,7 @@ class TestGeneratedHeaderSweep:
         svc.add_datasets([lake[5]])
         svc.remove_datasets([1])
         answers(svc, queries[:3])  # builds the shards, warms the cache
-        svc.executor.engines[1]._ptile = None  # one shard stays lazy
+        svc.executor.units[1].engine._ptile = None  # one shard stays lazy
         path = tmp_path_factory.mktemp("sweep") / "svc.snap"
         svc.save(path, generation=3)
         svc.close()
@@ -947,6 +949,34 @@ class TestGeneratedHeaderSweep:
             refused += self._read_all(path, queries, mmap, (where, edit), escaped)
         assert escaped == []
         assert refused > len(cases)  # most malformations are refused, by name
+
+    #: Unit state the generated sweep cannot make (it only drops, truncates
+    #: and retypes), each one edit of the saved executor state — shards
+    #: ``[[0, 1, 2], [3, 4]]`` with shard 1 lazy, delta ``[5]``, dataset 1
+    #: removed.  Each loaded and then answered wrongly, or failed on the
+    #: first query, before units were restored whole.
+    UNIT_ROWS = {
+        "descending-ids": (("shards", 0), [2, 1, 0], "strictly ascending"),
+        "dataset-in-two-units": (("shards", 1), [2, 3, 4], "two units"),
+        "live-dataset-in-no-unit": (("shards", 1), [4], "not datasets 0..5"),
+        "delta-ids-without-engine": (("delta_engine",), None, "delta"),
+    }
+
+    @pytest.mark.parametrize("row", sorted(UNIT_ROWS))
+    def test_units_that_do_not_restore_whole_are_refused(self, saved, tmp_path, row):
+        pristine, header, data = saved
+        where, value, match = self.UNIT_ROWS[row]
+        tampered = json.loads(json.dumps(header))
+        *parents, last = where
+        node = tampered["state"]["executor"]
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        path = tmp_path / "tampered.snap"
+        path.write_bytes(pristine.read_bytes())
+        _write_header(path, tampered, data)
+        with pytest.raises(SnapshotError, match=match):
+            load(path)
 
     #: dtype -> (another of the same item size, one of a different size).
     SWAPS = {"<f8": ("<i8", "<f4"), "<i8": ("<f8", "<i4"), "<u8": ("<f8", "<u4"),

@@ -165,11 +165,10 @@ class ServiceMachine(RuleBasedStateMachine):
         executor = self.service.executor
         delta = executor.delta_size + count
         base = sum(executor.shard_sizes())
-        rebalance = delta > base / executor.n_shards or (
+        rebalance = delta > base / len(executor.units) or (
             executor.n_live + count > max(base, executor.capacity or 0)
         )
-        delta_engine = executor.delta_engine
-        if delta_engine is not None and delta_engine._ptile is not None:
+        if executor.delta is not None and executor.delta.engine._ptile is not None:
             event("insert into a built delta tree")
         receipt = self.service.add_datasets(arrays)
         assert receipt["indexes"] == self.lake.add(arrays)

@@ -12,7 +12,7 @@ coreset draws, the maximal-pair rectangle enumeration and the kd-tree
 build entirely.  A bare engine is persisted as ``QueryService(n_shards=1)``,
 which answers identically over the same seeded coresets.
 
-Container format (version 5)
+Container format (version 6)
 ----------------------------
 ::
 
@@ -30,8 +30,33 @@ by the kind they name), ``generation`` (the serving generation counter the
 multi-process supervisor bumps on ingest), ``state`` (nested scalars and
 segment references), and ``arrays`` — the segment table mapping each
 reference to ``{offset, dtype, shape}`` relative to the data section.
-Equal array *objects* are written once (deduplicated by identity), so a
-repository dataset shared with its ``ExactSynopsis`` costs one segment.
+
+The header holds per-file and per-unit facts only, so its length does not
+grow with the dataset count or the cached leaves.  Whatever is one item
+per dataset or per cache entry is a segment:
+
+- **Dataset points**: the repository's datasets end to end, one
+  ``(total, d)`` float64 segment (``dataset_points``), and ``n + 1``
+  offsets (``dataset_offsets``).  The repository and every exact synopsis
+  slice it; the repository's names are one utf-8 JSON segment
+  (``dataset_names``).
+- **Synopses**: all seeded, so two integer columns (``synopsis_seeds``,
+  ``synopsis_index``) over their bases.  A base that is exact over its
+  dataset's rows is stored as nothing; any other (a sketch synopsis, or
+  an exact one in a service without a repository — no served lake holds
+  either) keeps a per-item record
+  (:func:`repro.synopsis.serialize.to_state`).
+- **Shard units**: each unit's dataset ids (``unit_ids``) and its Ptile
+  deltas (``ptile_deltas``); the tombstones are one column (``removed``).
+- **Leaf cache**: a small key-shape table in the header, and columns for
+  the key scalars (float64), each entry's shape id and watermark
+  (``cache_keys``, ``cache_watermarks``), plus the bitmap words end to end
+  (``cache_words``).  An entry's bitmap is stored as exactly its
+  watermark's bits, so its word count and offset follow from the
+  watermarks (a bitmap that holds more, cached by a batch racing an
+  ingest, is cut to them: see :func:`_cache_state`).
+
+Integer columns are stored in the smallest unsigned dtype that holds them.
 Each Ptile backend is stored as its own ``to_arrays()`` — the kd-tree's,
 the one dynamic engine (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a
 header naming any other engine, in a shard's Ptile state or as the
@@ -43,13 +68,21 @@ and codes repeat an earlier one's is not stored again), the per-column
 float64 level tables they index (``mapped_levels``, all ``k``), every
 point's dataset key in the smallest unsigned dtype that holds the shard's
 largest key (``mapped_ids``: one byte a point up to 256 datasets a shard)
-and the node table with its boxes in code space — version 4 stored the
-same points as ``(k, n)`` float64 (``mapped_points``), 8 bytes per
-coordinate against 1–2.  No active mask is written: no service path runs
-the ReportFirst loop that hides points, so every point is active
-(``save`` refuses an index with a hidden one), and a load starts every
-point active.  A Ptile index's coresets are one ``(N, s, d)`` segment, not
-``N``.  Older files are refused, not migrated.  Version-5
+and the node table with its boxes in code space.  No active mask is
+written: no service path runs the ReportFirst loop that hides points, so
+every point is active (``save`` refuses an index with a hidden one), and a
+load starts every point active.  A Ptile index's coresets are one
+``(N, s, d)`` segment, not ``N``.
+
+Version 5 is still read.  Its header carried the same state with one JSON
+record per dataset (a synopsis, a repository entry with its own
+``exact_points`` segment, a Ptile key and delta) and per cache entry
+(``key``, ``watermark``, ``nbits``, ``off``, ``nw``), and the unit ids and
+tombstones as lists.  :func:`_from_version_5` turns such a header into the
+version-6 layout when the file is opened, with those records as columns
+held in memory, so the readers know one layout; a version-5 file's
+datasets are then joined into one private array rather than mapped.
+Older versions are refused, not migrated.  Version-5
 files from builds where the kd leaf size, the plan-cache capacity and the
 slow-log size were still constructor keywords carry them in ``state``
 (the leaf size once per shard unit and once per Ptile index); they are
@@ -82,11 +115,16 @@ All errors reading a snapshot back — bad magic, unsupported version, a
 foreign kind, truncated segments, malformed state — raise
 :class:`~repro.errors.SnapshotError` and nothing else (the supervisor's
 respawn loop and its workers' snapshot pollers catch exactly that).
-"Malformed state" is anything wrong with the header tree — a missing key,
-a value of the wrong type or range, a list of the wrong length, an index
-past what it indexes, an unknown synopsis kind or engine name, shard units
-that do not restore whole (see :func:`_unit_ids`) — whichever of
-:func:`load`, :func:`generation_of` and :func:`inspect` meets it.
+"Malformed state" is anything wrong with the header tree or a column it
+references — a missing key, a value of the wrong type or range, a list or
+column of the wrong length or dtype, offsets that are not ascending or
+run past their segment, an index past what it indexes, an unknown
+synopsis kind, engine name or cache-key slot, shard units that do not
+restore whole (see :func:`_unit_ids`), a cache entry whose watermark is
+outside ``[0, n_datasets]`` or whose bitmap holds fewer bits (or, in
+version 6, sets one past them) —
+whichever of :func:`load`, :func:`generation_of` and :func:`inspect` meets
+it.
 """
 
 from __future__ import annotations
@@ -105,18 +143,22 @@ from repro.core.framework import Dataset, Repository
 from repro.core.ptile_range import PtileRangeIndex
 from repro.errors import ReproError, SnapshotError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import check_dynamic_engine, restore_backend
+from repro.index.backend import check_dynamic_engine, id_column, restore_backend
 from repro.service import faults
-from repro.service.cache import CacheEntry, LeafResultCache
+from repro.service.cache import CacheEntry
 from repro.service.observability import MetricsRegistry, ServiceObservability
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor, _Unit
-from repro.synopsis.serialize import from_state as synopsis_from_state
-from repro.synopsis.serialize import to_state as synopsis_to_state
-from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, decode
+from repro.synopsis.serialize import from_state as synopses_from_state
+from repro.synopsis.serialize import to_state as synopses_to_state
+from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, SYNOPSIS_STATE, decode
 
 MAGIC = b"REPROSNP"
-VERSION = 5
+VERSION = 6
+
+#: The container versions this build reads: this one, and the version-5
+#: layout whose header held per-item JSON.
+_READS = (5, VERSION)
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -126,9 +168,11 @@ ALIGN = 64
 KIND = "query_service"
 
 #: What walking a malformed header tree raises before :func:`_decoding`
-#: translates it (``ReproError``: an unknown synopsis kind or engine name).
+#: translates it (``ReproError``: an unknown synopsis kind or engine name;
+#: ``RecursionError``: a tree nested past the interpreter's stack).
 _MALFORMED = (
     ReproError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+    RecursionError,
 )
 
 #: Anything ``open()`` accepts as a file path.
@@ -143,47 +187,42 @@ def _align(offset: int) -> int:
 # Writer
 # ----------------------------------------------------------------------
 class _SnapshotWriter:
-    """Collects array segments (deduplicated by object identity) + state."""
+    """Collects array segments + state."""
 
     def __init__(self) -> None:
-        self._arrays: list[tuple[str, np.ndarray]] = []
-        self._ref_of_id: dict[int, str] = {}
+        self._arrays: list[tuple[str, list[np.ndarray], tuple]] = []
 
-    def add_array(self, hint: str, arr: np.ndarray) -> str:
-        """Register one array segment; returns its reference string.
-
-        The same array *object* registered twice gets one segment (the
-        repository's raw points are also every exact synopsis' state).
-        """
-        ref = self._ref_of_id.get(id(arr))
-        if ref is not None:
-            return ref
-        out = np.ascontiguousarray(arr)
-        if out.dtype == object:
+    def add_array(self, hint: str, arr: Union[np.ndarray, list]) -> str:
+        """Register one array segment; returns its reference string.  A
+        list of arrays (at least one, all of one dtype and row shape) is
+        one segment of their rows end to end, written a chunk at a time:
+        no concatenated copy is made."""
+        chunks = [np.ascontiguousarray(c) for c in (arr if isinstance(arr, list) else [arr])]
+        first = chunks[0]
+        if first.dtype == object:
             raise SnapshotError(
                 f"segment {hint!r} has dtype=object; snapshot segments "
                 "must be flat numeric/bool buffers"
             )
+        if any(c.dtype != first.dtype or c.shape[1:] != first.shape[1:] for c in chunks):
+            raise SnapshotError(f"segment {hint!r}: its chunks differ in dtype or row shape")
+        shape = (sum(map(len, chunks)), *first.shape[1:]) if isinstance(arr, list) else first.shape
         ref = f"{hint}#{len(self._arrays)}"
-        self._arrays.append((ref, out))
-        self._ref_of_id[id(arr)] = ref
-        # Keep the contiguous copy's identity mapped too, so it stays
-        # alive (id() keys must not be recycled) and re-adds dedup.
-        self._ref_of_id[id(out)] = ref
+        self._arrays.append((ref, chunks, shape))
         return ref
 
     def write(self, path: PathLike, state: dict, generation: int) -> dict:
         """Serialize header + segments to ``path`` (atomic replace)."""
         arrays_meta: dict[str, dict] = {}
         rel = 0
-        for ref, arr in self._arrays:
+        for ref, chunks, shape in self._arrays:
             rel = _align(rel)
             arrays_meta[ref] = {
                 "offset": rel,
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
+                "dtype": chunks[0].dtype.str,
+                "shape": list(shape),
             }
-            rel += arr.nbytes
+            rel += sum(c.nbytes for c in chunks)
         header = {
             "format": VERSION,
             "kind": KIND,
@@ -202,13 +241,14 @@ class _SnapshotWriter:
             f.write(raw)
             f.write(b"\x00" * (data_start - 32 - len(raw)))
             pos = 0
-            for _ref, arr in self._arrays:
+            for _ref, chunks, _shape in self._arrays:
                 aligned = _align(pos)
                 if aligned > pos:
                     f.write(b"\x00" * (aligned - pos))
                 pos = aligned
-                f.write(arr.data)
-                pos += arr.nbytes
+                for chunk in chunks:
+                    f.write(chunk.data)
+                    pos += chunk.nbytes
         os.replace(tmp, path)
         return {
             "path": path,
@@ -232,16 +272,40 @@ class _ArrayTable:
     what keeps ``load()`` latency flat in the dataset count.  Pages are
     shared across processes exactly as with per-segment ``np.memmap``.
     ``mmap=False`` reads private writable arrays.  Resolved arrays are
-    cached so two references to one segment share one view.
+    cached so two references to one segment share one view.  ``version``
+    is the container's.  :meth:`add` registers an array held in memory
+    instead (a version-5 header's per-item records, made columns by
+    :func:`_from_version_5`).
     """
 
-    def __init__(self, path: str, meta: dict, data_start: int, mmap: bool) -> None:
+    def __init__(
+        self, path: str, meta: dict, data_start: int, mmap: bool, version: int
+    ) -> None:
         self._path = path
         self._meta = meta
         self._data_start = data_start
         self._mmap = mmap
+        self.version = version
         self._cache: dict[str, np.ndarray] = {}
+        self._added: dict[str, list[np.ndarray]] = {}
         self._map: Optional[np.ndarray] = None
+
+    def add(self, hint: str, arr: Union[np.ndarray, list]) -> str:
+        """An in-memory segment, as :meth:`_SnapshotWriter.add_array` takes
+        one; a list is joined on first use, not here."""
+        ref = f"{hint}#mem{len(self._added)}"
+        self._added[ref] = arr if isinstance(arr, list) else [arr]
+        return ref
+
+    def length(self, ref: str) -> int:
+        """A segment's entry count, read from no data."""
+        added = self._added.get(ref)
+        if added is not None:
+            return sum(map(len, added))
+        m = self._meta.get(ref)
+        if m is None:
+            raise SnapshotError(f"state references unknown segment {ref!r}")
+        return int(m["shape"][0])
 
     def _buffer(self) -> np.ndarray:
         if self._map is None:
@@ -251,6 +315,11 @@ class _ArrayTable:
     def __getitem__(self, ref: str) -> np.ndarray:
         got = self._cache.get(ref)
         if got is not None:
+            return got
+        added = self._added.get(ref)
+        if added is not None:
+            got = added[0] if len(added) == 1 else np.concatenate(added)
+            self._cache[ref] = got
             return got
         m = self._meta.get(ref)
         if m is None:
@@ -275,8 +344,22 @@ class _ArrayTable:
         self._cache[ref] = arr
         return arr
 
+    def ints(self, ref: str, what: str, n: Optional[int], hi: int) -> np.ndarray:
+        """Segment ``ref`` as int64, refused unless it is a 1-D integer
+        column of ``n`` entries (any number when ``n`` is None), each in
+        ``[0, hi]``."""
+        col = self[ref]
+        if col.dtype.kind not in "iu" or col.ndim != 1 or n not in (None, col.size):
+            raise SnapshotError(f"{what} is not a 1-D integer column of {n} entries")
+        if col.size and (col.min() < 0 or col.max() > hi):
+            raise SnapshotError(f"{what} holds a value outside [0, {hi}]")
+        return col.astype(np.int64)
 
-def _open_container(path: PathLike, mmap: bool) -> tuple[dict, _ArrayTable]:
+
+def _open_container(
+    path: PathLike, mmap: bool
+) -> tuple[dict, _ArrayTable, int]:
+    """The container's header, its array table and its header length."""
     path = os.fspath(path)
     try:
         size = os.path.getsize(path)
@@ -287,18 +370,19 @@ def _open_container(path: PathLike, mmap: bool) -> tuple[dict, _ArrayTable]:
             if pre[:8] != MAGIC:
                 raise SnapshotError(f"{path}: bad magic (not a repro snapshot)")
             version, _reserved = struct.unpack_from("<II", pre, 8)
-            if version != VERSION:
+            if version not in _READS:
                 raise SnapshotError(
                     f"{path}: unsupported snapshot version {version} "
-                    f"(this build reads version {VERSION})"
+                    f"(this build reads versions {_READS[0]} and {VERSION})"
                 )
             hlen, data_start = struct.unpack_from("<QQ", pre, 16)
-            raw = f.read(hlen)
+            # Bounded by the file first: a length past it is no allocation.
+            raw = f.read(min(hlen, size))
         if len(raw) < hlen:
             raise SnapshotError(f"{path}: truncated header")
         try:
             header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise SnapshotError(f"{path}: corrupt header ({exc})") from exc
     except OSError as exc:
         raise SnapshotError(f"{path}: cannot read snapshot ({exc})") from exc
@@ -314,7 +398,11 @@ def _open_container(path: PathLike, mmap: bool) -> tuple[dict, _ArrayTable]:
             nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
             if data_start + m["offset"] + nbytes > size:
                 raise SnapshotError(f"{path}: segment {ref!r} is truncated")
-    return header, _ArrayTable(path, header["arrays"], int(data_start), mmap)
+    arrays = _ArrayTable(path, header["arrays"], int(data_start), mmap, version)
+    if version == 5:
+        with _decoding(path):
+            header["state"] = _from_version_5(header["state"], arrays)
+    return header, arrays, hlen
 
 
 @contextlib.contextmanager
@@ -368,6 +456,13 @@ _BACKEND_HINTS = {
 
 def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
     keys = index.keys
+    # The keys are the unit's datasets 0..n-1, so they are not written: a
+    # load derives them from the unit's ids.
+    if keys != list(range(len(keys))):
+        raise SnapshotError(
+            "ptile key space has holes (delete_synopsis?); snapshots require "
+            "contiguous keys"
+        )
     backend = index._tree.to_arrays()
     # No service path hides points (the ReportFirst loop never runs
     # there): every live point is active, so the mask is not written.
@@ -381,6 +476,7 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         coresets = np.stack([index._coresets[k] for k in keys])
     except ValueError as exc:
         raise SnapshotError(f"coresets are not uniformly shaped ({exc})") from exc
+    deltas = np.array([index._deltas[k] for k in keys], dtype=np.float64)
     return {
         "eps": float(index.eps),
         "eps_effective": float(index.eps_effective),
@@ -388,9 +484,7 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         "sample_size": int(index._sample_size),
         "engine": index.engine_kind,
         "dim": int(index.dim),
-        "next_key": int(index._next_key),
-        "keys": [int(k) for k in keys],
-        "deltas": [float(index._deltas[k]) for k in keys],
+        "deltas": add_array("ptile_deltas", deltas),
         "coresets": add_array("coreset", coresets),
         "bounding_box": _box_state(index.bounding_box),
         "rng": index._rng.bit_generator.state,
@@ -406,30 +500,29 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
 def _ptile_from_state(
     state: dict, arrays: _ArrayTable, synopses: list
 ) -> PtileRangeIndex:
-    keys = [int(k) for k in state["keys"]]
-    if keys != list(range(len(synopses))):
-        raise SnapshotError(
-            "ptile key space does not match the synopsis list (holes from "
-            "delete_synopsis?); snapshots require contiguous keys"
-        )
+    n = len(synopses)
+    deltas = arrays[state["deltas"]]
+    # Each delta_i is a synopsis error in [0, 1) (resolve_deltas).
+    if deltas.dtype != np.float64 or deltas.shape != (n,) or not (
+        (deltas >= 0.0) & (deltas < 1.0)
+    ).all():
+        raise SnapshotError(f"ptile deltas are not {n} float64 values in [0, 1)")
     index = PtileRangeIndex.__new__(PtileRangeIndex)
     index.dim = int(state["dim"])
     index.eps = float(state["eps"])
     index.engine_kind = state["engine"]
     index._rng = _restore_rng(state["rng"])
-    index._next_key = int(state["next_key"])
+    index._next_key = n
     index._phi_eff = float(state["phi_eff"])
     index._sample_size = int(state["sample_size"])
     index.eps_effective = float(state["eps_effective"])
     index.bounding_box = _box_from(state["bounding_box"])
-    index._synopses = {k: synopses[k] for k in keys}
-    index._deltas = {
-        k: float(d) for k, d in zip(keys, state["deltas"], strict=True)
-    }
+    index._synopses = dict(enumerate(synopses))
+    index._deltas = dict(enumerate(deltas.tolist()))
     coresets = np.asarray(arrays[state["coresets"]])
-    if coresets.ndim != 3 or coresets.shape[0] != len(keys):
+    if coresets.ndim != 3 or coresets.shape[0] != n:
         raise SnapshotError("ptile coreset segment does not match the key list")
-    index._coresets = dict(zip(keys, coresets))  # views of the one segment
+    index._coresets = dict(enumerate(coresets))  # views of the one segment
     # Zero-copy: codes, level tables, key column and node table
     # stay the file-backed buffers.  from_arrays validates what it adopts;
     # an engine without a persisted form is refused by name.  Every saved
@@ -443,8 +536,36 @@ def _ptile_from_state(
 
 
 # ----------------------------------------------------------------------
-# Repository
+# Dataset points and the repository
 # ----------------------------------------------------------------------
+def _points_state(rows: list[np.ndarray], add_array: Callable) -> dict:
+    """Every dataset's rows end to end, and where each starts."""
+    return {
+        "rows": add_array("dataset_points", list(rows)),
+        "offsets": add_array(
+            "dataset_offsets", id_column(np.cumsum([0, *map(len, rows)]), len(rows) + 1)
+        ),
+    }
+
+
+def _points_from_state(
+    state: Optional[dict], arrays: _ArrayTable
+) -> Optional[list[np.ndarray]]:
+    """Each dataset's rows: views of the one points segment."""
+    if state is None:
+        return None
+    rows = arrays[state["rows"]]
+    if rows.dtype != np.float64 or rows.ndim != 2 or not rows.shape[1]:
+        raise SnapshotError("dataset points are not one (total, d) float64 segment")
+    offsets = arrays.ints(state["offsets"], "dataset offsets", None, len(rows))
+    if offsets.size < 2 or offsets[0] != 0 or offsets[-1] != len(rows):
+        raise SnapshotError("dataset offsets do not span the points segment")
+    if not (offsets[1:] > offsets[:-1]).all():
+        raise SnapshotError("dataset offsets are not strictly ascending")
+    bounds = offsets.tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _repository_state(
     repo: Optional[Repository], add_array: Callable
 ) -> Optional[dict]:
@@ -452,24 +573,37 @@ def _repository_state(
         return None
     return {
         "schema": list(repo.schema),
-        "names": [ds.name for ds in repo.datasets],
-        "points": [add_array("dataset", ds.points) for ds in repo.datasets],
+        "names": _names_segment([ds.name for ds in repo.datasets], add_array),
     }
 
 
+def _names_segment(names: list, add_array: Callable) -> str:
+    """The datasets' names as one utf-8 JSON segment."""
+    raw = json.dumps(names).encode("utf-8")
+    return add_array("dataset_names", np.frombuffer(raw, dtype=np.uint8))
+
+
 def _repository_from_state(
-    state: Optional[dict], arrays: _ArrayTable
+    state: Optional[dict], points: Optional[list], arrays: _ArrayTable
 ) -> Optional[Repository]:
     if state is None:
         return None
+    raw = arrays[state["names"]]
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise SnapshotError("dataset names are not one utf-8 segment")
+    names = json.loads(raw.tobytes().decode("utf-8"))
+    if points is None:
+        raise SnapshotError("a repository without dataset points")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise SnapshotError("dataset names are not a list of strings")
     schema = tuple(state["schema"])
     datasets = []
-    for name, ref in zip(state["names"], state["points"], strict=True):
+    for name, rows in zip(names, points, strict=True):
         # Bypass Dataset.__init__: the finiteness scan over every stored
         # point is exactly the O(total points) pass a mapped cold start
         # must not pay (and would fault every page in).
         ds = Dataset.__new__(Dataset)
-        ds.points = np.asarray(arrays[ref])
+        ds.points = rows
         ds.name = name
         ds.schema = schema
         datasets.append(ds)
@@ -482,13 +616,13 @@ def _repository_from_state(
 # Shard units (a base shard or the delta shard: one ``_Unit``)
 # ----------------------------------------------------------------------
 def _unit_state(unit: _Unit, add_array: Callable) -> dict:
-    """What a unit's engine holds that its executor does not (the ids are
-    ``shards`` / ``delta_ids``), read under the unit's lock: no first-use
-    build, delta insert or side-buffer rebuild (``to_arrays`` runs one)
-    races the export."""
+    """A unit's ids and what its engine holds, read under the unit's
+    lock: no first-use build, delta insert or side-buffer rebuild
+    (``to_arrays`` runs one) races the export."""
     with unit.lock:
         engine = unit.engine
         return {
+            "ids": add_array("unit_ids", id_column(unit.ids, len(unit.ids))),
             "rng": engine._rng.bit_generator.state,
             "ptile": (
                 None
@@ -499,18 +633,19 @@ def _unit_state(unit: _Unit, add_array: Callable) -> dict:
 
 
 def _unit_ids(
-    state: dict, n: int, removed: frozenset
-) -> tuple[list[list[int]], list[int]]:
-    """The base shards' and the delta's ids, refused unless the units
-    restore whole — else a file loads and then answers wrongly or fails
-    its first query: the delta has ids exactly when it has an engine, each
-    unit's ids ascend strictly, and the units are disjoint and, with the
-    tombstones, hold every dataset below ``n``."""
-    shards = [[int(i) for i in ids] for ids in state["shards"]]
-    delta_ids = [int(i) for i in state["delta_ids"]]
-    if bool(delta_ids) != (state["delta_engine"] is not None):
-        raise SnapshotError("executor state has delta ids or a delta engine alone")
-    units = [*shards, delta_ids] if delta_ids else shards
+    state: dict, arrays: _ArrayTable, n: int, removed: frozenset
+) -> tuple[list[list[int]], Optional[list[int]]]:
+    """The base shards' and the delta's ids (None: no delta), refused
+    unless the units restore whole — else a file loads and then answers
+    wrongly or fails its first query: the delta has ids exactly when it has
+    an engine, each unit's ids ascend strictly, and the units are disjoint
+    and, with the tombstones, hold every dataset below ``n``."""
+    def ids_of(unit: dict) -> list[int]:
+        return arrays.ints(unit["ids"], "unit ids", None, n - 1).tolist()
+
+    shards = [ids_of(unit) for unit in state["engines"]]
+    delta = None if state["delta_engine"] is None else ids_of(state["delta_engine"])
+    units = shards if delta is None else [*shards, delta]
     if not all(ids and all(a < b for a, b in zip(ids, ids[1:])) for ids in units):
         raise SnapshotError("a unit's ids are empty or not strictly ascending")
     held = [i for ids in units for i in ids]
@@ -518,7 +653,7 @@ def _unit_ids(
         raise SnapshotError("a dataset is in two units")
     if set(held) | removed != set(range(n)):
         raise SnapshotError(f"units and tombstones are not datasets 0..{n - 1}")
-    return shards, delta_ids
+    return shards, delta
 
 
 def _unit_from_state(
@@ -542,10 +677,14 @@ def _unit_from_state(
 # ----------------------------------------------------------------------
 def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     """The executor's state, read under the service's mutation lock (no
-    dataset arrives or leaves), each unit under its own."""
-    delta = ex.delta
+    dataset arrives or leaves), each unit under its own.  The stored
+    dataset rows are the repository's, which the exact synopses slice."""
+    # The units first: their segments lead the data section, as they did
+    # in version 5.
     engines = [_unit_state(unit, add_array) for unit in ex.units]
-    delta_engine = None if delta is None else _unit_state(delta, add_array)
+    delta = None if ex.delta is None else _unit_state(ex.delta, add_array)
+    repo = ex.repository
+    rows = None if repo is None else [ds.points for ds in repo.datasets]
     return {
         "eps": float(ex.eps),
         "seed": int(ex.seed),
@@ -556,13 +695,12 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
         "sample_size": int(ex.sample_size),
         "eps_effective": float(ex.eps_effective),
         "bounding_box": _box_state(ex.bounding_box),
-        "shards": [[int(i) for i in unit.ids] for unit in ex.units],
-        "removed": sorted(int(i) for i in ex.removed),
-        "synopses": [synopsis_to_state(s, add_array) for s in ex.synopses],
-        "repository": _repository_state(ex.repository, add_array),
+        "removed": add_array("removed", id_column(sorted(ex.removed), len(ex.removed))),
+        "points": None if rows is None else _points_state(rows, add_array),
+        "repository": _repository_state(repo, add_array),
+        "synopses": synopses_to_state(ex.synopses, rows, add_array),
         "engines": engines,
-        "delta_ids": [] if delta is None else [int(i) for i in delta.ids],
-        "delta_engine": delta_engine,
+        "delta_engine": delta,
     }
 
 
@@ -580,21 +718,25 @@ def _executor_from_state(
     ex.sample_size = int(state["sample_size"])
     ex.eps_effective = float(state["eps_effective"])
     ex.bounding_box = _box_from(state["bounding_box"])
-    ex.synopses = [synopsis_from_state(p, arrays) for p in state["synopses"]]
-    if not ex.synopses:
+    points = _points_from_state(state["points"], arrays)
+    ex.synopses = synopses_from_state(state["synopses"], points, arrays)
+    n = len(ex.synopses)
+    if not n:
         raise SnapshotError("executor state has no synopses")
     ex.dim = ex.synopses[0].dim
-    ex.repository = _repository_from_state(state["repository"], arrays)
-    ex.removed = frozenset(int(i) for i in state["removed"])
-    shards, delta_ids = _unit_ids(state, len(ex.synopses), ex.removed)
+    ex.repository = _repository_from_state(state["repository"], points, arrays)
+    if ex.repository is not None and len(ex.repository.datasets) != n:
+        raise SnapshotError("the repository does not hold one dataset per synopsis")
+    ex.removed = frozenset(arrays.ints(state["removed"], "removed", None, n - 1).tolist())
+    shards, delta_ids = _unit_ids(state, arrays, n, ex.removed)
     ex.units = [
         _unit_from_state(ex, ids, s, sub, arrays)
         for s, (ids, sub) in enumerate(zip(shards, state["engines"], strict=True))
     ]
     ex.delta = (
-        _unit_from_state(ex, delta_ids, len(shards), state["delta_engine"], arrays)
-        if delta_ids
-        else None
+        None
+        if delta_ids is None
+        else _unit_from_state(ex, delta_ids, len(shards), state["delta_engine"], arrays)
     )
     return ex
 
@@ -602,65 +744,164 @@ def _executor_from_state(
 # ----------------------------------------------------------------------
 # Leaf-result cache
 # ----------------------------------------------------------------------
-def _encode_key(obj: Any) -> Any:
-    """Canonical leaf keys are nested tuples of JSON scalars; tag tuples."""
+def _key_shape(obj: Any, scalars: list) -> Any:
+    """The shape of a canonical leaf key (nested tuples of JSON scalars):
+    a tuple is a list, a bool, float or float-exact int is its slot tag
+    (``"b"`` / ``"f"`` / ``"i"``) and its value goes to ``scalars``, and a
+    string, None or larger int is a literal ``{"v": x}``."""
     if isinstance(obj, tuple):
-        return {"t": [_encode_key(x) for x in obj]}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise SnapshotError(
-        f"cache key element of type {type(obj).__name__} is not "
-        "snapshot-serializable"
-    )
+        return [_key_shape(x, scalars) for x in obj]
+    if isinstance(obj, bool):
+        tag = "b"
+    elif isinstance(obj, int):
+        tag = "i" if abs(obj) <= 2**53 else None
+    elif isinstance(obj, float):
+        tag = "f"
+    elif obj is None or isinstance(obj, str):
+        tag = None
+    else:
+        raise SnapshotError(
+            f"cache key element of type {type(obj).__name__} is not "
+            "snapshot-serializable"
+        )
+    if tag is None:
+        return {"v": obj}
+    scalars.append(obj)
+    return tag
 
 
-def _decode_key(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return tuple(_decode_key(x) for x in obj["t"])
-    return obj
+def _slot_count(shape: Any) -> int:
+    """How many scalars a key of this shape reads; refused unless every
+    node is a list, a slot tag or a literal string, None or int."""
+    if isinstance(shape, list):
+        return sum(_slot_count(x) for x in shape)
+    if shape in ("b", "f", "i"):
+        return 1
+    if (
+        isinstance(shape, dict) and list(shape) == ["v"]
+        and (shape["v"] is None or type(shape["v"]) in (str, int))
+    ):
+        return 0
+    raise SnapshotError(f"cache key shape node {shape!r} is not a list, slot or literal")
 
 
-def _cache_state(cache: LeafResultCache, add_array: Callable) -> dict:
-    entries = []
-    word_chunks: list[np.ndarray] = []
-    off = 0
-    for key, entry in cache.export_entries():
-        e: dict = {"key": _encode_key(key), "watermark": int(entry.watermark)}
-        value = entry.indexes
-        word_chunks.append(value.words)
-        e["nbits"] = int(value.nbits)
-        e["off"] = off
-        e["nw"] = int(value.words.size)
-        off += int(value.words.size)
-        entries.append(e)
-    words = (
-        np.concatenate(word_chunks)
-        if word_chunks
-        else np.zeros(0, dtype=np.uint64)
-    )
+def _keys_of_shape(shape: Any, rows: np.ndarray) -> list:
+    """The keys of the entries of one shape, whose slots are the columns
+    of ``rows`` (one row an entry), built a node at a time for all of
+    them: a list node zips its children's columns."""
+    slots = iter(rows.T)
+
+    def column(node: Any) -> list:
+        if isinstance(node, list):
+            return list(zip(*map(column, node))) if node else [()] * len(rows)
+        if isinstance(node, dict):
+            return [node["v"]] * len(rows)
+        values = next(slots)
+        if node == "b":
+            bad = values[(values != 0.0) & (values != 1.0)]
+        elif node == "i":
+            bad = values[(values != np.round(values)) | (np.abs(values) > 2**53)]
+        else:
+            return values.tolist()
+        if bad.size:
+            raise SnapshotError(f"cache key slot {node!r} holds {float(bad[0])!r}")
+        return (values == 1.0).tolist() if node == "b" else values.astype(np.int64).tolist()
+
+    return column(shape)
+
+
+def _cache_state(
+    capacity: int, generation: int, entries: list, add_array: Callable
+) -> dict:
+    """The leaf cache's state from its ``(key, watermark, bitmap)``
+    entries in LRU order.  Each bitmap is stored as exactly its
+    watermark's bits.  A bitmap may hold more: a batch racing an ingest
+    reads the old dataset count as its watermark but is answered by a delta
+    that already holds the new datasets (``add_synopses`` publishes them
+    first).  The bits past the watermark are dropped, which is exact: the
+    entry is stale, and its first hit ORs the delta's answer back in.  A
+    bitmap that holds fewer bits than its watermark is refused."""
+    shapes: dict[str, int] = {}
+    shape_ids, scalars, watermarks = [], [], []
+    words = [np.zeros(0, dtype=np.uint64)]
+    for key, watermark, bitmap in entries:
+        if not 0 <= watermark <= bitmap.nbits:
+            raise SnapshotError("a cache entry's bitmap does not span its watermark")
+        shape = json.dumps(_key_shape(key, scalars), separators=(",", ":"))
+        shape_ids.append(shapes.setdefault(shape, len(shapes)))
+        watermarks.append(watermark)
+        span = bitmap.words[: (watermark + 63) // 64]
+        tail = watermark % 64
+        if tail and span[-1] >> np.uint64(tail):
+            span = span.copy()
+            span[-1] &= np.uint64((1 << tail) - 1)
+        words.append(span)
     return {
-        "capacity": int(cache.capacity),
-        "generation": int(cache.generation),
-        "entries": entries,
+        "capacity": int(capacity),
+        "generation": int(generation),
+        "key_shapes": [json.loads(shape) for shape in shapes],
+        "key_scalars": add_array("cache_keys", np.array(scalars, dtype=np.float64)),
+        "key_shape_ids": add_array("cache_keys", id_column(shape_ids, len(shape_ids))),
+        "watermarks": add_array(
+            "cache_watermarks", id_column(watermarks, len(watermarks))
+        ),
         "words": add_array("cache_words", words),
     }
 
 
+def _cache_keys(state: dict, arrays: _ArrayTable) -> tuple[list, np.ndarray]:
+    """The version-6 keys, in LRU order, and their watermarks."""
+    shapes = state["key_shapes"]
+    slots = np.array([_slot_count(shape) for shape in shapes], dtype=np.int64)
+    ids = arrays.ints(state["key_shape_ids"], "cache shape ids", None, len(shapes) - 1)
+    watermarks = arrays.ints(
+        state["watermarks"], "cache watermarks", len(ids), 2**31 - 1
+    )
+    scalars = arrays[state["key_scalars"]]
+    widths = slots[ids]
+    if scalars.dtype != np.float64 or scalars.shape != (int(widths.sum()),):
+        raise SnapshotError(
+            "cache key scalars are not one float64 value per slot of the shapes"
+        )
+    starts = np.cumsum(widths) - widths
+    keys: list = [None] * len(ids)
+    for s, shape in enumerate(shapes):
+        (at,) = np.nonzero(ids == s)
+        rows = scalars[starts[at, None] + np.arange(slots[s])]
+        for i, key in zip(at.tolist(), _keys_of_shape(shape, rows)):
+            keys[i] = key
+    return keys, watermarks
+
+
 def _cache_from_state(
-    state: dict, arrays: _ArrayTable
+    state: dict, arrays: _ArrayTable, n: int
 ) -> tuple[int, list[tuple[Any, CacheEntry]], int]:
-    """The leaf cache's ``(capacity, entries, generation)``."""
+    """The leaf cache's ``(capacity, entries, generation)``, refused unless
+    each bitmap is exactly its watermark's bits for some ``0 <= watermark
+    <= n`` with nothing set past them: a shorter bitmap answers too little,
+    and a watermark past ``n`` is fresh forever, never upgraded."""
     words = arrays[state["words"]]
-    items = []
-    for e in state["entries"]:
-        key = _decode_key(e["key"])
-        off, nw = int(e["off"]), int(e["nw"])
-        if off + nw > words.size:
-            raise SnapshotError("cache entry words out of segment bounds")
-        # Contiguous slice of the mapped words — zero-copy; bitmaps are
-        # immutable by convention so a read-only buffer is fine.
-        value = DatasetBitmap(words[off : off + nw], int(e["nbits"]))
-        items.append((key, CacheEntry(value, int(e["watermark"]))))
+    if words.dtype != np.uint64 or words.ndim != 1:
+        raise SnapshotError("cache words are not one uint64 segment")
+    keys, watermarks = _cache_keys(state, arrays)
+    n_words = (watermarks + 63) // 64
+    starts = np.cumsum(n_words) - n_words
+    if int(n_words.sum()) != words.size:
+        raise SnapshotError("cache words are not the watermarks' words end to end")
+    if watermarks.size and (watermarks.min() < 0 or watermarks.max() > n):
+        raise SnapshotError(f"a cache watermark is outside [0, {n}]")
+    tail = watermarks % 64
+    last = starts[tail > 0] + n_words[tail > 0] - 1
+    if (words[last] >> tail[tail > 0].astype(np.uint64)).any():
+        raise SnapshotError("a cache entry sets bits past its watermark")
+    # Contiguous slices of the mapped words — zero-copy; bitmaps are
+    # immutable by convention so a read-only buffer is fine.
+    items = [
+        (key, CacheEntry(DatasetBitmap(words[a : a + nw], w), w))
+        for key, a, nw, w in zip(
+            keys, starts.tolist(), n_words.tolist(), watermarks.tolist()
+        )
+    ]
     return int(state["capacity"]), items, int(state["generation"])
 
 
@@ -674,7 +915,11 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
         "executor_kwargs": {**kw, "bounding_box": _box_state(kw["bounding_box"])},
         "tracing": bool(svc.observability.tracing),
         "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
-        "cache": _cache_state(svc.cache, add_array),
+        "cache": _cache_state(
+            svc.cache.capacity, svc.cache.generation,
+            [(key, e.watermark, e.indexes) for key, e in svc.cache.export_entries()],
+            add_array,
+        ),
         "executor": _executor_state(svc.executor, add_array),
     }
 
@@ -694,8 +939,101 @@ def _service_from_state(
             bool(state["tracing"]), state["slow_query_threshold_ms"]
         )
     svc.executor = _executor_from_state(state["executor"], arrays, obs.registry)
-    svc._assemble(obs, *_cache_from_state(state["cache"], arrays))
+    svc._assemble(
+        obs, *_cache_from_state(state["cache"], arrays, svc.executor.n_datasets)
+    )
     return svc
+
+
+# ----------------------------------------------------------------------
+# Version 5
+# ----------------------------------------------------------------------
+def _from_version_5(state: dict, arrays: _ArrayTable) -> dict:
+    """A version-5 state tree in the version-6 layout: the one place that
+    knows version 5, so every reader walks version 6 alone.  Its per-item
+    records and lists become columns held in memory (``arrays.add``), its
+    cache entries pass :func:`_cache_state` as a save's do, and the rest
+    of the tree stays where version 6 keeps it.  Its datasets, one segment
+    each, are joined into one array on first use: a copy private to the
+    process, where version 6 maps them, until a save writes version 6.
+    The header tree itself is not modified."""
+    ex = state["executor"]
+    add = arrays.add
+
+    def column(hint: str, values: list) -> str:
+        return add(hint, np.array([int(v) for v in values], dtype=np.int64))
+
+    def unit(sub: dict, ids: list) -> dict:
+        sub = {**sub, "ids": column("unit_ids", ids)}
+        ptile = sub["ptile"]
+        if ptile is not None:
+            n = len(ids)
+            keys = [int(k) for k in ptile["keys"]]
+            if keys != list(range(n)) or int(ptile["next_key"]) != n:
+                raise SnapshotError(
+                    "ptile key space does not match the synopsis list (holes from "
+                    "delete_synopsis?); snapshots require contiguous keys"
+                )
+            deltas = np.array([float(d) for d in ptile["deltas"]], dtype=np.float64)
+            sub["ptile"] = {**ptile, "deltas": add("ptile_deltas", deltas)}
+        return sub
+
+    def key(obj: Any) -> Any:
+        """Tuples were tagged ``{"t": [...]}``."""
+        return tuple(map(key, obj["t"])) if isinstance(obj, dict) else obj
+
+    delta_ids = ex["delta_ids"]
+    if bool(delta_ids) != (ex["delta_engine"] is not None):
+        raise SnapshotError("executor state has delta ids or a delta engine alone")
+    repo = ex["repository"]
+    refs = None if repo is None else list(repo["points"])
+    records = [decode(SYNOPSIS_STATE, r, "synopsis") for r in ex["synopses"]]
+    if any(r["kind"] != "seeded" for r in records):
+        raise SnapshotError("a version-5 synopsis is not seeded")
+    # A base exact over its dataset's own segment (a save shared the two)
+    # is what version 6 stores as nothing.
+    bases = [
+        None
+        if refs is not None and i < len(refs) and isinstance(r["base"], dict)
+        and r["base"].get("kind") == "exact" and r["base"].get("points") == refs[i]
+        else r["base"]
+        for i, r in enumerate(records)
+    ]
+    executor = {
+        **ex,
+        "removed": column("removed", ex["removed"]),
+        "points": None if refs is None else _points_state([arrays[r] for r in refs], add),
+        "repository": None if repo is None else {
+            "schema": repo["schema"], "names": _names_segment(repo["names"], add),
+        },
+        "synopses": {
+            "seed": column("synopsis_seeds", [r["seed"] for r in records]),
+            "index": column("synopsis_index", [r["index"] for r in records]),
+            "bases": None if all(b is None for b in bases) else bases,
+        },
+        "engines": [
+            unit(sub, ids) for sub, ids in zip(ex["engines"], ex["shards"], strict=True)
+        ],
+        "delta_engine": (
+            None if ex["delta_engine"] is None else unit(ex["delta_engine"], delta_ids)
+        ),
+    }
+    cache = state["cache"]
+    words = arrays[cache["words"]]
+    if words.dtype != np.uint64 or words.ndim != 1:
+        raise SnapshotError("cache words are not one uint64 segment")
+    entries = []
+    for e in cache["entries"]:
+        off, nw = int(e["off"]), int(e["nw"])
+        if off < 0 or off + nw > words.size:
+            raise SnapshotError("cache entry words out of segment bounds")
+        bitmap = DatasetBitmap(words[off : off + nw], int(e["nbits"]))
+        entries.append((key(e["key"]), int(e["watermark"]), bitmap))
+    return {
+        **state,
+        "executor": executor,
+        "cache": _cache_state(cache["capacity"], cache["generation"], entries, add),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +1073,7 @@ def _read(
     neither opens a file twice nor decodes one it will not serve.  A process
     restores into its current service's observability, so no count falls;
     ``None`` (a new process, :func:`load`) builds one as the file says."""
-    header, arrays = _open_container(path, mmap)
+    header, arrays, _hlen = _open_container(path, mmap)
 
     def restore(observability: Optional[ServiceObservability]) -> QueryService:
         if faults.ARMED is not None:
@@ -754,7 +1092,7 @@ def generation_of(path: PathLike) -> int:
 def inspect(path: PathLike) -> dict:
     """Human/CLI-facing summary of a container (no arrays are loaded)."""
     path = os.fspath(path)
-    header, _arrays = _open_container(path, mmap=True)
+    header, arrays, hlen = _open_container(path, mmap=True)
     by_kind: dict[str, int] = {}
     for ref, m in header["arrays"].items():
         nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
@@ -762,10 +1100,11 @@ def inspect(path: PathLike) -> dict:
         by_kind[kind] = by_kind.get(kind, 0) + nbytes
     out = {
         "path": path,
-        "format": header.get("format"),
+        "format": arrays.version,
         "kind": header["kind"],
         "generation": header["generation"],
         "n_arrays": len(header["arrays"]),
+        "header_bytes": hlen,
         "data_bytes": sum(by_kind.values()),
         "file_bytes": os.path.getsize(path),
         # Where the bytes go: segment kind (the add_array hint) -> bytes,
@@ -773,16 +1112,19 @@ def inspect(path: PathLike) -> dict:
         "bytes_by_kind": dict(sorted(by_kind.items(), key=lambda kv: -kv[1])),
     }
     with _decoding(path):
-        executor = header["state"]["executor"]
-        out["executor"] = {
-            "engine": executor["engine"],
-            "n_shards": len(executor["shards"]),
-            "n_datasets": len(executor["synopses"]),
-            "n_removed": len(executor["removed"]),
-            "delta_size": len(executor["delta_ids"]),
+        state = header["state"]
+        executor, cache = state["executor"], state["cache"]
+        length = arrays.length
+        delta = executor["delta_engine"]
+        counts = {
+            "n_shards": len(executor["engines"]),
+            "n_datasets": length(executor["synopses"]["index"]),
+            "n_removed": length(executor["removed"]),
+            "delta_size": 0 if delta is None else length(delta["ids"]),
         }
-        out["cache_entries"] = len(header["state"]["cache"]["entries"])
-        n_datasets = out["executor"]["n_datasets"]
+        out["cache_entries"] = length(cache["watermarks"])
+        out["executor"] = {"engine": executor["engine"], **counts}
+        n_datasets = counts["n_datasets"]
         sized = [("file", out["file_bytes"]), *out["bytes_by_kind"].items()]
         out["bytes_per_dataset"] = {
             kind: nbytes // n_datasets for kind, nbytes in sized
@@ -791,9 +1133,9 @@ def inspect(path: PathLike) -> dict:
         # and the backend segments alone (codes, level tables, keys,
         # node table), per mapped point — one key each, so the mapped points
         # are the lengths of the units' key segments.
-        units = [*executor["engines"], executor["delta_engine"]]
+        units = [*executor["engines"], delta]
         n_points = sum(
-            header["arrays"][unit["ptile"]["backend"]["group"]]["shape"][0]
+            length(unit["ptile"]["backend"]["group"])
             for unit in units
             if unit is not None and unit["ptile"] is not None
         )

@@ -28,7 +28,7 @@ wire bit-for-bit.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -150,21 +150,32 @@ def loads(text: str) -> Serializable:
 # Container-aware serialization (snapshot files)
 # ----------------------------------------------------------------------
 # Snapshot containers (``repro.service.snapshot``) keep bulk arrays out of
-# the JSON header: ``to_state`` hands each large array to ``add_array`` and
-# stores only the returned segment reference, extending the wire format to
-# the two kinds the federated format deliberately excludes —
-# ``ExactSynopsis`` (its state is the raw dataset, which a local snapshot
-# *should* persist) and the service layer's deterministic coreset wrapper
-# ``SeededSampleSynopsis``.  All other kinds delegate to the wire dicts
-# above, so one format version covers both paths.
+# the JSON header, and extend the wire format to the two kinds the
+# federated format deliberately excludes: ``ExactSynopsis`` (its state is
+# the raw dataset, which a local snapshot *should* persist) and the service
+# layer's deterministic coreset wrapper ``SeededSampleSynopsis``.  An
+# executor's synopses are all seeded, so a container stores them as two
+# integer columns (``seed``, ``index``) over their bases; an exact base
+# over its dataset's rows, which the container already holds, costs
+# nothing more.  Any other base keeps a per-item record: the wire dicts
+# above, or an exact base over points of its own (``add_array`` stores
+# them, the record keeps the reference).
 
 
-def to_state(synopsis, add_array) -> dict:
-    """Serialize any snapshot-supported synopsis to a JSON-safe dict.
+def _narrow(values: list) -> np.ndarray:
+    """Non-negative ints below 2**63 in the smallest unsigned dtype that
+    holds them."""
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ConstructionError(f"a synopsis seed or index is past int64 ({exc})") from exc
+    if arr.size and arr.min() < 0:
+        raise ConstructionError("synopsis seeds and indexes must be non-negative")
+    return arr.astype(np.min_scalar_type(int(arr.max(initial=0))))
 
-    ``add_array(name_hint, array)`` must register a raw array segment and
-    return its reference string; everything else lands in the dict.
-    """
+
+def _base_state(synopsis, add_array) -> dict:
+    """One base synopsis as a record (its bulk arrays as segments)."""
     from repro.service.sharding import SeededSampleSynopsis
     from repro.synopsis.exact import ExactSynopsis
 
@@ -174,7 +185,7 @@ def to_state(synopsis, add_array) -> dict:
             "kind": "seeded",
             "seed": int(synopsis.seed),
             "index": int(synopsis.index),
-            "base": to_state(synopsis.base, add_array),
+            "base": _base_state(synopsis.base, add_array),
         }
     if isinstance(synopsis, ExactSynopsis):
         return {
@@ -185,18 +196,73 @@ def to_state(synopsis, add_array) -> dict:
     return to_dict(synopsis)
 
 
-def from_state(payload: dict, arrays) -> object:
-    """Reconstruct a synopsis from :func:`to_state` output.
+def to_state(synopses: list, points: Optional[list], add_array) -> dict:
+    """An executor's seeded synopses as a container block.
 
-    ``arrays`` maps segment references back to ndarrays (possibly
-    read-only ``np.memmap`` views — every synopsis only reads its state).
+    ``points[i]`` is dataset ``i``'s rows as the container stores them (or
+    ``points`` is None: it stores none); ``add_array(name_hint, array)``
+    registers a segment and returns its reference.  A base that is exact
+    over those very rows (the executor builds it so) is stored as ``None``
+    in ``bases``, and ``bases`` is None when every base is.
     """
+    from repro.synopsis.exact import ExactSynopsis
+
+    bases = [
+        None
+        if isinstance(s.base, ExactSynopsis)
+        and points is not None
+        and s.base._points is points[i]
+        else _base_state(s.base, add_array)
+        for i, s in enumerate(synopses)
+    ]
+    return {
+        "seed": add_array("synopsis_seeds", _narrow([s.seed for s in synopses])),
+        "index": add_array("synopsis_index", _narrow([s.index for s in synopses])),
+        "bases": None if all(b is None for b in bases) else bases,
+    }
+
+
+def from_state(payload: dict, points: Optional[list], arrays) -> list:
+    """The synopses :func:`to_state` stored, as a list.
+
+    ``arrays`` resolves segment references to ndarrays (possibly read-only
+    ``np.memmap`` views — every synopsis only reads its state) and reads
+    checked integer columns (``arrays.ints``).  ``points`` are the
+    datasets' rows the container holds, or None.
+    """
+    from repro.service.sharding import SeededSampleSynopsis
+    from repro.synopsis.exact import ExactSynopsis
+
+    seeds = arrays.ints(payload["seed"], "synopsis seeds", None, 2**63 - 1)
+    n = len(seeds)
+    indexes = arrays.ints(payload["index"], "synopsis indexes", n, 2**63 - 1)
+    bases = payload["bases"]
+    if bases is None:
+        bases = [None] * n
+    elif not isinstance(bases, list) or len(bases) != n:
+        raise ConstructionError("'bases' is not one entry per synopsis")
+    if None in bases and (points is None or len(points) != n):
+        raise ConstructionError("exact synopses without one dataset of rows each")
+    out = []
+    for i, (seed, index, base) in enumerate(zip(seeds.tolist(), indexes.tolist(), bases)):
+        if base is None:
+            base = ExactSynopsis.__new__(ExactSynopsis)
+            base._points = points[i]
+        else:
+            base = _item_from_state(base, arrays)
+        out.append(SeededSampleSynopsis(base, seed=seed, index=index))
+    return out
+
+
+def _item_from_state(payload: dict, arrays) -> object:
+    """One base synopsis record."""
     state = decode(SYNOPSIS_STATE, payload, "synopsis")
     if state["kind"] == "seeded":
         from repro.service.sharding import SeededSampleSynopsis
 
         return SeededSampleSynopsis(
-            from_state(state["base"], arrays), seed=state["seed"], index=state["index"]
+            _item_from_state(state["base"], arrays), seed=state["seed"],
+            index=state["index"],
         )
     if state["kind"] == "exact":
         from repro.synopsis.exact import ExactSynopsis

@@ -12,17 +12,22 @@ make) must all raise :class:`~repro.errors.SnapshotError`.
 import json
 import math
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.bitset import DatasetBitmap
 from repro.core.framework import Repository
 from repro.errors import SnapshotError
 from repro.index import kd_tree
 from repro.service import QueryService, observability, planner
 from repro.service.federation import federated_node_service
 from repro.service.snapshot import MAGIC, VERSION, generation_of, inspect, load
+from repro.synopsis.exact import ExactSynopsis
+from repro.synopsis.histogram import HistogramSynopsis
 from repro.workloads.generators import synthetic_data_lake
 from repro.workloads.queries import batched_query_workload
 
@@ -143,17 +148,116 @@ class TestServiceRoundTrip:
         assert n_entries > 0
         generation = svc.cache.generation
 
+        def entries(service):
+            """Keys with their scalar types (``repr``), in LRU order."""
+            return [
+                (repr(key), e.watermark, e.indexes)
+                for key, e in service.cache.export_entries()
+            ]
+
         path = tmp_path / "svc.snap"
         svc.save(path)
+        saved = entries(svc)
         svc.close()
         loaded = QueryService.load(path, mmap=mmap)
         assert len(loaded.cache) == n_entries
+        assert entries(loaded) == saved
         assert loaded.cache.generation == generation
         misses_before = loaded.stats()["cache"]["misses"]
         assert answers(loaded, queries) == expected
         assert loaded.stats()["cache"]["misses"] == misses_before, (
             "restored cache missed on a batch it was warmed with"
         )
+        loaded.close()
+
+    def test_an_entry_answered_past_its_watermark_round_trips(
+        self, lake, queries, tmp_path
+    ):
+        """A batch that races an ingest reads the old dataset count as its
+        watermark but is answered by a delta that already holds the new
+        dataset, so its entry's bitmap is wider than its watermark.  Such
+        an entry saves, cut to its watermark, and its first hit after the
+        load upgrades it back to the full answer."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:5]), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=4, capacity=8, cache_capacity=64,
+        )
+        svc.add_datasets([lake[5]])  # dataset 5 lives in the delta shard
+        expected = answers(svc, queries)
+        for key, entry in svc.cache.export_entries():
+            assert entry.watermark == entry.indexes.nbits == 6
+            svc.cache.put(key, entry.indexes, watermark=5)  # the racing batch's
+        assert any(5 in e.indexes for _k, e in svc.cache.export_entries())
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        for mmap in (True, False):
+            loaded = load(path, mmap=mmap)
+            assert {
+                (e.watermark, e.indexes.nbits) for _k, e in loaded.cache.export_entries()
+            } == {(5, 5)}
+            assert answers(loaded, queries) == expected
+            assert loaded.stats()["cache"]["upgrades"] > 0
+            loaded.close()
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("repository", [True, False])
+    def test_per_item_synopsis_records_round_trip(
+        self, lake, queries, tmp_path, mmap, repository
+    ):
+        """Bases that do not slice the stored rows keep a record each: a
+        sketch beside the repository's rows, and exact synopses of a
+        service without a repository (each with its own points)."""
+        if repository:
+            synopses = [
+                HistogramSynopsis(p, bins=8) if i % 2 else ExactSynopsis(p)
+                for i, p in enumerate(lake)
+            ]
+        else:
+            synopses = [ExactSynopsis(p) for p in lake]
+        svc = QueryService(
+            repository=Repository.from_arrays(lake) if repository else None,
+            synopses=synopses, n_shards=2, seed=SEED, eps=EPS,
+            sample_size=SAMPLE_SIZE,
+        )
+        expected = answers(svc, queries)
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        header, _data = _read_header(path)
+        bases = header["state"]["executor"]["synopses"]["bases"]
+        assert [b is None for b in bases] == [
+            repository and i % 2 == 0 for i in range(N_DATASETS)
+        ]
+        loaded = load(path, mmap=mmap)
+        assert [type(s.base) for s in loaded.executor.synopses] == [
+            type(s) for s in synopses
+        ]
+        assert answers(loaded, queries) == expected
+        loaded.close()
+
+    def test_every_kind_of_key_scalar_round_trips(self, lake, tmp_path):
+        """Key shapes keep strings, None and ints past 2**53 as literals,
+        and read bools, floats (-0.0, infinities) and smaller ints from
+        the scalar column: each comes back equal and of its own type."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake), n_shards=1, seed=SEED,
+            eps=EPS, sample_size=SAMPLE_SIZE,
+        )
+        odd = [
+            ("leaf", ("pref", 2**60, (-0.0, math.inf)), (None, -math.inf, True, False)),
+            ("leaf", ("x", -(2**53), ()), ("", 0.1, False, True)),
+            ((), -7, 2**53 + 1, "i"),
+        ]
+        full = DatasetBitmap.full(N_DATASETS)
+        for key in odd:
+            svc.cache.put(key, full, watermark=N_DATASETS)
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        loaded = load(path)
+        keys = [key for key, _entry in loaded.cache.export_entries()]
+        assert keys == odd and repr(keys) == repr(odd)
         loaded.close()
 
     @pytest.mark.parametrize("mmap", [True, False])
@@ -289,7 +393,8 @@ class TestExecutorAndEngineKinds:
         ``"deterministic"`` twice — ``true`` from a plain service, ``false``
         from a ``federated_node_service`` node.  They still load, answer
         identically and rebuild (the key must not reach the executor's
-        constructor); this build writes neither key and ``VERSION`` stays."""
+        constructor); this build writes neither key, and its reader drops
+        it from either layout (the keys sit where version 6 keeps them)."""
         if flag:
             svc = QueryService(
                 repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
@@ -307,7 +412,7 @@ class TestExecutorAndEngineKinds:
         svc.save(path)
         svc.close()
         header, data = _read_header(path)
-        assert header["format"] == VERSION == 5
+        assert header["format"] == VERSION == 6
         for holder in (header["state"]["executor_kwargs"], header["state"]["executor"]):
             assert "deterministic" not in holder
             holder["deterministic"] = flag
@@ -325,9 +430,9 @@ class TestExecutorAndEngineKinds:
         """v5 files written while the kd leaf size, the plan-cache capacity
         and the slow-log size were constructor keywords carry them — the
         leaf size once per shard unit and once per Ptile index.  This build
-        writes none of them and reads none of them: such a file loads,
-        answers identically and serves with the constants, whatever the
-        values in it."""
+        writes none of them and reads none of them, in either layout: such
+        a file loads, answers identically and serves with the constants,
+        whatever the values in it."""
         svc = QueryService(
             repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
             eps=EPS, sample_size=SAMPLE_SIZE, capacity=2 * N_DATASETS,
@@ -339,7 +444,7 @@ class TestExecutorAndEngineKinds:
         svc.save(path)
         svc.close()
         header, data = _read_header(path)
-        assert header["format"] == VERSION == 5
+        assert header["format"] == VERSION == 6
         state, executor = header["state"], header["state"]["executor"]
         for key, value in (("plan_capacity", 7), ("slow_log_size", 3)):
             assert key not in state
@@ -592,9 +697,14 @@ class TestExecutorAndEngineKinds:
         # What /stats reports is the same arrays plus the private masks and
         # node counters: within a few bytes per point of what the file holds.
         assert abs(index_bytes / n_points - per_point["index"]) < 4
-        # One coreset segment per shard index, not one per dataset:
-        # datasets + 3 shards x (coresets, 7 backend arrays) + cache words.
-        assert summary["n_arrays"] == N_DATASETS + 3 * 8 + 1
+        # No segment per dataset: 3 shards x (ids, deltas, coresets, 7
+        # backend arrays), the executor's tombstones, points, offsets,
+        # names, seeds and indexes, and the cache's four columns.
+        assert summary["n_arrays"] == 3 * 10 + 6 + 4
+        assert summary["cache_entries"] == 0
+        assert summary["format"] == VERSION == 6
+        assert summary["header_bytes"] < 8192  # per-file and per-unit facts
+        assert summary["executor"]["n_shards"] == 3
 
     def test_small_2d_lake_stays_under_32_bytes_per_mapped_point(self, tmp_path):
         """The constant of the space bound, end to end: everything the file
@@ -793,6 +903,91 @@ class TestHostileBackendArrays:
         assert first.base is not None and first.base is last.base
 
 
+class TestHeaderHoldsPerFileFacts:
+    def test_header_length_does_not_grow_with_datasets_or_cache_entries(
+        self, tmp_path
+    ):
+        """Datasets, synopses, unit ids, Ptile deltas and cache entries are
+        columns: 16 times the datasets and over 8 times the cached leaves
+        move the header by a few digits (segment offsets, sizes), never by
+        an item's record."""
+        header_bytes, entries = {}, {}
+        for n in (16, 256):
+            small = synthetic_data_lake(n, DIM, np.random.default_rng(SEED), median_size=20)
+            svc = QueryService(
+                repository=Repository.from_arrays(small), n_shards=2, seed=SEED,
+                eps=EPS, sample_size=4, cache_capacity=n,
+            )
+            svc.search_batch(batched_query_workload(
+                n, DIM, np.random.default_rng(SEED + 1), duplicate_leaf_rate=0.0
+            ))
+            path = tmp_path / f"{n}.snap"
+            svc.save(path)
+            summary = inspect(path)
+            header_bytes[n], entries[n] = summary["header_bytes"], summary["cache_entries"]
+            assert entries[n] == len(svc.cache)
+            svc.close()
+        assert entries[16] == 16 and entries[256] > 8 * 16
+        assert abs(header_bytes[256] - header_bytes[16]) < 256, header_bytes
+
+
+class TestVersion5Files:
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_a_version_5_file_loads_and_answers_identically(self, tmp_path, mmap):
+        """The fixture version 5 wrote (see ``V5_FILE``) loads under both
+        modes and answers what the saved service answered; saved again, it
+        is a version-6 file that answers the same."""
+        from repro.service.server import expression_from_json
+
+        expected = json.loads(V5_ANSWERS.read_text())
+        exprs = [expression_from_json(q) for q in expected["queries"]]
+        summary = inspect(V5_FILE)
+        assert summary["format"] == 5 and summary["cache_entries"] == 2
+        assert summary["executor"] == {
+            "engine": "kd", "n_shards": 2, "n_datasets": 6, "n_removed": 1,
+            "delta_size": 1,
+        }
+        assert generation_of(V5_FILE) == 3
+        loaded = load(V5_FILE, mmap=mmap)
+        got = [sorted(int(i) for i in ix) for ix in answers(loaded, exprs)]
+        assert got == expected["answers"]
+        assert loaded.stats()["cache"]["hits"] > 0  # the two entries served
+        path = tmp_path / "v6.snap"
+        loaded.save(path, generation=4)
+        loaded.close()
+        assert inspect(path)["format"] == VERSION == 6
+        again = load(path, mmap=mmap)
+        assert [sorted(int(i) for i in ix) for ix in answers(again, exprs)] == got
+        again.close()
+
+    def test_an_entry_wider_than_its_watermark_is_cut_to_it(self, tmp_path):
+        """Version 5 stored a bitmap as wide as a batch racing an ingest
+        left it (``nbits`` past ``watermark``, see
+        ``test_an_entry_answered_past_its_watermark_round_trips``): such a
+        file loads, its entries cut to their watermarks, and answers what
+        the saved service answered."""
+        from repro.service.server import expression_from_json
+
+        expected = json.loads(V5_ANSWERS.read_text())
+        exprs = [expression_from_json(q) for q in expected["queries"]]
+        header, data = _read_header(V5_FILE)
+        for entry in header["state"]["cache"]["entries"]:
+            assert entry["nbits"] == 6
+            entry["watermark"] = 5
+        path = tmp_path / "wide.snap"
+        path.write_bytes(V5_FILE.read_bytes())
+        _write_header(path, header, data)
+        for mmap in (True, False):
+            loaded = load(path, mmap=mmap)
+            assert {
+                (e.watermark, e.indexes.nbits) for _k, e in loaded.cache.export_entries()
+            } == {(5, 5)}
+            got = [sorted(int(i) for i in ix) for ix in answers(loaded, exprs)]
+            assert got == expected["answers"]
+            assert loaded.stats()["cache"]["upgrades"] > 0
+            loaded.close()
+
+
 class TestErrorPaths:
     @pytest.fixture()
     def snap(self, lake, tmp_path):
@@ -830,6 +1025,16 @@ class TestErrorPaths:
         with pytest.raises(SnapshotError, match="truncated"):
             load(snap)
 
+    @pytest.mark.parametrize("length", [2**40, 2**64 - 1])
+    def test_header_length_past_the_file(self, snap, length):
+        """Read as a truncated header, not as an allocation of that size
+        (a ``MemoryError`` / ``OverflowError`` before)."""
+        blob = bytearray(snap.read_bytes())
+        blob[16:24] = struct.pack("<Q", length)
+        snap.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="truncated header"):
+            generation_of(snap)
+
     def test_truncated_preamble(self, snap):
         snap.write_bytes(snap.read_bytes()[:16])
         with pytest.raises(SnapshotError, match="too short"):
@@ -841,6 +1046,26 @@ class TestErrorPaths:
         blob[32 : 32 + hlen] = b"\xff" * hlen
         snap.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="corrupt header"):
+            load(snap)
+
+    def test_nesting_past_the_stack_is_refused(self, snap):
+        """A header nested deeper than ``json`` or the key-shape walk can
+        recurse: ``SnapshotError``, not a ``RecursionError`` that the
+        fleet's pollers would not catch."""
+        blob = snap.read_bytes()
+        raw = b"[" * 100_000
+        snap.write_bytes(blob[:16] + struct.pack("<QQ", len(raw), 64 * 1600) + raw)
+        for reader in (generation_of, inspect, load):
+            with pytest.raises(SnapshotError, match="corrupt header"):
+                reader(snap)
+        snap.write_bytes(blob)
+        header, data = _read_header(snap)
+        shape = "f"
+        for _ in range(900):  # json reads it; a walk two frames a level does not
+            shape = [shape]
+        header["state"]["cache"]["key_shapes"] = [shape]
+        _write_header(snap, header, data)
+        with pytest.raises(SnapshotError, match="RecursionError"):
             load(snap)
 
     def test_magic_constant_is_pinned(self):
@@ -894,14 +1119,52 @@ def _malformed(tree, path, edit):
     return tree
 
 
+def _append_segment(header, data: bytes, hint: str, values) -> tuple[str, bytes]:
+    """``(ref, data)``: ``values`` as a new segment at the end of the data
+    section, registered in ``header``'s segment table."""
+    data = data + bytes(-len(data) % 64)
+    ref = f"{hint}#{len(header['arrays'])}"
+    header["arrays"][ref] = {
+        "offset": len(data), "dtype": values.dtype.str, "shape": list(values.shape),
+    }
+    return ref, data + values.tobytes()
+
+
+def _column(header, data: bytes, ref: str) -> np.ndarray:
+    """A writable copy of segment ``ref``."""
+    meta = header["arrays"][ref]
+    dtype = np.dtype(meta["dtype"])
+    size = math.prod(meta["shape"]) * dtype.itemsize
+    raw = data[meta["offset"] : meta["offset"] + size]
+    return np.frombuffer(raw, dtype=dtype).reshape(meta["shape"]).copy()
+
+
+def _with_column(header, data: bytes, ref: str, values) -> bytes:
+    """``data`` with segment ``ref``'s bytes replaced (same size)."""
+    at = header["arrays"][ref]["offset"]
+    raw = np.ascontiguousarray(values).tobytes()
+    return data[:at] + raw + data[at + len(raw):]
+
+
+#: A version-5 container written by the last build that wrote that layout,
+#: from the service the sweep saves below (``lake[:5]`` on two shards, one
+#: left lazy, ``lake[5]`` ingested into a delta shard, dataset 1 removed,
+#: two warm cache entries, generation 3), and its answers to ``queries``
+#: (the expressions as ``/search`` takes them).
+V5_FILE = Path(__file__).parent / "data" / "v5_service.snap"
+V5_ANSWERS = Path(__file__).parent / "data" / "v5_service.json"
+
+
 class TestGeneratedHeaderSweep:
     """Malformed state is a ``SnapshotError`` — what ``supervisor._watch``
     and ``_respawn_due`` catch — or a service that still answers; never a
     ``KeyError`` / ``TypeError`` / ``ValueError`` / ``IndexError`` out of
     the decoder, and never one deferred to the first query.  The cases are
-    generated from the header tree of one saved service that has a built
-    and an unbuilt shard, a delta shard, a tombstone and warm cache
-    entries, so every branch of the state layout is in the tree."""
+    generated from the header tree and the columns of one saved service
+    that has a built and an unbuilt shard, a delta shard, a tombstone and
+    warm cache entries, so every branch of the state layout is in the
+    tree; and from the header tree of the same service as version 5
+    wrote it."""
 
     @pytest.fixture(scope="class")
     def saved(self, lake, queries, tmp_path_factory):
@@ -917,6 +1180,10 @@ class TestGeneratedHeaderSweep:
         svc.save(path, generation=3)
         svc.close()
         return path, *_read_header(path)
+
+    @pytest.fixture(scope="class")
+    def saved_v5(self):
+        return V5_FILE, *_read_header(V5_FILE)
 
     @staticmethod
     def _read_all(path, queries, mmap, label, escaped) -> int:
@@ -934,48 +1201,233 @@ class TestGeneratedHeaderSweep:
                 escaped.append((*label, type(exc).__name__, str(exc)[:80]))
         return refused
 
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_no_malformation_escapes_as_anything_but_snapshot_error(
-        self, saved, queries, tmp_path, mmap
-    ):
+    def _sweep_tree(self, saved, queries, tmp_path, mmap, cases):
         pristine, header, data = saved
         path = tmp_path / "tampered.snap"
         path.write_bytes(pristine.read_bytes())
-        cases = list(_malformations(header))
-        assert len(cases) > 400  # the sweep covers the tree, not a sample
         escaped, refused = [], 0
         for where, edit in cases:
             _write_header(path, _malformed(header, where, edit), data)
             refused += self._read_all(path, queries, mmap, (where, edit), escaped)
         assert escaped == []
+        return refused
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_no_malformation_escapes_as_anything_but_snapshot_error(
+        self, saved, queries, tmp_path, mmap
+    ):
+        cases = list(_malformations(saved[1]))
+        assert len(cases) > 400  # the sweep covers the tree, not a sample
+        refused = self._sweep_tree(saved, queries, tmp_path, mmap, cases)
         assert refused > len(cases)  # most malformations are refused, by name
+
+    #: The parts of a version-5 header ``_from_version_5`` rewrites as
+    #: version-6 columns: its per-item records and lists.  The rest is read
+    #: as in version 6.
+    V5_ONLY = (
+        ("state", "cache"),
+        *(("state", "executor", key) for key in (
+            "synopses", "repository", "removed", "shards", "delta_ids",
+        )),
+    )
+
+    def test_no_version_5_malformation_escapes_either(self, saved_v5, queries, tmp_path):
+        """The version-5 translation, over the parts of the header tree it
+        rewrites, and the Ptile keys and deltas (one mode: the header walk
+        is the same under both)."""
+        cases = [
+            (where, edit) for where, edit in _malformations(saved_v5[1])
+            if where[:2] in self.V5_ONLY or where[:3] in self.V5_ONLY
+            or {"keys", "deltas", "next_key"} & set(where)
+        ]
+        assert len(cases) > 200
+        # Each reader opens the file through the translation.
+        assert self._sweep_tree(saved_v5, queries, tmp_path, True, cases) > len(cases)
+
+    #: Segment kinds whose values the version-6 reader checks.  Dataset
+    #: points are read unscanned, as in version 5: a finiteness pass would
+    #: page in every point at a mapped cold start.  The names are one JSON
+    #: text, not a column: ``V6_COLUMN_ROWS`` break it twice.
+    CHECKED_KINDS = (
+        "cache_keys", "cache_watermarks", "cache_words", "unit_ids", "ptile_deltas",
+        "removed", "dataset_offsets", "synopsis_seeds", "synopsis_index",
+    )
+
+    def test_no_column_tampering_escapes_either(self, saved, queries, tmp_path):
+        """The same contract for the values in the columns that replaced
+        the per-item header records: the first, a middle and the last
+        element of each, in turn, set to the dtype's largest value, to 0
+        and to one past itself (an integer column: shape ids, watermarks,
+        offsets, ids, seeds, bitmap words), or to NaN, 0.5, 2 and -1 (a
+        float column: key scalars, Ptile deltas).  ``V6_COLUMN_ROWS`` pin
+        each check by name.  One mode: both read a column's values alike."""
+        pristine, header, data = saved
+        path = tmp_path / "tampered.snap"
+        path.write_bytes(pristine.read_bytes())
+        escaped, refused, n_cases, swept = [], 0, 0, set()
+        for ref in header["arrays"]:
+            if ref.split("#")[0] not in self.CHECKED_KINDS:
+                continue
+            swept.add(ref.split("#")[0])
+            column = _column(header, data, ref)
+            if column.dtype.kind == "f":
+                values = [float("nan"), 0.5, 2.0, -1.0]
+            else:
+                values = [np.iinfo(column.dtype).max, 0, None]
+            for i in sorted({0, column.size // 2, column.size - 1} - {-1}):
+                for value in values:
+                    edited = column.copy()
+                    edited[i] = edited[i] + 1 if value is None else value
+                    _write_header(path, header, _with_column(header, data, ref, edited))
+                    n_cases += 1
+                    refused += self._read_all(path, queries, True, (ref, i, value), escaped)
+        assert swept == set(self.CHECKED_KINDS) and n_cases > 90
+        assert escaped == []
+        # generation_of and inspect read no column, and a seed, a key's
+        # float or an id kept in range still loads: load refuses the rest.
+        assert refused > n_cases // 3
 
     #: Unit state the generated sweep cannot make (it only drops, truncates
     #: and retypes), each one edit of the saved executor state — shards
     #: ``[[0, 1, 2], [3, 4]]`` with shard 1 lazy, delta ``[5]``, dataset 1
-    #: removed.  Each loaded and then answered wrongly, or failed on the
-    #: first query, before units were restored whole.
+    #: removed — as a unit's header list (version 5) or ``ids`` column
+    #: (version 6); ``None`` drops the delta's engine.  Each loaded and
+    #: then answered wrongly, or failed on the first query, before units
+    #: were restored whole.
     UNIT_ROWS = {
-        "descending-ids": (("shards", 0), [2, 1, 0], "strictly ascending"),
-        "dataset-in-two-units": (("shards", 1), [2, 3, 4], "two units"),
-        "live-dataset-in-no-unit": (("shards", 1), [4], "not datasets 0..5"),
-        "delta-ids-without-engine": (("delta_engine",), None, "delta"),
+        "descending-ids": (0, [2, 1, 0], "strictly ascending"),
+        "dataset-in-two-units": (1, [2, 3, 4], "two units"),
+        "live-dataset-in-no-unit": (1, [4], "not datasets 0..5"),
+        "delta-ids-without-engine": ("delta", None, "alone|not datasets 0..5"),
+        "delta-engine-without-ids": ("delta", [], "alone|empty"),
     }
 
+    @pytest.mark.parametrize("version", [5, 6])
     @pytest.mark.parametrize("row", sorted(UNIT_ROWS))
-    def test_units_that_do_not_restore_whole_are_refused(self, saved, tmp_path, row):
-        pristine, header, data = saved
-        where, value, match = self.UNIT_ROWS[row]
+    def test_units_that_do_not_restore_whole_are_refused(
+        self, saved, saved_v5, tmp_path, row, version
+    ):
+        pristine, header, data = saved_v5 if version == 5 else saved
+        unit, ids, match = self.UNIT_ROWS[row]
         tampered = json.loads(json.dumps(header))
-        *parents, last = where
-        node = tampered["state"]["executor"]
-        for step in parents:
-            node = node[step]
-        node[last] = value
+        executor = tampered["state"]["executor"]
+        if ids is None:
+            executor["delta_engine"] = None
+        elif version == 5:
+            executor["delta_ids" if unit == "delta" else "shards"][
+                slice(None) if unit == "delta" else unit
+            ] = ids
+        else:
+            holder = executor["delta_engine" if unit == "delta" else "engines"]
+            holder = holder if unit == "delta" else holder[unit]
+            holder["ids"], data = _append_segment(
+                tampered, data, "unit_ids", np.array(ids, dtype=np.uint8)
+            )
         path = tmp_path / "tampered.snap"
         path.write_bytes(pristine.read_bytes())
         _write_header(path, tampered, data)
         with pytest.raises(SnapshotError, match=match):
+            load(path)
+
+    #: Cache entries that can only give wrong answers, in version 5: the
+    #: Pref entry's bitmap emptied under its watermark (its leaf answered
+    #: no dataset where the saved service answers all five), a watermark
+    #: of -5 or 10**6 beside the bitmap's bit count, and a watermark past
+    #: the dataset count with a bitmap to match (an entry fresh forever,
+    #: never upgraded after an ingest).  Each loaded before.
+    V5_CACHE_ROWS = {
+        "empty-bitmap": ({"nbits": 0, "nw": 0}, "does not span its watermark"),
+        "negative-watermark": ({"watermark": -5}, "does not span its watermark"),
+        "huge-watermark": ({"watermark": 10**6}, "does not span its watermark"),
+        "watermark-past-the-datasets": (
+            {"watermark": 64, "nbits": 64}, r"watermark is outside \[0, 6\]"
+        ),
+    }
+
+    @pytest.mark.parametrize("row", sorted(V5_CACHE_ROWS))
+    def test_version_5_cache_entries_that_answer_wrongly_are_refused(
+        self, saved_v5, tmp_path, row
+    ):
+        pristine, header, data = saved_v5
+        edit, match = self.V5_CACHE_ROWS[row]
+        tampered = json.loads(json.dumps(header))
+        entries = tampered["state"]["cache"]["entries"]
+        (entry,) = [e for e in entries if e["key"]["t"][1]["t"][0] == "pref"]
+        assert entry["watermark"] == entry["nbits"] == 6 and entry["nw"] == 1
+        entry.update(edit)
+        path = tmp_path / "tampered.snap"
+        path.write_bytes(pristine.read_bytes())
+        _write_header(path, tampered, data)
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match=match):
+                load(path, mmap=mmap)
+
+    #: The same refusals in version 6, which stores no ``nbits`` or ``nw``,
+    #: and the rest of the new columns' checks, by name: (segment kind and
+    #: dtype, element, value, message).  Element ``"int-slot"`` is the Pref
+    #: key's rank.
+    V6_COLUMN_ROWS = {
+        "watermark-past-the-datasets": (
+            ("cache_watermarks", "|u1"), 0, 64, r"watermark is outside \[0, 6\]"
+        ),
+        "watermark-without-its-words": (
+            ("cache_watermarks", "|u1"), 0, 65, "not the watermarks' words"
+        ),
+        "bit-past-the-watermark": (
+            ("cache_words", "<u8"), 0, 1 << 63, "sets bits past its watermark"
+        ),
+        "shape-id-out-of-range": (
+            ("cache_keys", "|u1"), 0, 2, r"cache shape ids holds a value outside \[0, 1\]"
+        ),
+        "non-integral-int-slot": (("cache_keys", "<f8"), "int-slot", 2.5, "holds 2.5"),
+        "non-monotone-offsets": (
+            ("dataset_offsets", None), 2, 0, "offsets are not strictly ascending"
+        ),
+        "offset-past-the-points": (
+            ("dataset_offsets", None), 3, 10**4, "outside",
+        ),
+        "unit-id-past-the-datasets": (("unit_ids", "|u1"), 0, 6, "outside"),
+        "delta-out-of-range": (("ptile_deltas", "<f8"), 0, 1.0, r"in \[0, 1\)"),
+        "names-not-utf-8": (("dataset_names", "|u1"), 0, 0xFF, "UnicodeDecodeError"),
+        "names-not-json": (("dataset_names", "|u1"), 0, ord("{"), "JSONDecodeError"),
+    }
+
+    @pytest.mark.parametrize("row", sorted(V6_COLUMN_ROWS))
+    def test_version_6_columns_out_of_range_are_refused(self, saved, tmp_path, row):
+        pristine, header, data = saved
+        (kind, dtype), at, value, match = self.V6_COLUMN_ROWS[row]
+        ref = next(
+            r for r, m in header["arrays"].items()
+            if r.split("#")[0] == kind and dtype in (None, m["dtype"])
+        )
+        if at == "int-slot":
+            cache = header["state"]["cache"]
+            ids = _column(header, data, cache["key_shape_ids"]).tolist()
+            tags = [
+                tag for i in ids
+                for tag in re.findall(r'"([bfi])"', json.dumps(cache["key_shapes"][i]))
+            ]
+            at = tags.index("i")
+        column = _column(header, data, ref)
+        column[at] = value
+        path = tmp_path / "tampered.snap"
+        path.write_bytes(pristine.read_bytes())
+        _write_header(path, header, _with_column(header, data, ref, column))
+        for mmap in (True, False):
+            with pytest.raises(SnapshotError, match=match):
+                load(path, mmap=mmap)
+
+    def test_a_shape_that_reads_fewer_slots_is_refused(self, saved, tmp_path):
+        """A key shape one slot short leaves the scalars column one value
+        per entry of that shape too long."""
+        pristine, header, data = saved
+        tampered = json.loads(json.dumps(header))
+        shape = tampered["state"]["cache"]["key_shapes"][0]
+        shape[-1] = shape[-1][:-1]  # the leaf's theta loses a flag
+        path = tmp_path / "tampered.snap"
+        path.write_bytes(pristine.read_bytes())
+        _write_header(path, tampered, data)
+        with pytest.raises(SnapshotError, match="one float64 value per slot"):
             load(path)
 
     #: dtype -> (another of the same item size, one of a different size).

@@ -5,7 +5,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from repro.service.federation import _FederationRequestHandler
 from repro.service.server import _ServiceRequestHandler
+from repro.service.supervisor import _AdminHandler, _SupervisorAdminHandler
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +37,27 @@ def test_node_endpoint_table_matches_the_node_routes():
     assert documented - served == set(), "README names routes the node lacks"
     assert served - documented == set(), "the node serves routes README omits"
 
+
+
+def test_coordinator_endpoint_table_matches_the_coordinator_routes():
+    documented = table_routes(
+        README.read_text(), "| coordinator endpoint | what it serves |"
+    )
+    served = set(_FederationRequestHandler.routes)
+    assert documented - served == set(), "README names routes the coordinator lacks"
+    assert served - documented == set(), "the coordinator serves routes README omits"
+
+
+def test_supervisor_admin_tables_match_the_admin_routes():
+    """The parent's admin port, and a worker's private admin port: the
+    node's routes (the table's ``every node route`` row) plus what the
+    table names."""
+    text = README.read_text()
+    documented = table_routes(text, "| supervisor admin endpoint | what it serves |")
+    served = set(_SupervisorAdminHandler.routes)
+    assert documented - served == set(), "README names routes the supervisor lacks"
+    assert served - documented == set(), "the supervisor serves routes README omits"
+    worker = table_routes(text, "| worker admin endpoint | what it serves |")
+    served = set(_AdminHandler.routes) - set(_ServiceRequestHandler.routes)
+    assert worker - served == set(), "README names admin routes a worker lacks"
+    assert served - worker == set(), "a worker serves admin routes README omits"

@@ -2,7 +2,8 @@
 
 Functions marked ``# lint: hot-path`` on their ``def`` line are the ones
 profiling has shown dominate serving latency (``Histogram.observe``, the
-``DatasetBitmap`` word ops, ``eval_leaf_batch_bits``, the result-cache and
+``DatasetBitmap`` word ops, ``eval_leaf_batch_bits``, the kd-tree's
+multi-box walk ``DynamicKDTree._walk_many``, the result-cache and
 plan-cache hit paths).  This rule flags the regressions that have actually
 cost QPS here before (PR 6 rewrote ``Histogram.observe`` off numpy for
 exactly these reasons):

@@ -19,7 +19,7 @@ tests and benchmarks can report recall/precision directly.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.bitset import DatasetBitmap
 from repro.core.framework import Repository
 from repro.core.measures import PercentileMeasure, PreferenceMeasure
 from repro.core.predicates import Expression, Predicate
-from repro.core.ptile_range import PtileRangeIndex
+from repro.core.ptile_range import PtileRangeIndex, _PtileQueries
 from repro.core.pref_index import PrefIndex, pref_threshold
 from repro.core.results import QueryResult
 from repro.errors import ConstructionError, QueryError
@@ -36,6 +36,21 @@ from repro.index.backend import backend_class
 from repro.synopsis.base import Synopsis
 from repro.synopsis.exact import ExactSynopsis
 from repro.trace import span
+
+
+class _LeafBatch(list):
+    """A leaf list that several engines answer in turn — the units of a
+    sharded batch — holding what each of them would derive alike: the
+    positions of its percentile leaves and their ``(rect, theta)`` queries,
+    whose Algorithm-4 boxes are then built once per frame
+    (:class:`~repro.core.ptile_range._PtileQueries`)."""
+
+    def __init__(self, leaves: Iterable[Predicate]) -> None:
+        super().__init__(leaves)
+        self.ptile_pos = [
+            i for i, leaf in enumerate(self) if isinstance(leaf.measure, PercentileMeasure)
+        ]
+        self.ptile = _PtileQueries((self[i].measure.rect, self[i].theta) for i in self.ptile_pos)
 
 
 class DatasetSearchEngine:
@@ -230,23 +245,21 @@ class DatasetSearchEngine:
         All percentile leaves are routed through
         :meth:`~repro.core.ptile_range.PtileRangeIndex.query_many` — one
         multi-box backend call for the whole batch instead of one tree
-        walk per leaf.  Preference leaves are evaluated individually (each
-        rank ``k`` owns a separate Pref structure).  Answers are aligned
-        with the input order.
+        walk per leaf.  Their Algorithm-4 boxes are built there, once per
+        :class:`_LeafBatch`: a sharded executor hands one batch to every
+        unit, so only its first unit builds them (see
+        :class:`~repro.core.ptile_range._PtileQueries`); a plain leaf list
+        is a batch of its own.  Preference leaves are evaluated
+        individually (each rank ``k`` owns a separate Pref structure).
+        Answers are aligned with the input order.
         """
-        leaves = list(leaves)
-        results: list[Optional[QueryResult]] = [None] * len(leaves)
-        ptile_pos: list[int] = []
-        ptile_queries: list[tuple] = []
-        for i, leaf in enumerate(leaves):
-            if isinstance(leaf.measure, PercentileMeasure):
-                ptile_pos.append(i)
-                ptile_queries.append((leaf.measure.rect, leaf.theta))
-            else:
+        batch = leaves if isinstance(leaves, _LeafBatch) else _LeafBatch(leaves)
+        results: list[Optional[QueryResult]] = [None] * len(batch)
+        for i, leaf in enumerate(batch):
+            if not isinstance(leaf.measure, PercentileMeasure):
                 results[i] = self._leaf_query(leaf)
-        if ptile_queries:
-            batched = self.ptile_index.query_many(ptile_queries)
-            for i, res in zip(ptile_pos, batched):
+        if batch.ptile:
+            for i, res in zip(batch.ptile_pos, self.ptile_index.query_many(batch.ptile)):
                 results[i] = res
         return results
 

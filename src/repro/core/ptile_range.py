@@ -41,7 +41,7 @@ from repro.geometry.interval import Interval
 from repro.geometry.rect_enum import _row_counts, generalized_pairs_arrays
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import build_engine
-from repro.index.query_box import QueryBox
+from repro.index.query_box import BoxBatch, QueryBox
 from repro.synopsis.base import Synopsis
 
 #: Fraction of the coreset span used to pad the automatic bounding box.
@@ -196,6 +196,46 @@ class PtileRangeIndex(PtileIndexBase):
         with identical answer sets to the per-query loop.  This is what the
         service's cold path feeds each shard's deduplicated leaf schedule
         through.
+
+        The boxes and their float :class:`~repro.index.query_box.BoxBatch`
+        are built here, by :meth:`_PtileQueries.boxes` — unless ``queries``
+        is a :class:`_PtileQueries` that another index in the same frame
+        has already answered, whose batch is reused as it is.  A sharded
+        batch is one: its first unit builds the boxes, and every unit only
+        codes them against its own level tables.
         """
-        boxes = [self._query_box(rect, theta) for rect, theta in queries]
-        return self._report_groups_batch(boxes)
+        if not queries:
+            return []
+        if not isinstance(queries, _PtileQueries):
+            queries = _PtileQueries(queries)
+        return self._report_groups_batch(queries.boxes(self))
+
+
+class _PtileQueries(list):
+    """A batch of ``(rect, theta)`` queries, with its Algorithm-4 boxes
+    built once per frame.
+
+    A query's box depends on the query and on the *frame* of the index
+    answering it — the bounding box ``B`` it clips to and the
+    ``eps_effective`` that widens ``theta`` — and on nothing the index
+    holds.  Indexes of one frame therefore share one
+    :class:`~repro.index.query_box.BoxBatch`: every unit of a sharded
+    executor is pinned to the executor's box and ``eps_effective``, so one
+    batch handed to each unit in turn is built by the first.  An index in
+    another frame (its slack widened past the others') builds its own.
+    """
+
+    def __init__(self, queries: Iterable[tuple[Rectangle, Interval]]) -> None:
+        super().__init__(queries)
+        self._built: dict[tuple, BoxBatch] = {}
+
+    def boxes(self, index: PtileRangeIndex) -> BoxBatch:
+        """The boxes of these queries in ``index``'s frame (validated there
+        by :meth:`PtileRangeIndex._query_box`), stacked as one batch."""
+        box = index.bounding_box
+        frame = (box.lo.tobytes(), box.hi.tobytes(), index.eps_effective)
+        built = self._built.get(frame)
+        if built is None:
+            built = BoxBatch([index._query_box(rect, theta) for rect, theta in self])
+            self._built[frame] = built
+        return built

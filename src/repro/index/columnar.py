@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.index.backend import id_column
-from repro.index.query_box import BoxBatch, QueryBox
+from repro.index.query_box import BoxBatch, QueryBox, _as_batch
 
 
 class ColumnarStore:
@@ -204,11 +204,10 @@ class ColumnarStore:
     def report_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
         """Per-box int arrays of the hit points' keys (one per point) —
         ``[report(b) for b in boxes]`` in one broadcast pass."""
-        boxes = list(boxes)
-        if not boxes:
+        if not len(boxes):
             return []
         group = self._group[: self._n]
-        return [group[row] for row in self._match_matrix(BoxBatch(boxes))]
+        return [group[row] for row in self._match_matrix(_as_batch(boxes))]
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
         """Per-box group sets in one broadcast pass + per-box group-by."""

@@ -112,21 +112,23 @@ import numpy as np
 from repro.geometry.rect_enum import _sorted_unique
 from repro.index.backend import id_column
 from repro.index.columnar import ColumnarStore
-from repro.index.query_box import BoxBatch, QueryBox, _fold_columns
+from repro.index.query_box import BoxBatch, QueryBox, _as_batch, _fold_columns
 
 #: Maximum number of points per leaf, read each time a tree is planted
 #: (first build and every ``_rebuild``; it shapes the node table only,
 #: never an answer, so a restored tree need not remember what it was built
 #: with).  A node visit costs about as much dispatch as scanning a few
 #: hundred points, and the multi-box walk stops descending once ``alive
-#: boxes x slice points`` fits one broadcast pass anyway, so small leaves
-#: only multiply the node table (``2 k_stored`` codes + 3 ``int32`` per node,
-#: persisted in snapshots).  In-process on the rank-coded 2-D ``cold_2d``
-#: lake (seed 2027, 455 k mapped points, 4 shards) at leaf sizes 32 / 64 /
-#: 128 / 256 / 512 / 1024 / 2048: snapshot 9.93 / 9.41 / 9.14 / 9.01 / 8.95 /
-#: 8.92 / 8.90 MB; one shard's single-box ``query`` p50 3.6 / 2.5 / 1.9 /
-#: 1.4 / 0.9 / 0.8 / 0.6 ms; its Algorithm-4 timed loop 30 / 26 / 20 / 17 /
-#: 12 / 11 / 9 ms; batched cold path flat at 6-8 ms.
+#: boxes x slice points`` fits :data:`MULTIBOX_BROADCAST_CUTOFF` anyway, so
+#: small leaves only multiply the node table (``2 k_stored`` codes + 3
+#: ``int32`` per node, persisted in snapshots) and the single-box walks.
+#: In-process on the rank-coded 2-D ``cold_2d`` lake (seed 2027, 455 k
+#: mapped points, 4 shards, 2-vCPU host) at leaf sizes 32 / 64 / 128 / 256
+#: / 512 / 1024 / 2048, two runs each: snapshot 5.76 / 5.27 / 5.02 / 4.90
+#: / 4.84 / 4.81 / 4.79 MB; one shard's single-box ``query`` p50 5.6-7.1 /
+#: 5.3-6.5 / 4.5-4.8 / 3.0-3.5 / 2.1-2.4 / 2.2-2.5 / 1.9-2.0 ms; its
+#: Algorithm-4 timed loop 50-60 / 42-55 / 37-40 / 26-32 / 20-23 / 22-25 /
+#: 20-21 ms; a cold 4-expression ``search_batch`` flat at 9-12 ms.
 DEFAULT_LEAF_SIZE = 512
 
 #: Rebuild the main tree when the side buffer exceeds this fraction of it.
@@ -137,19 +139,32 @@ MIN_BUFFER_FOR_REBUILD = 64
 #: In the multi-box walk, stop descending and broadcast-test a node's
 #: contiguous point slice directly once ``alive boxes x slice points``
 #: falls under this budget: one vectorized containment pass is cheaper
-#: than the Python node visits a deeper descent would cost.  Measured on
-#: the rank-coded tree (integer containment kernel), in-process
-#: ``search_batch`` p50 over 60 cold batches of the benchmark's lakes (seed
-#: 2027, 4 shards, 2-vCPU host, each value twice in one process): 2-D
-#: ``cold_2d`` (``uint8`` codes) read 15.6/15.2 ms at 2048, 10.5/9.9 at
-#: 8192, 7.8/7.7 at 16384, 6.6/6.2 at 32768, 5.8/6.3 at 65536, 5.5/5.3 at
-#: 131072 and 5.9/5.6 at 262144; the 1-D ``ingest_churn`` lake (``uint16``)
-#: 9.0/9.3, 7.6/7.4, 6.9/6.1, 5.9/6.4, 6.7/6.9, 6.9/7.0 and 6.3/6.4.  Seed
-#: 4242 agrees (6.4/6.6 ms at 32768 against 9.9/10.0 at 8192, 6.1/5.9 at
-#: 65536 and 7.1/5.6 at 131072).  A byte-wide column pass is cheaper than
-#: the float one was, so the curve is now flat from 32768 to 131072 where
-#: it used to turn up at 65536; the value stays at the start of the flat.
-MULTIBOX_BROADCAST_CUTOFF = 32768
+#: than the Python node visits a deeper descent would cost.  A cost
+#: setting, never an answer: at 0 the walk descends to every leaf, past
+#: every tree's size it scans from the root, and both answer alike.
+#: Chosen from in-process ``search_batch`` p50 (ms), 200 cold batches of
+#: 4 expressions, leaf cache off, 4 shards, 2-vCPU host; the median of 3
+#: runs (seed 2027) and of 2 runs (seed 2029) a cell, the budgets of a
+#: lake alternating in order.  The four bench lakes as built, and 256
+#: datasets of the same 2-D family, where scanning from the root loses:
+#:
+#:   budget              32768  131072  262144  524288  1048576  none
+#:   cold_2d      2027    12.9    10.7    10.8    11.7     11.4  11.5
+#:                2029    12.5    11.0    11.9    11.4     12.3  12.0
+#:   ingest_churn 2027     9.7     8.7     8.3     8.0      7.7   7.3
+#:                2029     8.8     7.1     7.4     7.5      8.2   7.2
+#:   warm_point   2027    13.8    11.7    11.3    12.2     11.5  12.5
+#:                2029    11.4    12.2    11.1    10.6     11.5  11.0
+#:   federated    2027    10.6     9.1     8.1     8.6      8.0   8.7
+#:                2029     8.6     8.2     7.9     8.6      8.2   9.4
+#:   2-D x 256    2027    31.1    25.6    24.5    25.3     29.6  41.7
+#:                2029    29.6    24.7    24.7    25.0     27.4  43.0
+#:
+#: Every lake is flat from 131072 to 524288, and the large 2-D lake turns
+#: up past it; the value sits in the middle of the flat.  (A 1-D bench
+#: shard holds 21-42 k mapped points, so at this budget a batch of a few
+#: boxes scans it from the root.)
+MULTIBOX_BROADCAST_CUTOFF = 262144
 
 
 def _encode(cols: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -574,7 +589,7 @@ class DynamicKDTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _check_box(self, box: QueryBox) -> None:
+    def _check_box(self, box: QueryBox | BoxBatch) -> None:
         if box.dim != self.dim:
             raise ValueError(f"query box has dim {box.dim}, tree has dim {self.dim}")
 
@@ -658,7 +673,7 @@ class DynamicKDTree:
     # ------------------------------------------------------------------
     # Multi-box batch kernels (one shared traversal for the whole batch)
     # ------------------------------------------------------------------
-    def _walk_many(self, boxes: list, on_full, on_scan) -> None:
+    def _walk_many(self, batch: BoxBatch, on_full, on_scan) -> None:  # lint: hot-path
         """One shared multi-box walk of the main tree.
 
         The tree is traversed once with the subset of boxes still *alive*
@@ -667,42 +682,40 @@ class DynamicKDTree:
         ``on_full(node, boxes)`` is called for the boxes that contain a
         node's whole bbox, ``on_scan(start, inside, boxes)`` with the
         ``(q, L)`` active-and-inside matrix of a leaf — or of a subtree
-        cheap enough that one broadcast pass over its contiguous slice
-        beats descending further.
+        whose ``alive boxes x slice points`` fits
+        :data:`MULTIBOX_BROADCAST_CUTOFF`, where one broadcast pass over
+        its contiguous slice beats descending further.  The float
+        ``batch`` is only coded here, against this tree's level tables: a
+        batch shared by several trees is built once by its caller.
         """
-        for box in boxes:
-            self._check_box(box)
-        if not boxes:
-            return
+        self._check_box(batch)
         # Boxes that admit no level of some column drop out here; ``keep``
         # maps the coded batch's rows back to the caller's box indexes.
-        batch, keep = self._coded(BoxBatch(boxes))
+        coded, keep = self._coded(batch)
+        starts, ends, rights = self._span.tolist()
+        count, lo, hi = self._count, self._lo, self._hi
         stack = [(0, np.arange(keep.size))]
         while stack:
             node, alive = stack.pop()
-            if self._count[node] == 0:
+            if count[node] == 0:
                 continue
-            lo, hi = self._lo[node], self._hi[node]
-            alive = alive[batch.intersects_bbox(lo, hi, alive)]
+            alive = alive[coded.intersects_bbox(lo[node], hi[node], alive)]
             if alive.size == 0:
                 continue
-            full = batch.contains_bbox(lo, hi, alive)
+            full = coded.contains_bbox(lo[node], hi[node], alive)
             if full.any():
                 on_full(node, keep[alive[full]])
                 alive = alive[~full]
                 if alive.size == 0:
                     continue
-            start, end = self._slice(node)
-            if (
-                self._right[node] == 0
-                or alive.size * (end - start) <= MULTIBOX_BROADCAST_CUTOFF
-            ):
-                inside = batch.contains_points(self._pts[start:end], alive)
+            start, end = starts[node], ends[node]
+            if rights[node] == 0 or alive.size * (end - start) <= MULTIBOX_BROADCAST_CUTOFF:
+                inside = coded.contains_points(self._pts[start:end], alive)
                 inside &= self._active[start:end][None, :]
                 on_scan(start, inside, keep[alive])
             else:
                 stack.append((node + 1, alive))
-                stack.append((int(self._right[node]), alive))
+                stack.append((rights[node], alive))
 
     def report_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
         """Per-box int arrays of the hit points' keys (one per point) via
@@ -712,9 +725,13 @@ class DynamicKDTree:
         kernel behind the service cold path: a batch of deduplicated
         leaves hits every shard's tree in one call, and
         :meth:`report_groups_many` reduces each array to its key set.
+        ``boxes`` may be a :class:`~repro.index.query_box.BoxBatch`
+        already, which the walk and the side buffer then share as it is.
         """
-        boxes = list(boxes)
-        chunks: list[list[np.ndarray]] = [[] for _ in boxes]
+        if not len(boxes):
+            return []
+        batch = _as_batch(boxes)
+        chunks: list[list[np.ndarray]] = [[] for _ in range(len(batch))]
 
         def on_full(node, full):
             hits = self._active_rows(node)
@@ -726,13 +743,13 @@ class DynamicKDTree:
                 if row.any():
                     chunks[qi].append(start + np.flatnonzero(row))
 
-        self._walk_many(boxes, on_full, on_scan)
+        self._walk_many(batch, on_full, on_scan)
         out = [
             self._group[np.concatenate(c) if c else np.empty(0, dtype=np.intp)]
             for c in chunks
         ]
         if self._buf is not None:
-            out = [np.append(a, b) for a, b in zip(out, self._buf.report_many(boxes))]
+            out = [np.append(a, b) for a, b in zip(out, self._buf.report_many(batch))]
         return out
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:

@@ -28,7 +28,7 @@ then run unchanged on small unsigned integers.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -199,6 +199,12 @@ class BoxBatch:
     the shared kd traversal narrows its alive set this way without
     re-stacking constraints.
 
+    A batch is also the list of the boxes it stacks (``len``, iteration),
+    so it can be handed to any backend's multi-box kernel in place of that
+    list: a batch queried on several backends — every unit of a sharded
+    executor — is stacked once (:func:`_as_batch`).  The rank-coded
+    batches :meth:`coded` returns keep their length, not their boxes.
+
     Examples
     --------
     >>> batch = BoxBatch([QueryBox([(0.0, 1.0, False, True)]),
@@ -207,7 +213,7 @@ class BoxBatch:
     [[False, True], [True, True]]
     """
 
-    __slots__ = ("elo", "ehi", "dim", "n_boxes", "_sides")
+    __slots__ = ("elo", "ehi", "dim", "n_boxes", "_sides", "boxes")
 
     def __init__(self, boxes: Sequence[QueryBox]) -> None:
         boxes = list(boxes)
@@ -218,9 +224,16 @@ class BoxBatch:
             raise ValueError("all boxes in a batch must share a dimension")
         self.dim = dims.pop()
         self.n_boxes = len(boxes)
+        self.boxes = boxes
         self.elo = np.stack([box.elo for box in boxes])
         self.ehi = np.stack([box.ehi for box in boxes])
         self._sides = _constrained_sides(self.elo, self.ehi)
+
+    def __len__(self) -> int:
+        return self.n_boxes
+
+    def __iter__(self) -> Iterator[QueryBox]:
+        return iter(self.boxes)
 
     def coded(
         self, tables: Sequence[np.ndarray], dtype
@@ -255,6 +268,12 @@ class BoxBatch:
         """``(Q',)`` mask: which boxes contain *every* point of ``[blo, bhi]``."""
         elo, ehi = self._bounds(rows)
         return ((blo >= elo) & (bhi <= ehi)).all(axis=1)
+
+
+def _as_batch(boxes: Sequence[QueryBox]) -> BoxBatch:
+    """A non-empty box list as one batch: the list itself when it is a
+    :class:`BoxBatch` already, so a shared batch is never stacked again."""
+    return boxes if isinstance(boxes, BoxBatch) else BoxBatch(boxes)
 
 
 def _fold_columns(

@@ -78,9 +78,8 @@ import numpy as np
 from repro.core._ptile_common import resolve_phi, resolve_sample_size
 from repro.core.bitset import DatasetBitmap, make_remapper
 from repro.core.ptile_range import AUTO_BOX_PAD
-from repro.core.engine import DatasetSearchEngine
+from repro.core.engine import DatasetSearchEngine, _LeafBatch
 from repro.core.framework import Repository
-from repro.core.measures import PercentileMeasure
 from repro.core.predicates import Predicate
 from repro.errors import CapabilityError, ConstructionError, QueryError
 from repro.geometry.epsilon_sample import epsilon_of_sample_size
@@ -383,7 +382,7 @@ class ShardedBatchExecutor:
     def _eval_on_unit(
         self,
         unit: _Unit,
-        leaves: Sequence[Predicate],
+        leaves: _LeafBatch,
         deadline: "Optional[Deadline]" = None,
     ) -> list[tuple[DatasetBitmap, float]]:
         """All leaves on one unit as *global* packed bitsets.
@@ -391,7 +390,13 @@ class ShardedBatchExecutor:
         The unit's whole leaf batch goes through
         :meth:`~repro.core.engine.DatasetSearchEngine.eval_leaf_batch_bits`
         — one multi-box backend call for every percentile leaf — so a cold
-        batch costs one traversal per unit, not one per leaf.
+        batch costs one traversal per unit, not one per leaf.  ``leaves``
+        is the one :class:`~repro.core.engine._LeafBatch` that
+        :meth:`_eval_on_units` hands every unit: the percentile leaves'
+        Algorithm-4 boxes and their float batch are built by the first unit
+        that answers them, and the rest — pinned to the same bounding box
+        and ``eps_effective`` — only code that batch against their own
+        level tables.
 
         Local answers translate to global bitsets through the unit's ids:
         contiguous ids (every base shard, and the delta shard between
@@ -439,7 +444,7 @@ class ShardedBatchExecutor:
             # under this lock) end the unit's universe one past the largest.
             nbits = (int(unit.ids[-1]) + 1) if unit.ids else 0
             to_global = make_remapper(unit.ids, nbits)
-            if any(isinstance(lf.measure, PercentileMeasure) for lf in leaves):
+            if leaves.ptile:
                 self._pin_ptile(unit.engine)
             locals_ = unit.engine.eval_leaf_batch_bits(leaves, deadline=deadline)
             done = time.perf_counter()
@@ -497,7 +502,7 @@ class ShardedBatchExecutor:
         shards answered it and the tombstone mask was applied, so callers
         can keep it.
         """
-        leaves = list(leaves)
+        leaves = _LeafBatch(leaves)  # one per batch: its boxes are shared
         if not leaves:
             return []
         if not units:

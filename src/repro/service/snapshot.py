@@ -122,7 +122,7 @@ run past their segment, an index past what it indexes, an unknown
 synopsis kind, engine name or cache-key slot, shard units that do not
 restore whole (see :func:`_unit_ids`), a cache entry whose watermark is
 outside ``[0, n_datasets]`` or whose bitmap holds fewer bits (or, in
-version 6, sets one past them) —
+version 6, sets one past them), a dataset point that is not finite —
 whichever of :func:`load`, :func:`generation_of` and :func:`inspect` meets
 it.
 """
@@ -551,12 +551,16 @@ def _points_state(rows: list[np.ndarray], add_array: Callable) -> dict:
 def _points_from_state(
     state: Optional[dict], arrays: _ArrayTable
 ) -> Optional[list[np.ndarray]]:
-    """Each dataset's rows: views of the one points segment."""
+    """Each dataset's rows: views of the one points segment, refused
+    unless every value is finite (as :class:`Dataset` refuses any other;
+    one pass over the segment, before anything serves from it)."""
     if state is None:
         return None
     rows = arrays[state["rows"]]
     if rows.dtype != np.float64 or rows.ndim != 2 or not rows.shape[1]:
         raise SnapshotError("dataset points are not one (total, d) float64 segment")
+    if not np.isfinite(rows).all():
+        raise SnapshotError("dataset points are not all finite")
     offsets = arrays.ints(state["offsets"], "dataset offsets", None, len(rows))
     if offsets.size < 2 or offsets[0] != 0 or offsets[-1] != len(rows):
         raise SnapshotError("dataset offsets do not span the points segment")
@@ -599,9 +603,9 @@ def _repository_from_state(
     schema = tuple(state["schema"])
     datasets = []
     for name, rows in zip(names, points, strict=True):
-        # Bypass Dataset.__init__: the finiteness scan over every stored
-        # point is exactly the O(total points) pass a mapped cold start
-        # must not pay (and would fault every page in).
+        # Bypass Dataset.__init__: _points_from_state has checked the rows
+        # (float64, 2-D, finite), and the constructor would copy and scan
+        # them again, a dataset at a time.
         ds = Dataset.__new__(Dataset)
         ds.points = rows
         ds.name = name

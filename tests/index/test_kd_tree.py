@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.index import kd_tree
 from repro.index.kd_tree import (
     DynamicKDTree,
     MIN_BUFFER_FOR_REBUILD,
@@ -406,10 +407,57 @@ def assert_as_oracle(tree, oracle, boxes):
         assert tree.count(box) == len(want)
         first = tree.report_first(box)
         assert first in want if want else first is None
+    assert_many_as_oracle(tree, oracle, boxes)
+
+
+def assert_many_as_oracle(tree, oracle, boxes):
+    """The multi-box kernels of the tree against the float column store."""
     assert [sorted(keys.tolist()) for keys in tree.report_many(boxes)] == [
         sorted(keys.tolist()) for keys in oracle.report_many(boxes)
     ]
     assert tree.report_groups_many(boxes) == oracle.report_groups_many(boxes)
+
+
+class TestWalkBudget:
+    """``MULTIBOX_BROADCAST_CUTOFF`` is a cost setting: at 0 the multi-box
+    walk descends to every leaf, at ``2**62`` it scans the whole tree from
+    the root, and both answer as the float store does — over hidden
+    groups, tombstoned rows and a side buffer."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("budget", [0, 2**62])
+    def test_either_extreme_answers_as_the_oracle(
+        self, small_leaves, monkeypatch, seed, budget
+    ):
+        rng = np.random.default_rng(seed)
+        points, keys = mapped_points(rng, 300, 2, (0.0, 0.05, 0.0, 0.1))
+        tree, oracle = DynamicKDTree(points, ids=keys), ColumnarStore(points, ids=keys)
+        assert tree.deactivate_group(1) == oracle.deactivate_group(1) > 0
+        assert tree.remove_group(2) == oracle.remove_group(2) > 0
+        extra, _ = mapped_points(rng, 20, 2, (0.05,))
+        tree.insert(extra, np.full(20, 9))
+        oracle.insert(extra, np.full(20, 9))
+        assert tree._buf is not None and tree._n_dead  # still unfolded
+        boxes = boxes_over(rng, np.vstack([points, extra]), 40)
+
+        monkeypatch.setattr(kd_tree, "MULTIBOX_BROADCAST_CUTOFF", budget)
+        scans = []
+        walk = tree._walk_many
+
+        def spy(batch, on_full, on_scan):
+            def scan(start, inside, alive):
+                scans.append((start, start + inside.shape[1]))
+                on_scan(start, inside, alive)
+
+            walk(batch, on_full, scan)
+
+        monkeypatch.setattr(tree, "_walk_many", spy)
+        assert_many_as_oracle(tree, oracle, boxes)
+        leaves = {tree._slice(node) for node in np.flatnonzero(tree._right == 0)}
+        if budget:
+            assert set(scans) == {(0, tree._group.size)}
+        else:
+            assert scans and set(scans) <= leaves
 
 
 class TestSharedCodeColumns:

@@ -185,6 +185,106 @@ class TestShardMergeEquivalence:
             assert sum(service.executor.shard_sizes()) == repo.n_datasets
 
 
+class TestSharedBoxes:
+    """A cold batch builds its Percentile leaves' Algorithm-4 boxes once:
+    every unit — base shards and the delta shard — is pinned to the same
+    bounding box and ``eps_effective``, so the first unit builds the batch
+    and the others only code it.  The batch is keyed by that frame: a unit
+    whose slack differs builds boxes of its own."""
+
+    @pytest.fixture
+    def service(self, lake):
+        with QueryService(
+            repository=Repository.from_arrays(lake[:20]),
+            n_shards=3,
+            capacity=len(lake),
+            bounding_box=Repository.from_arrays(lake).bounding_box(),
+            eps=EPS,
+            sample_size=SAMPLE_SIZE,
+            seed=SEED,
+            cache_capacity=0,
+        ) as svc:
+            assert not svc.add_datasets(lake[20:])["rebuilt"]
+            assert svc.executor.delta is not None
+            yield svc
+
+    @staticmethod
+    def alone(executor, leaves):
+        """Each leaf answered alone by each unit, unioned in global ids."""
+        out = []
+        for leaf in leaves:
+            ids = set()
+            for unit in executor._units():
+                (local,) = unit.engine.eval_leaf_batch_bits([leaf])
+                ids.update(unit.ids[j] for j in local.to_list())
+            out.append(sorted(ids))
+        return out
+
+    @staticmethod
+    def counted_boxes(monkeypatch):
+        from repro.core.ptile_range import PtileRangeIndex
+
+        built = []
+        real = PtileRangeIndex._query_box
+
+        def counting(index, rect, theta):
+            built.append(index)
+            return real(index, rect, theta)
+
+        monkeypatch.setattr(PtileRangeIndex, "_query_box", counting)
+        return built
+
+    def test_one_frame_builds_once_and_answers_as_one_engine(
+        self, service, monkeypatch
+    ):
+        from repro.core.measures import PercentileMeasure
+        from repro.service.planner import plan_batch
+
+        queries = batched_query_workload(
+            16, 1, np.random.default_rng(5), duplicate_leaf_rate=0.6, max_leaves=3
+        )
+        batch = plan_batch(queries)
+        leaves = list(batch.unique_leaves.values())
+        n_ptile = sum(isinstance(lf.measure, PercentileMeasure) for lf in leaves)
+        n_used = sum(len(plan.leaves) for plan in batch.plans)
+        assert n_used > len(leaves) and n_ptile > 1  # leaves repeat across expressions
+        executor = service.executor
+        built = self.counted_boxes(monkeypatch)
+        got = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
+        assert len(built) == n_ptile  # once, not once per unit
+        single = bare_engine(executor)
+        assert got == [single.eval_leaf_batch_bits([leaf])[0].to_list() for leaf in leaves]
+        assert got == self.alone(executor, leaves)
+        want = [single.search(q).indexes for q in queries]
+        assert [r.indexes for r in service.search_batch(queries)] == want
+
+    def test_a_unit_in_another_frame_answers_with_its_own_boxes(
+        self, service, monkeypatch
+    ):
+        from repro.core.measures import PercentileMeasure
+
+        leaves = [
+            leaf
+            for q in batched_query_workload(
+                24, 1, np.random.default_rng(6), pref_fraction=0.0,
+                duplicate_leaf_rate=0.0, max_leaves=2,
+            )
+            for leaf in q.leaves()
+            if isinstance(leaf.measure, PercentileMeasure)
+        ]
+        executor = service.executor
+        before = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
+        wide = executor.units[1]
+        wide.engine.ptile_index.eps_effective = 0.9
+        built = self.counted_boxes(monkeypatch)
+        got = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
+        assert len(built) == 2 * len(leaves)  # two frames, each built once
+        assert built.count(wide.engine.ptile_index) == len(leaves)
+        assert got == self.alone(executor, leaves)
+        assert got != before  # the widened unit did not take the shared boxes
+        assert all(set(b) <= set(g) for b, g in zip(before, got))
+
+
 class TestServiceFacade:
     @pytest.fixture(scope="class")
     def service(self, repo):

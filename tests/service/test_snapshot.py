@@ -1386,6 +1386,8 @@ class TestGeneratedHeaderSweep:
         "offset-past-the-points": (
             ("dataset_offsets", None), 3, 10**4, "outside",
         ),
+        "nan-point": (("dataset_points", None), 0, float("nan"), "not all finite"),
+        "infinite-point": (("dataset_points", None), -1, -float("inf"), "not all finite"),
         "unit-id-past-the-datasets": (("unit_ids", "|u1"), 0, 6, "outside"),
         "delta-out-of-range": (("ptile_deltas", "<f8"), 0, 1.0, r"in \[0, 1\)"),
         "names-not-utf-8": (("dataset_names", "|u1"), 0, 0xFF, "UnicodeDecodeError"),

@@ -90,8 +90,8 @@ amortised cost inserts already paid and nothing is decoded; the merge
 finds the shared columns afresh, so a buffered ``delta > 0`` row simply
 keeps the two weights apart.  ``to_arrays`` hands out codes, column map,
 the level tables of all ``k`` columns, key column and node table and
-``from_arrays`` adopts them (no column map, as in older files, is the
-identity), so a snapshot restore builds no tree and decodes nothing.
+``from_arrays`` adopts them, so a snapshot restore builds no tree and
+decodes nothing.
 
 Leaves hold at most :data:`DEFAULT_LEAF_SIZE` points, read each time a
 tree is planted — it is not a constructor argument and a restored tree does
@@ -401,16 +401,13 @@ class DynamicKDTree:
         query or rebuild would index with is checked here — ``ValueError``
         for a code beyond its column's table, node boxes beyond it, a
         table that is not strictly increasing float64 (unsorted,
-        duplicated, NaN), code columns that are not unsigned, a column map
-        that is not integer, not one entry per table, not onto the code
-        columns in first-use order, or maps columns with different tables
-        to one code column, or a key column that is neither unsigned of at
-        most 4 bytes nor the signed ``int32`` one older files hold, or has
-        a key outside ``[0, 2^31)``.  No column map (older files) is the
-        identity.  A key column wider than its keys need is narrowed (a
-        private copy).  An emptied tree has no rows, no levels and one
-        empty root.  The ``local`` id column older snapshots carry is not
-        read.
+        duplicated, NaN), code columns that are not unsigned, no column
+        map or one that is not integer, not one entry per table, not onto
+        the code columns in first-use order, or maps columns with different
+        tables to one code column, or a key column that is not unsigned of
+        at most 4 bytes or has a key outside ``[0, 2^31)``.  A key column
+        wider than its keys need is narrowed (a private copy).  An emptied
+        tree has no rows, no levels and one empty root.
         """
         codes, levels, starts = arrays["codes"], arrays["levels"], arrays["level_start"]
         span, box = arrays["node_span"], arrays["node_box"]
@@ -420,6 +417,7 @@ class DynamicKDTree:
         if (
             codes.ndim != 2
             or codes.dtype.kind != "u"
+            or group.dtype.kind == "i"
             or group.dtype.itemsize > 4
             or not group.shape == active.shape == codes.shape[1:]
             or span.ndim != 2
@@ -430,7 +428,9 @@ class DynamicKDTree:
             or (n == 0 and span.shape[1] != 1)
         ):
             raise ValueError("backend arrays do not describe one kd-tree")
-        columns = arrays.get("columns", np.arange(codes.shape[0]))
+        columns = arrays.get("columns")
+        if columns is None:
+            raise ValueError("backend arrays hold no column map")
         first = _first_uses(columns, codes.shape[0])
         sizes = np.diff(starts)  # none at all once every row is removed
         if (

@@ -74,26 +74,8 @@ every point is active (``save`` refuses an index with a hidden one), and a
 load starts every point active.  A Ptile index's coresets are one
 ``(N, s, d)`` segment, not ``N``.
 
-Version 5 is still read.  Its header carried the same state with one JSON
-record per dataset (a synopsis, a repository entry with its own
-``exact_points`` segment, a Ptile key and delta) and per cache entry
-(``key``, ``watermark``, ``nbits``, ``off``, ``nw``), and the unit ids and
-tombstones as lists.  :func:`_from_version_5` turns such a header into the
-version-6 layout when the file is opened, with those records as columns
-held in memory, so the readers know one layout; a version-5 file's
-datasets are then joined into one private array rather than mapped.
-Older versions are refused, not migrated.  Version-5
-files from builds where the kd leaf size, the plan-cache capacity and the
-slow-log size were still constructor keywords carry them in ``state``
-(the leaf size once per shard unit and once per Ptile index); they are
-module constants now, so those keys are neither written nor read and such
-a file serves with the constants.  Those from builds where a point's id
-was a ``(key, local)`` pair carry a ``local`` segment per backend, which
-``from_arrays`` ignores; those from builds before narrow keys carry an
-``int32`` key column, which ``from_arrays`` narrows on load, and an
-``active`` segment per backend, which is not read; those from builds
-before shared code columns hold one code row per column and no
-``columns`` segment, which ``from_arrays`` reads as the identity map.
+Other versions are refused, not migrated: rebuild the file with ``repro
+snapshot build``.
 
 ``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
 page-cache pages are shared across every process that maps the same file,
@@ -111,20 +93,13 @@ deterministic to rebuild — and a Ptile index whose key space has holes
 (datasets deleted via ``delete_synopsis``) is refused rather than
 resynthesized wrong.
 
-All errors reading a snapshot back — bad magic, unsupported version, a
-foreign kind, truncated segments, malformed state — raise
-:class:`~repro.errors.SnapshotError` and nothing else (the supervisor's
-respawn loop and its workers' snapshot pollers catch exactly that).
-"Malformed state" is anything wrong with the header tree or a column it
-references — a missing key, a value of the wrong type or range, a list or
-column of the wrong length or dtype, offsets that are not ascending or
-run past their segment, an index past what it indexes, an unknown
-synopsis kind, engine name or cache-key slot, shard units that do not
-restore whole (see :func:`_unit_ids`), a cache entry whose watermark is
-outside ``[0, n_datasets]`` or whose bitmap holds fewer bits (or, in
-version 6, sets one past them), a dataset point that is not finite —
-whichever of :func:`load`, :func:`generation_of` and :func:`inspect` meets
-it.
+All errors reading a snapshot back — bad magic, another version, a
+foreign kind, truncated segments, malformed state (anything wrong with the
+header tree or a column it references) — raise
+:class:`~repro.errors.SnapshotError` and nothing else, from whichever of
+:func:`load`, :func:`generation_of` and :func:`inspect` meets them (the
+supervisor's respawn loop and its workers' snapshot pollers catch exactly
+that).
 """
 
 from __future__ import annotations
@@ -145,20 +120,17 @@ from repro.errors import ReproError, SnapshotError
 from repro.geometry.rectangle import Rectangle
 from repro.index.backend import check_dynamic_engine, id_column, restore_backend
 from repro.service import faults
-from repro.service.cache import CacheEntry
+from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import MetricsRegistry, ServiceObservability
 from repro.service.service import QueryService
 from repro.service.sharding import ShardedBatchExecutor, _Unit
 from repro.synopsis.serialize import from_state as synopses_from_state
 from repro.synopsis.serialize import to_state as synopses_to_state
-from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, SYNOPSIS_STATE, decode
+from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, decode
+from repro.wire import Array, Int, Number, Record, String
 
 MAGIC = b"REPROSNP"
 VERSION = 6
-
-#: The container versions this build reads: this one, and the version-5
-#: layout whose header held per-item JSON.
-_READS = (5, VERSION)
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -272,54 +244,20 @@ class _ArrayTable:
     what keeps ``load()`` latency flat in the dataset count.  Pages are
     shared across processes exactly as with per-segment ``np.memmap``.
     ``mmap=False`` reads private writable arrays.  Resolved arrays are
-    cached so two references to one segment share one view.  ``version``
-    is the container's.  :meth:`add` registers an array held in memory
-    instead (a version-5 header's per-item records, made columns by
-    :func:`_from_version_5`).
+    cached so two references to one segment share one view.
     """
 
-    def __init__(
-        self, path: str, meta: dict, data_start: int, mmap: bool, version: int
-    ) -> None:
+    def __init__(self, path: str, meta: dict, data_start: int, mmap: bool) -> None:
         self._path = path
         self._meta = meta
         self._data_start = data_start
         self._mmap = mmap
-        self.version = version
         self._cache: dict[str, np.ndarray] = {}
-        self._added: dict[str, list[np.ndarray]] = {}
         self._map: Optional[np.ndarray] = None
-
-    def add(self, hint: str, arr: Union[np.ndarray, list]) -> str:
-        """An in-memory segment, as :meth:`_SnapshotWriter.add_array` takes
-        one; a list is joined on first use, not here."""
-        ref = f"{hint}#mem{len(self._added)}"
-        self._added[ref] = arr if isinstance(arr, list) else [arr]
-        return ref
-
-    def length(self, ref: str) -> int:
-        """A segment's entry count, read from no data."""
-        added = self._added.get(ref)
-        if added is not None:
-            return sum(map(len, added))
-        m = self._meta.get(ref)
-        if m is None:
-            raise SnapshotError(f"state references unknown segment {ref!r}")
-        return int(m["shape"][0])
-
-    def _buffer(self) -> np.ndarray:
-        if self._map is None:
-            self._map = np.memmap(self._path, dtype=np.uint8, mode="r")
-        return self._map
 
     def __getitem__(self, ref: str) -> np.ndarray:
         got = self._cache.get(ref)
         if got is not None:
-            return got
-        added = self._added.get(ref)
-        if added is not None:
-            got = added[0] if len(added) == 1 else np.concatenate(added)
-            self._cache[ref] = got
             return got
         m = self._meta.get(ref)
         if m is None:
@@ -331,8 +269,10 @@ class _ArrayTable:
         if count == 0:
             arr: np.ndarray = np.empty(shape, dtype=dtype)
         elif self._mmap:
+            if self._map is None:
+                self._map = np.memmap(self._path, dtype=np.uint8, mode="r")
             arr = np.frombuffer(
-                self._buffer(), dtype=dtype, count=count, offset=offset
+                self._map, dtype=dtype, count=count, offset=offset
             ).reshape(shape)
         else:
             with open(self._path, "rb") as f:
@@ -370,10 +310,11 @@ def _open_container(
             if pre[:8] != MAGIC:
                 raise SnapshotError(f"{path}: bad magic (not a repro snapshot)")
             version, _reserved = struct.unpack_from("<II", pre, 8)
-            if version not in _READS:
+            if version != VERSION:
                 raise SnapshotError(
-                    f"{path}: unsupported snapshot version {version} "
-                    f"(this build reads versions {_READS[0]} and {VERSION})"
+                    f"{path}: unsupported snapshot version {version} (this build "
+                    f"reads version {VERSION} only; rebuild the file with "
+                    "`repro snapshot build`)"
                 )
             hlen, data_start = struct.unpack_from("<QQ", pre, 16)
             # Bounded by the file first: a length past it is no allocation.
@@ -398,11 +339,7 @@ def _open_container(
             nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
             if data_start + m["offset"] + nbytes > size:
                 raise SnapshotError(f"{path}: segment {ref!r} is truncated")
-    arrays = _ArrayTable(path, header["arrays"], int(data_start), mmap, version)
-    if version == 5:
-        with _decoding(path):
-            header["state"] = _from_version_5(header["state"], arrays)
-    return header, arrays, hlen
+    return header, _ArrayTable(path, header["arrays"], int(data_start), mmap), hlen
 
 
 @contextlib.contextmanager
@@ -526,10 +463,8 @@ def _ptile_from_state(
     # Zero-copy: codes, level tables, key column and node table
     # stay the file-backed buffers.  from_arrays validates what it adopts;
     # an engine without a persisted form is refused by name.  Every saved
-    # point is active; the mask older files carry is not read.
-    backend = {
-        name: arrays[ref] for name, ref in state["backend"].items() if name != "active"
-    }
+    # point is active.
+    backend = {name: arrays[ref] for name, ref in state["backend"].items()}
     backend["active"] = np.ones(len(backend["group"]), dtype=bool)
     index._tree = restore_backend(backend, index.engine_kind)
     return index
@@ -538,16 +473,6 @@ def _ptile_from_state(
 # ----------------------------------------------------------------------
 # Dataset points and the repository
 # ----------------------------------------------------------------------
-def _points_state(rows: list[np.ndarray], add_array: Callable) -> dict:
-    """Every dataset's rows end to end, and where each starts."""
-    return {
-        "rows": add_array("dataset_points", list(rows)),
-        "offsets": add_array(
-            "dataset_offsets", id_column(np.cumsum([0, *map(len, rows)]), len(rows) + 1)
-        ),
-    }
-
-
 def _points_from_state(
     state: Optional[dict], arrays: _ArrayTable
 ) -> Optional[list[np.ndarray]]:
@@ -575,16 +500,12 @@ def _repository_state(
 ) -> Optional[dict]:
     if repo is None:
         return None
+    # The datasets' names as one utf-8 JSON segment.
+    names = json.dumps([ds.name for ds in repo.datasets]).encode("utf-8")
     return {
         "schema": list(repo.schema),
-        "names": _names_segment([ds.name for ds in repo.datasets], add_array),
+        "names": add_array("dataset_names", np.frombuffer(names, dtype=np.uint8)),
     }
-
-
-def _names_segment(names: list, add_array: Callable) -> str:
-    """The datasets' names as one utf-8 JSON segment."""
-    raw = json.dumps(names).encode("utf-8")
-    return add_array("dataset_names", np.frombuffer(raw, dtype=np.uint8))
 
 
 def _repository_from_state(
@@ -641,9 +562,9 @@ def _unit_ids(
 ) -> tuple[list[list[int]], Optional[list[int]]]:
     """The base shards' and the delta's ids (None: no delta), refused
     unless the units restore whole — else a file loads and then answers
-    wrongly or fails its first query: the delta has ids exactly when it has
-    an engine, each unit's ids ascend strictly, and the units are disjoint
-    and, with the tombstones, hold every dataset below ``n``."""
+    wrongly or fails its first query: each unit's ids ascend strictly, and
+    the units are disjoint and, with the tombstones, hold every dataset
+    below ``n``."""
     def ids_of(unit: dict) -> list[int]:
         return arrays.ints(unit["ids"], "unit ids", None, n - 1).tolist()
 
@@ -683,8 +604,7 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     """The executor's state, read under the service's mutation lock (no
     dataset arrives or leaves), each unit under its own.  The stored
     dataset rows are the repository's, which the exact synopses slice."""
-    # The units first: their segments lead the data section, as they did
-    # in version 5.
+    # The units first: their segments lead the data section.
     engines = [_unit_state(unit, add_array) for unit in ex.units]
     delta = None if ex.delta is None else _unit_state(ex.delta, add_array)
     repo = ex.repository
@@ -700,7 +620,13 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
         "eps_effective": float(ex.eps_effective),
         "bounding_box": _box_state(ex.bounding_box),
         "removed": add_array("removed", id_column(sorted(ex.removed), len(ex.removed))),
-        "points": None if rows is None else _points_state(rows, add_array),
+        # Every dataset's rows end to end, and where each starts.
+        "points": None if rows is None else {
+            "rows": add_array("dataset_points", rows),
+            "offsets": add_array("dataset_offsets", id_column(
+                np.cumsum([0, *map(len, rows)]), len(rows) + 1
+            )),
+        },
         "repository": _repository_state(repo, add_array),
         "synopses": synopses_to_state(ex.synopses, rows, add_array),
         "engines": engines,
@@ -814,21 +740,20 @@ def _keys_of_shape(shape: Any, rows: np.ndarray) -> list:
     return column(shape)
 
 
-def _cache_state(
-    capacity: int, generation: int, entries: list, add_array: Callable
-) -> dict:
-    """The leaf cache's state from its ``(key, watermark, bitmap)``
-    entries in LRU order.  Each bitmap is stored as exactly its
-    watermark's bits.  A bitmap may hold more: a batch racing an ingest
-    reads the old dataset count as its watermark but is answered by a delta
-    that already holds the new datasets (``add_synopses`` publishes them
-    first).  The bits past the watermark are dropped, which is exact: the
-    entry is stale, and its first hit ORs the delta's answer back in.  A
-    bitmap that holds fewer bits than its watermark is refused."""
+def _cache_state(cache: LeafResultCache, add_array: Callable) -> dict:
+    """The leaf cache's state, its entries in LRU order.  Each bitmap is
+    stored as exactly its watermark's bits.  A bitmap may hold more: a batch
+    racing an ingest reads the old dataset count as its watermark but is
+    answered by a delta that already holds the new datasets
+    (``add_synopses`` publishes them first).  The bits past the watermark
+    are dropped, which is exact: the entry is stale, and its first hit ORs
+    the delta's answer back in.  A bitmap that holds fewer bits than its
+    watermark is refused."""
     shapes: dict[str, int] = {}
     shape_ids, scalars, watermarks = [], [], []
     words = [np.zeros(0, dtype=np.uint64)]
-    for key, watermark, bitmap in entries:
+    for key, entry in cache.export_entries():
+        watermark, bitmap = entry.watermark, entry.indexes
         if not 0 <= watermark <= bitmap.nbits:
             raise SnapshotError("a cache entry's bitmap does not span its watermark")
         shape = json.dumps(_key_shape(key, scalars), separators=(",", ":"))
@@ -841,8 +766,8 @@ def _cache_state(
             span[-1] &= np.uint64((1 << tail) - 1)
         words.append(span)
     return {
-        "capacity": int(capacity),
-        "generation": int(generation),
+        "capacity": int(cache.capacity),
+        "generation": int(cache.generation),
         "key_shapes": [json.loads(shape) for shape in shapes],
         "key_scalars": add_array("cache_keys", np.array(scalars, dtype=np.float64)),
         "key_shape_ids": add_array("cache_keys", id_column(shape_ids, len(shape_ids))),
@@ -854,7 +779,7 @@ def _cache_state(
 
 
 def _cache_keys(state: dict, arrays: _ArrayTable) -> tuple[list, np.ndarray]:
-    """The version-6 keys, in LRU order, and their watermarks."""
+    """The keys, in LRU order, and their watermarks."""
     shapes = state["key_shapes"]
     slots = np.array([_slot_count(shape) for shape in shapes], dtype=np.int64)
     ids = arrays.ints(state["key_shape_ids"], "cache shape ids", None, len(shapes) - 1)
@@ -919,23 +844,28 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
         "executor_kwargs": {**kw, "bounding_box": _box_state(kw["bounding_box"])},
         "tracing": bool(svc.observability.tracing),
         "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
-        "cache": _cache_state(
-            svc.cache.capacity, svc.cache.generation,
-            [(key, e.watermark, e.indexes) for key, e in svc.cache.export_entries()],
-            add_array,
-        ),
+        "cache": _cache_state(svc.cache, add_array),
         "executor": _executor_state(svc.executor, add_array),
     }
+
+
+#: The keywords ``QueryService`` keeps for rebuilds, checked when the file
+#: loads, not at the first rebuild; ``(reader, None)`` may be null.  A key
+#: not named here (the retired ``deterministic``) never reaches the rebuild.
+_EXECUTOR_KWARGS = Record({
+    "eps": Number("(0, 1)"), "seed": Int(lo=0), "engine": String(),
+    "phi": (Number("(0, 1)"), None), "delta": (Number("[0, 1)"), None),
+    "sample_size": (Int(lo=2), None), "capacity": (Int(lo=0), None),
+    "bounding_box": (Record({"lo": Array(("d",)), "hi": Array(("d",))}), None),
+}, error=ValueError)
 
 
 def _service_from_state(
     state: dict, arrays: _ArrayTable, obs: Optional[ServiceObservability]
 ) -> QueryService:
     svc = QueryService.__new__(QueryService)
-    kw = dict(state["executor_kwargs"])
-    # Files written before seeding became unconditional carry the retired
-    # flag; it must not reach ``ShardedBatchExecutor(**kw)`` on a rebuild.
-    kw.pop("deterministic", None)
+    kw = decode(_EXECUTOR_KWARGS, state["executor_kwargs"], "executor_kwargs")
+    check_dynamic_engine(kw["engine"])
     kw["bounding_box"] = _box_from(kw["bounding_box"])
     svc._executor_kwargs = kw
     if obs is None:
@@ -947,97 +877,6 @@ def _service_from_state(
         obs, *_cache_from_state(state["cache"], arrays, svc.executor.n_datasets)
     )
     return svc
-
-
-# ----------------------------------------------------------------------
-# Version 5
-# ----------------------------------------------------------------------
-def _from_version_5(state: dict, arrays: _ArrayTable) -> dict:
-    """A version-5 state tree in the version-6 layout: the one place that
-    knows version 5, so every reader walks version 6 alone.  Its per-item
-    records and lists become columns held in memory (``arrays.add``), its
-    cache entries pass :func:`_cache_state` as a save's do, and the rest
-    of the tree stays where version 6 keeps it.  Its datasets, one segment
-    each, are joined into one array on first use: a copy private to the
-    process, where version 6 maps them, until a save writes version 6.
-    The header tree itself is not modified."""
-    ex = state["executor"]
-    add = arrays.add
-
-    def column(hint: str, values: list) -> str:
-        return add(hint, np.array([int(v) for v in values], dtype=np.int64))
-
-    def unit(sub: dict, ids: list) -> dict:
-        sub = {**sub, "ids": column("unit_ids", ids)}
-        ptile = sub["ptile"]
-        if ptile is not None:
-            n = len(ids)
-            keys = [int(k) for k in ptile["keys"]]
-            if keys != list(range(n)) or int(ptile["next_key"]) != n:
-                raise SnapshotError(
-                    "ptile key space does not match the synopsis list (holes from "
-                    "delete_synopsis?); snapshots require contiguous keys"
-                )
-            deltas = np.array([float(d) for d in ptile["deltas"]], dtype=np.float64)
-            sub["ptile"] = {**ptile, "deltas": add("ptile_deltas", deltas)}
-        return sub
-
-    def key(obj: Any) -> Any:
-        """Tuples were tagged ``{"t": [...]}``."""
-        return tuple(map(key, obj["t"])) if isinstance(obj, dict) else obj
-
-    delta_ids = ex["delta_ids"]
-    if bool(delta_ids) != (ex["delta_engine"] is not None):
-        raise SnapshotError("executor state has delta ids or a delta engine alone")
-    repo = ex["repository"]
-    refs = None if repo is None else list(repo["points"])
-    records = [decode(SYNOPSIS_STATE, r, "synopsis") for r in ex["synopses"]]
-    if any(r["kind"] != "seeded" for r in records):
-        raise SnapshotError("a version-5 synopsis is not seeded")
-    # A base exact over its dataset's own segment (a save shared the two)
-    # is what version 6 stores as nothing.
-    bases = [
-        None
-        if refs is not None and i < len(refs) and isinstance(r["base"], dict)
-        and r["base"].get("kind") == "exact" and r["base"].get("points") == refs[i]
-        else r["base"]
-        for i, r in enumerate(records)
-    ]
-    executor = {
-        **ex,
-        "removed": column("removed", ex["removed"]),
-        "points": None if refs is None else _points_state([arrays[r] for r in refs], add),
-        "repository": None if repo is None else {
-            "schema": repo["schema"], "names": _names_segment(repo["names"], add),
-        },
-        "synopses": {
-            "seed": column("synopsis_seeds", [r["seed"] for r in records]),
-            "index": column("synopsis_index", [r["index"] for r in records]),
-            "bases": None if all(b is None for b in bases) else bases,
-        },
-        "engines": [
-            unit(sub, ids) for sub, ids in zip(ex["engines"], ex["shards"], strict=True)
-        ],
-        "delta_engine": (
-            None if ex["delta_engine"] is None else unit(ex["delta_engine"], delta_ids)
-        ),
-    }
-    cache = state["cache"]
-    words = arrays[cache["words"]]
-    if words.dtype != np.uint64 or words.ndim != 1:
-        raise SnapshotError("cache words are not one uint64 segment")
-    entries = []
-    for e in cache["entries"]:
-        off, nw = int(e["off"]), int(e["nw"])
-        if off < 0 or off + nw > words.size:
-            raise SnapshotError("cache entry words out of segment bounds")
-        bitmap = DatasetBitmap(words[off : off + nw], int(e["nbits"]))
-        entries.append((key(e["key"]), int(e["watermark"]), bitmap))
-    return {
-        **state,
-        "executor": executor,
-        "cache": _cache_state(cache["capacity"], cache["generation"], entries, add),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1096,7 +935,7 @@ def generation_of(path: PathLike) -> int:
 def inspect(path: PathLike) -> dict:
     """Human/CLI-facing summary of a container (no arrays are loaded)."""
     path = os.fspath(path)
-    header, arrays, hlen = _open_container(path, mmap=True)
+    header, _arrays, hlen = _open_container(path, mmap=True)
     by_kind: dict[str, int] = {}
     for ref, m in header["arrays"].items():
         nbytes = math.prod(m["shape"]) * np.dtype(m["dtype"]).itemsize
@@ -1104,7 +943,7 @@ def inspect(path: PathLike) -> dict:
         by_kind[kind] = by_kind.get(kind, 0) + nbytes
     out = {
         "path": path,
-        "format": arrays.version,
+        "format": VERSION,
         "kind": header["kind"],
         "generation": header["generation"],
         "n_arrays": len(header["arrays"]),
@@ -1118,7 +957,11 @@ def inspect(path: PathLike) -> dict:
     with _decoding(path):
         state = header["state"]
         executor, cache = state["executor"], state["cache"]
-        length = arrays.length
+
+        def length(ref: str) -> int:
+            """A segment's entry count, read from the segment table."""
+            return header["arrays"][ref]["shape"][0]
+
         delta = executor["delta_engine"]
         counts = {
             "n_shards": len(executor["engines"]),

@@ -721,22 +721,21 @@ class TestKeyDtypeBoundaries:
     @pytest.mark.parametrize(
         "retype",
         [lambda g: g.astype(np.float64) + 0.5, lambda g: g.astype(np.int64),
-         lambda g: g.astype(np.int32) - 1, lambda g: g.astype(np.uint32) + 2**31],
-        ids=["float64", "int64", "negative-int32", "uint32-past-int32"],
+         lambda g: g.astype(np.int32) - 1, lambda g: g.astype(np.uint32) + 2**31,
+         lambda g: g.astype(np.int32)],
+        ids=["float64", "int64", "negative-int32", "uint32-past-int32", "int32"],
     )
     def test_from_arrays_refuses_keys_no_file_holds(self, engine, retype, rng):
         """Regression: ``from_arrays`` adopted any key dtype — a float64
         column loaded and ``report_groups`` answered ``{0.5, 1.5, 2.5}``.
-        Accepted: unsigned of at most 4 bytes with every key below 2^31,
-        or the non-negative ``int32`` column older files hold (narrowed)."""
+        Accepted: unsigned of at most 4 bytes with every key below 2^31.
+        The signed ``int32`` column of files before narrow keys is refused,
+        even with every key in range."""
         from repro.index.backend import restore_backend
 
         ids = [i % 3 for i in range(12)]
         arrays = build_backend(rng.uniform(size=(12, 2)), ids, engine).to_arrays()
         keys = arrays["group"]
         assert keys.dtype == np.uint8
-        older = restore_backend({**arrays, "group": keys.astype(np.int32)}, engine)
-        assert older._group.dtype == np.uint8
-        assert older.report_groups(QueryBox.unbounded(2)) == {0, 1, 2}
         with pytest.raises(ValueError):
             restore_backend({**arrays, "group": retype(keys)}, engine)

@@ -548,25 +548,17 @@ class TestSharedCodeColumns:
         assert want["columns"].tolist() == [0, 1, 2, 2, 0]
 
     def test_arrays_without_a_column_map_are_one_column_a_row(self, small_leaves, rng):
-        """Files written before shared columns hold one code row and one
-        node-box column per column and no ``columns``: they restore with
-        the identity map and answer the same."""
+        """Files from builds before shared columns hold one code row and one
+        node-box column per column and no ``columns``: they are refused,
+        not read as the identity map."""
         points, keys = mapped_points(rng, 200, self.DIM, (0.0,))
         tree = DynamicKDTree(points, ids=keys)
         arrays = tree.to_arrays()
         columns = arrays.pop("columns")
         arrays["codes"] = arrays["codes"][columns]
         arrays["node_box"] = arrays["node_box"][:, :, columns]
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        old = DynamicKDTree.from_arrays(arrays)
-        assert old._columns.tolist() == [0, 1, 2, 3, 4]
-        boxes = boxes_over(rng, points, 30)
-        assert_as_oracle(old, ColumnarStore(points, ids=keys), boxes)
-        # Its next rebuild finds the shared columns.
-        old._rebuild()
-        assert old._columns.tolist() == [0, 1, 2, 2, 0]
-        assert_as_oracle(old, ColumnarStore(points, ids=keys), boxes)
+        with pytest.raises(ValueError, match="no column map"):
+            DynamicKDTree.from_arrays(arrays)
 
     @pytest.mark.parametrize(
         "columns, match",

@@ -14,7 +14,6 @@ import math
 import os
 import re
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,12 +388,12 @@ class TestExecutorAndEngineKinds:
     def test_retired_deterministic_keys_are_dropped_on_read(
         self, lake, queries, tmp_path, mmap, flag
     ):
-        """v5 files written before seeding became unconditional carry
-        ``"deterministic"`` twice — ``true`` from a plain service, ``false``
-        from a ``federated_node_service`` node.  They still load, answer
-        identically and rebuild (the key must not reach the executor's
-        constructor); this build writes neither key, and its reader drops
-        it from either layout (the keys sit where version 6 keeps them)."""
+        """An unknown key in a version-6 header is ignored: the retired
+        ``"deterministic"``, ``true`` as a plain service wrote it and
+        ``false`` as a ``federated_node_service`` node did, in the rebuild
+        keywords and the executor state.  The file loads, answers
+        identically and rebuilds (the key never reaches the executor's
+        constructor)."""
         if flag:
             svc = QueryService(
                 repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
@@ -427,12 +426,11 @@ class TestExecutorAndEngineKinds:
     def test_retired_constant_keys_are_ignored_on_read(
         self, lake, queries, tmp_path, mmap
     ):
-        """v5 files written while the kd leaf size, the plan-cache capacity
-        and the slow-log size were constructor keywords carry them — the
-        leaf size once per shard unit and once per Ptile index.  This build
-        writes none of them and reads none of them, in either layout: such
-        a file loads, answers identically and serves with the constants,
-        whatever the values in it."""
+        """An unknown key in a version-6 header is ignored: the retired
+        kd leaf size (once per shard unit and once per Ptile index), plan-
+        cache capacity and slow-log size.  The file loads, answers
+        identically and serves with the module constants, whatever the
+        values in it."""
         svc = QueryService(
             repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
             eps=EPS, sample_size=SAMPLE_SIZE, capacity=2 * N_DATASETS,
@@ -464,20 +462,57 @@ class TestExecutorAndEngineKinds:
         assert answers(loaded, queries) == expected
         loaded.close()
 
+    #: One edit each of the rebuild keywords a file holds
+    #: (``executor_kwargs``), which a load once copied unchecked: a missing
+    #: seed loaded and the next ``rebuild()`` reseeded the executor with 0,
+    #: a retyped one loaded and the next ``rebuild()`` raised ``ValueError``.
+    #: ``None``: an unknown key, which loads and rebuilds as if absent.
+    KWARG_ROWS = {
+        "missing-seed": (lambda kw: kw.pop("seed"), "seed is required"),
+        "retyped-seed": (lambda kw: kw.update(seed="x"), "seed must be"),
+        "extra-key": (lambda kw: kw.update(bogus=1), None),
+    }
+
+    @pytest.mark.parametrize("row", sorted(KWARG_ROWS))
+    def test_rebuild_keywords_are_read_when_the_file_loads(
+        self, lake, queries, tmp_path, row
+    ):
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=7,
+            eps=EPS, sample_size=SAMPLE_SIZE,
+        )
+        expected = answers(svc, queries)
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        header, data = _read_header(path)
+        edit, match = self.KWARG_ROWS[row]
+        edit(header["state"]["executor_kwargs"])
+        _write_header(path, header, data)
+        if match is not None:
+            with pytest.raises(SnapshotError, match=match):
+                load(path)
+            return
+        loaded = load(path)
+        loaded.rebuild()
+        assert loaded.executor.seed == 7
+        assert answers(loaded, queries) == expected
+        loaded.close()
+
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("older", ["local_ids", "int32_keys_and_active"])
     def test_retired_local_id_column_is_ignored_on_read(
         self, lake, queries, tmp_path, mmap, older
     ):
-        """v5 files written while a mapped point's id was a ``(key, local)``
-        pair carry a second ``int32`` id segment per backend, ``local``;
-        those written before narrow keys hold the key column as ``<i4`` and
-        an ``active`` mask (``|b1``) per backend.  This build writes none of
-        them, ignores ``local`` and ``active`` and narrows the keys: such a
-        file loads under both modes, answers identically, and still does
-        after an ingest that overflows a restored kd tree's side buffer (a
-        rebuild from the adopted arrays).  ``inspect`` counts its mapped
-        points from the key columns, as for a file this build writes."""
+        """A ``local`` id segment beside a backend's keys, as files from
+        builds whose point ids were ``(key, local)`` pairs carried, is not
+        read: the file loads under both modes, answers identically, and
+        still does after an ingest that overflows a restored kd tree's side
+        buffer (a rebuild from the adopted arrays).  A signed ``<i4`` key
+        column with an ``active`` mask, as files from builds before narrow
+        keys held, is refused.  ``inspect`` reads neither: it counts the
+        mapped points from the key columns, as for a file this build
+        writes."""
         more = [d[1::2] for d in lake[:4]]
 
         def build():
@@ -526,6 +561,11 @@ class TestExecutorAndEngineKinds:
                 backend["active"] = append("mapped_active", np.ones(n, dtype=bool))
         _write_header(path, header, bytes(data))
         assert inspect(path)["n_mapped_points"] == n_points
+        if older == "int32_keys_and_active":
+            with pytest.raises(SnapshotError, match="do not describe one kd-tree"):
+                load(path, mmap=mmap)
+            reference.close()
+            return
         loaded = load(path, mmap=mmap)
         lx = loaded.executor
         for unit in (*lx.units, lx.delta):
@@ -539,13 +579,12 @@ class TestExecutorAndEngineKinds:
 
     @pytest.mark.parametrize("mmap", [True, False])
     def test_files_without_a_column_map_hold_one_code_row_a_column(
-        self, lake, queries, tmp_path, mmap
+        self, lake, tmp_path, mmap
     ):
-        """v5 files written before shared code columns store the weights
+        """Files from builds before shared code columns store the weights
         ``w + 0`` and ``w - 0`` as two equal code rows and node-box columns,
-        and no ``columns`` segment.  Such a file loads under both modes with
-        the identity map and answers identically, and an ingest that
-        rebuilds a restored tree stores the weights once again."""
+        and no ``columns`` segment.  Such a backend is refused under both
+        modes: it is not read as the identity map."""
         svc = QueryService(
             repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
             eps=EPS, sample_size=SAMPLE_SIZE, capacity=4 * N_DATASETS,
@@ -582,19 +621,8 @@ class TestExecutorAndEngineKinds:
             backend["codes"] = widened(backend["codes"], columns, 0)
             backend["node_box"] = widened(backend["node_box"], columns, 2)
         _write_header(path, header, bytes(data))
-        loaded = load(path, mmap=mmap)
-        lx = loaded.executor
-        for unit in (*lx.units, lx.delta):
-            tree = unit.engine.ptile_index._tree
-            assert tree._columns.tolist() == list(range(4 * DIM + 2))
-            assert tree._pts.shape[1] == 4 * DIM + 2
-        assert answers(loaded, queries) == answers(svc, queries)
-        more = [d[1::2] for d in lake[:4]]
-        for service in (loaded, svc):
-            assert not service.add_datasets(more)["rebuilt"]
-        assert answers(loaded, queries) == answers(svc, queries)
-        assert lx.delta.engine.ptile_index._tree._columns.tolist() == [0, 1, 2, 3, 4, 4]
-        loaded.close()
+        with pytest.raises(SnapshotError, match="no column map"):
+            load(path, mmap=mmap)
         svc.close()
 
     def test_save_refuses_an_index_with_a_hidden_group(self, lake, queries, tmp_path):
@@ -847,15 +875,14 @@ class TestHostileBackendArrays:
             ([0.0, 1.0, 2.0, 3.0, 4.0, 4.0], "integer vector"),
             ([0, 1, 2, 2, 4, 4], "first-use order"),  # row 3 holds nothing
             ([0, 1, 2, 3, 4, 0], "share a level table"),  # a weight on an axis's codes
-            (None, "level tables do not match"),  # five code rows, six tables
+            (None, "no column map"),
         ],
     )
     def test_hostile_column_map(self, snap, columns, match):
         """The map from a unit's six columns to its five code rows (the
         weights ``w ± 0`` share one) is checked at load like the codes:
         wrong length, out of range, non-integer, a row nothing maps to,
-        columns of different tables on one row, or no map at all for the
-        shared layout."""
+        columns of different tables on one row, or no map at all."""
         header, data = _read_header(snap)
         backend = header["state"]["executor"]["engines"][0]["ptile"]["backend"]
         assert header["arrays"][backend["columns"]]["shape"] == [4 * DIM + 2]
@@ -931,63 +958,6 @@ class TestHeaderHoldsPerFileFacts:
         assert abs(header_bytes[256] - header_bytes[16]) < 256, header_bytes
 
 
-class TestVersion5Files:
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_a_version_5_file_loads_and_answers_identically(self, tmp_path, mmap):
-        """The fixture version 5 wrote (see ``V5_FILE``) loads under both
-        modes and answers what the saved service answered; saved again, it
-        is a version-6 file that answers the same."""
-        from repro.service.server import expression_from_json
-
-        expected = json.loads(V5_ANSWERS.read_text())
-        exprs = [expression_from_json(q) for q in expected["queries"]]
-        summary = inspect(V5_FILE)
-        assert summary["format"] == 5 and summary["cache_entries"] == 2
-        assert summary["executor"] == {
-            "engine": "kd", "n_shards": 2, "n_datasets": 6, "n_removed": 1,
-            "delta_size": 1,
-        }
-        assert generation_of(V5_FILE) == 3
-        loaded = load(V5_FILE, mmap=mmap)
-        got = [sorted(int(i) for i in ix) for ix in answers(loaded, exprs)]
-        assert got == expected["answers"]
-        assert loaded.stats()["cache"]["hits"] > 0  # the two entries served
-        path = tmp_path / "v6.snap"
-        loaded.save(path, generation=4)
-        loaded.close()
-        assert inspect(path)["format"] == VERSION == 6
-        again = load(path, mmap=mmap)
-        assert [sorted(int(i) for i in ix) for ix in answers(again, exprs)] == got
-        again.close()
-
-    def test_an_entry_wider_than_its_watermark_is_cut_to_it(self, tmp_path):
-        """Version 5 stored a bitmap as wide as a batch racing an ingest
-        left it (``nbits`` past ``watermark``, see
-        ``test_an_entry_answered_past_its_watermark_round_trips``): such a
-        file loads, its entries cut to their watermarks, and answers what
-        the saved service answered."""
-        from repro.service.server import expression_from_json
-
-        expected = json.loads(V5_ANSWERS.read_text())
-        exprs = [expression_from_json(q) for q in expected["queries"]]
-        header, data = _read_header(V5_FILE)
-        for entry in header["state"]["cache"]["entries"]:
-            assert entry["nbits"] == 6
-            entry["watermark"] = 5
-        path = tmp_path / "wide.snap"
-        path.write_bytes(V5_FILE.read_bytes())
-        _write_header(path, header, data)
-        for mmap in (True, False):
-            loaded = load(path, mmap=mmap)
-            assert {
-                (e.watermark, e.indexes.nbits) for _k, e in loaded.cache.export_entries()
-            } == {(5, 5)}
-            got = [sorted(int(i) for i in ix) for ix in answers(loaded, exprs)]
-            assert got == expected["answers"]
-            assert loaded.stats()["cache"]["upgrades"] > 0
-            loaded.close()
-
-
 class TestErrorPaths:
     @pytest.fixture()
     def snap(self, lake, tmp_path):
@@ -1011,14 +981,16 @@ class TestErrorPaths:
             load(snap)
 
     # 1: pre-bitset-only files; 2: executor state still named a shard pool
-    # width; 3: row-major points + int64 id matrix; 4: float64 kd columns
-    @pytest.mark.parametrize("version", [999, 1, 2, 3, 4])
+    # width; 3: row-major points + int64 id matrix; 4: float64 kd columns;
+    # 5: per-item JSON in the header
+    @pytest.mark.parametrize("version", [999, 1, 2, 3, 4, 5])
     def test_version_mismatch(self, snap, version):
         blob = bytearray(snap.read_bytes())
         blob[8:12] = struct.pack("<I", version)
         snap.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match=f"version {version} "):
-            load(snap)
+        for reader in (load, inspect, generation_of):
+            with pytest.raises(SnapshotError, match=f"version {version} .*rebuild"):
+                reader(snap)
 
     def test_truncated_data_section(self, snap):
         snap.write_bytes(snap.read_bytes()[: os.path.getsize(snap) // 2])
@@ -1146,15 +1118,6 @@ def _with_column(header, data: bytes, ref: str, values) -> bytes:
     return data[:at] + raw + data[at + len(raw):]
 
 
-#: A version-5 container written by the last build that wrote that layout,
-#: from the service the sweep saves below (``lake[:5]`` on two shards, one
-#: left lazy, ``lake[5]`` ingested into a delta shard, dataset 1 removed,
-#: two warm cache entries, generation 3), and its answers to ``queries``
-#: (the expressions as ``/search`` takes them).
-V5_FILE = Path(__file__).parent / "data" / "v5_service.snap"
-V5_ANSWERS = Path(__file__).parent / "data" / "v5_service.json"
-
-
 class TestGeneratedHeaderSweep:
     """Malformed state is a ``SnapshotError`` — what ``supervisor._watch``
     and ``_respawn_due`` catch — or a service that still answers; never a
@@ -1163,8 +1126,7 @@ class TestGeneratedHeaderSweep:
     generated from the header tree and the columns of one saved service
     that has a built and an unbuilt shard, a delta shard, a tombstone and
     warm cache entries, so every branch of the state layout is in the
-    tree; and from the header tree of the same service as version 5
-    wrote it."""
+    tree."""
 
     @pytest.fixture(scope="class")
     def saved(self, lake, queries, tmp_path_factory):
@@ -1180,10 +1142,6 @@ class TestGeneratedHeaderSweep:
         svc.save(path, generation=3)
         svc.close()
         return path, *_read_header(path)
-
-    @pytest.fixture(scope="class")
-    def saved_v5(self):
-        return V5_FILE, *_read_header(V5_FILE)
 
     @staticmethod
     def _read_all(path, queries, mmap, label, escaped) -> int:
@@ -1221,33 +1179,11 @@ class TestGeneratedHeaderSweep:
         refused = self._sweep_tree(saved, queries, tmp_path, mmap, cases)
         assert refused > len(cases)  # most malformations are refused, by name
 
-    #: The parts of a version-5 header ``_from_version_5`` rewrites as
-    #: version-6 columns: its per-item records and lists.  The rest is read
-    #: as in version 6.
-    V5_ONLY = (
-        ("state", "cache"),
-        *(("state", "executor", key) for key in (
-            "synopses", "repository", "removed", "shards", "delta_ids",
-        )),
-    )
-
-    def test_no_version_5_malformation_escapes_either(self, saved_v5, queries, tmp_path):
-        """The version-5 translation, over the parts of the header tree it
-        rewrites, and the Ptile keys and deltas (one mode: the header walk
-        is the same under both)."""
-        cases = [
-            (where, edit) for where, edit in _malformations(saved_v5[1])
-            if where[:2] in self.V5_ONLY or where[:3] in self.V5_ONLY
-            or {"keys", "deltas", "next_key"} & set(where)
-        ]
-        assert len(cases) > 200
-        # Each reader opens the file through the translation.
-        assert self._sweep_tree(saved_v5, queries, tmp_path, True, cases) > len(cases)
-
-    #: Segment kinds whose values the version-6 reader checks.  Dataset
-    #: points are read unscanned, as in version 5: a finiteness pass would
-    #: page in every point at a mapped cold start.  The names are one JSON
-    #: text, not a column: ``V6_COLUMN_ROWS`` break it twice.
+    #: Segment kinds whose values the reader checks by range.  Dataset
+    #: points are checked only for being finite, which this sweep's values
+    #: would not break: ``V6_COLUMN_ROWS`` write a NaN and an infinity
+    #: there.  The names are one JSON text, not a column:
+    #: ``V6_COLUMN_ROWS`` break it twice.
     CHECKED_KINDS = (
         "cache_keys", "cache_watermarks", "cache_words", "unit_ids", "ptile_deltas",
         "removed", "dataset_offsets", "synopsis_seeds", "synopsis_index",
@@ -1290,33 +1226,25 @@ class TestGeneratedHeaderSweep:
     #: Unit state the generated sweep cannot make (it only drops, truncates
     #: and retypes), each one edit of the saved executor state — shards
     #: ``[[0, 1, 2], [3, 4]]`` with shard 1 lazy, delta ``[5]``, dataset 1
-    #: removed — as a unit's header list (version 5) or ``ids`` column
-    #: (version 6); ``None`` drops the delta's engine.  Each loaded and
-    #: then answered wrongly, or failed on the first query, before units
-    #: were restored whole.
+    #: removed — as a unit's ``ids`` column; ``None`` drops the delta unit.
+    #: Each loaded and then answered wrongly, or failed on the first
+    #: query, before units were restored whole.
     UNIT_ROWS = {
         "descending-ids": (0, [2, 1, 0], "strictly ascending"),
         "dataset-in-two-units": (1, [2, 3, 4], "two units"),
         "live-dataset-in-no-unit": (1, [4], "not datasets 0..5"),
-        "delta-ids-without-engine": ("delta", None, "alone|not datasets 0..5"),
-        "delta-engine-without-ids": ("delta", [], "alone|empty"),
+        "delta-ids-without-engine": ("delta", None, "not datasets 0..5"),
+        "delta-engine-without-ids": ("delta", [], "empty"),
     }
 
-    @pytest.mark.parametrize("version", [5, 6])
     @pytest.mark.parametrize("row", sorted(UNIT_ROWS))
-    def test_units_that_do_not_restore_whole_are_refused(
-        self, saved, saved_v5, tmp_path, row, version
-    ):
-        pristine, header, data = saved_v5 if version == 5 else saved
+    def test_units_that_do_not_restore_whole_are_refused(self, saved, tmp_path, row):
+        pristine, header, data = saved
         unit, ids, match = self.UNIT_ROWS[row]
         tampered = json.loads(json.dumps(header))
         executor = tampered["state"]["executor"]
         if ids is None:
             executor["delta_engine"] = None
-        elif version == 5:
-            executor["delta_ids" if unit == "delta" else "shards"][
-                slice(None) if unit == "delta" else unit
-            ] = ids
         else:
             holder = executor["delta_engine" if unit == "delta" else "engines"]
             holder = holder if unit == "delta" else holder[unit]
@@ -1329,41 +1257,8 @@ class TestGeneratedHeaderSweep:
         with pytest.raises(SnapshotError, match=match):
             load(path)
 
-    #: Cache entries that can only give wrong answers, in version 5: the
-    #: Pref entry's bitmap emptied under its watermark (its leaf answered
-    #: no dataset where the saved service answers all five), a watermark
-    #: of -5 or 10**6 beside the bitmap's bit count, and a watermark past
-    #: the dataset count with a bitmap to match (an entry fresh forever,
-    #: never upgraded after an ingest).  Each loaded before.
-    V5_CACHE_ROWS = {
-        "empty-bitmap": ({"nbits": 0, "nw": 0}, "does not span its watermark"),
-        "negative-watermark": ({"watermark": -5}, "does not span its watermark"),
-        "huge-watermark": ({"watermark": 10**6}, "does not span its watermark"),
-        "watermark-past-the-datasets": (
-            {"watermark": 64, "nbits": 64}, r"watermark is outside \[0, 6\]"
-        ),
-    }
-
-    @pytest.mark.parametrize("row", sorted(V5_CACHE_ROWS))
-    def test_version_5_cache_entries_that_answer_wrongly_are_refused(
-        self, saved_v5, tmp_path, row
-    ):
-        pristine, header, data = saved_v5
-        edit, match = self.V5_CACHE_ROWS[row]
-        tampered = json.loads(json.dumps(header))
-        entries = tampered["state"]["cache"]["entries"]
-        (entry,) = [e for e in entries if e["key"]["t"][1]["t"][0] == "pref"]
-        assert entry["watermark"] == entry["nbits"] == 6 and entry["nw"] == 1
-        entry.update(edit)
-        path = tmp_path / "tampered.snap"
-        path.write_bytes(pristine.read_bytes())
-        _write_header(path, tampered, data)
-        for mmap in (True, False):
-            with pytest.raises(SnapshotError, match=match):
-                load(path, mmap=mmap)
-
-    #: The same refusals in version 6, which stores no ``nbits`` or ``nw``,
-    #: and the rest of the new columns' checks, by name: (segment kind and
+    #: Cache entries that can only give wrong answers, and the rest of the
+    #: columns' checks, by name: (segment kind and
     #: dtype, element, value, message).  Element ``"int-slot"`` is the Pref
     #: key's rank.
     V6_COLUMN_ROWS = {

@@ -466,11 +466,28 @@ class TestExecutorAndEngineKinds:
     #: (``executor_kwargs``), which a load once copied unchecked: a missing
     #: seed loaded and the next ``rebuild()`` reseeded the executor with 0,
     #: a retyped one loaded and the next ``rebuild()`` raised ``ValueError``.
-    #: ``None``: an unknown key, which loads and rebuilds as if absent.
+    #: The other rows pin the rest of the table: ``eps``, ``seed`` and
+    #: ``engine`` are required and range-checked, the nullable fields are
+    #: range-checked when present.  ``None``: an unknown key, or a nullable
+    #: one left out, which loads and rebuilds as if absent or null.
     KWARG_ROWS = {
         "missing-seed": (lambda kw: kw.pop("seed"), "seed is required"),
         "retyped-seed": (lambda kw: kw.update(seed="x"), "seed must be"),
         "extra-key": (lambda kw: kw.update(bogus=1), None),
+        "missing-eps": (lambda kw: kw.pop("eps"), "eps is required"),
+        "missing-engine": (lambda kw: kw.pop("engine"), "engine is required"),
+        "eps-out-of-range": (lambda kw: kw.update(eps=1.5), "eps must be"),
+        "negative-seed": (lambda kw: kw.update(seed=-1), "seed must be"),
+        "static-engine": (lambda kw: kw.update(engine="rangetree"), "dynamic engine"),
+        "retyped-capacity": (lambda kw: kw.update(capacity="x"), "capacity must be"),
+        "undersized-sample": (
+            lambda kw: kw.update(sample_size=1), "sample_size must be"
+        ),
+        "one-sided-box": (
+            lambda kw: kw.update(bounding_box={"lo": [0.0]}),
+            "bounding_box.hi is required",
+        ),
+        "missing-phi": (lambda kw: kw.pop("phi"), None),
     }
 
     @pytest.mark.parametrize("row", sorted(KWARG_ROWS))

@@ -227,16 +227,6 @@ class DatasetSearchEngine:
         result.end_time = time.perf_counter()
         return result
 
-    def _leaf_query(self, leaf: Predicate) -> QueryResult:
-        """Route one predicate leaf to the appropriate structure."""
-        measure = leaf.measure
-        if isinstance(measure, PercentileMeasure):
-            return self.ptile_index.query(measure.rect, leaf.theta)
-        if isinstance(measure, PreferenceMeasure):
-            a_theta = pref_threshold(leaf.theta)
-            return self.pref_index(measure.k).query(measure.vector, a_theta)
-        raise QueryError(f"unsupported measure {type(measure).__name__}")
-
     def _leaf_batch_query(
         self, leaves: Sequence[Predicate]
     ) -> list[QueryResult]:
@@ -250,21 +240,26 @@ class DatasetSearchEngine:
         unit, so only its first unit builds them (see
         :class:`~repro.core.ptile_range._PtileQueries`); a plain leaf list
         is a batch of its own.  Preference leaves are evaluated
-        individually (each rank ``k`` owns a separate Pref structure).
-        Answers are aligned with the input order.
+        individually (each rank ``k`` owns a separate Pref structure); any
+        other measure is a :class:`~repro.errors.QueryError`.  Answers are
+        aligned with the input order.
         """
         batch = leaves if isinstance(leaves, _LeafBatch) else _LeafBatch(leaves)
         results: list[Optional[QueryResult]] = [None] * len(batch)
         for i, leaf in enumerate(batch):
-            if not isinstance(leaf.measure, PercentileMeasure):
-                results[i] = self._leaf_query(leaf)
+            measure = leaf.measure
+            if isinstance(measure, PreferenceMeasure):
+                a_theta = pref_threshold(leaf.theta)
+                results[i] = self.pref_index(measure.k).query(measure.vector, a_theta)
+            elif not isinstance(measure, PercentileMeasure):
+                raise QueryError(f"unsupported measure {type(measure).__name__}")
         if batch.ptile:
             for i, res in zip(batch.ptile_pos, self.ptile_index.query_many(batch.ptile)):
                 results[i] = res
         return results
 
     def eval_leaf_batch_bits(  # lint: hot-path
-        self, leaves: Sequence[Predicate], deadline=None
+        self, leaves: Sequence[Predicate]
     ) -> list[DatasetBitmap]:
         """A batch of leaf answers as packed bitsets, aligned with
         ``leaves`` (percentile leaves share one multi-box backend call).
@@ -273,23 +268,13 @@ class DatasetSearchEngine:
         under an ``engine_leaf_batch`` span, nested inside whatever span
         the caller has open (the sharded executor's per-shard span).
 
-        With a ``deadline`` (a :class:`~repro.service.deadline.Deadline`)
-        the multi-box batching is traded for checkpoint granularity — the
-        caller asked for bounded latency, not peak throughput: leaves are
-        evaluated one at a time, the budget is polled between them, and
-        what comes back is the aligned *prefix* of answers completed
-        before it ran out (all of them when it held).
+        The call answers every leaf or none (it raises): a serving budget
+        is polled by the sharded executor between units, never inside this
+        call, so the overshoot is at most one unit's batched call.
         """
         n = self.n_datasets
         with span("engine_leaf_batch", n_leaves=len(leaves), n_datasets=n):
-            if deadline is None:
-                results = self._leaf_batch_query(leaves)
-            else:
-                results = []
-                for leaf in leaves:
-                    if deadline.expired():
-                        break
-                    results.append(self._leaf_query(leaf))
+            results = self._leaf_batch_query(leaves)
             return [DatasetBitmap.from_indices(r.indexes, n) for r in results]
 
     # ------------------------------------------------------------------

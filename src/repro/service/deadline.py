@@ -4,15 +4,14 @@ A :class:`Deadline` is an absolute expiry instant on the
 ``time.perf_counter()`` clock — the same clock every other stamp in the
 serving layer uses — created from a relative budget the moment a request
 enters the service.  It is threaded *by reference* through
-``QueryService.search_batch`` → ``ShardedBatchExecutor`` →
-``DatasetSearchEngine.eval_leaf_batch_bits``, where cheap checkpoint
-polls (:meth:`Deadline.expired`, one clock read and one comparison)
-between shards and leaves end the evaluation: each layer returns the
-aligned prefix of leaf answers it completed, and a list shorter than the
-leaves asked for is how the service reads a tripped budget.  It stays a
-parameter, unlike the batch's tracer (a request context, see
-:mod:`repro.trace`), because it changes what each layer returns, where a
-tracer only watches.
+``QueryService.search_batch`` → ``ShardedBatchExecutor``, whose cheap
+checkpoint polls (:meth:`Deadline.expired`, one clock read and one
+comparison) run before each unit and again inside its lock, never within
+a unit's batched engine call.  An executor call answers every leaf or
+none: ``[]`` is how the service reads a tripped budget, and the overshoot
+is at most one unit's batched call.  It stays a parameter, unlike the
+batch's tracer (a request context, see :mod:`repro.trace`), because it
+changes what the executor returns, where a tracer only watches.
 
 Wall-clock deadlines deliberately do not exist here: ``time.time()`` can
 jump (NTP), and a budget that fires early or never because the clock

@@ -248,14 +248,16 @@ class QueryService:
         or above the threshold are recorded (with their trace, if any).
 
         ``deadline_ms`` caps the batch's wall-clock budget (monotonic
-        clock, shared by the whole batch): the budget is threaded to the
-        executor and engine checkpoint polls, and when it fires the exact
-        leaf answers already computed are kept while each remaining leaf
-        falls back to the trivial bound ``(∅, live datasets)`` — every
-        affected query comes back *degraded* (``stats["degraded"]``, a
-        must bitmap plus ``maybe_bitmap``; see :mod:`repro.service.degrade`)
-        instead of failing, with its exact leaves still tightening the
-        bound.  ``degrade=True`` skips executor evaluation outright and
+        clock, shared by the whole batch): the executor polls it before
+        and inside each unit, and each of its calls (the cache upgrades,
+        then the misses) answers every leaf or none; the overshoot is at
+        most one unit's batched call.  When it fires, the exact leaf
+        answers already in hand (cache hits, a completed upgrade call) are
+        kept while each remaining leaf falls back to the trivial bound
+        ``(∅, live datasets)`` — every affected query comes back
+        *degraded* (``stats["degraded"]``, a must bitmap plus
+        ``maybe_bitmap``; see :mod:`repro.service.degrade`) instead of
+        failing, with its exact leaves still tightening the bound.  ``degrade=True`` skips executor evaluation outright and
         bounds every uncached leaf that way (cached leaves stay exact).
         Degraded bounds are never written to the leaf cache, and a
         degraded query's ``record_times`` request is ignored (there is no
@@ -366,19 +368,17 @@ class QueryService:
 
         def evaluate(span_name: str, todo: list, run: Callable) -> set:
             """Evaluate ``todo`` exactly with ``run`` and write the answers
-            back; returns the keys answered, the rest go to ``pending``."""
+            back.  The executor answers every leaf or none, so this returns
+            the keys of all of ``todo``, or none and ``todo`` goes to
+            ``pending``."""
             nonlocal degrade_reason
-            answered: set = set()
-            if todo and degrade_reason is None:
+            if not todo:
+                return set()
+            if degrade_reason is None:
                 with span(span_name, n_leaves=len(todo)):
                     answers = run(
                         [leaf for _key, leaf, _entry in todo], deadline=deadline
                     )
-                    if len(answers) < len(todo):
-                        # A tripped deadline: keep the exact prefix the
-                        # executor completed; the remaining leaves degrade
-                        # to the trivial bound.
-                        degrade_reason = "deadline"
                     for (key, _leaf, entry), (answer, done) in zip(todo, answers):
                         if entry is not None:
                             answer = entry.indexes | answer
@@ -388,14 +388,16 @@ class QueryService:
                         # before returning.
                         leaf_results[key] = answer
                         leaf_times[key] = done
-                        answered.add(key)
                         self.cache.put(key, answer, generation=generation,
                                        watermark=watermark)
-            if degrade_reason is not None:
-                for key, leaf, _entry in todo:
-                    if key not in answered:
-                        pending[key] = leaf
-            return answered
+                if answers:
+                    return {key for key, _leaf, _entry in todo}
+                # A tripped deadline: every leaf of this call degrades to
+                # the trivial bound (an earlier call's answers are kept).
+                degrade_reason = "deadline"
+            for key, leaf, _entry in todo:
+                pending[key] = leaf
+            return set()
 
         # Warm-cache ingestion: every dataset above the entry watermark
         # lives in the delta shard (rebuilds flush the cache), so the

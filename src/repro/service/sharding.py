@@ -383,7 +383,7 @@ class ShardedBatchExecutor:
         self,
         unit: _Unit,
         leaves: _LeafBatch,
-        deadline: "Optional[Deadline]" = None,
+        deadline: "Optional[Deadline]",
     ) -> list[tuple[DatasetBitmap, float]]:
         """All leaves on one unit as *global* packed bitsets.
 
@@ -418,12 +418,12 @@ class ShardedBatchExecutor:
         nests inside it.
 
         With a ``deadline`` the budget is polled once the unit lock is
-        held (before any evaluation); polling between leaves is the
-        engine's.  What comes back is the prefix of ``leaves`` this unit
-        completed — shorter than ``leaves`` exactly when the budget ran
-        out.  The ``shard_eval`` failpoint fires first — inside the lock,
-        before the poll — so an armed ``sleep`` deterministically trips a
-        short deadline.
+        held, before any evaluation.  Then it is every answer or none:
+        ``[]`` when the poll trips, else the whole aligned list; the
+        overshoot is at most this unit's batched call.  The
+        ``shard_eval`` failpoint fires first — inside the lock, before the
+        poll — so an armed ``sleep`` deterministically trips a short
+        deadline.
         """
         unit_span = (
             span("delta_eval", n_datasets=len(unit.ids))
@@ -446,11 +446,10 @@ class ShardedBatchExecutor:
             to_global = make_remapper(unit.ids, nbits)
             if leaves.ptile:
                 self._pin_ptile(unit.engine)
-            locals_ = unit.engine.eval_leaf_batch_bits(leaves, deadline=deadline)
+            locals_ = unit.engine.eval_leaf_batch_bits(leaves)
             done = time.perf_counter()
             out = [(to_global(local), done) for local in locals_]
-        if len(out) == len(leaves):  # a tripped unit counts no task
-            self.registry.inc("repro_executor_shard_tasks_total", by=len(out))
+        self.registry.inc("repro_executor_shard_tasks_total", by=len(out))
         return out
 
     def _units(self, delta_only: bool = False) -> list[_Unit]:
@@ -494,13 +493,12 @@ class ShardedBatchExecutor:
         span (see :meth:`_eval_on_unit`); the merge loop runs under a
         ``merge`` span.
 
-        With a ``deadline``, a unit that trips its budget ends the loop
-        and no unit is started once the budget is spent: the leaf prefix
-        every unit completed — ``min`` over units, so 0 when a unit was
-        never reached — is merged exactly as a full answer would be and
-        returned, shorter than ``leaves``.  A prefix leaf is *exact*: all
-        shards answered it and the tombstone mask was applied, so callers
-        can keep it.
+        With a ``deadline``, the budget is polled before each unit and
+        again inside it (:meth:`_eval_on_unit`).  The call answers every
+        leaf or none: once a poll trips, no further unit starts and ``[]``
+        comes back, and a batch that held returns every leaf, each exact.
+        The overshoot is at most one unit's batched call.  A tripped batch
+        moves no leaf counter.
         """
         leaves = _LeafBatch(leaves)  # one per batch: its boxes are shared
         if not leaves:
@@ -512,29 +510,23 @@ class ShardedBatchExecutor:
         per_unit: list[list[tuple[DatasetBitmap, float]]] = []
         for unit in units:
             if deadline is not None and deadline.expired():
-                break
-            per_unit.append(self._eval_on_unit(unit, leaves, deadline))
-            if len(per_unit[-1]) < len(leaves):
-                break
-        n_merge = (
-            min(len(answers) for answers in per_unit)
-            if len(per_unit) == len(units)
-            else 0  # a unit that was never started completed no leaf
-        )
+                return []
+            answers = self._eval_on_unit(unit, leaves, deadline)
+            if not answers:
+                return []
+            per_unit.append(answers)
         with span("merge", n_units=len(units), n_leaves=len(leaves)):
             removed = self.removed_bits()
             out: list[tuple[DatasetBitmap, float]] = []
-            for li in range(n_merge):
-                merged, done = per_unit[0][li]
-                for answers in per_unit[1:]:
-                    indexes, stamp = answers[li]
+            for row in zip(*per_unit):
+                merged, done = row[0]
+                for indexes, stamp in row[1:]:
                     merged = merged | indexes
                     done = max(done, stamp)
                 if removed is not None:
                     merged = merged.andnot(removed)
                 out.append((merged, done))
-        if len(out) == len(leaves):  # a tripped batch counts no leaf
-            self.registry.inc(counter, by=len(out))
+        self.registry.inc(counter, by=len(out))
         return out
 
     # ------------------------------------------------------------------
@@ -548,12 +540,13 @@ class ShardedBatchExecutor:
         """A batch of leaves across base shards plus the delta shard.
 
         Returns one ``(global bitset, completion time)`` pair per leaf,
-        aligned with the input order — with a ``deadline``, for the prefix
-        of leaves every unit completed before it ran out; tombstoned
-        datasets are masked out (word-wise ANDNOT against the persistent
-        removal mask).  The completion time is the ``time.perf_counter()``
-        instant at which the last shard finished that leaf — the stamp the
-        emit scheduler attributes to it.
+        aligned with the input order; tombstoned datasets are masked out
+        (word-wise ANDNOT against the persistent removal mask).  The
+        completion time is the ``time.perf_counter()`` instant at which the
+        last shard finished that leaf — the stamp the emit scheduler
+        attributes to it.  With a ``deadline`` it is every answer or none
+        (``[]`` once a poll trips); the overshoot is at most one unit's
+        batched call.
         """
         return self._eval_on_units(
             "repro_executor_leaf_evals_total", self._units(), leaves, deadline

@@ -195,13 +195,8 @@ class _SnapshotWriter:
                 "shape": list(shape),
             }
             rel += sum(c.nbytes for c in chunks)
-        header = {
-            "format": VERSION,
-            "kind": KIND,
-            "generation": int(generation),
-            "state": state,
-            "arrays": arrays_meta,
-        }
+        header = {"format": VERSION, "kind": KIND, "generation": int(generation),
+                  "state": state, "arrays": arrays_meta}
         raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
         data_start = _align(32 + len(raw))
         path = os.fspath(path)
@@ -634,19 +629,34 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     }
 
 
+#: The executor state's scalars and the keywords ``QueryService`` keeps for
+#: rebuilds, checked when the file loads, not at the first ingest or
+#: rebuild; ``(reader, None)`` may be null.  A key not named here (the
+#: retired ``deterministic``) never reaches the rebuild.
+_SHARED = {
+    "eps": Number("(0, 1)"), "seed": Int(lo=0), "engine": String(),
+    "delta": (Number("[0, 1)"), None), "capacity": (Int(lo=0), None),
+}
+_EXECUTOR_SCALARS = Record({
+    **_SHARED, "phi_eff": Number("(0, 1)"), "sample_size": Int(lo=2),
+    "eps_effective": Number("(0, inf)"),
+}, error=ValueError)
+_EXECUTOR_KWARGS = Record({
+    **_SHARED, "phi": (Number("(0, 1)"), None), "sample_size": (Int(lo=2), None),
+    "bounding_box": (Record({"lo": Array(("d",)), "hi": Array(("d",))}), None),
+}, error=ValueError)
+
+
 def _executor_from_state(
     state: dict, arrays: _ArrayTable, registry: MetricsRegistry
 ) -> ShardedBatchExecutor:
     ex = ShardedBatchExecutor.__new__(ShardedBatchExecutor)
     ex.registry = registry
-    ex.eps = float(state["eps"])
-    ex.seed = int(state["seed"])
-    ex._delta_param = state["delta"]
-    ex.engine_kind = check_dynamic_engine(state["engine"])
-    ex.capacity = state["capacity"]
-    ex.phi_eff = float(state["phi_eff"])
-    ex.sample_size = int(state["sample_size"])
-    ex.eps_effective = float(state["eps_effective"])
+    s = decode(_EXECUTOR_SCALARS, state, "executor")
+    ex.eps, ex.seed, ex._delta_param = s["eps"], s["seed"], s["delta"]
+    ex.engine_kind = check_dynamic_engine(s["engine"])
+    ex.capacity, ex.phi_eff = s["capacity"], s["phi_eff"]
+    ex.sample_size, ex.eps_effective = s["sample_size"], s["eps_effective"]
     ex.bounding_box = _box_from(state["bounding_box"])
     points = _points_from_state(state["points"], arrays)
     ex.synopses = synopses_from_state(state["synopses"], points, arrays)
@@ -847,17 +857,6 @@ def _service_state(svc: QueryService, add_array: Callable) -> dict:
         "cache": _cache_state(svc.cache, add_array),
         "executor": _executor_state(svc.executor, add_array),
     }
-
-
-#: The keywords ``QueryService`` keeps for rebuilds, checked when the file
-#: loads, not at the first rebuild; ``(reader, None)`` may be null.  A key
-#: not named here (the retired ``deterministic``) never reaches the rebuild.
-_EXECUTOR_KWARGS = Record({
-    "eps": Number("(0, 1)"), "seed": Int(lo=0), "engine": String(),
-    "phi": (Number("(0, 1)"), None), "delta": (Number("[0, 1)"), None),
-    "sample_size": (Int(lo=2), None), "capacity": (Int(lo=0), None),
-    "bounding_box": (Record({"lo": Array(("d",)), "hi": Array(("d",))}), None),
-}, error=ValueError)
 
 
 def _service_from_state(

@@ -30,6 +30,7 @@ from repro.core.measures import (
     PreferenceMeasure,
 )
 from repro.core.predicates import And, Or, Predicate, pred
+from repro.core.ptile_range import PtileRangeIndex
 from repro.errors import QueryError
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rectangle
@@ -271,6 +272,32 @@ def test_the_screen_rules_out_only_what_the_engine_cannot_report():
         if deg.stats.get("degraded"):
             assert_contained(deg, ex)
     svc.close()
+
+
+def test_a_budget_that_holds_takes_the_batched_path(monkeypatch, queries):
+    # A never-spent budget changes nothing: the cold batch answers what the
+    # unbudgeted one does, through one multi-box call per unit and never
+    # the single-box descent.
+    calls = {"query": 0, "query_many": 0}
+    for name in calls:
+        real = getattr(PtileRangeIndex, name)
+
+        def spy(self, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PtileRangeIndex, name, spy)
+    svc = build_service()
+    try:
+        budgeted = svc.search_batch(queries, deadline_ms=60_000)
+        assert calls == {"query": 0, "query_many": len(svc.executor._units())}
+        svc.invalidate_cache()
+        exact = svc.search_batch(queries)
+    finally:
+        svc.close()
+    for b, ex in zip(budgeted, exact):
+        assert not b.stats.get("degraded")
+        assert b.bitmap == ex.bitmap
 
 
 class TestDeadlineUnderInjectedSlowness:

@@ -516,6 +516,38 @@ class TestExecutorAndEngineKinds:
         assert answers(loaded, queries) == expected
         loaded.close()
 
+    #: One edit each of the executor state's own scalars, which a load once
+    #: copied unchecked: a retyped ``capacity`` or ``delta`` loaded and the
+    #: next ``add_datasets`` raised ``TypeError``, and ``float()`` / ``int()``
+    #: passed a numeric string or truncated a fraction.
+    STATE_ROWS = {
+        "retyped-capacity": ("capacity", "x"),
+        "negative-capacity": ("capacity", -1),
+        "retyped-delta": ("delta", "x"),
+        "string-eps": ("eps", "0.2"),
+        "string-seed": ("seed", "7"),
+        "string-eps-effective": ("eps_effective", "0.3"),
+        "phi-eff-out-of-range": ("phi_eff", 1.5),
+        "undersized-sample": ("sample_size", 1),
+        "fractional-sample": ("sample_size", 16.5),
+    }
+
+    @pytest.mark.parametrize("row", sorted(STATE_ROWS))
+    def test_executor_scalars_are_read_when_the_file_loads(self, lake, tmp_path, row):
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=7,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=24,
+        )
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        header, data = _read_header(path)
+        key, value = self.STATE_ROWS[row]
+        header["state"]["executor"][key] = value
+        _write_header(path, header, data)
+        with pytest.raises(SnapshotError, match=f"executor.{key} must be"):
+            load(path)
+
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("older", ["local_ids", "int32_keys_and_active"])
     def test_retired_local_id_column_is_ignored_on_read(

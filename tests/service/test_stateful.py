@@ -13,9 +13,10 @@ benchmark ships it.  Invariants:
   (``ExactLake.check``); a single-leaf exact answer stays inside the slack
   band of the executor's ``eps`` / ``eps_effective`` (``ExactLake.audit``);
 - ``must ⊆`` the same service's exact answer ``⊆ must ∪ maybe``;
-- a result a tripped batch left undegraded equals the untripped answer,
+- a result a tripped batch left undegraded equals the untripped answer, a
+  batch under a budget that never runs out equals the unbudgeted answer,
   and at the executor a budget that runs out after any number of polls
-  returns a prefix of the untripped leaf answers, bit for bit;
+  returns every untripped leaf answer, bit for bit, or none;
 - no sample of a ``counter`` family on ``/metrics`` falls between rules:
   a rebalance or ``rebuild()`` swaps the executor, which counts into the
   service's registry, and a snapshot round trip restores a service that
@@ -69,7 +70,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from peers import bare_engine, federation, leaf_answers, rebuilt
+from peers import answers, bare_engine, federation, leaf_answers, rebuilt
 
 from repro.core.framework import Repository
 from repro.core.predicates import Predicate
@@ -313,25 +314,32 @@ class ServiceMachine(RuleBasedStateMachine):
 
     @rule(
         picks=st.lists(st.integers(0, POOL - 1), min_size=1, max_size=4),
-        polls=st.integers(0, 40),
+        polls=st.integers(0, 10),
     )
-    def executor_prefix(self, picks, polls):
+    def executor_all_or_none(self, picks, polls):
+        queries = self._batch(picks)
         executor = self.service.executor
-        leaves = list(plan_batch(self._batch(picks)).unique_leaves.values())
+        # A budget that never runs out answers what no budget answers.
+        budgeted = self.service.search_batch(queries, deadline_ms=1e7)
+        assert not any(r.stats.get("degraded") for r in budgeted)
+        assert [r.indexes for r in budgeted] == answers(executor, queries)
+        if any(r.stats["cache_misses"] for r in budgeted):
+            event("a budgeted batch reached the executor")
+        leaves = list(plan_batch(queries).unique_leaves.values())
         full = [bits for bits, _t in executor.eval_leaves(leaves)]
         counted = self.service.stats()["executor"]["leaf_evals"]
         part = [
             bits
             for bits, _t in executor.eval_leaves(leaves, deadline=PollBudget(polls))
         ]
-        assert part == full[: len(part)]
-        # One poll before each unit, one inside it, one per leaf.
-        held = polls >= len(executor._units()) * (len(leaves) + 2)
-        assert (len(part) == len(leaves)) == held
+        # One poll before each unit and one inside it; the call answers
+        # every leaf or none.
+        held = polls >= 2 * len(executor._units())
+        assert part == (full if held else [])
+        event("a poll budget held" if held else "a poll budget tripped")
         assert self.service.stats()["executor"]["leaf_evals"] == (
             counted + held * len(leaves)
         )
-
 
 
 #: A ``soak`` failure, shrunk: the in-box adds carry the lake from 8

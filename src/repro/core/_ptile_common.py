@@ -14,10 +14,13 @@ Both indexes follow the same recipe (Section 4.1):
    is sorted again to rank it;
 3. index the mapped points with a pluggable range-search backend
    (:mod:`repro.index.backend`), the kd-tree planting on the codes; and
-4. answer queries with one ``report_groups`` bulk pass — the batched form
-   of the paper's repeated ``ReportFirst`` + temporary deletion of all
-   points of the reported dataset (Algorithms 2, 4), which :func:`_report`
-   keeps as the timed mode so per-report delays stay measurable.
+4. answer queries with one bulk pass that reports each dataset once — the
+   batched form of the paper's repeated ``ReportFirst`` + temporary
+   deletion of all points of the reported dataset (Algorithms 2, 4),
+   which :func:`_report` keeps as the timed mode so per-report delays stay
+   measurable.  A batch of boxes is one ``report_groups_many`` call, and
+   its per-box sorted unique key arrays are the answers: a caller packs
+   each into a bitmap with no set or list between.
 
 Per-dataset deltas (Remark 2) are supported exactly by storing *two* weight
 coordinates per mapped point, ``w + delta_i`` and ``w - delta_i``: the
@@ -366,19 +369,3 @@ class PtileIndexBase:
             raise KeyError(f"unknown dataset key {key}")
         self._tree.remove_group(key)
         del self._synopses[key], self._deltas[key], self._coresets[key]
-
-    def _report_groups_batch(self, boxes: Sequence[QueryBox]) -> list[QueryResult]:
-        """Batched (untimed) report for many query boxes at once.
-
-        One multi-box backend call — the shared-traversal walk on the
-        kd-tree — instead of ``len(boxes)`` sequential ``report_groups``
-        calls.
-        """
-        results: list[QueryResult] = []
-        for keys in self._tree.report_groups_many(boxes):
-            result = QueryResult()
-            result.indexes = sorted(keys)
-            result.stats["deleted_points"] = 0
-            result.stats["loop_iterations"] = 1
-            results.append(result)
-        return results

@@ -14,9 +14,11 @@ systems (Fainder-style indexes, roaring bitmaps in IR engines).
 - **logical combination** is word-wise ``&`` / ``|`` / ``& ~`` — one NumPy
   pass over ``ceil(N / 64)`` words regardless of how many indexes are set;
 - **cardinality** is a vectorized popcount;
-- **shard merges** are offset-shifted ORs (a shard's local universe is a
-  contiguous slice of the global one), with a scatter fallback for
-  arbitrary index mappings;
+- **shard merges** are plain ORs: a shard unit packs each answer over
+  global ids (:meth:`from_indices` of its key array through the unit's
+  ids), and a federated node's answer, whose universe is a contiguous
+  slice of the global one, shifts into place by a word shift
+  (:meth:`shift_into`);
 - **removals** stay a persistent ANDNOT mask, applied word-wise at read
   time;
 - **watermark upgrades** (delta-shard ingestion) are ORs of bitmaps with
@@ -44,14 +46,14 @@ Examples
 from __future__ import annotations
 
 import base64
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from repro.errors import ConstructionError
 from repro.wire import BITSET, decode
 
-__all__ = ["DatasetBitmap", "bitmap_from_wire", "make_remapper"]
+__all__ = ["DatasetBitmap", "bitmap_from_wire"]
 
 #: Bits per word.
 _W = 64
@@ -249,10 +251,10 @@ class DatasetBitmap:
     def shift_into(self, offset: int, nbits: int) -> "DatasetBitmap":
         """Members translated by ``+offset`` inside a ``nbits`` universe.
 
-        This is the shard-merge primitive: a shard's local universe is the
+        This is the federated merge's primitive: a node's universe is the
         contiguous slice ``[offset, offset + self.nbits)`` of the global
-        one, so translating local answers is a word shift, not a Python
-        loop over members.
+        one, so translating its answers is a word shift, not a Python loop
+        over members.
         """
         offset = int(offset)
         if offset < 0:
@@ -271,18 +273,6 @@ class DatasetBitmap:
                 out[q : q + src.size] |= lo
                 out[q + 1 : q + 1 + src.size] |= hi[: out.size - q - 1]
         return DatasetBitmap(out, nbits)
-
-    def remap(self, mapping: Sequence[int], nbits: int) -> "DatasetBitmap":
-        """Members translated through ``mapping`` (local id -> global id).
-
-        ``mapping`` must cover the local universe (``len(mapping) >=
-        self.nbits``).  Contiguous mappings (``mapping[i] == mapping[0] +
-        i``) take the word-shift fast path; arbitrary mappings scatter the
-        member indexes through the mapping array.  Callers translating
-        many bitmaps through one mapping should compile it once with
-        :func:`make_remapper` instead.
-        """
-        return make_remapper(mapping, nbits)(self)
 
     # ------------------------------------------------------------------
     # Memory / wire
@@ -305,50 +295,6 @@ class DatasetBitmap:
                 self.words.astype("<u8", copy=False).tobytes()
             ).decode("ascii"),
         }
-
-
-def make_remapper(
-    mapping: Sequence[int], nbits: int
-) -> "Callable[[DatasetBitmap], DatasetBitmap]":
-    """Compile a local→global index mapping into a bitmap translator.
-
-    The O(len(mapping)) analysis — array conversion and the contiguity
-    probe that selects the word-shift fast path over the scatter fallback
-    — runs once here; the returned callable translates any number of
-    local bitmaps at O(words) each.  This is the primitive behind both
-    :meth:`DatasetBitmap.remap` and the sharded executor's per-unit merge.
-
-    Examples
-    --------
-    >>> to_global = make_remapper([10, 11, 12, 13], 14)
-    >>> to_global(DatasetBitmap.from_indices([0, 2], 4)).to_list()
-    [10, 12]
-    """
-    m = np.asarray(mapping, dtype=np.int64)
-
-    def _check(local: DatasetBitmap) -> None:
-        if m.size < local.nbits:
-            raise ValueError("mapping shorter than the local universe")
-
-    if m.size == 0:
-        def translate(local: DatasetBitmap) -> DatasetBitmap:
-            _check(local)
-            return DatasetBitmap.zeros(nbits)
-    elif m.size == 1 or (
-        int(m[-1]) - int(m[0]) == m.size - 1
-        and bool(np.array_equal(m, m[0] + np.arange(m.size, dtype=np.int64)))
-    ):
-        offset = int(m[0])
-
-        def translate(local: DatasetBitmap) -> DatasetBitmap:
-            _check(local)
-            return local.shift_into(offset, nbits)
-    else:
-        def translate(local: DatasetBitmap) -> DatasetBitmap:
-            _check(local)
-            return DatasetBitmap.from_indices(m[local.to_array()], nbits)
-
-    return translate
 
 
 def bitmap_from_wire(obj: dict) -> DatasetBitmap:

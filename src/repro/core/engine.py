@@ -204,7 +204,9 @@ class DatasetSearchEngine:
 
         start = time.perf_counter()
         plan = plan_query(expression)
-        answers = self.eval_leaf_batch_bits(list(plan.leaves.values()))
+        answers = self.eval_leaf_batch_bits(
+            list(plan.leaves.values()), np.arange(self.n_datasets)
+        )
         leaf_results = dict(zip(plan.leaves, answers))
         if not record_times:
             return QueryResult(
@@ -227,10 +229,18 @@ class DatasetSearchEngine:
         result.end_time = time.perf_counter()
         return result
 
-    def _leaf_batch_query(
-        self, leaves: Sequence[Predicate]
-    ) -> list[QueryResult]:
-        """Raw per-leaf results, batching percentile leaves where it pays.
+    def eval_leaf_batch_bits(  # lint: hot-path
+        self, leaves: Sequence[Predicate], ids: np.ndarray
+    ) -> list[DatasetBitmap]:
+        """A batch of leaf answers as packed bitsets over global ids,
+        aligned with ``leaves``.
+
+        ``ids`` are the engine's global dataset ids, ascending (local
+        dataset ``j`` is ``ids[j]``; ``np.arange(n)`` for an engine that is
+        the whole lake), and each answer's universe ends one past the
+        largest.  Every leaf's local answer is a strictly ascending key
+        array, and its bitmap is ``from_indices(ids[keys], nbits)``: one
+        step, alike for contiguous and gapped ids.
 
         All percentile leaves are routed through
         :meth:`~repro.core.ptile_range.PtileRangeIndex.query_many` — one
@@ -241,28 +251,7 @@ class DatasetSearchEngine:
         :class:`~repro.core.ptile_range._PtileQueries`); a plain leaf list
         is a batch of its own.  Preference leaves are evaluated
         individually (each rank ``k`` owns a separate Pref structure); any
-        other measure is a :class:`~repro.errors.QueryError`.  Answers are
-        aligned with the input order.
-        """
-        batch = leaves if isinstance(leaves, _LeafBatch) else _LeafBatch(leaves)
-        results: list[Optional[QueryResult]] = [None] * len(batch)
-        for i, leaf in enumerate(batch):
-            measure = leaf.measure
-            if isinstance(measure, PreferenceMeasure):
-                a_theta = pref_threshold(leaf.theta)
-                results[i] = self.pref_index(measure.k).query(measure.vector, a_theta)
-            elif not isinstance(measure, PercentileMeasure):
-                raise QueryError(f"unsupported measure {type(measure).__name__}")
-        if batch.ptile:
-            for i, res in zip(batch.ptile_pos, self.ptile_index.query_many(batch.ptile)):
-                results[i] = res
-        return results
-
-    def eval_leaf_batch_bits(  # lint: hot-path
-        self, leaves: Sequence[Predicate]
-    ) -> list[DatasetBitmap]:
-        """A batch of leaf answers as packed bitsets, aligned with
-        ``leaves`` (percentile leaves share one multi-box backend call).
+        other measure is a :class:`~repro.errors.QueryError`.
 
         In a traced batch (:mod:`repro.trace`) the whole kernel call runs
         under an ``engine_leaf_batch`` span, nested inside whatever span
@@ -272,10 +261,22 @@ class DatasetSearchEngine:
         is polled by the sharded executor between units, never inside this
         call, so the overshoot is at most one unit's batched call.
         """
-        n = self.n_datasets
-        with span("engine_leaf_batch", n_leaves=len(leaves), n_datasets=n):
-            results = self._leaf_batch_query(leaves)
-            return [DatasetBitmap.from_indices(r.indexes, n) for r in results]
+        nbits = int(ids[-1]) + 1 if len(ids) else 0
+        batch = leaves if isinstance(leaves, _LeafBatch) else _LeafBatch(leaves)
+        keys: list[Optional[np.ndarray]] = [None] * len(batch)
+        with span("engine_leaf_batch", n_leaves=len(batch), n_datasets=self.n_datasets):
+            for i, leaf in enumerate(batch):
+                measure = leaf.measure
+                if isinstance(measure, PreferenceMeasure):
+                    index = self.pref_index(measure.k)
+                    vi = index._net_vector(measure.vector)
+                    keys[i] = index._hits(vi, pref_threshold(leaf.theta))
+                elif not isinstance(measure, PercentileMeasure):
+                    raise QueryError(f"unsupported measure {type(measure).__name__}")
+            if batch.ptile:
+                for i, found in zip(batch.ptile_pos, self.ptile_index.query_many(batch.ptile)):
+                    keys[i] = found
+            return [DatasetBitmap.from_indices(ids[k], nbits) for k in keys]
 
     # ------------------------------------------------------------------
     # Dynamics (Remark 1)

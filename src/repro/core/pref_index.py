@@ -154,17 +154,26 @@ class PrefIndex:
         whole answer exists once the vectorised pass returns, so the first
         gap is the query and the rest are the cost of handing ids out.
         """
-        u = np.asarray(vector, dtype=float)
-        if u.ndim != 1 or u.shape[0] != self.dim:
-            raise QueryError(f"query vector must have shape ({self.dim},)")
-        vi = nearest_net_vector(self.net, u)
+        vi = self._net_vector(vector)
         result = QueryResult(stats={"net_vector": vi})
         return _emit(result, self._clearing(vi, a_theta), record_times)
 
-    def _clearing(self, vi: int, a_theta: float) -> Iterator[int]:
+    def _net_vector(self, vector: np.ndarray) -> int:
+        """A query vector checked and snapped to its nearest net vector."""
+        u = np.asarray(vector, dtype=float)
+        if u.ndim != 1 or u.shape[0] != self.dim:
+            raise QueryError(f"query vector must have shape ({self.dim},)")
+        return nearest_net_vector(self.net, u)
+
+    def _hits(self, vi: int, a_theta: float) -> np.ndarray:
+        """The live keys whose score on net vector ``vi`` clears
+        ``a_theta - eps``, ascending: the answer :meth:`query` emits and
+        the engine's batched path packs into a bitmap."""
         n = self._n
-        hits = self._live[:n] & (self._scores[vi, :n] >= a_theta - self.eps)
-        yield from np.flatnonzero(hits).tolist()
+        return np.flatnonzero(self._live[:n] & (self._scores[vi, :n] >= a_theta - self.eps))
+
+    def _clearing(self, vi: int, a_theta: float) -> Iterator[int]:
+        yield from self._hits(vi, a_theta).tolist()
 
     def query_expression(
         self, vector: np.ndarray, theta: Interval, **kwargs

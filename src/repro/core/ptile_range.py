@@ -188,14 +188,15 @@ class PtileRangeIndex(PtileIndexBase):
 
     def query_many(
         self, queries: Sequence[tuple[Rectangle, Interval]]
-    ) -> list[QueryResult]:
+    ) -> list[np.ndarray]:
         """Answer a batch of ``(rect, theta)`` queries in one backend call.
 
         The batched, untimed form of :meth:`query`: all boxes go through
-        the backend's multi-box kernel (the shared kd traversal) at once,
-        with identical answer sets to the per-query loop.  This is what the
-        service's cold path feeds each shard's deduplicated leaf schedule
-        through.
+        the backend's multi-box kernel (the shared kd traversal) at once.
+        Each answer is the backend's strictly ascending integer key array,
+        whose members are the per-query loop's answer set.  This is what
+        the service's cold path feeds each shard's deduplicated leaf
+        schedule through.
 
         The boxes and their float :class:`~repro.index.query_box.BoxBatch`
         are built here, by :meth:`_PtileQueries.boxes` — unless ``queries``
@@ -208,7 +209,7 @@ class PtileRangeIndex(PtileIndexBase):
             return []
         if not isinstance(queries, _PtileQueries):
             queries = _PtileQueries(queries)
-        return self._report_groups_batch(queries.boxes(self))
+        return self._tree.report_groups_many(queries.boxes(self))
 
 
 class _PtileQueries(list):

@@ -167,17 +167,6 @@ class PtileThresholdIndex(PtileIndexBase):
         box = self._query_box(rect, a_theta)
         return _report(self._tree, box, record_times, self.n_datasets)
 
-    def query_many(
-        self, queries: Sequence[tuple[Rectangle, float]]
-    ) -> list[QueryResult]:
-        """Answer a batch of ``(rect, a_theta)`` queries in one backend call.
-
-        Batched, untimed form of :meth:`query` (identical answer sets);
-        all boxes go through the backend's multi-box kernel at once.
-        """
-        boxes = [self._query_box(rect, a) for rect, a in queries]
-        return self._report_groups_batch(boxes)
-
     def query_expression(self, rect: Rectangle, theta: Interval, **kwargs) -> QueryResult:
         """Interval-flavoured entry point (requires a threshold interval)."""
         if not theta.is_threshold:

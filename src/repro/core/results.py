@@ -6,11 +6,12 @@ reported one at a time with bounded delay (Section 2, "Delay guarantees").
 and per-emission timestamps, so the T-DELAY benchmark can measure the gap
 between consecutive reports directly.
 
-The warm serving path produces answers as packed
-:class:`~repro.core.bitset.DatasetBitmap` bitsets rather than index lists;
-a result may carry the bitmap and materialize ``indexes`` lazily, so the
-Python-int list is only built when a consumer actually reads it (the HTTP
-server's bitset wire format never does).
+A ``QueryResult`` is the answer to a whole query.  A leaf of a batch
+never becomes one: the engine packs each leaf's sorted key array straight
+into a :class:`~repro.core.bitset.DatasetBitmap` over global ids, and the
+planner combines those.  A result may carry that bitmap and materialize
+``indexes`` lazily, so the Python-int list is only built when a consumer
+actually reads it (the HTTP server's bitset wire format never does).
 """
 
 from __future__ import annotations

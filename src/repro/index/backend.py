@@ -34,8 +34,10 @@ narrowed again when a rebuild drops it; ``report`` / ``report_first`` /
 (``report_many``'s arrays in the column's dtype: reduce them, never add
 to them).  The key is the unit Algorithms 2 and 4
 work in: ``report_groups(box)`` is the set of keys with an active point in
-the box, and "temporarily delete all points of the reported dataset" is
-``deactivate_group`` — one mask write, not a loop over points.
+the box (``report_groups_many`` gives each box's keys as one strictly
+ascending integer array, the batched answers' one form), and "temporarily
+delete all points of the reported dataset" is ``deactivate_group`` — one
+mask write, not a loop over points.
 
 **How a backend stores coordinates is its own business.**  The contract
 speaks of float points (or codes of them) in and keys out; the kd-tree keeps each column
@@ -142,8 +144,11 @@ class RangeSearchBackend(Protocol):
         """
         ...
 
-    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
-        """Per-box key sets (``[self.report_groups(b) for b in boxes]``)."""
+    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
+        """Per-box keys as integer arrays, strictly ascending (one
+        ``np.unique`` each, an empty box included): the members of
+        ``[self.report_groups(b) for b in boxes]``, in the form an answer's
+        bitmap is packed from without a set or a sort."""
         ...
 
     def deactivate_group(self, group: int) -> int:

@@ -209,9 +209,7 @@ class ColumnarStore:
         group = self._group[: self._n]
         return [group[row] for row in self._match_matrix(_as_batch(boxes))]
 
-    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
-        """Per-box group sets in one broadcast pass + per-box group-by."""
-        return [
-            set(np.unique(hit_groups).tolist())
-            for hit_groups in self.report_many(boxes)
-        ]
+    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
+        """Per-box sorted unique key arrays in one broadcast pass +
+        per-box group-by."""
+        return [np.unique(hit_groups) for hit_groups in self.report_many(boxes)]

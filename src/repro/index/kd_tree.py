@@ -724,7 +724,7 @@ class DynamicKDTree:
         Semantically ``[self.report(b) for b in boxes]``.  This is the
         kernel behind the service cold path: a batch of deduplicated
         leaves hits every shard's tree in one call, and
-        :meth:`report_groups_many` reduces each array to its key set.
+        :meth:`report_groups_many` reduces each array to its sorted keys.
         ``boxes`` may be a :class:`~repro.index.query_box.BoxBatch`
         already, which the walk and the side buffer then share as it is.
         """
@@ -752,10 +752,7 @@ class DynamicKDTree:
             out = [np.append(a, b) for a, b in zip(out, self._buf.report_many(batch))]
         return out
 
-    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
-        """Per-box group sets: the shared walk plus one integer
-        ``np.unique`` per box."""
-        return [
-            set(np.unique(hit_groups).tolist())
-            for hit_groups in self.report_many(boxes)
-        ]
+    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
+        """Per-box sorted unique key arrays: the shared walk plus one
+        integer ``np.unique`` per box."""
+        return [np.unique(hit_groups) for hit_groups in self.report_many(boxes)]

@@ -264,9 +264,10 @@ class RangeTree:
         """Per-box active id lists (per-box loop; see class comment)."""
         return [self.report(box) for box in boxes]
 
-    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[set]:
-        """Per-box group sets."""
-        return [self.report_groups(box) for box in boxes]
+    def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
+        """Per-box sorted unique key arrays (integer even when empty: the
+        rows index the key column, never an empty Python list)."""
+        return [np.unique(self._group[self._rows(box)]) for box in boxes]
 
     def count(self, box: QueryBox) -> int:
         """Number of active points inside the box."""

@@ -7,8 +7,7 @@ the one-process demo (``examples/federated_market.py``) to a real
 topology: a :class:`FederatedCoordinator` owns a registry of *nodes*
 (independent ``repro serve`` HTTP instances, each over a disjoint slice
 of the global dataset universe), scatters ``POST /search/batch`` to all
-of them, and merges the per-node bitset answers with the same
-offset-shifted OR algebra the sharded executor uses in-process
+of them, and merges the per-node bitset answers by offset-shifted OR
 (:meth:`~repro.core.bitset.DatasetBitmap.shift_into`) — sound because
 every dataset lives in exactly one node, exactly like shards.  Nodes
 built with :func:`federated_node_service` share the *global* accuracy

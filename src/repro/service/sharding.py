@@ -5,7 +5,8 @@ served by its own *unit* (``_Unit``): a
 :class:`~repro.core.engine.DatasetSearchEngine`, the ascending global ids of
 the datasets it holds, and the lock its work runs under.  The delta shard
 (below) is one more unit of the same kind.  A leaf is answered by querying
-every unit and unioning the translated index sets.  Because every dataset
+every unit, each packing its answer over its global ids, and unioning the
+bitmaps.  Because every dataset
 lives in exactly one unit, the union preserves the per-leaf paper
 guarantees verbatim: recall is the conjunction of per-unit recalls (exact),
 and precision slack is per-dataset, hence unchanged.
@@ -76,7 +77,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core._ptile_common import resolve_phi, resolve_sample_size
-from repro.core.bitset import DatasetBitmap, make_remapper
+from repro.core.bitset import DatasetBitmap
 from repro.core.ptile_range import AUTO_BOX_PAD
 from repro.core.engine import DatasetSearchEngine, _LeafBatch
 from repro.core.framework import Repository
@@ -398,13 +399,11 @@ class ShardedBatchExecutor:
         and ``eps_effective`` — only code that batch against their own
         level tables.
 
-        Local answers translate to global bitsets through the unit's ids:
-        contiguous ids (every base shard, and the delta shard between
-        rebuilds) are one offset-shifted word copy; ids with gaps scatter
-        the member indexes.  The translated universe ends at the unit's
-        largest global index — the merge's word-wise OR aligns
-        operands of different sizes by zero-padding, so per-unit sizes
-        never have to agree.
+        The engine packs each answer over the unit's global ids: a leaf's
+        local keys index ``ids`` once, contiguous or gapped alike.  The
+        universe ends at the unit's largest global index — the merge's
+        word-wise OR aligns operands of different sizes by zero-padding,
+        so per-unit sizes never have to agree.
 
         Each leaf's answer is paired with its per-shard completion stamp so
         the merge can report when the whole leaf (max over shards) finished;
@@ -439,16 +438,13 @@ class ShardedBatchExecutor:
                 faults.hit("shard_eval")
             if deadline is not None and deadline.expired():
                 return []
-            # One remapper per unit call, not per leaf: its contiguity probe
-            # is O(unit size).  The ids (ascending; the delta's grow only
-            # under this lock) end the unit's universe one past the largest.
-            nbits = (int(unit.ids[-1]) + 1) if unit.ids else 0
-            to_global = make_remapper(unit.ids, nbits)
             if leaves.ptile:
                 self._pin_ptile(unit.engine)
-            locals_ = unit.engine.eval_leaf_batch_bits(leaves)
+            # The ids are read under this lock: the delta's grow only here.
+            ids = np.asarray(unit.ids, dtype=np.int64)
+            answers = unit.engine.eval_leaf_batch_bits(leaves, ids)
             done = time.perf_counter()
-            out = [(to_global(local), done) for local in locals_]
+            out = [(bits, done) for bits in answers]
         self.registry.inc("repro_executor_shard_tasks_total", by=len(out))
         return out
 

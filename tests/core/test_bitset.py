@@ -106,18 +106,6 @@ class TestUniverseSurgery:
         with pytest.raises(ValueError):
             bm.shift_into(10, 64)
 
-    def test_remap_contiguous_fast_path(self):
-        bm = DatasetBitmap.from_indices([0, 2], 4)
-        assert bm.remap([10, 11, 12, 13], 14).to_list() == [10, 12]
-
-    def test_remap_scatter(self):
-        bm = DatasetBitmap.from_indices([0, 2], 4)
-        assert bm.remap([9, 0, 90, 1], 100).to_list() == [9, 90]
-
-    def test_remap_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetBitmap.from_indices([2], 3).remap([0, 1], 10)
-
     def test_resize_grow_and_shrink(self):
         bm = DatasetBitmap.from_indices([5], 10)
         assert bm.resize(1000).to_list() == [5]

@@ -91,7 +91,7 @@ class TestRouting:
         with pytest.raises(QueryError):
             engine.evaluate_quality(leaf)
         with pytest.raises(QueryError):
-            engine.eval_leaf_batch_bits([leaf])
+            engine.eval_leaf_batch_bits([leaf], np.arange(6))
         with pytest.raises(QueryError):
             engine.pref_index(3).query_expression(measure.vector, leaf.theta)
         # [a, inf) is the supported form and behaves as before.
@@ -239,6 +239,24 @@ def test_search_is_one_path_on_every_engine(kind, expression):
     assert len(timed.emit_times) == len(timed.indexes)
     assert untimed.index_set == _leaf_at_a_time(engine, expression)
     assert engine.ground_truth(expression) <= untimed.index_set
+
+
+@pytest.mark.parametrize("kind", ["kd", "rangetree"])
+@settings(max_examples=30, deadline=None)
+@given(
+    leaves=st.lists(st.sampled_from(LEAF_POOL), min_size=1, max_size=6),
+    gaps=st.lists(st.integers(0, 70), min_size=6, max_size=6),
+)
+def test_gapped_ids_answer_as_the_local_keys_mapped(kind, leaves, gaps):
+    """Over ascending global ids with gaps (a shard unit after tombstones
+    are compacted out), each leaf's bitmap is its per-query answer with
+    local key ``j`` read as ``ids[j]``, in a universe ending at the last id."""
+    engine = _pool_engine(kind)
+    ids = np.cumsum(np.asarray(gaps) + 1) - 1
+    got = engine.eval_leaf_batch_bits(leaves, ids)
+    want = [{int(ids[j]) for j in _leaf_at_a_time(engine, leaf)} for leaf in leaves]
+    assert [bits.to_set() for bits in got] == want
+    assert {bits.nbits for bits in got} == {int(ids[-1]) + 1}
 
 
 @pytest.mark.parametrize(

@@ -257,7 +257,7 @@ class TestEveryEngineName:
         per_engine = {}
         for name in ENGINES:
             engine = DatasetSearchEngine(synopses=syns, eps=0.1, engine=name)
-            leaf_bits = engine.eval_leaf_batch_bits(leaves)
+            leaf_bits = engine.eval_leaf_batch_bits(leaves, np.arange(len(syns)))
             for leaf, bits in zip(leaves, leaf_bits):
                 index = engine.pref_index(leaf.measure.k)
                 live = {i: (syn, index.delta_of(i)) for i, syn in enumerate(syns)}

@@ -56,6 +56,20 @@ def n_visible(backend) -> int:
     return backend.count(QueryBox.unbounded(backend.dim))
 
 
+def key_arrays(backend, boxes) -> list[list[int]]:
+    """``report_groups_many(boxes)`` as lists, one per box, each checked to
+    be a 1-D integer ``ndarray``, strictly ascending: the one form a
+    batched answer takes.  Callers compare the lists with their reference
+    (the sorted ``report_groups`` of each box, or an oracle's keys)."""
+    out = backend.report_groups_many(boxes)
+    assert len(out) == len(boxes)
+    for keys in out:
+        assert isinstance(keys, np.ndarray) and keys.ndim == 1, type(keys)
+        assert keys.dtype.kind in "iu", keys.dtype
+        assert bool(np.all(np.diff(keys.astype(np.int64)) > 0)), keys
+    return [keys.tolist() for keys in out]
+
+
 def assert_agree(backends: dict, box: QueryBox) -> None:
     reports = {e: sorted(b.report(box)) for e, b in backends.items()}
     ref = reports["kd"]
@@ -326,7 +340,7 @@ class TestDynamicEquivalence:
         boxes = [QueryBox.unbounded(3), random_orthant(rng, 3)]
         assert (len(b), n_visible(b)) == (0, 0)
         assert [r.tolist() for r in b.report_many(boxes)] == [[], []]
-        assert b.report_groups_many(boxes) == [set(), set()]
+        assert key_arrays(b, boxes) == [[], []]
         assert b.report_first(boxes[0]) is None and b.count(boxes[0]) == 0
         assert b.deactivate_group(1) == b.activate_group(1) == b.remove_group(1) == 0
         b.insert(rng.uniform(size=(3, 3)), [1, 1, 7])
@@ -357,7 +371,7 @@ class TestDynamicEquivalence:
             assert again[name].dtype == arr.dtype and np.array_equal(again[name], arr)
         boxes = [QueryBox.unbounded(3), random_orthant(rng, 3)]
         assert (len(twin), n_visible(twin)) == (0, 0)
-        assert twin.report_groups_many(boxes) == [set(), set()]
+        assert key_arrays(twin, boxes) == [[], []]
         assert twin.report_first(boxes[0]) is None
         twin.insert(rng.uniform(size=(3, 3)), [1, 1, 7])
         assert twin.report_groups(boxes[0]) == {1, 7}
@@ -395,8 +409,8 @@ class TestBatchKernels:
             loop = [sorted(b.report(box)) for box in boxes]
             assert batch == loop, f"report_many mismatch on {e}"
             assert [len(r) for r in batch] == [b.count(box) for box in boxes], e
-            assert b.report_groups_many(boxes) == [
-                b.report_groups(box) for box in boxes
+            assert key_arrays(b, boxes) == [
+                sorted(b.report_groups(box)) for box in boxes
             ], f"report_groups_many mismatch on {e}"
 
     @settings(max_examples=20, deadline=None, suppress_health_check=FIXTURE_OK)
@@ -425,6 +439,7 @@ class TestBatchKernels:
         assert [sorted(r) for r in tree.report_many(boxes)] == [
             sorted(tree.report(box)) for box in boxes
         ]
+        assert key_arrays(tree, boxes) == [sorted(tree.report_groups(b)) for b in boxes]
 
     def test_empty_batch(self, rng):
         pts = rng.uniform(size=(5, 2))
@@ -432,6 +447,33 @@ class TestBatchKernels:
             b = build_backend(pts, list(range(5)), e)
             assert b.report_many([]) == []
             assert b.report_groups_many([]) == []
+
+    @pytest.mark.parametrize("store", ["kd", "kd+buffer", "columnar", "rangetree"])
+    def test_each_box_answers_one_ascending_key_array(self, small_leaves, store, rng):
+        """The batched answer's one form on every backend, a kd-tree with an
+        empty and a non-empty side buffer included: keys past one byte, an
+        empty box and a box holding everything."""
+        pts = rng.uniform(size=(60, 2))
+        ids = [300 + 7 * (i % 9) for i in range(60)]
+        if store == "columnar":
+            b = ColumnarStore(pts, ids=ids)
+        else:
+            b = build_backend(pts, ids, store.split("+")[0])
+        if store == "kd+buffer":
+            b.insert(rng.uniform(size=(6, 2)), [2, 2, 900, 301, 301, 5])
+            assert b._buf is not None and len(b._buf)
+        elif store == "kd":
+            assert b._buf is None or not len(b._buf)
+        boxes = [
+            QueryBox.closed([2.0, 2.0], [3.0, 3.0]),
+            QueryBox.unbounded(2),
+            *(random_orthant(rng, 2) for _ in range(6)),
+        ]
+        got = key_arrays(b, boxes)
+        assert got == [sorted(b.report_groups(box)) for box in boxes]
+        assert got[0] == []
+        assert got[1] == sorted(set(b.report(QueryBox.unbounded(2))))
+        assert any(0 < len(keys) < len(got[1]) for keys in got[2:])
 
 
 class TestProtocolSurface:
@@ -538,7 +580,7 @@ def boundary_boxes(levels, dim: int, rng: np.random.Generator) -> list:
 def assert_matches_oracle(backend, oracle, boxes: list) -> None:
     want = [sorted(r) for r in oracle.report_many(boxes)]
     assert [sorted(r) for r in backend.report_many(boxes)] == want
-    assert backend.report_groups_many(boxes) == [set(r) for r in want]
+    assert key_arrays(backend, boxes) == [sorted(set(r)) for r in want]
     for box, ids in list(zip(boxes, want))[::5]:
         assert sorted(backend.report(box)) == ids
         assert backend.count(box) == len(ids)
@@ -644,7 +686,7 @@ class TestKeyDtypeBoundaries:
         ref = [sorted(r) for r in backends["kd"].report_many(boxes)]
         for e, b in backends.items():
             assert [sorted(r) for r in b.report_many(boxes)] == ref, e
-            assert b.report_groups_many(boxes) == [set(r) for r in ref], e
+            assert key_arrays(b, boxes) == [sorted(set(r)) for r in ref], e
 
     def check(self, backends: dict, live: list, rng) -> None:
         """Answers agree with a range tree over the live points, and every

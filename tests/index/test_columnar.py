@@ -140,8 +140,13 @@ class TestBatchKernels:
         assert [r.tolist() for r in store.report_many(boxes)] == [
             store.report(box) for box in boxes
         ]
-        assert store.report_groups_many(boxes) == [
-            store.report_groups(box) for box in boxes
+        groups = store.report_groups_many(boxes)
+        assert all(
+            keys.dtype.kind in "iu" and bool(np.all(np.diff(keys.astype(np.int64)) > 0))
+            for keys in groups
+        )
+        assert [keys.tolist() for keys in groups] == [
+            sorted(store.report_groups(box)) for box in boxes
         ]
-        assert 3 not in store.report_groups_many(boxes)[0]
+        assert 3 not in groups[0]
         assert store.report_many([]) == store.report_groups_many([]) == []

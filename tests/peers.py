@@ -116,7 +116,7 @@ def leaf_answers(
     if isinstance(peer, ShardedBatchExecutor):
         answers = [bits for bits, _stamp in peer.eval_leaves(leaves)]
     else:
-        answers = peer.eval_leaf_batch_bits(leaves)
+        answers = peer.eval_leaf_batch_bits(leaves, np.arange(peer.n_datasets))
     if removed is None:
         return answers
     return [bits.andnot(removed) for bits in answers]

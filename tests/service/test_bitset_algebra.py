@@ -5,12 +5,11 @@ answers and checks the planner's word-wise evaluators
 (``evaluate_with_leaf_results``, ``combine_bounds``, ``emit_schedule``)
 against an oracle that shares no code with them: for every dataset index
 the And/Or tree is evaluated on plain booleans.  The executor-shaped
-operations around them are covered too: shard-offset translation,
-arbitrary index remapping, tombstone removal masks, and delta-shard
-watermark upgrades across different universe sizes.
+operations around them are covered too: offset translation (the
+federated merge), tombstone removal masks, and delta-shard watermark
+upgrades across different universe sizes.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,23 +162,6 @@ class TestExecutorShapedOperations:
         local = DatasetBitmap.from_indices(members, n_local)
         shifted = local.shift_into(offset, n_local + offset)
         assert shifted.to_set() == {m + offset for m in members}
-        # remap through the explicit contiguous mapping agrees
-        mapping = list(range(offset, offset + n_local))
-        assert local.remap(mapping, n_local + offset) == shifted
-
-    @given(data=st.data(), n_local=st.integers(min_value=1, max_value=80))
-    @settings(max_examples=100, deadline=None)
-    def test_arbitrary_remap(self, data, n_local):
-        members = data.draw(
-            st.sets(st.integers(min_value=0, max_value=n_local - 1))
-        )
-        universe = data.draw(st.integers(min_value=n_local, max_value=300))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        mapping = rng.permutation(universe)[:n_local]
-        got = DatasetBitmap.from_indices(members, n_local).remap(
-            mapping, universe
-        )
-        assert got.to_set() == {int(mapping[m]) for m in members}
 
     @given(data=st.data(), n=st.integers(min_value=1, max_value=MAX_N))
     @settings(max_examples=100, deadline=None)

@@ -10,11 +10,12 @@ import threading
 
 import numpy as np
 import pytest
-from peers import bare_engine
+from peers import bare_engine, leaf_answers
 
 from repro.core.framework import Repository
 from repro.errors import ConstructionError
 from repro.service import QueryService
+from repro.service.planner import plan_batch
 from repro.service.sharding import SeededSampleSynopsis, partition_indices
 from repro.synopsis.exact import ExactSynopsis
 from repro.workloads.generators import synthetic_data_lake
@@ -137,6 +138,33 @@ class TestShardMergeEquivalence:
         expected = [reference_engine.search(q).indexes for q in queries]
         assert got == expected
 
+    def test_rebuild_after_removes_answers_over_gapped_ids(self, repo, queries):
+        """Removes, then ``rebuild()``: tombstones leave the shard engines
+        but keep their indexes, so base units hold live ids with gaps.
+        Every leaf and every query answer is an unsharded engine's over
+        the whole lake with the tombstones masked."""
+        removed = [1, 2, 9, 14, 15, 22]
+        with QueryService(
+            repository=repo, n_shards=3, eps=EPS, sample_size=SAMPLE_SIZE,
+            seed=SEED, cache_capacity=0,
+        ) as service:
+            service.remove_datasets(removed)
+            service.rebuild()
+            executor = service.executor
+            units = [unit.ids for unit in executor.units]
+            assert sorted(i for ids in units for i in ids) == sorted(
+                set(range(N_DATASETS)) - set(removed)
+            )
+            assert sum(ids[-1] - ids[0] + 1 > len(ids) for ids in units) >= 2
+            single = bare_engine(executor)
+            mask = executor.removed_bits()
+            leaves = list(plan_batch(queries).unique_leaves.values())
+            assert [b.to_list() for b in leaf_answers(executor, leaves)] == [
+                b.to_list() for b in leaf_answers(single, leaves, mask)
+            ]
+            want = [single.search(q).bitmap.andnot(mask).to_list() for q in queries]
+            assert [r.indexes for r in service.search_batch(queries)] == want
+
     def test_concurrent_request_threads_match_single_thread(self, repo, queries):
         # Shards are evaluated on the calling thread, so two request
         # threads interleave on the per-shard locks; the cache is off so
@@ -215,7 +243,8 @@ class TestSharedBoxes:
         for leaf in leaves:
             ids = set()
             for unit in executor._units():
-                (local,) = unit.engine.eval_leaf_batch_bits([leaf])
+                local_ids = np.arange(unit.engine.n_datasets)
+                (local,) = unit.engine.eval_leaf_batch_bits([leaf], local_ids)
                 ids.update(unit.ids[j] for j in local.to_list())
             out.append(sorted(ids))
         return out
@@ -238,7 +267,6 @@ class TestSharedBoxes:
         self, service, monkeypatch
     ):
         from repro.core.measures import PercentileMeasure
-        from repro.service.planner import plan_batch
 
         queries = batched_query_workload(
             16, 1, np.random.default_rng(5), duplicate_leaf_rate=0.6, max_leaves=3
@@ -253,7 +281,10 @@ class TestSharedBoxes:
         got = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
         assert len(built) == n_ptile  # once, not once per unit
         single = bare_engine(executor)
-        assert got == [single.eval_leaf_batch_bits([leaf])[0].to_list() for leaf in leaves]
+        whole = np.arange(single.n_datasets)
+        assert got == [
+            single.eval_leaf_batch_bits([leaf], whole)[0].to_list() for leaf in leaves
+        ]
         assert got == self.alone(executor, leaves)
         want = [single.search(q).indexes for q in queries]
         assert [r.indexes for r in service.search_batch(queries)] == want

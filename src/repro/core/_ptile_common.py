@@ -20,7 +20,8 @@ Both indexes follow the same recipe (Section 4.1):
    which :func:`_report` keeps as the timed mode so per-report delays stay
    measurable.  A batch of boxes is one ``report_groups_many`` call, and
    its per-box sorted unique key arrays are the answers: a caller packs
-   each into a bitmap with no set or list between.
+   each into a bitmap with no set or list between.  An untimed query of
+   one box is that call over a batch of one.
 
 Per-dataset deltas (Remark 2) are supported exactly by storing *two* weight
 coordinates per mapped point, ``w + delta_i`` and ``w - delta_i``: the
@@ -181,8 +182,9 @@ def _report(tree, box: QueryBox, record_times: bool, n_datasets: int) -> QueryRe
 
     Two modes, identical answer sets:
 
-    - **batched** (default): one ``report_groups`` bulk call — a pruned
-      walk plus an integer group-by on the kd-tree.  No state is mutated.
+    - **batched** (default): one ``report_groups_many`` call over a batch
+      of one box — the multi-box walk plus an integer group-by on the
+      kd-tree, the kernel a batch of boxes runs.  No state is mutated.
     - **incremental** (``record_times=True``): the paper's loop — repeat
       ReportFirst, emit the hit dataset, temporarily deactivate all its
       points (one ``deactivate_group`` call) — so every emission carries
@@ -193,7 +195,7 @@ def _report(tree, box: QueryBox, record_times: bool, n_datasets: int) -> QueryRe
     """
     result = QueryResult()
     if not record_times:
-        result.indexes = sorted(tree.report_groups(box))
+        result.indexes = tree.report_groups_many([box])[0].tolist()
         result.stats["deleted_points"] = 0
         result.stats["loop_iterations"] = 1
         return result

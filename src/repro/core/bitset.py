@@ -226,28 +226,8 @@ class DatasetBitmap:
         return f"DatasetBitmap({head}{ell} |{n}| of {self.nbits})"
 
     # ------------------------------------------------------------------
-    # Universe surgery (shard merges, delta upgrades)
+    # Universe surgery (federated merges: ``shift_into``)
     # ------------------------------------------------------------------
-    def resize(self, nbits: int) -> "DatasetBitmap":
-        """The same set inside a universe of ``nbits``.
-
-        Growing zero-pads.  Shrinking is legal only when no member falls
-        outside the new range (ValueError otherwise) — branch on the
-        logical size, not the word count, so a shrink within the same
-        word never smuggles out-of-range bits past the tail invariant.
-        """
-        if nbits == self.nbits:
-            return self
-        if nbits > self.nbits:
-            nw = _n_words(nbits)
-            if nw == self.words.size:
-                return DatasetBitmap(self.words, nbits)
-            words = np.zeros(nw, dtype=np.uint64)
-            words[: self.words.size] = self.words
-            return DatasetBitmap(words, nbits)
-        # from_indices re-validates the range, raising on stray members.
-        return DatasetBitmap.from_indices(self.to_array(), nbits)
-
     def shift_into(self, offset: int, nbits: int) -> "DatasetBitmap":
         """Members translated by ``+offset`` inside a ``nbits`` universe.
 

@@ -126,9 +126,9 @@ class DiversityIndex:
         # Candidates: datasets with a cover point near R.
         max_r = max(c.radius for c in self._covers.values())
         box = QueryBox.closed(rect.lo - max_r, rect.hi + max_r)
-        candidates = self._tree.report_groups(box)
+        candidates = self._tree.report_groups_many([box])[0].tolist()
         stats["candidates"] = len(candidates)
-        for key in sorted(candidates):
+        for key in candidates:
             r_j = self._covers[key].radius
             if self.estimate(key, rect) >= tau - 2.0 * r_j:
                 yield key

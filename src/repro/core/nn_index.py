@@ -115,9 +115,10 @@ class NearestNeighborIndex:
 
     def _within(self, q: np.ndarray, tau: float, stats: dict) -> Iterator[int]:
         reach = tau + self.max_radius
-        candidates = self._tree.report_groups(QueryBox.closed(q - reach, q + reach))
+        box = QueryBox.closed(q - reach, q + reach)
+        candidates = self._tree.report_groups_many([box])[0].tolist()
         stats["candidates"] = len(candidates)
-        for key in sorted(candidates):
+        for key in candidates:
             cover = self._covers[key]
             if cover.distance_to(q) <= tau + cover.radius:
                 yield key

@@ -162,7 +162,7 @@ class PrefLogicalIndex:
             [(tightest[vi] - self.eps, math.inf, False, False) for vi in key]
         )
         stats["net_vectors"] = key
-        for idx in tree.report(box):
+        for idx in tree.report_many([box])[0]:
             yield int(idx)
 
     def query_disjunction(

@@ -136,7 +136,7 @@ class ExactPtile1DIndex:
                 (r_hi, _POS, True, False),    # s_j > R^+
             ]
         )
-        yield from self._tree.report(box)
+        yield from map(int, self._tree.report_many([box])[0])
 
     def brute_force(self, r_lo: float, r_hi: float) -> set[int]:
         """Exact answer by per-dataset counting (for verification)."""

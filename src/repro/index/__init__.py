@@ -31,11 +31,11 @@ This subpackage provides that machinery:
   oracle the tests compare the rank-coded tree against.
 
 The engines implement the :class:`~repro.index.backend.RangeSearchBackend`
-protocol (``report / report_first / report_groups / count /
-deactivate_group / activate_group / insert / remove_group / nbytes`` plus
-the multi-box batch kernels ``report_many / report_groups_many`` — one
-shared traversal on the kd-tree, each box's keys a sorted unique integer
-array) over integer dataset keys (see
+protocol (the multi-box batch kernels ``report_many / report_groups_many``
+— one shared traversal on the kd-tree, each box's keys a sorted unique
+integer array, a single box a batch of one — plus ``report_first / count /
+deactivate_group / activate_group / insert / remove_group / nbytes``) over
+integer dataset keys (see
 :mod:`repro.index.backend`); the dynamic kd-tree adds the ``to_arrays`` /
 ``from_arrays`` pair snapshots restore from.  Every layer above — the
 Ptile structures, :class:`~repro.core.engine.DatasetSearchEngine`, the

@@ -5,8 +5,9 @@ reporting, so the engine behind it is a first-class substitution point.
 This module formalizes the seam:
 
 - :class:`RangeSearchBackend` — the structural protocol every engine
-  implements: ``report`` / ``report_first`` / ``report_groups`` /
-  ``count`` over *active* points, the group toggles ``deactivate_group`` /
+  implements: the batch kernels ``report_many`` / ``report_groups_many``
+  (a single box is a batch of one), ``report_first`` / ``count`` over
+  *active* points, the group toggles ``deactivate_group`` /
   ``activate_group``, ``insert`` / ``remove_group`` dynamics (a static
   backend raises :class:`~repro.errors.CapabilityError`; which engines are
   dynamic is :data:`DYNAMIC_ENGINES`, and nothing else says it).
@@ -29,15 +30,14 @@ Backends take ids as a sequence or an ``(n,)`` integer array and keep them
 as one column in the smallest unsigned dtype that holds the largest key
 (:func:`id_column`; ``uint8`` for a shard of at most 256 datasets, no
 per-point Python object), widened when an insert brings a larger key and
-narrowed again when a rebuild drops it; ``report`` / ``report_first`` /
-``report_many`` hand back the keys of the points they hit, one per point
-(``report_many``'s arrays in the column's dtype: reduce them, never add
-to them).  The key is the unit Algorithms 2 and 4
-work in: ``report_groups(box)`` is the set of keys with an active point in
-the box (``report_groups_many`` gives each box's keys as one strictly
-ascending integer array, the batched answers' one form), and "temporarily
-delete all points of the reported dataset" is ``deactivate_group`` — one
-mask write, not a loop over points.
+narrowed again when a rebuild drops it; ``report_first`` / ``report_many``
+hand back the keys of the points they hit, one per point (``report_many``'s
+arrays in the column's dtype: reduce them, never add to them).  The key is
+the unit Algorithms 2 and 4 work in: ``report_groups_many`` gives each
+box's keys with an active point in it as one strictly ascending integer
+array, the one form of an answer, and "temporarily delete all points of
+the reported dataset" is ``deactivate_group`` — one mask write, not a loop
+over points.
 
 **How a backend stores coordinates is its own business.**  The contract
 speaks of float points (or codes of them) in and keys out; the kd-tree keeps each column
@@ -116,17 +116,8 @@ class RangeSearchBackend(Protocol):
         Reads sizes only: no lock, no build, no copy."""
         ...
 
-    def report(self, box: QueryBox) -> list:
-        """The keys of the active points inside the box, one per point."""
-        ...
-
     def report_first(self, box: QueryBox):
         """The key of one arbitrary active point inside the box, or None."""
-        ...
-
-    def report_groups(self, box: QueryBox) -> set:
-        """All keys with >= 1 active point in the box — the bulk form of
-        the ReportFirst/deactivate loop."""
         ...
 
     def count(self, box: QueryBox) -> int:
@@ -134,21 +125,23 @@ class RangeSearchBackend(Protocol):
         ...
 
     def report_many(self, boxes: Sequence[QueryBox]) -> list:
-        """Per-box keys of the active points inside each box of a batch.
+        """Per-box keys of the active points inside each box of a batch,
+        one per point (the kd-tree gives each box an int array, the range
+        tree a list).
 
-        The batch kernel of the cold path: semantically identical to
-        ``[self.report(b) for b in boxes]`` (the equivalence suite asserts
-        it; the kd-tree gives each box an int array instead of a list),
-        but free to share work across boxes — a single multi-box tree walk
-        on the kd-tree.
+        The one reporting kernel — the service cold path's and, as a
+        batch of one, an untimed library query's — free to share work
+        across boxes: a single multi-box tree walk on the kd-tree.  The
+        equivalence suite checks it against a brute-force scan.
         """
         ...
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
-        """Per-box keys as integer arrays, strictly ascending (one
-        ``np.unique`` each, an empty box included): the members of
-        ``[self.report_groups(b) for b in boxes]``, in the form an answer's
-        bitmap is packed from without a set or a sort."""
+        """Per-box keys with >= 1 active point in the box, as integer
+        arrays, strictly ascending (one ``np.unique`` each, an empty box
+        included) — the bulk form of the ReportFirst/deactivate loop, in
+        the form an answer's bitmap is packed from without a set or a
+        sort."""
         ...
 
     def deactivate_group(self, group: int) -> int:
@@ -215,7 +208,8 @@ def build_backend(
     >>> pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     >>> for name in ENGINES:
     ...     eng = build_backend(pts, [7, 9], name)
-    ...     assert eng.report_groups(QueryBox.closed([-1, 0], [3, 4])) == {7, 9}
+    ...     box = QueryBox.closed([-1, 0], [3, 4])
+    ...     assert eng.report_groups_many([box])[0].tolist() == [7, 9]
     """
     return backend_class(engine)(points, ids=ids)
 
@@ -251,7 +245,8 @@ def build_engine(mapped: Iterable[tuple], engine: str) -> RangeSearchBackend:
     >>> levels = [np.array([0.0, 1.0])]
     >>> mapped = [([np.array([0])], levels, np.array([4])),
     ...           ([np.array([1])], levels, np.array([9]))]
-    >>> [build_engine(iter(mapped), e).report(QueryBox.closed([0.5], [2]))
+    >>> box = QueryBox.closed([0.5], [2])
+    >>> [build_engine(iter(mapped), e).report_groups_many([box])[0].tolist()
     ...  for e in ENGINES]
     [[9], [9]]
     """

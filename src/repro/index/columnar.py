@@ -19,11 +19,11 @@ the smallest unsigned dtype its largest key needs (widened by the insert
 that brings a larger one, narrowed again by the ``remove_group`` that drops
 it); a boolean *active* mask.  No per-point Python object exists.  Every
 query is one vectorized containment pass — O(n k) at memory bandwidth —
-over a batch of boxes, a single box being its one-row batch, and
-``report_groups`` is that mask plus an integer ``np.unique`` over the key
-column.  ``remove_group`` copies the surviving rows down at once: the kd
-rule keeps the buffer under a quarter of the main tree, whose half of the
-same removal already scans every row.
+over a batch of boxes (``report_many``; ``report_first`` and ``count`` read
+row 0 of a single box's one-row batch), and ``report_groups_many`` adds an
+integer ``np.unique`` over each box's keys.  ``remove_group`` copies the
+surviving rows down at once: the kd rule keeps the buffer under a quarter
+of the main tree, whose half of the same removal already scans every row.
 """
 
 from __future__ import annotations
@@ -51,11 +51,12 @@ class ColumnarStore:
     --------
     >>> import numpy as np
     >>> store = ColumnarStore(np.array([[0.0], [1.0], [2.0]]))
-    >>> store.report(QueryBox.closed([0.5], [2.5]))
+    >>> box = QueryBox.closed([0.5], [2.5])
+    >>> store.report_many([box])[0].tolist()
     [1, 2]
     >>> store.deactivate_group(1)
     1
-    >>> store.report(QueryBox.closed([0.5], [2.5]))
+    >>> store.report_many([box])[0].tolist()
     [2]
     """
 
@@ -178,21 +179,12 @@ class ColumnarStore:
         out &= self._active[: self._n][None, :]
         return out
 
-    def report(self, box: QueryBox) -> list:
-        """The keys of the active points inside the box, one per point."""
-        return self._group[: self._n][self._match_matrix(box.batch)[0]].tolist()
-
     def report_first(self, box: QueryBox):
         """The key of one arbitrary active point inside the box, or None."""
         hits = np.flatnonzero(self._match_matrix(box.batch)[0])
         if hits.size == 0:
             return None
         return int(self._group[hits[0]])
-
-    def report_groups(self, box: QueryBox) -> set:
-        """All groups with >= 1 active point in the box (one group-by)."""
-        hit_groups = self._group[: self._n][self._match_matrix(box.batch)[0]]
-        return set(np.unique(hit_groups).tolist())
 
     def count(self, box: QueryBox) -> int:
         """Number of active points inside the box."""
@@ -202,8 +194,8 @@ class ColumnarStore:
     # Multi-box batch kernels (one broadcast pass per constrained side)
     # ------------------------------------------------------------------
     def report_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
-        """Per-box int arrays of the hit points' keys (one per point) —
-        ``[report(b) for b in boxes]`` in one broadcast pass."""
+        """Per-box int arrays of the hit points' keys (one per point), in
+        one broadcast pass."""
         if not len(boxes):
             return []
         group = self._group[: self._n]

@@ -5,12 +5,14 @@ Ptile data structures (points live in ``R^{2d+1}`` / ``R^{4d+2}`` once the
 weights are appended as coordinates).  It implements the
 :class:`~repro.index.backend.RangeSearchBackend` protocol:
 
-- ``report(box)`` — all active points in an axis-parallel
-  :class:`~repro.index.query_box.QueryBox`;
-- ``report_first(box)`` — one arbitrary active point (``ReportFirst``),
-  found by a pruned descent that skips subtrees with zero active points;
-- ``report_groups(box)`` — all dataset keys with an active point in the
-  box (an integer ``np.unique`` over the hit rows' group column);
+- ``report_many(boxes)`` / ``report_groups_many(boxes)`` — the keys of
+  the active points inside each axis-parallel
+  :class:`~repro.index.query_box.QueryBox` of a batch, by one shared
+  multi-box walk (``report_groups_many`` adds an integer ``np.unique`` per
+  box); a single box is a batch of one;
+- ``report_first(box)`` / ``count(box)`` — one arbitrary active point
+  (``ReportFirst``) and the number of them, by a pruned single-box
+  descent that skips subtrees with zero active points;
 - ``deactivate_group`` / ``activate_group`` — the temporary deletions of
   Algorithms 2 and 4;
 - ``insert(points, ids)`` / ``remove_group`` — the dynamic-synopsis
@@ -613,7 +615,9 @@ class DynamicKDTree:
         one-row batch: yields ``(node, None)`` for every maximal node with
         active points whose bbox the box contains, and ``(leaf, rows)`` —
         the leaf's active rows inside the box — for every leaf it merely
-        intersects."""
+        intersects.  It serves ``report_first`` (the paper's ReportFirst
+        loop, stopping at the first hit) and ``count``, which stay off the
+        batch kernel's fixed cost; reporting a box is :meth:`report_many`."""
         self._check_box(box)
         coded, keep = self._coded(box.batch)
         stack = [0] if keep.size else []
@@ -633,19 +637,6 @@ class DynamicKDTree:
                 stack.append(node + 1)
                 stack.append(int(self._right[node]))
 
-    def _rows(self, box: QueryBox) -> np.ndarray:
-        """Main-tree row indexes of the active points inside the box."""
-        chunks = [
-            self._active_rows(node) if hits is None else hits
-            for node, hits in self._visit(box)
-        ]
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.intp)
-
-    def report(self, box: QueryBox) -> list:
-        """The keys of the active points inside the box, one per point."""
-        keys = self._group[self._rows(box)].tolist()
-        return keys + self._buf.report(box) if self._buf is not None else keys
-
     def report_first(self, box: QueryBox):
         """The key of one arbitrary active point inside the box, or None."""
         for node, hits in self._visit(box):
@@ -655,11 +646,6 @@ class DynamicKDTree:
             if hits.size:
                 return int(self._group[hits[0]])
         return self._buf.report_first(box) if self._buf is not None else None
-
-    def report_groups(self, box: QueryBox) -> set:
-        """All group keys with >= 1 active point in the box."""
-        groups = set(np.unique(self._group[self._rows(box)]).tolist())
-        return groups | self._buf.report_groups(box) if self._buf is not None else groups
 
     def count(self, box: QueryBox) -> int:
         """Number of active points inside the box (node counters where a
@@ -721,9 +707,9 @@ class DynamicKDTree:
         """Per-box int arrays of the hit points' keys (one per point) via
         one shared multi-box tree walk.
 
-        Semantically ``[self.report(b) for b in boxes]``.  This is the
-        kernel behind the service cold path: a batch of deduplicated
-        leaves hits every shard's tree in one call, and
+        The one reporting kernel: a batch of deduplicated leaves on the
+        service cold path hits every shard's tree in one call, an untimed
+        library query is a batch of one box, and
         :meth:`report_groups_many` reduces each array to its sorted keys.
         ``boxes`` may be a :class:`~repro.index.query_box.BoxBatch`
         already, which the walk and the side buffer then share as it is.

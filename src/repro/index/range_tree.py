@@ -65,7 +65,7 @@ class RangeTree:
     --------
     >>> import numpy as np
     >>> rt = RangeTree(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]))
-    >>> sorted(rt.report(QueryBox.closed([0.5, 0.5], [2.5, 2.5])))
+    >>> sorted(rt.report_many([QueryBox.closed([0.5, 0.5], [2.5, 2.5])])[0])
     [1, 2]
     """
 
@@ -240,29 +240,22 @@ class RangeTree:
                 return found
         return None
 
-    def report(self, box: QueryBox) -> list:
-        """The keys of the active points inside the box, one per point."""
-        return self._group[self._rows(box)].tolist()
-
     def report_first(self, box: QueryBox):
         """The key of one arbitrary active point inside the box, or None."""
         row = self._first_row(box)
         return None if row is None else int(self._group[row])
 
-    def report_groups(self, box: QueryBox) -> set:
-        """All keys with >= 1 active point in the box."""
-        return set(self.report(box))
-
     # ------------------------------------------------------------------
-    # Multi-box batch kernels.  The multi-level decomposition offers no
-    # cross-box sharing (each box selects its own canonical node set), so
-    # the batch form is the straightforward per-box loop — the protocol
-    # contract (``report_many ≡ [report(b) for b in boxes]``) is what the
-    # callers rely on, not a speedup.
+    # Multi-box batch kernels: the only way to report a box.  The
+    # multi-level decomposition offers no cross-box sharing (each box
+    # selects its own canonical node set), so the batch form is the
+    # straightforward per-box loop over ``_rows`` — the protocol's answer
+    # form is what callers rely on, not a speedup.
     # ------------------------------------------------------------------
     def report_many(self, boxes: Sequence[QueryBox]) -> list[list]:
-        """Per-box active id lists (per-box loop; see class comment)."""
-        return [self.report(box) for box in boxes]
+        """Per-box lists of the hit points' keys, one per point (per-box
+        loop; see the comment above)."""
+        return [self._group[self._rows(box)].tolist() for box in boxes]
 
     def report_groups_many(self, boxes: Sequence[QueryBox]) -> list[np.ndarray]:
         """Per-box sorted unique key arrays (integer even when empty: the

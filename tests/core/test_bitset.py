@@ -106,21 +106,6 @@ class TestUniverseSurgery:
         with pytest.raises(ValueError):
             bm.shift_into(10, 64)
 
-    def test_resize_grow_and_shrink(self):
-        bm = DatasetBitmap.from_indices([5], 10)
-        assert bm.resize(1000).to_list() == [5]
-        assert bm.resize(1000).resize(6).to_list() == [5]
-
-    def test_resize_shrink_rejects_stray_members(self):
-        # Shrinks must validate by logical size, not word count: a member
-        # above the new nbits but inside the same 64-bit word would
-        # otherwise survive past the tail and corrupt count/eq.
-        bm = DatasetBitmap.from_indices([68], 70)
-        with pytest.raises(ValueError):
-            bm.resize(66)  # same word count as 70 bits
-        with pytest.raises(ValueError):
-            DatasetBitmap.from_indices([900], 1000).resize(66)
-
 
 class TestWire:
     def test_roundtrip(self):

@@ -206,6 +206,10 @@ class TestDiagnostics:
         assert res.start_time is not None and res.end_time is not None
         assert len(res.emit_times) == res.out_size
         assert res.max_delay() is not None
+        # The timed ReportFirst loop and the untimed batch walk are two
+        # walks over one tree: they report the same datasets.
+        assert sorted(res.indexes) == index.query(QUERY, 0.2).indexes
+        assert res.out_size > 0
 
     def test_2d_guarantees(self, rng):
         datasets = []

@@ -3,12 +3,13 @@
 This is the safety net of the pluggable-backend refactor: every registered
 :class:`~repro.index.backend.RangeSearchBackend` is driven with the same
 random mapped point sets, orthant queries and activation sequences, and
-must produce identical key multisets for ``report``, identical key sets for
-``report_groups``, identical ``count`` values, and consistent
-``report_first`` membership.  Where the static range tree cannot follow
-(inserts, removals, bounds on the kd-tree's coded levels), a float
-:class:`~repro.index.columnar.ColumnarStore` over the same live points is
-the independent peer.
+must give the key multisets of a brute-force scan of the active points
+from ``report_many``, its key sets from ``report_groups_many``, its sizes
+from ``count``, and a member of them from ``report_first``.  Where the
+static range tree cannot follow (inserts, removals, bounds on the
+kd-tree's coded levels), a scan of the live points or a float
+:class:`~repro.index.columnar.ColumnarStore` over them is the independent
+peer.
 """
 
 import tracemalloc
@@ -56,11 +57,25 @@ def n_visible(backend) -> int:
     return backend.count(QueryBox.unbounded(backend.dim))
 
 
+def scan(points, keys, box: QueryBox, active=None) -> list[int]:
+    """The sorted keys of the (active) points inside ``box`` by a
+    brute-force scan of every point: the reference of the batch kernels."""
+    hit = box.batch.contains_points(np.asarray(points))[0]
+    if active is not None:
+        hit &= active
+    return sorted(np.asarray(keys)[hit].tolist())
+
+
+def keys_in(backend, box: QueryBox) -> list[int]:
+    """The sorted keys ``report_many`` gives one box, one per point."""
+    return sorted(np.asarray(backend.report_many([box])[0]).tolist())
+
+
 def key_arrays(backend, boxes) -> list[list[int]]:
     """``report_groups_many(boxes)`` as lists, one per box, each checked to
     be a 1-D integer ``ndarray``, strictly ascending: the one form a
     batched answer takes.  Callers compare the lists with their reference
-    (the sorted ``report_groups`` of each box, or an oracle's keys)."""
+    (a scan's distinct keys, or an oracle's)."""
     out = backend.report_groups_many(boxes)
     assert len(out) == len(boxes)
     for keys in out:
@@ -70,14 +85,12 @@ def key_arrays(backend, boxes) -> list[list[int]]:
     return [keys.tolist() for keys in out]
 
 
-def assert_agree(backends: dict, box: QueryBox) -> None:
-    reports = {e: sorted(b.report(box)) for e, b in backends.items()}
-    ref = reports["kd"]
-    for e, got in reports.items():
-        assert got == ref, f"report mismatch on {e}"
-    groups_ref = set(ref)
+def assert_agree(backends: dict, box: QueryBox, points, keys, active=None) -> None:
+    """Every backend answers ``box`` as a scan of the active points does."""
+    ref = scan(points, keys, box, active)
     for e, b in backends.items():
-        assert b.report_groups(box) == groups_ref, f"report_groups mismatch on {e}"
+        assert keys_in(b, box) == ref, f"report_many mismatch on {e}"
+        assert key_arrays(b, [box]) == [sorted(set(ref))], f"groups mismatch on {e}"
         assert b.count(box) == len(ref), f"count mismatch on {e}"
         first = b.report_first(box)
         assert (first is None) == (not ref), f"report_first emptiness on {e}"
@@ -94,7 +107,7 @@ class TestStaticEquivalence:
         ids = [i % 7 for i in range(n)]
         backends = build_all(pts, ids)
         for _ in range(5):
-            assert_agree(backends, random_orthant(rng, dim))
+            assert_agree(backends, random_orthant(rng, dim), pts, ids)
 
     def test_duplicate_coordinates(self, small_leaves):
         # Ties on the split axis stress the tree partitioning.
@@ -103,7 +116,7 @@ class TestStaticEquivalence:
         backends = build_all(pts, ids)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert_agree(backends, random_orthant(rng, 2))
+            assert_agree(backends, random_orthant(rng, 2), pts, ids)
 
 
 class TestActivationEquivalence:
@@ -127,9 +140,10 @@ class TestActivationEquivalence:
                 toggle = b.deactivate_group if active[g] else b.activate_group
                 assert toggle(g) == size[g]
             active[g] = not active[g]
+            mask = np.array([active[key] for key in ids])
             if rng.integers(3) == 0:
-                assert_agree(backends, random_orthant(rng, dim))
-        assert_agree(backends, QueryBox.unbounded(dim))
+                assert_agree(backends, random_orthant(rng, dim), pts, ids, mask)
+        assert_agree(backends, QueryBox.unbounded(dim), pts, ids, mask)
         n_active = sum(size[g] for g in size if active[g])
         for e, b in backends.items():
             assert n_visible(b) == n_active, f"visible-point count mismatch on {e}"
@@ -140,7 +154,7 @@ class TestActivationEquivalence:
         ids = [i % 6 for i in range(60)]
         backends = build_all(pts, ids)
         box = QueryBox.closed([0.1] * 3, [0.9] * 3)
-        expect = {e: b.report_groups(box) for e, b in backends.items()}
+        expect = set(scan(pts, ids, box))
         for e, b in backends.items():
             got = set()
             while True:
@@ -151,7 +165,7 @@ class TestActivationEquivalence:
                 assert b.deactivate_group(hit) == 10
             for k in got:
                 assert b.activate_group(k) == 10
-            assert got == expect[e] == expect["kd"], e
+            assert got == expect, e
             assert n_visible(b) == 60  # the loop restored every point
 
     def test_group_level_toggles_match_per_point_loops(self, small_leaves, rng):
@@ -168,8 +182,8 @@ class TestActivationEquivalence:
                 if key == 2:
                     assert loop[e].deactivate_group(i) == 1
             assert n_visible(bulk[e]) == n_visible(loop[e]) == 50
-            keys = sorted(i % 6 for i in loop[e].report(box))
-            assert sorted(bulk[e].report(box)) == keys
+            keys = sorted(i % 6 for i in keys_in(loop[e], box))
+            assert keys_in(bulk[e], box) == keys
             assert bulk[e].deactivate_group(2) == 0  # already hidden: not counted
             assert bulk[e].deactivate_group(99) == 0  # absent group: no-op
             assert bulk[e].activate_group(99) == 0
@@ -180,7 +194,7 @@ class TestActivationEquivalence:
             assert bulk[e].activate_group(2) == 10 + extra
             assert bulk[e].activate_group(2) == 0  # already shown: not counted
             assert n_visible(bulk[e]) == 60 + extra
-            assert bulk[e].report_groups(box) == set(range(6))
+            assert key_arrays(bulk[e], [box]) == [list(range(6))]
 
 
 class TestDynamicEquivalence:
@@ -225,13 +239,12 @@ class TestDynamicEquivalence:
                 live = [live[i] for i in kept]
             else:
                 box = random_orthant(rng, dim)
-                peer = ColumnarStore(np.array(rows), ids=live) if live else None
-                want = sorted(peer.report(box)) if peer is not None else []
+                want = scan(np.reshape(rows, (-1, dim)), live, box)
                 for e, b in backends.items():
-                    assert sorted(b.report(box)) == want, e
-                    assert b.report_groups(box) == set(want), e
+                    assert keys_in(b, box) == want, e
+                    assert key_arrays(b, [box]) == [sorted(set(want))], e
         box = QueryBox.unbounded(dim)
-        final = {e: sorted(b.report(box)) for e, b in backends.items()}
+        final = {e: keys_in(b, box) for e, b in backends.items()}
         assert all(r == sorted(live) for r in final.values()), final
 
 
@@ -244,15 +257,15 @@ class TestDynamicEquivalence:
         box = QueryBox.unbounded(1)
         b.insert(np.array([[5.0], [6.0]]), ids=[1, 1])
         assert len(b) == n_visible(b) == 4
-        assert sorted(b.report(box)) == [0, 0, 1, 1]
+        assert keys_in(b, box) == [0, 0, 1, 1]
         b.insert(np.array([[7.0]]), ids=[1])
         b.insert(np.array([[8.0]]), ids=[0])
-        assert sorted(b.report(box)) == [0, 0, 0, 1, 1, 1]
-        assert b.report(QueryBox.closed([4.5], [7.5])) == [1, 1, 1]
+        assert keys_in(b, box) == [0, 0, 0, 1, 1, 1]
+        assert keys_in(b, QueryBox.closed([4.5], [7.5])) == [1, 1, 1]
         assert b.deactivate_group(1) == 3
-        assert sorted(b.report(box)) == [0, 0, 0]
+        assert keys_in(b, box) == [0, 0, 0]
         assert b.remove_group(0) == 3 and b.activate_group(1) == 3
-        assert sorted(b.report(box)) == [1, 1, 1]
+        assert keys_in(b, box) == [1, 1, 1]
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     def test_array_round_trip(self, small_leaves, engine, rng):
@@ -280,7 +293,7 @@ class TestDynamicEquivalence:
         twin.insert(np.empty((0, 2)), [])
         twin.insert(rng.uniform(size=(1, 2)), [6])
         twin.remove_group(1)
-        assert twin.report_groups(boxes[0]) == {0, 2, 3, 5, 6}
+        assert key_arrays(twin, boxes[:1]) == [[0, 2, 3, 5, 6]]
 
     def test_static_engine_has_no_persisted_form(self, rng):
         """The persistence pair is the dynamic engines' alone: the range
@@ -318,10 +331,10 @@ class TestDynamicEquivalence:
         assert b.remove_group(1) == 12  # hidden and buffered points included
         assert b.remove_group(1) == 0
         assert len(b) == 31 and n_visible(b) == 31
-        assert b.report_groups(QueryBox.unbounded(2)) == {0, 2, 3, 5}
+        assert key_arrays(b, [QueryBox.unbounded(2)]) == [[0, 2, 3, 5]]
         assert b.activate_group(1) == 0  # removed points never come back
         b.insert(rng.uniform(size=(1, 2)), [1])  # the key is free again
-        assert b.report(QueryBox.unbounded(2)).count(1) == 1
+        assert keys_in(b, QueryBox.unbounded(2)).count(1) == 1
 
     @pytest.mark.parametrize("store", DYNAMIC_STORES)
     def test_every_group_removed_leaves_a_valid_empty_backend(
@@ -344,7 +357,7 @@ class TestDynamicEquivalence:
         assert b.report_first(boxes[0]) is None and b.count(boxes[0]) == 0
         assert b.deactivate_group(1) == b.activate_group(1) == b.remove_group(1) == 0
         b.insert(rng.uniform(size=(3, 3)), [1, 1, 7])
-        assert b.report_groups(boxes[0]) == {1, 7}
+        assert key_arrays(b, boxes[:1]) == [[1, 7]]
         assert sorted(b.to_arrays()["group"].tolist()) == [1, 1, 7]
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
@@ -374,7 +387,7 @@ class TestDynamicEquivalence:
         assert key_arrays(twin, boxes) == [[], []]
         assert twin.report_first(boxes[0]) is None
         twin.insert(rng.uniform(size=(3, 3)), [1, 1, 7])
-        assert twin.report_groups(boxes[0]) == {1, 7}
+        assert key_arrays(twin, boxes[:1]) == [[1, 7]]
         assert sorted(twin.to_arrays()["group"].tolist()) == [1, 1, 7]
         if engine == "kd":  # zero rows admit no level and no second node
             levels = {"levels": np.array([0.5]), "level_start": np.array([0, 1, 1, 1])}
@@ -387,9 +400,10 @@ class TestDynamicEquivalence:
 
 
 class TestBatchKernels:
-    """The multi-box kernels must equal the per-box loop on every backend:
-    ``report_many(boxes) ≡ [report(b) for b in boxes]`` and likewise for
-    ``report_groups_many``."""
+    """The multi-box kernels must equal a brute-force scan on every
+    backend: ``report_many(boxes)`` each box's keys of the active points
+    inside it, one per point, and ``report_groups_many`` their distinct
+    keys."""
 
     @settings(max_examples=30, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(
@@ -404,13 +418,13 @@ class TestBatchKernels:
         ids = [i % 7 for i in range(n)]
         backends = build_all(pts, ids)
         boxes = [random_orthant(rng, dim) for _ in range(q)]
+        want = [scan(pts, ids, box) for box in boxes]
         for e, b in backends.items():
             batch = [sorted(r) for r in b.report_many(boxes)]
-            loop = [sorted(b.report(box)) for box in boxes]
-            assert batch == loop, f"report_many mismatch on {e}"
+            assert batch == want, f"report_many mismatch on {e}"
             assert [len(r) for r in batch] == [b.count(box) for box in boxes], e
             assert key_arrays(b, boxes) == [
-                sorted(b.report_groups(box)) for box in boxes
+                sorted(set(keys)) for keys in want
             ], f"report_groups_many mismatch on {e}"
 
     @settings(max_examples=20, deadline=None, suppress_health_check=FIXTURE_OK)
@@ -434,12 +448,13 @@ class TestBatchKernels:
         pts = rng.uniform(size=(30, 2))
         ids = [i % 3 for i in range(30)]
         tree = build_backend(pts, list(ids), "kd")
-        tree.insert(rng.uniform(size=(10, 2)), [i % 3 for i in range(30, 40)])
+        more = rng.uniform(size=(10, 2))
+        tree.insert(more, [i % 3 for i in range(30, 40)])
+        assert tree._buf is not None
         boxes = [random_orthant(rng, 2) for _ in range(8)]
-        assert [sorted(r) for r in tree.report_many(boxes)] == [
-            sorted(tree.report(box)) for box in boxes
-        ]
-        assert key_arrays(tree, boxes) == [sorted(tree.report_groups(b)) for b in boxes]
+        want = [scan(np.vstack([pts, more]), np.arange(40) % 3, box) for box in boxes]
+        assert [sorted(r) for r in tree.report_many(boxes)] == want
+        assert key_arrays(tree, boxes) == [sorted(set(keys)) for keys in want]
 
     def test_empty_batch(self, rng):
         pts = rng.uniform(size=(5, 2))
@@ -460,8 +475,10 @@ class TestBatchKernels:
         else:
             b = build_backend(pts, ids, store.split("+")[0])
         if store == "kd+buffer":
-            b.insert(rng.uniform(size=(6, 2)), [2, 2, 900, 301, 301, 5])
+            more, more_ids = rng.uniform(size=(6, 2)), [2, 2, 900, 301, 301, 5]
+            b.insert(more, more_ids)
             assert b._buf is not None and len(b._buf)
+            pts, ids = np.vstack([pts, more]), ids + more_ids
         elif store == "kd":
             assert b._buf is None or not len(b._buf)
         boxes = [
@@ -470,9 +487,9 @@ class TestBatchKernels:
             *(random_orthant(rng, 2) for _ in range(6)),
         ]
         got = key_arrays(b, boxes)
-        assert got == [sorted(b.report_groups(box)) for box in boxes]
+        assert got == [sorted(set(scan(pts, ids, box))) for box in boxes]
         assert got[0] == []
-        assert got[1] == sorted(set(b.report(QueryBox.unbounded(2))))
+        assert got[1] == sorted(set(ids))
         assert any(0 < len(keys) < len(got[1]) for keys in got[2:])
 
 
@@ -491,7 +508,7 @@ class TestProtocolSurface:
     def test_dynamic_backends_accept_inserts(self, store, rng):
         b = DYNAMIC_STORES[store](rng.uniform(size=(5, 2)), list(range(5)))
         b.insert(np.full((1, 2), 0.5), [7])
-        assert 7 in b.report_groups(QueryBox.unbounded(2))
+        assert 7 in b.report_groups_many([QueryBox.unbounded(2)])[0]
         assert b.remove_group(7) == 1 and len(b) == 5
 
     @pytest.mark.parametrize("name", ["btree", "columnar"])
@@ -530,7 +547,7 @@ class TestProtocolSurface:
         b = DYNAMIC_STORES[store](rng.uniform(size=(6, 2)), list(range(6)))
         assert b.deactivate_group(2) == 1
         assert b.remove_group(2) == 1  # removal of a hidden point is legitimate
-        assert sorted(b.report(QueryBox.unbounded(2))) == [0, 1, 3, 4, 5]
+        assert keys_in(b, QueryBox.unbounded(2)) == [0, 1, 3, 4, 5]
         assert (len(b), n_visible(b)) == (5, 5)
         assert b.remove_group(2) == 0
         assert b.remove_group(99) == 0
@@ -582,9 +599,7 @@ def assert_matches_oracle(backend, oracle, boxes: list) -> None:
     assert [sorted(r) for r in backend.report_many(boxes)] == want
     assert key_arrays(backend, boxes) == [sorted(set(r)) for r in want]
     for box, ids in list(zip(boxes, want))[::5]:
-        assert sorted(backend.report(box)) == ids
         assert backend.count(box) == len(ids)
-        assert backend.report_groups(box) == set(ids)
         first = backend.report_first(box)
         assert first in ids if ids else first is None
 
@@ -757,7 +772,7 @@ class TestKeyDtypeBoundaries:
             if e in DYNAMIC_ENGINES:
                 assert b.remove_group(256) == 0, e
             assert (len(b), n_visible(b)) == (40, 40), e
-        assert_agree(backends, QueryBox.unbounded(self.DIM))
+        assert_agree(backends, QueryBox.unbounded(self.DIM), pts, ids)
 
     @pytest.mark.parametrize("engine", DYNAMIC_ENGINES)
     @pytest.mark.parametrize(

@@ -11,12 +11,18 @@ def naive_report(points, box):
     return sorted(np.flatnonzero(box.batch.contains_points(points)).tolist())
 
 
+def keys_in(tree, box) -> list[int]:
+    """The keys of the active points in one box, one per point, from the
+    batch kernel (a single box is a batch of one)."""
+    return tree.report_many([box])[0].tolist()
+
+
 class TestQueries:
     def test_report_matches_naive(self, rng):
         pts = rng.uniform(size=(300, 4))
         store = ColumnarStore(pts)
         box = QueryBox.closed([0.2] * 4, [0.8] * 4)
-        assert sorted(store.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(store, box)) == naive_report(pts, box)
 
     def test_count_and_first(self, rng):
         pts = rng.uniform(size=(200, 2))
@@ -31,19 +37,20 @@ class TestQueries:
 
     def test_open_bounds(self):
         store = ColumnarStore(np.array([[0.0], [1.0], [2.0]]))
-        assert store.report(QueryBox([(0.0, 2.0, True, True)])) == [1]
+        assert keys_in(store, QueryBox([(0.0, 2.0, True, True)])) == [1]
 
     def test_report_groups_is_group_by(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         store = ColumnarStore(pts, ids=[7, 7, 8, 9])
-        assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {7, 8}
+        box = QueryBox.closed([0.5], [2.5])
+        assert store.report_groups_many([box])[0].tolist() == [7, 8]
         assert store.deactivate_group(7) == 2
-        assert store.report_groups(QueryBox.closed([0.5], [2.5])) == {8}
+        assert store.report_groups_many([box])[0].tolist() == [8]
 
     def test_dim_mismatch(self):
         store = ColumnarStore(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            store.report(QueryBox.closed([0.0], [1.0]))
+            keys_in(store, QueryBox.closed([0.0], [1.0]))
 
     @pytest.mark.parametrize(
         "ids",
@@ -63,10 +70,10 @@ class TestActivation:
         for i in range(10):
             store.deactivate_group(i)
         assert store.count(QueryBox.unbounded(store.dim)) == 90
-        assert sorted(store.report(box)) == list(range(10, 100))
+        assert sorted(keys_in(store, box)) == list(range(10, 100))
         for i in range(10):
             store.activate_group(i)
-        assert sorted(store.report(box)) == list(range(100))
+        assert sorted(keys_in(store, box)) == list(range(100))
 
 
 class TestDynamics:
@@ -74,25 +81,25 @@ class TestDynamics:
         store = ColumnarStore(rng.uniform(size=(20, 2)), ids=[0] * 20)
         store.insert(np.array([[0.5, 0.5]]), ids=[9])
         box = QueryBox.closed([0.45, 0.45], [0.55, 0.55])
-        assert 9 in store.report(box)
-        assert 9 in store.report_groups(box)
+        assert 9 in keys_in(store, box)
+        assert 9 in store.report_groups_many([box])[0]
 
     def test_insert_adds_to_a_stored_group(self):
         store = ColumnarStore(np.zeros((2, 1)))
         store.insert(np.array([[1.0]]), ids=[0])
-        assert sorted(store.report(QueryBox.unbounded(1))) == [0, 0, 1]
+        assert sorted(keys_in(store, QueryBox.unbounded(1))) == [0, 0, 1]
         assert store.remove_group(0) == 2 and len(store) == 1
 
     def test_remove_is_permanent(self, rng):
         store = ColumnarStore(rng.uniform(size=(30, 2)))
         assert store.remove_group(5) == 1
-        assert 5 not in store.report(QueryBox.unbounded(2))
+        assert 5 not in keys_in(store, QueryBox.unbounded(2))
         assert len(store) == 29
         assert store.activate_group(5) == 0  # removed points never come back
-        assert 5 not in store.report(QueryBox.unbounded(2))
+        assert 5 not in keys_in(store, QueryBox.unbounded(2))
         # The freed id is re-insertable immediately.
         store.insert(np.array([[0.5, 0.5]]), ids=[5])
-        assert 5 in store.report(QueryBox.unbounded(2))
+        assert 5 in keys_in(store, QueryBox.unbounded(2))
 
     def test_remove_group_equals_a_fresh_store_over_the_survivors(self, rng):
         """``remove_group`` copies the surviving rows down in order, keeps
@@ -125,28 +132,31 @@ class TestDynamics:
 class TestBatchKernels:
     """``report_many`` / ``report_groups_many`` are one scan over a batch of
     boxes — the kd-tree runs them over its side buffer on every batch —
-    and answer like the per-box calls, activity and inserts included."""
+    and answer like a brute-force scan, activity and inserts included."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_batch_equals_per_box_loop(self, dim, rng):
         pts = rng.uniform(size=(60, dim))
         store = ColumnarStore(pts, ids=[i % 7 for i in range(60)])
         store.deactivate_group(3)
-        store.insert(rng.uniform(size=(5, dim)), ids=[9] * 5)
+        more = rng.uniform(size=(5, dim))
+        store.insert(more, ids=[9] * 5)
+        points = np.vstack([pts, more])
+        keys = np.array([i % 7 for i in range(60)] + [9] * 5)
         boxes = [QueryBox.unbounded(dim)]
         for _ in range(6):
             lo = rng.uniform(0.0, 0.5, size=dim)
             boxes.append(QueryBox.closed(lo, lo + rng.uniform(0.2, 0.6, size=dim)))
-        assert [r.tolist() for r in store.report_many(boxes)] == [
-            store.report(box) for box in boxes
+        want = [
+            keys[box.batch.contains_points(points)[0] & (keys != 3)].tolist()
+            for box in boxes
         ]
+        assert [r.tolist() for r in store.report_many(boxes)] == want
         groups = store.report_groups_many(boxes)
         assert all(
             keys.dtype.kind in "iu" and bool(np.all(np.diff(keys.astype(np.int64)) > 0))
             for keys in groups
         )
-        assert [keys.tolist() for keys in groups] == [
-            sorted(store.report_groups(box)) for box in boxes
-        ]
+        assert [keys.tolist() for keys in groups] == [sorted(set(w)) for w in want]
         assert 3 not in groups[0]
         assert store.report_many([]) == store.report_groups_many([]) == []

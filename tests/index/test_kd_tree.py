@@ -21,12 +21,18 @@ def naive_report(points, box):
     return sorted(np.flatnonzero(box.batch.contains_points(points)).tolist())
 
 
+def keys_in(tree, box) -> list[int]:
+    """The keys of the active points in one box, one per point, from the
+    batch kernel (a single box is a batch of one)."""
+    return tree.report_many([box])[0].tolist()
+
+
 class TestQueries:
     def test_report_matches_naive(self, rng):
         pts = rng.uniform(size=(300, 4))
         tree = DynamicKDTree(pts)
         box = QueryBox.closed([0.2] * 4, [0.8] * 4)
-        assert sorted(tree.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(tree, box)) == naive_report(pts, box)
 
     def test_count(self, rng):
         pts = rng.uniform(size=(200, 2))
@@ -48,17 +54,17 @@ class TestQueries:
         pts = np.array([[0.0], [1.0], [2.0]])
         tree = DynamicKDTree(pts)
         box = QueryBox([(0.0, 2.0, True, True)])
-        assert tree.report(box) == [1]
+        assert keys_in(tree, box) == [1]
 
     def test_custom_ids(self):
         tree = DynamicKDTree(np.array([[0.0], [5.0], [5.5]]), ids=[7, 8, 8])
-        assert tree.report(QueryBox.closed([4.0], [6.0])) == [8, 8]
+        assert keys_in(tree, QueryBox.closed([4.0], [6.0])) == [8, 8]
         assert tree.report_first(QueryBox.closed([-1.0], [1.0])) == 7
 
     def test_dim_mismatch(self):
         tree = DynamicKDTree(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            tree.report(QueryBox.closed([0.0], [1.0]))
+            keys_in(tree, QueryBox.closed([0.0], [1.0]))
 
     @settings(max_examples=30, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 120), dim=st.integers(1, 5))
@@ -70,7 +76,7 @@ class TestQueries:
         hi = rng.uniform(0, 1, size=dim)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         box = QueryBox.closed(lo, hi)
-        assert sorted(tree.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(tree, box)) == naive_report(pts, box)
 
 
 class TestActivation:
@@ -81,11 +87,11 @@ class TestActivation:
         truth = naive_report(pts, box)
         for i in truth[:10]:
             tree.deactivate_group(i)
-        assert sorted(tree.report(box)) == truth[10:]
+        assert sorted(keys_in(tree, box)) == truth[10:]
         assert tree.count(QueryBox.unbounded(tree.dim)) == 90
         for i in truth[:10]:
             tree.activate_group(i)
-        assert sorted(tree.report(box)) == truth
+        assert sorted(keys_in(tree, box)) == truth
 
     def test_report_first_skips_inactive(self, rng):
         pts = rng.uniform(size=(60, 2))
@@ -104,12 +110,12 @@ class TestDynamics:
         tree = DynamicKDTree(pts)
         tree.insert(np.array([[0.5, 0.5]]), ids=[777])
         box = QueryBox.closed([0.45, 0.45], [0.55, 0.55])
-        assert 777 in tree.report(box)
+        assert 777 in keys_in(tree, box)
 
     def test_insert_adds_to_a_stored_group(self):
         tree = DynamicKDTree(np.zeros((2, 1)))
         tree.insert(np.array([[1.0]]), ids=[0])
-        assert sorted(tree.report(QueryBox.closed([-1.0], [2.0]))) == [0, 0, 1]
+        assert sorted(keys_in(tree, QueryBox.closed([-1.0], [2.0]))) == [0, 0, 1]
         assert tree.deactivate_group(0) == 2
 
     def test_buffer_rebuild_preserves_state(self, rng):
@@ -120,7 +126,7 @@ class TestDynamics:
         extra = rng.uniform(size=(100, 2))
         tree.insert(extra, ids=range(1000, 1100))
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
-        got = tree.report(box)
+        got = keys_in(tree, box)
         assert 3 not in got
         assert len(got) == 50 - 1 + 100
 
@@ -129,26 +135,26 @@ class TestDynamics:
         tree = DynamicKDTree(pts)
         assert tree.remove_group(5) == 1
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
-        assert 5 not in tree.report(box)
+        assert 5 not in keys_in(tree, box)
         # Force rebuild; the removed id must stay gone and be re-insertable.
         tree.insert(rng.uniform(size=(100, 2)), ids=range(1000, 1100))
-        assert 5 not in tree.report(box)
+        assert 5 not in keys_in(tree, box)
 
     def test_deactivate_buffered_point(self, rng):
         tree = DynamicKDTree(np.zeros((4, 1)))
         tree.insert(np.array([[9.0]]), ids=[99])
         assert tree.deactivate_group(99) == 1
-        assert tree.report(QueryBox.closed([8.0], [10.0])) == []
+        assert keys_in(tree, QueryBox.closed([8.0], [10.0])) == []
         assert tree.activate_group(99) == 1
-        assert tree.report(QueryBox.closed([8.0], [10.0])) == [99]
+        assert keys_in(tree, QueryBox.closed([8.0], [10.0])) == [99]
 
     def test_report_groups(self, rng):
         pts = rng.uniform(size=(40, 2))
         tree = DynamicKDTree(pts, ids=[i % 4 for i in range(40)])
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
-        assert tree.report_groups(box) == {0, 1, 2, 3}
+        assert tree.report_groups_many([box])[0].tolist() == [0, 1, 2, 3]
         assert tree.deactivate_group(0) == 10
-        assert tree.report_groups(box) == {1, 2, 3}
+        assert tree.report_groups_many([box])[0].tolist() == [1, 2, 3]
 
     @settings(max_examples=15, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(0, 10_000))
@@ -181,7 +187,7 @@ class TestDynamics:
         expected = sorted(
             k for k in active if box.contains_point(alive[k])
         )
-        assert sorted(tree.report(box)) == expected
+        assert sorted(keys_in(tree, box)) == expected
 
 
 class TestAmortizedRebuild:
@@ -225,7 +231,7 @@ class TestAmortizedRebuild:
         keys = np.array(list(range(50)) + ids)
         box = QueryBox.closed([0.2, 0.2], [0.8, 0.8])
         want = keys[naive_report(np.vstack([pts, new]), box)].tolist()
-        assert sorted(tree.report(box)) == want
+        assert sorted(keys_in(tree, box)) == want
         tree.insert(rng.uniform(size=(1, 2)), ids=[2000])
         assert tree._buf is None and len(tree) == 50 + threshold
 
@@ -240,13 +246,13 @@ class TestAmortizedRebuild:
         new_ids = self._grow_past_threshold(tree, rng, 1000)
         assert tree._buf is None  # rebuild happened
         box = QueryBox.unbounded(2)
-        got = set(tree.report(box))
+        got = set(keys_in(tree, box))
         assert {7, 11, 500} & got == set()
         assert set(new_ids) <= got
         assert tree.count(QueryBox.unbounded(tree.dim)) == len(tree) - 3
         # Toggles still work post-rebuild (paths/leaf assignment rebuilt).
         assert tree.activate_group(7) == 1
-        assert 7 in set(tree.report(box))
+        assert 7 in set(keys_in(tree, box))
         assert tree.activate_group(501) == 0  # never stored
 
     def test_removed_ids_dropped_and_reusable(self, rng):
@@ -259,20 +265,20 @@ class TestAmortizedRebuild:
         assert tree._buf is None
         assert len(tree) == 50 - 2 + len(new_ids) + 1
         box = QueryBox.unbounded(2)
-        got = set(tree.report(box))
+        got = set(keys_in(tree, box))
         assert 3 not in got and 500 not in got
         # Removed ids are gone from the structure entirely post-rebuild...
         assert tree.deactivate_group(500) == 0
         # ... and re-insertable as fresh points.
         tree.insert(np.array([[0.5, 0.5]]), ids=[500])
-        assert 500 in set(tree.report(box))
+        assert 500 in set(keys_in(tree, box))
 
     def test_report_first_correct_across_rebuild(self, small_leaves, rng):
         pts = rng.uniform(size=(60, 2))
         tree = DynamicKDTree(pts)
         self._grow_past_threshold(tree, rng, 1000)
         box = QueryBox.closed([0.2, 0.2], [0.8, 0.8])
-        expected = set(tree.report(box))
+        expected = set(keys_in(tree, box))
         seen = set()
         while True:
             hit = tree.report_first(box)
@@ -283,7 +289,7 @@ class TestAmortizedRebuild:
         assert seen == expected
         for pid in seen:
             tree.activate_group(pid)
-        assert set(tree.report(box)) == expected
+        assert set(keys_in(tree, box)) == expected
 
 
 class TestRebuildEquivalence:
@@ -399,11 +405,10 @@ def boxes_over(rng, points, count):
 
 
 def assert_as_oracle(tree, oracle, boxes):
-    """``report``, ``report_first``, ``count``, ``report_many`` and
+    """``report_first``, ``count``, ``report_many`` and
     ``report_groups_many`` of the tree against the float column store."""
-    for box in boxes:
-        want = sorted(oracle.report(box))
-        assert sorted(tree.report(box)) == want
+    for box, keys in zip(boxes, oracle.report_many(boxes)):
+        want = sorted(keys.tolist())
         assert tree.count(box) == len(want)
         first = tree.report_first(box)
         assert first in want if want else first is None

@@ -12,22 +12,28 @@ def naive_report(points, box):
     return sorted(np.flatnonzero(box.batch.contains_points(points)).tolist())
 
 
+def keys_in(rt, box) -> list[int]:
+    """The keys of the active points in one box, one per point, from the
+    batch kernel (a single box is a batch of one)."""
+    return rt.report_many([box])[0]
+
+
 class TestBasics:
     def test_1d(self):
         rt = RangeTree(np.array([[0.0], [1.0], [2.0]]))
-        assert sorted(rt.report(QueryBox.closed([0.5], [2.5]))) == [1, 2]
+        assert sorted(keys_in(rt, QueryBox.closed([0.5], [2.5]))) == [1, 2]
 
     def test_2d(self, rng):
         pts = rng.uniform(size=(100, 2))
         rt = RangeTree(pts)
         box = QueryBox.closed([0.2, 0.2], [0.7, 0.7])
-        assert sorted(rt.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(rt, box)) == naive_report(pts, box)
 
     def test_3d(self, rng):
         pts = rng.uniform(size=(60, 3))
         rt = RangeTree(pts)
         box = QueryBox.closed([0.1, 0.1, 0.1], [0.8, 0.8, 0.8])
-        assert sorted(rt.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(rt, box)) == naive_report(pts, box)
 
     def test_count(self, rng):
         pts = rng.uniform(size=(80, 2))
@@ -48,21 +54,22 @@ class TestBasics:
     def test_custom_ids(self):
         rt = RangeTree(np.array([[0.0, 0.0], [1.0, 1.0], [1.2, 0.9]]), ids=[4, 9, 9])
         box = QueryBox.closed([0.5, 0.5], [1.5, 1.5])
-        assert rt.report(box) == [9, 9]
-        assert rt.report_first(box) == 9 and rt.report_groups(box) == {9}
+        assert keys_in(rt, box) == [9, 9]
+        assert rt.report_first(box) == 9
+        assert rt.report_groups_many([box])[0].tolist() == [9]
 
     def test_dim_mismatch_raises(self):
         rt = RangeTree(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
-            rt.report(QueryBox.closed([0.0], [1.0]))
+            keys_in(rt, QueryBox.closed([0.0], [1.0]))
 
     def test_repeated_key_is_one_group(self):
         """Levels key their points by row, so a shared dataset key toggles
         as one group and reports once per point."""
         rt = RangeTree(np.array([[0.0], [0.0], [2.0]]), ids=[3, 3, 5])
         box = QueryBox.closed([-1.0], [3.0])
-        assert sorted(rt.report(box)) == [3, 3, 5] and rt.count(box) == 3
-        assert rt.deactivate_group(3) == 2 and rt.report(box) == [5]
+        assert sorted(keys_in(rt, box)) == [3, 3, 5] and rt.count(box) == 3
+        assert rt.deactivate_group(3) == 2 and keys_in(rt, box) == [5]
         assert rt.activate_group(3) == 2 and rt.count(QueryBox.unbounded(rt.dim)) == 3
 
     def test_non_integer_ids_rejected(self):
@@ -73,7 +80,7 @@ class TestBasics:
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         rt = RangeTree(pts)
         box = QueryBox([(0.0, 1.0, True, True), (-1.0, 2.0, False, False)])
-        assert rt.report(box) == []
+        assert keys_in(rt, box) == []
 
 
 class TestActivation:
@@ -83,9 +90,9 @@ class TestActivation:
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
         truth = naive_report(pts, box)
         assert rt.deactivate_group(truth[0]) == 1
-        assert sorted(rt.report(box)) == truth[1:]
+        assert sorted(keys_in(rt, box)) == truth[1:]
         assert rt.activate_group(truth[0]) == 1
-        assert sorted(rt.report(box)) == truth
+        assert sorted(keys_in(rt, box)) == truth
 
     def test_deactivate_all(self, rng):
         pts = rng.uniform(size=(10, 2))
@@ -93,7 +100,7 @@ class TestActivation:
         for i in range(10):
             rt.deactivate_group(i)
         box = QueryBox.closed([0.0, 0.0], [1.0, 1.0])
-        assert rt.report(box) == []
+        assert keys_in(rt, box) == []
         assert rt.report_first(box) is None
         assert rt.count(box) == 0
 
@@ -113,7 +120,7 @@ class TestPropertyBased:
         hi = rng.uniform(0, 1, size=dim)
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         box = QueryBox.closed(lo, hi)
-        assert sorted(rt.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(rt, box)) == naive_report(pts, box)
         assert rt.count(box) == len(naive_report(pts, box))
 
     @settings(max_examples=25, deadline=None)
@@ -128,4 +135,4 @@ class TestPropertyBased:
             a, b = sorted(rng.integers(0, 4, size=2).tolist())
             cons.append((float(a), float(b), bool(rng.integers(2)), bool(rng.integers(2))))
         box = QueryBox(cons)
-        assert sorted(rt.report(box)) == naive_report(pts, box)
+        assert sorted(keys_in(rt, box)) == naive_report(pts, box)

@@ -12,9 +12,9 @@ SCRIPT = REPO / "scripts" / "surface_count.py"
 
 #: directory -> (options, public names + options) it may not exceed.
 CEILINGS = {
-    "src/repro": (253, 948),
+    "src/repro": (253, 939),
     "src/repro/analysis": (5, 29),
-    "src/repro/index": (8, 98),
+    "src/repro/index": (8, 90),
     "src/repro/service": (106, 293),
 }
 

@@ -12,6 +12,8 @@ Run ``python benchmarks/bench_thm44_ptile_threshold.py`` for the tables.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.baselines.linear_scan import LinearScanPtile
@@ -25,6 +27,11 @@ from repro.workloads.generators import dataset_with_mass
 QUERY = Rectangle([0.0], [0.25])
 A_THETA = 0.5
 SAMPLE_SIZE = 20
+#: Each query time is the median of this many runs, taken round-robin over
+#: the scales: an index query takes well under a millisecond, and a median
+#: of 3 per scale, timed one scale after another, moved the fitted slope by
+#: more than half a unit from one run of the script to the next.
+QUERY_REPEATS = 31
 
 
 def planted_lake(n: int, rng: np.random.Generator):
@@ -57,10 +64,6 @@ def run_scale(n: int, seed: int) -> dict:
     recall = 1.0 if truth <= result.index_set else 0.0
     slack = 2 * index.eps_effective
     worst_fp = min((masses[j] for j in result.indexes), default=1.0)
-    q_index = time_callable(lambda: index.query(QUERY, A_THETA), repeats=3)
-    q_scan = time_callable(
-        lambda: scan.query(QUERY, Interval(A_THETA, 1.0)), repeats=3
-    )
     return {
         "n": n,
         "build": build_time,
@@ -68,9 +71,22 @@ def run_scale(n: int, seed: int) -> dict:
         "recall": recall,
         "precision_ok": worst_fp >= A_THETA - slack - 1e-9,
         "out": result.out_size,
-        "q_index": q_index,
-        "q_scan": q_scan,
+        "q_index": lambda: index.query(QUERY, A_THETA),
+        "q_scan": lambda: scan.query(QUERY, Interval(A_THETA, 1.0)),
     }
+
+
+def interleaved_medians(calls: list, repeats: int) -> list[float]:
+    """Median seconds of each call, timed round-robin ``repeats`` times: a
+    slow spell of the host lands on every scale alike, not on one scale's
+    runs (which tilts the fitted slope)."""
+    times: list[list[float]] = [[] for _ in calls]
+    for _ in range(repeats):
+        for fn, runs in zip(calls, times):
+            start = time.perf_counter()
+            fn()
+            runs.append(time.perf_counter() - start)
+    return [float(np.median(runs)) for runs in times]
 
 
 def main() -> None:
@@ -80,21 +96,22 @@ def main() -> None:
         ["N", "build (s)", "mapped pts", "OUT", "recall", "precision ok",
          "query (s)", "scan (s)", "speedup"],
     )
-    ns, builds, queries, scans = [], [], [], []
-    for n in (40, 80, 160, 320):
-        r = run_scale(n, seed=n)
+    rows = [run_scale(n, seed=n) for n in (40, 80, 160, 320)]
+    ns = [r["n"] for r in rows]
+    builds = [r["build"] for r in rows]
+    queries, scans = (
+        interleaved_medians([r[key] for r in rows], QUERY_REPEATS)
+        for key in ("q_index", "q_scan")
+    )
+    for r, q_index, q_scan in zip(rows, queries, scans):
         table.add_row(
             [
                 r["n"], r["build"], r["points"], r["out"],
-                r["recall"], r["precision_ok"], r["q_index"], r["q_scan"],
-                r["q_scan"] / max(r["q_index"], 1e-9),
+                r["recall"], r["precision_ok"], q_index, q_scan,
+                q_scan / max(q_index, 1e-9),
             ]
         )
         assert r["recall"] == 1.0 and r["precision_ok"]
-        ns.append(n)
-        builds.append(r["build"])
-        queries.append(r["q_index"])
-        scans.append(r["q_scan"])
     table.print()
     print(f"construction slope vs N : {fit_loglog_slope(ns, builds):.2f} (paper: ~1, i.e. ~O(N))")
     print(f"index query slope vs N  : {fit_loglog_slope(ns, queries):.2f} (paper: ~O(1 + OUT); OUT grows with N here)")

@@ -8,7 +8,7 @@ acceptable in a correctness-first reproduction.
 Open sides are therefore folded, once per box, into *closed effective
 bounds* that are exact over the doubles: ``x > a`` holds iff
 ``x >= nextafter(a, +inf)`` and ``x < b`` iff ``x <= nextafter(b, -inf)``
-(:func:`closed_bounds`).  A :class:`QueryBox` says what one box is; the
+(:func:`_closed_bounds`).  A :class:`QueryBox` says what one box is; the
 predicates live on :class:`BoxBatch` alone, a stack of boxes, and a single
 box is its own one-row batch (:attr:`QueryBox.batch`).  They compare
 against the two bound arrays only, and skip a side no box constrains — an
@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 
-def closed_bounds(
+def _closed_bounds(
     lo: np.ndarray, hi: np.ndarray, lo_open: np.ndarray, hi_open: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed ``(elo, ehi)`` with ``elo <= x <= ehi`` iff ``x`` is in the box.
@@ -148,7 +148,7 @@ class QueryBox:
         self.dim = len(constraints)
         if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
             raise ValueError("query box bounds must not be NaN")
-        self.elo, self.ehi = closed_bounds(
+        self.elo, self.ehi = _closed_bounds(
             self.lo, self.hi, self.lo_open, self.hi_open
         )
         self._batch: Optional[BoxBatch] = None

@@ -25,15 +25,43 @@ test suite cross-checks them against each other.
 from __future__ import annotations
 
 import bisect
+import functools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CapabilityError
+from repro.errors import CapabilityError, ConstructionError
 from repro.geometry.interval import Interval
 from repro.index.backend import id_column
 from repro.index.query_box import QueryBox
 from repro.index.sorted_list import SortedListIndex
+
+
+#: The most associated-structure entries (:func:`_assoc_entries`) a build
+#: may make; a larger one is a ``ConstructionError`` before it allocates.
+#: An entry costs ~750–870 B (``tracemalloc`` peak of 126 x 6 and 400 x 6
+#: point builds), so this is ~0.8 GB.  The largest build tier-1, the
+#: doctests and CI's paper scripts make holds 214 632 entries (126 mapped
+#: points in 6 dimensions, in ``tests/core/test_ptile_range.py``); the
+#: paper scripts' largest holds 7 872.
+MAX_ASSOC_ENTRIES = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _assoc_entries(n: int, k: int) -> int:
+    """The sorted-list entries a range tree over ``n`` points in ``k``
+    dimensions holds, by the construction's own recurrence: a node over
+    ``m`` points keeps a sorted list of ``m`` (``k = 1``) or a tree over
+    its ``m`` points' other ``k - 1`` coordinates, and splits ``m`` at
+    ``m // 2`` until ``m = 1``.
+
+    >>> _assoc_entries(4, 1), _assoc_entries(4, 2)
+    (12, 24)
+    """
+    own = n if k == 1 else _assoc_entries(n, k - 1)
+    if n == 1:
+        return own
+    return own + _assoc_entries(n // 2, k) + _assoc_entries(n - n // 2, k)
 
 
 class _Node:
@@ -73,6 +101,14 @@ class RangeTree:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, k) array")
+        entries = _assoc_entries(*pts.shape)
+        if entries > MAX_ASSOC_ENTRIES:
+            raise ConstructionError(
+                f"a range tree over {pts.shape[0]} points in {pts.shape[1]} "
+                f"dimensions would hold {entries:,} associated-structure entries, "
+                f"past MAX_ASSOC_ENTRIES = {MAX_ASSOC_ENTRIES:,}; build it with "
+                "engine 'kd'"
+            )
         self._group = id_column(ids, pts.shape[0])
         self._plant(pts, list(range(pts.shape[0])))
 

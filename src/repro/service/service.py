@@ -131,24 +131,14 @@ class QueryService:
         tracing: bool = False,
         slow_query_threshold_ms: Optional[float] = None,
     ) -> None:
-        self._executor_kwargs = dict(
-            eps=eps,
-            phi=phi,
-            delta=delta,
-            sample_size=sample_size,
-            bounding_box=bounding_box,
-            seed=seed,
-            engine=engine,
-            capacity=capacity,
-        )
         # Tracing policy, slow log and the registry, the one record of counts.
         observability = ServiceObservability(tracing, slow_query_threshold_ms)
+        # The executor keeps what a rebuild needs (its _rebuild_kwargs).
         self.executor = ShardedBatchExecutor(  # guarded-by: _mutation_lock [writes]
-            synopses=synopses,
-            repository=repository,
-            n_shards=n_shards,
+            synopses=synopses, repository=repository, n_shards=n_shards,
+            eps=eps, phi=phi, delta=delta, sample_size=sample_size,
+            bounding_box=bounding_box, seed=seed, engine=engine, capacity=capacity,
             registry=observability.registry,
-            **self._executor_kwargs,
         )
         self._assemble(observability, cache_capacity)
 
@@ -379,7 +369,8 @@ class QueryService:
                     answers = run(
                         [leaf for _key, leaf, _entry in todo], deadline=deadline
                     )
-                    for (key, _leaf, entry), (answer, done) in zip(todo, answers):
+                    done = time.perf_counter()  # every leaf of a call at once
+                    for (key, _leaf, entry), answer in zip(todo, answers):
                         if entry is not None:
                             answer = entry.indexes | answer
                             if removed_bits is not None:
@@ -600,7 +591,7 @@ class QueryService:
                 for j, s in enumerate(new_synopses)
             )
             if not fits:
-                if self._executor_kwargs["bounding_box"] is not None:
+                if executor._box_pinned:
                     # The box was pinned explicitly at construction; a
                     # rebuild would keep it and fail at the next Ptile
                     # build, so refuse up front instead.
@@ -705,7 +696,7 @@ class QueryService:
             n_shards=self.n_shards,
             removed=self.executor.removed,
             registry=self.observability.registry,
-            **self._executor_kwargs,
+            **self.executor._rebuild_kwargs(),
         )
         # Publish, then flush once (see _search_batch_impl's capture order):
         # a batch still on the old executor holds an older generation, so

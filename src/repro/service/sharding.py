@@ -70,7 +70,6 @@ The executor supports repository churn without a full rebuild:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -263,6 +262,11 @@ class ShardedBatchExecutor:
         self.eps = float(eps)
         self.seed = int(seed)
         self._delta_param = delta
+        # The other requested inputs a rebuild re-resolves the contract
+        # from (:meth:`_rebuild_kwargs`); a pinned box is kept as it is.
+        self._phi_param = phi
+        self._sample_size_param = sample_size
+        self._box_pinned = bounding_box is not None
         self.engine_kind = check_dynamic_engine(engine)
         self.synopses = [self._seeded(s, i) for i, s in enumerate(synopses)]
         self.repository = repository
@@ -304,6 +308,17 @@ class ShardedBatchExecutor:
         #: The delta shard, made by the first :meth:`add_synopses`.
         self.delta: Optional[_Unit] = None
 
+    def _rebuild_kwargs(self) -> dict:
+        """The construction keywords of the executor a rebuild publishes:
+        the requested inputs, so the contract re-resolves for the grown
+        repository, and the box only if it was pinned."""
+        return dict(
+            eps=self.eps, phi=self._phi_param, delta=self._delta_param,
+            sample_size=self._sample_size_param,
+            bounding_box=self.bounding_box if self._box_pinned else None,
+            seed=self.seed, engine=self.engine_kind, capacity=self.capacity,
+        )
+
     @property
     def n_datasets(self) -> int:
         """Total datasets ever registered (including tombstoned ones)."""
@@ -334,8 +349,11 @@ class ShardedBatchExecutor:
     ) -> _Unit:
         """The unit over the datasets ``ids`` (with ``synopses``, else the
         executor's at ``ids``) under the frozen contract: base shard ``s``
-        draws on rng stream ``s``, the delta on ``len(units)``.  Nothing is
-        built until the unit is first used."""
+        gets rng stream ``s``, the delta ``len(units)``.  The stream is
+        never drawn from — every synopsis is a :class:`SeededSampleSynopsis`,
+        which samples from its own — so a snapshot stores none and a load
+        makes each unit here, as this constructor does.  Nothing is built
+        until the unit is first used."""
         engine = DatasetSearchEngine(
             synopses=synopses or [self.synopses[i] for i in ids],
             eps=self.eps,
@@ -385,7 +403,7 @@ class ShardedBatchExecutor:
         unit: _Unit,
         leaves: _LeafBatch,
         deadline: "Optional[Deadline]",
-    ) -> list[tuple[DatasetBitmap, float]]:
+    ) -> list[DatasetBitmap]:
         """All leaves on one unit as *global* packed bitsets.
 
         The unit's whole leaf batch goes through
@@ -404,11 +422,6 @@ class ShardedBatchExecutor:
         universe ends at the unit's largest global index — the merge's
         word-wise OR aligns operands of different sizes by zero-padding,
         so per-unit sizes never have to agree.
-
-        Each leaf's answer is paired with its per-shard completion stamp so
-        the merge can report when the whole leaf (max over shards) finished;
-        batched leaves share the batch's completion stamp, which is exactly
-        when their answers became available.
 
         In a traced batch (:mod:`repro.trace`) the whole unit evaluation
         runs under a per-unit span (``shard_eval`` with a ``shard`` index
@@ -443,10 +456,8 @@ class ShardedBatchExecutor:
             # The ids are read under this lock: the delta's grow only here.
             ids = np.asarray(unit.ids, dtype=np.int64)
             answers = unit.engine.eval_leaf_batch_bits(leaves, ids)
-            done = time.perf_counter()
-            out = [(bits, done) for bits in answers]
-        self.registry.inc("repro_executor_shard_tasks_total", by=len(out))
-        return out
+        self.registry.inc("repro_executor_shard_tasks_total", by=len(answers))
+        return answers
 
     def _units(self, delta_only: bool = False) -> list[_Unit]:
         """The units a batch visits, in order: the base shards (unless
@@ -478,7 +489,7 @@ class ShardedBatchExecutor:
         units: Sequence[_Unit],
         leaves: Sequence[Predicate],
         deadline: "Optional[Deadline]",
-    ) -> list[tuple[DatasetBitmap, float]]:
+    ) -> list[DatasetBitmap]:
         """Evaluate a leaf batch on each unit in turn and merge (masked)
         answers — the one body of :meth:`eval_leaves` and
         :meth:`eval_delta_leaves`, which differ in the units they visit and
@@ -500,10 +511,9 @@ class ShardedBatchExecutor:
         if not leaves:
             return []
         if not units:
-            stamp = time.perf_counter()
             self.registry.inc(counter, by=len(leaves))
-            return [(DatasetBitmap.zeros(0), stamp) for _ in leaves]
-        per_unit: list[list[tuple[DatasetBitmap, float]]] = []
+            return [DatasetBitmap.zeros(0) for _ in leaves]
+        per_unit: list[list[DatasetBitmap]] = []
         for unit in units:
             if deadline is not None and deadline.expired():
                 return []
@@ -513,15 +523,14 @@ class ShardedBatchExecutor:
             per_unit.append(answers)
         with span("merge", n_units=len(units), n_leaves=len(leaves)):
             removed = self.removed_bits()
-            out: list[tuple[DatasetBitmap, float]] = []
+            out: list[DatasetBitmap] = []
             for row in zip(*per_unit):
-                merged, done = row[0]
-                for indexes, stamp in row[1:]:
+                merged = row[0]
+                for indexes in row[1:]:
                     merged = merged | indexes
-                    done = max(done, stamp)
                 if removed is not None:
                     merged = merged.andnot(removed)
-                out.append((merged, done))
+                out.append(merged)
         self.registry.inc(counter, by=len(out))
         return out
 
@@ -532,15 +541,14 @@ class ShardedBatchExecutor:
         self,
         leaves: Sequence[Predicate],
         deadline: "Optional[Deadline]" = None,
-    ) -> list[tuple[DatasetBitmap, float]]:
+    ) -> list[DatasetBitmap]:
         """A batch of leaves across base shards plus the delta shard.
 
-        Returns one ``(global bitset, completion time)`` pair per leaf,
-        aligned with the input order; tombstoned datasets are masked out
-        (word-wise ANDNOT against the persistent removal mask).  The
-        completion time is the ``time.perf_counter()`` instant at which the
-        last shard finished that leaf — the stamp the emit scheduler
-        attributes to it.  With a ``deadline`` it is every answer or none
+        Returns one global bitset per leaf, aligned with the input order;
+        tombstoned datasets are masked out (word-wise ANDNOT against the
+        persistent removal mask).  Every leaf of one call completes at
+        once, so the caller stamps the call, not the leaf.  With a
+        ``deadline`` it is every answer or none
         (``[]`` once a poll trips); the overshoot is at most one unit's
         batched call.
         """
@@ -552,7 +560,7 @@ class ShardedBatchExecutor:
         self,
         leaves: Sequence[Predicate],
         deadline: "Optional[Deadline]" = None,
-    ) -> list[tuple[DatasetBitmap, float]]:
+    ) -> list[DatasetBitmap]:
         """A leaf batch on the delta shard only (masked global bitsets).
 
         This is the cache-upgrade primitive: a leaf answer cached before an

@@ -12,7 +12,7 @@ coreset draws, the maximal-pair rectangle enumeration and the kd-tree
 build entirely.  A bare engine is persisted as ``QueryService(n_shards=1)``,
 which answers identically over the same seeded coresets.
 
-Container format (version 6)
+Container format (version 7)
 ----------------------------
 ::
 
@@ -46,8 +46,15 @@ per dataset or per cache entry is a segment:
   an exact one in a service without a repository — no served lake holds
   either) keeps a per-item record
   (:func:`repro.synopsis.serialize.to_state`).
-- **Shard units**: each unit's dataset ids (``unit_ids``) and its Ptile
-  deltas (``ptile_deltas``); the tombstones are one column (``removed``).
+- **Shard units**: each unit's dataset ids (``unit_ids``) and, once its
+  Ptile index is built, its deltas (``ptile_deltas``), coresets and
+  backend; the tombstones are one column (``removed``).  The serving
+  contract — ``eps``, ``eps_effective``, ``phi_eff``, the coreset size,
+  the engine and the bounding box — and the inputs a rebuild re-resolves
+  it from are stated once, in the executor's record: ``save`` refuses a
+  unit whose index differs from it, and a load plants it into every unit.
+  No generator state is stored: a load makes each unit as the executor's
+  constructor does, and no service path draws from a unit's stream.
 - **Leaf cache**: a small key-shape table in the header, and columns for
   the key scalars (float64), each entry's shape id and watermark
   (``cache_keys``, ``cache_watermarks``), plus the bitmap words end to end
@@ -59,19 +66,18 @@ per dataset or per cache entry is a segment:
 Integer columns are stored in the smallest unsigned dtype that holds them.
 Each Ptile backend is stored as its own ``to_arrays()`` — the kd-tree's,
 the one dynamic engine (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a
-header naming any other engine, in a shard's Ptile state or as the
-executor's (the static ``rangetree``, or the ``columnar`` store older
-builds served), is refused by name.  A kd backend is ``(k_stored, n)``
-unsigned rank codes in tree order and the map from each of the ``k``
-columns to the code row holding it (``mapped_codes``: a column whose table
-and codes repeat an earlier one's is not stored again), the per-column
-float64 level tables they index (``mapped_levels``, all ``k``), every
-point's dataset key in the smallest unsigned dtype that holds the shard's
-largest key (``mapped_ids``: one byte a point up to 256 datasets a shard)
-and the node table with its boxes in code space.  No active mask is
-written: no service path runs the ReportFirst loop that hides points, so
-every point is active (``save`` refuses an index with a hidden one), and a
-load starts every point active.  A Ptile index's coresets are one
+header naming any other engine (the static ``rangetree``, or the
+``columnar`` store older builds served) is refused by name.  A kd backend
+is ``(k_stored, n)`` unsigned rank codes in tree order and the map from
+each of the ``k`` columns to the code row holding it (``mapped_codes``: a
+column whose table and codes repeat an earlier one's is not stored
+again), the per-column float64 level tables they index (``mapped_levels``,
+all ``k``), every point's dataset key in the smallest unsigned dtype that
+holds the shard's largest key (``mapped_ids``: one byte a point up to 256
+datasets a shard) and the node table with its boxes in code space.  No
+active mask is written: no service path runs the ReportFirst loop that
+hides points, so every point is active (``save`` refuses an index with a
+hidden one), and a load starts every point active.  A Ptile index's coresets are one
 ``(N, s, d)`` segment, not ``N``.
 
 Other versions are refused, not migrated: rebuild the file with ``repro
@@ -87,7 +93,7 @@ side buffers, caches past their words) is private per load.  With
 
 **Exact-equality round-trip is the contract**: a loaded service answers
 every query identically to the service that was saved (pinned by
-``tests/service/test_snapshot.py`` on both serving backends).  Pref
+``tests/service/test_snapshot.py`` under both ``mmap`` modes).  Pref
 structures are *not* persisted — they are lazy per-rank-``k`` and
 deterministic to rebuild — and a Ptile index whose key space has holes
 (datasets deleted via ``delete_synopsis``) is refused rather than
@@ -114,11 +120,12 @@ from typing import Any, Callable, Iterator, Optional, Union
 import numpy as np
 
 from repro.core.bitset import DatasetBitmap
+from repro.core.engine import DatasetSearchEngine
 from repro.core.framework import Dataset, Repository
 from repro.core.ptile_range import PtileRangeIndex
 from repro.errors import ReproError, SnapshotError
 from repro.geometry.rectangle import Rectangle
-from repro.index.backend import check_dynamic_engine, id_column, restore_backend
+from repro.index.backend import backend_class, check_dynamic_engine, id_column
 from repro.service import faults
 from repro.service.cache import CacheEntry, LeafResultCache
 from repro.service.observability import MetricsRegistry, ServiceObservability
@@ -127,10 +134,10 @@ from repro.service.sharding import ShardedBatchExecutor, _Unit
 from repro.synopsis.serialize import from_state as synopses_from_state
 from repro.synopsis.serialize import to_state as synopses_to_state
 from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, decode
-from repro.wire import Array, Int, Number, Record, String
+from repro.wire import Array, Bool, Int, Number, Record, String
 
 MAGIC = b"REPROSNP"
-VERSION = 6
+VERSION = 7
 
 #: Segment alignment, in bytes: one cache line, and a divisor of the page
 #: size, so mapped array starts never straddle element boundaries.
@@ -351,27 +358,6 @@ def _decoding(path: PathLike) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# Shared state helpers
-# ----------------------------------------------------------------------
-def _box_state(box: Optional[Rectangle]) -> Optional[dict]:
-    if box is None:
-        return None
-    return {"lo": [float(x) for x in box.lo], "hi": [float(x) for x in box.hi]}
-
-
-def _box_from(state: Optional[dict]) -> Optional[Rectangle]:
-    if state is None:
-        return None
-    return Rectangle(state["lo"], state["hi"])
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    gen = np.random.Generator(getattr(np.random, state["bit_generator"])())
-    gen.bit_generator.state = state
-    return gen
-
-
-# ----------------------------------------------------------------------
 # Ptile index
 # ----------------------------------------------------------------------
 #: Segment hint (the kind ``inspect`` groups bytes by) of each backend array.
@@ -386,7 +372,22 @@ _BACKEND_HINTS = {
 }
 
 
-def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
+def _ptile_state(
+    index: PtileRangeIndex, ex: ShardedBatchExecutor, add_array: Callable
+) -> dict:
+    # The contract is the executor's record, stated once: a load plants it
+    # into every unit, so an index that differs is refused.
+    if (
+        index.eps, index.eps_effective, index._phi_eff, index.sample_size,
+        index.engine_kind, index.dim, index.bounding_box,
+    ) != (
+        ex.eps, ex.eps_effective, ex.phi_eff, ex.sample_size,
+        ex.engine_kind, ex.dim, ex.bounding_box,
+    ):
+        raise SnapshotError(
+            "a Ptile index's contract differs from the executor's; a snapshot "
+            "stores the executor's once"
+        )
     keys = index.keys
     # The keys are the unit's datasets 0..n-1, so they are not written: a
     # load derives them from the unit's ids.
@@ -410,16 +411,8 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
         raise SnapshotError(f"coresets are not uniformly shaped ({exc})") from exc
     deltas = np.array([index._deltas[k] for k in keys], dtype=np.float64)
     return {
-        "eps": float(index.eps),
-        "eps_effective": float(index.eps_effective),
-        "phi_eff": float(index._phi_eff),
-        "sample_size": int(index._sample_size),
-        "engine": index.engine_kind,
-        "dim": int(index.dim),
         "deltas": add_array("ptile_deltas", deltas),
         "coresets": add_array("coreset", coresets),
-        "bounding_box": _box_state(index.bounding_box),
-        "rng": index._rng.bit_generator.state,
         # ``codes`` / ``points`` are (k, n) C-contiguous segments:
         # add_array's ascontiguousarray would silently undo an F-order
         # (n, k) matrix.
@@ -430,9 +423,13 @@ def _ptile_state(index: PtileRangeIndex, add_array: Callable) -> dict:
 
 
 def _ptile_from_state(
-    state: dict, arrays: _ArrayTable, synopses: list
+    state: dict, arrays: _ArrayTable, engine: DatasetSearchEngine,
+    ex: ShardedBatchExecutor,
 ) -> PtileRangeIndex:
-    n = len(synopses)
+    """The unit engine's Ptile index under the executor's contract."""
+    if ex.bounding_box is None:
+        raise SnapshotError("a built Ptile index, and no executor bounding box")
+    n = len(engine.synopses)
     deltas = arrays[state["deltas"]]
     # Each delta_i is a synopsis error in [0, 1) (resolve_deltas).
     if deltas.dtype != np.float64 or deltas.shape != (n,) or not (
@@ -440,28 +437,24 @@ def _ptile_from_state(
     ).all():
         raise SnapshotError(f"ptile deltas are not {n} float64 values in [0, 1)")
     index = PtileRangeIndex.__new__(PtileRangeIndex)
-    index.dim = int(state["dim"])
-    index.eps = float(state["eps"])
-    index.engine_kind = state["engine"]
-    index._rng = _restore_rng(state["rng"])
+    index.dim, index.eps, index.engine_kind = ex.dim, ex.eps, ex.engine_kind
+    index._phi_eff, index._sample_size = ex.phi_eff, ex.sample_size
+    index.eps_effective, index.bounding_box = ex.eps_effective, ex.bounding_box
+    index._rng = engine._rng  # shared, as engine.ptile_index shares it
     index._next_key = n
-    index._phi_eff = float(state["phi_eff"])
-    index._sample_size = int(state["sample_size"])
-    index.eps_effective = float(state["eps_effective"])
-    index.bounding_box = _box_from(state["bounding_box"])
-    index._synopses = dict(enumerate(synopses))
+    index._synopses = dict(enumerate(engine.synopses))
     index._deltas = dict(enumerate(deltas.tolist()))
     coresets = np.asarray(arrays[state["coresets"]])
-    if coresets.ndim != 3 or coresets.shape[0] != n:
+    if coresets.ndim != 3 or coresets.shape[::2] != (n, ex.dim):
         raise SnapshotError("ptile coreset segment does not match the key list")
     index._coresets = dict(enumerate(coresets))  # views of the one segment
     # Zero-copy: codes, level tables, key column and node table
     # stay the file-backed buffers.  from_arrays validates what it adopts;
-    # an engine without a persisted form is refused by name.  Every saved
-    # point is active.
+    # the engine is the executor's, checked once when its record was read.
+    # Every saved point is active.
     backend = {name: arrays[ref] for name, ref in state["backend"].items()}
     backend["active"] = np.ones(len(backend["group"]), dtype=bool)
-    index._tree = restore_backend(backend, index.engine_kind)
+    index._tree = backend_class(ex.engine_kind).from_arrays(backend)
     return index
 
 
@@ -535,20 +528,15 @@ def _repository_from_state(
 # ----------------------------------------------------------------------
 # Shard units (a base shard or the delta shard: one ``_Unit``)
 # ----------------------------------------------------------------------
-def _unit_state(unit: _Unit, add_array: Callable) -> dict:
+def _unit_state(unit: _Unit, ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     """A unit's ids and what its engine holds, read under the unit's
     lock: no first-use build, delta insert or side-buffer rebuild
     (``to_arrays`` runs one) races the export."""
     with unit.lock:
-        engine = unit.engine
+        index = unit.engine._ptile
         return {
             "ids": add_array("unit_ids", id_column(unit.ids, len(unit.ids))),
-            "rng": engine._rng.bit_generator.state,
-            "ptile": (
-                None
-                if engine._ptile is None
-                else _ptile_state(engine._ptile, add_array)
-            ),
+            "ptile": None if index is None else _ptile_state(index, ex, add_array),
         }
 
 
@@ -582,13 +570,12 @@ def _unit_from_state(
 ) -> _Unit:
     """The unit over ``ex.synopses[ids]``: made by the executor being
     restored, exactly as its constructor makes one (which is cheap —
-    nothing is built until first use), then planted with what the file
+    nothing is built until first use, and its rng stream is the one the
+    saved unit got and never drew from), then planted with what the file
     holds."""
     unit = ex._new_unit(ids, stream)
-    engine = unit.engine
-    engine._rng = _restore_rng(sub["rng"])
     if sub["ptile"] is not None:
-        engine._ptile = _ptile_from_state(sub["ptile"], arrays, engine.synopses)
+        unit.engine._ptile = _ptile_from_state(sub["ptile"], arrays, unit.engine, ex)
     return unit
 
 
@@ -600,20 +587,26 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     dataset arrives or leaves), each unit under its own.  The stored
     dataset rows are the repository's, which the exact synopses slice."""
     # The units first: their segments lead the data section.
-    engines = [_unit_state(unit, add_array) for unit in ex.units]
-    delta = None if ex.delta is None else _unit_state(ex.delta, add_array)
-    repo = ex.repository
+    engines = [_unit_state(unit, ex, add_array) for unit in ex.units]
+    delta = None if ex.delta is None else _unit_state(ex.delta, ex, add_array)
+    repo, box = ex.repository, ex.bounding_box
     rows = None if repo is None else [ds.points for ds in repo.datasets]
     return {
+        # The record _EXECUTOR reads: the contract, and the rebuild inputs.
         "eps": float(ex.eps),
         "seed": int(ex.seed),
         "delta": ex._delta_param,
         "engine": ex.engine_kind,
         "capacity": ex.capacity,
+        "phi": ex._phi_param,
+        "requested_sample_size": ex._sample_size_param,
+        "box_pinned": ex._box_pinned,
         "phi_eff": float(ex.phi_eff),
         "sample_size": int(ex.sample_size),
         "eps_effective": float(ex.eps_effective),
-        "bounding_box": _box_state(ex.bounding_box),
+        "bounding_box": None if box is None else {
+            "lo": box.lo.tolist(), "hi": box.hi.tolist(),
+        },
         "removed": add_array("removed", id_column(sorted(ex.removed), len(ex.removed))),
         # Every dataset's rows end to end, and where each starts.
         "points": None if rows is None else {
@@ -629,20 +622,17 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
     }
 
 
-#: The executor state's scalars and the keywords ``QueryService`` keeps for
-#: rebuilds, checked when the file loads, not at the first ingest or
-#: rebuild; ``(reader, None)`` may be null.  A key not named here (the
-#: retired ``deterministic``) never reaches the rebuild.
-_SHARED = {
+#: The executor record: the resolved contract and the requested inputs a
+#: rebuild re-resolves it from (``ShardedBatchExecutor._rebuild_kwargs``;
+#: a pinned box is the executor's, so a flag), checked when the file
+#: loads, not at the first ingest or rebuild; ``(reader, None)`` may be
+#: null.  A key not named here (the retired ``deterministic``) is ignored.
+_EXECUTOR = Record({
     "eps": Number("(0, 1)"), "seed": Int(lo=0), "engine": String(),
     "delta": (Number("[0, 1)"), None), "capacity": (Int(lo=0), None),
-}
-_EXECUTOR_SCALARS = Record({
-    **_SHARED, "phi_eff": Number("(0, 1)"), "sample_size": Int(lo=2),
+    "phi": (Number("(0, 1)"), None), "requested_sample_size": (Int(lo=2), None),
+    "box_pinned": Bool(), "phi_eff": Number("(0, 1)"), "sample_size": Int(lo=2),
     "eps_effective": Number("(0, inf)"),
-}, error=ValueError)
-_EXECUTOR_KWARGS = Record({
-    **_SHARED, "phi": (Number("(0, 1)"), None), "sample_size": (Int(lo=2), None),
     "bounding_box": (Record({"lo": Array(("d",)), "hi": Array(("d",))}), None),
 }, error=ValueError)
 
@@ -652,26 +642,32 @@ def _executor_from_state(
 ) -> ShardedBatchExecutor:
     ex = ShardedBatchExecutor.__new__(ShardedBatchExecutor)
     ex.registry = registry
-    s = decode(_EXECUTOR_SCALARS, state, "executor")
-    ex.eps, ex.seed, ex._delta_param = s["eps"], s["seed"], s["delta"]
+    s = decode(_EXECUTOR, state, "executor")
+    ex.eps, ex.seed, ex.capacity = s["eps"], s["seed"], s["capacity"]
     ex.engine_kind = check_dynamic_engine(s["engine"])
-    ex.capacity, ex.phi_eff = s["capacity"], s["phi_eff"]
-    ex.sample_size, ex.eps_effective = s["sample_size"], s["eps_effective"]
-    ex.bounding_box = _box_from(state["bounding_box"])
+    ex._delta_param, ex._phi_param = s["delta"], s["phi"]
+    ex._sample_size_param, ex._box_pinned = s["requested_sample_size"], s["box_pinned"]
+    ex.phi_eff, ex.sample_size = s["phi_eff"], s["sample_size"]
+    ex.eps_effective, box = s["eps_effective"], s["bounding_box"]
+    ex.bounding_box = None if box is None else Rectangle(box["lo"], box["hi"])
+    if ex._box_pinned and box is None:
+        raise SnapshotError("executor.box_pinned names no bounding box")
     points = _points_from_state(state["points"], arrays)
     ex.synopses = synopses_from_state(state["synopses"], points, arrays)
     n = len(ex.synopses)
     if not n:
         raise SnapshotError("executor state has no synopses")
     ex.dim = ex.synopses[0].dim
+    if ex.bounding_box is not None and ex.bounding_box.dim != ex.dim:
+        raise SnapshotError(f"the executor's bounding box is not {ex.dim}-D")
     ex.repository = _repository_from_state(state["repository"], points, arrays)
     if ex.repository is not None and len(ex.repository.datasets) != n:
         raise SnapshotError("the repository does not hold one dataset per synopsis")
     ex.removed = frozenset(arrays.ints(state["removed"], "removed", None, n - 1).tolist())
     shards, delta_ids = _unit_ids(state, arrays, n, ex.removed)
     ex.units = [
-        _unit_from_state(ex, ids, s, sub, arrays)
-        for s, (ids, sub) in enumerate(zip(shards, state["engines"], strict=True))
+        _unit_from_state(ex, ids, stream, sub, arrays)
+        for stream, (ids, sub) in enumerate(zip(shards, state["engines"], strict=True))
     ]
     ex.delta = (
         None
@@ -848,10 +844,7 @@ def _cache_from_state(
 # QueryService
 # ----------------------------------------------------------------------
 def _service_state(svc: QueryService, add_array: Callable) -> dict:
-    kw = svc._executor_kwargs
     return {
-        # The keys QueryService.__init__ keeps for rebuilds, in its order.
-        "executor_kwargs": {**kw, "bounding_box": _box_state(kw["bounding_box"])},
         "tracing": bool(svc.observability.tracing),
         "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
         "cache": _cache_state(svc.cache, add_array),
@@ -863,10 +856,6 @@ def _service_from_state(
     state: dict, arrays: _ArrayTable, obs: Optional[ServiceObservability]
 ) -> QueryService:
     svc = QueryService.__new__(QueryService)
-    kw = decode(_EXECUTOR_KWARGS, state["executor_kwargs"], "executor_kwargs")
-    check_dynamic_engine(kw["engine"])
-    kw["bounding_box"] = _box_from(kw["bounding_box"])
-    svc._executor_kwargs = kw
     if obs is None:
         obs = ServiceObservability(
             bool(state["tracing"]), state["slow_query_threshold_ms"]

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ptile_range import PtileRangeIndex
+from repro.errors import ConstructionError
+from repro.index import range_tree
 from repro.index.query_box import QueryBox
 from repro.index.range_tree import RangeTree
+from repro.synopsis.exact import ExactSynopsis
 
 
 def naive_report(points, box):
@@ -81,6 +85,41 @@ class TestBasics:
         rt = RangeTree(pts)
         box = QueryBox([(0.0, 1.0, True, True), (-1.0, 2.0, False, False)])
         assert keys_in(rt, box) == []
+
+
+class TestBuildBound:
+    @staticmethod
+    def held_entries(tree: RangeTree) -> int:
+        """The sorted-list entries a built tree holds, walked node by node."""
+        total, stack = 0, [tree._root]
+        while stack:
+            node = stack.pop()
+            assoc = node.assoc
+            total += (
+                TestBuildBound.held_entries(assoc) if isinstance(assoc, RangeTree)
+                else len(assoc)
+            )
+            stack.extend(child for child in (node.left, node.right) if child)
+        return total
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (7, 1), (13, 2), (9, 3), (6, 5)])
+    def test_the_count_is_what_a_build_holds(self, rng, n, k):
+        tree = RangeTree(rng.uniform(size=(n, k)))
+        assert self.held_entries(tree) == range_tree._assoc_entries(n, k)
+
+    def test_an_oversized_build_is_refused_before_it_allocates(self, rng, monkeypatch):
+        """A Ptile build on the range tree past the bound is a
+        ``ConstructionError`` that names the count and points to ``kd``;
+        no level of the tree is planted."""
+        monkeypatch.setattr(range_tree, "MAX_ASSOC_ENTRIES", 10_000, raising=True)
+        planted = []
+        monkeypatch.setattr(RangeTree, "_plant", lambda *args: planted.append(args))
+        synopses = [ExactSynopsis(rng.uniform(size=(50, 1))) for _ in range(4)]
+        with pytest.raises(ConstructionError, match=r"entries, past MAX_ASSOC_ENTRIES = 10,000.*'kd'"):
+            PtileRangeIndex(synopses, sample_size=6, engine="rangetree")
+        assert planted == []
+        # The same lake on kd builds.
+        PtileRangeIndex(synopses, sample_size=6, engine="kd")
 
 
 class TestActivation:

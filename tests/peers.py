@@ -72,7 +72,7 @@ def rebuilt(service: QueryService, n_shards: int) -> ShardedBatchExecutor:
         n_shards=n_shards,
         removed=executor.removed,
         registry=MetricsRegistry(),
-        **service._executor_kwargs,
+        **executor._rebuild_kwargs(),
     )
 
 
@@ -114,7 +114,7 @@ def leaf_answers(
 ) -> list[DatasetBitmap]:
     """Each leaf's answer on an executor or an engine, ``removed`` masked."""
     if isinstance(peer, ShardedBatchExecutor):
-        answers = [bits for bits, _stamp in peer.eval_leaves(leaves)]
+        answers = peer.eval_leaves(leaves)
     else:
         answers = peer.eval_leaf_batch_bits(leaves, np.arange(peer.n_datasets))
     if removed is None:

@@ -367,9 +367,7 @@ class TestDeadlineUnderInjectedSlowness:
             assert svc.stats()["executor"]["shard_tasks"] == 0
             # ... and a budget that holds returns the whole aligned list.
             full = svc.executor.eval_leaves(leaves, deadline=Deadline(60.0))
-            assert [b for b, _t in full] == [
-                b for b, _t in svc.executor.eval_leaves(leaves)
-            ]
+            assert full == svc.executor.eval_leaves(leaves)
             assert svc.stats()["executor"]["leaf_evals"] == 2 * len(leaves)
         finally:
             svc.close()

@@ -402,8 +402,7 @@ class TestConcurrentChurn:
                 try:
                     while not done.is_set():
                         watermark = executor.n_datasets
-                        got = executor.eval_leaves(leaves)
-                        seen.append((watermark, [bits for bits, _t in got]))
+                        seen.append((watermark, executor.eval_leaves(leaves)))
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -424,7 +423,7 @@ class TestConcurrentChurn:
                     t.join(timeout=60)
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads) and not errors
-            final = [bits.to_list() for bits, _t in executor.eval_leaves(leaves)]
+            final = [bits.to_list() for bits in executor.eval_leaves(leaves)]
         assert {watermark for watermark, _bits in seen} > {N0}
         for watermark, answers_ in seen:
             for bits, want in zip(answers_, final, strict=True):

@@ -278,7 +278,7 @@ class TestSharedBoxes:
         assert n_used > len(leaves) and n_ptile > 1  # leaves repeat across expressions
         executor = service.executor
         built = self.counted_boxes(monkeypatch)
-        got = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
+        got = [bits.to_list() for bits in executor.eval_leaves(leaves)]
         assert len(built) == n_ptile  # once, not once per unit
         single = bare_engine(executor)
         whole = np.arange(single.n_datasets)
@@ -304,11 +304,11 @@ class TestSharedBoxes:
             if isinstance(leaf.measure, PercentileMeasure)
         ]
         executor = service.executor
-        before = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
+        before = [bits.to_list() for bits in executor.eval_leaves(leaves)]
         wide = executor.units[1]
         wide.engine.ptile_index.eps_effective = 0.9
         built = self.counted_boxes(monkeypatch)
-        got = [bits.to_list() for bits, _ in executor.eval_leaves(leaves)]
+        got = [bits.to_list() for bits in executor.eval_leaves(leaves)]
         assert len(built) == 2 * len(leaves)  # two frames, each built once
         assert built.count(wide.engine.ptile_index) == len(leaves)
         assert got == self.alone(executor, leaves)

@@ -388,12 +388,11 @@ class TestExecutorAndEngineKinds:
     def test_retired_deterministic_keys_are_dropped_on_read(
         self, lake, queries, tmp_path, mmap, flag
     ):
-        """An unknown key in a version-6 header is ignored: the retired
+        """An unknown key in a header is ignored: the retired
         ``"deterministic"``, ``true`` as a plain service wrote it and
-        ``false`` as a ``federated_node_service`` node did, in the rebuild
-        keywords and the executor state.  The file loads, answers
-        identically and rebuilds (the key never reaches the executor's
-        constructor)."""
+        ``false`` as a ``federated_node_service`` node did, in the executor
+        record.  The file loads, answers identically and rebuilds (the key
+        never reaches the executor's constructor)."""
         if flag:
             svc = QueryService(
                 repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
@@ -411,10 +410,10 @@ class TestExecutorAndEngineKinds:
         svc.save(path)
         svc.close()
         header, data = _read_header(path)
-        assert header["format"] == VERSION == 6
-        for holder in (header["state"]["executor_kwargs"], header["state"]["executor"]):
-            assert "deterministic" not in holder
-            holder["deterministic"] = flag
+        assert header["format"] == VERSION == 7
+        executor = header["state"]["executor"]
+        assert "deterministic" not in executor
+        executor["deterministic"] = flag
         _write_header(path, header, data)
         loaded = load(path, mmap=mmap)
         assert answers(loaded, queries) == expected
@@ -426,7 +425,7 @@ class TestExecutorAndEngineKinds:
     def test_retired_constant_keys_are_ignored_on_read(
         self, lake, queries, tmp_path, mmap
     ):
-        """An unknown key in a version-6 header is ignored: the retired
+        """An unknown key in a header is ignored: the retired
         kd leaf size (once per shard unit and once per Ptile index), plan-
         cache capacity and slow-log size.  The file loads, answers
         identically and serves with the module constants, whatever the
@@ -442,7 +441,7 @@ class TestExecutorAndEngineKinds:
         svc.save(path)
         svc.close()
         header, data = _read_header(path)
-        assert header["format"] == VERSION == 6
+        assert header["format"] == VERSION == 7
         state, executor = header["state"], header["state"]["executor"]
         for key, value in (("plan_capacity", 7), ("slow_log_size", 3)):
             assert key not in state
@@ -462,49 +461,72 @@ class TestExecutorAndEngineKinds:
         assert answers(loaded, queries) == expected
         loaded.close()
 
-    #: One edit each of the rebuild keywords a file holds
-    #: (``executor_kwargs``), which a load once copied unchecked: a missing
-    #: seed loaded and the next ``rebuild()`` reseeded the executor with 0,
-    #: a retyped one loaded and the next ``rebuild()`` raised ``ValueError``.
-    #: The other rows pin the rest of the table: ``eps``, ``seed`` and
-    #: ``engine`` are required and range-checked, the nullable fields are
-    #: range-checked when present.  ``None``: an unknown key, or a nullable
-    #: one left out, which loads and rebuilds as if absent or null.
-    KWARG_ROWS = {
-        "missing-seed": (lambda kw: kw.pop("seed"), "seed is required"),
-        "retyped-seed": (lambda kw: kw.update(seed="x"), "seed must be"),
-        "extra-key": (lambda kw: kw.update(bogus=1), None),
-        "missing-eps": (lambda kw: kw.pop("eps"), "eps is required"),
-        "missing-engine": (lambda kw: kw.pop("engine"), "engine is required"),
-        "eps-out-of-range": (lambda kw: kw.update(eps=1.5), "eps must be"),
-        "negative-seed": (lambda kw: kw.update(seed=-1), "seed must be"),
-        "static-engine": (lambda kw: kw.update(engine="rangetree"), "dynamic engine"),
-        "retyped-capacity": (lambda kw: kw.update(capacity="x"), "capacity must be"),
-        "undersized-sample": (
-            lambda kw: kw.update(sample_size=1), "sample_size must be"
+    #: One edit each of the executor record, which states the contract and
+    #: the inputs a rebuild re-resolves it from once.  Its fields were once
+    #: copied unchecked: a missing seed loaded and the next ``rebuild()``
+    #: reseeded the executor with 0, a retyped one loaded and the next
+    #: ``rebuild()`` raised ``ValueError``, a retyped ``capacity`` or
+    #: ``delta`` loaded and the next ``add_datasets`` raised ``TypeError``,
+    #: and ``float()`` / ``int()`` passed a numeric string or truncated a
+    #: fraction.  The other rows pin the rest of the table: required fields
+    #: are range-checked, nullable ones when present.  ``None``: an unknown
+    #: key, or a nullable one left out, which loads and rebuilds as if
+    #: absent or null.
+    EXECUTOR_ROWS = {
+        "missing-seed": (lambda ex: ex.pop("seed"), "seed is required"),
+        "retyped-seed": (lambda ex: ex.update(seed="x"), "seed must be"),
+        "string-seed": (lambda ex: ex.update(seed="7"), "seed must be"),
+        "negative-seed": (lambda ex: ex.update(seed=-1), "seed must be"),
+        "extra-key": (lambda ex: ex.update(bogus=1), None),
+        "missing-eps": (lambda ex: ex.pop("eps"), "eps is required"),
+        "eps-out-of-range": (lambda ex: ex.update(eps=1.5), "eps must be"),
+        "string-eps": (lambda ex: ex.update(eps="0.2"), "eps must be"),
+        "missing-engine": (lambda ex: ex.pop("engine"), "engine is required"),
+        "static-engine": (lambda ex: ex.update(engine="rangetree"), "dynamic engine"),
+        "retyped-capacity": (lambda ex: ex.update(capacity="x"), "capacity must be"),
+        "negative-capacity": (lambda ex: ex.update(capacity=-1), "capacity must be"),
+        "retyped-delta": (lambda ex: ex.update(delta="x"), "delta must be"),
+        "missing-phi": (lambda ex: ex.pop("phi"), None),
+        "phi-out-of-range": (lambda ex: ex.update(phi=1.5), "phi must be"),
+        "phi-eff-out-of-range": (lambda ex: ex.update(phi_eff=1.5), "phi_eff must be"),
+        "undersized-sample": (lambda ex: ex.update(sample_size=1), "sample_size must be"),
+        "fractional-sample": (
+            lambda ex: ex.update(sample_size=16.5), "sample_size must be"
+        ),
+        "undersized-requested-sample": (
+            lambda ex: ex.update(requested_sample_size=1),
+            "requested_sample_size must be",
+        ),
+        "string-eps-effective": (
+            lambda ex: ex.update(eps_effective="0.3"), "eps_effective must be"
+        ),
+        "missing-box-flag": (lambda ex: ex.pop("box_pinned"), "box_pinned is required"),
+        "string-box-flag": (lambda ex: ex.update(box_pinned="true"), "box_pinned must be"),
+        "pinned-without-a-box": (
+            lambda ex: ex.update(box_pinned=True, bounding_box=None),
+            "box_pinned names no bounding box",
         ),
         "one-sided-box": (
-            lambda kw: kw.update(bounding_box={"lo": [0.0]}),
+            lambda ex: ex.update(bounding_box={"lo": [0.0]}),
             "bounding_box.hi is required",
         ),
-        "missing-phi": (lambda kw: kw.pop("phi"), None),
     }
 
-    @pytest.mark.parametrize("row", sorted(KWARG_ROWS))
-    def test_rebuild_keywords_are_read_when_the_file_loads(
+    @pytest.mark.parametrize("row", sorted(EXECUTOR_ROWS))
+    def test_the_executor_record_is_read_when_the_file_loads(
         self, lake, queries, tmp_path, row
     ):
         svc = QueryService(
             repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=7,
-            eps=EPS, sample_size=SAMPLE_SIZE,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=24,
         )
         expected = answers(svc, queries)
         path = tmp_path / "svc.snap"
         svc.save(path)
         svc.close()
         header, data = _read_header(path)
-        edit, match = self.KWARG_ROWS[row]
-        edit(header["state"]["executor_kwargs"])
+        edit, match = self.EXECUTOR_ROWS[row]
+        edit(header["state"]["executor"])
         _write_header(path, header, data)
         if match is not None:
             with pytest.raises(SnapshotError, match=match):
@@ -516,37 +538,95 @@ class TestExecutorAndEngineKinds:
         assert answers(loaded, queries) == expected
         loaded.close()
 
-    #: One edit each of the executor state's own scalars, which a load once
-    #: copied unchecked: a retyped ``capacity`` or ``delta`` loaded and the
-    #: next ``add_datasets`` raised ``TypeError``, and ``float()`` / ``int()``
-    #: passed a numeric string or truncated a fraction.
-    STATE_ROWS = {
-        "retyped-capacity": ("capacity", "x"),
-        "negative-capacity": ("capacity", -1),
-        "retyped-delta": ("delta", "x"),
-        "string-eps": ("eps", "0.2"),
-        "string-seed": ("seed", "7"),
-        "string-eps-effective": ("eps_effective", "0.3"),
-        "phi-eff-out-of-range": ("phi_eff", 1.5),
-        "undersized-sample": ("sample_size", 1),
-        "fractional-sample": ("sample_size", 16.5),
-    }
-
-    @pytest.mark.parametrize("row", sorted(STATE_ROWS))
-    def test_executor_scalars_are_read_when_the_file_loads(self, lake, tmp_path, row):
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_a_loaded_service_rebuilds_with_the_saved_inputs(
+        self, lake, queries, tmp_path, pinned
+    ):
+        """The rebuild inputs round-trip through the one record: a service
+        rebuilt after a load has the contract and the rebuild keywords of
+        one rebuilt without the round trip, and answers like it."""
+        box = Repository.from_arrays(lake).bounding_box() if pinned else None
         svc = QueryService(
             repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=7,
-            eps=EPS, sample_size=SAMPLE_SIZE, capacity=24,
+            eps=EPS, phi=0.05, sample_size=SAMPLE_SIZE, bounding_box=box,
         )
+        svc.add_datasets([lake[12]])
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        loaded = load(path)
+        assert loaded.executor._rebuild_kwargs() == svc.executor._rebuild_kwargs()
+        for service in (svc, loaded):
+            service.rebuild()
+        assert loaded.executor._rebuild_kwargs() == svc.executor._rebuild_kwargs()
+        for part in ("phi_eff", "sample_size", "eps_effective", "bounding_box"):
+            assert getattr(loaded.executor, part) == getattr(svc.executor, part)
+        assert answers(loaded, queries) == answers(svc, queries)
+        svc.close()
+        loaded.close()
+
+    def test_the_header_states_the_contract_once(self, lake, tmp_path):
+        """No rebuild keywords beside the executor record, no generator
+        state, and a unit's Ptile state is its own arrays alone."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=2 * N_DATASETS,
+        )
+        svc.add_datasets([lake[0][::2]])
+        svc.warm()
         path = tmp_path / "svc.snap"
         svc.save(path)
         svc.close()
-        header, data = _read_header(path)
-        key, value = self.STATE_ROWS[row]
-        header["state"]["executor"][key] = value
-        _write_header(path, header, data)
-        with pytest.raises(SnapshotError, match=f"executor.{key} must be"):
-            load(path)
+        header, _data = _read_header(path)
+        assert "executor_kwargs" not in header["state"]
+        assert "bit_generator" not in json.dumps(header)
+        executor = header["state"]["executor"]
+        for unit in (*executor["engines"], executor["delta_engine"]):
+            assert set(unit) == {"ids", "ptile"}
+            assert set(unit["ptile"]) == {"deltas", "coresets", "backend"}
+
+    def test_no_unit_draws_from_its_stream(self, lake, queries, tmp_path):
+        """Every unit's generator is still a fresh ``(seed, stream)`` one
+        after builds, delta inserts, a rebuild, queries and a load: every
+        synopsis an executor holds samples from its own seeded stream.
+        That is what lets a file store no generator state."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=2 * N_DATASETS,
+        )
+
+        def fresh(executor):
+            for stream, unit in enumerate(executor._units()):
+                want = np.random.default_rng((executor.seed, stream)).bit_generator.state
+                index = unit.engine._ptile
+                for rng in (unit.engine._rng, *([] if index is None else [index._rng])):
+                    assert rng.bit_generator.state == want
+
+        svc.warm()
+        svc.add_datasets([lake[12]])
+        answers(svc, queries)  # builds the delta's index
+        svc.add_datasets([lake[13]])  # an insert into the built delta tree
+        answers(svc, queries)
+        fresh(svc.executor)
+        svc.save(tmp_path / "svc.snap")
+        loaded = load(tmp_path / "svc.snap")
+        fresh(loaded.executor)
+        for service in (svc, loaded):
+            service.rebuild()
+            answers(service, queries)
+            fresh(service.executor)
+            service.close()
+
+    def test_save_refuses_a_unit_in_another_frame(self, lake, tmp_path):
+        """A load plants the executor's contract into every unit, so a unit
+        whose index was widened past it would come back answering with the
+        executor's slack: the file is refused, not written."""
+        svc = one_shard_kd_service(lake)
+        svc.executor.units[0].engine.ptile_index.eps_effective = 0.9
+        path = tmp_path / "svc.snap"
+        with pytest.raises(SnapshotError, match="differs from the executor's"):
+            svc.save(path)
+        assert not path.exists()
+        svc.close()
 
     @pytest.mark.parametrize("mmap", [True, False])
     @pytest.mark.parametrize("older", ["local_ids", "int32_keys_and_active"])
@@ -779,7 +859,7 @@ class TestExecutorAndEngineKinds:
         # names, seeds and indexes, and the cache's four columns.
         assert summary["n_arrays"] == 3 * 10 + 6 + 4
         assert summary["cache_entries"] == 0
-        assert summary["format"] == VERSION == 6
+        assert summary["format"] == VERSION == 7
         assert summary["header_bytes"] < 8192  # per-file and per-unit facts
         assert summary["executor"]["n_shards"] == 3
 
@@ -954,19 +1034,18 @@ class TestHostileBackendArrays:
         _rewrite_header(snap, "coreset", f"[{n},{size},{dim}]", f"[{size},{n},{dim}]")
         self.refused(snap, "coreset segment does not match")
 
-    @pytest.mark.parametrize("holder", ["ptile", "executor"])
+    @pytest.mark.parametrize("holder", ["executor"])
     @pytest.mark.parametrize("engine", ["rangetree", "columnar"])
     def test_header_naming_the_static_engine_is_refused_not_replanted(
         self, snap, holder, engine
     ):
         """Only the kd engine has a persisted form: the static ``rangetree``
         (it used to be rebuilt from the points) or the retired ``columnar``
-        store, in a shard's Ptile state or as the executor's engine, is
+        store as the executor's engine, which every unit serves with, is
         refused by name.  A kd file whose executor said ``columnar`` used to
         load and report that engine over kd shards."""
         header, data = _read_header(snap)
-        executor = header["state"]["executor"]
-        state = executor["engines"][0]["ptile"] if holder == "ptile" else executor
+        state = header["state"][holder]
         assert state["engine"] == "kd"
         state["engine"] = engine
         _write_header(snap, header, data)
@@ -1031,8 +1110,9 @@ class TestErrorPaths:
 
     # 1: pre-bitset-only files; 2: executor state still named a shard pool
     # width; 3: row-major points + int64 id matrix; 4: float64 kd columns;
-    # 5: per-item JSON in the header
-    @pytest.mark.parametrize("version", [999, 1, 2, 3, 4, 5])
+    # 5: per-item JSON in the header; 6: the contract once per unit and in
+    # the rebuild keywords, and every unit's generator state
+    @pytest.mark.parametrize("version", [999, 1, 2, 3, 4, 5, 6])
     def test_version_mismatch(self, snap, version):
         blob = bytearray(snap.read_bytes())
         blob[8:12] = struct.pack("<I", version)

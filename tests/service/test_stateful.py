@@ -29,7 +29,7 @@ benchmark ships it.  Invariants:
   live service: :func:`~peers.bare_engine` always, and
   :func:`~peers.rebuilt` at the other shard count whenever the contract a
   rebuild would resolve is the live one; a snapshot round trip changes no
-  answer.
+  answer, no part of the contract and no rebuild keyword.
 
 :class:`FederatedMachine` drops and restores the nodes of a two-node
 federation (:func:`~peers.federation`) between query batches: each node's
@@ -213,10 +213,15 @@ class ServiceMachine(RuleBasedStateMachine):
         # loaded service answer what the saved service answered.
         leaves = [r.bitmap for r in self.service.search_batch(self.leaves)]
         pool = [r.bitmap for r in self.service.search_batch(self.pool)]
+        saved = self.service.executor
         self.service.save(self.tmp)
         self.service.close()
         _generation, restore = snapshot_mod._read(self.tmp, mmap)
         self.service = restore(self.service.observability)
+        # The one executor record: the contract, and what a rebuild
+        # re-resolves it from.
+        assert contract(self.service.executor) == contract(saved)
+        assert self.service.executor._rebuild_kwargs() == saved._rebuild_kwargs()
         assert (self.service.n_datasets, self.service.n_live) == (
             self.lake.n, int(self.lake.live().sum())
         )
@@ -326,12 +331,9 @@ class ServiceMachine(RuleBasedStateMachine):
         if any(r.stats["cache_misses"] for r in budgeted):
             event("a budgeted batch reached the executor")
         leaves = list(plan_batch(queries).unique_leaves.values())
-        full = [bits for bits, _t in executor.eval_leaves(leaves)]
+        full = executor.eval_leaves(leaves)
         counted = self.service.stats()["executor"]["leaf_evals"]
-        part = [
-            bits
-            for bits, _t in executor.eval_leaves(leaves, deadline=PollBudget(polls))
-        ]
+        part = executor.eval_leaves(leaves, deadline=PollBudget(polls))
         # One poll before each unit and one inside it; the call answers
         # every leaf or none.
         held = polls >= 2 * len(executor._units())

@@ -1,16 +1,10 @@
 """Versioned single-file service snapshots: mmap cold starts.
 
-Every piece of built serving state is already a flat array — the kd
-backends' rank-coded mapped points (``R^{4d+2}``, one or two bytes per
-coordinate, the two weights of an exact lake stored as one code column)
-with their level tables, key columns and node tables,
-coreset samples, packed ``DatasetBitmap`` words, raw repository datasets —
-so a cold start does not have to *rebuild* any of it: this module persists
-a whole :class:`~repro.service.service.QueryService` into one container
-file and reconstructs it with ``np.memmap``-backed buffers, skipping the
-coreset draws, the maximal-pair rectangle enumeration and the kd-tree
-build entirely.  A bare engine is persisted as ``QueryService(n_shards=1)``,
-which answers identically over the same seeded coresets.
+A :class:`~repro.service.service.QueryService` is persisted into one
+container file and restored over ``np.memmap``-backed buffers: its built
+state is already flat arrays, so a cold start skips the coreset draws, the
+rectangle enumeration and the kd-tree build.  A bare engine is persisted as
+``QueryService(n_shards=1)``, which answers identically.
 
 Container format (version 7)
 ----------------------------
@@ -24,88 +18,50 @@ Container format (version 7)
     bytes 32-..  JSON header (utf-8, ``H`` bytes)
     data section: raw little-endian array buffers, each 64-byte aligned
 
-The JSON header carries ``kind`` (always ``"query_service"``: the
-bare-engine and bare-executor containers older builds wrote are refused
-by the kind they name), ``generation`` (the serving generation counter the
-multi-process supervisor bumps on ingest), ``state`` (nested scalars and
-segment references), and ``arrays`` — the segment table mapping each
-reference to ``{offset, dtype, shape}`` relative to the data section.
+The JSON header carries ``kind`` (always ``"query_service"``),
+``generation`` (the counter the supervisor bumps on ingest), ``state``
+(nested scalars and segment references) and ``arrays`` (each reference's
+``{offset, dtype, shape}`` in the data section).  It holds per-file and
+per-unit facts only; whatever is one item per dataset or per cache entry
+is a segment, integers in the smallest unsigned dtype that holds them:
 
-The header holds per-file and per-unit facts only, so its length does not
-grow with the dataset count or the cached leaves.  Whatever is one item
-per dataset or per cache entry is a segment:
-
-- **Dataset points**: the repository's datasets end to end, one
-  ``(total, d)`` float64 segment (``dataset_points``), and ``n + 1``
-  offsets (``dataset_offsets``).  The repository and every exact synopsis
-  slice it; the repository's names are one utf-8 JSON segment
-  (``dataset_names``).
-- **Synopses**: all seeded, so two integer columns (``synopsis_seeds``,
-  ``synopsis_index``) over their bases.  A base that is exact over its
-  dataset's rows is stored as nothing; any other (a sketch synopsis, or
-  an exact one in a service without a repository — no served lake holds
-  either) keeps a per-item record
+- **Dataset points**: one ``(total, d)`` float64 segment and ``n + 1``
+  offsets, which the repository and every exact synopsis slice; the names
+  are one utf-8 JSON segment.
+- **Synopses**: seed and index columns over their bases; a base that is
+  not exact over its dataset's rows keeps a per-item record
   (:func:`repro.synopsis.serialize.to_state`).
-- **Shard units**: each unit's dataset ids (``unit_ids``) and, once its
-  Ptile index is built, its deltas (``ptile_deltas``), coresets and
-  backend; the tombstones are one column (``removed``).  The serving
-  contract — ``eps``, ``eps_effective``, ``phi_eff``, the coreset size,
-  the engine and the bounding box — and the inputs a rebuild re-resolves
-  it from are stated once, in the executor's record: ``save`` refuses a
-  unit whose index differs from it, and a load plants it into every unit.
-  No generator state is stored: a load makes each unit as the executor's
-  constructor does, and no service path draws from a unit's stream.
-- **Leaf cache**: a small key-shape table in the header, and columns for
-  the key scalars (float64), each entry's shape id and watermark
-  (``cache_keys``, ``cache_watermarks``), plus the bitmap words end to end
-  (``cache_words``).  An entry's bitmap is stored as exactly its
-  watermark's bits, so its word count and offset follow from the
-  watermarks (a bitmap that holds more, cached by a batch racing an
-  ingest, is cut to them: see :func:`_cache_state`).
+- **Shard units**: each unit's ids and, once built, its Ptile deltas, its
+  coresets as one ``(N, s, d)`` segment and its kd backend's own
+  :meth:`~repro.index.kd_tree.DynamicKDTree.to_arrays` less the active
+  mask (``save`` refuses a hidden point; a load starts every point
+  active).  The tombstones are one column.
+- **Leaf cache**: a key-shape table, and columns of key scalars, shape ids,
+  watermarks and bitmap words, each bitmap cut to its watermark's bits
+  (:func:`_cache_state`).
 
-Integer columns are stored in the smallest unsigned dtype that holds them.
-Each Ptile backend is stored as its own ``to_arrays()`` — the kd-tree's,
-the one dynamic engine (:data:`~repro.index.backend.DYNAMIC_ENGINES`); a
-header naming any other engine (the static ``rangetree``, or the
-``columnar`` store older builds served) is refused by name.  A kd backend
-is ``(k_stored, n)`` unsigned rank codes in tree order and the map from
-each of the ``k`` columns to the code row holding it (``mapped_codes``: a
-column whose table and codes repeat an earlier one's is not stored
-again), the per-column float64 level tables they index (``mapped_levels``,
-all ``k``), every point's dataset key in the smallest unsigned dtype that
-holds the shard's largest key (``mapped_ids``: one byte a point up to 256
-datasets a shard) and the node table with its boxes in code space.  No
-active mask is written: no service path runs the ReportFirst loop that
-hides points, so every point is active (``save`` refuses an index with a
-hidden one), and a load starts every point active.  A Ptile index's coresets are one
-``(N, s, d)`` segment, not ``N``.
+The serving contract (``eps``, ``eps_effective``, ``phi_eff``, the coreset
+size, the engine, the bounding box) and the inputs a rebuild re-resolves
+it from are stated once, in the executor record (:data:`_EXECUTOR`):
+``save`` refuses a unit whose index differs from it, and a load plants it
+into every unit.  No generator state is stored: no service path draws
+from a unit's stream.  No key the writer writes is read as a default: a
+file that leaves one out is refused (``null`` is read only where the
+writer writes one).
 
-Other versions are refused, not migrated: rebuild the file with ``repro
-snapshot build``.
+``load(path, mmap=True)`` maps the data section read-only, so its pages
+are shared across the workers of :mod:`repro.service.supervisor`; mutable
+state is private per load.  ``mmap=False`` reads private copies.  A loaded
+service answers every query exactly as the saved one did.  Pref
+structures are not persisted (they are lazy and deterministic), and a
+Ptile index whose key space has holes is refused.
 
-``load(path, mmap=True)`` maps segments as read-only ``np.memmap`` views:
-page-cache pages are shared across every process that maps the same file,
-which is what makes the pre-forked multi-worker server
-(:mod:`repro.service.supervisor`) memory-flat in the worker count.  The
-query path never writes these buffers — mutable state (activation masks,
-side buffers, caches past their words) is private per load.  With
-``mmap=False`` every segment is read into a private writable array.
-
-**Exact-equality round-trip is the contract**: a loaded service answers
-every query identically to the service that was saved (pinned by
-``tests/service/test_snapshot.py`` under both ``mmap`` modes).  Pref
-structures are *not* persisted — they are lazy per-rank-``k`` and
-deterministic to rebuild — and a Ptile index whose key space has holes
-(datasets deleted via ``delete_synopsis``) is refused rather than
-resynthesized wrong.
-
-All errors reading a snapshot back — bad magic, another version, a
-foreign kind, truncated segments, malformed state (anything wrong with the
-header tree or a column it references) — raise
+Anything wrong with a file — bad magic, another version (nothing is
+migrated: rebuild it with ``repro snapshot build``), a foreign kind or
+engine, a truncated segment, a missing or malformed key or column — is a
 :class:`~repro.errors.SnapshotError` and nothing else, from whichever of
-:func:`load`, :func:`generation_of` and :func:`inspect` meets them (the
-supervisor's respawn loop and its workers' snapshot pollers catch exactly
-that).
+:func:`load`, :func:`generation_of` and :func:`inspect` meets it: the
+supervisor's respawn loop and its workers' pollers catch exactly that.
 """
 
 from __future__ import annotations
@@ -134,7 +90,7 @@ from repro.service.sharding import ShardedBatchExecutor, _Unit
 from repro.synopsis.serialize import from_state as synopses_from_state
 from repro.synopsis.serialize import to_state as synopses_to_state
 from repro.wire import SNAPSHOT_HEADER, SNAPSHOT_SEGMENT, decode
-from repro.wire import Array, Bool, Int, Number, Record, String
+from repro.wire import Array, Bool, Int, Nullable, Number, Record, String
 
 MAGIC = b"REPROSNP"
 VERSION = 7
@@ -541,42 +497,21 @@ def _unit_state(unit: _Unit, ex: ShardedBatchExecutor, add_array: Callable) -> d
 
 
 def _unit_ids(
-    state: dict, arrays: _ArrayTable, n: int, removed: frozenset
-) -> tuple[list[list[int]], Optional[list[int]]]:
-    """The base shards' and the delta's ids (None: no delta), refused
-    unless the units restore whole — else a file loads and then answers
-    wrongly or fails its first query: each unit's ids ascend strictly, and
-    the units are disjoint and, with the tombstones, hold every dataset
-    below ``n``."""
-    def ids_of(unit: dict) -> list[int]:
-        return arrays.ints(unit["ids"], "unit ids", None, n - 1).tolist()
-
-    shards = [ids_of(unit) for unit in state["engines"]]
-    delta = None if state["delta_engine"] is None else ids_of(state["delta_engine"])
-    units = shards if delta is None else [*shards, delta]
-    if not all(ids and all(a < b for a, b in zip(ids, ids[1:])) for ids in units):
+    units: list, arrays: _ArrayTable, n: int, removed: frozenset
+) -> list[list[int]]:
+    """Each unit's ids, refused unless the units restore whole — else a
+    file loads and then answers wrongly or fails its first query: each
+    unit's ids ascend strictly, and the units are disjoint and, with the
+    tombstones, hold every dataset below ``n``."""
+    ids = [arrays.ints(unit["ids"], "unit ids", None, n - 1).tolist() for unit in units]
+    if not all(u and all(a < b for a, b in zip(u, u[1:])) for u in ids):
         raise SnapshotError("a unit's ids are empty or not strictly ascending")
-    held = [i for ids in units for i in ids]
+    held = [i for u in ids for i in u]
     if len(set(held)) < len(held):
         raise SnapshotError("a dataset is in two units")
     if set(held) | removed != set(range(n)):
         raise SnapshotError(f"units and tombstones are not datasets 0..{n - 1}")
-    return shards, delta
-
-
-def _unit_from_state(
-    ex: ShardedBatchExecutor, ids: list[int], stream: int, sub: dict,
-    arrays: _ArrayTable,
-) -> _Unit:
-    """The unit over ``ex.synopses[ids]``: made by the executor being
-    restored, exactly as its constructor makes one (which is cheap —
-    nothing is built until first use, and its rng stream is the one the
-    saved unit got and never drew from), then planted with what the file
-    holds."""
-    unit = ex._new_unit(ids, stream)
-    if sub["ptile"] is not None:
-        unit.engine._ptile = _ptile_from_state(sub["ptile"], arrays, unit.engine, ex)
-    return unit
+    return ids
 
 
 # ----------------------------------------------------------------------
@@ -625,15 +560,17 @@ def _executor_state(ex: ShardedBatchExecutor, add_array: Callable) -> dict:
 #: The executor record: the resolved contract and the requested inputs a
 #: rebuild re-resolves it from (``ShardedBatchExecutor._rebuild_kwargs``;
 #: a pinned box is the executor's, so a flag), checked when the file
-#: loads, not at the first ingest or rebuild; ``(reader, None)`` may be
-#: null.  A key not named here (the retired ``deterministic``) is ignored.
+#: loads, not at the first ingest or rebuild.  Every field is required: a
+#: left-out input would otherwise rebuild to another contract.  A key not
+#: named here (the retired ``deterministic``) is ignored.
 _EXECUTOR = Record({
     "eps": Number("(0, 1)"), "seed": Int(lo=0), "engine": String(),
-    "delta": (Number("[0, 1)"), None), "capacity": (Int(lo=0), None),
-    "phi": (Number("(0, 1)"), None), "requested_sample_size": (Int(lo=2), None),
+    "delta": Nullable(Number("[0, 1)")), "capacity": Nullable(Int(lo=0)),
+    "phi": Nullable(Number("(0, 1)")),
+    "requested_sample_size": Nullable(Int(lo=2)),
     "box_pinned": Bool(), "phi_eff": Number("(0, 1)"), "sample_size": Int(lo=2),
     "eps_effective": Number("(0, inf)"),
-    "bounding_box": (Record({"lo": Array(("d",)), "hi": Array(("d",))}), None),
+    "bounding_box": Nullable(Record({"lo": Array(("d",)), "hi": Array(("d",))})),
 }, error=ValueError)
 
 
@@ -664,16 +601,21 @@ def _executor_from_state(
     if ex.repository is not None and len(ex.repository.datasets) != n:
         raise SnapshotError("the repository does not hold one dataset per synopsis")
     ex.removed = frozenset(arrays.ints(state["removed"], "removed", None, n - 1).tolist())
-    shards, delta_ids = _unit_ids(state, arrays, n, ex.removed)
-    ex.units = [
-        _unit_from_state(ex, ids, stream, sub, arrays)
-        for stream, (ids, sub) in enumerate(zip(shards, state["engines"], strict=True))
-    ]
-    ex.delta = (
-        None
-        if delta_ids is None
-        else _unit_from_state(ex, delta_ids, len(shards), state["delta_engine"], arrays)
-    )
+    delta = state["delta_engine"]
+    subs = state["engines"] + ([] if delta is None else [delta])
+    # Each unit is made as the constructor makes it (nothing is built until
+    # first use; its rng stream is the saved unit's, never drawn from), then
+    # planted with what the file holds.
+    units: list[_Unit] = []
+    ids = _unit_ids(subs, arrays, n, ex.removed)
+    for stream, (unit_ids, sub) in enumerate(zip(ids, subs)):
+        unit = ex._new_unit(unit_ids, stream)
+        if sub["ptile"] is not None:
+            engine = unit.engine
+            engine._ptile = _ptile_from_state(sub["ptile"], arrays, engine, ex)
+        units.append(unit)
+    base = len(state["engines"])
+    ex.units, ex.delta = units[:base], (None if delta is None else units[base])
     return ex
 
 
@@ -841,33 +783,6 @@ def _cache_from_state(
 
 
 # ----------------------------------------------------------------------
-# QueryService
-# ----------------------------------------------------------------------
-def _service_state(svc: QueryService, add_array: Callable) -> dict:
-    return {
-        "tracing": bool(svc.observability.tracing),
-        "slow_query_threshold_ms": svc.observability.slow_log.threshold_ms,
-        "cache": _cache_state(svc.cache, add_array),
-        "executor": _executor_state(svc.executor, add_array),
-    }
-
-
-def _service_from_state(
-    state: dict, arrays: _ArrayTable, obs: Optional[ServiceObservability]
-) -> QueryService:
-    svc = QueryService.__new__(QueryService)
-    if obs is None:
-        obs = ServiceObservability(
-            bool(state["tracing"]), state["slow_query_threshold_ms"]
-        )
-    svc.executor = _executor_from_state(state["executor"], arrays, obs.registry)
-    svc._assemble(
-        obs, *_cache_from_state(state["cache"], arrays, svc.executor.n_datasets)
-    )
-    return svc
-
-
-# ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
 def save(service: QueryService, path: PathLike, generation: int = 0) -> dict:
@@ -880,7 +795,12 @@ def save(service: QueryService, path: PathLike, generation: int = 0) -> dict:
     """
     writer = _SnapshotWriter()
     with service._mutation_lock:
-        state = _service_state(service, writer.add_array)
+        state = {
+            "tracing": bool(service.observability.tracing),
+            "slow_query_threshold_ms": service.observability.slow_log.threshold_ms,
+            "cache": _cache_state(service.cache, writer.add_array),
+            "executor": _executor_state(service.executor, writer.add_array),
+        }
     return writer.write(path, state, generation)
 
 
@@ -906,11 +826,20 @@ def _read(
     ``None`` (a new process, :func:`load`) builds one as the file says."""
     header, arrays, _hlen = _open_container(path, mmap)
 
-    def restore(observability: Optional[ServiceObservability]) -> QueryService:
+    def restore(obs: Optional[ServiceObservability]) -> QueryService:
         if faults.ARMED is not None:
             faults.hit("snapshot_load")
         with _decoding(path):
-            return _service_from_state(header["state"], arrays, observability)
+            state = header["state"]
+            if obs is None:
+                obs = ServiceObservability(
+                    bool(state["tracing"]), state["slow_query_threshold_ms"]
+                )
+            svc = QueryService.__new__(QueryService)
+            svc.executor = _executor_from_state(state["executor"], arrays, obs.registry)
+            n = svc.executor.n_datasets
+            svc._assemble(obs, *_cache_from_state(state["cache"], arrays, n))
+            return svc
 
     return header["generation"], restore
 

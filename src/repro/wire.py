@@ -5,11 +5,11 @@ object, a shipped synopsis, a node's reply, a ``u64le+b64`` bitset, a
 supervisor worker's ready report, a snapshot header — is read by
 :func:`decode` through one of the tables at the bottom of this module and
 by nothing else.  A table maps a field name to a *reader* (the field is
-required) or to ``(reader, default)`` (absent or ``null`` keeps the
-default); unknown keys are ignored.  A refusal names the field path and
-what was expected, and leaves as the table's ``error`` class —
-:class:`~repro.errors.QueryError` (a ``400`` at the HTTP edge) unless the
-table says otherwise.  The hostile-input sweeps in ``tests/`` are generated
+required), a :class:`Nullable` reader (required, may be ``null``) or
+``(reader, default)`` (absent or ``null`` keeps the default); unknown keys
+are ignored.  A refusal names the field path and what was expected, and
+leaves as the table's ``error`` class — :class:`~repro.errors.QueryError`
+(a ``400`` at the HTTP edge) unless the table says otherwise.  The hostile-input sweeps in ``tests/`` are generated
 from these tables, and the ``wire-schema`` lint keeps route handlers from
 reading ``body[...]`` around them.
 
@@ -193,8 +193,15 @@ class Deferred:
 
 @dataclass(frozen=True, repr=False)
 class Record:
-    """A JSON object read field by field: ``fields`` maps a name to a reader
-    (required) or to ``(reader, default)``; unknown keys are ignored.
+    """A JSON object read field by field; unknown keys are ignored.
+    ``fields`` maps a name to one of three kinds:
+
+    - a reader: required, and never ``null``;
+    - a :class:`Nullable` reader: required, and ``null`` reads as None — a
+      field left out is refused, so a writer that always writes it cannot
+      lose it unseen (no HTTP body has one: only snapshot records do);
+    - ``(reader, default)``: optional, left out or ``null`` is ``default``.
+
     ``error`` is what :func:`decode` raises for a refusal anywhere below."""
 
     fields: Mapping[str, Any]
@@ -213,7 +220,9 @@ class Record:
             reader = spec if required else spec[0]
             path = f"{where}.{name}" if where else name
             got = value.get(name)
-            if got is None:
+            if got is None and not (
+                required and isinstance(reader, Nullable) and name in value
+            ):
                 if required:
                     raise _Refusal(f"{path} is required: {reader}")
                 out[name] = spec[1]
@@ -383,7 +392,7 @@ NODE_REPLY = Record({
 #: A worker's ready report on the supervisor's pipe, a snapshot file's
 #: header and segments; their readers already funnel ``ValueError``.
 READY_REPORT = Record({"admin_port": Int(1, 65535)}, error=ValueError)
-SNAPSHOT_HEADER = Record({"generation": (Int(lo=0), 0)}, error=ValueError)
+SNAPSHOT_HEADER = Record({"generation": Int(lo=0)}, error=ValueError)
 SNAPSHOT_SEGMENT = Record({
     "dtype": String(), "offset": Int(lo=0), "shape": List(Int(lo=0)),
 }, error=ValueError)

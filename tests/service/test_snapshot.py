@@ -362,6 +362,47 @@ class TestServiceRoundTrip:
         assert len(ltree) > n_loaded and ltree._pts.flags.writeable
         assert not np.shares_memory(ltree._pts, file_map)
 
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_each_restored_object_sets_what_its_constructor_does(
+        self, lake, queries, tmp_path, mmap
+    ):
+        """A load makes the service, executor, repository, datasets, Ptile
+        indexes and kd trees through ``__new__`` and sets their attributes
+        by hand (and plants an index into each unit engine): each restored
+        object sets exactly the attributes its saved twin does, so one a
+        constructor gains and the loader forgets is caught here, not at
+        the first query that reads it."""
+
+        def attributes(obj) -> set:
+            slots = [n for cls in type(obj).__mro__ for n in getattr(cls, "__slots__", ())]
+            return set(getattr(obj, "__dict__", ())) | {n for n in slots if hasattr(obj, n)}
+
+        def restored(svc):
+            ex = svc.executor
+            yield svc
+            yield ex
+            yield ex.repository
+            yield ex.repository.datasets[0]
+            for unit in ex._units():
+                index = unit.engine._ptile
+                yield from (unit, unit.engine, index, index._tree)
+
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=SEED,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=2 * N_DATASETS,
+        )
+        svc.add_datasets(lake[12:14])
+        answers(svc, queries)  # builds both base shards and the delta
+        svc.save(tmp_path / "svc.snap")
+        loaded = load(tmp_path / "svc.snap", mmap=mmap)
+        pairs = list(zip(restored(svc), restored(loaded), strict=True))
+        assert len(pairs) == 4 + 4 * 3
+        for saved, got in pairs:
+            assert type(got) is type(saved)
+            assert attributes(got) == attributes(saved), type(saved).__name__
+        svc.close()
+        loaded.close()
+
 
 class TestExecutorAndEngineKinds:
     def test_wrong_kind_refused(self, lake, tmp_path):
@@ -468,10 +509,11 @@ class TestExecutorAndEngineKinds:
     #: ``rebuild()`` raised ``ValueError``, a retyped ``capacity`` or
     #: ``delta`` loaded and the next ``add_datasets`` raised ``TypeError``,
     #: and ``float()`` / ``int()`` passed a numeric string or truncated a
-    #: fraction.  The other rows pin the rest of the table: required fields
-    #: are range-checked, nullable ones when present.  ``None``: an unknown
-    #: key, or a nullable one left out, which loads and rebuilds as if
-    #: absent or null.
+    #: fraction.  The other rows pin the rest of the table: every field is
+    #: required and range-checked, and a nullable one left out is refused
+    #: like any other (it once loaded as null, and the next ``rebuild()``
+    #: re-resolved another contract).  ``None``: an unknown key, which
+    #: loads and rebuilds as if absent.
     EXECUTOR_ROWS = {
         "missing-seed": (lambda ex: ex.pop("seed"), "seed is required"),
         "retyped-seed": (lambda ex: ex.update(seed="x"), "seed must be"),
@@ -486,7 +528,14 @@ class TestExecutorAndEngineKinds:
         "retyped-capacity": (lambda ex: ex.update(capacity="x"), "capacity must be"),
         "negative-capacity": (lambda ex: ex.update(capacity=-1), "capacity must be"),
         "retyped-delta": (lambda ex: ex.update(delta="x"), "delta must be"),
-        "missing-phi": (lambda ex: ex.pop("phi"), None),
+        "missing-phi": (lambda ex: ex.pop("phi"), "phi is required"),
+        "missing-delta": (lambda ex: ex.pop("delta"), "delta is required"),
+        "missing-capacity": (lambda ex: ex.pop("capacity"), "capacity is required"),
+        "missing-requested-sample": (
+            lambda ex: ex.pop("requested_sample_size"),
+            "requested_sample_size is required",
+        ),
+        "missing-box": (lambda ex: ex.pop("bounding_box"), "bounding_box is required"),
         "phi-out-of-range": (lambda ex: ex.update(phi=1.5), "phi must be"),
         "phi-eff-out-of-range": (lambda ex: ex.update(phi_eff=1.5), "phi_eff must be"),
         "undersized-sample": (lambda ex: ex.update(sample_size=1), "sample_size must be"),
@@ -537,6 +586,54 @@ class TestExecutorAndEngineKinds:
         assert loaded.executor.seed == 7
         assert answers(loaded, queries) == expected
         loaded.close()
+
+    #: Each nullable key of the executor record, and what it sets.
+    NULLABLE = {
+        "delta": "_delta_param", "capacity": "capacity", "phi": "_phi_param",
+        "requested_sample_size": "_sample_size_param", "bounding_box": "bounding_box",
+    }
+
+    @pytest.mark.parametrize("key", sorted(NULLABLE))
+    def test_a_nullable_input_written_as_null_loads(self, lake, tmp_path, key):
+        """``null`` is what the writer writes for an input never given (and
+        for an unresolved box): it loads as None, and the service rebuilds."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=7,
+            eps=EPS, sample_size=SAMPLE_SIZE, capacity=24,
+        )
+        path = tmp_path / "svc.snap"
+        svc.save(path)  # unbuilt: no unit needs the box
+        svc.close()
+        header, data = _read_header(path)
+        header["state"]["executor"][key] = None
+        _write_header(path, header, data)
+        loaded = load(path)
+        assert getattr(loaded.executor, self.NULLABLE[key]) is None
+        loaded.rebuild()
+        loaded.close()
+
+    def test_a_file_without_its_requested_sample_size_is_refused(
+        self, lake, tmp_path
+    ):
+        """A service saved with ``sample_size=12`` rebuilds to 12 after a
+        round trip.  Its file without ``requested_sample_size`` once loaded
+        too, and its next ``rebuild()`` resolved another coreset size."""
+        svc = QueryService(
+            repository=Repository.from_arrays(lake[:12]), n_shards=2, seed=7,
+            eps=EPS, sample_size=12,
+        )
+        path = tmp_path / "svc.snap"
+        svc.save(path)
+        svc.close()
+        loaded = load(path)
+        loaded.rebuild()
+        assert loaded.executor.sample_size == 12
+        loaded.close()
+        header, data = _read_header(path)
+        del header["state"]["executor"]["requested_sample_size"]
+        _write_header(path, header, data)
+        with pytest.raises(SnapshotError, match="requested_sample_size is required"):
+            load(path)
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_a_loaded_service_rebuilds_with_the_saved_inputs(
@@ -1168,6 +1265,16 @@ class TestErrorPaths:
         _write_header(snap, header, data)
         with pytest.raises(SnapshotError, match="RecursionError"):
             load(snap)
+
+    def test_a_header_without_its_generation_is_refused(self, snap):
+        """It once read as generation 0: a fleet reader never followed the
+        file, and a respawned writer restarted the count."""
+        header, data = _read_header(snap)
+        del header["generation"]
+        _write_header(snap, header, data)
+        for reader in (load, inspect, generation_of):
+            with pytest.raises(SnapshotError, match="generation is required"):
+                reader(snap)
 
     def test_magic_constant_is_pinned(self):
         # The on-disk format is a compatibility surface; changing the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -61,3 +63,23 @@ def test_supervisor_admin_tables_match_the_admin_routes():
     served = set(_AdminHandler.routes) - set(_ServiceRequestHandler.routes)
     assert worker - served == set(), "README names admin routes a worker lacks"
     assert served - worker == set(), "a worker serves admin routes README omits"
+
+
+def test_constants_table_matches_the_modules():
+    """Every constant README's "Constants, not flags" table names exists in
+    the module its row names, with the value the row states."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| constant | value | module | why this value |") + 2
+    checked = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        names, values, module = (cell.strip() for cell in line.split("|")[1:4])
+        names = re.findall(r"`(\w+)`", names)
+        values = ast.literal_eval(f"({values},)")
+        module = importlib.import_module(module.strip("`"))
+        assert len(names) == len(values), line
+        for name, value in zip(names, values):
+            assert getattr(module, name) == value, f"{module.__name__}.{name}"
+            checked.append(name)
+    assert len(checked) == len(set(checked)) > 0

@@ -87,17 +87,5 @@ def main() -> None:
     print("space/accuracy dial the paper's eps parameter exposes.")
 
 
-def test_abl_coreset_mid(benchmark):
-    rng = np.random.default_rng(77)
-    datasets, _ = planted(rng)
-    index = PtileThresholdIndex(
-        [ExactSynopsis(p) for p in datasets],
-        eps=0.01,
-        sample_size=24,
-        rng=np.random.default_rng(1),
-    )
-    benchmark(lambda: index.query(QUERY, A_THETA))
-
-
 if __name__ == "__main__":
     main()

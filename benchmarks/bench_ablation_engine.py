@@ -63,12 +63,5 @@ def main() -> None:
     print("trade documented in README, \"Choosing a backend\".")
 
 
-def test_abl_engine_rangetree_query(benchmark):
-    rng = np.random.default_rng(14)
-    lake = synthetic_data_lake(40, 1, rng, median_size=300, size_sigma=0.3)
-    index = build("rangetree", [ExactSynopsis(p) for p in lake], 8)
-    benchmark(lambda: index.query(QUERY, 0.3))
-
-
 if __name__ == "__main__":
     main()

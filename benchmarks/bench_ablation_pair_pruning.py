@@ -71,12 +71,5 @@ def main() -> None:
     print("the pruning is loss-free (proof in repro/geometry/rect_enum.py).")
 
 
-def test_abl_pruned_enumeration(benchmark):
-    rng = np.random.default_rng(20)
-    pts = rng.uniform(0.1, 0.9, size=(8, 1))
-    grid = RectangleGrid(pts, Rectangle([0.0], [1.0]))
-    benchmark(lambda: enumerate_maximal_pairs(grid))
-
-
 if __name__ == "__main__":
     main()

@@ -113,13 +113,5 @@ def main() -> None:
     table2.print()
 
 
-def test_tbase_ours(thr_index_1d, benchmark):
-    benchmark(lambda: thr_index_1d.query(Rectangle([0.0], [0.3]), 0.6))
-
-
-def test_tbase_scan(scan_1d, benchmark):
-    benchmark(lambda: scan_1d.query(Rectangle([0.0], [0.3]), Interval(0.6, 1.0)))
-
-
 if __name__ == "__main__":
     main()

@@ -76,16 +76,5 @@ def main() -> None:
     print("much slower than N.")
 
 
-def test_tdelay_threshold(thr_index_1d, benchmark):
-    rect = Rectangle([0.0], [0.9])
-
-    def run_query():
-        res = thr_index_1d.query(rect, 0.05, record_times=True)
-        assert res.max_delay() is not None
-        return res
-
-    benchmark(run_query)
-
-
 if __name__ == "__main__":
     main()

@@ -94,20 +94,5 @@ def main() -> None:
     print("rebuild and grow with the per-dataset mapped-point count, not N.")
 
 
-def test_tdyn_insert_delete(benchmark):
-    rng = np.random.default_rng(12)
-    lake = synthetic_data_lake(60, 1, rng, median_size=300, size_sigma=0.3)
-    index = PtileThresholdIndex(
-        [ExactSynopsis(p) for p in lake], eps=0.2, sample_size=SAMPLE, rng=rng
-    )
-    extra_pts = rng.uniform(0.0, 1.0, size=(200, 1))
-
-    def cycle():
-        key = index.insert_synopsis(ExactSynopsis(extra_pts))
-        index.delete_synopsis(key)
-
-    benchmark(cycle)
-
-
 if __name__ == "__main__":
     main()

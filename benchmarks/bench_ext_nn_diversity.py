@@ -106,21 +106,5 @@ def main() -> None:
     print("documented 2r / 4r bands), as the paper anticipates via [26].")
 
 
-def test_ext_nn_query(benchmark):
-    rng = np.random.default_rng(30)
-    datasets = make_lake(80, rng)
-    index = NearestNeighborIndex([CoverSynopsis(p, RADIUS) for p in datasets])
-    q = np.array([0.4, 0.6])
-    benchmark(lambda: index.query(q, 0.15))
-
-
-def test_ext_diversity_query(benchmark):
-    rng = np.random.default_rng(31)
-    datasets = make_lake(60, rng)
-    index = DiversityIndex([CoverSynopsis(p, RADIUS) for p in datasets])
-    rect = Rectangle([0.2, 0.2], [0.8, 0.8])
-    benchmark(lambda: index.query(rect, 0.2))
-
-
 if __name__ == "__main__":
     main()

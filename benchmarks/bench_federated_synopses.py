@@ -91,14 +91,5 @@ def main() -> None:
     print("FPtile index keeps recall 1 with false positives inside eps + 2*delta.")
 
 
-def test_tfed_fptile_query(benchmark):
-    rng = np.random.default_rng(9)
-    lake = synthetic_data_lake(25, 2, rng, median_size=800, size_sigma=0.3)
-    syns = [EpsilonSampleSynopsis.from_points(p, size=200, rng=rng) for p in lake]
-    index = PtileRangeIndex(syns, eps=0.15, sample_size=12, rng=rng)
-    rect = Rectangle([0.2, 0.2], [0.6, 0.6])
-    benchmark(lambda: index.query(rect, THETA))
-
-
 if __name__ == "__main__":
     main()

@@ -70,12 +70,5 @@ def main() -> None:
     print("FIG1 reproduced: weights and reported set match the paper.")
 
 
-def test_fig1_query(benchmark):
-    index = build_index()
-    rect = Rectangle([3.0], [8.0])
-    result = benchmark(lambda: index.query(rect, a_theta=0.2))
-    assert result.index_set == {0, 1}
-
-
 if __name__ == "__main__":
     main()

@@ -89,11 +89,5 @@ def main() -> None:
     print("FIG2 reproduced: naive over-reports index 2; Algorithm 4 does not.")
 
 
-def test_fig2_range_query(benchmark):
-    index = build_range_index()
-    result = benchmark(lambda: index.query(QUERY, THETA))
-    assert result.index_set == {0}
-
-
 if __name__ == "__main__":
     main()

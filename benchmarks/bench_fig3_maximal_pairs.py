@@ -87,14 +87,5 @@ def main() -> None:
     print("inner rectangles are always maximal inside the query (Lemma 4.5).")
 
 
-def test_fig3_pair_enumeration(benchmark):
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(0.2, 0.8, size=(6, 1))
-    box = Rectangle([0.0], [1.0])
-    grid = RectangleGrid(pts, box)
-    pairs = benchmark(lambda: enumerate_maximal_pairs(grid))
-    assert pairs
-
-
 if __name__ == "__main__":
     main()

@@ -64,17 +64,5 @@ def main() -> None:
     assert slope > 0.5, "exact query cost must grow with the instance"
 
 
-def test_fig4_reduction_query(benchmark):
-    rng = np.random.default_rng(11)
-    inst = make_uniform_instance(16, 16, 4, rng)
-    scan = LinearScanPtile(inst.datasets, mode="numpy")
-
-    def oracle(rect, theta):
-        return set(scan.query(rect, theta).indexes)
-
-    result = benchmark(lambda: intersect_via_cptile(inst, 2, 9, cptile_query=oracle))
-    assert result == inst.brute_force_intersection(2, 9)
-
-
 if __name__ == "__main__":
     main()

@@ -301,11 +301,5 @@ def main() -> None:
     print(f"wrote {path}")
 
 
-def test_snapshot_load_mmap(service_1d, benchmark, tmp_path):
-    snap = tmp_path / "bench.snap"
-    service_1d.save(snap)
-    benchmark(lambda: QueryService.load(snap, mmap=True).close())
-
-
 if __name__ == "__main__":
     main()

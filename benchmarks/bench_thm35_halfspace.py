@@ -97,12 +97,5 @@ def main() -> None:
     print("in R^5 this ties exact CPref to the halfspace lower bound.")
 
 
-def test_thm35_reduction(benchmark):
-    rng = np.random.default_rng(3)
-    pts, _ = normalize_to_unit_ball(rng.normal(size=(150, 5)))
-    v = rng.normal(size=5)
-    benchmark(lambda: halfspace_report_via_cpref(pts, v, 0.2))
-
-
 if __name__ == "__main__":
     main()

@@ -96,10 +96,5 @@ def main() -> None:
     print("All Theorem 4.11 guarantees held on every sweep point.")
 
 
-def test_thm411_query(range_index_1d, benchmark):
-    rect = Rectangle([0.2], [0.7])
-    benchmark(lambda: range_index_1d.query(rect, Interval(0.2, 0.6)))
-
-
 if __name__ == "__main__":
     main()

@@ -120,15 +120,5 @@ def main() -> None:
     print("once OUT is held fixed (see T-BASE for the OUT-controlled sweep).")
 
 
-def test_thm44_query(thr_index_1d, benchmark):
-    rect = Rectangle([0.2], [0.7])
-    benchmark(lambda: thr_index_1d.query(rect, 0.3))
-
-
-def test_thm44_scan_baseline(scan_1d, benchmark):
-    rect = Rectangle([0.2], [0.7])
-    benchmark(lambda: scan_1d.query(rect, Interval(0.3, 1.0)))
-
-
 if __name__ == "__main__":
     main()

@@ -91,15 +91,5 @@ def main() -> None:
     print(f"scan  query slope vs N: {fit_loglog_slope(ns, scans):.2f} (baseline: Ω(N))")
 
 
-def test_thm54_query(pref_index_2d, benchmark):
-    u = np.array([0.6, 0.8])
-    benchmark(lambda: pref_index_2d.query(u, 0.3))
-
-
-def test_thm54_scan_baseline(pref_scan_2d, benchmark):
-    u = np.array([0.6, 0.8])
-    benchmark(lambda: pref_scan_2d.query(u, 5, 0.3))
-
-
 if __name__ == "__main__":
     main()

@@ -67,13 +67,5 @@ def main() -> None:
     print("(OUT grows with N here, so the slope includes the output term).")
 
 
-def test_thmC5_query(benchmark):
-    rng = np.random.default_rng(5)
-    datasets = make_datasets(150, 200, rng)
-    index = ExactPtile1DIndex(datasets, THETA)
-    result = benchmark(lambda: index.query(0.3, 0.7))
-    assert set(result.indexes) == index.brute_force(0.3, 0.7)
-
-
 if __name__ == "__main__":
     main()

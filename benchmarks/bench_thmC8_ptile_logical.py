@@ -90,18 +90,5 @@ def main() -> None:
     print("faithful tensor structure agrees with the composed strategy exactly.")
 
 
-def test_thmC8_conjunction_compose(benchmark):
-    rng = np.random.default_rng(8)
-    datasets = planted_lake(30, rng)
-    index = PtileLogicalIndex(
-        [ExactSynopsis(p) for p in datasets],
-        eps=0.15,
-        sample_size=8,
-        rng=np.random.default_rng(3),
-    )
-    expr = And([pred(PercentileMeasure(R1), 0.2, 0.6), pred(PercentileMeasure(R2), 0.1, 0.7)])
-    benchmark(lambda: index.query(expr))
-
-
 if __name__ == "__main__":
     main()

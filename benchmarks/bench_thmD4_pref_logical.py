@@ -105,14 +105,5 @@ def main() -> None:
     print("eager all-subsets preprocessing (repro.core.pref_logical).")
 
 
-def test_thmD4_conjunction(benchmark):
-    rng = np.random.default_rng(6)
-    datasets = planted_lake(60, rng)
-    index = PrefLogicalIndex([ExactSynopsis(p) for p in datasets], k=K, eps=EPS)
-    vectors = DIRS[:2]
-    index.query_conjunction(vectors, [0.1, 0.1])  # warm the subset tree
-    benchmark(lambda: index.query_conjunction(vectors, [0.1, 0.1]))
-
-
 if __name__ == "__main__":
     main()

@@ -74,11 +74,12 @@ them afresh, so a pre-forked worker (:mod:`repro.service.supervisor`)
 swaps in the service of a newer snapshot generation, or takes the writer
 role, between requests and without re-creating the listening socket.  A
 worker that is not the writer answers the mutating endpoints (``POST
-/datasets``, ``DELETE /datasets``) with ``409`` and names the writer, so
-a load balancer spraying requests across workers cannot fork divergent
-states.  The coordinator and the supervisor's admin port bind their own
-object (a coordinator, a supervisor) through the same private
-``_handler``, so no other module builds a handler class.
+/datasets``, ``DELETE /datasets``) with ``409`` (the supervisor's admin
+``/healthz`` names the writer), so a load balancer spraying requests
+across workers cannot fork divergent states.  The coordinator and the
+supervisor's admin port bind their own object (a coordinator, a
+supervisor) through the same private ``_handler``, so no other module
+builds a handler class.
 
 ``EXPR`` is a recursive object (:data:`repro.wire.EXPRESSION`)::
 
@@ -483,7 +484,7 @@ class _ServiceRequestHandler(JsonRequestHandler):
             self._send_json(
                 {
                     "error": "this worker is read-only; send mutations to the "
-                    "writer worker (worker 0)"
+                    "fleet's writer (writer_id in the supervisor's admin /healthz)"
                 },
                 status=409,
             )

@@ -20,6 +20,7 @@ import numpy as np
 import peers
 import pytest
 
+from repro.core.bitset import DatasetBitmap
 from repro.errors import QueryError
 from repro.service import QueryService, faults, federation
 from repro.service.federation import (
@@ -489,6 +490,140 @@ class TestBreakerLifecycle:
             assert batch.nodes[0]["status"] == "universe_drift"
         breaker = coord.stats()["federation"]["nodes"][0]["breaker"]
         assert breaker["state"] == "half_open" and breaker["trips"] == 1
+        coord.close()
+
+
+#: The scripted node's slice.
+N_SCRIPTED = 4
+
+
+class ScriptedRPC:
+    """A stand-in for :func:`repro.service.federation.http_call`.  The i-th
+    RPC sleeps ``steps[i][0]`` seconds, then raises ``steps[i][1]`` (an
+    exception) or answers it (the member ids of a one-result bitset reply).
+    A call past the script hangs until :meth:`release`, then fails."""
+
+    def __init__(self, *steps) -> None:
+        self.steps = list(steps)
+        self.calls = 0
+        self._lock = threading.Lock()
+        self._released = threading.Event()
+        self.returned = threading.Semaphore(0)
+
+    def __call__(self, url, body=None, timeout=None):
+        with self._lock:
+            step = self.steps[self.calls] if self.calls < len(self.steps) else None
+            self.calls += 1
+        try:
+            if step is None:
+                self._released.wait(10.0)
+                raise OSError("released")
+            delay, outcome = step
+            time.sleep(delay)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            bits = DatasetBitmap.from_indices(outcome, N_SCRIPTED).to_wire()
+            return 200, json.dumps({"results": [{"bitset": bits}]}).encode()
+        finally:
+            self.returned.release()
+
+    def release(self) -> None:
+        self._released.set()
+
+
+class TestHedgedRound:
+    """What one attempt round promises, whatever carries it: at most one
+    hedge, on the first attempt only, the first success wins, and a hung
+    attempt costs its round timeout, not its hang."""
+
+    @staticmethod
+    def _coordinator(monkeypatch, rpc, **kw):
+        monkeypatch.setattr(federation, "http_call", rpc)
+        coord = FederatedCoordinator(
+            seed=3, backoff_base_s=0.001, backoff_max_s=0.002, **kw
+        )
+        coord.add_node("http://127.0.0.1:9", n_datasets=N_SCRIPTED)
+        query = batched_query_workload(1, DIM, np.random.default_rng(5))[0]
+        return coord, query
+
+    @staticmethod
+    def _node(coord):
+        return coord.stats()["federation"]["nodes"][0]
+
+    def test_a_straggler_gets_one_hedge_and_the_first_success_wins(
+        self, monkeypatch
+    ):
+        rpc = ScriptedRPC((0.2, [0]), (0.0, [1]))
+        coord, query = self._coordinator(
+            monkeypatch, rpc, rpc_timeout_s=2.0, max_retries=1, hedge_delay_s=0.1
+        )
+        batch = coord.search_batch([query])
+        assert batch.nodes[0]["status"] == "ok"
+        assert batch.results[0].indexes == [1]  # the hedge answered first
+        # The straggler's late success is abandoned: it changes no count.
+        assert all(rpc.returned.acquire(timeout=2.0) for _ in range(2))
+        node = self._node(coord)
+        assert rpc.calls == 2
+        # ``hedges`` reads repro_federation_hedges_total{node="0"}.
+        assert (node["hedges"], node["retries"], node["ok_calls"]) == (1, 0, 1)
+        # The winner's own latency: under the hedge delay, so neither the
+        # round's (>= 0.1 s) nor the straggler's (>= 0.2 s).
+        assert node["last_latency_ms"] < 100.0
+        coord.close()
+
+    def test_a_primary_that_fails_early_is_retried_not_hedged(self, monkeypatch):
+        # The retry is slower than the hedge delay too: a retry is never hedged.
+        rpc = ScriptedRPC((0.0, OSError("refused")), (0.1, [2]))
+        coord, query = self._coordinator(
+            monkeypatch, rpc, rpc_timeout_s=2.0, max_retries=1, hedge_delay_s=0.05
+        )
+        batch = coord.search_batch([query])
+        assert batch.nodes[0]["status"] == "ok"
+        assert batch.results[0].indexes == [2]
+        node = self._node(coord)
+        assert rpc.calls == 2
+        assert (node["hedges"], node["retries"], node["ok_calls"]) == (0, 1, 1)
+        assert coord.registry.counter_value(
+            "repro_federation_node_attempts_total", {"node": "0", "outcome": "error"}
+        ) == 1
+        coord.close()
+
+    def test_hung_attempts_are_abandoned_at_the_round_timeout(self, monkeypatch):
+        rpc = ScriptedRPC()  # every call hangs
+        coord, query = self._coordinator(
+            monkeypatch, rpc, rpc_timeout_s=0.2, max_retries=1, hedge_delay_s=0.05
+        )
+        try:
+            t0 = time.perf_counter()
+            batch = coord.search_batch([query])
+            elapsed = time.perf_counter() - t0
+        finally:
+            rpc.release()
+        assert batch.nodes[0]["status"] == "unreachable"
+        result = batch.results[0]
+        assert result.stats["degraded"] and not result.indexes
+        assert result.maybe_bitmap.to_list() == list(range(N_SCRIPTED))
+        # Two rounds of 0.2 s plus a backoff of at most 2 ms, with room for
+        # the scheduler; the hang itself lasts 10 s.
+        assert elapsed < 2 * 0.2 + 0.002 + 0.5, elapsed
+        node = self._node(coord)
+        # The first round's primary and its one hedge (the round outlasts
+        # three more hedge delays), then one unhedged retry.
+        assert rpc.calls == 3
+        assert (node["hedges"], node["retries"], node["ok_calls"]) == (1, 1, 0)
+        assert all(rpc.returned.acquire(timeout=2.0) for _ in range(3))
+        coord.close()
+
+    def test_no_hedge_delay_never_hedges(self, monkeypatch):
+        rpc = ScriptedRPC((0.2, [3]))
+        coord, query = self._coordinator(
+            monkeypatch, rpc, rpc_timeout_s=2.0, max_retries=1, hedge_delay_s=None
+        )
+        batch = coord.search_batch([query])
+        assert batch.results[0].indexes == [3]
+        node = self._node(coord)
+        assert rpc.calls == 1
+        assert (node["hedges"], node["retries"], node["ok_calls"]) == (0, 0, 1)
         coord.close()
 
 

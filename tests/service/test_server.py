@@ -1,6 +1,7 @@
 """Tests for the HTTP JSON endpoint and the expression wire format."""
 
 import json
+import re
 import urllib.error
 import urllib.request
 
@@ -416,6 +417,33 @@ class TestMutationEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             _request(url + "/datasets", {"indexes": [0]}, "DELETE")
         assert err.value.code == 400  # already removed
+
+    def test_a_reader_refuses_mutations_without_naming_a_worker(self):
+        """A reader's 409 names no worker: after a promotion the writer is
+        whichever sibling took the role, and a respawned slot 0 is a
+        reader, so no reader knows the writer's id."""
+        lake = synthetic_data_lake(
+            4, 1, np.random.default_rng(0), family="clustered", median_size=60
+        )
+        service = QueryService(
+            repository=Repository.from_arrays(lake), eps=0.2, sample_size=8, seed=1
+        )
+        httpd = make_server(service, port=0)
+        httpd.RequestHandlerClass.node.writer = False
+        new = np.random.default_rng(3).uniform(0.0, 0.6, (20, 1)).tolist()
+        with serving(httpd) as url:
+            for payload, method in (
+                ({"datasets": [new]}, "POST"),
+                ({"indexes": [0]}, "DELETE"),
+            ):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _request(url + "/datasets", payload, method)
+                assert err.value.code == 409
+                error = json.loads(err.value.read())["error"]
+                assert "read-only" in error
+                assert re.search(r"worker \d", error) is None, error
+            assert _get(url + "/healthz")["n_live"] == 4
+        service.close()
 
     def test_malformed_mutations_are_400(self, mutable_server_url):
         url = mutable_server_url

@@ -31,7 +31,9 @@ benchmark ships it.  Invariants:
   live service: :func:`~peers.bare_engine` always, and
   :func:`~peers.rebuilt` at the other shard count whenever the contract a
   rebuild would resolve is the live one; a snapshot round trip changes no
-  answer, no part of the contract and no rebuild keyword.
+  answer, no part of the contract and no rebuild keyword, and a
+  :func:`~peers.rebuilt` peer of the restored service resolves the contract
+  and answers every pool leaf as one of the saved service does.
 
 :class:`FederatedMachine` drops and restores the nodes of a two-node
 federation (:func:`~peers.federation`) between query batches: each node's
@@ -200,7 +202,7 @@ class ServiceMachine(RuleBasedStateMachine):
         )
         self.pool = batched_query_workload(POOL, DIM, rng, duplicate_leaf_rate=0.6)
         self.leaves = list(plan_batch(self.pool).unique_leaves.values())
-        self.stale = True  # the history moved since the peers last agreed
+        self._moved()
         self.counted = counter_samples(self.service)
         self.phi_misses: list[int] = []  # datasets an exact answer missed
         self.tmp = Path(os.environ.get("TMPDIR", "/tmp")) / f"stateful-{os.getpid()}.snap"
@@ -210,6 +212,20 @@ class ServiceMachine(RuleBasedStateMachine):
         if hasattr(self, "service"):
             self.service.close()
             self.tmp.unlink(missing_ok=True)
+
+    def _moved(self):
+        """The history moved: the peers must agree again, on a new peer."""
+        self.stale = True  # the peers have not agreed since
+        self.peer = None
+
+    def _peer(self, service):
+        """The contract and pool-leaf answers of :func:`rebuilt` ``service``
+        at the other shard count (1 <-> 3), worked out once a state: the
+        peers rule and a round trip share them."""
+        if self.peer is None or self.peer[0] is not service:
+            other = rebuilt(service, 4 - self.n_shards)
+            self.peer = (service, contract(other), leaf_answers(other, self.leaves))
+        return self.peer[1:]
 
     # -- history -------------------------------------------------------
     @rule(seed=st.integers(0, 2**16), count=st.integers(1, 3))
@@ -232,7 +248,7 @@ class ServiceMachine(RuleBasedStateMachine):
         )
         if rebalance:
             event("rebalance")
-        self.stale = True
+        self._moved()
 
     @rule(seed=st.integers(0, 2**16))
     def add_out_of_box(self, seed):
@@ -245,7 +261,7 @@ class ServiceMachine(RuleBasedStateMachine):
             True, "bounding_box", 0
         )
         event("bounding-box rebuild")
-        self.stale = True
+        self._moved()
 
     @precondition(lambda self: self.service.n_live > 2)
     @rule(pick=st.integers(0, 2**16))
@@ -254,12 +270,12 @@ class ServiceMachine(RuleBasedStateMachine):
         victim = int(live[pick % live.size])
         assert self.service.remove_datasets([victim])["removed"] == [victim]
         self.lake.remove([victim])
-        self.stale = True
+        self._moved()
 
     @rule()
     def rebuild(self):
         self.service.rebuild()
-        self.stale = True
+        self._moved()
 
     @rule(mmap=st.booleans())
     def snapshot_round_trip(self, mmap):
@@ -267,15 +283,18 @@ class ServiceMachine(RuleBasedStateMachine):
         # loaded service answer what the saved service answered.
         leaves = [r.bitmap for r in self.service.search_batch(self.leaves)]
         pool = [r.bitmap for r in self.service.search_batch(self.pool)]
-        saved = self.service.executor
-        self.service.save(self.tmp)
-        self.service.close()
+        saved = self.service
+        peer = self._peer(saved)
+        saved.save(self.tmp)
+        saved.close()
         _generation, restore = snapshot_mod._read(self.tmp, mmap)
-        self.service = restore(self.service.observability)
-        # The one executor record: the contract, and what a rebuild
-        # re-resolves it from.
-        assert contract(self.service.executor) == contract(saved)
-        assert self.service.executor._rebuild_kwargs() == saved._rebuild_kwargs()
+        self.service = restore(saved.observability)
+        # The one executor record: the contract, what a rebuild re-resolves
+        # it from, and what that rebuild answers, bit for bit.
+        restored = self.service.executor
+        assert contract(restored) == contract(saved.executor)
+        assert restored._rebuild_kwargs() == saved.executor._rebuild_kwargs()
+        assert self._peer(self.service) == peer
         assert (self.service.n_datasets, self.service.n_live) == (
             self.lake.n, int(self.lake.live().sum())
         )
@@ -303,9 +322,9 @@ class ServiceMachine(RuleBasedStateMachine):
         assert leaf_answers(
             bare_engine(executor), self.leaves, executor.removed_bits()
         ) == live
-        other = rebuilt(self.service, 4 - self.n_shards)  # 1 <-> 3 shards
-        if contract(other) == contract(executor):
-            assert leaf_answers(other, self.leaves) == live
+        resolved, answered = self._peer(self.service)
+        if resolved == contract(executor):
+            assert answered == live
             event("a rebuilt peer agreed")
         else:
             event("a rebuild would move the contract")

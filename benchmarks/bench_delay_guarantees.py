@@ -6,7 +6,9 @@ timestamps on large-output queries and compare the maximum inter-report gap
 with the total time an Ω(N) scan needs before its first report can be
 confirmed complete.
 
-Run ``python benchmarks/bench_delay_guarantees.py`` for the table.
+Run ``python benchmarks/bench_delay_guarantees.py`` for the table.  It
+asserts that every full-output query reports every dataset with one
+emission stamp per report; the gaps are timings, printed and not asserted.
 """
 
 from __future__ import annotations
@@ -25,8 +27,20 @@ from repro.workloads.generators import synthetic_data_lake
 QUERY = Rectangle([0.0], [0.5])
 
 
-def delay_stats(result) -> tuple[float, float]:
+def delay_stats(result, n: int) -> tuple[float, float]:
+    """Median and max gap of a full-output query over ``n`` datasets.
+
+    The query must report every dataset, and each report carries one
+    emission stamp, so the gaps (start to first report, between reports,
+    last report to end) number ``out_size + 1``.  The gaps themselves are
+    timings and are only printed.
+    """
+    assert sorted(result.indexes) == list(range(n)), "not a full-output query"
     gaps = result.delays()
+    assert len(gaps) == result.out_size + 1, (
+        f"{len(gaps)} gaps for {result.out_size} reports: a report "
+        "without its emission stamp"
+    )
     return max(gaps), float(np.median(gaps))
 
 
@@ -37,15 +51,15 @@ def run(n: int, seed: int) -> list[list]:
     rows = []
     thr = PtileThresholdIndex(syns, eps=0.2, sample_size=16, rng=np.random.default_rng(1))
     res = thr.query(QUERY, 0.1, record_times=True)
-    mx, med = delay_stats(res)
+    mx, med = delay_stats(res, n)
     rows.append(["ptile-threshold", n, res.out_size, med, mx])
     rng_idx = PtileRangeIndex(syns, eps=0.2, sample_size=12, rng=np.random.default_rng(1))
     res = rng_idx.query(QUERY, Interval(0.0, 1.0), record_times=True)
-    mx, med = delay_stats(res)
+    mx, med = delay_stats(res, n)
     rows.append(["ptile-range", n, res.out_size, med, mx])
     pref = PrefIndex(syns, k=3, eps=0.2)
     res = pref.query(np.array([1.0]), 0.0, record_times=True)
-    mx, med = delay_stats(res)
+    mx, med = delay_stats(res, n)
     rows.append(["pref", n, res.out_size, med, mx])
     return rows
 

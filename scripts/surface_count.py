@@ -13,7 +13,9 @@ that produces them (stdlib ``ast`` only, nothing imported from the tree):
 Public means no leading underscore.  Run from the repo root:
 ``python scripts/surface_count.py src/repro/service src/repro``; an
 argument that is a file counts that file, for per-module numbers.
-Informational: prints one line per argument and always exits 0.
+Informational: prints one line per argument and exits 0, or exits 2
+naming a path that does not exist, so a mistyped directory never counts
+as an empty one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ def _options(fn: ast.FunctionDef) -> int:
 
 def count(target: Path) -> tuple[int, int, int]:
     """``(lines, public names, options)`` of one file, or over every
-    ``*.py`` below a directory."""
+    ``*.py`` below a directory.  A path that does not exist raises
+    :class:`FileNotFoundError`."""
+    if not target.exists():
+        raise FileNotFoundError(f"no such file or directory: {target}")
     lines = names = options = 0
     for path in [target] if target.is_file() else sorted(target.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -62,7 +67,11 @@ def count(target: Path) -> tuple[int, int, int]:
 
 def main(argv: list[str]) -> int:
     for directory in argv or ["src/repro"]:
-        lines, names, options = count(Path(directory))
+        try:
+            lines, names, options = count(Path(directory))
+        except FileNotFoundError as exc:
+            print(f"surface_count: {exc}", file=sys.stderr)
+            return 2
         print(f"{directory}: {lines} lines, {names} public names, {options} options")
     return 0
 

@@ -437,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "built from the synthetic lake first if missing")
     p.add_argument("--workers", type=int, default=1,
                    help="pre-forked serving processes (> 1 needs --snapshot; "
-                        "worker 0 is the single writer)")
+                        "worker 0 starts as the writer, and if the writer "
+                        "dies the lowest live sibling is promoted)")
     p.add_argument("--max-inflight", type=int, default=None, metavar="N",
                    help="admission control: cap concurrently-executing "
                         "search requests at N; excess load is shed with "

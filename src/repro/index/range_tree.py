@@ -18,7 +18,7 @@ root-to-leaf path, each in ``O(log n)``, matching the
 Memory is ``Theta(n log^{k-1} n)``, which in pure Python is practical only
 for small ``k``; the higher-dimensional mapped spaces of the Ptile indexes
 default to :class:`~repro.index.kd_tree.DynamicKDTree` instead (README,
-"Choosing a backend").  Both engines share the same protocol and the
+"Range-search backends").  Both engines share the same protocol and the
 test suite cross-checks them against each other.
 """
 

@@ -44,6 +44,16 @@ class TestParser:
             build_parser().parse_args([*command, "--engine", "kd"])
         assert "unrecognized arguments: --engine kd" in capsys.readouterr().err
 
+    def test_workers_help_says_worker_0_only_starts_as_the_writer(self, capsys):
+        """After a writer death the supervisor promotes a sibling, so the
+        help may not call worker 0 the writer."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "worker 0 starts as the writer" in text
+        assert "lowest live sibling is promoted" in text
+        assert "single writer" not in text
+
 
 class TestCommands:
     def test_demo_ptile_runs_and_reports_recall(self, capsys):

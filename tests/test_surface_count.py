@@ -58,3 +58,14 @@ def test_a_file_argument_counts_that_file(surface_count, tmp_path):
     # 11 lines; LIMIT, run, Thing, Thing.go; b, c, x, y.
     assert surface_count.count(module) == (11, 4, 4)
     assert surface_count.count(module) == surface_count.count(module.parent)
+
+
+@pytest.mark.parametrize("missing", ["src/repro/servce", "--help"])
+def test_a_missing_path_is_an_error_not_zero(surface_count, missing, capsys):
+    """A renamed or mistyped directory in ``CEILINGS`` must fail the
+    ratchet, not pass it with 0 options."""
+    with pytest.raises(FileNotFoundError):
+        surface_count.count(REPO / missing)
+    assert surface_count.main([str(REPO / "src/repro"), str(REPO / missing)]) == 2
+    out, err = capsys.readouterr()
+    assert missing in err and missing not in out
